@@ -1,8 +1,7 @@
 // Benchmark harness: one testing.B target per table and figure of the
 // paper's evaluation section (§5). Each benchmark regenerates its experiment
 // at SmallScale via internal/bench and reports the headline metrics; run
-// cmd/pbg-bench -scale medium for the fuller numbers recorded in
-// EXPERIMENTS.md. See DESIGN.md §3 for the experiment index.
+// cmd/pbg-bench -scale medium for the fuller numbers.
 package pbg
 
 import (

@@ -1,7 +1,6 @@
 // Command pbg-bench regenerates the paper's tables and figures on the
 // synthetic dataset stand-ins and prints them in the same row structure the
-// paper reports (see DESIGN.md §3 for the experiment index and
-// EXPERIMENTS.md for recorded paper-vs-measured values).
+// paper reports.
 //
 // Usage:
 //

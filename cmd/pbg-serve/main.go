@@ -45,9 +45,7 @@ func main() {
 		operator   = flag.String("operator", "", "override relation operator (must match training)")
 		addr       = flag.String("addr", ":7421", "rpc listen address")
 		obsAddr    = flag.String("obs-addr", "", "serve /metrics, /trace and /debug/pprof on this address (empty = off)")
-		mode       = flag.String("mode", "auto", "shard read mode: auto, mmap, codec")
-		quant      = flag.String("quant", "auto", "quantized scan: auto (scan int8/fp16 bytes when present, re-rank from fp32), off")
-		rerank     = flag.Float64("rerank", 0, "quantized-scan oversampling factor (0 = default 3)")
+		rerank     = flag.Float64("rerank", 0, "oversampling factor of the quantized scan taken when int8/fp16 bytes are present (0 = default 3)")
 		buildQuant = flag.String("build-quant", "", "write quantized sibling copies under this codec (fp16, int8) before serving")
 		nprobe     = flag.Int("nprobe", 0, "default IVF probe width (0 = serve.DefaultNProbe)")
 		buildIndex = flag.Bool("build-index", false, "build and persist the IVF index before serving")
@@ -82,17 +80,9 @@ func main() {
 			g.Schema.Relations[i].Operator = *operator
 		}
 	}
-	m, err := serve.ParseMode(*mode)
-	if err != nil {
-		log.Fatal(err)
-	}
-	qm, err := serve.ParseQuant(*quant)
-	if err != nil {
-		log.Fatal(err)
-	}
 	cfg := serve.Config{
 		Schema: g.Schema, Dim: *dim, Comparator: *comparator,
-		Mode: m, Quant: qm, Rerank: *rerank, NProbe: *nprobe,
+		Rerank: *rerank, NProbe: *nprobe,
 	}
 	if *obsAddr != "" {
 		hub := obs.NewHub()

@@ -11,8 +11,7 @@ import (
 // The paper's datasets (LiveJournal, Twitter, YouTube from SNAP/Tang&Liu,
 // the Freebase dumps) cannot ship with this repository; these generators
 // produce synthetic graphs with the same structural properties so every
-// experiment remains runnable. See DESIGN.md §1 for the substitution
-// rationale.
+// experiment remains runnable.
 
 // SocialGraphConfig configures the LiveJournal/Twitter stand-in.
 type SocialGraphConfig = datagen.SocialConfig

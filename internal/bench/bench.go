@@ -1,9 +1,8 @@
 // Package bench regenerates every table and figure from the paper's
 // evaluation section (§5) on the synthetic dataset stand-ins. Each
 // experiment is a function returning a formatted report whose rows mirror
-// the paper's, so paper-vs-measured comparisons (EXPERIMENTS.md) are
-// mechanical. The same functions back cmd/pbg-bench and the root
-// bench_test.go targets.
+// the paper's, so paper-vs-measured comparisons are mechanical. The same
+// functions back cmd/pbg-bench and the root bench_test.go targets.
 //
 // Absolute values differ from the paper — the substrate is a Go simulator
 // on synthetic graphs, not a 24-core Xeon on LiveJournal/Freebase — but the
@@ -22,7 +21,7 @@ import (
 )
 
 // Scale sizes an experiment run. Small completes in seconds (CI / go test
-// -bench); Medium in minutes (cmd/pbg-bench, the EXPERIMENTS.md numbers).
+// -bench); Medium in minutes (cmd/pbg-bench).
 type Scale struct {
 	Name string
 
@@ -66,7 +65,7 @@ var SmallScale = Scale{
 	EvalEdges: 250, EvalK: 100, Workers: 2, Seed: 7,
 }
 
-// MediumScale drives the recorded EXPERIMENTS.md numbers.
+// MediumScale is cmd/pbg-bench's -scale medium.
 var MediumScale = Scale{
 	Name:        "medium",
 	SocialNodes: 20000, SocialDeg: 10,

@@ -17,7 +17,7 @@ import (
 
 // The bench tests run every experiment at SmallScale and assert the paper's
 // qualitative claims (who wins, how memory/time scale), not absolute
-// numbers. The medium-scale numbers live in EXPERIMENTS.md.
+// numbers.
 
 func TestTable1LiveJournalShape(t *testing.T) {
 	rep, err := Table1LiveJournal(SmallScale)

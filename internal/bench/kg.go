@@ -220,7 +220,7 @@ func distributedSweep(s Scale, id, title string, build func(parts int) (*graph.G
 		}
 		// One worker per machine: simulated machines share this host's
 		// cores, so wall-clock speedup is only meaningful while machines ≤
-		// physical cores (see EXPERIMENTS.md).
+		// physical cores.
 		cl, err := dist.NewCluster(trainG, order, dist.ClusterConfig{
 			Machines: machines,
 			Seed:     s.Seed + 1,

@@ -71,12 +71,11 @@ func boolAs01(b bool) float64 {
 // d=100, gathering rows from an embedding table sized well beyond the LLC
 // so that unbatched sampling is memory-bound, as on the paper's testbed.
 //
-// Reproduction caveat (recorded in EXPERIMENTS.md): the paper's batched
-// curve is flat up to Bn≈100 because MKL GEMMs make the Bn·d FLOPs nearly
-// free; scalar Go kernels pay for FLOPs sooner, so our batched curve decays
-// earlier. The gather-reuse effect itself reproduces: batched stays a
-// constant factor (2.5–8×) above unbatched at every Bn, and unbatched
-// decays steeply with Bn.
+// Reproduction caveat: the paper's batched curve is flat up to Bn≈100
+// because MKL GEMMs make the Bn·d FLOPs nearly free; scalar Go kernels pay
+// for FLOPs sooner, so our batched curve decays earlier. The gather-reuse
+// effect itself reproduces: batched stays a constant factor (2.5–8×) above
+// unbatched at every Bn, and unbatched decays steeply with Bn.
 func Figure4Negatives(s Scale) (*Report, error) {
 	const dim = 100
 	rep := &Report{ID: "figure4", Title: "Negatives throughput (paper Figure 4, d=100)"}
@@ -117,7 +116,7 @@ func Figure4Negatives(s Scale) (*Report, error) {
 			})
 		}
 	}
-	rep.Notes = "paper: unbatched speed ∝ 1/Bn; batched reuses candidates so it stays well above unbatched (flatness up to Bn=100 additionally needs near-peak GEMM, see EXPERIMENTS.md)"
+	rep.Notes = "paper: unbatched speed ∝ 1/Bn; batched reuses candidates so it stays well above unbatched (flatness up to Bn=100 additionally needs near-peak GEMM)"
 	return rep, nil
 }
 

@@ -154,39 +154,26 @@ func (f *Floats) GobDecode(b []byte) error {
 	return nil
 }
 
-// ShardPayload is the wire form of a storage.Shard.
-type ShardPayload struct {
-	TypeIndex int
-	Part      int
-	Count     int
-	Dim       int
-	Embs      Floats
-	Acc       Floats
+// Shards cross the wire as the image storage.Layout describes — the bytes
+// a shard file holds — always fp32: a partition is swapped many times per
+// epoch and re-quantizing it on every swap would stack rounding error.
+
+// encodeShard is the wire form of sh.
+func encodeShard(sh *storage.Shard) ([]byte, error) {
+	return storage.LayoutOf(sh, storage.CodecFP32).Encode(sh)
 }
 
-// payloadFromShard wraps a shard for transmission without copying.
-func payloadFromShard(s *storage.Shard) *ShardPayload {
-	return &ShardPayload{
-		TypeIndex: s.TypeIndex,
-		Part:      s.Part,
-		Count:     s.Count,
-		Dim:       s.Dim,
-		Embs:      Floats(s.Embs),
-		Acc:       Floats(s.Acc),
+// wireLayout passes a received shard payload through the storage bounds
+// gate, on either end of the connection; l.Decode(b) then yields the shard.
+func wireLayout(b []byte) (storage.Layout, error) {
+	l, err := storage.ParseLayout(b, int64(len(b)))
+	if err != nil {
+		return l, fmt.Errorf("dist: shard payload: %w", err)
 	}
-}
-
-// Shard converts the payload back into a storage.Shard, sharing the decoded
-// buffers.
-func (p *ShardPayload) Shard() *storage.Shard {
-	return &storage.Shard{
-		TypeIndex: p.TypeIndex,
-		Part:      p.Part,
-		Count:     p.Count,
-		Dim:       p.Dim,
-		Embs:      []float32(p.Embs),
-		Acc:       []float32(p.Acc),
+	if l.Codec != storage.CodecFP32 {
+		return l, fmt.Errorf("dist: shard payload is %v, the wire carries fp32", l.Codec)
 	}
+	return l, nil
 }
 
 // --- Lock server wire types ---
@@ -288,9 +275,9 @@ type GetArgs struct {
 	Token uint64
 }
 
-// ShardReply carries one shard.
+// ShardReply carries one shard (see encodeShard).
 type ShardReply struct {
-	Shard *ShardPayload
+	Shard []byte
 }
 
 // PutArgs stores a shard back, overwriting the server copy. Token fences the
@@ -298,16 +285,7 @@ type ShardReply struct {
 // rejected, so a zombie trainer whose lease expired can never overwrite the
 // re-leased holder's committed state.
 type PutArgs struct {
-	Shard *ShardPayload
-	Token uint64
-}
-
-// SwapArgs combines Put(Old) and Get(new key) in a single round trip — the
-// §4.2 partition swap. Token fences the Put half (the Get half carries its
-// own token).
-type SwapArgs struct {
-	Put   *ShardPayload
-	Get   GetArgs
+	Shard []byte
 	Token uint64
 }
 

@@ -169,7 +169,7 @@ func testSchema(t *testing.T) *graph.Schema {
 	return s
 }
 
-// TestPartitionServerSwapRoundTrip exercises Get/Put/Swap over real
+// TestPartitionServerSwapRoundTrip exercises Get/Put over real
 // loopback-TCP RPC, including the parity of lazy initialisation with a
 // MemStore using the same seed.
 func TestPartitionServerSwapRoundTrip(t *testing.T) {
@@ -232,26 +232,7 @@ func TestPartitionServerSwapRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Swap: one RPC stores partition 1 and fetches partition 2.
 	client := store.clients[0]
-	var got ShardReply
-	put := payloadFromShard(storage.NewShard(0, 1, schema.Entities[0].PartitionCount(1), dim))
-	if err := client.Call("PartitionServer.Swap", SwapArgs{Put: put, Get: GetArgs{TypeIndex: 0, Part: 2, Dim: dim, InitScale: 1}}, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Shard.Part != 2 {
-		t.Fatalf("swap returned partition %d", got.Shard.Part)
-	}
-	var back ShardReply
-	if err := client.Call("PartitionServer.Get", GetArgs{TypeIndex: 0, Part: 1, Dim: dim, InitScale: 1}, &back); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range back.Shard.Embs {
-		if v != 0 {
-			t.Fatalf("swap's put was lost: element %d = %v", i, v)
-		}
-	}
-
 	// Dimension and range validation.
 	var bad ShardReply
 	if err := client.Call("PartitionServer.Get", GetArgs{TypeIndex: 0, Part: 9, Dim: dim}, &bad); err == nil {

@@ -159,6 +159,25 @@ func TestLeaseExpiryEdgeCases(t *testing.T) {
 	})
 }
 
+// getShard calls ps.Get in process and decodes the reply as a client would.
+func getShard(ps *PartitionServer, args GetArgs) (*storage.Shard, error) {
+	var rep ShardReply
+	if err := ps.Get(args, &rep); err != nil {
+		return nil, err
+	}
+	args.Count = ps.schema.Entities[args.TypeIndex].PartitionCount(args.Part)
+	return decodeGetReply(args, rep.Shard)
+}
+
+// putShard encodes sh as a client would and calls ps.Put in process.
+func putShard(ps *PartitionServer, sh *storage.Shard, token uint64) error {
+	b, err := encodeShard(sh)
+	if err != nil {
+		return err
+	}
+	return ps.Put(PutArgs{Shard: b, Token: token}, &Ack{})
+}
+
 // TestFencedZombieWriteRejected is the acceptance-bar unit test: once a
 // newer lease has touched a shard, a Put carrying the older lease's token is
 // provably rejected, so a zombie trainer can never overwrite the re-leased
@@ -168,19 +187,10 @@ func TestFencedZombieWriteRejected(t *testing.T) {
 	const dim = 4
 	ps := NewPartitionServer(schema, dim, 7, 2)
 
-	fetch := func(token uint64) (*ShardPayload, error) {
-		var rep ShardReply
-		err := ps.Get(GetArgs{TypeIndex: 0, Part: 1, Dim: dim, InitScale: 1, Token: token}, &rep)
-		if rep.Shard == nil {
-			return nil, err
-		}
-		// Direct in-process calls alias the live shard's buffers; clone, as
-		// the gob round trip would over a real connection.
-		cp := *rep.Shard
-		cp.Embs = append(Floats(nil), rep.Shard.Embs...)
-		cp.Acc = append(Floats(nil), rep.Shard.Acc...)
-		return &cp, err
+	fetch := func(token uint64) (*storage.Shard, error) {
+		return getShard(ps, GetArgs{TypeIndex: 0, Part: 1, Dim: dim, InitScale: 1, Token: token})
 	}
+	put := func(sh *storage.Shard, token uint64) error { return putShard(ps, sh, token) }
 	// The doomed trainer checks the shard out under token 5 and trains it.
 	zombie, err := fetch(5)
 	if err != nil {
@@ -193,12 +203,11 @@ func TestFencedZombieWriteRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ack Ack
-	if err := ps.Put(PutArgs{Shard: fresh, Token: 9}, &ack); err != nil {
+	if err := put(fresh, 9); err != nil {
 		t.Fatal(err)
 	}
 	// The zombie's late write must be rejected...
-	err = ps.Put(PutArgs{Shard: zombie, Token: 5}, &ack)
+	err = put(zombie, 5)
 	if !IsFenced(err) {
 		t.Fatalf("zombie Put = %v, want fenced rejection", err)
 	}
@@ -212,7 +221,7 @@ func TestFencedZombieWriteRejected(t *testing.T) {
 	// An unfenced (token-0) write to a fenced shard is likewise refused, but
 	// unfenced reads (evaluation snapshots) still work and see the fresh
 	// holder's state, not the zombie's.
-	if err := ps.Put(PutArgs{Shard: zombie, Token: 0}, &ack); !IsFenced(err) {
+	if err := put(zombie, 0); !IsFenced(err) {
 		t.Fatalf("token-0 Put on fenced shard = %v, want fenced rejection", err)
 	}
 	got, err := fetch(0)
@@ -332,16 +341,16 @@ func TestPartitionServerDurableRestart(t *testing.T) {
 	dir := t.TempDir()
 	ps := NewPartitionServer(schema, dim, 7, 2, WithDurableDir(dir))
 
-	var rep ShardReply
-	if err := ps.Get(GetArgs{TypeIndex: 0, Part: 1, Dim: dim, InitScale: 1}, &rep); err != nil {
+	sh, err := getShard(ps, GetArgs{TypeIndex: 0, Part: 1, Dim: dim, InitScale: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	rep.Shard.Embs[0] = 123.5
-	rep.Shard.Acc[0] = 6.25
+	sh.Embs[0] = 123.5
+	sh.Acc[0] = 6.25
+	if err := putShard(ps, sh, 0); err != nil {
+		t.Fatal(err)
+	}
 	var ack Ack
-	if err := ps.Put(PutArgs{Shard: rep.Shard}, &ack); err != nil {
-		t.Fatal(err)
-	}
 	if err := ps.Flush(FlushArgs{}, &ack); err != nil {
 		t.Fatal(err)
 	}
@@ -356,19 +365,19 @@ func TestPartitionServerDurableRestart(t *testing.T) {
 	// A "restarted" server over the same directory serves the written state.
 	ps2 := NewPartitionServer(schema, dim, 7, 2, WithDurableDir(dir))
 	defer ps2.closeDurable()
-	var rep2 ShardReply
-	if err := ps2.Get(GetArgs{TypeIndex: 0, Part: 1, Dim: dim, InitScale: 1}, &rep2); err != nil {
+	back, err := getShard(ps2, GetArgs{TypeIndex: 0, Part: 1, Dim: dim, InitScale: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if rep2.Shard.Embs[0] != 123.5 || rep2.Shard.Acc[0] != 6.25 {
-		t.Fatalf("restart lost the write: emb %v acc %v", rep2.Shard.Embs[0], rep2.Shard.Acc[0])
+	if back.Embs[0] != 123.5 || back.Acc[0] != 6.25 {
+		t.Fatalf("restart lost the write: emb %v acc %v", back.Embs[0], back.Acc[0])
 	}
 	// Untouched partitions still lazy-init deterministically.
-	var fresh ShardReply
-	if err := ps2.Get(GetArgs{TypeIndex: 0, Part: 2, Dim: dim, InitScale: 1}, &fresh); err != nil {
+	fresh, err := getShard(ps2, GetArgs{TypeIndex: 0, Part: 2, Dim: dim, InitScale: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fresh.Shard.Embs) == 0 {
+	if len(fresh.Embs) == 0 {
 		t.Fatal("lazy init of unwritten partition failed")
 	}
 }

@@ -38,8 +38,8 @@ type PartitionServer struct {
 	dim    int
 	seed   uint64
 
-	// Storage is striped to keep concurrent Get/Put/Swap from different
-	// trainers from serialising on one mutex.
+	// Storage is striped to keep concurrent Get/Put from different trainers
+	// from serialising on one mutex.
 	stripes []partStripe
 
 	durable *durableState
@@ -193,8 +193,10 @@ func (ps *PartitionServer) Get(args GetArgs, reply *ShardReply) error {
 	if err != nil {
 		return err
 	}
-	reply.Shard = payloadFromShard(sh)
-	return nil
+	// Stored shards are never mutated — Put swaps the pointer — so encoding
+	// outside the stripe lock is safe.
+	reply.Shard, err = encodeShard(sh)
+	return err
 }
 
 // Put stores a shard back, replacing the server copy. The write is fenced:
@@ -202,16 +204,19 @@ func (ps *PartitionServer) Get(args GetArgs, reply *ShardReply) error {
 // lease has fenced — is rejected, so a zombie trainer whose bucket was
 // re-leased can never overwrite the new holder's state.
 func (ps *PartitionServer) Put(args PutArgs, reply *Ack) error {
-	if args.Shard == nil {
-		return fmt.Errorf("dist: Put with nil shard")
-	}
-	sh := args.Shard.Shard()
-	if err := ps.checkKey(sh.TypeIndex, sh.Part, sh.Dim); err != nil {
+	l, err := wireLayout(args.Shard)
+	if err != nil {
 		return err
 	}
-	want := ps.schema.Entities[sh.TypeIndex].PartitionCount(sh.Part)
-	if sh.Count != want || len(sh.Embs) != want*ps.dim || len(sh.Acc) != want {
-		return fmt.Errorf("dist: Put shard (%d,%d) has %d rows, want %d", sh.TypeIndex, sh.Part, sh.Count, want)
+	if err := ps.checkKey(l.TypeIndex, l.Part, l.Dim); err != nil {
+		return err
+	}
+	if want := ps.schema.Entities[l.TypeIndex].PartitionCount(l.Part); l.Count != want || l.Dim != ps.dim {
+		return fmt.Errorf("dist: Put shard (%d,%d) is %d×%d, want %d×%d", l.TypeIndex, l.Part, l.Count, l.Dim, want, ps.dim)
+	}
+	sh, err := l.Decode(args.Shard)
+	if err != nil {
+		return err
 	}
 	k := partKey{sh.TypeIndex, sh.Part}
 	st := ps.stripe(k)
@@ -231,19 +236,6 @@ func (ps *PartitionServer) Put(args PutArgs, reply *Ack) error {
 		ps.durable.enqueue(k)
 	}
 	return nil
-}
-
-// Swap writes one shard back and fetches another in a single round trip —
-// the partition exchange a trainer performs between consecutive buckets.
-// Token fences the Put half; the Get half carries its own token.
-func (ps *PartitionServer) Swap(args SwapArgs, reply *ShardReply) error {
-	if args.Put != nil {
-		var ack Ack
-		if err := ps.Put(PutArgs{Shard: args.Put, Token: args.Token}, &ack); err != nil {
-			return err
-		}
-	}
-	return ps.Get(args.Get, reply)
 }
 
 // Flush drains the durable write-behind queue, so every write accepted

@@ -46,9 +46,7 @@ func newDistStoreMetrics(reg *obs.Registry) distStoreMetrics {
 // Shards are deliberately not cached across buckets: once the bucket lease
 // is released, another trainer may acquire and modify a shared partition,
 // so a kept copy could go stale. Exploiting the lock server's Held affinity
-// without refetching would require leases that span bucket transitions; the
-// Swap RPC exists so such a trainer can at least pair its write-back and
-// fetch in one round trip.
+// without refetching would require leases that span bucket transitions.
 type remoteStore struct {
 	schema    *graph.Schema
 	dim       int
@@ -245,6 +243,10 @@ func (s *remoteStore) get(t, p int) (*storage.Shard, error) {
 	sp := s.obs.Trace.Start("dist", fmt.Sprintf("get t%d p%d", t, p))
 	t0 := time.Now()
 	err := s.client(t, p).Call("PartitionServer.Get", args, &reply)
+	var sh *storage.Shard
+	if err == nil {
+		sh, err = decodeGetReply(args, reply.Shard)
+	}
 	s.m.getNs.Observe(float64(time.Since(t0).Nanoseconds()))
 	sp.End()
 	if err != nil {
@@ -252,7 +254,30 @@ func (s *remoteStore) get(t, p int) (*storage.Shard, error) {
 	}
 	s.m.fetches.Inc()
 	s.fetchCount.Add(1)
-	return reply.Shard.Shard(), nil
+	return sh, nil
+}
+
+// decodeGetReply decodes a Get reply, which must be the shard args asked for.
+func decodeGetReply(args GetArgs, b []byte) (*storage.Shard, error) {
+	l, err := wireLayout(b)
+	if err != nil {
+		return nil, err
+	}
+	if l.TypeIndex != args.TypeIndex || l.Part != args.Part || l.Count != args.Count || l.Dim != args.Dim {
+		return nil, fmt.Errorf("dist: server sent shard (%d,%d) of %d×%d, want %d×%d",
+			l.TypeIndex, l.Part, l.Count, l.Dim, args.Count, args.Dim)
+	}
+	return l.Decode(b)
+}
+
+// put performs the Put RPC that writes sh back to its partition server.
+func (s *remoteStore) put(sh *storage.Shard) error {
+	b, err := encodeShard(sh)
+	if err != nil {
+		return err
+	}
+	var ack Ack
+	return s.client(sh.TypeIndex, sh.Part).Call("PartitionServer.Put", PutArgs{Shard: b, Token: s.fenceTok.Load()}, &ack)
 }
 
 // fetch resolves an in-flight entry: it runs the RPC and publishes the
@@ -376,10 +401,9 @@ func (s *remoteStore) Release(t, p int) error {
 		return nil
 	}
 	// Write back outside the lock: the shard is no longer visible locally.
-	var ack Ack
 	sp := s.obs.Trace.Start("dist", fmt.Sprintf("put t%d p%d", t, p))
 	t0 := time.Now()
-	err := s.client(t, p).Call("PartitionServer.Put", PutArgs{Shard: payloadFromShard(e.shard), Token: s.fenceTok.Load()}, &ack)
+	err := s.put(e.shard)
 	s.m.putNs.Observe(float64(time.Since(t0).Nanoseconds()))
 	sp.End()
 	if err != nil {
@@ -405,8 +429,7 @@ func (s *remoteStore) Flush() error {
 	}
 	s.mu.Unlock()
 	for _, sh := range shards {
-		var ack Ack
-		if err := s.client(sh.TypeIndex, sh.Part).Call("PartitionServer.Put", PutArgs{Shard: payloadFromShard(sh), Token: s.fenceTok.Load()}, &ack); err != nil {
+		if err := s.put(sh); err != nil {
 			return err
 		}
 	}

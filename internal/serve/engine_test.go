@@ -10,9 +10,9 @@ import (
 	"pbg/internal/storage"
 )
 
-func openServer(t *testing.T, f *servetest.Fixture, mode serve.Mode) *serve.Server {
+func openServer(t *testing.T, f *servetest.Fixture) *serve.Server {
 	t.Helper()
-	s, err := serve.Open(f.Dir, f.ServerConfig(mode))
+	s, err := serve.Open(f.Dir, f.ServerConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestExactTopKMatchesOracleBitwise(t *testing.T) {
 	for _, cmp := range []string{"dot", "cos", "squared_l2", "l2"} {
 		t.Run(cmp, func(t *testing.T) {
 			f := servetest.Shared(t, servetest.FixtureConfig{Comparator: cmp})
-			s := openServer(t, f, serve.ModeAuto)
+			s := openServer(t, f)
 			oracle := f.NewOracle(t)
 			for _, req := range f.Requests(101, 25, 10, true) {
 				got, err := s.TopK([]serve.TopKRequest{req})
@@ -58,7 +58,7 @@ func TestExactTopKMatchesOracleBitwise(t *testing.T) {
 // request alone. Everything is seeded, so this is fully deterministic.
 func TestBatchedTopKMatchesSingle(t *testing.T) {
 	f := servetest.Shared(t, servetest.FixtureConfig{})
-	s := openServer(t, f, serve.ModeAuto)
+	s := openServer(t, f)
 	reqs := f.Requests(202, 32, 10, true)
 	batched, err := s.TopK(reqs)
 	if err != nil {
@@ -84,7 +84,7 @@ func TestBatchedTopKMatchesSingle(t *testing.T) {
 // same checkpoint, bit for bit, batched or not.
 func TestScoreMatchesOracleBitwise(t *testing.T) {
 	f := servetest.Shared(t, servetest.FixtureConfig{Comparator: "cos"})
-	s := openServer(t, f, serve.ModeAuto)
+	s := openServer(t, f)
 	oracle := f.NewOracle(t)
 	var reqs []serve.ScoreRequest
 	for _, r := range f.Requests(303, 40, 1, true) {
@@ -106,7 +106,7 @@ func TestScoreMatchesOracleBitwise(t *testing.T) {
 // checks it against the oracle given the same vector.
 func TestQueryByVector(t *testing.T) {
 	f := servetest.Shared(t, servetest.FixtureConfig{})
-	s := openServer(t, f, serve.ModeAuto)
+	s := openServer(t, f)
 	oracle := f.NewOracle(t)
 	vecQ := make([]float32, f.Cfg.Dim)
 	for i := range vecQ {
@@ -128,7 +128,7 @@ func TestQueryByVector(t *testing.T) {
 // construction on a trained fixture.
 func TestRankMatchesOracle(t *testing.T) {
 	f := servetest.Shared(t, servetest.FixtureConfig{})
-	s := openServer(t, f, serve.ModeAuto)
+	s := openServer(t, f)
 	oracle := f.NewOracle(t)
 	for _, r := range f.Requests(404, 20, 1, true) {
 		dst := (r.SrcID + 13) % int32(f.Cfg.Nodes)
@@ -149,7 +149,7 @@ func TestRankMatchesOracle(t *testing.T) {
 // mid-rank 1 + (N-1)/2 — none of the three may count a tie as a win.
 func TestConstantScorerEvalServeParity(t *testing.T) {
 	f := servetest.Shared(t, servetest.FixtureConfig{Zero: true})
-	s := openServer(t, f, serve.ModeAuto)
+	s := openServer(t, f)
 	oracle := f.NewOracle(t)
 	n := f.Cfg.Nodes
 	wantRank := 1 + float64(n-1)/2
@@ -178,7 +178,7 @@ func TestConstantScorerEvalServeParity(t *testing.T) {
 		t.Fatalf("oracle rank = %v, want %v", or, wantRank)
 	}
 
-	ss, err := serve.OpenShardSet(f.Dir, f.Graph.Schema, f.Cfg.Dim, serve.ModeAuto, serve.QuantAuto)
+	ss, err := serve.OpenShardSet(f.Dir, f.Graph.Schema, f.Cfg.Dim)
 	if err != nil {
 		t.Fatal(err)
 	}

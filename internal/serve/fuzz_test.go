@@ -1,90 +1,11 @@
 package serve
 
 import (
-	"encoding/binary"
-	"math"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"pbg/internal/graph"
 	"pbg/internal/storage"
 )
-
-// mkShardBytes builds a syntactically valid shard file image.
-func mkShardBytes(typeIdx, part, count, dim uint32) []byte {
-	b := make([]byte, 0, headerBytes+int(count)*(int(dim)+1)*4)
-	var w [4]byte
-	push := func(v uint32) {
-		binary.LittleEndian.PutUint32(w[:], v)
-		b = append(b, w[:]...)
-	}
-	push(shardMagic)
-	push(shardVersion)
-	push(typeIdx)
-	push(part)
-	push(count)
-	push(dim)
-	for i := uint32(0); i < count*(dim+1); i++ {
-		push(math.Float32bits(float32(i) * 0.5))
-	}
-	return b
-}
-
-// FuzzShardHeader drives the mmap reader's single bounds gate with
-// arbitrary bytes: parseShardLayout must error on anything malformed and
-// never panic, and any accepted layout must exactly account for the file
-// size (so no later dereference can be out of range). Accepted inputs are
-// then round-tripped through the real file open path.
-func FuzzShardHeader(f *testing.F) {
-	f.Add(mkShardBytes(0, 0, 3, 4))
-	f.Add(mkShardBytes(1, 2, 0, 0))
-	f.Add(mkShardBytes(0, 0, 3, 4)[:headerBytes-1]) // truncated header
-	f.Add(mkShardBytes(0, 0, 3, 4)[:headerBytes+5]) // truncated body
-	huge := mkShardBytes(0, 0, 3, 4)
-	binary.LittleEndian.PutUint32(huge[16:], 0xffffffff) // absurd count
-	f.Add(huge)
-	bad := mkShardBytes(0, 0, 3, 4)
-	binary.LittleEndian.PutUint32(bad[0:], 0xdeadbeef) // wrong magic
-	f.Add(bad)
-
-	dir := f.TempDir()
-	f.Fuzz(func(t *testing.T, data []byte) {
-		l, err := parseShardLayout(data, int64(len(data)))
-		if err != nil {
-			return // rejection is the expected outcome for junk
-		}
-		// Accepted: the declared geometry must tile the file exactly.
-		if l.DataOff+l.ScaleBytes+l.EmbBytes+int64(l.Count)*4 != int64(len(data)) {
-			t.Fatalf("accepted layout %+v does not account for %d file bytes", l, len(data))
-		}
-		wantEmb := int64(l.Count) * int64(l.Dim) * 4
-		switch l.Codec {
-		case storage.CodecFP16:
-			wantEmb = int64(l.Count) * int64(l.Dim) * 2
-		case storage.CodecInt8:
-			wantEmb = int64(l.Count) * int64(l.Dim)
-		}
-		if l.EmbBytes != wantEmb {
-			t.Fatalf("accepted layout %+v has inconsistent EmbBytes", l)
-		}
-		// Round-trip through the real open path (mmap where available,
-		// codec elsewhere): it must come up with the same geometry or
-		// error cleanly — never panic.
-		path := filepath.Join(dir, "fuzz.pbg")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		sr, err := openShard(path, "", l.TypeIndex, l.Part, l.Dim, ModeAuto, QuantAuto)
-		if err != nil {
-			return
-		}
-		defer sr.close()
-		if sr.count != l.Count || sr.dim != l.Dim {
-			t.Fatalf("open path decoded %dx%d, header says %dx%d", sr.count, sr.dim, l.Count, l.Dim)
-		}
-	})
-}
 
 // fuzzServer builds one tiny zero-embedding server for request fuzzing.
 func fuzzServer(f *testing.F) *Server {

@@ -21,7 +21,7 @@ func TestIVFRecallProperty(t *testing.T) {
 	}
 	for _, cfg := range cases {
 		f := servetest.Shared(t, cfg)
-		s := openServer(t, f, serve.ModeAuto)
+		s := openServer(t, f)
 		if err := s.BuildIndex(serve.IVFConfig{Seed: cfg.Seed}); err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +57,7 @@ func TestIVFRecallProperty(t *testing.T) {
 // identical and that the reloaded index answers queries identically.
 func TestIVFRoundTrip(t *testing.T) {
 	f := servetest.Shared(t, servetest.FixtureConfig{})
-	s := openServer(t, f, serve.ModeAuto)
+	s := openServer(t, f)
 	if err := s.BuildIndex(serve.IVFConfig{Seed: 7}); err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestIVFRoundTrip(t *testing.T) {
 // — never a panic or an out-of-range list.
 func TestReadIVFRejectsCorruption(t *testing.T) {
 	f := servetest.Shared(t, servetest.FixtureConfig{})
-	s := openServer(t, f, serve.ModeAuto)
+	s := openServer(t, f)
 	if err := s.BuildIndex(serve.IVFConfig{Seed: 7}); err != nil {
 		t.Fatal(err)
 	}

@@ -2,26 +2,10 @@
 
 package serve
 
-import (
-	"errors"
-	"os"
-)
-
-// mmapSupported reports whether this platform has the zero-copy mmap path.
-// Without it ModeAuto falls back to the storage codec; the parity test pins
-// that both paths decode identical rows, so behaviour does not change —
-// only residency (private pages instead of shared page cache).
+// mmapSupported reports whether this platform's byte source is a mapping.
+// Without one the same views run over a private copy of the file; the
+// parity test pins that both sources serve identical rows, so only
+// residency changes (private pages instead of shared page cache).
 const mmapSupported = false
 
-type mapping struct{}
-
-func mapFile(f *os.File, size int64) (*mapping, error) {
-	return nil, errors.New("mmap unsupported on this platform")
-}
-
-func (m *mapping) bytes() []byte { return nil }
-func (m *mapping) close() error  { return nil }
-
-func floatView(b []byte) ([]float32, error) {
-	return nil, errors.New("mmap unsupported on this platform")
-}
+func openImage(path string) (*image, error) { return readImage(path) }

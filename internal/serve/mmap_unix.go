@@ -7,55 +7,33 @@ import (
 	"math"
 	"os"
 	"syscall"
-	"unsafe"
 )
 
-// mmapSupported reports whether this platform has the zero-copy mmap path.
+// mmapSupported reports whether this platform's byte source is a mapping.
 const mmapSupported = true
 
-// mapping is a read-only memory mapping of a whole shard file.
-type mapping struct {
-	b []byte
-}
-
-// mapFile maps size bytes of f read-only. The mapping is MAP_SHARED so all
+// openImage maps the whole file read-only. The mapping is MAP_SHARED so all
 // server replicas on one host share the same page-cache pages.
-func mapFile(f *os.File, size int64) (*mapping, error) {
-	if size < headerBytes {
-		return nil, fmt.Errorf("file too small to be a shard (%d bytes)", size)
-	}
-	if size > math.MaxInt {
-		return nil, fmt.Errorf("file too large to map (%d bytes)", size)
-	}
-	b, err := syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
+func openImage(path string) (*image, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	return &mapping{b: b}, nil
-}
-
-func (m *mapping) bytes() []byte { return m.b }
-
-func (m *mapping) close() error {
-	if m.b == nil {
-		return nil
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
 	}
-	b := m.b
-	m.b = nil
-	return syscall.Munmap(b)
-}
-
-// floatView reinterprets a byte slice as float32s without copying. The
-// caller guarantees len(b) is a multiple of 4; the base must be 4-byte
-// aligned, which holds for any page-aligned mapping plus the 24-byte
-// header offset. Misalignment is reported rather than risked.
-func floatView(b []byte) ([]float32, error) {
-	if len(b) == 0 {
-		return nil, nil
+	size := st.Size()
+	if size == 0 {
+		return &image{}, nil // nothing to map; the layout gate rejects it
 	}
-	p := unsafe.Pointer(&b[0])
-	if uintptr(p)%4 != 0 {
-		return nil, fmt.Errorf("mapped block misaligned for float32 view")
+	if size > math.MaxInt {
+		return nil, fmt.Errorf("%s too large to map (%d bytes)", path, size)
 	}
-	return unsafe.Slice((*float32)(p), len(b)/4), nil
+	b, err := syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
+	if err != nil {
+		return nil, fmt.Errorf("mmap %s: %w", path, err)
+	}
+	return &image{b: b, unmap: syscall.Munmap}, nil
 }

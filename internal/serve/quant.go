@@ -8,57 +8,20 @@ import (
 	"pbg/internal/vec"
 )
 
-// QuantMode controls the quantized-scan serving path.
-type QuantMode int
-
-const (
-	// QuantAuto scans quantized bytes whenever they are present — a native
-	// v2 quantized checkpoint, or .q.pbg sibling copies written next to an
-	// fp32 checkpoint by storage.WriteQuantCopy / Server.BuildQuant — and
-	// re-ranks the surviving top-K·α candidates from fp32 when fp32 rows are
-	// available. The default.
-	QuantAuto QuantMode = iota
-	// QuantOff ignores sibling copies and decodes native quantized
-	// checkpoints to fp32 in private memory: full-precision scans
-	// everywhere, at fp32 residency.
-	QuantOff
-)
-
-// String names the mode for logs and flags.
-func (m QuantMode) String() string {
-	switch m {
-	case QuantAuto:
-		return "auto"
-	case QuantOff:
-		return "off"
-	default:
-		return fmt.Sprintf("QuantMode(%d)", int(m))
-	}
-}
-
-// ParseQuant parses a -quant flag value: "auto" or "off".
-func ParseQuant(s string) (QuantMode, error) {
-	switch s {
-	case "", "auto":
-		return QuantAuto, nil
-	case "off":
-		return QuantOff, nil
-	default:
-		return QuantAuto, fmt.Errorf("serve: unknown quant mode %q (want auto or off)", s)
-	}
-}
-
 // quantRows is the quantized view of one shard's embedding block: the raw
-// codec bytes (zero-copy views into an mmap region, or a private file read)
-// plus the per-row scales the int8 codec needs. Rows dequantize on the fly
-// through the vec kernels — the fp32 working set of a quantized scan is one
-// scratch block, never the whole shard.
+// codec bytes (zero-copy views into the file image) plus the per-row scales
+// the int8 codec needs. Rows dequantize on the fly through the vec kernels
+// — the fp32 working set of a quantized scan is one scratch block, never
+// the whole shard.
 type quantRows struct {
 	codec      storage.Codec
 	rows, cols int
 	f16        []uint16  // fp16: rows×cols half-precision bits
 	i8         []int8    // int8: rows×cols quantized cells
 	scales     []float32 // int8: one scale per row
+	// nbytes is the quantized payload footprint (embedding cells + scales),
+	// the scan-side residency the quant gauges report.
+	nbytes int64
 }
 
 // fill dequantizes rows [lo, lo+m) into the first m rows of dst.
@@ -82,40 +45,34 @@ func (q *quantRows) copyRow(dst []float32, r int) {
 	}
 }
 
-// bytes is the quantized payload footprint (embedding cells + scales), the
-// scan-side residency the quant gauges report.
-func (q *quantRows) bytes() int64 {
-	return int64(len(q.f16))*2 + int64(len(q.i8)) + int64(len(q.scales))*4
-}
-
 // quantViews builds a quantRows over the payload blocks of a parsed v2
-// layout. b is the whole file image — an mmap region or a private read; the
-// views alias it either way, so the caller keeps b (or its mapping) alive
-// for the life of the shard.
-func quantViews(b []byte, l shardLayout) (*quantRows, error) {
-	q := &quantRows{codec: l.Codec, rows: l.Count, cols: l.Dim}
+// layout. b is the whole file image; the views alias it, so the caller
+// keeps it alive for the life of the shard.
+func quantViews(b []byte, l storage.Layout) (*quantRows, error) {
+	so, sn := l.Scales()
+	eo, en := l.Embs()
+	q := &quantRows{codec: l.Codec, rows: l.Count, cols: l.Dim, nbytes: sn + en}
 	var err error
 	switch l.Codec {
 	case storage.CodecFP16:
-		if q.f16, err = u16View(b[l.DataOff : l.DataOff+l.EmbBytes]); err != nil {
-			return nil, err
-		}
+		q.f16, err = u16View(b[eo : eo+en])
 	case storage.CodecInt8:
-		if q.scales, err = f32View(b[l.DataOff : l.DataOff+l.ScaleBytes]); err != nil {
-			return nil, err
-		}
-		q.i8 = i8View(b[l.DataOff+l.ScaleBytes : l.DataOff+l.ScaleBytes+l.EmbBytes])
+		q.i8 = i8View(b[eo : eo+en])
+		q.scales, err = f32View(b[so : so+sn])
 	default:
-		return nil, fmt.Errorf("serve: no quantized view for codec %v", l.Codec)
+		err = fmt.Errorf("serve: no quantized view for codec %v", l.Codec)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return q, nil
 }
 
-// The reinterpret views below are the platform-independent twins of the
-// mmap path's floatView: they work over heap buffers too (the codec read
-// path), and misalignment is reported rather than risked. Go heap
-// allocations are at least word-aligned and both v2 payload offsets (28 and
-// 28+count·4) are 4-aligned, so the checks only fire on a hostile layout.
+// The reinterpret views below work over mappings and heap buffers alike,
+// and misalignment is reported rather than risked. Mappings are page-aligned,
+// Go heap allocations at least word-aligned, and every block offset
+// storage.Layout reports is 4-aligned, so the checks never fire on an image
+// that starts where its buffer does.
 
 func f32View(b []byte) ([]float32, error) {
 	if len(b) == 0 {

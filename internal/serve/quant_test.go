@@ -9,12 +9,10 @@ import (
 	"pbg/internal/storage"
 )
 
-// openServer opens a Server over dir with the fixture's model config.
-func openQuantServer(t *testing.T, f *servetest.Fixture, dir string, quant serve.QuantMode) *serve.Server {
+// openServerAt opens a Server over dir with the fixture's model config.
+func openServerAt(t *testing.T, f *servetest.Fixture, dir string) *serve.Server {
 	t.Helper()
-	cfg := f.ServerConfig(serve.ModeAuto)
-	cfg.Quant = quant
-	s, err := serve.Open(dir, cfg)
+	s, err := serve.Open(dir, f.ServerConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +33,7 @@ func TestQuantSiblingScanRecall(t *testing.T) {
 	for _, codec := range []storage.Codec{storage.CodecInt8, storage.CodecFP16} {
 		t.Run(codec.String(), func(t *testing.T) {
 			dir := f.QuantSiblings(t, codec)
-			s := openQuantServer(t, f, dir, serve.QuantAuto)
+			s := openServerAt(t, f, dir)
 
 			st, err := s.Stats()
 			if err != nil {
@@ -76,47 +74,16 @@ func TestQuantSiblingScanRecall(t *testing.T) {
 					}
 				}
 			}
-
-			// QuantOff on the same directory must ignore the siblings
-			// entirely: bit-identical answers to the same engine serving the
-			// sibling-free fixture checkpoint.
-			off := openQuantServer(t, f, dir, serve.QuantOff)
-			stOff, err := off.Stats()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if stOff.QuantShards != 0 || stOff.QuantCodec != "" {
-				t.Fatalf("QuantOff still reports quantized shards: %+v", stOff)
-			}
-			base := openQuantServer(t, f, f.Dir, serve.QuantAuto) // no siblings there
-			resOff, err := off.TopK(reqs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resBase, err := base.TopK(reqs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, r := range resOff {
-				if r.Reranked != 0 {
-					t.Fatalf("QuantOff request %d reports %d reranked rows", i, r.Reranked)
-				}
-				for j := range r.IDs {
-					if r.IDs[j] != resBase[i].IDs[j] || r.Scores[j] != resBase[i].Scores[j] {
-						t.Fatalf("QuantOff request %d result %d: (%d, %x) vs sibling-free (%d, %x)",
-							i, j, r.IDs[j], r.Scores[j], resBase[i].IDs[j], resBase[i].Scores[j])
-					}
-				}
-			}
 		})
 	}
 }
 
 // TestNativeQuantServesBitEqualToDecode pins the no-rerank leg: a natively
 // quantized (v2) checkpoint has no fp32 rows, so the quantized scan's
-// dequantized scores ARE the decoded checkpoint's scores — serving it with
-// quant on and quant off must agree bit for bit, and Score must match the
-// independent oracle (which decodes through storage.ReadShard) exactly.
+// dequantized scores ARE the decoded checkpoint's scores — serving it must
+// agree bit for bit with serving the same checkpoint decoded to fp32 by
+// storage.ReadShard, and Score must match the independent oracle (which
+// decodes the same way) exactly.
 func TestNativeQuantServesBitEqualToDecode(t *testing.T) {
 	f := servetest.Shared(t, servetest.FixtureConfig{})
 	const k = 10
@@ -125,8 +92,10 @@ func TestNativeQuantServesBitEqualToDecode(t *testing.T) {
 	for _, codec := range []storage.Codec{storage.CodecInt8, storage.CodecFP16} {
 		t.Run(codec.String(), func(t *testing.T) {
 			dir := f.CheckpointAs(t, codec)
-			on := openQuantServer(t, f, dir, serve.QuantAuto)
-			off := openQuantServer(t, f, dir, serve.QuantOff)
+			on := openServerAt(t, f, dir)
+			quantized := *f
+			quantized.Dir = dir
+			off := openServerAt(t, f, quantized.CheckpointAs(t, storage.CodecFP32))
 
 			st, err := on.Stats()
 			if err != nil {
@@ -139,8 +108,8 @@ func TestNativeQuantServesBitEqualToDecode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Quant-off decodes to fp32: ~4 bytes/dim resident vs the codec's
-			// 1–2 — the serving-residency half of the ≥2× reduction claim.
+			// The decoded copy holds ~4 bytes/dim resident vs the codec's 1–2 —
+			// the serving-residency half of the ≥2× reduction claim.
 			if codec == storage.CodecInt8 && st.MappedBytes*2 > stOff.MappedBytes {
 				t.Fatalf("int8 serving residency %d not ≥2x below decoded %d", st.MappedBytes, stOff.MappedBytes)
 			}
@@ -236,7 +205,7 @@ func TestBuildQuantHotSwap(t *testing.T) {
 	// not the shared fixture.
 	fp32Dir := f.CheckpointAs(t, storage.CodecFP32)
 
-	s := openQuantServer(t, f, fp32Dir, serve.QuantAuto)
+	s := openServerAt(t, f, fp32Dir)
 	st, err := s.Stats()
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,7 @@ import (
 
 func dialTestServer(t *testing.T, f *servetest.Fixture) (*serve.Server, *serve.Client) {
 	t.Helper()
-	s := openServer(t, f, serve.ModeAuto)
+	s := openServer(t, f)
 	front, err := serve.ListenAndServe("127.0.0.1:0", s)
 	if err != nil {
 		t.Fatal(err)

@@ -6,11 +6,11 @@
 // The layer is built from four pieces:
 //
 //   - ShardSet (shardset.go): a read-only view over the checkpoint's shard
-//     files. On platforms with mmap the embedding block of each shard is
-//     memory-mapped and rows are zero-copy slice views into the page cache;
-//     elsewhere (or with ModeCodec) shards load through the same
-//     storage.ReadShard codec the trainer uses. A parity test pins that
-//     both paths return bit-identical rows.
+//     files. Each file's bytes pass storage.ParseLayout — the one
+//     description of the shard format — and rows are zero-copy slice views
+//     into them: into the page cache on platforms with mmap, into a private
+//     copy of the file elsewhere. A parity test pins that rows from both
+//     byte sources are bit-identical to storage.ReadShard's.
 //   - The batched scoring engine (engine.go): incoming requests are grouped
 //     per relation, query embeddings are gathered and transformed through
 //     the trained model operator once per group, and candidates are scored
@@ -36,58 +36,11 @@
 // neighbour lists are reproducible and comparable against offline eval.
 package serve
 
-import (
-	"errors"
-	"fmt"
-)
-
-// Mode selects how ShardSet reads shard files.
-type Mode int
-
-const (
-	// ModeAuto memory-maps shards where the platform supports it and falls
-	// back to the codec path otherwise. The default.
-	ModeAuto Mode = iota
-	// ModeMmap requires the mmap path; opening fails on platforms without
-	// mmap support.
-	ModeMmap
-	// ModeCodec forces the storage.ReadShard codec path (shards are read
-	// into private memory). Used by the parity tests and as the portable
-	// fallback.
-	ModeCodec
-)
-
-// String names the mode for logs and flags.
-func (m Mode) String() string {
-	switch m {
-	case ModeAuto:
-		return "auto"
-	case ModeMmap:
-		return "mmap"
-	case ModeCodec:
-		return "codec"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
-}
-
-// ParseMode parses a -mode flag value: "auto", "mmap" or "codec".
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "", "auto":
-		return ModeAuto, nil
-	case "mmap":
-		return ModeMmap, nil
-	case "codec":
-		return ModeCodec, nil
-	default:
-		return ModeAuto, fmt.Errorf("serve: unknown shard read mode %q (want auto, mmap or codec)", s)
-	}
-}
+import "errors"
 
 // ErrClosed is returned by Server APIs after Close.
 var ErrClosed = errors.New("serve: server closed")
 
-// MmapAvailable reports whether this platform has the zero-copy mmap read
-// path (ModeAuto uses it exactly when true).
+// MmapAvailable reports whether shard files are memory-mapped on this
+// platform (elsewhere they are read into private memory).
 func MmapAvailable() bool { return mmapSupported }

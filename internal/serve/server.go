@@ -26,15 +26,10 @@ type Config struct {
 	// parameter block (the reverse half is unused by forward serving but
 	// the checkpoint layout depends on it).
 	Reciprocal bool
-	// Mode selects the shard read path (default ModeAuto: mmap where
-	// available).
-	Mode Mode
-	// Quant selects the quantized-scan path (default QuantAuto: scan
+	// Rerank is the quantized-scan oversampling factor α: scans read
 	// int8/fp16 bytes whenever the checkpoint, or a sibling copy written by
-	// BuildQuant, provides them; re-rank from fp32 when available).
-	Quant QuantMode
-	// Rerank is the quantized-scan oversampling factor α: a K-request keeps
-	// ceil(α·K) quantized-scan survivors and re-scores those from fp32.
+	// BuildQuant, provides them; a K-request then keeps ceil(α·K)
+	// quantized-scan survivors and re-scores those from fp32 when available.
 	// 0 means the default 3; values below 1 are clamped to 1 (no margin).
 	Rerank float64
 	// NProbe is the default IVF probe width (0 = DefaultNProbe of the
@@ -186,7 +181,7 @@ func Open(dir string, cfg Config) (*Server, error) {
 // loadView opens shards, relation parameters and (if present) the index
 // into a fresh view. Nothing is visible to readers until install.
 func (s *Server) loadView(dir string) (*view, error) {
-	ss, err := OpenShardSet(dir, s.cfg.Schema, s.cfg.Dim, s.cfg.Mode, s.cfg.Quant)
+	ss, err := OpenShardSet(dir, s.cfg.Schema, s.cfg.Dim)
 	if err != nil {
 		return nil, err
 	}

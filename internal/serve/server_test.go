@@ -18,7 +18,7 @@ import (
 // and none may observe a torn view (the race detector guards the rest).
 func TestConcurrentMixedRequestsWithReload(t *testing.T) {
 	f := servetest.Shared(t, servetest.FixtureConfig{})
-	s := openServer(t, f, serve.ModeAuto)
+	s := openServer(t, f)
 	if err := s.BuildIndex(serve.IVFConfig{Seed: 5}); err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestHotSwapNeverTearsAView(t *testing.T) {
 	fA := servetest.Shared(t, servetest.FixtureConfig{Seed: 41})
 	fB := servetest.Shared(t, servetest.FixtureConfig{Seed: 42})
 	// Same geometry, different training seeds → same schema, different rows.
-	s := openServer(t, fA, serve.ModeAuto)
+	s := openServer(t, fA)
 	oracleA := fA.NewOracle(t)
 	oracleB := fB.NewOracle(t)
 
@@ -168,7 +168,7 @@ func TestHotSwapNeverTearsAView(t *testing.T) {
 // with ErrClosed while already-admitted requests complete.
 func TestCloseDrainsInFlight(t *testing.T) {
 	f := servetest.Shared(t, servetest.FixtureConfig{})
-	s, err := serve.Open(f.Dir, f.ServerConfig(serve.ModeAuto))
+	s, err := serve.Open(f.Dir, f.ServerConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestCloseDrainsInFlight(t *testing.T) {
 func TestServeMetrics(t *testing.T) {
 	f := servetest.Shared(t, servetest.FixtureConfig{})
 	hub := obs.NewQuietHub()
-	cfg := f.ServerConfig(serve.ModeAuto)
+	cfg := f.ServerConfig()
 	cfg.Obs = hub
 	s, err := serve.Open(f.Dir, cfg)
 	if err != nil {

@@ -2,7 +2,7 @@
 // layer, in the spirit of storetest: seeded tiny trained fixtures shared
 // across tests, scripted request streams, and an exact brute-force oracle
 // that is deliberately independent of internal/serve — it loads shards
-// through storage.ReadShard (not the mmap reader) and scores through
+// through storage.ReadShard (not serve's zero-copy views) and scores through
 // model.Scorer.ScoreMany (not the batched engine), so agreement between the
 // two is evidence, not tautology.
 package servetest
@@ -306,12 +306,11 @@ func (o *Oracle) RelParams(rel int) []float32 { return o.params[rel] }
 
 // ServerConfig returns the serve.Config matching the fixture's training
 // run.
-func (f *Fixture) ServerConfig(mode serve.Mode) serve.Config {
+func (f *Fixture) ServerConfig() serve.Config {
 	return serve.Config{
 		Schema:     f.Graph.Schema,
 		Dim:        f.Cfg.Dim,
 		Comparator: f.Cfg.Comparator,
-		Mode:       mode,
 	}
 }
 

@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
 
 	"pbg/internal/graph"
@@ -11,147 +9,60 @@ import (
 	"pbg/internal/vec"
 )
 
-// Shard file layouts the serving layer reads directly:
-//
-// v1 (storage.WriteShard): a 24-byte header of six little-endian uint32s —
-// magic "PBGS", version 1, entity-type index, partition, row count, dim —
-// then count×dim float32 embeddings, then count float32 Adagrad
-// accumulators.
-//
-// v2 (storage.WriteShardCodec, quantized): a 28-byte header that inserts a
-// codec word after the version — magic, version 2, codec, type, partition,
-// count, dim — then the codec payload (fp16: count×dim uint16; int8: count
-// float32 row scales then count×dim int8 cells), then the fp32 accumulator
-// block. Payload offsets are aligned for zero-copy views (see storage's v2
-// format note).
-//
-// The serving layer never touches the accumulator tail — it is training
+// image is the bytes of one shard file and what releases them. The byte
+// source is chosen at build time: openImage maps the file read-only where
+// the platform has mmap (mmap_unix.go) and reads it into a private buffer
+// elsewhere (mmap_other.go). Everything above it — storage.ParseLayout, the
+// views — is the same code on both.
+type image struct {
+	b     []byte
+	unmap func([]byte) error // nil: b is a private buffer
+}
+
+func (m *image) close() error {
+	b, unmap := m.b, m.unmap
+	m.b, m.unmap = nil, nil
+	if b == nil || unmap == nil {
+		return nil
+	}
+	return unmap(b)
+}
+
+// readImage is the private-buffer byte source.
+func readImage(path string) (*image, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return &image{b: b}, nil
+}
+
+// shardRows is one open shard: a count×dim read-only fp32 matrix and/or a
+// quantized view of the same rows, both aliasing the file image. A v1 shard
+// has fp32 only; a native v2 shard has quant only; a v1 shard with a .q.pbg
+// sibling has both — the engine scans the quantized copy and re-ranks from
+// fp32. The accumulator tail of the image is never viewed: it is training
 // state.
-const (
-	shardMagic    = 0x50424753 // "PBGS", must match storage.go
-	shardVersion  = 1
-	shardVersionQ = 2
-	headerBytes   = 24
-	headerBytesV2 = 28
-)
-
-// shardLayout is the validated geometry of one shard file.
-type shardLayout struct {
-	TypeIndex int
-	Part      int
-	Count     int
-	Dim       int
-	// Codec is the embedding block's encoding (CodecFP32 for v1 files).
-	Codec storage.Codec
-	// DataOff is the offset of the first payload block: headerBytes for v1,
-	// headerBytesV2 for v2.
-	DataOff int64
-	// ScaleBytes is the byte length of the int8 per-row scale block at
-	// DataOff (0 for other codecs).
-	ScaleBytes int64
-	// EmbBytes is the byte length of the embedding block, which starts at
-	// DataOff+ScaleBytes, in codec element width.
-	EmbBytes int64
-}
-
-// parseShardLayout validates a shard header against the file size and
-// returns the layout. It is the single bounds gate for the zero-copy read
-// paths — every offset the reader later dereferences is proven in-range
-// here — and is the target of FuzzShardHeader and FuzzQuantShardHeader:
-// malformed input must error, never panic or imply an out-of-range access.
-func parseShardLayout(hdr []byte, fileSize int64) (shardLayout, error) {
-	var l shardLayout
-	if len(hdr) < headerBytes {
-		return l, fmt.Errorf("serve: shard header truncated: %d bytes, want %d", len(hdr), headerBytes)
-	}
-	magic := binary.LittleEndian.Uint32(hdr[0:])
-	if magic != shardMagic {
-		return l, fmt.Errorf("serve: bad shard magic 0x%08x", magic)
-	}
-	version := binary.LittleEndian.Uint32(hdr[4:])
-	geom := hdr[8:]
-	switch version {
-	case shardVersion:
-		l.Codec = storage.CodecFP32
-		l.DataOff = headerBytes
-	case shardVersionQ:
-		if len(hdr) < headerBytesV2 {
-			return l, fmt.Errorf("serve: v2 shard header truncated: %d bytes, want %d", len(hdr), headerBytesV2)
-		}
-		codec := binary.LittleEndian.Uint32(hdr[8:])
-		if c := storage.Codec(codec); codec > 255 || (c != storage.CodecFP16 && c != storage.CodecInt8) {
-			return l, fmt.Errorf("serve: bad v2 shard codec %d", codec)
-		}
-		l.Codec = storage.Codec(codec)
-		l.DataOff = headerBytesV2
-		geom = hdr[12:]
-	default:
-		return l, fmt.Errorf("serve: unsupported shard version %d", version)
-	}
-	typeIndex := binary.LittleEndian.Uint32(geom[0:])
-	part := binary.LittleEndian.Uint32(geom[4:])
-	count := binary.LittleEndian.Uint32(geom[8:])
-	dim := binary.LittleEndian.Uint32(geom[12:])
-	const maxI32 = 1<<31 - 1
-	if typeIndex > maxI32 || part > maxI32 || count > maxI32 || dim > maxI32 {
-		return l, fmt.Errorf("serve: shard header field out of range (type %d part %d count %d dim %d)", typeIndex, part, count, dim)
-	}
-	if count > 0 && dim == 0 {
-		return l, fmt.Errorf("serve: shard has %d rows but dim 0", count)
-	}
-	// All arithmetic in int64: count, dim < 2^31 so count*(dim+1)*4 < 2^65
-	// could still overflow — bound the product first.
-	c, d := int64(count), int64(dim)
-	if d > 0 && c > (1<<59)/d {
-		return l, fmt.Errorf("serve: shard geometry overflows (count %d dim %d)", count, dim)
-	}
-	switch l.Codec {
-	case storage.CodecFP16:
-		l.EmbBytes = c * d * 2
-	case storage.CodecInt8:
-		l.ScaleBytes = c * 4
-		l.EmbBytes = c * d
-	default:
-		l.EmbBytes = c * d * 4
-	}
-	accBytes := c * 4
-	want := l.DataOff + l.ScaleBytes + l.EmbBytes + accBytes
-	if fileSize != want {
-		return l, fmt.Errorf("serve: shard file size %d does not match header (want %d for count %d dim %d codec %v)", fileSize, want, count, dim, l.Codec)
-	}
-	l.TypeIndex = int(typeIndex)
-	l.Part = int(part)
-	l.Count = int(count)
-	l.Dim = int(dim)
-	return l, nil
-}
-
-// shardRows is one open shard: an optional count×dim read-only fp32 matrix
-// (zero-copy mmap view or codec-decoded private memory) and/or a quantized
-// view of the same rows. A v1 shard has fp32 only; a native v2 shard has
-// quant only; a v1 shard with a .q.pbg sibling has both — the engine scans
-// the quantized copy and re-ranks from fp32.
 type shardRows struct {
-	rows    vec.Matrix // fp32 rows; valid iff fp32 is true
-	fp32    bool
-	quant   *quantRows
-	mapped  *mapping // primary file mapping (nil on private-memory paths)
-	qmapped *mapping // sibling quant file mapping, when distinct
-	mmapped bool     // primary file is on the zero-copy path
-	count   int
-	dim     int
+	rows  vec.Matrix // fp32 rows; valid iff fp32 is true
+	fp32  bool
+	quant *quantRows
+	img   *image // the shard file
+	qimg  *image // the sibling quant file, when attached
+	count int
+	dim   int
 }
 
 func (s *shardRows) close() error {
 	var first error
-	for _, m := range []*mapping{s.mapped, s.qmapped} {
+	for _, m := range []*image{s.img, s.qimg} {
 		if m != nil {
 			if err := m.close(); err != nil && first == nil {
 				first = err
 			}
 		}
 	}
-	s.mapped, s.qmapped = nil, nil
+	s.img, s.qimg = nil, nil
 	s.rows = vec.Matrix{}
 	s.quant = nil
 	return first
@@ -182,11 +93,11 @@ func (s *shardRows) fillBlock(dst vec.Matrix, lo, m int, preferQuant bool) {
 	}
 }
 
-// openShard opens the shard file for (typeIdx, part) plus, when quant
-// serving is on and the shard is fp32, its quantized sibling copy (if one
-// exists), and validates the geometry against the schema's expectations.
-func openShard(path, qpath string, typeIdx, part, dim int, mode Mode, quant QuantMode) (*shardRows, error) {
-	sr, err := openShardFile(path, mode, quant)
+// openShard opens the shard file at path plus, when the shard is fp32 and
+// one exists, its quantized sibling copy at qpath, and checks the dimension
+// the server is configured for.
+func openShard(path, qpath string, dim int, open func(string) (*image, error)) (*shardRows, error) {
+	sr, err := openShardFile(path, open)
 	if err != nil {
 		return nil, err
 	}
@@ -195,9 +106,9 @@ func openShard(path, qpath string, typeIdx, part, dim int, mode Mode, quant Quan
 		sr.close()
 		return nil, fmt.Errorf("serve: shard %s has dim %d, server configured for %d", path, d, dim)
 	}
-	if quant != QuantOff && sr.fp32 && qpath != "" {
+	if sr.fp32 && qpath != "" {
 		if _, statErr := os.Stat(qpath); statErr == nil {
-			qr, err := openShardFile(qpath, mode, quant)
+			qr, err := openShardFile(qpath, open)
 			if err != nil {
 				sr.close()
 				return nil, err
@@ -208,143 +119,49 @@ func openShard(path, qpath string, typeIdx, part, dim int, mode Mode, quant Quan
 				return nil, fmt.Errorf("serve: quant sibling %s does not match shard %s (want a %dx%d quantized copy)", qpath, path, sr.count, sr.dim)
 			}
 			sr.quant = qr.quant
-			sr.qmapped = qr.mapped
+			sr.qimg = qr.img
 		}
 	}
 	return sr, nil
 }
 
-// openShardFile opens one physical shard file under mode. v1 files yield
-// fp32 rows (zero-copy when mapped). v2 files yield a quantized view —
-// unless quant is off, in which case they are decoded to fp32 in private
-// memory so full-precision serving still works against a quantized
-// checkpoint.
-func openShardFile(path string, mode Mode, quant QuantMode) (*shardRows, error) {
-	useMmap := mode == ModeMmap || (mode == ModeAuto && mmapSupported)
-	if mode == ModeMmap && !mmapSupported {
-		return nil, fmt.Errorf("serve: mmap mode requested but unsupported on this platform")
+// openShardFile is the one read path: the file's bytes, through
+// storage.ParseLayout, to zero-copy views — the fp32 embedding block of a
+// v1 file, the quantized payload of a v2 file. A mapped image is PROT_READ:
+// any write through a row slice faults, which is the point — serving can
+// never corrupt a checkpoint.
+func openShardFile(path string, open func(string) (*image, error)) (*shardRows, error) {
+	img, err := open(path)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err) // err names the path
 	}
-	if useMmap {
-		return openShardMmap(path, quant)
+	sr, err := viewShard(img)
+	if err != nil {
+		img.close()
+		return nil, fmt.Errorf("serve: %s: %w", path, err)
 	}
-	return openShardCodec(path, quant)
+	return sr, nil
 }
 
-// openShardMmap maps the file and returns zero-copy views: the fp32
-// embedding block of a v1 file, or the quantized payload of a v2 file. The
-// mapping is PROT_READ: any write through a row slice faults, which is the
-// point — serving can never corrupt a checkpoint.
-func openShardMmap(path string, quant QuantMode) (*shardRows, error) {
-	f, err := os.Open(path)
+func viewShard(img *image) (*shardRows, error) {
+	l, err := storage.ParseLayout(img.b, int64(len(img.b)))
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	m, err := mapFile(f, st.Size())
-	if err != nil {
-		return nil, fmt.Errorf("serve: mmap %s: %w", path, err)
-	}
-	b := m.bytes()
-	l, err := parseShardLayout(b, st.Size())
-	if err != nil {
-		m.close()
-		return nil, fmt.Errorf("%w (%s)", err, path)
-	}
+	sr := &shardRows{img: img, count: l.Count, dim: l.Dim}
 	if l.Codec != storage.CodecFP32 {
-		if quant == QuantOff {
-			// Full-precision serving requested: decode privately instead.
-			m.close()
-			return openShardDecode(path)
+		if sr.quant, err = quantViews(img.b, l); err != nil {
+			return nil, err
 		}
-		q, err := quantViews(b, l)
-		if err != nil {
-			m.close()
-			return nil, fmt.Errorf("serve: %s: %w", path, err)
-		}
-		return &shardRows{quant: q, mapped: m, mmapped: true, count: l.Count, dim: l.Dim}, nil
+		return sr, nil
 	}
-	embs, err := floatView(b[l.DataOff : l.DataOff+l.EmbBytes])
-	if err != nil {
-		m.close()
-		return nil, fmt.Errorf("serve: %s: %w", path, err)
-	}
-	return &shardRows{
-		rows:    vec.MatrixFrom(embs, l.Count, l.Dim),
-		fp32:    true,
-		mapped:  m,
-		mmapped: true,
-		count:   l.Count,
-		dim:     l.Dim,
-	}, nil
-}
-
-// openShardCodec reads the shard without mmap. v1 files stream through
-// storage.ReadShard into fp32 private memory (the parity test pins that
-// rows from this path are bit-identical to the mmap view). v2 files are
-// read whole and served through quantized views over the private buffer —
-// the same scan path as mmap, minus the shared page cache — unless quant is
-// off, which decodes them to fp32.
-func openShardCodec(path string, quant QuantMode) (*shardRows, error) {
-	version, err := peekShardVersion(path)
+	off, n := l.Embs()
+	embs, err := f32View(img.b[off : off+n])
 	if err != nil {
 		return nil, err
 	}
-	if version == shardVersion || quant == QuantOff {
-		return openShardDecode(path)
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	l, err := parseShardLayout(b, int64(len(b)))
-	if err != nil {
-		return nil, fmt.Errorf("%w (%s)", err, path)
-	}
-	if l.Codec == storage.CodecFP32 {
-		return openShardDecode(path)
-	}
-	q, err := quantViews(b, l)
-	if err != nil {
-		return nil, fmt.Errorf("serve: %s: %w", path, err)
-	}
-	return &shardRows{quant: q, count: l.Count, dim: l.Dim}, nil
-}
-
-// openShardDecode loads any shard version through the storage codec into
-// private fp32 memory.
-func openShardDecode(path string) (*shardRows, error) {
-	sh, err := storage.ReadShard(path)
-	if err != nil {
-		return nil, err
-	}
-	return &shardRows{
-		rows:  vec.MatrixFrom(sh.Embs, sh.Count, sh.Dim),
-		fp32:  true,
-		count: sh.Count,
-		dim:   sh.Dim,
-	}, nil
-}
-
-// peekShardVersion reads just enough header to dispatch the codec read path
-// without pulling a large v1 file into one buffer.
-func peekShardVersion(path string) (uint32, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	var hdr [8]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return 0, fmt.Errorf("serve: shard header %s: %w", path, err)
-	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != shardMagic {
-		return 0, fmt.Errorf("serve: %s is not a shard file", path)
-	}
-	return binary.LittleEndian.Uint32(hdr[4:]), nil
+	sr.rows, sr.fp32 = vec.MatrixFrom(embs, l.Count, l.Dim), true
+	return sr, nil
 }
 
 // ShardSet is a read-only view over every shard of a checkpoint directory.
@@ -369,11 +186,17 @@ type ShardSet struct {
 }
 
 // OpenShardSet opens every (entity type, partition) shard of the checkpoint
-// under dir, validating each header against the schema geometry. With quant
-// serving on (QuantAuto), quantized sibling copies (storage.QuantShardPath)
-// are attached for scanning, and native v2 quantized checkpoints serve
-// directly from their quantized bytes.
-func OpenShardSet(dir string, schema *graph.Schema, dim int, mode Mode, quant QuantMode) (*ShardSet, error) {
+// under dir, validating each header against the schema geometry. Quantized
+// sibling copies (storage.QuantShardPath), where present, are attached for
+// scanning, and native v2 quantized checkpoints serve directly from their
+// quantized bytes.
+func OpenShardSet(dir string, schema *graph.Schema, dim int) (*ShardSet, error) {
+	return openShardSet(dir, schema, dim, openImage)
+}
+
+// openShardSet is OpenShardSet over an explicit byte source, so the parity
+// test can run the private-buffer source on platforms that map.
+func openShardSet(dir string, schema *graph.Schema, dim int, open func(string) (*image, error)) (*ShardSet, error) {
 	ss := &ShardSet{schema: schema, dim: dim}
 	ss.shards = make([]map[int]*shardRows, len(schema.Entities))
 	ss.exactType = make([]bool, len(schema.Entities))
@@ -384,7 +207,7 @@ func OpenShardSet(dir string, schema *graph.Schema, dim int, mode Mode, quant Qu
 		ss.exactType[t], ss.quantType[t] = true, true
 		for p := 0; p < ent.NumPartitions; p++ {
 			path := storage.ShardPath(dir, t, p)
-			sr, err := openShard(path, storage.QuantShardPath(dir, t, p), t, p, dim, mode, quant)
+			sr, err := openShard(path, storage.QuantShardPath(dir, t, p), dim, open)
 			if err != nil {
 				_ = ss.Close()
 				return nil, err
@@ -397,7 +220,7 @@ func OpenShardSet(dir string, schema *graph.Schema, dim int, mode Mode, quant Qu
 				return nil, fmt.Errorf("serve: shard %s has %d rows, schema expects %d", path, got, wantRows)
 			}
 			ss.shards[t][p] = sr
-			if sr.mmapped {
+			if sr.img.unmap != nil {
 				ss.mapped++
 			}
 			if sr.fp32 {
@@ -413,7 +236,7 @@ func OpenShardSet(dir string, schema *graph.Schema, dim int, mode Mode, quant Qu
 				}
 				ss.quantCodec = sr.quant.codec
 				ss.quantN++
-				ss.qbytes += sr.quant.bytes()
+				ss.qbytes += sr.quant.nbytes
 			} else {
 				ss.quantType[t] = false
 			}

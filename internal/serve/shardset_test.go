@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"math"
 	"os"
 	"testing"
 
@@ -15,83 +16,89 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// TestMmapCodecBitParity is the tentpole parity claim: every row served
-// from the mmap view is bit-identical to the same row decoded by the
-// storage codec.
-func TestMmapCodecBitParity(t *testing.T) {
+// TestZeroCopyRowsBitParity is the parity claim of the one read path: every
+// fp32 row served as a view into the file's bytes — the platform's byte
+// source and, forced through a test hook, the private-buffer source — is
+// bit-identical to the same row decoded by storage.ReadShard.
+func TestZeroCopyRowsBitParity(t *testing.T) {
 	f := servetest.Shared(t, servetest.FixtureConfig{})
-	codec, err := serve.OpenShardSet(f.Dir, f.Graph.Schema, f.Cfg.Dim, serve.ModeCodec, serve.QuantAuto)
+	platform, err := serve.OpenShardSet(f.Dir, f.Graph.Schema, f.Cfg.Dim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer codec.Close()
-	auto, err := serve.OpenShardSet(f.Dir, f.Graph.Schema, f.Cfg.Dim, serve.ModeAuto, serve.QuantAuto)
+	defer platform.Close()
+	private, err := serve.OpenShardSetPrivate(f.Dir, f.Graph.Schema, f.Cfg.Dim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer auto.Close()
+	defer private.Close()
 
 	for ti := range f.Graph.Schema.Entities {
 		ent := &f.Graph.Schema.Entities[ti]
-		for id := int32(0); int(id) < ent.Count; id++ {
-			a, b := codec.Row(ti, id), auto.Row(ti, id)
-			if len(a) != len(b) {
-				t.Fatalf("row length mismatch for type %d id %d", ti, id)
+		for p := 0; p < ent.NumPartitions; p++ {
+			ref, err := storage.ReadShard(storage.ShardPath(f.Dir, ti, p))
+			if err != nil {
+				t.Fatal(err)
 			}
-			for k := range a {
-				if a[k] != b[k] {
-					t.Fatalf("type %d id %d dim %d: codec %x mmap %x", ti, id, k, a[k], b[k])
+			for name, ss := range map[string]*serve.ShardSet{"platform": platform, "private": private} {
+				m := ss.Rows(ti, p)
+				if m.Rows != ref.Count || m.Cols != ref.Dim {
+					t.Fatalf("%s shard %d/%d is %dx%d, decoder says %dx%d", name, ti, p, m.Rows, m.Cols, ref.Count, ref.Dim)
+				}
+				for r := 0; r < ref.Count; r++ {
+					id := int32(p*ent.PartSize() + r)
+					got, want := ss.Row(ti, id), ref.Row(r)
+					for k := range want {
+						if math.Float32bits(got[k]) != math.Float32bits(want[k]) {
+							t.Fatalf("%s type %d id %d dim %d: view %x, decoder %x", name, ti, id, k, got[k], want[k])
+						}
+					}
 				}
 			}
 		}
-		for p := 0; p < ent.NumPartitions; p++ {
-			ma, mb := codec.Rows(ti, p), auto.Rows(ti, p)
-			if ma.Rows != mb.Rows || ma.Cols != mb.Cols {
-				t.Fatalf("shard %d/%d shape mismatch", ti, p)
-			}
-		}
 	}
-	if serve.MmapAvailable() && auto.MappedShards() == 0 {
-		t.Fatalf("ModeAuto mapped no shards on an mmap-capable platform")
+	if serve.MmapAvailable() && platform.MappedShards() == 0 {
+		t.Fatalf("no shard mapped on an mmap-capable platform")
 	}
-	if codec.MappedShards() != 0 {
-		t.Fatalf("ModeCodec reported %d mapped shards", codec.MappedShards())
+	if private.MappedShards() != 0 {
+		t.Fatalf("private-buffer source reported %d mapped shards", private.MappedShards())
+	}
+	if platform.Bytes() != private.Bytes() {
+		t.Fatalf("byte accounting depends on the source: %d mapped, %d private", platform.Bytes(), private.Bytes())
 	}
 }
 
 func TestOpenShardSetRejectsCorruptShard(t *testing.T) {
 	f := servetest.Shared(t, servetest.FixtureConfig{})
-	for _, mode := range []serve.Mode{serve.ModeCodec, serve.ModeAuto} {
-		dir := t.TempDir()
-		// Copy the checkpoint, then truncate one shard.
-		if err := copyDir(f.Dir, dir); err != nil {
-			t.Fatal(err)
-		}
-		path := storage.ShardPath(dir, 0, 0)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, data[:len(data)-5], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := serve.OpenShardSet(dir, f.Graph.Schema, f.Cfg.Dim, mode, serve.QuantAuto); err == nil {
-			t.Fatalf("mode %v: opened a truncated shard without error", mode)
-		}
-		// Corrupt the magic.
-		copy(data, []byte{0, 1, 2, 3})
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := serve.OpenShardSet(dir, f.Graph.Schema, f.Cfg.Dim, mode, serve.QuantAuto); err == nil {
-			t.Fatalf("mode %v: opened a bad-magic shard without error", mode)
-		}
+	dir := t.TempDir()
+	// Copy the checkpoint, then truncate one shard.
+	if err := copyDir(f.Dir, dir); err != nil {
+		t.Fatal(err)
+	}
+	path := storage.ShardPath(dir, 0, 0)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data[:len(data)-5], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := serve.OpenShardSet(dir, f.Graph.Schema, f.Cfg.Dim); err == nil {
+		t.Fatal("opened a truncated shard without error")
+	}
+	// Corrupt the magic.
+	copy(data, []byte{0, 1, 2, 3})
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := serve.OpenShardSet(dir, f.Graph.Schema, f.Cfg.Dim); err == nil {
+		t.Fatal("opened a bad-magic shard without error")
 	}
 }
 
 func TestOpenShardSetRejectsDimMismatch(t *testing.T) {
 	f := servetest.Shared(t, servetest.FixtureConfig{})
-	if _, err := serve.OpenShardSet(f.Dir, f.Graph.Schema, f.Cfg.Dim+1, serve.ModeAuto, serve.QuantAuto); err == nil {
+	if _, err := serve.OpenShardSet(f.Dir, f.Graph.Schema, f.Cfg.Dim+1); err == nil {
 		t.Fatal("opened checkpoint with wrong dim without error")
 	}
 }

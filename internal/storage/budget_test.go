@@ -36,10 +36,7 @@ func waitUntil(t *testing.T, cond func() bool) {
 }
 
 func TestDiskStoreBudgetShedsPrefetchHints(t *testing.T) {
-	st, err := NewDiskStore(t.TempDir(), budgetSchema(t), 8, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := newTestDisk(t, "", budgetSchema(t), 8, 1, 1)
 	shard := st.shardBytes(0, 0)
 	st.SetMaxResidentBytes(2 * shard)
 	// Fill the budget with two referenced shards.
@@ -77,10 +74,7 @@ func TestDiskStoreBudgetShedsPrefetchHints(t *testing.T) {
 }
 
 func TestDiskStoreBudgetRetainsCleanShards(t *testing.T) {
-	st, err := NewDiskStore(t.TempDir(), budgetSchema(t), 8, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := newTestDisk(t, "", budgetSchema(t), 8, 1, 1)
 	shard := st.shardBytes(0, 0)
 	st.SetMaxResidentBytes(4 * shard)
 	sh, err := st.Acquire(0, 0)
@@ -118,10 +112,7 @@ func TestDiskStoreBudgetRetainsCleanShards(t *testing.T) {
 }
 
 func TestDiskStoreBudgetForcedEvictionLRU(t *testing.T) {
-	st, err := NewDiskStore(t.TempDir(), budgetSchema(t), 8, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := newTestDisk(t, "", budgetSchema(t), 8, 1, 1)
 	shard := st.shardBytes(0, 0)
 	st.SetMaxResidentBytes(2 * shard)
 	// Leave two clean retained shards: p0 released first (LRU victim).
@@ -183,10 +174,7 @@ func TestDiskStoreBudgetForcedEvictionLRU(t *testing.T) {
 // so the write uses the live buffers and a mid-write revival waits for the
 // disk write instead of a memcpy — state must survive both ways.
 func TestDiskStoreBudgetLiveWriteBack(t *testing.T) {
-	st, err := NewDiskStore(t.TempDir(), budgetSchema(t), 8, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := newTestDisk(t, "", budgetSchema(t), 8, 1, 1)
 	st.SetMaxResidentBytes(st.shardBytes(0, 0)) // one shard: snapshot can never fit
 	zero, err := st.Acquire(0, 0)
 	if err != nil {
@@ -231,10 +219,7 @@ func TestDiskStoreBudgetLiveWriteBack(t *testing.T) {
 // Acquire must retry as a must-have miss and succeed; no loading entry may
 // be left stranded in the cache.
 func TestDiskStorePrefetchShedJoinedAcquire(t *testing.T) {
-	st, err := NewDiskStore(t.TempDir(), budgetSchema(t), 8, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := newTestDisk(t, "", budgetSchema(t), 8, 1, 1)
 	shard := st.shardBytes(0, 0)
 	st.SetMaxResidentBytes(shard + shard/2) // fits the hint, not hint + must-have
 

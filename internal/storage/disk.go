@@ -267,7 +267,7 @@ func (d *DiskStore) shardBytes(t, p int) int64 {
 // shardBytes projects, derived from the shard's actual shape so the two
 // can never disagree for the same (count, dim).
 func (d *DiskStore) sizeOf(sh *Shard) int64 {
-	return shardDataBytes(sh.Count, sh.Dim, d.codec)
+	return LayoutOf(sh, d.codec).payloadBytes()
 }
 
 // newShard lazily initialises shard (t,p) with the deterministic per-shard

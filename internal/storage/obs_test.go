@@ -26,10 +26,7 @@ func findSpan(t *testing.T, evs []obs.SpanEvent, prefix string) obs.SpanEvent {
 // child), and the write-back starts only after Release.
 func TestDiskStoreSpanNesting(t *testing.T) {
 	hub := obs.NewHub()
-	st, err := NewDiskStore(t.TempDir(), testSchema(t), 8, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := newTestDisk(t, "", testSchema(t), 8, 1, 1)
 	st.SetObs(hub)
 
 	st.Prefetch(0, 1)

@@ -3,6 +3,7 @@ package storage
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -67,116 +68,25 @@ func ParseCodec(s string) (Codec, error) {
 	}
 }
 
-// shardDataBytes prices the persisted payload of a count×dim shard under
-// codec c, excluding the file header: the embedding block at codec width,
-// the int8 per-row scale block, and the always-fp32 Adagrad block. This is
-// the byte count the memory budget charges per shard under SetCodec — the
-// store's steady-state footprint is quantized bytes, with decoded fp32
-// views living only transiently above it (see DiskStore.SetCodec).
-func shardDataBytes(count, dim int, c Codec) int64 {
-	cnt, d := int64(count), int64(dim)
-	switch c {
-	case CodecFP16:
-		return cnt*d*2 + cnt*4
-	case CodecInt8:
-		return cnt*4 + cnt*d + cnt*4
-	default:
-		return cnt * (d + 1) * 4
-	}
-}
-
 // ProjectedShardBytesCodec prices shard (t,p) under codec c, from the
-// schema alone. It is ProjectedShardBytes generalised: admission budgets,
-// the lookahead controller, and buffer-slot pricing all route through it,
-// so choosing a 2–4× smaller codec automatically widens every one of those
-// windows at the same byte budget.
+// schema alone: the embedding block at codec width, the int8 per-row scale
+// block, and the always-fp32 Adagrad block, without the file header. It is
+// ProjectedShardBytes generalised: admission budgets, the lookahead
+// controller, and buffer-slot pricing all route through it, so choosing a
+// 2–4× smaller codec automatically widens every one of those windows at the
+// same byte budget — the store's steady-state footprint is quantized bytes,
+// with decoded fp32 views living only transiently above it (see
+// DiskStore.SetCodec).
 func ProjectedShardBytesCodec(schema *graph.Schema, dim, t, p int, c Codec) int64 {
-	return shardDataBytes(schema.Entities[t].PartitionCount(p), dim, c)
+	return Layout{Codec: c, Count: schema.Entities[t].PartitionCount(p), Dim: dim}.payloadBytes()
 }
 
-// v2 shard format: a 28-byte header of 7 little-endian uint32s
-//
-//	{magic "PBGS", version 2, codec, typeIndex, part, count, dim}
-//
-// followed by the codec payload and the fp32 Adagrad block:
-//
-//	fp16: count×dim uint16 LE embeddings, then count float32 acc
-//	int8: count float32 row scales, then count×dim int8 embeddings,
-//	      then count float32 acc
-//
-// Offsets are chosen for zero-copy mmap serving: the first payload block
-// starts at 28 (4-aligned), so the fp16 embedding view and the int8 scale
-// view are always aligned for their element types. fp32 shards keep the
-// exact v1 layout (24-byte header, no codec field) so every pre-codec file
-// and golden pin stays valid.
-const (
-	shardV2Header = 28
-	shardV1Header = 24
-)
-
-// shardFileSize is the exact on-disk size of a count×dim shard under c.
-// Both the writer and the decode-time geometry check derive from it, so a
-// file that passes validation is tiled exactly — no trailing garbage, no
-// truncated rows.
-func shardFileSize(count, dim int, c Codec) int64 {
-	if c == CodecFP32 {
-		return shardV1Header + shardDataBytes(count, dim, c)
-	}
-	return shardV2Header + shardDataBytes(count, dim, c)
-}
-
-// checkShardGeometry validates a decoded header against the actual file
-// size before anything is allocated: a hostile header cannot make the
-// reader allocate count×dim of anything unless the bytes really are on
-// disk, and truncation is caught up front instead of as a mid-decode EOF.
-func checkShardGeometry(count, dim uint32, c Codec, fileSize int64) error {
-	cnt, d := int64(count), int64(dim)
-	if d != 0 && cnt > (1<<59)/d { // count*dim*4 must not overflow int64
-		return fmt.Errorf("storage: shard geometry overflow (count %d × dim %d)", count, dim)
-	}
-	if want := shardFileSize(int(count), int(dim), c); fileSize != want {
-		return fmt.Errorf("storage: shard file is %d bytes, want %d for count %d × dim %d under %v",
-			fileSize, want, count, dim, c)
-	}
-	return nil
-}
-
-// WriteShardCodec persists a shard to path atomically under codec c.
-// CodecFP32 writes the v1 format bit-for-bit (WriteShard is that case);
-// fp16 and int8 quantize the embedding block on the way out — the in-memory
-// shard is not modified, and the quantization cost is amortised into the
-// same chunked encode pass the fp32 codec uses.
+// WriteShardCodec persists a shard to path atomically under codec c, as the
+// image Layout describes. CodecFP32 is bit-exact; fp16 and int8 quantize the
+// embedding block on the way out and leave the in-memory shard untouched.
 func WriteShardCodec(path string, s *Shard, c Codec) error {
-	if c == CodecFP32 {
-		return WriteShard(path, s)
-	}
 	return writeFileAtomic(path, func(w *bufio.Writer) error {
-		hdr := []uint32{shardMagic, 2, uint32(c), uint32(s.TypeIndex), uint32(s.Part), uint32(s.Count), uint32(s.Dim)}
-		for _, v := range hdr {
-			if err := writeU32(w, v); err != nil {
-				return err
-			}
-		}
-		switch c {
-		case CodecFP16:
-			if err := writeF16s(w, s.Embs); err != nil {
-				return err
-			}
-		case CodecInt8:
-			scales := make([]float32, s.Count)
-			for r := 0; r < s.Count; r++ {
-				scales[r] = vec.I8RowScale(s.Row(r))
-			}
-			if err := writeFloats(w, scales); err != nil {
-				return err
-			}
-			if err := writeQuantI8Rows(w, s, scales); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("storage: cannot encode codec %v", c)
-		}
-		return writeFloats(w, s.Acc)
+		return LayoutOf(s, c).encode(w, s)
 	})
 }
 
@@ -188,8 +98,8 @@ func ReadShard(path string) (*Shard, error) {
 }
 
 // ReadShardCodec loads a shard and reports which codec it was stored
-// under. Decoding always yields fp32 buffers; the header is validated
-// against the real file size before any allocation.
+// under. Decoding always yields fp32 buffers; the header goes through
+// ParseLayout against the real file size before any allocation.
 func ReadShardCodec(path string) (*Shard, Codec, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -201,77 +111,26 @@ func ReadShardCodec(path string) (*Shard, Codec, error) {
 		return nil, 0, err
 	}
 	r := bufio.NewReaderSize(f, 1<<20)
-	magic, err := readU32(r)
+	// A file shorter than the longest header peeks short with io.EOF;
+	// ParseLayout then reports the truncation.
+	hdr, err := r.Peek(headerBytesV2)
+	if err != nil && !errors.Is(err, io.EOF) {
+		return nil, 0, fmt.Errorf("storage: shard header %s: %w", path, err)
+	}
+	l, err := ParseLayout(hdr, fi.Size())
 	if err != nil {
-		return nil, 0, fmt.Errorf("storage: shard header: %w", err)
+		return nil, 0, fmt.Errorf("%w (%s)", err, path)
 	}
-	if magic != shardMagic {
-		return nil, 0, fmt.Errorf("storage: %s is not a shard file", path)
+	if _, err := r.Discard(int(l.HeaderBytes())); err != nil {
+		return nil, 0, err
 	}
-	version, err := readU32(r)
-	if err != nil {
-		return nil, 0, fmt.Errorf("storage: shard header: %w", err)
-	}
-	switch version {
-	case 1:
-		var hdr [4]uint32 // typeIndex, part, count, dim
-		for i := range hdr {
-			if hdr[i], err = readU32(r); err != nil {
-				return nil, 0, fmt.Errorf("storage: shard header: %w", err)
-			}
-		}
-		if err := checkShardGeometry(hdr[2], hdr[3], CodecFP32, fi.Size()); err != nil {
-			return nil, 0, err
-		}
-		s := NewShard(int(hdr[0]), int(hdr[1]), int(hdr[2]), int(hdr[3]))
-		if err := readFloats(r, s.Embs); err != nil {
-			return nil, 0, err
-		}
-		if err := readFloats(r, s.Acc); err != nil {
-			return nil, 0, err
-		}
-		return s, CodecFP32, nil
-	case 2:
-		var hdr [5]uint32 // codec, typeIndex, part, count, dim
-		for i := range hdr {
-			if hdr[i], err = readU32(r); err != nil {
-				return nil, 0, fmt.Errorf("storage: shard header: %w", err)
-			}
-		}
-		c := Codec(hdr[0])
-		if c != CodecFP16 && c != CodecInt8 {
-			return nil, 0, fmt.Errorf("storage: bad v2 shard codec %d", hdr[0])
-		}
-		if err := checkShardGeometry(hdr[3], hdr[4], c, fi.Size()); err != nil {
-			return nil, 0, err
-		}
-		s := NewShard(int(hdr[1]), int(hdr[2]), int(hdr[3]), int(hdr[4]))
-		switch c {
-		case CodecFP16:
-			if err := readF16s(r, s.Embs); err != nil {
-				return nil, 0, err
-			}
-		case CodecInt8:
-			scales := make([]float32, s.Count)
-			if err := readFloats(r, scales); err != nil {
-				return nil, 0, err
-			}
-			if err := readQuantI8Rows(r, s, scales); err != nil {
-				return nil, 0, err
-			}
-		}
-		if err := readFloats(r, s.Acc); err != nil {
-			return nil, 0, err
-		}
-		return s, c, nil
-	default:
-		return nil, 0, fmt.Errorf("storage: unsupported shard version %d", version)
-	}
+	s, err := l.decode(r)
+	return s, l.Codec, err
 }
 
 // writeF16s encodes xs as binary16 through the chunked stack buffer (see
 // the codec note in storage.go: the loop is spelled out, not shared).
-func writeF16s(w *bufio.Writer, xs []float32) error {
+func writeF16s(w io.Writer, xs []float32) error {
 	var buf [codecChunk]byte
 	for len(xs) > 0 {
 		n := len(buf) / 2
@@ -308,9 +167,9 @@ func readF16s(r io.Reader, xs []float32) error {
 }
 
 // writeQuantI8Rows quantizes and writes the embedding block row by row,
-// because the scale changes per row; the bufio.Writer absorbs the per-row
+// because the scale changes per row; the writer's buffer absorbs the per-row
 // Write calls.
-func writeQuantI8Rows(w *bufio.Writer, s *Shard, scales []float32) error {
+func writeQuantI8Rows(w io.Writer, s *Shard, scales []float32) error {
 	q := make([]int8, s.Dim)
 	buf := make([]byte, s.Dim)
 	for r := 0; r < s.Count; r++ {
@@ -326,6 +185,9 @@ func writeQuantI8Rows(w *bufio.Writer, s *Shard, scales []float32) error {
 }
 
 func readQuantI8Rows(r io.Reader, s *Shard, scales []float32) error {
+	if s.Count == 0 {
+		return nil // a row-less header may claim any dim; allocate none of it
+	}
 	buf := make([]byte, s.Dim)
 	q := make([]int8, s.Dim)
 	for row := 0; row < s.Count; row++ {

@@ -88,8 +88,8 @@ func TestShardGoldenBytes(t *testing.T) {
 		if !bytes.Equal(got, exp.Bytes()) {
 			t.Fatalf("%v: on-disk bytes drifted\n got %x\nwant %x", c, got, exp.Bytes())
 		}
-		if int64(len(got)) != shardFileSize(2, 2, c) {
-			t.Fatalf("%v: shardFileSize = %d, file is %d", c, shardFileSize(2, 2, c), len(got))
+		if size := LayoutOf(goldenShard(), c).Size(); int64(len(got)) != size {
+			t.Fatalf("%v: Layout.Size = %d, file is %d", c, size, len(got))
 		}
 	}
 }
@@ -163,7 +163,7 @@ func TestShardCodecRoundTrip(t *testing.T) {
 }
 
 // TestReadShardRejectsHostileHeaders drives the decode surface with the
-// malformed inputs FuzzQuantShardHeader explores: every case must error
+// malformed inputs FuzzShardLayout explores: every case must error
 // without panicking, and a giant claimed geometry must be rejected from
 // the file size alone, before the decoder allocates anything.
 func TestReadShardRejectsHostileHeaders(t *testing.T) {
@@ -211,10 +211,7 @@ func TestReadShardRejectsHostileHeaders(t *testing.T) {
 func TestWriteQuantCopy(t *testing.T) {
 	dir := t.TempDir()
 	schema := testSchema(t)
-	st, err := NewDiskStore(dir, schema, 8, 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := newTestDisk(t, dir, schema, 8, 5, 1)
 	for tIdx := range schema.Entities {
 		for p := 0; p < schema.Entities[tIdx].NumPartitions; p++ {
 			if _, err := st.Acquire(tIdx, p); err != nil {
@@ -262,10 +259,7 @@ func TestWriteQuantCopy(t *testing.T) {
 	// Quantizing a directory that is already quantized must refuse rather
 	// than stack a second round of error.
 	dir2 := t.TempDir()
-	st2, err := NewDiskStore(dir2, schema, 8, 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st2 := newTestDisk(t, dir2, schema, 8, 5, 1)
 	st2.SetCodec(CodecFP16)
 	if _, err := st2.Acquire(0, 0); err != nil {
 		t.Fatal(err)
@@ -289,10 +283,7 @@ func TestDiskStoreCodecRoundTrip(t *testing.T) {
 	for _, c := range []Codec{CodecFP16, CodecInt8} {
 		t.Run(c.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			st, err := NewDiskStore(dir, testSchema(t), 8, 1, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
+			st := newTestDisk(t, dir, testSchema(t), 8, 1, 1)
 			st.SetCodec(c)
 			sh, err := st.Acquire(0, 2)
 			if err != nil {
@@ -367,10 +358,7 @@ func TestDiskStoreBudgetChargesQuantizedBytes(t *testing.T) {
 
 	run := func(c Codec) IOStats {
 		dir := t.TempDir()
-		st, err := NewDiskStore(dir, schema, dim, 1, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		st := newTestDisk(t, dir, schema, dim, 1, 1)
 		st.SetCodec(c)
 		st.SetMaxResidentBytes(budget)
 		for p := 0; p < 4; p++ {

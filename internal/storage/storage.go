@@ -4,10 +4,10 @@
 // and disk as training iterates over edge buckets, so at most the two
 // partitions of the current bucket (plus unpartitioned types) are resident.
 //
-// The on-disk format is a small header followed by raw little-endian
-// float32s; shards are also gob-serialisable for the distributed partition
-// server. DiskStore additionally runs a background I/O pool so prefetched
-// loads and write-back evictions overlap training (see disk.go).
+// A shard's bytes — on disk, under the serving layer's views and on the
+// partition servers' wire — are described once, by Layout (layout.go).
+// DiskStore additionally runs a background I/O pool so prefetched loads and
+// write-back evictions overlap training (see disk.go).
 //
 // Two contracts matter to callers beyond plain Acquire/Release:
 //
@@ -144,8 +144,6 @@ func ProjectedShardBytes(schema *graph.Schema, dim, t, p int) int64 {
 	return ProjectedShardBytesCodec(schema, dim, t, p, CodecFP32)
 }
 
-const shardMagic = uint32(0x50424753) // "PBGS"
-
 // tmpSeq distinguishes concurrent temp files targeting the same path (e.g. a
 // Flush racing an async write-back of the same shard): each writer renames
 // its own complete temp file, so the destination is always a whole shard.
@@ -190,20 +188,10 @@ func ShardPath(dir string, t, p int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard_t%d_p%d.pbg", t, p))
 }
 
-// WriteShard persists a shard to path atomically (write temp + rename).
+// WriteShard persists a shard to path atomically (write temp + rename) in
+// the fp32 format.
 func WriteShard(path string, s *Shard) error {
-	return writeFileAtomic(path, func(w *bufio.Writer) error {
-		hdr := []uint32{shardMagic, 1, uint32(s.TypeIndex), uint32(s.Part), uint32(s.Count), uint32(s.Dim)}
-		for _, v := range hdr {
-			if err := writeU32(w, v); err != nil {
-				return err
-			}
-		}
-		if err := writeFloats(w, s.Embs); err != nil {
-			return err
-		}
-		return writeFloats(w, s.Acc)
-	})
+	return WriteShardCodec(path, s, CodecFP32)
 }
 
 // The float/int codecs below encode directly through a fixed stack buffer
@@ -216,21 +204,6 @@ func WriteShard(path string, s *Shard) error {
 // the chunking logic must be mirrored across all four.
 
 const codecChunk = 8192 // bytes per encode/decode batch
-
-func writeU32(w *bufio.Writer, v uint32) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	_, err := w.Write(b[:])
-	return err
-}
-
-func readU32(r io.Reader) (uint32, error) {
-	var b [4]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b[:]), nil
-}
 
 func writeU64(w *bufio.Writer, v uint64) error {
 	var b [8]byte
@@ -247,7 +220,7 @@ func readU64(r io.Reader) (uint64, error) {
 	return binary.LittleEndian.Uint64(b[:]), nil
 }
 
-func writeFloats(w *bufio.Writer, xs []float32) error {
+func writeFloats(w io.Writer, xs []float32) error {
 	var buf [codecChunk]byte
 	for len(xs) > 0 {
 		n := len(buf) / 4

@@ -134,12 +134,29 @@ func TestMemStoreShardsPersistAcrossReleases(t *testing.T) {
 	}
 }
 
+// newTestDisk is storetest.NewDisk for this package's own tests, which
+// cannot import storetest (it imports storage): the store is closed —
+// draining its write-backs — before the test's TempDir is removed.
+func newTestDisk(tb testing.TB, dir string, schema *graph.Schema, dim int, seed uint64, initScale float32) *DiskStore {
+	tb.Helper()
+	if dir == "" {
+		dir = tb.TempDir()
+	}
+	ds, err := NewDiskStore(dir, schema, dim, seed, initScale)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() {
+		if err := ds.Close(); err != nil {
+			tb.Errorf("closing DiskStore: %v", err)
+		}
+	})
+	return ds
+}
+
 func TestDiskStoreSwapsToDisk(t *testing.T) {
 	dir := t.TempDir()
-	st, err := NewDiskStore(dir, testSchema(t), 8, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := newTestDisk(t, dir, testSchema(t), 8, 1, 1)
 	sh, err := st.Acquire(0, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +192,7 @@ func TestDiskStoreSwapsToDisk(t *testing.T) {
 
 func TestDiskStoreRefCounting(t *testing.T) {
 	dir := t.TempDir()
-	st, _ := NewDiskStore(dir, testSchema(t), 8, 1, 1)
+	st := newTestDisk(t, dir, testSchema(t), 8, 1, 1)
 	a, _ := st.Acquire(0, 0)
 	b, _ := st.Acquire(0, 0)
 	if a != b {
@@ -202,8 +219,8 @@ func TestDiskStoreRefCounting(t *testing.T) {
 func TestDiskStoreDeterministicInitAcrossStores(t *testing.T) {
 	dir1 := t.TempDir()
 	dir2 := t.TempDir()
-	s1, _ := NewDiskStore(dir1, testSchema(t), 8, 42, 1)
-	s2, _ := NewDiskStore(dir2, testSchema(t), 8, 42, 1)
+	s1 := newTestDisk(t, dir1, testSchema(t), 8, 42, 1)
+	s2 := newTestDisk(t, dir2, testSchema(t), 8, 42, 1)
 	a, _ := s1.Acquire(0, 3)
 	b, _ := s2.Acquire(0, 3)
 	for i := range a.Embs {
@@ -236,7 +253,7 @@ func TestDiskStoreDeterministicInitAcrossStores(t *testing.T) {
 
 func TestDiskStoreFlushKeepsResident(t *testing.T) {
 	dir := t.TempDir()
-	st, _ := NewDiskStore(dir, testSchema(t), 8, 1, 1)
+	st := newTestDisk(t, dir, testSchema(t), 8, 1, 1)
 	sh, _ := st.Acquire(1, 0)
 	sh.Row(0)[0] = 5
 	if err := st.Flush(); err != nil {
@@ -315,10 +332,7 @@ func TestDiskStoreConcurrentAcquireRelease(t *testing.T) {
 		[]graph.RelationType{{Name: "r", SourceType: "node", DestType: "node", Operator: "identity"}},
 	)
 	dir := t.TempDir()
-	st, err := NewDiskStore(dir, schema, 4, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := newTestDisk(t, dir, schema, 4, 1, 1)
 	const workers = 8
 	const iters = 150
 	// Zero the counter cells (Init fills them with random values).
@@ -388,10 +402,7 @@ func TestDiskStoreConcurrentAcquireRelease(t *testing.T) {
 // have loaded itself, and no double-load can fork the shard into two copies.
 func TestDiskStorePrefetch(t *testing.T) {
 	dir := t.TempDir()
-	st, err := NewDiskStore(dir, testSchema(t), 8, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := newTestDisk(t, dir, testSchema(t), 8, 1, 1)
 	// Persist a recognisable shard, then evict it.
 	sh, _ := st.Acquire(0, 1)
 	sh.Row(2)[0] = 99

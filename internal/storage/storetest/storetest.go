@@ -23,9 +23,35 @@ package storetest
 import (
 	"fmt"
 	"sync"
+	"testing"
 
+	"pbg/internal/graph"
 	"pbg/internal/storage"
 )
+
+// NewDisk opens a DiskStore for a test and closes it when the test ends;
+// dir "" means a fresh tb.TempDir(). Cleanups run last-in first-out and the
+// directory's removal was registered when it was created, so the Close
+// below — which waits out every asynchronous write-back — runs before the
+// directory is removed. An unclosed store's write-back racing that removal
+// is the "TempDir RemoveAll cleanup: directory not empty" flake. Tests may
+// still Close explicitly: a second Close is harmless.
+func NewDisk(tb testing.TB, dir string, schema *graph.Schema, dim int, seed uint64, initScale float32) *storage.DiskStore {
+	tb.Helper()
+	if dir == "" {
+		dir = tb.TempDir()
+	}
+	ds, err := storage.NewDiskStore(dir, schema, dim, seed, initScale)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() {
+		if err := ds.Close(); err != nil {
+			tb.Errorf("storetest: closing DiskStore: %v", err)
+		}
+	})
+	return ds
+}
 
 // Key identifies a shard: (entity type index, partition).
 type Key struct{ Type, Part int }

@@ -126,10 +126,7 @@ func TestPassthroughForwardsHints(t *testing.T) {
 		[]graph.EntityType{{Name: "node", Count: 12, NumPartitions: 2}},
 		[]graph.RelationType{{Name: "r", SourceType: "node", DestType: "node", Operator: "identity"}},
 	)
-	ds, err := storage.NewDiskStore(t.TempDir(), schema, 4, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := NewDisk(t, "", schema, 4, 1, 1)
 	st := NewPassthrough(ds)
 	st.Prefetch(0, 0) // must reach the DiskStore's background machinery
 	sh, err := st.Acquire(0, 0)

@@ -57,10 +57,7 @@ func TestPipelineBudgetInvariantProperty(t *testing.T) {
 			}
 			perShard := storage.ProjectedShardBytesCodec(g.Schema, dim, 0, 0, codec)
 			budget := shardMult * perShard
-			ds, err := storage.NewDiskStore(t.TempDir(), g.Schema, dim, 7, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ds := storetest.NewDisk(t, "", g.Schema, dim, 7, 1)
 			st := storetest.NewPassthrough(ds)
 			tr, err := New(g, st, Config{
 				Dim: dim, Epochs: 2, Seed: uint64(5 + i), Workers: 2, HogwildOff: true,

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pbg/internal/storage"
+	"pbg/internal/storage/storetest"
 )
 
 // TestCodecWidensBudgetWindow pins the cost-model contract of the quantized
@@ -57,11 +58,7 @@ func TestCodecWidensBudgetWindow(t *testing.T) {
 // the codec still takes effect when Model.Checkpoint writes a DiskStore).
 func TestTrainerSetsStoreCodec(t *testing.T) {
 	g := smallSocial(t, 4)
-	ds, err := storage.NewDiskStore(t.TempDir(), g.Schema, 16, 7, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ds.Close()
+	ds := storetest.NewDisk(t, "", g.Schema, 16, 7, 1)
 	tr, err := New(g, ds, Config{Dim: 16, Codec: "fp16"})
 	if err != nil {
 		t.Fatal(err)
@@ -110,11 +107,7 @@ func TestPipelineQuantizedLossParityWithSerial(t *testing.T) {
 	run := func(off bool) ([]EpochStats, string) {
 		g := smallSocial(t, 4)
 		dir := t.TempDir()
-		store, err := storage.NewDiskStore(dir, g.Schema, 16, 7, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer store.Close()
+		store := storetest.NewDisk(t, dir, g.Schema, 16, 7, 1)
 		tr, err := New(g, store, Config{
 			Dim: 16, Epochs: 3, Seed: 3, PipelineOff: off,
 			MemBudgetBytes: budget, Codec: "int8",

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"pbg/internal/storage"
+	"pbg/internal/storage/storetest"
 )
 
 func TestConfigLookaheadDefaults(t *testing.T) {
@@ -129,11 +130,7 @@ func TestWindowBytesMonotonic(t *testing.T) {
 // EpochStats where pbg-train prints them.
 func TestEpochStatsReportController(t *testing.T) {
 	g := smallSocial(t, 4)
-	store, err := storage.NewDiskStore(t.TempDir(), g.Schema, 16, 7, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
+	store := storetest.NewDisk(t, "", g.Schema, 16, 7, 1)
 	tr, err := New(g, store, Config{Dim: 16, Epochs: 2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)

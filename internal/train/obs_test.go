@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"pbg/internal/obs"
-	"pbg/internal/storage"
+	"pbg/internal/storage/storetest"
 )
 
 // TestTrainerRecordsMetrics trains a partitioned graph over a DiskStore with
@@ -15,10 +15,7 @@ import (
 func TestTrainerRecordsMetrics(t *testing.T) {
 	hub := obs.NewHub()
 	g := smallSocial(t, 4)
-	store, err := storage.NewDiskStore(t.TempDir(), g.Schema, 16, 7, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := storetest.NewDisk(t, "", g.Schema, 16, 7, 1)
 	tr, err := New(g, store, Config{Dim: 16, Epochs: 2, Seed: 3, Obs: hub})
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,7 @@ import (
 	"pbg/internal/datagen"
 	"pbg/internal/obs"
 	"pbg/internal/partition"
-	"pbg/internal/storage"
+	"pbg/internal/storage/storetest"
 )
 
 // BenchmarkEpochPipeline measures epoch throughput (edges/s), the IOWait
@@ -37,11 +37,7 @@ func BenchmarkEpochPipeline(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			store, err := storage.NewDiskStore(b.TempDir(), g.Schema, dim, 7, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer store.Close()
+			store := storetest.NewDisk(b, "", g.Schema, dim, 7, 1)
 			cfg := Config{
 				Dim: dim, Seed: 3, Workers: 2, UniformNegs: 10, ChunkSize: 10,
 			}
@@ -117,11 +113,7 @@ func BenchmarkEpochPipelineObs(b *testing.B) {
 		b.Fatal(err)
 	}
 	build := func(hub *obs.Hub) *Trainer {
-		store, err := storage.NewDiskStore(b.TempDir(), g.Schema, dim, 7, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { _ = store.Close() })
+		store := storetest.NewDisk(b, "", g.Schema, dim, 7, 1)
 		tr, err := New(g, store, Config{
 			Dim: dim, Seed: 3, Workers: 2, UniformNegs: 10, ChunkSize: 10,
 			Obs: hub,
@@ -191,11 +183,7 @@ func BenchmarkEpochPipelineLargeP(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			store, err := storage.NewDiskStore(b.TempDir(), g.Schema, dim, 7, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer store.Close()
+			store := storetest.NewDisk(b, "", g.Schema, dim, 7, 1)
 			cfg := Config{
 				Dim: dim, Seed: 3, Workers: 2, UniformNegs: 5, ChunkSize: 10,
 				BucketOrder: ord, MemBudgetBytes: 9 * perShard,

@@ -6,6 +6,7 @@ import (
 	"pbg/internal/datagen"
 	"pbg/internal/graph"
 	"pbg/internal/storage"
+	"pbg/internal/storage/storetest"
 )
 
 func smallSocial(t *testing.T, parts int) *graph.Graph {
@@ -91,10 +92,7 @@ func TestTrainWithDiskStoreSwapping(t *testing.T) {
 	// A budget makes the bound deterministic: admission enforces it.
 	g := smallSocial(t, 8)
 	dir := t.TempDir()
-	store, err := storage.NewDiskStore(dir, g.Schema, 16, 7, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := storetest.NewDisk(t, dir, g.Schema, 16, 7, 1)
 	// Close drains the background write-backs; without it their temp files
 	// race the TempDir cleanup.
 	defer store.Close()
@@ -133,11 +131,7 @@ func TestTrainWithDiskStoreSwapping(t *testing.T) {
 func TestTrainPipelinedDiskStoreRace(t *testing.T) {
 	g := smallSocial(t, 4)
 	dir := t.TempDir()
-	store, err := storage.NewDiskStore(dir, g.Schema, 16, 7, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
+	store := storetest.NewDisk(t, dir, g.Schema, 16, 7, 1)
 	tr, err := New(g, store, Config{
 		Dim: 16, Epochs: 3, Seed: 3, Workers: 4, HogwildOff: true, Lookahead: 2,
 	})
@@ -170,11 +164,7 @@ func TestPipelineMatchesSerialLoss(t *testing.T) {
 	run := func(off bool) []EpochStats {
 		g := smallSocial(t, 4)
 		dir := t.TempDir()
-		store, err := storage.NewDiskStore(dir, g.Schema, 16, 7, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer store.Close()
+		store := storetest.NewDisk(t, dir, g.Schema, 16, 7, 1)
 		tr, err := New(g, store, Config{Dim: 16, Epochs: 2, Seed: 3, PipelineOff: off})
 		if err != nil {
 			t.Fatal(err)
@@ -212,11 +202,7 @@ func TestPipelineMatchesSerialLossTightBudget(t *testing.T) {
 
 	run := func(off bool, budget int64) []EpochStats {
 		g := smallSocial(t, 4)
-		store, err := storage.NewDiskStore(t.TempDir(), g.Schema, 16, 7, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer store.Close()
+		store := storetest.NewDisk(t, "", g.Schema, 16, 7, 1)
 		tr, err := New(g, store, Config{
 			Dim: 16, Epochs: 2, Seed: 3, PipelineOff: off,
 			Lookahead: 2, MaxLookahead: 3, MemBudgetBytes: budget,

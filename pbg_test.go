@@ -59,6 +59,14 @@ func TestTrainOnDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Registered after TempDir, so it runs first: the Embedding read below
+	// releases a shard, and that asynchronous write-back must have finished
+	// before the directory is removed.
+	t.Cleanup(func() {
+		if err := m.store.Close(); err != nil {
+			t.Errorf("closing the model's store: %v", err)
+		}
+	})
 	if _, err := m.Embedding("node", 250); err != nil {
 		t.Fatal(err)
 	}
