@@ -118,7 +118,7 @@ func main() {
 	}
 	if all || want["serve"] {
 		rep, err := bench.ServeSweep(scale, *shortFlag)
-		report(rep, []string{"QPS", "p99_ms", "recall@10", "rows/query"}, err)
+		report(rep, []string{"QPS", "xexact_b32", "p99_ms", "recall@10", "rows/query"}, err)
 	}
 	if all || want["codec"] {
 		rep, err := bench.CodecSweep(scale, *shortFlag)

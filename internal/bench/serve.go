@@ -19,6 +19,8 @@ import (
 // pbg_serve_latency_s{api="topk"} histogram — the same obs plumbing a
 // production dashboard would scrape — and recall@10 compares each row's
 // answers against the exact answers for the identical query stream.
+// xexact_b32 is each row's QPS over the exact_b32 row's: on ivf_b32 it is what
+// the index buys at the batch size both paths share (ROADMAP's bar is 1.5).
 // short trims training epochs and the query count to CI size.
 func ServeSweep(s Scale, short bool) (*Report, error) {
 	const parts = 4
@@ -196,6 +198,11 @@ func ServeSweep(s Scale, short bool) (*Report, error) {
 			_ = front.Close()
 		}
 		_ = srv.Close()
+	}
+	if base, ok := rep.FindRow("exact_b32"); ok && base.Value("QPS") > 0 {
+		for _, r := range rep.Rows {
+			r.Values["xexact_b32"] = r.Value("QPS") / base.Value("QPS")
+		}
 	}
 	return rep, nil
 }

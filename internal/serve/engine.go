@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"pbg/internal/eval"
 	"pbg/internal/vec"
@@ -84,6 +83,21 @@ func (t *topkHeap) reset(k int) {
 	t.h = t.h[:0]
 }
 
+// offer is push behind a one-comparison reject: on a full heap a score
+// strictly below the root's can never be kept, and that is the fate of almost
+// every candidate of a scan, so the check is kept small enough to inline at
+// the scan loops' call sites and only survivors pay for the push call. Ties
+// with the root and NaNs (for which the comparison is false) fall through to
+// push, which orders them by eval.CompareScored exactly as before.
+//
+//pbg:hotpath
+func (t *topkHeap) offer(id int32, score float32) {
+	if len(t.h) == t.k && score < t.h[0].score {
+		return
+	}
+	t.push(id, score)
+}
+
 //pbg:hotpath
 func (t *topkHeap) push(id int32, score float32) {
 	c := scored{id: id, score: score}
@@ -105,30 +119,38 @@ func (t *topkHeap) push(id int32, score float32) {
 		return // c does not beat the current worst
 	}
 	t.h[0] = c
-	// Sift down.
-	i := 0
+	siftDown(t.h, 0)
+}
+
+// siftDown restores the worst-at-root order below h[i].
+//
+//pbg:hotpath
+func siftDown(h []scored, i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		worst := i
-		if l < len(t.h) && after(t.h[l], t.h[worst]) {
+		if l < len(h) && after(h[l], h[worst]) {
 			worst = l
 		}
-		if r < len(t.h) && after(t.h[r], t.h[worst]) {
+		if r < len(h) && after(h[r], h[worst]) {
 			worst = r
 		}
 		if worst == i {
 			return
 		}
-		t.h[i], t.h[worst] = t.h[worst], t.h[i]
+		h[i], h[worst] = h[worst], h[i]
 		i = worst
 	}
 }
 
-// take empties the heap into a best-first result.
+// take empties the heap into a best-first result: popping the worst kept
+// candidate to the back, len(h) times, sorts the heap in place, so the two
+// result slices are the only allocations.
 func (t *topkHeap) take(res *TopKResult) {
-	sort.Slice(t.h, func(i, j int) bool {
-		return eval.CompareScored(t.h[i].score, t.h[i].id, t.h[j].score, t.h[j].id)
-	})
+	for n := len(t.h) - 1; n > 0; n-- {
+		t.h[0], t.h[n] = t.h[n], t.h[0]
+		siftDown(t.h[:n], 0)
+	}
 	res.IDs = make([]int32, len(t.h))
 	res.Scores = make([]float32, len(t.h))
 	for i, c := range t.h {
@@ -146,8 +168,26 @@ type workspace struct {
 	scores  vec.Matrix // n×block cross-score output
 	heaps   []topkHeap
 	rr      topkHeap // fp32 re-rank selection after a quantized scan
+	// The IVF scan's plan: every query's centroid scores, then the batch's
+	// selected cells inverted into list → probing queries (CSR: cellQ holds
+	// the query indices of cell c up to cellEnd[c]), and the probing queries'
+	// prepared rows copied next to each other for the list's GEMM.
 	probes  []probeCand
-	order   []int // request order within a group
+	cellEnd []int32
+	cellQ   []int32
+	sub     vec.Matrix
+	// gathered counts the rows copied out of the shards into scratch since
+	// TopK took the workspace (pbg_serve_rows_gathered_total).
+	gathered int
+}
+
+// heapsFor returns the pooled heaps sized to a batch of n; callers reset
+// each to its request's K.
+func (ws *workspace) heapsFor(n int) []topkHeap {
+	if cap(ws.heaps) < n {
+		ws.heaps = make([]topkHeap, n)
+	}
+	return ws.heaps[:n]
 }
 
 func ensureMat(m *vec.Matrix, rows, cols int) vec.Matrix {
@@ -212,6 +252,7 @@ func (v *view) scoreShardBlock(ws *workspace, rel int, tq vec.Matrix, t, p, lo, 
 	sc := v.scorers[rel]
 	scratch := ensureMat(&ws.scratch, m, dim)
 	v.ss.fillBlock(t, p, lo, m, scratch, preferQuant)
+	ws.gathered += m
 	sc.Cmp.Prepare(scratch)
 	out := ensureMat(&ws.scores, tq.Rows, m)
 	sc.Cmp.CrossScores(out, tq, scratch)
@@ -221,133 +262,97 @@ func (v *view) scoreShardBlock(ws *workspace, rel int, tq vec.Matrix, t, p, lo, 
 // topKExact runs the brute-force scan for a group of requests sharing one
 // relation: every destination-type partition, block by block, one GEMM per
 // (group, block). Results are written into out[i] for each group request.
+//
+// When the destination type has quantized rows the scan reads those instead
+// (int8/fp16 cells dequantized block by block into scratch, so the fp32
+// working set is one scoreBlock — never the full embedding table). If fp32
+// rows exist as well (an fp32 checkpoint with quantized sibling copies), each
+// request keeps ceil(rerank·K) survivors instead of K, re-scores just those
+// rows from fp32, and returns the best K by true score. On a natively
+// quantized checkpoint there is no fp32 to consult, so the dequantized scores
+// are final — bit-identical to serving the decoded checkpoint, since decoding
+// is the same dequantization.
 func (v *view) topKExact(ws *workspace, rel int, reqs []TopKRequest, out []TopKResult) {
 	n := len(reqs)
 	tq := v.gatherQueries(ws, rel, func(i int) (int32, []float32) {
 		return reqs[i].SrcID, reqs[i].Vector
 	}, n)
 
-	if cap(ws.heaps) < n {
-		ws.heaps = make([]topkHeap, n)
-	}
-	heaps := ws.heaps[:n]
-	for i := range heaps {
-		heaps[i].reset(reqs[i].K)
-	}
-
 	dstType := v.dstType[rel]
-	if v.ss.QuantizedType(dstType) {
-		v.quantScanRerank(ws, rel, tq, reqs, out, heaps)
-		return
-	}
-	ent := &v.ss.schema.Entities[dstType]
-	scanned := 0
-	for p := 0; p < ent.NumPartitions; p++ {
-		nrows := ent.PartitionCount(p)
-		base := int32(p * ent.PartSize())
-		for lo := 0; lo < nrows; lo += scoreBlock {
-			m := nrows - lo
-			if m > scoreBlock {
-				m = scoreBlock
-			}
-			scores := v.scoreShardBlock(ws, rel, tq, dstType, p, lo, m, false)
-			for i := 0; i < n; i++ {
-				row := scores.Row(i)
-				for j := 0; j < m; j++ {
-					heaps[i].push(base+int32(lo+j), row[j])
-				}
-			}
-			scanned += m
+	quant := v.ss.QuantizedType(dstType)
+	rerank := quant && v.ss.ExactType(dstType)
+	heaps := ws.heapsFor(n)
+	for i := range heaps {
+		k := reqs[i].K
+		if rerank {
+			k = max(k, int(math.Ceil(float64(k)*v.rerank)))
 		}
+		heaps[i].reset(k)
 	}
-	for i := 0; i < n; i++ {
-		heaps[i].take(&out[i])
+	scanned := v.scanShards(ws, rel, tq, heaps, quant)
+	for i := range heaps {
+		if rerank {
+			v.rerankFP32(ws, rel, tq.Row(i), &heaps[i], reqs[i].K, &out[i])
+		} else {
+			heaps[i].take(&out[i])
+		}
 		out[i].Scanned = scanned
 	}
 }
 
-// quantScanRerank is the quantized twin of the exact scan: every candidate
-// block dequantizes from the shard's compact cells (int8/fp16) into scratch,
-// so the fp32 working set of the scan is one scoreBlock — never the full
-// embedding table. When fp32 rows also exist (an fp32 checkpoint with
-// quantized sibling copies), each request keeps ceil(rerank·K) survivors
-// instead of K, re-scores just those rows from fp32, and returns the best K
-// by true score. On a natively quantized checkpoint there is no fp32 to
-// consult, so the dequantized scores are final — bit-identical to serving
-// the decoded checkpoint, since decoding is the same dequantization.
-func (v *view) quantScanRerank(ws *workspace, rel int, tq vec.Matrix, reqs []TopKRequest, out []TopKResult, heaps []topkHeap) {
-	n := len(reqs)
+// scanShards offers every destination-type row to every query's heap, one
+// GEMM per block, and returns the rows scanned.
+//
+//pbg:hotpath
+func (v *view) scanShards(ws *workspace, rel int, tq vec.Matrix, heaps []topkHeap, preferQuant bool) int {
 	dstType := v.dstType[rel]
 	ent := &v.ss.schema.Entities[dstType]
-	rerank := v.ss.ExactType(dstType)
-	if rerank {
-		for i := range heaps {
-			kq := int(math.Ceil(float64(reqs[i].K) * v.rerank))
-			if kq < reqs[i].K {
-				kq = reqs[i].K
-			}
-			heaps[i].reset(kq)
-		}
-	}
-
 	scanned := 0
 	for p := 0; p < ent.NumPartitions; p++ {
 		nrows := ent.PartitionCount(p)
 		base := int32(p * ent.PartSize())
 		for lo := 0; lo < nrows; lo += scoreBlock {
-			m := nrows - lo
-			if m > scoreBlock {
-				m = scoreBlock
-			}
-			scores := v.scoreShardBlock(ws, rel, tq, dstType, p, lo, m, true)
-			for i := 0; i < n; i++ {
-				row := scores.Row(i)
-				for j := 0; j < m; j++ {
-					heaps[i].push(base+int32(lo+j), row[j])
+			m := min(scoreBlock, nrows-lo)
+			scores := v.scoreShardBlock(ws, rel, tq, dstType, p, lo, m, preferQuant)
+			first := base + int32(lo)
+			for i := range heaps {
+				h := &heaps[i]
+				for j, s := range scores.Row(i) {
+					h.offer(first+int32(j), s)
 				}
 			}
 			scanned += m
 		}
 	}
+	return scanned
+}
 
-	if !rerank {
-		for i := 0; i < n; i++ {
-			heaps[i].take(&out[i])
-			out[i].Scanned = scanned
-		}
-		return
-	}
-
-	// fp32 re-rank: re-score each request's survivors at full precision and
-	// keep the true top K. Candidates are chunked through the same blocked
-	// GEMM as the scan.
+// rerankFP32 re-scores one request's quantized-scan survivors at full
+// precision and writes the true top k. Candidates are chunked through the
+// same blocked GEMM as the scan.
+func (v *view) rerankFP32(ws *workspace, rel int, q []float32, survivors *topkHeap, k int, out *TopKResult) {
 	dim := v.ss.dim
 	sc := v.scorers[rel]
-	for i := 0; i < n; i++ {
-		cands := heaps[i].h
-		qv := vec.MatrixFrom(tq.Row(i), 1, dim)
-		ws.rr.reset(reqs[i].K)
-		for lo := 0; lo < len(cands); lo += scoreBlock {
-			m := len(cands) - lo
-			if m > scoreBlock {
-				m = scoreBlock
-			}
-			scratch := ensureMat(&ws.scratch, m, dim)
-			for j := 0; j < m; j++ {
-				v.ss.CopyRow(dstType, cands[lo+j].id, scratch.Row(j))
-			}
-			sc.Cmp.Prepare(scratch)
-			scores := ensureMat(&ws.scores, 1, m)
-			sc.Cmp.CrossScores(scores, qv, scratch)
-			row := scores.Row(0)
-			for j := 0; j < m; j++ {
-				ws.rr.push(cands[lo+j].id, row[j])
-			}
+	dstType := v.dstType[rel]
+	cands := survivors.h
+	qv := vec.MatrixFrom(q, 1, dim)
+	ws.rr.reset(k)
+	for lo := 0; lo < len(cands); lo += scoreBlock {
+		blk := cands[lo:min(lo+scoreBlock, len(cands))]
+		scratch := ensureMat(&ws.scratch, len(blk), dim)
+		for j, c := range blk {
+			v.ss.CopyRow(dstType, c.id, scratch.Row(j))
 		}
-		ws.rr.take(&out[i])
-		out[i].Scanned = scanned
-		out[i].Reranked = len(cands)
+		ws.gathered += len(blk)
+		sc.Cmp.Prepare(scratch)
+		scores := ensureMat(&ws.scores, 1, len(blk))
+		sc.Cmp.CrossScores(scores, qv, scratch)
+		for j, s := range scores.Row(0) {
+			ws.rr.offer(blk[j].id, s)
+		}
 	}
+	ws.rr.take(out)
+	out.Reranked = len(cands)
 }
 
 // scorePairs batch-scores (src, rel, dst) edges for a group sharing one

@@ -49,6 +49,7 @@ func FuzzTopKRequest(f *testing.F) {
 	f.Add(seed(TopKArgs{Reqs: []TopKRequest{{Rel: 0, SrcID: 3, K: 5}}}))
 	f.Add(seed(TopKArgs{Reqs: []TopKRequest{{Rel: 0, SrcID: 3, K: 5, Exact: true}, {Rel: 0, Vector: []float32{1, 2, 3, 4}, K: 1}}}))
 	f.Add(seed(TopKArgs{Reqs: []TopKRequest{{Rel: 7, SrcID: -4, K: -2, NProbe: -9}}}))
+	f.Add(seed(TopKArgs{Reqs: []TopKRequest{{Rel: 0, Vector: []float32{1, 2, 3, 4}, K: 1, NProbe: -1}}}))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0x00, 0x41, 0x99})
 

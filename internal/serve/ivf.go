@@ -13,10 +13,13 @@ import (
 // subdivided by k-means into nlist sub-centroid lists. A query scores every
 // sub-centroid through the trained relation operator/comparator (so "near"
 // means near under the model's own similarity, not raw Euclidean), then
-// exhaustively scores only the rows of the best nprobe lists.
+// exhaustively scores only the rows of its best nprobe lists. A batch of
+// queries is scanned list by list, not query by query: each probed list is
+// gathered once and scored against every query that probes it (scanProbed).
 //
 // The index stores per destination-type: per partition, an nlist×dim
-// centroid matrix plus, per centroid, the local row IDs assigned to it.
+// centroid matrix plus, per centroid, the local row IDs assigned to it —
+// ids only, the rows stay in the ShardSet and are gathered at query time.
 // It is immutable after Build/ReadIVF and safe for concurrent readers.
 type IVF struct {
 	Dim int
@@ -168,149 +171,196 @@ func nearestCentroid(cent vec.Matrix, x []float32) int {
 	return best
 }
 
-// probeCand is one (partition, list) cell with its query-side score.
+// probeCand is one list with a query's centroid score for it. cell numbers
+// the type's lists in (partition, list) order, so it is also the tie-break
+// that keeps selection deterministic.
 type probeCand struct {
-	part, list int
-	score      float32
+	cell  int32
+	score float32
 }
 
 // topKIVF answers a group of same-relation requests through the index:
 // score all sub-centroids with the prepared queries, keep each query's
-// nprobe best lists, and exact-score only those lists' rows.
+// nprobe best lists, and exact-score only those lists' rows — list by list
+// for the whole batch (scanProbed).
 func (v *view) topKIVF(ws *workspace, rel int, reqs []TopKRequest, out []TopKResult) {
 	n := len(reqs)
 	tq := v.gatherQueries(ws, rel, func(i int) (int32, []float32) {
 		return reqs[i].SrcID, reqs[i].Vector
 	}, n)
-	dstType := v.dstType[rel]
-	ent := &v.ss.schema.Entities[dstType]
-	it := v.ivf.Types[dstType]
+	it := v.ivf.Types[v.dstType[rel]]
+	lists := it.Lists
 
 	// Stage 1: centroid scores for the whole group, one block GEMM per
 	// partition's centroid matrix. Collected per query into ws.probes.
-	if cap(ws.probes) < n*it.Lists {
-		ws.probes = make([]probeCand, n*it.Lists)
+	if cap(ws.probes) < n*lists {
+		ws.probes = make([]probeCand, n*lists)
 	}
-	probes := ws.probes[:n*it.Lists]
+	probes := ws.probes[:n*lists]
 	col := 0
 	for p := range it.Parts {
 		cent := it.Parts[p].Centroids
 		for lo := 0; lo < cent.Rows; lo += scoreBlock {
-			m := cent.Rows - lo
-			if m > scoreBlock {
-				m = scoreBlock
-			}
+			m := min(scoreBlock, cent.Rows-lo)
 			scores := v.scoreCandidateBlock(ws, rel, tq, cent, lo, m)
 			for i := 0; i < n; i++ {
-				row := scores.Row(i)
-				base := i * it.Lists
-				for j := 0; j < m; j++ {
-					probes[base+col+j] = probeCand{part: p, list: lo + j, score: row[j]}
+				mine := probes[i*lists+col:]
+				for j, s := range scores.Row(i) {
+					mine[j] = probeCand{cell: int32(col + j), score: s}
 				}
 			}
 			col += m
 		}
 	}
 
-	if cap(ws.heaps) < n {
-		ws.heaps = make([]topkHeap, n)
+	// Stage 2: every query selects its nprobe best lists (queries in the
+	// group can have different probe widths), and the selections are inverted
+	// into list → probing queries with a counting sort over the cells:
+	// count, prefix-sum to each cell's start, then place — which leaves
+	// cellEnd[c] at the end of cell c's queries, in ascending query order.
+	defProbe := v.nprobe
+	if defProbe <= 0 {
+		defProbe = DefaultNProbe(lists)
 	}
-	heaps := ws.heaps[:n]
-
-	// Stage 2: per query, select the nprobe best lists and exact-score
-	// their rows. Queries in the group can have different probe widths.
-	for i := 0; i < n; i++ {
+	if cap(ws.cellEnd) < lists {
+		ws.cellEnd = make([]int32, lists)
+	}
+	cellEnd := ws.cellEnd[:lists]
+	clear(cellEnd)
+	heaps := ws.heapsFor(n)
+	total := 0
+	for i := range reqs {
 		nprobe := reqs[i].NProbe
 		if nprobe <= 0 {
-			nprobe = v.nprobe
+			nprobe = defProbe
 		}
-		if nprobe > it.Lists {
-			nprobe = it.Lists
-		}
-		mine := probes[i*it.Lists : (i+1)*it.Lists]
+		nprobe = min(nprobe, lists)
+		mine := probes[i*lists : (i+1)*lists]
 		selectProbes(mine, nprobe)
-
-		heaps[i].reset(reqs[i].K)
-		qv := vec.MatrixFrom(tq.Row(i), 1, tq.Cols)
-		scanned := 0
 		for _, pc := range mine[:nprobe] {
-			part := &it.Parts[pc.part]
-			ids := part.Lists[pc.list]
-			base := int32(pc.part * ent.PartSize())
+			cellEnd[pc.cell]++
+		}
+		heaps[i].reset(reqs[i].K)
+		out[i] = TopKResult{Probed: nprobe}
+		total += nprobe
+	}
+	start := int32(0)
+	for c, cnt := range cellEnd {
+		cellEnd[c] = start
+		start += cnt
+	}
+	if cap(ws.cellQ) < total {
+		ws.cellQ = make([]int32, total)
+	}
+	cellQ := ws.cellQ[:total]
+	for i := range reqs {
+		for _, pc := range probes[i*lists : i*lists+out[i].Probed] {
+			cellQ[cellEnd[pc.cell]] = int32(i)
+			cellEnd[pc.cell]++
+		}
+	}
+
+	v.scanProbed(ws, rel, tq, cellEnd, cellQ, heaps, out)
+	for i := range heaps {
+		heaps[i].take(&out[i])
+	}
+}
+
+// scanProbed is the list-major scan: it walks the destination type's lists
+// once in (partition, list) order and, for each list some query of the batch
+// probes, gathers the list's rows into scratch once, prepares them once, and
+// scores them with one GEMM against the prepared rows of exactly the queries
+// that probe it (copied next to each other into ws.sub), offering each score
+// row to its query's heap. A row is therefore read from the mapping once per
+// batch, not once per probing query, and the GEMM's register blocking re-uses
+// it across four queries at a time. A batch of one is the same code with one
+// query row: vec.MulABt's Dot tail, so its scores are bitwise
+// model.Scorer.Score.
+//
+//pbg:hotpath
+func (v *view) scanProbed(ws *workspace, rel int, tq vec.Matrix, cellEnd, cellQ []int32, heaps []topkHeap, out []TopKResult) {
+	dim := v.ss.dim
+	sc := v.scorers[rel]
+	dstType := v.dstType[rel]
+	ent := &v.ss.schema.Entities[dstType]
+	parts := v.ivf.Types[dstType].Parts
+	cell, start := 0, int32(0)
+	for p := range parts {
+		base := int32(p * ent.PartSize())
+		for _, ids := range parts[p].Lists {
+			qs := cellQ[start:cellEnd[cell]]
+			start = cellEnd[cell]
+			cell++
+			if len(qs) == 0 || len(ids) == 0 {
+				continue
+			}
+			sub := ensureMat(&ws.sub, len(qs), dim)
+			for a, qi := range qs {
+				copy(sub.Row(a), tq.Row(int(qi)))
+				out[qi].Scanned += len(ids)
+			}
 			for lo := 0; lo < len(ids); lo += scoreBlock {
-				m := len(ids) - lo
-				if m > scoreBlock {
-					m = scoreBlock
-				}
-				scratch := ensureMat(&ws.scratch, m, v.ss.dim)
-				for j := 0; j < m; j++ {
-					v.ss.copyLocalRow(dstType, pc.part, int(ids[lo+j]), scratch.Row(j))
-				}
-				sc := v.scorers[rel]
+				blk := ids[lo:min(lo+scoreBlock, len(ids))]
+				scratch := ensureMat(&ws.scratch, len(blk), dim)
+				v.ss.gatherRows(dstType, p, blk, scratch)
+				ws.gathered += len(blk)
 				sc.Cmp.Prepare(scratch)
-				scores := ensureMat(&ws.scores, 1, m)
-				sc.Cmp.CrossScores(scores, qv, scratch)
-				row := scores.Row(0)
-				for j := 0; j < m; j++ {
-					heaps[i].push(base+ids[lo+j], row[j])
+				scores := ensureMat(&ws.scores, len(qs), len(blk))
+				sc.Cmp.CrossScores(scores, sub, scratch)
+				for a, qi := range qs {
+					h := &heaps[qi]
+					for j, s := range scores.Row(a) {
+						h.offer(base+blk[j], s)
+					}
 				}
-				scanned += m
 			}
 		}
-		heaps[i].take(&out[i])
-		out[i].Scanned = scanned
-		out[i].Probed = nprobe
 	}
 }
 
 // selectProbes partially sorts cells so the nprobe best-by-score (ties by
-// (part, list) ascending, keeping selection deterministic) come first.
+// cell ascending, keeping selection deterministic) come first: a bounded
+// heap over cells[:nprobe] with the worst kept cell at the root, swept by the
+// rest. Sizes are small (lists ≤ a few thousand) and it allocates nothing.
 func selectProbes(cells []probeCand, nprobe int) {
-	before := func(a, b probeCand) bool {
-		if a.score != b.score {
-			return a.score > b.score
-		}
-		if a.part != b.part {
-			return a.part < b.part
-		}
-		return a.list < b.list
-	}
-	// Heap-select: max-heapify by "after" over the first nprobe, then sweep.
-	// Sizes are small (lists ≤ a few thousand); simple selection keeps it
-	// allocation-free.
 	if nprobe >= len(cells) {
 		return
 	}
-	// Partial selection sort via a bounded heap over cells[:nprobe]: root is
-	// the worst kept cell.
 	h := cells[:nprobe]
-	worse := func(i, j int) bool { return before(h[j], h[i]) }
-	var down func(i, n int)
-	down = func(i, n int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			w := i
-			if l < n && worse(l, w) {
-				w = l
-			}
-			if r < n && worse(r, w) {
-				w = r
-			}
-			if w == i {
-				return
-			}
-			h[i], h[w] = h[w], h[i]
-			i = w
-		}
-	}
 	for i := nprobe/2 - 1; i >= 0; i-- {
-		down(i, nprobe)
+		siftProbes(h, i)
 	}
-	for i := nprobe; i < len(cells); i++ {
-		if before(cells[i], h[0]) {
-			h[0] = cells[i]
-			down(0, nprobe)
+	for _, c := range cells[nprobe:] {
+		if c.before(h[0]) {
+			h[0] = c
+			siftProbes(h, 0)
 		}
+	}
+}
+
+func (a probeCand) before(b probeCand) bool {
+	if a.score != b.score {
+		return a.score > b.score
+	}
+	return a.cell < b.cell
+}
+
+// siftProbes restores the worst-at-root order below h[i].
+func siftProbes(h []probeCand, i int) {
+	for {
+		l, r := 2*i+1, 2*i+2
+		w := i
+		if l < len(h) && h[w].before(h[l]) {
+			w = l
+		}
+		if r < len(h) && h[w].before(h[r]) {
+			w = r
+		}
+		if w == i {
+			return
+		}
+		h[i], h[w] = h[w], h[i]
+		i = w
 	}
 }
 

@@ -103,6 +103,7 @@ func TestRPCValidation(t *testing.T) {
 		{"src out of range", []serve.TopKRequest{{Rel: 0, SrcID: 1 << 30, K: 3}}, "out of range"},
 		{"bad vector dim", []serve.TopKRequest{{Rel: 0, Vector: []float32{1}, K: 3}}, "dim"},
 		{"negative nprobe", []serve.TopKRequest{{Rel: 0, SrcID: 0, K: 3, NProbe: -2}}, "nprobe"},
+		{"negative nprobe, vector query", []serve.TopKRequest{{Rel: 0, Vector: make([]float32, f.Cfg.Dim), K: 3, NProbe: -2}}, "nprobe"},
 	}
 	for _, tc := range cases {
 		_, err := c.TopK(tc.reqs)

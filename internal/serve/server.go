@@ -63,7 +63,7 @@ type view struct {
 	relFwd  [][]float32 // forward operator params per relation
 	srcType []int       // source entity-type index per relation
 	dstType []int       // destination entity-type index per relation
-	nprobe  int         // resolved default probe width
+	nprobe  int         // Config.NProbe; 0 resolves per destination type in topKIVF
 	rerank  float64     // resolved quantized-scan oversampling factor
 }
 
@@ -97,14 +97,18 @@ func (v *view) retire() {
 
 // metrics is the serving instrumentation, registered once at Open.
 type metrics struct {
-	reqTopK     *obs.Counter // pbg_serve_requests_total{api=...}
-	reqScore    *obs.Counter
-	reqRank     *obs.Counter
-	queries     *obs.Counter // individual queries inside batches
-	rowsScored  *obs.Counter
-	listsProbed *obs.Counter
-	reloads     *obs.Counter
-	errors      *obs.Counter
+	reqTopK    *obs.Counter // pbg_serve_requests_total{api=...}
+	reqScore   *obs.Counter
+	reqRank    *obs.Counter
+	queries    *obs.Counter // individual queries inside batches
+	rowsScored *obs.Counter // (query, row) pairs scored
+	// rowsGathered counts rows copied out of the shards into scratch. A scan
+	// shares each gathered row across the batch, so scored ÷ gathered is how
+	// many queries a row read served.
+	rowsGathered *obs.Counter
+	listsProbed  *obs.Counter
+	reloads      *obs.Counter
+	errors       *obs.Counter
 
 	latTopK   *obs.Histogram // whole-call latency, seconds
 	latScore  *obs.Histogram
@@ -128,6 +132,7 @@ func bindMetrics(reg *obs.Registry) *metrics {
 		reqRank:      reg.Counter(`pbg_serve_requests_total{api="rank"}`),
 		queries:      reg.Counter(`pbg_serve_queries_total`),
 		rowsScored:   reg.Counter(`pbg_serve_rows_scored_total`),
+		rowsGathered: reg.Counter(`pbg_serve_rows_gathered_total`),
 		listsProbed:  reg.Counter(`pbg_serve_lists_probed_total`),
 		reloads:      reg.Counter(`pbg_serve_reloads_total`),
 		errors:       reg.Counter(`pbg_serve_errors_total`),
@@ -185,7 +190,7 @@ func (s *Server) loadView(dir string) (*view, error) {
 	if err != nil {
 		return nil, err
 	}
-	v := &view{ss: ss, rerank: s.cfg.Rerank}
+	v := &view{ss: ss, nprobe: s.cfg.NProbe, rerank: s.cfg.Rerank}
 	if v.rerank == 0 {
 		v.rerank = DefaultRerank
 	}
@@ -238,16 +243,6 @@ func (s *Server) loadView(dir string) (*view, error) {
 			return nil, err
 		}
 		v.ivf = ivf
-	}
-	v.nprobe = s.cfg.NProbe
-	if v.nprobe <= 0 && v.ivf != nil {
-		lists := 0
-		for _, it := range v.ivf.Types {
-			if it != nil && it.Lists > lists {
-				lists = it.Lists
-			}
-		}
-		v.nprobe = DefaultNProbe(lists)
 	}
 	v.refs.Store(1)
 	return v, nil
@@ -386,6 +381,9 @@ func (s *Server) validateTopK(reqs []TopKRequest) error {
 		if r.K <= 0 {
 			return fmt.Errorf("serve: request %d: non-positive K %d", i, r.K)
 		}
+		if r.NProbe < 0 {
+			return fmt.Errorf("serve: request %d: negative nprobe", i)
+		}
 		if r.Vector != nil {
 			if len(r.Vector) != s.cfg.Dim {
 				return fmt.Errorf("serve: request %d: vector dim %d, want %d", i, len(r.Vector), s.cfg.Dim)
@@ -396,11 +394,44 @@ func (s *Server) validateTopK(reqs []TopKRequest) error {
 		if r.SrcID < 0 || int(r.SrcID) >= schema.Entities[st].Count {
 			return fmt.Errorf("serve: request %d: src %d out of range for type %q", i, r.SrcID, schema.Relations[r.Rel].SourceType)
 		}
-		if r.NProbe < 0 {
-			return fmt.Errorf("serve: request %d: negative nprobe", i)
-		}
 	}
 	return nil
+}
+
+// groupKey is one scoring group of a TopK batch: a relation on one path.
+type groupKey struct {
+	rel   int
+	exact bool
+}
+
+// groupOf is the group a request scores in. Exact requests and requests on
+// a view without an index for the destination type take the brute-force scan.
+func (v *view) groupOf(r *TopKRequest) groupKey {
+	return groupKey{rel: r.Rel, exact: r.Exact || v.ivf == nil || v.ivf.Types[v.dstType[r.Rel]] == nil}
+}
+
+// singleGroup reports the group every request of a non-empty batch falls in,
+// when there is one.
+func (v *view) singleGroup(reqs []TopKRequest) (groupKey, bool) {
+	if len(reqs) == 0 {
+		return groupKey{}, false
+	}
+	first := v.groupOf(&reqs[0])
+	for i := 1; i < len(reqs); i++ {
+		if v.groupOf(&reqs[i]) != first {
+			return first, false
+		}
+	}
+	return first, true
+}
+
+// topKGroup scores one group's requests into out.
+func (v *view) topKGroup(ws *workspace, k groupKey, reqs []TopKRequest, out []TopKResult) {
+	if k.exact {
+		v.topKExact(ws, k.rel, reqs, out)
+	} else {
+		v.topKIVF(ws, k.rel, reqs, out)
+	}
 }
 
 // TopK answers a batch of top-K requests. Requests are grouped per
@@ -424,16 +455,41 @@ func (s *Server) TopK(reqs []TopKRequest) ([]TopKResult, error) {
 	ws := s.getWorkspace()
 	defer s.pool.Put(ws)
 
-	// Group request indices by (relation, path). Exact requests and
-	// requests on an index-less view take the brute-force scan.
-	type groupKey struct {
-		rel   int
-		exact bool
+	// The common batch is one group — a client asking one relation on one
+	// path — and is scored straight from reqs into out.
+	group, single := v.singleGroup(reqs)
+	scanStart := time.Now()
+	s.met.stagePlan.Observe(scanStart.Sub(start).Seconds())
+	ws.gathered = 0
+	if single {
+		v.topKGroup(ws, group, reqs, out)
+	} else {
+		v.topKMixed(ws, reqs, out)
 	}
+	var scanned, probed, reranked int
+	for i := range out {
+		scanned += out[i].Scanned
+		probed += out[i].Probed
+		reranked += out[i].Reranked
+	}
+	s.met.rowsScored.Add(int64(scanned))
+	s.met.rowsGathered.Add(int64(ws.gathered))
+	s.met.listsProbed.Add(int64(probed))
+	s.met.rowsReranked.Add(int64(reranked))
+	now := time.Now()
+	s.met.stageScan.Observe(now.Sub(scanStart).Seconds())
+	s.met.latTopK.Observe(now.Sub(start).Seconds())
+	return out, nil
+}
+
+// topKMixed scores a batch that spans several groups: request indices are
+// bucketed per group, and each group's requests are copied next to each
+// other, scored, and its results copied back into input order. Groups run in
+// (relation, approximate-first) order.
+func (v *view) topKMixed(ws *workspace, reqs []TopKRequest, out []TopKResult) {
 	groups := make(map[groupKey][]int)
 	for i := range reqs {
-		exact := reqs[i].Exact || v.ivf == nil || v.ivf.Types[v.dstType[reqs[i].Rel]] == nil
-		k := groupKey{rel: reqs[i].Rel, exact: exact}
+		k := v.groupOf(&reqs[i])
 		groups[k] = append(groups[k], i)
 	}
 	keys := make([]groupKey, 0, len(groups))
@@ -446,9 +502,6 @@ func (s *Server) TopK(reqs []TopKRequest) ([]TopKResult, error) {
 		}
 		return !keys[i].exact && keys[j].exact
 	})
-
-	scanStart := time.Now()
-	s.met.stagePlan.Observe(scanStart.Sub(start).Seconds())
 	for _, k := range keys {
 		idxs := groups[k]
 		greqs := make([]TopKRequest, len(idxs))
@@ -456,22 +509,11 @@ func (s *Server) TopK(reqs []TopKRequest) ([]TopKResult, error) {
 		for j, i := range idxs {
 			greqs[j] = reqs[i]
 		}
-		if k.exact {
-			v.topKExact(ws, k.rel, greqs, gout)
-		} else {
-			v.topKIVF(ws, k.rel, greqs, gout)
-		}
+		v.topKGroup(ws, k, greqs, gout)
 		for j, i := range idxs {
 			out[i] = gout[j]
-			s.met.rowsScored.Add(int64(gout[j].Scanned))
-			s.met.listsProbed.Add(int64(gout[j].Probed))
-			s.met.rowsReranked.Add(int64(gout[j].Reranked))
 		}
 	}
-	now := time.Now()
-	s.met.stageScan.Observe(now.Sub(scanStart).Seconds())
-	s.met.latTopK.Observe(now.Sub(start).Seconds())
-	return out, nil
 }
 
 // Score answers a batch of single-edge score requests, grouped per

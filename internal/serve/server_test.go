@@ -211,8 +211,12 @@ func TestServeMetrics(t *testing.T) {
 	if snap.Counters[`pbg_serve_requests_total{api="topk"}`] == 0 {
 		t.Fatal("topk request counter did not move")
 	}
-	if snap.Counters[`pbg_serve_rows_scored_total`] == 0 {
+	scored, gathered := snap.Counters[`pbg_serve_rows_scored_total`], snap.Counters[`pbg_serve_rows_gathered_total`]
+	if scored == 0 {
 		t.Fatal("rows-scored counter did not move")
+	}
+	if gathered == 0 || gathered >= scored {
+		t.Fatalf("rows-gathered counter reads %d for %d rows scored; a batch shares its gathered rows", gathered, scored)
 	}
 	if h := snap.Histograms[`pbg_serve_latency_s{api="topk"}`]; h.Count == 0 {
 		t.Fatal("topk latency histogram is empty")

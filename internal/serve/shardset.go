@@ -275,9 +275,15 @@ func (ss *ShardSet) CopyRow(typeIdx int, id int32, dst []float32) {
 	ss.shards[typeIdx][p].copyRow(dst, int(local))
 }
 
-// copyLocalRow copies one partition-local row at best precision.
-func (ss *ShardSet) copyLocalRow(typeIdx, part, local int, dst []float32) {
-	ss.shards[typeIdx][part].copyRow(dst, local)
+// gatherRows copies the partition-local rows ids of shard (typeIdx, part)
+// into the first len(ids) rows of dst, at best precision.
+//
+//pbg:hotpath
+func (ss *ShardSet) gatherRows(typeIdx, part int, ids []int32, dst vec.Matrix) {
+	sr := ss.shards[typeIdx][part]
+	for j, id := range ids {
+		sr.copyRow(dst.Row(j), int(id))
+	}
 }
 
 // fillBlock copies rows [lo, lo+m) of shard (typeIdx, part) into the first
