@@ -20,7 +20,11 @@
 //     the (entity type, partition) key hashes to; a trainer checks the two
 //     partitions of its current bucket out, trains them locally with HOGWILD
 //     workers, and writes them back before releasing the bucket, so at most
-//     one trainer ever holds a partition.
+//     one trainer ever holds a partition. The trainer's side of that swap is
+//     a storage.Cache — the same refcounts, prefetch pool and memory budget
+//     a local DiskStore runs on — over a backend of fenced Get/Put RPCs
+//     (store.go), built write-through because the server's copy is the next
+//     lease holder's the moment the bucket is released.
 //   - Relation parameters: updated by every trainer concurrently, so they are
 //     synchronised optimistically: a background goroutine pushes the local
 //     delta since the last sync and pulls the global value every

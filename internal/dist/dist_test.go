@@ -421,69 +421,3 @@ func TestClusterLoopbackIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestRemoteStoreBudget checks the checkout cache obeys a memory budget the
-// way storage.DiskStore does: hints that do not fit are dropped, and a
-// must-have Acquire evicts fetched-but-never-acquired shards (no Put — they
-// were never modified) LRU-first.
-func TestRemoteStoreBudget(t *testing.T) {
-	schema := testSchema(t)
-	const dim = 8
-	l, addr, err := serve(map[string]any{"PartitionServer": NewPartitionServer(schema, dim, 7, 4)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	store, err := dialStore(schema, dim, 1, false, []string{addr}, storeOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	shard := store.shardBytes(0, 0)
-	store.SetMaxResidentBytes(2 * shard)
-
-	// Two hints fit; land them one at a time so the LRU order (by fetch
-	// completion) is deterministic: p0 is the older entry.
-	fetched := func(p int) bool {
-		store.mu.Lock()
-		defer store.mu.Unlock()
-		e := store.cache[partKey{0, p}]
-		return e != nil && e.ready == nil && e.shard != nil
-	}
-	for _, p := range []int{0, 1} {
-		store.Prefetch(0, p)
-		for i := 0; i < 1_000_000 && !fetched(p); i++ {
-			time.Sleep(time.Microsecond)
-		}
-		if !fetched(p) {
-			t.Fatalf("prefetched shard %d never landed", p)
-		}
-	}
-
-	// A third hint exceeds the budget: dropped, no cache entry.
-	store.Prefetch(0, 2)
-	store.mu.Lock()
-	cached := store.cache[partKey{0, 2}] != nil
-	store.mu.Unlock()
-	if sheds := store.IOStats().PrefetchSheds; sheds != 1 || cached {
-		t.Fatalf("over-budget hint not dropped: sheds=%d cached=%v", sheds, cached)
-	}
-
-	// A must-have evicts the least-recently-fetched unacquired shard.
-	if _, err := store.Acquire(0, 2); err != nil {
-		t.Fatal(err)
-	}
-	store.mu.Lock()
-	_, p0 := store.cache[partKey{0, 0}]
-	store.mu.Unlock()
-	evicts := store.IOStats().ForcedEvicts
-	if evicts != 1 || p0 {
-		t.Fatalf("must-have did not evict LRU prefetched shard: evicts=%d p0 cached=%v", evicts, p0)
-	}
-	if rb := store.ResidentBytes(); rb > 2*shard {
-		t.Fatalf("resident %d exceeds budget %d", rb, 2*shard)
-	}
-	if err := store.Release(0, 2); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -11,43 +10,25 @@ import (
 	"pbg/internal/storage"
 )
 
-// distStoreMetrics holds the checkout cache's registry handles. Each store
-// starts on a private quiet hub; SetObs rebinds the handles to a shared
-// registry (train.New plumbs Config.Obs here, the same way it does for
-// storage.DiskStore).
-type distStoreMetrics struct {
-	fetches, puts, sheds, forcedEvicts *obs.Counter
-	getNs, putNs                       *obs.Histogram
-	resident                           *obs.Gauge
-}
-
-func newDistStoreMetrics(reg *obs.Registry) distStoreMetrics {
-	return distStoreMetrics{
-		fetches:      reg.Counter("pbg_dist_fetches_total"),
-		puts:         reg.Counter("pbg_dist_puts_total"),
-		sheds:        reg.Counter("pbg_dist_prefetch_sheds_total"),
-		forcedEvicts: reg.Counter("pbg_dist_forced_evicts_total"),
-		getNs:        reg.Histogram(`pbg_dist_rpc_ns{method="Get"}`),
-		putNs:        reg.Histogram(`pbg_dist_rpc_ns{method="Put"}`),
-		resident:     reg.Gauge("pbg_dist_resident_bytes"),
-	}
-}
-
-// remoteStore implements storage.Store on top of a set of partition servers:
-// Acquire checks a shard out over RPC, Release writes it back and evicts it.
-// It is the distributed analogue of storage.DiskStore — the "disk" is the
-// deployment's sharded partition-server memory — and it is what makes
-// train.Trainer work unchanged in distributed mode: the trainer's per-bucket
-// Acquire/Release calls become the §4.2 partition swaps.
+// remoteStore is a storage.Cache whose backend is the deployment's sharded
+// partition-server memory: a load is a fenced Get, a store a fenced Put. It
+// is what makes train.Trainer work unchanged in distributed mode — the
+// trainer's per-bucket Acquire/Release calls become the §4.2 partition
+// swaps, under the same prefetch, refcount and memory-budget rules as a
+// local DiskStore.
 //
-// A readonly store (used for evaluation snapshots) skips the write-back so
-// concurrent trainers never observe an evaluator's stale copy.
+// The cache is built storage.WriteThrough: once the bucket lease is
+// released, the lock server may grant these partitions to another trainer,
+// so the last Release must not return before the Put has landed, and a copy
+// kept across buckets could go stale. (Exploiting the lock server's Held
+// affinity without refetching would require leases that span bucket
+// transitions.)
 //
-// Shards are deliberately not cached across buckets: once the bucket lease
-// is released, another trainer may acquire and modify a shared partition,
-// so a kept copy could go stale. Exploiting the lock server's Held affinity
-// without refetching would require leases that span bucket transitions.
+// A readonly store (used for evaluation snapshots) never Puts, so concurrent
+// trainers never observe an evaluator's stale copy.
 type remoteStore struct {
+	*storage.Cache
+
 	schema    *graph.Schema
 	dim       int
 	initScale float32
@@ -60,45 +41,9 @@ type remoteStore struct {
 	// TTL) bypasses fencing.
 	fenceTok atomic.Uint64
 
-	mu    sync.Mutex
-	cache map[partKey]*storeEntry
-	// maxResident is the same admission budget storage.DiskStore enforces,
-	// plumbed here so a node's checkout cache obeys the node's memory
-	// envelope: prefetch hints that do not fit are dropped, and a must-have
-	// Acquire first evicts fetched-but-never-acquired shards (which were
-	// never modified, so they drop without a Put). 0 = unbounded.
-	maxResident int64
-	useSeq      int64
-
-	// obs/m record fetches, write-backs, budget decisions, and RPC
-	// latencies; set at construction or by one SetObs call before use.
-	// The private atomics below back IOStats: several in-process stores
-	// may share one hub (a Cluster with Config.Obs set), so the registry
-	// counters aggregate across stores while these stay per-store exact.
-	obs        *obs.Hub
-	m          distStoreMetrics
-	fetchCount atomic.Int64
-	putCount   atomic.Int64
-	shedCount  atomic.Int64
-	evictCount atomic.Int64
-}
-
-type storeEntry struct {
-	shard *storage.Shard
-	refs  int
-	// size is the projected shard footprint while the fetch is in flight
-	// (known from the schema), so admission charges fetches up front.
-	size int64
-	// lastUse orders never-acquired prefetched shards for LRU eviction.
-	lastUse int64
-	// waiters counts Acquires blocked on ready (or re-locking just after
-	// it closed); eviction skips entries a waiter is about to claim, so a
-	// just-landed prefetch cannot be evicted into a redundant re-fetch.
-	waiters int
-	// ready is non-nil while a fetch (Prefetch or first Acquire) is in
-	// flight; shard/err are set before it closes and immutable afterwards.
-	ready chan struct{}
-	err   error
+	// obs and the histograms record the RPCs themselves; see SetObs.
+	obs          *obs.Hub
+	getNs, putNs *obs.Histogram
 }
 
 // storeOpts carries the resilience knobs a store's partition-server clients
@@ -118,15 +63,9 @@ func dialStore(schema *graph.Schema, dim int, initScale float32, readonly bool, 
 	if initScale == 0 {
 		initScale = 1
 	}
-	s := &remoteStore{
-		schema:    schema,
-		dim:       dim,
-		initScale: initScale,
-		readonly:  readonly,
-		cache:     make(map[partKey]*storeEntry),
-		obs:       obs.NewQuietHub(),
-	}
-	s.m = newDistStoreMetrics(s.obs.Reg)
+	s := &remoteStore{schema: schema, dim: dim, initScale: initScale, readonly: readonly}
+	s.Cache = storage.NewCache(s, storage.WriteThrough, schema, dim, newDistStoreMetrics)
+	s.SetObs(obs.NewQuietHub())
 	for _, addr := range addrs {
 		c, err := dialRetry("partition server", addr, o.policy, o.chaos, o.tag)
 		if err != nil {
@@ -136,6 +75,36 @@ func dialStore(schema *graph.Schema, dim int, initScale float32, readonly bool, 
 		s.clients = append(s.clients, c)
 	}
 	return s, nil
+}
+
+// newDistStoreMetrics publishes the checkout cache's counts under the dist
+// names: a load is a fetch, a write a put.
+func newDistStoreMetrics(reg *obs.Registry) storage.CacheMetrics {
+	return storage.CacheMetrics{
+		Loads:        reg.Counter("pbg_dist_fetches_total"),
+		Writes:       reg.Counter("pbg_dist_puts_total"),
+		Admits:       reg.Counter("pbg_dist_admits_total"),
+		Sheds:        reg.Counter("pbg_dist_prefetch_sheds_total"),
+		ForcedEvicts: reg.Counter("pbg_dist_forced_evicts_total"),
+		Resident:     reg.Gauge("pbg_dist_resident_bytes"),
+	}
+}
+
+// SetObs binds the store's metrics — the cache's, the RPC histograms and the
+// clients' retry counters — and its spans to h; call once, before the first
+// Prefetch/Acquire. The store starts on a private quiet hub; train.New
+// plumbs Config.Obs here automatically.
+func (s *remoteStore) SetObs(h *obs.Hub) {
+	if h == nil {
+		return
+	}
+	s.Cache.SetObs(h)
+	s.obs = h
+	s.getNs = h.Reg.Histogram(`pbg_dist_rpc_ns{method="Get"}`)
+	s.putNs = h.Reg.Histogram(`pbg_dist_rpc_ns{method="Put"}`)
+	for _, c := range s.clients {
+		c.bindMetrics(h.Reg)
+	}
 }
 
 func (s *remoteStore) client(t, p int) *retryClient {
@@ -148,89 +117,10 @@ func (s *remoteStore) SetFenceToken(tok uint64) {
 	s.fenceTok.Store(tok)
 }
 
-// SetObs rebinds the store's metrics onto h's shared registry; call once,
-// before the first Prefetch/Acquire. train.New plumbs Config.Obs here
-// automatically for any store exposing this method.
-func (s *remoteStore) SetObs(h *obs.Hub) {
-	if h == nil {
-		return
-	}
-	s.obs = h
-	s.m = newDistStoreMetrics(h.Reg)
-	for _, c := range s.clients {
-		c.bindMetrics(h.Reg)
-	}
-}
-
-// IOStats reports cumulative checkout-cache activity in DiskStore's IOStats
-// shape: Loads are partition-server fetches, Writes are Put write-backs
-// (Admits is not a remote-store concept and stays 0). The counts come from
-// per-store atomics, so they stay exact even when several stores share one
-// obs hub.
-func (s *remoteStore) IOStats() storage.IOStats {
-	return storage.IOStats{
-		Loads:         s.fetchCount.Load(),
-		Writes:        s.putCount.Load(),
-		PrefetchSheds: s.shedCount.Load(),
-		ForcedEvicts:  s.evictCount.Load(),
-	}
-}
-
-// SetMaxResidentBytes sets the checkout-cache admission budget (0 =
-// unbounded). train.New plumbs Config.MemBudgetBytes here, the same way it
-// does for a local DiskStore.
-func (s *remoteStore) SetMaxResidentBytes(n int64) {
-	s.mu.Lock()
-	s.maxResident = n
-	s.mu.Unlock()
-}
-
-// shardBytes is the exact in-memory size shard (t,p) will occupy once
-// fetched, known from the schema without a round trip.
-func (s *remoteStore) shardBytes(t, p int) int64 {
-	return storage.ProjectedShardBytes(s.schema, s.dim, t, p)
-}
-
-// accountedLocked charges resident shards plus in-flight fetch projections
-// against the budget.
-func (s *remoteStore) accountedLocked() int64 {
-	var total int64
-	for _, e := range s.cache {
-		if e.shard != nil {
-			total += e.shard.Bytes()
-		} else {
-			total += e.size
-		}
-	}
-	return total
-}
-
-// evictUnusedLocked drops the least-recently-fetched shard that was
-// prefetched but never acquired. Such shards are unmodified, so no Put is
-// needed — the partition server's copy is still canonical.
-func (s *remoteStore) evictUnusedLocked() bool {
-	var victimK partKey
-	var victim *storeEntry
-	for k, e := range s.cache {
-		if e.refs == 0 && e.ready == nil && e.waiters == 0 {
-			if victim == nil || e.lastUse < victim.lastUse {
-				victimK, victim = k, e
-			}
-		}
-	}
-	if victim == nil {
-		return false
-	}
-	delete(s.cache, victimK)
-	s.m.forcedEvicts.Inc()
-	s.evictCount.Add(1)
-	s.updateResidentLocked()
-	return true
-}
-
-// get performs the Get RPC for shard (t,p). Called without the lock held so
-// fetches of different shards overlap on the wire.
-func (s *remoteStore) get(t, p int) (*storage.Shard, error) {
+// Load implements storage.Backend: the Get RPC for shard (t,p), which the
+// owning server initialises lazily on first touch. The cache calls it
+// without its lock held, so fetches of different shards overlap on the wire.
+func (s *remoteStore) Load(t, p int) (*storage.Shard, error) {
 	var reply ShardReply
 	args := GetArgs{
 		TypeIndex: t,
@@ -247,13 +137,11 @@ func (s *remoteStore) get(t, p int) (*storage.Shard, error) {
 	if err == nil {
 		sh, err = decodeGetReply(args, reply.Shard)
 	}
-	s.m.getNs.Observe(float64(time.Since(t0).Nanoseconds()))
+	s.getNs.Observe(float64(time.Since(t0).Nanoseconds()))
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("dist: get shard (%d,%d): %w", t, p, err)
 	}
-	s.m.fetches.Inc()
-	s.fetchCount.Add(1)
 	return sh, nil
 }
 
@@ -270,202 +158,36 @@ func decodeGetReply(args GetArgs, b []byte) (*storage.Shard, error) {
 	return l.Decode(b)
 }
 
-// put performs the Put RPC that writes sh back to its partition server.
-func (s *remoteStore) put(sh *storage.Shard) error {
-	b, err := encodeShard(sh)
-	if err != nil {
-		return err
-	}
-	var ack Ack
-	return s.client(sh.TypeIndex, sh.Part).Call("PartitionServer.Put", PutArgs{Shard: b, Token: s.fenceTok.Load()}, &ack)
-}
-
-// fetch resolves an in-flight entry: it runs the RPC and publishes the
-// result. On failure the entry is removed so a retry can refetch; waiters
-// read err from their captured entry pointer.
-func (s *remoteStore) fetch(k partKey, e *storeEntry) {
-	sh, err := s.get(k.t, k.p)
-	s.mu.Lock()
-	e.shard, e.err = sh, err
-	if err != nil {
-		delete(s.cache, k)
-	} else {
-		e.size = sh.Bytes()
-		s.useSeq++
-		e.lastUse = s.useSeq
-	}
-	s.updateResidentLocked()
-	close(e.ready)
-	e.ready = nil
-	s.mu.Unlock()
-}
-
-// Prefetch implements storage.Store: it starts fetching shard (t,p) from its
-// partition server in the background so a later Acquire finds it resident —
-// the remote analogue of the DiskStore prefetch that lets the pipelined
-// epoch executor overlap partition-server round trips with training. It is
-// a no-op when the shard is already cached or being fetched.
-func (s *remoteStore) Prefetch(t, p int) {
-	k := partKey{t, p}
-	s.mu.Lock()
-	if _, ok := s.cache[k]; ok {
-		s.mu.Unlock()
-		return
-	}
-	size := s.shardBytes(t, p)
-	if s.maxResident > 0 && s.accountedLocked()+size > s.maxResident {
-		// Hints are advisory: the budget drops them rather than evicting
-		// for them (mirroring storage.DiskStore's admission rule).
-		s.m.sheds.Inc()
-		s.shedCount.Add(1)
-		s.mu.Unlock()
-		return
-	}
-	e := &storeEntry{ready: make(chan struct{}), size: size}
-	s.cache[k] = e
-	s.mu.Unlock()
-	go s.fetch(k, e)
-}
-
-// Acquire implements storage.Store: a cache miss fetches the shard from the
-// owning partition server; a hit on an in-flight prefetch waits for that
-// fetch instead of issuing a second Get (two copies of the same shard would
-// diverge under training).
-func (s *remoteStore) Acquire(t, p int) (*storage.Shard, error) {
-	k := partKey{t, p}
-	s.mu.Lock()
-	for {
-		e, ok := s.cache[k]
-		if !ok {
-			size := s.shardBytes(t, p)
-			if s.maxResident > 0 {
-				// A must-have evicts never-acquired prefetched shards until
-				// the fetch fits; when everything left is referenced it
-				// proceeds over budget (training cannot progress otherwise).
-				for s.accountedLocked()+size > s.maxResident && s.evictUnusedLocked() {
-				}
-			}
-			e = &storeEntry{ready: make(chan struct{}), size: size}
-			s.cache[k] = e
-			s.mu.Unlock()
-			s.fetch(k, e) // synchronous fetch in this goroutine
-			if e.err != nil {
-				return nil, e.err
-			}
-			s.mu.Lock()
-			continue
-		}
-		if e.ready != nil {
-			ready := e.ready
-			e.waiters++
-			s.mu.Unlock()
-			<-ready
-			s.mu.Lock()
-			e.waiters--
-			if e.err != nil {
-				s.mu.Unlock()
-				return nil, e.err
-			}
-			continue
-		}
-		e.refs++
-		sh := e.shard
-		s.mu.Unlock()
-		return sh, nil
-	}
-}
-
-// Release implements storage.Store: the last reference writes the shard back
-// to its partition server and evicts it, so the next trainer to lease a
-// bucket touching this partition sees the update. Unlike DiskStore's
-// asynchronous write-back, the Put stays synchronous: the lock server may
-// grant these partitions to another trainer the moment the bucket lease is
-// returned, so the write must have landed before Release returns.
-func (s *remoteStore) Release(t, p int) error {
-	s.mu.Lock()
-	k := partKey{t, p}
-	e, ok := s.cache[k]
-	if !ok || e.refs <= 0 {
-		s.mu.Unlock()
-		return fmt.Errorf("dist: Release of unacquired shard (%d,%d)", t, p)
-	}
-	e.refs--
-	if e.refs > 0 {
-		s.mu.Unlock()
-		return nil
-	}
-	delete(s.cache, k)
-	s.updateResidentLocked()
-	s.mu.Unlock()
+// Store implements storage.Backend: the Put RPC that writes sh back to its
+// partition server, so the next trainer to lease a bucket touching this
+// partition sees the update. A readonly store skips it (the cache still
+// counts the release as a write; nothing reads an eval store's counters).
+func (s *remoteStore) Store(sh *storage.Shard) error {
 	if s.readonly {
 		return nil
 	}
-	// Write back outside the lock: the shard is no longer visible locally.
-	sp := s.obs.Trace.Start("dist", fmt.Sprintf("put t%d p%d", t, p))
+	sp := s.obs.Trace.Start("dist", fmt.Sprintf("put t%d p%d", sh.TypeIndex, sh.Part))
 	t0 := time.Now()
-	err := s.put(e.shard)
-	s.m.putNs.Observe(float64(time.Since(t0).Nanoseconds()))
+	b, err := encodeShard(sh)
+	if err == nil {
+		var ack Ack
+		err = s.client(sh.TypeIndex, sh.Part).Call("PartitionServer.Put", PutArgs{Shard: b, Token: s.fenceTok.Load()}, &ack)
+	}
+	s.putNs.Observe(float64(time.Since(t0).Nanoseconds()))
 	sp.End()
 	if err != nil {
-		return fmt.Errorf("dist: put shard (%d,%d): %w", t, p, err)
-	}
-	s.m.puts.Inc()
-	s.putCount.Add(1)
-	return nil
-}
-
-// Flush implements storage.Store: push every resident shard back without
-// evicting (checkpoint-style).
-func (s *remoteStore) Flush() error {
-	if s.readonly {
-		return nil
-	}
-	s.mu.Lock()
-	shards := make([]*storage.Shard, 0, len(s.cache))
-	for _, e := range s.cache {
-		if e.shard != nil { // skip fetches still in flight
-			shards = append(shards, e.shard)
-		}
-	}
-	s.mu.Unlock()
-	for _, sh := range shards {
-		if err := s.put(sh); err != nil {
-			return err
-		}
+		return fmt.Errorf("dist: put shard (%d,%d): %w", sh.TypeIndex, sh.Part, err)
 	}
 	return nil
 }
 
-// ResidentBytes implements storage.Store.
-func (s *remoteStore) ResidentBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.residentLocked()
-}
-
-func (s *remoteStore) residentLocked() int64 {
-	var total int64
-	for _, e := range s.cache {
-		if e.shard != nil { // fetches still in flight hold no memory yet
-			total += e.shard.Bytes()
-		}
-	}
-	return total
-}
-
-// updateResidentLocked refreshes the resident-bytes gauge at every
-// transition that changes checkout-cache memory.
-func (s *remoteStore) updateResidentLocked() {
-	s.m.resident.Set(s.residentLocked())
-}
-
-// Close implements storage.Store: hang up the partition-server connections.
+// Close implements storage.Store: wait for in-flight fetches, then hang up
+// the partition-server connections. Nothing resident is written back — a
+// store closed with shards still checked out has lost or abandoned its
+// lease.
 func (s *remoteStore) Close() error {
-	var first error
+	first := s.Cache.Close()
 	for _, c := range s.clients {
-		if c == nil {
-			continue
-		}
 		if err := c.Close(); err != nil && first == nil {
 			first = err
 		}

@@ -8,12 +8,15 @@ import (
 
 // LockCall flags blocking operations performed while a sync.Mutex or
 // sync.RWMutex is held: channel sends/receives, select, time.Sleep, RPC
-// (net/rpc Client calls and the dist retryClient), os file I/O, and calls
-// into a storage.Store (Acquire/Release/Flush/Prefetch/Drain block on disk
-// or RPC). The dist package learned this the careful way — remoteStore
-// drops mu before every Put, DiskStore hands write-backs to an async worker
-// — and this analyzer keeps new code from regressing it: a blocked lock
-// holder stalls every HOGWILD worker behind one slow syscall.
+// (net/rpc Client calls and the dist retryClient), os file I/O, calls into
+// a storage.Store (Acquire/Release/Flush/Prefetch/Drain block on disk or
+// RPC), and — inside internal/storage too — calls to a storage.Backend
+// (Load/Store are the disk read, the file write, the partition-server Get
+// and Put). storage.Cache is the one lock every shard swap of either
+// backend goes through; it drops mu around every backend call and hands
+// write-backs to an async worker, and this analyzer keeps new code from
+// regressing it: a blocked lock holder stalls every HOGWILD worker behind
+// one slow syscall or round trip.
 //
 // Lock state is tracked per function with a small lexical interpreter:
 // Lock() sets a mutex held, Unlock() clears it (including the
@@ -241,6 +244,8 @@ func checkCallUnderLock(pass *Pass, call *ast.CallExpr, lock string) {
 		case "Read", "ReadAt", "Write", "WriteAt", "Sync", "Close", "Seek", "Truncate":
 			pass.Reportf(call.Pos(), "file %s.%s while holding %s", exprString(call.Fun.(*ast.SelectorExpr).X), name, lock)
 		}
+	case pkgPathHasSuffix(pkg, "internal/storage") && tn == "Backend":
+		pass.Reportf(call.Pos(), "storage Backend.%s while holding %s (a disk access or an RPC under the cache lock)", name, lock)
 	case pkgPathHasSuffix(pkg, "internal/storage") && !pkgPathHasSuffix(pass.Pkg, "internal/storage"):
 		switch name {
 		case "Acquire", "Release", "Flush", "Prefetch", "Drain":

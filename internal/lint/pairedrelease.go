@@ -7,13 +7,14 @@ import (
 )
 
 // PairedRelease enforces the store refcount contract: every store Acquire
-// (storage.Store and its implementations — DiskStore, MemStore, the dist
-// remoteStore, the storetest harness) must have a Release reachable on all
-// exits of the enclosing function. storetest.LeakCheck catches the leaks a
-// test happens to execute; this analyzer catches the early-return paths it
-// doesn't: an `if err != nil { return … }` between Acquire and Release
-// leaks the refcount, which pins the shard resident and (for DiskStore)
-// suppresses its write-back forever.
+// (storage.Store and its implementations — MemStore, storage.Cache and the
+// two stores built on it, DiskStore and the dist remoteStore, the storetest
+// harness) must have a Release reachable on all exits of the enclosing
+// function. storetest.LeakCheck catches the leaks a test happens to
+// execute; this analyzer catches the early-return paths it doesn't: an
+// `if err != nil { return … }` between Acquire and Release leaks the
+// refcount, which pins the shard resident in the cache and suppresses its
+// write — to disk or to its partition server — forever.
 //
 // The check is a lexical abstract interpretation, not a full CFG. It
 // understands the codebase's release idioms:
@@ -394,8 +395,8 @@ func countStoreCalls(pass *Pass, n ast.Node, method string) int {
 }
 
 // isStoreCall reports whether call invokes the named method on a type from
-// a store package: internal/storage (Store, DiskStore, MemStore), the
-// storetest harness, or internal/dist (remoteStore).
+// a store package: internal/storage (Store, Cache, DiskStore, MemStore), the
+// storetest harness, or internal/dist (remoteStore, which embeds Cache).
 func isStoreCall(pass *Pass, call *ast.CallExpr, method string) bool {
 	if calleeName(call) != method {
 		return false

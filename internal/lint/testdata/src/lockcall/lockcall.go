@@ -48,6 +48,30 @@ func (s *S) storageBad(st *storage.Store) {
 	_ = st.Flush() // want `storage Store\.Flush while holding s\.mu`
 }
 
+// backendBad is an RPC (or a disk read) under the cache lock: a
+// storage.Backend call blocks on whatever the backend is, and the shard
+// cache's lock is the one every swap goes through.
+func (s *S) backendBad(b storage.Backend) {
+	s.mu.Lock()
+	sh, _ := b.Load(0, 0) // want `storage Backend\.Load while holding s\.mu`
+	_ = b.Store(sh)       // want `storage Backend\.Store while holding s\.mu`
+	s.mu.Unlock()
+}
+
+// backendUnlocked is storage.Cache's shape: publish the entry under the
+// lock, drop it for the backend call, retake it to publish the result.
+func (s *S) backendUnlocked(b storage.Backend) {
+	s.mu.Lock()
+	s.n++
+	s.mu.Unlock()
+	sh, _ := b.Load(0, 0)
+	s.mu.Lock()
+	if sh != nil {
+		s.n--
+	}
+	s.mu.Unlock()
+}
+
 func (s *S) selectBad() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -68,7 +92,7 @@ func (s *S) unlockFirst() {
 	}
 }
 
-// unlockWaitRelock is the condition-wait idiom (dist remoteStore.Acquire):
+// unlockWaitRelock is the condition-wait idiom (storage.Cache.Acquire):
 // the lock is dropped around the blocking wait and retaken after.
 func (s *S) unlockWaitRelock() {
 	s.mu.Lock()

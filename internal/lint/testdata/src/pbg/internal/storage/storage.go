@@ -29,3 +29,9 @@ func (s *Store) Drain() error { return nil }
 
 // Close flushes and shuts the store down.
 func (s *Store) Close() error { return nil }
+
+// Backend is where a cache's shards live while they are not in memory.
+type Backend interface {
+	Load(t, p int) (*Shard, error)
+	Store(sh *Shard) error
+}

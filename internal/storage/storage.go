@@ -5,9 +5,12 @@
 // partitions of the current bucket (plus unpartitioned types) are resident.
 //
 // A shard's bytes — on disk, under the serving layer's views and on the
-// partition servers' wire — are described once, by Layout (layout.go).
-// DiskStore additionally runs a background I/O pool so prefetched loads and
-// write-back evictions overlap training (see disk.go).
+// partition servers' wire — are described once, by Layout (layout.go). The
+// swapping itself is implemented once, by Cache (cache.go): entries,
+// refcounts, the background I/O pool, prefetch joins and the memory budget,
+// over a two-method Backend — load shard (t,p), store a shard durably.
+// DiskStore (disk.go) is the cache over a directory of shard files;
+// internal/dist builds the same cache over its partition servers.
 //
 // Two contracts matter to callers beyond plain Acquire/Release:
 //
@@ -16,16 +19,16 @@
 //     returns exactly what it would have without the hint — just sooner.
 //     The pipelined epoch executor issues hints for the next buckets'
 //     shards while the current bucket trains.
-//   - SetMaxResidentBytes(n) (DiskStore, the distributed checkout cache)
-//     turns the store into a memory-budgeted shard cache: resident shards,
-//     in-flight load projections, and write-back snapshots are accounted
-//     against n — hints that don't fit are dropped or shed, must-have
-//     Acquires evict clean unreferenced shards LRU-by-last-release, and
-//     only a working set that simply cannot fit runs over budget. n = 0
-//     disables budgeting (and clean-shard retention) entirely.
+//   - Cache.SetMaxResidentBytes(n) turns the store into a memory-budgeted
+//     shard cache: resident shards, in-flight load projections, and
+//     write-back snapshots are accounted against n — hints that don't fit
+//     are dropped or shed (youngest queued hint first), must-have Acquires
+//     evict clean unreferenced shards LRU-by-last-release, and only a
+//     working set that simply cannot fit runs over budget. n = 0 disables
+//     budgeting (and clean-shard retention) entirely.
 //
-// DiskStore.IOStats reports the resulting decisions as cumulative
-// counters: Loads and Writes are the raw shard I/O; Admits counts loads
+// Cache.IOStats reports the resulting decisions as cumulative per-cache
+// counters: Loads and Writes are the raw backend I/O; Admits counts loads
 // that passed budget admission; PrefetchSheds counts hints the budget
 // refused; ForcedEvicts counts clean shards evicted to make room for a
 // must-have. The budget_aware bucket order (internal/partition) exists to
@@ -135,11 +138,11 @@ func (s *Shard) Bytes() int64 {
 
 // ProjectedShardBytes is the fp32 size shard (t,p) will occupy, priced from
 // the schema alone — it matches Shard.Bytes for a shard of that shape
-// (count×dim embeddings plus count Adagrad cells, float32 each). Budget
-// admission, the remote checkout cache, and the lookahead controller's
-// window projections all price shards through this helper — or through
-// ProjectedShardBytesCodec when a run stores shards quantized — so
-// accounting cannot drift from the bytes actually held.
+// (count×dim embeddings plus count Adagrad cells, float32 each). Cache
+// admission and the lookahead controller's window projections both price
+// shards through this helper — or through ProjectedShardBytesCodec when a
+// run stores shards quantized — so accounting cannot drift from the bytes
+// actually held.
 func ProjectedShardBytes(schema *graph.Schema, dim, t, p int) int64 {
 	return ProjectedShardBytesCodec(schema, dim, t, p, CodecFP32)
 }
@@ -293,15 +296,15 @@ func readInt32s(r io.Reader, xs []int32) error {
 }
 
 // Store provides shards keyed by (entity type, partition), abstracting over
-// whether evicted shards go to disk (DiskStore, the §4.1 swapping scheme) or
-// stay resident (MemStore, used for unpartitioned training and as the
-// backing of the distributed partition server).
+// whether released shards are swapped out through a Cache (DiskStore to
+// disk, §4.1; internal/dist to the partition servers, §4.2) or stay resident
+// (MemStore, used for unpartitioned training).
 type Store interface {
 	// Acquire returns the shard, loading or lazily initialising it. Repeated
 	// Acquires return the same shard and increase a refcount.
 	Acquire(typeIndex, part int) (*Shard, error)
-	// Release drops one reference; when it reaches zero a DiskStore persists
-	// and evicts the shard.
+	// Release drops one reference; when it reaches zero a Cache writes the
+	// shard to its backend and evicts it.
 	Release(typeIndex, part int) error
 	// Prefetch hints that (typeIndex, part) will be Acquired soon. It must
 	// not block on I/O and takes no reference: implementations may start
@@ -314,9 +317,9 @@ type Store interface {
 	Flush() error
 	// ResidentBytes reports the memory held by resident shards.
 	ResidentBytes() int64
-	// Close releases any resources behind the store (network connections for
-	// remote stores, a final Flush for disk stores). The store must not be
-	// used afterwards.
+	// Close waits for the store's background I/O and releases what is behind
+	// it (a final Flush for disk stores, the connections of remote ones).
+	// The store must not be used afterwards.
 	Close() error
 }
 

@@ -4,7 +4,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"pbg/internal/graph"
@@ -190,32 +189,6 @@ func TestDiskStoreSwapsToDisk(t *testing.T) {
 	}
 }
 
-func TestDiskStoreRefCounting(t *testing.T) {
-	dir := t.TempDir()
-	st := newTestDisk(t, dir, testSchema(t), 8, 1, 1)
-	a, _ := st.Acquire(0, 0)
-	b, _ := st.Acquire(0, 0)
-	if a != b {
-		t.Fatal("double acquire returned different shards")
-	}
-	if err := st.Release(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	// Still referenced: must stay resident.
-	if st.ResidentBytes() == 0 {
-		t.Fatal("shard evicted while still referenced")
-	}
-	if err := st.Release(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	if st.ResidentBytes() != 0 {
-		t.Fatal("shard not evicted at refcount zero")
-	}
-}
-
 func TestDiskStoreDeterministicInitAcrossStores(t *testing.T) {
 	dir1 := t.TempDir()
 	dir2 := t.TempDir()
@@ -247,29 +220,6 @@ func TestDiskStoreDeterministicInitAcrossStores(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := s1.Release(0, 1); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDiskStoreFlushKeepsResident(t *testing.T) {
-	dir := t.TempDir()
-	st := newTestDisk(t, dir, testSchema(t), 8, 1, 1)
-	sh, _ := st.Acquire(1, 0)
-	sh.Row(0)[0] = 5
-	if err := st.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if st.ResidentBytes() == 0 {
-		t.Fatal("Flush must not evict")
-	}
-	got, err := ReadShard(filepath.Join(dir, "shard_t1_p0.pbg"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Row(0)[0] != 5 {
-		t.Fatal("Flush did not persist state")
-	}
-	if err := st.Release(1, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -319,124 +269,6 @@ func TestRelationsRoundTrip(t *testing.T) {
 	}
 	if got.Params[0][1] != 2 || got.Acc[1][0] != 0.4 {
 		t.Fatal("values lost")
-	}
-}
-
-// TestDiskStoreConcurrentAcquireRelease pins the write-back race: a Release
-// that evicts must never let a concurrent Acquire observe a stale file or
-// the temp-rename window. Each goroutine owns one embedding cell and bumps
-// it once per iteration; any stale read surfaces as a lost increment.
-func TestDiskStoreConcurrentAcquireRelease(t *testing.T) {
-	schema := graph.MustSchema(
-		[]graph.EntityType{{Name: "node", Count: 64, NumPartitions: 2}},
-		[]graph.RelationType{{Name: "r", SourceType: "node", DestType: "node", Operator: "identity"}},
-	)
-	dir := t.TempDir()
-	st := newTestDisk(t, dir, schema, 4, 1, 1)
-	const workers = 8
-	const iters = 150
-	// Zero the counter cells (Init fills them with random values).
-	for part := 0; part < 2; part++ {
-		sh, err := st.Acquire(0, part)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for w := 0; w < workers; w++ {
-			sh.Row(w)[0] = 0
-		}
-		if err := st.Release(0, part); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			part := w % 2
-			for i := 0; i < iters; i++ {
-				if i%3 == w%3 {
-					// Interleave hints for both partitions: prefetches must
-					// coexist with concurrent Acquire/Release traffic.
-					st.Prefetch(0, (part+i)%2)
-				}
-				sh, err := st.Acquire(0, part)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				sh.Row(w)[0]++ // cell owned by this goroutine
-				if err := st.Release(0, part); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for w, err := range errs {
-		if err != nil {
-			t.Fatalf("worker %d: %v", w, err)
-		}
-	}
-	for w := 0; w < workers; w++ {
-		sh, err := st.Acquire(0, w%2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := sh.Row(w)[0]; got != iters {
-			t.Fatalf("worker %d cell = %v, want %v (lost updates through write-back race)", w, got, iters)
-		}
-		if err := st.Release(0, w%2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestDiskStorePrefetch checks the Prefetch contract: the hint loads the
-// shard in the background, a later Acquire returns exactly the data it would
-// have loaded itself, and no double-load can fork the shard into two copies.
-func TestDiskStorePrefetch(t *testing.T) {
-	dir := t.TempDir()
-	st := newTestDisk(t, dir, testSchema(t), 8, 1, 1)
-	// Persist a recognisable shard, then evict it.
-	sh, _ := st.Acquire(0, 1)
-	sh.Row(2)[0] = 99
-	if err := st.Release(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	st.Prefetch(0, 1)
-	st.Prefetch(0, 1) // repeated hints must not double-load
-	got, err := st.Acquire(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Row(2)[0] != 99 {
-		t.Fatalf("prefetched shard lost state: %v", got.Row(2)[0])
-	}
-	// The prefetched copy and a second Acquire must alias the same shard.
-	again, _ := st.Acquire(0, 1)
-	if again != got {
-		t.Fatal("Acquire after prefetch returned a different shard copy")
-	}
-	for i := 0; i < 2; i++ {
-		if err := st.Release(0, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	io := st.IOStats()
-	if io.Loads < 2 || io.Writes < 1 {
-		t.Fatalf("unexpected IO stats: %+v", io)
 	}
 }
 

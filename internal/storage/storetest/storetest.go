@@ -22,6 +22,7 @@ package storetest
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -51,6 +52,60 @@ func NewDisk(tb testing.TB, dir string, schema *graph.Schema, dim int, seed uint
 		}
 	})
 	return ds
+}
+
+// CheckBudget reports a violation of the cache's memory-budget invariants
+// in one State snapshot: the admission measure must cover everything
+// resident, and resident bytes may exceed the budget only while nothing is
+// left to evict — every shard still cached is referenced, awaited, or in
+// flight.
+func CheckBudget(st storage.CacheState) error {
+	if st.Accounted < st.Resident {
+		return fmt.Errorf("storetest: accounted %d bytes < resident %d", st.Accounted, st.Resident)
+	}
+	if st.Budget == 0 || st.Resident <= st.Budget {
+		return nil
+	}
+	for _, e := range st.Entries {
+		if e.Clean && e.Refs == 0 && e.Waiters == 0 && !e.Loading && !e.Writing {
+			return fmt.Errorf("storetest: resident %d over budget %d while clean shard (%d,%d) is evictable",
+				st.Resident, st.Budget, e.Type, e.Part)
+		}
+	}
+	return nil
+}
+
+// WatchBudget polls c's State from a goroutine — so transients (prefetch
+// projections, write-back snapshots) cannot hide between a test's own
+// samples — until the returned stop is called; stop reports the largest
+// resident size seen and the first CheckBudget violation.
+func WatchBudget(c *storage.Cache) (stop func() (peak int64, err error)) {
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	var peak int64
+	var first error
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			st := c.State()
+			peak = max(peak, st.Resident)
+			if err := CheckBudget(st); err != nil && first == nil {
+				first = err
+			}
+			runtime.Gosched()
+		}
+	}()
+	return func() (int64, error) {
+		close(done)
+		wg.Wait()
+		return peak, first
+	}
 }
 
 // Key identifies a shard: (entity type index, partition).

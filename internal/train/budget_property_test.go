@@ -4,14 +4,16 @@ package train
 // randomized schemas, bucket orders, lookahead depths, budgets, and shard
 // codecs, the store's resident bytes never exceed MaxResidentBytes plus the
 // single in-flight shard allowance, and every acquired shard is eventually
-// released. The invariant is observed two ways at once: a polling goroutine
-// hammering ResidentBytes while epochs run (so transients — prefetch
-// projections, write-back snapshots — cannot hide between samples), and
-// the per-epoch ResidentHighWater the executor records.
+// released. The invariant is observed two ways at once: storetest.WatchBudget
+// hammering the cache's State while epochs run (so transients — prefetch
+// projections, write-back snapshots — cannot hide between samples; each
+// sample must also pass storetest.CheckBudget), and the per-epoch
+// ResidentHighWater the executor records. internal/dist runs the same
+// property over the partition-server backend
+// (TestCacheBudgetInvariantProperty).
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"pbg/internal/datagen"
@@ -67,28 +69,14 @@ func TestPipelineBudgetInvariantProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			done := make(chan struct{})
-			peakCh := make(chan int64, 1)
-			go func() {
-				var peak int64
-				for {
-					select {
-					case <-done:
-						peakCh <- peak
-						return
-					default:
-					}
-					if rb := ds.ResidentBytes(); rb > peak {
-						peak = rb
-					}
-					runtime.Gosched()
-				}
-			}()
+			stop := storetest.WatchBudget(ds.Cache)
 			stats, err := tr.Train(nil)
-			close(done)
-			peak := <-peakCh
+			peak, berr := stop()
 			if err != nil {
 				t.Fatal(err)
+			}
+			if berr != nil {
+				t.Fatal(berr)
 			}
 			if err := ds.Drain(); err != nil {
 				t.Fatal(err)
