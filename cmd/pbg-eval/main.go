@@ -18,6 +18,7 @@ import (
 	"pbg/internal/graph"
 	"pbg/internal/storage"
 	"pbg/internal/train"
+	"pbg/internal/vec"
 )
 
 func main() {
@@ -39,6 +40,7 @@ func main() {
 	if *ckpt == "" {
 		log.Fatal("-ckpt is required")
 	}
+	fmt.Println("vec kernels:", vec.Kernel())
 
 	var g *pbg.Graph
 	var err error

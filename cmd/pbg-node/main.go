@@ -28,6 +28,7 @@ import (
 	"pbg/internal/partition"
 	"pbg/internal/storage"
 	"pbg/internal/train"
+	"pbg/internal/vec"
 )
 
 func main() {
@@ -67,9 +68,11 @@ func main() {
 	if err := train.ValidateRunFlags(*orderBy, "", memBudget, *slots, 0, *maxLook); err != nil {
 		log.Fatal(err)
 	}
+	fmt.Println("vec kernels:", vec.Kernel())
 	var hub *obs.Hub
 	if *obsAddr != "" {
 		hub = obs.NewHub()
+		hub.Reg.Gauge(vec.KernelMetric()).Set(1)
 		srv, err := hub.Serve(*obsAddr)
 		if err != nil {
 			log.Fatal(err)

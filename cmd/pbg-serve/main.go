@@ -29,6 +29,7 @@ import (
 	"pbg/internal/obs"
 	"pbg/internal/serve"
 	"pbg/internal/storage"
+	"pbg/internal/vec"
 )
 
 func main() {
@@ -84,8 +85,10 @@ func main() {
 		Schema: g.Schema, Dim: *dim, Comparator: *comparator,
 		Rerank: *rerank, NProbe: *nprobe,
 	}
+	fmt.Println("vec kernels:", vec.Kernel())
 	if *obsAddr != "" {
 		hub := obs.NewHub()
+		hub.Reg.Gauge(vec.KernelMetric()).Set(1)
 		cfg.Obs = hub
 		srv, err := hub.Serve(*obsAddr)
 		if err != nil {

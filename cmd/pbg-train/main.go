@@ -22,6 +22,7 @@ import (
 	"pbg/internal/partition"
 	"pbg/internal/storage"
 	"pbg/internal/train"
+	"pbg/internal/vec"
 )
 
 func main() {
@@ -79,8 +80,10 @@ func main() {
 		Lookahead: *lookahead, MaxLookahead: *maxLook, MemBudgetBytes: budget,
 		BucketOrder: *order, Codec: *codecName,
 	}
+	fmt.Println("vec kernels:", vec.Kernel())
 	if *obsAddr != "" {
 		hub := obs.NewHub()
+		hub.Reg.Gauge(vec.KernelMetric()).Set(1)
 		cfg.Obs = hub
 		srv, err := hub.Serve(*obsAddr)
 		if err != nil {

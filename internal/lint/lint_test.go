@@ -1,6 +1,10 @@
 package lint
 
-import "testing"
+import (
+	"testing"
+
+	"pbg/internal/vec"
+)
 
 // Each analyzer is pinned by a fixture package under testdata/src/<name>:
 // `// want "re"` comments mark the lines that must fire, and every other
@@ -32,5 +36,13 @@ func TestRepoIsClean(t *testing.T) {
 	}
 	for _, d := range diags {
 		t.Errorf("%s", d)
+	}
+}
+
+// TestKernelMetricName holds the one metric name the analyzer cannot read
+// off a literal — vec builds it around the kernel path — to the naming rule.
+func TestKernelMetricName(t *testing.T) {
+	if name := vec.KernelMetric(); !metricNameRE.MatchString(name) {
+		t.Fatalf("metric name %q does not match pbg_<pkg>_<name>", name)
 	}
 }

@@ -63,12 +63,12 @@ func runObsHandle(pass *Pass) error {
 
 // isConstructorish reports whether a function name marks a construction-time
 // context where registry lookups are expected: New*/new* constructors, init
-// functions, and the bind/set-metrics idioms (bindMetrics, newTrainMetrics,
-// SetObs).
+// functions, a command's main (it runs once, at start-up), and the
+// bind/set-metrics idioms (bindMetrics, newTrainMetrics, SetObs).
 func isConstructorish(name string) bool {
 	switch {
 	case strings.HasPrefix(name, "New"), strings.HasPrefix(name, "new"),
-		strings.HasPrefix(name, "init"), name == "init",
+		strings.HasPrefix(name, "init"), name == "main",
 		strings.Contains(name, "Metrics"), strings.Contains(name, "Obs"),
 		strings.HasPrefix(name, "bind"):
 		return true

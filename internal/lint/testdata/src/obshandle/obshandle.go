@@ -40,3 +40,10 @@ func (s *server) observeDepth(d int64) {
 	g := s.reg.Gauge("pbg_obshandle_queue_depth") // want `obs\.Registry\.Gauge outside a constructor`
 	g.Set(d)
 }
+
+// main runs once at start-up: a command registering a constant series on its
+// hub there is construction-time too.
+func main() {
+	var reg *obs.Registry
+	reg.Gauge(`pbg_obshandle_build_info{impl="x"}`).Set(1)
+}

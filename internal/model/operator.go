@@ -166,12 +166,9 @@ func (ComplexDiagonalOperator) Apply(dst, x, params []float32) {
 	vec.ComplexMul(dst, x, params)
 }
 func (ComplexDiagonalOperator) Backward(gX, gParams, x, params, gOut []float32) {
-	tmp := make([]float32, len(x))
-	vec.ComplexMulConj(tmp, gOut, params)
-	vec.Axpy(1, tmp, gX)
+	vec.ComplexMulConjAdd(gX, gOut, params)
 	if gParams != nil {
-		vec.ComplexMulConj(tmp, gOut, x)
-		vec.Axpy(1, tmp, gParams)
+		vec.ComplexMulConjAdd(gParams, gOut, x)
 	}
 }
 func (ComplexDiagonalOperator) InitParams(params []float32, _ *rng.RNG) {

@@ -179,8 +179,8 @@ func (s *Scorer) NewChunkGrad(maxC, maxU int) *ChunkGrad {
 
 // view returns the subview of g sized for a chunk with C positives and U
 // candidates, zeroing the active region.
-func (g *ChunkGrad) view(c, u, dim int) *ChunkGrad {
-	out := &ChunkGrad{
+func (g *ChunkGrad) view(c, u, dim int) ChunkGrad {
+	out := ChunkGrad{
 		Src:    vec.MatrixFrom(g.Src.Data[:c*dim], c, dim),
 		Dst:    vec.MatrixFrom(g.Dst.Data[:c*dim], c, dim),
 		USrc:   vec.MatrixFrom(g.USrc.Data[:u*dim], u, dim),
@@ -299,13 +299,12 @@ func (s *Scorer) ScoreChunk(ws *Workspace, in *ChunkInput, grad *ChunkGrad) {
 	candIDs := ws.candIDs[:cu]
 	copy(candIDs[:c], in.DstIDs)
 	copy(candIDs[c:], in.UDstIDs)
-	maskInduced(negD, candIDs, in.DstIDs)
+	g.NegCount += c*cu - maskInduced(negD, candIDs, in.DstIDs)
 
 	gPos := ws.gPos[:c]
 	vec.Zero(gPos)
 	gNegD := subMat(ws.gNegD, c, cu)
 	g.Loss += s.Loss.Compute(pos, negD, gPos, gNegD, in.RelWeight)
-	g.NegCount += countUnmasked(negD)
 
 	gTS := subMat(ws.gTS, c, d)
 	gCandD := subMat(ws.gCandD, cu, d)
@@ -349,9 +348,8 @@ func (s *Scorer) ScoreChunk(ws *Workspace, in *ChunkInput, grad *ChunkGrad) {
 		topS := subMat(candS, c, d)
 		s.Cmp.PairScores(pos2, td, topS)
 		s.Cmp.CrossScores(negS, td, candS)
-		maskInduced(negS, candIDs, in.SrcIDs)
+		g.NegCount += c*cu - maskInduced(negS, candIDs, in.SrcIDs)
 		g.Loss += s.Loss.Compute(pos2, negS, gPos2, gNegS, in.RelWeight)
-		g.NegCount += countUnmasked(negS)
 
 		gTD := subMat(ws.gTD, c, d)
 		gCandS := subMat(ws.gCandS, cu, d)
@@ -381,9 +379,8 @@ func (s *Scorer) ScoreChunk(ws *Workspace, in *ChunkInput, grad *ChunkGrad) {
 		topAll := subMat(tsAll, c, d)
 		s.Cmp.PairScores(pos2, pd, topAll)
 		s.Cmp.CrossScores(negS, pd, tsAll)
-		maskInduced(negS, candIDs, in.SrcIDs)
+		g.NegCount += c*cu - maskInduced(negS, candIDs, in.SrcIDs)
 		g.Loss += s.Loss.Compute(pos2, negS, gPos2, gNegS, in.RelWeight)
-		g.NegCount += countUnmasked(negS)
 
 		gPD := subMat(ws.gPD, c, d)
 		gTSAll := subMat(ws.gTSAll, cu, d)
@@ -412,25 +409,20 @@ func (s *Scorer) ScoreChunk(ws *Workspace, in *ChunkInput, grad *ChunkGrad) {
 
 // maskInduced sets score (i, j) to Masked when candidate j is the true
 // endpoint of positive i: either the self column (j == i, the edge itself)
-// or any candidate carrying the same entity ID.
-func maskInduced(scores vec.Matrix, candIDs []int32, posIDs []int32) {
+// or any candidate carrying the same entity ID. It returns how many entries
+// it masked, which is what the caller subtracts from the block's size to
+// count the negatives that contribute.
+func maskInduced(scores vec.Matrix, candIDs []int32, posIDs []int32) int {
+	masked := 0
 	for i := 0; i < scores.Rows; i++ {
 		row := scores.Row(i)
 		id := posIDs[i]
 		for j, cid := range candIDs {
 			if j == i || cid == id {
 				row[j] = Masked
+				masked++
 			}
 		}
 	}
-}
-
-func countUnmasked(m vec.Matrix) int {
-	n := 0
-	for _, v := range m.Data {
-		if !IsMasked(v) {
-			n++
-		}
-	}
-	return n
+	return masked
 }

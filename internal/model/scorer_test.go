@@ -267,6 +267,46 @@ func TestSameIDCandidatesMasked(t *testing.T) {
 	}
 }
 
+// TestNegCountIsUnmaskedEntries pins NegCount to its definition — the
+// entries of both C×(C+U) score blocks whose candidate is neither the edge
+// itself nor an entity equal to its true endpoint — on a chunk dense with
+// duplicate ids, where an entry can qualify for masking twice (self column
+// and same id) and must still be subtracted once.
+func TestNegCountIsUnmaskedEntries(t *testing.T) {
+	for _, reciprocal := range []bool{false, true} {
+		s, err := NewScorer(4, "identity", "dot", "ranking", 0.1, reciprocal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const c, u = 9, 7
+		in := makeChunk(s, c, u, 19)
+		for i := range in.SrcIDs {
+			in.SrcIDs[i] = int32(i % 3)
+			in.DstIDs[i] = int32(i % 4)
+		}
+		for i := range in.USrcIDs {
+			in.USrcIDs[i] = int32(i % 3)
+			in.UDstIDs[i] = int32(i % 5)
+		}
+		want := 0
+		for _, side := range [][2][]int32{{in.DstIDs, in.UDstIDs}, {in.SrcIDs, in.USrcIDs}} {
+			cand := append(append([]int32(nil), side[0]...), side[1]...)
+			for i, id := range side[0] {
+				for j, cid := range cand {
+					if j != i && cid != id {
+						want++
+					}
+				}
+			}
+		}
+		grad := s.NewChunkGrad(c, u)
+		s.ScoreChunk(s.NewWorkspace(c, u), in, grad)
+		if grad.NegCount != want {
+			t.Errorf("reciprocal=%v: negative count = %d, want %d", reciprocal, grad.NegCount, want)
+		}
+	}
+}
+
 func TestScoreSingleEdgeConsistency(t *testing.T) {
 	// Score must equal the chunk's positive pair score.
 	s, _ := NewScorer(6, "translation", "cos", "logistic", 0.1, false)

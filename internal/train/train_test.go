@@ -1,12 +1,16 @@
 package train
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"pbg/internal/datagen"
 	"pbg/internal/graph"
 	"pbg/internal/storage"
 	"pbg/internal/storage/storetest"
+	"pbg/internal/vec"
 )
 
 func smallSocial(t *testing.T, parts int) *graph.Graph {
@@ -121,6 +125,51 @@ func TestTrainWithDiskStoreSwapping(t *testing.T) {
 	}
 	if peak >= full {
 		t.Fatalf("peak resident %d not smaller than full model %d", peak, full)
+	}
+}
+
+// TestSameSeedSameShardBytes pins run-to-run determinism on whichever vec
+// kernel path this machine runs: two same-seed Workers:1 trainings write
+// byte-identical shard directories. Checkpoint bytes are a function of the
+// kernel path (vec.Kernel), so the comparison is within one process; the
+// dimension is not a multiple of 8, which puts the kernels' tails on the path.
+func TestSameSeedSameShardBytes(t *testing.T) {
+	g := smallSocial(t, 4)
+	run := func() string {
+		dir := t.TempDir()
+		store := storetest.NewDisk(t, dir, g.Schema, 20, 7, 1)
+		tr, err := New(g, store, Config{Dim: 20, Epochs: 2, Seed: 3, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tr.Train(nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	a, b := run(), run()
+	files, err := os.ReadDir(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatal("training wrote no shard files")
+	}
+	for _, f := range files {
+		x, err := os.ReadFile(filepath.Join(a, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		y, err := os.ReadFile(filepath.Join(b, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(x, y) {
+			t.Errorf("%s differs between two same-seed runs on the %s kernels", f.Name(), vec.Kernel())
+		}
 	}
 }
 

@@ -1,6 +1,11 @@
 // Package vec provides the dense float32 vector and matrix kernels that the
-// rest of the system is built on. PyTorch-BigGraph relies on PyTorch for
-// these; this package is the hand-written substitute. Everything operates on
+// rest of the system is built on. PyTorch-BigGraph relies on PyTorch (and
+// through it a tuned BLAS) for these; this package is the hand-written
+// substitute, on two paths: AVX2+FMA assembly tiles under Dot, Axpy and the
+// three GEMMs on amd64 processors that have them (kernel_amd64.s), and
+// portable Go kernels everywhere else (the *Generic functions below), which
+// are also the reference the assembly is tested against. kernel.go states
+// which path runs and what the two may differ by. Everything operates on
 // plain []float32 slices so embedding tables can be memory-mapped or sliced
 // out of large flat buffers without copies.
 //
@@ -11,6 +16,7 @@ package vec
 import (
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // Dot returns the inner product <a, b>. The slices must have equal length.
@@ -18,6 +24,14 @@ import (
 //pbg:hotpath
 func Dot(a, b []float32) float32 {
 	checkPair("Dot", a, b)
+	if useAVX2 {
+		return dotAVX2(unsafe.SliceData(a), unsafe.SliceData(b), len(a))
+	}
+	return dotGeneric(a, b)
+}
+
+//pbg:hotpath
+func dotGeneric(a, b []float32) float32 {
 	// Four-way unrolled accumulation: measurably faster than the naive loop
 	// and keeps rounding error lower by splitting the accumulator.
 	var s0, s1, s2, s3 float32
@@ -72,6 +86,15 @@ func Axpy(alpha float32, x, y []float32) {
 	if alpha == 0 {
 		return
 	}
+	if useAVX2 {
+		axpyAVX2(alpha, unsafe.SliceData(x), unsafe.SliceData(y), len(x))
+		return
+	}
+	axpyGeneric(alpha, x, y)
+}
+
+//pbg:hotpath
+func axpyGeneric(alpha float32, x, y []float32) {
 	for i := range x {
 		y[i] += alpha * x[i]
 	}
@@ -142,6 +165,7 @@ func checkPair(op string, a, b []float32) {
 }
 
 func checkMulABt(c, a, b Matrix) {
+	checkData(c, a, b)
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("vec: MulABt inner dim mismatch %d != %d", a.Cols, b.Cols))
 	}
@@ -151,9 +175,22 @@ func checkMulABt(c, a, b Matrix) {
 }
 
 func checkOuter(op string, a, g, b Matrix) {
+	checkData(a, g, b)
 	if g.Rows != a.Rows || g.Cols != b.Rows || a.Cols != b.Cols {
 		panic(fmt.Sprintf("vec: %s shape mismatch g=%dx%d a=%dx%d b=%dx%d",
 			op, g.Rows, g.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+}
+
+// checkData is the bounds gate of the three GEMMs: the assembly tiles address
+// rows by pointer arithmetic from Rows and Cols, so a hand-built Matrix whose
+// Data is shorter than its shape must be refused here, where the portable
+// kernels would have hit a slice bounds panic.
+func checkData(x, y, z Matrix) {
+	for _, m := range [...]Matrix{x, y, z} {
+		if m.Rows < 0 || m.Cols < 0 || len(m.Data) != m.Rows*m.Cols {
+			panic(fmt.Sprintf("vec: %dx%d matrix over %d elements", m.Rows, m.Cols, len(m.Data)))
+		}
 	}
 }
 
@@ -226,16 +263,30 @@ func (m Matrix) Row(i int) []float32 {
 // This is the batched-negative-scoring kernel from Figure 3 of the paper: the
 // scores of n positives against m candidate negatives are a single GEMM.
 //
-// The kernel is register-blocked 4×2: each inner pass streams the shared
+// Both paths are register-blocked 4×2: each inner pass streams the shared
 // dimension once for a 4-row tile of A against a 2-row tile of B, keeping 8
 // accumulators live in registers — 8 FMAs per 6 loads versus 1 FMA per 2
-// loads for the row-times-row formulation. (A 4×4 tile's 16 accumulators
-// spill out of the 16 XMM registers on amd64 and measure slower than naive;
-// 8 is the sweet spot for Go's scalar codegen.)
+// loads for the row-times-row formulation. On the assembly path every
+// C[i][j] is bitwise Dot(a_i, b_j) wherever the tile grid puts it (see
+// kernel.go).
 //
 //pbg:hotpath
 func MulABt(c, a, b Matrix) {
 	checkMulABt(c, a, b)
+	if useAVX2 {
+		mulABtAVX2(c, a, b)
+		return
+	}
+	mulABtGeneric(c, a, b)
+}
+
+// mulABtGeneric is the portable MulABt. Its 8 accumulators are scalars: a
+// 4×4 tile's 16 would spill out of the 16 XMM registers Go's scalar codegen
+// has on amd64 and measures slower than naive, so 8 is the sweet spot for
+// this path (the assembly tile holds 8 lanes per accumulator in YMM).
+//
+//pbg:hotpath
+func mulABtGeneric(c, a, b Matrix) {
 	n, m, d := a.Rows, b.Rows, a.Cols
 	i := 0
 	for ; i+4 <= n; i += 4 {
@@ -269,17 +320,17 @@ func MulABt(c, a, b Matrix) {
 		}
 		if j < m {
 			bj := b.Row(j)
-			c0[j] = Dot(x0, bj)
-			c1[j] = Dot(x1, bj)
-			c2[j] = Dot(x2, bj)
-			c3[j] = Dot(x3, bj)
+			c0[j] = dotGeneric(x0, bj)
+			c1[j] = dotGeneric(x1, bj)
+			c2[j] = dotGeneric(x2, bj)
+			c3[j] = dotGeneric(x3, bj)
 		}
 	}
 	for ; i < n; i++ {
 		ai := a.Row(i)
 		ci := c.Row(i)
 		for j := 0; j < m; j++ {
-			ci[j] = Dot(ai, b.Row(j))
+			ci[j] = dotGeneric(ai, b.Row(j))
 		}
 	}
 }
@@ -289,15 +340,24 @@ func MulABt(c, a, b Matrix) {
 // argument: given upstream gradients G on the score matrix, each row i of A
 // receives Σ_j G[i,j]·B[j].
 //
-// Register-blocked 2×4: a 2-row tile of A accumulates against a 4-row tile
-// of B per pass over d — 8 FMAs per 6 loads and 2 stores, with each B row
-// loaded once per two A rows. Tiles whose 8 G coefficients are all zero
-// (fully masked score blocks, or ranking-loss chunks with no margin
-// violations) are skipped.
+// Register-blocked 2×4 on both paths: a 2-row tile of A accumulates against
+// a 4-row tile of B per pass over d — 8 FMAs per 6 loads and 2 stores, with
+// each B row loaded once per two A rows. Tiles whose 8 G coefficients are all
+// zero (fully masked score blocks, or ranking-loss chunks with no margin
+// violations) are skipped; outside whole tiles every zero coefficient is.
 //
 //pbg:hotpath
 func AddOuterAtB(a, g, b Matrix) {
 	checkOuter("AddOuterAtB", a, g, b)
+	if useAVX2 {
+		addOuterAVX2(a, b, g.Data, g.Cols, 1)
+		return
+	}
+	addOuterAtBGeneric(a, g, b)
+}
+
+//pbg:hotpath
+func addOuterAtBGeneric(a, g, b Matrix) {
 	n, m, d := a.Rows, b.Rows, a.Cols
 	i := 0
 	for ; i+2 <= n; i += 2 {
@@ -321,10 +381,10 @@ func AddOuterAtB(a, g, b Matrix) {
 		for ; j < m; j++ {
 			bj := b.Row(j)
 			if g0[j] != 0 {
-				Axpy(g0[j], bj, a0)
+				axpyGeneric(g0[j], bj, a0)
 			}
 			if g1[j] != 0 {
-				Axpy(g1[j], bj, a1)
+				axpyGeneric(g1[j], bj, a1)
 			}
 		}
 	}
@@ -333,7 +393,7 @@ func AddOuterAtB(a, g, b Matrix) {
 		ai := a.Row(i)
 		for j := 0; j < m; j++ {
 			if gi[j] != 0 {
-				Axpy(gi[j], b.Row(j), ai)
+				axpyGeneric(gi[j], b.Row(j), ai)
 			}
 		}
 	}
@@ -348,6 +408,15 @@ func AddOuterAtB(a, g, b Matrix) {
 //pbg:hotpath
 func AddOuterGtA(b, g, a Matrix) {
 	checkOuter("AddOuterGtA", a, g, b)
+	if useAVX2 {
+		addOuterAVX2(b, a, g.Data, 1, g.Cols)
+		return
+	}
+	addOuterGtAGeneric(b, g, a)
+}
+
+//pbg:hotpath
+func addOuterGtAGeneric(b, g, a Matrix) {
 	n, m, d := a.Rows, b.Rows, a.Cols
 	j := 0
 	for ; j+2 <= m; j += 2 {
@@ -374,10 +443,10 @@ func AddOuterGtA(b, g, a Matrix) {
 			gi := g.Row(i)
 			ai := a.Row(i)
 			if gi[j] != 0 {
-				Axpy(gi[j], ai, b0)
+				axpyGeneric(gi[j], ai, b0)
 			}
 			if gi[j+1] != 0 {
-				Axpy(gi[j+1], ai, b1)
+				axpyGeneric(gi[j+1], ai, b1)
 			}
 		}
 	}
@@ -385,7 +454,7 @@ func AddOuterGtA(b, g, a Matrix) {
 		bj := b.Row(j)
 		for i := 0; i < n; i++ {
 			if v := g.Row(i)[j]; v != 0 {
-				Axpy(v, a.Row(i), bj)
+				axpyGeneric(v, a.Row(i), bj)
 			}
 		}
 	}
@@ -431,22 +500,23 @@ func ComplexMul(dst, a, b []float32) {
 	}
 }
 
-// ComplexMulConj computes dst = a ∘ conj(b) with the same layout as
-// ComplexMul. Used in the backward pass of the ComplEx operator:
-// d/dx (x∘w · g) = g ∘ conj(w) under the real inner product.
+// ComplexMulConjAdd accumulates dst += a ∘ conj(b) with the same layout as
+// ComplexMul. Used in the backward pass of the ComplEx operator, which sums
+// into gradient rows: d/dx (x∘w · g) = g ∘ conj(w) under the real inner
+// product.
 //
 //pbg:hotpath
-func ComplexMulConj(dst, a, b []float32) {
-	checkTriple("ComplexMulConj", dst, a, b)
+func ComplexMulConjAdd(dst, a, b []float32) {
+	checkTriple("ComplexMulConjAdd", dst, a, b)
 	h := len(a) / 2
 	if len(a)%2 != 0 {
-		panic("vec: ComplexMulConj requires even dimension")
+		panic("vec: ComplexMulConjAdd requires even dimension")
 	}
 	for i := 0; i < h; i++ {
 		ar, ai := a[i], a[h+i]
 		br, bi := b[i], b[h+i]
-		dst[i] = ar*br + ai*bi
-		dst[h+i] = -ar*bi + ai*br
+		dst[i] += ar*br + ai*bi
+		dst[h+i] += -ar*bi + ai*br
 	}
 }
 

@@ -286,14 +286,14 @@ func TestComplexMul(t *testing.T) {
 	}
 }
 
-func TestComplexMulConj(t *testing.T) {
-	// (1+2i)*conj(3+4i) = (1+2i)*(3-4i) = 3-4i+6i+8 = 11+2i
+func TestComplexMulConjAdd(t *testing.T) {
+	// (1+2i)*conj(3+4i) = (1+2i)*(3-4i) = 3-4i+6i+8 = 11+2i, added to 100+200i.
 	a := []float32{1, 2}
 	b := []float32{3, 4}
-	dst := make([]float32, 2)
-	ComplexMulConj(dst, a, b)
-	if dst[0] != 11 || dst[1] != 2 {
-		t.Fatalf("ComplexMulConj = %v, want [11 2]", dst)
+	dst := []float32{100, 200}
+	ComplexMulConjAdd(dst, a, b)
+	if dst[0] != 111 || dst[1] != 202 {
+		t.Fatalf("ComplexMulConjAdd = %v, want [111 202]", dst)
 	}
 }
 
@@ -305,7 +305,7 @@ func TestComplexAdjointIdentity(t *testing.T) {
 		lhsV := make([]float32, 8)
 		rhsV := make([]float32, 8)
 		ComplexMul(lhsV, a, w)
-		ComplexMulConj(rhsV, b, w)
+		ComplexMulConjAdd(rhsV, b, w)
 		return approxEq(Dot(lhsV, b), Dot(a, rhsV), 1e-3)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
