@@ -362,6 +362,7 @@ func TestClusterLoopbackIntegration(t *testing.T) {
 
 	totalBuckets := 0
 	perRank := map[int]int{}
+	peakResident := map[int]int64{}
 	for epoch := 0; epoch < 2; epoch++ {
 		st, err := cl.RunEpoch()
 		if err != nil {
@@ -382,9 +383,7 @@ func TestClusterLoopbackIntegration(t *testing.T) {
 		for _, ns := range st.PerNode {
 			totalBuckets += ns.Buckets
 			perRank[ns.Rank] += ns.Buckets
-			if ns.PeakResident <= 0 {
-				t.Fatalf("rank %d reports no resident memory", ns.Rank)
-			}
+			peakResident[ns.Rank] = max(peakResident[ns.Rank], ns.PeakResident)
 		}
 	}
 	if totalBuckets != 2*parts*parts {
@@ -395,6 +394,11 @@ func TestClusterLoopbackIntegration(t *testing.T) {
 	for rank := 0; rank < 2; rank++ {
 		if perRank[rank] == 0 {
 			t.Fatalf("rank %d trained no buckets across two epochs (perRank %v)", rank, perRank)
+		}
+		// Checked per run, not per epoch: one rank may win all 16 small
+		// buckets of an epoch, and the other then held no shard in it.
+		if peakResident[rank] <= 0 {
+			t.Fatalf("rank %d reports no resident memory", rank)
 		}
 	}
 

@@ -6,7 +6,6 @@ import (
 
 	"pbg/internal/datagen"
 	"pbg/internal/graph"
-	"pbg/internal/model"
 	"pbg/internal/storage"
 	"pbg/internal/storage/storetest"
 	"pbg/internal/train"
@@ -215,7 +214,6 @@ func TestMeanStd(t *testing.T) {
 
 var _ EmbeddingSource = (*train.View)(nil)
 var _ ScorerSource = (*train.Trainer)(nil)
-var _ = model.Masked // keep import for interface assertions above
 
 // A degenerate scorer emitting one constant value ties every candidate
 // with the true edge. The optimistic rank (1 + strict wins) scored that as

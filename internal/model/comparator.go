@@ -26,9 +26,12 @@ type Comparator interface {
 	// (in prepared space). scores holds the forward PairScores output.
 	PairBackward(ga, gb vec.Matrix, g, scores []float32, a, b vec.Matrix)
 	// CrossBackward accumulates gradients of Σ g[i][j]·score[i][j] into
-	// ga, gb (in prepared space). scores holds the forward CrossScores
-	// output.
-	CrossBackward(ga, gb vec.Matrix, g, scores, a, b vec.Matrix)
+	// ga, gb (in prepared space). g is the upstream gradient block as the
+	// Loss emitted it (row i: positive i's non-zeros) and gT its transpose
+	// (row j: candidate j's non-zeros, ascending i), so both products walk
+	// only the entries that carry gradient. scores holds the forward
+	// CrossScores output.
+	CrossBackward(ga, gb vec.Matrix, g, gT *vec.SparseRows, scores, a, b vec.Matrix)
 	// UnprepareGrad maps the accumulated gradient g from prepared space back
 	// to raw space in place, given the prepared matrix and Prepare's state.
 	UnprepareGrad(g, prepared vec.Matrix, state []float32)
@@ -77,9 +80,9 @@ func (DotComparator) PairBackward(ga, gb vec.Matrix, g, _ []float32, a, b vec.Ma
 	}
 }
 
-func (DotComparator) CrossBackward(ga, gb vec.Matrix, g, _, a, b vec.Matrix) {
-	vec.AddOuterAtB(ga, g, b)
-	vec.AddOuterGtA(gb, g, a)
+func (DotComparator) CrossBackward(ga, gb vec.Matrix, g, gT *vec.SparseRows, _, a, b vec.Matrix) {
+	vec.AddRowsSparse(ga, g, b)
+	vec.AddRowsSparse(gb, gT, a)
 }
 
 func (DotComparator) UnprepareGrad(_, _ vec.Matrix, _ []float32) {}
@@ -112,8 +115,8 @@ func (CosComparator) PairBackward(ga, gb vec.Matrix, g, scores []float32, a, b v
 	DotComparator{}.PairBackward(ga, gb, g, scores, a, b)
 }
 
-func (CosComparator) CrossBackward(ga, gb vec.Matrix, g, scores, a, b vec.Matrix) {
-	DotComparator{}.CrossBackward(ga, gb, g, scores, a, b)
+func (CosComparator) CrossBackward(ga, gb vec.Matrix, g, gT *vec.SparseRows, scores, a, b vec.Matrix) {
+	DotComparator{}.CrossBackward(ga, gb, g, gT, scores, a, b)
 }
 
 func (CosComparator) UnprepareGrad(g, prepared vec.Matrix, state []float32) {
@@ -181,35 +184,37 @@ func (SquaredL2Comparator) PairBackward(ga, gb vec.Matrix, g, _ []float32, a, b 
 	}
 }
 
-func (SquaredL2Comparator) CrossBackward(ga, gb vec.Matrix, g, _, a, b vec.Matrix) {
+func (SquaredL2Comparator) CrossBackward(ga, gb vec.Matrix, g, gT *vec.SparseRows, _, a, b vec.Matrix) {
 	// dL/da_i = Σ_j g_ij · (−2)(a_i − b_j) = −2·rowsum_i·a_i + 2·(G·B)_i
 	// dL/db_j = Σ_i g_ij · ( 2)(a_i − b_j) =  2·(Gᵀ·A)_j − 2·colsum_j·b_j
-	rows := make([]float32, g.Rows)
-	cols := make([]float32, g.Cols)
-	for i := 0; i < g.Rows; i++ {
-		row := g.Row(i)
-		for j, v := range row {
-			rows[i] += v
-			cols[j] += v
-		}
-	}
 	// The GEMM parts.
 	tmpA := vec.NewMatrix(ga.Rows, ga.Cols)
 	tmpB := vec.NewMatrix(gb.Rows, gb.Cols)
-	vec.AddOuterAtB(tmpA, g, b)
-	vec.AddOuterGtA(tmpB, g, a)
+	vec.AddRowsSparse(tmpA, g, b)
+	vec.AddRowsSparse(tmpB, gT, a)
 	for i := 0; i < ga.Rows; i++ {
+		sum := rowSum(g, i)
 		gar, ar, tr := ga.Row(i), a.Row(i), tmpA.Row(i)
 		for k := range gar {
-			gar[k] += 2*tr[k] - 2*rows[i]*ar[k]
+			gar[k] += 2*tr[k] - 2*sum*ar[k]
 		}
 	}
 	for j := 0; j < gb.Rows; j++ {
+		sum := rowSum(gT, j)
 		gbr, br, tr := gb.Row(j), b.Row(j), tmpB.Row(j)
 		for k := range gbr {
-			gbr[k] += 2*tr[k] - 2*cols[j]*br[k]
+			gbr[k] += 2*tr[k] - 2*sum*br[k]
 		}
 	}
+}
+
+// rowSum adds the weights of row i of g in list order.
+func rowSum(g *vec.SparseRows, i int) float32 {
+	var sum float32
+	for _, w := range g.W[g.Start[i]:g.Start[i+1]] {
+		sum += w
+	}
+	return sum
 }
 
 func (SquaredL2Comparator) UnprepareGrad(_, _ vec.Matrix, _ []float32) {}
@@ -261,17 +266,23 @@ func (L2Comparator) PairBackward(ga, gb vec.Matrix, g, scores []float32, a, b ve
 	}
 }
 
-func (L2Comparator) CrossBackward(ga, gb vec.Matrix, g, scores, a, b vec.Matrix) {
+func (L2Comparator) CrossBackward(ga, gb vec.Matrix, g, gT *vec.SparseRows, scores, a, b vec.Matrix) {
 	// Reduce to the squared-L2 backward with rescaled upstream gradients:
-	// d(−dist)/dθ = d(−dist²)/dθ · 1/(2·dist).
-	scaled := vec.NewMatrix(g.Rows, g.Cols)
-	for i := range g.Data {
-		dist := -scores.Data[i]
-		if dist > 0 && g.Data[i] != 0 {
-			scaled.Data[i] = g.Data[i] / (2 * dist)
+	// d(−dist)/dθ = d(−dist²)/dθ · 1/(2·dist). at(i, j) is the entry's score.
+	rescale := func(g *vec.SparseRows, at func(row int, col int32) float32) *vec.SparseRows {
+		scaled := &vec.SparseRows{Start: g.Start, Idx: g.Idx, W: make([]float32, len(g.W))}
+		for i := 0; i < g.Rows(); i++ {
+			for k := g.Start[i]; k < g.Start[i+1]; k++ {
+				if dist := -at(i, g.Idx[k]); dist > 0 {
+					scaled.W[k] = g.W[k] / (2 * dist)
+				}
+			}
 		}
+		return scaled
 	}
-	SquaredL2Comparator{}.CrossBackward(ga, gb, scaled, scores, a, b)
+	sg := rescale(g, func(i int, j int32) float32 { return scores.Row(i)[j] })
+	sgT := rescale(gT, func(j int, i int32) float32 { return scores.Row(int(i))[j] })
+	SquaredL2Comparator{}.CrossBackward(ga, gb, sg, sgT, scores, a, b)
 }
 
 func (L2Comparator) UnprepareGrad(_, _ vec.Matrix, _ []float32) {}

@@ -104,6 +104,23 @@ func comparatorLoss(cmp Comparator, aRaw, bRaw vec.Matrix, gPair []float32, gCro
 	return s
 }
 
+// sparsify compresses a dense gradient block into the row lists and transpose
+// CrossBackward takes.
+func sparsify(m vec.Matrix) (g, gT *vec.SparseRows) {
+	g, gT = new(vec.SparseRows), new(vec.SparseRows)
+	g.Reset(m.Rows, m.Cols)
+	for i := 0; i < m.Rows; i++ {
+		for j, v := range m.Row(i) {
+			if v != 0 {
+				g.Append(int32(j), v)
+			}
+		}
+		g.EndRow()
+	}
+	g.TransposeInto(gT, m.Cols)
+	return g, gT
+}
+
 // TestComparatorGradients validates PairBackward + CrossBackward +
 // UnprepareGrad against finite differences for every comparator.
 func TestComparatorGradients(t *testing.T) {
@@ -137,7 +154,8 @@ func TestComparatorGradients(t *testing.T) {
 		ga := vec.NewMatrix(n, d)
 		gb := vec.NewMatrix(n, d)
 		cmp.PairBackward(ga, gb, gPair, pair, a, b)
-		cmp.CrossBackward(ga, gb, gCross, cross, a, b)
+		sg, sgT := sparsify(gCross)
+		cmp.CrossBackward(ga, gb, sg, sgT, cross, a, b)
 		cmp.UnprepareGrad(ga, a, sa)
 		cmp.UnprepareGrad(gb, b, sb)
 

@@ -7,25 +7,28 @@ import (
 	"pbg/internal/vec"
 )
 
-// Masked is the sentinel score that marks an excluded negative (an induced
-// positive from the chunked construction of Figure 3). Losses skip masked
-// entries entirely: they contribute neither loss nor gradient.
-const Masked float32 = -1e30
-
-// maskedThreshold separates genuine scores from sentinels.
-const maskedThreshold float32 = -1e29
-
-// IsMasked reports whether a score is the masked sentinel.
-func IsMasked(s float32) bool { return s <= maskedThreshold }
-
-// Loss scores a set of positives against per-positive negative candidates.
-// pos has length C; neg is C×N where row i holds the negative scores for
-// positive i. Compute accumulates (+=) dL/dpos into gPos, sets (=) dL/dneg
-// into gNeg, scales everything by weight (per-relation edge weight), and
-// returns the summed loss. Masked negatives are skipped.
+// Loss turns one C×N score block into its loss and its gradient. pos[i] is the
+// score of positive i and row i of neg its scores against the N candidates.
+// Candidate j is excluded for positive i — an induced positive of Figure 3's
+// chunked construction — exactly when candIDs[j] == posIDs[i]: the mask is a
+// comparison of entity IDs, never a property of the score, so every computed
+// score counts however negative it is (−Inf included). No separate j == i
+// test exists for the edge's own column: callers list the positives' own
+// endpoints first, so candIDs[:C] are posIDs.
+//
+// Compute resets g to C rows and gives row i the (column, dL/dneg) pairs of
+// positive i's negatives that carry gradient, columns ascending: under the
+// ranking loss those are the margin violators — a minority after the first
+// epochs — while logistic and softmax emit every unmasked entry. All three
+// produce the same representation; there is no dense gradient block beside
+// it. Compute accumulates (+=) dL/dpos into gPos, scales everything by weight
+// (the per-relation edge weight) and returns the summed loss and how many
+// entries the mask excluded; len(g.Idx) afterwards is how many it emitted.
+// The returned loss is a value to report — no gradient depends on it — and is
+// accurate to float32, not bitwise the same on the two kernel paths.
 type Loss interface {
 	Name() string
-	Compute(pos []float32, neg vec.Matrix, gPos []float32, gNeg vec.Matrix, weight float32) float64
+	Compute(g *vec.SparseRows, gPos, pos []float32, neg vec.Matrix, posIDs, candIDs []int32, weight float32) (loss float64, masked int)
 }
 
 // NewLoss returns the loss registered under name: "ranking" (margin λ),
@@ -54,27 +57,23 @@ type RankingLoss struct {
 
 func (l *RankingLoss) Name() string { return "ranking" }
 
-func (l *RankingLoss) Compute(pos []float32, neg vec.Matrix, gPos []float32, gNeg vec.Matrix, weight float32) float64 {
+// Compute is one AppendHingeRow per positive: the ID mask, the hinge test and
+// the emission of G's row are a single branch-free pass over the scores.
+// A positive with k violators has gPos reduced by k·weight, rounded once (not
+// by weight k times: the same number whenever k·weight is exact, as it is at
+// the default weight 1, and a few ulps from it otherwise).
+func (l *RankingLoss) Compute(g *vec.SparseRows, gPos, pos []float32, neg vec.Matrix, posIDs, candIDs []int32, weight float32) (float64, int) {
+	g.Reset(neg.Rows, neg.Cols)
 	var total float64
+	masked := 0
 	for i, p := range pos {
-		row := neg.Row(i)
-		grow := gNeg.Row(i)
-		for j, n := range row {
-			if IsMasked(n) {
-				grow[j] = 0
-				continue
-			}
-			viol := l.Margin - p + n
-			if viol > 0 {
-				total += float64(viol) * float64(weight)
-				gPos[i] -= weight
-				grow[j] = weight
-			} else {
-				grow[j] = 0
-			}
-		}
+		before := len(g.Idx)
+		sum, m := g.AppendHingeRow(neg.Row(i), candIDs, l.Margin-p, posIDs[i], weight)
+		total += sum
+		masked += m
+		gPos[i] -= float32(len(g.Idx)-before) * weight
 	}
-	return total
+	return total * float64(weight), masked
 }
 
 // LogisticLoss is independent binary cross-entropy on positives (label 1)
@@ -84,23 +83,25 @@ type LogisticLoss struct{}
 
 func (LogisticLoss) Name() string { return "logistic" }
 
-func (LogisticLoss) Compute(pos []float32, neg vec.Matrix, gPos []float32, gNeg vec.Matrix, weight float32) float64 {
+func (LogisticLoss) Compute(g *vec.SparseRows, gPos, pos []float32, neg vec.Matrix, posIDs, candIDs []int32, weight float32) (float64, int) {
+	g.Reset(neg.Rows, neg.Cols)
 	var total float64
+	masked := 0
 	for i, p := range pos {
 		total += -float64(vec.LogSigmoid(p)) * float64(weight)
 		gPos[i] += (vec.Sigmoid(p) - 1) * weight
-		row := neg.Row(i)
-		grow := gNeg.Row(i)
-		for j, n := range row {
-			if IsMasked(n) {
-				grow[j] = 0
+		id := posIDs[i]
+		for j, n := range neg.Row(i) {
+			if candIDs[j] == id {
+				masked++
 				continue
 			}
 			total += -float64(vec.LogSigmoid(-n)) * float64(weight)
-			grow[j] = vec.Sigmoid(n) * weight
+			g.Append(int32(j), vec.Sigmoid(n)*weight)
 		}
+		g.EndRow()
 	}
-	return total
+	return total, masked
 }
 
 // SoftmaxLoss is the multi-class objective used for the ComplEx FB15k runs
@@ -110,21 +111,23 @@ type SoftmaxLoss struct{}
 
 func (SoftmaxLoss) Name() string { return "softmax" }
 
-func (SoftmaxLoss) Compute(pos []float32, neg vec.Matrix, gPos []float32, gNeg vec.Matrix, weight float32) float64 {
+func (SoftmaxLoss) Compute(g *vec.SparseRows, gPos, pos []float32, neg vec.Matrix, posIDs, candIDs []int32, weight float32) (float64, int) {
+	g.Reset(neg.Rows, neg.Cols)
 	var total float64
+	masked := 0
 	for i, p := range pos {
 		row := neg.Row(i)
-		grow := gNeg.Row(i)
+		id := posIDs[i]
 		// Stable logsumexp over {pos} ∪ unmasked negatives.
 		m := p
-		for _, n := range row {
-			if !IsMasked(n) && n > m {
+		for j, n := range row {
+			if candIDs[j] != id && n > m {
 				m = n
 			}
 		}
 		var sum float64
-		for _, n := range row {
-			if !IsMasked(n) {
+		for j, n := range row {
+			if candIDs[j] != id {
 				sum += math.Exp(float64(n - m))
 			}
 		}
@@ -134,12 +137,13 @@ func (SoftmaxLoss) Compute(pos []float32, neg vec.Matrix, gPos []float32, gNeg v
 		pPos := float32(math.Exp(float64(p) - lse))
 		gPos[i] += (pPos - 1) * weight
 		for j, n := range row {
-			if IsMasked(n) {
-				grow[j] = 0
+			if candIDs[j] == id {
+				masked++
 				continue
 			}
-			grow[j] = float32(math.Exp(float64(n)-lse)) * weight
+			g.Append(int32(j), float32(math.Exp(float64(n)-lse))*weight)
 		}
+		g.EndRow()
 	}
-	return total
+	return total, masked
 }

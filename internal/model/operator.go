@@ -11,6 +11,18 @@
 //	TransE   = translation + cos (or l2)
 //	DistMult = diagonal + dot
 //	ComplEx  = complex_diagonal + dot
+//
+// A chunk's score block is dense but its gradient is not: under the margin
+// ranking loss only the negatives that violate the margin carry gradient, a
+// quarter of them or fewer after the first epochs. So the gradient block is
+// never materialised densely. Loss.Compute masks induced positives (by
+// comparing entity IDs), takes the loss and emits the block as per-positive
+// lists of (candidate, weight) in one pass — a vec.SparseRows; its transpose
+// gives the per-candidate lists; and Comparator.CrossBackward hands the two
+// to vec.AddRowsSparse, the one kernel under both backward products. The
+// dense losses (logistic, softmax) emit every unmasked entry through the same
+// path. ChunkGrad.ActiveNegs ÷ NegCount is the block density, which training
+// throughput follows.
 package model
 
 import (

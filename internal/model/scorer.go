@@ -157,8 +157,13 @@ type ChunkGrad struct {
 	RelFwd     []float32
 	RelRev     []float32
 	Loss       float64
-	// NegCount is the number of unmasked negative examples contributing.
-	NegCount int
+	// NegCount is the number of unmasked negative examples scored;
+	// ActiveNegs is how many of them the loss gave a gradient entry — the
+	// margin violators under the ranking loss, all of them under logistic
+	// and softmax. Their ratio is the density of the gradient blocks, which
+	// is what the backward pass's cost follows.
+	NegCount   int
+	ActiveNegs int
 }
 
 // NewChunkGrad allocates gradient buffers for chunks up to maxC positives
@@ -198,31 +203,20 @@ func (g *ChunkGrad) view(c, u, dim int) ChunkGrad {
 }
 
 // Workspace holds per-worker scratch buffers for ScoreChunk, sized at
-// construction for the largest chunk the worker will process.
+// construction for the largest chunk the worker will process. The two sides
+// of a chunk run one after the other, so they share every buffer.
 type Workspace struct {
 	maxC, maxU int
 	dim        int
 
-	ts      vec.Matrix // C×d transformed sources
-	td      vec.Matrix // C×d transformed destinations (reciprocal mode)
-	candD   vec.Matrix // (C+U)×d destination candidates (prepared in place)
-	candS   vec.Matrix // (C+U)×d source candidate raw copies
-	tsAll   vec.Matrix // (C+U)×d transformed source candidates (non-reciprocal)
-	pd      vec.Matrix // C×d prepared destination copies
+	q       vec.Matrix // C×d query rows: transformed sources or destinations, or prepared destination copies
+	cand    vec.Matrix // (C+U)×d candidate rows, the positives' own endpoints first
 	pos     []float32
-	pos2    []float32
 	gPos    []float32
-	gPos2   []float32
-	negD    vec.Matrix
-	negS    vec.Matrix
-	gNegD   vec.Matrix
-	gNegS   vec.Matrix
-	gTS     vec.Matrix
-	gTD     vec.Matrix
-	gCandD  vec.Matrix
-	gCandS  vec.Matrix
-	gTSAll  vec.Matrix
-	gPD     vec.Matrix
+	neg     vec.Matrix     // C×(C+U) score block
+	g, gT   vec.SparseRows // its gradient block as the loss emitted it, and transposed
+	gq      vec.Matrix     // gradients of q and cand
+	gcand   vec.Matrix
 	candIDs []int32
 }
 
@@ -231,30 +225,22 @@ type Workspace struct {
 func (s *Scorer) NewWorkspace(maxC, maxU int) *Workspace {
 	d := s.Dim
 	cu := maxC + maxU
-	return &Workspace{
+	ws := &Workspace{
 		maxC: maxC, maxU: maxU, dim: d,
-		ts:      vec.NewMatrix(maxC, d),
-		td:      vec.NewMatrix(maxC, d),
-		candD:   vec.NewMatrix(cu, d),
-		candS:   vec.NewMatrix(cu, d),
-		tsAll:   vec.NewMatrix(cu, d),
-		pd:      vec.NewMatrix(maxC, d),
+		q:       vec.NewMatrix(maxC, d),
+		cand:    vec.NewMatrix(cu, d),
 		pos:     make([]float32, maxC),
-		pos2:    make([]float32, maxC),
 		gPos:    make([]float32, maxC),
-		gPos2:   make([]float32, maxC),
-		negD:    vec.NewMatrix(maxC, cu),
-		negS:    vec.NewMatrix(maxC, cu),
-		gNegD:   vec.NewMatrix(maxC, cu),
-		gNegS:   vec.NewMatrix(maxC, cu),
-		gTS:     vec.NewMatrix(maxC, d),
-		gTD:     vec.NewMatrix(maxC, d),
-		gCandD:  vec.NewMatrix(cu, d),
-		gCandS:  vec.NewMatrix(cu, d),
-		gTSAll:  vec.NewMatrix(cu, d),
-		gPD:     vec.NewMatrix(maxC, d),
+		neg:     vec.NewMatrix(maxC, cu),
+		gq:      vec.NewMatrix(maxC, d),
+		gcand:   vec.NewMatrix(cu, d),
 		candIDs: make([]int32, cu),
 	}
+	// Reserve the gradient block's room now, so a warm ScoreChunk never
+	// allocates however dense a block turns out.
+	ws.g.Reset(maxC, cu)
+	ws.gT.Reset(cu, maxC)
+	return ws
 }
 
 func subMat(m vec.Matrix, rows, cols int) vec.Matrix {
@@ -276,153 +262,98 @@ func (s *Scorer) ScoreChunk(ws *Workspace, in *ChunkInput, grad *ChunkGrad) {
 	d := s.Dim
 	g := grad.view(c, u, d)
 	cu := c + u
+	q, cand, candIDs := subMat(ws.q, c, d), subMat(ws.cand, cu, d), ws.candIDs[:cu]
 
-	// ---- Destination-corruption side ----
-	// Transform sources.
-	ts := subMat(ws.ts, c, d)
+	// ---- Destination-corruption side: transformed sources against the
+	// candidate destinations [Dst; UDst] (copied: Prepare mutates). ----
 	for i := 0; i < c; i++ {
-		s.Op.Apply(ts.Row(i), in.Src.Row(i), in.RelFwd)
+		s.Op.Apply(q.Row(i), in.Src.Row(i), in.RelFwd)
 	}
-	// Candidate destinations = [Dst; UDst] (copied: Prepare mutates).
-	candD := subMat(ws.candD, cu, d)
-	copy(candD.Data[:c*d], in.Dst.Data)
-	copy(candD.Data[c*d:], in.UDst.Data)
-	stateTS := s.Cmp.Prepare(ts)
-	stateD := s.Cmp.Prepare(candD)
-
-	pos := ws.pos[:c]
-	topD := subMat(candD, c, d)
-	s.Cmp.PairScores(pos, ts, topD)
-
-	negD := subMat(ws.negD, c, cu)
-	s.Cmp.CrossScores(negD, ts, candD)
-	candIDs := ws.candIDs[:cu]
+	copy(cand.Data[:c*d], in.Dst.Data)
+	copy(cand.Data[c*d:], in.UDst.Data)
 	copy(candIDs[:c], in.DstIDs)
 	copy(candIDs[c:], in.UDstIDs)
-	g.NegCount += c*cu - maskInduced(negD, candIDs, in.DstIDs)
-
-	gPos := ws.gPos[:c]
-	vec.Zero(gPos)
-	gNegD := subMat(ws.gNegD, c, cu)
-	g.Loss += s.Loss.Compute(pos, negD, gPos, gNegD, in.RelWeight)
-
-	gTS := subMat(ws.gTS, c, d)
-	gCandD := subMat(ws.gCandD, cu, d)
-	vec.Zero(gTS.Data)
-	vec.Zero(gCandD.Data)
-	gTopD := subMat(gCandD, c, d)
-	s.Cmp.PairBackward(gTS, gTopD, gPos, pos, ts, topD)
-	s.Cmp.CrossBackward(gTS, gCandD, gNegD, negD, ts, candD)
-	s.Cmp.UnprepareGrad(gTS, ts, stateTS)
-	s.Cmp.UnprepareGrad(gCandD, candD, stateD)
+	gq, gcand := s.scoreSide(ws, &g, q, cand, in.DstIDs, candIDs, in.RelWeight)
 	// Distribute: candidate grads → Dst/UDst, transformed-source grads →
 	// Src (through the operator) and relation params.
-	vec.Axpy(1, gCandD.Data[:c*d], g.Dst.Data)
-	vec.Axpy(1, gCandD.Data[c*d:], g.UDst.Data)
+	vec.Axpy(1, gcand.Data[:c*d], g.Dst.Data)
+	vec.Axpy(1, gcand.Data[c*d:], g.UDst.Data)
 	for i := 0; i < c; i++ {
-		s.Op.Backward(g.Src.Row(i), g.RelFwd, in.Src.Row(i), in.RelFwd, gTS.Row(i))
+		s.Op.Backward(g.Src.Row(i), g.RelFwd, in.Src.Row(i), in.RelFwd, gq.Row(i))
 	}
 
 	// ---- Source-corruption side ----
-	candS := subMat(ws.candS, cu, d)
-	copy(candS.Data[:c*d], in.Src.Data)
-	copy(candS.Data[c*d:], in.USrc.Data)
 	copy(candIDs[:c], in.SrcIDs)
 	copy(candIDs[c:], in.USrcIDs)
-
-	pos2 := ws.pos2[:c]
-	gPos2 := ws.gPos2[:c]
-	vec.Zero(gPos2)
-	negS := subMat(ws.negS, c, cu)
-	gNegS := subMat(ws.gNegS, c, cu)
-
 	if s.Reciprocal {
 		// f_rev(s', r, d) = sim(g(d; θ_rev), s'): transform destinations,
-		// compare against raw candidate sources.
-		td := subMat(ws.td, c, d)
+		// compare against (copies of) the raw candidate sources.
 		for i := 0; i < c; i++ {
-			s.Op.Apply(td.Row(i), in.Dst.Row(i), in.RelRev)
+			s.Op.Apply(q.Row(i), in.Dst.Row(i), in.RelRev)
 		}
-		stateTD := s.Cmp.Prepare(td)
-		stateS := s.Cmp.Prepare(candS)
-		topS := subMat(candS, c, d)
-		s.Cmp.PairScores(pos2, td, topS)
-		s.Cmp.CrossScores(negS, td, candS)
-		g.NegCount += c*cu - maskInduced(negS, candIDs, in.SrcIDs)
-		g.Loss += s.Loss.Compute(pos2, negS, gPos2, gNegS, in.RelWeight)
-
-		gTD := subMat(ws.gTD, c, d)
-		gCandS := subMat(ws.gCandS, cu, d)
-		vec.Zero(gTD.Data)
-		vec.Zero(gCandS.Data)
-		gTopS := subMat(gCandS, c, d)
-		s.Cmp.PairBackward(gTD, gTopS, gPos2, pos2, td, topS)
-		s.Cmp.CrossBackward(gTD, gCandS, gNegS, negS, td, candS)
-		s.Cmp.UnprepareGrad(gTD, td, stateTD)
-		s.Cmp.UnprepareGrad(gCandS, candS, stateS)
-		vec.Axpy(1, gCandS.Data[:c*d], g.Src.Data)
-		vec.Axpy(1, gCandS.Data[c*d:], g.USrc.Data)
+		copy(cand.Data[:c*d], in.Src.Data)
+		copy(cand.Data[c*d:], in.USrc.Data)
+		gq, gcand = s.scoreSide(ws, &g, q, cand, in.SrcIDs, candIDs, in.RelWeight)
+		vec.Axpy(1, gcand.Data[:c*d], g.Src.Data)
+		vec.Axpy(1, gcand.Data[c*d:], g.USrc.Data)
 		for i := 0; i < c; i++ {
-			s.Op.Backward(g.Dst.Row(i), g.RelRev, in.Dst.Row(i), in.RelRev, gTD.Row(i))
+			s.Op.Backward(g.Dst.Row(i), g.RelRev, in.Dst.Row(i), in.RelRev, gq.Row(i))
 		}
 	} else {
 		// f(s', r, d) = sim(g(s'), d): transform every candidate source,
 		// compare against (a fresh prepared copy of) the destinations.
-		tsAll := subMat(ws.tsAll, cu, d)
-		for k := 0; k < cu; k++ {
-			s.Op.Apply(tsAll.Row(k), candS.Row(k), in.RelFwd)
+		for k := 0; k < c; k++ {
+			s.Op.Apply(cand.Row(k), in.Src.Row(k), in.RelFwd)
 		}
-		pd := subMat(ws.pd, c, d)
-		copy(pd.Data, in.Dst.Data)
-		stateAll := s.Cmp.Prepare(tsAll)
-		statePD := s.Cmp.Prepare(pd)
-		topAll := subMat(tsAll, c, d)
-		s.Cmp.PairScores(pos2, pd, topAll)
-		s.Cmp.CrossScores(negS, pd, tsAll)
-		g.NegCount += c*cu - maskInduced(negS, candIDs, in.SrcIDs)
-		g.Loss += s.Loss.Compute(pos2, negS, gPos2, gNegS, in.RelWeight)
-
-		gPD := subMat(ws.gPD, c, d)
-		gTSAll := subMat(ws.gTSAll, cu, d)
-		vec.Zero(gPD.Data)
-		vec.Zero(gTSAll.Data)
-		gTopAll := subMat(gTSAll, c, d)
-		s.Cmp.PairBackward(gPD, gTopAll, gPos2, pos2, pd, topAll)
-		s.Cmp.CrossBackward(gPD, gTSAll, gNegS, negS, pd, tsAll)
-		s.Cmp.UnprepareGrad(gPD, pd, statePD)
-		s.Cmp.UnprepareGrad(gTSAll, tsAll, stateAll)
-		vec.Axpy(1, gPD.Data, g.Dst.Data)
-		for k := 0; k < cu; k++ {
-			var target []float32
-			if k < c {
-				target = g.Src.Row(k)
-			} else {
-				target = g.USrc.Row(k - c)
-			}
-			s.Op.Backward(target, g.RelFwd, candS.Row(k), in.RelFwd, gTSAll.Row(k))
+		for k := 0; k < u; k++ {
+			s.Op.Apply(cand.Row(c+k), in.USrc.Row(k), in.RelFwd)
+		}
+		copy(q.Data, in.Dst.Data)
+		gq, gcand = s.scoreSide(ws, &g, q, cand, in.SrcIDs, candIDs, in.RelWeight)
+		vec.Axpy(1, gq.Data, g.Dst.Data)
+		for k := 0; k < c; k++ {
+			s.Op.Backward(g.Src.Row(k), g.RelFwd, in.Src.Row(k), in.RelFwd, gcand.Row(k))
+		}
+		for k := 0; k < u; k++ {
+			s.Op.Backward(g.USrc.Row(k), g.RelFwd, in.USrc.Row(k), in.RelFwd, gcand.Row(c+k))
 		}
 	}
 
 	grad.Loss = g.Loss
 	grad.NegCount = g.NegCount
+	grad.ActiveNegs = g.ActiveNegs
 }
 
-// maskInduced sets score (i, j) to Masked when candidate j is the true
-// endpoint of positive i: either the self column (j == i, the edge itself)
-// or any candidate carrying the same entity ID. It returns how many entries
-// it masked, which is what the caller subtracts from the block's size to
-// count the negatives that contribute.
-func maskInduced(scores vec.Matrix, candIDs []int32, posIDs []int32) int {
-	masked := 0
-	for i := 0; i < scores.Rows; i++ {
-		row := scores.Row(i)
-		id := posIDs[i]
-		for j, cid := range candIDs {
-			if j == i || cid == id {
-				row[j] = Masked
-				masked++
-			}
-		}
-	}
-	return masked
+// scoreSide runs one side of a chunk on raw operands: it prepares the C query
+// rows q and the C+U candidate rows cand (whose first C rows are the
+// positives' own endpoints, carrying posIDs), scores pairs and the cross
+// block, runs the loss's fused mask+loss pass, and returns the raw-space
+// gradients of q and cand. The gradient block exists only as the loss's row
+// lists and their transpose; both backward products walk those.
+func (s *Scorer) scoreSide(ws *Workspace, g *ChunkGrad, q, cand vec.Matrix, posIDs, candIDs []int32, weight float32) (gq, gcand vec.Matrix) {
+	c, cu, d := q.Rows, cand.Rows, s.Dim
+	stateQ := s.Cmp.Prepare(q)
+	stateC := s.Cmp.Prepare(cand)
+	pos := ws.pos[:c]
+	top := subMat(cand, c, d)
+	s.Cmp.PairScores(pos, q, top)
+	neg := subMat(ws.neg, c, cu)
+	s.Cmp.CrossScores(neg, q, cand)
+
+	gPos := ws.gPos[:c]
+	vec.Zero(gPos)
+	loss, masked := s.Loss.Compute(&ws.g, gPos, pos, neg, posIDs, candIDs, weight)
+	ws.g.TransposeInto(&ws.gT, cu)
+	g.Loss += loss
+	g.NegCount += c*cu - masked
+	g.ActiveNegs += len(ws.g.Idx)
+
+	gq, gcand = subMat(ws.gq, c, d), subMat(ws.gcand, cu, d)
+	vec.Zero(gq.Data)
+	vec.Zero(gcand.Data)
+	s.Cmp.PairBackward(gq, subMat(gcand, c, d), gPos, pos, q, top)
+	s.Cmp.CrossBackward(gq, gcand, &ws.g, &ws.gT, neg, q, cand)
+	s.Cmp.UnprepareGrad(gq, q, stateQ)
+	s.Cmp.UnprepareGrad(gcand, cand, stateC)
+	return gq, gcand
 }

@@ -157,23 +157,18 @@ func naiveChunkLoss(s *Scorer, in *ChunkInput) float64 {
 	for i := 0; i < c; i++ {
 		pos := score(in.Src.Row(i), in.Dst.Row(i), in.RelFwd, false)
 		neg := vec.NewMatrix(1, cu)
+		cids := make([]int32, cu)
 		for j := 0; j < cu; j++ {
 			var cand []float32
-			var cid int32
 			if j < c {
-				cand, cid = in.Dst.Row(j), in.DstIDs[j]
+				cand, cids[j] = in.Dst.Row(j), in.DstIDs[j]
 			} else {
-				cand, cid = in.UDst.Row(j-c), in.UDstIDs[j-c]
-			}
-			if j == i || cid == in.DstIDs[i] {
-				neg.Data[j] = Masked
-				continue
+				cand, cids[j] = in.UDst.Row(j-c), in.UDstIDs[j-c]
 			}
 			neg.Data[j] = score(in.Src.Row(i), cand, in.RelFwd, false)
 		}
-		gp := make([]float32, 1)
-		gn := vec.NewMatrix(1, cu)
-		total += s.Loss.Compute([]float32{pos}, neg, gp, gn, in.RelWeight)
+		loss, _ := s.Loss.Compute(new(vec.SparseRows), make([]float32, 1), []float32{pos}, neg, in.DstIDs[i:i+1], cids, in.RelWeight)
+		total += loss
 	}
 	// Source corruption.
 	for i := 0; i < c; i++ {
@@ -184,17 +179,13 @@ func naiveChunkLoss(s *Scorer, in *ChunkInput) float64 {
 			pos = score(in.Src.Row(i), in.Dst.Row(i), in.RelFwd, false)
 		}
 		neg := vec.NewMatrix(1, cu)
+		cids := make([]int32, cu)
 		for j := 0; j < cu; j++ {
 			var cand []float32
-			var cid int32
 			if j < c {
-				cand, cid = in.Src.Row(j), in.SrcIDs[j]
+				cand, cids[j] = in.Src.Row(j), in.SrcIDs[j]
 			} else {
-				cand, cid = in.USrc.Row(j-c), in.USrcIDs[j-c]
-			}
-			if j == i || cid == in.SrcIDs[i] {
-				neg.Data[j] = Masked
-				continue
+				cand, cids[j] = in.USrc.Row(j-c), in.USrcIDs[j-c]
 			}
 			if s.Reciprocal {
 				neg.Data[j] = score(cand, in.Dst.Row(i), in.RelRev, true)
@@ -202,9 +193,8 @@ func naiveChunkLoss(s *Scorer, in *ChunkInput) float64 {
 				neg.Data[j] = score(cand, in.Dst.Row(i), in.RelFwd, false)
 			}
 		}
-		gp := make([]float32, 1)
-		gn := vec.NewMatrix(1, cu)
-		total += s.Loss.Compute([]float32{pos}, neg, gp, gn, in.RelWeight)
+		loss, _ := s.Loss.Compute(new(vec.SparseRows), make([]float32, 1), []float32{pos}, neg, in.SrcIDs[i:i+1], cids, in.RelWeight)
+		total += loss
 	}
 	return total
 }

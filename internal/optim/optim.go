@@ -5,7 +5,11 @@
 // parameters (relation operators), and plain SGD for baselines.
 package optim
 
-import "math"
+import (
+	"math"
+
+	"pbg/internal/vec"
+)
 
 // RowAdagrad updates one embedding row with a shared scalar accumulator:
 //
@@ -27,19 +31,16 @@ func NewRowAdagrad(lr float32) RowAdagrad {
 
 // Update applies one Adagrad step to param given grad, mutating *acc.
 // len(param) == len(grad); acc is this row's accumulator.
+//
+//pbg:hotpath
 func (o RowAdagrad) Update(param, grad []float32, acc *float32) {
-	var ss float32
-	for _, g := range grad {
-		ss += g * g
-	}
+	ss := vec.Dot(grad, grad)
 	if ss == 0 {
 		return
 	}
 	*acc += ss / float32(len(grad))
 	step := o.LR / (float32(math.Sqrt(float64(*acc))) + o.Eps)
-	for i, g := range grad {
-		param[i] -= step * g
-	}
+	vec.Axpy(-step, grad, param)
 }
 
 // DenseAdagrad keeps a full per-element accumulator; used for relation

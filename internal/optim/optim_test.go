@@ -1,6 +1,7 @@
 package optim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -111,5 +112,79 @@ func TestRowAdagradConvergesOnQuadratic(t *testing.T) {
 	}
 	if math.Abs(float64(param[0]-3)) > 0.05 {
 		t.Fatalf("converged to %v, want 3", param[0])
+	}
+}
+
+// TestRowAdagradAgainstFloat64 holds Update to a float64 reference within the
+// kernels' γ_d bound, over dimensions that put the leaves' 8-lane blocks,
+// their tails and the two-block unroll on the path. It runs on whichever
+// kernel path the machine has; CI runs it under GOARCH=386 for the other.
+func TestRowAdagradAgainstFloat64(t *testing.T) {
+	const u = 1.0 / (1 << 24)
+	for _, d := range []int{1, 7, 64, 100, 128} {
+		gamma := float64(d) * u / (1 - float64(d)*u)
+		o := NewRowAdagrad(0.1)
+		param, grad := make([]float32, d), make([]float32, d)
+		for i := range param {
+			param[i] = float32(math.Sin(float64(3*i + d)))
+			grad[i] = float32(math.Cos(float64(7*i+d))) * 0.3
+		}
+		acc := float32(0.25)
+		var ss float64
+		for _, g := range grad {
+			ss += float64(g) * float64(g)
+		}
+		wantAcc := float64(acc) + ss/float64(d)
+		step := float64(o.LR) / (math.Sqrt(wantAcc) + float64(o.Eps))
+		want := make([]float64, d)
+		for i := range want {
+			want[i] = float64(param[i]) - step*float64(grad[i])
+		}
+		o.Update(param, grad, &acc)
+		if math.Abs(float64(acc)-wantAcc) > (gamma+4*u)*wantAcc {
+			t.Errorf("d=%d: acc = %v, float64 reference %v", d, acc, wantAcc)
+		}
+		for i := range want {
+			if bound := (gamma + 8*u) * (math.Abs(want[i]) + math.Abs(step*float64(grad[i]))); math.Abs(float64(param[i])-want[i]) > bound {
+				t.Errorf("d=%d: param[%d] = %v, float64 reference %v (bound %v)", d, i, param[i], want[i], bound)
+			}
+		}
+	}
+}
+
+// A zero gradient must leave the row and its accumulator untouched bit for
+// bit — including a −0 and a NaN already in the row.
+func TestRowAdagradZeroGradBitwiseNoop(t *testing.T) {
+	param := []float32{float32(math.Copysign(0, -1)), float32(math.NaN()), 3, 1e-40}
+	before := make([]uint32, len(param))
+	for i, p := range param {
+		before[i] = math.Float32bits(p)
+	}
+	acc := float32(1e-30)
+	NewRowAdagrad(0.1).Update(param, make([]float32, len(param)), &acc)
+	for i, p := range param {
+		if math.Float32bits(p) != before[i] {
+			t.Errorf("param[%d] changed from %#x to %#x under a zero gradient", i, before[i], math.Float32bits(p))
+		}
+	}
+	if acc != 1e-30 {
+		t.Errorf("acc = %v, want it untouched", acc)
+	}
+}
+
+func BenchmarkRowAdagrad(b *testing.B) {
+	for _, d := range []int{64, 128} {
+		b.Run(fmt.Sprint(d), func(b *testing.B) {
+			o := NewRowAdagrad(0.1)
+			param, grad := make([]float32, d), make([]float32, d)
+			for i := range grad {
+				grad[i] = float32(i%7) - 3
+			}
+			var acc float32
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				o.Update(param, grad, &acc)
+			}
+		})
 	}
 }

@@ -19,6 +19,12 @@ type trainMetrics struct {
 	// gather/scatter vs chunk scoring; workers accumulate locally and add
 	// once per bucket (see workerLoop), keeping the hot path atomic-free.
 	workerGather, workerScore *obs.Counter
+	// negatives counts the unmasked negatives scored, negativesActive those
+	// the loss gave a gradient entry (the margin violators under the ranking
+	// loss); their ratio is the density of the gradient blocks, which is what
+	// the backward pass's cost — and so throughput — follows. Added once per
+	// bucket, like the pair above.
+	negatives, negativesActive *obs.Counter
 	// lookahead mirrors the adaptive controller's live depth; decisions
 	// counts its per-epoch widen/narrow/hold choices.
 	lookahead *obs.Gauge
@@ -39,19 +45,21 @@ func newTrainMetrics(reg *obs.Registry) trainMetrics {
 		decisions[a] = reg.Counter(fmt.Sprintf("pbg_train_lookahead_decisions_total{action=%q}", a))
 	}
 	return trainMetrics{
-		edges:          reg.Counter("pbg_train_edges_total"),
-		swapIns:        reg.Counter("pbg_train_swapins_total"),
-		ioWait:         reg.Counter("pbg_train_iowait_ns_total"),
-		compute:        reg.Counter("pbg_train_compute_ns_total"),
-		workerGather:   reg.Counter("pbg_train_worker_gather_ns_total"),
-		workerScore:    reg.Counter("pbg_train_worker_score_ns_total"),
-		lookahead:      reg.Gauge("pbg_train_lookahead"),
-		decisions:      decisions,
-		bucketLoss:     reg.Histogram("pbg_train_bucket_loss_per_edge"),
-		planNs:         reg.Gauge("pbg_partition_plan_ns"),
-		projectedLoads: reg.Gauge("pbg_partition_projected_loads"),
-		baseLoads:      reg.Gauge("pbg_partition_base_loads"),
-		bufferSlots:    reg.Gauge("pbg_partition_buffer_slots"),
+		edges:           reg.Counter("pbg_train_edges_total"),
+		swapIns:         reg.Counter("pbg_train_swapins_total"),
+		ioWait:          reg.Counter("pbg_train_iowait_ns_total"),
+		compute:         reg.Counter("pbg_train_compute_ns_total"),
+		workerGather:    reg.Counter("pbg_train_worker_gather_ns_total"),
+		workerScore:     reg.Counter("pbg_train_worker_score_ns_total"),
+		negatives:       reg.Counter("pbg_train_negatives_total"),
+		negativesActive: reg.Counter("pbg_train_negatives_active_total"),
+		lookahead:       reg.Gauge("pbg_train_lookahead"),
+		decisions:       decisions,
+		bucketLoss:      reg.Histogram("pbg_train_bucket_loss_per_edge"),
+		planNs:          reg.Gauge("pbg_partition_plan_ns"),
+		projectedLoads:  reg.Gauge("pbg_partition_projected_loads"),
+		baseLoads:       reg.Gauge("pbg_partition_base_loads"),
+		bufferSlots:     reg.Gauge("pbg_partition_buffer_slots"),
 	}
 }
 
@@ -84,8 +92,9 @@ func (t *Trainer) startBucketSpan(b partition.Bucket) *obs.Span {
 //
 //	epoch 3: loss/edge 0.0412  edges 120000  2.10s  IO 24  iowait 3%
 //
-// followed by "lookahead D (action)  resident X.XMB" when the adaptive
-// controller ran this epoch.
+// followed by "active N%" — the share of scored negatives that carried
+// gradient — when the epoch counted any, and by "lookahead D (action)
+// resident X.XMB" when the adaptive controller ran this epoch.
 func (s EpochStats) Summary() string {
 	edges := s.Edges
 	if edges < 1 {
@@ -98,6 +107,9 @@ func (s EpochStats) Summary() string {
 	}
 	line := fmt.Sprintf("epoch %d: loss/edge %.4f  edges %d  %.2fs  IO %d  iowait %.0f%%",
 		s.Epoch, s.Loss/float64(edges), s.Edges, secs, s.PartitionIO, ioShare)
+	if s.Negatives > 0 {
+		line += fmt.Sprintf("  active %.0f%%", 100*float64(s.ActiveNegatives)/float64(s.Negatives))
+	}
 	if s.LookaheadAction != "" {
 		line += fmt.Sprintf("  lookahead %d (%s)  resident %.1fMB",
 			s.Lookahead, s.LookaheadAction, float64(s.ResidentHighWater)/(1<<20))

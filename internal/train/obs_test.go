@@ -105,8 +105,57 @@ func TestEpochSummaryFormat(t *testing.T) {
 	if got := s.Summary(); !strings.Contains(got, "lookahead 2 (widen)  resident 3.0MB") {
 		t.Errorf("Summary() with controller fields = %q", got)
 	}
+	s.Negatives, s.ActiveNegatives = 4000, 1000
+	if got := s.Summary(); !strings.Contains(got, "iowait 0%  active 25%  lookahead") {
+		t.Errorf("Summary() with negative counts = %q", got)
+	}
 	// Zero-edge epochs must not render NaN.
 	if got := (EpochStats{}).Summary(); strings.Contains(got, "NaN") {
 		t.Errorf("zero stats render NaN: %q", got)
+	}
+}
+
+// TestActiveNegativeShare: throughput is a function of the gradient blocks'
+// density, so every epoch reports it. Under the ranking loss only margin
+// violators carry gradient — some but not all negatives — and their share
+// falls as training separates positives from negatives; under logistic every
+// unmasked negative does. The counters on /metrics are the same numbers.
+func TestActiveNegativeShare(t *testing.T) {
+	g := smallSocial(t, 1)
+	run := func(loss string) ([]EpochStats, *obs.Hub) {
+		hub := obs.NewHub()
+		tr := newTrainer(t, g, Config{Epochs: 5, Seed: 3, Workers: 1, Loss: loss, Obs: hub})
+		stats, err := tr.Train(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stats, hub
+	}
+	share := func(s EpochStats) float64 { return float64(s.ActiveNegatives) / float64(s.Negatives) }
+
+	ranking, hub := run("ranking")
+	var negs, active int64
+	for _, s := range ranking {
+		if s.Negatives <= 0 || share(s) <= 0 || share(s) >= 1 {
+			t.Errorf("ranking epoch %d: %d of %d negatives active, want a share inside (0, 1)", s.Epoch, s.ActiveNegatives, s.Negatives)
+		}
+		negs, active = negs+s.Negatives, active+s.ActiveNegatives
+	}
+	if first, last := share(ranking[0]), share(ranking[4]); last >= first {
+		t.Errorf("ranking: active share went %.3f → %.3f over five epochs, want it to fall", first, last)
+	}
+	snap := hub.Reg.Snapshot()
+	if got := snap.Counters["pbg_train_negatives_total"]; got != negs {
+		t.Errorf("pbg_train_negatives_total = %d, epochs sum to %d", got, negs)
+	}
+	if got := snap.Counters["pbg_train_negatives_active_total"]; got != active {
+		t.Errorf("pbg_train_negatives_active_total = %d, epochs sum to %d", got, active)
+	}
+
+	logistic, _ := run("logistic")
+	for _, s := range logistic {
+		if s.Negatives <= 0 || s.ActiveNegatives != s.Negatives {
+			t.Errorf("logistic epoch %d: %d of %d negatives active, want all", s.Epoch, s.ActiveNegatives, s.Negatives)
+		}
 	}
 }

@@ -232,6 +232,13 @@ type EpochStats struct {
 	// ResidentHighWater is the largest store ResidentBytes sampled during
 	// this epoch (PeakResident is the high-water across the whole run).
 	ResidentHighWater int64
+	// Negatives is how many unmasked negatives the epoch scored and
+	// ActiveNegatives how many of them carried gradient: the margin
+	// violators under the ranking loss, every one under logistic and
+	// softmax. The backward pass walks only the active ones, so their share
+	// falls as training separates positives from negatives and throughput
+	// rises with it.
+	Negatives, ActiveNegatives int64
 }
 
 // Trainer owns the training state for one graph.
@@ -538,6 +545,7 @@ func (t *Trainer) TrainEpoch() (EpochStats, error) {
 	}
 	t.epochSpan = t.obs.Trace.Start("train", fmt.Sprintf("epoch %d", t.epochsRun))
 	ioBase, computeBase := t.tm.ioWait.Value(), t.tm.compute.Value()
+	negBase, activeBase := t.tm.negatives.Value(), t.tm.negativesActive.Value()
 	items := t.epochItems()
 	var err error
 	if t.cfg.PipelineOff {
@@ -549,6 +557,8 @@ func (t *Trainer) TrainEpoch() (EpochStats, error) {
 	t.epochSpan = nil
 	stats.IOWait = time.Duration(t.tm.ioWait.Value() - ioBase)
 	stats.Compute = time.Duration(t.tm.compute.Value() - computeBase)
+	stats.Negatives = t.tm.negatives.Value() - negBase
+	stats.ActiveNegatives = t.tm.negativesActive.Value() - activeBase
 	stats.Duration = time.Since(start)
 	stats.PeakResident = t.peakBytes
 	stats.ResidentHighWater = t.epochHighWater
@@ -920,10 +930,11 @@ func (t *Trainer) workerLoop(st *workerState, b partition.Bucket, shards map[sha
 
 	in := &st.inBuf
 
-	// Gather vs score time accumulates in locals and lands on the shared
-	// counters once per bucket, so the per-chunk hot path stays free of
-	// atomics (the clock reads below are the only instrumentation cost).
-	var gatherNs, scoreNs int64
+	// Gather vs score time and the negative counts accumulate in locals and
+	// land on the shared counters once per bucket, so the per-chunk hot path
+	// stays free of atomics (the clock reads below are the only
+	// instrumentation cost).
+	var gatherNs, scoreNs, negs, activeNegs int64
 
 	var total float64
 	for rel := range byRel {
@@ -994,6 +1005,8 @@ func (t *Trainer) workerLoop(st *workerState, b partition.Bucket, shards map[sha
 			gatherNs += g1.Sub(g0).Nanoseconds()
 			sc.ScoreChunk(ws, in, grad)
 			total += grad.Loss
+			negs += int64(grad.NegCount)
+			activeNegs += int64(grad.ActiveNegs)
 			g2 := time.Now()
 			scoreNs += g2.Sub(g1).Nanoseconds()
 
@@ -1015,6 +1028,8 @@ func (t *Trainer) workerLoop(st *workerState, b partition.Bucket, shards map[sha
 	}
 	t.tm.workerGather.Add(gatherNs)
 	t.tm.workerScore.Add(scoreNs)
+	t.tm.negatives.Add(negs)
+	t.tm.negativesActive.Add(activeNegs)
 	return total, nil
 }
 

@@ -97,6 +97,12 @@ func TestAddOuterAtBMatchesNaive(t *testing.T) {
 	}
 }
 
+// addOuterGtA is B += Gᵀ·A the way training computes it: G's non-zeros,
+// transposed, through AddRowsSparse. There is no dense entry point for it.
+func addOuterGtA(b, g, a Matrix) {
+	AddRowsSparse(b, transposeOf(sparseOf(g, 0), g.Cols), a)
+}
+
 func TestAddOuterGtAMatchesNaive(t *testing.T) {
 	r := rng.New(13)
 	for _, s := range gemmShapes {
@@ -107,7 +113,7 @@ func TestAddOuterGtAMatchesNaive(t *testing.T) {
 		a := randMatrix(r, s.n, s.d)
 		got := randMatrix(r, s.m, s.d)
 		want := MatrixFrom(append([]float32(nil), got.Data...), s.m, s.d)
-		AddOuterGtA(got, g, a)
+		addOuterGtA(got, g, a)
 		addOuterGtANaive(want, g, a)
 		for i := range got.Data {
 			if !approxEq(got.Data[i], want.Data[i], eps) {
@@ -132,7 +138,7 @@ func TestGEMMAllZeroGradientSkips(t *testing.T) {
 			t.Fatal("zero gradient mutated A")
 		}
 	}
-	AddOuterGtA(b, g, a)
+	addOuterGtA(b, g, a)
 }
 
 // Figure-3 shaped benchmarks: 50 positives × (50+2·100) candidates at d=100.
@@ -155,9 +161,10 @@ func BenchmarkAddOuterAtB50x250x100(b *testing.B) {
 
 func BenchmarkAddOuterGtA50x250x100(b *testing.B) {
 	am, bm, gm := benchGEMMMats()
+	gt := transposeOf(sparseOf(gm, 0), gm.Cols)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		AddOuterGtA(bm, gm, am)
+		AddRowsSparse(bm, gt, am)
 	}
 }
 

@@ -47,10 +47,33 @@ func dotTileAVX2(c *float32, ldc int, a *float32, r int, b *float32, cc int, d i
 //go:noescape
 func axpyAVX2(alpha float32, x, y *float32, d int)
 
-// axpyTileAVX2 adds four source rows (src, src+d, …) into two destination
-// rows (dst, dst+d): per element the ascending chain
-// fma(w03, s3, fma(w02, s2, fma(w01, s1, fma(w00, s0, dst)))), and the same
-// with w1· for the second row — four axpyAVX2 calls per row in one pass.
+// addRowSparseAVX2 accumulates dst[0:d] += Σ_k w[k]·src[idx[k]·d:][0:d] for
+// k < nnz in ascending order, skipping ±0 weights: the FMA chain of that many
+// axpyAVX2 calls, with the destination held in registers across the whole
+// list. idx is dereferenced unchecked; checkSparse vouches for it.
 //
 //go:noescape
-func axpyTileAVX2(dst, src *float32, d int, w00, w01, w02, w03, w10, w11, w12, w13 float32)
+func addRowSparseAVX2(dst *float32, d int, src *float32, idx *int32, w *float32, nnz int)
+
+// complexMulAVX2 computes dst = a∘b over h complex numbers in the split
+// layout of ComplexMul, with ComplexMul's unfused operation order.
+//
+//go:noescape
+func complexMulAVX2(dst, a, b *float32, h int)
+
+// complexMulConjAddAVX2 accumulates dst += a∘conj(b), likewise.
+//
+//go:noescape
+func complexMulConjAddAVX2(dst, a, b *float32, h int)
+
+// hingeMaskAVX2 sets bit j of mask (⌈n/8⌉ bytes, bits past n clear) when
+// ids[j] != id and t+scores[j] > 0, and returns the float64 sum of those
+// t+scores[j] and the count of ids[j] == id.
+//
+//go:noescape
+func hingeMaskAVX2(mask *byte, scores *float32, ids *int32, n int, t float32, id int32) (sum float64, masked int)
+
+// maxUint32AVX2 returns the unsigned maximum of n dwords at x, 0 for n = 0.
+//
+//go:noescape
+func maxUint32AVX2(x *int32, n int) uint32

@@ -253,83 +253,381 @@ axpy_done:
 	VZEROUPPER
 	RET
 
-// func axpyTileAVX2(dst, src *float32, d int, w00, w01, w02, w03, w10, w11, w12, w13 float32)
+// ROWWALK is the index-list walk of addRowSparseAVX2 for one column block:
+// for k = 0..nnz-1 it skips a ±0 weight exactly, broadcasts w[k] into Y8,
+// points AX at the block's columns of source row idx[k] and runs FMAS, which
+// accumulates into the block's registers. The caller has checked nnz > 0.
+#define ROWWALK(loop, skip, FMAS) \
+	XORQ         BX, BX;          \
+loop:                          \
+	MOVL         (R10)(BX*4), AX; \
+	ADDL         AX, AX;          \
+	JZ           skip;            \
+	VBROADCASTSS (R10)(BX*4), Y8; \
+	MOVLQZX      (R9)(BX*4), AX;  \
+	IMULQ        R12, AX;         \
+	ADDQ         SI, AX;          \
+	FMAS;                         \
+skip:                          \
+	INCQ         BX;              \
+	CMPQ         BX, R11;         \
+	JLT          loop
+
+#define FMA1 \
+	VFMADD231PS (AX), Y8, Y0
+#define FMA2 \
+	FMA1;                       \
+	VFMADD231PS 32(AX), Y8, Y1
+#define FMA4 \
+	FMA2;                       \
+	VFMADD231PS 64(AX), Y8, Y2; \
+	VFMADD231PS 96(AX), Y8, Y3
+#define FMA8 \
+	FMA4;                        \
+	VFMADD231PS 128(AX), Y8, Y4; \
+	VFMADD231PS 160(AX), Y8, Y5; \
+	VFMADD231PS 192(AX), Y8, Y6; \
+	VFMADD231PS 224(AX), Y8, Y7
+#define FMATAIL \
+	VMASKMOVPS  (AX), Y14, Y1; \
+	VFMADD231PS Y1, Y8, Y0
+
+// NEXTCOLS steps the destination and source column pointers past a block of
+// n floats (b bytes).
+#define NEXTCOLS(n, b) \
+	ADDQ $b, DI; \
+	ADDQ $b, SI; \
+	SUBQ $n, R13
+
+// func addRowSparseAVX2(dst *float32, d int, src *float32, idx *int32, w *float32, nnz int)
 //
-// Y8..Y11 hold w00..w03 and Y12..Y15 w10..w13, broadcast; Y0, Y1 the two
-// destination rows of the step, Y2..Y5 the four source rows: all 16 YMM
-// registers, 8 FMAs per 6 loads and 2 stores. Each destination lane is a
-// chain of four FMAs in ascending source order — four axpyAVX2 steps — and
-// successive 8-float steps are independent, which is where the overlap that
-// hides the chain's latency comes from.
-TEXT ·axpyTileAVX2(SB), NOSPLIT, $0-56
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ d+16(FP), CX
-	VBROADCASTSS w00+24(FP), Y8
-	VBROADCASTSS w01+28(FP), Y9
-	VBROADCASTSS w02+32(FP), Y10
-	VBROADCASTSS w03+36(FP), Y11
-	VBROADCASTSS w10+40(FP), Y12
-	VBROADCASTSS w11+44(FP), Y13
-	VBROADCASTSS w12+48(FP), Y14
-	VBROADCASTSS w13+52(FP), Y15
-	LEAQ (CX*4), DX
-	LEAQ (DI)(DX*1), R10 // second destination row
-	LEAQ (SI)(DX*1), R11 // source rows 1..3
-	LEAQ (R11)(DX*1), R12
-	LEAQ (R12)(DX*1), R13
+// dst[0:d] += Σ_k w[k]·src[idx[k]·d : idx[k]·d+d], ascending k, a ±0 weight
+// skipped: per lane the FMA chain of that many axpyAVX2 calls. The leaf is
+// row-stationary: a block of up to 64 destination floats sits in Y0..Y7 while
+// the whole index list is walked — one broadcast (Y8) and 8 memory-operand
+// FMAs per non-zero — so the destination is loaded and stored once per row,
+// not once per source row. What 64 does not cover goes through the same walk
+// on 4, 2 and 1 registers, and the last d mod 8 floats under the Y14 mask.
+// Every idx[k] must be a row of src: the caller's checkSparse gate, not this
+// code, is what keeps the loads in bounds.
+TEXT ·addRowSparseAVX2(SB), NOSPLIT, $0-48
+	MOVQ  dst+0(FP), DI
+	MOVQ  d+8(FP), R13 // floats of the row still to do
+	MOVQ  src+16(FP), SI
+	MOVQ  idx+24(FP), R9
+	MOVQ  w+32(FP), R10
+	MOVQ  nnz+40(FP), R11
+	LEAQ  (R13*4), R12 // source row stride in bytes
+	TESTQ R11, R11
+	JLE   rows_done
+
+rows_64:
+	CMPQ    R13, $64
+	JLT     rows_32
+	VMOVUPS (DI), Y0
+	VMOVUPS 32(DI), Y1
+	VMOVUPS 64(DI), Y2
+	VMOVUPS 96(DI), Y3
+	VMOVUPS 128(DI), Y4
+	VMOVUPS 160(DI), Y5
+	VMOVUPS 192(DI), Y6
+	VMOVUPS 224(DI), Y7
+	ROWWALK(walk_64, skip_64, FMA8)
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	VMOVUPS Y4, 128(DI)
+	VMOVUPS Y5, 160(DI)
+	VMOVUPS Y6, 192(DI)
+	VMOVUPS Y7, 224(DI)
+	NEXTCOLS(64, 256)
+	JMP     rows_64
+
+rows_32:
+	CMPQ    R13, $32
+	JLT     rows_16
+	VMOVUPS (DI), Y0
+	VMOVUPS 32(DI), Y1
+	VMOVUPS 64(DI), Y2
+	VMOVUPS 96(DI), Y3
+	ROWWALK(walk_32, skip_32, FMA4)
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	NEXTCOLS(32, 128)
+
+rows_16:
+	CMPQ    R13, $16
+	JLT     rows_8
+	VMOVUPS (DI), Y0
+	VMOVUPS 32(DI), Y1
+	ROWWALK(walk_16, skip_16, FMA2)
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	NEXTCOLS(16, 64)
+
+rows_8:
+	CMPQ    R13, $8
+	JLT     rows_tail
+	VMOVUPS (DI), Y0
+	ROWWALK(walk_8, skip_8, FMA1)
+	VMOVUPS Y0, (DI)
+	NEXTCOLS(8, 32)
+
+rows_tail:
+	MOVQ       R13, CX
+	TAILMASK(rows_done)
+	VMASKMOVPS (DI), Y14, Y0
+	ROWWALK(walk_tail, skip_tail, FMATAIL)
+	VMASKMOVPS Y0, Y14, (DI)
+
+rows_done:
+	VZEROUPPER
+	RET
+
+// The two complex leaves treat a d-float vector as h = d/2 complex numbers,
+// real parts first: SI/R9 are a's halves, R11/R10 b's, DI/R8 dst's. They use
+// separate multiplies, adds and subtracts in the order of the Go expressions
+// they replace — no FMA — so their results are bitwise the portable code's.
+
+// CHALVES derives the imaginary-half pointers from DI, SI, R11 and h in CX,
+// and leaves BLOCKS' offsets for h.
+#define CHALVES \
+	LEAQ (DI)(CX*4), R8;   \
+	LEAQ (SI)(CX*4), R9;   \
+	LEAQ (R11)(CX*4), R10; \
 	BLOCKS
+
+// CLOAD and CLOADM load ar, ai, br, bi into Y0..Y3, whole and under Y14.
+#define CLOAD \
+	VMOVUPS (SI)(BX*1), Y0;  \
+	VMOVUPS (R9)(BX*1), Y1;  \
+	VMOVUPS (R11)(BX*1), Y2; \
+	VMOVUPS (R10)(BX*1), Y3
+#define CLOADM \
+	VMASKMOVPS (SI)(BX*1), Y14, Y0;  \
+	VMASKMOVPS (R9)(BX*1), Y14, Y1;  \
+	VMASKMOVPS (R11)(BX*1), Y14, Y2; \
+	VMASKMOVPS (R10)(BX*1), Y14, Y3
+
+// CMUL leaves a·b in Y4 (ar·br − ai·bi) and Y5 (ar·bi + ai·br); CMULCONJ
+// leaves a·conj(b) in Y4 (ar·br + ai·bi) and Y5 (ai·br − ar·bi).
+#define CMUL \
+	VMULPS Y2, Y0, Y4; \
+	VMULPS Y3, Y1, Y6; \
+	VSUBPS Y6, Y4, Y4; \
+	VMULPS Y3, Y0, Y5; \
+	VMULPS Y2, Y1, Y6; \
+	VADDPS Y6, Y5, Y5
+#define CMULCONJ \
+	VMULPS Y2, Y0, Y4; \
+	VMULPS Y3, Y1, Y6; \
+	VADDPS Y6, Y4, Y4; \
+	VMULPS Y3, Y0, Y5; \
+	VMULPS Y2, Y1, Y6; \
+	VSUBPS Y5, Y6, Y5
+
+// func complexMulAVX2(dst, a, b *float32, h int)
+TEXT ·complexMulAVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), R11
+	MOVQ h+24(FP), CX
+	CHALVES
 	CMPQ BX, DX
-	JGE  atile_tail
+	JGE  cmul_tail
 
-atile_loop:
-	VMOVUPS     (DI)(BX*1), Y0
-	VMOVUPS     (R10)(BX*1), Y1
-	VMOVUPS     (SI)(BX*1), Y2
-	VFMADD231PS Y2, Y8, Y0
-	VFMADD231PS Y2, Y12, Y1
-	VMOVUPS     (R11)(BX*1), Y3
-	VFMADD231PS Y3, Y9, Y0
-	VFMADD231PS Y3, Y13, Y1
-	VMOVUPS     (R12)(BX*1), Y4
-	VFMADD231PS Y4, Y10, Y0
-	VFMADD231PS Y4, Y14, Y1
-	VMOVUPS     (R13)(BX*1), Y5
-	VFMADD231PS Y5, Y11, Y0
-	VFMADD231PS Y5, Y15, Y1
-	VMOVUPS     Y0, (DI)(BX*1)
-	VMOVUPS     Y1, (R10)(BX*1)
-	ADDQ        $32, BX
-	CMPQ        BX, DX
-	JLT         atile_loop
+cmul_loop:
+	CLOAD
+	CMUL
+	VMOVUPS Y4, (DI)(BX*1)
+	VMOVUPS Y5, (R8)(BX*1)
+	ADDQ    $32, BX
+	CMPQ    BX, DX
+	JLT     cmul_loop
 
-atile_tail:
-	SHLQ $2, CX
-	CMPQ BX, CX
-	JGE  atile_done
+cmul_tail:
+	TAILMASK(cmul_done)
+	CLOADM
+	CMUL
+	VMASKMOVPS Y4, Y14, (DI)(BX*1)
+	VMASKMOVPS Y5, Y14, (R8)(BX*1)
 
-atile_scalar:
-	VMOVSS      (DI)(BX*1), X0
-	VMOVSS      (R10)(BX*1), X1
-	VMOVSS      (SI)(BX*1), X2
-	VFMADD231SS X2, X8, X0
-	VFMADD231SS X2, X12, X1
-	VMOVSS      (R11)(BX*1), X3
-	VFMADD231SS X3, X9, X0
-	VFMADD231SS X3, X13, X1
-	VMOVSS      (R12)(BX*1), X4
-	VFMADD231SS X4, X10, X0
-	VFMADD231SS X4, X14, X1
-	VMOVSS      (R13)(BX*1), X5
-	VFMADD231SS X5, X11, X0
-	VFMADD231SS X5, X15, X1
-	VMOVSS      X0, (DI)(BX*1)
-	VMOVSS      X1, (R10)(BX*1)
-	ADDQ        $4, BX
-	CMPQ        BX, CX
-	JLT         atile_scalar
+cmul_done:
+	VZEROUPPER
+	RET
 
-atile_done:
+// func complexMulConjAddAVX2(dst, a, b *float32, h int)
+TEXT ·complexMulConjAddAVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), R11
+	MOVQ h+24(FP), CX
+	CHALVES
+	CMPQ BX, DX
+	JGE  cconj_tail
+
+cconj_loop:
+	CLOAD
+	CMULCONJ
+	VADDPS  (DI)(BX*1), Y4, Y4
+	VADDPS  (R8)(BX*1), Y5, Y5
+	VMOVUPS Y4, (DI)(BX*1)
+	VMOVUPS Y5, (R8)(BX*1)
+	ADDQ    $32, BX
+	CMPQ    BX, DX
+	JLT     cconj_loop
+
+cconj_tail:
+	TAILMASK(cconj_done)
+	CLOADM
+	CMULCONJ
+	VMASKMOVPS (DI)(BX*1), Y14, Y0
+	VMASKMOVPS (R8)(BX*1), Y14, Y1
+	VADDPS     Y0, Y4, Y4
+	VADDPS     Y1, Y5, Y5
+	VMASKMOVPS Y4, Y14, (DI)(BX*1)
+	VMASKMOVPS Y5, Y14, (R8)(BX*1)
+
+cconj_done:
+	VZEROUPPER
+	RET
+
+// HINGESTEP takes one group of 8 hinge arguments in Y1 and their id==id
+// lanes in Y3: it counts the equal lanes into Y9, leaves in Y2 the lanes that
+// are unmasked and positive, adds those arguments lane-wise into ACC, and
+// stores the group's 8 mask bits as the next byte of mask.
+#define HINGESTEP(ACC) \
+	VCMPPS    $0x1E, Y12, Y1, Y2; \
+	VPSUBD    Y3, Y9, Y9;         \
+	VANDNPS   Y2, Y3, Y2;         \
+	VANDPS    Y2, Y1, Y1;         \
+	VADDPS    Y1, ACC, ACC;       \
+	VMOVMSKPS Y2, AX;             \
+	MOVB      AX, (DI);           \
+	INCQ      DI
+
+// func hingeMaskAVX2(mask *byte, scores *float32, ids *int32, n int, t float32, id int32) (sum float64, masked int)
+//
+// Bit j of mask (⌈n/8⌉ bytes, little-endian bit order, bits past n clear) is
+// set when ids[j] != id and t+scores[j] > 0 (ordered compare: a NaN sum is
+// not positive); masked counts ids[j] == id. sum adds those t+scores[j]: in
+// 16 float32 lanes (Y10 and Y11, taking alternate groups so consecutive
+// groups do not wait on each other's add), widened to float64 for the
+// reduction — the caller bounds n so that a lane adds only a few terms.
+// Y15 = t, Y13 = id, Y12 = 0 throughout.
+TEXT ·hingeMaskAVX2(SB), NOSPLIT, $0-56
+	MOVQ         mask+0(FP), DI
+	MOVQ         scores+8(FP), SI
+	MOVQ         ids+16(FP), R9
+	MOVQ         n+24(FP), CX
+	VBROADCASTSS t+32(FP), Y15
+	VBROADCASTSS id+36(FP), Y13
+	VXORPS       Y12, Y12, Y12
+	VXORPS       Y10, Y10, Y10
+	VXORPS       Y11, Y11, Y11
+	VPXOR        Y9, Y9, Y9
+	BLOCKS
+	LEAQ         -32(DX), R8
+	CMPQ         BX, R8
+	JGE          hinge_one
+
+hinge_loop:
+	VADDPS   (SI)(BX*1), Y15, Y1
+	VPCMPEQD (R9)(BX*1), Y13, Y3
+	HINGESTEP(Y10)
+	VADDPS   32(SI)(BX*1), Y15, Y1
+	VPCMPEQD 32(R9)(BX*1), Y13, Y3
+	HINGESTEP(Y11)
+	ADDQ     $64, BX
+	CMPQ     BX, R8
+	JLT      hinge_loop
+
+hinge_one:
+	CMPQ     BX, DX
+	JGE      hinge_tail
+	VADDPS   (SI)(BX*1), Y15, Y1
+	VPCMPEQD (R9)(BX*1), Y13, Y3
+	HINGESTEP(Y10)
+	ADDQ     $32, BX
+
+hinge_tail:
+	TAILMASK(hinge_sum)
+	VMASKMOVPS (SI)(BX*1), Y14, Y1
+	VADDPS     Y1, Y15, Y1
+	VANDPS     Y14, Y1, Y1 // lanes past n: +0, not positive
+	VPMASKMOVD (R9)(BX*1), Y14, Y3
+	VPCMPEQD   Y3, Y13, Y3
+	VPAND      Y14, Y3, Y3
+	HINGESTEP(Y11)
+
+hinge_sum:
+	VCVTPS2PD    X10, Y0
+	VEXTRACTF128 $1, Y10, X1
+	VCVTPS2PD    X1, Y1
+	VCVTPS2PD    X11, Y2
+	VEXTRACTF128 $1, Y11, X3
+	VCVTPS2PD    X3, Y3
+	VADDPD       Y1, Y0, Y0
+	VADDPD       Y3, Y2, Y2
+	VADDPD       Y2, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
+	VADDPD       X1, X0, X0
+	VHADDPD      X0, X0, X0
+	VMOVSD       X0, sum+40(FP)
+	VEXTRACTI128 $1, Y9, X1
+	VPADDD       X1, X9, X9
+	VPHADDD      X9, X9, X9
+	VPHADDD      X9, X9, X9
+	VMOVD        X9, AX
+	MOVQ         AX, masked+48(FP)
+	VZEROUPPER
+	RET
+
+// func maxUint32AVX2(x *int32, n int) uint32
+//
+// The unsigned maximum of n dwords (0 for none): checkSparse's range test of
+// an index list, 16 lanes per step in two accumulators, then one odd block
+// of 8 and the masked tail.
+TEXT ·maxUint32AVX2(SB), NOSPLIT, $0-20
+	MOVQ  x+0(FP), SI
+	MOVQ  n+8(FP), CX
+	VPXOR Y0, Y0, Y0
+	VPXOR Y2, Y2, Y2
+	BLOCKS
+	MOVQ  DX, DI
+	ANDQ  $~63, DI
+	JMP   max_pairs
+
+max_loop:
+	VPMAXUD (SI)(BX*1), Y0, Y0
+	VPMAXUD 32(SI)(BX*1), Y2, Y2
+	ADDQ    $64, BX
+
+max_pairs:
+	CMPQ    BX, DI
+	JLT     max_loop
+	CMPQ    BX, DX
+	JGE     max_tail
+	VPMAXUD (SI)(BX*1), Y0, Y0
+	ADDQ    $32, BX
+
+max_tail:
+	TAILMASK(max_reduce)
+	VPMASKMOVD (SI)(BX*1), Y14, Y1
+	VPMAXUD    Y1, Y0, Y0
+
+max_reduce:
+	VPMAXUD      Y2, Y0, Y0
+	VEXTRACTI128 $1, Y0, X1
+	VPMAXUD      X1, X0, X0
+	VPSHUFD      $0x4E, X0, X1
+	VPMAXUD      X1, X0, X0
+	VPSHUFD      $0xB1, X0, X1
+	VPMAXUD      X1, X0, X0
+	VMOVSS       X0, ret+16(FP)
 	VZEROUPPER
 	RET
 

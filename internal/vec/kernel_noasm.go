@@ -15,6 +15,16 @@ func dotTileAVX2(c *float32, ldc int, a *float32, r int, b *float32, cc int, d i
 	panic("vec: no assembly kernels")
 }
 
-func axpyTileAVX2(dst, src *float32, d int, w00, w01, w02, w03, w10, w11, w12, w13 float32) {
+func addRowSparseAVX2(dst *float32, d int, src *float32, idx *int32, w *float32, nnz int) {
 	panic("vec: no assembly kernels")
 }
+
+func complexMulAVX2(dst, a, b *float32, h int) { panic("vec: no assembly kernels") }
+
+func complexMulConjAddAVX2(dst, a, b *float32, h int) { panic("vec: no assembly kernels") }
+
+func hingeMaskAVX2(mask *byte, scores *float32, ids *int32, n int, t float32, id int32) (sum float64, masked int) {
+	panic("vec: no assembly kernels")
+}
+
+func maxUint32AVX2(x *int32, n int) uint32 { panic("vec: no assembly kernels") }

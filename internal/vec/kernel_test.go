@@ -13,19 +13,25 @@ import (
 // position-independence (ii), over shapes that put every tile edge, every
 // d mod 8 and unaligned operands on the path.
 
-// kernels is one implementation of the five dispatched entry points.
+// kernels is one implementation of the dispatched entry points.
 type kernels struct {
-	name        string
-	dot         func(a, b []float32) float32
-	axpy        func(alpha float32, x, y []float32)
-	mulABt      func(c, a, b Matrix)
-	addOuterAtB func(a, g, b Matrix)
-	addOuterGtA func(b, g, a Matrix)
+	name          string
+	dot           func(a, b []float32) float32
+	axpy          func(alpha float32, x, y []float32)
+	mulABt        func(c, a, b Matrix)
+	addOuterAtB   func(a, g, b Matrix)
+	addRowsSparse func(dst Matrix, g *SparseRows, src Matrix)
+	hingeRow      func(idx []int32, scores []float32, ids []int32, t float32, id int32) (int, float64, int)
 }
 
 var (
-	genericKernels = kernels{"generic", dotGeneric, axpyGeneric, mulABtGeneric, addOuterAtBGeneric, addOuterGtAGeneric}
-	activeKernels  = kernels{Kernel(), Dot, Axpy, MulABt, AddOuterAtB, AddOuterGtA}
+	genericKernels = kernels{
+		"generic", dotGeneric, axpyGeneric, mulABtGeneric,
+		func(a, g, b Matrix) { addOuterDense(a, g, b, false) },
+		func(dst Matrix, g *SparseRows, src Matrix) { addRowsSparse(dst, g, src, false) },
+		hingeRowGeneric,
+	}
+	activeKernels = kernels{Kernel(), Dot, Axpy, MulABt, AddOuterAtB, AddRowsSparse, hingeRow}
 )
 
 // bothPaths is the active path and, when that is the assembly, the portable
@@ -52,22 +58,45 @@ func cloneMatrix(m Matrix) Matrix {
 	return MatrixFrom(append([]float32(nil), m.Data...), m.Rows, m.Cols)
 }
 
-// sparsify zeroes about a third of g, plus its leading 2×4 tile when there
-// is one, so the GEMM drivers meet mixed tiles, an all-zero tile and zero
-// coefficients on the ragged edges.
-func sparsify(r *rng.RNG, g Matrix) {
+// sparsify zeroes each coefficient of g with probability 1−density/255, then
+// makes row 0 all zero and leaves row 1 a single coefficient where those rows
+// exist, so the sparse kernel meets empty, single and mixed index lists (and
+// full ones at density 255).
+func sparsify(r *rng.RNG, g Matrix, density uint8) {
 	for i := range g.Data {
-		if r.Intn(3) == 0 {
+		if r.Intn(255) >= int(density) {
 			g.Data[i] = 0
 		}
 	}
-	if g.Rows >= 2 && g.Cols >= 4 {
-		for i := 0; i < 2; i++ {
-			for j := 0; j < 4; j++ {
-				g.Row(i)[j] = 0
+	if g.Rows > 2 && g.Cols > 0 {
+		Zero(g.Row(0))
+		Zero(g.Row(1))
+		g.Row(1)[g.Cols/2] = 1.5
+	}
+}
+
+// tableDensity is the share of G (out of 255) the parity table keeps.
+const tableDensity = 170
+
+// sparseOf compresses the non-zeros of a dense g into offset buffers, plus a
+// few explicit ±0 weights the kernel must skip.
+func sparseOf(g Matrix, off int) *SparseRows {
+	s := &SparseRows{Start: make([]int32, 1, g.Rows+1), Idx: make([]int32, off)[off:], W: make([]float32, off)[off:]}
+	for i := 0; i < g.Rows; i++ {
+		for j, v := range g.Row(i) {
+			if v != 0 || (i+j)%11 == 0 {
+				s.Append(int32(j), v)
 			}
 		}
+		s.EndRow()
 	}
+	return s
+}
+
+func transposeOf(s *SparseRows, cols int) *SparseRows {
+	t := new(SparseRows)
+	s.TransposeInto(t, cols)
+	return t
 }
 
 // gamma is γ_n = n·u/(1−n·u) at float32's unit roundoff u = 2⁻²⁴.
@@ -83,11 +112,11 @@ func withinBound(got float32, nTerms int, exact, absSum float64) bool {
 }
 
 // checkBound runs every kernel of ks on one shape and checks contract (i).
-func checkBound(ks kernels, n, m, d, off int, seed uint64) error {
+func checkBound(ks kernels, n, m, d, off int, density uint8, seed uint64) error {
 	r := rng.New(seed)
 	a, b := offMatrix(r, n, d, off), offMatrix(r, m, d, off)
 	g := offMatrix(r, n, m, off)
-	sparsify(r, g)
+	sparsify(r, g, density)
 
 	c := offMatrix(r, n, m, off)
 	ks.mulABt(c, a, b)
@@ -133,10 +162,16 @@ func checkBound(ks kernels, n, m, d, off int, seed uint64) error {
 	if err := outer("AddOuterAtB", accA0, accA, b, func(p, q int) float32 { return g.Row(p)[q] }); err != nil {
 		return err
 	}
+	sg := sparseOf(g, off)
+	accA = cloneMatrix(accA0)
+	ks.addRowsSparse(accA, sg, b)
+	if err := outer("AddRowsSparse(G)", accA0, accA, b, func(p, q int) float32 { return g.Row(p)[q] }); err != nil {
+		return err
+	}
 	accB0 := offMatrix(r, m, d, off)
 	accB := cloneMatrix(accB0)
-	ks.addOuterGtA(accB, g, a)
-	if err := outer("AddOuterGtA", accB0, accB, a, func(p, q int) float32 { return g.Row(q)[p] }); err != nil {
+	ks.addRowsSparse(accB, transposeOf(sg, m), a)
+	if err := outer("AddRowsSparse(Gᵀ)", accB0, accB, a, func(p, q int) float32 { return g.Row(q)[p] }); err != nil {
 		return err
 	}
 
@@ -160,11 +195,11 @@ func sameBits(x, y float32) bool { return math.Float32bits(x) == math.Float32bit
 
 // checkPositionIndependent checks contract (ii) on the active path: the
 // GEMMs against the Dot and Axpy calls they abbreviate, bit for bit.
-func checkPositionIndependent(n, m, d, off int, seed uint64) error {
+func checkPositionIndependent(n, m, d, off int, density uint8, seed uint64) error {
 	r := rng.New(seed)
 	a, b := offMatrix(r, n, d, off), offMatrix(r, m, d, off)
 	g := offMatrix(r, n, m, off)
-	sparsify(r, g)
+	sparsify(r, g, density)
 
 	c := offMatrix(r, n, m, off)
 	MulABt(c, a, b)
@@ -176,39 +211,59 @@ func checkPositionIndependent(n, m, d, off int, seed uint64) error {
 		}
 	}
 
-	accA := offMatrix(r, n, d, off)
-	want := cloneMatrix(accA)
-	AddOuterAtB(accA, g, b)
+	// Both accumulating products — G·B through the dense entry point and
+	// through AddRowsSparse, Gᵀ·A through AddRowsSparse over the transpose —
+	// against the Axpy chain.
+	sg := sparseOf(g, off)
+	accA0 := offMatrix(r, n, d, off)
+	want := cloneMatrix(accA0)
 	for i := 0; i < n; i++ {
 		for j := 0; j < m; j++ {
 			Axpy(g.Row(i)[j], b.Row(j), want.Row(i))
 		}
 	}
-	for i := range want.Data {
-		if !sameBits(accA.Data[i], want.Data[i]) {
-			return fmt.Errorf("AddOuterAtB element %d = %v, Axpy chain %v", i, accA.Data[i], want.Data[i])
+	for _, run := range []struct {
+		op string
+		f  func(dst Matrix)
+	}{
+		{"AddOuterAtB", func(dst Matrix) { AddOuterAtB(dst, g, b) }},
+		{"AddRowsSparse(G)", func(dst Matrix) { AddRowsSparse(dst, sg, b) }},
+	} {
+		got := cloneMatrix(accA0)
+		run.f(got)
+		if i := firstDiff(got.Data, want.Data); i >= 0 {
+			return fmt.Errorf("%s element %d = %v, Axpy chain %v", run.op, i, got.Data[i], want.Data[i])
 		}
 	}
 
-	accB := offMatrix(r, m, d, off)
-	want = cloneMatrix(accB)
-	AddOuterGtA(accB, g, a)
+	accB0 := offMatrix(r, m, d, off)
+	want = cloneMatrix(accB0)
 	for j := 0; j < m; j++ {
 		for i := 0; i < n; i++ {
 			Axpy(g.Row(i)[j], a.Row(i), want.Row(j))
 		}
 	}
-	for i := range want.Data {
-		if !sameBits(accB.Data[i], want.Data[i]) {
-			return fmt.Errorf("AddOuterGtA element %d = %v, Axpy chain %v", i, accB.Data[i], want.Data[i])
-		}
+	got := cloneMatrix(accB0)
+	AddRowsSparse(got, transposeOf(sg, m), a)
+	if i := firstDiff(got.Data, want.Data); i >= 0 {
+		return fmt.Errorf("AddRowsSparse(Gᵀ) element %d = %v, Axpy chain %v", i, got.Data[i], want.Data[i])
 	}
 	return nil
 }
 
+// firstDiff returns the first index at which x and y differ bitwise, or −1.
+func firstDiff(x, y []float32) int {
+	for i := range x {
+		if !sameBits(x[i], y[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
 var (
 	parityRows = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 50, 100}
-	parityDims = []int{0, 1, 7, 8, 9, 31, 32, 33, 64, 100, 128}
+	parityDims = []int{0, 1, 7, 8, 9, 31, 32, 33, 63, 64, 65, 100, 128, 130}
 )
 
 // eachParityShape visits the table: every (n, m, d), with a seed and an
@@ -229,7 +284,7 @@ func TestKernelErrorBound(t *testing.T) {
 	for _, ks := range bothPaths() {
 		t.Run(ks.name, func(t *testing.T) {
 			eachParityShape(func(n, m, d, off int, seed uint64) {
-				if err := checkBound(ks, n, m, d, off, seed); err != nil {
+				if err := checkBound(ks, n, m, d, off, tableDensity, seed); err != nil {
 					t.Fatalf("n=%d m=%d d=%d offset %d: %v", n, m, d, off, err)
 				}
 			})
@@ -242,7 +297,7 @@ func TestKernelPositionIndependent(t *testing.T) {
 		t.Skip("contract (ii) is the assembly path's; this machine runs the generic kernels")
 	}
 	eachParityShape(func(n, m, d, off int, seed uint64) {
-		if err := checkPositionIndependent(n, m, d, off, seed); err != nil {
+		if err := checkPositionIndependent(n, m, d, off, tableDensity, seed); err != nil {
 			t.Fatalf("n=%d m=%d d=%d offset %d: %v", n, m, d, off, err)
 		}
 	})
@@ -264,8 +319,8 @@ func class(x float32) int {
 
 // TestKernelNonFinitePropagation plants NaN and ±Inf in each operand in turn
 // and requires every output of the active path to be of the same class as the
-// portable kernel's. The two tile G identically, so that includes where a
-// zero weight hides a non-finite source row and where it does not.
+// portable kernel's. Both skip exactly the zero weights, so that includes
+// where a zero weight hides a non-finite source row.
 func TestKernelNonFinitePropagation(t *testing.T) {
 	inf := float32(math.Inf(1))
 	poisons := []float32{float32(math.NaN()), inf, -inf}
@@ -275,7 +330,7 @@ func TestKernelNonFinitePropagation(t *testing.T) {
 			build := func() (a, b, g, accA, accB Matrix) {
 				r := rng.New(uint64(41 + pi))
 				a, b, g = offMatrix(r, n, d, off), offMatrix(r, m, d, off), offMatrix(r, n, m, off)
-				sparsify(r, g)
+				sparsify(r, g, tableDensity)
 				accA, accB = offMatrix(r, n, d, off), offMatrix(r, m, d, off)
 				target := [][]float32{a.Data, b.Data, g.Data}[operand]
 				for i := 5; i < len(target); i += 17 {
@@ -288,11 +343,14 @@ func TestKernelNonFinitePropagation(t *testing.T) {
 				c := NewMatrix(n, m)
 				ks.mulABt(c, a, b)
 				ks.addOuterAtB(accA, g, b)
-				ks.addOuterGtA(accB, g, a)
 				out := append(c.Data, accA.Data...)
+				sg := sparseOf(g, off)
+				ks.addRowsSparse(accA, sg, b)
+				ks.addRowsSparse(accB, transposeOf(sg, m), a)
+				out = append(out, accA.Data...)
 				out = append(out, accB.Data...)
 				out = append(out, ks.dot(a.Row(0), b.Row(0)))
-				ks.axpy(g.Data[5], a.Row(0), accB.Row(0))
+				ks.axpy(0.75, a.Row(0), accB.Row(0))
 				return append(out, accB.Row(0)...)
 			}
 			got, want := run(activeKernels), run(genericKernels)
@@ -305,57 +363,295 @@ func TestKernelNonFinitePropagation(t *testing.T) {
 	}
 }
 
-// TestKernelZeroWeightSkip pins the documented exception to contract (ii) on
-// both paths: a zero weight is skipped where the driver sees it (an all-zero
-// 2×4 tile, or outside whole tiles) and multiplied through where it shares a
-// tile with a non-zero one.
-func TestKernelZeroWeightSkip(t *testing.T) {
+// TestKernelZeroWeightIsSkipped pins the zero skip of contract (ii) on both
+// paths, with no carve-out: a ±0 weight contributes nothing whatever it
+// shares a row with, so NaN and ±Inf source rows under zero weights leave
+// the destination untouched bit for bit — through AddRowsSparse, through a
+// transpose (which must carry the zeros along) and through the dense entry
+// point.
+func TestKernelZeroWeightIsSkipped(t *testing.T) {
 	inf := float32(math.Inf(1))
+	negZero := float32(math.Copysign(0, -1))
 	for _, ks := range bothPaths() {
-		// 2×5 weights over five source rows, all of them +Inf: columns 0..3
-		// are one whole tile, column 4 the ragged edge.
-		src := NewMatrix(5, 3)
-		for i := range src.Data {
-			src.Data[i] = inf
-		}
-		g := NewMatrix(2, 5)
-		dst := NewMatrix(2, 3)
-		ks.addOuterAtB(dst, g, src)
-		for _, v := range dst.Data {
-			if v != 0 {
-				t.Fatalf("%s: all-zero weights touched the destination: %v", ks.name, dst.Data)
+		for _, d := range []int{1, 7, 8, 33, 64, 100} {
+			r := rng.New(uint64(d))
+			// Sources 0, 2, 4 are poisoned and carry weight ±0; 1 and 3 are
+			// finite and carry real weights.
+			src := offMatrix(r, 5, d, 3)
+			for k, poison := range []float32{float32(math.NaN()), inf, -inf} {
+				for i := range src.Row(2 * k) {
+					src.Row(2 * k)[i] = poison
+				}
 			}
-		}
-		g.Row(1)[4] = 1 // edge: only row 1 takes source 4
-		ks.addOuterAtB(dst, g, src)
-		if dst.Row(0)[0] != 0 || dst.Row(1)[0] != inf {
-			t.Fatalf("%s: edge weights (0, 1) over an Inf row gave %v, want 0 and +Inf", ks.name, dst.Data)
-		}
-		g.Row(0)[2] = 1 // tile: the seven zeros beside it now multiply Inf
-		dst = NewMatrix(2, 3)
-		ks.addOuterAtB(dst, g, src)
-		if !math.IsNaN(float64(dst.Row(0)[0])) || !math.IsNaN(float64(dst.Row(1)[0])) {
-			t.Fatalf("%s: zero weights inside a non-zero tile over Inf rows gave %v, want NaN", ks.name, dst.Data)
+			g := MatrixFrom([]float32{0, 0.5, negZero, -2, 0, negZero, 0, 0, 0, negZero}, 2, 5)
+			sg := &SparseRows{
+				Start: []int32{0, 5, 10},
+				Idx:   []int32{0, 1, 2, 3, 4, 0, 1, 2, 3, 4},
+				W:     g.Data,
+			}
+			dst0 := offMatrix(r, 2, d, 5)
+			dst0.Row(1)[0] = negZero // an all-zero row must keep even the sign of zero
+			want := cloneMatrix(dst0)
+			ks.axpy(0.5, src.Row(1), want.Row(0))
+			ks.axpy(-2, src.Row(3), want.Row(0))
+			for name, run := range map[string]func(dst Matrix){
+				"AddRowsSparse": func(dst Matrix) { ks.addRowsSparse(dst, sg, src) },
+				"AddOuterAtB":   func(dst Matrix) { ks.addOuterAtB(dst, g, src) },
+				"AddRowsSparse(Gᵀᵀ)": func(dst Matrix) {
+					ks.addRowsSparse(dst, transposeOf(transposeOf(sg, 5), 2), src)
+				},
+			} {
+				got := cloneMatrix(dst0)
+				run(got)
+				if i := firstDiff(got.Data, want.Data); i >= 0 {
+					t.Fatalf("%s %s d=%d: element %d = %v, want %v (zero weights over non-finite rows must be skipped)",
+						ks.name, name, d, i, got.Data[i], want.Data[i])
+				}
+			}
 		}
 	}
 }
 
-// FuzzKernelParity draws a shape, an allocation offset and a seed, and holds
-// both paths to contract (i) and the assembly path to contract (ii).
+// TestAddRowsSparseGate: the assembly leaf dereferences Idx unchecked, so a
+// malformed SparseRows must be refused before any row runs, with a constant
+// message (no formatting on the way to the panic).
+func TestAddRowsSparseGate(t *testing.T) {
+	src, dst := NewMatrix(3, 4), NewMatrix(2, 4)
+	for name, g := range map[string]*SparseRows{
+		"index past src":     {Start: []int32{0, 1, 2}, Idx: []int32{0, 3}, W: []float32{1, 1}},
+		"negative index":     {Start: []int32{0, 1, 2}, Idx: []int32{-1, 0}, W: []float32{1, 1}},
+		"start not monotone": {Start: []int32{0, 2, 1}, Idx: []int32{0}, W: []float32{1}},
+		"start past entries": {Start: []int32{0, 1, 3}, Idx: []int32{0, 1}, W: []float32{1, 1}},
+		"start not from 0":   {Start: []int32{1, 1, 2}, Idx: []int32{0, 1}, W: []float32{1, 1}},
+		"weights short":      {Start: []int32{0, 1, 2}, Idx: []int32{0, 1}, W: []float32{1}},
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != "vec: AddRowsSparse over a malformed SparseRows" {
+					t.Errorf("%s: recovered %v, want the gate's panic", name, got)
+				}
+			}()
+			AddRowsSparse(dst, g, src)
+		}()
+	}
+	for _, v := range dst.Data {
+		if v != 0 {
+			t.Fatal("a refused call wrote to the destination")
+		}
+	}
+}
+
+// TestMaxUint32: the gate's range test finds the largest index, read as
+// unsigned, wherever it sits — in the 16-lane steps, the odd block of 8 or
+// the masked tail — and whatever lies in memory after the list.
+func TestMaxUint32(t *testing.T) {
+	for n := 0; n <= 70; n++ {
+		buf := make([]int32, n+9)
+		for i := range buf {
+			buf[i] = -1 // past the list: must never be read into the result
+		}
+		x := buf[1 : 1+n]
+		for i := range x {
+			x[i] = int32(i % 5)
+		}
+		if got := maxUint32(x); n > 0 && got != uint32(min(n-1, 4)) || n == 0 && got != 0 {
+			t.Fatalf("n=%d: max %d", n, got)
+		}
+		for at := 0; at < n; at++ {
+			for _, v := range []int32{1000, -7} {
+				old := x[at]
+				x[at] = v
+				if got := maxUint32(x); got != uint32(v) {
+					t.Fatalf("n=%d: max %d with %d at %d", n, got, uint32(v), at)
+				}
+				x[at] = old
+			}
+		}
+	}
+}
+
+// TestTransposeIntoProperty: every (i, j, w) of s appears exactly once in sᵀ
+// as (j, i, w), each column of s lists its rows ascending, Start is monotone
+// over exactly the entries, and shapes with no rows or no columns work. The
+// target is reused across shapes, as the Workspace reuses it.
+func TestTransposeIntoProperty(t *testing.T) {
+	r := rng.New(77)
+	tr := new(SparseRows)
+	for _, shape := range [][2]int{{0, 5}, {5, 0}, {0, 0}, {1, 1}, {3, 7}, {50, 100}, {9, 2}} {
+		n, m := shape[0], shape[1]
+		for _, density := range []uint8{0, 40, 255} {
+			g := offMatrix(r, n, m, 1)
+			sparsify(r, g, density)
+			s := sparseOf(g, 2)
+			s.TransposeInto(tr, m)
+			if tr.Rows() != m || !validSparse(tr, max(n, 1)) || len(tr.Idx) != len(s.Idx) {
+				t.Fatalf("%dx%d density %d: transpose has %d rows over %d entries (want %d over %d) or is malformed",
+					n, m, density, tr.Rows(), len(tr.Idx), m, len(s.Idx))
+			}
+			seen := 0
+			for j := 0; j < m; j++ {
+				prev := int32(-1)
+				for k := tr.Start[j]; k < tr.Start[j+1]; k++ {
+					i := tr.Idx[k]
+					if i <= prev {
+						t.Fatalf("%dx%d: column %d lists row %d after row %d", n, m, j, i, prev)
+					}
+					prev = i
+					// (i, j) must be an entry of s with the same weight.
+					found := false
+					for q := s.Start[i]; q < s.Start[i+1]; q++ {
+						if s.Idx[q] == int32(j) && sameBits(s.W[q], tr.W[k]) {
+							found = true
+						}
+					}
+					if !found {
+						t.Fatalf("%dx%d: transpose holds (%d,%d,%v) which s does not", n, m, i, j, tr.W[k])
+					}
+					seen++
+				}
+			}
+			if seen != len(s.Idx) {
+				t.Fatalf("%dx%d: transpose visits %d entries of %d", n, m, seen, len(s.Idx))
+			}
+		}
+	}
+}
+
+// TestComplexLeavesBitwise: the complex leaves use unfused multiplies and
+// adds in the portable code's order, so for every even d the active path is
+// bitwise the portable one (which is why they need no tolerance of their own).
+func TestComplexLeavesBitwise(t *testing.T) {
+	for d := 0; d <= 130; d += 2 {
+		if err := checkComplex(d, 1+d%7, uint64(1000+d)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func checkComplex(d, off int, seed uint64) error {
+	r := rng.New(seed)
+	a, b, acc := offMatrix(r, 1, d, off), offMatrix(r, 1, d, off), offMatrix(r, 1, d, off)
+	got, want := make([]float32, d+off)[off:], make([]float32, d)
+	ComplexMul(got, a.Data, b.Data)
+	complexMulGeneric(want, a.Data, b.Data, d/2)
+	if i := firstDiff(got, want); i >= 0 {
+		return fmt.Errorf("ComplexMul d=%d: element %d = %v on %s, %v portable", d, i, got[i], Kernel(), want[i])
+	}
+	gotAcc, wantAcc := cloneMatrix(acc), cloneMatrix(acc)
+	ComplexMulConjAdd(gotAcc.Data, a.Data, b.Data)
+	complexMulConjAddGeneric(wantAcc.Data, a.Data, b.Data, d/2)
+	if i := firstDiff(gotAcc.Data, wantAcc.Data); i >= 0 {
+		return fmt.Errorf("ComplexMulConjAdd d=%d: element %d = %v on %s, %v portable", d, i, gotAcc.Data[i], Kernel(), wantAcc.Data[i])
+	}
+	return nil
+}
+
+// checkHingeRow holds one path's hinge-row selection to its definition, and
+// the two paths to each other: the same columns in the same order, the same
+// masked count, and sums that agree to the float32 accuracy the assembly
+// leaf's lane accumulators have.
+func checkHingeRow(n, off int, seed uint64) error {
+	r := rng.New(seed)
+	scores := offMatrix(r, 1, n, off).Data
+	ids := make([]int32, n+off)[off:]
+	id := int32(r.Intn(3)) // 0 is what a masked tail load reads: must not count
+	for j := range ids {
+		ids[j] = int32(r.Intn(6))
+	}
+	specials := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), -1e30, 0}
+	for j := 3; j < n; j += 7 {
+		scores[j] = specials[(j/7)%len(specials)]
+	}
+	t := r.NormFloat32() // positive about half the time: dead tail lanes must not pass as t+0 > 0
+	var wantIdx []int32
+	var wantSum float64
+	wantMasked := 0
+	for j, sc := range scores {
+		switch v := t + sc; {
+		case ids[j] == id:
+			wantMasked++
+		case v > 0:
+			wantIdx = append(wantIdx, int32(j))
+			wantSum += float64(v)
+		}
+	}
+	for _, ks := range bothPaths() {
+		idx := make([]int32, n)
+		k, sum, masked := ks.hingeRow(idx, scores, ids, t, id)
+		if k != len(wantIdx) || masked != wantMasked {
+			return fmt.Errorf("%s: %d selected, %d masked; want %d, %d", ks.name, k, masked, len(wantIdx), wantMasked)
+		}
+		for q := range wantIdx {
+			if idx[q] != wantIdx[q] {
+				return fmt.Errorf("%s: selection %d is column %d, want %d", ks.name, q, idx[q], wantIdx[q])
+			}
+		}
+		if sum != wantSum && !(math.Abs(sum-wantSum) <= 1e-6*math.Abs(wantSum)) {
+			return fmt.Errorf("%s: sum %v, want %v", ks.name, sum, wantSum)
+		}
+	}
+	return nil
+}
+
+func TestHingeRowMatchesDefinition(t *testing.T) {
+	for n := 0; n <= 200; n++ {
+		if err := checkHingeRow(n, 1+n%7, uint64(n)); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+	}
+	for _, n := range []int{255, 256, 257, 511, 1500} { // across the leaf's 128-entry calls
+		if err := checkHingeRow(n, 3, uint64(n)); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+	}
+}
+
+// TestAppendHingeRow: rows land in the SparseRows with the given weight and
+// ascending columns, and a row longer than the room Reset reserved is refused.
+func TestAppendHingeRow(t *testing.T) {
+	var s SparseRows
+	s.Reset(2, 4)
+	sum, masked := s.AppendHingeRow([]float32{1, -3, 2, 0.5}, []int32{9, 9, 7, 9}, 1, 7, 2.5)
+	if sum != 3.5 || masked != 1 || s.Rows() != 1 {
+		t.Fatalf("first row: sum %v masked %d rows %d", sum, masked, s.Rows())
+	}
+	s.AppendHingeRow([]float32{-5, -5, -5, -5}, []int32{1, 2, 3, 4}, 1, 0, 2.5)
+	want := SparseRows{Start: []int32{0, 2, 2}, Idx: []int32{0, 3}, W: []float32{2.5, 2.5}}
+	if fmt.Sprint(s) != fmt.Sprint(want) {
+		t.Fatalf("rows = %v, want %v", s, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a row past the reserved capacity was accepted")
+		}
+	}()
+	s.AppendHingeRow(make([]float32, 9), make([]int32, 9), 1, 0, 1)
+}
+
+// FuzzKernelParity draws a shape, an allocation offset, a density of G and a
+// seed, and holds both paths to contract (i), the assembly path to contract
+// (ii), the complex leaves to bitwise parity and the hinge row to its
+// definition.
 func FuzzKernelParity(f *testing.F) {
-	f.Add(uint8(5), uint8(3), uint8(9), uint8(1), uint64(1))
-	f.Add(uint8(50), uint8(100), uint8(64), uint8(7), uint64(2))
-	f.Fuzz(func(t *testing.T, n, m, d, off uint8, seed uint64) {
+	f.Add(uint8(5), uint8(3), uint8(9), uint8(1), uint8(170), uint64(1))
+	f.Add(uint8(50), uint8(100), uint8(64), uint8(7), uint8(40), uint64(2))
+	f.Fuzz(func(t *testing.T, n, m, d, off, density uint8, seed uint64) {
 		ni, mi, di, oi := int(n%64), int(m%64), int(d), 1+int(off%7)
 		for _, ks := range bothPaths() {
-			if err := checkBound(ks, ni, mi, di, oi, seed); err != nil {
-				t.Fatalf("%s n=%d m=%d d=%d offset %d seed %d: %v", ks.name, ni, mi, di, oi, seed, err)
+			if err := checkBound(ks, ni, mi, di, oi, density, seed); err != nil {
+				t.Fatalf("%s n=%d m=%d d=%d offset %d density %d seed %d: %v", ks.name, ni, mi, di, oi, density, seed, err)
 			}
 		}
 		if Kernel() != "generic" {
-			if err := checkPositionIndependent(ni, mi, di, oi, seed); err != nil {
-				t.Fatalf("n=%d m=%d d=%d offset %d seed %d: %v", ni, mi, di, oi, seed, err)
+			if err := checkPositionIndependent(ni, mi, di, oi, density, seed); err != nil {
+				t.Fatalf("n=%d m=%d d=%d offset %d density %d seed %d: %v", ni, mi, di, oi, density, seed, err)
 			}
+		}
+		if err := checkHingeRow(int(m)+int(d), oi, seed); err != nil {
+			t.Fatalf("hinge row n=%d offset %d seed %d: %v", int(m)+int(d), oi, seed, err)
+		}
+		if err := checkComplex(di&^1, oi, seed); err != nil {
+			t.Fatal(err)
 		}
 	})
 }
@@ -396,18 +692,39 @@ func BenchmarkMulABt(b *testing.B) {
 	}
 }
 
+// BenchmarkAddRowsSparse is the training backward product at the kg_mem chunk
+// shape and three densities of G (0.1–0.25 is where ranking-loss training
+// sits after the first epochs, 1 is what the dense losses emit), in GFLOP/s
+// of the non-zeros: work the loss asked for, not work a tile grid implies.
+func BenchmarkAddRowsSparse(b *testing.B) {
+	for _, density := range []struct {
+		name  string
+		share uint8
+	}{{"density_0.1", 26}, {"density_0.25", 64}, {"density_1", 255}} {
+		b.Run("50x100x64/"+density.name, func(b *testing.B) {
+			r := rng.New(3)
+			acc, g, bm := randMatrix(r, 50, 64), randMatrix(r, 50, 100), randMatrix(r, 100, 64)
+			for i := range g.Data {
+				if r.Intn(255) >= int(density.share) {
+					g.Data[i] = 0
+				}
+			}
+			sg := sparseOf(g, 0)
+			nnz := 0
+			for _, w := range sg.W {
+				if w != 0 {
+					nnz++
+				}
+			}
+			benchPaths(b, 2*nnz*64, func(ks kernels) { ks.addRowsSparse(acc, sg, bm) })
+		})
+	}
+}
+
 func BenchmarkAddOuterAtB(b *testing.B) {
 	b.Run("train_50x100x64", func(b *testing.B) {
 		r := rng.New(3)
 		acc, g, bm := randMatrix(r, 50, 64), randMatrix(r, 50, 100), randMatrix(r, 100, 64)
 		benchPaths(b, 2*50*100*64, func(ks kernels) { ks.addOuterAtB(acc, g, bm) })
-	})
-}
-
-func BenchmarkAddOuterGtA(b *testing.B) {
-	b.Run("train_50x100x64", func(b *testing.B) {
-		r := rng.New(3)
-		acc, g, am := randMatrix(r, 100, 64), randMatrix(r, 50, 100), randMatrix(r, 50, 64)
-		benchPaths(b, 2*50*100*64, func(ks kernels) { ks.addOuterGtA(acc, g, am) })
 	})
 }

@@ -1,11 +1,12 @@
 // Package vec provides the dense float32 vector and matrix kernels that the
 // rest of the system is built on. PyTorch-BigGraph relies on PyTorch (and
 // through it a tuned BLAS) for these; this package is the hand-written
-// substitute, on two paths: AVX2+FMA assembly tiles under Dot, Axpy and the
-// three GEMMs on amd64 processors that have them (kernel_amd64.s), and
-// portable Go kernels everywhere else (the *Generic functions below), which
-// are also the reference the assembly is tested against. kernel.go states
-// which path runs and what the two may differ by. Everything operates on
+// substitute, on two paths: AVX2+FMA assembly leaves under Dot, Axpy, the
+// score GEMM, the sparse backward product, the complex products and the
+// ranking loss's row pass on amd64 processors that have them
+// (kernel_amd64.s), and portable Go kernels everywhere else (the *Generic
+// functions), which are also the reference the assembly is tested against.
+// kernel.go states which path runs and what the two may differ by. Everything operates on
 // plain []float32 slices so embedding tables can be memory-mapped or sliced
 // out of large flat buffers without copies.
 //
@@ -174,11 +175,11 @@ func checkMulABt(c, a, b Matrix) {
 	}
 }
 
-func checkOuter(op string, a, g, b Matrix) {
+func checkOuter(a, g, b Matrix) {
 	checkData(a, g, b)
 	if g.Rows != a.Rows || g.Cols != b.Rows || a.Cols != b.Cols {
-		panic(fmt.Sprintf("vec: %s shape mismatch g=%dx%d a=%dx%d b=%dx%d",
-			op, g.Rows, g.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
+		panic(fmt.Sprintf("vec: AddOuterAtB shape mismatch g=%dx%d a=%dx%d b=%dx%d",
+			g.Rows, g.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 }
 
@@ -335,129 +336,19 @@ func mulABtGeneric(c, a, b Matrix) {
 	}
 }
 
-// AddOuterAtB accumulates A += G · B where G is (n×m), B is (m×d), A is
-// (n×d). This is the backward pass of MulABt with respect to its first
+// AddOuterAtB accumulates A += G · B where G is a dense (n×m), B is (m×d), A
+// is (n×d). This is the backward pass of MulABt with respect to its first
 // argument: given upstream gradients G on the score matrix, each row i of A
-// receives Σ_j G[i,j]·B[j].
-//
-// Register-blocked 2×4 on both paths: a 2-row tile of A accumulates against
-// a 4-row tile of B per pass over d — 8 FMAs per 6 loads and 2 stores, with
-// each B row loaded once per two A rows. Tiles whose 8 G coefficients are all
-// zero (fully masked score blocks, or ranking-loss chunks with no margin
-// violations) are skipped; outside whole tiles every zero coefficient is.
+// receives Σ_j G[i,j]·B[j]. It runs on the sparse kernel (AddRowsSparse's
+// leaf), so on either path it is bitwise the ascending chain of Axpy calls,
+// every zero coefficient skipped. Training passes G as SparseRows and never
+// builds the dense block; the product with Gᵀ has no dense entry point and
+// is AddRowsSparse over SparseRows.TransposeInto.
 //
 //pbg:hotpath
 func AddOuterAtB(a, g, b Matrix) {
-	checkOuter("AddOuterAtB", a, g, b)
-	if useAVX2 {
-		addOuterAVX2(a, b, g.Data, g.Cols, 1)
-		return
-	}
-	addOuterAtBGeneric(a, g, b)
-}
-
-//pbg:hotpath
-func addOuterAtBGeneric(a, g, b Matrix) {
-	n, m, d := a.Rows, b.Rows, a.Cols
-	i := 0
-	for ; i+2 <= n; i += 2 {
-		g0, g1 := g.Row(i), g.Row(i+1)
-		a0, a1 := a.Row(i)[:d], a.Row(i + 1)[:d]
-		j := 0
-		for ; j+4 <= m; j += 4 {
-			w00, w01, w02, w03 := g0[j], g0[j+1], g0[j+2], g0[j+3]
-			w10, w11, w12, w13 := g1[j], g1[j+1], g1[j+2], g1[j+3]
-			if w00 == 0 && w01 == 0 && w02 == 0 && w03 == 0 &&
-				w10 == 0 && w11 == 0 && w12 == 0 && w13 == 0 {
-				continue
-			}
-			b0, b1, b2, b3 := b.Row(j)[:d], b.Row(j + 1)[:d], b.Row(j + 2)[:d], b.Row(j + 3)[:d]
-			for k := 0; k < d; k++ {
-				b0k, b1k, b2k, b3k := b0[k], b1[k], b2[k], b3[k]
-				a0[k] += w00*b0k + w01*b1k + w02*b2k + w03*b3k
-				a1[k] += w10*b0k + w11*b1k + w12*b2k + w13*b3k
-			}
-		}
-		for ; j < m; j++ {
-			bj := b.Row(j)
-			if g0[j] != 0 {
-				axpyGeneric(g0[j], bj, a0)
-			}
-			if g1[j] != 0 {
-				axpyGeneric(g1[j], bj, a1)
-			}
-		}
-	}
-	for ; i < n; i++ {
-		gi := g.Row(i)
-		ai := a.Row(i)
-		for j := 0; j < m; j++ {
-			if gi[j] != 0 {
-				axpyGeneric(gi[j], b.Row(j), ai)
-			}
-		}
-	}
-}
-
-// AddOuterGtA accumulates B += Gᵀ · A where G is (n×m), A is (n×d), B is
-// (m×d). This is the backward pass of MulABt with respect to its second
-// argument. Register-blocked 2×4 with the tile roles of AddOuterAtB
-// transposed: a 2-row tile of B accumulates against a 4-row tile of A, with
-// all-zero coefficient tiles skipped.
-//
-//pbg:hotpath
-func AddOuterGtA(b, g, a Matrix) {
-	checkOuter("AddOuterGtA", a, g, b)
-	if useAVX2 {
-		addOuterAVX2(b, a, g.Data, 1, g.Cols)
-		return
-	}
-	addOuterGtAGeneric(b, g, a)
-}
-
-//pbg:hotpath
-func addOuterGtAGeneric(b, g, a Matrix) {
-	n, m, d := a.Rows, b.Rows, a.Cols
-	j := 0
-	for ; j+2 <= m; j += 2 {
-		b0, b1 := b.Row(j)[:d], b.Row(j + 1)[:d]
-		i := 0
-		for ; i+4 <= n; i += 4 {
-			g0, g1, g2, g3 := g.Row(i), g.Row(i+1), g.Row(i+2), g.Row(i+3)
-			w00, w01 := g0[j], g0[j+1]
-			w10, w11 := g1[j], g1[j+1]
-			w20, w21 := g2[j], g2[j+1]
-			w30, w31 := g3[j], g3[j+1]
-			if w00 == 0 && w01 == 0 && w10 == 0 && w11 == 0 &&
-				w20 == 0 && w21 == 0 && w30 == 0 && w31 == 0 {
-				continue
-			}
-			a0, a1, a2, a3 := a.Row(i)[:d], a.Row(i + 1)[:d], a.Row(i + 2)[:d], a.Row(i + 3)[:d]
-			for k := 0; k < d; k++ {
-				a0k, a1k, a2k, a3k := a0[k], a1[k], a2[k], a3[k]
-				b0[k] += w00*a0k + w10*a1k + w20*a2k + w30*a3k
-				b1[k] += w01*a0k + w11*a1k + w21*a2k + w31*a3k
-			}
-		}
-		for ; i < n; i++ {
-			gi := g.Row(i)
-			ai := a.Row(i)
-			if gi[j] != 0 {
-				axpyGeneric(gi[j], ai, b0)
-			}
-			if gi[j+1] != 0 {
-				axpyGeneric(gi[j+1], ai, b1)
-			}
-		}
-	}
-	if j < m {
-		bj := b.Row(j)
-		for i := 0; i < n; i++ {
-			if v := g.Row(i)[j]; v != 0 {
-				axpyGeneric(v, a.Row(i), bj)
-			}
-		}
-	}
+	checkOuter(a, g, b)
+	addOuterDense(a, g, b, useAVX2)
 }
 
 // MatVec computes y = A · x where A is (n×d) and x has length d.
@@ -483,7 +374,9 @@ func MatTVec(y []float32, a Matrix, x []float32) {
 
 // ComplexMul computes dst = a ∘ b where vectors of even length d are treated
 // as d/2 complex numbers laid out [re₀..re_{d/2-1}, im₀..im_{d/2-1}], the
-// layout ComplEx uses. dst may alias neither a nor b.
+// layout ComplEx uses. dst may alias neither a nor b. Every product is
+// rounded before it is added (no fused multiply-add on any platform), which
+// is what lets the assembly leaf be bitwise this loop.
 //
 //pbg:hotpath
 func ComplexMul(dst, a, b []float32) {
@@ -492,18 +385,27 @@ func ComplexMul(dst, a, b []float32) {
 	if len(a)%2 != 0 {
 		panic("vec: ComplexMul requires even dimension")
 	}
+	if useAVX2 {
+		complexMulAVX2(unsafe.SliceData(dst), unsafe.SliceData(a), unsafe.SliceData(b), h)
+		return
+	}
+	complexMulGeneric(dst, a, b, h)
+}
+
+//pbg:hotpath
+func complexMulGeneric(dst, a, b []float32, h int) {
 	for i := 0; i < h; i++ {
 		ar, ai := a[i], a[h+i]
 		br, bi := b[i], b[h+i]
-		dst[i] = ar*br - ai*bi
-		dst[h+i] = ar*bi + ai*br
+		dst[i] = float32(ar*br) - float32(ai*bi)
+		dst[h+i] = float32(ar*bi) + float32(ai*br)
 	}
 }
 
-// ComplexMulConjAdd accumulates dst += a ∘ conj(b) with the same layout as
-// ComplexMul. Used in the backward pass of the ComplEx operator, which sums
-// into gradient rows: d/dx (x∘w · g) = g ∘ conj(w) under the real inner
-// product.
+// ComplexMulConjAdd accumulates dst += a ∘ conj(b) with the same layout and
+// rounding as ComplexMul. Used in the backward pass of the ComplEx operator,
+// which sums into gradient rows: d/dx (x∘w · g) = g ∘ conj(w) under the real
+// inner product.
 //
 //pbg:hotpath
 func ComplexMulConjAdd(dst, a, b []float32) {
@@ -512,11 +414,20 @@ func ComplexMulConjAdd(dst, a, b []float32) {
 	if len(a)%2 != 0 {
 		panic("vec: ComplexMulConjAdd requires even dimension")
 	}
+	if useAVX2 {
+		complexMulConjAddAVX2(unsafe.SliceData(dst), unsafe.SliceData(a), unsafe.SliceData(b), h)
+		return
+	}
+	complexMulConjAddGeneric(dst, a, b, h)
+}
+
+//pbg:hotpath
+func complexMulConjAddGeneric(dst, a, b []float32, h int) {
 	for i := 0; i < h; i++ {
 		ar, ai := a[i], a[h+i]
 		br, bi := b[i], b[h+i]
-		dst[i] += ar*br + ai*bi
-		dst[h+i] += -ar*bi + ai*br
+		dst[i] += float32(ar*br) + float32(ai*bi)
+		dst[h+i] += float32(ai*br) - float32(ar*bi)
 	}
 }
 

@@ -199,7 +199,7 @@ func TestMulABt(t *testing.T) {
 	}
 }
 
-// TestGEMMBackward verifies that AddOuterAtB / AddOuterGtA are the true
+// TestGEMMBackward verifies that AddOuterAtB and the Gᵀ·A product are the true
 // gradients of MulABt by finite differences on a small random problem.
 func TestGEMMBackward(t *testing.T) {
 	n, m, d := 3, 4, 5
@@ -233,7 +233,7 @@ func TestGEMMBackward(t *testing.T) {
 	gradA := NewMatrix(n, d)
 	gradB := NewMatrix(m, d)
 	AddOuterAtB(gradA, g, b)
-	AddOuterGtA(gradB, g, a)
+	addOuterGtA(gradB, g, a)
 	const h = 1e-2
 	for i := range a.Data {
 		old := a.Data[i]
