@@ -86,7 +86,9 @@ func newDistStoreMetrics(reg *obs.Registry) storage.CacheMetrics {
 		Admits:       reg.Counter("pbg_dist_admits_total"),
 		Sheds:        reg.Counter("pbg_dist_prefetch_sheds_total"),
 		ForcedEvicts: reg.Counter("pbg_dist_forced_evicts_total"),
+		CleanWaits:   reg.Counter("pbg_dist_clean_waits_total"),
 		Resident:     reg.Gauge("pbg_dist_resident_bytes"),
+		Dirty:        reg.Gauge("pbg_dist_dirty_bytes"),
 	}
 }
 

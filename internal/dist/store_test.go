@@ -182,6 +182,7 @@ func TestCacheConformance(t *testing.T) {
 		{"BudgetShedsPrefetchHints", testCacheBudgetShedsPrefetchHints},
 		{"BudgetEvictsPrefetchedLRU", testCacheBudgetEvictsPrefetchedLRU},
 		{"BudgetEvictsReleasedLRU", testCacheBudgetEvictsReleasedLRU},
+		{"WriteCounts", testCacheWriteCounts},
 		{"PrefetchShedJoinedAcquire", testCachePrefetchShedJoinedAcquire},
 		{"ShedsYoungestQueuedHint", testCacheShedsYoungestQueuedHint},
 		{"SpanNesting", testCacheSpanNesting},
@@ -422,6 +423,55 @@ func testCacheBudgetEvictsReleasedLRU(t *testing.T, newCache cacheFactory) {
 	}
 	must(t, c.store.Release(0, 0))
 	must(t, c.store.Close())
+}
+
+// testCacheWriteCounts pins, as exact IOStats.Writes counts, the one write
+// rule — a modified shard is stored when it leaves memory — on every kind
+// of cache. One that retains nothing (no budget, or a write-through
+// backend under any budget) stores on every last Release, exactly as it did
+// before the budgeted write-back cache learnt to retain dirty shards; that
+// one stores nothing until a shard is evicted or Drain asks.
+func testCacheWriteCounts(t *testing.T, newCache cacheFactory) {
+	schema := budgetSchema()
+	shard := storage.ProjectedShardBytes(schema, 8, 0, 0)
+	for _, budgetShards := range []int64{0, 2} {
+		c := newCache(t, schema, 8)
+		c.cache.SetMaxResidentBytes(budgetShards * shard)
+		retains := budgetShards > 0 && !c.writeThrough
+		const releases = 6
+		for i := 0; i < releases; i++ {
+			sh := acquire(t, c, 0, i%2)
+			sh.Row(0)[0] = float32(i)
+			must(t, c.store.Release(0, i%2))
+			want := int64(i + 1)
+			if retains {
+				want = 0
+			} else {
+				// Land the asynchronous write, or the next Acquire of this
+				// shard could revive it and fold two releases into one write.
+				must(t, c.cache.Drain())
+			}
+			if got := c.cache.IOStats().Writes; got != want {
+				t.Fatalf("budget %d shards: writes = %d after release %d, want %d", budgetShards, got, i+1, want)
+			}
+		}
+		must(t, c.cache.Drain())
+		want := int64(releases)
+		if retains {
+			want = 2 // the two shards, once each
+		}
+		if got := c.cache.IOStats().Writes; got != want {
+			t.Fatalf("budget %d shards: writes = %d after Drain, want %d", budgetShards, got, want)
+		}
+		for p, cell := range []float32{4, 5} {
+			got, err := c.durable(0, p)
+			must(t, err)
+			if got.Row(0)[0] != cell {
+				t.Fatalf("budget %d shards: durable shard %d holds %v, want %v", budgetShards, p, got.Row(0)[0], cell)
+			}
+		}
+		must(t, c.store.Close())
+	}
 }
 
 // testCachePrefetchShedJoinedAcquire pins the join-then-shed interleaving

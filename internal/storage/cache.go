@@ -23,8 +23,10 @@ var errShed = errors.New("storage: prefetch shed by memory budget")
 
 // Backend is where a Cache's shards live while they are not in memory: a
 // directory of shard files (DiskStore) or the deployment's partition servers
-// (internal/dist). The cache calls both methods without its lock held and
-// never calls Store for a shard a caller may still be mutating.
+// (internal/dist). The cache calls both methods without its lock held, never
+// calls Store for a shard a caller may still be mutating, and calls it when
+// a modified shard has to leave memory (or on Flush/Drain) — not every time
+// its last reference is dropped.
 type Backend interface {
 	// Load returns shard (t,p): its durable copy, or its deterministic lazy
 	// initialisation when none exists yet.
@@ -34,19 +36,25 @@ type Backend interface {
 	Store(sh *Shard) error
 }
 
-// cacheEntry is one cached shard together with its I/O state. An entry moves
-// through three states, always under the cache lock:
+// cacheEntry is one cached shard together with its I/O state. An entry is in
+// one of these states, always under the cache lock:
 //
 //	loading:  ready != nil — a Prefetch or first Acquire is running the
 //	          backend's Load; shard/loadErr are set before ready closes.
-//	resident: ready == nil, writing == false — the shard is usable.
-//	writing:  refs hit zero and a Store is in flight. A write-back works on
-//	          a snapshot copied outside the lock, so a concurrent Acquire
-//	          revives the live in-memory shard immediately — it neither
-//	          re-reads a stale durable copy nor waits for the write. The
-//	          entry stays cached until the Store lands. (A write that holds
-//	          the live buffers instead — no budget headroom for the copy, or
-//	          a write-through backend — makes a revival wait on writeDone.)
+//	in use:   refs > 0 — handed out for mutation, so never clean.
+//	dirty:    refs == 0, !clean, !writing — released, modified since its
+//	          durable copy, and retained because a budget is set and it
+//	          fits. Nothing is written until it has to leave: the evictor
+//	          (makeRoomLocked) or the clean it runs ahead of need
+//	          (cleanAheadLocked) writes it, and so do Flush and Drain.
+//	writing:  a Store is in flight. It marks the entry clean when it lands
+//	          only if no Acquire handed the shard out meanwhile (gen).
+//	clean:    refs == 0 and identical to the durable copy: evictable with
+//	          no I/O.
+//
+// A cache that retains nothing — no budget, or a write-through backend — has
+// no dirty state: there the last Release is the moment the shard leaves
+// memory, so the same rule writes it right then.
 type cacheEntry struct {
 	shard *Shard
 	refs  int
@@ -77,21 +85,23 @@ type cacheEntry struct {
 
 	// clean marks a resident shard that is bit-identical to its durable copy
 	// (or to its deterministic lazy init): a prefetched-but-unacquired load,
-	// or — under a budget — a shard retained in cache after its write-back
-	// landed. Clean entries evict without any I/O. Acquire clears the flag.
+	// or a retained shard whose write landed with no Acquire in between.
+	// Clean entries evict without any I/O. Acquire clears the flag.
 	clean bool
+	// gen counts the Acquires that handed this shard out. A write remembers
+	// the value it started at and marks the entry clean only if it lands at
+	// the same one: a shard that was revived, mutated and released while its
+	// write was in flight stays dirty, so its newer bytes are written when it
+	// next has to leave (writes of one shard are serialised by writing).
+	gen int64
 	// lastUse is the cache's logical clock (a monotonic counter, not wall
-	// time) at the entry's last transition: when its hint was queued, when
-	// its prefetch load landed, when refs dropped to zero. Eviction takes
-	// the oldest clean entry, shedding the youngest queued hint.
+	// time) at the last call that touched the entry: when its hint was
+	// queued, when refs dropped to zero — never when background I/O landed,
+	// so the order is a function of the callers' call sequence alone.
+	// Eviction takes the oldest idle entry, shedding the youngest queued hint.
 	lastUse int64
 
 	writing bool
-	// rewrite marks that refs hit zero again while a write was in flight;
-	// the completion handler chains a write of a fresh snapshot, so an
-	// older in-flight write can never overwrite newer data (writes of one
-	// shard are strictly serialised through this flag).
-	rewrite bool
 	// snapDone is non-nil for the brief window while the write-back's
 	// snapshot copy is being taken outside the cache lock; an Acquire that
 	// revives the entry waits on it (a memcpy, not a write) before handing
@@ -102,14 +112,18 @@ type cacheEntry struct {
 	writeDone chan struct{}
 }
 
+// dirty reports whether e holds a shard that may be newer than its durable
+// copy: in use, or released and not written since.
+func (e *cacheEntry) dirty() bool { return e.shard != nil && !e.clean }
+
 // CacheMetrics are the registry series a Cache publishes. Each owner binds
 // them under its own historical names (pbg_storage_* for DiskStore,
 // pbg_dist_* for the partition-server checkout cache); IOStats reads the
 // cache's own per-instance counts, never these, so it stays exact when
 // several in-process caches share one registry.
 type CacheMetrics struct {
-	Loads, Writes, Admits, Sheds, ForcedEvicts *obs.Counter
-	Resident                                   *obs.Gauge
+	Loads, Writes, Admits, Sheds, ForcedEvicts, CleanWaits *obs.Counter
+	Resident, Dirty                                        *obs.Gauge
 }
 
 // IOStats is a Cache's cumulative I/O and memory-budget accounting. The
@@ -119,8 +133,10 @@ type IOStats struct {
 	// Loads counts backend loads that produced a shard (reads, fetches, or
 	// deterministic lazy inits).
 	Loads int64
-	// Writes counts shards the backend stored on a last Release or a
-	// chained rewrite. Flush's checkpoint rewrites are not counted.
+	// Writes counts shards the backend stored because they had to leave
+	// memory — on eviction or ahead of it, at Drain, or on the last Release
+	// of a cache that retains nothing. Flush's checkpoint writes are not
+	// counted.
 	Writes int64
 	// Admits counts loads that passed the admission check while a budget
 	// was set (prefetch hints and must-have Acquires both count).
@@ -128,28 +144,41 @@ type IOStats struct {
 	// PrefetchSheds counts prefetch hints the budget refused: dropped at
 	// Prefetch time, or shed from the pool queue before their load started.
 	PrefetchSheds int64
-	// ForcedEvicts counts unreferenced clean shards evicted to make room
-	// for a must-have Acquire (LRU by last release; no I/O needed — the
-	// durable copy is current).
+	// ForcedEvicts counts unreferenced shards evicted to make room for a
+	// must-have Acquire (LRU by last release; a dirty one is written first).
 	ForcedEvicts int64
+	// CleanWaits counts Acquires that had to wait for a write: a must-have
+	// whose victim was still dirty or mid-write, or a revival of a shard
+	// whose live buffers were being stored. Near zero means the clean the
+	// cache runs ahead of need keeps up.
+	CleanWaits int64
 }
 
 // Cache is the partition buffer of §4.1/§4.2: it keeps referenced (and
 // prefetched) shards in memory over a Backend that holds the rest. Loads
-// hinted via Prefetch and the write-back of released shards run on a small
-// background I/O pool so the training thread overlaps bucket transitions
-// with compute. Write-backs double-buffer: each writes a snapshot taken at
-// release, costing one transient shard copy per in-flight write (bounded by
-// the pool size) in exchange for re-Acquires never stalling on the write.
+// hinted via Prefetch and write-backs run on a small background I/O pool so
+// the training thread overlaps bucket transitions with compute.
+//
+// One write rule: a modified shard is stored when it has to leave memory.
+// Without a budget the cache retains nothing, so that moment is the last
+// Release: it writes a snapshot taken at release, costing one transient
+// shard copy per in-flight write (bounded by the pool size) in exchange for
+// re-Acquires never stalling on the write.
 //
 // SetMaxResidentBytes turns the cache into a memory-budgeted one: admission
 // accounting (resident shards + in-flight load projections + write
 // snapshots) is enforced against the budget — prefetch hints that don't fit
-// are dropped or shed, a must-have Acquire evicts unreferenced clean shards
-// LRU-first (waiting for in-flight I/O when that is the only way to free
-// memory), and shards whose write-back landed are retained as clean entries
-// while they fit. Only a must-have whose working set simply cannot fit runs
-// over budget.
+// are dropped or shed, and a released shard stays resident and dirty while
+// it fits, with no write at all. A must-have Acquire evicts unreferenced
+// shards LRU-first: a clean one for free, a dirty one once its write has
+// landed (waiting for in-flight I/O when that is the only way to free
+// memory). To keep that write off the must-have's path, a hint the budget
+// refuses — the sign that the next miss will need a victim — starts the
+// write of the LRU victim ahead of need, at most one at a time. Flush and
+// Drain write what is dirty. Only a must-have whose working set simply
+// cannot fit runs over budget. What a crash loses is therefore what was
+// trained on resident shards since the last Flush or Drain; shard files are
+// replaced atomically, so the backend always loads.
 //
 // The one policy a backend changes is fixed at construction: over a
 // WriteThrough backend the last Release stores the shard before it returns
@@ -197,9 +226,11 @@ type WritePolicy int
 
 const (
 	// WriteBack: the durable copies are private to the cache (a directory of
-	// shard files). The last Release snapshots the shard, stores the copy
-	// asynchronously, reports a failure as a sticky error, and — under a
-	// budget — retains the written shard as a clean entry.
+	// shard files), so a shard is stored when it leaves memory: under a
+	// budget the last Release retains it dirty and the evictor, Flush or
+	// Drain writes it; without one the last Release stores a snapshot
+	// asynchronously and drops the entry when it lands. A failed write is a
+	// sticky error and keeps the shard resident.
 	WriteBack WritePolicy = iota
 	// WriteThrough: the durable copies are shared, and another writer may be
 	// handed a shard the moment this cache's owner lets go of it (a
@@ -323,6 +354,7 @@ func (c *Cache) Prefetch(t, p int) {
 	if c.maxResident > 0 {
 		if c.accountedLocked()+size > c.maxResident {
 			c.countLocked(&c.stats.PrefetchSheds, c.m.Sheds)
+			c.cleanAheadLocked()
 			c.mu.Unlock()
 			return
 		}
@@ -352,6 +384,7 @@ func (c *Cache) prefetchLoad(k shardKey, e *cacheEntry) {
 	e.queued = false
 	if c.maxResident > 0 && c.accountedLocked() > c.maxResident {
 		c.shedLocked(k, e)
+		c.cleanAheadLocked()
 		c.mu.Unlock()
 		return
 	}
@@ -394,12 +427,13 @@ func (c *Cache) load(k shardKey, e *cacheEntry, prefetch bool) {
 		delete(c.cache, k)
 	} else {
 		e.size = LayoutOf(sh, c.codec).payloadBytes() // what shardBytes projected, from the actual shape
-		if prefetch && c.maxResident > 0 {
+		if prefetch {
 			// Until an Acquire hands it out, a prefetched shard is identical
 			// to its durable copy (or its deterministic lazy init): evictable
-			// with no write should a must-have need the memory.
+			// with no write should a must-have need the memory. Its place in
+			// the LRU order stays the hint's: stamping the landing instead
+			// would let I/O timing decide which shard is evicted.
 			e.clean = true
-			e.lastUse = c.bumpUseLocked()
 		}
 		c.countLocked(&c.stats.Loads, c.m.Loads)
 	}
@@ -416,12 +450,12 @@ func (c *Cache) load(k shardKey, e *cacheEntry, prefetch bool) {
 // Acquire implements Store, loading from the backend on a miss. A hit on a
 // prefetched-but-still-loading entry waits for the background load rather
 // than issuing a second one (two copies of a shard would diverge under
-// training); a hit on an entry whose write-back is in flight revives the
-// live in-memory shard immediately (the writer works on a snapshot) and
-// never goes back to the backend. Under a memory budget a miss is a
-// must-have: makeRoomLocked sheds, evicts and waits until the load fits —
-// and only runs over budget when the remaining bytes all belong to
-// referenced shards.
+// training); a hit on an entry whose write is in flight revives the live
+// in-memory shard and never goes back to the backend — at once when the
+// writer works on a snapshot, after the write when it holds the live
+// buffers. Under a memory budget a miss is a must-have: makeRoomLocked
+// sheds, evicts and waits until the load fits — and only runs over budget
+// when the remaining bytes all belong to referenced shards.
 func (c *Cache) Acquire(t, p int) (*Shard, error) {
 	k := shardKey{t, p}
 	c.mu.Lock()
@@ -462,15 +496,18 @@ func (c *Cache) Acquire(t, p int) (*Shard, error) {
 			continue
 		}
 		e.refs++
+		e.gen++
 		e.clean = false
 		sh := e.shard
 		// A write may be using these buffers outside the lock: wait for the
 		// snapshot memcpy (not the write), or — when the write holds the live
 		// buffers — for the write itself, before the caller may mutate them.
 		done := e.snapDone
-		if done == nil {
+		if done == nil && e.writeDone != nil {
 			done = e.writeDone
+			c.countLocked(&c.stats.CleanWaits, c.m.CleanWaits)
 		}
+		c.updateResidentLocked()
 		c.mu.Unlock()
 		if done != nil {
 			<-done
@@ -480,27 +517,34 @@ func (c *Cache) Acquire(t, p int) (*Shard, error) {
 }
 
 // makeRoomLocked frees accounted memory until `need` more bytes fit inside
-// the budget, in escalating steps: shed queued prefetch hints, evict clean
-// unreferenced shards (LRU by last release; no I/O), then wait for
-// in-flight write-backs, snapshot copies, or pure-prefetch loads to land
-// and retry. It returns waited=true when it released the lock (the caller
-// must re-check the cache). When every remaining byte belongs to referenced
-// shards or joined loads it gives up and lets the must-have proceed over
-// budget — training cannot make progress otherwise.
+// the budget, in escalating steps: shed queued prefetch hints, evict the
+// least-recently-used idle shard (for free when it is clean; a dirty one's
+// write is started first), then wait for in-flight writes, snapshot copies,
+// or pure-prefetch loads to land and retry. It returns waited=true when it
+// released the lock (the caller must re-check the cache), and counts a
+// CleanWait when what it waited for was a write. When every remaining byte
+// belongs to referenced shards or joined loads — or writes are failing, so
+// nothing dirty can leave — it gives up and lets the must-have proceed over
+// budget: training cannot make progress otherwise.
 func (c *Cache) makeRoomLocked(need int64) (waited bool) {
+	forWrite := false
 	for c.accountedLocked()+need > c.maxResident {
 		if c.shedQueuedLocked() {
 			continue
 		}
-		if c.evictCleanLocked() {
+		if c.evictLocked() {
 			continue
 		}
-		if c.waitableLocked() {
-			c.cond.Wait()
-			waited = true
-			continue
+		write, ok := c.waitableLocked()
+		if !ok {
+			break
 		}
-		break
+		if write && !forWrite {
+			forWrite = true
+			c.countLocked(&c.stats.CleanWaits, c.m.CleanWaits)
+		}
+		c.cond.Wait()
+		waited = true
 	}
 	return waited
 }
@@ -527,45 +571,69 @@ func (c *Cache) shedQueuedLocked() bool {
 	return true
 }
 
-// evictCleanLocked drops the least-recently-used unreferenced clean shard;
-// its durable copy (or deterministic lazy init) is current, so no write is
-// needed. Entries a waiter is about to claim are skipped.
-func (c *Cache) evictCleanLocked() bool {
+// victimLocked picks the next shard to leave memory — the least recently
+// used one that nobody references or awaits — and returns it if it can be
+// dropped right now. A dirty victim cannot: its write is started instead
+// (unless writes are failing), and like one whose write is already in
+// flight it is reported as no victim yet; the caller's wait lets the write
+// land. Taking a younger shard meanwhile would make which shard leaves
+// depend on how fast the write was.
+func (c *Cache) victimLocked() (shardKey, *cacheEntry) {
 	var victimK shardKey
 	var victim *cacheEntry
 	for k, e := range c.cache {
-		if e.clean && e.refs == 0 && e.ready == nil && !e.writing && e.waiters == 0 {
-			if victim == nil || e.lastUse < victim.lastUse {
-				victimK, victim = k, e
-			}
+		if e.refs == 0 && e.ready == nil && e.waiters == 0 && (victim == nil || e.lastUse < victim.lastUse) {
+			victimK, victim = k, e
 		}
 	}
-	if victim == nil {
+	switch {
+	case victim == nil, victim.clean && !victim.writing:
+		return victimK, victim
+	case !victim.writing && c.ioErr == nil:
+		c.startWriteLocked(victimK, victim)
+	}
+	return shardKey{}, nil
+}
+
+// evictLocked drops the victim, if there is one to drop right now; its
+// durable copy (or deterministic lazy init) is current.
+func (c *Cache) evictLocked() bool {
+	k, e := c.victimLocked()
+	if e == nil {
 		return false
 	}
-	delete(c.cache, victimK)
+	delete(c.cache, k)
 	c.countLocked(&c.stats.ForcedEvicts, c.m.ForcedEvicts)
 	c.updateResidentLocked()
 	c.cond.Broadcast()
 	return true
 }
 
+// cleanAheadLocked runs when the budget has just refused a prefetch hint:
+// the cache is full and the shard will arrive as a must-have miss, which
+// needs a victim. If that victim is dirty its write starts now, on the pool,
+// so the miss finds it clean instead of waiting for the write.
+func (c *Cache) cleanAheadLocked() {
+	c.victimLocked()
+}
+
 // waitableLocked reports whether any in-flight I/O will free accounted
-// memory when it lands: a write snapshot, a write-back of an unreferenced
-// shard, or a pure-prefetch load (which becomes clean, hence evictable).
-func (c *Cache) waitableLocked() bool {
+// memory when it lands — a write snapshot or a write of an unreferenced
+// shard (write), or a pure-prefetch load (which lands clean, hence
+// evictable).
+func (c *Cache) waitableLocked() (write, ok bool) {
 	if c.snapBytes > 0 {
-		return true
+		return true, true
 	}
 	for _, e := range c.cache {
 		if e.writing && e.refs == 0 {
-			return true
+			return true, true
 		}
 		if e.ready != nil && e.waiters == 0 && !e.queued && !e.shedded {
-			return true
+			ok = true
 		}
 	}
-	return false
+	return false, ok
 }
 
 // snapshot returns a private copy of s. Write-backs serialise snapshots
@@ -581,10 +649,10 @@ func (s *Shard) snapshot() *Shard {
 }
 
 // Release implements Store. Over a write-back backend the last reference
-// schedules an asynchronous Store of a snapshot on the I/O pool and the
-// shard is evicted once the write lands (retained as a clean entry instead
-// when a budget is set and it fits); a write failure surfaces as the
-// (sticky) error of a later Release, Flush, Drain, or Close. Over a
+// leaves the shard to retireLocked: retained as it is while a budget is set
+// and it fits — no copy, no write, no I/O — and otherwise stored
+// asynchronously and dropped once the write lands; a write failure surfaces
+// as the (sticky) error of a later Release, Flush, Drain, or Close. Over a
 // write-through backend the last reference stores the shard before Release
 // returns — with this call's own error — and then drops it.
 func (c *Cache) Release(t, p int) error {
@@ -606,15 +674,37 @@ func (c *Cache) Release(t, p int) error {
 		return c.storeThrough(k, e)
 	}
 	if e.writing {
-		// A write of an older snapshot is still in flight; chain a rewrite
-		// behind it rather than racing two writes of the same shard.
-		e.rewrite = true
+		// A write of an older state is still in flight; it retires the entry
+		// when it lands rather than racing a second write of the same shard.
 		c.mu.Unlock()
 		return err
 	}
-	e.writing = true
-	c.startWrite(k, e)
+	c.retireLocked(k, e)
 	return err
+}
+
+// retireLocked settles an entry nobody references and no write holds: it
+// stays as it is — clean or dirty — while a budget is set and it fits, and
+// otherwise has to leave memory, a dirty shard through a write that calls
+// retireLocked again when it lands. The caller holds c.mu; retireLocked
+// unlocks it.
+func (c *Cache) retireLocked(k shardKey, e *cacheEntry) {
+	switch {
+	case c.maxResident > 0 && c.accountedLocked() <= c.maxResident:
+		// The budget is a shard cache, not just a ceiling: a re-Acquire skips
+		// the load, and eviction reclaims the entry LRU-first when a must-have
+		// needs the memory.
+	case e.clean:
+		delete(c.cache, k)
+		c.cond.Broadcast()
+	case c.maxResident > 0:
+		c.startWriteLocked(k, e)
+	default:
+		c.startSnapshotWrite(k, e)
+		return
+	}
+	c.updateResidentLocked()
+	c.mu.Unlock()
 }
 
 // storeThrough is the write-through last Release: it stores e's live
@@ -657,27 +747,29 @@ func (c *Cache) store(k shardKey, sh *Shard) error {
 	return err
 }
 
-// startWrite snapshots e's shard and submits its write-back. The caller
-// must hold c.mu with e.writing freshly set; startWrite unlocks it. The
-// multi-MB snapshot copy runs outside the cache lock — guarded by
-// e.snapDone so only a revival of this very shard waits for the memcpy —
-// keeping evictions from convoying every other Acquire/Prefetch/Release.
-// When a budget is set and the snapshot copy itself would not fit, the
-// write uses the live buffers instead (refs is zero, so nothing mutates
-// them) and a revival waits for the write via writeDone.
-func (c *Cache) startWrite(k shardKey, e *cacheEntry) {
-	if c.maxResident > 0 && c.accountedLocked()+e.size > c.maxResident {
-		e.writeDone = make(chan struct{})
-		live := e.shard
-		c.mu.Unlock()
-		c.submit(func() { c.writeBack(k, e, live, true) })
-		return
-	}
+// startWriteLocked submits a write of e's live buffers: e is unreferenced,
+// so nothing mutates them, and a revival waits for the write via writeDone.
+// This is every write of a budgeted cache — it is evicting, so a snapshot
+// copy would not fit.
+func (c *Cache) startWriteLocked(k shardKey, e *cacheEntry) {
+	e.writing = true
+	e.writeDone = make(chan struct{})
+	sh, gen := e.shard, e.gen
+	c.submit(func() { c.writeBack(k, e, sh, gen, true) })
+}
+
+// startSnapshotWrite is the write of a cache without a budget: it copies e's
+// shard and submits the copy, so a revival never waits for the write. The
+// caller holds c.mu; startSnapshotWrite unlocks it. The multi-MB copy runs
+// outside the cache lock — guarded by e.snapDone so only a revival of this
+// very shard waits for the memcpy — keeping it from convoying every other
+// Acquire/Prefetch/Release.
+func (c *Cache) startSnapshotWrite(k shardKey, e *cacheEntry) {
+	e.writing = true
 	e.snapDone = make(chan struct{})
-	sh := e.shard
-	// Reserve the snapshot's bytes before releasing the lock: an admission
-	// check racing the memcpy must already see them, or a prefetch admitted
-	// during the copy would push real memory past the budget.
+	sh, gen := e.shard, e.gen
+	// Reserve the snapshot's bytes before releasing the lock, so
+	// ResidentBytes covers the copy while it is being made.
 	c.snapBytes += e.size
 	c.updateResidentLocked()
 	c.mu.Unlock()
@@ -688,79 +780,66 @@ func (c *Cache) startWrite(k shardKey, e *cacheEntry) {
 	close(e.snapDone)
 	e.snapDone = nil
 	c.mu.Unlock()
-	c.submit(func() { c.writeBack(k, e, snap, false) })
+	c.submit(func() { c.writeBack(k, e, snap, gen, false) })
 }
 
-// writeBack stores a snapshot of e's shard (or the live buffers when live)
-// and evicts the entry unless an Acquire revived it while the write was in
-// flight. On failure the entry stays resident: the in-memory shard is the
+// writeBack stores sh — e's live buffers, or a snapshot of them — and
+// retires the entry. The entry is clean only if the write lands at the
+// generation it started at: a shard acquired meanwhile may have been
+// mutated, so it stays dirty and is written again when it next has to leave.
+// On failure the entry stays resident and dirty: the in-memory shard is the
 // only current copy, so evicting it would lose the bucket's training — the
 // sticky error surfaces on the next Release or Drain, while Flush retries
 // the write (clearing the error if the retry lands).
-func (c *Cache) writeBack(k shardKey, e *cacheEntry, snap *Shard, live bool) {
-	werr := c.store(k, snap)
+func (c *Cache) writeBack(k shardKey, e *cacheEntry, sh *Shard, gen int64, live bool) {
+	werr := c.store(k, sh)
 	c.mu.Lock()
-	if werr == nil {
-		c.countLocked(&c.stats.Writes, c.m.Writes)
-	}
 	if !live {
 		c.snapBytes -= e.size
 	}
-	finish := func() {
-		if e.writeDone != nil {
-			close(e.writeDone)
-			e.writeDone = nil
-		}
-		c.cond.Broadcast()
+	e.writing = false
+	if e.writeDone != nil {
+		close(e.writeDone)
+		e.writeDone = nil
 	}
-	if werr != nil {
-		e.writing = false
-		e.rewrite = false
+	c.cond.Broadcast()
+	switch {
+	case werr != nil:
 		if c.ioErr == nil {
 			c.ioErr = fmt.Errorf("storage: write back shard (%d,%d): %w", k.t, k.p, werr)
 		}
-		finish()
-		c.mu.Unlock()
+	case e.refs > 0:
+		// Revived: its last Release retires it.
+		c.countLocked(&c.stats.Writes, c.m.Writes)
+	default:
+		c.countLocked(&c.stats.Writes, c.m.Writes)
+		e.clean = e.gen == gen
+		c.retireLocked(k, e)
 		return
-	}
-	if e.rewrite {
-		e.rewrite = false
-		if e.refs == 0 {
-			// Newer state was released while the older snapshot was being
-			// written; chain the next write (keeping e.writing) so writes of
-			// this shard stay ordered. No revival can be waiting on writeDone
-			// here: a reviver holds a reference, which contradicts refs == 0.
-			finish()
-			c.startWrite(k, e)
-			return
-		}
-		// Revived since: its next Release will write.
-		e.writing = false
-		finish()
-		c.mu.Unlock()
-		return
-	}
-	e.writing = false
-	if e.refs == 0 {
-		if c.maxResident > 0 && c.accountedLocked() <= c.maxResident {
-			// Budgeted mode keeps the written shard as a clean cache entry —
-			// the budget is a shard cache, not just a ceiling — so a
-			// re-Acquire skips the load. Eviction reclaims it LRU-first
-			// whenever a must-have needs the memory.
-			e.clean = true
-		} else {
-			delete(c.cache, k)
-		}
 	}
 	c.updateResidentLocked()
-	finish()
 	c.mu.Unlock()
 }
 
-// Drain blocks until every background load and write-back has completed and
-// returns the first asynchronous write error, if any. The caller must not
-// issue concurrent Prefetch/Release calls while draining.
+// Drain blocks until every background load and write has completed and
+// every dirty shard nobody holds is on the backend, and returns the first
+// asynchronous write error, if any: after a nil Drain the backend has
+// everything but what callers still reference. The caller must not issue
+// concurrent Prefetch/Release calls while draining.
 func (c *Cache) Drain() error {
+	c.pending.Wait()
+	c.mu.Lock()
+	for k, e := range c.cache {
+		if e.dirty() && e.refs == 0 && !e.writing {
+			c.startWriteLocked(k, e)
+		}
+	}
+	c.mu.Unlock()
+	return c.wait()
+}
+
+// wait blocks until the I/O pool is idle and reports the sticky write error.
+func (c *Cache) wait() error {
 	c.pending.Wait()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -776,36 +855,49 @@ func (c *Cache) IOStats() IOStats {
 }
 
 // Flush implements Store: wait for pending I/O, then store every resident
-// shard, keeping all of them cached (the interface's checkpointing
-// contract — prefetched shards and warm cache entries survive). A
-// successful Flush also clears — and thereby retries — earlier asynchronous
-// write-back failures: a failed write-back keeps its shard resident, so
-// rewriting everything resident re-covers exactly the shards whose write
-// was lost.
+// shard that is not clean, keeping all of them cached (the interface's
+// checkpointing contract — prefetched shards and warm cache entries
+// survive). Unreferenced shards it wrote are clean afterwards, so a
+// checkpoint is not followed by a second write of the same bytes when they
+// are evicted. A successful Flush also clears — and thereby retries —
+// earlier asynchronous write failures: a failed write keeps its shard
+// resident and dirty, so writing everything dirty re-covers exactly the
+// shards whose write was lost.
 func (c *Cache) Flush() error {
 	c.pending.Wait()
 	c.mu.Lock()
 	c.ioErr = nil
-	shards := make([]*Shard, 0, len(c.cache))
+	type dirty struct {
+		e   *cacheEntry
+		sh  *Shard
+		gen int64
+	}
+	var shards []dirty
 	for _, e := range c.cache {
-		// Clean retained entries are bit-identical to their durable copy (or
-		// to their deterministic lazy init), so rewriting them on every
-		// checkpoint would be O(warm cache) of writes for nothing.
-		if e.shard != nil && !(e.clean && e.refs == 0) {
-			shards = append(shards, e.shard)
+		// Clean entries are bit-identical to their durable copy (or to their
+		// deterministic lazy init), so rewriting them on every checkpoint
+		// would be O(warm cache) of writes for nothing.
+		if e.dirty() {
+			shards = append(shards, dirty{e, e.shard, e.gen})
 		}
 	}
 	c.mu.Unlock()
-	for _, sh := range shards {
-		if err := c.backend.Store(sh); err != nil {
-			err = fmt.Errorf("storage: flush shard (%d,%d): %w", sh.TypeIndex, sh.Part, err)
-			c.mu.Lock()
+	for _, d := range shards {
+		err := c.backend.Store(d.sh)
+		c.mu.Lock()
+		if err != nil {
+			err = fmt.Errorf("storage: flush shard (%d,%d): %w", d.sh.TypeIndex, d.sh.Part, err)
 			if c.ioErr == nil {
 				c.ioErr = err
 			}
 			c.mu.Unlock()
 			return err
 		}
+		if d.e.refs == 0 && d.e.gen == d.gen {
+			d.e.clean = true
+			c.updateResidentLocked()
+		}
+		c.mu.Unlock()
 	}
 	return nil
 }
@@ -833,12 +925,21 @@ func (c *Cache) residentLocked() int64 {
 	return total
 }
 
-// updateResidentLocked refreshes the resident-bytes gauge. Called at every
+// updateResidentLocked refreshes the resident-bytes gauge — called at every
 // transition that changes real shard memory (load publish, snapshot
 // reservation, write completion, eviction), so a /metrics scrape sees the
-// same footprint ResidentBytes reports.
+// same footprint ResidentBytes reports — and the dirty-bytes gauge beside
+// it: the resident shards a crash right now would lose training of, in use
+// or retained dirty.
 func (c *Cache) updateResidentLocked() {
 	c.m.Resident.Set(c.residentLocked())
+	var dirty int64
+	for _, e := range c.cache {
+		if e.dirty() {
+			dirty += e.size
+		}
+	}
+	c.m.Dirty.Set(dirty)
 }
 
 // Close rejects further background work and waits for what is in flight —
@@ -850,7 +951,7 @@ func (c *Cache) Close() error {
 	c.mu.Lock()
 	c.closed = true
 	c.mu.Unlock()
-	return c.Drain()
+	return c.wait()
 }
 
 // CacheState is one consistent view of a cache's accounting and entries,
@@ -867,11 +968,13 @@ type CacheState struct {
 // EntryState describes one cache entry: Loading until its load has
 // published a shard (Queued while that load still waits for a pool slot),
 // Writing while a Store of it is in flight, Clean when it is identical to
-// its durable copy — evictable once Refs and Waiters are zero.
+// its durable copy — evictable once Refs and Waiters are zero — and Dirty
+// when it is resident and not: in use, or released and retained until the
+// evictor, Flush or Drain writes it.
 type EntryState struct {
-	Type, Part                      int
-	Loading, Queued, Writing, Clean bool
-	Refs, Waiters                   int
+	Type, Part                             int
+	Loading, Queued, Writing, Clean, Dirty bool
+	Refs, Waiters                          int
 }
 
 // State reports the cache's accounting and entries.
@@ -883,7 +986,8 @@ func (c *Cache) State() CacheState {
 		st.Entries = append(st.Entries, EntryState{
 			Type: k.t, Part: k.p,
 			Loading: e.ready != nil, Queued: e.queued, Writing: e.writing, Clean: e.clean,
-			Refs: e.refs, Waiters: e.waiters,
+			Dirty: e.dirty(),
+			Refs:  e.refs, Waiters: e.waiters,
 		})
 	}
 	return st

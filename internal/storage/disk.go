@@ -72,7 +72,9 @@ func newDiskMetrics(reg *obs.Registry) CacheMetrics {
 		Admits:       reg.Counter("pbg_storage_admits_total"),
 		Sheds:        reg.Counter("pbg_storage_prefetch_sheds_total"),
 		ForcedEvicts: reg.Counter("pbg_storage_forced_evicts_total"),
+		CleanWaits:   reg.Counter("pbg_storage_clean_waits_total"),
 		Resident:     reg.Gauge("pbg_storage_resident_bytes"),
+		Dirty:        reg.Gauge("pbg_storage_dirty_bytes"),
 	}
 }
 

@@ -178,8 +178,9 @@ func (l Layout) Decode(b []byte) (*Shard, error) {
 }
 
 // encode streams the image of s to w. The in-memory shard is not modified:
-// fp16 and int8 quantize the embedding block on the way out, inside the
-// same chunked pass the fp32 codec uses.
+// fp16 and int8 quantize the embedding block on the way out in 8 KiB
+// chunks; the float32 blocks — fp32 embeddings, scales, accumulators — go
+// out as one Write each where the host is little-endian (writeFloats).
 func (l Layout) encode(w io.Writer, s *Shard) error {
 	if l.Codec > CodecInt8 {
 		return fmt.Errorf("storage: cannot encode codec %v", l.Codec)

@@ -111,7 +111,10 @@ func checkLayoutSpans(t *testing.T, l Layout, size int64) {
 // whatever it accepts must report blocks that lie inside the input and tile
 // it exactly, carry the header it re-encodes to, and decode without error
 // to the same shard from memory (Layout.Decode) and from a file
-// (ReadShardCodec).
+// (ReadShardCodec). An fp32 image additionally runs the parity leg: the
+// byte-view fast path and the portable per-float loops must read the same
+// floats out of it and write the same bytes back — NaN payloads included,
+// bit for bit.
 func FuzzShardLayout(f *testing.F) {
 	for _, c := range Codecs() {
 		for _, sh := range []*Shard{seededShard(), NewShard(1, 2, 0, 0), NewShard(0, 1, 1, 7)} {
@@ -135,6 +138,17 @@ func FuzzShardLayout(f *testing.F) {
 	for _, c := range Codecs() {
 		f.Add(Layout{Codec: c, Dim: math.MaxInt32}.appendHeader(nil))
 	}
+	// NaNs with payloads, infinities and negative zero must cross untouched.
+	odd := NewShard(0, 0, 2, 3)
+	for i, bits := range []uint32{0x7fc00001, 0xffc12345, 0x7f800001, 0x7f800000, 0xff800000, 0x80000000} {
+		odd.Embs[i] = math.Float32frombits(bits)
+	}
+	odd.Acc[0], odd.Acc[1] = math.Float32frombits(0x7fa00000), math.Float32frombits(1)
+	oddImg, err := LayoutOf(odd, CodecFP32).Encode(odd)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(oddImg)
 
 	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -164,7 +178,41 @@ func FuzzShardLayout(f *testing.F) {
 		if c != l.Codec || !sameBits(fromFile.Embs, sh.Embs) || !sameBits(fromFile.Acc, sh.Acc) {
 			t.Fatalf("file reader and Layout.Decode disagree on %+v", l)
 		}
+		if l.Codec == CodecFP32 {
+			checkFP32Parity(t, l, data, sh)
+		}
 	})
+}
+
+// checkFP32Parity holds the fp32 fast path (sh decoded from img by
+// Layout.Decode) to the portable reference in both directions.
+func checkFP32Parity(t *testing.T, l Layout, img []byte, sh *Shard) {
+	t.Helper()
+	ref := NewShard(l.TypeIndex, l.Part, l.Count, l.Dim)
+	r := bytes.NewReader(img[l.HeaderBytes():])
+	if err := readFloatsPortable(r, ref.Embs); err != nil {
+		t.Fatal(err)
+	}
+	if err := readFloatsPortable(r, ref.Acc); err != nil {
+		t.Fatal(err)
+	}
+	if !sameBits(ref.Embs, sh.Embs) || !sameBits(ref.Acc, sh.Acc) {
+		t.Fatalf("fast and portable decoders read different floats from %+v", l)
+	}
+	fast, err := l.Encode(sh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	portable := bytes.NewBuffer(l.appendHeader(nil))
+	if err := writeFloatsPortable(portable, ref.Embs); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFloatsPortable(portable, ref.Acc); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fast, portable.Bytes()) || !bytes.Equal(fast, img) {
+		t.Fatalf("fast encoder, portable encoder and the source image disagree on %+v", l)
+	}
 }
 
 // patchU32 returns a copy of img with the little-endian word at off replaced.

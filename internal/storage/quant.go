@@ -85,9 +85,13 @@ func ProjectedShardBytesCodec(schema *graph.Schema, dim, t, p int, c Codec) int6
 // image Layout describes. CodecFP32 is bit-exact; fp16 and int8 quantize the
 // embedding block on the way out and leave the in-memory shard untouched.
 func WriteShardCodec(path string, s *Shard, c Codec) error {
-	return writeFileAtomic(path, func(w *bufio.Writer) error {
-		return LayoutOf(s, c).encode(w, s)
-	})
+	l := LayoutOf(s, c)
+	if c == CodecFP32 && hostLittleEndian {
+		// The image is a header and two blocks that already are their bytes:
+		// three writes straight to the file, nothing to buffer.
+		return writeFileAtomic(path, func(f *os.File) error { return l.encode(f, s) })
+	}
+	return writeFileAtomic(path, buffered(func(w *bufio.Writer) error { return l.encode(w, s) }))
 }
 
 // ReadShard loads a shard written by WriteShard or WriteShardCodec,
@@ -110,21 +114,22 @@ func ReadShardCodec(path string) (*Shard, Codec, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	r := bufio.NewReaderSize(f, 1<<20)
-	// A file shorter than the longest header peeks short with io.EOF;
-	// ParseLayout then reports the truncation.
-	hdr, err := r.Peek(headerBytesV2)
-	if err != nil && !errors.Is(err, io.EOF) {
+	// A file shorter than the longest header reads short; ParseLayout then
+	// reports the truncation.
+	var hdr [headerBytesV2]byte
+	n, err := io.ReadFull(f, hdr[:])
+	if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
 		return nil, 0, fmt.Errorf("storage: shard header %s: %w", path, err)
 	}
-	l, err := ParseLayout(hdr, fi.Size())
+	l, err := ParseLayout(hdr[:n], fi.Size())
 	if err != nil {
 		return nil, 0, fmt.Errorf("%w (%s)", err, path)
 	}
-	if _, err := r.Discard(int(l.HeaderBytes())); err != nil {
-		return nil, 0, err
+	var blocks io.Reader = io.NewSectionReader(f, l.HeaderBytes(), l.Size()-l.HeaderBytes())
+	if l.Codec != CodecFP32 || !hostLittleEndian {
+		blocks = bufio.NewReaderSize(blocks, 1<<20) // the chunked decoders read 8 KiB at a time
 	}
-	s, err := l.decode(r)
+	s, err := l.decode(blocks)
 	return s, l.Codec, err
 }
 

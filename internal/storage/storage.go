@@ -21,19 +21,27 @@
 //     shards while the current bucket trains.
 //   - Cache.SetMaxResidentBytes(n) turns the store into a memory-budgeted
 //     shard cache: resident shards, in-flight load projections, and
-//     write-back snapshots are accounted against n — hints that don't fit
-//     are dropped or shed (youngest queued hint first), must-have Acquires
-//     evict clean unreferenced shards LRU-by-last-release, and only a
-//     working set that simply cannot fit runs over budget. n = 0 disables
-//     budgeting (and clean-shard retention) entirely.
+//     write snapshots are accounted against n — hints that don't fit are
+//     dropped or shed (youngest queued hint first), a released shard stays
+//     resident — dirty, unwritten — while it fits, must-have Acquires evict
+//     unreferenced shards LRU-by-last-release (a dirty one is written
+//     first), and only a working set that simply cannot fit runs over
+//     budget. n = 0 disables budgeting and retention entirely: a released
+//     shard is written and dropped.
+//
+// The write rule is one: a modified shard is stored when it has to leave
+// memory — at eviction (or just ahead of it), at Flush, Drain and Close, and
+// at the last Release of a cache that retains nothing. Cache.Drain is the
+// call after which everything nobody holds is on the backend.
 //
 // Cache.IOStats reports the resulting decisions as cumulative per-cache
 // counters: Loads and Writes are the raw backend I/O; Admits counts loads
 // that passed budget admission; PrefetchSheds counts hints the budget
-// refused; ForcedEvicts counts clean shards evicted to make room for a
-// must-have. The budget_aware bucket order (internal/partition) exists to
-// drive ForcedEvicts toward zero by sequencing buckets so the cache's
-// working set turns over as little as possible.
+// refused; ForcedEvicts counts shards evicted to make room for a must-have;
+// CleanWaits counts Acquires that had to wait for a write. The budget_aware
+// bucket order (internal/partition) exists to drive ForcedEvicts toward
+// zero by sequencing buckets so the cache's working set turns over as
+// little as possible.
 package storage
 
 import (
@@ -48,6 +56,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"pbg/internal/graph"
 	"pbg/internal/rng"
@@ -153,20 +162,15 @@ func ProjectedShardBytes(schema *graph.Schema, dim, t, p int) int64 {
 var tmpSeq atomic.Uint64
 
 // writeFileAtomic writes the output of emit to path via a unique temp file +
-// rename.
-func writeFileAtomic(path string, emit func(w *bufio.Writer) error) error {
+// rename. emit gets the file itself; writers of many small pieces wrap it
+// with buffered.
+func writeFileAtomic(path string, emit func(f *os.File) error) error {
 	tmp := fmt.Sprintf("%s.tmp%d", path, tmpSeq.Add(1))
 	f, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("storage: create %s: %w", tmp, err)
 	}
-	w := bufio.NewWriterSize(f, 1<<20)
-	if err := emit(w); err != nil {
-		_ = f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := w.Flush(); err != nil {
+	if err := emit(f); err != nil {
 		_ = f.Close()
 		os.Remove(tmp)
 		return err
@@ -182,6 +186,18 @@ func writeFileAtomic(path string, emit func(w *bufio.Writer) error) error {
 		return err
 	}
 	return nil
+}
+
+// buffered adapts an emitter of many small writes to writeFileAtomic: it
+// runs emit over a 1 MiB buffer and flushes it.
+func buffered(emit func(w *bufio.Writer) error) func(*os.File) error {
+	return func(f *os.File) error {
+		w := bufio.NewWriterSize(f, 1<<20)
+		if err := emit(w); err != nil {
+			return err
+		}
+		return w.Flush()
+	}
 }
 
 // ShardPath is the canonical on-disk location of shard (t, p) under dir.
@@ -201,10 +217,11 @@ func WriteShard(path string, s *Shard) error {
 // instead of reflective binary.Write/binary.Read calls, which is roughly an
 // order of magnitude faster on large shards and allocation-free — shard
 // (de)serialisation sits on the bucket-swap path the pipelined executor is
-// trying to hide. The four chunked loops are deliberately spelled out
-// rather than sharing a generic core: a per-element conversion callback
-// measures ~2.4× slower (the closure defeats inlining), so any change to
-// the chunking logic must be mirrored across all four.
+// trying to hide. The chunked loops are deliberately spelled out rather
+// than sharing a generic core: a per-element conversion callback measures
+// ~2.4× slower (the closure defeats inlining), so any change to the
+// chunking logic must be mirrored across all of them. float32 blocks skip
+// the loop altogether where the host's byte order is the format's.
 
 const codecChunk = 8192 // bytes per encode/decode batch
 
@@ -223,7 +240,35 @@ func readU64(r io.Reader) (uint64, error) {
 	return binary.LittleEndian.Uint64(b[:]), nil
 }
 
+// hostLittleEndian is observed once, at package initialisation: on a
+// little-endian host the fp32 blocks of a shard image are the in-memory
+// []float32, byte for byte, so they move as one Write or ReadFull each.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// floatBytes views xs as its bytes in host order.
+func floatBytes(xs []float32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(xs))), 4*len(xs))
+}
+
 func writeFloats(w io.Writer, xs []float32) error {
+	if !hostLittleEndian {
+		return writeFloatsPortable(w, xs)
+	}
+	_, err := w.Write(floatBytes(xs))
+	return err
+}
+
+func readFloats(r io.Reader, xs []float32) error {
+	if !hostLittleEndian {
+		return readFloatsPortable(r, xs)
+	}
+	_, err := io.ReadFull(r, floatBytes(xs))
+	return err
+}
+
+// writeFloatsPortable is the byte-order-independent encoder: the path of a
+// big-endian host, and the reference the tests hold writeFloats to.
+func writeFloatsPortable(w io.Writer, xs []float32) error {
 	var buf [codecChunk]byte
 	for len(xs) > 0 {
 		n := len(buf) / 4
@@ -241,7 +286,7 @@ func writeFloats(w io.Writer, xs []float32) error {
 	return nil
 }
 
-func readFloats(r io.Reader, xs []float32) error {
+func readFloatsPortable(r io.Reader, xs []float32) error {
 	var buf [codecChunk]byte
 	for len(xs) > 0 {
 		n := len(buf) / 4
@@ -304,7 +349,8 @@ type Store interface {
 	// Acquires return the same shard and increase a refcount.
 	Acquire(typeIndex, part int) (*Shard, error)
 	// Release drops one reference; when it reaches zero a Cache writes the
-	// shard to its backend and evicts it.
+	// shard to its backend and evicts it — or, under a memory budget, keeps
+	// it resident and writes it when it has to leave.
 	Release(typeIndex, part int) error
 	// Prefetch hints that (typeIndex, part) will be Acquired soon. It must
 	// not block on I/O and takes no reference: implementations may start
@@ -411,7 +457,7 @@ func (m *MemStore) Close() error { return nil }
 // WriteEdges persists an edge list in a compact binary format (bucket files
 // on the shared filesystem in Figure 2's architecture).
 func WriteEdges(path string, el *graph.EdgeList) error {
-	return writeFileAtomic(path, func(w *bufio.Writer) error {
+	return writeFileAtomic(path, buffered(func(w *bufio.Writer) error {
 		if err := writeU64(w, uint64(el.Len())); err != nil {
 			return err
 		}
@@ -421,7 +467,7 @@ func WriteEdges(path string, el *graph.EdgeList) error {
 			}
 		}
 		return nil
-	})
+	}))
 }
 
 // ReadEdges loads an edge list written by WriteEdges.
@@ -458,7 +504,7 @@ type RelationState struct {
 
 // WriteRelations persists relation parameters.
 func WriteRelations(path string, rs *RelationState) error {
-	return writeFileAtomic(path, func(w *bufio.Writer) error {
+	return writeFileAtomic(path, buffered(func(w *bufio.Writer) error {
 		if err := writeU64(w, uint64(len(rs.Params))); err != nil {
 			return err
 		}
@@ -474,7 +520,7 @@ func WriteRelations(path string, rs *RelationState) error {
 			}
 		}
 		return nil
-	})
+	}))
 }
 
 // ReadRelations loads relation parameters written by WriteRelations.

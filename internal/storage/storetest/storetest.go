@@ -58,7 +58,8 @@ func NewDisk(tb testing.TB, dir string, schema *graph.Schema, dim int, seed uint
 // in one State snapshot: the admission measure must cover everything
 // resident, and resident bytes may exceed the budget only while nothing is
 // left to evict — every shard still cached is referenced, awaited, or in
-// flight.
+// flight (a dirty idle shard counts as left to evict: the cache must have
+// started its write).
 func CheckBudget(st storage.CacheState) error {
 	if st.Accounted < st.Resident {
 		return fmt.Errorf("storetest: accounted %d bytes < resident %d", st.Accounted, st.Resident)
@@ -67,9 +68,9 @@ func CheckBudget(st storage.CacheState) error {
 		return nil
 	}
 	for _, e := range st.Entries {
-		if e.Clean && e.Refs == 0 && e.Waiters == 0 && !e.Loading && !e.Writing {
-			return fmt.Errorf("storetest: resident %d over budget %d while clean shard (%d,%d) is evictable",
-				st.Resident, st.Budget, e.Type, e.Part)
+		if e.Refs == 0 && e.Waiters == 0 && !e.Loading && !e.Writing {
+			return fmt.Errorf("storetest: resident %d over budget %d while idle shard (%d,%d) is evictable (clean=%v)",
+				st.Resident, st.Budget, e.Type, e.Part, e.Clean)
 		}
 	}
 	return nil

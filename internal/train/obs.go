@@ -92,9 +92,11 @@ func (t *Trainer) startBucketSpan(b partition.Bucket) *obs.Span {
 //
 //	epoch 3: loss/edge 0.0412  edges 120000  2.10s  IO 24  iowait 3%
 //
-// followed by "active N%" — the share of scored negatives that carried
-// gradient — when the epoch counted any, and by "lookahead D (action)
-// resident X.XMB" when the adaptive controller ran this epoch.
+// followed by "swap N in / M out" — the shards the store loaded and wrote
+// back — when the store counted any, by "active N%" — the share of scored
+// negatives that carried gradient — when the epoch counted any, and by
+// "lookahead D (action) resident X.XMB" when the adaptive controller ran
+// this epoch.
 func (s EpochStats) Summary() string {
 	edges := s.Edges
 	if edges < 1 {
@@ -107,6 +109,9 @@ func (s EpochStats) Summary() string {
 	}
 	line := fmt.Sprintf("epoch %d: loss/edge %.4f  edges %d  %.2fs  IO %d  iowait %.0f%%",
 		s.Epoch, s.Loss/float64(edges), s.Edges, secs, s.PartitionIO, ioShare)
+	if s.SwapIn+s.SwapOut > 0 {
+		line += fmt.Sprintf("  swap %d in / %d out", s.SwapIn, s.SwapOut)
+	}
 	if s.Negatives > 0 {
 		line += fmt.Sprintf("  active %.0f%%", 100*float64(s.ActiveNegatives)/float64(s.Negatives))
 	}

@@ -27,10 +27,12 @@ func TestTrainerRecordsMetrics(t *testing.T) {
 
 	snap := hub.Reg.Snapshot()
 	var edges, swaps int
+	var swapIn int64
 	var lastAction string
 	for _, s := range stats {
 		edges += s.Edges
 		swaps += s.PartitionIO
+		swapIn += s.SwapIn
 		lastAction = s.LookaheadAction
 	}
 	if got := snap.Counters["pbg_train_edges_total"]; got != int64(edges) {
@@ -73,6 +75,11 @@ func TestTrainerRecordsMetrics(t *testing.T) {
 	if snap.Counters["pbg_storage_loads_total"] <= 0 {
 		t.Error("storage loads did not land in the shared registry")
 	}
+	// The epochs' SwapIn are deltas of the same count (loads are synchronous
+	// or joined before the epoch ends, so nothing falls between two epochs).
+	if swapIn != store.IOStats().Loads {
+		t.Errorf("EpochStats.SwapIn sum to %d, store loaded %d", swapIn, store.IOStats().Loads)
+	}
 	// Spans: each epoch recorded a span with bucket children on the train
 	// track.
 	var epochs, buckets int
@@ -108,6 +115,10 @@ func TestEpochSummaryFormat(t *testing.T) {
 	s.Negatives, s.ActiveNegatives = 4000, 1000
 	if got := s.Summary(); !strings.Contains(got, "iowait 0%  active 25%  lookahead") {
 		t.Errorf("Summary() with negative counts = %q", got)
+	}
+	s.SwapIn, s.SwapOut = 41, 38
+	if got := s.Summary(); !strings.Contains(got, "iowait 0%  swap 41 in / 38 out  active 25%") {
+		t.Errorf("Summary() with swap counts = %q", got)
 	}
 	// Zero-edge epochs must not render NaN.
 	if got := (EpochStats{}).Summary(); strings.Contains(got, "NaN") {

@@ -208,13 +208,20 @@ func (c Config) withDefaults() Config {
 
 // EpochStats summarises one epoch.
 type EpochStats struct {
-	Epoch         int
-	Loss          float64
-	Edges         int
-	Duration      time.Duration
-	PartitionIO   int // partition loads (swap-ins) this epoch
-	PeakResident  int64
-	BucketsActive int
+	Epoch       int
+	Loss        float64
+	Edges       int
+	Duration    time.Duration
+	PartitionIO int // partition loads (swap-ins) this epoch
+	// SwapIn and SwapOut are the shards the store actually loaded from and
+	// wrote to its backend during the epoch (storage.IOStats Loads and
+	// Writes), where the store counts them; zero elsewhere. PartitionIO is
+	// what the bucket order asked for, these are what the shard cache made
+	// of it — a budgeted cache writes a shard when it leaves memory, so
+	// SwapOut tracks SwapIn, not the number of releases.
+	SwapIn, SwapOut int64
+	PeakResident    int64
+	BucketsActive   int
 	// IOWait is how long the epoch thread stalled on shard acquire/release
 	// I/O at bucket transitions; with the pipelined executor most loads and
 	// write-backs overlap training, so IOWait shrinks toward zero while the
@@ -546,6 +553,11 @@ func (t *Trainer) TrainEpoch() (EpochStats, error) {
 	t.epochSpan = t.obs.Trace.Start("train", fmt.Sprintf("epoch %d", t.epochsRun))
 	ioBase, computeBase := t.tm.ioWait.Value(), t.tm.compute.Value()
 	negBase, activeBase := t.tm.negatives.Value(), t.tm.negativesActive.Value()
+	counted, _ := t.store.(interface{ IOStats() storage.IOStats })
+	var ioStatsBase storage.IOStats
+	if counted != nil {
+		ioStatsBase = counted.IOStats()
+	}
 	items := t.epochItems()
 	var err error
 	if t.cfg.PipelineOff {
@@ -559,6 +571,10 @@ func (t *Trainer) TrainEpoch() (EpochStats, error) {
 	stats.Compute = time.Duration(t.tm.compute.Value() - computeBase)
 	stats.Negatives = t.tm.negatives.Value() - negBase
 	stats.ActiveNegatives = t.tm.negativesActive.Value() - activeBase
+	if counted != nil {
+		io := counted.IOStats()
+		stats.SwapIn, stats.SwapOut = io.Loads-ioStatsBase.Loads, io.Writes-ioStatsBase.Writes
+	}
 	stats.Duration = time.Since(start)
 	stats.PeakResident = t.peakBytes
 	stats.ResidentHighWater = t.epochHighWater

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"pbg/internal/storage"
 )
 
 func TestPublicAPIEndToEnd(t *testing.T) {
@@ -69,6 +71,51 @@ func TestTrainOnDisk(t *testing.T) {
 	})
 	if _, err := m.Embedding("node", 250); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTrainOnDiskBudgetedShardsAreOnDisk: TrainOnDisk returns after the
+// store's Drain, and a nil error means the trained shards really are on
+// disk — also under a memory budget, where released shards stay resident
+// and dirty until something makes them leave. Without closing the store,
+// every shard file must hold the model's embeddings bit for bit.
+func TestTrainOnDiskBudgetedShardsAreOnDisk(t *testing.T) {
+	const parts, dim = 4, 8
+	g, err := SocialGraph(SocialGraphConfig{Nodes: 400, AvgOutDegree: 6, NumPartitions: parts, Seed: 61})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	budget := 3 * storage.ProjectedShardBytes(g.Schema, dim, 0, 0)
+	m, err := TrainOnDisk(g, dir, TrainConfig{Dim: dim, Epochs: 2, Seed: 5, MemBudgetBytes: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := m.store.Close(); err != nil {
+			t.Errorf("closing the model's store: %v", err)
+		}
+	})
+	// Files first: reading the model below goes through the store.
+	files := make([]*storage.Shard, parts)
+	for p := range files {
+		if files[p], err = storage.ReadShard(storage.ShardPath(dir, 0, p)); err != nil {
+			t.Fatalf("shard %d is not on disk after TrainOnDisk returned: %v", p, err)
+		}
+	}
+	mat, err := m.EmbeddingMatrix("node")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ent := g.Schema.Entities[0]
+	for id := 0; id < ent.Count; id++ {
+		p := ent.PartitionOf(int32(id))
+		onDisk := files[p].Row(ent.LocalOffset(int32(id)))
+		for j, v := range mat.Row(id) {
+			if math.Float32bits(v) != math.Float32bits(onDisk[j]) {
+				t.Fatalf("node %d cell %d: model %v, shard file %d holds %v", id, j, v, p, onDisk[j])
+			}
+		}
 	}
 }
 
