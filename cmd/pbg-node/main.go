@@ -187,21 +187,20 @@ func main() {
 		}
 		defer node.Close()
 		for e := 0; e < *epochs; e++ {
-			// Rank 0 starts each epoch on the lock server.
+			// Rank 0 starts each epoch on the lock server, by number.
 			if *rank == 0 {
-				conn, err := net.DialTimeout("tcp", *lock, 5*time.Second)
-				if err != nil {
-					log.Fatalf("dial lock server %s: %v", *lock, err)
-				}
-				c := rpc.NewClient(conn)
 				var rep dist.StartEpochReply
-				if err := c.Call("LockServer.StartEpoch", dist.StartEpochArgs{}, &rep); err != nil {
+				if err := lockCall(*lock, "LockServer.StartEpoch", dist.StartEpochArgs{Epoch: e + 1}, &rep); err != nil {
 					log.Fatal(err)
 				}
-				_ = c.Close()
 			}
 			st, err := node.RunEpoch()
 			if err != nil {
+				// The lease table says who held what when the epoch failed.
+				var es dist.EpochStateReply
+				if lerr := lockCall(*lock, "LockServer.EpochState", dist.EpochStateArgs{}, &es); lerr == nil {
+					log.Printf("epoch %d failed with %d buckets done; leases: %+v", es.Epoch, len(es.Done), es.Leases)
+				}
 				log.Fatal(err)
 			}
 			fmt.Println(st.Summary(*rank, e))
@@ -210,6 +209,18 @@ func main() {
 		flag.Usage()
 		log.Fatalf("unknown role %q", *role)
 	}
+}
+
+// lockCall makes one call to the lock server at addr over a connection of
+// its own.
+func lockCall(addr, method string, args, reply any) error {
+	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	if err != nil {
+		return fmt.Errorf("dial lock server %s: %w", addr, err)
+	}
+	c := rpc.NewClient(conn)
+	defer c.Close()
+	return c.Call(method, args, reply)
 }
 
 func mustGraph(nodes, avgDeg, p int, seed uint64) *graph.Graph {

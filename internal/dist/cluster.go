@@ -78,11 +78,10 @@ type Cluster struct {
 	partSrvs []*PartitionServer
 	paramSrv *ParamServer
 
-	// nextEpoch is the lock-server epoch the next RunEpoch will train;
-	// pendingResume means that epoch was already started by the checkpointed
-	// run, so the next RunEpoch must not call StartEpoch again.
-	nextEpoch     int
-	pendingResume bool
+	// nextEpoch is the lock-server epoch the next RunEpoch will train. After
+	// a resume from a cut taken mid-epoch it is the epoch the checkpointed
+	// run had already started, which StartEpoch answers without a reset.
+	nextEpoch int
 
 	ckptStop chan struct{}
 	ckptDone chan struct{}
@@ -171,16 +170,13 @@ func NewCluster(g *graph.Graph, order []partition.Bucket, cfg ClusterConfig) (*C
 	epochBase := 0
 	if manifest != nil && manifest.Epoch > 0 {
 		lockOpts = append(lockOpts, WithRestoredEpoch(manifest.Epoch, manifest.Done))
-		// An interrupted epoch (done set not covering the grid) continues
-		// without a fresh StartEpoch; a cut taken between epochs moves on.
-		cl.pendingResume = len(manifest.Done) < len(order)
-		if cl.pendingResume {
-			cl.nextEpoch = manifest.Epoch
-			epochBase = manifest.Epoch - 1
-		} else {
-			cl.nextEpoch = manifest.Epoch + 1
-			epochBase = manifest.Epoch
+		// An interrupted epoch (done set not covering the grid) continues; a
+		// cut taken between epochs moves on.
+		cl.nextEpoch = manifest.Epoch
+		if len(manifest.Done) == len(order) {
+			cl.nextEpoch++
 		}
+		epochBase = cl.nextEpoch - 1
 	}
 	cl.lockSrv = NewLockServer(order, lockOpts...)
 	l, lockAddr, err := serve(map[string]any{"LockServer": cl.lockSrv})
@@ -260,17 +256,15 @@ func (cl *Cluster) NextEpoch() int { return cl.nextEpoch }
 // deaths mid-epoch are tolerated: the dead nodes' leases expire, survivors
 // retrain their buckets, and the failed ranks are reported in
 // EpochStats.Failed — the epoch only fails if every node dies. Without a
-// TTL any node error fails the epoch (the original fail-stop model).
+// TTL any node error fails the epoch (the original fail-stop model). An
+// epoch in which no rank failed and yet fewer buckets were committed than
+// the lock server had pending is an error, not a short epoch.
 func (cl *Cluster) RunEpoch() (EpochStats, error) {
-	if cl.pendingResume {
-		// The checkpointed run already started this epoch; its done buckets
-		// are marked on the scheduler and must not be reset.
-		cl.pendingResume = false
-	} else {
-		var rep StartEpochReply
-		if err := cl.lock.Call("LockServer.StartEpoch", StartEpochArgs{}, &rep); err != nil {
-			return EpochStats{}, err
-		}
+	// StartEpoch names the epoch, so a retry after a lost reply — or the
+	// epoch a checkpointed run had already started — changes nothing.
+	var started StartEpochReply
+	if err := cl.lock.Call("LockServer.StartEpoch", StartEpochArgs{Epoch: cl.nextEpoch}, &started); err != nil {
+		return EpochStats{}, err
 	}
 	start := time.Now()
 	stats := make([]EpochStats, len(cl.Nodes))
@@ -323,6 +317,7 @@ func (cl *Cluster) RunEpoch() (EpochStats, error) {
 		merged.Edges += stats[i].Edges
 		merged.Buckets += stats[i].Buckets
 		merged.PartitionIO += stats[i].PartitionIO
+		merged.Puts += stats[i].Puts
 		merged.IOWait += stats[i].IOWait
 		merged.Compute += stats[i].Compute
 		merged.LeaseWait += stats[i].LeaseWait
@@ -330,6 +325,9 @@ func (cl *Cluster) RunEpoch() (EpochStats, error) {
 	}
 	sort.Slice(merged.PerNode, func(i, j int) bool { return merged.PerNode[i].Rank < merged.PerNode[j].Rank })
 	merged.Duration = time.Since(start)
+	if len(failed) == 0 && merged.Buckets < started.Pending {
+		return merged, fmt.Errorf("dist: epoch %d committed %d buckets, the lock server had %d pending", cl.nextEpoch, merged.Buckets, started.Pending)
+	}
 	cl.nextEpoch++
 	return merged, nil
 }
@@ -337,10 +335,11 @@ func (cl *Cluster) RunEpoch() (EpochStats, error) {
 // Checkpoint writes a consistency cut into CheckpointDir: the lock server's
 // epoch progress is snapshotted first, then the durable partition servers
 // flush their write-behind queues, then the manifest (epoch, done buckets,
-// relation parameters) commits atomically. Because the progress snapshot
-// precedes the flush, the durable shards are always at least as new as the
-// manifest's cut — a resume retrains at most the buckets that were in
-// flight, never loses a committed one.
+// relation parameters) commits atomically. A bucket is done only after both
+// its partitions were stored, and the progress snapshot precedes the flush,
+// so the durable shards are always at least as new as the manifest's cut —
+// a resume retrains at most the buckets that were leased (in training, or
+// trained and not yet stored), never loses a committed one.
 func (cl *Cluster) Checkpoint() error {
 	if cl.cfg.CheckpointDir == "" {
 		return fmt.Errorf("dist: cluster has no CheckpointDir")
@@ -404,6 +403,9 @@ func (cl *Cluster) Shutdown() {
 		}
 		if cl.lock != nil {
 			_ = cl.lock.Close()
+		}
+		if cl.lockSrv != nil {
+			cl.lockSrv.close()
 		}
 		for _, ps := range cl.partSrvs {
 			ps.closeDurable()

@@ -18,13 +18,18 @@
 //     partitions" constraint through partition.Scheduler.
 //   - Partitioned entity embeddings: owned by the PartitionServer shard that
 //     the (entity type, partition) key hashes to; a trainer checks the two
-//     partitions of its current bucket out, trains them locally with HOGWILD
-//     workers, and writes them back before releasing the bucket, so at most
-//     one trainer ever holds a partition. The trainer's side of that swap is
-//     a storage.Cache — the same refcounts, prefetch pool and memory budget
-//     a local DiskStore runs on — over a backend of fenced Get/Put RPCs
-//     (store.go), built write-through because the server's copy is the next
-//     lease holder's the moment the bucket is released.
+//     partitions of its current bucket out and trains them locally with
+//     HOGWILD workers. It is leased its next bucket while it still holds
+//     them, keeps the partition the two buckets share and writes back only
+//     the one they do not, so a partition leaves a trainer when no upcoming
+//     bucket of that trainer needs it; at most one trainer ever holds a
+//     partition, and a bucket is done once both its partitions have been
+//     written back (LockServer has the states, Node.RunEpoch the loop). The
+//     trainer's side of the swap is a storage.Cache — the same refcounts,
+//     prefetch pool and memory budget a local DiskStore runs on — over a
+//     backend of fenced Get/Put RPCs (store.go), built write-through because
+//     the server's copy is the next holder's the moment the trainer lets the
+//     partition go.
 //   - Relation parameters: updated by every trainer concurrently, so they are
 //     synchronised optimistically: a background goroutine pushes the local
 //     delta since the last sync and pulls the global value every
@@ -182,79 +187,104 @@ func wireLayout(b []byte) (storage.Layout, error) {
 
 // --- Lock server wire types ---
 
-// StartEpochArgs begins a new epoch on the lock server (called once per
-// epoch, by rank 0 in multi-process deployments).
-type StartEpochArgs struct{}
-
-// StartEpochReply reports the epoch number just started (1-based).
-type StartEpochReply struct {
+// StartEpochArgs begins epoch Epoch on the lock server (called once per
+// epoch, by rank 0 in multi-process deployments). Naming the epoch makes the
+// call idempotent: a repeat for the epoch the server is already in — a retry
+// after a lost reply — is answered with it and changes nothing.
+type StartEpochArgs struct {
 	Epoch int
 }
 
-// AcquireArgs requests a bucket lease for the given epoch. Held lists the
-// partitions the trainer most recently worked on, so the scheduler can
-// prefer buckets that reuse them (less partition-server traffic).
+// StartEpochReply reports the epoch the server is in (1-based) and how many
+// of its buckets are still to be committed.
+type StartEpochReply struct {
+	Epoch   int
+	Pending int
+}
+
+// AcquireArgs requests a bucket lease for the given epoch. Token is the
+// newest fencing token the rank holds (0 when it holds nothing): it proves
+// the rank's leases are still its own, and a grant the rank evidently never
+// saw — the reply was lost — is answered again instead of a second one
+// being made.
 type AcquireArgs struct {
 	Epoch int
 	Rank  int
-	Held  []int
+	Token uint64
 }
 
-// AcquireReply grants a bucket, asks the trainer to retry, or declares the
-// epoch finished.
+// AcquireReply grants a bucket, declares the epoch finished, or neither. A
+// caller that holds partitions is never made to wait: "neither" tells it
+// that nothing is reachable from what it holds, and it must store them and
+// let go (ReleaseBucket) before asking again. A caller that holds nothing
+// has by then waited on the server for the answer to change, and asks again
+// at once.
 type AcquireReply struct {
-	// Granted means Bucket is leased to the caller until ReleaseBucket.
+	// Granted means Bucket is leased to the caller, on top of the leases and
+	// partitions it already holds.
 	Granted bool
 	Bucket  partition.Bucket
-	// Done means every bucket of the requested epoch has been trained (or
+	// Done means every bucket of the requested epoch has been committed (or
 	// the server has already moved past that epoch).
 	Done bool
-	// Token fences the lease: it is strictly monotonic across all grants, it
-	// must accompany Heartbeat/ReleaseBucket/AbandonBucket calls for this
-	// lease, and the trainer stamps it on every partition-server write for
-	// the bucket so a write from a superseded lease can be rejected.
+	// Token fences the lease: it is strictly monotonic across all grants and
+	// from here on it is the token the rank carries on every lock-server
+	// call and stamps on every partition-server read and write, so a write
+	// from a superseded lease can be rejected.
 	Token uint64
 	// TTL is the lease time-to-live the server enforces (0 = leases never
-	// expire). A trainer must Heartbeat well within TTL or the lease is
-	// abandoned back to the scheduler for re-leasing.
+	// expire). A trainer must Heartbeat well within TTL or every lease it
+	// holds goes back to the scheduler for re-leasing.
 	TTL time.Duration
-	// RetryAfter hints how long the caller should wait before re-asking when
-	// the reply is neither Granted nor Done — longer when the epoch has not
-	// started yet, shorter when buckets are merely contended — so trainers
-	// stop busy-polling the lock server.
-	RetryAfter time.Duration
 }
 
-// ReleaseArgs returns a completed (or abandoned) bucket lease. Token must be
-// the fencing token the lease was granted under; a stale token (the lease
-// expired and was re-granted) is rejected with a staleLeaseMsg error.
+// ReleaseArgs reports what a rank has stored and let go of. Buckets are the
+// leases to commit: trained, with the post-training bytes of both their
+// partitions on the partition servers. Parts are the partitions the rank no
+// longer holds, free for other trainers from here on whether or not the
+// buckets that touched them have committed. Token must be the rank's newest
+// fencing token; a stale one (its leases expired) is rejected with a
+// staleLeaseMsg error. AbandonBucket takes the same arguments and returns
+// every lease and partition of the rank, uncommitted; Buckets and Parts are
+// ignored there.
 type ReleaseArgs struct {
-	Epoch  int
-	Rank   int
-	Bucket partition.Bucket
-	Token  uint64
+	Epoch   int
+	Rank    int
+	Token   uint64
+	Buckets []partition.Bucket
+	Parts   []int
 }
 
-// HeartbeatArgs renews the lease on Bucket. The server resets the lease
-// deadline to now+TTL; a heartbeat carrying a stale token is rejected so a
-// zombie trainer learns it has lost the bucket.
+// HeartbeatArgs renews every lease of Rank: the server resets their shared
+// deadline to now+TTL. A heartbeat from a rank whose leases have expired is
+// rejected so a zombie trainer learns it has lost them.
 type HeartbeatArgs struct {
-	Epoch  int
-	Rank   int
-	Bucket partition.Bucket
-	Token  uint64
+	Epoch int
+	Rank  int
+	Token uint64
 }
 
 // EpochStateArgs asks the lock server for its current epoch progress.
 type EpochStateArgs struct{}
 
-// EpochStateReply snapshots epoch progress for checkpointing: the current
-// epoch, the buckets already completed in it, and how many leases are
-// outstanding.
+// EpochStateReply snapshots epoch progress for checkpointing and for
+// diagnosis: the current epoch, the buckets committed in it, and the lease
+// table.
 type EpochStateReply struct {
 	Epoch  int
 	Done   []partition.Bucket
-	Leases int
+	Leases []LeaseInfo
+}
+
+// LeaseInfo is one outstanding lease. Uncommitted means the holder has
+// trained the bucket and still carries one of its partitions: it is done
+// only once both are stored.
+type LeaseInfo struct {
+	Rank        int
+	Bucket      partition.Bucket
+	Token       uint64
+	Deadline    time.Time // zero when the server runs without a TTL
+	Uncommitted bool
 }
 
 // Ack is an empty RPC reply.

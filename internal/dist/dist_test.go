@@ -56,6 +56,7 @@ func TestLockServerDisjointLeases(t *testing.T) {
 		t.Fatal(err)
 	}
 	ls := NewLockServer(order)
+	ls.maxWait = 0 // the simulated trainers share this goroutine: nobody to wait for
 
 	// Asking for epoch 1 before StartEpoch: neither granted nor done.
 	var rep AcquireReply
@@ -69,7 +70,7 @@ func TestLockServerDisjointLeases(t *testing.T) {
 	established := map[int]bool{}
 	for epoch := 1; epoch <= 2; epoch++ {
 		var se StartEpochReply
-		if err := ls.StartEpoch(StartEpochArgs{}, &se); err != nil {
+		if err := ls.StartEpoch(StartEpochArgs{Epoch: epoch}, &se); err != nil {
 			t.Fatal(err)
 		}
 		if se.Epoch != epoch {
@@ -122,7 +123,7 @@ func TestLockServerDisjointLeases(t *testing.T) {
 				established[b.P1] = true
 				established[b.P2] = true
 				var ack Ack
-				if err := ls.ReleaseBucket(ReleaseArgs{Epoch: epoch, Rank: rank, Bucket: b, Token: tokens[rank]}, &ack); err != nil {
+				if err := ls.ReleaseBucket(ReleaseArgs{Epoch: epoch, Rank: rank, Token: tokens[rank], Buckets: []partition.Bucket{b}}, &ack); err != nil {
 					t.Fatal(err)
 				}
 				trained[b]++
@@ -152,7 +153,7 @@ func TestLockServerDisjointLeases(t *testing.T) {
 		t.Fatal("stale epoch should report done")
 	}
 	var ack Ack
-	if err := ls.ReleaseBucket(ReleaseArgs{Epoch: 2, Bucket: partition.Bucket{P1: 0, P2: 0}}, &ack); err == nil {
+	if err := ls.ReleaseBucket(ReleaseArgs{Epoch: 2, Buckets: []partition.Bucket{{P1: 0, P2: 0}}}, &ack); err == nil {
 		t.Fatal("expected error releasing unleased bucket")
 	}
 }

@@ -47,7 +47,7 @@ func TestLeaseExpiryEdgeCases(t *testing.T) {
 		clock := newFakeClock()
 		withClock(ls, clock)
 		var se StartEpochReply
-		if err := ls.StartEpoch(StartEpochArgs{}, &se); err != nil {
+		if err := ls.StartEpoch(StartEpochArgs{Epoch: 1}, &se); err != nil {
 			t.Fatal(err)
 		}
 		return ls, clock
@@ -58,7 +58,7 @@ func TestLeaseExpiryEdgeCases(t *testing.T) {
 		rep := mustAcquire(t, ls, 1, 0)
 		clock.advance(ttl + time.Millisecond)
 		var ack Ack
-		err := ls.ReleaseBucket(ReleaseArgs{Epoch: 1, Rank: 0, Bucket: rep.Bucket, Token: rep.Token}, &ack)
+		err := ls.ReleaseBucket(ReleaseArgs{Epoch: 1, Rank: 0, Token: rep.Token, Buckets: []partition.Bucket{rep.Bucket}}, &ack)
 		if !IsStaleLease(err) {
 			t.Fatalf("release after expiry = %v, want stale-lease rejection", err)
 		}
@@ -85,18 +85,18 @@ func TestLeaseExpiryEdgeCases(t *testing.T) {
 		}
 		// The zombie's whole lease vocabulary is now rejected...
 		var ack Ack
-		if err := ls.Heartbeat(HeartbeatArgs{Epoch: 1, Rank: 0, Bucket: rep.Bucket, Token: rep.Token}, &ack); !IsStaleLease(err) {
+		if err := ls.Heartbeat(HeartbeatArgs{Epoch: 1, Rank: 0, Token: rep.Token}, &ack); !IsStaleLease(err) {
 			t.Fatalf("zombie heartbeat = %v, want stale-lease rejection", err)
 		}
-		if err := ls.ReleaseBucket(ReleaseArgs{Epoch: 1, Rank: 0, Bucket: rep.Bucket, Token: rep.Token}, &ack); !IsStaleLease(err) {
+		if err := ls.ReleaseBucket(ReleaseArgs{Epoch: 1, Rank: 0, Token: rep.Token, Buckets: []partition.Bucket{rep.Bucket}}, &ack); !IsStaleLease(err) {
 			t.Fatalf("zombie release = %v, want stale-lease rejection", err)
 		}
 		// ...but its abandon is a harmless no-op that must NOT kill the new
 		// holder's lease.
-		if err := ls.AbandonBucket(ReleaseArgs{Epoch: 1, Rank: 0, Bucket: rep.Bucket, Token: rep.Token}, &ack); err != nil {
+		if err := ls.AbandonBucket(ReleaseArgs{Epoch: 1, Rank: 0, Token: rep.Token, Buckets: []partition.Bucket{rep.Bucket}}, &ack); err != nil {
 			t.Fatalf("zombie abandon = %v, want nil", err)
 		}
-		if err := ls.ReleaseBucket(ReleaseArgs{Epoch: 1, Rank: 1, Bucket: rep2.Bucket, Token: rep2.Token}, &ack); err != nil {
+		if err := ls.ReleaseBucket(ReleaseArgs{Epoch: 1, Rank: 1, Token: rep2.Token, Buckets: []partition.Bucket{rep2.Bucket}}, &ack); err != nil {
 			t.Fatalf("new holder's release = %v", err)
 		}
 	})
@@ -115,8 +115,8 @@ func TestLeaseExpiryEdgeCases(t *testing.T) {
 		if got := ls.expiries.Value(); got != 1 {
 			t.Fatalf("expiries = %d, want exactly 1", got)
 		}
-		if es.Leases != 0 {
-			t.Fatalf("leases = %d after expiry", es.Leases)
+		if len(es.Leases) != 0 {
+			t.Fatalf("leases = %v after expiry", es.Leases)
 		}
 		_ = rep
 	})
@@ -127,12 +127,12 @@ func TestLeaseExpiryEdgeCases(t *testing.T) {
 		var ack Ack
 		for i := 0; i < 3; i++ {
 			clock.advance(ttl * 4 / 5)
-			if err := ls.Heartbeat(HeartbeatArgs{Epoch: 1, Rank: 0, Bucket: rep.Bucket, Token: rep.Token}, &ack); err != nil {
+			if err := ls.Heartbeat(HeartbeatArgs{Epoch: 1, Rank: 0, Token: rep.Token}, &ack); err != nil {
 				t.Fatalf("heartbeat %d: %v", i, err)
 			}
 		}
 		// 2.4×TTL of wall time has passed, but the lease is still valid.
-		if err := ls.ReleaseBucket(ReleaseArgs{Epoch: 1, Rank: 0, Bucket: rep.Bucket, Token: rep.Token}, &ack); err != nil {
+		if err := ls.ReleaseBucket(ReleaseArgs{Epoch: 1, Rank: 0, Token: rep.Token, Buckets: []partition.Bucket{rep.Bucket}}, &ack); err != nil {
 			t.Fatalf("release after heartbeats = %v", err)
 		}
 		if got := ls.expiries.Value(); got != 0 {
@@ -144,7 +144,7 @@ func TestLeaseExpiryEdgeCases(t *testing.T) {
 		ls, _ := newServer(t)
 		rep := mustAcquire(t, ls, 1, 0)
 		var ack Ack
-		args := ReleaseArgs{Epoch: 1, Rank: 0, Bucket: rep.Bucket, Token: rep.Token}
+		args := ReleaseArgs{Epoch: 1, Rank: 0, Token: rep.Token, Buckets: []partition.Bucket{rep.Bucket}}
 		if err := ls.ReleaseBucket(args, &ack); err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +153,7 @@ func TestLeaseExpiryEdgeCases(t *testing.T) {
 			t.Fatalf("retried release = %v, want idempotent nil", err)
 		}
 		// A different (zombie) token for the same bucket still fails.
-		if err := ls.ReleaseBucket(ReleaseArgs{Epoch: 1, Rank: 0, Bucket: rep.Bucket, Token: rep.Token + 99}, &ack); !IsStaleLease(err) {
+		if err := ls.ReleaseBucket(ReleaseArgs{Epoch: 1, Rank: 0, Token: rep.Token + 99, Buckets: []partition.Bucket{rep.Bucket}}, &ack); !IsStaleLease(err) {
 			t.Fatalf("foreign-token release = %v, want stale-lease rejection", err)
 		}
 	})
@@ -259,7 +259,7 @@ func TestRetryClientTransientRetry(t *testing.T) {
 
 	// First two attempts are dropped on the wire; the third succeeds.
 	var rep StartEpochReply
-	if err := rc.Call("LockServer.StartEpoch", StartEpochArgs{}, &rep); err != nil {
+	if err := rc.Call("LockServer.StartEpoch", StartEpochArgs{Epoch: 1}, &rep); err != nil {
 		t.Fatalf("Call through chaos = %v", err)
 	}
 	if rep.Epoch != 1 {
@@ -271,7 +271,7 @@ func TestRetryClientTransientRetry(t *testing.T) {
 
 	// A server-side rejection is NOT retried: the retry counter stays put.
 	var ack Ack
-	err = rc.Call("LockServer.ReleaseBucket", ReleaseArgs{Epoch: 1, Bucket: partition.Bucket{P1: 0, P2: 0}}, &ack)
+	err = rc.Call("LockServer.ReleaseBucket", ReleaseArgs{Epoch: 1, Buckets: []partition.Bucket{{P1: 0, P2: 0}}}, &ack)
 	if err == nil {
 		t.Fatal("expected server error for unleased release")
 	}
@@ -304,7 +304,7 @@ func TestDropReplyIdempotentRelease(t *testing.T) {
 	defer rc.Close()
 
 	var se StartEpochReply
-	if err := rc.Call("LockServer.StartEpoch", StartEpochArgs{}, &se); err != nil {
+	if err := rc.Call("LockServer.StartEpoch", StartEpochArgs{Epoch: 1}, &se); err != nil {
 		t.Fatal(err)
 	}
 	var rep AcquireReply
@@ -316,7 +316,7 @@ func TestDropReplyIdempotentRelease(t *testing.T) {
 	}
 	var ack Ack
 	if err := rc.Call("LockServer.ReleaseBucket",
-		ReleaseArgs{Epoch: 1, Rank: 0, Bucket: rep.Bucket, Token: rep.Token}, &ack); err != nil {
+		ReleaseArgs{Epoch: 1, Rank: 0, Token: rep.Token, Buckets: []partition.Bucket{rep.Bucket}}, &ack); err != nil {
 		t.Fatalf("release through dropped reply = %v", err)
 	}
 	// The bucket really was committed exactly once.
@@ -327,8 +327,8 @@ func TestDropReplyIdempotentRelease(t *testing.T) {
 	if len(es.Done) != 1 || es.Done[0] != rep.Bucket {
 		t.Fatalf("done = %v, want [%v]", es.Done, rep.Bucket)
 	}
-	if es.Leases != 0 {
-		t.Fatalf("leases = %d after release", es.Leases)
+	if len(es.Leases) != 0 {
+		t.Fatalf("leases = %v after release", es.Leases)
 	}
 }
 
@@ -446,7 +446,7 @@ func serverErrorFor(t *testing.T) error {
 	}
 	defer rc.Close()
 	var ack Ack
-	err = rc.Call("LockServer.ReleaseBucket", ReleaseArgs{Bucket: partition.Bucket{}}, &ack)
+	err = rc.Call("LockServer.ReleaseBucket", ReleaseArgs{Buckets: []partition.Bucket{{}}}, &ack)
 	if err == nil {
 		t.Fatal("expected a server error")
 	}

@@ -11,10 +11,6 @@ import (
 	"pbg/internal/train"
 )
 
-// acquirePoll is how long a trainer waits before re-asking the lock server
-// when no disjoint bucket (or no started epoch) is available.
-const acquirePoll = 2 * time.Millisecond
-
 // defaultSyncInterval bounds relation-parameter staleness when the caller
 // does not choose an interval.
 const defaultSyncInterval = 100 * time.Millisecond
@@ -75,13 +71,18 @@ type EpochStats struct {
 	// covers all of them; each node of a real deployment is its own
 	// process, where the two views coincide.
 	PartitionIO int
+	// Puts counts partition-server write-backs the same way. A partition is
+	// stored when it leaves the trainer, so over an epoch Puts equals
+	// PartitionIO, and both fall as consecutive buckets share partitions.
+	Puts int
 	// IOWait/Compute split the epoch the same way train.EpochStats does:
 	// shard checkout/write-back stalls vs in-bucket HOGWILD training.
 	IOWait  time.Duration
 	Compute time.Duration
-	// LeaseWait is the time spent asking the lock server for buckets
-	// (AcquireBucket round trips plus polls while no disjoint bucket was
-	// free) — contention on the lock server shows up here, not in IOWait.
+	// LeaseWait is the time spent in lock-server calls: AcquireBucket round
+	// trips, including the server-side wait while no bucket was free, and
+	// ReleaseBucket — contention on the lock server shows up here, not in
+	// IOWait.
 	LeaseWait time.Duration
 	// Failed lists the ranks whose node died during the epoch. Only a
 	// fault-tolerant cluster (LeaseTTL > 0) reports partial epochs; the
@@ -102,6 +103,8 @@ func (s EpochStats) Summary(rank, epoch int) string {
 		Edges:         s.Edges,
 		Duration:      s.Duration,
 		PartitionIO:   s.PartitionIO,
+		SwapIn:        int64(s.PartitionIO),
+		SwapOut:       int64(s.Puts),
 		IOWait:        s.IOWait,
 		Compute:       s.Compute,
 		BucketsActive: s.Buckets,
@@ -111,9 +114,12 @@ func (s EpochStats) Summary(rank, epoch int) string {
 
 // Node is one trainer machine of Figure 2: it leases buckets from the lock
 // server, checks the buckets' partitions out of the partition servers,
-// trains them with a local train.Trainer (HOGWILD workers and all), writes
-// them back, and keeps relation parameters synced through the parameter
-// server from a background goroutine.
+// trains them with a local train.Trainer (HOGWILD workers and all), and
+// keeps relation parameters synced through the parameter server from a
+// background goroutine. It asks for its next bucket while it still holds
+// the last one's partitions, keeps the partition the two share, stores the
+// one they do not, and reports a bucket done only once both its partitions
+// are stored (see RunEpoch).
 type Node struct {
 	cfg     NodeConfig
 	trainer *train.Trainer
@@ -123,6 +129,15 @@ type Node struct {
 
 	epoch int // local epoch counter; must track StartEpoch calls
 
+	// What the node holds between buckets; only RunEpoch's goroutine touches
+	// it. res is the shards checked out, token the newest fencing token (0 =
+	// holds nothing), parts the partitions the lock server has locked for
+	// this rank, pending the buckets trained and not yet committed.
+	res     *train.Resident
+	token   uint64
+	parts   map[int]bool
+	pending []trainedBucket
+
 	// obs is cfg.Train.Obs or a private quiet hub; the handles below are
 	// its registry's lease/sync metrics (the store and trainer register
 	// their own).
@@ -131,10 +146,13 @@ type Node struct {
 	acquireNs  *obs.Histogram
 	syncLag    *obs.Gauge
 	leasesLost *obs.Counter
+	carried    *obs.Counter
+	uncommit   *obs.Gauge
 
-	// hbLease is the bucket lease the heartbeat goroutine currently renews
-	// (nil when the node holds none or the lease has no TTL); hbKick wakes
-	// the goroutine when the lease changes.
+	// hbLease is what the heartbeat goroutine currently renews — one
+	// heartbeat covers every lease of the rank — (nil when the node holds
+	// none or leases have no TTL); hbKick wakes the goroutine when it
+	// changes.
 	hbMu      sync.Mutex
 	hbLease   *heldLease
 	hbKick    chan struct{}
@@ -188,6 +206,8 @@ func NewNode(g *graph.Graph, cfg NodeConfig) (*Node, error) {
 	n.acquireNs = n.obs.Reg.Histogram(`pbg_dist_rpc_ns{method="AcquireBucket"}`)
 	n.syncLag = n.obs.Reg.Gauge("pbg_dist_param_sync_lag_ns")
 	n.leasesLost = n.obs.Reg.Counter("pbg_dist_leases_lost_total")
+	n.carried = n.obs.Reg.Counter("pbg_dist_partitions_carried_total")
+	n.uncommit = n.obs.Reg.Gauge("pbg_dist_buckets_uncommitted")
 	fail := func(err error) (*Node, error) {
 		_ = n.Close()
 		return nil, err
@@ -209,6 +229,8 @@ func NewNode(g *graph.Graph, cfg NodeConfig) (*Node, error) {
 	if err != nil {
 		return fail(err)
 	}
+	n.res = n.trainer.NewResident()
+	n.parts = map[int]bool{}
 	if err := n.initRelParams(); err != nil {
 		return fail(err)
 	}
@@ -219,49 +241,49 @@ func NewNode(g *graph.Graph, cfg NodeConfig) (*Node, error) {
 	return n, nil
 }
 
-// heldLease is the node's current fenced bucket lease.
+// heldLease is what the heartbeat renews: the rank's leases, under its
+// newest fencing token.
 type heldLease struct {
-	epoch  int
-	bucket partition.Bucket
-	token  uint64
-	ttl    time.Duration
+	epoch int
+	token uint64
+	ttl   time.Duration
 }
 
-// setLease points the heartbeat goroutine at a newly granted lease (ttl > 0)
-// and stamps the store's fence token.
-func (n *Node) setLease(l *heldLease) {
-	n.store.SetFenceToken(l.token)
-	if l.ttl <= 0 {
-		return // eternal lease: nothing to renew
+// trainedBucket is a bucket trained and not yet committed: one of its
+// partitions is still in the node's memory, carried into later buckets. Its
+// loss and edges count only once the commit lands.
+type trainedBucket struct {
+	bucket partition.Bucket
+	loss   float64
+	edges  int
+}
+
+// setLease adopts a newly granted token: it fences the store's reads and
+// writes from here on, and (ttl > 0) it is what the heartbeat carries. Token
+// 0 — the node holds nothing — clears both.
+func (n *Node) setLease(token uint64, ttl time.Duration) {
+	n.token = token
+	n.store.SetFenceToken(token)
+	var l *heldLease
+	if token != 0 && ttl > 0 {
+		l = &heldLease{epoch: n.epoch, token: token, ttl: ttl}
 	}
 	n.hbMu.Lock()
+	changed := l != nil || n.hbLease != nil
 	n.hbLease = l
 	n.hbMu.Unlock()
-	select {
-	case n.hbKick <- struct{}{}:
-	default:
+	if changed {
+		select {
+		case n.hbKick <- struct{}{}:
+		default:
+		}
 	}
 }
 
-// clearLease stops heartbeats for the lease holding token (a newer lease, if
-// one was set concurrently, is left alone) and clears the store fence.
-func (n *Node) clearLease(token uint64) {
-	n.store.SetFenceToken(0)
-	n.hbMu.Lock()
-	if n.hbLease != nil && n.hbLease.token == token {
-		n.hbLease = nil
-	}
-	n.hbMu.Unlock()
-	select {
-	case n.hbKick <- struct{}{}:
-	default:
-	}
-}
-
-// heartbeatLoop renews the current lease at TTL/3 so a healthy trainer never
+// heartbeatLoop renews the rank's leases at TTL/3 so a healthy trainer never
 // expires, however long its bucket takes to train. A stale-lease rejection
 // just detaches the heartbeat; the training goroutine discovers the loss
-// through fencing (or its own release attempt) and handles it there.
+// through fencing (or its own next lock-server call) and handles it there.
 func (n *Node) heartbeatLoop() {
 	defer close(n.hbDone)
 	for {
@@ -298,7 +320,7 @@ func (n *Node) heartbeatLoop() {
 		}
 		var ack Ack
 		err := n.lock.Call("LockServer.Heartbeat",
-			HeartbeatArgs{Epoch: cur.epoch, Rank: n.cfg.Rank, Bucket: cur.bucket, Token: cur.token}, &ack)
+			HeartbeatArgs{Epoch: cur.epoch, Rank: n.cfg.Rank, Token: cur.token}, &ack)
 		if err != nil && IsStaleLease(err) {
 			n.hbMu.Lock()
 			if n.hbLease != nil && n.hbLease.token == cur.token {
@@ -426,93 +448,39 @@ func (n *Node) syncRelation(r int) error {
 // RunEpoch trains this node's share of one epoch: it leases buckets until
 // the lock server declares the epoch done. Some rank must have called
 // StartEpoch (the Cluster does it; in multi-process deployments rank 0
-// does); until then the node polls.
+// does); until then the node waits on the lock server.
+//
+// Each turn of the loop asks for the next bucket while still holding the
+// last one's partitions. Granted one, the node stores the partitions the new
+// bucket does not need, tells the lock server what that frees and commits,
+// fetches what it lacks, and trains (trainLease). Told that nothing is
+// reachable from what it holds, it stores everything and lets go, and only
+// then — holding nothing — waits on the lock server. A lease found stale at
+// any step costs the node everything it holds, unwritten — the buckets are
+// already someone else's — and it carries on: losing a lease is not a node
+// failure.
 func (n *Node) RunEpoch() (EpochStats, error) {
 	n.epoch++
 	start := time.Now()
 	ioBase, computeBase := n.trainer.IOTotals()
-	fetchBase := n.store.IOStats().Loads
+	ioStatsBase := n.store.IOStats()
 	leaseBase := n.leaseWait.Value()
-	finish := func(st *EpochStats) {
-		st.Duration = time.Since(start)
-		ioWait, compute := n.trainer.IOTotals()
-		st.IOWait = ioWait - ioBase
-		st.Compute = compute - computeBase
-		st.PartitionIO = int(n.store.IOStats().Loads - fetchBase)
-		st.LeaseWait = time.Duration(n.leaseWait.Value() - leaseBase)
-	}
 	var st EpochStats
-	var held []int
-	for {
-		var rep AcquireReply
-		t0 := time.Now()
-		err := n.lock.Call("LockServer.AcquireBucket", AcquireArgs{Epoch: n.epoch, Rank: n.cfg.Rank, Held: held}, &rep)
-		n.acquireNs.Observe(float64(time.Since(t0).Nanoseconds()))
-		n.leaseWait.Add(time.Since(t0).Nanoseconds())
-		if err != nil {
-			finish(&st)
-			return st, err
-		}
-		if rep.Done {
-			break
-		}
-		if !rep.Granted {
-			// Honour the lock server's backoff hint instead of busy-polling.
-			d := rep.RetryAfter
-			if d <= 0 {
-				d = acquirePoll
-			}
-			time.Sleep(d)
-			n.leaseWait.Add(d.Nanoseconds())
-			continue
-		}
-		b := rep.Bucket
-		n.setLease(&heldLease{epoch: n.epoch, bucket: b, token: rep.Token, ttl: rep.TTL})
-		loss, edges, err := n.trainer.TrainBucket(b)
-		if err != nil {
-			if IsFenced(err) {
-				// The lease expired mid-bucket and the bucket was (or will
-				// be) re-leased; the partial work is discarded and the node
-				// keeps going — losing a lease is not a node failure.
-				n.leasesLost.Inc()
-				n.clearLease(rep.Token)
-				continue
-			}
-			// A real training failure: return the lease so another trainer
-			// can take the bucket over, then surface the error.
-			var ack Ack
-			_ = n.lock.Call("LockServer.AbandonBucket",
-				ReleaseArgs{Epoch: n.epoch, Rank: n.cfg.Rank, Bucket: b, Token: rep.Token}, &ack)
-			n.clearLease(rep.Token)
-			finish(&st)
-			return st, err
-		}
-		var ack Ack
-		err = n.lock.Call("LockServer.ReleaseBucket",
-			ReleaseArgs{Epoch: n.epoch, Rank: n.cfg.Rank, Bucket: b, Token: rep.Token}, &ack)
-		n.clearLease(rep.Token)
-		if err != nil {
-			if IsStaleLease(err) {
-				// Trained the whole bucket but the lease had already expired:
-				// the commit is void (another trainer owns the bucket now).
-				n.leasesLost.Inc()
-				continue
-			}
-			finish(&st)
-			return st, err
-		}
-		// Stats count only after the release lands: a bucket whose lease was
-		// lost will be retrained (and counted) by whoever re-leases it.
-		st.Loss += loss
-		st.Edges += edges
-		st.Buckets++
-		held = b.Parts()
+	err := n.runLeases(&st)
+	if err == nil {
+		err = n.SyncParams()
 	}
-	if err := n.SyncParams(); err != nil {
-		finish(&st)
+	st.Duration = time.Since(start)
+	ioWait, compute := n.trainer.IOTotals()
+	st.IOWait = ioWait - ioBase
+	st.Compute = compute - computeBase
+	io := n.store.IOStats()
+	st.PartitionIO = int(io.Loads - ioStatsBase.Loads)
+	st.Puts = int(io.Writes - ioStatsBase.Writes)
+	st.LeaseWait = time.Duration(n.leaseWait.Value() - leaseBase)
+	if err != nil {
 		return st, err
 	}
-	finish(&st)
 	st.PerNode = []NodeStats{{
 		Rank:         n.cfg.Rank,
 		Buckets:      st.Buckets,
@@ -520,6 +488,153 @@ func (n *Node) RunEpoch() (EpochStats, error) {
 		PeakResident: n.trainer.PeakResidentBytes(),
 	}}
 	return st, nil
+}
+
+// runLeases is RunEpoch's loop; committed buckets accumulate in st. It
+// returns holding nothing, on success and on failure.
+func (n *Node) runLeases(st *EpochStats) error {
+	for {
+		var rep AcquireReply
+		err := n.lockCall(n.acquireNs, "LockServer.AcquireBucket",
+			AcquireArgs{Epoch: n.epoch, Rank: n.cfg.Rank, Token: n.token}, &rep)
+		if err == nil {
+			switch {
+			case rep.Done:
+				return nil
+			case rep.Granted:
+				err = n.trainLease(rep, st)
+			case n.token != 0:
+				// Nothing is reachable from what the node holds.
+				if err = n.res.ReleaseAll(); err == nil {
+					err = n.settle(nil, st)
+				}
+			}
+		}
+		switch {
+		case err == nil:
+		case IsFenced(err):
+			n.leasesLost.Add(int64(len(n.pending)))
+			n.discard()
+		default:
+			// A real failure: return the leases so another trainer can take
+			// the buckets over (best effort — a lease nobody returns expires),
+			// then surface the error.
+			if n.token != 0 {
+				var ack Ack
+				_ = n.lock.Call("LockServer.AbandonBucket",
+					ReleaseArgs{Epoch: n.epoch, Rank: n.cfg.Rank, Token: n.token}, &ack)
+			}
+			n.discard()
+			return err
+		}
+	}
+}
+
+// trainLease is the bucket transition for a fresh grant: the Resident set
+// stores what bucket b does not need, settle reports that to the lock
+// server, the set fetches what b lacks, and b trains. An empty bucket has
+// nothing to fetch or train; its lease only has to be committed.
+func (n *Node) trainLease(rep AcquireReply, st *EpochStats) error {
+	b := rep.Bucket
+	n.setLease(rep.Token, rep.TTL)
+	for _, p := range b.Parts() {
+		n.parts[p] = true
+	}
+	if n.trainer.BucketEdgeCount(b) == 0 {
+		n.pending = append(n.pending, trainedBucket{bucket: b})
+		n.uncommit.Add(1)
+		return n.settle(nil, st)
+	}
+	err := n.res.Advance(b, func() error {
+		if n.res.Len() > 0 {
+			n.carried.Inc()
+		}
+		return n.settle(b.Parts(), st)
+	})
+	tb := trainedBucket{bucket: b}
+	if err == nil {
+		tb.loss, tb.edges, err = n.res.Train(b)
+	}
+	if err != nil {
+		if IsFenced(err) {
+			n.leasesLost.Inc() // b itself, beside the pending ones
+		}
+		return err
+	}
+	n.pending = append(n.pending, tb)
+	n.uncommit.Add(1)
+	return nil
+}
+
+// lockCall makes one lock-server call and books its duration as lease wait.
+func (n *Node) lockCall(h *obs.Histogram, method string, args, reply any) error {
+	t0 := time.Now()
+	err := n.lock.Call(method, args, reply)
+	d := time.Since(t0).Nanoseconds()
+	if h != nil {
+		h.Observe(float64(d))
+	}
+	n.leaseWait.Add(d)
+	return err
+}
+
+// settle tells the lock server what the shards just stored have changed. The
+// pending buckets none of whose shards the node still holds are committed:
+// both their partitions are on the partition servers. The partitions the
+// node holds no shard of — keep, those of a bucket about to be fetched,
+// aside — are unlocked for other trainers, whatever has committed. A
+// bucket's stats count only once its commit lands: one whose lease was lost
+// will be retrained (and counted) by whoever re-leases it.
+func (n *Node) settle(keep []int, st *EpochStats) error {
+	args := ReleaseArgs{Epoch: n.epoch, Rank: n.cfg.Rank, Token: n.token}
+	var pending []trainedBucket
+	var done EpochStats
+	for _, tb := range n.pending {
+		if n.res.Holds(tb.bucket) {
+			pending = append(pending, tb)
+			continue
+		}
+		args.Buckets = append(args.Buckets, tb.bucket)
+		done.Loss += tb.loss
+		done.Edges += tb.edges
+		done.Buckets++
+	}
+	parts := map[int]bool{}
+	for _, p := range append(n.res.Parts(), keep...) {
+		parts[p] = true
+	}
+	for p := range n.parts {
+		if !parts[p] {
+			args.Parts = append(args.Parts, p)
+		}
+	}
+	if len(args.Buckets)+len(args.Parts) == 0 {
+		return nil
+	}
+	var ack Ack
+	if err := n.lockCall(nil, "LockServer.ReleaseBucket", args, &ack); err != nil {
+		return err
+	}
+	st.Loss += done.Loss
+	st.Edges += done.Edges
+	st.Buckets += done.Buckets
+	n.uncommit.Add(int64(-done.Buckets))
+	n.pending, n.parts = pending, parts
+	if len(pending) == 0 && keep == nil {
+		n.setLease(0, 0) // every lease committed: the node holds nothing
+	}
+	return nil
+}
+
+// discard drops every shard the node holds without writing it and forgets
+// its leases: the lock server has taken them back, or has just been told to.
+func (n *Node) discard() {
+	n.store.discard.Store(true)
+	_ = n.res.ReleaseAll() // errDiscarded for every shard, by construction
+	n.store.discard.Store(false)
+	n.uncommit.Add(int64(-len(n.pending)))
+	n.pending, n.parts = nil, map[int]bool{}
+	n.setLease(0, 0)
 }
 
 // Close stops the sync goroutine and hangs up every connection.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"os"
 	"sync"
 
 	"pbg/internal/graph"
@@ -13,7 +14,10 @@ import (
 )
 
 // PartitionServer holds embedding partitions (with their Adagrad state) in
-// memory for the trainers of one deployment. A deployment runs several of
+// memory for the trainers of one deployment, each as the wire image trainers
+// exchange it in (see encodeShard): Put keeps the bytes it gated, Get replies
+// with them, and the durable file is the same bytes again, so the server
+// never decodes a shard it only has to hand on. A deployment runs several of
 // these; each (entity type, partition) key lives on exactly one server,
 // chosen by the shared client-side hash (serverIndex), so a server only ever
 // materialises the shards it owns.
@@ -49,8 +53,10 @@ type PartitionServer struct {
 }
 
 type partStripe struct {
-	mu     sync.Mutex
-	shards map[partKey]*storage.Shard
+	mu sync.Mutex
+	// shards holds each shard's gated fp32 image. Images are never written
+	// into — Put swaps the slice — so readers use them outside the lock.
+	shards map[partKey][]byte
 	fence  map[partKey]uint64
 }
 
@@ -95,7 +101,7 @@ func NewPartitionServer(schema *graph.Schema, dim int, seed uint64, shards int, 
 	}
 	ps := &PartitionServer{schema: schema, dim: dim, seed: seed, stripes: make([]partStripe, shards)}
 	for i := range ps.stripes {
-		ps.stripes[i].shards = make(map[partKey]*storage.Shard)
+		ps.stripes[i].shards = make(map[partKey][]byte)
 		ps.stripes[i].fence = make(map[partKey]uint64)
 	}
 	ps.bindMetrics(obs.NewQuietHub().Reg)
@@ -131,38 +137,56 @@ func (ps *PartitionServer) checkKey(t, p, dim int) error {
 	return nil
 }
 
-// loadLocked returns the shard for k, restoring it from the durable
+// loadLocked returns the image of shard k, restoring it from the durable
 // directory if one exists there, else initialising it deterministically on
 // first touch. The stripe mutex must be held.
-func (ps *PartitionServer) loadLocked(st *partStripe, k partKey, scale float32) (*storage.Shard, error) {
-	if sh, ok := st.shards[k]; ok {
-		return sh, nil
+func (ps *PartitionServer) loadLocked(st *partStripe, k partKey, scale float32) ([]byte, error) {
+	if img, ok := st.shards[k]; ok {
+		return img, nil
 	}
 	if scale == 0 {
 		scale = 1
 	}
-	e := ps.schema.Entities[k.t]
-	want := e.PartitionCount(k.p)
-	if ps.durable != nil {
-		sh, err := storage.ReadShard(storage.ShardPath(ps.durable.dir, k.t, k.p))
-		switch {
-		case err == nil:
-			if sh.Count != want || sh.Dim != ps.dim {
-				return nil, fmt.Errorf("dist: durable shard (%d,%d) is %d×%d, schema wants %d×%d",
-					k.t, k.p, sh.Count, sh.Dim, want, ps.dim)
-			}
-			st.shards[k] = sh
-			return sh, nil
-		case !errors.Is(err, fs.ErrNotExist):
+	want := ps.schema.Entities[k.t].PartitionCount(k.p)
+	img, err := ps.restore(k, want)
+	if err != nil {
+		return nil, err
+	}
+	if img == nil {
+		sh := storage.NewShard(k.t, k.p, want, ps.dim)
+		// Shared seed derivation, so a fresh distributed run starts from the
+		// same embeddings as a MemStore with the same seed.
+		sh.Init(rng.New(storage.ShardSeed(ps.seed, k.t, k.p)), scale)
+		if img, err = encodeShard(sh); err != nil {
 			return nil, err
 		}
 	}
-	sh := storage.NewShard(k.t, k.p, want, ps.dim)
-	// Shared seed derivation, so a fresh distributed run starts from the
-	// same embeddings as a MemStore with the same seed.
-	sh.Init(rng.New(storage.ShardSeed(ps.seed, k.t, k.p)), scale)
-	st.shards[k] = sh
-	return sh, nil
+	st.shards[k] = img
+	return img, nil
+}
+
+// restore reads shard k's durable file through the same gate as a wire
+// payload; nil without an error means there is none.
+func (ps *PartitionServer) restore(k partKey, want int) ([]byte, error) {
+	if ps.durable == nil {
+		return nil, nil
+	}
+	img, err := os.ReadFile(storage.ShardPath(ps.durable.dir, k.t, k.p))
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	l, err := wireLayout(img)
+	if err != nil {
+		return nil, fmt.Errorf("durable shard (%d,%d): %w", k.t, k.p, err)
+	}
+	if l.TypeIndex != k.t || l.Part != k.p || l.Count != want || l.Dim != ps.dim {
+		return nil, fmt.Errorf("dist: durable shard (%d,%d) holds (%d,%d) of %d×%d, schema wants %d×%d",
+			k.t, k.p, l.TypeIndex, l.Part, l.Count, l.Dim, want, ps.dim)
+	}
+	return img, nil
 }
 
 // Get fetches one shard, lazily initialising it on first touch. A non-zero
@@ -188,14 +212,9 @@ func (ps *PartitionServer) Get(args GetArgs, reply *ShardReply) error {
 		}
 		st.fence[k] = args.Token
 	}
-	sh, err := ps.loadLocked(st, k, args.InitScale)
+	img, err := ps.loadLocked(st, k, args.InitScale)
 	st.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	// Stored shards are never mutated — Put swaps the pointer — so encoding
-	// outside the stripe lock is safe.
-	reply.Shard, err = encodeShard(sh)
+	reply.Shard = img
 	return err
 }
 
@@ -214,11 +233,7 @@ func (ps *PartitionServer) Put(args PutArgs, reply *Ack) error {
 	if want := ps.schema.Entities[l.TypeIndex].PartitionCount(l.Part); l.Count != want || l.Dim != ps.dim {
 		return fmt.Errorf("dist: Put shard (%d,%d) is %d×%d, want %d×%d", l.TypeIndex, l.Part, l.Count, l.Dim, want, ps.dim)
 	}
-	sh, err := l.Decode(args.Shard)
-	if err != nil {
-		return err
-	}
-	k := partKey{sh.TypeIndex, sh.Part}
+	k := partKey{l.TypeIndex, l.Part}
 	st := ps.stripe(k)
 	st.mu.Lock()
 	if fence := st.fence[k]; args.Token < fence {
@@ -230,7 +245,7 @@ func (ps *PartitionServer) Put(args PutArgs, reply *Ack) error {
 	if args.Token != 0 {
 		st.fence[k] = args.Token
 	}
-	st.shards[k] = sh
+	st.shards[k] = args.Shard
 	st.mu.Unlock()
 	if ps.durable != nil {
 		ps.durable.enqueue(k)
@@ -318,15 +333,15 @@ func (d *durableState) run(ps *PartitionServer) {
 		d.inFlight = true
 		d.mu.Unlock()
 
-		// Re-read the live shard now, so the write always persists the most
+		// Re-read the live image now, so the write always persists the most
 		// recent accepted version.
 		st := ps.stripe(k)
 		st.mu.Lock()
-		sh := st.shards[k]
+		img := st.shards[k]
 		st.mu.Unlock()
 		var err error
-		if sh != nil {
-			err = storage.WriteShard(storage.ShardPath(d.dir, k.t, k.p), sh)
+		if img != nil {
+			err = storage.WriteShardImage(storage.ShardPath(d.dir, k.t, k.p), img)
 			if err == nil {
 				ps.durableWrites.Inc()
 			}

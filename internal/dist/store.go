@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -13,16 +14,17 @@ import (
 // remoteStore is a storage.Cache whose backend is the deployment's sharded
 // partition-server memory: a load is a fenced Get, a store a fenced Put. It
 // is what makes train.Trainer work unchanged in distributed mode — the
-// trainer's per-bucket Acquire/Release calls become the §4.2 partition
+// Acquire/Release calls of a bucket transition become the §4.2 partition
 // swaps, under the same prefetch, refcount and memory-budget rules as a
 // local DiskStore.
 //
-// The cache is built storage.WriteThrough: once the bucket lease is
-// released, the lock server may grant these partitions to another trainer,
-// so the last Release must not return before the Put has landed, and a copy
-// kept across buckets could go stale. (Exploiting the lock server's Held
-// affinity without refetching would require leases that span bucket
-// transitions.)
+// A partition two consecutive buckets share stays checked out across the
+// transition: the node holds its reference, so the cache has nothing to
+// decide. The cache is still built storage.WriteThrough, because the last
+// Release is the node giving the partition up: it tells the lock server the
+// partition is free as soon as Release returns, so the Put must have landed
+// by then, and a copy kept past it could go stale under another trainer's
+// writes.
 //
 // A readonly store (used for evaluation snapshots) never Puts, so concurrent
 // trainers never observe an evaluator's stale copy.
@@ -40,6 +42,10 @@ type remoteStore struct {
 	// from a superseded lease. 0 (eval stores, single-trainer runs without a
 	// TTL) bypasses fencing.
 	fenceTok atomic.Uint64
+
+	// discard makes Store refuse without an RPC: set while the node drops
+	// shards whose leases it has lost, which must not be written.
+	discard atomic.Bool
 
 	// obs and the histograms record the RPCs themselves; see SetObs.
 	obs          *obs.Hub
@@ -114,7 +120,8 @@ func (s *remoteStore) client(t, p int) *retryClient {
 }
 
 // SetFenceToken sets the lease token stamped on subsequent partition-server
-// reads and writes (0 = unfenced). The node updates it at every lease grant.
+// reads and writes (0 = unfenced). The node updates it at every lease grant,
+// so a partition carried across buckets is written under the newest one.
 func (s *remoteStore) SetFenceToken(tok uint64) {
 	s.fenceTok.Store(tok)
 }
@@ -168,6 +175,9 @@ func (s *remoteStore) Store(sh *storage.Shard) error {
 	if s.readonly {
 		return nil
 	}
+	if s.discard.Load() {
+		return errDiscarded
+	}
 	sp := s.obs.Trace.Start("dist", fmt.Sprintf("put t%d p%d", sh.TypeIndex, sh.Part))
 	t0 := time.Now()
 	b, err := encodeShard(sh)
@@ -182,6 +192,10 @@ func (s *remoteStore) Store(sh *storage.Shard) error {
 	}
 	return nil
 }
+
+// errDiscarded is Store's answer while the node is discarding: the cache
+// drops the shard and counts no write.
+var errDiscarded = errors.New("dist: shard discarded unwritten")
 
 // Close implements storage.Store: wait for in-flight fetches, then hang up
 // the partition-server connections. Nothing resident is written back — a

@@ -28,7 +28,8 @@ import (
 //     releaseHeld idiom) releases everything when called.
 //   - storing the acquired shard into a field, map, or returned value
 //     transfers ownership to the caller/holder (train.View caches refs in
-//     v.held and pairs them in Close).
+//     v.held and pairs them in Close; train.Resident carries them in
+//     r.held from one bucket to the next and pairs them in ReleaseAll).
 //
 // Ownership-transferring helpers — functions whose own name contains
 // acquire/release/checkout — are exempt: their callers carry the pairing.
@@ -93,9 +94,15 @@ type releaseState struct {
 
 func (st *releaseState) walkStmts(stmts []ast.Stmt) {
 	for i := 0; i < len(stmts); i++ {
-		// `sh, err := store.Acquire(…)` directly followed by an
-		// `if err != nil { … }` error branch: the branch holds nothing new.
+		// `sh, err := store.Acquire(…)` followed by an `if err != nil { … }`
+		// error branch: the branch holds nothing new. Bookkeeping that cannot
+		// leave the function may sit between the two (train.Resident strikes
+		// the shard off its prefetch list whether or not the load succeeded).
 		if st.acquireAssign(stmts[i]) && i+1 < len(stmts) {
+			for i+2 < len(stmts) && straightLine(stmts[i+1]) {
+				i++
+				st.walkStmt(stmts[i])
+			}
 			if ifs, ok := stmts[i+1].(*ast.IfStmt); ok && st.isErrCheck(ifs.Cond) {
 				body := st.fork()
 				if body.outstanding > 0 {
@@ -112,6 +119,24 @@ func (st *releaseState) walkStmts(stmts []ast.Stmt) {
 		}
 		st.walkStmt(stmts[i])
 	}
+}
+
+// straightLine reports whether stmt is a plain call or an increment —
+// something control cannot leave the function through — that touches no
+// store.
+func straightLine(stmt ast.Stmt) bool {
+	switch s := stmt.(type) {
+	case *ast.ExprStmt:
+		call, ok := s.X.(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		name := calleeName(call)
+		return name != "Acquire" && name != "Release" && name != "panic"
+	case *ast.IncDecStmt:
+		return true
+	}
+	return false
 }
 
 // acquireAssign handles `sh, err := store.Acquire(…)`-shaped statements,

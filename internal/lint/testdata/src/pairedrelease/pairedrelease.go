@@ -103,3 +103,43 @@ func bulkReleaseLoop(st *storage.Store) error {
 	}
 	return nil
 }
+
+// carrier is the train.Resident idiom: shards acquired for one bucket are
+// carried in the holder's map into the next and released by another method.
+type carrier struct {
+	st       *storage.Store
+	held     map[int]*storage.Shard
+	hinted   map[int]bool
+	advances int
+}
+
+// advance strikes each shard off the hint list between the Acquire and its
+// error check — bookkeeping that cannot leave the function — and hands the
+// refcount to the map.
+func (c *carrier) advance(parts []int) error {
+	for _, p := range parts {
+		sh, err := c.st.Acquire(0, p)
+		delete(c.hinted, p)
+		c.advances++
+		if err != nil {
+			return err
+		}
+		c.held[p] = sh
+	}
+	return nil
+}
+
+// carriedLeak has the same bookkeeping in between, and then drops the shard
+// on an early return instead of carrying it.
+func (c *carrier) carriedLeak(p int) error {
+	sh, err := c.st.Acquire(0, p)
+	delete(c.hinted, p)
+	if err != nil {
+		return err
+	}
+	if len(sh.Embs) == 0 {
+		return nil // want "return with 1 outstanding store Acquire"
+	}
+	c.held[p] = sh
+	return nil
+}

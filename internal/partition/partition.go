@@ -190,10 +190,17 @@ func SwapCount(order []Bucket) int {
 }
 
 // Scheduler is the bucket-leasing state machine behind the lock server
-// (§4.2): it hands out buckets whose partitions are disjoint from all
-// in-flight buckets, enforces the two-uninitialised-partitions rule, and
-// prefers buckets that reuse a worker's currently held partitions to
-// minimise communication.
+// (§4.2): it hands out buckets whose partitions no other owner has locked,
+// enforces the two-uninitialised-partitions rule, and prefers buckets that
+// reuse a worker's currently held partitions to minimise communication.
+//
+// Partitions are locked by owner. The anonymous Acquire/Release/Abandon
+// calls lock a bucket's two partitions for that bucket alone, so in-flight
+// buckets are pairwise disjoint. A ranked owner (AcquireFor) keeps its locks
+// from one bucket to the next, as PBG's lock server lets a trainer do: a
+// partition the asking rank already holds does not block the grant, Commit
+// marks a bucket done without touching its locks, Unlock gives a partition
+// up, and AbandonRank returns everything a rank has.
 //
 // The order the scheduler is built over is the tie-breaker beneath that
 // affinity preference: Acquire scans it front to back and keeps the first
@@ -203,14 +210,20 @@ func SwapCount(order []Bucket) int {
 // otherwise — affinity itself being the per-worker form of the same
 // buffer-reuse objective the optimizer minimises globally.
 type Scheduler struct {
-	mu          sync.Mutex
-	order       []Bucket
-	done        map[Bucket]bool
-	inFlight    map[Bucket]bool
-	locked      map[int]bool
+	mu    sync.Mutex
+	order []Bucket
+	done  map[Bucket]bool
+	// inFlight maps a leased bucket to its owner, owner a locked partition
+	// to its: a rank, or anonymous.
+	inFlight    map[Bucket]int
+	owner       map[int]int
 	initialized map[int]bool
 	anyStarted  bool
 }
+
+// anonymous owns the locks of a bucket leased through Acquire: it never
+// matches an asking owner, so such a bucket's partitions block every grant.
+const anonymous = -1
 
 // NewScheduler creates a scheduler over the given bucket order. If
 // preInitialized is true every partition counts as initialised (used from
@@ -219,8 +232,8 @@ func NewScheduler(order []Bucket, preInitialized bool) *Scheduler {
 	s := &Scheduler{
 		order:       append([]Bucket(nil), order...),
 		done:        make(map[Bucket]bool, len(order)),
-		inFlight:    make(map[Bucket]bool),
-		locked:      make(map[int]bool),
+		inFlight:    make(map[Bucket]int),
+		owner:       make(map[int]int),
 		initialized: make(map[int]bool),
 	}
 	if preInitialized {
@@ -239,8 +252,8 @@ func (s *Scheduler) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.done = make(map[Bucket]bool, len(s.order))
-	s.inFlight = make(map[Bucket]bool)
-	s.locked = make(map[int]bool)
+	s.inFlight = make(map[Bucket]int)
+	s.owner = make(map[int]int)
 }
 
 // Acquire leases the next available bucket. held lists partitions the
@@ -252,28 +265,58 @@ func (s *Scheduler) Reset() {
 func (s *Scheduler) Acquire(held []int) (Bucket, bool, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.done) == len(s.order) {
-		return Bucket{}, false, true
-	}
 	heldSet := map[int]bool{}
 	for _, p := range held {
 		heldSet[p] = true
 	}
+	return s.acquireLocked(anonymous, heldSet)
+}
+
+// AcquireFor is Acquire for a ranked owner that keeps its locks across
+// buckets: the partitions rank has locked are its affinity set, they do not
+// block the grant, and — rank having trained every bucket it was granted
+// before asking for another — they count as initialised for it. The granted
+// bucket's partitions are locked by rank until Unlock or AbandonRank.
+func (s *Scheduler) AcquireFor(rank int) (Bucket, bool, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.acquireLocked(rank, s.ownedLocked(rank))
+}
+
+func (s *Scheduler) ownedLocked(rank int) map[int]bool {
+	owned := map[int]bool{}
+	for p, o := range s.owner {
+		if o == rank {
+			owned[p] = true
+		}
+	}
+	return owned
+}
+
+func (s *Scheduler) acquireLocked(who int, held map[int]bool) (Bucket, bool, bool) {
+	if len(s.done) == len(s.order) {
+		return Bucket{}, false, true
+	}
+	mine := who != anonymous
+	blocked := func(p int) bool {
+		o, locked := s.owner[p]
+		return locked && !(mine && o == who)
+	}
 	var best Bucket
 	bestScore := -1
 	for _, b := range s.order {
-		if s.done[b] || s.inFlight[b] || s.locked[b.P1] || s.locked[b.P2] {
+		if _, leased := s.inFlight[b]; leased || s.done[b] || blocked(b.P1) || blocked(b.P2) {
 			continue
 		}
-		if s.anyStarted && !s.initialized[b.P1] && !s.initialized[b.P2] {
+		if s.anyStarted && !s.initialized[b.P1] && !s.initialized[b.P2] && !(mine && (held[b.P1] || held[b.P2])) {
 			// Only the first bucket may touch two uninitialised partitions.
 			continue
 		}
 		score := 0
-		if heldSet[b.P1] {
+		if held[b.P1] {
 			score++
 		}
-		if heldSet[b.P2] {
+		if held[b.P2] {
 			score++
 		}
 		if score > bestScore {
@@ -287,10 +330,17 @@ func (s *Scheduler) Acquire(held []int) (Bucket, bool, bool) {
 		return Bucket{}, false, false
 	}
 	s.anyStarted = true
-	s.inFlight[best] = true
-	s.locked[best.P1] = true
-	s.locked[best.P2] = true
+	s.inFlight[best] = who
+	s.owner[best.P1] = who
+	s.owner[best.P2] = who
 	return best, true, false
+}
+
+// unlockLocked drops who's lock on p; a lock someone else holds stays.
+func (s *Scheduler) unlockLocked(who, p int) {
+	if o, ok := s.owner[p]; ok && o == who {
+		delete(s.owner, p)
+	}
 }
 
 // Release marks a leased bucket complete, unlocking its partitions and
@@ -298,15 +348,44 @@ func (s *Scheduler) Acquire(held []int) (Bucket, bool, bool) {
 func (s *Scheduler) Release(b Bucket) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.inFlight[b] {
+	who := s.commitLocked(b)
+	s.unlockLocked(who, b.P1)
+	s.unlockLocked(who, b.P2)
+}
+
+// Commit marks a leased bucket complete and its partitions initialised, and
+// leaves its owner's locks as they are: the owner may be carrying one of the
+// partitions into its next bucket.
+func (s *Scheduler) Commit(b Bucket) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.commitLocked(b)
+}
+
+func (s *Scheduler) commitLocked(b Bucket) (owner int) {
+	who, ok := s.inFlight[b]
+	if !ok {
 		panic(fmt.Sprintf("partition: Release of non-leased bucket %v", b))
 	}
 	delete(s.inFlight, b)
 	s.done[b] = true
-	s.locked[b.P1] = false
-	s.locked[b.P2] = false
 	s.initialized[b.P1] = true
 	s.initialized[b.P2] = true
+	return who
+}
+
+// Unlock gives up rank's lock on each of parts, which a bucket it trained
+// has left in its final state wherever partitions are kept — so they count
+// as initialised from here on. Partitions rank does not hold are skipped.
+func (s *Scheduler) Unlock(rank int, parts ...int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, p := range parts {
+		if o, ok := s.owner[p]; ok && o == rank {
+			delete(s.owner, p)
+			s.initialized[p] = true
+		}
+	}
 }
 
 // MarkDone records b as already completed this epoch without it ever having
@@ -340,15 +419,39 @@ func (s *Scheduler) DoneBuckets() []Bucket {
 func (s *Scheduler) Abandon(b Bucket) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.inFlight[b] {
+	who, ok := s.inFlight[b]
+	if !ok {
 		return
 	}
 	delete(s.inFlight, b)
-	s.locked[b.P1] = false
-	s.locked[b.P2] = false
-	// If the abandoned bucket was the very first one (nothing initialised
-	// yet and nothing else running), re-open the first-bucket exception so
-	// training can restart.
+	s.unlockLocked(who, b.P1)
+	s.unlockLocked(who, b.P2)
+	s.reopenFirstLocked()
+}
+
+// AbandonRank returns every bucket leased to rank to the pending pool and
+// drops every lock rank holds, returning the buckets in order position.
+func (s *Scheduler) AbandonRank(rank int) []Bucket {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []Bucket
+	for _, b := range s.order {
+		if who, ok := s.inFlight[b]; ok && who == rank {
+			delete(s.inFlight, b)
+			out = append(out, b)
+		}
+	}
+	for p := range s.ownedLocked(rank) {
+		delete(s.owner, p)
+	}
+	s.reopenFirstLocked()
+	return out
+}
+
+// reopenFirstLocked re-opens the first-bucket exception after an abandon
+// that left nothing initialised and nothing running, so training can
+// restart.
+func (s *Scheduler) reopenFirstLocked() {
 	if len(s.inFlight) == 0 && len(s.initialized) == 0 {
 		s.anyStarted = false
 	}

@@ -343,6 +343,94 @@ func TestSchedulerConcurrentWorkers(t *testing.T) {
 	}
 }
 
+// TestSchedulerRankKeepsItsPartitions walks one rank through PBG's
+// acquire-before-release: its own locks do not block its next grant, they
+// do block everyone else, and a partition it gives up is free at once even
+// though the buckets that touched it have not committed.
+func TestSchedulerRankKeepsItsPartitions(t *testing.T) {
+	order, _ := Order(OrderInsideOut, 3, 3, 0) // (0,0) (0,1) (1,1) (1,0) (0,2) …
+	s := NewScheduler(order, true)
+	want := func(rank int, b Bucket) {
+		t.Helper()
+		got, ok, _ := s.AcquireFor(rank)
+		if !ok || got != b {
+			t.Fatalf("rank %d granted %v (ok %v), want %v", rank, got, ok, b)
+		}
+	}
+	want(0, Bucket{0, 0})
+	want(0, Bucket{0, 1}) // over its own partition 0, nothing released
+	want(0, Bucket{1, 1}) // both partitions its own beats one
+	// Rank 1 can only have what touches neither 0 nor 1.
+	want(1, Bucket{2, 2})
+	if b, ok, _ := s.AcquireFor(1); ok {
+		t.Fatalf("rank 1 granted %v over rank 0's partitions", b)
+	}
+	// Rank 0 stores partition 0: free for rank 1 now, with (0,0) and (0,1)
+	// still in flight.
+	s.Unlock(0, 0)
+	want(1, Bucket{0, 2})
+	if got := s.InFlight(); got != 5 {
+		t.Fatalf("in flight = %d, want 5", got)
+	}
+	// Commit marks done and leaves the locks alone: rank 0 still has 1,
+	// rank 1 keeps the 0 it was just given.
+	s.Commit(Bucket{0, 0})
+	if done := s.DoneBuckets(); len(done) != 1 || done[0] != (Bucket{0, 0}) {
+		t.Fatalf("done = %v, want [(0,0)]", done)
+	}
+	if s.owner[1] != 0 || s.owner[0] != 1 || s.owner[2] != 1 {
+		t.Fatalf("locks after Commit = %v, want 1→rank 0, 0 and 2→rank 1", s.owner)
+	}
+}
+
+// TestSchedulerLeavesNoOwnerBehind: everything that ends a lease, or an
+// epoch, ends its locks.
+func TestSchedulerLeavesNoOwnerBehind(t *testing.T) {
+	order, _ := Order(OrderInsideOut, 3, 3, 0)
+	fill := func() *Scheduler {
+		s := NewScheduler(order, true)
+		s.AcquireFor(0)
+		s.AcquireFor(0)
+		s.AcquireFor(1)
+		s.Acquire(nil)
+		return s
+	}
+	check := func(name string, s *Scheduler, want int) {
+		t.Helper()
+		if len(s.owner) != want {
+			t.Errorf("%s: %d partitions still locked (%v), want %d", name, len(s.owner), s.owner, want)
+		}
+	}
+	s := fill()
+	s.Reset()
+	check("Reset", s, 0)
+	if s.InFlight() != 0 {
+		t.Errorf("Reset left %d buckets in flight", s.InFlight())
+	}
+
+	s = fill()
+	gone := s.AbandonRank(0)
+	if len(gone) != 2 {
+		t.Errorf("AbandonRank(0) returned %v, want rank 0's two buckets", gone)
+	}
+	if len(s.ownedLocked(0)) != 0 {
+		t.Errorf("AbandonRank(0) left rank 0 owning %v", s.ownedLocked(0))
+	}
+	s.AbandonRank(1)
+	for b, who := range s.inFlight {
+		if who != anonymous {
+			t.Fatalf("bucket %v still in flight for rank %d", b, who)
+		}
+		s.Abandon(b)
+	}
+	check("Abandon", s, 0)
+
+	// MarkDone never locks.
+	s = NewScheduler(order, false)
+	s.MarkDone(Bucket{0, 1})
+	check("MarkDone", s, 0)
+}
+
 func TestBucketIndex(t *testing.T) {
 	if (Bucket{2, 3}).Index(4) != 11 {
 		t.Fatalf("Index = %d, want 11", (Bucket{2, 3}).Index(4))

@@ -94,6 +94,16 @@ func WriteShardCodec(path string, s *Shard, c Codec) error {
 	return writeFileAtomic(path, buffered(func(w *bufio.Writer) error { return l.encode(w, s) }))
 }
 
+// WriteShardImage persists an already-encoded shard image — bytes that have
+// passed ParseLayout — to path atomically: the file WriteShardCodec would
+// write for the shard the image decodes to, without decoding it.
+func WriteShardImage(path string, image []byte) error {
+	return writeFileAtomic(path, func(f *os.File) error {
+		_, err := f.Write(image)
+		return err
+	})
+}
+
 // ReadShard loads a shard written by WriteShard or WriteShardCodec,
 // transparently decoding any codec to fp32.
 func ReadShard(path string) (*Shard, error) {

@@ -439,16 +439,6 @@ func (t *Trainer) Codec() storage.Codec { return t.codec }
 // far (sampled while bucket shards are resident).
 func (t *Trainer) PeakResidentBytes() int64 { return t.peakBytes }
 
-// TrainBucket trains all edges of one bucket (one lock-server lease in
-// distributed mode). Empty buckets return immediately.
-func (t *Trainer) TrainBucket(b partition.Bucket) (loss float64, edges int, err error) {
-	rg := t.ranges[b.Index(t.nDst)]
-	if rg.Empty() {
-		return 0, 0, nil
-	}
-	return t.trainBucket(b, rg.Lo, rg.Hi)
-}
-
 // BucketEdgeCount returns the number of training edges in bucket b.
 func (t *Trainer) BucketEdgeCount(b partition.Bucket) int {
 	return t.ranges[b.Index(t.nDst)].Len()
@@ -593,13 +583,24 @@ func (t *Trainer) TrainEpoch() (EpochStats, error) {
 }
 
 // runEpochSerial is the pre-pipeline baseline: each bucket acquires its
-// shards, trains, and synchronously releases them before the next bucket
-// starts.
+// shards one after another, trains, and synchronously releases them before
+// the next bucket starts.
 func (t *Trainer) runEpochSerial(items []epochItem, stats *EpochStats) error {
+	r := t.NewResident()
 	held := map[int]bool{}
 	for _, it := range items {
 		held = countSwapIns(it.b, held, stats)
-		loss, edges, err := t.trainBucket(it.b, it.lo, it.hi)
+		err := r.Advance(it.b, nil)
+		var loss float64
+		var edges int
+		if err == nil {
+			loss, edges, err = r.train(it.b, it.lo, it.hi)
+		}
+		// Release errors must surface: a store that writes on Release has
+		// lost this bucket's training if the write failed.
+		if rerr := r.ReleaseAll(); err == nil {
+			err = rerr
+		}
 		if err != nil {
 			return err
 		}
@@ -611,106 +612,195 @@ func (t *Trainer) runEpochSerial(items []epochItem, stats *EpochStats) error {
 }
 
 // runEpochPipelined overlaps partition I/O with training (§4.1 made real):
-// shards shared with the next bucket simply stay held (their refcount never
-// reaches zero, so a shared partition never bounces through disk), shards
-// the next buckets need are prefetched while the current bucket trains, and
-// shards the new bucket no longer needs are released first — their
-// asynchronous write-back overlaps the loads of the bucket's new shards.
+// shards shared with the next bucket simply stay held (see Resident), and
+// shards the next buckets need are prefetched while the current bucket
+// trains.
 func (t *Trainer) runEpochPipelined(items []epochItem, stats *EpochStats) error {
-	held := map[shardKey]shardRef{}
+	r := t.NewResident()
 	heldParts := map[int]bool{}
-	// prefetched tracks hints not yet consumed by an Acquire; on a normal
-	// epoch end every lookahead target gets acquired and the set drains, but
-	// an abort must evict the leftovers (see discardPrefetched).
-	prefetched := map[shardKey]bool{}
-	releaseHeld := func() error {
-		t0 := time.Now()
-		var first error
-		for k := range held {
-			if err := t.store.Release(k.t, k.p); err != nil && first == nil {
-				first = err
-			}
-			delete(held, k)
-		}
-		if len(prefetched) > 0 {
-			keys := make([]shardKey, 0, len(prefetched))
-			for k := range prefetched {
-				keys = append(keys, k)
-				delete(prefetched, k)
-			}
-			t.discardPrefetched(keys)
-		}
-		t.tm.ioWait.Add(time.Since(t0).Nanoseconds())
-		return first
-	}
 	for i, it := range items {
 		heldParts = countSwapIns(it.b, heldParts, stats)
-		keys := t.bucketShardKeys(it.b)
-		need := make(map[shardKey]bool, len(keys))
-		for _, k := range keys {
-			need[k] = true
+		if err := r.Advance(it.b, nil); err != nil {
+			r.ReleaseAll()
+			return err
 		}
-		t0 := time.Now()
-		// Drop shards this bucket no longer needs first: their write-back
-		// runs in the background while the loads below wait.
-		for k := range held {
-			if !need[k] {
-				delete(held, k)
-				if err := t.store.Release(k.t, k.p); err != nil {
-					releaseHeld()
-					return err
-				}
-			}
-		}
-		// Hint every missing shard before acquiring any, so the loads the
-		// prefetcher has not already finished proceed in parallel.
-		for _, k := range keys {
-			if _, ok := held[k]; !ok {
-				t.store.Prefetch(k.t, k.p)
-				prefetched[k] = true
-			}
-		}
-		shards := make(map[shardKey]shardRef, len(keys))
-		for _, k := range keys {
-			if ref, ok := held[k]; ok {
-				shards[k] = ref
-				continue
-			}
-			sh, err := t.store.Acquire(k.t, k.p)
-			if err != nil {
-				delete(prefetched, k) // its entry died with the failed load
-				releaseHeld()
-				return err
-			}
-			delete(prefetched, k)
-			ref := shardRef{shard: sh, ent: t.g.Schema.Entities[k.t]}
-			held[k] = ref
-			shards[k] = ref
-		}
-		t.tm.ioWait.Add(time.Since(t0).Nanoseconds())
-		t.sampleResident()
 		// Hint the shards the next buckets will need; the store loads them
 		// on its background pool while this bucket trains.
 		for l := 1; l <= t.lookahead && i+l < len(items); l++ {
-			for _, k := range t.bucketShardKeys(items[i+l].b) {
-				if _, ok := held[k]; !ok {
-					t.store.Prefetch(k.t, k.p)
-					prefetched[k] = true
-				}
-			}
+			r.hint(items[i+l].b)
 		}
-		t1 := time.Now()
-		loss, edges, err := t.runBucket(it.b, it.lo, it.hi, shards)
-		t.tm.compute.Add(time.Since(t1).Nanoseconds())
+		loss, edges, err := r.train(it.b, it.lo, it.hi)
 		if err != nil {
-			releaseHeld()
+			r.ReleaseAll()
 			return err
 		}
 		stats.Loss += loss
 		stats.Edges += edges
 		stats.BucketsActive++
 	}
-	return releaseHeld()
+	return r.ReleaseAll()
+}
+
+// Resident is the set of shards an epoch thread keeps checked out of the
+// store from one bucket to the next. Advance is the one bucket transition:
+// a shard the next bucket shares stays held — its refcount never reaches
+// zero, so it neither bounces through the backend nor, over a write-through
+// store, leaves the machine — and only the shards that differ are swapped.
+// The local epoch executors drive one over their planned order; a
+// distributed node drives one over the buckets the lock server grants it.
+// A Resident belongs to one goroutine.
+type Resident struct {
+	t    *Trainer
+	held map[shardKey]shardRef
+	// prefetched tracks hints not yet consumed by an Acquire; on a normal
+	// epoch end every lookahead target gets acquired and the set drains, but
+	// an abort must evict the leftovers (see discardPrefetched).
+	prefetched map[shardKey]bool
+}
+
+// NewResident returns an empty resident set over the trainer's store.
+func (t *Trainer) NewResident() *Resident {
+	return &Resident{t: t, held: map[shardKey]shardRef{}, prefetched: map[shardKey]bool{}}
+}
+
+// Advance moves the set to the shards bucket b needs. Shards b does not
+// need are released first — where Release writes in the background the
+// write overlaps the loads below, where it writes through the shard is
+// stored and dropped before its replacement arrives, so no more than one
+// bucket's shards are ever resident. left, if non-nil, runs between the two
+// halves: what the set still holds then is exactly what it carries into b.
+// Then every missing shard is hinted before any is acquired, so the loads
+// proceed in parallel (the serial baseline acquires them one by one).
+//
+// On error the set keeps what it held at that point; ReleaseAll ends it.
+func (r *Resident) Advance(b partition.Bucket, left func() error) error {
+	t := r.t
+	keys := t.bucketShardKeys(b)
+	need := make(map[shardKey]bool, len(keys))
+	for _, k := range keys {
+		need[k] = true
+	}
+	t0 := time.Now()
+	for k := range r.held {
+		if need[k] {
+			continue
+		}
+		delete(r.held, k)
+		if err := t.store.Release(k.t, k.p); err != nil {
+			t.tm.ioWait.Add(time.Since(t0).Nanoseconds())
+			return err
+		}
+	}
+	t.tm.ioWait.Add(time.Since(t0).Nanoseconds())
+	if left != nil {
+		if err := left(); err != nil {
+			return err
+		}
+	}
+	t0 = time.Now()
+	defer func() { t.tm.ioWait.Add(time.Since(t0).Nanoseconds()) }()
+	if !t.cfg.PipelineOff {
+		for _, k := range keys {
+			if _, ok := r.held[k]; !ok {
+				t.store.Prefetch(k.t, k.p)
+				r.prefetched[k] = true
+			}
+		}
+	}
+	for _, k := range keys {
+		if _, ok := r.held[k]; ok {
+			continue
+		}
+		sh, err := t.store.Acquire(k.t, k.p)
+		delete(r.prefetched, k) // consumed, or its entry died with the failed load
+		if err != nil {
+			return err
+		}
+		r.held[k] = shardRef{shard: sh, ent: t.g.Schema.Entities[k.t]}
+	}
+	// Sample peak model memory at the transition's high-water, with the
+	// bucket's shards resident (the Tables 3–4 memory column).
+	t.sampleResident()
+	return nil
+}
+
+// hint prefetches the shards of an upcoming bucket that the set lacks.
+func (r *Resident) hint(b partition.Bucket) {
+	for _, k := range r.t.bucketShardKeys(b) {
+		if _, ok := r.held[k]; !ok {
+			r.t.store.Prefetch(k.t, k.p)
+			r.prefetched[k] = true
+		}
+	}
+}
+
+// Train trains all edges of bucket b — the bucket of the latest Advance — on
+// the shards the set holds. Empty buckets return immediately.
+func (r *Resident) Train(b partition.Bucket) (loss float64, edges int, err error) {
+	rg := r.t.ranges[b.Index(r.t.nDst)]
+	if rg.Empty() {
+		return 0, 0, nil
+	}
+	return r.train(b, rg.Lo, rg.Hi)
+}
+
+func (r *Resident) train(b partition.Bucket, lo, hi int) (loss float64, edges int, err error) {
+	t0 := time.Now()
+	loss, edges, err = r.t.runBucket(b, lo, hi, r.held)
+	r.t.tm.compute.Add(time.Since(t0).Nanoseconds())
+	return loss, edges, err
+}
+
+// Holds reports whether the set still holds any shard of bucket b. A store
+// that writes a shard when it is released has b's training on its backend
+// exactly when this turns false.
+func (r *Resident) Holds(b partition.Bucket) bool {
+	for _, k := range r.t.bucketShardKeys(b) {
+		if _, ok := r.held[k]; ok {
+			return true
+		}
+	}
+	return false
+}
+
+// Parts lists the partitions of partitioned entity types the set holds a
+// shard of, in no particular order.
+func (r *Resident) Parts() []int {
+	seen := map[int]bool{}
+	var out []int
+	for k := range r.held {
+		if r.t.g.Schema.Entities[k.t].Partitioned() && !seen[k.p] {
+			seen[k.p] = true
+			out = append(out, k.p)
+		}
+	}
+	return out
+}
+
+// Len is the number of shards the set holds.
+func (r *Resident) Len() int { return len(r.held) }
+
+// ReleaseAll releases every held shard and evicts the prefetch hints no
+// Acquire consumed, returning the first Release error.
+func (r *Resident) ReleaseAll() error {
+	t0 := time.Now()
+	var first error
+	for k := range r.held {
+		if err := r.t.store.Release(k.t, k.p); err != nil && first == nil {
+			first = err
+		}
+		delete(r.held, k)
+	}
+	if len(r.prefetched) > 0 {
+		keys := make([]shardKey, 0, len(r.prefetched))
+		for k := range r.prefetched {
+			keys = append(keys, k)
+			delete(r.prefetched, k)
+		}
+		r.t.discardPrefetched(keys)
+	}
+	r.t.tm.ioWait.Add(time.Since(t0).Nanoseconds())
+	return first
 }
 
 func stratumSlice(rg graph.BucketRange, k, n int) (lo, hi int) {
@@ -756,32 +846,6 @@ func (t *Trainer) bucketShardKeys(b partition.Bucket) []shardKey {
 	return keys
 }
 
-// acquireBucketShards loads every shard the bucket needs. Unless the
-// pipeline is disabled, all keys are hinted via Prefetch before the first
-// Acquire, so stores with background I/O (DiskStore, the distributed remote
-// store) load them in parallel instead of serialising one read or RPC round
-// trip per shard. With PipelineOff the acquires stay strictly sequential —
-// the honest serial baseline.
-func (t *Trainer) acquireBucketShards(b partition.Bucket) (map[shardKey]shardRef, error) {
-	keys := t.bucketShardKeys(b)
-	if !t.cfg.PipelineOff {
-		for _, k := range keys {
-			t.store.Prefetch(k.t, k.p)
-		}
-	}
-	out := make(map[shardKey]shardRef, len(keys))
-	for i, k := range keys {
-		sh, err := t.store.Acquire(k.t, k.p)
-		if err != nil {
-			t.releaseBucketShards(out)
-			t.discardPrefetched(keys[i:])
-			return nil, err
-		}
-		out[k] = shardRef{shard: sh, ent: t.g.Schema.Entities[k.t]}
-	}
-	return out, nil
-}
-
 // discardPrefetched evicts shards that were hinted via Prefetch but never
 // acquired, after an abort. A refs==0 cache entry can otherwise never be
 // released, and on the distributed remote store a stale cached shard would
@@ -789,56 +853,11 @@ func (t *Trainer) acquireBucketShards(b partition.Bucket) (map[shardKey]shardRef
 // Acquire-then-Release is best effort: if the prefetch itself failed, the
 // entry is already gone and Acquire's error is ignored.
 func (t *Trainer) discardPrefetched(keys []shardKey) {
-	if t.cfg.PipelineOff {
-		return
-	}
 	for _, k := range keys {
 		if _, err := t.store.Acquire(k.t, k.p); err == nil {
 			_ = t.store.Release(k.t, k.p)
 		}
 	}
-}
-
-func (t *Trainer) releaseBucketShards(m map[shardKey]shardRef) error {
-	var first error
-	for k := range m {
-		if err := t.store.Release(k.t, k.p); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// trainBucket trains edges [lo, hi) of the bucket-sorted edge list, which
-// all belong to bucket b, acquiring and releasing the bucket's shards
-// around the work. The pipelined executor manages shard lifetimes itself
-// and calls runBucket directly; this self-contained form serves the serial
-// baseline and the distributed node's per-lease TrainBucket.
-func (t *Trainer) trainBucket(b partition.Bucket, lo, hi int) (loss float64, edges int, err error) {
-	t0 := time.Now()
-	shards, err := t.acquireBucketShards(b)
-	t.tm.ioWait.Add(time.Since(t0).Nanoseconds())
-	if err != nil {
-		return 0, 0, err
-	}
-	// Release errors must surface: with a distributed store, Release is the
-	// write-back that publishes this bucket's updates, and dropping its
-	// failure would mark the bucket done while its training is lost.
-	defer func() {
-		t1 := time.Now()
-		rerr := t.releaseBucketShards(shards)
-		t.tm.ioWait.Add(time.Since(t1).Nanoseconds())
-		if rerr != nil && err == nil {
-			loss, edges, err = 0, 0, rerr
-		}
-	}()
-	// Sample peak model memory while the bucket's shards are resident (the
-	// Tables 3–4 memory column).
-	t.sampleResident()
-	t2 := time.Now()
-	loss, edges, err = t.runBucket(b, lo, hi, shards)
-	t.tm.compute.Add(time.Since(t2).Nanoseconds())
-	return loss, edges, err
 }
 
 // runBucket trains edges [lo, hi) of bucket b on the HOGWILD worker pool,

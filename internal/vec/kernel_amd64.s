@@ -641,6 +641,11 @@ TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL CX, ecx+16(FP)
 	MOVL DX, edx+20(FP)
 	RET
+	// Six bytes of never-executed padding take this block from 27 bytes to
+	// 33, one 32-byte slot more, which is what puts the benchmark's reference
+	// loop back on the address residue (mod 64) it has at the parent commit.
+	// See the alignment trap in CHANGES.md (PR 24); ROADMAP item 1 is the fix.
+	BYTE $0x90; BYTE $0x90; BYTE $0x90; BYTE $0x90; BYTE $0x90; BYTE $0x90
 
 // func xgetbv() (eax, edx uint32)
 TEXT ·xgetbv(SB), NOSPLIT, $0-8
