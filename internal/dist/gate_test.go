@@ -132,3 +132,111 @@ func TestMalformedShardsRejectedAtEveryEntryPoint(t *testing.T) {
 		t.Errorf("rejecting %d malformed images allocated %d MiB, limit %d MiB", len(table), got>>20, limit>>20)
 	}
 }
+
+// TestMalformedIVFRejectedAtEveryEntryPoint is the table's row for ivf.pbg,
+// the other file serving trusts: each malformed index image must be rejected,
+// without a panic and without allocating what its counts claim, by both ways
+// index bytes enter the program — serve.ReadIVF on a file and serve.Open on a
+// checkpoint directory that holds one. Besides counts out of range that
+// includes lists that do not partition a shard's rows: the scan hands list
+// ids to a GEMM tile that reads them unchecked, so the gate is what stands
+// between a file and an out-of-bounds load.
+func TestMalformedIVFRejectedAtEveryEntryPoint(t *testing.T) {
+	const dim = 4
+	schema := graph.MustSchema(
+		[]graph.EntityType{{Name: "node", Count: 6, NumPartitions: 2}},
+		[]graph.RelationType{{Name: "r", SourceType: "node", DestType: "node", Operator: "identity"}},
+	)
+	dir := t.TempDir()
+	for p := 0; p < 2; p++ {
+		sh := storage.NewShard(0, p, 3, dim)
+		for i := range sh.Embs {
+			sh.Embs[i] = float32(i+p) - 5.5
+		}
+		if err := storage.WriteShard(storage.ShardPath(dir, 0, p), sh); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := serving.IndexPath(dir)
+	accepts := func(img []byte) (file, served bool) {
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := serving.ReadIVF(path, schema, dim)
+		file = err == nil
+		s, err := serving.Open(dir, serving.Config{Schema: schema, Dim: dim})
+		if served = err == nil; served {
+			_ = s.Close()
+		}
+		return
+	}
+
+	// The base image, by hand from the format: one type, two partitions of
+	// three rows, each with two lists ({0, 2} and {1}).
+	var good []byte
+	u32 := func(vs ...uint32) {
+		for _, v := range vs {
+			good = binary.LittleEndian.AppendUint32(good, v)
+		}
+	}
+	u32(0x50424749, 1, dim, 1) // magic "PBGI", version, dim, types
+	u32(0, 2)                  // type 0, two partitions
+	partAt := [2]int{}
+	for p := 0; p < 2; p++ {
+		partAt[p] = len(good)
+		u32(2) // lists
+		for i := 0; i < 2*dim; i++ {
+			u32(math.Float32bits(float32(i)))
+		}
+		u32(2, 0, 2) // list 0: rows 0 and 2
+		u32(1, 1)    // list 1: row 1
+	}
+	if file, served := accepts(good); !file || !served {
+		t.Fatalf("base image: file %v, serve %v", file, served)
+	}
+	list0 := partAt[0] + 4 + 2*dim*4 // partition 0, list 0's length word
+
+	patch := func(off int, v uint32) []byte {
+		out := bytes.Clone(good)
+		binary.LittleEndian.PutUint32(out[off:], v)
+		return out
+	}
+	table := map[string][]byte{
+		"bad magic":               patch(0, 0x50424753),
+		"version 2":               patch(4, 2),
+		"dim mismatch":            patch(8, dim+1),
+		"more types than schema":  patch(12, 2),
+		"absurd type count":       patch(12, math.MaxInt32),
+		"type index out of range": patch(16, 1),
+		"partition count":         patch(20, 3),
+		"absurd list count":       patch(partAt[0], math.MaxInt32),
+		"more lists than rows":    patch(partAt[0], 5),
+		"absurd list length":      patch(list0, math.MaxInt32),
+		"list longer than shard":  patch(list0, 4),
+		"row id out of range":     patch(list0+4, 3),
+		"row id negative":         patch(list0+4, math.MaxUint32),
+		"row in two lists":        patch(list0+16, 0),
+		"row twice in a list":     patch(list0+8, 0),
+		"one trailing byte":       append(bytes.Clone(good), 0),
+	}
+	// Partition 0's list 1 emptied, its id word removed: well-formed, every
+	// id in range and distinct, row 1 unreachable.
+	table["row in no list"] = append(patch(list0+12, 0)[:list0+16], good[list0+20:]...)
+	for n := 0; n < len(good); n++ {
+		table[fmt.Sprintf("truncated to %d", n)] = good[:n]
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for name, img := range table {
+		if file, served := accepts(img); file || served {
+			t.Errorf("%s accepted: file %v, serve %v", name, file, served)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	// Each read allocates its 1 MiB buffer and each Open maps two tiny shards;
+	// a count taken at its word would cost gigabytes.
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(len(table))*(4<<20); got > limit {
+		t.Errorf("rejecting %d malformed images allocated %d MiB, limit %d MiB", len(table), got>>20, limit>>20)
+	}
+}

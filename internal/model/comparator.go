@@ -22,6 +22,11 @@ type Comparator interface {
 	PairScores(out []float32, a, b vec.Matrix)
 	// CrossScores computes out[i][j] = sim(a_i, b_j) for all pairs.
 	CrossScores(out, a, b vec.Matrix)
+	// CrossScoresRows computes out[i][j] = sim(a_i, b_idx[j]): CrossScores
+	// against the prepared rows idx of b, read where they lie (vec.MulABtRows)
+	// and bitwise what CrossScores returns over a gathered copy of them. A nil
+	// idx is every row of b in order, i.e. CrossScores.
+	CrossScoresRows(out, a, b vec.Matrix, idx []int32)
 	// PairBackward accumulates gradients of Σ g[i]·score[i] into ga, gb
 	// (in prepared space). scores holds the forward PairScores output.
 	PairBackward(ga, gb vec.Matrix, g, scores []float32, a, b vec.Matrix)
@@ -70,6 +75,10 @@ func (DotComparator) CrossScores(out, a, b vec.Matrix) {
 	vec.MulABt(out, a, b)
 }
 
+func (DotComparator) CrossScoresRows(out, a, b vec.Matrix, idx []int32) {
+	vec.MulABtRows(out, a, b, idx)
+}
+
 func (DotComparator) PairBackward(ga, gb vec.Matrix, g, _ []float32, a, b vec.Matrix) {
 	for i, gi := range g {
 		if gi == 0 {
@@ -111,6 +120,10 @@ func (CosComparator) CrossScores(out, a, b vec.Matrix) {
 	DotComparator{}.CrossScores(out, a, b)
 }
 
+func (CosComparator) CrossScoresRows(out, a, b vec.Matrix, idx []int32) {
+	DotComparator{}.CrossScoresRows(out, a, b, idx)
+}
+
 func (CosComparator) PairBackward(ga, gb vec.Matrix, g, scores []float32, a, b vec.Matrix) {
 	DotComparator{}.PairBackward(ga, gb, g, scores, a, b)
 }
@@ -150,15 +163,23 @@ func (SquaredL2Comparator) PairScores(out []float32, a, b vec.Matrix) {
 	}
 }
 
-func (SquaredL2Comparator) CrossScores(out, a, b vec.Matrix) {
-	vec.MulABt(out, a, b)
+func (c SquaredL2Comparator) CrossScores(out, a, b vec.Matrix) {
+	c.CrossScoresRows(out, a, b, nil)
+}
+
+func (SquaredL2Comparator) CrossScoresRows(out, a, b vec.Matrix, idx []int32) {
+	vec.MulABtRows(out, a, b, idx)
 	aN := make([]float32, a.Rows)
-	bN := make([]float32, b.Rows)
+	bN := make([]float32, out.Cols)
 	for i := range aN {
 		aN[i] = vec.SumSquares(a.Row(i))
 	}
 	for j := range bN {
-		bN[j] = vec.SumSquares(b.Row(j))
+		row := j
+		if idx != nil {
+			row = int(idx[j])
+		}
+		bN[j] = vec.SumSquares(b.Row(row))
 	}
 	for i := 0; i < out.Rows; i++ {
 		row := out.Row(i)
@@ -234,8 +255,12 @@ func (L2Comparator) PairScores(out []float32, a, b vec.Matrix) {
 	}
 }
 
-func (L2Comparator) CrossScores(out, a, b vec.Matrix) {
-	SquaredL2Comparator{}.CrossScores(out, a, b)
+func (c L2Comparator) CrossScores(out, a, b vec.Matrix) {
+	c.CrossScoresRows(out, a, b, nil)
+}
+
+func (L2Comparator) CrossScoresRows(out, a, b vec.Matrix, idx []int32) {
+	SquaredL2Comparator{}.CrossScoresRows(out, a, b, idx)
 	for i := range out.Data {
 		sq := float64(-out.Data[i])
 		if sq < 0 {

@@ -57,6 +57,39 @@ func TestSquaredL2CrossMatchesPair(t *testing.T) {
 	}
 }
 
+// TestCrossScoresRowsMatchesGathered pins, for every comparator, that scoring
+// the rows idx of b where they lie is bit for bit CrossScores over a gathered
+// copy of those rows (a repeated row, an odd count and a one-row query block
+// included) — the property serving's in-place scan rests on.
+func TestCrossScoresRowsMatchesGathered(t *testing.T) {
+	r := rng.New(9)
+	a, b := vec.NewMatrix(5, 7), vec.NewMatrix(11, 7)
+	fill(r, a.Data)
+	fill(r, b.Data)
+	idx := []int32{10, 3, 3, 0, 7}
+	gathered := vec.NewMatrix(len(idx), 7)
+	for j, row := range idx {
+		copy(gathered.Row(j), b.Row(int(row)))
+	}
+	for _, name := range allComparatorNames {
+		cmp, err := NewComparator(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{1, a.Rows} {
+			q := vec.MatrixFrom(a.Data[:n*7], n, 7)
+			got, want := vec.NewMatrix(n, len(idx)), vec.NewMatrix(n, len(idx))
+			cmp.CrossScoresRows(got, q, b, idx)
+			cmp.CrossScores(want, q, gathered)
+			for i := range want.Data {
+				if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+					t.Fatalf("%s, %d queries: element %d = %v in place, %v over the gathered rows", name, n, i, got.Data[i], want.Data[i])
+				}
+			}
+		}
+	}
+}
+
 func TestL2CrossMatchesPair(t *testing.T) {
 	r := rng.New(5)
 	a := vec.NewMatrix(4, 6)

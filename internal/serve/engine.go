@@ -3,15 +3,16 @@ package serve
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"pbg/internal/eval"
 	"pbg/internal/vec"
 )
 
-// scoreBlock is the candidate chunk width of the exact scan. Candidates are
-// copied block-wise into scratch (comparator Prepare mutates its input; the
-// mmap pages are PROT_READ), so the block bounds both the copy buffer and
-// the score matrix: n queries × scoreBlock floats.
+// scoreBlock is the candidate chunk width of a scan: it bounds the score
+// matrix (n queries × scoreBlock floats), the scratch a block is materialised
+// into when it has to be (scoreRows), and the threshold filter's survivor
+// list.
 const scoreBlock = 256
 
 // TopKRequest asks for the K best-scoring destination entities under one
@@ -41,7 +42,10 @@ type TopKRequest struct {
 type TopKResult struct {
 	IDs    []int32
 	Scores []float32
-	// Scanned counts candidate rows actually scored.
+	// Scanned counts candidate rows scored for this answer. A request that
+	// repeats another of its batch is answered from that one's scan and
+	// reports its counts (Scanned, Probed, Reranked): the work per answer,
+	// done once.
 	Scanned int
 	// Probed counts IVF lists visited (0 on the exact path).
 	Probed int
@@ -84,11 +88,9 @@ func (t *topkHeap) reset(k int) {
 }
 
 // offer is push behind a one-comparison reject: on a full heap a score
-// strictly below the root's can never be kept, and that is the fate of almost
-// every candidate of a scan, so the check is kept small enough to inline at
-// the scan loops' call sites and only survivors pay for the push call. Ties
-// with the root and NaNs (for which the comparison is false) fall through to
-// push, which orders them by eval.CompareScored exactly as before.
+// strictly below the root's can never be kept. Ties with the root and NaNs
+// (for which the comparison is false) fall through to push, which orders them
+// by eval.CompareScored.
 //
 //pbg:hotpath
 func (t *topkHeap) offer(id int32, score float32) {
@@ -96,6 +98,32 @@ func (t *topkHeap) offer(id int32, score float32) {
 		return
 	}
 	t.push(id, score)
+}
+
+// offerRow offers one score row of a scan — candidate base+ids[j], or base+j
+// under a nil ids, at scores[j] — in ascending j. Rejection is the fate of
+// almost every candidate, so the row is first filtered as a whole
+// (vec.SelectGE: 8 compares a step, no heap touched) against the root as it
+// stands when the row starts, and only the survivors, listed in sel, are
+// offered. The filter passes exactly what offer's own test passes at that
+// root, and the root only rises while the row is consumed, so an entry the
+// filter drops is one offer would have dropped when its turn came: the heap
+// sees the same pushes in the same order as a per-entry loop. A heap that is
+// not full yet has no root to beat and filters against −Inf, i.e. nothing.
+//
+//pbg:hotpath
+func (t *topkHeap) offerRow(sel *[scoreBlock]int32, scores []float32, base int32, ids []int32) {
+	floor := float32(math.Inf(-1))
+	if len(t.h) == t.k {
+		floor = t.h[0].score
+	}
+	for _, j := range sel[:vec.SelectGE(sel[:], scores, floor)] {
+		id := base + j
+		if ids != nil {
+			id = base + ids[j]
+		}
+		t.offer(id, scores[j])
+	}
 }
 
 //pbg:hotpath
@@ -164,21 +192,56 @@ func (t *topkHeap) take(res *TopKResult) {
 type workspace struct {
 	q       vec.Matrix // gathered raw query embeddings
 	tq      vec.Matrix // operator-transformed (then prepared) queries
-	scratch vec.Matrix // candidate block copy (Prepare target)
+	scratch vec.Matrix // a candidate block that had to be materialised (scoreRows)
 	scores  vec.Matrix // n×block cross-score output
 	heaps   []topkHeap
 	rr      topkHeap // fp32 re-rank selection after a quantized scan
-	// The IVF scan's plan: every query's centroid scores, then the batch's
-	// selected cells inverted into list → probing queries (CSR: cellQ holds
-	// the query indices of cell c up to cellEnd[c]), and the probing queries'
-	// prepared rows copied next to each other for the list's GEMM.
-	probes  []probeCand
+	ids     []int32  // one re-rank run's partition-local rows
+	// sel lists the entries of one score row that pass the threshold filter
+	// in front of a heap (offerRow).
+	sel [scoreBlock]int32
+	// The IVF scan's plan: every query's centroid scores as probeKeys, then
+	// the batch's selected cells inverted into list → probing queries (CSR:
+	// cellQ holds the query indices of cell c up to cellEnd[c]), and the
+	// probing queries' prepared rows copied next to each other for the list's
+	// GEMM.
+	probes  []uint64
 	cellEnd []int32
 	cellQ   []int32
 	sub     vec.Matrix
-	// gathered counts the rows copied out of the shards into scratch since
-	// TopK took the workspace (pbg_serve_rows_gathered_total).
+	// A group's distinct questions (dedupe): the requests and their results,
+	// the hash table that found them, and each request's question.
+	ureqs []TopKRequest
+	uout  []TopKResult
+	seen  []int32
+	rep   []int32
+	// What one TopK call did, for the serving metrics.
+	tally tally
+	last  time.Time // end of the last stage booked (lap)
+}
+
+// tally is one TopK call's work: counts over the distinct questions scored —
+// a duplicate is answered from its first asker's result and adds to deduped
+// only — and the call's wall time split into its two stages.
+type tally struct {
+	scanned, probed, reranked int
+	// gathered counts the rows read from the shards, copied into scratch or
+	// scored in place (pbg_serve_rows_gathered_total): a scan shares each row
+	// it reads across the batch, so scanned ÷ gathered is the re-use.
 	gathered int
+	deduped  int
+	// plan is validation, query gather and transform, de-duplication and, on
+	// the index path, centroid scoring, probe selection and the inversion;
+	// scan is candidate scoring, top-K selection and the re-rank. Together
+	// they are the whole call.
+	plan, scan time.Duration
+}
+
+// lap books the time since the last lap to a stage.
+func (ws *workspace) lap(stage *time.Duration) {
+	now := time.Now()
+	*stage += now.Sub(ws.last)
+	ws.last = now
 }
 
 // heapsFor returns the pooled heaps sized to a batch of n; callers reset
@@ -223,39 +286,33 @@ func (v *view) gatherQueries(ws *workspace, rel int, srcOf func(i int) (int32, [
 	return tq
 }
 
-// scoreCandidateBlock copies the given rows into scratch, prepares them, and
-// cross-scores them against the prepared queries tq. ids maps block row j to
-// the candidate's global ID; scores land in the returned n×m matrix.
+// scoreRows is the one block scorer: it cross-scores the prepared queries q
+// against m candidate rows of src — rows ids when ids is non-nil (m is then
+// len(ids)), rows [lo, lo+m) otherwise — into the returned q.Rows×m matrix.
+// A block is materialised into scratch only when something must be done to
+// its bytes first: dequantisation (src is a quantized view), or a comparator
+// whose Prepare is not the identity (cos normalises rows in place, and a
+// mapping is PROT_READ). Otherwise the rows are read where they lie: a
+// contiguous range is a zero-copy sub-matrix of the source, an id list goes
+// to CrossScoresRows, whose GEMM tile takes each row's address from the list.
+// Either way the scores are bitwise those of the materialised block.
 //
 //pbg:hotpath
-func (v *view) scoreCandidateBlock(ws *workspace, rel int, tq vec.Matrix, rows vec.Matrix, lo, m int) vec.Matrix {
+func (v *view) scoreRows(ws *workspace, rel int, q vec.Matrix, src rowSource, lo, m int, ids []int32) vec.Matrix {
 	dim := v.ss.dim
 	sc := v.scorers[rel]
-	scratch := ensureMat(&ws.scratch, m, dim)
-	for j := 0; j < m; j++ {
-		copy(scratch.Row(j), rows.Row(lo+j))
+	out := ensureMat(&ws.scores, q.Rows, m)
+	cand := src.rows
+	switch {
+	case src.quant != nil || !v.rawRows[rel]:
+		cand = ensureMat(&ws.scratch, m, dim)
+		src.fill(cand, lo, ids)
+		sc.Cmp.Prepare(cand)
+		ids = nil
+	case ids == nil:
+		cand = vec.MatrixFrom(cand.Data[lo*dim:(lo+m)*dim], m, dim)
 	}
-	sc.Cmp.Prepare(scratch)
-	out := ensureMat(&ws.scores, tq.Rows, m)
-	sc.Cmp.CrossScores(out, tq, scratch)
-	return out
-}
-
-// scoreShardBlock is scoreCandidateBlock addressed by shard instead of by
-// fp32 matrix: rows [lo, lo+m) of shard (t, p) are filled into scratch at
-// whatever precision the shard holds (quantized cells dequantize through the
-// vec kernels during the fill), prepared, and cross-scored against tq.
-//
-//pbg:hotpath
-func (v *view) scoreShardBlock(ws *workspace, rel int, tq vec.Matrix, t, p, lo, m int, preferQuant bool) vec.Matrix {
-	dim := v.ss.dim
-	sc := v.scorers[rel]
-	scratch := ensureMat(&ws.scratch, m, dim)
-	v.ss.fillBlock(t, p, lo, m, scratch, preferQuant)
-	ws.gathered += m
-	sc.Cmp.Prepare(scratch)
-	out := ensureMat(&ws.scores, tq.Rows, m)
-	sc.Cmp.CrossScores(out, tq, scratch)
+	sc.Cmp.CrossScoresRows(out, q, cand, ids)
 	return out
 }
 
@@ -277,6 +334,7 @@ func (v *view) topKExact(ws *workspace, rel int, reqs []TopKRequest, out []TopKR
 	tq := v.gatherQueries(ws, rel, func(i int) (int32, []float32) {
 		return reqs[i].SrcID, reqs[i].Vector
 	}, n)
+	ws.lap(&ws.tally.plan)
 
 	dstType := v.dstType[rel]
 	quant := v.ss.QuantizedType(dstType)
@@ -311,46 +369,44 @@ func (v *view) scanShards(ws *workspace, rel int, tq vec.Matrix, heaps []topkHea
 	for p := 0; p < ent.NumPartitions; p++ {
 		nrows := ent.PartitionCount(p)
 		base := int32(p * ent.PartSize())
+		src := v.ss.scanSource(dstType, p, preferQuant)
 		for lo := 0; lo < nrows; lo += scoreBlock {
 			m := min(scoreBlock, nrows-lo)
-			scores := v.scoreShardBlock(ws, rel, tq, dstType, p, lo, m, preferQuant)
-			first := base + int32(lo)
+			scores := v.scoreRows(ws, rel, tq, src, lo, m, nil)
 			for i := range heaps {
-				h := &heaps[i]
-				for j, s := range scores.Row(i) {
-					h.offer(first+int32(j), s)
-				}
+				heaps[i].offerRow(&ws.sel, scores.Row(i), base+int32(lo), nil)
 			}
 			scanned += m
 		}
 	}
+	ws.tally.gathered += scanned
 	return scanned
 }
 
 // rerankFP32 re-scores one request's quantized-scan survivors at full
-// precision and writes the true top k. Candidates are chunked through the
-// same blocked GEMM as the scan.
+// precision and writes the true top k. The survivors are taken in the order
+// the scan's heap holds them, a run of same-partition candidates at a time
+// through the block scorer (fp32 rows: read in place unless the comparator
+// prepares them).
 func (v *view) rerankFP32(ws *workspace, rel int, q []float32, survivors *topkHeap, k int, out *TopKResult) {
-	dim := v.ss.dim
-	sc := v.scorers[rel]
 	dstType := v.dstType[rel]
+	ent := &v.ss.schema.Entities[dstType]
 	cands := survivors.h
-	qv := vec.MatrixFrom(q, 1, dim)
+	qv := vec.MatrixFrom(q, 1, v.ss.dim)
 	ws.rr.reset(k)
-	for lo := 0; lo < len(cands); lo += scoreBlock {
-		blk := cands[lo:min(lo+scoreBlock, len(cands))]
-		scratch := ensureMat(&ws.scratch, len(blk), dim)
-		for j, c := range blk {
-			v.ss.CopyRow(dstType, c.id, scratch.Row(j))
+	for lo := 0; lo < len(cands); lo += len(ws.ids) { // a run holds cands[lo] at least
+		p := ent.PartitionOf(cands[lo].id)
+		ws.ids = ws.ids[:0]
+		for _, c := range cands[lo:min(lo+scoreBlock, len(cands))] {
+			if ent.PartitionOf(c.id) != p {
+				break
+			}
+			ws.ids = append(ws.ids, int32(ent.LocalOffset(c.id)))
 		}
-		ws.gathered += len(blk)
-		sc.Cmp.Prepare(scratch)
-		scores := ensureMat(&ws.scores, 1, len(blk))
-		sc.Cmp.CrossScores(scores, qv, scratch)
-		for j, s := range scores.Row(0) {
-			ws.rr.offer(blk[j].id, s)
-		}
+		scores := v.scoreRows(ws, rel, qv, v.ss.scanSource(dstType, p, false), 0, len(ws.ids), ws.ids)
+		ws.rr.offerRow(&ws.sel, scores.Row(0), int32(p*ent.PartSize()), ws.ids)
 	}
+	ws.tally.gathered += len(cands)
 	ws.rr.take(out)
 	out.Reranked = len(cands)
 }
@@ -392,19 +448,17 @@ func (v *view) rank(ws *workspace, rel int, src, dst int32) (float64, error) {
 	// vec.Dot tail path, so this is bitwise model.Scorer.Score).
 	dp := ent.PartitionOf(dst)
 	dlocal := int(ent.LocalOffset(dst))
-	trueScores := v.scoreShardBlock(ws, rel, tq, dstType, dp, dlocal, 1, false)
+	trueScores := v.scoreRows(ws, rel, tq, v.ss.scanSource(dstType, dp, false), dlocal, 1, nil)
 	trueScore := trueScores.Row(0)[0]
 
 	all := make([]float32, 0, ent.Count-1)
 	for p := 0; p < ent.NumPartitions; p++ {
 		nrows := ent.PartitionCount(p)
 		base := int32(p * ent.PartSize())
+		src := v.ss.scanSource(dstType, p, false)
 		for lo := 0; lo < nrows; lo += scoreBlock {
-			m := nrows - lo
-			if m > scoreBlock {
-				m = scoreBlock
-			}
-			scores := v.scoreShardBlock(ws, rel, tq, dstType, p, lo, m, false)
+			m := min(scoreBlock, nrows-lo)
+			scores := v.scoreRows(ws, rel, tq, src, lo, m, nil)
 			row := scores.Row(0)
 			for j := 0; j < m; j++ {
 				if base+int32(lo+j) == dst {

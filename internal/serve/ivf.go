@@ -2,6 +2,8 @@ package serve
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 
 	"pbg/internal/rng"
 	"pbg/internal/vec"
@@ -15,11 +17,13 @@ import (
 // means near under the model's own similarity, not raw Euclidean), then
 // exhaustively scores only the rows of its best nprobe lists. A batch of
 // queries is scanned list by list, not query by query: each probed list is
-// gathered once and scored against every query that probes it (scanProbed).
+// read once and scored against every query that probes it (scanProbed).
 //
 // The index stores per destination-type: per partition, an nlist×dim
 // centroid matrix plus, per centroid, the local row IDs assigned to it —
-// ids only, the rows stay in the ShardSet and are gathered at query time.
+// ids only, the rows stay in the ShardSet and are read there at query time.
+// The lists of a partition are a partition of its rows (every row in exactly
+// one list): BuildIVF produces that, ReadIVF refuses anything else.
 // It is immutable after Build/ReadIVF and safe for concurrent readers.
 type IVF struct {
 	Dim int
@@ -171,12 +175,27 @@ func nearestCentroid(cent vec.Matrix, x []float32) int {
 	return best
 }
 
-// probeCand is one list with a query's centroid score for it. cell numbers
-// the type's lists in (partition, list) order, so it is also the tie-break
-// that keeps selection deterministic.
-type probeCand struct {
-	cell  int32
-	score float32
+// probeKey packs one list's centroid score for a query and the list's cell —
+// its number among the type's lists in (partition, list) order — into an
+// integer whose ascending order is the probe order: higher score first, ties
+// (±0 are one score) by lower cell, NaN scores after every number. The order
+// is total and no two cells of a query share a key, so "the nprobe best lists"
+// is one set whatever algorithm finds it; the cell is the key's low word.
+//
+//pbg:hotpath
+func probeKey(cell int32, score float32) uint64 {
+	u := math.Float32bits(score)
+	switch {
+	case score != score:
+		u = 0
+	case score == 0:
+		u = 1 << 31
+	default:
+		// The usual order-preserving image of a float: flip every bit of a
+		// negative, the sign bit of a positive.
+		u ^= uint32(int32(u)>>31) | 1<<31
+	}
+	return uint64(^u)<<32 | uint64(uint32(cell))
 }
 
 // topKIVF answers a group of same-relation requests through the index:
@@ -194,19 +213,19 @@ func (v *view) topKIVF(ws *workspace, rel int, reqs []TopKRequest, out []TopKRes
 	// Stage 1: centroid scores for the whole group, one block GEMM per
 	// partition's centroid matrix. Collected per query into ws.probes.
 	if cap(ws.probes) < n*lists {
-		ws.probes = make([]probeCand, n*lists)
+		ws.probes = make([]uint64, n*lists)
 	}
 	probes := ws.probes[:n*lists]
 	col := 0
 	for p := range it.Parts {
-		cent := it.Parts[p].Centroids
-		for lo := 0; lo < cent.Rows; lo += scoreBlock {
-			m := min(scoreBlock, cent.Rows-lo)
-			scores := v.scoreCandidateBlock(ws, rel, tq, cent, lo, m)
+		cent := rowSource{rows: it.Parts[p].Centroids}
+		for lo := 0; lo < cent.rows.Rows; lo += scoreBlock {
+			m := min(scoreBlock, cent.rows.Rows-lo)
+			scores := v.scoreRows(ws, rel, tq, cent, lo, m, nil)
 			for i := 0; i < n; i++ {
 				mine := probes[i*lists+col:]
 				for j, s := range scores.Row(i) {
-					mine[j] = probeCand{cell: int32(col + j), score: s}
+					mine[j] = probeKey(int32(col+j), s)
 				}
 			}
 			col += m
@@ -237,8 +256,8 @@ func (v *view) topKIVF(ws *workspace, rel int, reqs []TopKRequest, out []TopKRes
 		nprobe = min(nprobe, lists)
 		mine := probes[i*lists : (i+1)*lists]
 		selectProbes(mine, nprobe)
-		for _, pc := range mine[:nprobe] {
-			cellEnd[pc.cell]++
+		for _, pk := range mine[:nprobe] {
+			cellEnd[uint32(pk)]++
 		}
 		heaps[i].reset(reqs[i].K)
 		out[i] = TopKResult{Probed: nprobe}
@@ -254,11 +273,12 @@ func (v *view) topKIVF(ws *workspace, rel int, reqs []TopKRequest, out []TopKRes
 	}
 	cellQ := ws.cellQ[:total]
 	for i := range reqs {
-		for _, pc := range probes[i*lists : i*lists+out[i].Probed] {
-			cellQ[cellEnd[pc.cell]] = int32(i)
-			cellEnd[pc.cell]++
+		for _, pk := range probes[i*lists : i*lists+out[i].Probed] {
+			cellQ[cellEnd[uint32(pk)]] = int32(i)
+			cellEnd[uint32(pk)]++
 		}
 	}
+	ws.lap(&ws.tally.plan)
 
 	v.scanProbed(ws, rel, tq, cellEnd, cellQ, heaps, out)
 	for i := range heaps {
@@ -268,25 +288,26 @@ func (v *view) topKIVF(ws *workspace, rel int, reqs []TopKRequest, out []TopKRes
 
 // scanProbed is the list-major scan: it walks the destination type's lists
 // once in (partition, list) order and, for each list some query of the batch
-// probes, gathers the list's rows into scratch once, prepares them once, and
-// scores them with one GEMM against the prepared rows of exactly the queries
-// that probe it (copied next to each other into ws.sub), offering each score
-// row to its query's heap. A row is therefore read from the mapping once per
-// batch, not once per probing query, and the GEMM's register blocking re-uses
-// it across four queries at a time. A batch of one is the same code with one
-// query row: vec.MulABt's Dot tail, so its scores are bitwise
-// model.Scorer.Score.
+// probes, scores the list's rows with one GEMM against the prepared rows of
+// exactly the queries that probe it (copied next to each other into ws.sub),
+// and offers each score row to its query's heap behind the threshold filter
+// (offerRow). A row is therefore read from the shard once per batch, not once
+// per probing query — where it lies in the mapping, unless it must be
+// dequantized or prepared first (scoreRows) — and the GEMM's register
+// blocking re-uses it across four queries at a time. A batch of one is the
+// same code with one query row: vec.MulABtRows' Dot tail, so its scores are
+// bitwise model.Scorer.Score.
 //
 //pbg:hotpath
 func (v *view) scanProbed(ws *workspace, rel int, tq vec.Matrix, cellEnd, cellQ []int32, heaps []topkHeap, out []TopKResult) {
 	dim := v.ss.dim
-	sc := v.scorers[rel]
 	dstType := v.dstType[rel]
 	ent := &v.ss.schema.Entities[dstType]
 	parts := v.ivf.Types[dstType].Parts
 	cell, start := 0, int32(0)
 	for p := range parts {
 		base := int32(p * ent.PartSize())
+		src := v.ss.scanSource(dstType, p, false)
 		for _, ids := range parts[p].Lists {
 			qs := cellQ[start:cellEnd[cell]]
 			start = cellEnd[cell]
@@ -299,69 +320,62 @@ func (v *view) scanProbed(ws *workspace, rel int, tq vec.Matrix, cellEnd, cellQ 
 				copy(sub.Row(a), tq.Row(int(qi)))
 				out[qi].Scanned += len(ids)
 			}
+			ws.tally.gathered += len(ids)
 			for lo := 0; lo < len(ids); lo += scoreBlock {
 				blk := ids[lo:min(lo+scoreBlock, len(ids))]
-				scratch := ensureMat(&ws.scratch, len(blk), dim)
-				v.ss.gatherRows(dstType, p, blk, scratch)
-				ws.gathered += len(blk)
-				sc.Cmp.Prepare(scratch)
-				scores := ensureMat(&ws.scores, len(qs), len(blk))
-				sc.Cmp.CrossScores(scores, sub, scratch)
+				scores := v.scoreRows(ws, rel, sub, src, 0, len(blk), blk)
 				for a, qi := range qs {
-					h := &heaps[qi]
-					for j, s := range scores.Row(a) {
-						h.offer(base+blk[j], s)
-					}
+					heaps[qi].offerRow(&ws.sel, scores.Row(a), base, blk)
 				}
 			}
 		}
 	}
 }
 
-// selectProbes partially sorts cells so the nprobe best-by-score (ties by
-// cell ascending, keeping selection deterministic) come first: a bounded
-// heap over cells[:nprobe] with the worst kept cell at the root, swept by the
-// rest. Sizes are small (lists ≤ a few thousand) and it allocates nothing.
-func selectProbes(cells []probeCand, nprobe int) {
-	if nprobe >= len(cells) {
-		return
-	}
-	h := cells[:nprobe]
-	for i := nprobe/2 - 1; i >= 0; i-- {
-		siftProbes(h, i)
-	}
-	for _, c := range cells[nprobe:] {
-		if c.before(h[0]) {
-			h[0] = c
-			siftProbes(h, 0)
-		}
-	}
-}
-
-func (a probeCand) before(b probeCand) bool {
-	if a.score != b.score {
-		return a.score > b.score
-	}
-	return a.cell < b.cell
-}
-
-// siftProbes restores the worst-at-root order below h[i].
-func siftProbes(h []probeCand, i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		w := i
-		if l < len(h) && h[w].before(h[l]) {
-			w = l
-		}
-		if r < len(h) && h[w].before(h[r]) {
-			w = r
-		}
-		if w == i {
+// selectProbes moves the nprobe smallest keys — a query's nprobe best lists
+// (probeKey) — to the front of keys, in no particular order: quickselect with
+// a median-of-three pivot, which is linear where a bounded heap is
+// O(L log nprobe) at its worst (nprobe = 0.4 L is the default). Nothing is
+// drawn at random, and the keys are distinct under a total order, so the set
+// that ends up in front is the same one the heap, or a full sort, would put
+// there. Should the pivots go badly the range left is sorted instead, which
+// bounds the cost at O(L log L). It allocates nothing.
+//
+//pbg:hotpath
+func selectProbes(keys []uint64, nprobe int) {
+	// The boundary nprobe stays inside [lo, hi]; everything left of lo is
+	// already smaller than everything right of it, likewise for hi.
+	lo, hi := 0, len(keys)
+	for depth := 2 * bits.Len(uint(len(keys))); hi-lo > 12 && depth > 0; depth-- {
+		if nprobe <= lo || nprobe >= hi {
 			return
 		}
-		h[i], h[w] = h[w], h[i]
-		i = w
+		a, b, c := keys[lo], keys[lo+(hi-lo)/2], keys[hi-1]
+		pivot := max(min(a, b), min(max(a, b), c))
+		i, j := lo, hi-1
+		for i <= j {
+			for keys[i] < pivot {
+				i++
+			}
+			for keys[j] > pivot {
+				j--
+			}
+			if i <= j {
+				keys[i], keys[j] = keys[j], keys[i]
+				i++
+				j--
+			}
+		}
+		// keys[lo..j] ≤ pivot ≤ keys[i..hi), and if one index lies between
+		// the two it holds the pivot; a median of three distinct keys leaves
+		// both sides non-empty, so the range shrinks.
+		if nprobe <= j+1 {
+			hi = j + 1
+		} else {
+			lo = i
+		}
 	}
+	slices.Sort(keys[lo:hi])
 }
 
 // Bytes reports the serialized footprint of the index (centroid floats +

@@ -23,7 +23,10 @@ import (
 //
 // All little-endian, matching the shard codec. ReadIVF validates every
 // count against the schema before allocating, so a corrupt or truncated
-// file errors instead of panicking or ballooning memory.
+// file errors instead of panicking or ballooning memory, and requires each
+// partition's lists to be a partition of its rows: the scan hands these ids
+// to a GEMM tile that dereferences them (vec.MulABtRows), and counts on
+// meeting every row exactly once.
 const (
 	ivfMagic   = 0x50424749 // "PBGI"
 	ivfVersion = 1
@@ -162,6 +165,8 @@ func ReadIVF(path string, schema *graph.Schema, dim int) (*IVF, error) {
 				return nil, fmt.Errorf("serve: ivf centroids: %w", err)
 			}
 			lists := make([][]int32, nlist)
+			listed := make([]bool, partRows) // rows some list of this partition holds
+			unlisted := partRows
 			for l := range lists {
 				var ll [1]uint32
 				if err := readU32s(r, ll[:]); err != nil {
@@ -180,9 +185,17 @@ func ReadIVF(path string, schema *graph.Schema, dim int) (*IVF, error) {
 					if v[0] >= uint32(partRows) {
 						return nil, fmt.Errorf("serve: ivf row id %d out of range (partition has %d rows)", v[0], partRows)
 					}
+					if listed[v[0]] {
+						return nil, fmt.Errorf("serve: ivf part %d/%d lists row %d twice", t, p, v[0])
+					}
+					listed[v[0]] = true
+					unlisted--
 					ids[j] = int32(v[0])
 				}
 				lists[l] = ids
+			}
+			if unlisted != 0 {
+				return nil, fmt.Errorf("serve: ivf part %d/%d leaves %d of %d rows in no list", t, p, unlisted, partRows)
 			}
 			it.Parts[p] = ivfPart{Centroids: cent, Lists: lists}
 			it.Lists += nlist

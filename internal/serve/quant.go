@@ -24,15 +24,6 @@ type quantRows struct {
 	nbytes int64
 }
 
-// fill dequantizes rows [lo, lo+m) into the first m rows of dst.
-//
-//pbg:hotpath
-func (q *quantRows) fill(dst vec.Matrix, lo, m int) {
-	for j := 0; j < m; j++ {
-		q.copyRow(dst.Row(j), lo+j)
-	}
-}
-
 // copyRow dequantizes row r into dst (len cols).
 //
 //pbg:hotpath

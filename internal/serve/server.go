@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -12,6 +13,7 @@ import (
 	"pbg/internal/model"
 	"pbg/internal/obs"
 	"pbg/internal/storage"
+	"pbg/internal/vec"
 )
 
 // Config configures a Server. Schema and Dim must match the checkpoint;
@@ -65,6 +67,10 @@ type view struct {
 	dstType []int       // destination entity-type index per relation
 	nprobe  int         // Config.NProbe; 0 resolves per destination type in topKIVF
 	rerank  float64     // resolved quantized-scan oversampling factor
+
+	// rawRows[r]: relation r's comparator scores rows as stored — its Prepare
+	// is the identity — so fp32 candidates are read where they lie (scoreRows).
+	rawRows []bool
 }
 
 // tryAcquire takes a reference unless the view is already drained.
@@ -97,23 +103,29 @@ func (v *view) retire() {
 
 // metrics is the serving instrumentation, registered once at Open.
 type metrics struct {
-	reqTopK    *obs.Counter // pbg_serve_requests_total{api=...}
-	reqScore   *obs.Counter
-	reqRank    *obs.Counter
-	queries    *obs.Counter // individual queries inside batches
-	rowsScored *obs.Counter // (query, row) pairs scored
-	// rowsGathered counts rows copied out of the shards into scratch. A scan
-	// shares each gathered row across the batch, so scored ÷ gathered is how
-	// many queries a row read served.
+	reqTopK  *obs.Counter // pbg_serve_requests_total{api=...}
+	reqScore *obs.Counter
+	reqRank  *obs.Counter
+	queries  *obs.Counter // individual queries inside batches
+	// The work counters count what was done, i.e. over the distinct questions
+	// of each batch (tally): rowsScored is (query, row) pairs scored, deduped
+	// the queries answered from another's result instead.
+	rowsScored *obs.Counter
+	deduped    *obs.Counter
+	// rowsGathered counts rows read from the shards, copied into scratch or
+	// scored in place. A scan shares each row it reads across the batch, so
+	// scored ÷ gathered is how many queries a row read served.
 	rowsGathered *obs.Counter
 	listsProbed  *obs.Counter
 	reloads      *obs.Counter
 	errors       *obs.Counter
 
-	latTopK   *obs.Histogram // whole-call latency, seconds
-	latScore  *obs.Histogram
-	stagePlan *obs.Histogram // gather + transform + prepare
-	stageScan *obs.Histogram // candidate scoring (exact or probe)
+	latTopK  *obs.Histogram // whole-call latency, seconds
+	latScore *obs.Histogram
+	// The two stages of a TopK call (tally.plan, tally.scan); per call they
+	// sum to latTopK's observation.
+	stagePlan *obs.Histogram
+	stageScan *obs.Histogram
 
 	rowsReranked *obs.Counter
 
@@ -132,6 +144,7 @@ func bindMetrics(reg *obs.Registry) *metrics {
 		reqRank:      reg.Counter(`pbg_serve_requests_total{api="rank"}`),
 		queries:      reg.Counter(`pbg_serve_queries_total`),
 		rowsScored:   reg.Counter(`pbg_serve_rows_scored_total`),
+		deduped:      reg.Counter(`pbg_serve_queries_deduped_total`),
 		rowsGathered: reg.Counter(`pbg_serve_rows_gathered_total`),
 		listsProbed:  reg.Counter(`pbg_serve_lists_probed_total`),
 		reloads:      reg.Counter(`pbg_serve_reloads_total`),
@@ -201,6 +214,7 @@ func (s *Server) loadView(dir string) (*view, error) {
 	nrel := len(schema.Relations)
 	v.scorers = make([]*model.Scorer, nrel)
 	v.relFwd = make([][]float32, nrel)
+	v.rawRows = make([]bool, nrel)
 	v.srcType = make([]int, nrel)
 	v.dstType = make([]int, nrel)
 
@@ -221,6 +235,8 @@ func (s *Server) loadView(dir string) (*view, error) {
 			return nil, err
 		}
 		v.scorers[r] = sc
+		// The interface's contract: Prepare returns nil iff it is the identity.
+		v.rawRows[r] = sc.Cmp.Prepare(vec.Matrix{}) == nil
 		v.srcType[r] = schema.EntityTypeIndex(rel.SourceType)
 		v.dstType[r] = schema.EntityTypeIndex(rel.DestType)
 		params := make([]float32, sc.RelParamCount())
@@ -425,12 +441,82 @@ func (v *view) singleGroup(reqs []TopKRequest) (groupKey, bool) {
 	return first, true
 }
 
-// topKGroup scores one group's requests into out.
+// topKGroup scores one group's requests into out, each distinct question
+// once: requests that ask the same thing — equal SrcID, K and NProbe, no
+// Vector — are planned, scored and selected as one query, and every asker
+// gets the answer with result slices of its own. Skewed traffic repeats its
+// hot sources inside a batch, and a repeated query costs a row of every GEMM
+// and a heap of its own for an answer the call already has. A duplicate's
+// Scanned, Probed and Reranked are its first asker's: what was scored for
+// that answer, not work done twice.
 func (v *view) topKGroup(ws *workspace, k groupKey, reqs []TopKRequest, out []TopKResult) {
+	ws.dedupe(reqs)
+	if cap(ws.uout) < len(ws.ureqs) {
+		ws.uout = make([]TopKResult, len(ws.ureqs))
+	}
+	uout := ws.uout[:len(ws.ureqs)]
 	if k.exact {
-		v.topKExact(ws, k.rel, reqs, out)
+		v.topKExact(ws, k.rel, ws.ureqs, uout)
 	} else {
-		v.topKIVF(ws, k.rel, reqs, out)
+		v.topKIVF(ws, k.rel, ws.ureqs, uout)
+	}
+	for u := range uout {
+		ws.tally.scanned += uout[u].Scanned
+		ws.tally.probed += uout[u].Probed
+		ws.tally.reranked += uout[u].Reranked
+	}
+	ws.tally.deduped += len(reqs) - len(uout)
+	// Questions are numbered in order of first appearance, so the first
+	// asker of question u is the first request past those of 0..u−1; it takes
+	// the result, later askers a copy.
+	next := int32(0)
+	for i, u := range ws.rep {
+		out[i] = uout[u]
+		if u == next {
+			next++
+			continue
+		}
+		out[i].IDs = slices.Clone(uout[u].IDs)
+		out[i].Scores = slices.Clone(uout[u].Scores)
+	}
+	clear(uout) // the pooled workspace must not pin the callers' results
+	ws.lap(&ws.tally.scan)
+}
+
+// dedupe fills ws.ureqs with the distinct questions of reqs, in order of
+// first appearance, and ws.rep with the question each request asks. A request
+// carrying a Vector is always a question of its own.
+func (ws *workspace) dedupe(reqs []TopKRequest) {
+	size := 4
+	for size < 2*len(reqs) {
+		size <<= 1
+	}
+	if cap(ws.seen) < size {
+		ws.seen = make([]int32, size)
+	}
+	seen := ws.seen[:size] // open addressing: question number + 1, 0 = free
+	clear(seen)
+	ws.ureqs, ws.rep = ws.ureqs[:0], ws.rep[:0]
+	for i := range reqs {
+		r := &reqs[i]
+		u := int32(len(ws.ureqs)) // a new question, unless the table has it
+		if r.Vector == nil {
+			h := int((uint64(uint32(r.SrcID))*0x9e3779b97f4a7c15+uint64(r.K)*0xc2b2ae3d27d4eb4f+uint64(r.NProbe))>>32) & (size - 1)
+			for ; seen[h] != 0; h = (h + 1) & (size - 1) {
+				if q := &ws.ureqs[seen[h]-1]; q.SrcID == r.SrcID && q.K == r.K && q.NProbe == r.NProbe {
+					break
+				}
+			}
+			if seen[h] != 0 {
+				u = seen[h] - 1
+			} else {
+				seen[h] = u + 1
+			}
+		}
+		if int(u) == len(ws.ureqs) {
+			ws.ureqs = append(ws.ureqs, *r)
+		}
+		ws.rep = append(ws.rep, u)
 	}
 }
 
@@ -454,31 +540,28 @@ func (s *Server) TopK(reqs []TopKRequest) ([]TopKResult, error) {
 	out := make([]TopKResult, len(reqs))
 	ws := s.getWorkspace()
 	defer s.pool.Put(ws)
+	// The call's time is booked to a stage lap by lap, from start: whatever
+	// runs up to the end of a group's planning is plan, from there to the end
+	// of the group scan, and the two add up to the call.
+	ws.tally, ws.last = tally{}, start
 
 	// The common batch is one group — a client asking one relation on one
-	// path — and is scored straight from reqs into out.
-	group, single := v.singleGroup(reqs)
-	scanStart := time.Now()
-	s.met.stagePlan.Observe(scanStart.Sub(start).Seconds())
-	ws.gathered = 0
-	if single {
+	// path — and needs no bucketing.
+	if group, single := v.singleGroup(reqs); single {
 		v.topKGroup(ws, group, reqs, out)
 	} else {
 		v.topKMixed(ws, reqs, out)
 	}
-	var scanned, probed, reranked int
-	for i := range out {
-		scanned += out[i].Scanned
-		probed += out[i].Probed
-		reranked += out[i].Reranked
-	}
-	s.met.rowsScored.Add(int64(scanned))
-	s.met.rowsGathered.Add(int64(ws.gathered))
-	s.met.listsProbed.Add(int64(probed))
-	s.met.rowsReranked.Add(int64(reranked))
-	now := time.Now()
-	s.met.stageScan.Observe(now.Sub(scanStart).Seconds())
-	s.met.latTopK.Observe(now.Sub(start).Seconds())
+	t := &ws.tally
+	s.met.rowsScored.Add(int64(t.scanned))
+	s.met.rowsGathered.Add(int64(t.gathered))
+	s.met.listsProbed.Add(int64(t.probed))
+	s.met.rowsReranked.Add(int64(t.reranked))
+	s.met.deduped.Add(int64(t.deduped))
+	ws.lap(&t.scan)
+	s.met.stagePlan.Observe(t.plan.Seconds())
+	s.met.stageScan.Observe(t.scan.Seconds())
+	s.met.latTopK.Observe(ws.last.Sub(start).Seconds())
 	return out, nil
 }
 

@@ -201,7 +201,14 @@ func TestServeMetrics(t *testing.T) {
 	if err := s.BuildIndex(serve.IVFConfig{Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.TopK(f.Requests(51, 8, 5, false)); err != nil {
+	reqs := f.Requests(51, 8, 5, false)
+	reqs = append(reqs, reqs[0], reqs[1], reqs[0]) // three of eleven queries repeat another
+	res, err := s.TopK(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A mixed batch books each group's planning and scanning too.
+	if _, err := s.TopK(append(f.Requests(52, 6, 5, true), reqs...)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Score([]serve.ScoreRequest{{Rel: 0, Src: 1, Dst: 2}}); err != nil {
@@ -216,7 +223,35 @@ func TestServeMetrics(t *testing.T) {
 		t.Fatal("rows-scored counter did not move")
 	}
 	if gathered == 0 || gathered >= scored {
-		t.Fatalf("rows-gathered counter reads %d for %d rows scored; a batch shares its gathered rows", gathered, scored)
+		t.Fatalf("rows-gathered counter reads %d for %d rows scored; a batch shares the rows it reads", gathered, scored)
+	}
+	// The work counters count work done: a repeated query adds to deduped, not
+	// to rows scored.
+	if got := snap.Counters[`pbg_serve_queries_deduped_total`]; got != 6 {
+		t.Fatalf("deduped counter reads %d for two batches that each repeat three queries", got)
+	}
+	distinct := 0
+	for i := range res[:8] {
+		distinct += res[i].Scanned
+	}
+	if exact := int64(6 * f.Cfg.Nodes); scored != 2*int64(distinct)+exact {
+		t.Fatalf("rows-scored counter reads %d, want %d: the distinct index queries' rows twice and %d for the exact ones", scored, 2*int64(distinct)+exact, exact)
+	}
+	// The stage split closes: planning (validation, query gather, dedupe,
+	// centroid scores, probe selection, inversion) and scanning (list scoring,
+	// selection, re-rank) account for the call.
+	lat := snap.Histograms[`pbg_serve_latency_s{api="topk"}`]
+	plan, scan := snap.Histograms[`pbg_serve_stage_s{stage="plan"}`], snap.Histograms[`pbg_serve_stage_s{stage="scan"}`]
+	if plan.Count != lat.Count || scan.Count != lat.Count || plan.Sum <= 0 || scan.Sum <= 0 {
+		t.Fatalf("stage histograms: plan %d obs %.3gs, scan %d obs %.3gs for %d calls", plan.Count, plan.Sum, scan.Count, scan.Sum, lat.Count)
+	}
+	if share := (plan.Sum + scan.Sum) / lat.Sum; share < 0.97 || share > 1.0001 {
+		t.Fatalf("plan %.3gs + scan %.3gs is %.3f of the %.3gs the calls took, want [0.97, 1]", plan.Sum, scan.Sum, share, lat.Sum)
+	}
+	// Index planning is not a rounding error of the call: it scores every
+	// centroid and selects probes, which the split used to book as scan.
+	if plan.Sum < 0.02*lat.Sum {
+		t.Fatalf("plan stage is %.4f of the calls' time", plan.Sum/lat.Sum)
 	}
 	if h := snap.Histograms[`pbg_serve_latency_s{api="topk"}`]; h.Count == 0 {
 		t.Fatal("topk latency histogram is empty")

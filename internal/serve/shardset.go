@@ -78,18 +78,30 @@ func (s *shardRows) copyRow(dst []float32, r int) {
 	s.quant.copyRow(dst, r)
 }
 
-// fillBlock copies rows [lo, lo+m) into the first m rows of dst. With
-// preferQuant the quantized view is used when attached (the scan path);
-// otherwise fp32 wins and quant is the fallback for quant-only shards.
+// rowSource is where a scan reads candidate rows from: fp32 rows that can be
+// scored where they lie (a shard's mapped embedding block, an index's
+// centroids), or, when quant is set, a quantized view whose rows exist as
+// floats only once they are dequantized into scratch.
+type rowSource struct {
+	rows  vec.Matrix
+	quant *quantRows
+}
+
+// fill materialises a block of the source into the first rows of dst: rows
+// ids when ids is non-nil, rows [lo, lo+dst.Rows) otherwise.
 //
 //pbg:hotpath
-func (s *shardRows) fillBlock(dst vec.Matrix, lo, m int, preferQuant bool) {
-	if s.quant != nil && (preferQuant || !s.fp32) {
-		s.quant.fill(dst, lo, m)
-		return
-	}
-	for j := 0; j < m; j++ {
-		copy(dst.Row(j), s.rows.Row(lo+j))
+func (src rowSource) fill(dst vec.Matrix, lo int, ids []int32) {
+	for j := 0; j < dst.Rows; j++ {
+		r := lo + j
+		if ids != nil {
+			r = int(ids[j])
+		}
+		if src.quant != nil {
+			src.quant.copyRow(dst.Row(j), r)
+		} else {
+			copy(dst.Row(j), src.rows.Row(r))
+		}
 	}
 }
 
@@ -275,23 +287,15 @@ func (ss *ShardSet) CopyRow(typeIdx int, id int32, dst []float32) {
 	ss.shards[typeIdx][p].copyRow(dst, int(local))
 }
 
-// gatherRows copies the partition-local rows ids of shard (typeIdx, part)
-// into the first len(ids) rows of dst, at best precision.
-//
-//pbg:hotpath
-func (ss *ShardSet) gatherRows(typeIdx, part int, ids []int32, dst vec.Matrix) {
+// scanSource is what a scan of shard (typeIdx, part) reads: the quantized
+// view with preferQuant when one is attached (the scan path) and always on a
+// quant-only shard, the fp32 rows otherwise.
+func (ss *ShardSet) scanSource(typeIdx, part int, preferQuant bool) rowSource {
 	sr := ss.shards[typeIdx][part]
-	for j, id := range ids {
-		sr.copyRow(dst.Row(j), int(id))
+	if sr.quant != nil && (preferQuant || !sr.fp32) {
+		return rowSource{quant: sr.quant}
 	}
-}
-
-// fillBlock copies rows [lo, lo+m) of shard (typeIdx, part) into the first
-// m rows of dst; preferQuant selects the quantized view when attached.
-//
-//pbg:hotpath
-func (ss *ShardSet) fillBlock(typeIdx, part, lo, m int, dst vec.Matrix, preferQuant bool) {
-	ss.shards[typeIdx][part].fillBlock(dst, lo, m, preferQuant)
+	return rowSource{rows: sr.rows}
 }
 
 // MaterializeRows returns the fp32 rows of one shard: the zero-copy view
@@ -303,7 +307,7 @@ func (ss *ShardSet) MaterializeRows(typeIdx, part int) vec.Matrix {
 		return sr.rows
 	}
 	m := vec.NewMatrix(sr.count, sr.dim)
-	sr.quant.fill(m, 0, sr.count)
+	rowSource{quant: sr.quant}.fill(m, 0, nil)
 	return m
 }
 

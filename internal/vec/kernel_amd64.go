@@ -35,12 +35,19 @@ func xgetbv() (eax, edx uint32)
 //go:noescape
 func dotAVX2(a, b *float32, d int) float32
 
-// dotTileAVX2 stores c[i·ldc+j] = dotAVX2(a+i·d, b+j·d, d) for i < r ≤ 4 and
+// dotTileAVX2 stores c[i·ldc+j] = dotAVX2(a+i·d, b_j, d) for i < r ≤ 4 and
 // j < cc ≤ 2, each with dotAVX2's instruction sequence on its own
-// accumulator.
+// accumulator. b0 and b1 are the tile's two B rows, wherever they lie; a
+// one-column tile passes b0 twice.
 //
 //go:noescape
-func dotTileAVX2(c *float32, ldc int, a *float32, r int, b *float32, cc int, d int)
+func dotTileAVX2(c *float32, ldc int, a *float32, r int, b0, b1 *float32, cc int, d int)
+
+// prefetchRowsAVX2 prefetches the cache lines of rows idx[0..n) of b, d floats
+// a row.
+//
+//go:noescape
+func prefetchRowsAVX2(b *float32, d int, idx *int32, n int)
 
 // axpyAVX2 computes y[k] = fma(alpha, x[k], y[k]) over d floats.
 //
@@ -72,6 +79,12 @@ func complexMulConjAddAVX2(dst, a, b *float32, h int)
 //
 //go:noescape
 func hingeMaskAVX2(mask *byte, scores *float32, ids *int32, n int, t float32, id int32) (sum float64, masked int)
+
+// selectGEMaskAVX2 sets bit j of mask (⌈n/8⌉ bytes, bits past n clear) when
+// x[j] is not below t; a NaN on either side sets it.
+//
+//go:noescape
+func selectGEMaskAVX2(mask *byte, x *float32, n int, t float32)
 
 // maxUint32AVX2 returns the unsigned maximum of n dwords at x, 0 for n = 0.
 //

@@ -1,7 +1,7 @@
 #include "textflag.h"
 
-// AVX2+FMA leaves of Dot, Axpy and the three GEMMs. kernel.go states the
-// numerical contract; kernel_amd64.go declares these. All loads and stores
+// AVX2+FMA leaves of Dot, Axpy, the GEMMs and the two mask passes. kernel.go
+// states the numerical contract; kernel_amd64.go declares these. All loads and stores
 // are unaligned forms (mmap'd shard rows sit behind a 28-byte header), every
 // function handles any d >= 0 itself, and each ends in VZEROUPPER.
 
@@ -72,24 +72,28 @@ dot_reduce:
 	VZEROUPPER
 	RET
 
-// func dotTileAVX2(c *float32, ldc int, a *float32, r int, b *float32, cc int, d int)
+// func dotTileAVX2(c *float32, ldc int, a *float32, r int, b0, b1 *float32, cc int, d int)
 //
 // Accumulators: Y0..Y7 hold c00 c01 c10 c11 c20 c21 c30 c31; Y8, Y9 the two
 // B rows of the step, Y10..Y13 the four A rows — 14 of the 16 YMM registers,
 // 8 FMAs per 6 loads, and 8 independent FMA chains to cover the 4-cycle
 // latency on two ports. A 4×3 tile would need all 16 with nothing left for
 // the tail mask. Rows an edge tile lacks alias the last row it has, so the
-// loop has one shape; only the stores look at r and cc.
-TEXT ·dotTileAVX2(SB), NOSPLIT, $0-56
+// loop has one shape; only the stores look at r and cc. The two B rows come
+// as pointers (a one-column tile is handed the same row twice), so the rows
+// may lie anywhere: next to each other under MulABt, wherever an index list
+// says under MulABtRows.
+TEXT ·dotTileAVX2(SB), NOSPLIT, $0-64
 	MOVQ a+16(FP), SI
 	MOVQ r+24(FP), R8
-	MOVQ b+32(FP), DI
-	MOVQ cc+40(FP), R9
-	MOVQ d+48(FP), CX
+	MOVQ b0+32(FP), DI
+	MOVQ b1+40(FP), R13
+	MOVQ cc+48(FP), R9
+	MOVQ d+56(FP), CX
 	LEAQ (CX*4), DX
 
-	// A1..A3 in R10..R12, B1 in R13: the next row, or the previous pointer
-	// again when the tile has no such row.
+	// A1..A3 in R10..R12: the next row, or the previous pointer again when
+	// the tile has no such row.
 	MOVQ    SI, R10
 	LEAQ    (SI)(DX*1), AX
 	CMPQ    R8, $2
@@ -102,10 +106,6 @@ TEXT ·dotTileAVX2(SB), NOSPLIT, $0-56
 	LEAQ    (R11)(DX*1), AX
 	CMPQ    R8, $4
 	CMOVQGE AX, R12
-	MOVQ    DI, R13
-	LEAQ    (DI)(DX*1), AX
-	CMPQ    R9, $2
-	CMOVQGE AX, R13
 
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
@@ -203,6 +203,44 @@ tile_onecol:
 
 tile_done:
 	VZEROUPPER
+	RET
+
+// func prefetchRowsAVX2(b *float32, d int, idx *int32, n int)
+//
+// Asks for every cache line of rows idx[0..n) of b (d floats a row), in list
+// order, ahead of the tile walk that reads them: rows named by a list lie
+// where no hardware prefetcher looks, and the tile's eight FMA chains would
+// otherwise stall on each miss in turn. A prefetch faults on nothing and
+// writes nothing.
+TEXT ·prefetchRowsAVX2(SB), NOSPLIT, $0-32
+	MOVQ b+0(FP), SI
+	MOVQ d+8(FP), DX
+	MOVQ idx+16(FP), R9
+	MOVQ n+24(FP), R11
+	SHLQ $2, DX
+	JZ   prefetch_done
+	XORQ BX, BX
+	JMP  prefetch_next
+
+prefetch_row:
+	MOVLQZX (R9)(BX*4), AX
+	IMULQ   DX, AX
+	ADDQ    SI, AX
+	LEAQ    -1(AX)(DX*1), CX // the row's last byte
+
+prefetch_line:
+	PREFETCHT0 (AX)
+	ADDQ       $64, AX
+	CMPQ       AX, CX
+	JLE        prefetch_line
+	PREFETCHT0 (CX)
+	INCQ       BX
+
+prefetch_next:
+	CMPQ BX, R11
+	JLT  prefetch_row
+
+prefetch_done:
 	RET
 
 // func axpyAVX2(alpha float32, x, y *float32, d int)
@@ -586,6 +624,43 @@ hinge_sum:
 	VZEROUPPER
 	RET
 
+// func selectGEMaskAVX2(mask *byte, x *float32, n int, t float32)
+//
+// Bit j of mask (⌈n/8⌉ bytes, little-endian bit order, bits past n clear) is
+// set when x[j] is not below t. The predicate is NLT_US, true for an
+// unordered pair, so a NaN on either side sets the bit: exactly the entries a
+// "reject what is below t" test lets through. Y15 = t throughout.
+TEXT ·selectGEMaskAVX2(SB), NOSPLIT, $0-28
+	MOVQ         mask+0(FP), DI
+	MOVQ         x+8(FP), SI
+	MOVQ         n+16(FP), CX
+	VBROADCASTSS t+24(FP), Y15
+	BLOCKS
+	CMPQ         BX, DX
+	JGE          select_tail
+
+select_loop:
+	VMOVUPS   (SI)(BX*1), Y1
+	VCMPPS    $0x05, Y15, Y1, Y2
+	VMOVMSKPS Y2, AX
+	MOVB      AX, (DI)
+	INCQ      DI
+	ADDQ      $32, BX
+	CMPQ      BX, DX
+	JLT       select_loop
+
+select_tail:
+	TAILMASK(select_done)
+	VMASKMOVPS (SI)(BX*1), Y14, Y1
+	VCMPPS     $0x05, Y15, Y1, Y2
+	VANDPS     Y14, Y2, Y2 // lanes past n: clear
+	VMOVMSKPS  Y2, AX
+	MOVB       AX, (DI)
+
+select_done:
+	VZEROUPPER
+	RET
+
 // func maxUint32AVX2(x *int32, n int) uint32
 //
 // The unsigned maximum of n dwords (0 for none): checkSparse's range test of
@@ -641,11 +716,6 @@ TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL CX, ecx+16(FP)
 	MOVL DX, edx+20(FP)
 	RET
-	// Six bytes of never-executed padding take this block from 27 bytes to
-	// 33, one 32-byte slot more, which is what puts the benchmark's reference
-	// loop back on the address residue (mod 64) it has at the parent commit.
-	// See the alignment trap in CHANGES.md (PR 24); ROADMAP item 1 is the fix.
-	BYTE $0x90; BYTE $0x90; BYTE $0x90; BYTE $0x90; BYTE $0x90; BYTE $0x90
 
 // func xgetbv() (eax, edx uint32)
 TEXT ·xgetbv(SB), NOSPLIT, $0-8

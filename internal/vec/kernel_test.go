@@ -18,20 +18,22 @@ type kernels struct {
 	name          string
 	dot           func(a, b []float32) float32
 	axpy          func(alpha float32, x, y []float32)
-	mulABt        func(c, a, b Matrix)
+	mulABtRows    func(c, a, b Matrix, idx []int32)
 	addOuterAtB   func(a, g, b Matrix)
 	addRowsSparse func(dst Matrix, g *SparseRows, src Matrix)
 	hingeRow      func(idx []int32, scores []float32, ids []int32, t float32, id int32) (int, float64, int)
+	selectGE      func(idx []int32, x []float32, t float32) int
 }
 
 var (
 	genericKernels = kernels{
-		"generic", dotGeneric, axpyGeneric, mulABtGeneric,
+		"generic", dotGeneric, axpyGeneric,
+		func(c, a, b Matrix, idx []int32) { checkMulABt(c, a, b, idx); mulABtGeneric(c, a, b, idx) },
 		func(a, g, b Matrix) { addOuterDense(a, g, b, false) },
 		func(dst Matrix, g *SparseRows, src Matrix) { addRowsSparse(dst, g, src, false) },
-		hingeRowGeneric,
+		hingeRowGeneric, selectGEGeneric,
 	}
-	activeKernels = kernels{Kernel(), Dot, Axpy, MulABt, AddOuterAtB, AddRowsSparse, hingeRow}
+	activeKernels = kernels{Kernel(), Dot, Axpy, MulABtRows, AddOuterAtB, AddRowsSparse, hingeRow, SelectGE}
 )
 
 // bothPaths is the active path and, when that is the assembly, the portable
@@ -119,7 +121,7 @@ func checkBound(ks kernels, n, m, d, off int, density uint8, seed uint64) error 
 	sparsify(r, g, density)
 
 	c := offMatrix(r, n, m, off)
-	ks.mulABt(c, a, b)
+	ks.mulABtRows(c, a, b, nil)
 	for i := 0; i < n; i++ {
 		for j := 0; j < m; j++ {
 			var exact, abs float64
@@ -261,6 +263,81 @@ func firstDiff(x, y []float32) int {
 	return -1
 }
 
+// checkRows holds MulABtRows to its definition on every path: against rows
+// of b picked by a list with repeats — of odd length whenever m is even, so
+// the one-column edge tile reads through the list too — it is bitwise the same
+// path's MulABt over a gathered copy of those rows, and on the assembly path
+// bitwise Dot of the rows where they lie.
+func checkRows(n, m, d, off int, seed uint64) error {
+	r := rng.New(seed)
+	a, b := offMatrix(r, n, d, off), offMatrix(r, m, d, off)
+	var idx []int32
+	if m > 0 {
+		idx = make([]int32, off+m+1)[off:]
+		for j := range idx {
+			idx[j] = int32(r.Intn(m))
+		}
+		idx[len(idx)/2] = idx[0] // a repeated row, whatever the draw
+	}
+	gathered := offMatrix(r, len(idx), d, off)
+	for j, row := range idx {
+		copy(gathered.Row(j), b.Row(int(row)))
+	}
+	for _, ks := range bothPaths() {
+		got, want := offMatrix(r, n, len(idx), off), offMatrix(r, n, len(idx), off)
+		ks.mulABtRows(got, a, b, idx)
+		ks.mulABtRows(want, a, gathered, nil)
+		if i := firstDiff(got.Data, want.Data); i >= 0 {
+			return fmt.Errorf("%s: MulABtRows element %d = %v, MulABt over the gathered rows %v", ks.name, i, got.Data[i], want.Data[i])
+		}
+		if ks.name == "generic" {
+			continue
+		}
+		for i := 0; i < n; i++ {
+			for j, row := range idx {
+				if want := Dot(a.Row(i), b.Row(int(row))); !sameBits(got.Row(i)[j], want) {
+					return fmt.Errorf("MulABtRows[%d][%d] = %v, Dot with row %d %v", i, j, got.Row(i)[j], row, want)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// checkSelectGE holds both paths' threshold filter to its definition — the
+// ascending positions not strictly below t — over rows salted with NaN, ±Inf
+// and exact ties with the threshold, and with NaN and ±Inf as the threshold.
+func checkSelectGE(n, off int, seed uint64) error {
+	r := rng.New(seed)
+	x := offMatrix(r, 1, n, off).Data
+	inf := float32(math.Inf(1))
+	thresholds := []float32{r.NormFloat32(), float32(math.NaN()), inf, -inf, 0}
+	specials := append(thresholds, float32(math.Copysign(0, -1)))
+	for j := 2; j < n; j += 5 {
+		x[j] = specials[(j/5)%len(specials)]
+	}
+	for _, t := range thresholds {
+		var want []int32
+		for j, v := range x {
+			if !(v < t) {
+				want = append(want, int32(j))
+			}
+		}
+		for _, ks := range bothPaths() {
+			idx := make([]int32, off+n)[off:]
+			if k := ks.selectGE(idx, x, t); k != len(want) {
+				return fmt.Errorf("%s: threshold %v selects %d of %d, want %d", ks.name, t, k, n, len(want))
+			}
+			for q := range want {
+				if idx[q] != want[q] {
+					return fmt.Errorf("%s: threshold %v selection %d is position %d, want %d", ks.name, t, q, idx[q], want[q])
+				}
+			}
+		}
+	}
+	return nil
+}
+
 var (
 	parityRows = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 50, 100}
 	parityDims = []int{0, 1, 7, 8, 9, 31, 32, 33, 63, 64, 65, 100, 128, 130}
@@ -303,6 +380,55 @@ func TestKernelPositionIndependent(t *testing.T) {
 	})
 }
 
+func TestMulABtRowsMatchesGathered(t *testing.T) {
+	eachParityShape(func(n, m, d, off int, seed uint64) {
+		if err := checkRows(n, m, d, off, seed); err != nil {
+			t.Fatalf("n=%d m=%d d=%d offset %d: %v", n, m, d, off, err)
+		}
+	})
+}
+
+// TestMulABtRowsGate: the assembly tile dereferences the list unchecked, so a
+// row outside b must be refused on both paths before anything is loaded or
+// stored, with a constant message.
+func TestMulABtRowsGate(t *testing.T) {
+	a, b := NewMatrix(3, 4), NewMatrix(5, 4)
+	for _, ks := range bothPaths() {
+		for name, idx := range map[string][]int32{"past b": {0, 5, 1}, "negative": {2, -1}} {
+			c := NewMatrix(3, len(idx))
+			for i := range c.Data {
+				c.Data[i] = 7
+			}
+			func() {
+				defer func() {
+					if got := recover(); got != "vec: MulABtRows index out of range" {
+						t.Errorf("%s %s: recovered %v, want the gate's panic", ks.name, name, got)
+					}
+				}()
+				ks.mulABtRows(c, a, b, idx)
+			}()
+			for _, v := range c.Data {
+				if v != 7 {
+					t.Fatalf("%s %s: a refused call wrote to the destination", ks.name, name)
+				}
+			}
+		}
+	}
+}
+
+func TestSelectGEMatchesDefinition(t *testing.T) {
+	for n := 0; n <= 200; n++ { // below one lane group, across a mask word, across the leaf's 128-entry calls
+		if err := checkSelectGE(n, 1+n%7, uint64(n)); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+	}
+	for _, n := range []int{255, 256, 257, 1500} {
+		if err := checkSelectGE(n, 3, uint64(n)); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+	}
+}
+
 // class is what must agree between the paths on non-finite data: NaN, +Inf,
 // −Inf, or finite.
 func class(x float32) int {
@@ -341,7 +467,7 @@ func TestKernelNonFinitePropagation(t *testing.T) {
 			run := func(ks kernels) []float32 {
 				a, b, g, accA, accB := build()
 				c := NewMatrix(n, m)
-				ks.mulABt(c, a, b)
+				ks.mulABtRows(c, a, b, nil)
 				ks.addOuterAtB(accA, g, b)
 				out := append(c.Data, accA.Data...)
 				sg := sparseOf(g, off)
@@ -630,8 +756,8 @@ func TestAppendHingeRow(t *testing.T) {
 
 // FuzzKernelParity draws a shape, an allocation offset, a density of G and a
 // seed, and holds both paths to contract (i), the assembly path to contract
-// (ii), the complex leaves to bitwise parity and the hinge row to its
-// definition.
+// (ii), the complex leaves to bitwise parity, the hinge row and the threshold
+// filter to their definitions, and MulABtRows to MulABt over a gathered copy.
 func FuzzKernelParity(f *testing.F) {
 	f.Add(uint8(5), uint8(3), uint8(9), uint8(1), uint8(170), uint64(1))
 	f.Add(uint8(50), uint8(100), uint8(64), uint8(7), uint8(40), uint64(2))
@@ -652,6 +778,12 @@ func FuzzKernelParity(f *testing.F) {
 		}
 		if err := checkComplex(di&^1, oi, seed); err != nil {
 			t.Fatal(err)
+		}
+		if err := checkRows(ni, mi, di, oi, seed); err != nil {
+			t.Fatalf("rows n=%d m=%d d=%d offset %d seed %d: %v", ni, mi, di, oi, seed, err)
+		}
+		if err := checkSelectGE(int(m)+int(d), oi, seed); err != nil {
+			t.Fatalf("select n=%d offset %d seed %d: %v", int(m)+int(d), oi, seed, err)
 		}
 	})
 }
@@ -687,7 +819,7 @@ func BenchmarkMulABt(b *testing.B) {
 		b.Run(s.name, func(b *testing.B) {
 			r := rng.New(3)
 			am, bm, c := randMatrix(r, s.n, s.d), randMatrix(r, s.m, s.d), NewMatrix(s.n, s.m)
-			benchPaths(b, 2*s.n*s.m*s.d, func(ks kernels) { ks.mulABt(c, am, bm) })
+			benchPaths(b, 2*s.n*s.m*s.d, func(ks kernels) { ks.mulABtRows(c, am, bm, nil) })
 		})
 	}
 }
@@ -727,4 +859,82 @@ func BenchmarkAddOuterAtB(b *testing.B) {
 		acc, g, bm := randMatrix(r, 50, 64), randMatrix(r, 50, 100), randMatrix(r, 100, 64)
 		benchPaths(b, 2*50*100*64, func(ks kernels) { ks.addOuterAtB(acc, g, bm) })
 	})
+}
+
+// BenchmarkMulABtRows is the list scan of serve_topk's IVF path as a batch
+// runs it: a 20 000-row table at d = 32 whose rows sit, like a mapped shard's,
+// 28 bytes off alignment, cut into 284 lists of ~70 scattered rows, each op
+// scoring the next list against 13 probing queries — so the table streams
+// through the caches once per 284 ops, as it does once per batch. in_place
+// reads the rows where they lie; gather is what that replaces: copy the list's
+// rows next to each other, then MulABt.
+func BenchmarkMulABtRows(b *testing.B) {
+	const n, d, rows, lists = 13, 32, 20000, 284
+	r := rng.New(3)
+	am, table := randMatrix(r, n, d), offMatrix(r, rows, d, 7)
+	perm := make([]int, rows)
+	r.Perm(perm)
+	list := func(l int) []int32 {
+		idx := make([]int32, 0, rows/lists+1)
+		for _, row := range perm[l*rows/lists : (l+1)*rows/lists] {
+			idx = append(idx, int32(row))
+		}
+		return idx
+	}
+	var idx [lists][]int32
+	for l := range idx {
+		idx[l] = list(l)
+	}
+	m := len(idx[0])
+	scratch, out := NewMatrix(m+1, d), NewMatrix(n, m+1)
+	score := func(gather bool) func(ks kernels) {
+		l := 0
+		return func(ks kernels) {
+			ids := idx[l]
+			l = (l + 1) % lists
+			c := MatrixFrom(out.Data[:n*len(ids)], n, len(ids))
+			if !gather {
+				ks.mulABtRows(c, am, table, ids)
+				return
+			}
+			g := MatrixFrom(scratch.Data[:len(ids)*d], len(ids), d)
+			for j, row := range ids {
+				copy(g.Row(j), table.Row(int(row)))
+			}
+			ks.mulABtRows(c, am, g, nil)
+		}
+	}
+	b.Run("serve_13x70x32/in_place", func(b *testing.B) { benchPaths(b, 2*n*m*d, score(false)) })
+	b.Run("serve_13x70x32/gather", func(b *testing.B) { benchPaths(b, 2*n*m*d, score(true)) })
+}
+
+// BenchmarkSelectGE filters one score row against a heap root: a probed
+// list's 70 entries and a full 256-entry scan block, with 1 % of the entries
+// surviving (a warm heap) and with half (a cold one), in ns per entry.
+func BenchmarkSelectGE(b *testing.B) {
+	for _, n := range []int{70, 256} {
+		for _, share := range []struct {
+			name string
+			t    float32
+		}{{"survivors_1%", 2.33}, {"survivors_50%", 0}} {
+			b.Run(fmt.Sprintf("%d/%s", n, share.name), func(b *testing.B) {
+				r := rng.New(3)
+				x, idx := randMatrix(r, 1, n).Data, make([]int32, n)
+				for _, path := range []struct {
+					name string
+					ks   kernels
+				}{{"asm", activeKernels}, {"generic", genericKernels}} {
+					b.Run(path.name, func(b *testing.B) {
+						if path.name == "asm" && Kernel() == "generic" {
+							b.Skip("this machine runs the generic kernels")
+						}
+						for i := 0; i < b.N; i++ {
+							path.ks.selectGE(idx, x, share.t)
+						}
+						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/entry")
+					})
+				}
+			})
+		}
+	}
 }

@@ -110,36 +110,93 @@ func hingeRowGeneric(idx []int32, scores []float32, ids []int32, t float32, id i
 	return n, sum, masked
 }
 
-// hingeBlock is how many entries one call of the assembly leaf covers; longer
-// rows take several calls. The leaf sums the selected arguments in 16 float32
+// maskBlock is how many entries one call of a mask leaf covers; longer rows
+// take several calls. The hinge leaf sums the selected arguments in 16 float32
 // lanes before widening, so the block also bounds what a lane adds up in
 // single precision: 8 terms, i.e. the sum is within 8·2⁻²⁴ of the float64 one.
-const hingeBlock = 128
+const maskBlock = 128
+
+// maskBits is one block's mask: a bit per entry, as the leaves leave it.
+type maskBits [maskBlock / 8]byte
+
+// walk writes base+j to idx[n:] for every set bit j < cnt of the mask, 64
+// bits at a time in ascending order, and returns the new n.
+//
+//pbg:hotpath
+func (mask *maskBits) walk(idx []int32, n, base, cnt int) int {
+	for at := 0; at < cnt; at += 64 {
+		m := binary.LittleEndian.Uint64(mask[at/8:])
+		if cnt-at < 64 {
+			m &= 1<<(cnt-at) - 1 // bytes the leaf did not write this call
+		}
+		for ; m != 0; m &= m - 1 {
+			idx[n] = int32(base + at + bits.TrailingZeros64(m))
+			n++
+		}
+	}
+	return n
+}
 
 // hingeRowAVX2 is hingeRowGeneric over the hingeMaskAVX2 leaf: the leaf
 // compares 8 entries per step and leaves one bit per entry, and the set bits
-// are walked here, 64 at a time.
+// are walked here.
 //
 //pbg:hotpath
 func hingeRowAVX2(idx []int32, scores []float32, ids []int32, t float32, id int32) (n int, sum float64, masked int) {
-	var mask [hingeBlock / 8]byte
-	for base := 0; base < len(scores); base += hingeBlock {
-		cnt := min(len(scores)-base, hingeBlock)
+	var mask maskBits
+	for base := 0; base < len(scores); base += maskBlock {
+		cnt := min(len(scores)-base, maskBlock)
 		s, eq := hingeMaskAVX2(&mask[0], &scores[base], &ids[base], cnt, t, id)
 		sum += s
 		masked += eq
-		for at := 0; at < cnt; at += 64 {
-			m := binary.LittleEndian.Uint64(mask[at/8:])
-			if cnt-at < 64 {
-				m &= 1<<(cnt-at) - 1 // bytes the leaf did not write this call
-			}
-			for ; m != 0; m &= m - 1 {
-				idx[n] = int32(base + at + bits.TrailingZeros64(m))
-				n++
-			}
-		}
+		n = mask.walk(idx, n, base, cnt)
 	}
 	return n, sum, masked
+}
+
+// SelectGE writes to idx, ascending, the positions j with !(x[j] < t) and
+// returns how many there are; idx must have room for len(x). A NaN — in x or
+// as t — is not below anything, so it is selected: these are exactly the
+// entries a "drop what is strictly below the threshold" test keeps, which is
+// what lets serving filter a whole score row against a top-K heap's root
+// before touching the heap. On the assembly path the comparison runs 8 lanes
+// at a time into a bitmask whose set bits are then walked (AppendHingeRow's
+// walk), so a row that is almost all rejects costs almost nothing per entry.
+// Both paths select the same positions on every input.
+//
+//pbg:hotpath
+func SelectGE(idx []int32, x []float32, t float32) int {
+	if len(idx) < len(x) {
+		panic("vec: SelectGE needs room for every position")
+	}
+	if useAVX2 {
+		return selectGEAVX2(idx, x, t)
+	}
+	return selectGEGeneric(idx, x, t)
+}
+
+//pbg:hotpath
+func selectGEGeneric(idx []int32, x []float32, t float32) int {
+	n := 0
+	for j, v := range x {
+		if !(v < t) {
+			idx[n] = int32(j)
+			n++
+		}
+	}
+	return n
+}
+
+//pbg:hotpath
+func selectGEAVX2(idx []int32, x []float32, t float32) int {
+	var mask maskBits
+	n := 0
+	for base := 0; base < len(x); base += maskBlock {
+		cnt := min(len(x)-base, maskBlock)
+		selectGEMaskAVX2(&mask[0], &x[base], cnt, t)
+		n = mask.walk(idx, n, base, cnt)
+	}
+	return n
 }
 
 // TransposeInto writes sᵀ, taken as a Rows()×cols matrix, into t: a counting
@@ -221,9 +278,14 @@ func validSparse(g *SparseRows, cols int) bool {
 			return false
 		}
 	}
-	// As unsigned numbers a negative index is a huge one, so one maximum
-	// settles both ends of the range.
-	return len(g.Idx) == 0 || int64(maxUint32(g.Idx)) < int64(cols)
+	return indicesBelow(g.Idx, cols)
+}
+
+// indicesBelow reports whether every index of idx names one of n rows. As
+// unsigned numbers a negative index is a huge one, so one maximum settles
+// both ends of the range.
+func indicesBelow(idx []int32, n int) bool {
+	return len(idx) == 0 || int64(maxUint32(idx)) < int64(n)
 }
 
 // maxUint32 returns the largest element of x read as unsigned, 0 for none.

@@ -2,8 +2,9 @@
 // rest of the system is built on. PyTorch-BigGraph relies on PyTorch (and
 // through it a tuned BLAS) for these; this package is the hand-written
 // substitute, on two paths: AVX2+FMA assembly leaves under Dot, Axpy, the
-// score GEMM, the sparse backward product, the complex products and the
-// ranking loss's row pass on amd64 processors that have them
+// score GEMM (over rows next to each other or named by a list), the sparse
+// backward product, the complex products, the ranking loss's row pass and
+// serving's threshold filter on amd64 processors that have them
 // (kernel_amd64.s), and portable Go kernels everywhere else (the *Generic
 // functions), which are also the reference the assembly is tested against.
 // kernel.go states which path runs and what the two may differ by. Everything operates on
@@ -165,13 +166,23 @@ func checkPair(op string, a, b []float32) {
 	}
 }
 
-func checkMulABt(c, a, b Matrix) {
+// checkMulABt is the shape and bounds gate of MulABt and MulABtRows. The
+// assembly tile reads row idx[j] of b by pointer arithmetic, so the list is
+// range-checked here, once per call, before any row is loaded.
+func checkMulABt(c, a, b Matrix, idx []int32) {
 	checkData(c, a, b)
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("vec: MulABt inner dim mismatch %d != %d", a.Cols, b.Cols))
 	}
-	if c.Rows != a.Rows || c.Cols != b.Rows {
-		panic(fmt.Sprintf("vec: MulABt output %dx%d, want %dx%d", c.Rows, c.Cols, a.Rows, b.Rows))
+	m := b.Rows
+	if idx != nil {
+		m = len(idx)
+	}
+	if c.Rows != a.Rows || c.Cols != m {
+		panic(fmt.Sprintf("vec: MulABt output %dx%d, want %dx%d", c.Rows, c.Cols, a.Rows, m))
+	}
+	if !indicesBelow(idx, b.Rows) {
+		panic("vec: MulABtRows index out of range")
 	}
 }
 
@@ -273,22 +284,38 @@ func (m Matrix) Row(i int) []float32 {
 //
 //pbg:hotpath
 func MulABt(c, a, b Matrix) {
-	checkMulABt(c, a, b)
-	if useAVX2 {
-		mulABtAVX2(c, a, b)
-		return
-	}
-	mulABtGeneric(c, a, b)
+	MulABtRows(c, a, b, nil)
 }
 
-// mulABtGeneric is the portable MulABt. Its 8 accumulators are scalars: a
+// MulABtRows computes C[i][j] = Dot(a_i, b[idx[j]]): MulABt against the rows
+// idx of B, read where they lie instead of being gathered next to each other
+// first. A is (n×d), B is (m×d), C is (n×len(idx)); a row may be listed more
+// than once. A nil idx lists every row of B in order, which is MulABt. It is
+// the same tile walk on the same leaf as MulABt — on the assembly path bitwise
+// MulABt over a gathered copy of the rows, and bitwise Dot — so serving scores
+// a probed list straight out of a read-only mapping. Listed rows lie where no
+// hardware prefetcher looks, so the assembly walk asks for all of them before
+// its first tile (a hint: it changes no result). An index outside B panics
+// before any row is read.
+//
+//pbg:hotpath
+func MulABtRows(c, a, b Matrix, idx []int32) {
+	checkMulABt(c, a, b, idx)
+	if useAVX2 {
+		mulABtAVX2(c, a, b, idx)
+		return
+	}
+	mulABtGeneric(c, a, b, idx)
+}
+
+// mulABtGeneric is the portable MulABtRows. Its 8 accumulators are scalars: a
 // 4×4 tile's 16 would spill out of the 16 XMM registers Go's scalar codegen
 // has on amd64 and measures slower than naive, so 8 is the sweet spot for
 // this path (the assembly tile holds 8 lanes per accumulator in YMM).
 //
 //pbg:hotpath
-func mulABtGeneric(c, a, b Matrix) {
-	n, m, d := a.Rows, b.Rows, a.Cols
+func mulABtGeneric(c, a, b Matrix, idx []int32) {
+	n, m, d := a.Rows, c.Cols, a.Cols
 	i := 0
 	for ; i+4 <= n; i += 4 {
 		// Reslice every row to the shared length so the compiler drops the
@@ -297,7 +324,7 @@ func mulABtGeneric(c, a, b Matrix) {
 		c0, c1, c2, c3 := c.Row(i), c.Row(i+1), c.Row(i+2), c.Row(i+3)
 		j := 0
 		for ; j+2 <= m; j += 2 {
-			b0, b1 := b.Row(j)[:d], b.Row(j + 1)[:d]
+			b0, b1 := b.Row(rowAt(idx, j))[:d], b.Row(rowAt(idx, j+1))[:d]
 			var s00, s01, s10, s11, s20, s21, s30, s31 float32
 			for k := 0; k < d; k++ {
 				b0k, b1k := b0[k], b1[k]
@@ -320,7 +347,7 @@ func mulABtGeneric(c, a, b Matrix) {
 			c3[j], c3[j+1] = s30, s31
 		}
 		if j < m {
-			bj := b.Row(j)
+			bj := b.Row(rowAt(idx, j))
 			c0[j] = dotGeneric(x0, bj)
 			c1[j] = dotGeneric(x1, bj)
 			c2[j] = dotGeneric(x2, bj)
@@ -331,7 +358,7 @@ func mulABtGeneric(c, a, b Matrix) {
 		ai := a.Row(i)
 		ci := c.Row(i)
 		for j := 0; j < m; j++ {
-			ci[j] = dotGeneric(ai, b.Row(j))
+			ci[j] = dotGeneric(ai, b.Row(rowAt(idx, j)))
 		}
 	}
 }
