@@ -17,8 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/rpc"
 	"time"
 
 	"pbg/internal/datagen"
@@ -136,6 +134,9 @@ func main() {
 			if m, ok, err := dist.ReadManifest(*ckptDir); err != nil {
 				log.Fatal(err)
 			} else if ok {
+				if err := m.Validate(order, nil); err != nil {
+					log.Fatal(err)
+				}
 				lockOpts = append(lockOpts, dist.WithRestoredEpoch(m.Epoch, m.Done))
 				fmt.Printf("resuming from checkpoint: epoch %d, %d buckets done\n", m.Epoch, len(m.Done))
 			}
@@ -190,7 +191,7 @@ func main() {
 			// Rank 0 starts each epoch on the lock server, by number.
 			if *rank == 0 {
 				var rep dist.StartEpochReply
-				if err := lockCall(*lock, "LockServer.StartEpoch", dist.StartEpochArgs{Epoch: e + 1}, &rep); err != nil {
+				if err := dist.Call(*lock, "LockServer.StartEpoch", dist.StartEpochArgs{Epoch: e + 1}, &rep); err != nil {
 					log.Fatal(err)
 				}
 			}
@@ -198,7 +199,7 @@ func main() {
 			if err != nil {
 				// The lease table says who held what when the epoch failed.
 				var es dist.EpochStateReply
-				if lerr := lockCall(*lock, "LockServer.EpochState", dist.EpochStateArgs{}, &es); lerr == nil {
+				if lerr := dist.Call(*lock, "LockServer.EpochState", dist.EpochStateArgs{}, &es); lerr == nil {
 					log.Printf("epoch %d failed with %d buckets done; leases: %+v", es.Epoch, len(es.Done), es.Leases)
 				}
 				log.Fatal(err)
@@ -209,18 +210,6 @@ func main() {
 		flag.Usage()
 		log.Fatalf("unknown role %q", *role)
 	}
-}
-
-// lockCall makes one call to the lock server at addr over a connection of
-// its own.
-func lockCall(addr, method string, args, reply any) error {
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		return fmt.Errorf("dial lock server %s: %w", addr, err)
-	}
-	c := rpc.NewClient(conn)
-	defer c.Close()
-	return c.Call(method, args, reply)
 }
 
 func mustGraph(nodes, avgDeg, p int, seed uint64) *graph.Graph {
@@ -234,22 +223,10 @@ func mustGraph(nodes, avgDeg, p int, seed uint64) *graph.Graph {
 }
 
 func serveForever(addr string, receivers map[string]any) {
-	srv := rpc.NewServer()
-	for name, rcvr := range receivers {
-		if err := srv.RegisterName(name, rcvr); err != nil {
-			log.Fatal(err)
-		}
-	}
-	l, err := net.Listen("tcp", addr)
+	l, err := dist.ListenAndServe(addr, receivers)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("listening on %s\n", l.Addr())
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			log.Fatal(err)
-		}
-		go srv.ServeConn(conn)
-	}
+	select {}
 }

@@ -1,8 +1,8 @@
 // Command pbg-serve exposes a trained checkpoint as an online embedding
 // service: memory-mapped shard reads, batched exact top-K, and IVF
-// approximate top-K over net/rpc. Because checkpoints store only
-// parameters, the schema is regenerated the same way pbg-train built it
-// (synthetic graphs are deterministic under their seed).
+// approximate top-K over the framed RPC front end. Because checkpoints
+// store only parameters, the schema is regenerated the same way pbg-train
+// built it (synthetic graphs are deterministic under their seed).
 //
 // Server:
 //

@@ -14,7 +14,7 @@ import (
 
 // ServeSweep load-tests the online serving layer on a freshly trained
 // social checkpoint: exact top-K at batch 1 and 32, IVF top-K at batch 32,
-// and the same IVF batch over the net/rpc front end. QPS is wall-clock
+// and the same IVF batch over the RPC front end. QPS is wall-clock
 // queries per second; p99 is read back from the server's own
 // pbg_serve_latency_s{api="topk"} histogram — the same obs plumbing a
 // production dashboard would scrape — and recall@10 compares each row's

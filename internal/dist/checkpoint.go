@@ -71,8 +71,48 @@ func WriteManifest(dir string, m *Manifest) error {
 	return nil
 }
 
+// Validate is the gate a manifest passes before a resume trusts it: the
+// epoch is not negative, Done names each bucket at most once and only
+// buckets of order — a foreign bucket would be counted towards the epoch's
+// completion and a real one never trained — and every relation block belongs
+// to a relation of the model and has its length. relParams[r] is relation
+// r's parameter count; a nil relParams skips the relation checks, for a
+// caller that restores epoch progress only (a standalone lock server).
+func (m *Manifest) Validate(order []partition.Bucket, relParams []int) error {
+	if m.Epoch < 0 {
+		return fmt.Errorf("dist: checkpoint manifest has epoch %d", m.Epoch)
+	}
+	pending := make(map[partition.Bucket]bool, len(order))
+	for _, b := range order {
+		pending[b] = true
+	}
+	for _, b := range m.Done {
+		if !pending[b] {
+			return fmt.Errorf("dist: checkpoint manifest marks bucket %v done, which is not in the grid or is listed twice", b)
+		}
+		delete(pending, b)
+	}
+	if relParams == nil {
+		return nil
+	}
+	seen := make(map[int]bool, len(m.RelParams))
+	for _, blk := range m.RelParams {
+		switch {
+		case blk.Rel < 0 || blk.Rel >= len(relParams):
+			return fmt.Errorf("dist: checkpoint manifest has parameters for relation %d, the model has %d relations", blk.Rel, len(relParams))
+		case seen[blk.Rel]:
+			return fmt.Errorf("dist: checkpoint manifest has two parameter blocks for relation %d", blk.Rel)
+		case len(blk.Params) != relParams[blk.Rel]:
+			return fmt.Errorf("dist: checkpoint manifest has %d parameters for relation %d, the model has %d", len(blk.Params), blk.Rel, relParams[blk.Rel])
+		}
+		seen[blk.Rel] = true
+	}
+	return nil
+}
+
 // ReadManifest loads dir's checkpoint manifest. ok is false (with a nil
-// error) when the directory holds no manifest — a fresh run.
+// error) when the directory holds no manifest — a fresh run. The caller must
+// Validate it against its bucket order and model before resuming from it.
 func ReadManifest(dir string) (m *Manifest, ok bool, err error) {
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if errors.Is(err, fs.ErrNotExist) {

@@ -3,12 +3,12 @@ package dist
 import (
 	"fmt"
 	"net"
-	"net/rpc"
 	"sort"
 	"sync"
 	"time"
 
 	"pbg/internal/graph"
+	"pbg/internal/model"
 	"pbg/internal/partition"
 	"pbg/internal/storage"
 	"pbg/internal/train"
@@ -56,7 +56,7 @@ type ClusterConfig struct {
 }
 
 // Cluster wires every §4.2 component together inside one process, over real
-// loopback-TCP net/rpc: one lock server, Machines sharded partition servers,
+// loopback TCP (internal/wire): one lock server, Machines sharded partition servers,
 // one parameter server and Machines trainer nodes. It exists so distributed
 // training can be exercised (and benchmarked, Tables 3–4) without a fleet,
 // while running the exact same code a multi-host deployment runs.
@@ -85,31 +85,6 @@ type Cluster struct {
 
 	ckptStop chan struct{}
 	ckptDone chan struct{}
-}
-
-// serve registers the receivers on a fresh loopback listener and serves
-// connections until the listener closes. It returns the bound address.
-func serve(receivers map[string]any) (net.Listener, string, error) {
-	srv := rpc.NewServer()
-	for name, rcvr := range receivers {
-		if err := srv.RegisterName(name, rcvr); err != nil {
-			return nil, "", err
-		}
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, "", err
-	}
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return // listener closed: shutdown
-			}
-			go srv.ServeConn(conn)
-		}
-	}()
-	return l, l.Addr().String(), nil
 }
 
 // NewCluster boots the deployment. order is the bucket order the lock
@@ -159,6 +134,17 @@ func NewCluster(g *graph.Graph, order []partition.Bucket, cfg ClusterConfig) (*C
 			return fail(err)
 		}
 		if ok {
+			relParams := make([]int, len(g.Schema.Relations))
+			for r, rel := range g.Schema.Relations {
+				op, err := model.NewOperator(rel.Operator, cfg.Train.Dim)
+				if err != nil {
+					return fail(err)
+				}
+				relParams[r] = op.ParamCount(cfg.Train.Dim)
+			}
+			if err := m.Validate(order, relParams); err != nil {
+				return fail(fmt.Errorf("%w; refusing to resume from %s", err, cfg.CheckpointDir))
+			}
 			manifest = m
 		}
 	}

@@ -5,10 +5,15 @@
 // partition servers, and keeping shared relation-operator parameters loosely
 // in sync through an asynchronous parameter server.
 //
-// All components speak net/rpc over TCP, so the same pieces assemble both the
-// in-process Cluster harness (loopback sockets, used by TrainDistributed and
-// the Tables 3–4 / Figure 6 benchmarks) and a real multi-host deployment via
-// cmd/pbg-node.
+// All components speak internal/wire's framed protocol over TCP (wire.go has
+// the method table and each message's hand-written encoding), so the same
+// pieces assemble both the in-process Cluster harness (loopback sockets, used
+// by TrainDistributed and the Tables 3–4 / Figure 6 benchmarks) and a real
+// multi-host deployment via cmd/pbg-node. A partition swap is the data plane:
+// a Put streams the shard's own floats to the socket, the partition server
+// keeps the image it read as the bytes it will answer the next Get with, and
+// the Get reads them straight into a shard the trainer's checkout cache has
+// just let go of — no intermediate copy, no fresh buffer per swap.
 //
 // The division of state follows the paper exactly:
 //
@@ -45,64 +50,99 @@
 package dist
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
-	"net/rpc"
 	"strings"
 	"time"
 
 	"pbg/internal/partition"
 	"pbg/internal/storage"
+	"pbg/internal/wire"
 )
 
-// Fencing and lease-lifecycle rejections cross the wire as net/rpc server
-// errors, which arrive as bare strings; they are therefore matched by prefix.
-// staleLeaseMsg marks lock-server rejections (the lease expired or was
-// re-granted under a newer token); fencedWriteMsg marks partition-server
-// rejections of writes carrying a token older than one the shard has already
-// seen. Both mean the same thing to a trainer: it is a zombie for that
-// bucket and must stop trying to commit it.
-const (
-	staleLeaseMsg  = "dist: stale lease"
-	fencedWriteMsg = "dist: fenced write"
+// Fencing and lease-lifecycle rejections. ErrStaleLease marks lock-server
+// rejections (the lease expired or was re-granted under a newer token);
+// ErrFenced marks partition-server rejections of reads and writes carrying a
+// token older than one the shard has already seen. Both mean the same thing
+// to a trainer: it is a zombie for that bucket and must stop trying to commit
+// it. A server wraps them (%w) into the error it returns; the class crosses
+// the wire as the reply's status and the client rebuilds an error that
+// errors.Is matches again, text preserved — an error that merely mentions
+// one of these phrases is not of the class.
+var (
+	ErrStaleLease = errors.New("dist: stale lease")
+	ErrFenced     = errors.New("dist: fenced write")
 )
+
+// errorClasses is how a class crosses the wire: the status its errors are
+// sent under, and the sentinel a client's rebuilt error unwraps to.
+var errorClasses = map[wire.Status]error{
+	wire.StatusUser:     ErrStaleLease,
+	wire.StatusUser + 1: ErrFenced,
+}
+
+// errorStatus is the wire.Server's Classify: the status a handler's error
+// crosses the wire under.
+func errorStatus(err error) wire.Status {
+	for status, class := range errorClasses {
+		if errors.Is(err, class) {
+			return status
+		}
+	}
+	return wire.StatusError
+}
+
+// serverError is an error a server returned, rebuilt on the client: the
+// server's text, unwrapping to the class its status named (nil for an
+// application error).
+type serverError struct {
+	class error
+	msg   string
+}
+
+func (e *serverError) Error() string { return e.msg }
+func (e *serverError) Unwrap() error { return e.class }
+
+// fromServer turns a wire-level server error into a serverError; any other
+// error passes through.
+func fromServer(err error) error {
+	var se *wire.ServerError
+	if !errors.As(err, &se) {
+		return err
+	}
+	return &serverError{class: errorClasses[se.Status], msg: se.Msg}
+}
 
 // IsStaleLease reports whether err is a lock-server stale-lease rejection
 // (lease expired, re-granted, or heartbeated/released with an old token).
 func IsStaleLease(err error) bool {
-	return err != nil && strings.Contains(err.Error(), staleLeaseMsg)
+	return errors.Is(err, ErrStaleLease)
 }
 
 // IsFenced reports whether err means the caller has lost its write authority
 // for a bucket — either a lock-server stale-lease rejection or a partition
 // server refusing a shard write whose fencing token has been superseded.
 func IsFenced(err error) bool {
-	if err == nil {
-		return false
-	}
-	s := err.Error()
-	return strings.Contains(s, staleLeaseMsg) || strings.Contains(s, fencedWriteMsg)
+	return errors.Is(err, ErrStaleLease) || errors.Is(err, ErrFenced)
 }
 
 // isTransientRPC classifies an RPC failure as retryable: connection-level
 // trouble (dial failures, broken pipes, timeouts, the client shutting the
 // connection down after an I/O error) is transient, while an error the
-// server itself returned (rpc.ServerError) is a definitive answer and must
-// not be retried — retrying a stale-lease rejection would never succeed,
-// and retrying an application error hides it.
+// server itself returned (serverError) is a definitive answer and must not
+// be retried — retrying a stale-lease rejection would never succeed, and
+// retrying an application error hides it.
 func isTransientRPC(err error) bool {
 	if err == nil {
 		return false
 	}
-	var se rpc.ServerError
+	var se *serverError
 	if errors.As(err, &se) {
 		return false
 	}
-	if errors.Is(err, rpc.ErrShutdown) || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+	if errors.Is(err, wire.ErrShutdown) || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 		return true
 	}
 	var ne net.Error
@@ -135,34 +175,6 @@ func RankSeed(seed uint64, rank int) uint64 {
 	return seed + uint64(rank)*0x9E37
 }
 
-// Floats is a []float32 with a compact gob encoding. The reflective gob
-// path encodes every float separately, which dominates swap time for
-// multi-megabyte partitions; this fixed-width little-endian form keeps the
-// partition servers I/O-bound on the socket instead of the encoder.
-type Floats []float32
-
-// GobEncode implements gob.GobEncoder.
-func (f Floats) GobEncode() ([]byte, error) {
-	out := make([]byte, 4*len(f))
-	for i, v := range f {
-		binary.LittleEndian.PutUint32(out[4*i:], math.Float32bits(v))
-	}
-	return out, nil
-}
-
-// GobDecode implements gob.GobDecoder.
-func (f *Floats) GobDecode(b []byte) error {
-	if len(b)%4 != 0 {
-		return fmt.Errorf("dist: float payload length %d not a multiple of 4", len(b))
-	}
-	out := make([]float32, len(b)/4)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	*f = out
-	return nil
-}
-
 // Shards cross the wire as the image storage.Layout describes — the bytes
 // a shard file holds — always fp32: a partition is swapped many times per
 // epoch and re-quantizing it on every swap would stack rounding error.
@@ -175,7 +187,14 @@ func encodeShard(sh *storage.Shard) ([]byte, error) {
 // wireLayout passes a received shard payload through the storage bounds
 // gate, on either end of the connection; l.Decode(b) then yields the shard.
 func wireLayout(b []byte) (storage.Layout, error) {
-	l, err := storage.ParseLayout(b, int64(len(b)))
+	return imageLayout(b, int64(len(b)))
+}
+
+// imageLayout is the gate given only the front of a size-byte payload (at
+// least its header), which is all a streaming reader has before it decides
+// where the rest goes.
+func imageLayout(front []byte, size int64) (storage.Layout, error) {
+	l, err := storage.ParseLayout(front, size)
 	if err != nil {
 		return l, fmt.Errorf("dist: shard payload: %w", err)
 	}
@@ -244,7 +263,7 @@ type AcquireReply struct {
 // longer holds, free for other trainers from here on whether or not the
 // buckets that touched them have committed. Token must be the rank's newest
 // fencing token; a stale one (its leases expired) is rejected with a
-// staleLeaseMsg error. AbandonBucket takes the same arguments and returns
+// ErrStaleLease error. AbandonBucket takes the same arguments and returns
 // every lease and partition of the rank, uncommitted; Buckets and Parts are
 // ignored there.
 type ReleaseArgs struct {
@@ -265,7 +284,7 @@ type HeartbeatArgs struct {
 }
 
 // EpochStateArgs asks the lock server for its current epoch progress.
-type EpochStateArgs struct{}
+type EpochStateArgs struct{ wire.Empty }
 
 // EpochStateReply snapshots epoch progress for checkpointing and for
 // diagnosis: the current epoch, the buckets committed in it, and the lease
@@ -288,7 +307,7 @@ type LeaseInfo struct {
 }
 
 // Ack is an empty RPC reply.
-type Ack struct{}
+type Ack struct{ wire.Empty }
 
 // --- Partition server wire types ---
 
@@ -309,24 +328,35 @@ type GetArgs struct {
 	Token uint64
 }
 
-// ShardReply carries one shard (see encodeShard).
+// ShardReply carries one shard (see encodeShard). Shard is the server's own
+// image, not a copy: it is valid until release is called — the transport
+// does so once the reply is on the wire — and for good when it never is.
 type ShardReply struct {
 	Shard []byte
+
+	release func()
 }
 
 // PutArgs stores a shard back, overwriting the server copy. Token fences the
 // write (0 = unfenced): a Put whose token is older than the shard's fence is
 // rejected, so a zombie trainer whose lease expired can never overwrite the
-// re-leased holder's committed state.
+// re-leased holder's committed state. The server keeps Shard; the caller
+// must not touch it afterwards.
 type PutArgs struct {
 	Shard []byte
 	Token uint64
+
+	// alloc, set by the serving side before the body is read, supplies the
+	// buffer Shard is read into; pooled marks a Shard that came from it, which
+	// the server may hand out again once it has been replaced.
+	alloc  func(n int) []byte
+	pooled bool
 }
 
 // FlushArgs asks a durable partition server to drain its write-behind queue
 // so every shard accepted so far is on disk (checkpoint barrier). A no-op on
 // memory-only servers.
-type FlushArgs struct{}
+type FlushArgs struct{ wire.Empty }
 
 // --- Parameter server wire types ---
 
@@ -335,19 +365,19 @@ type FlushArgs struct{}
 // trainers start from identical relation parameters.
 type InitRelArgs struct {
 	Rel    int
-	Params Floats
+	Params []float32
 }
 
 // SyncArgs pushes the local parameter delta accumulated since the last sync.
 type SyncArgs struct {
 	Rel   int
-	Delta Floats
+	Delta []float32
 }
 
 // SyncReply returns the post-push global parameters and their version (the
 // total number of pushes applied), letting clients observe staleness.
 type SyncReply struct {
-	Params  Floats
+	Params  []float32
 	Version int64
 }
 

@@ -22,29 +22,6 @@ func TestSplitAddrs(t *testing.T) {
 	}
 }
 
-func TestFloatsGobRoundTrip(t *testing.T) {
-	in := Floats{0, 1.5, -2.25, float32(math.Pi)}
-	b, err := in.GobEncode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out Floats
-	if err := out.GobDecode(b); err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(in) {
-		t.Fatalf("len %d != %d", len(out), len(in))
-	}
-	for i := range in {
-		if in[i] != out[i] {
-			t.Fatalf("element %d: %v != %v", i, in[i], out[i])
-		}
-	}
-	if err := out.GobDecode([]byte{1, 2, 3}); err == nil {
-		t.Fatal("expected error for truncated payload")
-	}
-}
-
 // TestLockServerDisjointLeases drives three simulated trainers through two
 // epochs and checks the §4.2 invariants: in-flight buckets are pairwise
 // disjoint, every bucket after the first touches an established partition
@@ -235,7 +212,7 @@ func TestPartitionServerSwapRoundTrip(t *testing.T) {
 
 	client := store.clients[0]
 	// Dimension and range validation.
-	var bad ShardReply
+	var bad shardIn
 	if err := client.Call("PartitionServer.Get", GetArgs{TypeIndex: 0, Part: 9, Dim: dim}, &bad); err == nil {
 		t.Fatal("expected out-of-range error")
 	}
@@ -251,7 +228,7 @@ func TestPartitionServerSwapRoundTrip(t *testing.T) {
 func TestParamServerAsyncConvergence(t *testing.T) {
 	ps := NewParamServer()
 	const rel, dim, clients, rounds = 0, 4, 3, 50
-	init := make(Floats, dim)
+	init := make([]float32, dim)
 	for i := range init {
 		init[i] = float32(i)
 	}
@@ -274,7 +251,7 @@ func TestParamServerAsyncConvergence(t *testing.T) {
 		last[c] = append([]float32(nil), init...)
 	}
 	sync := func(c int) {
-		delta := make(Floats, dim)
+		delta := make([]float32, dim)
 		for i := range delta {
 			delta[i] = local[c][i] - last[c][i]
 		}
@@ -315,7 +292,7 @@ func TestParamServerAsyncConvergence(t *testing.T) {
 	}
 	for c := 0; c < clients; c++ {
 		var rep SyncReply
-		if err := ps.Sync(SyncArgs{Rel: rel, Delta: make(Floats, dim)}, &rep); err != nil {
+		if err := ps.Sync(SyncArgs{Rel: rel, Delta: make([]float32, dim)}, &rep); err != nil {
 			t.Fatal(err)
 		}
 		for i := range want {
@@ -324,7 +301,7 @@ func TestParamServerAsyncConvergence(t *testing.T) {
 			}
 		}
 	}
-	if err := ps.Sync(SyncArgs{Rel: 9, Delta: make(Floats, dim)}, &pull); err == nil {
+	if err := ps.Sync(SyncArgs{Rel: 9, Delta: make([]float32, dim)}, &pull); err == nil {
 		t.Fatal("expected error for uninitialised relation")
 	}
 }

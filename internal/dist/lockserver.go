@@ -73,7 +73,7 @@ func (h *holder) find(b partition.Bucket) int {
 // of any kind, or when a waiter's timer reaches the deadline) and their
 // buckets go back to pending for a live trainer. The token fences the
 // zombie out: a late AcquireBucket, ReleaseBucket or Heartbeat is rejected
-// with a staleLeaseMsg error, and partition servers reject shard writes
+// with an ErrStaleLease error, and partition servers reject shard writes
 // under superseded tokens (see PartitionServer), so two holders of the same
 // bucket can never both commit it. Without a TTL the server keeps the
 // original fail-stop model: a dead trainer's leases are never reclaimed and
@@ -98,14 +98,16 @@ type LockServer struct {
 	// instead of erroring as "unleased".
 	released map[partition.Bucket]uint64
 
+	obs           *obs.Hub // nil unless WithLockObs
 	expiries      *obs.Counter
 	fencedRejects *obs.Counter
 	leasesHeld    *obs.Gauge
 }
 
-// LockOption configures a LockServer at construction (options rather than
-// setter methods: net/rpc registration warns about exported methods that do
-// not match the RPC signature).
+// obsHub is where the server's transport publishes (see newServer).
+func (ls *LockServer) obsHub() *obs.Hub { return ls.obs }
+
+// LockOption configures a LockServer at construction.
 type LockOption func(*LockServer)
 
 // WithLeaseTTL enables lease expiry: grants carry deadline now+d, renewable
@@ -122,6 +124,7 @@ func WithLockObs(h *obs.Hub) LockOption {
 		if h == nil {
 			return
 		}
+		ls.obs = h
 		ls.bindMetrics(h.Reg)
 	}
 }
@@ -291,7 +294,7 @@ func (ls *LockServer) AcquireBucket(args AcquireArgs, reply *AcquireReply) error
 		switch {
 		case h == nil && args.Token != 0:
 			ls.fencedRejects.Inc()
-			return fmt.Errorf("%s: acquire by rank %d under token %d (its leases expired)", staleLeaseMsg, args.Rank, args.Token)
+			return fmt.Errorf("%w: acquire by rank %d under token %d (its leases expired)", ErrStaleLease, args.Rank, args.Token)
 		case h != nil && args.Token != h.token:
 			// The rank is behind the server by at most the one grant whose
 			// reply it never saw: that grant is made again. Anything else is a
@@ -308,7 +311,7 @@ func (ls *LockServer) AcquireBucket(args AcquireArgs, reply *AcquireReply) error
 				h = nil
 			default:
 				ls.fencedRejects.Inc()
-				return fmt.Errorf("%s: acquire by rank %d under token %d, its newest is %d", staleLeaseMsg, args.Rank, args.Token, h.token)
+				return fmt.Errorf("%w: acquire by rank %d under token %d, its newest is %d", ErrStaleLease, args.Rank, args.Token, h.token)
 			}
 		}
 		switch {
@@ -365,7 +368,7 @@ func (ls *LockServer) grantReply(reply *AcquireReply, l lease) {
 }
 
 // Heartbeat extends every lease of args.Rank to now+TTL. A heartbeat from a
-// rank whose leases have expired is rejected with a staleLeaseMsg error,
+// rank whose leases have expired is rejected with an ErrStaleLease error,
 // telling the (slow or partitioned) holder it must abandon what it holds.
 // The heartbeat runs beside the training goroutine's AcquireBucket, so it
 // may carry the token that call has just superseded; any token the rank has
@@ -377,10 +380,10 @@ func (ls *LockServer) Heartbeat(args HeartbeatArgs, reply *Ack) error {
 	h := ls.holders[args.Rank]
 	if h == nil || args.Token == 0 || args.Token > h.token {
 		ls.fencedRejects.Inc()
-		return fmt.Errorf("%s: heartbeat by rank %d under token %d (expired or re-granted)", staleLeaseMsg, args.Rank, args.Token)
+		return fmt.Errorf("%w: heartbeat by rank %d under token %d (expired or re-granted)", ErrStaleLease, args.Rank, args.Token)
 	}
 	if args.Epoch != ls.epoch {
-		return fmt.Errorf("%s: heartbeat by rank %d for epoch %d, server at %d", staleLeaseMsg, args.Rank, args.Epoch, ls.epoch)
+		return fmt.Errorf("%w: heartbeat by rank %d for epoch %d, server at %d", ErrStaleLease, args.Rank, args.Epoch, ls.epoch)
 	}
 	ls.renewLocked(h)
 	return nil
@@ -411,7 +414,7 @@ func (ls *LockServer) ReleaseBucket(args ReleaseArgs, reply *Ack) error {
 			return fmt.Errorf("dist: release of unleased buckets %v by rank %d", args.Buckets, args.Rank)
 		}
 		ls.fencedRejects.Inc()
-		return fmt.Errorf("%s: release of %v by rank %d under token %d (leases expired or re-granted)", staleLeaseMsg, args.Buckets, args.Rank, args.Token)
+		return fmt.Errorf("%w: release of %v by rank %d under token %d (leases expired or re-granted)", ErrStaleLease, args.Buckets, args.Rank, args.Token)
 	}
 	if args.Epoch != ls.epoch {
 		return fmt.Errorf("dist: release of %v for epoch %d, server at %d", args.Buckets, args.Epoch, ls.epoch)

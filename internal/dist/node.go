@@ -356,7 +356,7 @@ func (n *Node) initRelParams() error {
 			continue
 		}
 		var reply InitRelReply
-		if err := n.paramClient(r).Call("ParamServer.InitRel", InitRelArgs{Rel: r, Params: Floats(block)}, &reply); err != nil {
+		if err := n.paramClient(r).Call("ParamServer.InitRel", InitRelArgs{Rel: r, Params: block}, &reply); err != nil {
 			return fmt.Errorf("dist: init relation %d: %w", r, err)
 		}
 		n.trainer.SetRelParams(r, reply.Params)
@@ -430,7 +430,7 @@ func (n *Node) syncRelation(r int) error {
 		}
 	})
 	var reply SyncReply
-	if err := n.paramClient(r).Call("ParamServer.Sync", SyncArgs{Rel: r, Delta: Floats(delta)}, &reply); err != nil {
+	if err := n.paramClient(r).Call("ParamServer.Sync", SyncArgs{Rel: r, Delta: delta}, &reply); err != nil {
 		return fmt.Errorf("dist: sync relation %d: %w", r, err)
 	}
 	// Adopt the global block, preserving any local updates that landed while

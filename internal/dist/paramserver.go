@@ -49,14 +49,14 @@ func (s *ParamServer) InitRel(args InitRelArgs, reply *InitRelReply) error {
 	} else if len(cur) != len(args.Params) {
 		return fmt.Errorf("dist: relation %d has %d params on server, client sent %d", args.Rel, len(cur), len(args.Params))
 	}
-	reply.Params = append(Floats(nil), cur...)
+	reply.Params = append([]float32(nil), cur...)
 	reply.Version = s.versions[args.Rel]
 	return nil
 }
 
 // InitRelReply returns the canonical initial block.
 type InitRelReply struct {
-	Params  Floats
+	Params  []float32
 	Version int64
 }
 
@@ -76,7 +76,7 @@ func (s *ParamServer) Sync(args SyncArgs, reply *SyncReply) error {
 		cur[i] += d
 	}
 	s.versions[args.Rel]++
-	reply.Params = append(Floats(nil), cur...)
+	reply.Params = append([]float32(nil), cur...)
 	reply.Version = s.versions[args.Rel]
 	return nil
 }
@@ -89,7 +89,7 @@ func (s *ParamServer) Pull(args PullArgs, reply *SyncReply) error {
 	if !ok {
 		return fmt.Errorf("dist: Pull for uninitialised relation %d", args.Rel)
 	}
-	reply.Params = append(Floats(nil), cur...)
+	reply.Params = append([]float32(nil), cur...)
 	reply.Version = s.versions[args.Rel]
 	return nil
 }

@@ -11,13 +11,21 @@ import (
 	"pbg/internal/obs"
 	"pbg/internal/rng"
 	"pbg/internal/storage"
+	"pbg/internal/wire"
 )
 
 // PartitionServer holds embedding partitions (with their Adagrad state) in
 // memory for the trainers of one deployment, each as the wire image trainers
 // exchange it in (see encodeShard): Put keeps the bytes it gated, Get replies
 // with them, and the durable file is the same bytes again, so the server
-// never decodes a shard it only has to hand on. A deployment runs several of
+// never decodes a shard it only has to hand on — and never copies one: the
+// transport reads a Put's body into a buffer the server supplies (imageBuf),
+// that buffer becomes the shard's image, and a Get writes it to the socket
+// as it is. The image a Put replaces goes back to a small free list for the
+// next Put's body once the last reader that was handed it (a Get reply still
+// on its way out, the durable writer) has let go, so a steady run of swaps
+// allocates no image at all and the list never holds more than the Puts in
+// flight have just replaced. A deployment runs several of
 // these; each (entity type, partition) key lives on exactly one server,
 // chosen by the shared client-side hash (serverIndex), so a server only ever
 // materialises the shards it owns.
@@ -48,23 +56,45 @@ type PartitionServer struct {
 
 	durable *durableState
 
+	// free holds replaced images for imageBuf to hand out again.
+	freeMu sync.Mutex
+	free   [][]byte
+
+	obs           *obs.Hub // nil unless WithPartObs
 	fencedRejects *obs.Counter
 	durableWrites *obs.Counter
 }
 
 type partStripe struct {
 	mu sync.Mutex
-	// shards holds each shard's gated fp32 image. Images are never written
-	// into — Put swaps the slice — so readers use them outside the lock.
-	shards map[partKey][]byte
+	// shards holds each shard's gated fp32 image. A current image is never
+	// written into — Put swaps it — so readers use it outside the lock, each
+	// holding a pin for as long as it does.
+	shards map[partKey]*image
 	fence  map[partKey]uint64
 }
 
+// image is one version of a shard's bytes. The stripe mutex guards the
+// counts.
+type image struct {
+	b []byte
+	// pooled: b is the server's to reuse (it came from imageBuf or from lazy
+	// initialisation), not a caller's slice handed to Put in process.
+	pooled bool
+	// pins counts readers using b outside the lock; replaced marks a version
+	// a Put has superseded. b is reusable when it is replaced and unpinned.
+	pins     int
+	replaced bool
+}
+
+// maxFreeImages bounds the free list: an image enters it only by being
+// replaced and a Put's body takes one out, so it holds at most what the Puts
+// in flight have just replaced — this is the ceiling on "in flight".
+const maxFreeImages = 4
+
 type partKey struct{ t, p int }
 
-// PartOption configures a PartitionServer at construction (options rather
-// than setter methods: net/rpc registration warns about exported methods
-// that do not match the RPC signature).
+// PartOption configures a PartitionServer at construction.
 type PartOption func(*PartitionServer)
 
 // WithDurableDir makes the server write shards through to dir (write-behind)
@@ -86,6 +116,7 @@ func WithPartObs(h *obs.Hub) PartOption {
 		if h == nil {
 			return
 		}
+		ps.obs = h
 		ps.bindMetrics(h.Reg)
 	}
 }
@@ -101,7 +132,7 @@ func NewPartitionServer(schema *graph.Schema, dim int, seed uint64, shards int, 
 	}
 	ps := &PartitionServer{schema: schema, dim: dim, seed: seed, stripes: make([]partStripe, shards)}
 	for i := range ps.stripes {
-		ps.stripes[i].shards = make(map[partKey][]byte)
+		ps.stripes[i].shards = make(map[partKey]*image)
 		ps.stripes[i].fence = make(map[partKey]uint64)
 	}
 	ps.bindMetrics(obs.NewQuietHub().Reg)
@@ -117,6 +148,60 @@ func NewPartitionServer(schema *graph.Schema, dim int, seed uint64, shards int, 
 func (ps *PartitionServer) bindMetrics(reg *obs.Registry) {
 	ps.fencedRejects = reg.Counter(`pbg_dist_fenced_rejects_total{server="partition"}`)
 	ps.durableWrites = reg.Counter("pbg_dist_durable_writes_total")
+}
+
+// obsHub is where the server's transport publishes (see newServer).
+func (ps *PartitionServer) obsHub() *obs.Hub { return ps.obs }
+
+// maxPutBytes is the bound on a Put request: the token and the largest fp32
+// shard image the schema admits.
+func (ps *PartitionServer) maxPutBytes() int {
+	var largest int64
+	for t, e := range ps.schema.Entities {
+		for p := 0; p < e.NumPartitions; p++ {
+			l := storage.Layout{Codec: storage.CodecFP32, TypeIndex: t, Part: p, Count: e.PartitionCount(p), Dim: ps.dim}
+			largest = max(largest, l.Size())
+		}
+	}
+	return putTokenBytes + int(min(largest, wire.MaxPayload-putTokenBytes))
+}
+
+// imageBuf returns an n-byte buffer for a Put's body: a replaced image when
+// one is large enough, a fresh one otherwise. n has passed maxPutBytes.
+func (ps *PartitionServer) imageBuf(n int) []byte {
+	ps.freeMu.Lock()
+	defer ps.freeMu.Unlock()
+	for i, b := range ps.free {
+		if cap(b) >= n {
+			last := len(ps.free) - 1
+			ps.free[i], ps.free[last] = ps.free[last], nil
+			ps.free = ps.free[:last]
+			return b[:n]
+		}
+	}
+	return make([]byte, n)
+}
+
+// retireLocked gives img's buffer back once nothing can read it any more.
+// The stripe mutex is held.
+func (ps *PartitionServer) retireLocked(img *image) {
+	if !img.replaced || img.pins > 0 || !img.pooled {
+		return
+	}
+	ps.freeMu.Lock()
+	if len(ps.free) < maxFreeImages {
+		ps.free = append(ps.free, img.b)
+	}
+	ps.freeMu.Unlock()
+	img.b = nil
+}
+
+// unpin ends one reader's use of img.
+func (ps *PartitionServer) unpin(st *partStripe, img *image) {
+	st.mu.Lock()
+	img.pins--
+	ps.retireLocked(img)
+	st.mu.Unlock()
 }
 
 func (ps *PartitionServer) stripe(k partKey) *partStripe {
@@ -140,7 +225,7 @@ func (ps *PartitionServer) checkKey(t, p, dim int) error {
 // loadLocked returns the image of shard k, restoring it from the durable
 // directory if one exists there, else initialising it deterministically on
 // first touch. The stripe mutex must be held.
-func (ps *PartitionServer) loadLocked(st *partStripe, k partKey, scale float32) ([]byte, error) {
+func (ps *PartitionServer) loadLocked(st *partStripe, k partKey, scale float32) (*image, error) {
 	if img, ok := st.shards[k]; ok {
 		return img, nil
 	}
@@ -148,19 +233,20 @@ func (ps *PartitionServer) loadLocked(st *partStripe, k partKey, scale float32) 
 		scale = 1
 	}
 	want := ps.schema.Entities[k.t].PartitionCount(k.p)
-	img, err := ps.restore(k, want)
+	b, err := ps.restore(k, want)
 	if err != nil {
 		return nil, err
 	}
-	if img == nil {
+	if b == nil {
 		sh := storage.NewShard(k.t, k.p, want, ps.dim)
 		// Shared seed derivation, so a fresh distributed run starts from the
 		// same embeddings as a MemStore with the same seed.
 		sh.Init(rng.New(storage.ShardSeed(ps.seed, k.t, k.p)), scale)
-		if img, err = encodeShard(sh); err != nil {
+		if b, err = encodeShard(sh); err != nil {
 			return nil, err
 		}
 	}
+	img := &image{b: b, pooled: true}
 	st.shards[k] = img
 	return img, nil
 }
@@ -207,14 +293,18 @@ func (ps *PartitionServer) Get(args GetArgs, reply *ShardReply) error {
 		if args.Token < st.fence[k] {
 			st.mu.Unlock()
 			ps.fencedRejects.Inc()
-			return fmt.Errorf("%s: get of shard (%d,%d) under token %d, fence at %d",
-				fencedWriteMsg, k.t, k.p, args.Token, st.fence[k])
+			return fmt.Errorf("%w: get of shard (%d,%d) under token %d, fence at %d",
+				ErrFenced, k.t, k.p, args.Token, st.fence[k])
 		}
 		st.fence[k] = args.Token
 	}
 	img, err := ps.loadLocked(st, k, args.InitScale)
+	if err == nil {
+		img.pins++
+		reply.Shard = img.b
+		reply.release = func() { ps.unpin(st, img) }
+	}
 	st.mu.Unlock()
-	reply.Shard = img
 	return err
 }
 
@@ -239,13 +329,17 @@ func (ps *PartitionServer) Put(args PutArgs, reply *Ack) error {
 	if fence := st.fence[k]; args.Token < fence {
 		st.mu.Unlock()
 		ps.fencedRejects.Inc()
-		return fmt.Errorf("%s: put of shard (%d,%d) under token %d, fence at %d",
-			fencedWriteMsg, k.t, k.p, args.Token, fence)
+		return fmt.Errorf("%w: put of shard (%d,%d) under token %d, fence at %d",
+			ErrFenced, k.t, k.p, args.Token, fence)
 	}
 	if args.Token != 0 {
 		st.fence[k] = args.Token
 	}
-	st.shards[k] = args.Shard
+	if old := st.shards[k]; old != nil {
+		old.replaced = true
+		ps.retireLocked(old)
+	}
+	st.shards[k] = &image{b: args.Shard, pooled: args.pooled}
 	st.mu.Unlock()
 	if ps.durable != nil {
 		ps.durable.enqueue(k)
@@ -338,10 +432,14 @@ func (d *durableState) run(ps *PartitionServer) {
 		st := ps.stripe(k)
 		st.mu.Lock()
 		img := st.shards[k]
+		if img != nil {
+			img.pins++
+		}
 		st.mu.Unlock()
 		var err error
 		if img != nil {
-			err = storage.WriteShardImage(storage.ShardPath(d.dir, k.t, k.p), img)
+			err = storage.WriteShardImage(storage.ShardPath(d.dir, k.t, k.p), img.b)
+			ps.unpin(st, img)
 			if err == nil {
 				ps.durableWrites.Inc()
 			}

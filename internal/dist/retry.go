@@ -5,12 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"net/rpc"
 	"sync"
 	"time"
 
 	"pbg/internal/obs"
 	"pbg/internal/rng"
+	"pbg/internal/wire"
 )
 
 // errCallTimeout marks an RPC call that exceeded RetryPolicy.CallTimeout.
@@ -56,13 +56,13 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// retryClient wraps one *rpc.Client with connect/call timeouts, bounded
+// retryClient wraps one *wire.Client with connect/call timeouts, bounded
 // exponential backoff with jitter, and reconnect-on-broken-pipe, so a
 // restarted server or a dropped packet costs a retry instead of a hung or
-// failed epoch. Server-side errors (rpc.ServerError, e.g. a fencing
-// rejection) pass through untouched on the first attempt — only transport
-// failures are retried. All methods are safe for concurrent use; net/rpc
-// multiplexes concurrent calls on the shared connection.
+// failed epoch. Errors the server returned (serverError, e.g. a fencing
+// rejection) pass through on the first attempt — only transport failures
+// are retried. All methods are safe for concurrent use; the connection
+// multiplexes concurrent calls, matching replies by request id.
 type retryClient struct {
 	addr   string
 	name   string // human label for errors ("lock server", "partition server")
@@ -74,7 +74,7 @@ type retryClient struct {
 	cancel context.CancelFunc
 
 	mu     sync.Mutex
-	c      *rpc.Client
+	c      *wire.Client
 	closed bool
 	jit    *rng.RNG
 
@@ -112,21 +112,21 @@ func (rc *retryClient) bindMetrics(reg *obs.Registry) {
 	rc.reconnects = reg.Counter("pbg_dist_rpc_reconnects_total")
 }
 
-func (rc *retryClient) dial() (*rpc.Client, error) {
+func (rc *retryClient) dial() (*wire.Client, error) {
 	conn, err := net.DialTimeout("tcp", rc.addr, rc.policy.DialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("dist: dial %s %s: %w", rc.name, rc.addr, err)
 	}
-	return rpc.NewClient(conn), nil
+	return wire.NewClient(conn), nil
 }
 
 // client returns the live connection, redialing if a previous attempt tore
 // it down.
-func (rc *retryClient) client() (*rpc.Client, error) {
+func (rc *retryClient) client() (*wire.Client, error) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	if rc.closed {
-		return nil, rpc.ErrShutdown
+		return nil, wire.ErrShutdown
 	}
 	if rc.c == nil {
 		c, err := rc.dial()
@@ -141,19 +141,22 @@ func (rc *retryClient) client() (*rpc.Client, error) {
 
 // dropConn discards the connection that produced a transport error, so the
 // next attempt redials. Only the connection that failed is dropped — a
-// concurrent caller may already have replaced it.
-func (rc *retryClient) dropConn(c *rpc.Client) {
+// concurrent caller may already have replaced it. When dropConn returns the
+// connection's reader has exited: no late reply can be decoded into the
+// reply of a call that has given up.
+func (rc *retryClient) dropConn(c *wire.Client) {
 	rc.mu.Lock()
-	defer rc.mu.Unlock()
 	if rc.c == c {
 		rc.c = nil
 	}
-	_ = c.Close()
+	rc.mu.Unlock()
+	_ = c.Close() // hanging up on a broken connection has nothing to report
 }
 
 // callOnce performs a single attempt with the per-call timeout, applying any
 // chaos rule for this client's tag first.
-func (rc *retryClient) callOnce(method string, args, reply any) error {
+func (rc *retryClient) callOnce(m *wire.Method, span uint64, args, reply any) error {
+	method := m.Name
 	if rc.chaos != nil {
 		if err := rc.chaos.before(rc.tag, method); err != nil {
 			return err
@@ -163,27 +166,29 @@ func (rc *retryClient) callOnce(method string, args, reply any) error {
 	if err != nil {
 		return err
 	}
-	call := c.Go(method, args, reply, make(chan *rpc.Call, 1))
+	call := c.Go(m, span, args, reply)
 	timer := time.NewTimer(rc.policy.CallTimeout)
 	defer timer.Stop()
 	select {
 	case <-call.Done:
-		if call.Error != nil && isTransientRPC(call.Error) {
+		err := fromServer(call.Err)
+		if err != nil && isTransientRPC(err) {
 			rc.dropConn(c)
 		}
-		if call.Error == nil && rc.chaos != nil {
+		if err == nil && rc.chaos != nil {
 			if err := rc.chaos.after(rc.tag, method, func() error {
-				return c.Call(method, args, reply)
+				return fromServer(c.Call(m, span, args, reply))
 			}); err != nil {
 				return err
 			}
 		}
-		return call.Error
+		return err
 	case <-timer.C:
-		rc.dropConn(c) // the late reply would desynchronise the stream
+		rc.dropConn(c) // the late reply must not land in a reply the caller reuses
 		return fmt.Errorf("%w: %s %s after %v", errCallTimeout, rc.name, method, rc.policy.CallTimeout)
 	case <-rc.ctx.Done():
-		return rpc.ErrShutdown
+		rc.dropConn(c)
+		return wire.ErrShutdown
 	}
 }
 
@@ -191,6 +196,16 @@ func (rc *retryClient) callOnce(method string, args, reply any) error {
 // exponentially (with jitter) and redial; server-returned errors and
 // non-transient failures are returned immediately.
 func (rc *retryClient) Call(method string, args, reply any) error {
+	return rc.callSpan(method, 0, args, reply)
+}
+
+// callSpan is Call for a caller inside trace span `span` (0 = none): the id
+// rides in the frame, and the server's span becomes that span's child.
+func (rc *retryClient) callSpan(method string, span uint64, args, reply any) error {
+	m := methodByName[method]
+	if m == nil {
+		return fmt.Errorf("dist: %s has no method %q", rc.name, method)
+	}
 	policy := rc.policy
 	backoff := policy.BaseBackoff
 	var err error
@@ -201,14 +216,14 @@ func (rc *retryClient) Call(method string, args, reply any) error {
 			select {
 			case <-time.After(d):
 			case <-rc.ctx.Done():
-				return rpc.ErrShutdown
+				return wire.ErrShutdown
 			}
 			backoff *= 2
 			if backoff > policy.MaxBackoff {
 				backoff = policy.MaxBackoff
 			}
 		}
-		err = rc.callOnce(method, args, reply)
+		err = rc.callOnce(m, span, args, reply)
 		if err == nil || !isTransientRPC(err) {
 			return err
 		}
@@ -222,16 +237,15 @@ func (rc *retryClient) jitterFloat() float64 {
 	return rc.jit.Float64()
 }
 
-// Close shuts the client down; in-flight Calls return rpc.ErrShutdown.
+// Close shuts the client down; in-flight Calls return wire.ErrShutdown.
 func (rc *retryClient) Close() error {
 	rc.cancel()
 	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	rc.closed = true
-	if rc.c != nil {
-		err := rc.c.Close()
-		rc.c = nil
-		return err
+	c := rc.c
+	rc.c, rc.closed = nil, true
+	rc.mu.Unlock()
+	if c != nil {
+		return c.Close()
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package dist
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -47,9 +48,42 @@ type remoteStore struct {
 	// shards whose leases it has lost, which must not be written.
 	discard atomic.Bool
 
+	// free holds shards the checkout cache has dropped (Recycle) for the next
+	// Load to decode into. A shard enters it only by leaving the cache and a
+	// Load takes one out, so it holds at most what the last bucket transition
+	// stored; maxFreeShards is the ceiling on a transition's width.
+	freeMu sync.Mutex
+	free   []*storage.Shard
+
 	// obs and the histograms record the RPCs themselves; see SetObs.
 	obs          *obs.Hub
 	getNs, putNs *obs.Histogram
+}
+
+const maxFreeShards = 4
+
+// Recycle implements storage.Recycler: sh is dead — the cache has dropped
+// it and nobody holds it — so the next Load may overwrite its buffers.
+func (s *remoteStore) Recycle(sh *storage.Shard) {
+	s.freeMu.Lock()
+	if len(s.free) < maxFreeShards {
+		s.free = append(s.free, sh)
+	}
+	s.freeMu.Unlock()
+}
+
+// spare takes a dead shard off the free list, or returns nil.
+func (s *remoteStore) spare() *storage.Shard {
+	s.freeMu.Lock()
+	defer s.freeMu.Unlock()
+	last := len(s.free) - 1
+	if last < 0 {
+		return nil
+	}
+	sh := s.free[last]
+	s.free[last] = nil
+	s.free = s.free[:last]
+	return sh
 }
 
 // storeOpts carries the resilience knobs a store's partition-server clients
@@ -130,7 +164,6 @@ func (s *remoteStore) SetFenceToken(tok uint64) {
 // owning server initialises lazily on first touch. The cache calls it
 // without its lock held, so fetches of different shards overlap on the wire.
 func (s *remoteStore) Load(t, p int) (*storage.Shard, error) {
-	var reply ShardReply
 	args := GetArgs{
 		TypeIndex: t,
 		Part:      p,
@@ -139,30 +172,43 @@ func (s *remoteStore) Load(t, p int) (*storage.Shard, error) {
 		InitScale: s.initScale,
 		Token:     s.fenceTok.Load(),
 	}
+	// The reply is read off the connection into a shard the cache has let go
+	// of, when there is one; retryClient guarantees nothing writes to it once
+	// the call has returned, whatever the outcome.
+	reply := shardIn{want: args, sh: s.spare()}
 	sp := s.obs.Trace.Start("dist", fmt.Sprintf("get t%d p%d", t, p))
 	t0 := time.Now()
-	err := s.client(t, p).Call("PartitionServer.Get", args, &reply)
-	var sh *storage.Shard
-	if err == nil {
-		sh, err = decodeGetReply(args, reply.Shard)
-	}
+	err := s.client(t, p).callSpan("PartitionServer.Get", uint64(sp.ID()), args, &reply)
 	s.getNs.Observe(float64(time.Since(t0).Nanoseconds()))
 	sp.End()
 	if err != nil {
+		if reply.sh != nil {
+			s.Recycle(reply.sh)
+		}
 		return nil, fmt.Errorf("dist: get shard (%d,%d): %w", t, p, err)
 	}
-	return sh, nil
+	return reply.sh, nil
 }
 
-// decodeGetReply decodes a Get reply, which must be the shard args asked for.
+// checkReplyLayout holds a Get reply to the shard args asked for.
+func checkReplyLayout(args GetArgs, l storage.Layout) error {
+	if l.TypeIndex != args.TypeIndex || l.Part != args.Part || l.Count != args.Count || l.Dim != args.Dim {
+		return fmt.Errorf("dist: server sent shard (%d,%d) of %d×%d, want %d×%d",
+			l.TypeIndex, l.Part, l.Count, l.Dim, args.Count, args.Dim)
+	}
+	return nil
+}
+
+// decodeGetReply decodes a Get reply held in memory (in-process callers;
+// the store reads replies through shardIn), which must be the shard args
+// asked for.
 func decodeGetReply(args GetArgs, b []byte) (*storage.Shard, error) {
 	l, err := wireLayout(b)
+	if err == nil {
+		err = checkReplyLayout(args, l)
+	}
 	if err != nil {
 		return nil, err
-	}
-	if l.TypeIndex != args.TypeIndex || l.Part != args.Part || l.Count != args.Count || l.Dim != args.Dim {
-		return nil, fmt.Errorf("dist: server sent shard (%d,%d) of %d×%d, want %d×%d",
-			l.TypeIndex, l.Part, l.Count, l.Dim, args.Count, args.Dim)
 	}
 	return l.Decode(b)
 }
@@ -180,11 +226,9 @@ func (s *remoteStore) Store(sh *storage.Shard) error {
 	}
 	sp := s.obs.Trace.Start("dist", fmt.Sprintf("put t%d p%d", sh.TypeIndex, sh.Part))
 	t0 := time.Now()
-	b, err := encodeShard(sh)
-	if err == nil {
-		var ack Ack
-		err = s.client(sh.TypeIndex, sh.Part).Call("PartitionServer.Put", PutArgs{Shard: b, Token: s.fenceTok.Load()}, &ack)
-	}
+	var ack Ack
+	err := s.client(sh.TypeIndex, sh.Part).callSpan("PartitionServer.Put", uint64(sp.ID()),
+		shardOut{sh: sh, token: s.fenceTok.Load()}, &ack)
 	s.putNs.Observe(float64(time.Since(t0).Nanoseconds()))
 	sp.End()
 	if err != nil {

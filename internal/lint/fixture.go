@@ -115,7 +115,7 @@ var (
 func stdExportData() (map[string]string, error) {
 	stdExportsOnce.Do(func() {
 		cmd := exec.Command("go", "list", "-e", "-export", "-json=ImportPath,Export", "-deps",
-			"fmt", "os", "sync", "time", "sort", "strings", "strconv", "net/rpc", "errors", "bytes", "io")
+			"fmt", "os", "sync", "time", "sort", "strings", "strconv", "errors", "bytes", "io")
 		out, err := cmd.Output()
 		if err != nil {
 			stdExportsErr = fmt.Errorf("go list std exports: %w", err)

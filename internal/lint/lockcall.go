@@ -8,7 +8,7 @@ import (
 
 // LockCall flags blocking operations performed while a sync.Mutex or
 // sync.RWMutex is held: channel sends/receives, select, time.Sleep, RPC
-// (net/rpc Client calls and the dist retryClient), os file I/O, calls into
+// (wire.Client calls and the dist retryClient), os file I/O, calls into
 // a storage.Store (Acquire/Release/Flush/Prefetch/Drain block on disk or
 // RPC), and — inside internal/storage too — calls to a storage.Backend
 // (Load/Store are the disk read, the file write, the partition-server Get
@@ -235,8 +235,8 @@ func checkCallUnderLock(pass *Pass, call *ast.CallExpr, lock string) {
 	}
 	tn, pkg := named.Obj().Name(), named.Obj().Pkg()
 	switch {
-	case pkg != nil && pkg.Path() == "net/rpc" && tn == "Client" && (name == "Call" || name == "Go"):
-		pass.Reportf(call.Pos(), "rpc %s.%s while holding %s", exprString(call.Fun.(*ast.SelectorExpr).X), name, lock)
+	case pkgPathHasSuffix(pkg, "internal/wire") && tn == "Client" && (name == "Call" || name == "Go"):
+		pass.Reportf(call.Pos(), "rpc %s.%s while holding %s (a round trip, or a frame write the peer may stall)", exprString(call.Fun.(*ast.SelectorExpr).X), name, lock)
 	case tn == "retryClient" && (name == "Call" || name == "Go"):
 		pass.Reportf(call.Pos(), "retryClient.%s while holding %s (retry/backoff can hold the lock for seconds)", name, lock)
 	case pkg != nil && pkg.Path() == "os" && tn == "File":

@@ -3,12 +3,12 @@
 package lockcall
 
 import (
-	"net/rpc"
 	"os"
 	"sync"
 	"time"
 
 	"pbg/internal/storage"
+	"pbg/internal/wire"
 )
 
 type S struct {
@@ -36,10 +36,11 @@ func (s *S) diskBad() {
 	_, _ = os.ReadFile("state") // want `os\.ReadFile while holding s\.mu`
 }
 
-func (s *S) rpcBad(c *rpc.Client) {
+func (s *S) rpcBad(c *wire.Client, m *wire.Method) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_ = c.Call("M.F", 1, nil) // want `rpc c\.Call while holding s\.mu`
+	_ = c.Call(m, 0, nil, nil) // want `rpc c\.Call while holding s\.mu`
+	_ = c.Go(m, 0, nil, nil)   // want `rpc c\.Go while holding s\.mu`
 }
 
 func (s *S) storageBad(st *storage.Store) {

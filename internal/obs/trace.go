@@ -73,6 +73,25 @@ func (t *Tracer) Start(track, name string) *Span {
 	return &Span{t: t, track: track, name: name, id: t.ids.Add(1), start: time.Now()}
 }
 
+// StartUnder opens a span whose parent is identified by ID alone — a span
+// that lives on the other side of a connection, named by the span ID its
+// request carried. parent 0 is Start. Returns nil when t is nil.
+func (t *Tracer) StartUnder(parent int64, track, name string) *Span {
+	sp := t.Start(track, name)
+	if sp != nil {
+		sp.parent = parent
+	}
+	return sp
+}
+
+// ID identifies the span to Tracer.StartUnder; 0 for a nil span.
+func (s *Span) ID() int64 {
+	if s == nil {
+		return 0
+	}
+	return s.id
+}
+
 // Child opens a span nested under s, on s's track.
 func (s *Span) Child(name string) *Span {
 	if s == nil {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -177,38 +178,39 @@ func FuzzReadIVF(f *testing.F) {
 	})
 }
 
-// FuzzTopKRequest drives the RPC decode+validate surface with arbitrary
-// bytes: DecodeTopKArgs must error or return a batch that Validate either
-// rejects or the engine can serve — panics and over-reads are the bugs
-// being hunted (the gob decoder is bounded, Validate bounds-checks every
-// field against the schema).
+// FuzzTopKRequest drives what a connection runs for a TopK frame's payload
+// — TopKArgs.ParseWire, then the handler with its Validate — with arbitrary
+// bytes: the parser must error or return a batch that re-encodes to exactly
+// the bytes it was given (one encoding per value, nothing ignored) and that
+// the handler either rejects or serves. Panics, over-reads and allocations
+// the payload does not back are the bugs being hunted.
 func FuzzTopKRequest(f *testing.F) {
 	s := fuzzServer(f)
+	sv := &Service{s: s}
 
-	seed := func(a TopKArgs) []byte {
-		b, err := encodeTopKArgs(&a)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return b
-	}
+	seed := func(a TopKArgs) []byte { return a.AppendWire(nil) }
 	f.Add(seed(TopKArgs{Reqs: []TopKRequest{{Rel: 0, SrcID: 3, K: 5}}}))
 	f.Add(seed(TopKArgs{Reqs: []TopKRequest{{Rel: 0, SrcID: 3, K: 5, Exact: true}, {Rel: 0, Vector: []float32{1, 2, 3, 4}, K: 1}}}))
 	f.Add(seed(TopKArgs{Reqs: []TopKRequest{{Rel: 7, SrcID: -4, K: -2, NProbe: -9}}}))
 	f.Add(seed(TopKArgs{Reqs: []TopKRequest{{Rel: 0, Vector: []float32{1, 2, 3, 4}, K: 1, NProbe: -1}}}))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0x00, 0x41, 0x99})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // 4 Gi requests, none present
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		args, err := DecodeTopKArgs(data)
-		if err != nil {
+		var args TopKArgs
+		if err := args.ParseWire(data); err != nil {
 			return
 		}
-		if err := args.Validate(s); err != nil {
+		if again := args.AppendWire(nil); !bytes.Equal(again, data) {
+			t.Fatalf("parsed batch re-encodes to %d bytes %x, payload was %d bytes %x", len(again), again, len(data), data)
+		}
+		if args.Validate(s) != nil {
 			return
 		}
 		// A batch that survives validation must actually be servable.
-		if _, err := s.TopK(args.Reqs); err != nil {
+		var reply TopKReply
+		if err := sv.TopK(args, &reply); err != nil {
 			t.Fatalf("validated batch failed to serve: %v", err)
 		}
 	})

@@ -25,7 +25,7 @@ func dialTestServer(t *testing.T, f *servetest.Fixture) (*serve.Server, *serve.C
 }
 
 // TestRPCRoundTrip pins that results over the wire equal results from the
-// in-process API — gob encode/decode of every wire type included.
+// in-process API — the encoding of every wire type included.
 func TestRPCRoundTrip(t *testing.T) {
 	f := servetest.Shared(t, servetest.FixtureConfig{})
 	s, c := dialTestServer(t, f)

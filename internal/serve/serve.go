@@ -32,13 +32,18 @@
 //     checkpoint (ivf.pbg) — ReadIVF admits only lists that partition each
 //     shard's rows — and recall against the exact scan is pinned by a
 //     property test.
-//   - Server (server.go) + the net/rpc front end (rpc.go): an atomically
+//   - Server (server.go) + the framed front end (rpc.go): an atomically
 //     hot-swappable view (shards + index + relation parameters) behind
-//     TopK/Score/Rank APIs, served over the same net/rpc plumbing
-//     internal/dist uses and instrumented through internal/obs
-//     (pbg_serve_requests_total, the plan and scan stage histograms, which
-//     sum to the call's latency, work counters over the distinct questions
-//     scored, index-size gauges).
+//     TopK/Score/Rank APIs, served over internal/wire — the transport
+//     internal/dist runs on: a request's payload length is held to its
+//     method's bound before a byte of it is read, a batch is parsed by a
+//     hand-written decoder that allocates nothing the payload does not back,
+//     and Validate checks every field against the schema — and instrumented
+//     through internal/obs (pbg_serve_requests_total, the plan and scan stage
+//     histograms, which sum to the call's latency, work counters over the
+//     distinct questions scored, index-size gauges; the transport adds
+//     pbg_wire_bytes_total and pbg_wire_server_queue_ns, the time a decoded
+//     request waits for its goroutine).
 //
 // None of this is configurable: there is one scan, and which blocks it
 // copies, which probes it picks and which scores reach a heap are decided

@@ -36,6 +36,17 @@ type Backend interface {
 	Store(sh *Shard) error
 }
 
+// Recycler is an optional Backend extension: a backend that implements it is
+// handed every shard the cache drops while nobody references it — evicted
+// clean, or stored and let go — so its next Load can decode into the same
+// buffers. Only the cache can say when a shard is dead: a write-through
+// Release may find the entry revived once its Store has landed, and that
+// shard is still somebody's. The partition-server checkout store implements
+// it; DiskStore does not.
+type Recycler interface {
+	Recycle(sh *Shard)
+}
+
 // cacheEntry is one cached shard together with its I/O state. An entry is in
 // one of these states, always under the cache lock:
 //
@@ -185,6 +196,7 @@ type IOStats struct {
 // and never retains it (see WritePolicy).
 type Cache struct {
 	backend Backend
+	recycle Recycler // backend, when it takes dead shards back; else nil
 	policy  WritePolicy
 	schema  *graph.Schema
 	dim     int
@@ -255,9 +267,20 @@ func NewCache(b Backend, policy WritePolicy, schema *graph.Schema, dim int, bind
 		obs:     obs.NewQuietHub(),
 		bind:    bind,
 	}
+	c.recycle, _ = b.(Recycler)
 	c.m = bind(c.obs.Reg)
 	c.cond = sync.NewCond(&c.mu)
 	return c
+}
+
+// dropLocked removes an entry nobody references, awaits or writes from the
+// cache. Its shard is dead from here on — no Acquire can reach it and no
+// caller holds it — which is the one moment a backend may have it back.
+func (c *Cache) dropLocked(k shardKey, e *cacheEntry) {
+	delete(c.cache, k)
+	if c.recycle != nil && e.shard != nil {
+		c.recycle.Recycle(e.shard)
+	}
 }
 
 // SetObs attaches the cache's counters and resident-bytes gauge, and its
@@ -602,7 +625,7 @@ func (c *Cache) evictLocked() bool {
 	if e == nil {
 		return false
 	}
-	delete(c.cache, k)
+	c.dropLocked(k, e)
 	c.countLocked(&c.stats.ForcedEvicts, c.m.ForcedEvicts)
 	c.updateResidentLocked()
 	c.cond.Broadcast()
@@ -695,7 +718,7 @@ func (c *Cache) retireLocked(k shardKey, e *cacheEntry) {
 		// the load, and eviction reclaims the entry LRU-first when a must-have
 		// needs the memory.
 	case e.clean:
-		delete(c.cache, k)
+		c.dropLocked(k, e)
 		c.cond.Broadcast()
 	case c.maxResident > 0:
 		c.startWriteLocked(k, e)
@@ -725,7 +748,7 @@ func (c *Cache) storeThrough(k shardKey, e *cacheEntry) error {
 	}
 	e.writing = false
 	if e.refs == 0 {
-		delete(c.cache, k)
+		c.dropLocked(k, e)
 	}
 	c.updateResidentLocked()
 	close(e.writeDone)

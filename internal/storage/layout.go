@@ -159,11 +159,11 @@ func (l Layout) appendHeader(dst []byte) []byte {
 	return dst
 }
 
-// Encode returns the image of s as one buffer (the partition servers' wire
-// form).
+// Encode returns the image of s as one buffer (what a partition server
+// keeps).
 func (l Layout) Encode(s *Shard) ([]byte, error) {
 	buf := bytes.NewBuffer(make([]byte, 0, l.Size()))
-	if err := l.encode(buf, s); err != nil {
+	if err := l.EncodeTo(buf, s); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -174,14 +174,16 @@ func (l Layout) Decode(b []byte) (*Shard, error) {
 	if int64(len(b)) != l.Size() {
 		return nil, fmt.Errorf("storage: shard image is %d bytes, layout says %d", len(b), l.Size())
 	}
-	return l.decode(bytes.NewReader(b[l.HeaderBytes():]))
+	return l.DecodeInto(bytes.NewReader(b[l.HeaderBytes():]), nil)
 }
 
-// encode streams the image of s to w. The in-memory shard is not modified:
-// fp16 and int8 quantize the embedding block on the way out in 8 KiB
-// chunks; the float32 blocks — fp32 embeddings, scales, accumulators — go
-// out as one Write each where the host is little-endian (writeFloats).
-func (l Layout) encode(w io.Writer, s *Shard) error {
+// EncodeTo streams the image of s to w: shard files and the trainers' Put
+// both leave through it. The in-memory shard is not modified: fp16 and int8
+// quantize the embedding block on the way out in 8 KiB chunks; the float32
+// blocks — fp32 embeddings, scales, accumulators — go out as one Write each,
+// straight from the shard's own memory, where the host is little-endian
+// (writeFloats), and through the portable chunked encoder elsewhere.
+func (l Layout) EncodeTo(w io.Writer, s *Shard) error {
 	if l.Codec > CodecInt8 {
 		return fmt.Errorf("storage: cannot encode codec %v", l.Codec)
 	}
@@ -216,11 +218,20 @@ func (l Layout) encode(w io.Writer, s *Shard) error {
 	return writeFloats(w, s.Acc)
 }
 
-// decode reads the blocks that follow the header from r into a fresh fp32
-// shard. l came out of ParseLayout, so the allocation is backed by bytes
-// that exist.
-func (l Layout) decode(r io.Reader) (*Shard, error) {
-	s := NewShard(l.TypeIndex, l.Part, l.Count, l.Dim)
+// DecodeInto reads the blocks that follow the header from r into an fp32
+// shard and returns it: into reuse's buffers when they are large enough —
+// the caller must own reuse outright, it is overwritten whole — and into a
+// fresh shard otherwise (reuse may be nil). l came out of ParseLayout, so
+// a fresh allocation is backed by bytes that exist. On a little-endian host
+// the float32 blocks are read straight into the shard's memory.
+func (l Layout) DecodeInto(r io.Reader, reuse *Shard) (*Shard, error) {
+	s := reuse
+	if s != nil && cap(s.Embs) >= l.Count*l.Dim && cap(s.Acc) >= l.Count {
+		s.TypeIndex, s.Part, s.Count, s.Dim = l.TypeIndex, l.Part, l.Count, l.Dim
+		s.Embs, s.Acc = s.Embs[:l.Count*l.Dim], s.Acc[:l.Count]
+	} else {
+		s = NewShard(l.TypeIndex, l.Part, l.Count, l.Dim)
+	}
 	switch l.Codec {
 	case CodecFP32:
 		if err := readFloats(r, s.Embs); err != nil {

@@ -89,9 +89,9 @@ func WriteShardCodec(path string, s *Shard, c Codec) error {
 	if c == CodecFP32 && hostLittleEndian {
 		// The image is a header and two blocks that already are their bytes:
 		// three writes straight to the file, nothing to buffer.
-		return writeFileAtomic(path, func(f *os.File) error { return l.encode(f, s) })
+		return writeFileAtomic(path, func(f *os.File) error { return l.EncodeTo(f, s) })
 	}
-	return writeFileAtomic(path, buffered(func(w *bufio.Writer) error { return l.encode(w, s) }))
+	return writeFileAtomic(path, buffered(func(w *bufio.Writer) error { return l.EncodeTo(w, s) }))
 }
 
 // WriteShardImage persists an already-encoded shard image — bytes that have
@@ -139,7 +139,7 @@ func ReadShardCodec(path string) (*Shard, Codec, error) {
 	if l.Codec != CodecFP32 || !hostLittleEndian {
 		blocks = bufio.NewReaderSize(blocks, 1<<20) // the chunked decoders read 8 KiB at a time
 	}
-	s, err := l.decode(blocks)
+	s, err := l.DecodeInto(blocks, nil)
 	return s, l.Codec, err
 }
 
