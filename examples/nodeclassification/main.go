@@ -1,7 +1,7 @@
 // Node-classification example: the YouTube downstream task of §5.3.
 // Embeddings trained unsupervised on the social graph become features for a
 // one-vs-rest logistic regression predicting the (multi-label) user
-// categories, scored with micro/macro-F1 under 10-fold cross validation.
+// categories, scored with micro/macro-F1 averaged over 10 random 90/10 splits.
 package main
 
 import (
@@ -37,7 +37,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 10-fold CV at 90% train, predicting top-k_i labels per node (the
+	// 10 random splits at 90% train, predicting top-k_i labels per node (the
 	// protocol of Perozzi et al. 2014 that Table 1 follows).
 	res, err := classify.CrossValidate(features, lg.Labels,
 		classify.Config{Classes: lg.NumClasses, Epochs: 15, Seed: 3}, 10, 0.9)

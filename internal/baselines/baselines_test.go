@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"math"
 	"testing"
 
 	"pbg/internal/datagen"
@@ -49,7 +50,7 @@ func TestBuildAdjacencySymmetric(t *testing.T) {
 func TestDeepWalkLearns(t *testing.T) {
 	g := socialGraph(t)
 	trainG, _, testG := g.Split(0, 0.2, 5)
-	m, err := TrainDeepWalk(trainG, DeepWalkConfig{Dim: 16, Epochs: 2, WalksPer: 5, WalkLen: 20, Seed: 7}, nil)
+	m, err := TrainDeepWalk(trainG, DeepWalkConfig{Dim: 16, Epochs: 2, WalksPer: 5, WalkLen: 20, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,33 +74,12 @@ func TestDeepWalkLearns(t *testing.T) {
 	}
 }
 
-func TestDeepWalkEpochCallback(t *testing.T) {
-	g := socialGraph(t)
-	calls := 0
-	_, err := TrainDeepWalk(g, DeepWalkConfig{Dim: 8, Epochs: 3, WalksPer: 1, WalkLen: 10, Seed: 7},
-		func(st DeepWalkEpochStats, m *DeepWalkModel) {
-			if st.Epoch != calls {
-				t.Errorf("epoch %d out of order", st.Epoch)
-			}
-			if st.Pairs == 0 {
-				t.Error("no pairs trained")
-			}
-			calls++
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 3 {
-		t.Fatalf("callback fired %d times", calls)
-	}
-}
-
 func TestDeepWalkRejectsMultiEntity(t *testing.T) {
 	g, err := datagen.Bipartite(datagen.BipartiteConfig{Users: 50, Items: 10, Edges: 100, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := TrainDeepWalk(g, DeepWalkConfig{Dim: 8}, nil); err == nil {
+	if _, err := TrainDeepWalk(g, DeepWalkConfig{Dim: 8}); err == nil {
 		t.Fatal("expected error for multi-entity graph")
 	}
 }
@@ -179,6 +159,29 @@ func TestMILEMoreLevelsMoreCompression(t *testing.T) {
 	}
 	if m3.MemoryBytes() >= m1.MemoryBytes() {
 		t.Fatalf("more levels should reduce base memory: %d vs %d", m3.MemoryBytes(), m1.MemoryBytes())
+	}
+}
+
+// TestMILEDeterministic pins that a fixed seed with one walker gives the
+// same embeddings bit for bit: the coarse graphs, and with them the walks
+// and the next level's matching, must not depend on map iteration order.
+func TestMILEDeterministic(t *testing.T) {
+	g := socialGraph(t)
+	cfg := MILEConfig{Levels: 1, Base: DeepWalkConfig{Dim: 8, WalksPer: 2, WalkLen: 10, Workers: 1}, Seed: 9}
+	first, err := TrainMILE(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 1; run < 3; run++ {
+		m, err := TrainMILE(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range m.Emb.Data {
+			if math.Float32bits(v) != math.Float32bits(first.Emb.Data[i]) {
+				t.Fatalf("run %d: embedding value %d differs (%v vs %v)", run, i, v, first.Emb.Data[i])
+			}
+		}
 	}
 }
 

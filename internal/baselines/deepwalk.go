@@ -1,5 +1,5 @@
 // Package baselines implements the two published systems the paper compares
-// against in Table 1 and Figure 5: DeepWalk (Perozzi et al. 2014) and MILE
+// against in Table 1: DeepWalk (Perozzi et al. 2014) and MILE
 // (Liang et al. 2018). Both are reimplemented from their papers so they run
 // under the identical evaluation protocol as PBG.
 package baselines
@@ -119,16 +119,9 @@ type DeepWalkModel struct {
 	Out vec.Matrix
 }
 
-// DeepWalkEpochStats reports one epoch of training.
-type DeepWalkEpochStats struct {
-	Epoch int
-	Pairs int
-}
-
 // TrainDeepWalk runs random walks + skip-gram with negative sampling over
-// the undirected view of g. onEpoch, if non-nil, fires after each epoch
-// (learning curves for Figure 5).
-func TrainDeepWalk(g *graph.Graph, cfg DeepWalkConfig, onEpoch func(DeepWalkEpochStats, *DeepWalkModel)) (*DeepWalkModel, error) {
+// the undirected view of g.
+func TrainDeepWalk(g *graph.Graph, cfg DeepWalkConfig) (*DeepWalkModel, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Dim <= 0 {
 		return nil, fmt.Errorf("baselines: DeepWalk needs Dim > 0")
@@ -159,7 +152,6 @@ func TrainDeepWalk(g *graph.Graph, cfg DeepWalkConfig, onEpoch func(DeepWalkEpoc
 
 	for e := 0; e < cfg.Epochs; e++ {
 		var wg sync.WaitGroup
-		pairCounts := make([]int, cfg.Workers)
 		for wk := 0; wk < cfg.Workers; wk++ {
 			wg.Add(1)
 			go func(wk int, wr *rng.RNG) {
@@ -195,7 +187,6 @@ func TrainDeepWalk(g *graph.Graph, cfg DeepWalkConfig, onEpoch func(DeepWalkEpoc
 									continue
 								}
 								x := walk[j]
-								pairCounts[wk]++
 								// Positive pair + k negatives.
 								vec.Zero(gradC)
 								for neg := -1; neg < cfg.Negatives; neg++ {
@@ -227,13 +218,6 @@ func TrainDeepWalk(g *graph.Graph, cfg DeepWalkConfig, onEpoch func(DeepWalkEpoc
 			}(wk, r.Split())
 		}
 		wg.Wait()
-		total := 0
-		for _, pc := range pairCounts {
-			total += pc
-		}
-		if onEpoch != nil {
-			onEpoch(DeepWalkEpochStats{Epoch: e, Pairs: total}, m)
-		}
 	}
 	return m, nil
 }

@@ -1,8 +1,9 @@
 package baselines
 
 import (
+	"cmp"
 	"fmt"
-	"math"
+	"slices"
 
 	"pbg/internal/graph"
 	"pbg/internal/rng"
@@ -91,7 +92,7 @@ func TrainMILE(g *graph.Graph, cfg MILEConfig) (*MILEModel, error) {
 	baseCfg := cfg.Base
 	baseCfg.Seed = cfg.Seed ^ 0xD1CE
 	baseG := adjacencyToGraph(coarsest.adj)
-	baseModel, err := TrainDeepWalk(baseG, baseCfg, nil)
+	baseModel, err := TrainDeepWalk(baseG, baseCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +149,9 @@ func heavyEdgeMatch(adj *Adjacency, r *rng.RNG) ([]int32, int) {
 }
 
 // buildCoarse aggregates the fine adjacency through the matching, summing
-// parallel edge weights and dropping supernode self-loops.
+// parallel edge weights and dropping supernode self-loops. Edges are laid
+// out in sorted (a, b) order: neighbour order feeds the base embedder's
+// walks and the next level's matching, so it must not follow map order.
 func buildCoarse(adj *Adjacency, match []int32, coarseN int) *Adjacency {
 	type edge struct{ a, b int32 }
 	agg := map[edge]float32{}
@@ -167,21 +170,24 @@ func buildCoarse(adj *Adjacency, match []int32, coarseN int) *Adjacency {
 			}
 		}
 	}
+	edges := make([]edge, 0, len(agg))
 	deg := make([]int32, coarseN+1)
 	for e := range agg {
+		edges = append(edges, e)
 		deg[e.a+1]++
 		deg[e.b+1]++
 	}
+	slices.SortFunc(edges, func(x, y edge) int {
+		return cmp.Or(cmp.Compare(x.a, y.a), cmp.Compare(x.b, y.b))
+	})
 	for i := 1; i <= coarseN; i++ {
 		deg[i] += deg[i-1]
 	}
-	total := 0
-	for range agg {
-		total += 2
-	}
+	total := 2 * len(edges)
 	out := &Adjacency{Offsets: deg, Neighbors: make([]int32, total), Weights: make([]float32, total), N: coarseN}
 	cursor := make([]int32, coarseN)
-	for e, w := range agg {
+	for _, e := range edges {
+		w := agg[e]
 		out.Neighbors[out.Offsets[e.a]+cursor[e.a]] = e.b
 		out.Weights[out.Offsets[e.a]+cursor[e.a]] = w
 		cursor[e.a]++
@@ -253,12 +259,4 @@ func smooth(adj *Adjacency, emb vec.Matrix, rounds int, beta float32) {
 func (m *MILEModel) MemoryBytes() int64 {
 	base := int64(m.CoarsestNodes) * int64(m.Dim) * 4 * 2 // in+out tables
 	return int64(len(m.Emb.Data))*4 + base
-}
-
-// EffectiveCompression returns original/coarsest node ratio.
-func (m *MILEModel) EffectiveCompression(originalNodes int) float64 {
-	if m.CoarsestNodes == 0 {
-		return math.Inf(1)
-	}
-	return float64(originalNodes) / float64(m.CoarsestNodes)
 }

@@ -185,17 +185,18 @@ func f1(tp, fp, fn float64) float64 {
 	return 2 * precision * recall / (precision + recall)
 }
 
-// CrossValidate runs k-fold cross-validation with trainFrac of each fold's
-// data used for training (the paper uses 10 folds at 90%), returning the
-// mean micro/macro F1 over folds.
-func CrossValidate(x vec.Matrix, y [][]int, cfg Config, folds int, trainFrac float64) (F1Result, error) {
-	if folds < 2 {
-		return F1Result{}, fmt.Errorf("classify: need ≥ 2 folds")
+// CrossValidate averages micro/macro F1 over repeats independent random
+// splits, each training on trainFrac of the rows and testing on the rest.
+// This is DeepWalk's protocol, which the paper follows (10 splits at 90%);
+// it is not k-fold — every split re-permutes all rows, so test sets overlap.
+func CrossValidate(x vec.Matrix, y [][]int, cfg Config, repeats int, trainFrac float64) (F1Result, error) {
+	if repeats < 2 {
+		return F1Result{}, fmt.Errorf("classify: need ≥ 2 repeats")
 	}
 	n := x.Rows
 	r := rng.New(cfg.Seed ^ 0xF01D)
 	var sum F1Result
-	for f := 0; f < folds; f++ {
+	for rep := 0; rep < repeats; rep++ {
 		perm := make([]int, n)
 		r.Perm(perm)
 		nTrain := int(trainFrac * float64(n))
@@ -219,7 +220,7 @@ func CrossValidate(x vec.Matrix, y [][]int, cfg Config, folds int, trainFrac flo
 		sum.MicroF1 += res.MicroF1
 		sum.MacroF1 += res.MacroF1
 	}
-	sum.MicroF1 /= float64(folds)
-	sum.MacroF1 /= float64(folds)
+	sum.MicroF1 /= float64(repeats)
+	sum.MacroF1 /= float64(repeats)
 	return sum, nil
 }

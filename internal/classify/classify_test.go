@@ -96,7 +96,7 @@ func TestTrainValidation(t *testing.T) {
 		t.Fatal("expected class-count error")
 	}
 	if _, err := CrossValidate(x, [][]int{{0}, {1}}, Config{Classes: 2}, 1, 0.9); err == nil {
-		t.Fatal("expected folds error")
+		t.Fatal("expected repeats error")
 	}
 }
 

@@ -8,7 +8,6 @@ package eval
 
 import (
 	"fmt"
-	"math"
 
 	"pbg/internal/graph"
 	"pbg/internal/model"
@@ -258,46 +257,4 @@ func (rk *Ranker) rankSide(r *rng.RNG, cfg Config, aliasFor func(int) (*rng.Alia
 		sc.ScoreMany(scores, srcEmb, params, cand)
 	}
 	return MidRank(trueScore, scores), nil
-}
-
-// Curve records a learning curve: MRR over epochs with wallclock stamps
-// (Figures 5–7).
-type Curve struct {
-	Label   string
-	Epochs  []int
-	Seconds []float64
-	MRR     []float64
-}
-
-// Add appends one point.
-func (c *Curve) Add(epoch int, seconds, mrr float64) {
-	c.Epochs = append(c.Epochs, epoch)
-	c.Seconds = append(c.Seconds, seconds)
-	c.MRR = append(c.MRR, mrr)
-}
-
-// String renders the curve as aligned columns.
-func (c *Curve) String() string {
-	out := fmt.Sprintf("# %s\n# epoch  seconds  MRR\n", c.Label)
-	for i := range c.Epochs {
-		out += fmt.Sprintf("%7d %8.2f %.4f\n", c.Epochs[i], c.Seconds[i], c.MRR[i])
-	}
-	return out
-}
-
-// MeanStd returns the mean and standard deviation of xs (for the ComplEx
-// instability probe of §5.4.2).
-func MeanStd(xs []float64) (mean, std float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	for _, x := range xs {
-		std += (x - mean) * (x - mean)
-	}
-	std = math.Sqrt(std / float64(len(xs)))
-	return mean, std
 }

@@ -189,29 +189,6 @@ func TestRanksAreValid(t *testing.T) {
 	}
 }
 
-func TestCurveRecording(t *testing.T) {
-	c := &Curve{Label: "pbg-1"}
-	c.Add(0, 1.5, 0.1)
-	c.Add(1, 3.0, 0.2)
-	s := c.String()
-	if !strings.Contains(s, "pbg-1") || !strings.Contains(s, "0.2000") {
-		t.Fatalf("bad curve format:\n%s", s)
-	}
-}
-
-func TestMeanStd(t *testing.T) {
-	mean, std := MeanStd([]float64{1, 2, 3, 4})
-	if mean != 2.5 {
-		t.Fatalf("mean = %v", mean)
-	}
-	if std < 1.1 || std > 1.2 {
-		t.Fatalf("std = %v", std)
-	}
-	if m, s := MeanStd(nil); m != 0 || s != 0 {
-		t.Fatal("empty input should give zeros")
-	}
-}
-
 var _ EmbeddingSource = (*train.View)(nil)
 var _ ScorerSource = (*train.Trainer)(nil)
 

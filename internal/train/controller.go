@@ -74,7 +74,7 @@ func (t *Trainer) windowBytes(L int) int64 {
 		clear(seen)
 		var b int64
 		for j := i; j < len(items) && j <= i+L; j++ {
-			for _, k := range t.bucketShardKeys(items[j].b) {
+			for _, k := range t.bucketShardKeys(items[j]) {
 				if !seen[k] {
 					seen[k] = true
 					b += t.shardKeyBytes(k)

@@ -6,6 +6,7 @@ import (
 	"pbg/internal/datagen"
 	"pbg/internal/partition"
 	"pbg/internal/storage"
+	"pbg/internal/storage/storetest"
 )
 
 // orderTestTrainer builds a trainer over an 8-partition social graph with
@@ -76,6 +77,47 @@ func TestBudgetAwareOrderTrains(t *testing.T) {
 	// Every bucket of the 8×8 grid must still be visited exactly once.
 	if len(tr.Buckets()) != 64 {
 		t.Fatalf("order has %d buckets, want 64", len(tr.Buckets()))
+	}
+}
+
+// TestPlannedOrderForcesNoMoreEvictions is the measured half of the planned
+// order's claim: on a DiskStore whose budget affords 3, 4 and 6 partition
+// slots, training on the plan forces no more evictions than training
+// inside-out at the same budgets (summed over the three, to damp prefetch
+// timing in any one cell). The projected half is partition's
+// TestBudgetAwareBeatsInsideOut8x8Buffer3 and TestPlanBudgetAwareGolden.
+func TestPlannedOrderForcesNoMoreEvictions(t *testing.T) {
+	const parts, dim = 8, 16
+	g, err := datagen.Social(datagen.SocialConfig{Nodes: 2000, AvgOutDegree: 8, NumPartitions: parts, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One slot is one shard of the single entity type, plus the in-flight
+	// allowance the slot pricing sets aside.
+	perShard := storage.ProjectedShardBytes(g.Schema, dim, 0, 0)
+	evicts := map[string]int64{}
+	for _, slots := range []int{3, 4, 6} {
+		for _, order := range []string{partition.OrderInsideOut, ""} {
+			store := storetest.NewDisk(t, "", g.Schema, dim, 8, 1)
+			tr, err := New(g, store, Config{
+				Dim: dim, Epochs: 1, Workers: 1, Seed: 7,
+				BucketOrder: order, MemBudgetBytes: int64(slots+1) * perShard,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := tr.BufferSlots(); got != slots {
+				t.Fatalf("trainer priced %d buffer slots, want %d", got, slots)
+			}
+			if _, err := tr.Train(nil); err != nil {
+				t.Fatal(err)
+			}
+			evicts[order] += store.IOStats().ForcedEvicts
+		}
+	}
+	t.Logf("forced evictions over 3/4/6 slots: inside_out %d, planned %d", evicts[partition.OrderInsideOut], evicts[""])
+	if evicts[""] > evicts[partition.OrderInsideOut] {
+		t.Fatalf("the planned order forced %d evictions, inside_out %d", evicts[""], evicts[partition.OrderInsideOut])
 	}
 }
 

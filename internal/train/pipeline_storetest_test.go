@@ -35,9 +35,9 @@ func harnessTrainer(t *testing.T, parts int, cfg Config, depth int) (*Trainer, *
 // itemKeys lists each epoch item's shard keys as storetest keys.
 func itemKeys(tr *Trainer) [][]storetest.Key {
 	var out [][]storetest.Key
-	for _, it := range tr.epochItems() {
+	for _, b := range tr.epochItems() {
 		var ks []storetest.Key
-		for _, k := range tr.bucketShardKeys(it.b) {
+		for _, k := range tr.bucketShardKeys(b) {
 			ks = append(ks, storetest.Key{Type: k.t, Part: k.p})
 		}
 		out = append(out, ks)

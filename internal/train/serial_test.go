@@ -3,20 +3,22 @@ package train
 import (
 	"testing"
 	"time"
+
+	"pbg/internal/partition"
 )
 
 // runEpochSerial is the reference the pipelined executor is held to: each
 // bucket acquires its shards one after another, with no prefetch hint,
 // trains, and releases them all before the next bucket starts. Shard
 // lifetimes differ from runEpoch's; the math must not.
-func (t *Trainer) runEpochSerial(items []epochItem, stats *EpochStats) error {
+func (t *Trainer) runEpochSerial(items []partition.Bucket, stats *EpochStats) error {
 	r := t.NewResident()
 	held := map[int]bool{}
-	for _, it := range items {
-		held = countSwapIns(it.b, held, stats)
+	for _, b := range items {
+		held = countSwapIns(b, held, stats)
 		var err error
 		t0 := time.Now()
-		for _, k := range t.bucketShardKeys(it.b) {
+		for _, k := range t.bucketShardKeys(b) {
 			sh, aerr := t.store.Acquire(k.t, k.p)
 			if err = aerr; err != nil {
 				break
@@ -28,7 +30,7 @@ func (t *Trainer) runEpochSerial(items []epochItem, stats *EpochStats) error {
 		var loss float64
 		var edges int
 		if err == nil {
-			loss, edges, err = r.train(it.b, it.lo, it.hi)
+			loss, edges, err = r.Train(b)
 		}
 		// Release errors must surface: a store that writes on Release has
 		// lost this bucket's training if the write failed.

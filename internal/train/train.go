@@ -54,10 +54,9 @@ type Config struct {
 	Loss string
 	// Margin λ for the ranking loss. Default 0.1.
 	Margin float32
-	// LR is the Adagrad learning rate for embeddings. Default 0.1.
+	// LR is the Adagrad learning rate for embeddings and operator
+	// parameters. Default 0.1.
 	LR float32
-	// RelationLR for operator parameters; defaults to LR.
-	RelationLR float32
 	// NegAlpha is the data-prevalence fraction α of §3.1. Default 0.5.
 	NegAlpha float32
 	// BatchSize B. Default 1000.
@@ -103,10 +102,6 @@ type Config struct {
 	// loses embedding bits to rounding and int8 to per-row scaling, with
 	// the MRR cost of each pinned by the servetest parity matrix.
 	Codec string
-	// StratumParts N > 1 splits each bucket's edges into N parts and sweeps
-	// the buckets N times per epoch ('stratum losses', Gemulla et al. 2011;
-	// §4.1 footnote 3).
-	StratumParts int
 	// Obs is the observability hub the trainer records metrics and spans
 	// into (see internal/obs); it is also plumbed into stores that expose
 	// SetObs, so one /metrics scrape covers the whole pipeline. Nil gives
@@ -133,9 +128,6 @@ func (c Config) withDefaults() Config {
 	if c.LR == 0 {
 		c.LR = 0.1
 	}
-	if c.RelationLR == 0 {
-		c.RelationLR = c.LR
-	}
 	if c.NegAlpha == 0 {
 		c.NegAlpha = 0.5
 	}
@@ -156,9 +148,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BucketOrder == "" {
 		c.BucketOrder = partition.OrderBudgetAware
-	}
-	if c.StratumParts == 0 {
-		c.StratumParts = 1
 	}
 	if c.InitScale == 0 {
 		c.InitScale = 1
@@ -301,9 +290,9 @@ func New(g *graph.Graph, store storage.Store, cfg Config) (*Trainer, error) {
 		t.relParams[r] = make([]float32, sc.RelParamCount())
 		sc.InitRelParams(t.relParams[r])
 		half := sc.Op.ParamCount(cfg.Dim)
-		t.relOptFwd[r] = optim.NewDenseAdagrad(cfg.RelationLR, half)
+		t.relOptFwd[r] = optim.NewDenseAdagrad(cfg.LR, half)
 		if cfg.Reciprocal {
-			t.relOptRev[r] = optim.NewDenseAdagrad(cfg.RelationLR, half)
+			t.relOptRev[r] = optim.NewDenseAdagrad(cfg.LR, half)
 		}
 	}
 
@@ -432,27 +421,13 @@ func (t *Trainer) Train(onEpoch func(EpochStats)) ([]EpochStats, error) {
 	return out, nil
 }
 
-// epochItem is one unit of epoch work: a stratum slice of one bucket.
-type epochItem struct {
-	b      partition.Bucket
-	lo, hi int
-}
-
-// epochItems flattens the stratum × bucket iteration into the ordered work
-// list the (pipelined) epoch executor runs and looks ahead over.
-func (t *Trainer) epochItems() []epochItem {
-	var items []epochItem
-	for stratum := 0; stratum < t.cfg.StratumParts; stratum++ {
-		for _, b := range t.buckets {
-			rg := t.ranges[b.Index(t.nDst)]
-			if rg.Empty() {
-				continue
-			}
-			lo, hi := stratumSlice(rg, stratum, t.cfg.StratumParts)
-			if hi <= lo {
-				continue
-			}
-			items = append(items, epochItem{b: b, lo: lo, hi: hi})
+// epochItems lists the non-empty buckets in the planned order: the work
+// list the epoch executor runs and looks ahead over.
+func (t *Trainer) epochItems() []partition.Bucket {
+	var items []partition.Bucket
+	for _, b := range t.buckets {
+		if !t.ranges[b.Index(t.nDst)].Empty() {
+			items = append(items, b)
 		}
 	}
 	return items
@@ -517,21 +492,21 @@ func (t *Trainer) TrainEpoch() (EpochStats, error) {
 // runEpoch overlaps partition I/O with training (§4.1 made real): shards
 // shared with the next bucket simply stay held (see Resident), and shards
 // the next buckets need are prefetched while the current bucket trains.
-func (t *Trainer) runEpoch(items []epochItem, stats *EpochStats) error {
+func (t *Trainer) runEpoch(items []partition.Bucket, stats *EpochStats) error {
 	r := t.NewResident()
 	heldParts := map[int]bool{}
-	for i, it := range items {
-		heldParts = countSwapIns(it.b, heldParts, stats)
-		if err := r.Advance(it.b, nil); err != nil {
+	for i, b := range items {
+		heldParts = countSwapIns(b, heldParts, stats)
+		if err := r.Advance(b, nil); err != nil {
 			r.ReleaseAll()
 			return err
 		}
 		// Hint the shards the next buckets will need; the store loads them
 		// on its background pool while this bucket trains.
 		for l := 1; l <= t.lookahead && i+l < len(items); l++ {
-			r.hint(items[i+l].b)
+			r.hint(items[i+l])
 		}
-		loss, edges, err := r.train(it.b, it.lo, it.hi)
+		loss, edges, err := r.Train(b)
 		if err != nil {
 			r.ReleaseAll()
 			return err
@@ -636,12 +611,8 @@ func (r *Resident) Train(b partition.Bucket) (loss float64, edges int, err error
 	if rg.Empty() {
 		return 0, 0, nil
 	}
-	return r.train(b, rg.Lo, rg.Hi)
-}
-
-func (r *Resident) train(b partition.Bucket, lo, hi int) (loss float64, edges int, err error) {
 	t0 := time.Now()
-	loss, edges, err = r.t.runBucket(b, lo, hi, r.held)
+	loss, edges, err = r.t.runBucket(b, rg.Lo, rg.Hi, r.held)
 	r.t.tm.compute.Add(time.Since(t0).Nanoseconds())
 	return loss, edges, err
 }
@@ -696,13 +667,6 @@ func (r *Resident) ReleaseAll() error {
 	}
 	r.t.tm.ioWait.Add(time.Since(t0).Nanoseconds())
 	return first
-}
-
-func stratumSlice(rg graph.BucketRange, k, n int) (lo, hi int) {
-	size := rg.Len()
-	lo = rg.Lo + k*size/n
-	hi = rg.Lo + (k+1)*size/n
-	return lo, hi
 }
 
 // shardRef resolves entity ids of one (type, partition) to rows of an

@@ -379,23 +379,6 @@ func TestTrainBipartiteTypeConstraints(t *testing.T) {
 	}
 }
 
-func TestTrainStratumParts(t *testing.T) {
-	g := smallSocial(t, 2)
-	tr := newTrainer(t, g, Config{Epochs: 2, StratumParts: 3, Seed: 5})
-	stats, err := tr.Train(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// All edges still trained exactly once per epoch.
-	if stats[0].Edges != g.Edges.Len() {
-		t.Fatalf("stratified epoch trained %d edges, want %d", stats[0].Edges, g.Edges.Len())
-	}
-	// Buckets are visited N times per epoch → more partition IO.
-	if stats[0].PartitionIO <= 4 {
-		t.Fatalf("expected extra IO from stratification, got %d", stats[0].PartitionIO)
-	}
-}
-
 func TestUnbatchedChunkSizeOne(t *testing.T) {
 	g := smallSocial(t, 1)
 	tr := newTrainer(t, g, Config{Epochs: 1, ChunkSize: 1, UniformNegs: 10, Seed: 5})
