@@ -3,7 +3,6 @@ package dist
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -48,42 +47,9 @@ type remoteStore struct {
 	// shards whose leases it has lost, which must not be written.
 	discard atomic.Bool
 
-	// free holds shards the checkout cache has dropped (Recycle) for the next
-	// Load to decode into. A shard enters it only by leaving the cache and a
-	// Load takes one out, so it holds at most what the last bucket transition
-	// stored; maxFreeShards is the ceiling on a transition's width.
-	freeMu sync.Mutex
-	free   []*storage.Shard
-
 	// obs and the histograms record the RPCs themselves; see SetObs.
 	obs          *obs.Hub
 	getNs, putNs *obs.Histogram
-}
-
-const maxFreeShards = 4
-
-// Recycle implements storage.Recycler: sh is dead — the cache has dropped
-// it and nobody holds it — so the next Load may overwrite its buffers.
-func (s *remoteStore) Recycle(sh *storage.Shard) {
-	s.freeMu.Lock()
-	if len(s.free) < maxFreeShards {
-		s.free = append(s.free, sh)
-	}
-	s.freeMu.Unlock()
-}
-
-// spare takes a dead shard off the free list, or returns nil.
-func (s *remoteStore) spare() *storage.Shard {
-	s.freeMu.Lock()
-	defer s.freeMu.Unlock()
-	last := len(s.free) - 1
-	if last < 0 {
-		return nil
-	}
-	sh := s.free[last]
-	s.free[last] = nil
-	s.free = s.free[:last]
-	return sh
 }
 
 // storeOpts carries the resilience knobs a store's partition-server clients
@@ -163,7 +129,7 @@ func (s *remoteStore) SetFenceToken(tok uint64) {
 // Load implements storage.Backend: the Get RPC for shard (t,p), which the
 // owning server initialises lazily on first touch. The cache calls it
 // without its lock held, so fetches of different shards overlap on the wire.
-func (s *remoteStore) Load(t, p int) (*storage.Shard, error) {
+func (s *remoteStore) Load(t, p int, spare *storage.Shard) (*storage.Shard, error) {
 	args := GetArgs{
 		TypeIndex: t,
 		Part:      p,
@@ -172,19 +138,16 @@ func (s *remoteStore) Load(t, p int) (*storage.Shard, error) {
 		InitScale: s.initScale,
 		Token:     s.fenceTok.Load(),
 	}
-	// The reply is read off the connection into a shard the cache has let go
-	// of, when there is one; retryClient guarantees nothing writes to it once
-	// the call has returned, whatever the outcome.
-	reply := shardIn{want: args, sh: s.spare()}
+	// The reply is read off the connection into the cache's spare, when there
+	// is one; retryClient guarantees nothing writes to it once the call has
+	// returned, whatever the outcome.
+	reply := shardIn{want: args, sh: spare}
 	sp := s.obs.Trace.Start("dist", fmt.Sprintf("get t%d p%d", t, p))
 	t0 := time.Now()
 	err := s.client(t, p).callSpan("PartitionServer.Get", uint64(sp.ID()), args, &reply)
 	s.getNs.Observe(float64(time.Since(t0).Nanoseconds()))
 	sp.End()
 	if err != nil {
-		if reply.sh != nil {
-			s.Recycle(reply.sh)
-		}
 		return nil, fmt.Errorf("dist: get shard (%d,%d): %w", t, p, err)
 	}
 	return reply.sh, nil

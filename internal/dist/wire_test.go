@@ -372,7 +372,9 @@ func mustEncode(t *testing.T, sh *storage.Shard) []byte {
 // shard shape: once warm, a Get + Put pair through the checkout cache — both
 // ends of the connection are in this process, so both are counted — allocates
 // only call bookkeeping. Before the framed wire a pair allocated six
-// 1.3 MB buffers (≈ 7.8 MB).
+// 1.3 MB buffers (≈ 7.8 MB). The count is process-wide, so it is the
+// fewest bytes per pair over five windows: the swaps' own allocations land
+// in every window, another test's leftover goroutines in some.
 func TestSwapSteadyStateAllocs(t *testing.T) {
 	schema := swapSchema()
 	store := dialLoopback(t, NewPartitionServer(schema, swapDim, 1, partServerStripes), schema, swapDim)
@@ -389,14 +391,18 @@ func TestSwapSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 12; i++ { // warm-up: lazy inits, first Puts, free lists
 		swap(i % 4)
 	}
-	const pairs = 40
+	perPair := uint64(math.MaxUint64)
 	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < pairs; i++ {
-		swap(i % 4)
+	for w := 0; w < 5; w++ {
+		const pairs = 40
+		runtime.ReadMemStats(&before)
+		for i := 0; i < pairs; i++ {
+			swap(i % 4)
+		}
+		runtime.ReadMemStats(&after)
+		perPair = min(perPair, (after.TotalAlloc-before.TotalAlloc)/pairs)
 	}
-	runtime.ReadMemStats(&after)
-	if perPair := (after.TotalAlloc - before.TotalAlloc) / pairs; perPair >= 4<<10 {
+	if perPair >= 4<<10 {
 		t.Fatalf("a warm Get + Put pair allocates %d bytes, want < 4 KiB (shard image: %d bytes)",
 			perPair, storage.ProjectedShardBytes(schema, swapDim, 0, 0))
 	}

@@ -54,8 +54,8 @@ func (s *S) storageBad(st *storage.Store) {
 // cache's lock is the one every swap goes through.
 func (s *S) backendBad(b storage.Backend) {
 	s.mu.Lock()
-	sh, _ := b.Load(0, 0) // want `storage Backend\.Load while holding s\.mu`
-	_ = b.Store(sh)       // want `storage Backend\.Store while holding s\.mu`
+	sh, _ := b.Load(0, 0, nil) // want `storage Backend\.Load while holding s\.mu`
+	_ = b.Store(sh)            // want `storage Backend\.Store while holding s\.mu`
 	s.mu.Unlock()
 }
 
@@ -65,7 +65,7 @@ func (s *S) backendUnlocked(b storage.Backend) {
 	s.mu.Lock()
 	s.n++
 	s.mu.Unlock()
-	sh, _ := b.Load(0, 0)
+	sh, _ := b.Load(0, 0, nil)
 	s.mu.Lock()
 	if sh != nil {
 		s.n--

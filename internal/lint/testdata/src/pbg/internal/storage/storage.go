@@ -32,6 +32,6 @@ func (s *Store) Close() error { return nil }
 
 // Backend is where a cache's shards live while they are not in memory.
 type Backend interface {
-	Load(t, p int) (*Shard, error)
+	Load(t, p int, spare *Shard) (*Shard, error)
 	Store(sh *Shard) error
 }

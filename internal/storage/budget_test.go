@@ -54,13 +54,12 @@ func TestDiskStoreBudgetRetainsCleanShards(t *testing.T) {
 	}
 }
 
-// TestDiskStoreBudgetLiveWriteBack pins the no-headroom write path: with a
-// budget of exactly one shard there is no room for a write-back snapshot,
-// so the write uses the live buffers and a mid-write revival waits for the
-// disk write instead of a memcpy — state must survive both ways.
+// TestDiskStoreBudgetLiveWriteBack pins the no-headroom budget of exactly
+// one shard: it cycles through acquire, mutate and release twenty times,
+// is written from its live buffers by Drain, and no update is lost.
 func TestDiskStoreBudgetLiveWriteBack(t *testing.T) {
 	st := newTestDisk(t, "", budgetSchema(t), 8, 1, 1)
-	st.SetMaxResidentBytes(st.shardBytes(0, 0)) // one shard: snapshot can never fit
+	st.SetMaxResidentBytes(st.shardBytes(0, 0)) // one shard: no headroom at all
 	zero, err := st.Acquire(0, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -29,22 +29,14 @@ var errShed = errors.New("storage: prefetch shed by memory budget")
 // its last reference is dropped.
 type Backend interface {
 	// Load returns shard (t,p): its durable copy, or its deterministic lazy
-	// initialisation when none exists yet.
-	Load(t, p int) (*Shard, error)
+	// initialisation when none exists yet. spare is a shard the cache has
+	// dropped, or nil: Load decodes into its buffers when they are large
+	// enough, and must not keep it.
+	Load(t, p int, spare *Shard) (*Shard, error)
 	// Store makes sh the durable copy; when it returns, a Load by anyone
-	// sees sh's state.
+	// sees sh's state. It must not keep sh after it returns: the cache hands
+	// a dropped shard to the next Load.
 	Store(sh *Shard) error
-}
-
-// Recycler is an optional Backend extension: a backend that implements it is
-// handed every shard the cache drops while nobody references it — evicted
-// clean, or stored and let go — so its next Load can decode into the same
-// buffers. Only the cache can say when a shard is dead: a write-through
-// Release may find the entry revived once its Store has landed, and that
-// shard is still somebody's. The partition-server checkout store implements
-// it; DiskStore does not.
-type Recycler interface {
-	Recycle(sh *Shard)
 }
 
 // cacheEntry is one cached shard together with its I/O state. An entry is in
@@ -58,8 +50,9 @@ type Recycler interface {
 //	          fits. Nothing is written until it has to leave: the evictor
 //	          (makeRoomLocked) or the clean it runs ahead of need
 //	          (cleanAheadLocked) writes it, and so do Flush and Drain.
-//	writing:  a Store is in flight. It marks the entry clean when it lands
-//	          only if no Acquire handed the shard out meanwhile (gen).
+//	writing:  a Store of the live buffers is in flight; a revival waits for
+//	          it. It marks the entry clean when it lands only if no Acquire
+//	          handed the shard out meanwhile (gen).
 //	clean:    refs == 0 and identical to the durable copy: evictable with
 //	          no I/O.
 //
@@ -103,7 +96,7 @@ type cacheEntry struct {
 	// the value it started at and marks the entry clean only if it lands at
 	// the same one: a shard that was revived, mutated and released while its
 	// write was in flight stays dirty, so its newer bytes are written when it
-	// next has to leave (writes of one shard are serialised by writing).
+	// next has to leave (writes of one shard are serialised by writeDone).
 	gen int64
 	// lastUse is the cache's logical clock (a monotonic counter, not wall
 	// time) at the last call that touched the entry: when its hint was
@@ -112,12 +105,6 @@ type cacheEntry struct {
 	// Eviction takes the oldest idle entry, shedding the youngest queued hint.
 	lastUse int64
 
-	writing bool
-	// snapDone is non-nil for the brief window while the write-back's
-	// snapshot copy is being taken outside the cache lock; an Acquire that
-	// revives the entry waits on it (a memcpy, not a write) before handing
-	// out the buffers for mutation.
-	snapDone chan struct{}
 	// writeDone is non-nil while a Store of the live buffers is in flight;
 	// a revival waits for the whole write before the caller may mutate.
 	writeDone chan struct{}
@@ -126,6 +113,9 @@ type cacheEntry struct {
 // dirty reports whether e holds a shard that may be newer than its durable
 // copy: in use, or released and not written since.
 func (e *cacheEntry) dirty() bool { return e.shard != nil && !e.clean }
+
+// writing reports whether a Store of e's shard is in flight.
+func (e *cacheEntry) writing() bool { return e.writeDone != nil }
 
 // CacheMetrics are the registry series a Cache publishes. Each owner binds
 // them under its own historical names (pbg_storage_* for DiskStore,
@@ -172,48 +162,50 @@ type IOStats struct {
 //
 // One write rule: a modified shard is stored when it has to leave memory.
 // Without a budget the cache retains nothing, so that moment is the last
-// Release: it writes a snapshot taken at release, costing one transient
-// shard copy per in-flight write (bounded by the pool size) in exchange for
-// re-Acquires never stalling on the write.
+// Release. Every write stores the live buffers; a revival waits for it.
+//
+// One buffer cycle: a shard the cache drops with nobody holding it goes on
+// a free list of at most cacheIOWorkers shards, and the next load decodes
+// into it, so a warm cache allocates no shard memory. Like garbage, the free
+// list is not accounted.
 //
 // SetMaxResidentBytes turns the cache into a memory-budgeted one: admission
-// accounting (resident shards + in-flight load projections + write
-// snapshots) is enforced against the budget — prefetch hints that don't fit
-// are dropped or shed, and a released shard stays resident and dirty while
-// it fits, with no write at all. A must-have Acquire evicts unreferenced
-// shards LRU-first: a clean one for free, a dirty one once its write has
-// landed (waiting for in-flight I/O when that is the only way to free
-// memory). To keep that write off the must-have's path, a hint the budget
-// refuses — the sign that the next miss will need a victim — starts the
-// write of the LRU victim ahead of need, at most one at a time. Flush and
-// Drain write what is dirty. Only a must-have whose working set simply
-// cannot fit runs over budget. What a crash loses is therefore what was
-// trained on resident shards since the last Flush or Drain; shard files are
-// replaced atomically, so the backend always loads.
+// accounting (resident shards + in-flight load projections) is enforced
+// against the budget — prefetch hints that don't fit are dropped or shed,
+// and a released shard stays resident and dirty while it fits, with no
+// write at all. A must-have Acquire evicts unreferenced shards LRU-first: a
+// clean one for free, a dirty one once its write has landed (waiting for
+// in-flight I/O when that is the only way to free memory). To keep that
+// write off the must-have's path, a hint the budget refuses — the sign that
+// the next miss will need a victim — starts the write of the LRU victim
+// ahead of need, at most one at a time. Flush and Drain write what is dirty.
+// Only a must-have whose working set simply cannot fit runs over budget.
+// What a crash loses is therefore what was trained on resident shards since
+// the last Flush or Drain; shard files are replaced atomically, so the
+// backend always loads.
 //
 // The one policy a backend changes is fixed at construction: over a
 // WriteThrough backend the last Release stores the shard before it returns
 // and never retains it (see WritePolicy).
 type Cache struct {
 	backend Backend
-	recycle Recycler // backend, when it takes dead shards back; else nil
 	policy  WritePolicy
 	schema  *graph.Schema
 	dim     int
-	// codec is what the budget prices shards in: admission, eviction,
-	// snapshot reservations and ResidentBytes all charge
-	// ProjectedShardBytesCodec. Only an owner whose backend stores shards in
-	// a codec sets it (DiskStore.SetCodec); everything else is fp32.
+	// codec is what the budget prices shards in: admission, eviction and
+	// ResidentBytes all charge ProjectedShardBytesCodec. Only an owner whose
+	// backend stores shards in a codec sets it (DiskStore.SetCodec);
+	// everything else is fp32.
 	codec Codec
 
 	mu          sync.Mutex
 	cond        *sync.Cond // signalled when in-flight I/O frees accounted memory
 	cache       map[shardKey]*cacheEntry
-	ioErr       error // first async write-back failure; sticky
+	free        []*Shard // dead shards for the next loads; see dropLocked
+	ioErr       error    // first async write-back failure; sticky
 	closed      bool
 	maxResident int64 // admission budget; 0 = unbounded (no retention either)
 	useSeq      int64 // logical clock for lastUse stamps
-	snapBytes   int64 // memory held by in-flight write-back snapshots
 	stats       IOStats
 
 	// obs carries the cache's spans; m is bind applied to its registry. Both
@@ -240,16 +232,15 @@ const (
 	// WriteBack: the durable copies are private to the cache (a directory of
 	// shard files), so a shard is stored when it leaves memory: under a
 	// budget the last Release retains it dirty and the evictor, Flush or
-	// Drain writes it; without one the last Release stores a snapshot
-	// asynchronously and drops the entry when it lands. A failed write is a
-	// sticky error and keeps the shard resident.
+	// Drain writes it; without one the last Release starts its write and the
+	// entry is dropped when it lands. A failed write is a sticky error and
+	// keeps the shard resident.
 	WriteBack WritePolicy = iota
 	// WriteThrough: the durable copies are shared, and another writer may be
 	// handed a shard the moment this cache's owner lets go of it (a
 	// partition server re-leasing a bucket's partitions). The last Release
-	// blocks until Store lands, writes the live buffers rather than a
-	// snapshot copy, returns Store's error itself, and drops the entry — a
-	// retained copy could only go stale.
+	// blocks until Store lands, returns Store's error itself, and drops the
+	// entry — a retained copy could only go stale.
 	WriteThrough
 )
 
@@ -267,24 +258,24 @@ func NewCache(b Backend, policy WritePolicy, schema *graph.Schema, dim int, bind
 		obs:     obs.NewQuietHub(),
 		bind:    bind,
 	}
-	c.recycle, _ = b.(Recycler)
 	c.m = bind(c.obs.Reg)
 	c.cond = sync.NewCond(&c.mu)
 	return c
 }
 
 // dropLocked removes an entry nobody references, awaits or writes from the
-// cache. Its shard is dead from here on — no Acquire can reach it and no
-// caller holds it — which is the one moment a backend may have it back.
+// cache. Its shard is dead from here on — no Acquire can reach it, no caller
+// holds it — so this is where it joins the free list (up to cacheIOWorkers
+// shards, the most loads the pool runs at once) for a later load.
 func (c *Cache) dropLocked(k shardKey, e *cacheEntry) {
 	delete(c.cache, k)
-	if c.recycle != nil && e.shard != nil {
-		c.recycle.Recycle(e.shard)
+	if e.shard != nil && len(c.free) < cacheIOWorkers {
+		c.free = append(c.free, e.shard)
 	}
 }
 
 // SetObs attaches the cache's counters and resident-bytes gauge, and its
-// load/write-back/snapshot spans, to h. Call it once, before the first
+// load and write-back spans, to h. Call it once, before the first
 // Prefetch/Acquire: attaching re-creates the metric handles in h's
 // registry, so counts published on the previous hub are not carried over
 // (IOStats is unaffected). train.New plumbs Config.Obs here automatically
@@ -299,8 +290,8 @@ func (c *Cache) SetObs(h *obs.Hub) {
 
 // SetMaxResidentBytes sets the admission budget (0 disables budgeting and
 // clean retention). The budget bounds resident shards plus in-flight load
-// projections plus write-back snapshots; see the type doc for the
-// enforcement rules. train.New plumbs Config.MemBudgetBytes here.
+// projections; see the type doc for the enforcement rules. train.New plumbs
+// Config.MemBudgetBytes here.
 func (c *Cache) SetMaxResidentBytes(n int64) {
 	c.mu.Lock()
 	c.maxResident = n
@@ -339,12 +330,12 @@ func (c *Cache) countLocked(stat *int64, series *obs.Counter) {
 	series.Inc()
 }
 
-// accountedLocked is the admission measure: actual resident shard bytes,
-// plus the projected bytes of loads still in flight, plus in-flight write
-// snapshots. It upper-bounds ResidentBytes, so enforcing the budget here
-// enforces it on real memory too.
+// accountedLocked is the admission measure: actual resident shard bytes
+// plus the projected bytes of loads still in flight. It upper-bounds
+// ResidentBytes, so enforcing the budget here enforces it on real memory
+// too.
 func (c *Cache) accountedLocked() int64 {
-	total := c.snapBytes
+	var total int64
 	for _, e := range c.cache {
 		total += e.size
 	}
@@ -411,8 +402,7 @@ func (c *Cache) prefetchLoad(k shardKey, e *cacheEntry) {
 		c.mu.Unlock()
 		return
 	}
-	c.mu.Unlock()
-	c.load(k, e, true)
+	c.loadLocked(k, e, true)
 }
 
 // shedLocked cancels a queued prefetch: the entry leaves the cache, waiters
@@ -433,21 +423,31 @@ func (c *Cache) shedLocked(k shardKey, e *cacheEntry) {
 	c.cond.Broadcast()
 }
 
-// load runs the backend's Load for shard k and publishes the result into e.
-// On failure the entry is removed so a retry can re-attempt the load;
-// waiters read loadErr from their captured entry pointer.
-func (c *Cache) load(k shardKey, e *cacheEntry, prefetch bool) {
+// loadLocked runs the backend's Load for shard k — into a shard off the free
+// list, when there is one — and publishes the result into e. On failure the
+// spare goes back on the list and the entry is removed so a retry can
+// re-attempt the load; waiters read loadErr from their captured entry
+// pointer. The caller holds c.mu; loadLocked unlocks it.
+func (c *Cache) loadLocked(k shardKey, e *cacheEntry, prefetch bool) {
+	var spare *Shard
+	if n := len(c.free); n > 0 {
+		spare, c.free = c.free[n-1], c.free[:n-1]
+	}
+	c.mu.Unlock()
 	var lsp *obs.Span
 	if e.span != nil {
 		lsp = e.span.Child(fmt.Sprintf("load t%d p%d", k.t, k.p))
 	} else {
 		lsp = c.obs.Trace.Start("storage", fmt.Sprintf("load t%d p%d", k.t, k.p))
 	}
-	sh, err := c.backend.Load(k.t, k.p)
+	sh, err := c.backend.Load(k.t, k.p, spare)
 	c.mu.Lock()
 	e.shard, e.loadErr = sh, err
 	if err != nil {
 		delete(c.cache, k)
+		if spare != nil {
+			c.free = append(c.free, spare)
+		}
 	} else {
 		e.size = LayoutOf(sh, c.codec).payloadBytes() // what shardBytes projected, from the actual shape
 		if prefetch {
@@ -474,9 +474,8 @@ func (c *Cache) load(k shardKey, e *cacheEntry, prefetch bool) {
 // prefetched-but-still-loading entry waits for the background load rather
 // than issuing a second one (two copies of a shard would diverge under
 // training); a hit on an entry whose write is in flight revives the live
-// in-memory shard and never goes back to the backend — at once when the
-// writer works on a snapshot, after the write when it holds the live
-// buffers. Under a memory budget a miss is a must-have: makeRoomLocked
+// in-memory shard once the write has landed and never goes back to the
+// backend. Under a memory budget a miss is a must-have: makeRoomLocked
 // sheds, evicts and waits until the load fits — and only runs over budget
 // when the remaining bytes all belong to referenced shards.
 func (c *Cache) Acquire(t, p int) (*Shard, error) {
@@ -494,8 +493,7 @@ func (c *Cache) Acquire(t, p int) (*Shard, error) {
 			}
 			e = &cacheEntry{ready: make(chan struct{}), size: size}
 			c.cache[k] = e
-			c.mu.Unlock()
-			c.load(k, e, false) // synchronous load in this goroutine
+			c.loadLocked(k, e, false) // synchronous load in this goroutine
 			if e.loadErr != nil {
 				return nil, e.loadErr
 			}
@@ -522,12 +520,10 @@ func (c *Cache) Acquire(t, p int) (*Shard, error) {
 		e.gen++
 		e.clean = false
 		sh := e.shard
-		// A write may be using these buffers outside the lock: wait for the
-		// snapshot memcpy (not the write), or — when the write holds the live
-		// buffers — for the write itself, before the caller may mutate them.
-		done := e.snapDone
-		if done == nil && e.writeDone != nil {
-			done = e.writeDone
+		// A write may be storing these buffers outside the lock: wait for it
+		// before the caller may mutate them.
+		done := e.writeDone
+		if done != nil {
 			c.countLocked(&c.stats.CleanWaits, c.m.CleanWaits)
 		}
 		c.updateResidentLocked()
@@ -542,13 +538,13 @@ func (c *Cache) Acquire(t, p int) (*Shard, error) {
 // makeRoomLocked frees accounted memory until `need` more bytes fit inside
 // the budget, in escalating steps: shed queued prefetch hints, evict the
 // least-recently-used idle shard (for free when it is clean; a dirty one's
-// write is started first), then wait for in-flight writes, snapshot copies,
-// or pure-prefetch loads to land and retry. It returns waited=true when it
-// released the lock (the caller must re-check the cache), and counts a
-// CleanWait when what it waited for was a write. When every remaining byte
-// belongs to referenced shards or joined loads — or writes are failing, so
-// nothing dirty can leave — it gives up and lets the must-have proceed over
-// budget: training cannot make progress otherwise.
+// write is started first), then wait for in-flight writes or pure-prefetch
+// loads to land and retry. It returns waited=true when it released the lock
+// (the caller must re-check the cache), and counts a CleanWait when what it
+// waited for was a write. When every remaining byte belongs to referenced
+// shards or joined loads — or writes are failing, so nothing dirty can
+// leave — it gives up and lets the must-have proceed over budget: training
+// cannot make progress otherwise.
 func (c *Cache) makeRoomLocked(need int64) (waited bool) {
 	forWrite := false
 	for c.accountedLocked()+need > c.maxResident {
@@ -610,9 +606,9 @@ func (c *Cache) victimLocked() (shardKey, *cacheEntry) {
 		}
 	}
 	switch {
-	case victim == nil, victim.clean && !victim.writing:
+	case victim == nil, victim.clean && !victim.writing():
 		return victimK, victim
-	case !victim.writing && c.ioErr == nil:
+	case !victim.writing() && c.ioErr == nil:
 		c.startWriteLocked(victimK, victim)
 	}
 	return shardKey{}, nil
@@ -641,15 +637,11 @@ func (c *Cache) cleanAheadLocked() {
 }
 
 // waitableLocked reports whether any in-flight I/O will free accounted
-// memory when it lands — a write snapshot or a write of an unreferenced
-// shard (write), or a pure-prefetch load (which lands clean, hence
-// evictable).
+// memory when it lands — a write of an unreferenced shard (write), or a
+// pure-prefetch load (which lands clean, hence evictable).
 func (c *Cache) waitableLocked() (write, ok bool) {
-	if c.snapBytes > 0 {
-		return true, true
-	}
 	for _, e := range c.cache {
-		if e.writing && e.refs == 0 {
+		if e.writing() && e.refs == 0 {
 			return true, true
 		}
 		if e.ready != nil && e.waiters == 0 && !e.queued && !e.shedded {
@@ -659,25 +651,13 @@ func (c *Cache) waitableLocked() (write, ok bool) {
 	return false, ok
 }
 
-// snapshot returns a private copy of s. Write-backs serialise snapshots
-// (taken when no trainer holds a reference) instead of the live buffers, so
-// a revived shard can be mutated while its previous state is still being
-// written out.
-func (s *Shard) snapshot() *Shard {
-	return &Shard{
-		TypeIndex: s.TypeIndex, Part: s.Part, Count: s.Count, Dim: s.Dim,
-		Embs: append([]float32(nil), s.Embs...),
-		Acc:  append([]float32(nil), s.Acc...),
-	}
-}
-
 // Release implements Store. Over a write-back backend the last reference
 // leaves the shard to retireLocked: retained as it is while a budget is set
-// and it fits — no copy, no write, no I/O — and otherwise stored
-// asynchronously and dropped once the write lands; a write failure surfaces
-// as the (sticky) error of a later Release, Flush, Drain, or Close. Over a
-// write-through backend the last reference stores the shard before Release
-// returns — with this call's own error — and then drops it.
+// and it fits — no write, no I/O — and otherwise stored asynchronously and
+// dropped once the write lands; a write failure surfaces as the (sticky)
+// error of a later Release, Flush, Drain, or Close. Over a write-through
+// backend the last reference stores the shard before Release returns — with
+// this call's own error — and then drops it.
 func (c *Cache) Release(t, p int) error {
 	k := shardKey{t, p}
 	c.mu.Lock()
@@ -696,23 +676,19 @@ func (c *Cache) Release(t, p int) error {
 	if c.policy == WriteThrough {
 		return c.storeThrough(k, e)
 	}
-	if e.writing {
-		// A write of an older state is still in flight; it retires the entry
-		// when it lands rather than racing a second write of the same shard.
-		c.mu.Unlock()
-		return err
-	}
 	c.retireLocked(k, e)
 	return err
 }
 
-// retireLocked settles an entry nobody references and no write holds: it
-// stays as it is — clean or dirty — while a budget is set and it fits, and
-// otherwise has to leave memory, a dirty shard through a write that calls
-// retireLocked again when it lands. The caller holds c.mu; retireLocked
-// unlocks it.
+// retireLocked settles an entry nobody references: it stays as it is —
+// clean or dirty — while a budget is set and it fits, and otherwise has to
+// leave memory, a dirty shard through a write that calls retireLocked again
+// when it lands. The caller holds c.mu; retireLocked unlocks it.
 func (c *Cache) retireLocked(k shardKey, e *cacheEntry) {
 	switch {
+	case e.writing():
+		// A write of an older state is still in flight; it retires the entry
+		// when it lands rather than racing a second write of the same shard.
 	case c.maxResident > 0 && c.accountedLocked() <= c.maxResident:
 		// The budget is a shard cache, not just a ceiling: a re-Acquire skips
 		// the load, and eviction reclaims the entry LRU-first when a must-have
@@ -720,11 +696,8 @@ func (c *Cache) retireLocked(k shardKey, e *cacheEntry) {
 	case e.clean:
 		c.dropLocked(k, e)
 		c.cond.Broadcast()
-	case c.maxResident > 0:
-		c.startWriteLocked(k, e)
 	default:
-		c.startSnapshotWrite(k, e)
-		return
+		c.startWriteLocked(k, e)
 	}
 	c.updateResidentLocked()
 	c.mu.Unlock()
@@ -738,7 +711,6 @@ func (c *Cache) retireLocked(k shardKey, e *cacheEntry) {
 // entry and waits on writeDone, so it can neither reload the pre-write copy
 // nor release (and start a second write) before this one lands.
 func (c *Cache) storeThrough(k shardKey, e *cacheEntry) error {
-	e.writing = true
 	e.writeDone = make(chan struct{})
 	c.mu.Unlock()
 	err := c.store(k, e.shard)
@@ -746,7 +718,6 @@ func (c *Cache) storeThrough(k shardKey, e *cacheEntry) error {
 	if err == nil {
 		c.countLocked(&c.stats.Writes, c.m.Writes)
 	}
-	e.writing = false
 	if e.refs == 0 {
 		c.dropLocked(k, e)
 	}
@@ -770,61 +741,28 @@ func (c *Cache) store(k shardKey, sh *Shard) error {
 	return err
 }
 
-// startWriteLocked submits a write of e's live buffers: e is unreferenced,
-// so nothing mutates them, and a revival waits for the write via writeDone.
-// This is every write of a budgeted cache — it is evicting, so a snapshot
-// copy would not fit.
+// startWriteLocked submits a write of e's live buffers — every write-back
+// the cache makes: e is unreferenced, so nothing mutates them, and a
+// revival waits for the write via writeDone.
 func (c *Cache) startWriteLocked(k shardKey, e *cacheEntry) {
-	e.writing = true
 	e.writeDone = make(chan struct{})
-	sh, gen := e.shard, e.gen
-	c.submit(func() { c.writeBack(k, e, sh, gen, true) })
+	gen := e.gen
+	c.submit(func() { c.writeBack(k, e, gen) })
 }
 
-// startSnapshotWrite is the write of a cache without a budget: it copies e's
-// shard and submits the copy, so a revival never waits for the write. The
-// caller holds c.mu; startSnapshotWrite unlocks it. The multi-MB copy runs
-// outside the cache lock — guarded by e.snapDone so only a revival of this
-// very shard waits for the memcpy — keeping it from convoying every other
-// Acquire/Prefetch/Release.
-func (c *Cache) startSnapshotWrite(k shardKey, e *cacheEntry) {
-	e.writing = true
-	e.snapDone = make(chan struct{})
-	sh, gen := e.shard, e.gen
-	// Reserve the snapshot's bytes before releasing the lock, so
-	// ResidentBytes covers the copy while it is being made.
-	c.snapBytes += e.size
-	c.updateResidentLocked()
-	c.mu.Unlock()
-	ssp := c.obs.Trace.Start("storage", fmt.Sprintf("snapshot t%d p%d", k.t, k.p))
-	snap := sh.snapshot()
-	ssp.End()
+// writeBack stores e's live buffers and retires the entry. The entry
+// is clean only if the write lands at the generation it started at: a shard
+// acquired meanwhile may have been mutated, so it stays dirty and is written
+// again when it next has to leave. On failure the entry stays resident and
+// dirty: the in-memory shard is the only current copy, so evicting it would
+// lose the bucket's training — the sticky error surfaces on the next Release
+// or Drain, while Flush retries the write (clearing the error if the retry
+// lands).
+func (c *Cache) writeBack(k shardKey, e *cacheEntry, gen int64) {
+	werr := c.store(k, e.shard)
 	c.mu.Lock()
-	close(e.snapDone)
-	e.snapDone = nil
-	c.mu.Unlock()
-	c.submit(func() { c.writeBack(k, e, snap, gen, false) })
-}
-
-// writeBack stores sh — e's live buffers, or a snapshot of them — and
-// retires the entry. The entry is clean only if the write lands at the
-// generation it started at: a shard acquired meanwhile may have been
-// mutated, so it stays dirty and is written again when it next has to leave.
-// On failure the entry stays resident and dirty: the in-memory shard is the
-// only current copy, so evicting it would lose the bucket's training — the
-// sticky error surfaces on the next Release or Drain, while Flush retries
-// the write (clearing the error if the retry lands).
-func (c *Cache) writeBack(k shardKey, e *cacheEntry, sh *Shard, gen int64, live bool) {
-	werr := c.store(k, sh)
-	c.mu.Lock()
-	if !live {
-		c.snapBytes -= e.size
-	}
-	e.writing = false
-	if e.writeDone != nil {
-		close(e.writeDone)
-		e.writeDone = nil
-	}
+	close(e.writeDone)
+	e.writeDone = nil
 	c.cond.Broadcast()
 	switch {
 	case werr != nil:
@@ -853,7 +791,7 @@ func (c *Cache) Drain() error {
 	c.pending.Wait()
 	c.mu.Lock()
 	for k, e := range c.cache {
-		if e.dirty() && e.refs == 0 && !e.writing {
+		if e.dirty() && e.refs == 0 && !e.writing() {
 			c.startWriteLocked(k, e)
 		}
 	}
@@ -926,12 +864,12 @@ func (c *Cache) Flush() error {
 }
 
 // ResidentBytes implements Store. Shards being prefetched count once
-// loaded; shards awaiting write-back and the in-flight write snapshots
-// count too — all genuinely occupy memory, and the pipeline's extra
-// transient footprint should be visible to the §5.4.2 accounting rather
-// than hidden. Under DiskStore.SetCodec the report is in budget-priced (codec)
-// bytes, the same unit the admission budget charges, so the invariant
-// "accounted ≥ resident" holds in one currency.
+// loaded; shards awaiting or under write-back count too — both genuinely
+// occupy memory, and the pipeline's extra transient footprint should be
+// visible to the §5.4.2 accounting rather than hidden. Under
+// DiskStore.SetCodec the report is in budget-priced (codec) bytes, the same
+// unit the admission budget charges, so the invariant "accounted ≥
+// resident" holds in one currency.
 func (c *Cache) ResidentBytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -939,7 +877,7 @@ func (c *Cache) ResidentBytes() int64 {
 }
 
 func (c *Cache) residentLocked() int64 {
-	total := c.snapBytes
+	var total int64
 	for _, e := range c.cache {
 		if e.shard != nil {
 			total += e.size
@@ -949,8 +887,8 @@ func (c *Cache) residentLocked() int64 {
 }
 
 // updateResidentLocked refreshes the resident-bytes gauge — called at every
-// transition that changes real shard memory (load publish, snapshot
-// reservation, write completion, eviction), so a /metrics scrape sees the
+// transition that changes real shard memory (load publish, write
+// completion, eviction), so a /metrics scrape sees the
 // same footprint ResidentBytes reports — and the dirty-bytes gauge beside
 // it: the resident shards a crash right now would lose training of, in use
 // or retained dirty.
@@ -965,14 +903,15 @@ func (c *Cache) updateResidentLocked() {
 	c.m.Dirty.Set(dirty)
 }
 
-// Close rejects further background work and waits for what is in flight —
-// prefetch loads included, so the owner may tear its backend down as soon
-// as Close returns. It stores nothing: what is still resident is the
-// owner's to Flush first (DiskStore does) or to abandon (a trainer that
-// lost its lease must not publish its copy).
+// Close rejects further background work, empties the free list and waits
+// for what is in flight — prefetch loads included, so the owner may tear
+// its backend down as soon as Close returns. It stores nothing: what is
+// still resident is the owner's to Flush first (DiskStore does) or to
+// abandon (a trainer that lost its lease must not publish its copy).
 func (c *Cache) Close() error {
 	c.mu.Lock()
 	c.closed = true
+	c.free = nil
 	c.mu.Unlock()
 	return c.wait()
 }
@@ -982,7 +921,7 @@ func (c *Cache) Close() error {
 // invariants, and for debugging.
 type CacheState struct {
 	// Budget is MaxResidentBytes; Accounted the admission measure (resident
-	// shards + in-flight load projections + write snapshots); Resident what
+	// shards + in-flight load projections); Resident what
 	// ResidentBytes reports. Accounted ≥ Resident always.
 	Budget, Accounted, Resident int64
 	Entries                     []EntryState // in no particular order
@@ -1008,7 +947,7 @@ func (c *Cache) State() CacheState {
 	for k, e := range c.cache {
 		st.Entries = append(st.Entries, EntryState{
 			Type: k.t, Part: k.p,
-			Loading: e.ready != nil, Queued: e.queued, Writing: e.writing, Clean: e.clean,
+			Loading: e.ready != nil, Queued: e.queued, Writing: e.writing(), Clean: e.clean,
 			Dirty: e.dirty(),
 			Refs:  e.refs, Waiters: e.waiters,
 		})

@@ -19,22 +19,25 @@ type shardFiles struct {
 	codec  Codec
 }
 
-// Load reads shard (t,p)'s file, transparently decoding whatever codec it
-// is in. Lazy initialisation — with the deterministic per-shard seed
-// derivation shared with the distributed partition servers — only happens
-// when the file verifiably does not exist: any other stat failure is an
-// error, because re-initialising over a real-but-unreadable file would
-// silently discard that partition's training on write-back.
-func (f *shardFiles) Load(t, p int) (*Shard, error) {
+// Load reads shard (t,p)'s file into spare when it is large enough,
+// transparently decoding whatever codec the file is in. Lazy
+// initialisation — with the deterministic per-shard seed derivation shared
+// with the distributed partition servers, overwriting the reshaped spare
+// whole — only happens when the file verifiably does not exist: any other
+// stat failure is an error, because re-initialising over a
+// real-but-unreadable file would silently discard that partition's training
+// on write-back.
+func (f *shardFiles) Load(t, p int, spare *Shard) (*Shard, error) {
 	path := ShardPath(f.dir, t, p)
 	_, serr := os.Stat(path)
 	if serr == nil {
-		return ReadShard(path)
+		sh, _, err := readShard(path, spare)
+		return sh, err
 	}
 	if !os.IsNotExist(serr) {
 		return nil, fmt.Errorf("storage: stat shard (%d,%d): %w", t, p, serr)
 	}
-	sh := NewShard(t, p, f.schema.Entities[t].PartitionCount(p), f.dim)
+	sh := Layout{TypeIndex: t, Part: p, Count: f.schema.Entities[t].PartitionCount(p), Dim: f.dim}.shard(spare)
 	sh.Init(newShardRNG(f.seed, t, p), f.scale)
 	return sh, nil
 }
@@ -80,7 +83,7 @@ func newDiskMetrics(reg *obs.Registry) CacheMetrics {
 
 // SetCodec selects the shard encoding for every subsequent write-back and
 // flush, and switches the memory budget to codec pricing: admission,
-// eviction, snapshot reservations, and ResidentBytes all charge
+// eviction and ResidentBytes all charge
 // ProjectedShardBytesCodec instead of fp32 bytes, so a 2–4× smaller codec
 // directly admits 2–4× more shards (and a wider prefetch lookahead) at the
 // same SetMaxResidentBytes budget. The budget is thus an I/O-footprint

@@ -218,20 +218,26 @@ func (l Layout) EncodeTo(w io.Writer, s *Shard) error {
 	return writeFloats(w, s.Acc)
 }
 
-// DecodeInto reads the blocks that follow the header from r into an fp32
-// shard and returns it: into reuse's buffers when they are large enough —
-// the caller must own reuse outright, it is overwritten whole — and into a
-// fresh shard otherwise (reuse may be nil). l came out of ParseLayout, so
-// a fresh allocation is backed by bytes that exist. On a little-endian host
-// the float32 blocks are read straight into the shard's memory.
-func (l Layout) DecodeInto(r io.Reader, reuse *Shard) (*Shard, error) {
-	s := reuse
-	if s != nil && cap(s.Embs) >= l.Count*l.Dim && cap(s.Acc) >= l.Count {
+// shard returns a shard of l's shape for the caller to overwrite whole:
+// reuse, relabelled and resliced, when its buffers are large enough — the
+// caller must own it outright — and a fresh zeroed one otherwise (reuse may
+// be nil).
+func (l Layout) shard(reuse *Shard) *Shard {
+	if s := reuse; s != nil && cap(s.Embs) >= l.Count*l.Dim && cap(s.Acc) >= l.Count {
 		s.TypeIndex, s.Part, s.Count, s.Dim = l.TypeIndex, l.Part, l.Count, l.Dim
 		s.Embs, s.Acc = s.Embs[:l.Count*l.Dim], s.Acc[:l.Count]
-	} else {
-		s = NewShard(l.TypeIndex, l.Part, l.Count, l.Dim)
+		return s
 	}
+	return NewShard(l.TypeIndex, l.Part, l.Count, l.Dim)
+}
+
+// DecodeInto reads the blocks that follow the header from r into an fp32
+// shard and returns it: reuse, overwritten whole, when its buffers are
+// large enough (the caller must own it), else a fresh one backed by bytes
+// ParseLayout saw. On a little-endian host the float32 blocks are read
+// straight into the shard's memory.
+func (l Layout) DecodeInto(r io.Reader, reuse *Shard) (*Shard, error) {
+	s := l.shard(reuse)
 	switch l.Codec {
 	case CodecFP32:
 		if err := readFloats(r, s.Embs); err != nil {

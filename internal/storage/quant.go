@@ -115,6 +115,12 @@ func ReadShard(path string) (*Shard, error) {
 // under. Decoding always yields fp32 buffers; the header goes through
 // ParseLayout against the real file size before any allocation.
 func ReadShardCodec(path string) (*Shard, Codec, error) {
+	return readShard(path, nil)
+}
+
+// readShard is ReadShardCodec decoding into reuse when it is large enough
+// (Layout.DecodeInto); the files backend passes the cache's spare.
+func readShard(path string, reuse *Shard) (*Shard, Codec, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, 0, err
@@ -139,7 +145,7 @@ func ReadShardCodec(path string) (*Shard, Codec, error) {
 	if l.Codec != CodecFP32 || !hostLittleEndian {
 		blocks = bufio.NewReaderSize(blocks, 1<<20) // the chunked decoders read 8 KiB at a time
 	}
-	s, err := l.DecodeInto(blocks, nil)
+	s, err := l.DecodeInto(blocks, reuse)
 	return s, l.Codec, err
 }
 

@@ -275,6 +275,16 @@ func TestWriteQuantCopy(t *testing.T) {
 	}
 }
 
+// copyShard returns a private copy of s: a released shard's buffers are the
+// cache's to reuse for the next load.
+func copyShard(s *Shard) *Shard {
+	return &Shard{
+		TypeIndex: s.TypeIndex, Part: s.Part, Count: s.Count, Dim: s.Dim,
+		Embs: append([]float32(nil), s.Embs...),
+		Acc:  append([]float32(nil), s.Acc...),
+	}
+}
+
 // TestDiskStoreCodecRoundTrip exercises the full swap cycle under each
 // quantized codec: mutate, release (async write-back), re-acquire — the
 // reloaded state must be the quantized image of what was released, the
@@ -291,7 +301,7 @@ func TestDiskStoreCodecRoundTrip(t *testing.T) {
 			}
 			sh.Row(1)[3] = 7.5
 			sh.Acc[1] = 2.0
-			released := sh.snapshot()
+			released := copyShard(sh)
 			if err := st.Release(0, 2); err != nil {
 				t.Fatal(err)
 			}

@@ -2,39 +2,28 @@ package storage
 
 import (
 	"bytes"
-	"sync"
+	"math"
+	"runtime"
 	"testing"
 )
 
-// recyclingFiles is a shard-file backend that also takes dead shards back,
-// the way the partition-server checkout store does.
-type recyclingFiles struct {
-	*recordingFiles
-	mu       sync.Mutex
-	recycled []*Shard
+// freeList returns a copy of the cache's free list.
+func freeList(c *Cache) []*Shard {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]*Shard(nil), c.free...)
 }
 
-func (r *recyclingFiles) Recycle(sh *Shard) {
-	r.mu.Lock()
-	r.recycled = append(r.recycled, sh)
-	r.mu.Unlock()
-}
-
-func (r *recyclingFiles) dead() []*Shard {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]*Shard(nil), r.recycled...)
-}
-
-// TestRecycleOnlyWhenShardIsDead pins the one moment a backend gets a shard
-// back. A write-through Release stores the shard and drops the entry — but an
-// Acquire that arrives mid-store revives the entry, and that shard is the
-// reviver's, not the backend's: the hook must fire only when the entry is
-// deleted with no reference left.
+// TestRecycleOnlyWhenShardIsDead pins the one moment a shard joins the
+// cache's free list. A write-through Release stores the shard and drops the
+// entry — but an Acquire that arrives mid-store revives the entry, and that
+// shard is the reviver's, not the free list's: only dropLocked, deleting an
+// entry with no reference left, may free it. Every later load decodes into
+// what was freed.
 func TestRecycleOnlyWhenShardIsDead(t *testing.T) {
 	schema := budgetSchema(t)
 	const dim = 8
-	files := &recyclingFiles{recordingFiles: &recordingFiles{shardFiles: &shardFiles{dir: t.TempDir(), schema: schema, dim: dim, seed: 1, scale: 1}}}
+	files := &recordingFiles{shardFiles: &shardFiles{dir: t.TempDir(), schema: schema, dim: dim, seed: 1, scale: 1}}
 	c := NewCache(files, WriteThrough, schema, dim, newDiskMetrics)
 	t.Cleanup(func() { _ = c.Close() }) // nothing resident by then
 
@@ -68,29 +57,95 @@ func TestRecycleOnlyWhenShardIsDead(t *testing.T) {
 	if again := <-revived; again != sh {
 		t.Fatal("revival handed out a different shard")
 	}
-	if dead := files.dead(); len(dead) != 0 {
-		t.Fatalf("a shard revived during its store was recycled: %d recycled", len(dead))
+	if free := freeList(c); len(free) != 0 {
+		t.Fatalf("a shard revived during its store was freed: %d on the free list", len(free))
 	}
-	// Now it really goes: stored, dropped with no reference, handed back once.
+	// Now it really goes: stored, dropped with no reference, freed once.
 	if err := c.Release(0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if dead := files.dead(); len(dead) != 1 || dead[0] != sh {
-		t.Fatalf("recycled %v after the last release, want exactly the released shard", dead)
+	if free := freeList(c); len(free) != 1 || free[0] != sh {
+		t.Fatalf("free list %v after the last release, want exactly the released shard", free)
+	}
+	// The next load — a lazy init here — decodes into it, overwriting it whole.
+	next, err := c.Acquire(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := files.shardFiles.Load(0, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next != sh || len(freeList(c)) != 0 {
+		t.Fatal("the next load did not take the freed shard")
+	}
+	if LayoutOf(next, CodecFP32) != LayoutOf(want, CodecFP32) || !sameBits(next.Embs, want.Embs) || !sameBits(next.Acc, want.Acc) {
+		t.Fatal("a load into a freed shard differs from a load into a fresh one")
+	}
+	if err := c.Release(0, 1); err != nil {
+		t.Fatal(err)
 	}
 	// A prefetched shard nobody acquired is dropped clean by the budget's
-	// evictor: dead as well.
+	// evictor: dead as well, and the must-have's load decodes into it.
 	c.SetMaxResidentBytes(c.shardBytes(0, 0))
-	c.Prefetch(0, 1)
-	eventually(t, func() bool { return stateOf(t, c, 1).Clean })
-	if _, err := c.Acquire(0, 2); err != nil {
+	c.Prefetch(0, 2)
+	eventually(t, func() bool { return stateOf(t, c, 2).Clean })
+	got, err := c.Acquire(0, 3)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if dead := files.dead(); len(dead) != 2 || dead[1].Part != 1 {
-		t.Fatalf("evicting a clean prefetched shard recycled %d shards", len(dead))
+	if got != sh || got.Part != 3 || len(freeList(c)) != 0 {
+		t.Fatal("evicting a clean prefetched shard did not hand its buffers to the next load")
 	}
-	if err := c.Release(0, 2); err != nil {
+	if err := c.Release(0, 3); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// bytesPerOp is the fewest bytes allocated per call of op over five windows
+// of n calls. The op's own allocations land in every window; what the rest
+// of the process allocates meanwhile lands in some, so the minimum is the
+// op's.
+func bytesPerOp(n int, op func(i int)) uint64 {
+	best := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for w := 0; w < 5; w++ {
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			op(i)
+		}
+		runtime.ReadMemStats(&after)
+		best = min(best, (after.TotalAlloc-before.TotalAlloc)/uint64(n))
+	}
+	return best
+}
+
+// TestDiskLoadSteadyStateAllocs is the files backend's twin of dist's
+// TestSwapSteadyStateAllocs, at benchmark/'s social_ooc shape: 16
+// partitions of 3 000 × 128 under a 6-shard budget, cycled so that every
+// Acquire misses and evicts a dirty shard. Once warm, each load decodes into
+// the shard its eviction freed, so a load + write cycle allocates only file
+// and call bookkeeping — a fresh shard is 1.5 MB.
+func TestDiskLoadSteadyStateAllocs(t *testing.T) {
+	const parts, dim = 16, 128
+	st := newTestDisk(t, "", partitionedSchema(parts*3000, parts), dim, 1, 1)
+	st.SetMaxResidentBytes(6 * st.shardBytes(0, 0))
+	cycle := func(i int) {
+		p := i % parts
+		sh, err := st.Acquire(0, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh.Row(0)[0]++
+		if err := st.Release(0, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2*parts; i++ { // warm-up: every file written, the free list filled
+		cycle(i)
+	}
+	if got := bytesPerOp(parts, cycle); got >= 16<<10 {
+		t.Fatalf("a warm load + write cycle allocates %d bytes, want < 16 KiB (shard: %d bytes)", got, st.shardBytes(0, 0))
 	}
 }
 

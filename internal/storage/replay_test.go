@@ -135,7 +135,7 @@ func (s *eagerStore) Acquire(_, p int) (*Shard, error) {
 			}
 			delete(s.entries, victim)
 		}
-		sh, err := s.files.Load(0, p)
+		sh, err := s.files.Load(0, p, nil)
 		if err != nil {
 			return nil, err
 		}

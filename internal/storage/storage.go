@@ -7,10 +7,11 @@
 // A shard's bytes — on disk, under the serving layer's views and on the
 // partition servers' wire — are described once, by Layout (layout.go). The
 // swapping itself is implemented once, by Cache (cache.go): entries,
-// refcounts, the background I/O pool, prefetch joins and the memory budget,
-// over a two-method Backend — load shard (t,p), store a shard durably.
-// DiskStore (disk.go) is the cache over a directory of shard files;
-// internal/dist builds the same cache over its partition servers.
+// refcounts, the background I/O pool, prefetch joins, the memory budget and
+// the free list of dropped shards every load decodes into, over a
+// two-method Backend — load shard (t,p) into a spare, store a shard
+// durably. DiskStore (disk.go) is the cache over a directory of shard
+// files; internal/dist builds the same cache over its partition servers.
 //
 // Two contracts matter to callers beyond plain Acquire/Release:
 //
@@ -20,10 +21,10 @@
 //     The pipelined epoch executor issues hints for the next buckets'
 //     shards while the current bucket trains.
 //   - Cache.SetMaxResidentBytes(n) turns the store into a memory-budgeted
-//     shard cache: resident shards, in-flight load projections, and
-//     write snapshots are accounted against n — hints that don't fit are
-//     dropped or shed (youngest queued hint first), a released shard stays
-//     resident — dirty, unwritten — while it fits, must-have Acquires evict
+//     shard cache: resident shards and in-flight load projections are
+//     accounted against n — hints that don't fit are dropped or shed
+//     (youngest queued hint first), a released shard stays resident —
+//     dirty, unwritten — while it fits, must-have Acquires evict
 //     unreferenced shards LRU-by-last-release (a dirty one is written
 //     first), and only a working set that simply cannot fit runs over
 //     budget. n = 0 disables budgeting and retention entirely: a released
@@ -31,8 +32,9 @@
 //
 // The write rule is one: a modified shard is stored when it has to leave
 // memory — at eviction (or just ahead of it), at Flush, Drain and Close, and
-// at the last Release of a cache that retains nothing. Cache.Drain is the
-// call after which everything nobody holds is on the backend.
+// at the last Release of a cache that retains nothing — and every write
+// stores the live buffers. Cache.Drain is the call after which everything
+// nobody holds is on the backend.
 //
 // Cache.IOStats reports the resulting decisions as cumulative per-cache
 // counters: Loads and Writes are the raw backend I/O; Admits counts loads

@@ -1,32 +1,28 @@
-// Package storetest provides a deterministic, instrumented storage.Store
-// for pipeline and controller tests: an ordered event log of
-// acquire/prefetch/release/evict calls, a refcount ledger for leak checks,
-// per-shard gates that hold loads until the test releases them (channel
-// gating instead of wall-clock latency — no sleeps anywhere), and scripted
-// acquire/write-back errors.
+// Package storetest provides what pipeline and cache tests drive a store
+// with:
 //
-// Two modes:
-//
-//   - New(inner) emulates the asynchronous Prefetch contract itself on top
-//     of any inner store (typically a MemStore): a hint starts a background
-//     "load" that completes when its gate opens, and an Acquire joins the
-//     pending load exactly like DiskStore joins an in-flight prefetch. This
-//     makes executor behaviour — overlap, join, abort — testable with zero
-//     real I/O and zero timing assumptions.
-//
-//   - NewPassthrough(inner) forwards hints to the inner store's own
-//     machinery (DiskStore, the distributed remote store) and only records
-//     events and refcounts; gates and scripted errors do not apply. Use it
-//     to assert invariants (budgets, leaks) over a real store.
+//   - Store wraps any storage.Store and records an ordered event log of
+//     acquire/prefetch/release/evict calls and a refcount ledger for leak
+//     checks. Every call forwards; it adds no behaviour of its own.
+//   - Backend is an in-memory storage.Backend with per-shard gates that hold
+//     loads until the test releases them (channel gating instead of
+//     wall-clock latency — no sleeps anywhere) and scripted load and store
+//     errors.
+//   - NewCache puts the two together around a real storage.Cache, so
+//     prefetch joins, aborts and I/O–compute overlap are tested against the
+//     cache every store runs on.
 package storetest
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"sync"
 	"testing"
 
 	"pbg/internal/graph"
+	"pbg/internal/obs"
+	"pbg/internal/rng"
 	"pbg/internal/storage"
 )
 
@@ -54,6 +50,34 @@ func NewDisk(tb testing.TB, dir string, schema *graph.Schema, dim int, seed uint
 	return ds
 }
 
+// NewCache returns a write-back storage.Cache of dim-wide shards over a
+// fresh Backend whose lazy inits derive from seed, and the Store wrapping
+// it. The cache is closed when the test ends, after every gate is opened so
+// no held load can stall the Close.
+func NewCache(tb testing.TB, schema *graph.Schema, dim int, seed uint64) (*Store, *Backend, *storage.Cache) {
+	tb.Helper()
+	b := &Backend{schema: schema, dim: dim, seed: seed, shards: map[Key]*memShard{}}
+	// Nothing reads the harness's series (tests read IOStats), so they share
+	// one counter and one gauge.
+	c := storage.NewCache(b, storage.WriteBack, schema, dim, func(reg *obs.Registry) storage.CacheMetrics {
+		n, g := reg.Counter("pbg_storetest_events_total"), reg.Gauge("pbg_storetest_bytes")
+		return storage.CacheMetrics{Loads: n, Writes: n, Admits: n, Sheds: n, ForcedEvicts: n, CleanWaits: n, Resident: g, Dirty: g}
+	})
+	tb.Cleanup(func() {
+		b.mu.Lock()
+		for _, s := range b.shards {
+			if s.gate != nil {
+				s.gate.Open()
+			}
+		}
+		b.mu.Unlock()
+		if err := c.Close(); err != nil {
+			tb.Errorf("storetest: closing cache: %v", err)
+		}
+	})
+	return New(c), b, c
+}
+
 // CheckBudget reports a violation of the cache's memory-budget invariants
 // in one State snapshot: the admission measure must cover everything
 // resident, and resident bytes may exceed the budget only while nothing is
@@ -77,7 +101,7 @@ func CheckBudget(st storage.CacheState) error {
 }
 
 // WatchBudget polls c's State from a goroutine — so transients (prefetch
-// projections, write-back snapshots) cannot hide between a test's own
+// projections, write-backs in flight) cannot hide between a test's own
 // samples — until the returned stop is called; stop reports the largest
 // resident size seen and the first CheckBudget violation.
 func WatchBudget(c *storage.Cache) (stop func() (peak int64, err error)) {
@@ -116,16 +140,12 @@ type Key struct{ Type, Part int }
 type Kind string
 
 const (
-	// KindPrefetch is a Prefetch hint (logged even when it is a no-op).
-	KindPrefetch Kind = "prefetch"
-	// KindAcquire is an Acquire call entering the store.
-	KindAcquire Kind = "acquire"
-	// KindAcquired is an Acquire call returning successfully.
-	KindAcquired Kind = "acquired"
-	// KindRelease is a Release call.
-	KindRelease Kind = "release"
-	// KindEvict marks a refcount reaching zero — the point where a real
-	// disk store would schedule the write-back eviction.
+	KindPrefetch Kind = "prefetch" // a Prefetch hint (logged even when it is a no-op)
+	KindAcquire  Kind = "acquire"  // an Acquire call entering the store
+	KindAcquired Kind = "acquired" // an Acquire call returning successfully
+	KindRelease  Kind = "release"  // a Release call
+	// KindEvict marks a refcount reaching zero — the point where a cache
+	// retires the shard (writes it, keeps it dirty, or drops it).
 	KindEvict Kind = "evict"
 )
 
@@ -146,205 +166,154 @@ type Gate struct {
 	open        chan struct{}
 }
 
-func newGate() *Gate {
-	return &Gate{started: make(chan struct{}), open: make(chan struct{})}
-}
-
 // Started closes when a load first blocks on this gate.
 func (g *Gate) Started() <-chan struct{} { return g.started }
 
 // Open releases every current and future load held by the gate.
 func (g *Gate) Open() { g.openOnce.Do(func() { close(g.open) }) }
 
-// pass is the load-side of the gate: announce, then wait for Open.
-func (g *Gate) pass() {
-	g.startedOnce.Do(func() { close(g.started) })
-	<-g.open
+// Backend is an in-memory storage.Backend. A stored shard is kept as its
+// fp32 image — a copy, because the cache reuses what it stored — and a
+// shard never stored loads as the deterministic lazy init a MemStore or
+// DiskStore with the same seed would give it (storage.ShardSeed, scale 1).
+type Backend struct {
+	schema *graph.Schema
+	dim    int
+	seed   uint64
+
+	mu     sync.Mutex
+	shards map[Key]*memShard
 }
 
-// pendingLoad is one emulated in-flight shard load; err is set before done
-// closes and immutable afterwards.
-type pendingLoad struct {
-	done chan struct{}
-	err  error
+// memShard is what a Backend holds for one shard: its image (nil until
+// stored), its gate and its scripted errors.
+type memShard struct {
+	image             []byte
+	gate              *Gate
+	loadErr, storeErr error
 }
 
-// Store is the instrumented storage.Store wrapper.
-type Store struct {
-	inner       storage.Store
-	passthrough bool
-
-	mu          sync.Mutex
-	events      []Event
-	refs        map[Key]int
-	loading     map[Key]*pendingLoad
-	gates       map[Key]*Gate
-	acquireErrs map[Key][]error
-	releaseErrs map[Key][]error
-}
-
-// New wraps inner with full emulation (gates, scripted errors, async
-// prefetch loads run by the wrapper).
-func New(inner storage.Store) *Store {
-	return &Store{
-		inner:       inner,
-		refs:        make(map[Key]int),
-		loading:     make(map[Key]*pendingLoad),
-		gates:       make(map[Key]*Gate),
-		acquireErrs: make(map[Key][]error),
-		releaseErrs: make(map[Key][]error),
+// at runs f on shard (t,p)'s record under the backend's lock.
+func (b *Backend) at(t, p int, f func(s *memShard)) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	s := b.shards[Key{t, p}]
+	if s == nil {
+		s = &memShard{}
+		b.shards[Key{t, p}] = s
 	}
-}
-
-// NewPassthrough wraps inner with instrumentation only: every call
-// forwards, the wrapper just records events and the refcount ledger.
-func NewPassthrough(inner storage.Store) *Store {
-	s := New(inner)
-	s.passthrough = true
-	return s
+	f(s)
 }
 
 // GateLoad registers (or returns) the gate holding loads of shard (t,p).
-// Must be set up before the load it should catch is issued. Emulation mode
-// only.
-func (s *Store) GateLoad(t, p int) *Gate {
-	k := Key{t, p}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	g, ok := s.gates[k]
-	if !ok {
-		g = newGate()
-		s.gates[k] = g
-	}
+// Set it up before the load it should catch is issued.
+func (b *Backend) GateLoad(t, p int) (g *Gate) {
+	b.at(t, p, func(s *memShard) {
+		if s.gate == nil {
+			s.gate = &Gate{started: make(chan struct{}), open: make(chan struct{})}
+		}
+		g = s.gate
+	})
 	return g
 }
 
-// FailAcquire scripts the next load of shard (t,p) to fail with err. When
-// the load is a prefetch, the failure is held until an Acquire joins it —
-// the deterministic version of a failed DiskStore background load. The
-// error is one-shot: the retry after it succeeds. Emulation mode only.
-func (s *Store) FailAcquire(t, p int, err error) {
-	k := Key{t, p}
-	s.mu.Lock()
-	s.acquireErrs[k] = append(s.acquireErrs[k], err)
-	s.mu.Unlock()
-}
+// FailLoad makes every load of shard (t,p) fail with err — after its gate,
+// if it has one — until FailLoad(t, p, nil) clears it.
+func (b *Backend) FailLoad(t, p int, err error) { b.at(t, p, func(s *memShard) { s.loadErr = err }) }
 
-// FailRelease scripts the next Release of shard (t,p) to return err after
-// decrementing the refcount — the shape of a DiskStore sticky write-back
-// error. Emulation mode only.
-func (s *Store) FailRelease(t, p int, err error) {
-	k := Key{t, p}
-	s.mu.Lock()
-	s.releaseErrs[k] = append(s.releaseErrs[k], err)
-	s.mu.Unlock()
-}
+// FailStore makes every store of shard (t,p) fail with err until
+// FailStore(t, p, nil) clears it.
+func (b *Backend) FailStore(t, p int, err error) { b.at(t, p, func(s *memShard) { s.storeErr = err }) }
 
-func popErrLocked(m map[Key][]error, k Key) error {
-	q := m[k]
-	if len(q) == 0 {
-		return nil
+// Load implements storage.Backend, decoding into spare when it is large
+// enough.
+func (b *Backend) Load(t, p int, spare *storage.Shard) (*storage.Shard, error) {
+	var gate *Gate
+	b.at(t, p, func(s *memShard) { gate = s.gate })
+	if gate != nil { // announce, then wait for Open
+		gate.startedOnce.Do(func() { close(gate.started) })
+		<-gate.open
 	}
-	err := q[0]
-	m[k] = q[1:]
+	var img []byte
+	var err error
+	b.at(t, p, func(s *memShard) { img, err = s.image, s.loadErr })
+	if err != nil {
+		return nil, err
+	}
+	if img == nil {
+		sh := storage.NewShard(t, p, b.schema.Entities[t].PartitionCount(p), b.dim)
+		sh.Init(rng.New(storage.ShardSeed(b.seed, t, p)), 1)
+		return sh, nil
+	}
+	l, err := storage.ParseLayout(img, int64(len(img)))
+	if err != nil {
+		return nil, err
+	}
+	return l.DecodeInto(bytes.NewReader(img[l.HeaderBytes():]), spare)
+}
+
+// Store implements storage.Backend.
+func (b *Backend) Store(sh *storage.Shard) error {
+	img, err := storage.LayoutOf(sh, storage.CodecFP32).Encode(sh)
+	if err != nil {
+		return err
+	}
+	b.at(sh.TypeIndex, sh.Part, func(s *memShard) {
+		if err = s.storeErr; err == nil {
+			s.image = img
+		}
+	})
 	return err
 }
 
-func (s *Store) logLocked(kind Kind, k Key) {
-	s.events = append(s.events, Event{kind, k})
+// Store is the instrumented storage.Store wrapper: the embedded store takes
+// every call, Prefetch, Acquire and Release through the log first.
+type Store struct {
+	storage.Store
+
+	mu     sync.Mutex
+	events []Event
+	refs   map[Key]int
+}
+
+// New wraps inner: every call forwards, and the wrapper records the event
+// log and the refcount ledger.
+func New(inner storage.Store) *Store {
+	return &Store{Store: inner, refs: make(map[Key]int)}
 }
 
 // Prefetch implements storage.Store.
 func (s *Store) Prefetch(t, p int) {
-	k := Key{t, p}
 	s.mu.Lock()
-	s.logLocked(KindPrefetch, k)
-	if s.passthrough {
-		s.mu.Unlock()
-		s.inner.Prefetch(t, p)
-		return
-	}
-	if s.refs[k] > 0 || s.loading[k] != nil {
-		s.mu.Unlock()
-		return
-	}
-	ld := &pendingLoad{done: make(chan struct{})}
-	s.loading[k] = ld
-	gate := s.gates[k]
+	s.events = append(s.events, Event{KindPrefetch, Key{t, p}})
 	s.mu.Unlock()
-	go func() {
-		if gate != nil {
-			gate.pass()
-		}
-		s.mu.Lock()
-		// A failed load stays pending until an Acquire joins and consumes
-		// the error — deterministic delivery, where a real store's failed
-		// background load may evaporate before anyone observes it.
-		ld.err = popErrLocked(s.acquireErrs, k)
-		close(ld.done)
-		s.mu.Unlock()
-	}()
+	s.Store.Prefetch(t, p)
 }
 
-// Acquire implements storage.Store: it joins a pending emulated load (or
-// blocks on the shard's gate for a cold load), honours scripted errors,
-// then forwards to the inner store and bumps the ledger.
+// Acquire implements storage.Store: it forwards and bumps the ledger.
 func (s *Store) Acquire(t, p int) (*storage.Shard, error) {
 	k := Key{t, p}
 	s.mu.Lock()
-	s.logLocked(KindAcquire, k)
-	if !s.passthrough {
-		passedGate := false
-		for {
-			if ld := s.loading[k]; ld != nil {
-				s.mu.Unlock()
-				<-ld.done
-				s.mu.Lock()
-				if s.loading[k] == ld {
-					delete(s.loading, k)
-				}
-				if ld.err != nil {
-					s.mu.Unlock()
-					return nil, ld.err
-				}
-				break
-			}
-			if s.refs[k] > 0 {
-				break // resident: no load needed
-			}
-			if err := popErrLocked(s.acquireErrs, k); err != nil {
-				s.mu.Unlock()
-				return nil, err
-			}
-			if gate := s.gates[k]; gate != nil && !passedGate {
-				s.mu.Unlock()
-				gate.pass()
-				s.mu.Lock()
-				passedGate = true
-				continue // re-check: the world may have moved while gated
-			}
-			break
-		}
-	}
+	s.events = append(s.events, Event{KindAcquire, k})
 	s.mu.Unlock()
-	sh, err := s.inner.Acquire(t, p)
+	sh, err := s.Store.Acquire(t, p)
 	if err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
 	s.refs[k]++
-	s.logLocked(KindAcquired, k)
+	s.events = append(s.events, Event{KindAcquired, k})
 	s.mu.Unlock()
 	return sh, nil
 }
 
 // Release implements storage.Store: the ledger is decremented first (a
-// refcount reaching zero logs the logical eviction point), then scripted
-// write-back errors surface, then the inner store releases.
+// refcount reaching zero logs the logical eviction point), then the inner
+// store releases.
 func (s *Store) Release(t, p int) error {
 	k := Key{t, p}
 	s.mu.Lock()
-	s.logLocked(KindRelease, k)
+	s.events = append(s.events, Event{KindRelease, k})
 	if s.refs[k] <= 0 {
 		s.mu.Unlock()
 		return fmt.Errorf("storetest: Release of unacquired shard (%d,%d)", t, p)
@@ -352,49 +321,30 @@ func (s *Store) Release(t, p int) error {
 	s.refs[k]--
 	if s.refs[k] == 0 {
 		delete(s.refs, k)
-		s.logLocked(KindEvict, k)
-	}
-	var scripted error
-	if !s.passthrough {
-		scripted = popErrLocked(s.releaseErrs, k)
+		s.events = append(s.events, Event{KindEvict, k})
 	}
 	s.mu.Unlock()
-	if err := s.inner.Release(t, p); err != nil {
-		return err
-	}
-	return scripted
+	return s.Store.Release(t, p)
 }
 
 // SetMaxResidentBytes forwards the admission budget to the inner store when
-// it enforces one (DiskStore, the distributed remote store). Without this
-// the wrapper would silently disable budget enforcement for any trainer
-// built over it — train.New plumbs Config.MemBudgetBytes through exactly
-// this interface.
+// it enforces one: train.New plumbs Config.MemBudgetBytes through exactly
+// this interface, so without it a wrapped store would run unbudgeted.
 func (s *Store) SetMaxResidentBytes(n int64) {
-	if b, ok := s.inner.(interface{ SetMaxResidentBytes(int64) }); ok {
+	if b, ok := s.Store.(interface{ SetMaxResidentBytes(int64) }); ok {
 		b.SetMaxResidentBytes(n)
 	}
 }
 
 // SetCodec forwards the shard codec to the inner store when it encodes one
-// (DiskStore). Mirrors SetMaxResidentBytes: train.New plumbs Config.Codec
-// through exactly this interface, and without the forwarder a harness-
-// wrapped DiskStore would silently write fp32 while the trainer's budget
-// controller priced shards quantized.
+// (DiskStore): train.New plumbs Config.Codec through exactly this
+// interface, so without it a wrapped DiskStore would write fp32 while the
+// budget priced shards quantized.
 func (s *Store) SetCodec(c storage.Codec) {
-	if b, ok := s.inner.(interface{ SetCodec(storage.Codec) }); ok {
+	if b, ok := s.Store.(interface{ SetCodec(storage.Codec) }); ok {
 		b.SetCodec(c)
 	}
 }
-
-// Flush implements storage.Store.
-func (s *Store) Flush() error { return s.inner.Flush() }
-
-// ResidentBytes implements storage.Store.
-func (s *Store) ResidentBytes() int64 { return s.inner.ResidentBytes() }
-
-// Close implements storage.Store.
-func (s *Store) Close() error { return s.inner.Close() }
 
 // Events returns a snapshot of the operation log.
 func (s *Store) Events() []Event {
@@ -447,17 +397,10 @@ func (s *Store) Outstanding() int {
 	return n
 }
 
-// PendingLoads returns the number of emulated loads not yet consumed.
-func (s *Store) PendingLoads() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.loading)
-}
-
 // LeakCheck returns an error when references are still outstanding — every
 // acquired shard must eventually be released, even on aborted epochs.
-// (Pending loads are not leaks: a hint takes no reference, and an unopened
-// gate legitimately holds its load.)
+// (Loads in flight are not leaks: a hint takes no reference, and an
+// unopened gate legitimately holds its load.)
 func (s *Store) LeakCheck() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

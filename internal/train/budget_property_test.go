@@ -7,7 +7,7 @@ package train
 // in-flight shard allowance, and every acquired shard is eventually
 // released. The invariant is observed two ways at once: storetest.WatchBudget
 // hammering the cache's State while epochs run (so transients — prefetch
-// projections, write-back snapshots — cannot hide between samples; each
+// projections, write-backs in flight — cannot hide between samples; each
 // sample must also pass storetest.CheckBudget), and the per-epoch
 // ResidentHighWater the executor records. internal/dist runs the same
 // property over the partition-server backend
@@ -57,7 +57,7 @@ func TestPipelineBudgetInvariantProperty(t *testing.T) {
 			perShard := storage.ProjectedShardBytesCodec(g.Schema, dim, 0, 0, codec)
 			budget := shardMult * perShard
 			ds := storetest.NewDisk(t, "", g.Schema, dim, 7, 1)
-			st := storetest.NewPassthrough(ds)
+			st := storetest.New(ds)
 			tr, err := New(g, st, Config{
 				Dim: dim, Epochs: 2, Seed: uint64(5 + i), Workers: 2, HogwildOff: true,
 				BucketOrder: order, MemBudgetBytes: budget, Codec: codec.String(),

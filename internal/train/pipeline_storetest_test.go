@@ -1,10 +1,11 @@
 package train
 
 // The pipelined executor's behavioural tests run on the storetest harness:
-// an instrumented, deterministic store (event log, refcount ledger, channel
-// gates, scripted errors) over a MemStore, so prefetch ordering, shard
-// retention, abort cleanup, and I/O–compute overlap are pinned without real
-// disk timing or wall-clock sleeps.
+// a real storage.Cache over an in-memory backend (channel gates, scripted
+// errors), wrapped by the instrumented store (event log, refcount ledger),
+// so prefetch ordering, shard retention, abort cleanup, and I/O–compute
+// overlap are pinned against the cache's own joins without real disk
+// timing or wall-clock sleeps.
 
 import (
 	"errors"
@@ -14,22 +15,22 @@ import (
 	"pbg/internal/storage/storetest"
 )
 
-// harnessTrainer builds a trainer over the harness store. A depth above 1
+// harnessTrainer builds a trainer over the harness cache. A depth above 1
 // is set directly: with no budget to widen against, the controller would
 // keep it at 1.
-func harnessTrainer(t *testing.T, parts int, cfg Config, depth int) (*Trainer, *storetest.Store) {
+func harnessTrainer(t *testing.T, parts int, cfg Config, depth int) (*Trainer, *storetest.Store, *storetest.Backend, *storage.Cache) {
 	t.Helper()
 	g := smallSocial(t, parts)
 	if cfg.Dim == 0 {
 		cfg.Dim = 16
 	}
-	st := storetest.New(storage.NewMemStore(g.Schema, cfg.Dim, 7, 1))
+	st, be, c := storetest.NewCache(t, g.Schema, cfg.Dim, 7)
 	tr, err := New(g, st, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr.lookahead = depth
-	return tr, st
+	return tr, st, be, c
 }
 
 // itemKeys lists each epoch item's shard keys as storetest keys.
@@ -51,7 +52,7 @@ func itemKeys(tr *Trainer) [][]storetest.Key {
 // the keys of the first L successor items are hinted while item 0 still
 // trains — before the first Release of the epoch.
 func TestPipelinePrefetchesBeforeAcquire(t *testing.T) {
-	tr, st := harnessTrainer(t, 4, Config{Epochs: 1, Seed: 3}, 2)
+	tr, st, _, _ := harnessTrainer(t, 4, Config{Epochs: 1, Seed: 3}, 2)
 	if _, err := tr.TrainEpoch(); err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestPipelinePrefetchesBeforeAcquire(t *testing.T) {
 // transition, so the acquire count equals exactly the number of (item,
 // newly-needed shard) pairs — and every acquire is balanced by an evict.
 func TestPipelineHoldsSharedShards(t *testing.T) {
-	tr, st := harnessTrainer(t, 4, Config{Epochs: 1, Seed: 3}, 1)
+	tr, st, _, _ := harnessTrainer(t, 4, Config{Epochs: 1, Seed: 3}, 1)
 	if _, err := tr.TrainEpoch(); err != nil {
 		t.Fatal(err)
 	}
@@ -158,12 +159,12 @@ func midEpochKey(t *testing.T, tr *Trainer) storetest.Key {
 // TestPipelineAbortReleasesEverything pins the abort path: a shard load
 // failing mid-epoch must surface from TrainEpoch, and every held shard and
 // in-flight lookahead hint must be released/discarded — no reference leaks,
-// no pending loads.
+// no loads left in the cache.
 func TestPipelineAbortReleasesEverything(t *testing.T) {
-	tr, st := harnessTrainer(t, 4, Config{Epochs: 1, Seed: 3}, 2)
+	tr, st, be, c := harnessTrainer(t, 4, Config{Epochs: 1, Seed: 3}, 2)
 	boom := errors.New("scripted load failure")
 	k := midEpochKey(t, tr)
-	st.FailAcquire(k.Type, k.Part, boom)
+	be.FailLoad(k.Type, k.Part, boom) // held until cleared: the hint and the Acquire both fail
 	if _, err := tr.TrainEpoch(); !errors.Is(err, boom) {
 		t.Fatalf("scripted failure not surfaced: %v", err)
 	}
@@ -173,10 +174,13 @@ func TestPipelineAbortReleasesEverything(t *testing.T) {
 	if n := st.Outstanding(); n != 0 {
 		t.Fatalf("%d references leaked through the abort path", n)
 	}
-	if n := st.PendingLoads(); n != 0 {
-		t.Fatalf("%d emulated loads left pending after abort", n)
+	for _, e := range c.State().Entries {
+		if e.Loading {
+			t.Fatalf("shard (%d,%d) still loading after abort", e.Type, e.Part)
+		}
 	}
 	// The trainer remains usable: the next epoch runs clean.
+	be.FailLoad(k.Type, k.Part, nil)
 	if _, err := tr.TrainEpoch(); err != nil {
 		t.Fatal(err)
 	}
@@ -191,9 +195,9 @@ func TestPipelineAbortReleasesEverything(t *testing.T) {
 // earlier buckets still train, and opening the gate lets the epoch finish.
 // No wall-clock timing anywhere.
 func TestPipelineGatedLoadOverlapsTraining(t *testing.T) {
-	tr, st := harnessTrainer(t, 4, Config{Epochs: 1, Seed: 3}, 2)
+	tr, st, be, _ := harnessTrainer(t, 4, Config{Epochs: 1, Seed: 3}, 2)
 	k := midEpochKey(t, tr)
-	gate := st.GateLoad(k.Type, k.Part)
+	gate := be.GateLoad(k.Type, k.Part)
 	done := make(chan error, 1)
 	go func() {
 		_, err := tr.TrainEpoch()
@@ -223,7 +227,7 @@ func TestPipelineGatedLoadOverlapsTraining(t *testing.T) {
 // change, the math must not), with zero real I/O.
 func TestPipelineMatchesSerialLossOnHarness(t *testing.T) {
 	run := func(serial bool) ([]EpochStats, *storetest.Store) {
-		tr, st := harnessTrainer(t, 4, Config{Epochs: 2, Seed: 3}, 1)
+		tr, st, _, _ := harnessTrainer(t, 4, Config{Epochs: 2, Seed: 3}, 1)
 		if serial {
 			return trainSerial(t, tr), st
 		}

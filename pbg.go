@@ -23,6 +23,7 @@ package pbg
 
 import (
 	"fmt"
+	"os"
 	"sort"
 
 	"pbg/internal/eval"
@@ -293,40 +294,27 @@ func (m *Model) EmbeddingMatrix(entityType string) (vec.Matrix, error) {
 
 // Checkpoint persists all shards and relation parameters under dir, encoded
 // with the run's shard codec (Config.Codec) — so a MemStore-trained model
-// still checkpoints quantized when the run asked for it.
+// still checkpoints quantized when the run asked for it. Each shard file is
+// written straight from the trained shard while it is acquired.
 func (m *Model) Checkpoint(dir string) error {
-	ds, err := storage.NewDiskStore(dir, m.graph.Schema, m.Dim(), 0, 1)
-	if err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	ds.SetCodec(m.trainer.Codec())
+	codec := m.trainer.Codec()
 	for ti, e := range m.graph.Schema.Entities {
 		for p := 0; p < e.NumPartitions; p++ {
 			src, err := m.store.Acquire(ti, p)
 			if err != nil {
 				return err
 			}
-			dst, err := ds.Acquire(ti, p)
+			err = storage.WriteShardCodec(storage.ShardPath(dir, ti, p), src, codec)
+			if rerr := m.store.Release(ti, p); err == nil {
+				err = rerr
+			}
 			if err != nil {
-				_ = m.store.Release(ti, p) // don't pin the live shard on failure
-				return err
-			}
-			copy(dst.Embs, src.Embs)
-			copy(dst.Acc, src.Acc)
-			if err := ds.Release(ti, p); err != nil {
-				_ = m.store.Release(ti, p)
-				return err
-			}
-			if err := m.store.Release(ti, p); err != nil {
 				return err
 			}
 		}
-	}
-	// Release only schedules asynchronous write-backs; Close drains them and
-	// surfaces any write error, so a returned nil really means the
-	// checkpoint is complete on disk.
-	if err := ds.Close(); err != nil {
-		return err
 	}
 	rs := &storage.RelationState{}
 	for r := range m.graph.Schema.Relations {

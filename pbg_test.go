@@ -2,6 +2,10 @@ package pbg
 
 import (
 	"math"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 	"time"
 
@@ -142,6 +146,32 @@ func TestCheckpoint(t *testing.T) {
 	}
 	if err := m.Checkpoint(t.TempDir()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWorkflowStepNamesAreQuoted guards the CI workflows, which cannot
+// guard themselves: a plain YAML scalar may not contain ": " or " #", and a
+// step name that does makes the whole file invalid, so no step runs.
+func TestWorkflowStepNamesAreQuoted(t *testing.T) {
+	files, err := filepath.Glob(".github/workflows/*.yml")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no workflows found (%v)", err)
+	}
+	name := regexp.MustCompile(`^\s*(?:- )?name:\s*(.*)$`)
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(b), "\n") {
+			m := name.FindStringSubmatch(line)
+			if m == nil || strings.HasPrefix(m[1], `"`) || strings.HasPrefix(m[1], `'`) {
+				continue
+			}
+			if strings.Contains(m[1], ": ") || strings.Contains(m[1], " #") {
+				t.Errorf("%s:%d: unquoted name contains \": \" or \" #\", which YAML cannot parse: %.60s…", f, i+1, m[1])
+			}
+		}
 	}
 }
 
