@@ -255,6 +255,8 @@ func TestMalformedIVFRejectedAtEveryEntryPoint(t *testing.T) {
 //	ivf.pbg                      serve.ReadIVF                      TestMalformedIVFRejectedAtEveryEntryPoint, serve.FuzzReadIVF
 //	Get/Put/Acquire RPC args     wire.Server admission + ParseWire  FuzzFrame (every dist method), serve.FuzzTopKRequest
 //	dist manifest                Manifest.Validate                  FuzzManifest, TestRestoreRejectsForeignBucket
+//	relations.pbg                storage.ReadRelations              serve.TestOpenRejectsMalformedRelations, storage.FuzzReadRelations
+//	edge files                   storage.ReadEdges                  storage.TestReadSizedFilesRejectMalformed, storage.FuzzReadEdges
 
 // frameGateServer serves all three services of a tiny deployment; only its
 // decoding side is used.

@@ -242,7 +242,11 @@ func (s *Server) loadView(dir string) (*view, error) {
 		params := make([]float32, sc.RelParamCount())
 		sc.InitRelParams(params)
 		if rs != nil {
-			if r >= len(rs.Params) || len(rs.Params[r]) != len(params) {
+			if r >= len(rs.Params) {
+				_ = ss.Close()
+				return nil, fmt.Errorf("serve: %s holds %d relation blocks, the schema has %d relations", relPath, len(rs.Params), nrel)
+			}
+			if len(rs.Params[r]) != len(params) {
 				_ = ss.Close()
 				return nil, fmt.Errorf("serve: relation %d parameter block mismatch (checkpoint %d floats, scorer wants %d — check -comparator/-reciprocal)", r, len(rs.Params[r]), len(params))
 			}

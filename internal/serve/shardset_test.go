@@ -103,6 +103,53 @@ func TestOpenShardSetRejectsDimMismatch(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsMalformedRelations: a checkpoint whose relations.pbg holds
+// fewer relation blocks than the schema has relations, or is short, padded
+// or claims more than it holds, makes serve.Open return an error. The first
+// case used to index past the blocks it had just found missing and panic.
+func TestOpenRejectsMalformedRelations(t *testing.T) {
+	f := servetest.Shared(t, servetest.FixtureConfig{})
+	dir := t.TempDir()
+	if err := copyDir(f.Dir, dir); err != nil {
+		t.Fatal(err)
+	}
+	relPath := dir + "/relations.pbg"
+	rs, err := storage.ReadRelations(relPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fewer := t.TempDir() + "/relations.pbg"
+	if err := storage.WriteRelations(fewer, &storage.RelationState{
+		Params: rs.Params[:len(rs.Params)-1], Acc: rs.Acc[:len(rs.Acc)-1],
+	}); err != nil {
+		t.Fatal(err)
+	}
+	fewerImg, err := os.ReadFile(fewer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := os.ReadFile(relPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inflated := append([]byte{}, img...)
+	inflated[7] = 0x7f // the relation count's top byte
+	for name, bad := range map[string][]byte{
+		"one relation fewer": fewerImg,
+		"short":              img[:len(img)-1],
+		"trailing byte":      append(append([]byte{}, img...), 0),
+		"inflated count":     inflated,
+	} {
+		if err := os.WriteFile(relPath, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if srv, err := serve.Open(dir, f.ServerConfig()); err == nil {
+			_ = srv.Close()
+			t.Errorf("%s: Open accepted the checkpoint", name)
+		}
+	}
+}
+
 func copyDir(src, dst string) error {
 	entries, err := os.ReadDir(src)
 	if err != nil {

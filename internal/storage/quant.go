@@ -71,8 +71,8 @@ func ParseCodec(s string) (Codec, error) {
 // ProjectedShardBytesCodec prices shard (t,p) under codec c, from the
 // schema alone: the embedding block at codec width, the int8 per-row scale
 // block, and the always-fp32 Adagrad block, without the file header. It is
-// ProjectedShardBytes generalised: admission budgets, the lookahead
-// controller, and buffer-slot pricing all route through it, so choosing a
+// ProjectedShardBytes generalised: admission budgets, the trainer's prefetch
+// depth, and buffer-slot pricing all route through it, so choosing a
 // 2–4× smaller codec automatically widens every one of those windows at the
 // same byte budget — the store's steady-state footprint is quantized bytes,
 // with decoded fp32 views living only transiently above it (see

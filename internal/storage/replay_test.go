@@ -16,7 +16,7 @@ import (
 // BenchmarkCachePlanReplay share them.
 
 // The swap regime of benchmark/'s social_ooc workload: one entity type in 16
-// partitions, a budget of 6 shards, the lookahead the controller settles on,
+// partitions, a budget of 6 shards, the lookahead the trainer picks for it,
 // and the budget_aware order planned — as train.BufferSlotsFor prices it —
 // for one slot less than the budget holds (the in-flight shard's allowance).
 const (

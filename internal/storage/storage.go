@@ -70,9 +70,11 @@ import (
 // "" means unbounded. Longer suffixes take precedence over their suffixes
 // ("1TiB" is a tebibyte, not "1TI" bytes), which the suffix list order
 // below encodes: the bare "B" must come last or it would strip the B off
-// every two-letter suffix.
-func ParseByteSize(s string) (int64, error) {
-	s = strings.TrimSpace(s)
+// every two-letter suffix. A size that is not a finite, non-negative number
+// of bytes below 2^63, or a positive one that truncates to 0 bytes, is an
+// error.
+func ParseByteSize(in string) (int64, error) {
+	s := strings.TrimSpace(in)
 	if s == "" {
 		return 0, nil
 	}
@@ -95,10 +97,16 @@ func ParseByteSize(s string) (int64, error) {
 		}
 	}
 	v, err := strconv.ParseFloat(s, 64)
-	if err != nil || v < 0 {
-		return 0, fmt.Errorf("storage: bad byte size %q", s)
+	b := v * float64(mult)
+	// NaN fails every comparison, so it is caught by the negated range test;
+	// 2^63 is the first float64 above MaxInt64.
+	if err != nil || !(b >= 0 && b < 1<<63) {
+		return 0, fmt.Errorf("storage: bad byte size %q (want a finite, non-negative size below 8 EiB)", in)
 	}
-	return int64(v * float64(mult)), nil
+	if b > 0 && int64(b) == 0 {
+		return 0, fmt.Errorf("storage: byte size %q is under one byte; 0 means unbounded", in)
+	}
+	return int64(b), nil
 }
 
 // Shard holds the parameters of one partition of one entity type.
@@ -150,7 +158,7 @@ func (s *Shard) Bytes() int64 {
 // ProjectedShardBytes is the fp32 size shard (t,p) will occupy, priced from
 // the schema alone — it matches Shard.Bytes for a shard of that shape
 // (count×dim embeddings plus count Adagrad cells, float32 each). Cache
-// admission and the lookahead controller's window projections both price
+// admission and the trainer's prefetch-window projections both price
 // shards through this helper — or through ProjectedShardBytesCodec when a
 // run stores shards quantized — so accounting cannot drift from the bytes
 // actually held.
@@ -459,30 +467,61 @@ func (m *MemStore) Close() error { return nil }
 // WriteEdges persists an edge list in a compact binary format (bucket files
 // on the shared filesystem in Figure 2's architecture).
 func WriteEdges(path string, el *graph.EdgeList) error {
-	return writeFileAtomic(path, buffered(func(w *bufio.Writer) error {
-		if err := writeU64(w, uint64(el.Len())); err != nil {
-			return err
-		}
-		for _, col := range [][]int32{el.Srcs, el.Rels, el.Dsts} {
-			if err := writeInt32s(w, col); err != nil {
-				return err
-			}
-		}
-		return nil
-	}))
+	return writeFileAtomic(path, buffered(func(w *bufio.Writer) error { return encodeEdges(w, el) }))
 }
 
-// ReadEdges loads an edge list written by WriteEdges.
+func encodeEdges(w *bufio.Writer, el *graph.EdgeList) error {
+	if err := writeU64(w, uint64(el.Len())); err != nil {
+		return err
+	}
+	for _, col := range [][]int32{el.Srcs, el.Rels, el.Dsts} {
+		if err := writeInt32s(w, col); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ReadEdges loads an edge list written by WriteEdges. The edge count is held
+// to the file's size before anything is allocated, so a truncated, padded or
+// crafted file is an error, never a panic or an allocation it cannot back.
 func ReadEdges(path string) (*graph.EdgeList, error) {
+	return readSized(path, decodeEdges)
+}
+
+// readSized opens path and decodes it with the file's size in hand, which
+// is what the decoders hold every count read from the file to.
+func readSized[T any](path string, decode func(r io.Reader, size int64) (T, error)) (T, error) {
+	var zero T
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return zero, err
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
+	fi, err := f.Stat()
+	if err != nil {
+		return zero, err
+	}
+	v, err := decode(bufio.NewReaderSize(f, 1<<20), fi.Size())
+	if err != nil {
+		return zero, fmt.Errorf("storage: %s: %w", path, err)
+	}
+	return v, nil
+}
+
+// decodeEdges reads WriteEdges' format — a u64 count, then the source,
+// relation and destination columns of that many int32 each — from r, which
+// holds exactly size bytes.
+func decodeEdges(r io.Reader, size int64) (*graph.EdgeList, error) {
+	if size < 8 {
+		return nil, fmt.Errorf("edge file of %d bytes has no count", size)
+	}
 	n, err := readU64(r)
 	if err != nil {
 		return nil, err
+	}
+	if body := size - 8; body%12 != 0 || n != uint64(body/12) {
+		return nil, fmt.Errorf("edge file claims %d edges but has %d bytes after the count (12 per edge)", n, body)
 	}
 	el := &graph.EdgeList{
 		Srcs: make([]int32, n),
@@ -506,36 +545,51 @@ type RelationState struct {
 
 // WriteRelations persists relation parameters.
 func WriteRelations(path string, rs *RelationState) error {
-	return writeFileAtomic(path, buffered(func(w *bufio.Writer) error {
-		if err := writeU64(w, uint64(len(rs.Params))); err != nil {
-			return err
-		}
-		for i := range rs.Params {
-			if err := writeU64(w, uint64(len(rs.Params[i]))); err != nil {
-				return err
-			}
-			if err := writeFloats(w, rs.Params[i]); err != nil {
-				return err
-			}
-			if err := writeFloats(w, rs.Acc[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}))
+	return writeFileAtomic(path, buffered(func(w *bufio.Writer) error { return encodeRelations(w, rs) }))
 }
 
-// ReadRelations loads relation parameters written by WriteRelations.
-func ReadRelations(path string) (*RelationState, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+// encodeRelations writes a u64 relation count, then per relation a u64
+// float count and that many parameters and Adagrad accumulators.
+func encodeRelations(w *bufio.Writer, rs *RelationState) error {
+	if err := writeU64(w, uint64(len(rs.Params))); err != nil {
+		return err
 	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
+	for i := range rs.Params {
+		if err := writeU64(w, uint64(len(rs.Params[i]))); err != nil {
+			return err
+		}
+		if err := writeFloats(w, rs.Params[i]); err != nil {
+			return err
+		}
+		if err := writeFloats(w, rs.Acc[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ReadRelations loads relation parameters written by WriteRelations. Every
+// count is held to the bytes the file has left before anything is
+// allocated, and trailing bytes are refused, so a truncated, padded or
+// crafted file is an error, never a panic or an allocation it cannot back.
+func ReadRelations(path string) (*RelationState, error) {
+	return readSized(path, decodeRelations)
+}
+
+// decodeRelations reads encodeRelations' format from r, which holds exactly
+// size bytes.
+func decodeRelations(r io.Reader, size int64) (*RelationState, error) {
+	left := size - 8
+	if left < 0 {
+		return nil, fmt.Errorf("relations file of %d bytes has no count", size)
+	}
 	n, err := readU64(r)
 	if err != nil {
 		return nil, err
+	}
+	// Each relation's block starts with its own 8-byte count.
+	if n > uint64(left/8) {
+		return nil, fmt.Errorf("relations file claims %d relations, %d bytes hold at most %d", n, left, left/8)
 	}
 	rs := &RelationState{Params: make([][]float32, n), Acc: make([][]float32, n)}
 	for i := range rs.Params {
@@ -543,6 +597,11 @@ func ReadRelations(path string) (*RelationState, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Parameters and accumulators: 8 bytes per float of the count.
+		if left -= 8; left < 0 || m > uint64(left/8) {
+			return nil, fmt.Errorf("relation %d claims %d floats, %d bytes are left", i, m, left)
+		}
+		left -= 8 * int64(m)
 		rs.Params[i] = make([]float32, m)
 		rs.Acc[i] = make([]float32, m)
 		if err := readFloats(r, rs.Params[i]); err != nil {
@@ -551,6 +610,9 @@ func ReadRelations(path string) (*RelationState, error) {
 		if err := readFloats(r, rs.Acc[i]); err != nil {
 			return nil, err
 		}
+	}
+	if left != 0 {
+		return nil, fmt.Errorf("relations file has %d trailing bytes", left)
 	}
 	return rs, nil
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"pbg/internal/graph"
@@ -310,11 +312,27 @@ func TestParseByteSize(t *testing.T) {
 		{"-1", 0, true},
 		{"abc", 0, true},
 		{"1XB", 0, true},
+		// Not a finite size that fits an int64: these used to come back as
+		// MinInt64 with a nil error.
+		{"NaN", 0, true},
+		{"Inf", 0, true},
+		{"-Inf", 0, true},
+		{"infinity KB", 0, true},
+		{"1e30", 0, true},
+		{"8388608T", 0, true}, // 2^63 bytes
+		{"8388607T", 8388607 << 40, false},
+		// A positive size under one byte used to mean unbounded.
+		{"0.4", 0, true},
+		{"0.0000001K", 0, true},
+		{"0.0", 0, false},
 	}
 	for _, c := range cases {
 		got, err := ParseByteSize(c.in)
 		if c.err != (err != nil) {
 			t.Fatalf("ParseByteSize(%q) err = %v, want err=%v", c.in, err, c.err)
+		}
+		if err != nil && !strings.Contains(err.Error(), strconv.Quote(c.in)) {
+			t.Errorf("ParseByteSize(%q) error %q does not quote the input", c.in, err)
 		}
 		if !c.err && got != c.want {
 			t.Fatalf("ParseByteSize(%q) = %d, want %d", c.in, got, c.want)

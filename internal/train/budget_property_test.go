@@ -2,7 +2,7 @@ package train
 
 // Property coverage for the memory budget (run under -race in CI): across
 // randomized schemas, both bucket orders, budgets — which set the prefetch
-// depth the controller starts at and may widen to — and shard codecs, the
+// depth New picks — and shard codecs, the
 // store's resident bytes never exceed MaxResidentBytes plus the single
 // in-flight shard allowance, and every acquired shard is eventually
 // released. The invariant is observed two ways at once: storetest.WatchBudget
@@ -40,8 +40,8 @@ func TestPipelineBudgetInvariantProperty(t *testing.T) {
 		// legitimately run over (referenced shards cannot be evicted), so
 		// randomize from the working set upward — priced through the case's
 		// codec, the same currency admission charges. Two shards hold the
-		// depth at 0, larger budgets let it start at 1 and widen; the last
-		// case is unbounded (depth 1, fixed).
+		// depth at 0, larger budgets buy deeper windows; the last case is
+		// unbounded (depth 1).
 		shardMult := int64(2 + r.Intn(5))
 		if i == cases-1 {
 			shardMult = 0

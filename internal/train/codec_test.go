@@ -29,14 +29,14 @@ func TestCodecWidensBudgetWindow(t *testing.T) {
 		t.Fatalf("fp16 slots %d not wider than fp32 slots %d at budget %d", fp16Slots, fp32Slots, budget)
 	}
 
-	// Lookahead clamping: a budget that forces an fp32 run to lookahead 0
-	// (one bucket's working set plus the in-flight allowance, the
-	// TestControllerInitClampsToTightBudget construction) still affords
-	// pipelined prefetch once the same shards are priced int8.
-	probe := controllerTrainer(t, Config{Dim: dim})
+	// Prefetch depth: a budget that holds an fp32 run to lookahead 0 (one
+	// bucket's working set plus the in-flight allowance, the
+	// TestLookaheadIsTheDeepestWindowTheBudgetFits construction) still
+	// affords pipelined prefetch once the same shards are priced int8.
+	probe := depthTrainer(t, Config{Dim: dim})
 	tight := probe.windowBytes(0) + probe.maxShardBytes()
-	fp32Tr := controllerTrainer(t, Config{Dim: dim, MemBudgetBytes: tight})
-	int8Tr := controllerTrainer(t, Config{Dim: dim, MemBudgetBytes: tight, Codec: "int8"})
+	fp32Tr := depthTrainer(t, Config{Dim: dim, MemBudgetBytes: tight})
+	int8Tr := depthTrainer(t, Config{Dim: dim, MemBudgetBytes: tight, Codec: "int8"})
 	if fp32Tr.Lookahead() != 0 {
 		t.Fatalf("fp32 lookahead %d under one-bucket budget, want 0", fp32Tr.Lookahead())
 	}
@@ -45,7 +45,7 @@ func TestCodecWidensBudgetWindow(t *testing.T) {
 			int8Tr.Lookahead(), fp32Tr.Lookahead(), tight)
 	}
 
-	// The controller's per-shard pricing itself must shrink with the codec.
+	// The depth's per-shard pricing itself must shrink with the codec.
 	fp32Shard := fp32Tr.shardKeyBytes(shardKey{0, 0})
 	int8Shard := int8Tr.shardKeyBytes(shardKey{0, 0})
 	if int8Shard*2 > fp32Shard {

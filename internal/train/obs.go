@@ -25,10 +25,8 @@ type trainMetrics struct {
 	// the backward pass's cost — and so throughput — follows. Added once per
 	// bucket, like the pair above.
 	negatives, negativesActive *obs.Counter
-	// lookahead mirrors the adaptive controller's live depth; decisions
-	// counts its per-epoch widen/narrow/hold choices.
+	// lookahead is the prefetch depth New picked, set once.
 	lookahead *obs.Gauge
-	decisions map[string]*obs.Counter
 	// bucketLoss observes each trained bucket's loss per edge.
 	bucketLoss *obs.Histogram
 	// Planning gauges: wall time spent building the bucket order, the
@@ -40,10 +38,6 @@ type trainMetrics struct {
 }
 
 func newTrainMetrics(reg *obs.Registry) trainMetrics {
-	decisions := make(map[string]*obs.Counter, 3)
-	for _, a := range []string{"widen", "narrow", "hold"} {
-		decisions[a] = reg.Counter(fmt.Sprintf("pbg_train_lookahead_decisions_total{action=%q}", a))
-	}
 	return trainMetrics{
 		edges:           reg.Counter("pbg_train_edges_total"),
 		swapIns:         reg.Counter("pbg_train_swapins_total"),
@@ -54,7 +48,6 @@ func newTrainMetrics(reg *obs.Registry) trainMetrics {
 		negatives:       reg.Counter("pbg_train_negatives_total"),
 		negativesActive: reg.Counter("pbg_train_negatives_active_total"),
 		lookahead:       reg.Gauge("pbg_train_lookahead"),
-		decisions:       decisions,
 		bucketLoss:      reg.Histogram("pbg_train_bucket_loss_per_edge"),
 		planNs:          reg.Gauge("pbg_partition_plan_ns"),
 		projectedLoads:  reg.Gauge("pbg_partition_projected_loads"),
@@ -95,8 +88,8 @@ func (t *Trainer) startBucketSpan(b partition.Bucket) *obs.Span {
 // followed by "swap N in / M out" — the shards the store loaded and wrote
 // back — when the store counted any, by "active N%" — the share of scored
 // negatives that carried gradient — when the epoch counted any, and by
-// "lookahead D (action) resident X.XMB" when the adaptive controller ran
-// this epoch.
+// "lookahead D  resident X.XMB" when the epoch sampled the store's
+// resident bytes.
 func (s EpochStats) Summary() string {
 	edges := s.Edges
 	if edges < 1 {
@@ -115,9 +108,8 @@ func (s EpochStats) Summary() string {
 	if s.Negatives > 0 {
 		line += fmt.Sprintf("  active %.0f%%", 100*float64(s.ActiveNegatives)/float64(s.Negatives))
 	}
-	if s.LookaheadAction != "" {
-		line += fmt.Sprintf("  lookahead %d (%s)  resident %.1fMB",
-			s.Lookahead, s.LookaheadAction, float64(s.ResidentHighWater)/(1<<20))
+	if s.ResidentHighWater > 0 {
+		line += fmt.Sprintf("  lookahead %d  resident %.1fMB", s.Lookahead, float64(s.ResidentHighWater)/(1<<20))
 	}
 	return line
 }

@@ -16,14 +16,14 @@ import (
 // evict is decided by the bucket order; ordering against the buffer removes
 // most of those forced evictions up front. Pricing goes through
 // storage.ProjectedShardBytesCodec, the same single formula budget
-// admission and the lookahead controller use, so the three views of the
+// admission and the prefetch depth use, so the three views of the
 // budget cannot drift apart — and a quantized codec buys more slots at the
 // same budget in all three at once.
 
 // BufferSlotsFor converts a memory budget into resident partition slots:
 // how many whole partitions (one shard per partitioned entity type each)
 // fit in budget bytes after the always-resident unpartitioned shards and
-// the controller's one-in-flight-shard allowance are set aside, priced
+// the prefetch depth's one-in-flight-shard allowance are set aside, priced
 // under the run's shard codec. Returns 0 when no budget is set or the
 // budget cannot hold even one slot — callers treat both as "nothing to
 // optimise against". This is the single pricing the trainer, pbg-train's

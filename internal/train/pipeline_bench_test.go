@@ -14,8 +14,8 @@ import (
 // BenchmarkEpochPipeline measures epoch throughput (edges/s), the IOWait
 // share, the resident high-water, and the store's forced evictions on a
 // multi-partition DiskStore in four modes: the pipelined executor with an
-// unbounded budget ("on"), the serial baseline ("off"), the adaptive
-// controller under a budget that admits roughly two buckets of shards
+// unbounded budget ("on"), the serial baseline ("off"), the pipelined
+// executor under a budget that admits roughly two buckets of shards
 // ("budget") — the configuration the memory-budget acceptance numbers come
 // from — and that same budget with the budget-aware bucket ordering
 // ("budget_order"), which must cut forcedEvicts versus "budget" at
@@ -44,9 +44,8 @@ func BenchmarkEpochPipeline(b *testing.B) {
 			switch mode {
 			case "budget":
 				// ~2 buckets of shards (4 shards) plus the in-flight
-				// allowance; the controller starts at lookahead 1 and may
-				// widen if the projection fits. Inside-out, as without a
-				// budget.
+				// allowance buys the deepest window whose projection fits.
+				// Inside-out, as without a budget.
 				cfg.MemBudgetBytes = 5 * perShard
 				cfg.BucketOrder = partition.OrderInsideOut
 			case "budget_order":

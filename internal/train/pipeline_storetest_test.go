@@ -16,8 +16,7 @@ import (
 )
 
 // harnessTrainer builds a trainer over the harness cache. A depth above 1
-// is set directly: with no budget to widen against, the controller would
-// keep it at 1.
+// is set directly: without a budget New picks 1.
 func harnessTrainer(t *testing.T, parts int, cfg Config, depth int) (*Trainer, *storetest.Store, *storetest.Backend, *storage.Cache) {
 	t.Helper()
 	g := smallSocial(t, parts)

@@ -48,8 +48,7 @@ func (t *Trainer) runEpochSerial(items []partition.Bucket, stats *EpochStats) er
 }
 
 // trainEpochSerial is TrainEpoch on the serial reference executor, with
-// the stats a caller timing the two executors reads (the controller does
-// not run).
+// the stats a caller timing the two executors reads.
 func (t *Trainer) trainEpochSerial() (EpochStats, error) {
 	start := time.Now()
 	stats := EpochStats{Epoch: t.epochsRun}

@@ -13,18 +13,15 @@
 // implementing SetMaxResidentBytes: storage.DiskStore, the distributed
 // checkout cache); it prices the partition buffer the bucket order is
 // planned against (order.go: inside-out unless a buffer-aware order beats
-// it under that buffer); and it bounds the adaptive prefetch depth
-// (controller.go), which starts at 1 bucket ahead, narrowed until the
-// projected window fits the budget, and between epochs widens to at most
-// 4 while the measured IOWait share stays above 5 % — only under a budget —
-// or narrows when the budget binds.
+// it under that buffer); and it sets the prefetch depth (depth.go), picked
+// once in New: 1 bucket ahead without a budget, and under one the deepest
+// window, at most 4 buckets, whose projected resident bytes fit it.
 //
 // Each epoch reports an EpochStats: Loss/Edges/Duration for convergence
 // tracking; PartitionIO (swap-ins this epoch) and IOWait vs Compute for the
-// I/O-overlap split; Lookahead, LookaheadAction ("widen"/"narrow"/"hold")
-// and ResidentHighWater for the controller's per-epoch decision trail; and
-// PeakResident for the run-wide memory high-water the paper's Tables 3–4
-// memory columns track.
+// I/O-overlap split; Lookahead and ResidentHighWater for the depth the
+// epoch ran at and the memory it held; and PeakResident for the run-wide
+// memory high-water the paper's Tables 3–4 memory columns track.
 package train
 
 import (
@@ -59,8 +56,6 @@ type Config struct {
 	LR float32
 	// NegAlpha is the data-prevalence fraction α of §3.1. Default 0.5.
 	NegAlpha float32
-	// BatchSize B. Default 1000.
-	BatchSize int
 	// ChunkSize C: positives per chunk sharing negatives. Default 50.
 	// ChunkSize 1 reproduces unbatched negative sampling (Figure 4).
 	ChunkSize int
@@ -95,9 +90,9 @@ type Config struct {
 	// Codec selects the on-disk shard encoding for stores that support one
 	// (DiskStore via SetCodec): "fp32" (default), "fp16", or "int8" — see
 	// storage.ParseCodec for accepted spellings. The codec also reprices
-	// every budget consumer (admission, the lookahead controller's window
+	// every budget consumer (admission, the prefetch depth's window
 	// projections, the planned order's buffer slots), so a 2–4× smaller codec
-	// widens the lookahead window and the partition buffer at the same
+	// deepens the lookahead window and widens the partition buffer at the same
 	// MemBudgetBytes. Adagrad state stays fp32 under every codec; fp16
 	// loses embedding bits to rounding and int8 to per-row scaling, with
 	// the MRR cost of each pinned by the servetest parity matrix.
@@ -130,9 +125,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.NegAlpha == 0 {
 		c.NegAlpha = 0.5
-	}
-	if c.BatchSize == 0 {
-		c.BatchSize = 1000
 	}
 	if c.ChunkSize == 0 {
 		c.ChunkSize = 50
@@ -178,12 +170,8 @@ type EpochStats struct {
 	// Compute is the time spent inside bucket training (HOGWILD workers).
 	Compute time.Duration
 	// Lookahead is the prefetch depth the pipelined executor used this
-	// epoch.
+	// epoch: the one New picked, the same in every epoch.
 	Lookahead int
-	// LookaheadAction is the adaptive controller's end-of-epoch decision
-	// for the next epoch: "widen", "narrow", or "hold" ("" after a failed
-	// epoch).
-	LookaheadAction string
 	// ResidentHighWater is the largest store ResidentBytes sampled during
 	// this epoch (PeakResident is the high-water across the whole run).
 	ResidentHighWater int64
@@ -234,12 +222,10 @@ type Trainer struct {
 	epochsRun int
 	peakBytes int64
 
-	// lookahead is the live prefetch depth the adaptive controller manages
-	// between epochs (see controller.go). epochHighWater tracks ResidentBytes within the current epoch;
-	// winBytes caches windowBytes projections per depth.
+	// lookahead is the prefetch depth New picked (see depth.go);
+	// epochHighWater tracks ResidentBytes within the current epoch.
 	lookahead      int
 	epochHighWater int64
-	winBytes       map[int]int64
 
 	// codec is the parsed Config.Codec; every budget projection prices
 	// shards under it, matching the store's own admission accounting.
@@ -323,7 +309,6 @@ func New(g *graph.Graph, store storage.Store, cfg Config) (*Trainer, error) {
 	t.buckets = order
 
 	t.stripes = make([]sync.Mutex, 1024)
-	t.winBytes = make(map[int]int64)
 
 	// Plumb the shard codec into stores that encode one (DiskStore); the
 	// codec must land before the budget so admission prices quantized bytes
@@ -336,8 +321,7 @@ func New(g *graph.Graph, store storage.Store, cfg Config) (*Trainer, error) {
 		}
 	}
 	// Plumb the memory budget into stores that enforce one (DiskStore, the
-	// distributed remote store); others simply ignore it. Then pick the
-	// initial lookahead the budget can actually afford.
+	// distributed remote store); others simply ignore it.
 	if cfg.MemBudgetBytes > 0 {
 		if b, ok := store.(interface{ SetMaxResidentBytes(int64) }); ok {
 			b.SetMaxResidentBytes(cfg.MemBudgetBytes)
@@ -352,7 +336,7 @@ func New(g *graph.Graph, store storage.Store, cfg Config) (*Trainer, error) {
 			o.SetObs(cfg.Obs)
 		}
 	}
-	t.initLookahead()
+	t.lookahead = t.pickLookahead()
 	t.tm.lookahead.Set(int64(t.lookahead))
 	return t, nil
 }
@@ -482,9 +466,6 @@ func (t *Trainer) TrainEpoch() (EpochStats, error) {
 	if err != nil {
 		return stats, err
 	}
-	t.adaptLookahead(&stats)
-	t.tm.decisions[stats.LookaheadAction].Inc()
-	t.tm.lookahead.Set(int64(t.lookahead))
 	t.epochsRun++
 	return stats, nil
 }

@@ -116,7 +116,7 @@ func TestTrainWithDiskStoreSwapping(t *testing.T) {
 		t.Fatalf("disk-backed loss did not decrease: %v → %v", first, last)
 	}
 	// Swapping must keep the peak resident footprint well under the full
-	// model: the budget plus the controller's one-in-flight-shard
+	// model: the budget plus the one-in-flight-shard
 	// allowance is still three shards below the 8-shard full model.
 	full := int64(400 * (16 + 1) * 4)
 	peak := stats[len(stats)-1].PeakResident
@@ -183,7 +183,7 @@ func TestTrainPipelinedDiskStoreRace(t *testing.T) {
 	store := storetest.NewDisk(t, dir, g.Schema, 16, 7, 1)
 	tr, err := New(g, store, Config{
 		Dim: 16, Epochs: 3, Seed: 3, Workers: 4, HogwildOff: true,
-		// A budget that fits every window lets the controller widen.
+		// A budget that fits every window buys the deepest prefetch.
 		MemBudgetBytes: 1 << 30,
 	})
 	if err != nil {
@@ -240,8 +240,8 @@ func TestPipelineMatchesSerialLoss(t *testing.T) {
 }
 
 // TestPipelineMatchesSerialLossTightBudget is the budget regression pin: a
-// budget so tight only one bucket's shards fit forces the adaptive
-// controller to lookahead 0 and the store into constant forced eviction —
+// budget so tight only one bucket's shards fit sets the prefetch depth to
+// 0 and forces the store into constant eviction —
 // and the losses must still be bit-identical to the serial baseline
 // (admission, shedding, and eviction may change shard lifetimes, never the
 // math).
@@ -421,7 +421,7 @@ func TestNewRejectsBadConfig(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.BatchSize != 1000 || c.ChunkSize != 50 || c.UniformNegs != 50 {
+	if c.ChunkSize != 50 || c.UniformNegs != 50 {
 		t.Fatalf("defaults wrong: %+v", c)
 	}
 	if c.NegAlpha != 0.5 {

@@ -93,9 +93,9 @@ func TrainWithCallback(g *Graph, cfg TrainConfig, onEpoch func(train.EpochStats)
 // cap the resident shard bytes; the budget then decides the schedule too.
 // The disk store enforces it at admission (shedding prefetch hints,
 // evicting unreferenced shards LRU-first), the bucket order is planned
-// against the partition buffer it affords, and the adaptive lookahead
-// controller keeps the prefetch window inside it, widening the window (to
-// at most 4 buckets) when epochs measure as I/O bound. The default (0) is
+// against the partition buffer it affords, and the prefetch window is the
+// deepest (at most 4 buckets) whose projected shard bytes fit inside it,
+// picked once before the first epoch. The default (0) is
 // unbounded: inside-out order, one bucket of prefetch, the
 // fixed-footprint behaviour above.
 func TrainOnDisk(g *Graph, dir string, cfg TrainConfig) (*Model, error) {
