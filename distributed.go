@@ -1,12 +1,9 @@
 package pbg
 
 import (
-	"fmt"
 	"time"
 
 	"pbg/internal/dist"
-	"pbg/internal/eval"
-	"pbg/internal/graph"
 	"pbg/internal/storage"
 	"pbg/internal/train"
 )
@@ -15,7 +12,7 @@ import (
 // the "machines" are trainer nodes inside one process communicating over
 // real loopback TCP (lock server, sharded partition servers, parameter
 // server — the Figure 2 architecture); the same components run across hosts
-// via cmd/pbg-node.
+// via pbg node (cmd/pbg).
 type DistributedConfig struct {
 	// Machines is the number of trainer nodes (the paper trains on up to 8,
 	// with 2×Machines partitions).
@@ -26,19 +23,6 @@ type DistributedConfig struct {
 	SyncInterval time.Duration
 	// Train carries the per-node hyperparameters.
 	Train TrainConfig
-	// LeaseTTL enables fault-tolerant leasing: a trainer that stops
-	// heartbeating loses its bucket lease after this long, the bucket is
-	// re-leased to a survivor, and the epoch still completes. 0 keeps the
-	// fail-stop model (any node error fails the run).
-	LeaseTTL time.Duration
-	// CheckpointDir makes the partition servers durable (shards persisted to
-	// this directory) and the run resumable: TrainDistributed pointed at a
-	// directory holding a previous run's checkpoint continues from the last
-	// consistency cut instead of epoch 0.
-	CheckpointDir string
-	// CheckpointEvery takes background checkpoints at this period (requires
-	// CheckpointDir; 0 checkpoints only at the end of each epoch).
-	CheckpointEvery time.Duration
 }
 
 // DistributedResult reports a distributed run.
@@ -52,9 +36,6 @@ type DistributedResult struct {
 // the live cluster for evaluation. The caller must call
 // result.Cluster.Shutdown() when finished.
 func TrainDistributed(g *Graph, cfg DistributedConfig) (*DistributedResult, error) {
-	if cfg.Machines <= 0 {
-		return nil, fmt.Errorf("pbg: Machines must be positive")
-	}
 	if cfg.Epochs <= 0 {
 		cfg.Epochs = 5
 	}
@@ -68,34 +49,22 @@ func TrainDistributed(g *Graph, cfg DistributedConfig) (*DistributedResult, erro
 		return nil, err
 	}
 	cl, err := dist.NewCluster(g, plan.Order, dist.ClusterConfig{
-		Machines:        cfg.Machines,
-		SyncInterval:    cfg.SyncInterval,
-		Seed:            cfg.Train.Seed + 1,
-		Train:           cfg.Train,
-		LeaseTTL:        cfg.LeaseTTL,
-		CheckpointDir:   cfg.CheckpointDir,
-		CheckpointEvery: cfg.CheckpointEvery,
+		Machines:     cfg.Machines,
+		SyncInterval: cfg.SyncInterval,
+		Seed:         cfg.Train.Seed + 1,
+		Train:        cfg.Train,
 	})
 	if err != nil {
 		return nil, err
 	}
 	res := &DistributedResult{Cluster: cl}
-	// NextEpoch rather than a 0-based count: a resumed run finishes the
-	// interrupted epoch and continues to cfg.Epochs instead of re-training
-	// cfg.Epochs more.
-	for cl.NextEpoch() <= cfg.Epochs {
+	for e := 0; e < cfg.Epochs; e++ {
 		st, err := cl.RunEpoch()
 		if err != nil {
 			cl.Shutdown()
 			return nil, err
 		}
 		res.EpochStats = append(res.EpochStats, st)
-		if cfg.CheckpointDir != "" {
-			if err := cl.Checkpoint(); err != nil {
-				cl.Shutdown()
-				return nil, err
-			}
-		}
 	}
 	return res, nil
 }
@@ -110,26 +79,5 @@ func (r *DistributedResult) EvaluateDistributed(g *Graph, test *Graph, opts Eval
 	defer store.Close()
 	view := train.NewStoreView(store, g.Schema)
 	defer view.Close()
-	deg := graph.ComputeDegrees(g)
-	dim := r.Cluster.Nodes[0].Trainer().Config().Dim
-	rk := eval.NewRanker(g.Schema, view, r.Cluster.Nodes[0].Trainer(), dim, deg)
-	cfg := eval.Config{
-		K:         opts.Candidates,
-		Filtered:  opts.Filtered,
-		BothSides: opts.BothSides,
-		MaxEdges:  opts.MaxEdges,
-		Seed:      opts.Seed,
-	}
-	switch {
-	case opts.Candidates == 0:
-		cfg.Mode = eval.CandidatesAll
-	case opts.ByPrevalence:
-		cfg.Mode = eval.CandidatesPrevalence
-	default:
-		cfg.Mode = eval.CandidatesUniform
-	}
-	if opts.Filtered {
-		cfg.Known = graph.NewEdgeSet(append([]*EdgeList{g.Edges}, opts.Known...)...)
-	}
-	return rk.Evaluate(test.Edges, cfg)
+	return evaluate(g, view, r.Cluster.Nodes[0].Trainer(), test, opts)
 }

@@ -44,9 +44,6 @@ type ClusterConfig struct {
 	// NewCluster pointed at a directory holding a previous run's checkpoint
 	// resumes from its consistency cut instead of epoch 0.
 	CheckpointDir string
-	// CheckpointEvery runs Checkpoint in the background at this period
-	// (requires CheckpointDir; 0 = only explicit Checkpoint calls).
-	CheckpointEvery time.Duration
 	// Retry bounds every client's RPC patience; zero-value = defaults.
 	Retry RetryPolicy
 	// Chaos, when non-nil, injects deterministic faults into the trainers'
@@ -80,9 +77,6 @@ type Cluster struct {
 	// a resume from a cut taken mid-epoch it is the epoch the checkpointed
 	// run had already started, which StartEpoch answers without a reset.
 	nextEpoch int
-
-	ckptStop chan struct{}
-	ckptDone chan struct{}
 }
 
 // NewCluster boots the deployment. order is the bucket order the lock
@@ -109,9 +103,6 @@ func NewCluster(g *graph.Graph, order []partition.Bucket, cfg ClusterConfig) (*C
 				return nil, fmt.Errorf("dist: entity type %q is unpartitioned; distributed training with %d machines needs every type partitioned (its concurrent write-backs would be last-writer-wins)", e.Name, cfg.Machines)
 			}
 		}
-	}
-	if cfg.CheckpointEvery > 0 && cfg.CheckpointDir == "" {
-		return nil, fmt.Errorf("dist: CheckpointEvery needs CheckpointDir")
 	}
 	nSrc, nDst := g.Schema.BucketDims()
 	if err := partition.CheckGrid(order, nSrc, nDst); err != nil {
@@ -218,11 +209,6 @@ func NewCluster(g *graph.Graph, order []partition.Bucket, cfg ClusterConfig) (*C
 			return fail(err)
 		}
 		cl.Nodes = append(cl.Nodes, node)
-	}
-	if cfg.CheckpointEvery > 0 {
-		cl.ckptStop = make(chan struct{})
-		cl.ckptDone = make(chan struct{})
-		go cl.checkpointLoop()
 	}
 	return cl, nil
 }
@@ -345,23 +331,6 @@ func (cl *Cluster) Checkpoint() error {
 	return WriteManifest(cl.cfg.CheckpointDir, m)
 }
 
-// checkpointLoop runs Checkpoint at CheckpointEvery until Shutdown. Failures
-// are retried next tick; an async checkpoint that raced shutdown is simply
-// older than one taken explicitly before Shutdown.
-func (cl *Cluster) checkpointLoop() {
-	defer close(cl.ckptDone)
-	ticker := time.NewTicker(cl.cfg.CheckpointEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-cl.ckptStop:
-			return
-		case <-ticker.C:
-			_ = cl.Checkpoint()
-		}
-	}
-}
-
 // EvalStore returns a read-only store over the cluster's current embeddings
 // (fetched lazily from the partition servers). The caller must Close it; the
 // cluster itself stays alive for further epochs. The store is exempt from
@@ -375,10 +344,6 @@ func (cl *Cluster) EvalStore() (storage.Store, error) {
 // Shutdown stops every node and server. Safe to call more than once.
 func (cl *Cluster) Shutdown() {
 	cl.shutdown.Do(func() {
-		if cl.ckptStop != nil {
-			close(cl.ckptStop)
-			<-cl.ckptDone
-		}
 		for _, n := range cl.Nodes {
 			_ = n.Close()
 		}

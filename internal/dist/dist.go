@@ -9,7 +9,7 @@
 // the method table and each message's hand-written encoding), so the same
 // pieces assemble both the in-process Cluster harness (loopback sockets, used
 // by TrainDistributed and the Tables 3–4 / Figure 6 benchmarks) and a real
-// multi-host deployment via cmd/pbg-node. A partition swap is the data plane:
+// multi-host deployment via pbg node. A partition swap is the data plane:
 // a Put streams the shard's own floats to the socket, the partition server
 // keeps the image it read as the bytes it will answer the next Get with, and
 // the Get reads them straight into a shard the trainer's checkout cache has
@@ -17,8 +17,8 @@
 //
 // The division of state follows the paper exactly:
 //
-//   - Edge buckets: every trainer holds the full (deterministically
-//     regenerated or shared-filesystem) edge list; the LockServer decides who
+//   - Edge buckets: every trainer holds the full edge list (a run
+//     directory's train.edges on a shared filesystem); the LockServer decides who
 //     trains which bucket, enforcing disjointness and the §4.1 "established
 //     partitions" constraint through partition.Scheduler.
 //   - Partitioned entity embeddings: owned by the PartitionServer shard that
@@ -169,8 +169,7 @@ func serverIndex(typeIndex, part, n int) int {
 
 // RankSeed offsets a deployment-wide training seed for one trainer rank, so
 // HOGWILD shuffles and negative samples differ across machines while staying
-// deterministic. Cluster and cmd/pbg-node both use it; graph regeneration
-// keeps the unoffset seed.
+// deterministic. Cluster and pbg node both use it.
 func RankSeed(seed uint64, rank int) uint64 {
 	return seed + uint64(rank)*0x9E37
 }

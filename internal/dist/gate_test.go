@@ -257,6 +257,7 @@ func TestMalformedIVFRejectedAtEveryEntryPoint(t *testing.T) {
 //	dist manifest                Manifest.Validate                  FuzzManifest, TestRestoreRejectsForeignBucket
 //	relations.pbg                storage.ReadRelations              serve.TestOpenRejectsMalformedRelations, storage.FuzzReadRelations
 //	edge files                   storage.ReadEdges                  storage.TestReadSizedFilesRejectMalformed, storage.FuzzReadEdges
+//	run config.json              config.Parse + Config.Schema       config.TestParseRejectsByName, config.FuzzConfig
 
 // frameGateServer serves all three services of a tiny deployment; only its
 // decoding side is used.

@@ -92,7 +92,7 @@ type EpochStats struct {
 
 // Summary renders the distributed epoch in the same one-line format
 // train.EpochStats.Summary uses for local runs, prefixed with the rank, so
-// pbg-train and pbg-node output read identically. epoch is the caller's
+// pbg train and pbg node output read identically. epoch is the caller's
 // epoch index (the lock server owns epoch numbering, so EpochStats does not
 // carry one).
 func (s EpochStats) Summary(rank, epoch int) string {
@@ -333,9 +333,6 @@ func (n *Node) heartbeatLoop() {
 // Trainer exposes the node's local trainer (scorers, relation parameters,
 // store) for evaluation and advanced use.
 func (n *Node) Trainer() *train.Trainer { return n.trainer }
-
-// Rank returns the node's rank.
-func (n *Node) Rank() int { return n.cfg.Rank }
 
 func (n *Node) paramClient(rel int) *retryClient {
 	return n.params[rel%len(n.params)]

@@ -268,9 +268,8 @@ func (ps *PartitionServer) restore(k partKey, want int) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("durable shard (%d,%d): %w", k.t, k.p, err)
 	}
-	if l.TypeIndex != k.t || l.Part != k.p || l.Count != want || l.Dim != ps.dim {
-		return nil, fmt.Errorf("dist: durable shard (%d,%d) holds (%d,%d) of %d×%d, schema wants %d×%d",
-			k.t, k.p, l.TypeIndex, l.Part, l.Count, l.Dim, want, ps.dim)
+	if err := l.CheckShape(storage.Layout{TypeIndex: k.t, Part: k.p, Count: want, Dim: ps.dim}); err != nil {
+		return nil, fmt.Errorf("dist: durable %w", err)
 	}
 	return img, nil
 }
@@ -320,8 +319,8 @@ func (ps *PartitionServer) Put(args PutArgs, reply *Ack) error {
 	if err := ps.checkKey(l.TypeIndex, l.Part, l.Dim); err != nil {
 		return err
 	}
-	if want := ps.schema.Entities[l.TypeIndex].PartitionCount(l.Part); l.Count != want || l.Dim != ps.dim {
-		return fmt.Errorf("dist: Put shard (%d,%d) is %d×%d, want %d×%d", l.TypeIndex, l.Part, l.Count, l.Dim, want, ps.dim)
+	if err := l.CheckShape(storage.Layout{TypeIndex: l.TypeIndex, Part: l.Part, Count: ps.schema.Entities[l.TypeIndex].PartitionCount(l.Part), Dim: ps.dim}); err != nil {
+		return fmt.Errorf("dist: Put %w", err)
 	}
 	k := partKey{l.TypeIndex, l.Part}
 	st := ps.stripe(k)

@@ -155,25 +155,7 @@ func (s *remoteStore) Load(t, p int, spare *storage.Shard) (*storage.Shard, erro
 
 // checkReplyLayout holds a Get reply to the shard args asked for.
 func checkReplyLayout(args GetArgs, l storage.Layout) error {
-	if l.TypeIndex != args.TypeIndex || l.Part != args.Part || l.Count != args.Count || l.Dim != args.Dim {
-		return fmt.Errorf("dist: server sent shard (%d,%d) of %d×%d, want %d×%d",
-			l.TypeIndex, l.Part, l.Count, l.Dim, args.Count, args.Dim)
-	}
-	return nil
-}
-
-// decodeGetReply decodes a Get reply held in memory (in-process callers;
-// the store reads replies through shardIn), which must be the shard args
-// asked for.
-func decodeGetReply(args GetArgs, b []byte) (*storage.Shard, error) {
-	l, err := wireLayout(b)
-	if err == nil {
-		err = checkReplyLayout(args, l)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return l.Decode(b)
+	return l.CheckShape(storage.Layout{TypeIndex: args.TypeIndex, Part: args.Part, Count: args.Count, Dim: args.Dim})
 }
 
 // Store implements storage.Backend: the Put RPC that writes sh back to its

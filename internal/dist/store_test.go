@@ -762,3 +762,16 @@ func TestCacheBudgetInvariantProperty(t *testing.T) {
 		})
 	}
 }
+
+// decodeGetReply decodes a Get reply held in memory, which must be the shard
+// args asked for: the checks remoteStore.Load makes on a reply it streams.
+func decodeGetReply(args GetArgs, b []byte) (*storage.Shard, error) {
+	l, err := wireLayout(b)
+	if err == nil {
+		err = checkReplyLayout(args, l)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return l.Decode(b)
+}

@@ -187,23 +187,6 @@ func (s *Schema) BucketDims() (nSrc, nDst int) {
 	return nSrc, nDst
 }
 
-// NumBuckets returns the number of edge buckets the schema induces.
-func (s *Schema) NumBuckets() int {
-	nSrc, nDst := s.BucketDims()
-	return nSrc * nDst
-}
-
-// MaxPartitions returns the largest partition count over all entity types.
-func (s *Schema) MaxPartitions() int {
-	p := 1
-	for _, e := range s.Entities {
-		if e.NumPartitions > p {
-			p = e.NumPartitions
-		}
-	}
-	return p
-}
-
 // EdgeList stores edges columnar: Srcs[i], Rels[i], Dsts[i] form edge i.
 type EdgeList struct {
 	Srcs []int32
@@ -219,13 +202,6 @@ func (el *EdgeList) Append(src, rel, dst int32) {
 	el.Srcs = append(el.Srcs, src)
 	el.Rels = append(el.Rels, rel)
 	el.Dsts = append(el.Dsts, dst)
-}
-
-// AppendList adds all edges from other.
-func (el *EdgeList) AppendList(other *EdgeList) {
-	el.Srcs = append(el.Srcs, other.Srcs...)
-	el.Rels = append(el.Rels, other.Rels...)
-	el.Dsts = append(el.Dsts, other.Dsts...)
 }
 
 // Edge returns edge i.

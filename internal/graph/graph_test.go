@@ -305,8 +305,8 @@ func TestShuffleKeepsEdgeIntegrity(t *testing.T) {
 
 func TestNumBuckets(t *testing.T) {
 	s := simpleSchema(t, 12, 3)
-	if s.NumBuckets() != 9 {
-		t.Fatalf("NumBuckets = %d, want 9", s.NumBuckets())
+	if nSrc, nDst := s.BucketDims(); nSrc*nDst != 9 {
+		t.Fatalf("buckets = %d×%d, want 9", nSrc, nDst)
 	}
 	s2 := MustSchema(
 		[]EntityType{
@@ -315,8 +315,8 @@ func TestNumBuckets(t *testing.T) {
 		},
 		[]RelationType{{Name: "buys", SourceType: "user", DestType: "item", Operator: "identity"}},
 	)
-	if s2.NumBuckets() != 4 {
-		t.Fatalf("NumBuckets = %d, want 4", s2.NumBuckets())
+	if nSrc, nDst := s2.BucketDims(); nSrc != 4 || nDst != 1 {
+		t.Fatalf("buckets = %d×%d, want 4×1", nSrc, nDst)
 	}
 }
 

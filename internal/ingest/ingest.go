@@ -4,7 +4,8 @@
 // dense int32 IDs, optionally shuffles entity IDs (so contiguous-block
 // partitioning equals the uniform assignment of §5.4.2), and applies a
 // minimum-frequency filter (the paper keeps Freebase entities/relations
-// appearing ≥ 5 times).
+// appearing ≥ 5 times). The graph it returns has one partition and identity
+// operators: a run's config.json decides both (config.Adopt).
 package ingest
 
 import (
@@ -21,16 +22,12 @@ import (
 type Options struct {
 	// EntityType names the single entity type of the imported graph.
 	EntityType string
-	// NumPartitions for the entity type.
-	NumPartitions int
 	// MinFrequency drops entities and relations appearing fewer times
 	// (paper §5.4.2 uses 5 for full Freebase). 0 keeps everything.
 	MinFrequency int
 	// ShuffleSeed, when non-zero, randomises the entity-ID assignment so
 	// block partitioning is uniform.
 	ShuffleSeed uint64
-	// Operator assigned to every imported relation. Empty = identity.
-	Operator string
 	// Comment prefixes a line to skip ("#" by default).
 	Comment string
 }
@@ -39,14 +36,8 @@ func (o Options) withDefaults() Options {
 	if o.EntityType == "" {
 		o.EntityType = "entity"
 	}
-	if o.NumPartitions <= 0 {
-		o.NumPartitions = 1
-	}
 	if o.Comment == "" {
 		o.Comment = "#"
-	}
-	if o.Operator == "" {
-		o.Operator = "identity"
 	}
 	return o
 }
@@ -167,21 +158,17 @@ func build(raws []rawEdge, opts Options) (*Result, error) {
 		}
 	}
 
-	parts := opts.NumPartitions
-	if parts > len(res.Names) {
-		parts = len(res.Names)
-	}
 	rels := make([]graph.RelationType, len(res.RelNames))
 	for i, name := range res.RelNames {
 		rels[i] = graph.RelationType{
 			Name:       name,
 			SourceType: opts.EntityType,
 			DestType:   opts.EntityType,
-			Operator:   opts.Operator,
+			Operator:   "identity",
 		}
 	}
 	schema, err := graph.NewSchema(
-		[]graph.EntityType{{Name: opts.EntityType, Count: len(res.Names), NumPartitions: parts}},
+		[]graph.EntityType{{Name: opts.EntityType, Count: len(res.Names), NumPartitions: 1}},
 		rels,
 	)
 	if err != nil {

@@ -107,33 +107,12 @@ func TestShuffleRelabelsConsistently(t *testing.T) {
 	}
 }
 
-func TestPartitionsClampedToEntities(t *testing.T) {
-	in := "a x b\n"
-	res, err := ReadTSV(strings.NewReader(in), Options{NumPartitions: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Graph.Schema.Entities[0].NumPartitions != 2 {
-		t.Fatalf("partitions = %d, want clamped 2", res.Graph.Schema.Entities[0].NumPartitions)
-	}
-}
-
 func TestMalformedLine(t *testing.T) {
 	if _, err := ReadTSV(strings.NewReader("a b c d\n"), Options{}); err == nil {
 		t.Fatal("expected error for 4 fields")
 	}
 	if _, err := ReadTSV(strings.NewReader(""), Options{}); err == nil {
 		t.Fatal("expected error for empty input")
-	}
-}
-
-func TestOperatorOption(t *testing.T) {
-	res, err := ReadTSV(strings.NewReader("a r b\n"), Options{Operator: "translation"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Graph.Schema.Relations[0].Operator != "translation" {
-		t.Fatal("operator option ignored")
 	}
 }
 
@@ -147,7 +126,7 @@ func TestImportedGraphIsTrainable(t *testing.T) {
 			}
 		}
 	}
-	res, err := ReadTSV(strings.NewReader(sb.String()), Options{NumPartitions: 2, ShuffleSeed: 3})
+	res, err := ReadTSV(strings.NewReader(sb.String()), Options{ShuffleSeed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

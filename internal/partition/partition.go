@@ -407,21 +407,6 @@ func (s *Scheduler) DoneBuckets() []Bucket {
 	return out
 }
 
-// Abandon returns a leased bucket to the pending pool without marking it
-// done (e.g. a worker died); its partitions are NOT marked initialised.
-func (s *Scheduler) Abandon(b Bucket) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	who, ok := s.inFlight[b]
-	if !ok {
-		return
-	}
-	delete(s.inFlight, b)
-	s.unlockLocked(who, b.P1)
-	s.unlockLocked(who, b.P2)
-	s.reopenFirstLocked()
-}
-
 // AbandonRank returns every bucket leased to rank to the pending pool and
 // drops every lock rank holds, returning the buckets in order position.
 func (s *Scheduler) AbandonRank(rank int) []Bucket {
@@ -455,11 +440,4 @@ func (s *Scheduler) Remaining() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.order) - len(s.done)
-}
-
-// InFlight returns the number of currently leased buckets.
-func (s *Scheduler) InFlight() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.inFlight)
 }

@@ -480,3 +480,26 @@ func TestBucketIndex(t *testing.T) {
 		t.Fatalf("Index = %d, want 11", (Bucket{2, 3}).Index(4))
 	}
 }
+
+// InFlight returns the number of currently leased buckets.
+func (s *Scheduler) InFlight() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.inFlight)
+}
+
+// Abandon returns one leased bucket to the pending pool without marking it
+// done; its partitions are NOT marked initialised. AbandonRank is the
+// lock server's whole-rank form.
+func (s *Scheduler) Abandon(b Bucket) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	who, ok := s.inFlight[b]
+	if !ok {
+		return
+	}
+	delete(s.inFlight, b)
+	s.unlockLocked(who, b.P1)
+	s.unlockLocked(who, b.P2)
+	s.reopenFirstLocked()
+}

@@ -196,9 +196,6 @@ func NewAlias(weights []float64) *Alias {
 	return a
 }
 
-// N returns the number of outcomes.
-func (a *Alias) N() int { return len(a.prob) }
-
 // Sample draws one index according to the table's distribution.
 func (a *Alias) Sample(r *RNG) int {
 	i := r.Intn(len(a.prob))

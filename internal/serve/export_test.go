@@ -305,3 +305,7 @@ func (v *view) refTopKIVF(rel int, reqs []TopKRequest, out []TopKResult) {
 		heaps[i].take(&out[i])
 	}
 }
+
+// MmapAvailable reports whether shard files are memory-mapped on this
+// platform (elsewhere they are read into private memory).
+func MmapAvailable() bool { return mmapSupported }

@@ -395,12 +395,3 @@ func (idx *IVF) Bytes() int64 {
 	}
 	return b
 }
-
-// TotalLists reports the sub-centroid list count of one entity type
-// (0 when unindexed).
-func (idx *IVF) TotalLists(typeIdx int) int {
-	if typeIdx >= len(idx.Types) || idx.Types[typeIdx] == nil {
-		return 0
-	}
-	return idx.Types[typeIdx].Lists
-}

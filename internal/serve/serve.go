@@ -1,6 +1,6 @@
 // Package serve is the online embedding serving layer: it answers
 // score/top-K-neighbour queries against a trained checkpoint directory
-// written by pbg-train / Model.Checkpoint, closing the train→serve gap —
+// written by pbg train / Model.Checkpoint, closing the train→serve gap —
 // trained embeddings no longer dead-end in shard files.
 //
 // The layer is built from four pieces:
@@ -62,7 +62,3 @@ import "errors"
 
 // ErrClosed is returned by Server APIs after Close.
 var ErrClosed = errors.New("serve: server closed")
-
-// MmapAvailable reports whether shard files are memory-mapped on this
-// platform (elsewhere they are read into private memory).
-func MmapAvailable() bool { return mmapSupported }

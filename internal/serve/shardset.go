@@ -334,12 +334,6 @@ func (ss *ShardSet) QuantShards() int { return ss.quantN }
 // QuantBytes reports the quantized payload bytes resident or mapped.
 func (ss *ShardSet) QuantBytes() int64 { return ss.qbytes }
 
-// Schema returns the schema the set was opened against.
-func (ss *ShardSet) Schema() *graph.Schema { return ss.schema }
-
-// Dim returns the embedding dimension.
-func (ss *ShardSet) Dim() int { return ss.dim }
-
 // MappedShards reports how many shards are on the zero-copy mmap path.
 func (ss *ShardSet) MappedShards() int { return ss.mapped }
 

@@ -20,24 +20,27 @@ type shardFiles struct {
 }
 
 // Load reads shard (t,p)'s file into spare when it is large enough,
-// transparently decoding whatever codec the file is in. Lazy
-// initialisation — with the deterministic per-shard seed derivation shared
-// with the distributed partition servers, overwriting the reshaped spare
-// whole — only happens when the file verifiably does not exist: any other
-// stat failure is an error, because re-initialising over a
-// real-but-unreadable file would silently discard that partition's training
-// on write-back.
+// transparently decoding whatever codec the file is in. A file whose
+// header names another type, partition, row count or dim than the schema
+// gives shard (t,p) is an error naming both shapes (Layout.CheckShape),
+// found before its payload is read. Lazy initialisation — with the
+// deterministic per-shard seed derivation shared with the distributed
+// partition servers, overwriting the reshaped spare whole — only happens
+// when the file verifiably does not exist: any other stat failure is an
+// error, because re-initialising over a real-but-unreadable file would
+// silently discard that partition's training on write-back.
 func (f *shardFiles) Load(t, p int, spare *Shard) (*Shard, error) {
 	path := ShardPath(f.dir, t, p)
+	want := Layout{TypeIndex: t, Part: p, Count: f.schema.Entities[t].PartitionCount(p), Dim: f.dim}
 	_, serr := os.Stat(path)
 	if serr == nil {
-		sh, _, err := readShard(path, spare)
+		sh, _, err := readShard(path, spare, &want)
 		return sh, err
 	}
 	if !os.IsNotExist(serr) {
 		return nil, fmt.Errorf("storage: stat shard (%d,%d): %w", t, p, serr)
 	}
-	sh := Layout{TypeIndex: t, Part: p, Count: f.schema.Entities[t].PartitionCount(p), Dim: f.dim}.shard(spare)
+	sh := want.shard(spare)
 	sh.Init(newShardRNG(f.seed, t, p), f.scale)
 	return sh, nil
 }
@@ -100,6 +103,9 @@ func (d *DiskStore) SetCodec(c Codec) {
 	d.files.codec = c
 	d.Cache.codec = c
 }
+
+// Dir is the directory the store swaps shards through.
+func (d *DiskStore) Dir() string { return d.files.dir }
 
 // Codec reports the store's shard encoding.
 func (d *DiskStore) Codec() Codec {

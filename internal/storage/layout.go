@@ -101,6 +101,18 @@ func ParseLayout(b []byte, size int64) (Layout, error) {
 	return l, nil
 }
 
+// CheckShape is nil when l describes a shard of want's type, partition,
+// row count and dim, whatever the codecs, and otherwise an error naming
+// both shapes, for the caller to say where the image came from: it belongs
+// to another configuration.
+func (l Layout) CheckShape(want Layout) error {
+	if l.TypeIndex != want.TypeIndex || l.Part != want.Part || l.Count != want.Count || l.Dim != want.Dim {
+		return fmt.Errorf("shard (%d,%d) of %d×%d where (%d,%d) of %d×%d is wanted",
+			l.TypeIndex, l.Part, l.Count, l.Dim, want.TypeIndex, want.Part, want.Count, want.Dim)
+	}
+	return nil
+}
+
 // HeaderBytes is the length of the header, and so the offset of the first
 // block.
 func (l Layout) HeaderBytes() int64 {

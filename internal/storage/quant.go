@@ -115,12 +115,14 @@ func ReadShard(path string) (*Shard, error) {
 // under. Decoding always yields fp32 buffers; the header goes through
 // ParseLayout against the real file size before any allocation.
 func ReadShardCodec(path string) (*Shard, Codec, error) {
-	return readShard(path, nil)
+	return readShard(path, nil, nil)
 }
 
 // readShard is ReadShardCodec decoding into reuse when it is large enough
-// (Layout.DecodeInto); the files backend passes the cache's spare.
-func readShard(path string, reuse *Shard) (*Shard, Codec, error) {
+// (Layout.DecodeInto); the files backend passes the cache's spare. With a
+// non-nil want, a file of another shape (Layout.CheckShape) is an error
+// before its payload is read.
+func readShard(path string, reuse *Shard, want *Layout) (*Shard, Codec, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, 0, err
@@ -140,6 +142,11 @@ func readShard(path string, reuse *Shard) (*Shard, Codec, error) {
 	l, err := ParseLayout(hdr[:n], fi.Size())
 	if err != nil {
 		return nil, 0, fmt.Errorf("%w (%s)", err, path)
+	}
+	if want != nil {
+		if err := l.CheckShape(*want); err != nil {
+			return nil, 0, fmt.Errorf("storage: %w (%s)", err, path)
+		}
 	}
 	var blocks io.Reader = io.NewSectionReader(f, l.HeaderBytes(), l.Size()-l.HeaderBytes())
 	if l.Codec != CodecFP32 || !hostLittleEndian {

@@ -62,7 +62,7 @@ func reencoded(t *testing.T, encode func(w *bufio.Writer) error) []byte {
 }
 
 // FuzzReadRelations drives relations.pbg's decoder — what serve.Open and
-// pbg-eval read a checkpoint's relation parameters with — with arbitrary
+// pbg eval read a checkpoint's relation parameters with — with arbitrary
 // bytes: it must return an error or a value that re-encodes to exactly the
 // input, never panic, and never allocate a count the input cannot back.
 func FuzzReadRelations(f *testing.F) {
@@ -89,8 +89,8 @@ func FuzzReadRelations(f *testing.F) {
 	})
 }
 
-// FuzzReadEdges is FuzzReadRelations for the edge files pbg-train -edges
-// reads.
+// FuzzReadEdges is FuzzReadRelations for the edge files of a run
+// directory (train.edges, test.edges).
 func FuzzReadEdges(f *testing.F) {
 	el := &graph.EdgeList{}
 	for i := int32(0); i < 5; i++ {

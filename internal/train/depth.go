@@ -81,7 +81,7 @@ func (t *Trainer) windowBytes(L int) int64 {
 	return maxB
 }
 
-// Lookahead reports the prefetch depth New picked (tests, pbg-train).
+// Lookahead reports the prefetch depth New picked (tests, pbg train).
 func (t *Trainer) Lookahead() int { return t.lookahead }
 
 // sampleResident records the store's resident bytes against both the

@@ -168,7 +168,7 @@ func TestWindowBytesMonotonic(t *testing.T) {
 }
 
 // TestEpochStatsReportLookahead checks the depth and high-water land in
-// EpochStats where pbg-train prints them, and that the depth New picked is
+// EpochStats where pbg train prints them, and that the depth New picked is
 // the depth every epoch runs at, from epoch 0.
 func TestEpochStatsReportLookahead(t *testing.T) {
 	g := smallSocial(t, 4)

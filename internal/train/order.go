@@ -26,8 +26,8 @@ import (
 // the prefetch depth's one-in-flight-shard allowance are set aside, priced
 // under the run's shard codec. Returns 0 when no budget is set or the
 // budget cannot hold even one slot — callers treat both as "nothing to
-// optimise against". This is the single pricing the trainer, pbg-train's
-// startup line, and pbg-node's lock role all use, so the order the lock
+// optimise against". This is the single pricing the trainer, pbg train's
+// startup line, and pbg node's lock role all use, so the order the lock
 // server installs is optimized for exactly the buffer the trainers' caches
 // will sustain.
 func BufferSlotsFor(schema *graph.Schema, dim int, budget int64, codec storage.Codec) int {
@@ -75,14 +75,6 @@ func (t *Trainer) buildOrder() ([]partition.Bucket, error) {
 	return plan.Order, nil
 }
 
-// BufferSlots reports how many resident partition slots the configured
-// memory budget affords (0 = unbudgeted); it is the capacity the planned
-// order optimises against, exposed for tests and benchmarks. CLIs without
-// a Trainer in hand use BufferSlotsFor directly.
-func (t *Trainer) BufferSlots() int {
-	return BufferSlotsFor(t.g.Schema, t.cfg.Dim, t.cfg.MemBudgetBytes, t.codec)
-}
-
 // PlanOrderFor plans the bucket order a run over this schema trains in:
 // order is Config.BucketOrder, and the partition buffer it is planned
 // against is what budget affords under codec (BufferSlotsFor). The planned
@@ -90,7 +82,7 @@ func (t *Trainer) BufferSlots() int {
 // closed-form grouped schedule past the size cutoff when either beats
 // inside-out under that buffer, and inside-out otherwise — in particular
 // with no budget, or one that holds every partition. The trainer, the
-// distributed lock server and pbg-train's plan line all plan through here,
+// distributed lock server and pbg train's plan line all plan through here,
 // so they agree on the order.
 func PlanOrderFor(schema *graph.Schema, dim int, budget int64, codec storage.Codec, order string) (partition.OrderPlan, error) {
 	nSrc, nDst := schema.BucketDims()

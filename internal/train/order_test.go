@@ -144,3 +144,10 @@ func TestBucketOrderSpellings(t *testing.T) {
 		}
 	}
 }
+
+// BufferSlots reports how many resident partition slots the configured
+// memory budget affords (0 = unbudgeted): the capacity the planned order
+// optimises against.
+func (t *Trainer) BufferSlots() int {
+	return BufferSlotsFor(t.g.Schema, t.cfg.Dim, t.cfg.MemBudgetBytes, t.codec)
+}

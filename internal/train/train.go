@@ -361,9 +361,6 @@ func (t *Trainer) BucketEdgeCount(b partition.Bucket) int {
 	return t.ranges[b.Index(t.nDst)].Len()
 }
 
-// BucketDims returns the (source, destination) partition grid size.
-func (t *Trainer) BucketDims() (nSrc, nDst int) { return t.nSrc, t.nDst }
-
 // WithRelParams runs f with relation r's parameter block while holding its
 // update lock; used by the distributed parameter-sync thread to snapshot and
 // overwrite parameters without racing the HOGWILD workers.
@@ -381,9 +378,6 @@ func (t *Trainer) SetRelParams(r int, p []float32) { copy(t.relParams[r], p) }
 
 // Scorer returns the scorer used for relation r.
 func (t *Trainer) Scorer(r int) *model.Scorer { return t.scorers[r] }
-
-// Store returns the backing embedding store.
-func (t *Trainer) Store() storage.Store { return t.store }
 
 // Config returns the effective (defaulted) configuration.
 func (t *Trainer) Config() Config { return t.cfg }

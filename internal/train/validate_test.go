@@ -16,9 +16,9 @@ func TestValidateRunFlags(t *testing.T) {
 		{name: "defaults", wantErr: false},
 		{name: "fp16 codec", codec: "fp16", wantErr: false},
 		{name: "int8 codec", codec: "int8", wantErr: false},
-		{name: "unknown codec", codec: "bf16", wantErr: true, wantSubstr: "-codec"},
+		{name: "unknown codec", codec: "bf16", wantErr: true, wantSubstr: "codec"},
 		{name: "budget", budget: 1 << 20, wantErr: false},
-		{name: "negative budget", budget: -1, wantErr: true, wantSubstr: "-mem-budget"},
+		{name: "negative budget", budget: -1, wantErr: true, wantSubstr: "mem_budget"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -504,17 +504,6 @@ func Softmax(dst, xs []float32) {
 	}
 }
 
-// Clamp limits v to [lo, hi].
-func Clamp(v, lo, hi float32) float32 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
 // AllFinite reports whether every element of x is finite (no NaN/Inf).
 func AllFinite(x []float32) bool {
 	for _, v := range x {

@@ -368,12 +368,6 @@ func TestSoftmaxSumsToOne(t *testing.T) {
 	}
 }
 
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
-		t.Fatal("Clamp broken")
-	}
-}
-
 func TestAllFinite(t *testing.T) {
 	if !AllFinite([]float32{1, 2, 3}) {
 		t.Fatal("finite slice reported non-finite")

@@ -24,6 +24,7 @@ package pbg
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 
 	"pbg/internal/eval"
@@ -78,26 +79,15 @@ type Model struct {
 
 // Train learns embeddings in memory on a single machine.
 func Train(g *Graph, cfg TrainConfig) (*Model, error) {
-	return TrainWithCallback(g, cfg, nil)
-}
-
-// TrainWithCallback is Train with a per-epoch hook (learning curves).
-func TrainWithCallback(g *Graph, cfg TrainConfig, onEpoch func(train.EpochStats)) (*Model, error) {
 	store := storage.NewMemStore(g.Schema, cfg.Dim, cfg.Seed+1, initScale(cfg))
-	return trainOn(g, store, cfg, onEpoch)
+	return trainOn(g, store, cfg, nil)
 }
 
 // TrainOnDisk learns embeddings with partition swapping to dir — the §4.1
 // regime that bounds memory to two partitions (plus the pipelined
-// executor's prefetch/write-back transients). Set cfg.MemBudgetBytes to
-// cap the resident shard bytes; the budget then decides the schedule too.
-// The disk store enforces it at admission (shedding prefetch hints,
-// evicting unreferenced shards LRU-first), the bucket order is planned
-// against the partition buffer it affords, and the prefetch window is the
-// deepest (at most 4 buckets) whose projected shard bytes fit inside it,
-// picked once before the first epoch. The default (0) is
-// unbounded: inside-out order, one bucket of prefetch, the
-// fixed-footprint behaviour above.
+// executor's prefetch/write-back transients). cfg.MemBudgetBytes caps the
+// resident shard bytes instead, and then also plans the bucket order and
+// the prefetch depth (see internal/train).
 func TrainOnDisk(g *Graph, dir string, cfg TrainConfig) (*Model, error) {
 	return TrainOnDiskWithCallback(g, dir, cfg, nil)
 }
@@ -111,6 +101,38 @@ func TrainOnDiskWithCallback(g *Graph, dir string, cfg TrainConfig, onEpoch func
 	}
 	return trainOn(g, store, cfg, onEpoch)
 }
+
+// Open loads the model a TrainOnDisk run over g with cfg checkpointed into
+// dir (Model.Checkpoint): its shards stay on disk behind a DiskStore, and
+// its relation parameters come from dir's relations.pbg. Close it when
+// done.
+func Open(g *Graph, dir string, cfg TrainConfig) (*Model, error) {
+	store, err := storage.NewDiskStore(dir, g.Schema, cfg.Dim, cfg.Seed+1, initScale(cfg))
+	if err != nil {
+		return nil, err
+	}
+	m := &Model{graph: g, store: store}
+	rs, err := storage.ReadRelations(filepath.Join(dir, relationsFile))
+	if err == nil {
+		m.trainer, err = train.New(g, store, cfg)
+	}
+	for r := 0; err == nil && r < len(g.Schema.Relations); r++ {
+		if r < len(rs.Params) && len(rs.Params[r]) == len(m.trainer.RelParams(r)) {
+			m.trainer.SetRelParams(r, rs.Params[r])
+		} else {
+			err = fmt.Errorf("pbg: %s does not hold relation %q's %d parameters", relationsFile, g.Schema.Relations[r].Name, len(m.trainer.RelParams(r)))
+		}
+	}
+	if err != nil {
+		_ = store.Close()
+		return nil, err
+	}
+	return m, nil
+}
+
+// Close persists what the model's store still holds in memory and releases
+// it; a DiskStore-backed model's directory is complete afterwards.
+func (m *Model) Close() error { return m.store.Close() }
 
 func initScale(cfg TrainConfig) float32 {
 	if cfg.InitScale != 0 {
@@ -147,10 +169,6 @@ func trainOn(g *Graph, store storage.Store, cfg TrainConfig, onEpoch func(train.
 
 // EpochStats returns per-epoch training statistics.
 func (m *Model) EpochStats() []train.EpochStats { return m.stats }
-
-// Trainer exposes the underlying trainer for advanced use (continuing
-// training, distributed coordination, custom evaluation).
-func (m *Model) Trainer() *train.Trainer { return m.trainer }
 
 // Dim returns the embedding dimension.
 func (m *Model) Dim() int { return m.trainer.Config().Dim }
@@ -239,8 +257,6 @@ type EvalOptions struct {
 	// the edge sets to filter (§5.4.1).
 	Filtered bool
 	Known    []*EdgeList
-	// BothSides also ranks corrupted sources.
-	BothSides bool
 	// MaxEdges caps evaluated edges (0 = all).
 	MaxEdges int
 	Seed     uint64
@@ -250,25 +266,22 @@ type EvalOptions struct {
 func (m *Model) Evaluate(test *Graph, opts EvalOptions) (Metrics, error) {
 	view := m.trainer.NewView()
 	defer view.Close()
-	deg := graph.ComputeDegrees(m.graph)
-	rk := eval.NewRanker(m.graph.Schema, view, m.trainer, m.Dim(), deg)
-	cfg := eval.Config{
-		K:         opts.Candidates,
-		Filtered:  opts.Filtered,
-		BothSides: opts.BothSides,
-		MaxEdges:  opts.MaxEdges,
-		Seed:      opts.Seed,
-	}
+	return evaluate(m.graph, view, m.trainer, test, opts)
+}
+
+// evaluate ranks test's edges against the embeddings emb holds, scored with
+// the relation parameters of scorers, after a model trained on trainG.
+func evaluate(trainG *Graph, emb eval.EmbeddingSource, scorers *train.Trainer, test *Graph, opts EvalOptions) (Metrics, error) {
+	rk := eval.NewRanker(trainG.Schema, emb, scorers, scorers.Config().Dim, graph.ComputeDegrees(trainG))
+	cfg := eval.Config{Mode: eval.CandidatesUniform, K: opts.Candidates, Filtered: opts.Filtered, MaxEdges: opts.MaxEdges, Seed: opts.Seed}
 	switch {
 	case opts.Candidates == 0:
 		cfg.Mode = eval.CandidatesAll
 	case opts.ByPrevalence:
 		cfg.Mode = eval.CandidatesPrevalence
-	default:
-		cfg.Mode = eval.CandidatesUniform
 	}
 	if opts.Filtered {
-		cfg.Known = graph.NewEdgeSet(append([]*EdgeList{m.graph.Edges}, opts.Known...)...)
+		cfg.Known = graph.NewEdgeSet(append([]*EdgeList{trainG.Edges}, opts.Known...)...)
 	}
 	return rk.Evaluate(test.Edges, cfg)
 }
@@ -292,22 +305,35 @@ func (m *Model) EmbeddingMatrix(entityType string) (vec.Matrix, error) {
 	return out, nil
 }
 
+// relationsFile holds a checkpoint's relation parameters.
+const relationsFile = "relations.pbg"
+
 // Checkpoint persists all shards and relation parameters under dir, encoded
 // with the run's shard codec (Config.Codec) — so a MemStore-trained model
-// still checkpoints quantized when the run asked for it. Each shard file is
-// written straight from the trained shard while it is acquired.
+// still checkpoints quantized when the run asked for it. Into the directory
+// the model's own DiskStore swaps through, that is a Flush, after
+// materialising any shard training never touched: each shard is written
+// once. Anywhere else each shard file is written straight from the trained
+// shard while it is acquired.
 func (m *Model) Checkpoint(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	codec := m.trainer.Codec()
+	ds, own := m.store.(*storage.DiskStore)
+	own = own && sameDir(ds.Dir(), dir)
 	for ti, e := range m.graph.Schema.Entities {
 		for p := 0; p < e.NumPartitions; p++ {
+			path := storage.ShardPath(dir, ti, p)
+			if _, err := os.Stat(path); own && err == nil {
+				continue
+			}
 			src, err := m.store.Acquire(ti, p)
 			if err != nil {
 				return err
 			}
-			err = storage.WriteShardCodec(storage.ShardPath(dir, ti, p), src, codec)
+			if !own {
+				err = storage.WriteShardCodec(path, src, m.trainer.Codec())
+			}
 			if rerr := m.store.Release(ti, p); err == nil {
 				err = rerr
 			}
@@ -316,10 +342,22 @@ func (m *Model) Checkpoint(dir string) error {
 			}
 		}
 	}
+	if own {
+		if err := ds.Flush(); err != nil {
+			return err
+		}
+	}
 	rs := &storage.RelationState{}
 	for r := range m.graph.Schema.Relations {
 		rs.Params = append(rs.Params, m.trainer.RelParams(r))
 		rs.Acc = append(rs.Acc, make([]float32, len(m.trainer.RelParams(r))))
 	}
-	return storage.WriteRelations(dir+"/relations.pbg", rs)
+	return storage.WriteRelations(filepath.Join(dir, relationsFile), rs)
+}
+
+// sameDir reports whether a and b name one directory.
+func sameDir(a, b string) bool {
+	ai, aerr := os.Stat(a)
+	bi, berr := os.Stat(b)
+	return aerr == nil && berr == nil && os.SameFile(ai, bi)
 }

@@ -149,6 +149,39 @@ func TestCheckpoint(t *testing.T) {
 	}
 }
 
+// TestCheckpointIntoOwnDir: a TrainOnDisk model checkpointing into the
+// directory it swaps through adds relations.pbg and rewrites no shard file
+// that already holds the trained shard, and leaves nothing half-written.
+func TestCheckpointIntoOwnDir(t *testing.T) {
+	g, _ := SocialGraph(SocialGraphConfig{Nodes: 200, AvgOutDegree: 4, NumPartitions: 4, Seed: 57})
+	dir := t.TempDir()
+	m, err := TrainOnDisk(g, dir, TrainConfig{Dim: 8, Epochs: 1, Seed: 5, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	before := make([]os.FileInfo, 4)
+	for p := range before {
+		if before[p], err = os.Stat(storage.ShardPath(dir, 0, p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Checkpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+	for p := range before {
+		if after, err := os.Stat(storage.ShardPath(dir, 0, p)); err != nil || !os.SameFile(before[p], after) {
+			t.Errorf("shard %d was written again (%v)", p, err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, relationsFile)); err != nil {
+		t.Error(err)
+	}
+	if tmp, _ := filepath.Glob(filepath.Join(dir, "*.tmp*")); len(tmp) > 0 {
+		t.Errorf("half-written files left behind: %v", tmp)
+	}
+}
+
 // TestWorkflowStepNamesAreQuoted guards the CI workflows, which cannot
 // guard themselves: a plain YAML scalar may not contain ": " or " #", and a
 // step name that does makes the whole file invalid, so no step runs.
