@@ -152,7 +152,7 @@ func runTrain(args []string, out io.Writer) error {
 }
 
 // runEval ranks the run's held-out test.edges against the model train
-// checkpointed in D.
+// checkpointed in D, writing nothing into D.
 func runEval(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("eval", flag.ContinueOnError)
 	dir := fs.String("dir", "", dirUsage)
@@ -168,18 +168,11 @@ func runEval(args []string, out io.Writer) error {
 		return err
 	}
 	trainG, testG := gs[0], gs[1]
-	m, err := pbg.Open(trainG, rd.dir, rd.cfg.Train())
-	if err != nil {
-		return err
-	}
 	opts := pbg.EvalOptions{Candidates: *k, ByPrevalence: *prevalence, Filtered: *filtered, MaxEdges: *maxEdges, Seed: rd.cfg.Seed}
 	if *filtered {
 		opts.Known = []*pbg.EdgeList{testG.Edges}
 	}
-	metrics, err := m.Evaluate(testG, opts)
-	if cerr := m.Close(); err == nil {
-		err = cerr
-	}
+	metrics, err := pbg.EvaluateCheckpoint(trainG, rd.dir, rd.cfg.Train(), testG, opts)
 	if err == nil {
 		fmt.Fprintln(out, metrics)
 	}

@@ -169,3 +169,49 @@ func TestTrainMatchesTrainOnDisk(t *testing.T) {
 		t.Fatalf("train left temporary files behind: %v", tmp)
 	}
 }
+
+// TestEvalWritesNothing: pbg eval reads the checkpoint and leaves it alone —
+// every shard file is the same file with the same mtime afterwards — and
+// prints what Model.Evaluate computes for the same model read through a
+// DiskStore view, the read path eval used to take (and which wrote every
+// shard it read back into a new file).
+func TestEvalWritesNothing(t *testing.T) {
+	dir := importSocial(t, `{"entities":{"node":{"num_partitions":4}},"dimension":16,"num_epochs":2,"eval_fraction":0.1,"seed":7}`)
+	pbgRun(t, "train", "-dir", dir, "-workers", "1")
+	shards, err := filepath.Glob(filepath.Join(dir, "shard_*.pbg"))
+	if err != nil || len(shards) != 4 {
+		t.Fatalf("shards %v, %v", shards, err)
+	}
+	before := make([]os.FileInfo, len(shards))
+	for i, path := range shards {
+		if before[i], err = os.Stat(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out := pbgRun(t, "eval", "-dir", dir, "-k", "100", "-max", "0", "-filtered")
+	for i, path := range shards {
+		after, err := os.Stat(path)
+		if err != nil || !os.SameFile(before[i], after) || !after.ModTime().Equal(before[i].ModTime()) {
+			t.Errorf("%s: pbg eval replaced or rewrote it (%v)", filepath.Base(path), err)
+		}
+	}
+
+	rd, gs, err := openRun(dir, trainEdges, testEdges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := rd.cfg.Train()
+	cfg.Workers = 1
+	m, err := pbg.TrainOnDisk(gs[0], t.TempDir(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	want, err := m.Evaluate(gs[1], pbg.EvalOptions{Candidates: 100, Filtered: true, Known: []*pbg.EdgeList{gs[1].Edges}, Seed: rd.cfg.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, want.String()) {
+		t.Fatalf("pbg eval printed %q, Model.Evaluate over the same model gives %q", out, want)
+	}
+}

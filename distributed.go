@@ -79,5 +79,6 @@ func (r *DistributedResult) EvaluateDistributed(g *Graph, test *Graph, opts Eval
 	defer store.Close()
 	view := train.NewStoreView(store, g.Schema)
 	defer view.Close()
-	return evaluate(g, view, r.Cluster.Nodes[0].Trainer(), test, opts)
+	tr := r.Cluster.Nodes[0].Trainer()
+	return evaluate(g, view, tr, tr.Config().Dim, test, opts)
 }

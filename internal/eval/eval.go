@@ -8,6 +8,7 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 
 	"pbg/internal/graph"
 	"pbg/internal/model"
@@ -16,7 +17,7 @@ import (
 )
 
 // Metrics aggregates ranking results. Ranks are mid-rank tie-adjusted
-// (see rankSide), so MR and the rank thresholds behind MRR/Hits@K are
+// (see rank), so MR and the rank thresholds behind MRR/Hits@K are
 // fractional-rank-aware: a candidate scoring exactly the true score
 // contributes half a rank position.
 type Metrics struct {
@@ -98,66 +99,65 @@ type ScorerSource interface {
 	RelParams(rel int) []float32
 }
 
-// Ranker evaluates link prediction on a test edge list.
+// Ranker evaluates link prediction on a test edge list. It keeps its
+// scratch from call to call, so it is not safe for concurrent use.
 type Ranker struct {
 	schema  *graph.Schema
 	emb     EmbeddingSource
 	scorers ScorerSource
 	dim     int
 	degrees *graph.Degrees
+
+	// Per entity type: the rows as this call gathered them, got[t][id] the
+	// call that gathered row id (a MemStore view reads live rows, which
+	// training changes between calls), mask[t][id] the last side that left
+	// id out.
+	rows      [][]float32
+	got, mask [][]uint64
+	aliases   []*rng.Alias // prevalence candidates
+	call      uint64       // Evaluate calls so far
+	side      uint64       // sides ranked so far
+	ids       []int32      // the side's query, true endpoint and candidates
+	block     []float32    // their rows
+	scores    []float32
 }
 
 // NewRanker builds an evaluator. degrees is required for
 // CandidatesPrevalence (pass training-set degrees).
 func NewRanker(schema *graph.Schema, emb EmbeddingSource, scorers ScorerSource, dim int, degrees *graph.Degrees) *Ranker {
-	return &Ranker{schema: schema, emb: emb, scorers: scorers, dim: dim, degrees: degrees}
+	n := len(schema.Entities)
+	rk := &Ranker{schema: schema, emb: emb, scorers: scorers, dim: dim, degrees: degrees,
+		rows: make([][]float32, n), got: make([][]uint64, n), mask: make([][]uint64, n), aliases: make([]*rng.Alias, n)}
+	for t, e := range schema.Entities {
+		rk.rows[t], rk.got[t], rk.mask[t] = make([]float32, e.Count*dim), make([]uint64, e.Count), make([]uint64, e.Count)
+	}
+	return rk
 }
 
 // Evaluate ranks every test edge under cfg and returns aggregate metrics.
 func (rk *Ranker) Evaluate(test *graph.EdgeList, cfg Config) (Metrics, error) {
+	var m Metrics
+	switch {
+	case cfg.Mode < CandidatesAll || cfg.Mode > CandidatesPrevalence:
+		return m, fmt.Errorf("eval: unknown candidate mode %d", cfg.Mode)
+	case cfg.Mode == CandidatesPrevalence && rk.degrees == nil:
+		return m, fmt.Errorf("eval: prevalence candidates need degrees")
+	case cfg.Filtered && cfg.Known == nil:
+		return m, fmt.Errorf("eval: filtered metrics need the Known edges")
+	}
 	if cfg.K == 0 {
 		cfg.K = 1000
 	}
-	r := rng.New(cfg.Seed)
-	var m Metrics
 	n := test.Len()
-	if cfg.MaxEdges > 0 && n > cfg.MaxEdges {
-		n = cfg.MaxEdges
+	if cfg.MaxEdges > 0 {
+		n = min(n, cfg.MaxEdges)
 	}
-	// Pre-build prevalence alias tables per entity type on demand.
-	aliases := map[int]*rng.Alias{}
-	aliasFor := func(typeIdx int) (*rng.Alias, error) {
-		if a, ok := aliases[typeIdx]; ok {
-			return a, nil
-		}
-		if rk.degrees == nil {
-			return nil, fmt.Errorf("eval: prevalence candidates need degrees")
-		}
-		a := rng.NewAlias(rk.degrees.ByType[typeIdx])
-		aliases[typeIdx] = a
-		return a, nil
-	}
-
-	srcBuf := make([]float32, rk.dim)
-	dstBuf := make([]float32, rk.dim)
+	rk.call++
+	r := rng.New(cfg.Seed)
 	for i := 0; i < n; i++ {
 		s, rel, d := test.Edge(i)
-		srcType := rk.schema.EntityTypeIndex(rk.schema.Relations[rel].SourceType)
-		dstType := rk.schema.EntityTypeIndex(rk.schema.Relations[rel].DestType)
-		if _, err := rk.emb.Embedding(srcType, s, srcBuf); err != nil {
-			return m, err
-		}
-		if _, err := rk.emb.Embedding(dstType, d, dstBuf); err != nil {
-			return m, err
-		}
-		// Rank true destination among corrupted destinations.
-		rank, err := rk.rankSide(r, cfg, aliasFor, rel, s, d, dstType, srcBuf, dstBuf, false)
-		if err != nil {
-			return m, err
-		}
-		m.add(rank)
-		if cfg.BothSides {
-			rank, err := rk.rankSide(r, cfg, aliasFor, rel, s, d, srcType, srcBuf, dstBuf, true)
+		for side := 0; side == 0 || side == 1 && cfg.BothSides; side++ {
+			rank, err := rk.rank(r, cfg, s, rel, d, side == 1)
 			if err != nil {
 				return m, err
 			}
@@ -168,93 +168,92 @@ func (rk *Ranker) Evaluate(test *graph.EdgeList, cfg Config) (Metrics, error) {
 	return m, nil
 }
 
-// rankSide ranks the true endpoint among candidates on one side.
-// corruptSource false: candidates replace d; true: candidates replace s.
-//
-// Ties are handled with the mid-rank convention of MidRank (rank.go),
-// shared with the serving layer. The optimistic rank (counting only strict
-// wins) silently inflated the metrics — a degenerate scorer emitting one
-// constant value tied every candidate and walked away with a perfect
-// MRR/Hits@1, when its true ranking power is chance. Under mid-rank that
-// scorer gets rank 1+K/2, i.e. MRR ≈ 2/(K+2), which a test pins.
-func (rk *Ranker) rankSide(r *rng.RNG, cfg Config, aliasFor func(int) (*rng.Alias, error),
-	rel, s, d int32, candType int, srcEmb, dstEmb []float32, corruptSource bool) (float64, error) {
-
+// rank ranks the true endpoint of (s, rel, d) among the candidates of one
+// side, corrupted destinations or (corruptSource) corrupted sources. Every
+// mode, side and filter takes this one path: the rows of [query; true
+// endpoint; candidates] are copied from the call's table into one block, the
+// relation operator applied to the query (or, for corrupted sources without
+// reciprocal relations, f(s', r, d) = sim(g(s'), d), to every other row), the
+// query scored against the rest, and the true endpoint mid-ranked (MidRank).
+func (rk *Ranker) rank(r *rng.RNG, cfg Config, s, rel, d int32, corruptSource bool) (float64, error) {
 	sc := rk.scorers.Scorer(int(rel))
-	params := rk.scorers.RelParams(int(rel))
-	// True edge score. Corrupted-source ranking uses the reverse direction
-	// under reciprocal relations.
-	var trueScore float32
+	params, rev := sc.SplitRelParams(rk.scorers.RelParams(int(rel)))
+	fixedT := rk.schema.EntityTypeIndex(rk.schema.Relations[rel].SourceType)
+	candT := rk.schema.EntityTypeIndex(rk.schema.Relations[rel].DestType)
+	fixed, truth, queryOp := s, d, true
 	if corruptSource {
-		trueScore = sc.ScoreReverse(srcEmb, dstEmb, params)
-	} else {
-		trueScore = sc.Score(srcEmb, dstEmb, params)
+		fixedT, candT, fixed, truth, queryOp = candT, fixedT, d, s, sc.Reciprocal
+		if queryOp {
+			params = rev
+		}
+	}
+	var known []int32
+	if cfg.Filtered && corruptSource {
+		known = cfg.Known.Sources(rel, d)
+	} else if cfg.Filtered {
+		known = cfg.Known.Destinations(s, rel)
 	}
 
-	count := rk.schema.Entities[candType].Count
-	var candIDs []int32
-	switch cfg.Mode {
-	case CandidatesAll:
-		candIDs = make([]int32, 0, count)
-		for id := int32(0); int(id) < count; id++ {
-			candIDs = append(candIDs, id)
+	// The candidates: every entity or K draws, less those the side masks.
+	rk.side++
+	mask := rk.mask[candT]
+	mask[truth] = rk.side
+	for _, id := range known {
+		mask[id] = rk.side
+	}
+	count, draws := rk.schema.Entities[candT].Count, cfg.K
+	if cfg.Mode == CandidatesAll {
+		draws = count
+	} else if cfg.Mode == CandidatesPrevalence && rk.aliases[candT] == nil {
+		rk.aliases[candT] = rng.NewAlias(rk.degrees.ByType[candT])
+	}
+	rk.ids = append(rk.ids[:0], fixed, truth)
+	for k := 0; k < draws; k++ {
+		id := int32(k)
+		switch cfg.Mode {
+		case CandidatesUniform:
+			id = int32(r.Intn(count))
+		case CandidatesPrevalence:
+			id = int32(rk.aliases[candT].Sample(r))
 		}
-	case CandidatesUniform:
-		candIDs = make([]int32, cfg.K)
-		for i := range candIDs {
-			candIDs[i] = int32(r.Intn(count))
+		if mask[id] != rk.side {
+			rk.ids = append(rk.ids, id)
 		}
-	case CandidatesPrevalence:
-		a, err := aliasFor(candType)
+	}
+
+	m, dim := len(rk.ids), rk.dim
+	rk.block = slices.Grow(rk.block[:0], m*dim)[:m*dim]
+	block := vec.MatrixFrom(rk.block, m, dim)
+	for j, id := range rk.ids {
+		t := candT
+		if j == 0 {
+			t = fixedT
+		}
+		row, err := rk.row(t, id)
 		if err != nil {
 			return 0, err
 		}
-		candIDs = make([]int32, cfg.K)
-		for i := range candIDs {
-			candIDs[i] = int32(a.Sample(r))
-		}
-	default:
-		return 0, fmt.Errorf("eval: unknown candidate mode %d", cfg.Mode)
-	}
-
-	// Batch-score candidates.
-	cand := vec.NewMatrix(len(candIDs), rk.dim)
-	keep := candIDs[:0]
-	row := 0
-	for _, id := range candIDs {
-		if corruptSource {
-			if id == s {
-				continue
-			}
-			if cfg.Filtered && cfg.Known != nil && cfg.Known.Contains(id, rel, d) {
-				continue
-			}
+		if (j == 0) == queryOp {
+			sc.Op.Apply(block.Row(j), row, params)
 		} else {
-			if id == d {
-				continue
-			}
-			if cfg.Filtered && cfg.Known != nil && cfg.Known.Contains(s, rel, id) {
-				continue
-			}
+			copy(block.Row(j), row)
 		}
-		if _, err := rk.emb.Embedding(candType, id, cand.Row(row)); err != nil {
-			return 0, err
-		}
-		keep = append(keep, id)
-		row++
 	}
-	cand = vec.MatrixFrom(cand.Data[:row*rk.dim], row, rk.dim)
-	scores := make([]float32, row)
-	if corruptSource {
-		// Score candidates as sources against the fixed destination:
-		// f(s', r, d). Compute one by one through the operator (candidates
-		// must be transformed); ScoreMany transforms the query side, so
-		// evaluate per candidate.
-		for j := 0; j < row; j++ {
-			scores[j] = sc.ScoreReverse(cand.Row(j), dstEmb, params)
+	sc.Cmp.Prepare(block)
+	rk.scores = slices.Grow(rk.scores[:0], m-1)[:m-1]
+	sc.Cmp.CrossScores(vec.MatrixFrom(rk.scores, 1, m-1), vec.MatrixFrom(rk.block[:dim], 1, dim), vec.MatrixFrom(rk.block[dim:], m-1, dim))
+	return MidRank(rk.scores[0], rk.scores[1:]), nil
+}
+
+// row returns entity id of type t as this call gathered it, gathering it on
+// the call's first touch.
+func (rk *Ranker) row(t int, id int32) ([]float32, error) {
+	row := rk.rows[t][int(id)*rk.dim : (int(id)+1)*rk.dim]
+	if rk.got[t][id] != rk.call {
+		if _, err := rk.emb.Embedding(t, id, row); err != nil {
+			return nil, err
 		}
-	} else {
-		sc.ScoreMany(scores, srcEmb, params, cand)
+		rk.got[t][id] = rk.call
 	}
-	return MidRank(trueScore, scores), nil
+	return row, nil
 }

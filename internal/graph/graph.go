@@ -327,40 +327,36 @@ func ComputeDegrees(g *Graph) *Degrees {
 	return d
 }
 
-// EdgeSet is a hash set of edges used for filtered evaluation (§5.4.1): all
-// known-true edges are excluded from the candidate corrupted edges.
+// EdgeSet holds the known-true edges of filtered evaluation (§5.4.1) as
+// neighbour lists: the known destinations of each (relation, source) and the
+// known sources of each (relation, destination), which are the candidates a
+// filtered rank leaves out of a corrupted destination or source side.
 type EdgeSet struct {
-	m map[edgeKey]struct{}
+	dsts, srcs map[edgeEnd][]int32
 }
 
-type edgeKey struct {
-	src, rel, dst int32
-}
+// edgeEnd is a relation and one endpoint of an edge.
+type edgeEnd struct{ rel, id int32 }
 
-// NewEdgeSet builds a set holding the union of the given edge lists.
+// NewEdgeSet builds the neighbour lists of the union of the given edge
+// lists. An edge in more than one list appears more than once in its lists.
 func NewEdgeSet(lists ...*EdgeList) *EdgeSet {
-	total := 0
-	for _, l := range lists {
-		total += l.Len()
-	}
-	es := &EdgeSet{m: make(map[edgeKey]struct{}, total)}
+	es := &EdgeSet{dsts: map[edgeEnd][]int32{}, srcs: map[edgeEnd][]int32{}}
 	for _, l := range lists {
 		for i := 0; i < l.Len(); i++ {
 			s, r, d := l.Edge(i)
-			es.m[edgeKey{s, r, d}] = struct{}{}
+			es.dsts[edgeEnd{r, s}] = append(es.dsts[edgeEnd{r, s}], d)
+			es.srcs[edgeEnd{r, d}] = append(es.srcs[edgeEnd{r, d}], s)
 		}
 	}
 	return es
 }
 
-// Contains reports whether (src, rel, dst) is a known edge.
-func (es *EdgeSet) Contains(src, rel, dst int32) bool {
-	_, ok := es.m[edgeKey{src, rel, dst}]
-	return ok
-}
+// Destinations returns the known destinations of (src, rel, ·).
+func (es *EdgeSet) Destinations(src, rel int32) []int32 { return es.dsts[edgeEnd{rel, src}] }
 
-// Len returns the number of distinct edges in the set.
-func (es *EdgeSet) Len() int { return len(es.m) }
+// Sources returns the known sources of (·, rel, dst).
+func (es *EdgeSet) Sources(rel, dst int32) []int32 { return es.srcs[edgeEnd{rel, dst}] }
 
 // SortByBucket sorts edges so that all edges of bucket (p1, p2) are
 // contiguous, ordered by p1-major. It returns, for each bucket index

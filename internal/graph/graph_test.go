@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"slices"
 	"strconv"
 	"testing"
 	"testing/quick"
@@ -198,20 +199,32 @@ func TestComputeDegrees(t *testing.T) {
 	}
 }
 
+// TestEdgeSet: the neighbour lists hold every known edge in both directions,
+// per relation, and an edge listed in two edge lists only repeats itself.
 func TestEdgeSet(t *testing.T) {
 	a := &EdgeList{}
 	a.Append(1, 0, 2)
+	a.Append(1, 0, 5)
+	a.Append(3, 1, 4)
 	b := &EdgeList{}
-	b.Append(3, 1, 4)
+	b.Append(1, 0, 2) // also in a
+	b.Append(7, 0, 2)
 	es := NewEdgeSet(a, b)
-	if es.Len() != 2 {
-		t.Fatalf("Len = %d", es.Len())
-	}
-	if !es.Contains(1, 0, 2) || !es.Contains(3, 1, 4) {
-		t.Fatal("missing member")
-	}
-	if es.Contains(1, 0, 3) || es.Contains(2, 0, 1) {
-		t.Fatal("false positive")
+	for _, c := range []struct {
+		name      string
+		got, want []int32
+	}{
+		{"Destinations(1, 0)", es.Destinations(1, 0), []int32{2, 5, 2}},
+		{"Destinations(3, 1)", es.Destinations(3, 1), []int32{4}},
+		{"Sources(0, 2)", es.Sources(0, 2), []int32{1, 1, 7}},
+		{"Sources(1, 4)", es.Sources(1, 4), []int32{3}},
+		{"Destinations(1, 1)", es.Destinations(1, 1), nil}, // 1 has no edge under relation 1
+		{"Sources(1, 2)", es.Sources(1, 2), nil},
+		{"Destinations(2, 0)", es.Destinations(2, 0), nil}, // 2 is only ever a destination
+	} {
+		if !slices.Equal(c.got, c.want) {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
+		}
 	}
 }
 

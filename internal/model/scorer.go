@@ -77,9 +77,9 @@ func (s *Scorer) InitRelParams(params []float32) {
 	}
 }
 
-// Score computes f(s, r, d) for a single edge given raw embeddings; used by
-// evaluation. relParams is the full (possibly reciprocal) block; the forward
-// half is used.
+// Score computes f(s, r, d) for a single edge given raw embeddings.
+// relParams is the full (possibly reciprocal) block; the forward half is
+// used.
 func (s *Scorer) Score(src, dst, relParams []float32) float32 {
 	fwd, _ := s.SplitRelParams(relParams)
 	ts := make([]float32, s.Dim)
@@ -95,31 +95,9 @@ func (s *Scorer) Score(src, dst, relParams []float32) float32 {
 	return out[0]
 }
 
-// ScoreReverse computes the reverse-direction score used when ranking
-// corrupted sources under reciprocal relations:
-// f_rev(s, r, d) = sim(θ_s, g(θ_d; θ'_r)). Without reciprocal parameters it
-// equals Score.
-func (s *Scorer) ScoreReverse(src, dst, relParams []float32) float32 {
-	if !s.Reciprocal {
-		return s.Score(src, dst, relParams)
-	}
-	_, rev := s.SplitRelParams(relParams)
-	td := make([]float32, s.Dim)
-	s.Op.Apply(td, dst, rev)
-	a := vec.MatrixFrom(td, 1, s.Dim)
-	scopy := make([]float32, s.Dim)
-	copy(scopy, src)
-	b := vec.MatrixFrom(scopy, 1, s.Dim)
-	s.Cmp.Prepare(a)
-	s.Cmp.Prepare(b)
-	out := make([]float32, 1)
-	s.Cmp.PairScores(out, a, b)
-	return out[0]
-}
-
 // ScoreMany computes scores of one transformed query against many candidate
 // rows: out[j] = sim(g(src), cand_j). cand is modified in place by Prepare;
-// pass a scratch copy. Used by the evaluation harness for ranking.
+// pass a scratch copy.
 func (s *Scorer) ScoreMany(out []float32, src, relParams []float32, cand vec.Matrix) {
 	fwd, _ := s.SplitRelParams(relParams)
 	ts := make([]float32, s.Dim)

@@ -3,6 +3,8 @@
 package serve_test
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"pbg/internal/serve"
@@ -47,5 +49,35 @@ func TestIVFSteadyStateAllocs(t *testing.T) {
 		if allocs > want {
 			t.Fatalf("%s: warm IVF batch of %d made %.0f allocations, want %.0f (results only)", cmp, len(reqs), allocs, want)
 		}
+	}
+}
+
+// TestRankSteadyStateAllocs: a warm Rank sums its mid-rank block by block
+// over the scan's score rows and allocates nothing per request; it used to
+// collect all Count − 1 scores into a slice of their own (1.6 KB here, about
+// 80 KB at the repository benchmark's 20 000 rows). The count is
+// process-wide, so it is the fewest bytes per call over five windows.
+func TestRankSteadyStateAllocs(t *testing.T) {
+	f := servetest.Shared(t, servetest.FixtureConfig{})
+	s := openServer(t, f)
+	rank := func() {
+		if _, err := s.Rank(0, 5, 9); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rank()
+	const calls = 50
+	best := uint64(math.MaxUint64)
+	for w := 0; w < 5; w++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			rank()
+		}
+		runtime.ReadMemStats(&after)
+		best = min(best, (after.TotalAlloc-before.TotalAlloc)/calls)
+	}
+	if best >= 1<<10 {
+		t.Fatalf("a warm Rank over %d rows allocates %d bytes, want < 1 KiB", f.Cfg.Nodes, best)
 	}
 }

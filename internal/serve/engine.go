@@ -431,9 +431,11 @@ func (v *view) scorePairs(ws *workspace, rel int, reqs []ScoreRequest, out []flo
 }
 
 // rank computes the mid-rank of dst among all destination-type entities for
-// (src, rel) — the serving twin of eval.Ranker's rankSide, sharing
-// eval.MidRank so online and offline ranks agree on tie handling. The true
-// edge itself is excluded from the candidate set, matching eval.
+// (src, rel) — the serving twin of eval.Ranker's rank, sharing eval.MidRank
+// so online and offline ranks agree on tie handling. The true edge itself is
+// excluded from the candidate set, matching eval. A mid-rank less one is a
+// count of wins and half ties, so it is summed block by block over the scan's
+// score rows, and nothing is allocated per request.
 func (v *view) rank(ws *workspace, rel int, src, dst int32) (float64, error) {
 	dstType := v.dstType[rel]
 	ent := &v.ss.schema.Entities[dstType]
@@ -451,22 +453,19 @@ func (v *view) rank(ws *workspace, rel int, src, dst int32) (float64, error) {
 	trueScores := v.scoreRows(ws, rel, tq, v.ss.scanSource(dstType, dp, false), dlocal, 1, nil)
 	trueScore := trueScores.Row(0)[0]
 
-	all := make([]float32, 0, ent.Count-1)
+	rank := 1.0
 	for p := 0; p < ent.NumPartitions; p++ {
 		nrows := ent.PartitionCount(p)
-		base := int32(p * ent.PartSize())
 		src := v.ss.scanSource(dstType, p, false)
 		for lo := 0; lo < nrows; lo += scoreBlock {
 			m := min(scoreBlock, nrows-lo)
-			scores := v.scoreRows(ws, rel, tq, src, lo, m, nil)
-			row := scores.Row(0)
-			for j := 0; j < m; j++ {
-				if base+int32(lo+j) == dst {
-					continue
-				}
-				all = append(all, row[j])
+			row := v.scoreRows(ws, rel, tq, src, lo, m, nil).Row(0)
+			j := m // the true destination's column, m when it is not in this block
+			if p == dp && dlocal >= lo && dlocal < lo+m {
+				j = dlocal - lo
 			}
+			rank += eval.MidRank(trueScore, row[:j]) + eval.MidRank(trueScore, row[min(j+1, m):]) - 2
 		}
 	}
-	return eval.MidRank(trueScore, all), nil
+	return rank, nil
 }

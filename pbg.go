@@ -29,6 +29,8 @@ import (
 
 	"pbg/internal/eval"
 	"pbg/internal/graph"
+	"pbg/internal/model"
+	"pbg/internal/serve"
 	"pbg/internal/storage"
 	"pbg/internal/train"
 	"pbg/internal/vec"
@@ -102,33 +104,48 @@ func TrainOnDiskWithCallback(g *Graph, dir string, cfg TrainConfig, onEpoch func
 	return trainOn(g, store, cfg, onEpoch)
 }
 
-// Open loads the model a TrainOnDisk run over g with cfg checkpointed into
-// dir (Model.Checkpoint): its shards stay on disk behind a DiskStore, and
-// its relation parameters come from dir's relations.pbg. Close it when
-// done.
-func Open(g *Graph, dir string, cfg TrainConfig) (*Model, error) {
-	store, err := storage.NewDiskStore(dir, g.Schema, cfg.Dim, cfg.Seed+1, initScale(cfg))
+// EvaluateCheckpoint ranks test's edges against the model a run over trainG
+// with cfg checkpointed into dir (Model.Checkpoint). It reads the shards
+// through serve's read-only ShardSet and the relation parameters from dir's
+// relations.pbg, and writes nothing into dir.
+func EvaluateCheckpoint(trainG *Graph, dir string, cfg TrainConfig, test *Graph, opts EvalOptions) (Metrics, error) {
+	ss, err := serve.OpenShardSet(dir, trainG.Schema, cfg.Dim)
 	if err != nil {
-		return nil, err
+		return Metrics{}, err
 	}
-	m := &Model{graph: g, store: store}
+	defer ss.Close()
 	rs, err := storage.ReadRelations(filepath.Join(dir, relationsFile))
-	if err == nil {
-		m.trainer, err = train.New(g, store, cfg)
-	}
-	for r := 0; err == nil && r < len(g.Schema.Relations); r++ {
-		if r < len(rs.Params) && len(rs.Params[r]) == len(m.trainer.RelParams(r)) {
-			m.trainer.SetRelParams(r, rs.Params[r])
-		} else {
-			err = fmt.Errorf("pbg: %s does not hold relation %q's %d parameters", relationsFile, g.Schema.Relations[r].Name, len(m.trainer.RelParams(r)))
-		}
-	}
 	if err != nil {
-		_ = store.Close()
-		return nil, err
+		return Metrics{}, err
 	}
-	return m, nil
+	ck := &checkpoint{ss: ss, params: rs.Params}
+	for r, rel := range trainG.Schema.Relations {
+		sc, err := model.NewScorer(cfg.Dim, rel.Operator, cfg.Comparator, cfg.Loss, cfg.Margin, cfg.Reciprocal)
+		if err != nil {
+			return Metrics{}, err
+		}
+		if r >= len(rs.Params) || len(rs.Params[r]) != sc.RelParamCount() {
+			return Metrics{}, fmt.Errorf("pbg: %s does not hold relation %q's %d parameters", relationsFile, rel.Name, sc.RelParamCount())
+		}
+		ck.scorers = append(ck.scorers, sc)
+	}
+	return evaluate(trainG, ck, ck, cfg.Dim, test, opts)
 }
+
+// checkpoint is a checkpoint directory as the evaluator reads it.
+type checkpoint struct {
+	ss      *serve.ShardSet
+	scorers []*model.Scorer
+	params  [][]float32
+}
+
+func (c *checkpoint) Embedding(t int, id int32, out []float32) ([]float32, error) {
+	c.ss.CopyRow(t, id, out)
+	return out, nil
+}
+
+func (c *checkpoint) Scorer(rel int) *model.Scorer { return c.scorers[rel] }
+func (c *checkpoint) RelParams(rel int) []float32  { return c.params[rel] }
 
 // Close persists what the model's store still holds in memory and releases
 // it; a DiskStore-backed model's directory is complete afterwards.
@@ -266,13 +283,14 @@ type EvalOptions struct {
 func (m *Model) Evaluate(test *Graph, opts EvalOptions) (Metrics, error) {
 	view := m.trainer.NewView()
 	defer view.Close()
-	return evaluate(m.graph, view, m.trainer, test, opts)
+	return evaluate(m.graph, view, m.trainer, m.Dim(), test, opts)
 }
 
-// evaluate ranks test's edges against the embeddings emb holds, scored with
-// the relation parameters of scorers, after a model trained on trainG.
-func evaluate(trainG *Graph, emb eval.EmbeddingSource, scorers *train.Trainer, test *Graph, opts EvalOptions) (Metrics, error) {
-	rk := eval.NewRanker(trainG.Schema, emb, scorers, scorers.Config().Dim, graph.ComputeDegrees(trainG))
+// evaluate ranks test's edges against the dim-wide embeddings emb holds,
+// scored with the relation parameters of scorers, after a model trained on
+// trainG.
+func evaluate(trainG *Graph, emb eval.EmbeddingSource, scorers eval.ScorerSource, dim int, test *Graph, opts EvalOptions) (Metrics, error) {
+	rk := eval.NewRanker(trainG.Schema, emb, scorers, dim, graph.ComputeDegrees(trainG))
 	cfg := eval.Config{Mode: eval.CandidatesUniform, K: opts.Candidates, Filtered: opts.Filtered, MaxEdges: opts.MaxEdges, Seed: opts.Seed}
 	switch {
 	case opts.Candidates == 0:
