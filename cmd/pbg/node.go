@@ -22,8 +22,9 @@ const manifestEvery = 5 * time.Second
 // settings from D's config and trainers read D/train.edges, so D is on a
 // filesystem every host shares. The servers checkpoint into D and resume
 // from it: the lock server its epoch progress (MANIFEST.json), the
-// partition servers their shards. Relation parameters live on the
-// parameter servers and are not persisted.
+// partition servers their shards; a trainer joins at the epoch the lock
+// server is in. Relation parameters live on the parameter servers and are
+// not persisted.
 func runNode(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("node", flag.ContinueOnError)
 	dir := fs.String("dir", "", dirUsage)
@@ -64,10 +65,18 @@ func runNode(args []string, out io.Writer) error {
 		if hub != nil {
 			opts = append(opts, dist.WithPartObs(hub))
 		}
-		return serveForever(*listen, out, "PartitionServer", dist.NewPartitionServer(rd.schema, cfg.Dim, cfg.Seed+1, 1, opts...))
+		return serveForever(*listen, out, "PartitionServer", dist.NewPartitionServer(rd.schema, cfg.Dim, cfg.Seed+1, opts...))
 	case "param":
 		return serveForever(*listen, out, "ParamServer", dist.NewParamServer())
 	case "trainer":
+		// The trainer joins the deployment where the lock server is, which
+		// a restart restores from the manifest, and trains up to num_epochs.
+		var es dist.EpochStateReply
+		if err := dist.Call(*lock, "LockServer.EpochState", dist.EpochStateArgs{}, &es); err != nil {
+			return err
+		}
+		nSrc, nDst := rd.schema.BucketDims()
+		first := dist.ResumeEpoch(es.Epoch, len(es.Done), nSrc*nDst)
 		cfg.Workers, cfg.Seed, cfg.Obs = *workers, dist.RankSeed(cfg.Seed, *rank), hub
 		node, err := dist.NewNode(gs[0], dist.NodeConfig{
 			Rank:           *rank,
@@ -75,16 +84,17 @@ func runNode(args []string, out io.Writer) error {
 			PartitionAddrs: dist.SplitAddrs(*pservs),
 			ParamAddrs:     dist.SplitAddrs(*qservs),
 			Train:          cfg,
+			EpochBase:      first - 1,
 		})
 		if err != nil {
 			return err
 		}
 		defer node.Close()
-		for e := 0; e < node.Trainer().Config().Epochs; e++ {
+		for e := first; e <= node.Trainer().Config().Epochs; e++ {
 			// Rank 0 starts each epoch on the lock server, by number.
 			if *rank == 0 {
 				var rep dist.StartEpochReply
-				if err := dist.Call(*lock, "LockServer.StartEpoch", dist.StartEpochArgs{Epoch: e + 1}, &rep); err != nil {
+				if err := dist.Call(*lock, "LockServer.StartEpoch", dist.StartEpochArgs{Epoch: e}, &rep); err != nil {
 					return err
 				}
 			}
@@ -97,7 +107,7 @@ func runNode(args []string, out io.Writer) error {
 				}
 				return err
 			}
-			fmt.Fprintln(out, st.Summary(*rank, e))
+			fmt.Fprintln(out, st.Summary(*rank, e-1))
 		}
 		return nil
 	}

@@ -124,13 +124,14 @@ func Load(dir string) (*Config, *graph.Schema, error) {
 	return c, s, err
 }
 
-// Write stores c as dir's config.
+// Write stores c as dir's config, replacing any config there whole: a
+// crash mid-write leaves the old file or the new, never a torn one.
 func (c *Config) Write(dir string) error {
 	b, err := json.MarshalIndent(c, "", "  ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(filepath.Join(dir, File), append(b, '\n'), 0o644)
+	return storage.WriteFileAtomic(filepath.Join(dir, File), append(b, '\n'))
 }
 
 // Schema builds the graph schema c describes, validated by graph.NewSchema,

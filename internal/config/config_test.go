@@ -1,7 +1,11 @@
 package config
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -124,5 +128,43 @@ func TestWriteLoadRoundTrip(t *testing.T) {
 	}
 	if e := s.Entities[0]; e.Count != 400 || e.NumPartitions != 4 || s.Relations[0].Name != "follows" {
 		t.Errorf("schema %+v", s)
+	}
+}
+
+// TestWriteReplacesWhole: Write replaces the config file rather than
+// rewriting it in place, so a reader that opened the old file — or a crash
+// mid-write — sees the whole of the old bytes, and no temporary file is left
+// behind.
+func TestWriteReplacesWhole(t *testing.T) {
+	c, err := Parse([]byte(roundTripConfig))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := c.Write(dir); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, File)
+	old, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	c.Seed, c.Entities = 10, nil
+	if err := c.Write(dir); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := io.ReadAll(f); err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("the handle opened before Write read %q (%v), want the old %q", got, err, old)
+	}
+	if now, err := os.ReadFile(path); err != nil || bytes.Equal(now, old) {
+		t.Fatalf("config.json after the second Write: %q, %v", now, err)
+	}
+	if names, _ := filepath.Glob(filepath.Join(dir, "*")); len(names) != 1 {
+		t.Fatalf("directory holds %v, want config.json alone", names)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 
 	"pbg/internal/partition"
+	"pbg/internal/storage"
 )
 
 // manifestName is the checkpoint manifest's filename inside the checkpoint
@@ -40,8 +41,8 @@ type RelBlock struct {
 	Params []float32
 }
 
-// WriteManifest atomically persists m into dir (temp file + rename, so a
-// crash mid-checkpoint leaves the previous manifest intact).
+// WriteManifest atomically persists m into dir (storage.WriteFileAtomic,
+// so a crash mid-checkpoint leaves the previous manifest intact).
 func WriteManifest(dir string, m *Manifest) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -50,25 +51,7 @@ func WriteManifest(dir string, m *Manifest) error {
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(dir, ".manifest-*")
-	if err != nil {
-		return err
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		_ = tmp.Close()
-		os.Remove(name)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return err
-	}
-	if err := os.Rename(name, filepath.Join(dir, manifestName)); err != nil {
-		os.Remove(name)
-		return err
-	}
-	return nil
+	return storage.WriteFileAtomic(filepath.Join(dir, manifestName), data)
 }
 
 // Validate is the gate a manifest passes before a resume trusts it: the

@@ -14,10 +14,6 @@ import (
 	"pbg/internal/train"
 )
 
-// partServerStripes is the lock striping inside each in-process partition
-// server; trainers touch at most a handful of shards concurrently.
-const partServerStripes = 8
-
 // ClusterConfig sizes an in-process distributed deployment.
 type ClusterConfig struct {
 	// Machines is the number of trainer nodes; the deployment also runs
@@ -140,16 +136,9 @@ func NewCluster(g *graph.Graph, order []partition.Bucket, cfg ClusterConfig) (*C
 	if cfg.Train.Obs != nil {
 		lockOpts = append(lockOpts, WithLockObs(cfg.Train.Obs))
 	}
-	epochBase := 0
-	if manifest != nil && manifest.Epoch > 0 {
+	if manifest != nil {
 		lockOpts = append(lockOpts, WithRestoredEpoch(manifest.Epoch, manifest.Done))
-		// An interrupted epoch (done set not covering the grid) continues; a
-		// cut taken between epochs moves on.
-		cl.nextEpoch = manifest.Epoch
-		if len(manifest.Done) == len(order) {
-			cl.nextEpoch++
-		}
-		epochBase = cl.nextEpoch - 1
+		cl.nextEpoch = ResumeEpoch(manifest.Epoch, len(manifest.Done), len(order))
 	}
 	cl.lockSrv = NewLockServer(order, lockOpts...)
 	l, lockAddr, err := serve(map[string]any{"LockServer": cl.lockSrv})
@@ -166,7 +155,7 @@ func NewCluster(g *graph.Graph, order []partition.Bucket, cfg ClusterConfig) (*C
 		partOpts = append(partOpts, WithPartObs(cfg.Train.Obs))
 	}
 	for i := 0; i < cfg.Machines; i++ {
-		ps := NewPartitionServer(g.Schema, cfg.Train.Dim, cfg.Seed, partServerStripes, partOpts...)
+		ps := NewPartitionServer(g.Schema, cfg.Train.Dim, cfg.Seed, partOpts...)
 		l, addr, err := serve(map[string]any{"PartitionServer": ps})
 		if err != nil {
 			return fail(err)
@@ -203,7 +192,7 @@ func NewCluster(g *graph.Graph, order []partition.Bucket, cfg ClusterConfig) (*C
 			SyncInterval:   cfg.SyncInterval,
 			Retry:          cfg.Retry,
 			Chaos:          cfg.Chaos,
-			EpochBase:      epochBase,
+			EpochBase:      cl.nextEpoch - 1,
 		})
 		if err != nil {
 			return fail(err)
@@ -211,6 +200,17 @@ func NewCluster(g *graph.Graph, order []partition.Bucket, cfg ClusterConfig) (*C
 		cl.Nodes = append(cl.Nodes, node)
 	}
 	return cl, nil
+}
+
+// ResumeEpoch is the epoch a deployment trains next when its lock server is
+// at epoch with done of its buckets committed: an interrupted epoch
+// continues, and the one after a complete cut — or, at epoch 0, the first —
+// is next. Cluster and pbg node both start from it.
+func ResumeEpoch(epoch, done, buckets int) int {
+	if epoch > 0 && done < buckets {
+		return epoch
+	}
+	return epoch + 1
 }
 
 // NextEpoch reports the lock-server epoch the next RunEpoch call will train

@@ -18,9 +18,10 @@
 // The division of state follows the paper exactly:
 //
 //   - Edge buckets: every trainer holds the full edge list (a run
-//     directory's train.edges on a shared filesystem); the LockServer decides who
-//     trains which bucket, enforcing disjointness and the §4.1 "established
-//     partitions" constraint through partition.Scheduler.
+//     directory's train.edges on a shared filesystem); the LockServer, the
+//     one lease table, decides who trains which bucket, enforcing
+//     disjointness and the §4.1 "established partitions" constraint over the
+//     bucket order internal/partition plans.
 //   - Partitioned entity embeddings: owned by the PartitionServer shard that
 //     the (entity type, partition) key hashes to; a trainer checks the two
 //     partitions of its current bucket out and trains them locally with

@@ -154,7 +154,7 @@ func testSchema(t *testing.T) *graph.Schema {
 func TestPartitionServerSwapRoundTrip(t *testing.T) {
 	schema := testSchema(t)
 	const dim, seed = 8, uint64(7)
-	l, addr, err := serve(map[string]any{"PartitionServer": NewPartitionServer(schema, dim, seed, 4)})
+	l, addr, err := serve(map[string]any{"PartitionServer": NewPartitionServer(schema, dim, seed)})
 	if err != nil {
 		t.Fatal(err)
 	}

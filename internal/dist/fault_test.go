@@ -185,7 +185,7 @@ func putShard(ps *PartitionServer, sh *storage.Shard, token uint64) error {
 func TestFencedZombieWriteRejected(t *testing.T) {
 	schema := testSchema(t)
 	const dim = 4
-	ps := NewPartitionServer(schema, dim, 7, 2)
+	ps := NewPartitionServer(schema, dim, 7)
 
 	fetch := func(token uint64) (*storage.Shard, error) {
 		return getShard(ps, GetArgs{TypeIndex: 0, Part: 1, Dim: dim, InitScale: 1, Token: token})
@@ -339,7 +339,7 @@ func TestPartitionServerDurableRestart(t *testing.T) {
 	schema := testSchema(t)
 	const dim = 4
 	dir := t.TempDir()
-	ps := NewPartitionServer(schema, dim, 7, 2, WithDurableDir(dir))
+	ps := NewPartitionServer(schema, dim, 7, WithDurableDir(dir))
 
 	sh, err := getShard(ps, GetArgs{TypeIndex: 0, Part: 1, Dim: dim, InitScale: 1})
 	if err != nil {
@@ -363,7 +363,7 @@ func TestPartitionServerDurableRestart(t *testing.T) {
 	}
 
 	// A "restarted" server over the same directory serves the written state.
-	ps2 := NewPartitionServer(schema, dim, 7, 2, WithDurableDir(dir))
+	ps2 := NewPartitionServer(schema, dim, 7, WithDurableDir(dir))
 	defer ps2.closeDurable()
 	back, err := getShard(ps2, GetArgs{TypeIndex: 0, Part: 1, Dim: dim, InitScale: 1})
 	if err != nil {

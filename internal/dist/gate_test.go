@@ -38,7 +38,7 @@ func TestMalformedShardsRejectedAtEveryEntryPoint(t *testing.T) {
 	)
 	dir := t.TempDir()
 	path := storage.ShardPath(dir, 0, 0)
-	ps := NewPartitionServer(schema, dim, 7, 1)
+	ps := NewPartitionServer(schema, dim, 7)
 	want := GetArgs{TypeIndex: 0, Part: 0, Count: 3, Dim: dim}
 
 	// accepts reports which entry points take the image.
@@ -274,7 +274,7 @@ func frameGateServer(t testing.TB) *wire.Server {
 	}
 	srv, err := newServer(map[string]any{
 		"LockServer":      NewLockServer(order),
-		"PartitionServer": NewPartitionServer(schema, 4, 7, 1),
+		"PartitionServer": NewPartitionServer(schema, 4, 7),
 		"ParamServer":     NewParamServer(),
 	})
 	if err != nil {
@@ -410,7 +410,7 @@ func FuzzFrame(f *testing.F) {
 // image — not a constant, and not what the header claims.
 func TestFrameBoundsAreTheLiveGate(t *testing.T) {
 	srv := frameGateServer(t)
-	ps := NewPartitionServer(swapSchema(), swapDim, 1, 1)
+	ps := NewPartitionServer(swapSchema(), swapDim, 1)
 	if got, want := ps.maxPutBytes(), putTokenBytes+1300024; got != want {
 		t.Fatalf("a d=64 server over 5 000-row shards admits Puts of %d bytes, want %d", got, want)
 	}

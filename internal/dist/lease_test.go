@@ -7,9 +7,11 @@ package dist
 // leases go stale.
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"pbg/internal/graph"
@@ -442,7 +444,7 @@ func wiredNodes(t *testing.T, g *graph.Graph, n int, hub *obs.Hub, lockOpts ...L
 	const parts, dim = 4, 8
 	log := &wireLog{}
 	lock := &recLock{LockServer: NewLockServer(insideOutOrder(t, parts), lockOpts...), log: log, calls: map[int]int{}}
-	part := &recPart{PartitionServer: NewPartitionServer(g.Schema, dim, 3, partServerStripes), log: log}
+	part := &recPart{PartitionServer: NewPartitionServer(g.Schema, dim, 3), log: log}
 	ll, lockAddr, err := serve(map[string]any{"LockServer": lock})
 	if err != nil {
 		t.Fatal(err)
@@ -614,5 +616,395 @@ func TestStaleLeaseDiscardsUnwritten(t *testing.T) {
 	}
 	if got := hub.Reg.Snapshot().Gauges["pbg_dist_buckets_uncommitted"]; got != 0 {
 		t.Errorf("pbg_dist_buckets_uncommitted = %d after the epoch, want 0", got)
+	}
+}
+
+// --- the grant rule: what the lock server leases, to whom, and when ---
+
+// ask is one AcquireBucket of epoch by rank under token.
+func ask(t *testing.T, ls *LockServer, epoch, rank int, token uint64) AcquireReply {
+	t.Helper()
+	var rep AcquireReply
+	if err := ls.AcquireBucket(AcquireArgs{Epoch: epoch, Rank: rank, Token: token}, &rep); err != nil {
+		t.Fatalf("rank %d acquire under token %d: %v", rank, token, err)
+	}
+	return rep
+}
+
+// commitAll releases everything rep's holder has, in epoch.
+func commitAll(t *testing.T, ls *LockServer, epoch, rank int, rep AcquireReply) {
+	t.Helper()
+	args := ReleaseArgs{Epoch: epoch, Rank: rank, Token: rep.Token, Buckets: []partition.Bucket{rep.Bucket}, Parts: rep.Bucket.Parts()}
+	if err := ls.ReleaseBucket(args, &Ack{}); err != nil {
+		t.Fatalf("rank %d release %v: %v", rank, rep.Bucket, err)
+	}
+}
+
+// freshServer is a lock server over a parts×parts inside-out grid in a
+// fresh epoch 1: no partition established.
+func freshServer(t *testing.T, parts int) *LockServer {
+	t.Helper()
+	ls := NewLockServer(insideOutOrder(t, parts))
+	ls.maxWait = 0
+	if err := ls.StartEpoch(StartEpochArgs{Epoch: 1}, &StartEpochReply{}); err != nil {
+		t.Fatal(err)
+	}
+	return ls
+}
+
+// TestLeaseTableServesEveryBucketOnce: one rank leasing and committing
+// bucket after bucket is served every bucket of the epoch exactly once and
+// never stalls, and is then told the epoch is done.
+func TestLeaseTableServesEveryBucketOnce(t *testing.T) {
+	ls := freshServer(t, 4)
+	served := map[partition.Bucket]bool{}
+	for {
+		rep := ask(t, ls, 1, 0, 0)
+		if rep.Done {
+			break
+		}
+		if !rep.Granted {
+			t.Fatal("a lone rank stalled")
+		}
+		if served[rep.Bucket] {
+			t.Fatalf("bucket %v served twice", rep.Bucket)
+		}
+		served[rep.Bucket] = true
+		commitAll(t, ls, 1, 0, rep)
+	}
+	if len(served) != 16 {
+		t.Fatalf("served %d buckets, want 16", len(served))
+	}
+}
+
+// TestLeaseTableDisjointAtP8: ranks that each ask once at P = 8, every
+// partition established, hold pairwise-disjoint buckets, and at least
+// P/2 = 4 of them are granted (the paper's parallelism bound for
+// off-diagonal buckets; a diagonal bucket locks one partition, so more may
+// be).
+func TestLeaseTableDisjointAtP8(t *testing.T) {
+	ls, _ := leaseServer(t, 8, 0)
+	locked := map[int]int{}
+	granted := 0
+	for rank := 0; rank < 16; rank++ {
+		rep := leaseAcquire(t, ls, rank, 0)
+		if !rep.Granted {
+			continue
+		}
+		granted++
+		for _, p := range rep.Bucket.Parts() {
+			if other, ok := locked[p]; ok {
+				t.Fatalf("partition %d leased to rank %d and rank %d", p, other, rank)
+			}
+			locked[p] = rank
+		}
+	}
+	if granted < 4 {
+		t.Fatalf("%d concurrent leases at P=8, want >= 4", granted)
+	}
+}
+
+// TestLeaseTableEstablishment: in a fresh first epoch only the first bucket
+// may touch two unestablished partitions — nothing else starts while it is
+// in flight — and once it commits, the next grant touches its partition.
+func TestLeaseTableEstablishment(t *testing.T) {
+	ls := freshServer(t, 4)
+	first := ask(t, ls, 1, 0, 0)
+	if !first.Granted || first.Bucket != bk(0, 0) {
+		t.Fatalf("first grant %+v, want (0,0)", first)
+	}
+	if rep := ask(t, ls, 1, 1, 0); rep.Granted {
+		t.Fatalf("rank 1 granted %v while nothing is established", rep.Bucket)
+	}
+	commitAll(t, ls, 1, 0, first)
+	rep := ask(t, ls, 1, 1, 0)
+	if !rep.Granted || (rep.Bucket.P1 != 0 && rep.Bucket.P2 != 0) {
+		t.Fatalf("after (0,0) committed rank 1 got %+v, want a bucket touching partition 0", rep)
+	}
+}
+
+// TestLeaseTableAffinityBeatsOrder: a rank holding partitions 2 and 3 is
+// granted the bucket over both ahead of the earlier buckets of the order
+// that touch only one.
+func TestLeaseTableAffinityBeatsOrder(t *testing.T) {
+	var rows []partition.Bucket
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 4; j++ {
+			rows = append(rows, bk(i, j))
+		}
+	}
+	// Everything before (2,3) is done: the rank's first grant is (2,3), and
+	// (3,0), (3,1), (3,2), (3,3) are left, in that order.
+	ls := NewLockServer(rows, WithRestoredEpoch(2, rows[:11]))
+	ls.maxWait = 0
+	a := grant(t, ls, 0, 0, bk(2, 3))
+	grant(t, ls, 0, a.Token, bk(3, 2))
+}
+
+// TestLeaseTableNewEpochKeepsEstablished: the next epoch starts every bucket
+// pending again but keeps the established partitions, so two ranks lease at
+// once from its first grant.
+func TestLeaseTableNewEpochKeepsEstablished(t *testing.T) {
+	ls := freshServer(t, 2)
+	for {
+		rep := ask(t, ls, 1, 0, 0)
+		if rep.Done {
+			break
+		}
+		commitAll(t, ls, 1, 0, rep)
+	}
+	var se StartEpochReply
+	if err := ls.StartEpoch(StartEpochArgs{Epoch: 2}, &se); err != nil || se.Pending != 4 {
+		t.Fatalf("StartEpoch 2: %+v, %v; want 4 pending", se, err)
+	}
+	if a := ask(t, ls, 2, 0, 0); a.Bucket != bk(0, 0) {
+		t.Fatalf("rank 0 got %+v, want (0,0)", a)
+	}
+	if b := ask(t, ls, 2, 1, 0); !b.Granted || b.Bucket != bk(1, 1) {
+		t.Fatalf("rank 1 got %+v, want (1,1) beside (0,0): partition 1 is established", b)
+	}
+}
+
+// TestLeaseTableAbandonReopensFirst: abandoning the only lease of a fresh
+// epoch leaves nothing started — every bucket pending, and the first one
+// grantable again.
+func TestLeaseTableAbandonReopensFirst(t *testing.T) {
+	ls := freshServer(t, 2)
+	a := ask(t, ls, 1, 0, 0)
+	if err := ls.AbandonBucket(ReleaseArgs{Epoch: 1, Rank: 0, Token: a.Token}, &Ack{}); err != nil {
+		t.Fatal(err)
+	}
+	var se StartEpochReply
+	if err := ls.StartEpoch(StartEpochArgs{Epoch: 1}, &se); err != nil || se.Pending != 4 {
+		t.Fatalf("after the abandon: %+v, %v; want 4 pending", se, err)
+	}
+	if b := ask(t, ls, 1, 1, 0); !b.Granted || b.Bucket != a.Bucket {
+		t.Fatalf("rank 1 got %+v, want the abandoned %v", b, a.Bucket)
+	}
+}
+
+// TestLeaseTableReleaseUnheld: a rank cannot commit a bucket it does not
+// hold, and the refusal changes nothing.
+func TestLeaseTableReleaseUnheld(t *testing.T) {
+	ls, _ := leaseServer(t, 2, 0)
+	a := grant(t, ls, 0, 0, bk(0, 0))
+	before := epochState(t, ls)
+	err := ls.ReleaseBucket(ReleaseArgs{Epoch: 2, Rank: 0, Token: a.Token, Buckets: []partition.Bucket{bk(1, 1)}}, &Ack{})
+	if err == nil {
+		t.Fatal("rank 0 committed (1,1), which it never held")
+	}
+	if after := epochState(t, ls); len(after.Done) != 0 || len(after.Leases) != len(before.Leases) {
+		t.Fatalf("the refused release changed the table: %+v", after)
+	}
+}
+
+// TestLeaseTableLeavesNoLockBehind: whatever ends a rank's leases — its
+// last commit, an abandon, an expiry — ends its partition locks with them.
+func TestLeaseTableLeavesNoLockBehind(t *testing.T) {
+	const ttl = 100 * time.Millisecond
+	ls, clock := leaseServer(t, 3, ttl)
+	a := grant(t, ls, 0, 0, bk(0, 0))
+	a = grant(t, ls, 0, a.Token, bk(0, 1))
+	b := grant(t, ls, 1, 0, bk(2, 2))
+	c := leaseAcquire(t, ls, 2, 0)
+	if c.Granted {
+		t.Fatalf("rank 2 granted %v with partitions 0, 1 and 2 held", c.Bucket)
+	}
+	release(t, ls, 0, a.Token, nil, bk(0, 0), bk(0, 1)) // no partition named
+	if err := ls.AbandonBucket(ReleaseArgs{Epoch: 2, Rank: 1, Token: b.Token}, &Ack{}); err != nil {
+		t.Fatal(err)
+	}
+	if len(ls.holders) != 0 {
+		t.Fatalf("holders left after commit and abandon: %v", ls.holders)
+	}
+	grant(t, ls, 2, 0, bk(1, 1))
+	tick(ls, clock, 2*ttl)
+	if es := epochState(t, ls); len(es.Leases) != 0 || len(ls.holders) != 0 {
+		t.Fatalf("after expiry: leases %+v, holders %v", es.Leases, ls.holders)
+	}
+	grant(t, ls, 0, 0, bk(1, 1))
+}
+
+// TestLeaseTableConcurrentRanks hammers one lock server from four ranks at
+// once: every bucket is committed exactly once and no partition is ever
+// held by two ranks (run under -race too).
+func TestLeaseTableConcurrentRanks(t *testing.T) {
+	ls := NewLockServer(insideOutOrder(t, 8), WithRestoredEpoch(2, nil))
+	ls.maxWait = 20 * time.Millisecond
+	var mu sync.Mutex
+	served := map[partition.Bucket]int{}
+	active := map[int]int{}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for rank := 0; rank < 4; rank++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			for {
+				var rep AcquireReply
+				if err := ls.AcquireBucket(AcquireArgs{Epoch: 2, Rank: rank}, &rep); err != nil {
+					errs <- err
+					return
+				}
+				if rep.Done {
+					return
+				}
+				if !rep.Granted {
+					continue
+				}
+				mu.Lock()
+				served[rep.Bucket]++
+				for _, p := range rep.Bucket.Parts() {
+					if active[p]++; active[p] > 1 {
+						errs <- fmt.Errorf("partition %d held twice, %v by rank %d", p, rep.Bucket, rank)
+					}
+				}
+				for _, p := range rep.Bucket.Parts() {
+					active[p]--
+				}
+				mu.Unlock()
+				args := ReleaseArgs{Epoch: 2, Rank: rank, Token: rep.Token, Buckets: []partition.Bucket{rep.Bucket}, Parts: rep.Bucket.Parts()}
+				if err := ls.ReleaseBucket(args, &Ack{}); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(rank)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if len(served) != 64 {
+		t.Fatalf("served %d buckets, want 64", len(served))
+	}
+	for b, n := range served {
+		if n != 1 {
+			t.Fatalf("bucket %v served %d times", b, n)
+		}
+	}
+}
+
+// TestLeaseTableRankedOwnersProperty: under any interleaving of acquires,
+// "store one partition" releases, abandons and expiries from three ranks,
+// the lock server's partition locks are the model's, rank for rank: no
+// partition is ever locked by two ranks, a rank is only granted buckets
+// over partitions that are free or its own, a partition given up is free
+// at once — before the buckets that touched it commit — and whatever ends a
+// rank's leases leaves no lock behind.
+func TestLeaseTableRankedOwnersProperty(t *testing.T) {
+	const ranks, ttl = 3, time.Second
+	f := func(pRaw uint8, script []byte) bool {
+		p := int(pRaw)%5 + 2
+		ls, clock := leaseServer(t, p, ttl)
+		holds := map[int]int{}                 // partition → rank
+		leased := map[int][]partition.Bucket{} // rank → its uncommitted buckets
+		tokens := map[int]uint64{}
+		drop := func(rank int) {
+			delete(leased, rank)
+			delete(tokens, rank)
+			for part, o := range holds {
+				if o == rank {
+					delete(holds, part)
+				}
+			}
+		}
+		for _, op := range script {
+			rank := int(op>>3) % ranks
+			switch op % 8 {
+			case 0, 1, 2:
+				var rep AcquireReply
+				if err := ls.AcquireBucket(AcquireArgs{Epoch: 2, Rank: rank, Token: tokens[rank]}, &rep); err != nil {
+					t.Logf("rank %d acquire: %v", rank, err)
+					return false
+				}
+				if rep.Done {
+					return true
+				}
+				if !rep.Granted {
+					continue
+				}
+				for _, part := range rep.Bucket.Parts() {
+					if o, locked := holds[part]; locked && o != rank {
+						t.Logf("bucket %v granted to rank %d over partition %d held by rank %d", rep.Bucket, rank, part, o)
+						return false
+					}
+					holds[part] = rank
+				}
+				leased[rank] = append(leased[rank], rep.Bucket)
+				tokens[rank] = rep.Token
+			case 3, 4:
+				// The rank stores one partition: it is free at once, and the
+				// buckets neither of whose partitions the rank still holds
+				// commit.
+				if len(leased[rank]) == 0 {
+					continue
+				}
+				args := ReleaseArgs{Epoch: 2, Rank: rank, Token: tokens[rank]}
+				for part := 0; part < p; part++ {
+					if o, ok := holds[part]; ok && o == rank {
+						args.Parts = []int{part}
+						delete(holds, part)
+						break
+					}
+				}
+				var keep []partition.Bucket
+				for _, b := range leased[rank] {
+					o1, held1 := holds[b.P1]
+					o2, held2 := holds[b.P2]
+					if (held1 && o1 == rank) || (held2 && o2 == rank) {
+						keep = append(keep, b)
+					} else {
+						args.Buckets = append(args.Buckets, b)
+					}
+				}
+				if err := ls.ReleaseBucket(args, &Ack{}); err != nil {
+					t.Logf("rank %d release %+v: %v", rank, args, err)
+					return false
+				}
+				leased[rank] = keep
+				if len(keep) == 0 {
+					drop(rank) // nothing leased: nothing held
+				}
+			case 5, 6:
+				if err := ls.AbandonBucket(ReleaseArgs{Epoch: 2, Rank: rank, Token: tokens[rank]}, &Ack{}); err != nil && len(leased[rank]) > 0 {
+					t.Logf("rank %d abandon: %v", rank, err)
+					return false
+				}
+				drop(rank)
+			case 7:
+				tick(ls, clock, 2*ttl)
+				epochState(t, ls) // expiry is lazy: any call reclaims
+				for r := 0; r < ranks; r++ {
+					drop(r)
+				}
+			}
+			ls.mu.Lock()
+			locks := map[int]int{}
+			for r, h := range ls.holders {
+				for part := range h.parts {
+					if o, twice := locks[part]; twice {
+						t.Logf("partition %d locked by ranks %d and %d", part, o, r)
+					}
+					locks[part] = r
+				}
+			}
+			ls.mu.Unlock()
+			if len(locks) != len(holds) {
+				t.Logf("server locks %v, model %v", locks, holds)
+				return false
+			}
+			for part, o := range holds {
+				if got, ok := locks[part]; !ok || got != o {
+					t.Logf("partition %d: server rank %d (locked %v), model %d", part, got, ok, o)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -30,11 +30,16 @@ type lease struct {
 // bucket while it still holds the last one's partitions, so it can hold
 // several leases: the one it is training and those it has trained and not
 // yet stored. They live and die together — one deadline, renewed by any
-// call the rank makes under its newest token.
+// call the rank makes under its newest token. A rank without a lease has
+// no record: it holds nothing.
 type holder struct {
 	token   uint64    // of the newest grant; what the rank's calls must carry
 	expires time.Time // zero when the server runs without a TTL
 	leases  []lease   // oldest first
+	// parts are the partitions locked for the rank: those of its leases, less
+	// the ones it has reported stored. No other rank is granted a bucket
+	// touching one.
+	parts map[int]bool
 }
 
 func (h *holder) find(b partition.Bucket) int {
@@ -46,13 +51,23 @@ func (h *holder) find(b partition.Bucket) int {
 	return -1
 }
 
-// LockServer is the central bucket-leasing service of §4.2. It wraps
-// partition.Scheduler — which locks partitions by rank and enforces the
-// "established partitions" constraint — with epoch bookkeeping so
-// independently-paced trainers stay in lockstep at epoch granularity: a
-// trainer asking for buckets of an epoch the server has not started yet
-// waits, and one asking for an already-superseded epoch is told that epoch
-// is done.
+// LockServer is the central bucket-leasing service of §4.2, and its one
+// lease table: it hands out buckets whose partitions no other rank holds,
+// and keeps epoch bookkeeping so independently-paced trainers stay in
+// lockstep at epoch granularity: a trainer asking for buckets of an epoch
+// the server has not started yet waits, and one asking for an
+// already-superseded epoch is told that epoch is done.
+//
+// The grant rule scans the bucket order front to back, skipping buckets
+// that are done, leased, or touch a partition another rank holds. Of the
+// rest it takes the first with the most partitions the asking rank already
+// holds (affinity), so the order — planned against the partition buffer —
+// breaks the ties. Once any bucket has started, a bucket touching two
+// partitions no committed bucket has trained (§4.1's established
+// partitions) is held back, unless the rank holds one of them: it trained
+// every bucket it was granted before asking again. The established set
+// outlives the epoch, so from the second epoch on the rule no longer
+// throttles parallelism.
 //
 // Bucket states: pending → leased → trained-not-stored → done. AcquireBucket
 // leases a pending bucket to a rank on top of what the rank already holds,
@@ -86,17 +101,20 @@ type LockServer struct {
 	waiting   int // AcquireBucket calls asleep in waitLocked
 	closed    bool
 	order     []partition.Bucket
-	sched     *partition.Scheduler
 	epoch     int // 0 until the first StartEpoch
 	ttl       time.Duration
 	now       func() time.Time // test clock hook; called with mu held
 	maxWait   time.Duration    // acquireWait; tests shorten it
 	nextToken uint64
 	holders   map[int]*holder // by rank; absent = holds nothing
-	// released records the token each bucket was committed under this epoch,
-	// so a ReleaseBucket retried after a lost reply succeeds idempotently
-	// instead of erroring as "unleased".
-	released map[partition.Bucket]uint64
+	// done records the token each bucket of this epoch was committed under
+	// (0 when restored from a checkpoint cut), so a ReleaseBucket retried
+	// after a lost reply succeeds idempotently instead of erroring as
+	// "unleased".
+	done map[partition.Bucket]uint64
+	// established holds the partitions trained by a committed bucket, or
+	// reported stored by the rank that trained them; it outlives the epoch.
+	established map[int]bool
 
 	obs           *obs.Hub // nil unless WithLockObs
 	expiries      *obs.Counter
@@ -139,9 +157,15 @@ func WithRestoredEpoch(epoch int, done []partition.Bucket) LockOption {
 			return
 		}
 		ls.epoch = epoch
-		ls.sched = partition.NewScheduler(ls.order, epoch >= 2)
+		trained := done
+		if epoch >= 2 {
+			trained = ls.order
+		}
+		for _, b := range trained {
+			ls.established[b.P1], ls.established[b.P2] = true, true
+		}
 		for _, b := range done {
-			ls.sched.MarkDone(b)
+			ls.done[b] = 0
 		}
 	}
 }
@@ -150,12 +174,12 @@ func WithRestoredEpoch(epoch int, done []partition.Bucket) LockOption {
 // epoch starts when StartEpoch is called.
 func NewLockServer(order []partition.Bucket, opts ...LockOption) *LockServer {
 	ls := &LockServer{
-		order:    append([]partition.Bucket(nil), order...),
-		sched:    partition.NewScheduler(order, false),
-		now:      time.Now,
-		maxWait:  acquireWait,
-		holders:  make(map[int]*holder),
-		released: make(map[partition.Bucket]uint64),
+		order:       append([]partition.Bucket(nil), order...),
+		now:         time.Now,
+		maxWait:     acquireWait,
+		holders:     make(map[int]*holder),
+		done:        make(map[partition.Bucket]uint64),
+		established: make(map[int]bool),
 	}
 	ls.cond = sync.NewCond(&ls.mu)
 	ls.bindMetrics(obs.NewQuietHub().Reg)
@@ -184,8 +208,52 @@ func (ls *LockServer) close() {
 // and its partition locks open. The rank's token goes stale with the record.
 func (ls *LockServer) dropLocked(rank int) {
 	delete(ls.holders, rank)
-	ls.sched.AbandonRank(rank)
 	ls.changedLocked()
+}
+
+// pickLocked applies the grant rule (see LockServer) for rank. ok is false
+// when no pending bucket qualifies.
+func (ls *LockServer) pickLocked(rank int) (best partition.Bucket, ok bool) {
+	var held map[int]bool // the rank's own partitions; nil when it holds none
+	leased := map[partition.Bucket]bool{}
+	blocked := map[int]bool{}
+	for r, h := range ls.holders {
+		for _, l := range h.leases {
+			leased[l.bucket] = true
+		}
+		if r == rank {
+			held = h.parts
+			continue
+		}
+		for p := range h.parts {
+			blocked[p] = true
+		}
+	}
+	// Nothing has started while no bucket is leased and none is established.
+	started := len(ls.holders) > 0 || len(ls.established) > 0
+	bestScore := -1
+	for _, b := range ls.order {
+		if _, done := ls.done[b]; done || leased[b] || blocked[b.P1] || blocked[b.P2] {
+			continue
+		}
+		if started && !ls.established[b.P1] && !ls.established[b.P2] && !held[b.P1] && !held[b.P2] {
+			continue // only the first bucket may touch two unestablished partitions
+		}
+		score := 0
+		if held[b.P1] {
+			score++
+		}
+		if held[b.P2] {
+			score++
+		}
+		if score > bestScore {
+			best, bestScore = b, score
+		}
+		if bestScore == 2 {
+			break
+		}
+	}
+	return best, bestScore >= 0
 }
 
 // changedLocked republishes the lease count and wakes the waiters after
@@ -263,17 +331,14 @@ func (ls *LockServer) StartEpoch(args StartEpochArgs, reply *StartEpochReply) er
 		if len(ls.holders) > 0 {
 			return fmt.Errorf("dist: StartEpoch with %d ranks still holding leases", len(ls.holders))
 		}
-		if ls.epoch > 0 {
-			ls.sched.Reset()
-		}
 		ls.epoch++
-		ls.released = make(map[partition.Bucket]uint64)
+		ls.done = make(map[partition.Bucket]uint64)
 		ls.cond.Broadcast()
 	default:
 		return fmt.Errorf("dist: StartEpoch for epoch %d, server at %d", args.Epoch, ls.epoch)
 	}
 	reply.Epoch = ls.epoch
-	reply.Pending = ls.sched.Remaining()
+	reply.Pending = len(ls.order) - len(ls.done)
 	return nil
 }
 
@@ -325,20 +390,20 @@ func (ls *LockServer) AcquireBucket(args AcquireArgs, reply *AcquireReply) error
 					h.leases[i].trained = true
 				}
 			}
-			b, ok, done := ls.sched.AcquireFor(args.Rank)
-			if done {
+			if len(ls.done) == len(ls.order) {
 				reply.Done = true
 				return nil
 			}
-			if ok {
+			if b, ok := ls.pickLocked(args.Rank); ok {
 				if h == nil {
-					h = &holder{}
+					h = &holder{parts: map[int]bool{}}
 					ls.holders[args.Rank] = h
 				}
 				ls.nextToken++
 				l := lease{bucket: b, token: ls.nextToken}
 				h.leases = append(h.leases, l)
 				h.token = l.token
+				h.parts[b.P1], h.parts[b.P2] = true, true
 				ls.renewLocked(h)
 				ls.changedLocked()
 				ls.grantReply(reply, l)
@@ -400,7 +465,7 @@ func (ls *LockServer) ReleaseBucket(args ReleaseArgs, reply *Ack) error {
 	defer ls.mu.Unlock()
 	ls.expireLocked()
 	// landed reports a bucket this very call has already committed.
-	landed := func(b partition.Bucket) bool { return args.Token != 0 && ls.released[b] == args.Token }
+	landed := func(b partition.Bucket) bool { return args.Token != 0 && ls.done[b] == args.Token }
 	h := ls.holders[args.Rank]
 	if h == nil || args.Token != h.token {
 		duplicate := len(args.Buckets) > 0
@@ -427,11 +492,17 @@ func (ls *LockServer) ReleaseBucket(args ReleaseArgs, reply *Ack) error {
 	for _, b := range args.Buckets {
 		if i := h.find(b); i >= 0 {
 			h.leases = append(h.leases[:i], h.leases[i+1:]...)
-			ls.released[b] = args.Token
-			ls.sched.Commit(b)
+			ls.done[b] = args.Token
+			ls.established[b.P1], ls.established[b.P2] = true, true
 		}
 	}
-	ls.sched.Unlock(args.Rank, args.Parts...)
+	// A partition the rank reports stored holds what its buckets trained.
+	for _, p := range args.Parts {
+		if h.parts[p] {
+			delete(h.parts, p)
+			ls.established[p] = true
+		}
+	}
 	if len(h.leases) == 0 {
 		// Nothing leased means nothing held; drop any lock the rank did not
 		// name, with its record.
@@ -467,14 +538,19 @@ func (ls *LockServer) AbandonBucket(args ReleaseArgs, reply *Ack) error {
 }
 
 // EpochState snapshots epoch progress for checkpointing: the current epoch,
-// the buckets committed so far in it, and the lease table in grant order. Trained-not-stored buckets are leases, not done: a resume
-// from this cut retrains them.
+// the buckets committed so far in it (in order position, so manifests are
+// deterministic), and the lease table in grant order. Trained-not-stored
+// buckets are leases, not done: a resume from this cut retrains them.
 func (ls *LockServer) EpochState(args EpochStateArgs, reply *EpochStateReply) error {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
 	ls.expireLocked()
 	reply.Epoch = ls.epoch
-	reply.Done = ls.sched.DoneBuckets()
+	for _, b := range ls.order {
+		if _, done := ls.done[b]; done {
+			reply.Done = append(reply.Done, b)
+		}
+	}
 	for rank, h := range ls.holders {
 		for _, l := range h.leases {
 			reply.Leases = append(reply.Leases, LeaseInfo{

@@ -52,7 +52,7 @@ type PartitionServer struct {
 
 	// Storage is striped to keep concurrent Get/Put from different trainers
 	// from serialising on one mutex.
-	stripes []partStripe
+	stripes [partServerStripes]partStripe
 
 	durable *durableState
 
@@ -94,6 +94,10 @@ const maxFreeImages = 4
 
 type partKey struct{ t, p int }
 
+// partServerStripes is the lock striping inside each partition server;
+// trainers touch at most a handful of shards concurrently.
+const partServerStripes = 8
+
 // PartOption configures a PartitionServer at construction.
 type PartOption func(*PartitionServer)
 
@@ -124,13 +128,9 @@ func WithPartObs(h *obs.Hub) PartOption {
 // NewPartitionServer creates a server for the given schema and embedding
 // dimension. seed drives lazy shard initialisation (it must match across the
 // deployment's partition servers and the single-machine baseline for
-// reproducible starts). shards is the number of internal lock stripes;
-// values below 1 mean 1.
-func NewPartitionServer(schema *graph.Schema, dim int, seed uint64, shards int, opts ...PartOption) *PartitionServer {
-	if shards < 1 {
-		shards = 1
-	}
-	ps := &PartitionServer{schema: schema, dim: dim, seed: seed, stripes: make([]partStripe, shards)}
+// reproducible starts).
+func NewPartitionServer(schema *graph.Schema, dim int, seed uint64, opts ...PartOption) *PartitionServer {
+	ps := &PartitionServer{schema: schema, dim: dim, seed: seed}
 	for i := range ps.stripes {
 		ps.stripes[i].shards = make(map[partKey]*image)
 		ps.stripes[i].fence = make(map[partKey]uint64)
@@ -437,7 +437,7 @@ func (d *durableState) run(ps *PartitionServer) {
 		st.mu.Unlock()
 		var err error
 		if img != nil {
-			err = storage.WriteShardImage(storage.ShardPath(d.dir, k.t, k.p), img.b)
+			err = storage.WriteFileAtomic(storage.ShardPath(d.dir, k.t, k.p), img.b)
 			ps.unpin(st, img)
 			if err == nil {
 				ps.durableWrites.Inc()

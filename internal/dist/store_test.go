@@ -57,7 +57,7 @@ func newFilesCache(t *testing.T, schema *graph.Schema, dim int) cacheUnderTest {
 }
 
 func newPartitionServerCache(t *testing.T, schema *graph.Schema, dim int) cacheUnderTest {
-	ps := NewPartitionServer(schema, dim, 1, 4)
+	ps := NewPartitionServer(schema, dim, 1)
 	store := dialLoopback(t, ps, schema, dim)
 	return cacheUnderTest{
 		store: store, cache: store.Cache, setObs: store.SetObs, writeThrough: true,
@@ -655,7 +655,7 @@ func testCacheSpanNesting(t *testing.T, newCache cacheFactory) {
 // shard.
 func TestCacheRemoteStorePricesFP32(t *testing.T) {
 	schema := budgetSchema()
-	var store any = dialLoopback(t, NewPartitionServer(schema, 8, 1, 4), schema, 8)
+	var store any = dialLoopback(t, NewPartitionServer(schema, 8, 1), schema, 8)
 	if _, ok := store.(interface{ SetCodec(storage.Codec) }); ok {
 		t.Fatal("remoteStore exposes SetCodec: train.New would price its fp32 shards in the run's codec")
 	}
@@ -681,7 +681,7 @@ func TestCacheCloseWaitsForPrefetch(t *testing.T) {
 	schema := testSchema(t)
 	const dim = 8
 	ps := &gatedPartitionServer{
-		PartitionServer: NewPartitionServer(schema, dim, 7, 4),
+		PartitionServer: NewPartitionServer(schema, dim, 7),
 		started:         make(chan struct{}),
 		open:            make(chan struct{}),
 	}
@@ -731,7 +731,7 @@ func TestCacheBudgetInvariantProperty(t *testing.T) {
 			must(t, err)
 			perShard := storage.ProjectedShardBytes(g.Schema, dim, 0, 0)
 			budget := shardMult * perShard
-			store := dialLoopback(t, NewPartitionServer(g.Schema, dim, 7, 4), g.Schema, dim)
+			store := dialLoopback(t, NewPartitionServer(g.Schema, dim, 7), g.Schema, dim)
 			st := storetest.New(store)
 			tr, err := train.New(g, st, train.Config{
 				Dim: dim, Epochs: 2, Seed: uint64(5 + i), Workers: 2, HogwildOff: true,

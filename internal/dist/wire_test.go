@@ -356,7 +356,7 @@ func TestTimedOutCallNeverDeliversLate(t *testing.T) {
 // (all floats equal), so a reply assembled from two is visible at once.
 func TestGetDuringPutsSeesWholeImages(t *testing.T) {
 	schema, dim := testSchema(t), 16
-	ps := NewPartitionServer(schema, dim, 1, 1)
+	ps := NewPartitionServer(schema, dim, 1)
 	l, addr, err := serve(map[string]any{"PartitionServer": ps})
 	if err != nil {
 		t.Fatal(err)
@@ -466,7 +466,7 @@ func mustEncode(t *testing.T, sh *storage.Shard) []byte {
 // in every window, another test's leftover goroutines in some.
 func TestSwapSteadyStateAllocs(t *testing.T) {
 	schema := swapSchema()
-	store := dialLoopback(t, NewPartitionServer(schema, swapDim, 1, partServerStripes), schema, swapDim)
+	store := dialLoopback(t, NewPartitionServer(schema, swapDim, 1), schema, swapDim)
 	swap := func(p int) {
 		sh, err := store.Acquire(0, p)
 		if err != nil {
@@ -552,7 +552,7 @@ func (quotingParams) Pull(args PullArgs, reply *SyncReply) error {
 func TestServerSpanIsChildOfTrainerSpan(t *testing.T) {
 	hub := obs.NewHub()
 	schema, dim := testSchema(t), 4
-	ps := NewPartitionServer(schema, dim, 1, 1, WithPartObs(hub))
+	ps := NewPartitionServer(schema, dim, 1, WithPartObs(hub))
 	store := dialLoopback(t, ps, schema, dim)
 	store.SetObs(hub)
 	if _, err := store.Acquire(0, 1); err != nil {
@@ -594,7 +594,7 @@ func TestServerSpanIsChildOfTrainerSpan(t *testing.T) {
 // reporting ns/op and B/op beside BenchmarkClusterEpoch.
 func BenchmarkSwap(b *testing.B) {
 	schema := swapSchema()
-	l, addr, err := serve(map[string]any{"PartitionServer": NewPartitionServer(schema, swapDim, 1, partServerStripes)})
+	l, addr, err := serve(map[string]any{"PartitionServer": NewPartitionServer(schema, swapDim, 1)})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -94,12 +94,14 @@ func WriteShardCodec(path string, s *Shard, c Codec) error {
 	return writeFileAtomic(path, buffered(func(w *bufio.Writer) error { return l.EncodeTo(w, s) }))
 }
 
-// WriteShardImage persists an already-encoded shard image — bytes that have
-// passed ParseLayout — to path atomically: the file WriteShardCodec would
-// write for the shard the image decodes to, without decoding it.
-func WriteShardImage(path string, image []byte) error {
+// WriteFileAtomic replaces path with b: it writes a temporary file of a
+// name no other write uses and renames it over path, so a reader — or a
+// crash — sees the old bytes or the new, never a torn file. A shard image
+// that has passed ParseLayout written this way is the file WriteShardCodec
+// would write for the shard it decodes to. It does not fsync.
+func WriteFileAtomic(path string, b []byte) error {
 	return writeFileAtomic(path, func(f *os.File) error {
-		_, err := f.Write(image)
+		_, err := f.Write(b)
 		return err
 	})
 }
