@@ -63,6 +63,7 @@ type Chaos struct {
 	rules  []*ChaosRule
 	killed map[string]bool
 	kills  []*killRule
+	holds  []*holdRule
 	drops  int
 	delays int
 	dups   int
@@ -73,6 +74,14 @@ type killRule struct {
 	method string
 	after  int
 	seen   int
+}
+
+type holdRule struct {
+	tag, method       string
+	untilTag, untilOf string
+	claimed           bool
+	release           chan struct{}
+	released          bool
 }
 
 // NewChaos creates a fault injector with the given deterministic seed and
@@ -95,6 +104,17 @@ func (c *Chaos) KillAfter(tag, method string, n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.kills = append(c.kills, &killRule{tag: tag, method: method, after: n})
+}
+
+// HoldUntil orders two clients' calls: the first RPC of tag matching method
+// waits, before it executes, until a call of untilTag matching untilMethod
+// has executed successfully. It makes "rank 1 holds a lease before rank 0
+// asks for one" a fact of the schedule instead of a likely interleaving.
+func (c *Chaos) HoldUntil(tag, method, untilTag, untilMethod string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.holds = append(c.holds, &holdRule{tag: tag, method: method, untilTag: untilTag,
+		untilOf: untilMethod, release: make(chan struct{})})
 }
 
 func ruleMatches(tag, method, rTag, rMethod string) bool {
@@ -120,6 +140,12 @@ func (c *Chaos) before(tag, method string) error {
 			}
 		}
 	}
+	var hold chan struct{}
+	for _, h := range c.holds {
+		if !h.claimed && ruleMatches(tag, method, h.tag, h.method) {
+			h.claimed, hold = true, h.release
+		}
+	}
 	var delay time.Duration
 	for _, r := range c.rules {
 		if !ruleMatches(tag, method, r.Tag, r.Method) {
@@ -142,6 +168,9 @@ func (c *Chaos) before(tag, method string) error {
 		}
 	}
 	c.mu.Unlock()
+	if hold != nil {
+		<-hold
+	}
 	if delay > 0 {
 		time.Sleep(delay)
 	}
@@ -153,6 +182,12 @@ func (c *Chaos) before(tag, method string) error {
 // duplicate the call via redo, exercising server-side idempotency.
 func (c *Chaos) after(tag, method string, redo func() error) error {
 	c.mu.Lock()
+	for _, h := range c.holds {
+		if !h.released && ruleMatches(tag, method, h.untilTag, h.untilOf) {
+			h.released = true
+			close(h.release)
+		}
+	}
 	var dropReply, duplicate bool
 	for _, r := range c.rules {
 		if !ruleMatches(tag, method, r.Tag, r.Method) {

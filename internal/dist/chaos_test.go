@@ -70,11 +70,14 @@ func TestClusterTrainerDeathMidEpoch(t *testing.T) {
 	g := chaosGraph(t)
 	gtr, _, test := g.Split(0, 0.1, 3)
 
-	// Rank 1's first three partition-server Gets succeed — enough to train
-	// its first bucket and start checking out its second — then the process
-	// "dies" with a lease held.
+	// Rank 0 asks for its first bucket only once rank 1 has been granted
+	// one, so rank 1 trains a bucket in epoch 1 however the two are
+	// scheduled. Rank 1 then "dies" on its second AcquireBucket, which it
+	// makes while still holding the first bucket's lease and partitions:
+	// only lease expiry gets that bucket back.
 	chaos := NewChaos(1)
-	chaos.KillAfter("rank1", "PartitionServer.Get", 3)
+	chaos.HoldUntil("rank0", "LockServer.AcquireBucket", "rank1", "LockServer.AcquireBucket")
+	chaos.KillAfter("rank1", "LockServer.AcquireBucket", 1)
 
 	hub := obs.NewQuietHub()
 	cl, err := NewCluster(gtr, insideOutOrder(t, parts), ClusterConfig{
@@ -99,9 +102,8 @@ func TestClusterTrainerDeathMidEpoch(t *testing.T) {
 		if len(st.Failed) != 1 || st.Failed[0] != 1 {
 			t.Fatalf("epoch %d failed ranks = %v, want [1]", epoch, st.Failed)
 		}
-		// The grid is still covered in full: buckets rank 1 committed before
-		// dying plus everything the survivor trained (including the bucket
-		// whose lease expired).
+		// The grid is still covered in full: the survivor trains everything
+		// rank 1 did not commit, the bucket whose lease expired included.
 		if st.Buckets != parts*parts {
 			t.Fatalf("epoch %d trained %d buckets, want %d", epoch, st.Buckets, parts*parts)
 		}

@@ -1,0 +1,88 @@
+package vec
+
+import (
+	"syscall"
+	"testing"
+	"unsafe"
+
+	"pbg/internal/rng"
+)
+
+// guarded returns n values of T that end exactly where a PROT_NONE page
+// begins and start one page after another, so a load one element past the
+// end (or before the start) faults instead of reading a neighbour's bytes.
+// Any tail of it ends at the guard too.
+func guarded[T float32 | int32](t *testing.T, n int) []T {
+	t.Helper()
+	page := syscall.Getpagesize()
+	size := int(unsafe.Sizeof(T(0)))
+	body := max(1, (n*size+page-1)/page) * page
+	mem, err := syscall.Mmap(-1, 0, body+2*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		t.Skipf("mmap: %v", err)
+	}
+	t.Cleanup(func() { syscall.Munmap(mem) })
+	for _, g := range [][]byte{mem[:page], mem[page+body:]} {
+		if err := syscall.Mprotect(g, syscall.PROT_NONE); err != nil {
+			t.Fatalf("mprotect: %v", err)
+		}
+	}
+	return unsafe.Slice((*T)(unsafe.Pointer(&mem[page+body-n*size])), n)
+}
+
+// tail is the last n values of s.
+func tail[T any](s []T, n int) []T { return s[len(s)-n:] }
+
+// TestMulABtRowsStaysInside runs MulABtRows with the index list, A, the rows
+// of B and C each ending at a guard page, over every column count from none
+// to two look-ahead distances and a partial pair past it, and requires
+// bitwise MulABt over a gathered copy. The assembly leaf reads idx[j+8] and
+// idx[j+9] to prefetch, kept inside the list by nothing but its own compare,
+// and loads B's rows through the list: a read past either faults here. The
+// last listed row is B's last, so its final bytes are loaded too. (A
+// prefetch itself cannot fault; what it must not do is read past the list.)
+func TestMulABtRowsStaysInside(t *testing.T) {
+	const (
+		ahead      = 8 // STRIPAHEAD in kernel_amd64.s
+		maxN, maxD = 9, 33
+		maxM       = 2*ahead + 3
+		maxRows    = maxM/2 + 1
+	)
+	r := rng.New(11)
+	aBuf, bBuf := guarded[float32](t, maxN*maxD), guarded[float32](t, maxRows*maxD)
+	idxBuf, cBuf := guarded[int32](t, maxM), guarded[float32](t, maxN*maxM)
+	for _, d := range []int{0, 1, 7, 8, 32, 33} {
+		for n := 1; n <= maxN; n++ {
+			for m := 0; m <= maxM; m++ {
+				rows := m/2 + 1
+				a := MatrixFrom(tail(aBuf, n*d), n, d)
+				b := MatrixFrom(tail(bBuf, rows*d), rows, d)
+				for i := range a.Data {
+					a.Data[i] = r.NormFloat32()
+				}
+				for i := range b.Data {
+					b.Data[i] = r.NormFloat32()
+				}
+				idx := tail(idxBuf, m)
+				for j := range idx {
+					idx[j] = int32(r.Intn(rows))
+				}
+				if m > 0 {
+					idx[m-1] = int32(rows - 1)
+				}
+				gathered := NewMatrix(m, d)
+				for j, row := range idx {
+					copy(gathered.Row(j), b.Row(int(row)))
+				}
+				for _, ks := range bothPaths() {
+					got, want := MatrixFrom(tail(cBuf, n*m), n, m), NewMatrix(n, m)
+					ks.mulABtRows(got, a, b, idx)
+					ks.mulABtRows(want, a, gathered, nil)
+					if i := firstDiff(got.Data, want.Data); i >= 0 {
+						t.Fatalf("%s n=%d m=%d d=%d: element %d = %v, MulABt over the gathered rows %v", ks.name, n, m, d, i, got.Data[i], want.Data[i])
+					}
+				}
+			}
+		}
+	}
+}

@@ -21,10 +21,10 @@ import "unsafe"
 //	     with d the number of terms summed (for the accumulating kernels, the
 //	     previous value of the destination counts as one term).
 //	(ii) Results are position-independent: on the assembly path
-//	     MulABt(c,a,b)[i][j] is bitwise Dot(a_i,b_j) whatever tile or edge it
-//	     landed in — and MulABtRows(c,a,b,idx)[i][j] bitwise Dot(a_i,b_idx[j])
-//	     wherever row idx[j] lies: the tile is handed row addresses, so on
-//	     either path a product over listed rows is bitwise the same path's
+//	     MulABt(c,a,b)[i][j] is bitwise Dot(a_i,b_j) whatever strip, column
+//	     pair or edge it landed in — and MulABtRows(c,a,b,idx)[i][j] bitwise
+//	     Dot(a_i,b_idx[j]) wherever row idx[j] lies: the leaf addresses each
+//	     column's row itself, so on either path a product over listed rows is bitwise the same path's
 //	     MulABt over a gathered copy of them — and on both paths
 //	     AddRowsSparse — hence AddOuterAtB — is
 //	     bitwise the ascending chain of Axpy calls it abbreviates (on the
@@ -33,7 +33,7 @@ import "unsafe"
 //	     destination. That keeps "same query, same scores, whatever it was
 //	     batched with" in serve, eval ≡ serve parity, and same-seed Workers:1
 //	     ⇒ same checkpoint bytes (per kernel path) true by construction.
-//	(iii) Odd rows and columns take the same leaf as full tiles, an index
+//	(iii) Odd rows and columns take the same leaf as full strips, an index
 //	     list of odd length, or one that names a row twice, included; no shape
 //	     falls back to a slower kernel and no dimension d ≥ 0 is special-cased
 //	     outside the assembly.
@@ -48,13 +48,18 @@ import "unsafe"
 // AppendHingeRow's and SelectGE's comparisons select the same positions —
 // SelectGE on every input, NaNs and ties with the threshold included — so
 // they are bitwise the portable path (the hinge row's reported sum, which no
-// gradient depends on, to float32 accuracy). The row prefetch under
-// MulABtRows's assembly walk changes no result at all.
+// gradient depends on, to float32 accuracy). The row prefetch inside the
+// GEMM leaf changes no result at all: while the first strip of a listed
+// product scores columns j and j+1 it asks for the rows listed for columns
+// j+8 and j+9, and reads the list only while those are inside it, so the
+// first 8 listed rows are never asked for and a list of 8 or fewer gets no
+// prefetch. Dense products never prefetch.
 //
 // Two leaves dereference an index list unchecked — addRowSparseAVX2 and, under
-// MulABtRows, dotTileAVX2 — and for both the list is range-checked once per
-// call before anything is loaded (checkSparse, checkMulABt: one unsigned
-// maximum, maxUint32AVX2), with a constant-message panic.
+// MulABtRows, the GEMM leaf dotStripAVX2 (for its rows and its look-ahead) —
+// and for both the list is range-checked once per call before anything is
+// loaded (checkSparse, checkMulABt: one unsigned maximum, maxUint32AVX2), with
+// a constant-message panic.
 //
 // One assembly leaf does weighted row accumulation: addRowSparseAVX2, under
 // AddRowsSparse and the dense entry point. Axpy keeps its own 46-line leaf
@@ -92,35 +97,29 @@ func rowAt(idx []int32, j int) int {
 	return j
 }
 
-// mulABtAVX2 walks C in 4×2 tiles. Edge tiles pass their true row and column
-// counts: the tile still runs all 8 accumulators (on repeated rows) and
-// stores only the ones that exist, so every C[i][j] comes out of the same
-// instruction sequence as Dot. The tile is handed its two B rows as
-// pointers, so a gathered product (idx non-nil; checkMulABt has range-checked
-// it, the tile dereferences it unchecked) and a dense one are the same walk.
-// checkData has tied each len(Data) to its shape, which is what makes the
-// row addresses below — base plus row times the row's bytes — stay inside;
-// an empty matrix yields pointers the tiles never dereference.
+// mulABtAVX2 hands C to the strip leaf four rows at a time. The last strip
+// passes its true row count: the leaf still runs all 8 accumulators (on
+// repeated rows) and stores only the ones that exist, so every C[i][j] comes
+// out of the same instruction sequence as Dot. The leaf addresses B rows
+// itself — row j, or row idx[j] (checkMulABt has range-checked the list, the
+// leaf dereferences it unchecked) — so a gathered product and a dense one are
+// the same walk. Only the first strip of a listed product prefetches: it is
+// the one that meets each listed row first. checkData has tied each len(Data)
+// to its shape, which is what keeps the leaf's row addresses inside; an empty
+// matrix yields pointers the leaf never dereferences.
 //
 //pbg:hotpath
 func mulABtAVX2(c, a, b Matrix, idx []int32) {
 	n, m, d := a.Rows, c.Cols, a.Cols
 	cp := unsafe.Pointer(unsafe.SliceData(c.Data))
 	ap := unsafe.Pointer(unsafe.SliceData(a.Data))
-	bp := unsafe.Pointer(unsafe.SliceData(b.Data))
-	row := d * 4 // bytes of a row of A or B
-	if idx != nil && n > 0 {
-		prefetchRowsAVX2((*float32)(bp), d, unsafe.SliceData(idx), m)
+	bp, ip := unsafe.SliceData(b.Data), unsafe.SliceData(idx)
+	pre := 0
+	if idx != nil {
+		pre = m
 	}
 	for i := 0; i < n; i += 4 {
-		ai, r := (*float32)(unsafe.Add(ap, i*row)), min(4, n-i)
-		for j := 0; j < m; j += 2 {
-			b0 := (*float32)(unsafe.Add(bp, rowAt(idx, j)*row))
-			b1, cc := b0, 1
-			if j+1 < m {
-				b1, cc = (*float32)(unsafe.Add(bp, rowAt(idx, j+1)*row)), 2
-			}
-			dotTileAVX2((*float32)(unsafe.Add(cp, (i*m+j)*4)), m, ai, r, b0, b1, cc, d)
-		}
+		dotStripAVX2((*float32)(unsafe.Add(cp, i*m*4)), (*float32)(unsafe.Add(ap, i*d*4)), min(4, n-i), bp, ip, m, pre, d)
+		pre = 0
 	}
 }

@@ -35,19 +35,16 @@ func xgetbv() (eax, edx uint32)
 //go:noescape
 func dotAVX2(a, b *float32, d int) float32
 
-// dotTileAVX2 stores c[i·ldc+j] = dotAVX2(a+i·d, b_j, d) for i < r ≤ 4 and
-// j < cc ≤ 2, each with dotAVX2's instruction sequence on its own
-// accumulator. b0 and b1 are the tile's two B rows, wherever they lie; a
-// one-column tile passes b0 twice.
+// dotStripAVX2 stores c[i·m+j] = dotAVX2(a+i·d, b_j, d) for i < r ≤ 4 and
+// j < m, each with dotAVX2's instruction sequence on its own accumulator: one
+// call per strip of C, two columns at a time. b_j is row j of b, or row
+// idx[j] when idx is non-nil; idx is dereferenced unchecked, checkMulABt
+// vouches for it. While it scores column j it prefetches the row listed for
+// columns j+8 and j+9 when those are below pre (m on a listed product's first
+// strip, 0 otherwise).
 //
 //go:noescape
-func dotTileAVX2(c *float32, ldc int, a *float32, r int, b0, b1 *float32, cc int, d int)
-
-// prefetchRowsAVX2 prefetches the cache lines of rows idx[0..n) of b, d floats
-// a row.
-//
-//go:noescape
-func prefetchRowsAVX2(b *float32, d int, idx *int32, n int)
+func dotStripAVX2(c, a *float32, r int, b *float32, idx *int32, m, pre, d int)
 
 // axpyAVX2 computes y[k] = fma(alpha, x[k], y[k]) over d floats.
 //

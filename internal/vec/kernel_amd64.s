@@ -39,7 +39,7 @@ GLOBL tailmask<>(SB), RODATA|NOPTR, $64
 // func dotAVX2(a, b *float32, d int) float32
 //
 // One accumulator, Y0. The reduction tree is fixed:
-// ((x0+x1)+(x2+x3)) + ((x4+x5)+(x6+x7)); dotTileAVX2 applies the same tree
+// ((x0+x1)+(x2+x3)) + ((x4+x5)+(x6+x7)); dotStripAVX2 applies the same tree
 // to each of its accumulators, which is what makes MulABt bitwise Dot.
 TEXT ·dotAVX2(SB), NOSPLIT, $0-28
 	MOVQ a+0(FP), SI
@@ -72,28 +72,38 @@ dot_reduce:
 	VZEROUPPER
 	RET
 
-// func dotTileAVX2(c *float32, ldc int, a *float32, r int, b0, b1 *float32, cc int, d int)
+// STRIPAHEAD is how many columns ahead of the pair it scores the first strip
+// of a listed product asks for B rows: four pairs, far enough that a row
+// requested now has arrived when its pair comes up.
+#define STRIPAHEAD 8
+
+// func dotStripAVX2(c, a *float32, r int, b *float32, idx *int32, m, pre, d int)
 //
-// Accumulators: Y0..Y7 hold c00 c01 c10 c11 c20 c21 c30 c31; Y8, Y9 the two
-// B rows of the step, Y10..Y13 the four A rows — 14 of the 16 YMM registers,
-// 8 FMAs per 6 loads, and 8 independent FMA chains to cover the 4-cycle
-// latency on two ports. A 4×3 tile would need all 16 with nothing left for
-// the tail mask. Rows an edge tile lacks alias the last row it has, so the
-// loop has one shape; only the stores look at r and cc. The two B rows come
-// as pointers (a one-column tile is handed the same row twice), so the rows
-// may lie anywhere: next to each other under MulABt, wherever an index list
-// says under MulABtRows.
-TEXT ·dotTileAVX2(SB), NOSPLIT, $0-64
-	MOVQ a+16(FP), SI
-	MOVQ r+24(FP), R8
-	MOVQ b0+32(FP), DI
-	MOVQ b1+40(FP), R13
-	MOVQ cc+48(FP), R9
+// A strip of r ≤ 4 rows of A against all m columns, two columns at a time.
+// Accumulators: Y0..Y7 hold c00 c01 c10 c11 c20 c21 c30 c31 of the pair; Y8,
+// Y9 its two B rows of the step, Y10..Y13 the four A rows, Y14 the tail mask
+// (loaded once per strip) — 8 FMAs per 6 loads, and 8 independent FMA chains
+// to cover the 4-cycle latency on two ports. A 4×3 block would need all 16
+// registers with nothing left for the mask. Rows the strip lacks alias the
+// last row it has, and a lone last column takes its B row twice, so the
+// k-loop has one shape; only the stores look at r and at whether column j+1
+// exists. Column j reads B row j (idx nil) or row idx[j], wherever it lies.
+// While it scores columns j and j+1, the strip asks for every cache line of
+// the rows listed for columns j+STRIPAHEAD and j+STRIPAHEAD+1 that are below
+// pre: pre is m on the first strip of a listed product and 0 everywhere else,
+// so dense products never prefetch and idx is read only inside the list. A
+// prefetch faults on nothing and writes nothing. Registers across the pairs:
+// SI, R10..R12 the A rows, DX the whole-block bytes and CX the tail floats of
+// a row, R9 = j, R14 the strip's C entry of column j; r and the rest are read
+// from the frame.
+TEXT ·dotStripAVX2(SB), NOSPLIT, $0-64
+	MOVQ a+8(FP), SI
+	MOVQ r+16(FP), R8
 	MOVQ d+56(FP), CX
 	LEAQ (CX*4), DX
 
 	// A1..A3 in R10..R12: the next row, or the previous pointer again when
-	// the tile has no such row.
+	// the strip has no such row.
 	MOVQ    SI, R10
 	LEAQ    (SI)(DX*1), AX
 	CMPQ    R8, $2
@@ -107,6 +117,73 @@ TEXT ·dotTileAVX2(SB), NOSPLIT, $0-64
 	CMPQ    R8, $4
 	CMOVQGE AX, R12
 
+	BLOCKS
+	ANDQ    $7, CX
+	JZ      strip_cols
+	LEAQ    (CX*4), BX
+	LEAQ    tailmask<>+32(SB), AX
+	SUBQ    BX, AX
+	VMOVDQU (AX), Y14
+
+strip_cols:
+	MOVQ c+0(FP), R14
+	XORQ R9, R9
+	JMP  strip_next
+
+strip_pair:
+	// DI and R13: the B rows of columns j and j+1.
+	MOVQ    b+24(FP), R13
+	MOVQ    idx+32(FP), BX
+	MOVQ    R9, AX
+	TESTQ   BX, BX
+	JZ      strip_b0
+	MOVLQZX (BX)(R9*4), AX
+
+strip_b0:
+	IMULQ   d+56(FP), AX
+	LEAQ    (R13)(AX*4), DI
+	LEAQ    1(R9), AX
+	CMPQ    AX, m+40(FP)
+	JGE     strip_lone
+	TESTQ   BX, BX
+	JZ      strip_b1
+	MOVLQZX 4(BX)(R9*4), AX
+
+strip_b1:
+	IMULQ d+56(FP), AX
+	LEAQ  (R13)(AX*4), R13
+	JMP   strip_ahead
+
+strip_lone:
+	MOVQ DI, R13
+
+strip_ahead:
+	LEAQ STRIPAHEAD(R9), AX
+
+strip_ahead_col:
+	CMPQ    AX, pre+48(FP)
+	JGE     strip_zero
+	MOVQ    idx+32(FP), BX
+	MOVLQZX (BX)(AX*4), BX
+	IMULQ   d+56(FP), BX
+	SHLQ    $2, BX
+	ADDQ    b+24(FP), BX
+	LEAQ    (DX)(CX*4), R8
+	LEAQ    -1(BX)(R8*1), R8 // the row's last byte
+
+strip_ahead_line:
+	PREFETCHT0 (BX)
+	ADDQ       $64, BX
+	CMPQ       BX, R8
+	JLE        strip_ahead_line
+	PREFETCHT0 (R8)
+	INCQ       AX
+	MOVQ       AX, BX
+	SUBQ       R9, BX
+	CMPQ       BX, $(STRIPAHEAD+2)
+	JLT        strip_ahead_col
+
+strip_zero:
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
@@ -115,11 +192,13 @@ TEXT ·dotTileAVX2(SB), NOSPLIT, $0-64
 	VXORPS Y5, Y5, Y5
 	VXORPS Y6, Y6, Y6
 	VXORPS Y7, Y7, Y7
-	BLOCKS
-	CMPQ BX, DX
-	JGE  tile_tail
+	XORQ   BX, BX
+	CMPQ   BX, DX
+	JGE    strip_tail
 
-tile_loop:
+	PCALIGN $32
+
+strip_loop:
 	VMOVUPS     (DI)(BX*1), Y8
 	VMOVUPS     (R13)(BX*1), Y9
 	VMOVUPS     (SI)(BX*1), Y10
@@ -136,10 +215,11 @@ tile_loop:
 	VFMADD231PS Y9, Y13, Y7
 	ADDQ        $32, BX
 	CMPQ        BX, DX
-	JLT         tile_loop
+	JLT         strip_loop
 
-tile_tail:
-	TAILMASK(tile_reduce)
+strip_tail:
+	TESTQ       CX, CX
+	JZ          strip_reduce
 	VMASKMOVPS  (DI)(BX*1), Y14, Y8
 	VMASKMOVPS  (R13)(BX*1), Y14, Y9
 	VMASKMOVPS  (SI)(BX*1), Y14, Y10
@@ -155,7 +235,7 @@ tile_tail:
 	VFMADD231PS Y8, Y13, Y6
 	VFMADD231PS Y9, Y13, Y7
 
-tile_reduce:
+strip_reduce:
 	// dotAVX2's tree on all 8 accumulators at once: two rounds of pairwise
 	// adds transpose as they go, leaving X0 = c00 c01 c10 c11 and
 	// X4 = c20 c21 c30 c31.
@@ -170,77 +250,46 @@ tile_reduce:
 	VEXTRACTF128 $1, Y4, X5
 	VADDPS       X5, X4, X4
 
-	MOVQ c+0(FP), AX
-	MOVQ ldc+8(FP), DX
-	SHLQ $2, DX
-	CMPQ R9, $2
-	JLT  tile_onecol
-	VMOVLPS X0, (AX)
-	CMPQ    R8, $2
-	JLT     tile_done
-	VMOVHPS X0, (AX)(DX*1)
-	CMPQ    R8, $3
-	JLT     tile_done
-	LEAQ    (AX)(DX*2), AX
-	VMOVLPS X4, (AX)
-	CMPQ    R8, $4
-	JLT     tile_done
-	VMOVHPS X4, (AX)(DX*1)
-	JMP     tile_done
+	// AX: the bytes of a row of C.
+	MOVQ    m+40(FP), AX
+	SHLQ    $2, AX
+	LEAQ    1(R9), BX
+	CMPQ    BX, m+40(FP)
+	JGE     strip_onecol
+	VMOVLPS X0, (R14)
+	CMPQ    r+16(FP), $2
+	JLT     strip_stored
+	VMOVHPS X0, (R14)(AX*1)
+	CMPQ    r+16(FP), $3
+	JLT     strip_stored
+	LEAQ    (R14)(AX*2), BX
+	VMOVLPS X4, (BX)
+	CMPQ    r+16(FP), $4
+	JLT     strip_stored
+	VMOVHPS X4, (BX)(AX*1)
+	JMP     strip_stored
 
-tile_onecol:
-	VMOVSS     X0, (AX)
-	CMPQ       R8, $2
-	JLT        tile_done
-	VEXTRACTPS $2, X0, (AX)(DX*1)
-	CMPQ       R8, $3
-	JLT        tile_done
-	LEAQ       (AX)(DX*2), AX
-	VMOVSS     X4, (AX)
-	CMPQ       R8, $4
-	JLT        tile_done
-	VEXTRACTPS $2, X4, (AX)(DX*1)
+strip_onecol:
+	VMOVSS     X0, (R14)
+	CMPQ       r+16(FP), $2
+	JLT        strip_stored
+	VEXTRACTPS $2, X0, (R14)(AX*1)
+	CMPQ       r+16(FP), $3
+	JLT        strip_stored
+	LEAQ       (R14)(AX*2), BX
+	VMOVSS     X4, (BX)
+	CMPQ       r+16(FP), $4
+	JLT        strip_stored
+	VEXTRACTPS $2, X4, (BX)(AX*1)
 
-tile_done:
+strip_stored:
+	ADDQ $8, R14
+	ADDQ $2, R9
+
+strip_next:
+	CMPQ R9, m+40(FP)
+	JLT  strip_pair
 	VZEROUPPER
-	RET
-
-// func prefetchRowsAVX2(b *float32, d int, idx *int32, n int)
-//
-// Asks for every cache line of rows idx[0..n) of b (d floats a row), in list
-// order, ahead of the tile walk that reads them: rows named by a list lie
-// where no hardware prefetcher looks, and the tile's eight FMA chains would
-// otherwise stall on each miss in turn. A prefetch faults on nothing and
-// writes nothing.
-TEXT ·prefetchRowsAVX2(SB), NOSPLIT, $0-32
-	MOVQ b+0(FP), SI
-	MOVQ d+8(FP), DX
-	MOVQ idx+16(FP), R9
-	MOVQ n+24(FP), R11
-	SHLQ $2, DX
-	JZ   prefetch_done
-	XORQ BX, BX
-	JMP  prefetch_next
-
-prefetch_row:
-	MOVLQZX (R9)(BX*4), AX
-	IMULQ   DX, AX
-	ADDQ    SI, AX
-	LEAQ    -1(AX)(DX*1), CX // the row's last byte
-
-prefetch_line:
-	PREFETCHT0 (AX)
-	ADDQ       $64, AX
-	CMPQ       AX, CX
-	JLE        prefetch_line
-	PREFETCHT0 (CX)
-	INCQ       BX
-
-prefetch_next:
-	CMPQ BX, R11
-	JLT  prefetch_row
-
-prefetch_done:
 	RET
 
 // func axpyAVX2(alpha float32, x, y *float32, d int)

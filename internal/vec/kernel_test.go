@@ -265,7 +265,7 @@ func firstDiff(x, y []float32) int {
 
 // checkRows holds MulABtRows to its definition on every path: against rows
 // of b picked by a list with repeats — of odd length whenever m is even, so
-// the one-column edge tile reads through the list too — it is bitwise the same
+// the strip's lone last column reads through the list too — it is bitwise the same
 // path's MulABt over a gathered copy of those rows, and on the assembly path
 // bitwise Dot of the rows where they lie.
 func checkRows(n, m, d, off int, seed uint64) error {
@@ -388,7 +388,7 @@ func TestMulABtRowsMatchesGathered(t *testing.T) {
 	})
 }
 
-// TestMulABtRowsGate: the assembly tile dereferences the list unchecked, so a
+// TestMulABtRowsGate: the assembly leaf dereferences the list unchecked, so a
 // row outside b must be refused on both paths before anything is loaded or
 // stored, with a constant message.
 func TestMulABtRowsGate(t *testing.T) {
@@ -758,11 +758,18 @@ func TestAppendHingeRow(t *testing.T) {
 // seed, and holds both paths to contract (i), the assembly path to contract
 // (ii), the complex leaves to bitwise parity, the hinge row and the threshold
 // filter to their definitions, and MulABtRows to MulABt over a gathered copy.
+// checkRows lists m+1 rows, so the seeds with m = 69 score a 70-row serve
+// list at d = 32 and offset 7, and m = 6, 7, 8 lists of one row fewer than
+// the leaf's look-ahead distance, exactly it and one more.
 func FuzzKernelParity(f *testing.F) {
 	f.Add(uint8(5), uint8(3), uint8(9), uint8(1), uint8(170), uint64(1))
 	f.Add(uint8(50), uint8(100), uint8(64), uint8(7), uint8(40), uint64(2))
+	f.Add(uint8(13), uint8(69), uint8(32), uint8(6), uint8(170), uint64(15))
+	for m := uint8(6); m <= 8; m++ {
+		f.Add(uint8(13), m, uint8(32), uint8(6), uint8(170), uint64(16+m))
+	}
 	f.Fuzz(func(t *testing.T, n, m, d, off, density uint8, seed uint64) {
-		ni, mi, di, oi := int(n%64), int(m%64), int(d), 1+int(off%7)
+		ni, mi, di, oi := int(n%64), int(m%128), int(d), 1+int(off%7)
 		for _, ks := range bothPaths() {
 			if err := checkBound(ks, ni, mi, di, oi, density, seed); err != nil {
 				t.Fatalf("%s n=%d m=%d d=%d offset %d density %d seed %d: %v", ks.name, ni, mi, di, oi, density, seed, err)
@@ -789,8 +796,9 @@ func FuzzKernelParity(f *testing.F) {
 }
 
 // Benchmarks at the shapes the repository benchmark runs (n×m×d): the
-// kg_mem training chunk, the social_ooc chunk, and the ragged IVF list scan
-// of serve_topk. Each reports GFLOP/s on the assembly and the portable path;
+// kg_mem training chunk, the social_ooc chunk, the ragged IVF list scan of
+// serve_topk, the exact scan's 32×256 block (vec.mulabt_gflops.serve's
+// shape) and eval's one query row against 1 001 candidates. Each reports GFLOP/s on the assembly and the portable path;
 // asm ÷ generic is the kernel speed-up.
 
 func benchPaths(b *testing.B, flops int, run func(ks kernels)) {
@@ -815,7 +823,10 @@ func BenchmarkMulABt(b *testing.B) {
 	for _, s := range []struct {
 		name    string
 		n, m, d int
-	}{{"train_50x100x64", 50, 100, 64}, {"ooc_10x20x128", 10, 20, 128}, {"serve_13x18x32", 13, 18, 32}} {
+	}{
+		{"train_50x100x64", 50, 100, 64}, {"ooc_10x20x128", 10, 20, 128}, {"serve_13x18x32", 13, 18, 32},
+		{"exact_32x256x32", 32, 256, 32}, {"eval_1x1001x64", 1, 1001, 64},
+	} {
 		b.Run(s.name, func(b *testing.B) {
 			r := rng.New(3)
 			am, bm, c := randMatrix(r, s.n, s.d), randMatrix(r, s.m, s.d), NewMatrix(s.n, s.m)

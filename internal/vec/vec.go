@@ -167,8 +167,8 @@ func checkPair(op string, a, b []float32) {
 }
 
 // checkMulABt is the shape and bounds gate of MulABt and MulABtRows. The
-// assembly tile reads row idx[j] of b by pointer arithmetic, so the list is
-// range-checked here, once per call, before any row is loaded.
+// assembly leaf reads idx[j] and row idx[j] of b by pointer arithmetic, so the
+// list is range-checked here, once per call, before any row is loaded.
 func checkMulABt(c, a, b Matrix, idx []int32) {
 	checkData(c, a, b)
 	if a.Cols != b.Cols {
@@ -194,7 +194,7 @@ func checkOuter(a, g, b Matrix) {
 	}
 }
 
-// checkData is the bounds gate of the three GEMMs: the assembly tiles address
+// checkData is the bounds gate of the three GEMMs: the assembly leaves address
 // rows by pointer arithmetic from Rows and Cols, so a hand-built Matrix whose
 // Data is shorter than its shape must be refused here, where the portable
 // kernels would have hit a slice bounds panic.
@@ -276,11 +276,11 @@ func (m Matrix) Row(i int) []float32 {
 // scores of n positives against m candidate negatives are a single GEMM.
 //
 // Both paths are register-blocked 4×2: each inner pass streams the shared
-// dimension once for a 4-row tile of A against a 2-row tile of B, keeping 8
-// accumulators live in registers — 8 FMAs per 6 loads versus 1 FMA per 2
-// loads for the row-times-row formulation. On the assembly path every
-// C[i][j] is bitwise Dot(a_i, b_j) wherever the tile grid puts it (see
-// kernel.go).
+// dimension once for 4 rows of A against 2 rows of B, keeping 8 accumulators
+// live in registers — 8 FMAs per 6 loads versus 1 FMA per 2 loads for the
+// row-times-row formulation. On the assembly path one leaf call takes a strip
+// of 4 rows of A across every column pair of C, and every C[i][j] is bitwise
+// Dot(a_i, b_j) wherever the strip and the pair put it (see kernel.go).
 //
 //pbg:hotpath
 func MulABt(c, a, b Matrix) {
@@ -291,12 +291,14 @@ func MulABt(c, a, b Matrix) {
 // idx of B, read where they lie instead of being gathered next to each other
 // first. A is (n×d), B is (m×d), C is (n×len(idx)); a row may be listed more
 // than once. A nil idx lists every row of B in order, which is MulABt. It is
-// the same tile walk on the same leaf as MulABt — on the assembly path bitwise
-// MulABt over a gathered copy of the rows, and bitwise Dot — so serving scores
-// a probed list straight out of a read-only mapping. Listed rows lie where no
-// hardware prefetcher looks, so the assembly walk asks for all of them before
-// its first tile (a hint: it changes no result). An index outside B panics
-// before any row is read.
+// the same strip walk on the same leaf as MulABt — on the assembly path
+// bitwise MulABt over a gathered copy of the rows, and bitwise Dot — so
+// serving scores a probed list straight out of a read-only mapping. Listed
+// rows lie where no hardware prefetcher looks, so the assembly walk's first
+// strip asks for the rows listed 8 and 9 columns ahead of the pair it scores
+// (a hint: it changes no result; the first 8 listed rows, and so a list of 8
+// or fewer, go unrequested). An index outside B panics before any row is
+// read.
 //
 //pbg:hotpath
 func MulABtRows(c, a, b Matrix, idx []int32) {
@@ -311,7 +313,7 @@ func MulABtRows(c, a, b Matrix, idx []int32) {
 // mulABtGeneric is the portable MulABtRows. Its 8 accumulators are scalars: a
 // 4×4 tile's 16 would spill out of the 16 XMM registers Go's scalar codegen
 // has on amd64 and measures slower than naive, so 8 is the sweet spot for
-// this path (the assembly tile holds 8 lanes per accumulator in YMM).
+// this path (the assembly leaf holds 8 lanes per accumulator in YMM).
 //
 //pbg:hotpath
 func mulABtGeneric(c, a, b Matrix, idx []int32) {
