@@ -2,7 +2,12 @@
 
 package model
 
-import "testing"
+import (
+	"testing"
+
+	"pbg/internal/rng"
+	"pbg/internal/vec"
+)
 
 // The race detector's instrumentation allocates, so the count is pinned on
 // plain builds only (as in internal/serve).
@@ -25,6 +30,33 @@ func TestScoreChunkSteadyStateAllocs(t *testing.T) {
 			grad := s.NewChunkGrad(50, 50)
 			if allocs := testing.AllocsPerRun(10, func() { s.ScoreChunk(ws, in, grad) }); allocs != 0 {
 				t.Errorf("%s reciprocal=%v: warm ScoreChunk made %.0f allocations, want 0", loss, reciprocal, allocs)
+			}
+		}
+	}
+}
+
+// TestL2CrossScoresAllocs pins that a warm CrossScoresRows of the two
+// distance comparators allocates nothing — the column norms live in a stack
+// array, one chunk at a time — over more columns than one chunk holds, listed
+// and dense. Serving's k-means makes one such call per block of rows.
+func TestL2CrossScoresAllocs(t *testing.T) {
+	r := rng.New(3)
+	a, b := vec.NewMatrix(8, 32), vec.NewMatrix(600, 32)
+	fill(r, a.Data)
+	fill(r, b.Data)
+	idx := make([]int32, 300)
+	for j := range idx {
+		idx[j] = int32(j*7) % 600
+	}
+	for _, cmp := range []Comparator{SquaredL2Comparator{}, L2Comparator{}} {
+		for _, list := range [][]int32{nil, idx} {
+			cols := b.Rows
+			if list != nil {
+				cols = len(list)
+			}
+			out := vec.NewMatrix(a.Rows, cols)
+			if allocs := testing.AllocsPerRun(10, func() { cmp.CrossScoresRows(out, a, b, list) }); allocs != 0 {
+				t.Errorf("%s over %d columns: warm CrossScoresRows made %.0f allocations, want 0", cmp.Name(), cols, allocs)
 			}
 		}
 	}

@@ -167,24 +167,28 @@ func (c SquaredL2Comparator) CrossScores(out, a, b vec.Matrix) {
 	c.CrossScoresRows(out, a, b, nil)
 }
 
+// l2NormChunk is how many column norms SquaredL2Comparator.CrossScoresRows
+// holds at a time, in a stack array, so the call allocates nothing.
+const l2NormChunk = 256
+
 func (SquaredL2Comparator) CrossScoresRows(out, a, b vec.Matrix, idx []int32) {
 	vec.MulABtRows(out, a, b, idx)
-	aN := make([]float32, a.Rows)
-	bN := make([]float32, out.Cols)
-	for i := range aN {
-		aN[i] = vec.SumSquares(a.Row(i))
-	}
-	for j := range bN {
-		row := j
-		if idx != nil {
-			row = int(idx[j])
+	var bN [l2NormChunk]float32
+	for lo := 0; lo < out.Cols; lo += l2NormChunk {
+		cols := bN[:min(l2NormChunk, out.Cols-lo)]
+		for j := range cols {
+			row := lo + j
+			if idx != nil {
+				row = int(idx[row])
+			}
+			cols[j] = vec.SumSquares(b.Row(row))
 		}
-		bN[j] = vec.SumSquares(b.Row(row))
-	}
-	for i := 0; i < out.Rows; i++ {
-		row := out.Row(i)
-		for j := range row {
-			row[j] = 2*row[j] - aN[i] - bN[j]
+		for i := 0; i < out.Rows; i++ {
+			aN := vec.SumSquares(a.Row(i))
+			row := out.Row(i)[lo : lo+len(cols)]
+			for j := range row {
+				row[j] = 2*row[j] - aN - cols[j]
+			}
 		}
 	}
 }

@@ -90,6 +90,40 @@ func TestCrossScoresRowsMatchesGathered(t *testing.T) {
 	}
 }
 
+// TestSquaredL2CrossScoresAcrossNormChunks pins squared_l2's cross scores
+// to 2·(A·Bᵀ)[i][j] − ‖a_i‖² − ‖b_j‖² element by element, bit for bit, over
+// more columns than one chunk of column norms holds (600 = 256 + 256 + 88),
+// dense and listed (B then being the gathered rows).
+func TestSquaredL2CrossScoresAcrossNormChunks(t *testing.T) {
+	r := rng.New(13)
+	a, b := vec.NewMatrix(5, 9), vec.NewMatrix(600, 9)
+	fill(r, a.Data)
+	fill(r, b.Data)
+	idx := make([]int32, 600)
+	gathered := vec.NewMatrix(600, 9)
+	for j := range idx {
+		idx[j] = int32(599 - j)
+		copy(gathered.Row(j), b.Row(599-j))
+	}
+	for _, list := range [][]int32{nil, idx} {
+		got, prod := vec.NewMatrix(a.Rows, 600), vec.NewMatrix(a.Rows, 600)
+		SquaredL2Comparator{}.CrossScoresRows(got, a, b, list)
+		cols := b
+		if list != nil {
+			cols = gathered
+		}
+		vec.MulABt(prod, a, cols)
+		for i := 0; i < a.Rows; i++ {
+			for j := 0; j < 600; j++ {
+				want := 2*prod.Row(i)[j] - vec.SumSquares(a.Row(i)) - vec.SumSquares(cols.Row(j))
+				if math.Float32bits(got.Row(i)[j]) != math.Float32bits(want) {
+					t.Fatalf("listed=%v (%d, %d): %v, want %v", list != nil, i, j, got.Row(i)[j], want)
+				}
+			}
+		}
+	}
+}
+
 func TestL2CrossMatchesPair(t *testing.T) {
 	r := rng.New(5)
 	a := vec.NewMatrix(4, 6)

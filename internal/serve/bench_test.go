@@ -114,3 +114,22 @@ func BenchmarkWireCodec(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkBuildIVF times one index build at the repository benchmark's
+// serve_topk shape (20 000 rows of d = 32 over four partitions: 4 × 71
+// lists, eight Lloyd passes and a final assignment each), the part of a
+// server's set-up that BuildIndex adds.
+func BenchmarkBuildIVF(b *testing.B) {
+	f := servetest.Shared(b, servetest.FixtureConfig{Nodes: 20000, Dim: 32, Epochs: 2})
+	ss, err := serve.OpenShardSet(f.Dir, f.Graph.Schema, f.Cfg.Dim)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ss.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if idx := serve.BuildIVF(ss, serve.IVFConfig{Seed: 7}); idx.Dim != f.Cfg.Dim {
+			b.Fatalf("index dim %d, want %d", idx.Dim, f.Cfg.Dim)
+		}
+	}
+}

@@ -446,8 +446,9 @@ func (v *view) rank(ws *workspace, rel int, src, dst int32) (float64, error) {
 		return src, nil
 	}, 1)
 
-	// True score first, through the same block scorer (n=1 blocks take the
-	// vec.Dot tail path, so this is bitwise model.Scorer.Score).
+	// True score first, through the same block scorer (an n=1 block is a
+	// strip of one row, every cell bitwise vec.Dot, so this is bitwise
+	// model.Scorer.Score).
 	dp := ent.PartitionOf(dst)
 	dlocal := int(ent.LocalOffset(dst))
 	trueScores := v.scoreRows(ws, rel, tq, v.ss.scanSource(dstType, dp, false), dlocal, 1, nil)

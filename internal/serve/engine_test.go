@@ -22,9 +22,9 @@ func openServer(t *testing.T, f *servetest.Fixture) *serve.Server {
 
 // TestExactTopKMatchesOracleBitwise pins the strongest parity claim: a
 // single-query exact top-K returns the oracle's IDs AND the oracle's exact
-// score bits. A 1-row query matrix takes vec.MulABt's Dot tail path, the
-// same kernel model.Scorer.ScoreMany bottoms out in, so chunking cannot
-// change a single bit.
+// score bits. A 1-row query matrix is a GEMM strip of one row, whose every
+// cell is bitwise vec.Dot — the kernel model.Scorer.ScoreMany bottoms out
+// in — so chunking cannot change a single bit.
 func TestExactTopKMatchesOracleBitwise(t *testing.T) {
 	for _, cmp := range []string{"dot", "cos", "squared_l2", "l2"} {
 		t.Run(cmp, func(t *testing.T) {

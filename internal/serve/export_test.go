@@ -46,6 +46,11 @@ func (s *Server) IVFGatherCounts(reqs []TopKRequest) (gathered, union int, res [
 	return ws.tally.gathered, union, res, nil
 }
 
+// AssignNearest is the k-means assignment step on a fresh score buffer.
+func AssignNearest(assign []int32, rows, cent vec.Matrix) {
+	assignNearest(assign, rows, cent, make([]float32, min(kmeansBlock, rows.Rows)*cent.Rows))
+}
+
 // ScratchFloatsUsed scores one single-group batch on a fresh workspace and
 // reports how much scratch the scan asked for: 0 means every candidate block —
 // shard rows and centroids — was scored where it lies.

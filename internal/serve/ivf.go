@@ -3,8 +3,12 @@ package serve
 import (
 	"math"
 	"math/bits"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 
+	"pbg/internal/model"
 	"pbg/internal/rng"
 	"pbg/internal/vec"
 )
@@ -86,22 +90,43 @@ func DefaultNProbe(totalLists int) int {
 	return np
 }
 
-// BuildIVF clusters every partition of every entity type in the set.
+// BuildIVF clusters every partition of every entity type in the set. The
+// (type, partition) pairs are clustered concurrently on at most GOMAXPROCS
+// goroutines, each pair with its own generator seeded from (Seed, type,
+// partition), so the index depends only on the seed and the shards, never on
+// the processor count. On a quantized-only shard clustering runs over a
+// dequantized fp32 copy of the partition (MaterializeRows), so each goroutine
+// holds at most one such copy at a time.
 func BuildIVF(ss *ShardSet, cfg IVFConfig) *IVF {
 	cfg = cfg.withDefaults()
 	idx := &IVF{Dim: ss.dim, Types: make([]*ivfType, len(ss.schema.Entities))}
+	type job struct{ t, p int }
+	var jobs []job
 	for t := range ss.schema.Entities {
 		ent := &ss.schema.Entities[t]
-		it := &ivfType{Parts: make([]ivfPart, ent.NumPartitions)}
+		idx.Types[t] = &ivfType{Parts: make([]ivfPart, ent.NumPartitions)}
 		for p := 0; p < ent.NumPartitions; p++ {
-			// MaterializeRows: on a quantized-only shard, clustering runs over
-			// a dequantized fp32 copy (freed after the build).
-			rows := ss.MaterializeRows(t, p)
-			r := rng.New(cfg.Seed ^ uint64(t)<<32 ^ uint64(p)<<8 ^ 0x9e3779b97f4a7c15)
-			it.Parts[p] = buildPart(rows, cfg, r)
-			it.Lists += len(it.Parts[p].Lists)
+			jobs = append(jobs, job{t, p})
 		}
-		idx.Types[t] = it
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(jobs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(jobs); i = int(next.Add(1) - 1) {
+				t, p := jobs[i].t, jobs[i].p
+				r := rng.New(cfg.Seed ^ uint64(t)<<32 ^ uint64(p)<<8 ^ 0x9e3779b97f4a7c15)
+				idx.Types[t].Parts[p] = buildPart(ss.MaterializeRows(t, p), cfg, r)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, it := range idx.Types {
+		for _, part := range it.Parts {
+			it.Lists += len(part.Lists)
+		}
 	}
 	return idx
 }
@@ -134,10 +159,9 @@ func buildPart(rows vec.Matrix, cfg IVFConfig, r *rng.RNG) ivfPart {
 	}
 	assign := make([]int32, n)
 	counts := make([]int, nlist)
+	scores := make([]float32, min(kmeansBlock, n)*nlist)
 	for iter := 0; iter < cfg.Iters; iter++ {
-		for i := 0; i < n; i++ {
-			assign[i] = int32(nearestCentroid(cent, rows.Row(i)))
-		}
+		assignNearest(assign, rows, cent, scores)
 		for c := range counts {
 			counts[c] = 0
 		}
@@ -156,23 +180,41 @@ func buildPart(rows vec.Matrix, cfg IVFConfig, r *rng.RNG) ivfPart {
 		}
 	}
 	// Final assignment into lists.
+	assignNearest(assign, rows, cent, scores)
 	lists := make([][]int32, nlist)
-	for i := 0; i < n; i++ {
-		c := nearestCentroid(cent, rows.Row(i))
+	for i, c := range assign {
 		lists[c] = append(lists[c], int32(i))
 	}
 	return ivfPart{Centroids: cent, Lists: lists}
 }
 
-func nearestCentroid(cent vec.Matrix, x []float32) int {
-	best, bestD := 0, float32(math.Inf(1))
-	for c := 0; c < cent.Rows; c++ {
-		d := vec.SquaredDistance(cent.Row(c), x)
-		if d < bestD {
-			best, bestD = c, d
+// kmeansBlock is the number of rows assignNearest scores per GEMM.
+const kmeansBlock = 256
+
+// assignNearest sets assign[i] to the centroid nearest row i of rows. Each
+// block of kmeansBlock rows is scored against every centroid by one
+// SquaredL2Comparator.CrossScores — −‖x−c‖² as 2·x·c − ‖x‖² − ‖c‖², one GEMM
+// read straight from rows, which may be a read-only mapping — and each row
+// takes its best score, ties going to the lowest centroid index; a row whose
+// scores are all NaN goes to centroid 0. scores holds one block's scores:
+// min(kmeansBlock, rows.Rows)·cent.Rows floats.
+func assignNearest(assign []int32, rows, cent vec.Matrix, scores []float32) {
+	n, dim, k := rows.Rows, rows.Cols, cent.Rows
+	for lo := 0; lo < n; lo += kmeansBlock {
+		m := min(kmeansBlock, n-lo)
+		block := vec.MatrixFrom(rows.Data[lo*dim:(lo+m)*dim], m, dim)
+		out := vec.MatrixFrom(scores[:m*k], m, k)
+		model.SquaredL2Comparator{}.CrossScores(out, block, cent)
+		for i := 0; i < m; i++ {
+			best, bestS := 0, float32(math.Inf(-1))
+			for c, s := range out.Row(i) {
+				if s > bestS {
+					best, bestS = c, s
+				}
+			}
+			assign[lo+i] = int32(best)
 		}
 	}
-	return best
 }
 
 // probeKey packs one list's centroid score for a query and the list's cell —
@@ -295,8 +337,8 @@ func (v *view) topKIVF(ws *workspace, rel int, reqs []TopKRequest, out []TopKRes
 // per probing query — where it lies in the mapping, unless it must be
 // dequantized or prepared first (scoreRows) — and the GEMM's register
 // blocking re-uses it across four queries at a time. A batch of one is the
-// same code with one query row: vec.MulABtRows' Dot tail, so its scores are
-// bitwise model.Scorer.Score.
+// same code with one query row: a strip of one row, whose every cell is
+// bitwise vec.Dot, so its scores are bitwise model.Scorer.Score.
 //
 //pbg:hotpath
 func (v *view) scanProbed(ws *workspace, rel int, tq vec.Matrix, cellEnd, cellQ []int32, heaps []topkHeap, out []TopKResult) {

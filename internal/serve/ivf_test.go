@@ -1,7 +1,10 @@
 package serve_test
 
 import (
+	"bytes"
+	"fmt"
 	"os"
+	"runtime"
 	"testing"
 
 	"pbg/internal/graph"
@@ -9,6 +12,7 @@ import (
 	"pbg/internal/serve"
 	"pbg/internal/serve/servetest"
 	"pbg/internal/storage"
+	"pbg/internal/vec"
 )
 
 // TestIVFRecallProperty is the satellite property test: over randomized
@@ -162,9 +166,9 @@ func mixedIVFBatch(f *servetest.Fixture, seed uint64, n int) []serve.TopKRequest
 // TestBatchedIVFMatchesSingle pins the list-major scan against the
 // query-major one it replaced: a batch of 32 requests with mixed per-request
 // NProbe and K returns, request by request, the ids, Scanned and Probed of
-// issuing that request alone. And a request alone is one query row on
-// vec.MulABt's Dot tail, so every id it returns carries the oracle's score
-// bit for bit.
+// issuing that request alone. And a request alone is one query row, a GEMM
+// strip of one row whose every cell is bitwise vec.Dot, so every id it
+// returns carries the oracle's score bit for bit.
 func TestBatchedIVFMatchesSingle(t *testing.T) {
 	for _, cmp := range []string{"dot", "cos"} {
 		t.Run(cmp, func(t *testing.T) {
@@ -289,6 +293,119 @@ func TestDefaultNProbePerDestinationType(t *testing.T) {
 	for rel, ent := range schema.Entities {
 		if res[rel].Probed == 0 || res[rel].Scanned >= ent.Count {
 			t.Fatalf("default query against %q probed %d lists and scanned %d of %d rows — no pruning", ent.Name, res[rel].Probed, res[rel].Scanned, ent.Count)
+		}
+	}
+}
+
+// TestBuildIVFSameIndexAnyProcs pins that the index is a function of the seed
+// and the shards alone: built on one processor and on four, the serialized
+// indexes are the same bytes.
+func TestBuildIVFSameIndexAnyProcs(t *testing.T) {
+	f := servetest.Shared(t, servetest.FixtureConfig{Nodes: 2000})
+	ss, err := serve.OpenShardSet(f.Dir, f.Graph.Schema, f.Cfg.Dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss.Close()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var images [][]byte
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		path := fmt.Sprintf("%s/ivf-%d.pbg", t.TempDir(), procs)
+		if err := serve.WriteIVF(path, serve.BuildIVF(ss, serve.IVFConfig{Seed: 9})); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		images = append(images, data)
+	}
+	if !bytes.Equal(images[0], images[1]) {
+		t.Fatalf("index built on 1 processor (%d bytes) differs from the one built on 4 (%d bytes)", len(images[0]), len(images[1]))
+	}
+}
+
+// TestKMeansAssignsNearest holds the blocked k-means assignment to the
+// nearest centroid in float64, over more rows than one scoring block: random
+// rows and centroids, rows that are copies of a centroid listed twice, and
+// rows equidistant from every centroid but one. Each row's centroid must be
+// the float64 nearest up to the rounding of a float32 distance, and exact ties
+// go to the lowest centroid index.
+func TestKMeansAssignsNearest(t *testing.T) {
+	const n = 700 // blocks of 256, 256 and 188 rows
+	for _, dim := range []int{1, 7, 32} {
+		r := rng.New(uint64(dim))
+		random := func(m vec.Matrix) {
+			for i := range m.Data {
+				m.Data[i] = r.NormFloat32()
+			}
+		}
+		// Random rows, random centroids.
+		rows, cent := vec.NewMatrix(n, dim), vec.NewMatrix(37, dim)
+		random(rows)
+		random(cent)
+		checkNearest(t, "random", rows, cent, nil)
+
+		// Centroid 5 repeats centroid 2, and every row is a copy of one of
+		// them: the copies of either go to 2.
+		copy(cent.Row(5), cent.Row(2))
+		want := make([]int32, n)
+		for i := 0; i < n; i++ {
+			c := (i * 11) % cent.Rows
+			copy(rows.Row(i), cent.Row(c))
+			want[i] = int32(c)
+			if c == 5 {
+				want[i] = 2
+			}
+		}
+		checkNearest(t, "duplicated", rows, cent, want)
+
+		// Centroid 0 is far away and centroids 1..dim are s·e_k: a row
+		// t·(1, …, 1) is exactly as far from each of those, so it goes to 1.
+		cent = vec.NewMatrix(dim+1, dim)
+		for k := 0; k < dim; k++ {
+			cent.Row(0)[k] = 100
+			cent.Row(k + 1)[k] = 0.75
+		}
+		for i := 0; i < n; i++ {
+			for k := range rows.Row(i) {
+				rows.Row(i)[k] = float32(i%9) / 4
+			}
+			want[i] = 1
+		}
+		checkNearest(t, "equidistant", rows, cent, want)
+	}
+}
+
+// checkNearest runs the assignment of rows to cent and checks every row's
+// centroid against the float64 distances, and against want when it is set.
+func checkNearest(t *testing.T, name string, rows, cent vec.Matrix, want []int32) {
+	t.Helper()
+	assign := make([]int32, rows.Rows)
+	serve.AssignNearest(assign, rows, cent)
+	dist := func(x, y []float32) (d, scale float64) {
+		for k := range x {
+			diff := float64(x[k]) - float64(y[k])
+			d += diff * diff
+			scale += float64(x[k])*float64(x[k]) + float64(y[k])*float64(y[k])
+		}
+		return d, scale
+	}
+	for i, got := range assign {
+		if want != nil && got != want[i] {
+			t.Fatalf("%s, dim %d: row %d went to centroid %d, want %d", name, rows.Cols, i, got, want[i])
+		}
+		best := 0
+		bestD, _ := dist(rows.Row(i), cent.Row(0))
+		for c := 1; c < cent.Rows; c++ {
+			if d, _ := dist(rows.Row(i), cent.Row(c)); d < bestD {
+				best, bestD = c, d
+			}
+		}
+		gotD, scale := dist(rows.Row(i), cent.Row(int(got)))
+		if gotD-bestD > 1e-5*scale {
+			t.Fatalf("%s, dim %d: row %d went to centroid %d at squared distance %g; centroid %d is at %g", name, rows.Cols, i, got, gotD, best, bestD)
 		}
 	}
 }

@@ -197,7 +197,8 @@ func Open(dir string, cfg Config) (*Server, error) {
 }
 
 // loadView opens shards, relation parameters and (if present) the index
-// into a fresh view. Nothing is visible to readers until install.
+// into a fresh view. relations.pbg may be absent only when no relation's
+// operator has parameters. Nothing is visible to readers until install.
 func (s *Server) loadView(dir string) (*view, error) {
 	ss, err := OpenShardSet(dir, s.cfg.Schema, s.cfg.Dim)
 	if err != nil {
@@ -241,6 +242,12 @@ func (s *Server) loadView(dir string) (*view, error) {
 		v.dstType[r] = schema.EntityTypeIndex(rel.DestType)
 		params := make([]float32, sc.RelParamCount())
 		sc.InitRelParams(params)
+		if rs == nil && len(params) > 0 {
+			// Initial parameters would score as if the relation were never
+			// trained; only parameter-free operators can do without the file.
+			_ = ss.Close()
+			return nil, fmt.Errorf("serve: %s is missing, and relation %d (%s) has %d trained parameters", relPath, r, rel.Operator, len(params))
+		}
 		if rs != nil {
 			if r >= len(rs.Params) {
 				_ = ss.Close()

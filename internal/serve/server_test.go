@@ -1,6 +1,8 @@
 package serve_test
 
 import (
+	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,6 +11,7 @@ import (
 	"pbg/internal/obs"
 	"pbg/internal/serve"
 	"pbg/internal/serve/servetest"
+	"pbg/internal/storage"
 )
 
 // TestConcurrentMixedRequestsWithReload is the -race satellite: goroutines
@@ -263,5 +266,40 @@ func TestServeMetrics(t *testing.T) {
 	}
 	if serve.MmapAvailable() && snap.Gauges[`pbg_serve_mapped_shards`] == 0 {
 		t.Fatal("mapped-shards gauge not published")
+	}
+}
+
+// TestOpenNeedsRelationsForParameterisedOperators pins that a checkpoint
+// without relations.pbg is refused, by Open and by Reload, with an error
+// naming the file, when an operator has parameters — serving initial
+// parameters would answer as if the relations were never trained — and
+// still opens when every operator is parameter-free.
+func TestOpenNeedsRelationsForParameterisedOperators(t *testing.T) {
+	for _, op := range []string{"translation", "identity"} {
+		t.Run(op, func(t *testing.T) {
+			f := servetest.Shared(t, servetest.FixtureConfig{Operator: op, Zero: true})
+			dir := f.CheckpointAs(t, storage.CodecFP32)
+			s, err := serve.Open(dir, f.ServerConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if err := os.Remove(dir + "/relations.pbg"); err != nil {
+				t.Fatal(err)
+			}
+			reloadErr := s.Reload("")
+			s2, openErr := serve.Open(dir, f.ServerConfig())
+			if openErr == nil {
+				defer s2.Close()
+			}
+			for name, err := range map[string]error{"Open": openErr, "Reload": reloadErr} {
+				switch {
+				case op == "identity" && err != nil:
+					t.Errorf("%s without relations.pbg: %v, want a server (identity has no parameters)", name, err)
+				case op != "identity" && (err == nil || !strings.Contains(err.Error(), "relations.pbg")):
+					t.Errorf("%s without relations.pbg: error %v, want one naming the file", name, err)
+				}
+			}
+		})
 	}
 }
