@@ -23,7 +23,7 @@ func runImport(args []string, out io.Writer) error {
 	cfgPath := fs.String("config", "", "run config: JSON with PBG's raw_config field names")
 	in := fs.String("in", "", "text edge list, 'src dst' or 'src rel dst' per line, names are arbitrary strings")
 	synthetic := fs.String("synthetic", "", "generate the input instead: social, knowledge or bipartite")
-	nodes := fs.Int("nodes", 10000, "synthetic: nodes, entities or users")
+	nodes := fs.Int("nodes", 10000, "synthetic: nodes, entities or users. knowledge costs O(edges × candidate pool) and its pool is nodes/3, so it is quadratic in -nodes: about 16 s at the defaults on 2 vCPUs")
 	degree := fs.Int("degree", 10, "synthetic: average out-degree")
 	relations := fs.Int("relations", 20, "synthetic knowledge graph: relations")
 	dir := fs.String("dir", "", "run directory to create")

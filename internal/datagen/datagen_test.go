@@ -242,10 +242,3 @@ func TestBipartiteBadConfig(t *testing.T) {
 		t.Fatal("expected error")
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -5,7 +5,10 @@
 // Zipf sampler used by the synthetic dataset generators.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a xoshiro256** pseudo random generator. It is not safe for
 // concurrent use; give each worker its own instance via Split.
@@ -64,21 +67,8 @@ func (r *RNG) Intn(n int) int {
 		panic("rng: Intn with non-positive n")
 	}
 	// Lemire's nearly-divisionless method.
-	v := r.Uint64()
-	hi, _ := mul64(v, uint64(n))
+	hi, _ := bits.Mul64(r.Uint64(), uint64(n))
 	return int(hi)
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	a0, a1 := a&mask32, a>>32
-	b0, b1 := b&mask32, b>>32
-	t := a1*b0 + (a0*b0)>>32
-	w1 := t&mask32 + a0*b1
-	hi = a1*b1 + t>>32 + w1>>32
-	lo = a * b
-	return
 }
 
 // Float32 returns a uniform float32 in [0, 1).

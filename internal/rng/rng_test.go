@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 )
 
@@ -59,6 +60,50 @@ func TestIntnUniformity(t *testing.T) {
 	for i, c := range counts {
 		if math.Abs(float64(c)-want) > want*0.1 {
 			t.Fatalf("bucket %d count %d deviates >10%% from %v", i, c, want)
+		}
+	}
+}
+
+// mul64 is the portable 128-bit product Intn computed before it used
+// math/bits: the reference that keeps Intn's values what they were.
+func mul64(a, b uint64) (hi, lo uint64) {
+	const mask32 = 1<<32 - 1
+	a0, a1 := a&mask32, a>>32
+	b0, b1 := b&mask32, b>>32
+	t := a1*b0 + (a0*b0)>>32
+	w1 := t&mask32 + a0*b1
+	hi = a1*b1 + t>>32 + w1>>32
+	lo = a * b
+	return
+}
+
+func TestIntnMatchesPortableProduct(t *testing.T) {
+	check := func(r *RNG, n int) {
+		t.Helper()
+		next := *r
+		want, _ := mul64(next.Uint64(), uint64(n))
+		if got := r.Intn(n); got != int(want) {
+			t.Fatalf("Intn(%d) = %d, portable product gives %d", n, got, want)
+		}
+	}
+	edges := []uint64{1, 2, 3, 1<<31 - 1, 1 << 32, math.MaxInt64}
+	r, pick := New(11), New(12)
+	for i := 0; i < 100000; i++ {
+		n := edges[i/2%len(edges)]
+		if i%2 == 1 {
+			n = max(1, pick.Uint64()>>uint(1+pick.Intn(63))&math.MaxInt)
+		}
+		if n <= math.MaxInt { // the wide edge cases exist where int is 64 bits
+			check(r, int(n))
+		}
+	}
+	// The extreme draws: v = 0 and v = 2⁶⁴−1 against every edge case.
+	for _, v := range []uint64{0, math.MaxUint64} {
+		for _, n := range edges {
+			hi, lo := mul64(v, n)
+			if bhi, blo := bits.Mul64(v, n); bhi != hi || blo != lo {
+				t.Fatalf("Mul64(%d, %d) = (%d, %d), portable (%d, %d)", v, n, bhi, blo, hi, lo)
+			}
 		}
 	}
 }
