@@ -35,6 +35,26 @@ func TestScoreChunkSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestCosScoreChunkAllocs pins that a warm ScoreChunk under cos allocates
+// nothing either: the two Prepare calls per side keep their row norms in the
+// Workspace (PrepareInto) instead of a fresh slice per call.
+func TestCosScoreChunkAllocs(t *testing.T) {
+	for _, op := range []string{"identity", "complex_diagonal"} {
+		for _, reciprocal := range []bool{false, true} {
+			s, err := NewScorer(64, op, "cos", "softmax", 0.1, reciprocal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := makeChunk(s, 50, 50, 31)
+			ws := s.NewWorkspace(50, 50)
+			grad := s.NewChunkGrad(50, 50)
+			if allocs := testing.AllocsPerRun(10, func() { s.ScoreChunk(ws, in, grad) }); allocs != 0 {
+				t.Errorf("%s reciprocal=%v: warm cos ScoreChunk made %.0f allocations, want 0", op, reciprocal, allocs)
+			}
+		}
+	}
+}
+
 // TestL2CrossScoresAllocs pins that a warm CrossScoresRows of the two
 // distance comparators allocates nothing — the column norms live in a stack
 // array, one chunk at a time — over more columns than one chunk holds, listed

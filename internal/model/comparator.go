@@ -17,7 +17,12 @@ type Comparator interface {
 	Name() string
 	// Prepare may transform m in place and returns per-row state needed by
 	// UnprepareGrad (e.g. row norms), or nil when Prepare is the identity.
+	// It is PrepareInto(m, nil): callers that discard the state use it.
 	Prepare(m vec.Matrix) []float32
+	// PrepareInto is Prepare with caller-owned room for the state: state
+	// is reused when its capacity holds m.Rows entries, so a caller that
+	// prepares every chunk (the training Workspace) allocates nothing.
+	PrepareInto(m vec.Matrix, state []float32) []float32
 	// PairScores computes out[i] = sim(a_i, b_i) for matching rows.
 	PairScores(out []float32, a, b vec.Matrix)
 	// CrossScores computes out[i][j] = sim(a_i, b_j) for all pairs.
@@ -62,8 +67,9 @@ func NewComparator(name string) (Comparator, error) {
 // DotComparator scores by inner product: sim(a, b) = ⟨a, b⟩.
 type DotComparator struct{}
 
-func (DotComparator) Name() string                   { return "dot" }
-func (DotComparator) Prepare(_ vec.Matrix) []float32 { return nil }
+func (DotComparator) Name() string                                    { return "dot" }
+func (DotComparator) Prepare(_ vec.Matrix) []float32                  { return nil }
+func (DotComparator) PrepareInto(_ vec.Matrix, _ []float32) []float32 { return nil }
 
 func (DotComparator) PairScores(out []float32, a, b vec.Matrix) {
 	for i := range out {
@@ -104,9 +110,16 @@ type CosComparator struct{}
 
 func (CosComparator) Name() string { return "cos" }
 
-func (CosComparator) Prepare(m vec.Matrix) []float32 {
-	norms := make([]float32, m.Rows)
-	for i := 0; i < m.Rows; i++ {
+func (c CosComparator) Prepare(m vec.Matrix) []float32 { return c.PrepareInto(m, nil) }
+
+func (CosComparator) PrepareInto(m vec.Matrix, state []float32) []float32 {
+	// A nil state is never reused: the result must be non-nil even for an
+	// empty m, since nil means "Prepare is the identity".
+	if state == nil || cap(state) < m.Rows {
+		state = make([]float32, m.Rows)
+	}
+	norms := state[:m.Rows]
+	for i := range norms {
 		norms[i] = vec.Normalize(m.Row(i))
 	}
 	return norms
@@ -154,8 +167,9 @@ func (CosComparator) UnprepareGrad(g, prepared vec.Matrix, state []float32) {
 // −(‖a_i‖² − 2⟨a_i, b_j⟩ + ‖b_j‖²).
 type SquaredL2Comparator struct{}
 
-func (SquaredL2Comparator) Name() string                   { return "squared_l2" }
-func (SquaredL2Comparator) Prepare(_ vec.Matrix) []float32 { return nil }
+func (SquaredL2Comparator) Name() string                                    { return "squared_l2" }
+func (SquaredL2Comparator) Prepare(_ vec.Matrix) []float32                  { return nil }
+func (SquaredL2Comparator) PrepareInto(_ vec.Matrix, _ []float32) []float32 { return nil }
 
 func (SquaredL2Comparator) PairScores(out []float32, a, b vec.Matrix) {
 	for i := range out {
@@ -250,8 +264,9 @@ type L2Comparator struct{}
 
 const l2Eps = 1e-12
 
-func (L2Comparator) Name() string                   { return "l2" }
-func (L2Comparator) Prepare(_ vec.Matrix) []float32 { return nil }
+func (L2Comparator) Name() string                                    { return "l2" }
+func (L2Comparator) Prepare(_ vec.Matrix) []float32                  { return nil }
+func (L2Comparator) PrepareInto(_ vec.Matrix, _ []float32) []float32 { return nil }
 
 func (L2Comparator) PairScores(out []float32, a, b vec.Matrix) {
 	for i := range out {

@@ -196,6 +196,8 @@ type Workspace struct {
 	gq      vec.Matrix     // gradients of q and cand
 	gcand   vec.Matrix
 	candIDs []int32
+	stateQ  []float32 // the comparator's Prepare state of q and cand (cos: row norms)
+	stateC  []float32
 }
 
 // NewWorkspace allocates scratch for chunks of at most maxC positives and
@@ -213,6 +215,8 @@ func (s *Scorer) NewWorkspace(maxC, maxU int) *Workspace {
 		gq:      vec.NewMatrix(maxC, d),
 		gcand:   vec.NewMatrix(cu, d),
 		candIDs: make([]int32, cu),
+		stateQ:  make([]float32, maxC),
+		stateC:  make([]float32, cu),
 	}
 	// Reserve the gradient block's room now, so a warm ScoreChunk never
 	// allocates however dense a block turns out.
@@ -310,8 +314,8 @@ func (s *Scorer) ScoreChunk(ws *Workspace, in *ChunkInput, grad *ChunkGrad) {
 // lists and their transpose; both backward products walk those.
 func (s *Scorer) scoreSide(ws *Workspace, g *ChunkGrad, q, cand vec.Matrix, posIDs, candIDs []int32, weight float32) (gq, gcand vec.Matrix) {
 	c, cu, d := q.Rows, cand.Rows, s.Dim
-	stateQ := s.Cmp.Prepare(q)
-	stateC := s.Cmp.Prepare(cand)
+	stateQ := s.Cmp.PrepareInto(q, ws.stateQ)
+	stateC := s.Cmp.PrepareInto(cand, ws.stateC)
 	pos := ws.pos[:c]
 	top := subMat(cand, c, d)
 	s.Cmp.PairScores(pos, q, top)

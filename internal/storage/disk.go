@@ -3,6 +3,8 @@ package storage
 import (
 	"fmt"
 	"os"
+	"path/filepath"
+	"regexp"
 
 	"pbg/internal/graph"
 	"pbg/internal/obs"
@@ -62,13 +64,40 @@ type DiskStore struct {
 	files *shardFiles
 }
 
-// NewDiskStore creates a disk-backed store rooted at dir.
+// NewDiskStore creates a disk-backed store rooted at dir. A process killed
+// in the middle of a shard write leaves its temp file behind, preallocated
+// to a whole shard; the directory is the store's alone, so any file named
+// like one (shard_t<T>_p<P>.pbg.tmp<N>) is an orphan and is removed here.
 func NewDiskStore(dir string, schema *graph.Schema, dim int, seed uint64, initScale float32) (*DiskStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
+	if err := removeOrphanTemps(dir); err != nil {
+		return nil, err
+	}
 	files := &shardFiles{dir: dir, schema: schema, dim: dim, seed: seed, scale: initScale}
 	return &DiskStore{Cache: NewCache(files, WriteBack, schema, dim, newDiskMetrics), files: files}, nil
+}
+
+// shardTempName matches exactly the temp files writeFileAtomic creates for
+// ShardPath targets.
+var shardTempName = regexp.MustCompile(`^shard_t[0-9]+_p[0-9]+\.pbg\.tmp[0-9]+$`)
+
+// removeOrphanTemps deletes the shard temp files left in dir by a writer
+// that never reached its rename.
+func removeOrphanTemps(dir string) error {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range ents {
+		if e.Type().IsRegular() && shardTempName.MatchString(e.Name()) {
+			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil && !os.IsNotExist(err) {
+				return fmt.Errorf("storage: remove orphan temp file: %w", err)
+			}
+		}
+	}
+	return nil
 }
 
 func newDiskMetrics(reg *obs.Registry) CacheMetrics {

@@ -84,23 +84,29 @@ func ProjectedShardBytesCodec(schema *graph.Schema, dim, t, p int, c Codec) int6
 // WriteShardCodec persists a shard to path atomically under codec c, as the
 // image Layout describes. CodecFP32 is bit-exact; fp16 and int8 quantize the
 // embedding block on the way out and leave the in-memory shard untouched.
+// The temp file is preallocated to the image's Layout.Size before it is
+// written. A process crash leaves path holding the old image or the new
+// one; power loss is not covered (it does not fsync), and pages that never
+// reached the disk read back as zeros — see writeFileAtomic.
 func WriteShardCodec(path string, s *Shard, c Codec) error {
 	l := LayoutOf(s, c)
 	if c == CodecFP32 && hostLittleEndian {
 		// The image is a header and two blocks that already are their bytes:
 		// three writes straight to the file, nothing to buffer.
-		return writeFileAtomic(path, func(f *os.File) error { return l.EncodeTo(f, s) })
+		return writeFileAtomic(path, l.Size(), func(f *os.File) error { return l.EncodeTo(f, s) })
 	}
-	return writeFileAtomic(path, buffered(func(w *bufio.Writer) error { return l.EncodeTo(w, s) }))
+	return writeFileAtomic(path, l.Size(), buffered(func(w *bufio.Writer) error { return l.EncodeTo(w, s) }))
 }
 
 // WriteFileAtomic replaces path with b: it writes a temporary file of a
-// name no other write uses and renames it over path, so a reader — or a
-// crash — sees the old bytes or the new, never a torn file. A shard image
-// that has passed ParseLayout written this way is the file WriteShardCodec
-// would write for the shard it decodes to. It does not fsync.
+// name no other write uses, preallocated to len(b), and renames it over
+// path, so a reader — or a process crash — sees the old bytes or the new,
+// never a torn file. A shard image that has passed ParseLayout written this
+// way is the file WriteShardCodec would write for the shard it decodes to.
+// It does not fsync: power loss is not covered, and pages that never
+// reached the disk read back as zeros (see writeFileAtomic).
 func WriteFileAtomic(path string, b []byte) error {
-	return writeFileAtomic(path, func(f *os.File) error {
+	return writeFileAtomic(path, int64(len(b)), func(f *os.File) error {
 		_, err := f.Write(b)
 		return err
 	})
