@@ -95,8 +95,16 @@ func Social(cfg SocialConfig) (*graph.Graph, error) {
 	}
 	globalPop := rng.NewZipf(cfg.Nodes, 1.2)
 
-	el := &graph.EdgeList{}
-	seen := make(map[int64]bool, cfg.Nodes*cfg.AvgOutDegree)
+	maxEdges := cfg.Nodes * cfg.AvgOutDegree
+	el := &graph.EdgeList{
+		Srcs: make([]int32, 0, maxEdges),
+		Rels: make([]int32, 0, maxEdges),
+		Dsts: make([]int32, 0, maxEdges),
+	}
+	// followedBy[t] is 1 + the last source that accepted target t. Sources
+	// come one at a time, so a repeat of (v, t) can only be a target v itself
+	// accepted, which is exactly followedBy[t] == v+1.
+	followedBy := make([]int32, cfg.Nodes)
 	for v := 0; v < cfg.Nodes; v++ {
 		c := comm[v]
 		for k := 0; k < cfg.AvgOutDegree; k++ {
@@ -110,11 +118,10 @@ func Social(cfg SocialConfig) (*graph.Graph, error) {
 			if target == int32(v) {
 				continue
 			}
-			key := int64(v)<<32 | int64(target)
-			if seen[key] {
+			if followedBy[target] == int32(v)+1 {
 				continue
 			}
-			seen[key] = true
+			followedBy[target] = int32(v) + 1
 			el.Append(int32(relabel[v]), 0, int32(relabel[target]))
 		}
 	}

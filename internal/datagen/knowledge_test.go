@@ -7,6 +7,8 @@ import (
 	"math"
 	"runtime"
 	"testing"
+
+	"pbg/internal/graph"
 )
 
 // knowledgeGolden pins KnowledgeWithTruth's output bytes. The hashes were
@@ -58,23 +60,28 @@ func knowledgeHashes(t *testing.T, cfg KGConfig) (edges, truth string) {
 		t.Fatal(err)
 	}
 	h := sha256.New()
+	var b [4]byte
+	for _, xs := range [][]float32{tr.Latent.Data, tr.RelW.Data, tr.RelT.Data, tr.LogPop} {
+		for _, x := range xs {
+			binary.LittleEndian.PutUint32(b[:], math.Float32bits(x))
+			h.Write(b[:])
+		}
+	}
+	return edgeHash(g.Edges), hex.EncodeToString(h.Sum(nil))
+}
+
+// edgeHash returns the SHA-256 of the little-endian (s, rel, d) stream.
+func edgeHash(el *graph.EdgeList) string {
+	h := sha256.New()
 	var b [12]byte
-	for i := 0; i < g.Edges.Len(); i++ {
-		s, r, d := g.Edges.Edge(i)
+	for i := 0; i < el.Len(); i++ {
+		s, r, d := el.Edge(i)
 		binary.LittleEndian.PutUint32(b[0:], uint32(s))
 		binary.LittleEndian.PutUint32(b[4:], uint32(r))
 		binary.LittleEndian.PutUint32(b[8:], uint32(d))
 		h.Write(b[:])
 	}
-	edges = hex.EncodeToString(h.Sum(nil))
-	h.Reset()
-	for _, xs := range [][]float32{tr.Latent.Data, tr.RelW.Data, tr.RelT.Data, tr.LogPop} {
-		for _, x := range xs {
-			binary.LittleEndian.PutUint32(b[:4], math.Float32bits(x))
-			h.Write(b[:4])
-		}
-	}
-	return edges, hex.EncodeToString(h.Sum(nil))
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 func TestKnowledgeBytesMatchParent(t *testing.T) {

@@ -480,7 +480,7 @@ func newFixture(tb testing.TB, schema *graph.Schema, dim int, cmp string, recipr
 			el = fx.test
 		}
 		rel := int32(r.Intn(len(schema.Relations)))
-		src, dst := schema.SourceEntity(rel), schema.DestEntity(rel)
+		src, dst := schema.Entity(schema.Relations[rel].SourceType), schema.Entity(schema.Relations[rel].DestType)
 		el.Append(int32(r.Intn(src.Count)), rel, int32(r.Intn(dst.Count)))
 	}
 	// One test edge is also a training edge: the known edges list it twice.

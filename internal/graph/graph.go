@@ -12,7 +12,6 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"pbg/internal/rng"
 )
@@ -165,14 +164,17 @@ func (s *Schema) Entity(name string) EntityType {
 	return s.Entities[i]
 }
 
-// SourceEntity returns the entity type on the source side of relation r.
-func (s *Schema) SourceEntity(r int32) EntityType {
-	return s.Entity(s.Relations[r].SourceType)
-}
-
-// DestEntity returns the entity type on the destination side of relation r.
-func (s *Schema) DestEntity(r int32) EntityType {
-	return s.Entity(s.Relations[r].DestType)
+// EndpointTypes returns, for each relation, the index of its source and of
+// its destination entity type: the two name lookups a pass over the edges
+// does once instead of once per edge.
+func (s *Schema) EndpointTypes() (src, dst []int) {
+	src = make([]int, len(s.Relations))
+	dst = make([]int, len(s.Relations))
+	for r, rel := range s.Relations {
+		src[r] = s.EntityTypeIndex(rel.SourceType)
+		dst[r] = s.EntityTypeIndex(rel.DestType)
+	}
+	return src, dst
 }
 
 // BucketDims returns the bucket grid the schema induces: P_src × P_dst,
@@ -209,7 +211,7 @@ func (el *EdgeList) Edge(i int) (src, rel, dst int32) {
 	return el.Srcs[i], el.Rels[i], el.Dsts[i]
 }
 
-// Swap exchanges edges i and j (sort.Interface support).
+// Swap exchanges edges i and j.
 func (el *EdgeList) Swap(i, j int) {
 	el.Srcs[i], el.Srcs[j] = el.Srcs[j], el.Srcs[i]
 	el.Rels[i], el.Rels[j] = el.Rels[j], el.Rels[i]
@@ -249,13 +251,14 @@ type Graph struct {
 // relation's entity types.
 func NewGraph(schema *Schema, edges *EdgeList) (*Graph, error) {
 	nRel := int32(len(schema.Relations))
+	srcT, dstT := schema.EndpointTypes()
 	for i := 0; i < edges.Len(); i++ {
 		s, r, d := edges.Edge(i)
 		if r < 0 || r >= nRel {
 			return nil, fmt.Errorf("graph: edge %d has relation %d out of range [0,%d)", i, r, nRel)
 		}
-		se := schema.SourceEntity(r)
-		de := schema.DestEntity(r)
+		se := &schema.Entities[srcT[r]]
+		de := &schema.Entities[dstT[r]]
 		if s < 0 || int(s) >= se.Count {
 			return nil, fmt.Errorf("graph: edge %d source %d out of range for type %q (count %d)", i, s, se.Name, se.Count)
 		}
@@ -317,12 +320,11 @@ func ComputeDegrees(g *Graph) *Degrees {
 	for t, e := range g.Schema.Entities {
 		d.ByType[t] = make([]float64, e.Count)
 	}
+	srcT, dstT := g.Schema.EndpointTypes()
 	for i := 0; i < g.Edges.Len(); i++ {
 		s, r, dst := g.Edges.Edge(i)
-		st := g.Schema.EntityTypeIndex(g.Schema.Relations[r].SourceType)
-		dt := g.Schema.EntityTypeIndex(g.Schema.Relations[r].DestType)
-		d.ByType[st][s]++
-		d.ByType[dt][dst]++
+		d.ByType[srcT[r]][s]++
+		d.ByType[dstT[r]][dst]++
 	}
 	return d
 }
@@ -358,47 +360,73 @@ func (es *EdgeSet) Destinations(src, rel int32) []int32 { return es.dsts[edgeEnd
 // Sources returns the known sources of (·, rel, dst).
 func (es *EdgeSet) Sources(rel, dst int32) []int32 { return es.srcs[edgeEnd{rel, dst}] }
 
-// SortByBucket sorts edges so that all edges of bucket (p1, p2) are
-// contiguous, ordered by p1-major. It returns, for each bucket index
-// p1*nDst+p2, the [lo, hi) range into the sorted list. nSrc and nDst are the
-// partition counts of the (maximal) source/destination sides.
+// SortByBucket sorts edges in place so that all edges of bucket (p1, p2)
+// are contiguous, ordered by p1-major. It returns, for each bucket index
+// p1*nDst+p2, the [lo, hi) range into the sorted list; an empty bucket's
+// range is {0, 0}. nSrc and nDst are the partition counts of the (maximal)
+// source/destination sides.
+//
+// The sort is a stable counting sort: one pass computes each edge's bucket
+// key (each relation's endpoint types are looked up once per call) and
+// counts the edges of each bucket, a prefix sum over the nSrc×nDst counts
+// places the ranges, and one scatter from a copy of the columns writes each
+// edge to its slot. Within a bucket, edges keep their input order, so the
+// result, and with it the order training visits edges and the checkpoint
+// bytes, is a function of the input alone and not of Go's sort
+// implementation. It runs in O(E + nSrc·nDst) time; its transient memory is
+// one copy of the three columns plus a 4-byte key per edge.
 func SortByBucket(schema *Schema, edges *EdgeList, nSrc, nDst int) []BucketRange {
+	// Each relation's two part sizes, 0 for an unpartitioned side.
+	srcT, dstT := schema.EndpointTypes()
+	srcSize := make([]int, len(srcT))
+	dstSize := make([]int, len(dstT))
+	for r := range srcT {
+		srcSize[r] = partSize(schema.Entities[srcT[r]])
+		dstSize[r] = partSize(schema.Entities[dstT[r]])
+	}
+
 	keys := make([]int32, edges.Len())
-	for i := 0; i < edges.Len(); i++ {
-		s, r, d := edges.Edge(i)
-		p1 := bucketSide(schema.SourceEntity(r), s, nSrc)
-		p2 := bucketSide(schema.DestEntity(r), d, nDst)
-		keys[i] = int32(p1*nDst + p2)
+	next := make([]int, nSrc*nDst)
+	for i, r := range edges.Rels {
+		k := bucketSide(srcSize[r], edges.Srcs[i], nSrc)*nDst + bucketSide(dstSize[r], edges.Dsts[i], nDst)
+		keys[i] = int32(k)
+		next[k]++
 	}
-	sort.Sort(&bucketSorter{edges: edges, keys: keys})
 	ranges := make([]BucketRange, nSrc*nDst)
-	for b := range ranges {
-		ranges[b] = BucketRange{Lo: -1, Hi: -1}
-	}
-	for i := 0; i < edges.Len(); i++ {
-		b := keys[i]
-		if ranges[b].Lo < 0 {
-			ranges[b].Lo = i
+	lo := 0
+	for b, c := range next {
+		if c > 0 {
+			ranges[b] = BucketRange{Lo: lo, Hi: lo + c}
 		}
-		ranges[b].Hi = i + 1
+		next[b] = lo
+		lo += c
 	}
-	for b := range ranges {
-		if ranges[b].Lo < 0 {
-			ranges[b].Lo = 0
-			ranges[b].Hi = 0
-		}
+	in := edges.Clone()
+	for i, k := range keys {
+		j := next[k]
+		next[k] = j + 1
+		edges.Srcs[j], edges.Rels[j], edges.Dsts[j] = in.Srcs[i], in.Rels[i], in.Dsts[i]
 	}
 	return ranges
 }
 
-// bucketSide maps an entity to its bucket coordinate. Unpartitioned entity
-// types contribute coordinate 0 on their side (Figure 1 center: with all
-// tail types unpartitioned, buckets collapse to P on the source side only).
-func bucketSide(e EntityType, id int32, n int) int {
+// partSize is e's partition size, or 0 when e is unpartitioned.
+func partSize(e EntityType) int {
 	if !e.Partitioned() {
 		return 0
 	}
-	p := e.PartitionOf(id)
+	return e.PartSize()
+}
+
+// bucketSide maps an entity to its bucket coordinate, given its type's
+// partition size (0 for an unpartitioned type). Unpartitioned entity types
+// contribute coordinate 0 on their side (Figure 1 center: with all tail
+// types unpartitioned, buckets collapse to P on the source side only).
+func bucketSide(size int, id int32, n int) int {
+	if size == 0 {
+		return 0
+	}
+	p := int(id) / size
 	if p >= n {
 		panic(fmt.Sprintf("graph: partition %d out of range %d", p, n))
 	}
@@ -413,15 +441,3 @@ func (b BucketRange) Empty() bool { return b.Hi <= b.Lo }
 
 // Len returns the number of edges in the bucket.
 func (b BucketRange) Len() int { return b.Hi - b.Lo }
-
-type bucketSorter struct {
-	edges *EdgeList
-	keys  []int32
-}
-
-func (s *bucketSorter) Len() int           { return len(s.keys) }
-func (s *bucketSorter) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
-func (s *bucketSorter) Swap(i, j int) {
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-	s.edges.Swap(i, j)
-}

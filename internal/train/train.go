@@ -282,12 +282,7 @@ func New(g *graph.Graph, store storage.Store, cfg Config) (*Trainer, error) {
 		}
 	}
 
-	t.relSrc = make([]int, len(g.Schema.Relations))
-	t.relDst = make([]int, len(g.Schema.Relations))
-	for r, rel := range g.Schema.Relations {
-		t.relSrc[r] = g.Schema.EntityTypeIndex(rel.SourceType)
-		t.relDst[r] = g.Schema.EntityTypeIndex(rel.DestType)
-	}
+	t.relSrc, t.relDst = g.Schema.EndpointTypes()
 
 	degrees := graph.ComputeDegrees(g)
 	t.samplers = sampling.NewSet(g.Schema, degrees, cfg.NegAlpha)

@@ -107,25 +107,35 @@ func TrainOnDiskWithCallback(g *Graph, dir string, cfg TrainConfig, onEpoch func
 // EvaluateCheckpoint ranks test's edges against the model a run over trainG
 // with cfg checkpointed into dir (Model.Checkpoint). It reads the shards
 // through serve's read-only ShardSet and the relation parameters from dir's
-// relations.pbg, and writes nothing into dir.
+// relations.pbg, and writes nothing into dir. As for serve.Open, the file
+// may be absent only when no relation's operator has parameters (a pbg
+// node run over identity relations writes none).
 func EvaluateCheckpoint(trainG *Graph, dir string, cfg TrainConfig, test *Graph, opts EvalOptions) (Metrics, error) {
 	ss, err := serve.OpenShardSet(dir, trainG.Schema, cfg.Dim)
 	if err != nil {
 		return Metrics{}, err
 	}
 	defer ss.Close()
-	rs, err := storage.ReadRelations(filepath.Join(dir, relationsFile))
-	if err != nil {
-		return Metrics{}, err
+	relPath := filepath.Join(dir, relationsFile)
+	var rs *storage.RelationState
+	if _, statErr := os.Stat(relPath); statErr == nil {
+		if rs, err = storage.ReadRelations(relPath); err != nil {
+			return Metrics{}, err
+		}
 	}
-	ck := &checkpoint{ss: ss, params: rs.Params}
+	ck := &checkpoint{ss: ss, params: make([][]float32, len(trainG.Schema.Relations))}
 	for r, rel := range trainG.Schema.Relations {
 		sc, err := model.NewScorer(cfg.Dim, rel.Operator, cfg.Comparator, cfg.Loss, cfg.Margin, cfg.Reciprocal)
 		if err != nil {
 			return Metrics{}, err
 		}
-		if r >= len(rs.Params) || len(rs.Params[r]) != sc.RelParamCount() {
+		switch {
+		case rs == nil && sc.RelParamCount() > 0:
+			return Metrics{}, fmt.Errorf("pbg: %s is missing, and relation %q (%s) has %d trained parameters", relPath, rel.Name, rel.Operator, sc.RelParamCount())
+		case rs != nil && (r >= len(rs.Params) || len(rs.Params[r]) != sc.RelParamCount()):
 			return Metrics{}, fmt.Errorf("pbg: %s does not hold relation %q's %d parameters", relationsFile, rel.Name, sc.RelParamCount())
+		case rs != nil:
+			ck.params[r] = rs.Params[r]
 		}
 		ck.scorers = append(ck.scorers, sc)
 	}

@@ -182,6 +182,59 @@ func TestCheckpointIntoOwnDir(t *testing.T) {
 	}
 }
 
+// TestEvaluateCheckpointWithoutRelations: like serve.Open, pbg eval needs
+// relations.pbg only when some relation has parameters. An identity run
+// evaluates the same without the file; a translation run is refused, by
+// file and relation.
+func TestEvaluateCheckpointWithoutRelations(t *testing.T) {
+	social, err := SocialGraph(SocialGraphConfig{Nodes: 200, AvgOutDegree: 4, NumPartitions: 2, Seed: 57})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []string{"identity", "translation"} {
+		g, err := NewGraph(social.Schema.Entities,
+			[]RelationType{{Name: "follows", SourceType: "node", DestType: "node", Operator: op}}, social.Edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trainG, _, testG := Split(g, 0, 0.1, 3)
+		cfg := TrainConfig{Dim: 8, Epochs: 1, Seed: 5, Workers: 1}
+		dir := t.TempDir()
+		m, err := TrainOnDisk(trainG, dir, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Checkpoint(dir); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+		opts := EvalOptions{Candidates: 50, MaxEdges: 50, Seed: 1}
+		withFile, err := EvaluateCheckpoint(trainG, dir, cfg, testG, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(filepath.Join(dir, relationsFile)); err != nil {
+			t.Fatal(err)
+		}
+		without, err := EvaluateCheckpoint(trainG, dir, cfg, testG, opts)
+		switch op {
+		case "identity":
+			if err != nil {
+				t.Fatalf("identity checkpoint without %s: %v", relationsFile, err)
+			}
+			if without != withFile {
+				t.Errorf("identity metrics without %s %+v, with it %+v", relationsFile, without, withFile)
+			}
+		case "translation":
+			if err == nil || !strings.Contains(err.Error(), relationsFile) || !strings.Contains(err.Error(), `"follows"`) {
+				t.Errorf("translation checkpoint without %s: error %v, want one naming the file and relation \"follows\"", relationsFile, err)
+			}
+		}
+	}
+}
+
 // TestWorkflowStepNamesAreQuoted guards the CI workflows, which cannot
 // guard themselves: a plain YAML scalar may not contain ": " or " #", and a
 // step name that does makes the whole file invalid, so no step runs.
