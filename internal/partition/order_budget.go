@@ -16,16 +16,92 @@ package partition
 // entity types; slots <= 0 means unbounded, and a bucket touches at most
 // two partitions, so values below 2 are treated as 2.
 
+// numParts is one past the largest partition order touches: the length of
+// the partition-indexed arrays the two searches below run on.
+func numParts(order []Bucket) int {
+	np := 0
+	for _, b := range order {
+		np = max(np, b.P1+1, b.P2+1)
+	}
+	return np
+}
+
 // distinctParts counts the partitions order touches: the loads an
 // unbounded buffer pays, and the buffer size past which no order can force
 // an eviction.
 func distinctParts(order []Bucket) int {
-	seen := map[int]bool{}
+	seen := make([]bool, numParts(order))
+	n := 0
 	for _, b := range order {
-		seen[b.P1] = true
-		seen[b.P2] = true
+		for _, p := range [2]int{b.P1, b.P2} {
+			if !seen[p] {
+				seen[p] = true
+				n++
+			}
+		}
 	}
-	return len(seen)
+	return n
+}
+
+// lruBuffer is the simulated partition buffer of SwapCostUnderBuffer and
+// OptimizeOrder. stamp[p] is partition p's last-use stamp, 0 while p is not
+// held; held lists the held partitions, at most slots of them, in no
+// particular order.
+type lruBuffer struct {
+	slots int
+	clock int64
+	stamp []int64
+	held  []int
+}
+
+func newLRUBuffer(np, slots int) *lruBuffer {
+	return &lruBuffer{slots: slots, stamp: make([]int64, np), held: make([]int, 0, slots+2)}
+}
+
+func (l *lruBuffer) has(p int) bool { return l.stamp[p] != 0 }
+
+// loadsOf counts b's partitions the buffer does not hold.
+func (l *lruBuffer) loadsOf(b Bucket) int {
+	n := 0
+	if !l.has(b.P1) {
+		n++
+	}
+	if b.P2 != b.P1 && !l.has(b.P2) {
+		n++
+	}
+	return n
+}
+
+// use simulates running bucket b: each missing partition is loaded, after
+// evicting least-recently-used partitions b does not need until it fits,
+// and both of b's partitions take the new stamp. It returns the loads.
+func (l *lruBuffer) use(b Bucket) int {
+	l.clock++
+	loads := l.touch(b.P1, b)
+	if b.P2 != b.P1 {
+		loads += l.touch(b.P2, b)
+	}
+	return loads
+}
+
+func (l *lruBuffer) touch(p int, b Bucket) int {
+	loads := 0
+	if !l.has(p) {
+		loads = 1
+		for len(l.held) >= l.slots {
+			i := lruVictim(l.held, l.stamp, b)
+			if i < 0 {
+				break // everything held is needed right now
+			}
+			l.stamp[l.held[i]] = 0
+			last := len(l.held) - 1
+			l.held[i] = l.held[last]
+			l.held = l.held[:last]
+		}
+		l.held = append(l.held, p)
+	}
+	l.stamp[p] = l.clock
+	return loads
 }
 
 // SwapCostUnderBuffer simulates executing the order on a machine whose
@@ -43,55 +119,33 @@ func distinctParts(order []Bucket) int {
 //
 // Two partitions tie on the last-use stamp exactly when their final
 // touches came from the same bucket; the lower-numbered partition is then
-// evicted, so the simulated cost is a deterministic function of the order
-// (it used to fall through to map iteration order, which made tied-stamp
-// costs flicker between runs).
+// evicted, so the simulated cost is a deterministic function of the order.
 func SwapCostUnderBuffer(order []Bucket, slots int) int {
 	if slots <= 0 {
 		return distinctParts(order)
 	}
-	if slots < 2 {
-		slots = 2
-	}
-	held := map[int]int64{} // partition -> last-use stamp
-	var clock int64
+	buf := newLRUBuffer(numParts(order), max(slots, 2))
 	loads := 0
 	for _, b := range order {
-		clock++
-		parts := b.Parts()
-		for _, p := range parts {
-			if _, ok := held[p]; !ok {
-				loads++
-				// Evict LRU partitions not needed by this bucket until the
-				// newcomer fits.
-				for len(held) >= slots {
-					victim := lruVictim(held, b)
-					if victim < 0 {
-						break // everything held is needed right now
-					}
-					delete(held, victim)
-				}
-			}
-			held[p] = clock
-		}
+		loads += buf.use(b)
 	}
 	return loads
 }
 
-// lruVictim returns the least-recently-used partition in held that the
-// bucket does not need, breaking last-use-stamp ties by partition number
+// lruVictim returns the index in held of the least-recently-used partition
+// the bucket does not need, breaking last-use-stamp ties by partition number
 // so the simulation is deterministic; -1 if every held partition is in use.
-func lruVictim(held map[int]int64, b Bucket) int {
-	victim, victimUse := -1, int64(1<<62)
-	for q, use := range held {
+func lruVictim(held []int, stamp []int64, b Bucket) int {
+	victim, victimUse, at := -1, int64(1<<62), -1
+	for i, q := range held {
 		if q == b.P1 || q == b.P2 {
 			continue
 		}
-		if use < victimUse || (use == victimUse && q < victim) {
-			victim, victimUse = q, use
+		if use := stamp[q]; use < victimUse || (use == victimUse && q < victim) {
+			victim, victimUse, at = q, use, i
 		}
 	}
-	return victim
+	return at
 }
 
 // optimizeGainCap bounds how many minimal-load candidates OptimizeOrder
@@ -121,39 +175,22 @@ func OptimizeOrder(order []Bucket, slots int) []Bucket {
 	}
 	slots = max(slots, 2)
 
+	np := numParts(order)
 	remaining := make([]Bucket, len(order))
 	copy(remaining, order)
-	pending := make(map[Bucket]bool, len(order))
+	pending := make([]bool, np*np) // bucket (P1, P2) at P1·np+P2
 	for _, b := range order {
-		pending[b] = true
+		pending[b.P1*np+b.P2] = true
 	}
-	held := map[int]int64{} // simulated buffer: partition -> last-use stamp
-	seen := map[int]bool{}  // partitions touched by any scheduled bucket
-	var clock int64
-
-	// place simulates scheduling b: loads its missing partitions (evicting
-	// LRU entries not needed by b) and marks its partitions seen.
-	place := func(b Bucket) {
-		clock++
-		for _, p := range b.Parts() {
-			if _, ok := held[p]; !ok {
-				for len(held) >= slots {
-					victim := lruVictim(held, b)
-					if victim < 0 {
-						break
-					}
-					delete(held, victim)
-				}
-			}
-			held[p] = clock
-			seen[p] = true
-		}
-	}
+	buf := newLRUBuffer(np, slots)
+	seen := make([]bool, np) // partitions touched by any scheduled bucket
+	eligible := func(b Bucket) bool { return seen[b.P1] || seen[b.P2] }
 
 	out := make([]Bucket, 0, len(order))
 	take := func(b Bucket) {
-		place(b)
-		delete(pending, b)
+		buf.use(b)
+		seen[b.P1], seen[b.P2] = true, true
+		pending[b.P1*np+b.P2] = false
 		out = append(out, b)
 		for i, r := range remaining {
 			if r == b {
@@ -167,35 +204,23 @@ func OptimizeOrder(order []Bucket, slots int) []Bucket {
 	// (inside-out starts at (0,0)).
 	take(remaining[0])
 
-	loadsOf := func(b Bucket) int {
-		n := 0
-		for _, p := range b.Parts() {
-			if _, ok := held[p]; !ok {
-				n++
-			}
-		}
-		return n
-	}
-
 	// gainOf counts pending buckets (other than b) that would cost zero
 	// loads with b's partitions resident: the payoff of bringing b's new
 	// partitions in. The buffer holds at most `slots` partitions, so this
 	// stays O(slots²) per candidate.
+	parts := make([]int, 0, slots+4)
 	gainOf := func(b Bucket) int {
-		parts := make([]int, 0, slots+2)
-		for q := range held {
-			parts = append(parts, q)
+		parts = append(parts[:0], buf.held...)
+		if !buf.has(b.P1) {
+			parts = append(parts, b.P1)
 		}
-		for _, p := range b.Parts() {
-			if _, ok := held[p]; !ok {
-				parts = append(parts, p)
-			}
+		if b.P2 != b.P1 && !buf.has(b.P2) {
+			parts = append(parts, b.P2)
 		}
 		gain := 0
 		for _, p := range parts {
 			for _, q := range parts {
-				c := Bucket{p, q}
-				if c != b && pending[c] {
+				if c := (Bucket{p, q}); c != b && pending[p*np+q] {
 					gain++
 				}
 			}
@@ -208,11 +233,11 @@ func OptimizeOrder(order []Bucket, slots int) []Bucket {
 		minLoads := 3
 		anyEligible := false
 		for _, b := range remaining {
-			if !seen[b.P1] && !seen[b.P2] {
+			if !eligible(b) {
 				continue
 			}
 			anyEligible = true
-			if l := loadsOf(b); l < minLoads {
+			if l := buf.loadsOf(b); l < minLoads {
 				minLoads = l
 				if l == 0 {
 					break
@@ -231,10 +256,7 @@ func OptimizeOrder(order []Bucket, slots int) []Bucket {
 		bestGain := -1
 		evaluated := 0
 		for _, b := range remaining {
-			if !seen[b.P1] && !seen[b.P2] {
-				continue
-			}
-			if loadsOf(b) != minLoads {
+			if !eligible(b) || buf.loadsOf(b) != minLoads {
 				continue
 			}
 			if minLoads == 0 {

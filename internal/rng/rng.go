@@ -28,7 +28,12 @@ func splitmix64(x *uint64) uint64 {
 // New returns a generator seeded from seed. Two generators with the same
 // seed produce identical streams.
 func New(seed uint64) *RNG {
-	r := &RNG{}
+	r := seeded(seed)
+	return &r
+}
+
+func seeded(seed uint64) RNG {
+	var r RNG
 	sm := seed
 	for i := range r.s {
 		r.s[i] = splitmix64(&sm)
@@ -43,8 +48,16 @@ func New(seed uint64) *RNG {
 // Split derives an independent generator from r, suitable for handing to a
 // worker goroutine. The parent stream advances.
 func (r *RNG) Split() *RNG {
-	return New(r.Uint64() ^ 0xA5A5A5A5A5A5A5A5)
+	return New(r.splitSeed())
 }
+
+// SplitInto is Split writing the derived generator into dst, for callers
+// that keep one generator per worker as reusable scratch.
+func (r *RNG) SplitInto(dst *RNG) {
+	*dst = seeded(r.splitSeed())
+}
+
+func (r *RNG) splitSeed() uint64 { return r.Uint64() ^ 0xA5A5A5A5A5A5A5A5 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 

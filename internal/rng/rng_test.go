@@ -39,6 +39,25 @@ func TestSplitIndependence(t *testing.T) {
 	}
 }
 
+// SplitInto derives the generator Split does and advances the parent the
+// same way.
+func TestSplitIntoIsSplit(t *testing.T) {
+	a, b := New(9), New(9)
+	var into RNG
+	for round := 0; round < 3; round++ {
+		split := a.Split()
+		b.SplitInto(&into)
+		for i := 0; i < 8; i++ {
+			if x, y := split.Uint64(), into.Uint64(); x != y {
+				t.Fatalf("round %d draw %d: Split %x, SplitInto %x", round, i, x, y)
+			}
+		}
+	}
+	if a.Uint64() != b.Uint64() {
+		t.Fatal("the parents diverged")
+	}
+}
+
 func TestIntnRange(t *testing.T) {
 	r := New(3)
 	for i := 0; i < 10000; i++ {

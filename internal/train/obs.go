@@ -19,6 +19,10 @@ type trainMetrics struct {
 	// gather/scatter vs chunk scoring; workers accumulate locally and add
 	// once per bucket (see workerLoop), keeping the hot path atomic-free.
 	workerGather, workerScore *obs.Counter
+	// barrierWait is worker time spent idle at the end of a bucket: for
+	// each worker, from when it found the chunk queue spent to when the
+	// bucket's last worker did. runBucket adds it once per bucket.
+	barrierWait *obs.Counter
 	// negatives counts the unmasked negatives scored, negativesActive those
 	// the loss gave a gradient entry (the margin violators under the ranking
 	// loss); their ratio is the density of the gradient blocks, which is what
@@ -45,6 +49,7 @@ func newTrainMetrics(reg *obs.Registry) trainMetrics {
 		compute:         reg.Counter("pbg_train_compute_ns_total"),
 		workerGather:    reg.Counter("pbg_train_worker_gather_ns_total"),
 		workerScore:     reg.Counter("pbg_train_worker_score_ns_total"),
+		barrierWait:     reg.Counter("pbg_train_barrier_wait_ns_total"),
 		negatives:       reg.Counter("pbg_train_negatives_total"),
 		negativesActive: reg.Counter("pbg_train_negatives_active_total"),
 		lookahead:       reg.Gauge("pbg_train_lookahead"),
@@ -73,6 +78,9 @@ func (t *Trainer) IOTotals() (ioWait, compute time.Duration) {
 // the current epoch span when the local epoch executor is driving, a root
 // span when buckets arrive one lease at a time (the distributed node).
 func (t *Trainer) startBucketSpan(b partition.Bucket) *obs.Span {
+	if t.obs.Trace == nil {
+		return nil // nothing records spans: skip formatting the name
+	}
 	name := fmt.Sprintf("bucket (%d,%d)", b.P1, b.P2)
 	if t.epochSpan != nil {
 		return t.epochSpan.Child(name)
@@ -87,9 +95,10 @@ func (t *Trainer) startBucketSpan(b partition.Bucket) *obs.Span {
 //
 // followed by "swap N in / M out" — the shards the store loaded and wrote
 // back — when the store counted any, by "active N%" — the share of scored
-// negatives that carried gradient — when the epoch counted any, and by
-// "lookahead D  resident X.XMB" when the epoch sampled the store's
-// resident bytes.
+// negatives that carried gradient — when the epoch counted any, by
+// "barrier X.XXs" — the worker time spent idle at bucket barriers — when
+// there was any, and by "lookahead D  resident X.XMB" when the epoch sampled
+// the store's resident bytes.
 func (s EpochStats) Summary() string {
 	edges := s.Edges
 	if edges < 1 {
@@ -107,6 +116,9 @@ func (s EpochStats) Summary() string {
 	}
 	if s.Negatives > 0 {
 		line += fmt.Sprintf("  active %.0f%%", 100*float64(s.ActiveNegatives)/float64(s.Negatives))
+	}
+	if s.BarrierWait > 0 {
+		line += fmt.Sprintf("  barrier %.2fs", s.BarrierWait.Seconds())
 	}
 	if s.ResidentHighWater > 0 {
 		line += fmt.Sprintf("  lookahead %d  resident %.1fMB", s.Lookahead, float64(s.ResidentHighWater)/(1<<20))

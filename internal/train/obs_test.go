@@ -3,6 +3,7 @@ package train
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"pbg/internal/obs"
 	"pbg/internal/storage/storetest"
@@ -110,6 +111,10 @@ func TestEpochSummaryFormat(t *testing.T) {
 	s.Negatives, s.ActiveNegatives = 4000, 1000
 	if got := s.Summary(); !strings.Contains(got, "iowait 0%  active 25%  lookahead") {
 		t.Errorf("Summary() with negative counts = %q", got)
+	}
+	s.BarrierWait = 250 * time.Millisecond
+	if got := s.Summary(); !strings.Contains(got, "active 25%  barrier 0.25s  lookahead") {
+		t.Errorf("Summary() with barrier wait = %q", got)
 	}
 	s.SwapIn, s.SwapOut = 41, 38
 	if got := s.Summary(); !strings.Contains(got, "iowait 0%  swap 41 in / 38 out  active 25%") {

@@ -23,7 +23,7 @@ func (t *Trainer) runEpochSerial(items []partition.Bucket, stats *EpochStats) er
 			if err = aerr; err != nil {
 				break
 			}
-			r.held[k] = shardRef{shard: sh, ent: t.g.Schema.Entities[k.t]}
+			r.held[k] = shardRef{shard: sh, first: firstID(t.g.Schema.Entities[k.t], k.p)}
 		}
 		t.tm.ioWait.Add(time.Since(t0).Nanoseconds())
 		t.sampleResident()

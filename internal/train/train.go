@@ -5,6 +5,17 @@
 // workers with no synchronisation on the embedding rows (Recht et al. 2011),
 // using the batched negative sampling of §4.3.
 //
+// A bucket's edges form one chunk queue (bucketQueue): one stable counting
+// pass groups the shuffled edges by relation and cuts each relation's run
+// into chunks of ChunkSize, and the workers claim chunks through one atomic
+// cursor until the queue is spent, so none idles at the bucket's end while
+// another still has a fixed share left (EpochStats.BarrierWait measures what
+// remains). Each worker runs one chunk ahead: before it scores a chunk it
+// claims the next, draws that chunk's negatives and prefetches its embedding
+// rows (vec.Prefetch), which then arrive while the current chunk scores. At
+// Workers: 1 the chunk sequence and the negative draws are those of
+// scoring one chunk at a time, so a fixed seed writes the same bytes.
+//
 // The epoch executor is pipelined: while one bucket trains, the shards the
 // next buckets need prefetch on the store's background I/O pool and
 // no-longer-needed shards write back asynchronously. One Config knob,
@@ -26,7 +37,9 @@ package train
 
 import (
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pbg/internal/graph"
@@ -169,6 +182,11 @@ type EpochStats struct {
 	IOWait time.Duration
 	// Compute is the time spent inside bucket training (HOGWILD workers).
 	Compute time.Duration
+	// BarrierWait is worker time spent idle inside Compute: summed over a
+	// bucket's workers, the time from when each found the bucket's chunk
+	// queue spent to when the last of them did. It is 0 at Workers: 1 and
+	// at most (Workers−1)·Compute.
+	BarrierWait time.Duration
 	// Lookahead is the prefetch depth the pipelined executor used this
 	// epoch: the one New picked, the same in every epoch.
 	Lookahead int
@@ -210,9 +228,15 @@ type Trainer struct {
 	relDst []int
 
 	// workerStates[w] is worker w's reusable scratch (workspace, gradient
-	// buffers, gather buffers, relation grouping); allocating it once per
-	// trainer keeps the per-bucket hot path allocation free.
+	// buffers, chunk ids, gather buffers); allocating it once per trainer
+	// keeps the per-bucket hot path allocation free.
 	workerStates []*workerState
+	// queue is the current bucket's chunk queue and rels[rel] what its
+	// chunks of relation rel share; runBucket refills both for every
+	// bucket.
+	queue          bucketQueue
+	rels           []relBucket
+	workersRunning sync.WaitGroup
 
 	// Striped row locks for the non-HOGWILD mode.
 	stripes []sync.Mutex
@@ -288,6 +312,9 @@ func New(g *graph.Graph, store storage.Store, cfg Config) (*Trainer, error) {
 	t.samplers = sampling.NewSet(g.Schema, degrees, cfg.NegAlpha)
 	t.rowOpt = optim.NewRowAdagrad(cfg.LR)
 
+	nrel := len(g.Schema.Relations)
+	t.queue.start, t.queue.at = make([]int, nrel+1), make([]int, nrel+1)
+	t.rels = make([]relBucket, nrel)
 	t.workerStates = make([]*workerState, cfg.Workers)
 	for w := range t.workerStates {
 		t.workerStates[w] = t.newWorkerState()
@@ -429,7 +456,7 @@ func (t *Trainer) TrainEpoch() (EpochStats, error) {
 	stats := EpochStats{Epoch: t.epochsRun, Lookahead: t.lookahead}
 	t.epochHighWater = 0
 	t.epochSpan = t.obs.Trace.Start("train", fmt.Sprintf("epoch %d", t.epochsRun))
-	ioBase, computeBase := t.tm.ioWait.Value(), t.tm.compute.Value()
+	ioBase, computeBase, barrierBase := t.tm.ioWait.Value(), t.tm.compute.Value(), t.tm.barrierWait.Value()
 	negBase, activeBase := t.tm.negatives.Value(), t.tm.negativesActive.Value()
 	counted, _ := t.store.(interface{ IOStats() storage.IOStats })
 	var ioStatsBase storage.IOStats
@@ -441,6 +468,7 @@ func (t *Trainer) TrainEpoch() (EpochStats, error) {
 	t.epochSpan = nil
 	stats.IOWait = time.Duration(t.tm.ioWait.Value() - ioBase)
 	stats.Compute = time.Duration(t.tm.compute.Value() - computeBase)
+	stats.BarrierWait = time.Duration(t.tm.barrierWait.Value() - barrierBase)
 	stats.Negatives = t.tm.negatives.Value() - negBase
 	stats.ActiveNegatives = t.tm.negativesActive.Value() - activeBase
 	if counted != nil {
@@ -556,7 +584,7 @@ func (r *Resident) Advance(b partition.Bucket, left func() error) error {
 		if err != nil {
 			return err
 		}
-		r.held[k] = shardRef{shard: sh, ent: t.g.Schema.Entities[k.t]}
+		r.held[k] = shardRef{shard: sh, first: firstID(t.g.Schema.Entities[k.t], k.p)}
 	}
 	// Sample peak model memory at the transition's high-water, with the
 	// bucket's shards resident (the Tables 3–4 memory column).
@@ -582,9 +610,9 @@ func (r *Resident) Train(b partition.Bucket) (loss float64, edges int, err error
 		return 0, 0, nil
 	}
 	t0 := time.Now()
-	loss, edges, err = r.t.runBucket(b, rg.Lo, rg.Hi, r.held)
+	loss, edges = r.t.runBucket(b, rg.Lo, rg.Hi, r.held)
 	r.t.tm.compute.Add(time.Since(t0).Nanoseconds())
-	return loss, edges, err
+	return loss, edges, nil
 }
 
 // Holds reports whether the set still holds any shard of bucket b. A store
@@ -640,14 +668,19 @@ func (r *Resident) ReleaseAll() error {
 }
 
 // shardRef resolves entity ids of one (type, partition) to rows of an
-// acquired shard.
+// acquired shard. Partitions are contiguous blocks of ids, so an id's row is
+// its distance from the partition's first id: a subtraction where
+// EntityType.LocalOffset divides twice, on every row the workers touch.
 type shardRef struct {
 	shard *storage.Shard
-	ent   graph.EntityType
+	first int32 // firstID of the shard's partition
 }
 
-func (s shardRef) row(id int32) []float32 { return s.shard.Row(s.ent.LocalOffset(id)) }
-func (s shardRef) acc(id int32) *float32  { return &s.shard.Acc[s.ent.LocalOffset(id)] }
+// firstID is the first entity id of partition p of type ent.
+func firstID(ent graph.EntityType, p int) int32 { return int32(p * ent.PartSize()) }
+
+func (s shardRef) row(id int32) []float32 { return s.shard.Row(int(id - s.first)) }
+func (s shardRef) acc(id int32) *float32  { return &s.shard.Acc[id-s.first] }
 
 type shardKey struct{ t, p int }
 
@@ -689,45 +722,138 @@ func (t *Trainer) discardPrefetched(keys []shardKey) {
 	}
 }
 
+// bucketQueue is one bucket's work list, which every worker of the bucket
+// pulls from. build shuffles the bucket's edges and groups them by relation
+// with one stable counting pass, so each relation's edges keep their shuffled
+// order, and cuts each relation's run into chunks of at most ChunkSize edges
+// (batches share a relation, §4.3 last paragraph). Workers claim the chunks
+// front to back through one atomic cursor, so a worker that draws cheap
+// chunks takes more of them, and every worker runs until the queue is spent.
+// Relations come in schema order, so at Workers: 1 a fixed seed replays the
+// identical chunk and RNG sequence. The queue belongs to the trainer and is
+// rebuilt in place for every bucket.
+type bucketQueue struct {
+	perm   []int   // the shuffled offsets of the bucket's edges
+	edges  []int   // the bucket's edge indices, grouped by relation
+	start  []int   // start[rel] is where relation rel's run begins in edges
+	at     []int   // the counting pass's write cursor per relation
+	chunks []chunk // edges[lo:hi] of one relation each, in claim order
+	next   atomic.Int64
+}
+
+type chunk struct{ rel, lo, hi int }
+
+// build fills the queue with edges [lo, hi) of the trainer's bucket-sorted
+// edge list, shuffled by the trainer's root generator.
+func (q *bucketQueue) build(t *Trainer, lo, hi int) {
+	n, c := hi-lo, t.cfg.ChunkSize
+	q.perm = slices.Grow(q.perm[:0], n)[:n]
+	t.root.Perm(q.perm)
+	rels := t.edges.Rels[lo:hi]
+	clear(q.start)
+	for _, i := range q.perm {
+		q.start[rels[i]+1]++
+	}
+	for rel := 1; rel < len(q.start); rel++ {
+		q.start[rel] += q.start[rel-1]
+	}
+	copy(q.at, q.start)
+	q.edges = slices.Grow(q.edges[:0], n)[:n]
+	for _, i := range q.perm {
+		rel := rels[i]
+		q.edges[q.at[rel]] = lo + i
+		q.at[rel]++
+	}
+	q.chunks = q.chunks[:0]
+	for rel := 0; rel+1 < len(q.start); rel++ {
+		for clo, end := q.start[rel], q.start[rel+1]; clo < end; clo += c {
+			q.chunks = append(q.chunks, chunk{rel, clo, min(clo+c, end)})
+		}
+	}
+	q.next.Store(0)
+}
+
+// claim hands out the next unclaimed chunk, or false once there is none.
+func (q *bucketQueue) claim() (chunk, bool) {
+	k := q.next.Add(1) - 1
+	if k >= int64(len(q.chunks)) {
+		return chunk{}, false
+	}
+	return q.chunks[k], true
+}
+
+// relBucket is what every chunk of one relation shares within a bucket:
+// the shards its two sides read, their negative samplers and the relation's
+// parameter halves. runBucket resolves it once per bucket, before any
+// worker starts.
+type relBucket struct {
+	src, dst       shardRef
+	srcSmp, dstSmp sampling.Sampler
+	fwd, rev       []float32
+}
+
 // runBucket trains edges [lo, hi) of bucket b on the HOGWILD worker pool,
-// using shards already acquired by the caller.
-func (t *Trainer) runBucket(b partition.Bucket, lo, hi int, shards map[shardKey]shardRef) (loss float64, edges int, err error) {
+// using shards already acquired by the caller. Worker 0 runs on the calling
+// goroutine.
+func (t *Trainer) runBucket(b partition.Bucket, lo, hi int, shards map[shardKey]shardRef) (loss float64, edges int) {
 	sp := t.startBucketSpan(b)
 	defer sp.End()
-	n := hi - lo
-	perm := make([]int, n)
-	t.root.Perm(perm)
-
-	workers := t.cfg.Workers
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	losses := make([]float64, workers)
-	errs := make([]error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int, r *rng.RNG) {
-			defer wg.Done()
-			wlo := w * n / workers
-			whi := (w + 1) * n / workers
-			losses[w], errs[w] = t.workerLoop(t.workerStates[w], b, shards, perm[wlo:whi], lo, r)
-		}(w, t.root.Split())
-	}
-	wg.Wait()
-	for w := 0; w < workers; w++ {
-		if errs[w] != nil {
-			return 0, 0, errs[w]
+	q := &t.queue
+	q.build(t, lo, hi)
+	for rel := range t.rels {
+		if q.start[rel] == q.start[rel+1] {
+			continue
 		}
-		loss += losses[w]
+		sc := t.scorers[rel]
+		rb := &t.rels[rel]
+		rb.src = t.lookupRef(shards, t.relSrc[rel], b.P1)
+		rb.dst = t.lookupRef(shards, t.relDst[rel], b.P2)
+		rb.srcSmp = t.samplers.ForRelationSource(int32(rel), b.P1)
+		rb.dstSmp = t.samplers.ForRelationDest(int32(rel), b.P2)
+		rb.fwd, rb.rev = sc.SplitRelParams(t.relParams[rel])
 	}
+
+	workers := max(1, min(t.cfg.Workers, len(q.chunks)))
+	for w := 0; w < workers; w++ {
+		t.root.SplitInto(&t.workerStates[w].rng)
+	}
+	t.workersRunning.Add(workers - 1)
+	for _, st := range t.workerStates[1:workers] {
+		go func(st *workerState) {
+			defer t.workersRunning.Done()
+			st.loss = t.workerLoop(st, q)
+		}(st)
+	}
+	st0 := t.workerStates[0]
+	st0.loss = t.workerLoop(st0, q)
+	t.workersRunning.Wait()
+
+	for _, st := range t.workerStates[:workers] {
+		loss += st.loss
+	}
+	t.tm.barrierWait.Add(barrierWait(t.workerStates[:workers]).Nanoseconds())
+	n := hi - lo
 	if n > 0 {
 		t.tm.bucketLoss.Observe(loss / float64(n))
 	}
-	return loss, n, nil
+	return loss, n
+}
+
+// barrierWait sums, over a bucket's workers, the time from when each found
+// the chunk queue spent to when the last of them did: the bucket ends then,
+// and until then the others wait at the barrier.
+func barrierWait(workers []*workerState) time.Duration {
+	var last time.Time
+	for _, st := range workers {
+		if st.done.After(last) {
+			last = st.done
+		}
+	}
+	var wait time.Duration
+	for _, st := range workers {
+		wait += last.Sub(st.done)
+	}
+	return wait
 }
 
 // workerState is one HOGWILD worker's reusable scratch. It persists across
@@ -736,15 +862,11 @@ func (t *Trainer) runBucket(b partition.Bucket, lo, hi int, shards map[shardKey]
 type workerState struct {
 	ws *model.Workspace
 	// grads[rel] holds relation rel's gradient buffers (operator parameter
-	// counts differ between relations, so these cannot be shared). Indexed
-	// by relation so the worker loop walks relations in schema order.
+	// counts differ between relations, so these cannot be shared).
 	grads []*model.ChunkGrad
-	// byRel groups the worker's edge indices by relation; the slices are
-	// truncated and refilled each bucket. Relation-indexed (not a map) so
-	// chunk processing order — and with it the negative-sampling RNG
-	// stream — is deterministic for a fixed seed.
-	byRel   [][]int
-	inBuf   model.ChunkInput
+	// slots hold the ids of the chunk being scored and of the one claimed
+	// after it, whose rows are prefetched meanwhile.
+	slots   [2]chunkSlot
 	srcBuf  []float32
 	dstBuf  []float32
 	usrcBuf []float32
@@ -753,59 +875,109 @@ type workerState struct {
 	// relation parameters (see workerLoop).
 	fwdCopy []float32
 	revCopy []float32
+	// rng is the worker's generator for the current bucket, split from the
+	// trainer's root in worker order; loss and done (when the worker found
+	// the queue spent) are its results, read after the barrier.
+	rng  rng.RNG
+	loss float64
+	done time.Time
+}
+
+// chunkSlot is one claimed chunk: its relation and the ids of its positives
+// and uniform negatives.
+type chunkSlot struct {
+	rel int
+	in  model.ChunkInput
 }
 
 func (t *Trainer) newWorkerState() *workerState {
 	c, u, d := t.cfg.ChunkSize, t.cfg.UniformNegs, t.cfg.Dim
-	nrel := len(t.g.Schema.Relations)
-	return &workerState{
-		grads: make([]*model.ChunkGrad, nrel),
-		byRel: make([][]int, nrel),
-		inBuf: model.ChunkInput{
-			SrcIDs: make([]int32, c), DstIDs: make([]int32, c),
-			USrcIDs: make([]int32, u), UDstIDs: make([]int32, u),
-		},
+	st := &workerState{
+		grads:   make([]*model.ChunkGrad, len(t.g.Schema.Relations)),
 		srcBuf:  make([]float32, c*d),
 		dstBuf:  make([]float32, c*d),
 		usrcBuf: make([]float32, u*d),
 		udstBuf: make([]float32, u*d),
 	}
+	for i := range st.slots {
+		st.slots[i].in = model.ChunkInput{
+			SrcIDs: make([]int32, c), DstIDs: make([]int32, c),
+			USrcIDs: make([]int32, u), UDstIDs: make([]int32, u),
+		}
+	}
+	return st
 }
 
-// workerLoop is one HOGWILD worker: it groups its edge indices by relation
-// (batches share a relation, §4.3 last paragraph) and processes chunks.
-// Relations are walked in schema order — byRel is relation-indexed, never a
-// map — so a fixed seed replays the identical chunk and RNG sequence.
+// claimChunk claims the queue's next chunk into s: its relation, its
+// positives' ids, and its uniform negatives, drawn source side first from
+// the worker's generator. It reports false once the queue is spent.
 //
 //pbg:hotpath
-func (t *Trainer) workerLoop(st *workerState, b partition.Bucket, shards map[shardKey]shardRef, idx []int, base int, r *rng.RNG) (float64, error) {
-	c := t.cfg.ChunkSize
-	u := t.cfg.UniformNegs
-	d := t.cfg.Dim
-
-	byRel := st.byRel
-	for rel := range byRel {
-		byRel[rel] = byRel[rel][:0]
+func (t *Trainer) claimChunk(q *bucketQueue, s *chunkSlot, r *rng.RNG) bool {
+	c, ok := q.claim()
+	if !ok {
+		return false
 	}
-	for _, i := range idx {
-		rel := t.edges.Rels[base+i]
-		byRel[rel] = append(byRel[rel], base+i)
+	s.rel = c.rel
+	in := &s.in
+	in.SrcIDs = in.SrcIDs[:c.hi-c.lo]
+	in.DstIDs = in.DstIDs[:c.hi-c.lo]
+	for k, ei := range q.edges[c.lo:c.hi] {
+		in.SrcIDs[k] = t.edges.Srcs[ei]
+		in.DstIDs[k] = t.edges.Dsts[ei]
 	}
+	rb := &t.rels[c.rel]
+	sampling.SampleMany(rb.srcSmp, r, in.USrcIDs)
+	sampling.SampleMany(rb.dstSmp, r, in.UDstIDs)
+	return true
+}
 
-	in := &st.inBuf
+// prefetchChunk asks for the embedding rows a claimed chunk will gather, so
+// that they arrive while the worker scores the chunk before it.
+//
+//pbg:hotpath
+func (t *Trainer) prefetchChunk(s *chunkSlot) {
+	rb := &t.rels[s.rel]
+	prefetchRows(rb.src, s.in.SrcIDs)
+	prefetchRows(rb.dst, s.in.DstIDs)
+	prefetchRows(rb.src, s.in.USrcIDs)
+	prefetchRows(rb.dst, s.in.UDstIDs)
+}
 
-	// Gather vs score time and the negative counts accumulate in locals and
-	// land on the shared counters once per bucket, so the per-chunk hot path
-	// stays free of atomics (the clock reads below are the only
-	// instrumentation cost).
-	var gatherNs, scoreNs, negs, activeNegs int64
+//pbg:hotpath
+func prefetchRows(ref shardRef, ids []int32) {
+	for _, id := range ids {
+		vec.Prefetch(ref.row(id))
+	}
+}
 
+// workerLoop is one HOGWILD worker: it claims chunks from the bucket's queue
+// until the queue is spent, one chunk ahead of the one it scores. The
+// chunk after the current one is claimed, and its negatives drawn, before
+// the current one is scored; its rows are prefetched then and gathered once
+// the current chunk's updates have landed, so a worker's draws and the rows
+// each chunk reads are those of claiming and scoring one chunk at a time.
+//
+//pbg:hotpath
+func (t *Trainer) workerLoop(st *workerState, q *bucketQueue) float64 {
+	c, u, d := t.cfg.ChunkSize, t.cfg.UniformNegs, t.cfg.Dim
+	r := &st.rng
+
+	// Score time and the negative counts accumulate in locals and land on
+	// the shared counters once per bucket, so the per-chunk hot path stays
+	// free of atomics; gather time is the rest of the worker's time.
+	var scoreNs, negs, activeNegs int64
 	var total float64
-	for rel := range byRel {
-		list := byRel[rel]
-		if len(list) == 0 {
-			continue
+	start := time.Now()
+
+	cur, next := &st.slots[0], &st.slots[1]
+	ok := t.claimChunk(q, cur, r)
+	for ok {
+		nextOK := t.claimChunk(q, next, r)
+		if nextOK {
+			t.prefetchChunk(next)
 		}
+		rel := cur.rel
 		sc := t.scorers[rel]
 		if st.ws == nil {
 			// Workspace shape depends only on (chunk, negatives, dim), so it
@@ -813,88 +985,62 @@ func (t *Trainer) workerLoop(st *workerState, b partition.Bucket, shards map[sha
 			// because operator parameter counts differ.
 			st.ws = sc.NewWorkspace(c, u)
 		}
-		ws := st.ws
 		grad := st.grads[rel]
 		if grad == nil {
 			grad = sc.NewChunkGrad(c, u)
 			st.grads[rel] = grad
 		}
-		relCfg := t.g.Schema.Relations[rel]
-		srcRef := t.lookupRef(shards, t.relSrc[rel], b.P1)
-		dstRef := t.lookupRef(shards, t.relDst[rel], b.P2)
-		srcSmp := t.samplers.ForRelationSource(int32(rel), b.P1)
-		dstSmp := t.samplers.ForRelationDest(int32(rel), b.P2)
-		fwd, rev := sc.SplitRelParams(t.relParams[rel])
-
-		for chunkLo := 0; chunkLo < len(list); chunkLo += c {
-			chunkHi := chunkLo + c
-			if chunkHi > len(list) {
-				chunkHi = len(list)
+		rb := &t.rels[rel]
+		in := &cur.in
+		in.Src = t.gather(st.srcBuf, rb.src, in.SrcIDs, d)
+		in.Dst = t.gather(st.dstBuf, rb.dst, in.DstIDs, d)
+		in.USrc = t.gather(st.usrcBuf, rb.src, in.USrcIDs, d)
+		in.UDst = t.gather(st.udstBuf, rb.dst, in.UDstIDs, d)
+		in.RelWeight = t.g.Schema.Relations[rel].EffectiveWeight()
+		in.RelFwd = rb.fwd
+		in.RelRev = rb.rev
+		if t.cfg.HogwildOff && (len(rb.fwd) > 0 || len(rb.rev) > 0) {
+			// Striped-lock mode must not read parameters another worker
+			// is updating under relMu: score from a snapshot taken under
+			// the lock (the updates themselves still hit the live block).
+			t.relMu[rel].Lock()
+			st.fwdCopy = append(st.fwdCopy[:0], rb.fwd...)
+			st.revCopy = append(st.revCopy[:0], rb.rev...)
+			t.relMu[rel].Unlock()
+			in.RelFwd = st.fwdCopy
+			if rb.rev != nil {
+				in.RelRev = st.revCopy
 			}
-			cc := chunkHi - chunkLo
-			g0 := time.Now()
-			// Gather.
-			in.SrcIDs = st.inBuf.SrcIDs[:cc]
-			in.DstIDs = st.inBuf.DstIDs[:cc]
-			in.USrcIDs = st.inBuf.USrcIDs[:u]
-			in.UDstIDs = st.inBuf.UDstIDs[:u]
-			for k, ei := range list[chunkLo:chunkHi] {
-				in.SrcIDs[k] = t.edges.Srcs[ei]
-				in.DstIDs[k] = t.edges.Dsts[ei]
-			}
-			sampling.SampleMany(srcSmp, r, in.USrcIDs)
-			sampling.SampleMany(dstSmp, r, in.UDstIDs)
-			in.Src = t.gather(st.srcBuf, srcRef, in.SrcIDs, d)
-			in.Dst = t.gather(st.dstBuf, dstRef, in.DstIDs, d)
-			in.USrc = t.gather(st.usrcBuf, srcRef, in.USrcIDs, d)
-			in.UDst = t.gather(st.udstBuf, dstRef, in.UDstIDs, d)
-			in.RelWeight = relCfg.EffectiveWeight()
-			in.RelFwd = fwd
-			in.RelRev = rev
-			if t.cfg.HogwildOff && (len(fwd) > 0 || len(rev) > 0) {
-				// Striped-lock mode must not read parameters another worker
-				// is updating under relMu: score from a snapshot taken under
-				// the lock (the updates themselves still hit the live block).
-				t.relMu[rel].Lock()
-				st.fwdCopy = append(st.fwdCopy[:0], fwd...)
-				st.revCopy = append(st.revCopy[:0], rev...)
-				t.relMu[rel].Unlock()
-				in.RelFwd = st.fwdCopy
-				if rev != nil {
-					in.RelRev = st.revCopy
-				}
-			}
-
-			g1 := time.Now()
-			gatherNs += g1.Sub(g0).Nanoseconds()
-			sc.ScoreChunk(ws, in, grad)
-			total += grad.Loss
-			negs += int64(grad.NegCount)
-			activeNegs += int64(grad.ActiveNegs)
-			g2 := time.Now()
-			scoreNs += g2.Sub(g1).Nanoseconds()
-
-			// Scatter updates.
-			t.applyRows(srcRef, in.SrcIDs, grad.Src.Data, d)
-			t.applyRows(dstRef, in.DstIDs, grad.Dst.Data, d)
-			t.applyRows(srcRef, in.USrcIDs, grad.USrc.Data, d)
-			t.applyRows(dstRef, in.UDstIDs, grad.UDst.Data, d)
-			if len(grad.RelFwd) > 0 {
-				t.relMu[rel].Lock()
-				t.relOptFwd[rel].Update(fwd, grad.RelFwd)
-				if rev != nil {
-					t.relOptRev[rel].Update(rev, grad.RelRev)
-				}
-				t.relMu[rel].Unlock()
-			}
-			gatherNs += time.Since(g2).Nanoseconds()
 		}
+
+		s0 := time.Now()
+		sc.ScoreChunk(st.ws, in, grad)
+		scoreNs += time.Since(s0).Nanoseconds()
+		total += grad.Loss
+		negs += int64(grad.NegCount)
+		activeNegs += int64(grad.ActiveNegs)
+
+		// Scatter updates.
+		t.applyRows(rb.src, in.SrcIDs, grad.Src.Data, d)
+		t.applyRows(rb.dst, in.DstIDs, grad.Dst.Data, d)
+		t.applyRows(rb.src, in.USrcIDs, grad.USrc.Data, d)
+		t.applyRows(rb.dst, in.UDstIDs, grad.UDst.Data, d)
+		if len(grad.RelFwd) > 0 {
+			t.relMu[rel].Lock()
+			t.relOptFwd[rel].Update(rb.fwd, grad.RelFwd)
+			if rb.rev != nil {
+				t.relOptRev[rel].Update(rb.rev, grad.RelRev)
+			}
+			t.relMu[rel].Unlock()
+		}
+		cur, next, ok = next, cur, nextOK
 	}
-	t.tm.workerGather.Add(gatherNs)
+	st.done = time.Now()
+	t.tm.workerGather.Add(st.done.Sub(start).Nanoseconds() - scoreNs)
 	t.tm.workerScore.Add(scoreNs)
 	t.tm.negatives.Add(negs)
 	t.tm.negativesActive.Add(activeNegs)
-	return total, nil
+	return total
 }
 
 func (t *Trainer) lookupRef(shards map[shardKey]shardRef, typeIdx, part int) shardRef {

@@ -39,7 +39,7 @@ func (v *View) Embedding(typeIdx int, id int32, out []float32) ([]float32, error
 		if err != nil {
 			return nil, err
 		}
-		ref = shardRef{shard: sh, ent: ent}
+		ref = shardRef{shard: sh, first: firstID(ent, part)}
 		v.held[k] = ref
 	}
 	copy(out, ref.row(id))

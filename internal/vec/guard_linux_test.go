@@ -1,6 +1,7 @@
 package vec
 
 import (
+	"math"
 	"syscall"
 	"testing"
 	"unsafe"
@@ -83,6 +84,31 @@ func TestMulABtRowsStaysInside(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestPrefetchChangesNothing runs Prefetch over every span of up to 40 floats
+// that ends at a guard page, from every start offset within a cache line,
+// and over nil: it must return, and leave every byte it was asked about as
+// it was.
+func TestPrefetchChangesNothing(t *testing.T) {
+	const maxN = 40
+	buf := guarded[float32](t, maxN+16)
+	for i := range buf {
+		buf[i] = float32(i) + 0.5
+	}
+	want := append([]float32(nil), buf...)
+	Prefetch(nil)
+	for n := 0; n <= maxN; n++ {
+		for skip := 0; skip < 16; skip++ {
+			Prefetch(tail(buf, n+skip)[:n])
+			Prefetch(tail(buf, n))
+		}
+	}
+	for i := range buf {
+		if math.Float32bits(buf[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("float %d changed: %v, want %v", i, buf[i], want[i])
 		}
 	}
 }

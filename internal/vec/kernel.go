@@ -53,7 +53,9 @@ import "unsafe"
 // product scores columns j and j+1 it asks for the rows listed for columns
 // j+8 and j+9, and reads the list only while those are inside it, so the
 // first 8 listed rows are never asked for and a list of 8 or fewer gets no
-// prefetch. Dense products never prefetch.
+// prefetch. Dense products never prefetch. Prefetch, the one other leaf that
+// touches no result, asks for a row span's cache lines a caller names ahead of
+// time (the trainer's next chunk); its portable twin is a no-op.
 //
 // Two leaves dereference an index list unchecked — addRowSparseAVX2 and, under
 // MulABtRows, the GEMM leaf dotStripAVX2 (for its rows and its look-ahead) —

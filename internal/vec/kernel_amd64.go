@@ -87,3 +87,8 @@ func selectGEMaskAVX2(mask *byte, x *float32, n int, t float32)
 //
 //go:noescape
 func maxUint32AVX2(x *int32, n int) uint32
+
+// prefetchSpanAVX2 prefetches every cache line of the n floats at p.
+//
+//go:noescape
+func prefetchSpanAVX2(p *float32, n int)

@@ -773,3 +773,27 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL AX, eax+0(FP)
 	MOVL DX, edx+4(FP)
 	RET
+
+// func prefetchSpanAVX2(p *float32, n int)
+//
+// Asks for every cache line of the n floats at p with PREFETCHT0, first line
+// to last, the span's last byte included. It uses no vector register, so it
+// needs no VZEROUPPER; it sits behind useAVX2 with the other leaves so that
+// the portable path is its no-op twin. A prefetch faults on nothing and
+// writes nothing.
+TEXT ·prefetchSpanAVX2(SB), NOSPLIT, $0-16
+	MOVQ p+0(FP), AX
+	MOVQ n+8(FP), CX
+	SHLQ $2, CX
+	JZ   span_done
+	LEAQ -1(AX)(CX*1), CX // the span's last byte
+
+span_line:
+	PREFETCHT0 (AX)
+	ADDQ       $64, AX
+	CMPQ       AX, CX
+	JLE        span_line
+	PREFETCHT0 (CX)
+
+span_done:
+	RET

@@ -30,3 +30,5 @@ func hingeMaskAVX2(mask *byte, scores *float32, ids *int32, n int, t float32, id
 func selectGEMaskAVX2(mask *byte, x *float32, n int, t float32) { panic("vec: no assembly kernels") }
 
 func maxUint32AVX2(x *int32, n int) uint32 { panic("vec: no assembly kernels") }
+
+func prefetchSpanAVX2(p *float32, n int) { panic("vec: no assembly kernels") }

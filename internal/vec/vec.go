@@ -102,6 +102,19 @@ func axpyGeneric(alpha float32, x, y []float32) {
 	}
 }
 
+// Prefetch asks the processor to bring every cache line of x towards its L1
+// cache and returns without waiting: a hint for rows the caller will read a
+// whole step of work later, so the loads land before they are needed. It
+// changes no memory and faults on nothing. On the portable path it does
+// nothing.
+//
+//pbg:hotpath
+func Prefetch(x []float32) {
+	if useAVX2 {
+		prefetchSpanAVX2(unsafe.SliceData(x), len(x))
+	}
+}
+
 // Scale multiplies x by alpha in place.
 //
 //pbg:hotpath
