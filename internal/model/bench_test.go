@@ -20,6 +20,18 @@ import (
 // blocks have about the target share of non-zeros, and returns that share.
 func chunkAtDensity(s *Scorer, c, u int, target float64) (*ChunkInput, float64) {
 	in := makeChunk(s, c, u, 41)
+	if s.Reciprocal && s.Op.Name() == "complex_diagonal" {
+		// The reverse parameters are the forward ones conjugated, so that
+		// f_rev(s, r, d) = f(s, r, d) and the planted gain sets the density of
+		// both sides, as it does without reciprocal relations.
+		h := len(in.RelFwd) / 2
+		for k := range in.RelRev {
+			in.RelRev[k] = in.RelFwd[k]
+			if k >= h {
+				in.RelRev[k] = -in.RelFwd[k]
+			}
+		}
+	}
 	noise := vec.NewMatrix(c, s.Dim)
 	copy(noise.Data, in.Dst.Data)
 	ws, grad := s.NewWorkspace(c, u), s.NewChunkGrad(c, u)
@@ -46,18 +58,22 @@ func chunkAtDensity(s *Scorer, c, u int, target float64) (*ChunkInput, float64) 
 }
 
 func BenchmarkScoreChunk(b *testing.B) {
+	// The reciprocal row is the path whose two sides use different
+	// parameters and so share nothing: two full blocks, 2C transforms.
 	for _, shape := range []struct {
-		name     string
-		c, u, d  int
-		operator string
+		name       string
+		c, u, d    int
+		operator   string
+		reciprocal bool
 	}{
-		{"kg_50x50x64_complex", 50, 50, 64, "complex_diagonal"},
-		{"dist_50x50x64_identity", 50, 50, 64, "identity"},
-		{"ooc_10x10x128_identity", 10, 10, 128, "identity"},
+		{"kg_50x50x64_complex", 50, 50, 64, "complex_diagonal", false},
+		{"kg_50x50x64_complex_reciprocal", 50, 50, 64, "complex_diagonal", true},
+		{"dist_50x50x64_identity", 50, 50, 64, "identity", false},
+		{"ooc_10x10x128_identity", 10, 10, 128, "identity", false},
 	} {
 		for _, target := range []float64{0.1, 0.25, 1} {
 			b.Run(fmt.Sprintf("%s/density_%v", shape.name, target), func(b *testing.B) {
-				s, err := NewScorer(shape.d, shape.operator, "dot", "ranking", 0.1, false)
+				s, err := NewScorer(shape.d, shape.operator, "dot", "ranking", 0.1, shape.reciprocal)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -32,6 +32,18 @@ type Comparator interface {
 	// and bitwise what CrossScores returns over a gathered copy of them. A nil
 	// idx is every row of b in order, i.e. CrossScores.
 	CrossScoresRows(out, a, b vec.Matrix, idx []int32)
+	// CrossRaw and FinishCross are CrossScores in its two steps, for a
+	// caller that shares the first between two blocks: every comparator's
+	// cross score is a GEMM of prepared rows, then an elementwise finish.
+	// CrossRaw writes the GEMM, out = a·bᵀ, reading its first t.Rows columns
+	// from t — the raw block of the product taken the other way round,
+	// t[j][i] = a_i·b_j — and multiplying only the rest (vec.MulABtReusing);
+	// an empty t multiplies every column. FinishCross turns that raw block
+	// into the scores CrossScores(out, a, b) returns, bitwise, in place: dot
+	// and cos have nothing to do, the distances add the row norms in their
+	// own operand order.
+	CrossRaw(out, a, b, t vec.Matrix)
+	FinishCross(out, a, b vec.Matrix)
 	// PairBackward accumulates gradients of Σ g[i]·score[i] into ga, gb
 	// (in prepared space). scores holds the forward PairScores output.
 	PairBackward(ga, gb vec.Matrix, g, scores []float32, a, b vec.Matrix)
@@ -40,11 +52,31 @@ type Comparator interface {
 	// Loss emitted it (row i: positive i's non-zeros) and gT its transpose
 	// (row j: candidate j's non-zeros, ascending i), so both products walk
 	// only the entries that carry gradient. scores holds the forward
-	// CrossScores output.
-	CrossBackward(ga, gb vec.Matrix, g, gT *vec.SparseRows, scores, a, b vec.Matrix)
+	// CrossScores output; sc is room for the comparator's temporaries.
+	CrossBackward(ga, gb vec.Matrix, g, gT *vec.SparseRows, scores, a, b vec.Matrix, sc *CrossScratch)
 	// UnprepareGrad maps the accumulated gradient g from prepared space back
 	// to raw space in place, given the prepared matrix and Prepare's state.
 	UnprepareGrad(g, prepared vec.Matrix, state []float32)
+}
+
+// CrossScratch is CrossBackward's room for its temporaries, owned by the
+// caller (the training Workspace) so that a warm backward allocates nothing:
+// the distance comparators' G·B and Gᵀ·A products and L2's rescaled gradient
+// lists. The zero value is ready to use; it grows to the largest block it
+// has met.
+type CrossScratch struct {
+	ga, gb []float32
+	g, gT  vec.SparseRows
+}
+
+// zeroed returns buf resized to n zeroed floats, reallocating only to grow.
+func zeroed(buf *[]float32, n int) []float32 {
+	if cap(*buf) < n {
+		*buf = make([]float32, n)
+	}
+	*buf = (*buf)[:n]
+	vec.Zero(*buf)
+	return *buf
 }
 
 // NewComparator returns the comparator registered under name. Valid names:
@@ -85,6 +117,12 @@ func (DotComparator) CrossScoresRows(out, a, b vec.Matrix, idx []int32) {
 	vec.MulABtRows(out, a, b, idx)
 }
 
+func (DotComparator) CrossRaw(out, a, b, t vec.Matrix) {
+	vec.MulABtReusing(out, a, b, t)
+}
+
+func (DotComparator) FinishCross(_, _, _ vec.Matrix) {}
+
 func (DotComparator) PairBackward(ga, gb vec.Matrix, g, _ []float32, a, b vec.Matrix) {
 	for i, gi := range g {
 		if gi == 0 {
@@ -95,7 +133,7 @@ func (DotComparator) PairBackward(ga, gb vec.Matrix, g, _ []float32, a, b vec.Ma
 	}
 }
 
-func (DotComparator) CrossBackward(ga, gb vec.Matrix, g, gT *vec.SparseRows, _, a, b vec.Matrix) {
+func (DotComparator) CrossBackward(ga, gb vec.Matrix, g, gT *vec.SparseRows, _, a, b vec.Matrix, _ *CrossScratch) {
 	vec.AddRowsSparse(ga, g, b)
 	vec.AddRowsSparse(gb, gT, a)
 }
@@ -137,12 +175,18 @@ func (CosComparator) CrossScoresRows(out, a, b vec.Matrix, idx []int32) {
 	DotComparator{}.CrossScoresRows(out, a, b, idx)
 }
 
+func (CosComparator) CrossRaw(out, a, b, t vec.Matrix) {
+	DotComparator{}.CrossRaw(out, a, b, t)
+}
+
+func (CosComparator) FinishCross(_, _, _ vec.Matrix) {}
+
 func (CosComparator) PairBackward(ga, gb vec.Matrix, g, scores []float32, a, b vec.Matrix) {
 	DotComparator{}.PairBackward(ga, gb, g, scores, a, b)
 }
 
-func (CosComparator) CrossBackward(ga, gb vec.Matrix, g, gT *vec.SparseRows, scores, a, b vec.Matrix) {
-	DotComparator{}.CrossBackward(ga, gb, g, gT, scores, a, b)
+func (CosComparator) CrossBackward(ga, gb vec.Matrix, g, gT *vec.SparseRows, scores, a, b vec.Matrix, sc *CrossScratch) {
+	DotComparator{}.CrossBackward(ga, gb, g, gT, scores, a, b, sc)
 }
 
 func (CosComparator) UnprepareGrad(g, prepared vec.Matrix, state []float32) {
@@ -181,12 +225,26 @@ func (c SquaredL2Comparator) CrossScores(out, a, b vec.Matrix) {
 	c.CrossScoresRows(out, a, b, nil)
 }
 
-// l2NormChunk is how many column norms SquaredL2Comparator.CrossScoresRows
-// holds at a time, in a stack array, so the call allocates nothing.
+// l2NormChunk is how many column norms SquaredL2Comparator's finish holds at
+// a time, in a stack array, so the call allocates nothing.
 const l2NormChunk = 256
 
 func (SquaredL2Comparator) CrossScoresRows(out, a, b vec.Matrix, idx []int32) {
 	vec.MulABtRows(out, a, b, idx)
+	finishSquaredL2(out, a, b, idx)
+}
+
+func (SquaredL2Comparator) CrossRaw(out, a, b, t vec.Matrix) {
+	DotComparator{}.CrossRaw(out, a, b, t)
+}
+
+func (SquaredL2Comparator) FinishCross(out, a, b vec.Matrix) {
+	finishSquaredL2(out, a, b, nil)
+}
+
+// finishSquaredL2 turns the dot products out[i][j] = a_i·b_idx[j] into
+// −‖a_i − b_idx[j]‖² = 2·a_i·b_idx[j] − ‖a_i‖² − ‖b_idx[j]‖², in that order.
+func finishSquaredL2(out, a, b vec.Matrix, idx []int32) {
 	var bN [l2NormChunk]float32
 	for lo := 0; lo < out.Cols; lo += l2NormChunk {
 		cols := bN[:min(l2NormChunk, out.Cols-lo)]
@@ -223,12 +281,12 @@ func (SquaredL2Comparator) PairBackward(ga, gb vec.Matrix, g, _ []float32, a, b 
 	}
 }
 
-func (SquaredL2Comparator) CrossBackward(ga, gb vec.Matrix, g, gT *vec.SparseRows, _, a, b vec.Matrix) {
+func (SquaredL2Comparator) CrossBackward(ga, gb vec.Matrix, g, gT *vec.SparseRows, _, a, b vec.Matrix, sc *CrossScratch) {
 	// dL/da_i = Σ_j g_ij · (−2)(a_i − b_j) = −2·rowsum_i·a_i + 2·(G·B)_i
 	// dL/db_j = Σ_i g_ij · ( 2)(a_i − b_j) =  2·(Gᵀ·A)_j − 2·colsum_j·b_j
 	// The GEMM parts.
-	tmpA := vec.NewMatrix(ga.Rows, ga.Cols)
-	tmpB := vec.NewMatrix(gb.Rows, gb.Cols)
+	tmpA := vec.MatrixFrom(zeroed(&sc.ga, len(ga.Data)), ga.Rows, ga.Cols)
+	tmpB := vec.MatrixFrom(zeroed(&sc.gb, len(gb.Data)), gb.Rows, gb.Cols)
 	vec.AddRowsSparse(tmpA, g, b)
 	vec.AddRowsSparse(tmpB, gT, a)
 	for i := 0; i < ga.Rows; i++ {
@@ -280,6 +338,20 @@ func (c L2Comparator) CrossScores(out, a, b vec.Matrix) {
 
 func (L2Comparator) CrossScoresRows(out, a, b vec.Matrix, idx []int32) {
 	SquaredL2Comparator{}.CrossScoresRows(out, a, b, idx)
+	finishL2(out)
+}
+
+func (L2Comparator) CrossRaw(out, a, b, t vec.Matrix) {
+	DotComparator{}.CrossRaw(out, a, b, t)
+}
+
+func (L2Comparator) FinishCross(out, a, b vec.Matrix) {
+	SquaredL2Comparator{}.FinishCross(out, a, b)
+	finishL2(out)
+}
+
+// finishL2 turns squared-L2 scores −‖a−b‖² into L2 scores −‖a−b‖ in place.
+func finishL2(out vec.Matrix) {
 	for i := range out.Data {
 		sq := float64(-out.Data[i])
 		if sq < 0 {
@@ -310,23 +382,33 @@ func (L2Comparator) PairBackward(ga, gb vec.Matrix, g, scores []float32, a, b ve
 	}
 }
 
-func (L2Comparator) CrossBackward(ga, gb vec.Matrix, g, gT *vec.SparseRows, scores, a, b vec.Matrix) {
+func (L2Comparator) CrossBackward(ga, gb vec.Matrix, g, gT *vec.SparseRows, scores, a, b vec.Matrix, sc *CrossScratch) {
 	// Reduce to the squared-L2 backward with rescaled upstream gradients:
-	// d(−dist)/dθ = d(−dist²)/dθ · 1/(2·dist). at(i, j) is the entry's score.
-	rescale := func(g *vec.SparseRows, at func(row int, col int32) float32) *vec.SparseRows {
-		scaled := &vec.SparseRows{Start: g.Start, Idx: g.Idx, W: make([]float32, len(g.W))}
-		for i := 0; i < g.Rows(); i++ {
-			for k := g.Start[i]; k < g.Start[i+1]; k++ {
-				if dist := -at(i, g.Idx[k]); dist > 0 {
-					scaled.W[k] = g.W[k] / (2 * dist)
-				}
+	// d(−dist)/dθ = d(−dist²)/dθ · 1/(2·dist), entry by entry, into sc's
+	// lists (the same rows and columns as g's and gT's, their own weights).
+	rescale(&sc.g, g, func(i, k int) float32 { return scores.Row(i)[g.Idx[k]] })
+	rescale(&sc.gT, gT, func(j, k int) float32 { return scores.Row(int(gT.Idx[k]))[j] })
+	SquaredL2Comparator{}.CrossBackward(ga, gb, &sc.g, &sc.gT, scores, a, b, sc)
+}
+
+// rescale makes out g's entries with every weight divided by 2·dist, where
+// dist = −at(row, k) is entry k's distance (0 where dist ≤ 0). It reuses
+// out's weight buffer and borrows g's rows and columns.
+func rescale(out, g *vec.SparseRows, at func(row, k int) float32) {
+	w := out.W
+	if cap(w) < len(g.W) {
+		w = make([]float32, len(g.W))
+	}
+	w = w[:len(g.W)]
+	for i := 0; i < g.Rows(); i++ {
+		for k := g.Start[i]; k < g.Start[i+1]; k++ {
+			w[k] = 0
+			if dist := -at(i, int(k)); dist > 0 {
+				w[k] = g.W[k] / (2 * dist)
 			}
 		}
-		return scaled
 	}
-	sg := rescale(g, func(i int, j int32) float32 { return scores.Row(i)[j] })
-	sgT := rescale(gT, func(j int, i int32) float32 { return scores.Row(int(i))[j] })
-	SquaredL2Comparator{}.CrossBackward(ga, gb, sg, sgT, scores, a, b)
+	*out = vec.SparseRows{Start: g.Start, Idx: g.Idx, W: w}
 }
 
 func (L2Comparator) UnprepareGrad(_, _ vec.Matrix, _ []float32) {}

@@ -90,6 +90,38 @@ func TestCrossScoresRowsMatchesGathered(t *testing.T) {
 	}
 }
 
+// TestCrossRawThenFinishIsCrossScores pins the two steps ScoreChunk splits
+// CrossScores into, for every comparator: the raw block, with its leading
+// columns read from the block taken the other way round (none, some, all),
+// then the finish, is bit for bit CrossScores.
+func TestCrossRawThenFinishIsCrossScores(t *testing.T) {
+	r := rng.New(17)
+	const n, m, d = 7, 12, 9
+	a, b := vec.NewMatrix(n, d), vec.NewMatrix(m, d)
+	fill(r, a.Data)
+	fill(r, b.Data)
+	for _, name := range allComparatorNames {
+		cmp, err := NewComparator(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := vec.NewMatrix(n, m)
+		cmp.CrossScores(want, a, b)
+		for _, k := range []int{0, 5, m} {
+			other := vec.NewMatrix(k, n)
+			cmp.CrossRaw(other, vec.MatrixFrom(b.Data[:k*d], k, d), a, vec.Matrix{})
+			got := vec.NewMatrix(n, m)
+			cmp.CrossRaw(got, a, b, other)
+			cmp.FinishCross(got, a, b)
+			for i := range want.Data {
+				if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+					t.Fatalf("%s, %d columns reused: element %d = %v, CrossScores %v", name, k, i, got.Data[i], want.Data[i])
+				}
+			}
+		}
+	}
+}
+
 // TestSquaredL2CrossScoresAcrossNormChunks pins squared_l2's cross scores
 // to 2·(A·Bᵀ)[i][j] − ‖a_i‖² − ‖b_j‖² element by element, bit for bit, over
 // more columns than one chunk of column norms holds (600 = 256 + 256 + 88),
@@ -222,7 +254,7 @@ func TestComparatorGradients(t *testing.T) {
 		gb := vec.NewMatrix(n, d)
 		cmp.PairBackward(ga, gb, gPair, pair, a, b)
 		sg, sgT := sparsify(gCross)
-		cmp.CrossBackward(ga, gb, sg, sgT, cross, a, b)
+		cmp.CrossBackward(ga, gb, sg, sgT, cross, a, b, new(CrossScratch))
 		cmp.UnprepareGrad(ga, a, sa)
 		cmp.UnprepareGrad(gb, b, sb)
 

@@ -82,8 +82,12 @@ func denseLoss(l Loss, pos []float32, neg vec.Matrix, posIDs, candIDs []int32, g
 	return total, unmasked
 }
 
-// denseSide is scoreSide over denseLoss and Axpy chains (dot-product
-// comparators only: their CrossBackward is exactly the two products).
+// denseSide is one side of a chunk scored on its own: denseLoss, then for
+// the dot-product comparators Axpy chains (their CrossBackward is exactly the
+// two products). The distance comparators' CrossBackward adds row sums and
+// rescales, arithmetic of their own that TestComparatorGradients holds to
+// finite differences; here it is handed G's non-zeros in order, so what the
+// comparison pins for them is the sharing between the two sides.
 func denseSide(s *Scorer, g *ChunkGrad, q, cand vec.Matrix, posIDs, candIDs []int32, weight float32) (gq, gcand vec.Matrix) {
 	c, cu, d := q.Rows, cand.Rows, s.Dim
 	stateQ, stateC := s.Cmp.Prepare(q), s.Cmp.Prepare(cand)
@@ -98,15 +102,21 @@ func denseSide(s *Scorer, g *ChunkGrad, q, cand vec.Matrix, posIDs, candIDs []in
 	g.NegCount += unmasked
 	gq, gcand = vec.NewMatrix(c, d), vec.NewMatrix(cu, d)
 	s.Cmp.PairBackward(gq, subMat(gcand, c, d), gPos, pos, q, top)
-	for i := 0; i < c; i++ {
-		for j := 0; j < cu; j++ {
-			vec.Axpy(gNeg.Row(i)[j], cand.Row(j), gq.Row(i)) // Axpy skips a zero coefficient
-		}
-	}
-	for j := 0; j < cu; j++ {
+	switch s.Cmp.(type) {
+	case DotComparator, CosComparator:
 		for i := 0; i < c; i++ {
-			vec.Axpy(gNeg.Row(i)[j], q.Row(i), gcand.Row(j))
+			for j := 0; j < cu; j++ {
+				vec.Axpy(gNeg.Row(i)[j], cand.Row(j), gq.Row(i)) // Axpy skips a zero coefficient
+			}
 		}
+		for j := 0; j < cu; j++ {
+			for i := 0; i < c; i++ {
+				vec.Axpy(gNeg.Row(i)[j], q.Row(i), gcand.Row(j))
+			}
+		}
+	default:
+		g, gT := sparsify(gNeg)
+		s.Cmp.CrossBackward(gq, gcand, g, gT, neg, q, cand, new(CrossScratch))
 	}
 	s.Cmp.UnprepareGrad(gq, q, stateQ)
 	s.Cmp.UnprepareGrad(gcand, cand, stateC)
@@ -160,9 +170,14 @@ func denseScoreChunk(s *Scorer, in *ChunkInput) *ChunkGrad {
 	return g
 }
 
+// TestScoreChunkMatchesDenseArithmetic holds ScoreChunk, which computes the
+// pieces the two sides of a chunk share once, to the two sides computed
+// apart, for every operator and comparator: bit for bit (the distance
+// comparators and the translation, diagonal and linear operators need no
+// tolerance of their own).
 func TestScoreChunkMatchesDenseArithmetic(t *testing.T) {
-	for _, opName := range []string{"identity", "complex_diagonal"} {
-		for _, cmpName := range []string{"dot", "cos"} {
+	for _, opName := range []string{"identity", "complex_diagonal", "translation", "diagonal", "linear"} {
+		for _, cmpName := range allComparatorNames {
 			for _, lossName := range allLossNames {
 				for _, recip := range []bool{false, true} {
 					for _, weight := range []float32{1, 1.3} {
@@ -192,13 +207,45 @@ func checkAgainstDense(t *testing.T, opName, cmpName, lossName string, recip boo
 		in.USrcIDs[i], in.UDstIDs[i] = int32(i%6), int32(i%3)
 	}
 	want := denseScoreChunk(s, in)
-	got := s.NewChunkGrad(c, u)
-	s.ScoreChunk(s.NewWorkspace(c, u), in, got)
+	for _, layout := range []struct {
+		name string
+		in   *ChunkInput
+	}{{"apart", in}, {"blocks", asBlocks(in)}} {
+		got := s.NewChunkGrad(c, u)
+		s.ScoreChunk(s.NewWorkspace(c, u), layout.in, got)
+		compareToDense(t, name+"/"+layout.name, got, want, lossName != "ranking" || weight == 1)
+		if lossName != "ranking" && got.ActiveNegs != got.NegCount {
+			t.Errorf("%s: %d of %d negatives active; a dense loss emits every unmasked entry", name, got.ActiveNegs, got.NegCount)
+		}
+	}
+}
+
+// asBlocks copies a chunk into the trainer's layout: each side's rows, and
+// its IDs, in one backing array, positives first, which ScoreChunk reads in
+// place.
+func asBlocks(in *ChunkInput) *ChunkInput {
+	out := *in
+	rows := func(top, rest vec.Matrix) (vec.Matrix, vec.Matrix) {
+		data := append(append([]float32(nil), top.Data...), rest.Data...)
+		return vec.MatrixFrom(data[:len(top.Data)], top.Rows, top.Cols), vec.MatrixFrom(data[len(top.Data):], rest.Rows, rest.Cols)
+	}
+	ids := func(top, rest []int32) ([]int32, []int32) {
+		all := append(append([]int32(nil), top...), rest...)
+		return all[:len(top)], all[len(top):]
+	}
+	out.Src, out.USrc = rows(in.Src, in.USrc)
+	out.Dst, out.UDst = rows(in.Dst, in.UDst)
+	out.SrcIDs, out.USrcIDs = ids(in.SrcIDs, in.USrcIDs)
+	out.DstIDs, out.UDstIDs = ids(in.DstIDs, in.UDstIDs)
+	return &out
+}
+
+func compareToDense(t *testing.T, name string, got, want *ChunkGrad, exact bool) {
+	t.Helper()
 	// Everything is bitwise except what gPos reaches under the ranking loss
 	// at an inexact weight: k ≤ 23 subtractions against one product differ
 	// by a few ulps of k·weight, held here to 2⁻²⁰ of the block's largest
 	// entry.
-	exact := lossName != "ranking" || weight == 1
 	for _, part := range []struct {
 		label     string
 		got, want []float32
@@ -225,8 +272,5 @@ func checkAgainstDense(t *testing.T, opName, cmpName, lossName string, recip boo
 	}
 	if math.Abs(got.Loss-want.Loss) > 1e-6*math.Abs(want.Loss) {
 		t.Errorf("%s: loss %v, dense arithmetic gives %v", name, got.Loss, want.Loss)
-	}
-	if lossName != "ranking" && got.ActiveNegs != got.NegCount {
-		t.Errorf("%s: %d of %d negatives active; a dense loss emits every unmasked entry", name, got.ActiveNegs, got.NegCount)
 	}
 }

@@ -112,7 +112,11 @@ func (s *Scorer) ScoreMany(out []float32, src, relParams []float32, cand vec.Mat
 // ChunkInput is one chunk of positive edges plus the uniformly sampled
 // candidate entities, with raw (untransformed, unprepared) embeddings
 // gathered by the caller. C = Src.Rows positives, U = USrc.Rows extra
-// candidates per side.
+// candidates per side. ScoreChunk reads each side's C+U rows as one block:
+// where the caller's gather put them when the uniform rows start where the
+// positives' end in one backing array (Dst.Data then UDst.Data, and Src.Data
+// then USrc.Data), and from a copy in the Workspace otherwise. The IDs
+// likewise.
 type ChunkInput struct {
 	Src, Dst   vec.Matrix // C×d raw embeddings of the positive edges
 	USrc, UDst vec.Matrix // U×d raw embeddings of sampled candidates
@@ -128,7 +132,9 @@ type ChunkInput struct {
 }
 
 // ChunkGrad receives gradients with respect to every raw input of a chunk.
-// The caller owns the buffers and applies them with its optimizer.
+// The caller owns the buffers and applies them with its optimizer. ScoreChunk
+// points the four views at two blocks sized to the chunk, positives first:
+// Src then USrc are one block's rows, Dst then UDst the other's.
 type ChunkGrad struct {
 	Src, Dst   vec.Matrix
 	USrc, UDst vec.Matrix
@@ -142,62 +148,59 @@ type ChunkGrad struct {
 	// is what the backward pass's cost follows.
 	NegCount   int
 	ActiveNegs int
+
+	src, dst []float32 // room for the two blocks
 }
 
 // NewChunkGrad allocates gradient buffers for chunks up to maxC positives
 // and maxU uniform candidates.
 func (s *Scorer) NewChunkGrad(maxC, maxU int) *ChunkGrad {
 	g := &ChunkGrad{
-		Src:    vec.NewMatrix(maxC, s.Dim),
-		Dst:    vec.NewMatrix(maxC, s.Dim),
-		USrc:   vec.NewMatrix(maxU, s.Dim),
-		UDst:   vec.NewMatrix(maxU, s.Dim),
+		src:    make([]float32, (maxC+maxU)*s.Dim),
+		dst:    make([]float32, (maxC+maxU)*s.Dim),
 		RelFwd: make([]float32, s.Op.ParamCount(s.Dim)),
 	}
 	if s.Reciprocal {
 		g.RelRev = make([]float32, s.Op.ParamCount(s.Dim))
 	}
+	g.reset(maxC, maxU, s.Dim)
 	return g
 }
 
-// view returns the subview of g sized for a chunk with C positives and U
-// candidates, zeroing the active region.
-func (g *ChunkGrad) view(c, u, dim int) ChunkGrad {
-	out := ChunkGrad{
-		Src:    vec.MatrixFrom(g.Src.Data[:c*dim], c, dim),
-		Dst:    vec.MatrixFrom(g.Dst.Data[:c*dim], c, dim),
-		USrc:   vec.MatrixFrom(g.USrc.Data[:u*dim], u, dim),
-		UDst:   vec.MatrixFrom(g.UDst.Data[:u*dim], u, dim),
-		RelFwd: g.RelFwd,
-		RelRev: g.RelRev,
-	}
-	vec.Zero(out.Src.Data)
-	vec.Zero(out.Dst.Data)
-	vec.Zero(out.USrc.Data)
-	vec.Zero(out.UDst.Data)
-	vec.Zero(out.RelFwd)
-	vec.Zero(out.RelRev)
-	return out
+// reset sizes g for a chunk with C positives and U candidates, zeroes it,
+// and returns the source and destination blocks.
+func (g *ChunkGrad) reset(c, u, dim int) (src, dst vec.Matrix) {
+	cu := c + u
+	src = vec.MatrixFrom(g.src[:cu*dim], cu, dim)
+	dst = vec.MatrixFrom(g.dst[:cu*dim], cu, dim)
+	g.Src, g.USrc = subMat(src, c, dim), vec.MatrixFrom(src.Data[c*dim:], u, dim)
+	g.Dst, g.UDst = subMat(dst, c, dim), vec.MatrixFrom(dst.Data[c*dim:], u, dim)
+	vec.Zero(src.Data)
+	vec.Zero(dst.Data)
+	vec.Zero(g.RelFwd)
+	vec.Zero(g.RelRev)
+	g.Loss, g.NegCount, g.ActiveNegs = 0, 0, 0
+	return src, dst
 }
 
 // Workspace holds per-worker scratch buffers for ScoreChunk, sized at
-// construction for the largest chunk the worker will process. The two sides
-// of a chunk run one after the other, so they share every buffer.
+// construction for the largest chunk the worker will process.
 type Workspace struct {
 	maxC, maxU int
 	dim        int
 
-	q       vec.Matrix // C×d query rows: transformed sources or destinations, or prepared destination copies
-	cand    vec.Matrix // (C+U)×d candidate rows, the positives' own endpoints first
-	pos     []float32
-	gPos    []float32
-	neg     vec.Matrix     // C×(C+U) score block
-	g, gT   vec.SparseRows // its gradient block as the loss emitted it, and transposed
-	gq      vec.Matrix     // gradients of q and cand
-	gcand   vec.Matrix
-	candIDs []int32
-	stateQ  []float32 // the comparator's Prepare state of q and cand (cos: row norms)
-	stateC  []float32
+	t              vec.Matrix // (C+U)×d transformed sources
+	q              vec.Matrix // C×d transformed destinations (reciprocal)
+	src, dst       vec.Matrix // (C+U)×d copies of raw rows, when they cannot be read in place
+	srcIDs, dstIDs []int32
+	stT, stD       []float32 // the comparator's Prepare state of each block (cos: row norms)
+	stQ, stS       []float32
+	pos, posRev    []float32
+	gPos           []float32
+	negD, negS     vec.Matrix     // C×(C+U) score blocks of the two sides
+	g, gT          vec.SparseRows // a side's gradient block as the loss emitted it, and transposed
+	gq, gcand      vec.Matrix     // gradients of a side's queries and candidates, in scratch
+	cross          CrossScratch
 }
 
 // NewWorkspace allocates scratch for chunks of at most maxC positives and
@@ -207,26 +210,109 @@ func (s *Scorer) NewWorkspace(maxC, maxU int) *Workspace {
 	cu := maxC + maxU
 	ws := &Workspace{
 		maxC: maxC, maxU: maxU, dim: d,
-		q:       vec.NewMatrix(maxC, d),
-		cand:    vec.NewMatrix(cu, d),
-		pos:     make([]float32, maxC),
-		gPos:    make([]float32, maxC),
-		neg:     vec.NewMatrix(maxC, cu),
-		gq:      vec.NewMatrix(maxC, d),
-		gcand:   vec.NewMatrix(cu, d),
-		candIDs: make([]int32, cu),
-		stateQ:  make([]float32, maxC),
-		stateC:  make([]float32, cu),
+		t:      vec.NewMatrix(cu, d),
+		q:      vec.NewMatrix(maxC, d),
+		src:    vec.NewMatrix(cu, d),
+		dst:    vec.NewMatrix(cu, d),
+		srcIDs: make([]int32, cu),
+		dstIDs: make([]int32, cu),
+		stT:    make([]float32, cu),
+		stD:    make([]float32, cu),
+		stQ:    make([]float32, maxC),
+		stS:    make([]float32, cu),
+		pos:    make([]float32, maxC),
+		posRev: make([]float32, maxC),
+		gPos:   make([]float32, maxC),
+		negD:   vec.NewMatrix(maxC, cu),
+		negS:   vec.NewMatrix(maxC, cu),
+		gq:     vec.NewMatrix(maxC, d),
+		gcand:  vec.NewMatrix(cu, d),
 	}
-	// Reserve the gradient block's room now, so a warm ScoreChunk never
-	// allocates however dense a block turns out.
+	// Reserve the gradient block's room now, and the distance comparators'
+	// backward temporaries, so a warm ScoreChunk never allocates however
+	// dense a block turns out.
 	ws.g.Reset(maxC, cu)
 	ws.gT.Reset(cu, maxC)
+	ws.cross.ga, ws.cross.gb = make([]float32, maxC*d), make([]float32, cu*d)
+	ws.cross.g.W, ws.cross.gT.W = make([]float32, 0, maxC*cu), make([]float32, 0, maxC*cu)
 	return ws
 }
 
 func subMat(m vec.Matrix, rows, cols int) vec.Matrix {
 	return vec.MatrixFrom(m.Data[:rows*cols], rows, cols)
+}
+
+// joined returns top followed by rest as one slice: top's own backing array
+// when shared allows and rest starts where top ends in it, else a copy in buf.
+func joined[T any](buf, top, rest []T, shared bool) []T {
+	n := len(top) + len(rest)
+	if shared && cap(top) >= n && (len(rest) == 0 || &top[:n][len(top)] == &rest[0]) {
+		return top[:n]
+	}
+	copy(buf, top)
+	copy(buf[len(top):n], rest)
+	return buf[:n]
+}
+
+// block is a matrix of prepared rows that one side of a chunk scores, with
+// what carries a gradient with respect to them back to grad, the ChunkGrad
+// rows of their raw embeddings: the operator and the raw rows it transformed
+// (x, then xRest), or nothing when op is nil and m's rows are the raw
+// embeddings, prepared.
+type block struct {
+	m, grad         vec.Matrix
+	state           []float32 // the comparator's Prepare state of m
+	op              Operator
+	x, xRest        vec.Matrix
+	params, gParams []float32
+}
+
+// head is b's first n rows.
+func (b block) head(n int) block {
+	b.m, b.grad = subMat(b.m, n, b.m.Cols), subMat(b.grad, n, b.grad.Cols)
+	if b.state != nil {
+		b.state = b.state[:n]
+	}
+	return b
+}
+
+func (b block) xRow(k int) []float32 {
+	if k < b.x.Rows {
+		return b.x.Row(k)
+	}
+	return b.xRest.Row(k - b.x.Rows)
+}
+
+// prepare fills b.m — through the operator when b has one — and prepares it
+// for the comparator, keeping the state in buf.
+func (s *Scorer) prepare(b block, buf []float32) block {
+	if b.op != nil {
+		for k := 0; k < b.m.Rows; k++ {
+			b.op.Apply(b.m.Row(k), b.xRow(k), b.params)
+		}
+	}
+	b.state = s.Cmp.PrepareInto(b.m, buf)
+	return b
+}
+
+// backprop hands g, the raw-space gradient of b's rows, to the ChunkGrad.
+func (b block) backprop(g vec.Matrix) {
+	if b.op == nil {
+		vec.Axpy(1, g.Data, b.grad.Data)
+		return
+	}
+	for k := 0; k < g.Rows; k++ {
+		b.op.Backward(b.grad.Row(k), b.gParams, b.xRow(k), b.params, g.Row(k))
+	}
+}
+
+// side is one corruption side of a chunk: C query rows scored against C+U
+// candidate rows, the positives' own endpoints first (carrying posIDs).
+type side struct {
+	q, cand         block
+	posIDs, candIDs []int32
+	pos             []float32
+	neg             vec.Matrix
 }
 
 // ScoreChunk runs the full forward + backward pass for one chunk: every
@@ -235,107 +321,90 @@ func subMat(m vec.Matrix, rows, cols int) vec.Matrix {
 // candidates, masking induced positives — exactly the construction of
 // Figure 3, where a chunk of 50 edges and 50+50 sampled entities yields
 // 50×200−100 = 9900 negatives. Gradients land in grad.
+//
+// Each piece of that block is computed once. The destination side scores the
+// positives' transformed sources against the raw destinations. Without
+// reciprocal relations the source side scores the same two kinds of rows the
+// other way round — the destinations against every transformed source — so
+// the sources are transformed once, all C+U of them, and that side takes the
+// C pair scores and the C×C block of positives against positives from the
+// destination side (transposed, before either side's finish), multiplying
+// only its C×U remainder. Reciprocal mode transforms the destinations with
+// their own parameters, so there its source side scores a block of its own
+// on the same path. Only the backward stays per side, in the order each side
+// accumulates its products.
 func (s *Scorer) ScoreChunk(ws *Workspace, in *ChunkInput, grad *ChunkGrad) {
 	c := in.Src.Rows
 	u := in.USrc.Rows
 	if c > ws.maxC || u > ws.maxU {
 		panic(fmt.Sprintf("model: chunk %d/%d exceeds workspace %d/%d", c, u, ws.maxC, ws.maxU))
 	}
-	d := s.Dim
-	g := grad.view(c, u, d)
-	cu := c + u
-	q, cand, candIDs := subMat(ws.q, c, d), subMat(ws.cand, cu, d), ws.candIDs[:cu]
-
-	// ---- Destination-corruption side: transformed sources against the
-	// candidate destinations [Dst; UDst] (copied: Prepare mutates). ----
-	for i := 0; i < c; i++ {
-		s.Op.Apply(q.Row(i), in.Src.Row(i), in.RelFwd)
-	}
-	copy(cand.Data[:c*d], in.Dst.Data)
-	copy(cand.Data[c*d:], in.UDst.Data)
-	copy(candIDs[:c], in.DstIDs)
-	copy(candIDs[c:], in.UDstIDs)
-	gq, gcand := s.scoreSide(ws, &g, q, cand, in.DstIDs, candIDs, in.RelWeight)
-	// Distribute: candidate grads → Dst/UDst, transformed-source grads →
-	// Src (through the operator) and relation params.
-	vec.Axpy(1, gcand.Data[:c*d], g.Dst.Data)
-	vec.Axpy(1, gcand.Data[c*d:], g.UDst.Data)
-	for i := 0; i < c; i++ {
-		s.Op.Backward(g.Src.Row(i), g.RelFwd, in.Src.Row(i), in.RelFwd, gq.Row(i))
+	d, cu := s.Dim, c+u
+	gSrc, gDst := grad.reset(c, u, d)
+	// cos normalises in Prepare, in place, so its raw rows are copied.
+	inPlace := s.Cmp.Prepare(vec.Matrix{}) == nil
+	stack := func(buf, top, rest vec.Matrix) vec.Matrix {
+		return vec.MatrixFrom(joined(buf.Data, top.Data, rest.Data, inPlace), top.Rows+rest.Rows, d)
 	}
 
-	// ---- Source-corruption side ----
-	copy(candIDs[:c], in.SrcIDs)
-	copy(candIDs[c:], in.USrcIDs)
+	nt := cu // the reciprocal source side never transforms a uniform source
 	if s.Reciprocal {
-		// f_rev(s', r, d) = sim(g(d; θ_rev), s'): transform destinations,
-		// compare against (copies of) the raw candidate sources.
-		for i := 0; i < c; i++ {
-			s.Op.Apply(q.Row(i), in.Dst.Row(i), in.RelRev)
-		}
-		copy(cand.Data[:c*d], in.Src.Data)
-		copy(cand.Data[c*d:], in.USrc.Data)
-		gq, gcand = s.scoreSide(ws, &g, q, cand, in.SrcIDs, candIDs, in.RelWeight)
-		vec.Axpy(1, gcand.Data[:c*d], g.Src.Data)
-		vec.Axpy(1, gcand.Data[c*d:], g.USrc.Data)
-		for i := 0; i < c; i++ {
-			s.Op.Backward(g.Dst.Row(i), g.RelRev, in.Dst.Row(i), in.RelRev, gq.Row(i))
-		}
+		nt = c
+	}
+	t := s.prepare(block{m: subMat(ws.t, nt, d), grad: subMat(gSrc, nt, d), op: s.Op, x: in.Src, xRest: in.USrc, params: in.RelFwd, gParams: grad.RelFwd}, ws.stT)
+	dst := s.prepare(block{m: stack(ws.dst, in.Dst, in.UDst), grad: gDst}, ws.stD)
+	sides := [2]side{
+		{q: t.head(c), cand: dst, posIDs: in.DstIDs, candIDs: joined(ws.dstIDs, in.DstIDs, in.UDstIDs, true), pos: ws.pos[:c], neg: subMat(ws.negD, c, cu)},
+		{posIDs: in.SrcIDs, candIDs: joined(ws.srcIDs, in.SrcIDs, in.USrcIDs, true), pos: ws.pos[:c], neg: subMat(ws.negS, c, cu)},
+	}
+	shared := sides[0].neg // the source side's first C columns, transposed
+	if s.Reciprocal {
+		sides[1].q = s.prepare(block{m: subMat(ws.q, c, d), grad: subMat(gDst, c, d), op: s.Op, x: in.Dst, params: in.RelRev, gParams: grad.RelRev}, ws.stQ)
+		sides[1].cand = s.prepare(block{m: stack(ws.src, in.Src, in.USrc), grad: gSrc}, ws.stS)
+		sides[1].pos, shared = ws.posRev[:c], vec.Matrix{}
 	} else {
-		// f(s', r, d) = sim(g(s'), d): transform every candidate source,
-		// compare against (a fresh prepared copy of) the destinations.
-		for k := 0; k < c; k++ {
-			s.Op.Apply(cand.Row(k), in.Src.Row(k), in.RelFwd)
-		}
-		for k := 0; k < u; k++ {
-			s.Op.Apply(cand.Row(c+k), in.USrc.Row(k), in.RelFwd)
-		}
-		copy(q.Data, in.Dst.Data)
-		gq, gcand = s.scoreSide(ws, &g, q, cand, in.SrcIDs, candIDs, in.RelWeight)
-		vec.Axpy(1, gq.Data, g.Dst.Data)
-		for k := 0; k < c; k++ {
-			s.Op.Backward(g.Src.Row(k), g.RelFwd, in.Src.Row(k), in.RelFwd, gcand.Row(k))
-		}
-		for k := 0; k < u; k++ {
-			s.Op.Backward(g.USrc.Row(k), g.RelFwd, in.USrc.Row(k), in.RelFwd, gcand.Row(c+k))
+		sides[1].q, sides[1].cand = dst.head(c), t
+	}
+
+	// Forward: both raw blocks before either side's finish, which the
+	// distance comparators apply in each side's own operand order.
+	s.Cmp.CrossRaw(sides[0].neg, sides[0].q.m, sides[0].cand.m, vec.Matrix{})
+	s.Cmp.CrossRaw(sides[1].neg, sides[1].q.m, sides[1].cand.m, shared)
+	for i := range sides {
+		sd := &sides[i]
+		s.Cmp.FinishCross(sd.neg, sd.q.m, sd.cand.m)
+		if i == 0 || s.Reciprocal {
+			s.Cmp.PairScores(sd.pos, sd.q.m, sd.cand.head(c).m)
 		}
 	}
 
-	grad.Loss = g.Loss
-	grad.NegCount = g.NegCount
-	grad.ActiveNegs = g.ActiveNegs
-}
+	// Backward, side by side. The destination side's candidate gradients
+	// accumulate straight into the ChunkGrad rows, which nothing has touched
+	// yet; every other gradient starts in scratch and reaches the ChunkGrad
+	// through its block.
+	for i := range sides {
+		sd := &sides[i]
+		gPos := ws.gPos[:c]
+		vec.Zero(gPos)
+		loss, masked := s.Loss.Compute(&ws.g, gPos, sd.pos, sd.neg, sd.posIDs, sd.candIDs, in.RelWeight)
+		ws.g.TransposeInto(&ws.gT, cu)
+		grad.Loss += loss
+		grad.NegCount += c*cu - masked
+		grad.ActiveNegs += len(ws.g.Idx)
 
-// scoreSide runs one side of a chunk on raw operands: it prepares the C query
-// rows q and the C+U candidate rows cand (whose first C rows are the
-// positives' own endpoints, carrying posIDs), scores pairs and the cross
-// block, runs the loss's fused mask+loss pass, and returns the raw-space
-// gradients of q and cand. The gradient block exists only as the loss's row
-// lists and their transpose; both backward products walk those.
-func (s *Scorer) scoreSide(ws *Workspace, g *ChunkGrad, q, cand vec.Matrix, posIDs, candIDs []int32, weight float32) (gq, gcand vec.Matrix) {
-	c, cu, d := q.Rows, cand.Rows, s.Dim
-	stateQ := s.Cmp.PrepareInto(q, ws.stateQ)
-	stateC := s.Cmp.PrepareInto(cand, ws.stateC)
-	pos := ws.pos[:c]
-	top := subMat(cand, c, d)
-	s.Cmp.PairScores(pos, q, top)
-	neg := subMat(ws.neg, c, cu)
-	s.Cmp.CrossScores(neg, q, cand)
-
-	gPos := ws.gPos[:c]
-	vec.Zero(gPos)
-	loss, masked := s.Loss.Compute(&ws.g, gPos, pos, neg, posIDs, candIDs, weight)
-	ws.g.TransposeInto(&ws.gT, cu)
-	g.Loss += loss
-	g.NegCount += c*cu - masked
-	g.ActiveNegs += len(ws.g.Idx)
-
-	gq, gcand = subMat(ws.gq, c, d), subMat(ws.gcand, cu, d)
-	vec.Zero(gq.Data)
-	vec.Zero(gcand.Data)
-	s.Cmp.PairBackward(gq, subMat(gcand, c, d), gPos, pos, q, top)
-	s.Cmp.CrossBackward(gq, gcand, &ws.g, &ws.gT, neg, q, cand)
-	s.Cmp.UnprepareGrad(gq, q, stateQ)
-	s.Cmp.UnprepareGrad(gcand, cand, stateC)
-	return gq, gcand
+		gq, gcand := subMat(ws.gq, c, d), sd.cand.grad
+		vec.Zero(gq.Data)
+		if i > 0 {
+			gcand = subMat(ws.gcand, cu, d)
+			vec.Zero(gcand.Data)
+		}
+		s.Cmp.PairBackward(gq, subMat(gcand, c, d), gPos, sd.pos, sd.q.m, sd.cand.head(c).m)
+		s.Cmp.CrossBackward(gq, gcand, &ws.g, &ws.gT, sd.neg, sd.q.m, sd.cand.m, &ws.cross)
+		s.Cmp.UnprepareGrad(gq, sd.q.m, sd.q.state)
+		s.Cmp.UnprepareGrad(gcand, sd.cand.m, sd.cand.state)
+		if i > 0 {
+			sd.cand.backprop(gcand)
+		}
+		sd.q.backprop(gq)
+	}
 }

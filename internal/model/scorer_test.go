@@ -239,6 +239,96 @@ func TestFigure3NegativeCount(t *testing.T) {
 	}
 }
 
+// countingComparator counts the score cells its comparator computes: cross
+// cells multiplied (a CrossRaw reads t.Rows columns it does not multiply),
+// and pair scores.
+type countingComparator struct {
+	Comparator
+	cells, pairs int
+}
+
+func (c *countingComparator) CrossRaw(out, a, b, t vec.Matrix) {
+	c.cells += out.Rows * (out.Cols - t.Rows)
+	c.Comparator.CrossRaw(out, a, b, t)
+}
+
+func (c *countingComparator) CrossScores(out, a, b vec.Matrix) {
+	c.cells += len(out.Data)
+	c.Comparator.CrossScores(out, a, b)
+}
+
+func (c *countingComparator) CrossScoresRows(out, a, b vec.Matrix, idx []int32) {
+	c.cells += len(out.Data)
+	c.Comparator.CrossScoresRows(out, a, b, idx)
+}
+
+func (c *countingComparator) PairScores(out []float32, a, b vec.Matrix) {
+	c.pairs += len(out)
+	c.Comparator.PairScores(out, a, b)
+}
+
+// countingOperator counts the rows its operator transforms.
+type countingOperator struct {
+	Operator
+	applies int
+}
+
+func (o *countingOperator) Apply(dst, x, params []float32) {
+	o.applies++
+	o.Operator.Apply(dst, x, params)
+}
+
+// TestScoreChunkWorkOnce pins the work of one chunk, not just its result:
+// without reciprocal relations the sources are transformed once (C+U
+// applies), the C pair scores and the C×C block of positives against
+// positives are computed once for both sides, and the source side multiplies
+// only its C×U remainder — C·(C+U) + U·C cells. Reciprocal mode's sides use
+// different parameters and share nothing: 2C applies, 2C pair scores and two
+// full blocks, 2·C·(C+U) cells.
+func TestScoreChunkWorkOnce(t *testing.T) {
+	const c, u = 13, 11
+	for _, cmpName := range allComparatorNames {
+		for _, reciprocal := range []bool{false, true} {
+			s, err := NewScorer(8, "complex_diagonal", cmpName, "ranking", 0.1, reciprocal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cmp, op := &countingComparator{Comparator: s.Cmp}, &countingOperator{Operator: s.Op}
+			s.Cmp, s.Op = cmp, op
+			in := makeChunk(s, c, u, 23)
+			s.ScoreChunk(s.NewWorkspace(c, u), in, s.NewChunkGrad(c, u))
+			cells, pairs, applies := c*(c+u)+u*c, c, c+u
+			if reciprocal {
+				cells, pairs, applies = 2*c*(c+u), 2*c, 2*c
+			}
+			if cmp.cells != cells || cmp.pairs != pairs || op.applies != applies {
+				t.Errorf("%s reciprocal=%v: %d cells, %d pair scores, %d applies; want %d, %d, %d",
+					cmpName, reciprocal, cmp.cells, cmp.pairs, op.applies, cells, pairs, applies)
+			}
+		}
+	}
+}
+
+// TestJoinedReadsBlocksInPlace pins the gather contract: rows (or IDs) that
+// continue where the first part ends in one backing array come back as that
+// array, with no copy; parts apart, or a caller that must not share them
+// (cos normalises in place), get a copy.
+func TestJoinedReadsBlocksInPlace(t *testing.T) {
+	block := []int32{1, 2, 3, 4, 5}
+	buf := make([]int32, 5)
+	if got := joined(buf, block[:2], block[2:], true); &got[0] != &block[0] || len(got) != 5 {
+		t.Errorf("adjacent parts were copied")
+	}
+	for name, got := range map[string][]int32{
+		"apart":      joined(buf, block[:2], []int32{3, 4, 5}, true),
+		"not shared": joined(buf, block[:2], block[2:], false),
+	} {
+		if &got[0] != &buf[0] || fmt.Sprint(got) != "[1 2 3 4 5]" {
+			t.Errorf("%s: got %v, want a copy [1 2 3 4 5] in the buffer", name, got)
+		}
+	}
+}
+
 // Duplicate entity IDs among candidates must be masked as induced positives.
 func TestSameIDCandidatesMasked(t *testing.T) {
 	s, _ := NewScorer(4, "identity", "dot", "ranking", 0.1, false)

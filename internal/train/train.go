@@ -866,11 +866,12 @@ type workerState struct {
 	grads []*model.ChunkGrad
 	// slots hold the ids of the chunk being scored and of the one claimed
 	// after it, whose rows are prefetched meanwhile.
-	slots   [2]chunkSlot
-	srcBuf  []float32
-	dstBuf  []float32
-	usrcBuf []float32
-	udstBuf []float32
+	slots [2]chunkSlot
+	// srcBuf and dstBuf hold each side's gathered rows as one block, the
+	// positives' then the uniform candidates', which ScoreChunk reads in
+	// place.
+	srcBuf []float32
+	dstBuf []float32
 	// fwdCopy/revCopy hold the striped-lock mode's per-chunk snapshot of the
 	// relation parameters (see workerLoop).
 	fwdCopy []float32
@@ -884,26 +885,24 @@ type workerState struct {
 }
 
 // chunkSlot is one claimed chunk: its relation and the ids of its positives
-// and uniform negatives.
+// and uniform negatives, each side's in one block (srcIDs, dstIDs) laid out
+// like its rows.
 type chunkSlot struct {
-	rel int
-	in  model.ChunkInput
+	rel            int
+	in             model.ChunkInput
+	srcIDs, dstIDs []int32
 }
 
 func (t *Trainer) newWorkerState() *workerState {
 	c, u, d := t.cfg.ChunkSize, t.cfg.UniformNegs, t.cfg.Dim
 	st := &workerState{
-		grads:   make([]*model.ChunkGrad, len(t.g.Schema.Relations)),
-		srcBuf:  make([]float32, c*d),
-		dstBuf:  make([]float32, c*d),
-		usrcBuf: make([]float32, u*d),
-		udstBuf: make([]float32, u*d),
+		grads:  make([]*model.ChunkGrad, len(t.g.Schema.Relations)),
+		srcBuf: make([]float32, (c+u)*d),
+		dstBuf: make([]float32, (c+u)*d),
 	}
 	for i := range st.slots {
-		st.slots[i].in = model.ChunkInput{
-			SrcIDs: make([]int32, c), DstIDs: make([]int32, c),
-			USrcIDs: make([]int32, u), UDstIDs: make([]int32, u),
-		}
+		st.slots[i].srcIDs = make([]int32, c+u)
+		st.slots[i].dstIDs = make([]int32, c+u)
 	}
 	return st
 }
@@ -920,8 +919,9 @@ func (t *Trainer) claimChunk(q *bucketQueue, s *chunkSlot, r *rng.RNG) bool {
 	}
 	s.rel = c.rel
 	in := &s.in
-	in.SrcIDs = in.SrcIDs[:c.hi-c.lo]
-	in.DstIDs = in.DstIDs[:c.hi-c.lo]
+	n, u := c.hi-c.lo, t.cfg.UniformNegs
+	in.SrcIDs, in.USrcIDs = s.srcIDs[:n], s.srcIDs[n:n+u]
+	in.DstIDs, in.UDstIDs = s.dstIDs[:n], s.dstIDs[n:n+u]
 	for k, ei := range q.edges[c.lo:c.hi] {
 		in.SrcIDs[k] = t.edges.Srcs[ei]
 		in.DstIDs[k] = t.edges.Dsts[ei]
@@ -992,10 +992,11 @@ func (t *Trainer) workerLoop(st *workerState, q *bucketQueue) float64 {
 		}
 		rb := &t.rels[rel]
 		in := &cur.in
+		n := len(in.SrcIDs) * d
 		in.Src = t.gather(st.srcBuf, rb.src, in.SrcIDs, d)
 		in.Dst = t.gather(st.dstBuf, rb.dst, in.DstIDs, d)
-		in.USrc = t.gather(st.usrcBuf, rb.src, in.USrcIDs, d)
-		in.UDst = t.gather(st.udstBuf, rb.dst, in.UDstIDs, d)
+		in.USrc = t.gather(st.srcBuf[n:], rb.src, in.USrcIDs, d)
+		in.UDst = t.gather(st.dstBuf[n:], rb.dst, in.UDstIDs, d)
 		in.RelWeight = t.g.Schema.Relations[rel].EffectiveWeight()
 		in.RelFwd = rb.fwd
 		in.RelRev = rb.rev

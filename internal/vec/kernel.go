@@ -25,7 +25,9 @@ import "unsafe"
 //	     pair or edge it landed in — and MulABtRows(c,a,b,idx)[i][j] bitwise
 //	     Dot(a_i,b_idx[j]) wherever row idx[j] lies: the leaf addresses each
 //	     column's row itself, so on either path a product over listed rows is bitwise the same path's
-//	     MulABt over a gathered copy of them — and on both paths
+//	     MulABt over a gathered copy of them, and MulABtReusing, which reads
+//	     columns from a product taken the other way round, is bitwise the
+//	     same path's MulABt — and on both paths
 //	     AddRowsSparse — hence AddOuterAtB — is
 //	     bitwise the ascending chain of Axpy calls it abbreviates (on the
 //	     portable path it is that chain), every ±0 weight skipped exactly:
@@ -99,7 +101,9 @@ func rowAt(idx []int32, j int) int {
 	return j
 }
 
-// mulABtAVX2 hands C to the strip leaf four rows at a time. The last strip
+// mulABtAVX2 hands columns from.. of C to the strip leaf four rows at a time
+// (from is 0 but for MulABtReusing's remainder, which the leaf stores straight
+// into the wider C, c.Cols floats a row). The last strip
 // passes its true row count: the leaf still runs all 8 accumulators (on
 // repeated rows) and stores only the ones that exist, so every C[i][j] comes
 // out of the same instruction sequence as Dot. The leaf addresses B rows
@@ -108,20 +112,25 @@ func rowAt(idx []int32, j int) int {
 // the same walk. Only the first strip of a listed product prefetches: it is
 // the one that meets each listed row first. checkData has tied each len(Data)
 // to its shape, which is what keeps the leaf's row addresses inside; an empty
-// matrix yields pointers the leaf never dereferences.
+// range returns before any pointer is formed.
 //
 //pbg:hotpath
-func mulABtAVX2(c, a, b Matrix, idx []int32) {
-	n, m, d := a.Rows, c.Cols, a.Cols
-	cp := unsafe.Pointer(unsafe.SliceData(c.Data))
+func mulABtAVX2(c, a, b Matrix, idx []int32, from int) {
+	n, m, d, ldc := a.Rows, c.Cols-from, a.Cols, c.Cols
+	if n == 0 || m == 0 {
+		return
+	}
+	cp := unsafe.Pointer(&c.Data[from])
 	ap := unsafe.Pointer(unsafe.SliceData(a.Data))
 	bp, ip := unsafe.SliceData(b.Data), unsafe.SliceData(idx)
 	pre := 0
 	if idx != nil {
-		pre = m
+		ip, pre = &idx[from], m
+	} else if d > 0 {
+		bp = &b.Data[from*d]
 	}
 	for i := 0; i < n; i += 4 {
-		dotStripAVX2((*float32)(unsafe.Add(cp, i*m*4)), (*float32)(unsafe.Add(ap, i*d*4)), min(4, n-i), bp, ip, m, pre, d)
+		dotStripAVX2((*float32)(unsafe.Add(cp, i*ldc*4)), (*float32)(unsafe.Add(ap, i*d*4)), min(4, n-i), bp, ip, m, pre, d, ldc)
 		pre = 0
 	}
 }

@@ -35,8 +35,8 @@ func xgetbv() (eax, edx uint32)
 //go:noescape
 func dotAVX2(a, b *float32, d int) float32
 
-// dotStripAVX2 stores c[i·m+j] = dotAVX2(a+i·d, b_j, d) for i < r ≤ 4 and
-// j < m, each with dotAVX2's instruction sequence on its own accumulator: one
+// dotStripAVX2 stores c[i·ldc+j] = dotAVX2(a+i·d, b_j, d) for i < r ≤ 4 and
+// j < m (ldc is m for a whole C, its full width for a column range), each with dotAVX2's instruction sequence on its own accumulator: one
 // call per strip of C, two columns at a time. b_j is row j of b, or row
 // idx[j] when idx is non-nil; idx is dereferenced unchecked, checkMulABt
 // vouches for it. While it scores column j it prefetches the row listed for
@@ -44,7 +44,7 @@ func dotAVX2(a, b *float32, d int) float32
 // strip, 0 otherwise).
 //
 //go:noescape
-func dotStripAVX2(c, a *float32, r int, b *float32, idx *int32, m, pre, d int)
+func dotStripAVX2(c, a *float32, r int, b *float32, idx *int32, m, pre, d, ldc int)
 
 // axpyAVX2 computes y[k] = fma(alpha, x[k], y[k]) over d floats.
 //

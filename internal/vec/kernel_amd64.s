@@ -77,9 +77,10 @@ dot_reduce:
 // requested now has arrived when its pair comes up.
 #define STRIPAHEAD 8
 
-// func dotStripAVX2(c, a *float32, r int, b *float32, idx *int32, m, pre, d int)
+// func dotStripAVX2(c, a *float32, r int, b *float32, idx *int32, m, pre, d, ldc int)
 //
-// A strip of r ≤ 4 rows of A against all m columns, two columns at a time.
+// A strip of r ≤ 4 rows of A against all m columns, two columns at a time,
+// stored ldc floats apart: rows of C, or of a column range of a wider C.
 // Accumulators: Y0..Y7 hold c00 c01 c10 c11 c20 c21 c30 c31 of the pair; Y8,
 // Y9 its two B rows of the step, Y10..Y13 the four A rows, Y14 the tail mask
 // (loaded once per strip) — 8 FMAs per 6 loads, and 8 independent FMA chains
@@ -96,7 +97,7 @@ dot_reduce:
 // SI, R10..R12 the A rows, DX the whole-block bytes and CX the tail floats of
 // a row, R9 = j, R14 the strip's C entry of column j; r and the rest are read
 // from the frame.
-TEXT ·dotStripAVX2(SB), NOSPLIT, $0-64
+TEXT ·dotStripAVX2(SB), NOSPLIT, $0-72
 	MOVQ a+8(FP), SI
 	MOVQ r+16(FP), R8
 	MOVQ d+56(FP), CX
@@ -250,8 +251,8 @@ strip_reduce:
 	VEXTRACTF128 $1, Y4, X5
 	VADDPS       X5, X4, X4
 
-	// AX: the bytes of a row of C.
-	MOVQ    m+40(FP), AX
+	// AX: the bytes between rows of C.
+	MOVQ    ldc+64(FP), AX
 	SHLQ    $2, AX
 	LEAQ    1(R9), BX
 	CMPQ    BX, m+40(FP)

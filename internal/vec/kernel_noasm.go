@@ -11,7 +11,7 @@ func dotAVX2(a, b *float32, d int) float32 { panic("vec: no assembly kernels") }
 
 func axpyAVX2(alpha float32, x, y *float32, d int) { panic("vec: no assembly kernels") }
 
-func dotStripAVX2(c, a *float32, r int, b *float32, idx *int32, m, pre, d int) {
+func dotStripAVX2(c, a *float32, r int, b *float32, idx *int32, m, pre, d, ldc int) {
 	panic("vec: no assembly kernels")
 }
 

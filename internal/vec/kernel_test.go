@@ -19,6 +19,7 @@ type kernels struct {
 	dot           func(a, b []float32) float32
 	axpy          func(alpha float32, x, y []float32)
 	mulABtRows    func(c, a, b Matrix, idx []int32)
+	mulABtReusing func(c, a, b, t Matrix)
 	addOuterAtB   func(a, g, b Matrix)
 	addRowsSparse func(dst Matrix, g *SparseRows, src Matrix)
 	hingeRow      func(idx []int32, scores []float32, ids []int32, t float32, id int32) (int, float64, int)
@@ -28,12 +29,13 @@ type kernels struct {
 var (
 	genericKernels = kernels{
 		"generic", dotGeneric, axpyGeneric,
-		func(c, a, b Matrix, idx []int32) { checkMulABt(c, a, b, idx); mulABtGeneric(c, a, b, idx) },
+		func(c, a, b Matrix, idx []int32) { checkMulABt(c, a, b, idx); mulABtGeneric(c, a, b, idx, 0) },
+		func(c, a, b, t Matrix) { checkMulABt(c, a, b, nil); checkReuse(c, t); mulABtReusing(c, a, b, t, false) },
 		func(a, g, b Matrix) { addOuterDense(a, g, b, false) },
 		func(dst Matrix, g *SparseRows, src Matrix) { addRowsSparse(dst, g, src, false) },
 		hingeRowGeneric, selectGEGeneric,
 	}
-	activeKernels = kernels{Kernel(), Dot, Axpy, MulABtRows, AddOuterAtB, AddRowsSparse, hingeRow, SelectGE}
+	activeKernels = kernels{Kernel(), Dot, Axpy, MulABtRows, MulABtReusing, AddOuterAtB, AddRowsSparse, hingeRow, SelectGE}
 )
 
 // bothPaths is the active path and, when that is the assembly, the portable
@@ -304,6 +306,32 @@ func checkRows(n, m, d, off int, seed uint64) error {
 	return nil
 }
 
+// checkReusing holds MulABtReusing to its definition on every path: given
+// the leading k columns as T = MulABt(B[:k], X) over rows X that extend A by
+// a few more, it is bitwise the same path's MulABt(c, a, b) — for k = 0, one
+// column, about half of them and all of them, so both products' partial
+// strips and lone columns meet every class of cell.
+func checkReusing(n, m, d, off int, seed uint64) error {
+	r := rng.New(seed)
+	for _, extra := range []int{0, 3} {
+		x, b := offMatrix(r, n+extra, d, off), offMatrix(r, m, d, off)
+		a := MatrixFrom(x.Data[:n*d], n, d)
+		for _, k := range []int{0, min(1, m), m / 2, m} {
+			for _, ks := range bothPaths() {
+				t := offMatrix(r, k, n+extra, off)
+				ks.mulABtRows(t, MatrixFrom(b.Data[:k*d], k, d), x, nil)
+				got, want := offMatrix(r, n, m, off), offMatrix(r, n, m, off)
+				ks.mulABtReusing(got, a, b, t)
+				ks.mulABtRows(want, a, b, nil)
+				if i := firstDiff(got.Data, want.Data); i >= 0 {
+					return fmt.Errorf("%s, %d reused columns, %d extra rows: element %d = %v, MulABt %v", ks.name, k, extra, i, got.Data[i], want.Data[i])
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // checkSelectGE holds both paths' threshold filter to its definition — the
 // ascending positions not strictly below t — over rows salted with NaN, ±Inf
 // and exact ties with the threshold, and with NaN and ±Inf as the threshold.
@@ -383,6 +411,20 @@ func TestKernelPositionIndependent(t *testing.T) {
 func TestMulABtRowsMatchesGathered(t *testing.T) {
 	eachParityShape(func(n, m, d, off int, seed uint64) {
 		if err := checkRows(n, m, d, off, seed); err != nil {
+			t.Fatalf("n=%d m=%d d=%d offset %d: %v", n, m, d, off, err)
+		}
+	})
+}
+
+// TestMulABtReusingMatchesMulABt runs every row count of the table at three
+// widths (the classes of a cell follow n and m, not d; FuzzKernelParity
+// draws d too).
+func TestMulABtReusingMatchesMulABt(t *testing.T) {
+	eachParityShape(func(n, m, d, off int, seed uint64) {
+		if d != 1 && d != 9 && d != 64 {
+			return
+		}
+		if err := checkReusing(n, m, d, off, seed); err != nil {
 			t.Fatalf("n=%d m=%d d=%d offset %d: %v", n, m, d, off, err)
 		}
 	})
@@ -757,7 +799,8 @@ func TestAppendHingeRow(t *testing.T) {
 // FuzzKernelParity draws a shape, an allocation offset, a density of G and a
 // seed, and holds both paths to contract (i), the assembly path to contract
 // (ii), the complex leaves to bitwise parity, the hinge row and the threshold
-// filter to their definitions, and MulABtRows to MulABt over a gathered copy.
+// filter to their definitions, MulABtRows to MulABt over a gathered copy, and
+// MulABtReusing to MulABt.
 // checkRows lists m+1 rows, so the seeds with m = 69 score a 70-row serve
 // list at d = 32 and offset 7, and m = 6, 7, 8 lists of one row fewer than
 // the leaf's look-ahead distance, exactly it and one more.
@@ -791,6 +834,9 @@ func FuzzKernelParity(f *testing.F) {
 		}
 		if err := checkSelectGE(int(m)+int(d), oi, seed); err != nil {
 			t.Fatalf("select n=%d offset %d seed %d: %v", int(m)+int(d), oi, seed, err)
+		}
+		if err := checkReusing(ni, mi, di, oi, seed); err != nil {
+			t.Fatalf("reusing n=%d m=%d d=%d offset %d seed %d: %v", ni, mi, di, oi, seed, err)
 		}
 	})
 }

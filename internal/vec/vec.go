@@ -317,19 +317,94 @@ func MulABt(c, a, b Matrix) {
 func MulABtRows(c, a, b Matrix, idx []int32) {
 	checkMulABt(c, a, b, idx)
 	if useAVX2 {
-		mulABtAVX2(c, a, b, idx)
+		mulABtAVX2(c, a, b, idx, 0)
 		return
 	}
-	mulABtGeneric(c, a, b, idx)
+	mulABtGeneric(c, a, b, idx, 0)
 }
 
-// mulABtGeneric is the portable MulABtRows. Its 8 accumulators are scalars: a
-// 4×4 tile's 16 would spill out of the 16 XMM registers Go's scalar codegen
-// has on amd64 and measures slower than naive, so 8 is the sweet spot for
-// this path (the assembly leaf holds 8 lanes per accumulator in YMM).
+// MulABtReusing computes C = A·Bᵀ, bitwise what MulABt(c, a, b) writes on
+// this kernel path, when its first k = t.Rows columns were already computed
+// the other way round: T = MulABt(t, B[:k], X) over rows X whose first n are
+// A's, so T[j][i] is a_i·b_j. Those columns are read from T, and only the
+// other m−k are multiplied, stored straight into C. It is how one side of a
+// training chunk takes the block it shares with the other side (Figure 3's
+// positives against their own chunk's endpoints) instead of multiplying it
+// again. An empty T is MulABt.
+//
+// On the assembly path every cell is Dot of its two rows wherever it sits
+// (kernel.go, (ii)) and Dot is symmetric in its operands — the FMA of a·b
+// is the FMA of b·a — so the first k columns are T's transpose. The portable
+// tile rounds a full 4×2 tile's cells (one running sum) and an edge's (Dot's
+// four) differently, so there a cell whose class differs between the two
+// products is multiplied again in its own class; at most the rows and
+// columns of the last partial strip of either product.
 //
 //pbg:hotpath
-func mulABtGeneric(c, a, b Matrix, idx []int32) {
+func MulABtReusing(c, a, b, t Matrix) {
+	checkMulABt(c, a, b, nil)
+	checkReuse(c, t)
+	mulABtReusing(c, a, b, t, useAVX2)
+}
+
+//pbg:hotpath
+func mulABtReusing(c, a, b, t Matrix, asm bool) {
+	n, m, k := c.Rows, c.Cols, t.Rows
+	for j := 0; j < k; j++ {
+		for i, v := range t.Row(j)[:n] {
+			c.Data[i*m+j] = v
+		}
+	}
+	if asm {
+		mulABtAVX2(c, a, b, nil, k)
+		return
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < k; j++ {
+			tile := i < n&^3 && j < m&^1
+			if tile == (j < k&^3 && i < t.Cols&^1) {
+				continue
+			}
+			if tile {
+				c.Data[i*m+j] = dotRunning(a.Row(i), b.Row(j))
+			} else {
+				c.Data[i*m+j] = dotGeneric(a.Row(i), b.Row(j))
+			}
+		}
+	}
+	mulABtGeneric(c, a, b, nil, k)
+}
+
+func checkReuse(c, t Matrix) {
+	checkData(t, t, t)
+	if t.Rows > c.Cols || (t.Rows > 0 && t.Cols < c.Rows) {
+		panic(fmt.Sprintf("vec: MulABtReusing block %dx%d for output %dx%d", t.Rows, t.Cols, c.Rows, c.Cols))
+	}
+}
+
+// dotRunning is one cell of the portable 4×2 tile: a single running sum in
+// order, with no split accumulators.
+//
+//pbg:hotpath
+func dotRunning(a, b []float32) float32 {
+	b = b[:len(a)]
+	var s float32
+	for k, v := range a {
+		s += v * b[k]
+	}
+	return s
+}
+
+// mulABtGeneric is the portable MulABtRows over columns from.. of C (from is
+// 0 but for MulABtReusing's remainder). Its 8 accumulators are scalars: a
+// 4×4 tile's 16 would spill out of the 16 XMM registers Go's scalar codegen
+// has on amd64 and measures slower than naive, so 8 is the sweet spot for
+// this path (the assembly leaf holds 8 lanes per accumulator in YMM). A cell
+// is a tile's or an edge's by where it sits in the whole of C, so a range
+// that starts at an odd column scores that column alone as a tile would.
+//
+//pbg:hotpath
+func mulABtGeneric(c, a, b Matrix, idx []int32, from int) {
 	n, m, d := a.Rows, c.Cols, a.Cols
 	i := 0
 	for ; i+4 <= n; i += 4 {
@@ -337,7 +412,12 @@ func mulABtGeneric(c, a, b Matrix, idx []int32) {
 		// bounds checks in the accumulator loop.
 		x0, x1, x2, x3 := a.Row(i)[:d], a.Row(i + 1)[:d], a.Row(i + 2)[:d], a.Row(i + 3)[:d]
 		c0, c1, c2, c3 := c.Row(i), c.Row(i+1), c.Row(i+2), c.Row(i+3)
-		j := 0
+		j := from
+		if j&1 == 1 && j < m {
+			bj := b.Row(rowAt(idx, j))
+			c0[j], c1[j], c2[j], c3[j] = dotRunning(x0, bj), dotRunning(x1, bj), dotRunning(x2, bj), dotRunning(x3, bj)
+			j++
+		}
 		for ; j+2 <= m; j += 2 {
 			b0, b1 := b.Row(rowAt(idx, j))[:d], b.Row(rowAt(idx, j+1))[:d]
 			var s00, s01, s10, s11, s20, s21, s30, s31 float32
@@ -372,7 +452,7 @@ func mulABtGeneric(c, a, b Matrix, idx []int32) {
 	for ; i < n; i++ {
 		ai := a.Row(i)
 		ci := c.Row(i)
-		for j := 0; j < m; j++ {
+		for j := from; j < m; j++ {
 			ci[j] = dotGeneric(ai, b.Row(rowAt(idx, j)))
 		}
 	}
