@@ -18,8 +18,10 @@ import (
 
 // chunkAtDensity builds a c-positive, u-candidate chunk for s whose gradient
 // blocks have about the target share of non-zeros, and returns that share.
+// The chunk is laid out as the trainer gathers one (asBlocks), so ScoreChunk
+// reads its rows in place.
 func chunkAtDensity(s *Scorer, c, u int, target float64) (*ChunkInput, float64) {
-	in := makeChunk(s, c, u, 41)
+	in := asBlocks(makeChunk(s, c, u, 41))
 	if s.Reciprocal && s.Op.Name() == "complex_diagonal" {
 		// The reverse parameters are the forward ones conjugated, so that
 		// f_rev(s, r, d) = f(s, r, d) and the planted gain sets the density of

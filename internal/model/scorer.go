@@ -187,7 +187,6 @@ func (g *ChunkGrad) reset(c, u, dim int) (src, dst vec.Matrix) {
 // construction for the largest chunk the worker will process.
 type Workspace struct {
 	maxC, maxU int
-	dim        int
 
 	t              vec.Matrix // (C+U)×d transformed sources
 	q              vec.Matrix // C×d transformed destinations (reciprocal)
@@ -209,7 +208,7 @@ func (s *Scorer) NewWorkspace(maxC, maxU int) *Workspace {
 	d := s.Dim
 	cu := maxC + maxU
 	ws := &Workspace{
-		maxC: maxC, maxU: maxU, dim: d,
+		maxC: maxC, maxU: maxU,
 		t:      vec.NewMatrix(cu, d),
 		q:      vec.NewMatrix(maxC, d),
 		src:    vec.NewMatrix(cu, d),
@@ -276,7 +275,7 @@ func (b block) head(n int) block {
 	return b
 }
 
-func (b block) xRow(k int) []float32 {
+func (b *block) xRow(k int) []float32 {
 	if k < b.x.Rows {
 		return b.x.Row(k)
 	}
@@ -285,18 +284,17 @@ func (b block) xRow(k int) []float32 {
 
 // prepare fills b.m — through the operator when b has one — and prepares it
 // for the comparator, keeping the state in buf.
-func (s *Scorer) prepare(b block, buf []float32) block {
+func (s *Scorer) prepare(b *block, buf []float32) {
 	if b.op != nil {
 		for k := 0; k < b.m.Rows; k++ {
 			b.op.Apply(b.m.Row(k), b.xRow(k), b.params)
 		}
 	}
 	b.state = s.Cmp.PrepareInto(b.m, buf)
-	return b
 }
 
 // backprop hands g, the raw-space gradient of b's rows, to the ChunkGrad.
-func (b block) backprop(g vec.Matrix) {
+func (b *block) backprop(g vec.Matrix) {
 	if b.op == nil {
 		vec.Axpy(1, g.Data, b.grad.Data)
 		return
@@ -351,16 +349,20 @@ func (s *Scorer) ScoreChunk(ws *Workspace, in *ChunkInput, grad *ChunkGrad) {
 	if s.Reciprocal {
 		nt = c
 	}
-	t := s.prepare(block{m: subMat(ws.t, nt, d), grad: subMat(gSrc, nt, d), op: s.Op, x: in.Src, xRest: in.USrc, params: in.RelFwd, gParams: grad.RelFwd}, ws.stT)
-	dst := s.prepare(block{m: stack(ws.dst, in.Dst, in.UDst), grad: gDst}, ws.stD)
+	t := block{m: subMat(ws.t, nt, d), grad: subMat(gSrc, nt, d), op: s.Op, x: in.Src, xRest: in.USrc, params: in.RelFwd, gParams: grad.RelFwd}
+	dst := block{m: stack(ws.dst, in.Dst, in.UDst), grad: gDst}
+	s.prepare(&t, ws.stT)
+	s.prepare(&dst, ws.stD)
 	sides := [2]side{
 		{q: t.head(c), cand: dst, posIDs: in.DstIDs, candIDs: joined(ws.dstIDs, in.DstIDs, in.UDstIDs, true), pos: ws.pos[:c], neg: subMat(ws.negD, c, cu)},
 		{posIDs: in.SrcIDs, candIDs: joined(ws.srcIDs, in.SrcIDs, in.USrcIDs, true), pos: ws.pos[:c], neg: subMat(ws.negS, c, cu)},
 	}
 	shared := sides[0].neg // the source side's first C columns, transposed
 	if s.Reciprocal {
-		sides[1].q = s.prepare(block{m: subMat(ws.q, c, d), grad: subMat(gDst, c, d), op: s.Op, x: in.Dst, params: in.RelRev, gParams: grad.RelRev}, ws.stQ)
-		sides[1].cand = s.prepare(block{m: stack(ws.src, in.Src, in.USrc), grad: gSrc}, ws.stS)
+		sides[1].q = block{m: subMat(ws.q, c, d), grad: subMat(gDst, c, d), op: s.Op, x: in.Dst, params: in.RelRev, gParams: grad.RelRev}
+		sides[1].cand = block{m: stack(ws.src, in.Src, in.USrc), grad: gSrc}
+		s.prepare(&sides[1].q, ws.stQ)
+		s.prepare(&sides[1].cand, ws.stS)
 		sides[1].pos, shared = ws.posRev[:c], vec.Matrix{}
 	} else {
 		sides[1].q, sides[1].cand = dst.head(c), t
@@ -374,7 +376,7 @@ func (s *Scorer) ScoreChunk(ws *Workspace, in *ChunkInput, grad *ChunkGrad) {
 		sd := &sides[i]
 		s.Cmp.FinishCross(sd.neg, sd.q.m, sd.cand.m)
 		if i == 0 || s.Reciprocal {
-			s.Cmp.PairScores(sd.pos, sd.q.m, sd.cand.head(c).m)
+			s.Cmp.PairScores(sd.pos, sd.q.m, subMat(sd.cand.m, c, d))
 		}
 	}
 
@@ -398,7 +400,7 @@ func (s *Scorer) ScoreChunk(ws *Workspace, in *ChunkInput, grad *ChunkGrad) {
 			gcand = subMat(ws.gcand, cu, d)
 			vec.Zero(gcand.Data)
 		}
-		s.Cmp.PairBackward(gq, subMat(gcand, c, d), gPos, sd.pos, sd.q.m, sd.cand.head(c).m)
+		s.Cmp.PairBackward(gq, subMat(gcand, c, d), gPos, sd.pos, sd.q.m, subMat(sd.cand.m, c, d))
 		s.Cmp.CrossBackward(gq, gcand, &ws.g, &ws.gT, sd.neg, sd.q.m, sd.cand.m, &ws.cross)
 		s.Cmp.UnprepareGrad(gq, sd.q.m, sd.q.state)
 		s.Cmp.UnprepareGrad(gcand, sd.cand.m, sd.cand.state)

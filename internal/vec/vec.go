@@ -350,7 +350,17 @@ func MulABtReusing(c, a, b, t Matrix) {
 //pbg:hotpath
 func mulABtReusing(c, a, b, t Matrix, asm bool) {
 	n, m, k := c.Rows, c.Cols, t.Rows
-	for j := 0; j < k; j++ {
+	// The transpose, four columns of C (rows of T) at a time, so each row of
+	// C takes one 4-float store.
+	j := 0
+	for ; j+4 <= k; j += 4 {
+		t0, t1, t2, t3 := t.Row(j)[:n], t.Row(j + 1)[:n], t.Row(j + 2)[:n], t.Row(j + 3)[:n]
+		for i, v := range t0 {
+			ci := c.Data[i*m+j : i*m+j+4]
+			ci[0], ci[1], ci[2], ci[3] = v, t1[i], t2[i], t3[i]
+		}
+	}
+	for ; j < k; j++ {
 		for i, v := range t.Row(j)[:n] {
 			c.Data[i*m+j] = v
 		}
