@@ -39,8 +39,9 @@ func TestScoreChunkSteadyStateAllocs(t *testing.T) {
 }
 
 // TestCosScoreChunkAllocs pins that a warm ScoreChunk under cos allocates
-// nothing either: the two Prepare calls per side keep their row norms in the
-// Workspace (PrepareInto) instead of a fresh slice per call.
+// nothing either, under the identity operator too: every Prepare keeps its
+// row norms in the Workspace (PrepareInto) instead of a fresh slice per call,
+// and the rows it normalises are Workspace copies.
 func TestCosScoreChunkAllocs(t *testing.T) {
 	for _, op := range []string{"identity", "complex_diagonal"} {
 		for _, reciprocal := range []bool{false, true} {
