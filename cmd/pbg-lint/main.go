@@ -2,8 +2,9 @@
 // analyzers that machine-enforce the invariants the compiler can't see —
 // zero-alloc //pbg:hotpath functions, no ordering decisions on map
 // iteration, no blocking I/O under a mutex, obs handles resolved at
-// construction, paired store Acquire/Release, and no silently dropped
-// teardown errors.
+// construction, paired store Acquire/Release, no silently dropped
+// teardown errors, and //go:norace on nothing but the allowlisted benign
+// HOGWILD race.
 //
 // Usage:
 //

@@ -311,9 +311,6 @@ func TestParamServerAsyncConvergence(t *testing.T) {
 // server, sharded partition servers, parameter server, two trainer nodes —
 // over loopback TCP for two epochs and checks the work accounting.
 func TestClusterLoopbackIntegration(t *testing.T) {
-	if raceDetectorEnabled {
-		t.Skip("HOGWILD workers race with the async param sync by design (§4.2); the RPC/store machinery is covered race-clean by the other dist tests")
-	}
 	const parts = 4
 	g, err := datagen.Knowledge(datagen.KGConfig{
 		Entities: 800, Relations: 4, Edges: 6000, NumPartitions: parts, Seed: 11,
@@ -329,10 +326,7 @@ func TestClusterLoopbackIntegration(t *testing.T) {
 		Machines:     2,
 		SyncInterval: 5 * time.Millisecond,
 		Seed:         3,
-		// One worker per node: `go test -race` then checks the distribution
-		// infrastructure without flagging the trainer's intentional HOGWILD
-		// races (covered by the train package's own tests).
-		Train: train.Config{Dim: 16, Workers: 1, Seed: 9},
+		Train:        train.Config{Dim: 16, Workers: 1, Seed: 9},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -355,7 +355,7 @@ func (n *Node) initRelParams() error {
 		if err := n.paramClient(r).Call("ParamServer.InitRel", InitRelArgs{Rel: r, Params: block}, &reply); err != nil {
 			return fmt.Errorf("dist: init relation %d: %w", r, err)
 		}
-		n.trainer.SetRelParams(r, reply.Params)
+		n.trainer.WithRelParams(r, func(p []float32) { copy(p, reply.Params) })
 		n.lastSync[r] = append([]float32(nil), reply.Params...)
 	}
 	return nil
@@ -410,9 +410,9 @@ func (n *Node) SyncParams() error {
 }
 
 // syncRelation pushes relation r's local delta and adopts the global block.
-// Scoring workers read relation parameters lock-free, so the adoption is a
-// benign HOGWILD-style race, exactly like the paper's asynchronous updates;
-// WithRelParams only orders this write against concurrent Adagrad updates.
+// The adoption is asynchronous, as in the paper (§4.2), but not a race: it
+// writes under the trainer's relation lock, which the workers hold for their
+// Adagrad updates and for the per-chunk snapshot they score from.
 func (n *Node) syncRelation(r int) error {
 	last := n.lastSync[r]
 	// Snapshot the local block and the delta since the last sync under the

@@ -734,7 +734,7 @@ func TestCacheBudgetInvariantProperty(t *testing.T) {
 			store := dialLoopback(t, NewPartitionServer(g.Schema, dim, 7), g.Schema, dim)
 			st := storetest.New(store)
 			tr, err := train.New(g, st, train.Config{
-				Dim: dim, Epochs: 2, Seed: uint64(5 + i), Workers: 2, HogwildOff: true,
+				Dim: dim, Epochs: 2, Seed: uint64(5 + i), Workers: 2,
 				BucketOrder: order, MemBudgetBytes: budget,
 			})
 			must(t, err)

@@ -254,9 +254,7 @@ func TestEmptyTrailingPartitionTrainsAndEvaluates(t *testing.T) {
 	}
 	g := graph.MustGraph(schema, el)
 	store := storetest.NewDisk(t, "", schema, 8, 3, 1)
-	// Striped-lock mode: this test runs under -race, where two pure-HOGWILD
-	// workers racing on embedding rows would (correctly) be reported.
-	tr, err := train.New(g, store, train.Config{Dim: 8, Epochs: 2, Seed: 5, Workers: 2, HogwildOff: true})
+	tr, err := train.New(g, store, train.Config{Dim: 8, Epochs: 2, Seed: 5, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

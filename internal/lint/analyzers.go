@@ -11,6 +11,7 @@ func Analyzers() []*Analyzer {
 		ObsHandle,
 		PairedRelease,
 		ErrDrop,
+		NoRace,
 	}
 }
 

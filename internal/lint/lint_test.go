@@ -17,6 +17,7 @@ func TestLockCall(t *testing.T)      { RunFixture(t, LockCall, "lockcall") }
 func TestObsHandle(t *testing.T)     { RunFixture(t, ObsHandle, "obshandle") }
 func TestPairedRelease(t *testing.T) { RunFixture(t, PairedRelease, "pairedrelease") }
 func TestErrDrop(t *testing.T)       { RunFixture(t, ErrDrop, "errdrop") }
+func TestNoRace(t *testing.T)        { RunFixture(t, NoRace, "pbg/internal/optim") }
 
 // TestRepoIsClean is the zero-finding baseline: the full suite over the
 // whole module must report nothing. A failure here is either a real

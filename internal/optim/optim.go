@@ -32,7 +32,11 @@ func NewRowAdagrad(lr float32) RowAdagrad {
 // Update applies one Adagrad step to param given grad, mutating *acc.
 // len(param) == len(grad); acc is this row's accumulator.
 //
+// HOGWILD workers call it on shared rows with no lock: the update of *acc
+// races by design (Recht et al. 2011), so the race detector skips it.
+//
 //pbg:hotpath
+//go:norace
 func (o RowAdagrad) Update(param, grad []float32, acc *float32) {
 	ss := vec.Dot(grad, grad)
 	if ss == 0 {

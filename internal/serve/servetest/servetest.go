@@ -148,9 +148,6 @@ func build(cfg FixtureConfig) (*Fixture, error) {
 		Comparator: cfg.Comparator,
 		Seed:       cfg.Seed,
 		Workers:    2,
-		// Fixtures build inside race-enabled test binaries; pure HOGWILD
-		// races on embedding rows by design, so use the striped-lock mode.
-		HogwildOff: true,
 	})
 	if err != nil {
 		os.RemoveAll(dir)

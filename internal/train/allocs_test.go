@@ -20,7 +20,7 @@ func TestRunBucketSteadyStateAllocs(t *testing.T) {
 		t.Skip("the race detector allocates on its own; the count is pinned without it")
 	}
 	g := smallSocial(t, 1)
-	tr := newTrainer(t, g, Config{Workers: 2, Seed: 5, HogwildOff: true})
+	tr := newTrainer(t, g, Config{Workers: 2, Seed: 5})
 	b := partition.Bucket{P1: 0, P2: 0}
 	r := tr.NewResident()
 	if err := r.Advance(b, nil); err != nil {

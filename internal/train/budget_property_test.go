@@ -59,7 +59,7 @@ func TestPipelineBudgetInvariantProperty(t *testing.T) {
 			ds := storetest.NewDisk(t, "", g.Schema, dim, 7, 1)
 			st := storetest.New(ds)
 			tr, err := New(g, st, Config{
-				Dim: dim, Epochs: 2, Seed: uint64(5 + i), Workers: 2, HogwildOff: true,
+				Dim: dim, Epochs: 2, Seed: uint64(5 + i), Workers: 2,
 				BucketOrder: order, MemBudgetBytes: budget, Codec: codec.String(),
 			})
 			if err != nil {

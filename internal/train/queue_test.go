@@ -63,13 +63,12 @@ func TestBucketQueueClaimsEveryEdgeOnce(t *testing.T) {
 // TestBarrierWaitBounds: one worker never waits at a barrier, and at W = 2
 // the idle worker time is at most one worker's share of the bucket time
 // ((W−1)·Compute). The counter on /metrics is the sum of the epochs'
-// BarrierWait. The two-worker run uses the striped-lock mode so that it is
-// race-clean.
+// BarrierWait.
 func TestBarrierWaitBounds(t *testing.T) {
 	g := smallSocial(t, 4)
 	for _, workers := range []int{1, 2} {
 		hub := obs.NewHub()
-		tr := newTrainer(t, g, Config{Epochs: 3, Workers: workers, HogwildOff: workers > 1, Seed: 5, Obs: hub})
+		tr := newTrainer(t, g, Config{Epochs: 3, Workers: workers, Seed: 5, Obs: hub})
 		stats, err := tr.Train(nil)
 		if err != nil {
 			t.Fatal(err)

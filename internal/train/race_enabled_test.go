@@ -2,8 +2,7 @@
 
 package train
 
-// raceDetectorEnabled reports whether this test binary was built with -race.
-// HOGWILD training (lock-free, multi-worker) races on embedding rows by
-// design — the benign races of Recht et al. 2011 — so those tests skip under
-// the detector; the striped-lock mode is race-clean and covered instead.
+// raceDetectorEnabled reports whether this test binary was built with -race,
+// whose instrumentation allocates on its own, so allocation counts are pinned
+// without it.
 const raceDetectorEnabled = true

@@ -5,6 +5,14 @@
 // workers with no synchronisation on the embedding rows (Recht et al. 2011),
 // using the batched negative sampling of §4.3.
 //
+// HOGWILD is the only worker path, and `go test -race` checks it: rows are
+// read and updated with no lock, while a chunk of a parameterised relation
+// scores from a snapshot of its block taken under the relation's lock, which
+// its updates and the distributed parameter sync also hold. The detector
+// ignores only optim.RowAdagrad.Update (//go:norace: the row accumulator's
+// benign race); the row writes run in vec's amd64 assembly, which it does not
+// see, so on the portable kernels (e.g. arm64) it would report those too.
+//
 // A bucket's edges form one chunk queue (bucketQueue): one stable counting
 // pass groups the shuffled edges by relation and cuts each relation's run
 // into chunks of ChunkSize, and the workers claim chunks through one atomic
@@ -77,12 +85,11 @@ type Config struct {
 	UniformNegs int
 	// Epochs to run when calling Train. Default 5.
 	Epochs int
-	// Workers is the number of HOGWILD goroutines. Default 1.
+	// Workers is the number of HOGWILD goroutines. Default 1. They share
+	// rows with no lock (the row accumulator's race is exempt from the
+	// detector) and score each chunk from a snapshot of its relation's
+	// parameters, equal to the live block at Workers: 1. See the package doc.
 	Workers int
-	// Hogwild true (default via HogwildOff=false) trains lock-free as in the
-	// paper; setting HogwildOff uses striped row locks instead, which keeps
-	// the race detector quiet at some throughput cost.
-	HogwildOff bool
 	// Reciprocal enables separate reverse relation parameters (the
 	// 'reciprocal predicates' used for FB15k ComplEx, §5.4.1).
 	Reciprocal bool
@@ -238,9 +245,6 @@ type Trainer struct {
 	rels           []relBucket
 	workersRunning sync.WaitGroup
 
-	// Striped row locks for the non-HOGWILD mode.
-	stripes []sync.Mutex
-
 	root *rng.RNG
 
 	epochsRun int
@@ -330,8 +334,6 @@ func New(g *graph.Graph, store storage.Store, cfg Config) (*Trainer, error) {
 	}
 	t.buckets = order
 
-	t.stripes = make([]sync.Mutex, 1024)
-
 	// Plumb the shard codec into stores that encode one (DiskStore); the
 	// codec must land before the budget so admission prices quantized bytes
 	// from the first hint. Stores with no on-disk format (MemStore) have
@@ -394,9 +396,6 @@ func (t *Trainer) WithRelParams(r int, f func(params []float32)) {
 
 // RelParams returns the live parameter block of relation r.
 func (t *Trainer) RelParams(r int) []float32 { return t.relParams[r] }
-
-// SetRelParams overwrites relation r's parameters (distributed sync).
-func (t *Trainer) SetRelParams(r int, p []float32) { copy(t.relParams[r], p) }
 
 // Scorer returns the scorer used for relation r.
 func (t *Trainer) Scorer(r int) *model.Scorer { return t.scorers[r] }
@@ -872,8 +871,8 @@ type workerState struct {
 	// place.
 	srcBuf []float32
 	dstBuf []float32
-	// fwdCopy/revCopy hold the striped-lock mode's per-chunk snapshot of the
-	// relation parameters (see workerLoop).
+	// fwdCopy/revCopy hold the per-chunk snapshot of the relation
+	// parameters the chunk scores from (see workerLoop).
 	fwdCopy []float32
 	revCopy []float32
 	// rng is the worker's generator for the current bucket, split from the
@@ -1000,10 +999,11 @@ func (t *Trainer) workerLoop(st *workerState, q *bucketQueue) float64 {
 		in.RelWeight = t.g.Schema.Relations[rel].EffectiveWeight()
 		in.RelFwd = rb.fwd
 		in.RelRev = rb.rev
-		if t.cfg.HogwildOff && (len(rb.fwd) > 0 || len(rb.rev) > 0) {
-			// Striped-lock mode must not read parameters another worker
-			// is updating under relMu: score from a snapshot taken under
-			// the lock (the updates themselves still hit the live block).
+		if rb.fwd != nil {
+			// The relation has parameters, and other workers and the
+			// distributed parameter sync write its live block under relMu:
+			// score from a snapshot taken under the lock (the updates
+			// themselves still hit the live block).
 			t.relMu[rel].Lock()
 			st.fwdCopy = append(st.fwdCopy[:0], rb.fwd...)
 			st.revCopy = append(st.revCopy[:0], rb.rev...)
@@ -1055,48 +1055,26 @@ func (t *Trainer) lookupRef(shards map[shardKey]shardRef, typeIdx, part int) sha
 	return ref
 }
 
-// gather copies the embedding rows of ids into a matrix backed by buf. In
-// striped-lock (HogwildOff) mode each row is copied under its stripe so the
-// read cannot race a concurrent applyRows update; in HOGWILD mode the copy
-// is lock-free and any torn read is the paper's benign race.
+// gather copies the embedding rows of ids into a matrix backed by buf. The
+// copy is lock-free: a row another worker is updating may be read torn,
+// the paper's benign HOGWILD race.
 //
 //pbg:hotpath
 func (t *Trainer) gather(buf []float32, ref shardRef, ids []int32, d int) vec.Matrix {
 	m := vec.MatrixFrom(buf[:len(ids)*d], len(ids), d)
-	if t.cfg.HogwildOff {
-		for k, id := range ids {
-			mu := &t.stripes[rowStripe(ref.shard.TypeIndex, id)]
-			mu.Lock()
-			copy(m.Row(k), ref.row(id))
-			mu.Unlock()
-		}
-		return m
-	}
 	for k, id := range ids {
 		copy(m.Row(k), ref.row(id))
 	}
 	return m
 }
 
-// applyRows applies per-row Adagrad updates for the gathered gradient block.
+// applyRows applies per-row Adagrad updates for the gathered gradient block,
+// lock-free: HOGWILD's benign races on float32 rows, as in the paper.
 //
 //pbg:hotpath
 func (t *Trainer) applyRows(ref shardRef, ids []int32, grads []float32, d int) {
 	for k, id := range ids {
 		g := grads[k*d : (k+1)*d]
-		if t.cfg.HogwildOff {
-			mu := &t.stripes[rowStripe(ref.shard.TypeIndex, id)]
-			mu.Lock()
-			t.rowOpt.Update(ref.row(id), g, ref.acc(id))
-			mu.Unlock()
-		} else {
-			// HOGWILD: benign races on float32 rows, as in the paper.
-			t.rowOpt.Update(ref.row(id), g, ref.acc(id))
-		}
+		t.rowOpt.Update(ref.row(id), g, ref.acc(id))
 	}
-}
-
-func rowStripe(typeIdx int, id int32) int {
-	h := uint32(typeIdx)*2654435761 + uint32(id)*2246822519
-	return int(h % 1024)
 }
