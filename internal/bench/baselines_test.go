@@ -1,4 +1,4 @@
-package baselines
+package bench
 
 import (
 	"math"

@@ -6,11 +6,15 @@
 // batched negatives pay — not absolute numbers. Sizes are the constants
 // below; absolute rates are the repository benchmark's business.
 //
-// The tests replay whole training runs: under the race detector they take
-// minutes, and the DeepWalk baseline is lock-free HOGWILD by design, which
-// the detector correctly reports. Race coverage of the production paths
-// lives in the per-package suites, so this package builds only without
-// -race.
+// The systems Table 1 compares against (DeepWalk and MILE) and §5.3's
+// node classifier live here too, as test files: only these tests run them.
+//
+// The paper-shape tests replay whole training runs: under the race detector
+// they take minutes, and the DeepWalk baseline is lock-free HOGWILD by
+// design, which the detector correctly reports. Race coverage of the
+// production paths lives in the per-package suites, so this file builds
+// only without -race; the baselines' and the classifier's own small tests
+// run under it.
 package bench
 
 import (
@@ -19,8 +23,6 @@ import (
 	"testing"
 	"time"
 
-	"pbg/internal/baselines"
-	"pbg/internal/classify"
 	"pbg/internal/datagen"
 	"pbg/internal/eval"
 	"pbg/internal/graph"
@@ -43,7 +45,7 @@ const (
 
 // deepWalk is the baseline configuration of both Table 1 halves, and MILE's
 // base embedder.
-var deepWalk = baselines.DeepWalkConfig{Dim: dim, Epochs: 1, WalksPer: 5, WalkLen: 30, Workers: workers}
+var deepWalk = DeepWalkConfig{Dim: dim, Epochs: 1, WalksPer: 5, WalkLen: 30, Workers: workers}
 
 // newPBG builds the Table 1 PBG run: one partition, in memory, with the
 // dataset-tuned configuration (the paper grid-searches lr, margin and
@@ -91,7 +93,7 @@ func liveJournal(t *testing.T) (trainG, testG *graph.Graph) {
 func TestTable1LiveJournalShape(t *testing.T) {
 	trainG, testG := liveJournal(t)
 	tableMRR := func(emb vec.Matrix) float64 {
-		table, err := baselines.NewEmbeddingTable(emb)
+		table, err := NewEmbeddingTable(emb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,14 +103,14 @@ func TestTable1LiveJournalShape(t *testing.T) {
 
 	dwCfg := deepWalk
 	dwCfg.Seed = seed
-	dw, err := baselines.TrainDeepWalk(trainG, dwCfg)
+	dw, err := TrainDeepWalk(trainG, dwCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mrr["DeepWalk"] = tableMRR(dw.In)
 	// The paper sweeps MILE at 1 and 5 levels.
 	for levels, label := range map[int]string{1: "MILE (1 level)", 3: "MILE (3 levels)"} {
-		mm, err := baselines.TrainMILE(trainG, baselines.MILEConfig{Levels: levels, Base: deepWalk, Seed: seed})
+		mm, err := TrainMILE(trainG, MILEConfig{Levels: levels, Base: deepWalk, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +199,7 @@ func TestTable1YouTubeShape(t *testing.T) {
 	// DeepWalk's protocol, which the paper follows: a logistic classifier
 	// on repeated random 90/10 splits (the paper averages 10; 3 here).
 	microF1 := func(x vec.Matrix) float64 {
-		res, err := classify.CrossValidate(x, cg.Labels, classify.Config{Classes: cg.NumClasses, Epochs: 10, Seed: 3}, 3, 0.9)
+		res, err := CrossValidate(x, cg.Labels, Config{Classes: cg.NumClasses, Epochs: 10, Seed: 3}, 3, 0.9)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,12 +209,12 @@ func TestTable1YouTubeShape(t *testing.T) {
 
 	dwCfg := deepWalk
 	dwCfg.Seed = seed
-	dw, err := baselines.TrainDeepWalk(g, dwCfg)
+	dw, err := TrainDeepWalk(g, dwCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f1["DeepWalk"] = microF1(dw.In)
-	mm, err := baselines.TrainMILE(g, baselines.MILEConfig{Levels: 2, Base: deepWalk, Seed: seed})
+	mm, err := TrainMILE(g, MILEConfig{Levels: 2, Base: deepWalk, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}

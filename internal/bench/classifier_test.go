@@ -1,10 +1,10 @@
-// Package classify implements the downstream evaluation of §5.3: node
-// embeddings are used as features for a one-vs-rest logistic regression that
-// predicts multi-label node categories (the YouTube task), scored with
-// micro- and macro-F1 under the standard protocol of Perozzi et al. 2014 —
-// for each test node, the top-kᵢ classes are predicted, where kᵢ is the
-// node's true label count.
-package classify
+package bench
+
+// The downstream evaluation of §5.3: node embeddings are used as features
+// for a one-vs-rest logistic regression that predicts multi-label node
+// categories (the YouTube task), scored with micro- and macro-F1 under the
+// standard protocol of Perozzi et al. 2014 — for each test node, the top-kᵢ
+// classes are predicted, where kᵢ is the node's true label count.
 
 import (
 	"fmt"

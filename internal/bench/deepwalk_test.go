@@ -1,8 +1,9 @@
-// Package baselines implements the two published systems the paper compares
-// against in Table 1: DeepWalk (Perozzi et al. 2014) and MILE
-// (Liang et al. 2018). Both are reimplemented from their papers so they run
-// under the identical evaluation protocol as PBG.
-package baselines
+package bench
+
+// The two published systems the paper compares against in Table 1:
+// DeepWalk (Perozzi et al. 2014, this file) and MILE (Liang et al. 2018,
+// mile_test.go). Both are reimplemented from their papers so they run under
+// the identical evaluation protocol as PBG.
 
 import (
 	"fmt"

@@ -15,6 +15,10 @@ import (
 	"pbg/internal/train"
 )
 
+// NextEpoch reports the lock-server epoch the next RunEpoch call will train
+// (1-based). After a resume this is the interrupted epoch.
+func (cl *Cluster) NextEpoch() int { return cl.nextEpoch }
+
 // chaosGraph builds the social graph the chaos tests share. Its single
 // relation uses the identity operator, so there are no relation parameters
 // and the async parameter sync is a no-op — with Workers:1 the whole cluster

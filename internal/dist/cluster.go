@@ -213,11 +213,6 @@ func ResumeEpoch(epoch, done, buckets int) int {
 	return epoch + 1
 }
 
-// NextEpoch reports the lock-server epoch the next RunEpoch call will train
-// (1-based). After a resume this is the interrupted epoch, so callers loop
-// `for cl.NextEpoch() <= epochs` instead of counting from 1 themselves.
-func (cl *Cluster) NextEpoch() int { return cl.nextEpoch }
-
 // RunEpoch starts an epoch on the lock server and runs every node's share
 // concurrently, returning the merged statistics. With LeaseTTL set, node
 // deaths mid-epoch are tolerated: the dead nodes' leases expire, survivors

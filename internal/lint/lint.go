@@ -9,8 +9,9 @@
 // typechecked against the build cache's export data (the same mechanism
 // `go vet`'s unitchecker uses), so the suite runs offline at `go vet` cost.
 //
-// Each analyzer is pinned by fixture tests under testdata/src (see
-// RunFixture), and cmd/pbg-lint drives the whole suite over the repo in CI.
+// Each analyzer is pinned by fixture tests under testdata/src (the harness
+// is fixture_test.go), and cmd/pbg-lint drives the whole suite over the
+// repo in CI.
 //
 // Findings are suppressed with an explanatory directive on the offending
 // line or the line above:

@@ -1,6 +1,8 @@
 package lint
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"pbg/internal/vec"
@@ -37,6 +39,49 @@ func TestRepoIsClean(t *testing.T) {
 	}
 	for _, d := range diags {
 		t.Errorf("%s", d)
+	}
+}
+
+// TestProductTree keeps the product tree the product. Every package under
+// internal/ with non-test files is linked by a binary, an example or the
+// root package, or else shared by the tests of at least two packages (as
+// storetest is); support that one package's tests use lives in that
+// package's _test.go files. No binary under cmd/ links package testing.
+func TestProductTree(t *testing.T) {
+	const module = "pbg"
+	pkgs, err := goList("../..", "./...")
+	if err != nil {
+		t.Fatalf("listing repo: %v", err)
+	}
+	linked := map[string]bool{}
+	testImporters := map[string]map[string]bool{}
+	for _, p := range pkgs {
+		if p.ImportPath == module || strings.HasPrefix(p.ImportPath, module+"/cmd/") || strings.HasPrefix(p.ImportPath, module+"/examples/") {
+			linked[p.ImportPath] = true
+			for _, d := range p.Deps {
+				linked[d] = true
+			}
+		}
+		if p.Name == "main" && strings.HasPrefix(p.ImportPath, module+"/cmd/") && slices.Contains(p.Deps, "testing") {
+			t.Errorf("%s links package testing", p.ImportPath)
+		}
+		for _, imp := range slices.Concat(p.TestImports, p.XTestImports) {
+			if imp == p.ImportPath {
+				continue
+			}
+			if testImporters[imp] == nil {
+				testImporters[imp] = map[string]bool{}
+			}
+			testImporters[imp][p.ImportPath] = true
+		}
+	}
+	for _, p := range pkgs {
+		if !strings.HasPrefix(p.ImportPath, module+"/internal/") || len(p.GoFiles)+len(p.CgoFiles) == 0 || linked[p.ImportPath] {
+			continue
+		}
+		if n := len(testImporters[p.ImportPath]); n < 2 {
+			t.Errorf("%s: no binary, example or the root package links it, and the tests of %d package(s) import it; move it into its user's _test.go files", p.ImportPath, n)
+		}
 	}
 }
 

@@ -42,6 +42,10 @@ type listPackage struct {
 	TestGoFiles  []string
 	XTestGoFiles []string
 
+	Deps         []string
+	TestImports  []string
+	XTestImports []string
+
 	Error *struct{ Err string }
 }
 
@@ -53,29 +57,15 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	args := append([]string{"list", "-e", "-export", "-json", "-deps", "-test"}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
+	listed, err := goList(dir, append([]string{"-e", "-export", "-deps", "-test"}, patterns...)...)
 	if err != nil {
-		return nil, fmt.Errorf("lint: go list: %v\n%s", err, stderr.String())
+		return nil, err
 	}
 
 	exports := map[string]string{}
 	var targets []*listPackage
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var p listPackage
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("lint: decoding go list output: %w", err)
-		}
-		if p.Error != nil {
-			return nil, fmt.Errorf("lint: go list: %s", p.Error.Err)
-		}
+	for i := range listed {
+		p := &listed[i]
 		if p.Export != "" {
 			switch {
 			case p.ForTest != "" && strings.HasPrefix(p.ImportPath, p.ForTest+" ["):
@@ -94,8 +84,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			}
 		}
 		if !p.Standard && p.ForTest == "" && !strings.HasSuffix(p.ImportPath, ".test") {
-			cp := p
-			targets = append(targets, &cp)
+			targets = append(targets, p)
 		}
 	}
 
@@ -131,6 +120,33 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		}
 	}
 	return pkgs, nil
+}
+
+// goList runs `go list -json` with args in dir and decodes the packages it
+// prints.
+func goList(dir string, args ...string) ([]listPackage, error) {
+	cmd := exec.Command("go", append([]string{"list", "-json"}, args...)...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("lint: go list: %v\n%s", err, stderr.String())
+	}
+	var pkgs []listPackage
+	dec := json.NewDecoder(bytes.NewReader(out))
+	for {
+		var p listPackage
+		if err := dec.Decode(&p); err == io.EOF {
+			return pkgs, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("lint: decoding go list output: %w", err)
+		}
+		if p.Error != nil {
+			return nil, fmt.Errorf("lint: go list: %s", p.Error.Err)
+		}
+		pkgs = append(pkgs, p)
+	}
 }
 
 // check parses and typechecks one package's files.

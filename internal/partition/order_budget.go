@@ -11,7 +11,7 @@ package partition
 // SwapCostUnderBuffer simulates an LRU partition buffer of a given capacity
 // — and OptimizeOrder, a greedy one-step-lookahead search that reorders a
 // bucket sequence to minimise loads under that buffer while preserving the
-// §4.1 initialisation invariant checked by CheckInvariant. A buffer of
+// §4.1 initialisation invariant (see README.md). A buffer of
 // `slots` partitions holds each partition's shards across all partitioned
 // entity types; slots <= 0 means unbounded, and a bucket touches at most
 // two partitions, so values below 2 are treated as 2.
@@ -111,9 +111,9 @@ func (l *lruBuffer) touch(p int, b Bucket) int {
 // loads exactly once — the compulsory minimum); slots below a bucket's own
 // working set is clamped to it, so the count is always well defined.
 //
-// SwapCount is the special case of a buffer that retains only the current
-// bucket's partitions; because LRU keeps strictly more state, for any
-// slots >= 2 this never exceeds SwapCount(order). LRU is a stack algorithm,
+// The tests' SwapCount is the special case of a buffer that retains only
+// the current bucket's partitions; because LRU keeps strictly more state,
+// for any slots >= 2 this never exceeds SwapCount(order). LRU is a stack algorithm,
 // so the cost is also monotone non-increasing in slots (no Belady anomaly);
 // both properties are pinned by tests.
 //

@@ -28,9 +28,9 @@ const groupedMinSlots = 3
 // slots — so each group pair is visited exactly once, with one group
 // pinned and the other rotating — and then emits the group's intra-group
 // block while the group is still resident. The result is a permutation of
-// the full bucket grid that satisfies CheckInvariant: the first bucket of
-// every super-step after the first touches rotator 0, which was trained in
-// group 0's block.
+// the full bucket grid that satisfies the §4.1 invariant: the first bucket
+// of every super-step after the first touches rotator 0, which was trained
+// in group 0's block.
 //
 // One subtlety separates this from the textbook BETA construction. Marius
 // pins slots-1 partitions and rotates the single remaining slot; under the

@@ -19,6 +19,44 @@ func rowMajor(nSrc, nDst int) []Bucket {
 	return out
 }
 
+// CheckInvariant reports whether every bucket after the first touches at
+// least one partition that appeared in an earlier bucket — the alignment
+// condition of §4.1 that keeps all partitions in one embedding space.
+func CheckInvariant(order []Bucket) bool {
+	if len(order) <= 1 {
+		return true
+	}
+	seen := map[int]bool{}
+	for i, b := range order {
+		if i > 0 && !seen[b.P1] && !seen[b.P2] {
+			return false
+		}
+		seen[b.P1] = true
+		seen[b.P2] = true
+	}
+	return true
+}
+
+// SwapCount simulates executing the order on a single machine that holds
+// only the partitions of the current bucket in memory, and returns the
+// number of partition loads from disk (the I/O the inside-out order
+// minimises).
+func SwapCount(order []Bucket) int {
+	held := map[int]bool{}
+	loads := 0
+	for _, b := range order {
+		need := map[int]bool{}
+		for _, p := range b.Parts() {
+			need[p] = true
+			if !held[p] {
+				loads++
+			}
+		}
+		held = need
+	}
+	return loads
+}
+
 // shuffled is the grid in a seeded random order.
 func shuffled(nSrc, nDst int, seed uint64) []Bucket {
 	out := rowMajor(nSrc, nDst)

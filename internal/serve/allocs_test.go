@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"pbg/internal/serve"
-	"pbg/internal/serve/servetest"
 )
 
 // The race detector's instrumentation allocates and makes sync.Pool drop
@@ -24,7 +23,7 @@ import (
 // partition, a probed list — adds one; nothing else does.
 func TestIVFSteadyStateAllocs(t *testing.T) {
 	for _, cmp := range []string{"dot", "cos"} {
-		f := servetest.Shared(t, servetest.FixtureConfig{Comparator: cmp})
+		f := Shared(t, FixtureConfig{Comparator: cmp})
 		s := openServer(t, f)
 		if err := s.BuildIndex(serve.IVFConfig{Seed: 7}); err != nil {
 			t.Fatal(err)
@@ -58,7 +57,7 @@ func TestIVFSteadyStateAllocs(t *testing.T) {
 // 80 KB at the repository benchmark's 20 000 rows). The count is
 // process-wide, so it is the fewest bytes per call over five windows.
 func TestRankSteadyStateAllocs(t *testing.T) {
-	f := servetest.Shared(t, servetest.FixtureConfig{})
+	f := Shared(t, FixtureConfig{})
 	s := openServer(t, f)
 	rank := func() {
 		if _, err := s.Rank(0, 5, 9); err != nil {

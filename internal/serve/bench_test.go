@@ -5,7 +5,6 @@ import (
 
 	"pbg/internal/rng"
 	"pbg/internal/serve"
-	"pbg/internal/serve/servetest"
 )
 
 // BenchmarkTopKBatch32 times one Server.TopK call on a shared trained fixture
@@ -20,7 +19,7 @@ import (
 // tracks the ratio of rows, because both paths score a block with one GEMM
 // against every query that wants it.
 func BenchmarkTopKBatch32(b *testing.B) {
-	f := servetest.Shared(b, servetest.FixtureConfig{Nodes: 20000, Dim: 32, Epochs: 2})
+	f := Shared(b, FixtureConfig{Nodes: 20000, Dim: 32, Epochs: 2})
 	s, err := serve.Open(f.Dir, f.ServerConfig())
 	if err != nil {
 		b.Fatal(err)
@@ -120,7 +119,7 @@ func BenchmarkWireCodec(b *testing.B) {
 // lists, eight Lloyd passes and a final assignment each), the part of a
 // server's set-up that BuildIndex adds.
 func BenchmarkBuildIVF(b *testing.B) {
-	f := servetest.Shared(b, servetest.FixtureConfig{Nodes: 20000, Dim: 32, Epochs: 2})
+	f := Shared(b, FixtureConfig{Nodes: 20000, Dim: 32, Epochs: 2})
 	ss, err := serve.OpenShardSet(f.Dir, f.Graph.Schema, f.Cfg.Dim)
 	if err != nil {
 		b.Fatal(err)

@@ -6,11 +6,10 @@ import (
 	"pbg/internal/eval"
 	"pbg/internal/model"
 	"pbg/internal/serve"
-	"pbg/internal/serve/servetest"
 	"pbg/internal/storage"
 )
 
-func openServer(t *testing.T, f *servetest.Fixture) *serve.Server {
+func openServer(t *testing.T, f *Fixture) *serve.Server {
 	t.Helper()
 	s, err := serve.Open(f.Dir, f.ServerConfig())
 	if err != nil {
@@ -28,7 +27,7 @@ func openServer(t *testing.T, f *servetest.Fixture) *serve.Server {
 func TestExactTopKMatchesOracleBitwise(t *testing.T) {
 	for _, cmp := range []string{"dot", "cos", "squared_l2", "l2"} {
 		t.Run(cmp, func(t *testing.T) {
-			f := servetest.Shared(t, servetest.FixtureConfig{Comparator: cmp})
+			f := Shared(t, FixtureConfig{Comparator: cmp})
 			s := openServer(t, f)
 			oracle := f.NewOracle(t)
 			for _, req := range f.Requests(101, 25, 10, true) {
@@ -57,7 +56,7 @@ func TestExactTopKMatchesOracleBitwise(t *testing.T) {
 // blocked kernels) returns the same neighbour lists as issuing each
 // request alone. Everything is seeded, so this is fully deterministic.
 func TestBatchedTopKMatchesSingle(t *testing.T) {
-	f := servetest.Shared(t, servetest.FixtureConfig{})
+	f := Shared(t, FixtureConfig{})
 	s := openServer(t, f)
 	reqs := f.Requests(202, 32, 10, true)
 	batched, err := s.TopK(reqs)
@@ -83,7 +82,7 @@ func TestBatchedTopKMatchesSingle(t *testing.T) {
 // TestScoreMatchesOracleBitwise pins Score == model.Scorer.Score for the
 // same checkpoint, bit for bit, batched or not.
 func TestScoreMatchesOracleBitwise(t *testing.T) {
-	f := servetest.Shared(t, servetest.FixtureConfig{Comparator: "cos"})
+	f := Shared(t, FixtureConfig{Comparator: "cos"})
 	s := openServer(t, f)
 	oracle := f.NewOracle(t)
 	var reqs []serve.ScoreRequest
@@ -105,7 +104,7 @@ func TestScoreMatchesOracleBitwise(t *testing.T) {
 // TestQueryByVector serves a raw query vector (not a stored row) and
 // checks it against the oracle given the same vector.
 func TestQueryByVector(t *testing.T) {
-	f := servetest.Shared(t, servetest.FixtureConfig{})
+	f := Shared(t, FixtureConfig{})
 	s := openServer(t, f)
 	oracle := f.NewOracle(t)
 	vecQ := make([]float32, f.Cfg.Dim)
@@ -127,7 +126,7 @@ func TestQueryByVector(t *testing.T) {
 // TestRankMatchesOracle pins serve.Rank == the oracle's eval.MidRank
 // construction on a trained fixture.
 func TestRankMatchesOracle(t *testing.T) {
-	f := servetest.Shared(t, servetest.FixtureConfig{})
+	f := Shared(t, FixtureConfig{})
 	s := openServer(t, f)
 	oracle := f.NewOracle(t)
 	for _, r := range f.Requests(404, 20, 1, true) {
@@ -148,7 +147,7 @@ func TestRankMatchesOracle(t *testing.T) {
 // oracle; (b) serve.Rank, the oracle, and eval.Ranker must all return the
 // mid-rank 1 + (N-1)/2 — none of the three may count a tie as a win.
 func TestConstantScorerEvalServeParity(t *testing.T) {
-	f := servetest.Shared(t, servetest.FixtureConfig{Zero: true})
+	f := Shared(t, FixtureConfig{Zero: true})
 	s := openServer(t, f)
 	oracle := f.NewOracle(t)
 	n := f.Cfg.Nodes
@@ -210,7 +209,7 @@ func (e shardEmb) Embedding(typeIdx int, id int32, out []float32) ([]float32, er
 // constScorers rebuilds the checkpoint's scorers the way the server does.
 type constScorers struct {
 	t *testing.T
-	f *servetest.Fixture
+	f *Fixture
 }
 
 func (c constScorers) Scorer(rel int) *model.Scorer {

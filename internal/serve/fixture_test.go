@@ -1,11 +1,12 @@
-// Package servetest is the deterministic test harness for the serving
-// layer, in the spirit of storetest: seeded tiny trained fixtures shared
-// across tests, scripted request streams, and an exact brute-force oracle
-// that is deliberately independent of internal/serve — it loads shards
-// through storage.ReadShard (not serve's zero-copy views) and scores through
-// model.Scorer.ScoreMany (not the batched engine), so agreement between the
-// two is evidence, not tautology.
-package servetest
+package serve_test
+
+// The deterministic test harness for the serving layer, in the spirit of
+// storetest: seeded tiny trained fixtures shared across tests, scripted
+// request streams, and an exact brute-force oracle that is deliberately
+// independent of internal/serve — it loads shards through storage.ReadShard
+// (not serve's zero-copy views) and scores through model.Scorer.ScoreMany
+// (not the batched engine), so agreement between the two is evidence, not
+// tautology.
 
 import (
 	"fmt"
@@ -83,7 +84,7 @@ var (
 
 // Shared returns the fixture for cfg, building and training it on first
 // use and reusing the same checkpoint for every later test in the process.
-// Call Cleanup from TestMain to remove the checkpoint directories.
+// TestMain removes the checkpoint directories (Cleanup).
 func Shared(tb testing.TB, cfg FixtureConfig) *Fixture {
 	tb.Helper()
 	cfg = cfg.withDefaults()
@@ -94,15 +95,21 @@ func Shared(tb testing.TB, cfg FixtureConfig) *Fixture {
 	}
 	f, err := build(cfg)
 	if err != nil {
-		tb.Fatalf("servetest: building fixture %+v: %v", cfg, err)
+		tb.Fatalf("building fixture %+v: %v", cfg, err)
 	}
 	fixtures[cfg] = f
 	fixtureDirs = append(fixtureDirs, f.Dir)
 	return f
 }
 
-// Cleanup removes every shared fixture's checkpoint directory. Call it
-// from the test package's TestMain after m.Run().
+func TestMain(m *testing.M) {
+	code := m.Run()
+	Cleanup()
+	os.Exit(code)
+}
+
+// Cleanup removes every shared fixture's checkpoint directory; TestMain
+// calls it after m.Run().
 func Cleanup() {
 	fixturesMu.Lock()
 	dirs := fixtureDirs
@@ -278,12 +285,12 @@ func (f *Fixture) EvalMRR(tb testing.TB, dir string) float64 {
 	tb.Helper()
 	o, err := loadOracle(dir, f.Graph.Schema, f.Cfg.Dim, f.Cfg.Comparator)
 	if err != nil {
-		tb.Fatalf("servetest: loading oracle for %s: %v", dir, err)
+		tb.Fatalf("fixture: loading oracle for %s: %v", dir, err)
 	}
 	rk := eval.NewRanker(f.Graph.Schema, o, o, f.Cfg.Dim, nil)
 	m, err := rk.Evaluate(f.Graph.Edges, eval.Config{Mode: eval.CandidatesAll, MaxEdges: 300, Seed: 1})
 	if err != nil {
-		tb.Fatalf("servetest: evaluating %s: %v", dir, err)
+		tb.Fatalf("fixture: evaluating %s: %v", dir, err)
 	}
 	return m.MRR
 }
@@ -328,7 +335,7 @@ func (f *Fixture) NewOracle(tb testing.TB) *Oracle {
 	tb.Helper()
 	o, err := loadOracle(f.Dir, f.Graph.Schema, f.Cfg.Dim, f.Cfg.Comparator)
 	if err != nil {
-		tb.Fatalf("servetest: loading oracle: %v", err)
+		tb.Fatalf("fixture: loading oracle: %v", err)
 	}
 	return o
 }
@@ -361,7 +368,7 @@ func loadOracle(dir string, schema *graph.Schema, dim int, comparator string) (*
 		}
 		o.scorers = append(o.scorers, sc)
 		if len(rs.Params[r]) != sc.RelParamCount() {
-			return nil, fmt.Errorf("servetest: oracle relation %d param mismatch", r)
+			return nil, fmt.Errorf("fixture: oracle relation %d param mismatch", r)
 		}
 		o.params = append(o.params, rs.Params[r])
 	}

@@ -10,7 +10,6 @@ import (
 	"pbg/internal/graph"
 	"pbg/internal/rng"
 	"pbg/internal/serve"
-	"pbg/internal/serve/servetest"
 	"pbg/internal/storage"
 	"pbg/internal/vec"
 )
@@ -20,14 +19,14 @@ import (
 // mean recall@10 ≥ 0.95 against the exact oracle — while scanning a
 // strict subset of the rows (otherwise the index is a no-op).
 func TestIVFRecallProperty(t *testing.T) {
-	cases := []servetest.FixtureConfig{
+	cases := []FixtureConfig{
 		{Nodes: 400, Partitions: 2, Dim: 8, Seed: 21},
 		{Nodes: 500, Partitions: 4, Dim: 16, Seed: 22},
 		{Nodes: 600, Partitions: 3, Dim: 32, Seed: 23},
 		{Nodes: 500, Partitions: 4, Dim: 16, Seed: 24, Comparator: "cos"},
 	}
 	for _, cfg := range cases {
-		f := servetest.Shared(t, cfg)
+		f := Shared(t, cfg)
 		s := openServer(t, f)
 		if err := s.BuildIndex(serve.IVFConfig{Seed: cfg.Seed}); err != nil {
 			t.Fatal(err)
@@ -44,7 +43,7 @@ func TestIVFRecallProperty(t *testing.T) {
 		var recall float64
 		for i, req := range reqs {
 			wantIDs, _ := oracle.TopK(req.Rel, req.SrcID, nil, req.K)
-			recall += servetest.Recall(res[i].IDs, wantIDs)
+			recall += Recall(res[i].IDs, wantIDs)
 			if res[i].Scanned >= f.Cfg.Nodes {
 				t.Fatalf("case %+v req %d: IVF scanned %d of %d rows — no pruning", cfg, i, res[i].Scanned, f.Cfg.Nodes)
 			}
@@ -63,7 +62,7 @@ func TestIVFRecallProperty(t *testing.T) {
 // TestIVFRoundTrip pins that a written index reads back structurally
 // identical and that the reloaded index answers queries identically.
 func TestIVFRoundTrip(t *testing.T) {
-	f := servetest.Shared(t, servetest.FixtureConfig{})
+	f := Shared(t, FixtureConfig{})
 	s := openServer(t, f)
 	if err := s.BuildIndex(serve.IVFConfig{Seed: 7}); err != nil {
 		t.Fatal(err)
@@ -105,7 +104,7 @@ func TestIVFRoundTrip(t *testing.T) {
 // requires every corruption to be rejected or produce a still-valid index
 // — never a panic or an out-of-range list.
 func TestReadIVFRejectsCorruption(t *testing.T) {
-	f := servetest.Shared(t, servetest.FixtureConfig{})
+	f := Shared(t, FixtureConfig{})
 	s := openServer(t, f)
 	if err := s.BuildIndex(serve.IVFConfig{Seed: 7}); err != nil {
 		t.Fatal(err)
@@ -153,7 +152,7 @@ func TestReadIVFRejectsCorruption(t *testing.T) {
 
 // mixedIVFBatch is n same-relation index requests whose probe widths and Ks
 // differ from request to request (NProbe 0 is the server default).
-func mixedIVFBatch(f *servetest.Fixture, seed uint64, n int) []serve.TopKRequest {
+func mixedIVFBatch(f *Fixture, seed uint64, n int) []serve.TopKRequest {
 	reqs := f.Requests(seed, n, 10, false)
 	for i := range reqs {
 		reqs[i].Rel = 0
@@ -172,7 +171,7 @@ func mixedIVFBatch(f *servetest.Fixture, seed uint64, n int) []serve.TopKRequest
 func TestBatchedIVFMatchesSingle(t *testing.T) {
 	for _, cmp := range []string{"dot", "cos"} {
 		t.Run(cmp, func(t *testing.T) {
-			f := servetest.Shared(t, servetest.FixtureConfig{Comparator: cmp})
+			f := Shared(t, FixtureConfig{Comparator: cmp})
 			s := openServer(t, f)
 			if err := s.BuildIndex(serve.IVFConfig{Seed: 7}); err != nil {
 				t.Fatal(err)
@@ -215,7 +214,7 @@ func TestBatchedIVFMatchesSingle(t *testing.T) {
 // strictly fewer than the (query, row) pairs scored. A scan that gathered per
 // query again would copy exactly Σ Scanned rows.
 func TestIVFScanGathersEachListOnce(t *testing.T) {
-	f := servetest.Shared(t, servetest.FixtureConfig{})
+	f := Shared(t, FixtureConfig{})
 	s := openServer(t, f)
 	if err := s.BuildIndex(serve.IVFConfig{Seed: 7}); err != nil {
 		t.Fatal(err)
@@ -301,7 +300,7 @@ func TestDefaultNProbePerDestinationType(t *testing.T) {
 // and the shards alone: built on one processor and on four, the serialized
 // indexes are the same bytes.
 func TestBuildIVFSameIndexAnyProcs(t *testing.T) {
-	f := servetest.Shared(t, servetest.FixtureConfig{Nodes: 2000})
+	f := Shared(t, FixtureConfig{Nodes: 2000})
 	ss, err := serve.OpenShardSet(f.Dir, f.Graph.Schema, f.Cfg.Dim)
 	if err != nil {
 		t.Fatal(err)

@@ -5,12 +5,11 @@ import (
 	"testing"
 
 	"pbg/internal/serve"
-	"pbg/internal/serve/servetest"
 	"pbg/internal/storage"
 )
 
 // openServerAt opens a Server over dir with the fixture's model config.
-func openServerAt(t *testing.T, f *servetest.Fixture, dir string) *serve.Server {
+func openServerAt(t *testing.T, f *Fixture, dir string) *serve.Server {
 	t.Helper()
 	s, err := serve.Open(dir, f.ServerConfig())
 	if err != nil {
@@ -25,7 +24,7 @@ func openServerAt(t *testing.T, f *servetest.Fixture, dir string) *serve.Server 
 // quantized scan + fp32 re-rank, and the answers stay within the pinned
 // recall of the independent fp32 oracle.
 func TestQuantSiblingScanRecall(t *testing.T) {
-	f := servetest.Shared(t, servetest.FixtureConfig{})
+	f := Shared(t, FixtureConfig{})
 	o := f.NewOracle(t)
 	const k = 10
 	reqs := f.Requests(7, 40, k, true)
@@ -56,7 +55,7 @@ func TestQuantSiblingScanRecall(t *testing.T) {
 					t.Fatalf("request %d: reranked %d rows, want within [K, ceil(3K)]", i, r.Reranked)
 				}
 				wantIDs, _ := o.TopK(reqs[i].Rel, reqs[i].SrcID, nil, k)
-				recall += servetest.Recall(r.IDs, wantIDs)
+				recall += Recall(r.IDs, wantIDs)
 			}
 			recall /= float64(len(res))
 			if recall < 0.95 {
@@ -85,7 +84,7 @@ func TestQuantSiblingScanRecall(t *testing.T) {
 // storage.ReadShard, and Score must match the independent oracle (which
 // decodes the same way) exactly.
 func TestNativeQuantServesBitEqualToDecode(t *testing.T) {
-	f := servetest.Shared(t, servetest.FixtureConfig{})
+	f := Shared(t, FixtureConfig{})
 	const k = 10
 	reqs := f.Requests(13, 30, k, true)
 
@@ -156,7 +155,7 @@ func TestNativeQuantServesBitEqualToDecode(t *testing.T) {
 
 // fixtureOracleAt loads an oracle over an alternate checkpoint directory of
 // the same fixture geometry.
-func fixtureOracleAt(t *testing.T, f *servetest.Fixture, dir string) *servetest.Oracle {
+func fixtureOracleAt(t *testing.T, f *Fixture, dir string) *Oracle {
 	t.Helper()
 	alt := *f
 	alt.Dir = dir
@@ -169,7 +168,7 @@ func fixtureOracleAt(t *testing.T, f *servetest.Fixture, dir string) *servetest.
 // carries ~3 decimal digits (≤ 1e-3 MRR drift on these fixtures); int8's
 // per-row scaling is documented to hold MRR within 0.05.
 func TestCodecEvalParityMatrix(t *testing.T) {
-	f := servetest.Shared(t, servetest.FixtureConfig{})
+	f := Shared(t, FixtureConfig{})
 	base := f.EvalMRR(t, f.Dir)
 	// Unfiltered all-candidates eval on the tiny social fixture tops out
 	// near 0.09 (each source's ~8 true neighbours outrank the held-out edge);
@@ -200,7 +199,7 @@ func TestCodecEvalParityMatrix(t *testing.T) {
 // int8 siblings and hot-swaps, and subsequent requests run the quantized
 // scan with fp32 re-rank.
 func TestBuildQuantHotSwap(t *testing.T) {
-	f := servetest.Shared(t, servetest.FixtureConfig{})
+	f := Shared(t, FixtureConfig{})
 	// BuildQuant writes into the served directory — use a private fp32 copy,
 	// not the shared fixture.
 	fp32Dir := f.CheckpointAs(t, storage.CodecFP32)

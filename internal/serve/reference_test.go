@@ -7,7 +7,6 @@ import (
 
 	"pbg/internal/rng"
 	"pbg/internal/serve"
-	"pbg/internal/serve/servetest"
 	"pbg/internal/storage"
 	"pbg/internal/vec"
 )
@@ -20,7 +19,7 @@ import (
 // sweeps with (cells past the first nprobe only ever enter by beating the
 // root), which is what "NaN ranks last" selects as well. The test's probe
 // widths stay below that partition's first cell or cover every list.
-func nanRowsCheckpoint(t *testing.T, f *servetest.Fixture) string {
+func nanRowsCheckpoint(t *testing.T, f *Fixture) string {
 	t.Helper()
 	dir := f.CheckpointAs(t, storage.CodecFP32)
 	ent := &f.Graph.Schema.Entities[0]
@@ -105,27 +104,27 @@ func referenceAnswers(t *testing.T, s *serve.Server, reqs []serve.TopKRequest) [
 func TestScanMatchesReference(t *testing.T) {
 	type checkpoint struct {
 		name string
-		cfg  servetest.FixtureConfig
-		dir  func(t *testing.T, f *servetest.Fixture) string
+		cfg  FixtureConfig
+		dir  func(t *testing.T, f *Fixture) string
 	}
-	own := func(t *testing.T, f *servetest.Fixture) string { return f.CheckpointAs(t, storage.CodecFP32) }
+	own := func(t *testing.T, f *Fixture) string { return f.CheckpointAs(t, storage.CodecFP32) }
 	for _, cmp := range []string{"dot", "cos", "l2", "squared_l2"} {
 		for _, ck := range []checkpoint{
-			{"fp32", servetest.FixtureConfig{Comparator: cmp}, own},
-			{"fp32+int8", servetest.FixtureConfig{Comparator: cmp}, func(t *testing.T, f *servetest.Fixture) string {
+			{"fp32", FixtureConfig{Comparator: cmp}, own},
+			{"fp32+int8", FixtureConfig{Comparator: cmp}, func(t *testing.T, f *Fixture) string {
 				return f.QuantSiblings(t, storage.CodecInt8)
 			}},
-			{"int8", servetest.FixtureConfig{Comparator: cmp}, func(t *testing.T, f *servetest.Fixture) string {
+			{"int8", FixtureConfig{Comparator: cmp}, func(t *testing.T, f *Fixture) string {
 				return f.CheckpointAs(t, storage.CodecInt8)
 			}},
-			{"fp16", servetest.FixtureConfig{Comparator: cmp}, func(t *testing.T, f *servetest.Fixture) string {
+			{"fp16", FixtureConfig{Comparator: cmp}, func(t *testing.T, f *Fixture) string {
 				return f.CheckpointAs(t, storage.CodecFP16)
 			}},
-			{"all_tied", servetest.FixtureConfig{Comparator: cmp, Zero: true}, own},
-			{"nan_rows", servetest.FixtureConfig{Comparator: cmp}, nanRowsCheckpoint},
+			{"all_tied", FixtureConfig{Comparator: cmp, Zero: true}, own},
+			{"nan_rows", FixtureConfig{Comparator: cmp}, nanRowsCheckpoint},
 		} {
 			t.Run(cmp+"/"+ck.name, func(t *testing.T) {
-				f := servetest.Shared(t, ck.cfg)
+				f := Shared(t, ck.cfg)
 				s := openServerAt(t, f, ck.dir(t, f))
 				if err := s.BuildIndex(serve.IVFConfig{Seed: 7}); err != nil {
 					t.Fatal(err)
@@ -149,7 +148,7 @@ func TestScanMatchesReference(t *testing.T) {
 
 // referenceBatches are the batches of TestScanMatchesReference, each on the
 // index path and on the exact one.
-func referenceBatches(f *servetest.Fixture) map[string][]serve.TopKRequest {
+func referenceBatches(f *Fixture) map[string][]serve.TopKRequest {
 	const lists = 1 << 20 // a probe width past any list count: every list
 	r := rng.New(77)
 	nodes := f.Cfg.Nodes
@@ -222,7 +221,7 @@ func sameAnswer(got, want serve.TopKResult) error {
 // once, and every asker still owns its result — writing through one answer
 // must not show in another.
 func TestDuplicatesGetTheirOwnSlices(t *testing.T) {
-	f := servetest.Shared(t, servetest.FixtureConfig{})
+	f := Shared(t, FixtureConfig{})
 	s := openServer(t, f)
 	if err := s.BuildIndex(serve.IVFConfig{Seed: 7}); err != nil {
 		t.Fatal(err)
@@ -265,7 +264,7 @@ func TestBlocksMaterialisedOnlyWhenNeeded(t *testing.T) {
 		{"dot", storage.CodecInt8, true},
 		{"dot", storage.CodecFP16, true},
 	} {
-		f := servetest.Shared(t, servetest.FixtureConfig{Comparator: c.cmp})
+		f := Shared(t, FixtureConfig{Comparator: c.cmp})
 		s := openServerAt(t, f, f.CheckpointAs(t, c.codec))
 		if st, err := s.Stats(); err != nil || serve.MmapAvailable() && st.MappedShards == 0 {
 			t.Fatalf("shards are not mapped: %+v, %v", st, err)

@@ -5,10 +5,9 @@ import (
 	"testing"
 
 	"pbg/internal/serve"
-	"pbg/internal/serve/servetest"
 )
 
-func dialTestServer(t *testing.T, f *servetest.Fixture) (*serve.Server, *serve.Client) {
+func dialTestServer(t *testing.T, f *Fixture) (*serve.Server, *serve.Client) {
 	t.Helper()
 	s := openServer(t, f)
 	front, err := serve.ListenAndServe("127.0.0.1:0", s)
@@ -27,7 +26,7 @@ func dialTestServer(t *testing.T, f *servetest.Fixture) (*serve.Server, *serve.C
 // TestRPCRoundTrip pins that results over the wire equal results from the
 // in-process API — the encoding of every wire type included.
 func TestRPCRoundTrip(t *testing.T) {
-	f := servetest.Shared(t, servetest.FixtureConfig{})
+	f := Shared(t, FixtureConfig{})
 	s, c := dialTestServer(t, f)
 
 	reqs := f.Requests(61, 12, 7, true)
@@ -89,7 +88,7 @@ func TestRPCRoundTrip(t *testing.T) {
 // TestRPCValidation pins that malformed requests error over the wire with
 // a diagnostic, and never crash the server.
 func TestRPCValidation(t *testing.T) {
-	f := servetest.Shared(t, servetest.FixtureConfig{})
+	f := Shared(t, FixtureConfig{})
 	_, c := dialTestServer(t, f)
 
 	cases := []struct {

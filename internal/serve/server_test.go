@@ -10,7 +10,6 @@ import (
 
 	"pbg/internal/obs"
 	"pbg/internal/serve"
-	"pbg/internal/serve/servetest"
 	"pbg/internal/storage"
 )
 
@@ -20,7 +19,7 @@ import (
 // internally consistent; no request may error with anything but ErrClosed
 // and none may observe a torn view (the race detector guards the rest).
 func TestConcurrentMixedRequestsWithReload(t *testing.T) {
-	f := servetest.Shared(t, servetest.FixtureConfig{})
+	f := Shared(t, FixtureConfig{})
 	s := openServer(t, f)
 	if err := s.BuildIndex(serve.IVFConfig{Seed: 5}); err != nil {
 		t.Fatal(err)
@@ -108,8 +107,8 @@ func TestConcurrentMixedRequestsWithReload(t *testing.T) {
 // different embeddings while readers assert that every single response is
 // consistent with exactly one of the two checkpoints — never a mixture.
 func TestHotSwapNeverTearsAView(t *testing.T) {
-	fA := servetest.Shared(t, servetest.FixtureConfig{Seed: 41})
-	fB := servetest.Shared(t, servetest.FixtureConfig{Seed: 42})
+	fA := Shared(t, FixtureConfig{Seed: 41})
+	fB := Shared(t, FixtureConfig{Seed: 42})
 	// Same geometry, different training seeds → same schema, different rows.
 	s := openServer(t, fA)
 	oracleA := fA.NewOracle(t)
@@ -170,7 +169,7 @@ func TestHotSwapNeverTearsAView(t *testing.T) {
 // TestCloseDrainsInFlight pins the lifecycle: Close rejects new requests
 // with ErrClosed while already-admitted requests complete.
 func TestCloseDrainsInFlight(t *testing.T) {
-	f := servetest.Shared(t, servetest.FixtureConfig{})
+	f := Shared(t, FixtureConfig{})
 	s, err := serve.Open(f.Dir, f.ServerConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +191,7 @@ func TestCloseDrainsInFlight(t *testing.T) {
 // TestServeMetrics pins the obs wiring: request counters, latency
 // histograms and footprint gauges must move when traffic flows.
 func TestServeMetrics(t *testing.T) {
-	f := servetest.Shared(t, servetest.FixtureConfig{})
+	f := Shared(t, FixtureConfig{})
 	hub := obs.NewQuietHub()
 	cfg := f.ServerConfig()
 	cfg.Obs = hub
@@ -277,7 +276,7 @@ func TestServeMetrics(t *testing.T) {
 func TestOpenNeedsRelationsForParameterisedOperators(t *testing.T) {
 	for _, op := range []string{"translation", "identity"} {
 		t.Run(op, func(t *testing.T) {
-			f := servetest.Shared(t, servetest.FixtureConfig{Operator: op, Zero: true})
+			f := Shared(t, FixtureConfig{Operator: op, Zero: true})
 			dir := f.CheckpointAs(t, storage.CodecFP32)
 			s, err := serve.Open(dir, f.ServerConfig())
 			if err != nil {

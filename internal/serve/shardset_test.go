@@ -6,22 +6,15 @@ import (
 	"testing"
 
 	"pbg/internal/serve"
-	"pbg/internal/serve/servetest"
 	"pbg/internal/storage"
 )
-
-func TestMain(m *testing.M) {
-	code := m.Run()
-	servetest.Cleanup()
-	os.Exit(code)
-}
 
 // TestZeroCopyRowsBitParity is the parity claim of the one read path: every
 // fp32 row served as a view into the file's bytes — the platform's byte
 // source and, forced through a test hook, the private-buffer source — is
 // bit-identical to the same row decoded by storage.ReadShard.
 func TestZeroCopyRowsBitParity(t *testing.T) {
-	f := servetest.Shared(t, servetest.FixtureConfig{})
+	f := Shared(t, FixtureConfig{})
 	platform, err := serve.OpenShardSet(f.Dir, f.Graph.Schema, f.Cfg.Dim)
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +62,7 @@ func TestZeroCopyRowsBitParity(t *testing.T) {
 }
 
 func TestOpenShardSetRejectsCorruptShard(t *testing.T) {
-	f := servetest.Shared(t, servetest.FixtureConfig{})
+	f := Shared(t, FixtureConfig{})
 	dir := t.TempDir()
 	// Copy the checkpoint, then truncate one shard.
 	if err := copyDir(f.Dir, dir); err != nil {
@@ -97,7 +90,7 @@ func TestOpenShardSetRejectsCorruptShard(t *testing.T) {
 }
 
 func TestOpenShardSetRejectsDimMismatch(t *testing.T) {
-	f := servetest.Shared(t, servetest.FixtureConfig{})
+	f := Shared(t, FixtureConfig{})
 	if _, err := serve.OpenShardSet(f.Dir, f.Graph.Schema, f.Cfg.Dim+1); err == nil {
 		t.Fatal("opened checkpoint with wrong dim without error")
 	}
@@ -108,7 +101,7 @@ func TestOpenShardSetRejectsDimMismatch(t *testing.T) {
 // or claims more than it holds, makes serve.Open return an error. The first
 // case used to index past the blocks it had just found missing and panic.
 func TestOpenRejectsMalformedRelations(t *testing.T) {
-	f := servetest.Shared(t, servetest.FixtureConfig{})
+	f := Shared(t, FixtureConfig{})
 	dir := t.TempDir()
 	if err := copyDir(f.Dir, dir); err != nil {
 		t.Fatal(err)

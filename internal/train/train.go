@@ -432,8 +432,8 @@ func (t *Trainer) epochItems() []partition.Bucket {
 	return items
 }
 
-// countSwapIns updates the PartitionIO stat the way partition.SwapCount
-// does: partitions the previous bucket did not hold must be swapped in.
+// countSwapIns updates the PartitionIO stat: partitions the previous bucket
+// did not hold must be swapped in.
 func countSwapIns(b partition.Bucket, held map[int]bool, stats *EpochStats) map[int]bool {
 	need := map[int]bool{}
 	for _, p := range b.Parts() {

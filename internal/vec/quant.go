@@ -111,18 +111,6 @@ func F16Value(h uint16) float32 {
 	}
 }
 
-// QuantF16 encodes src into dst elementwise via F16Bits. Lengths must match.
-//
-//pbg:hotpath
-func QuantF16(dst []uint16, src []float32) {
-	if len(dst) != len(src) {
-		panic("vec: QuantF16 length mismatch")
-	}
-	for i, x := range src {
-		dst[i] = F16Bits(x)
-	}
-}
-
 // DequantF16 decodes src into dst elementwise via F16Value. Lengths must
 // match. This is the fp16 serving scan's row-expansion kernel.
 //

@@ -493,17 +493,6 @@ func MatVec(y []float32, a Matrix, x []float32) {
 	}
 }
 
-// MatTVec computes y = Aᵀ · x where A is (n×d) and x has length n.
-//
-//pbg:hotpath
-func MatTVec(y []float32, a Matrix, x []float32) {
-	checkMatVec("MatTVec", a, len(x), len(y), a.Rows, a.Cols)
-	Zero(y)
-	for i := 0; i < a.Rows; i++ {
-		Axpy(x[i], a.Row(i), y)
-	}
-}
-
 // ComplexMul computes dst = a ∘ b where vectors of even length d are treated
 // as d/2 complex numbers laid out [re₀..re_{d/2-1}, im₀..im_{d/2-1}], the
 // layout ComplEx uses. dst may alias neither a nor b. Every product is
@@ -577,36 +566,6 @@ func LogSigmoid(x float32) float32 {
 //pbg:hotpath
 func Sigmoid(x float32) float32 {
 	return float32(1 / (1 + math.Exp(-float64(x))))
-}
-
-// LogSumExp returns log Σ exp(xᵢ) computed stably. Returns -Inf for an empty
-// slice.
-func LogSumExp(xs []float32) float32 {
-	if len(xs) == 0 {
-		return float32(math.Inf(-1))
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	var s float64
-	for _, x := range xs {
-		s += math.Exp(float64(x - m))
-	}
-	return m + float32(math.Log(s))
-}
-
-// Softmax writes softmax(xs) into dst (may alias xs).
-func Softmax(dst, xs []float32) {
-	if len(dst) != len(xs) {
-		panic("vec: Softmax length mismatch")
-	}
-	lse := LogSumExp(xs)
-	for i, x := range xs {
-		dst[i] = float32(math.Exp(float64(x - lse)))
-	}
 }
 
 // AllFinite reports whether every element of x is finite (no NaN/Inf).

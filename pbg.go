@@ -207,10 +207,22 @@ func (m *Model) Embedding(entityType string, id int32) ([]float32, error) {
 	if ti < 0 {
 		return nil, fmt.Errorf("pbg: unknown entity type %q", entityType)
 	}
+	if err := m.checkID("id", ti, id); err != nil {
+		return nil, err
+	}
 	view := m.trainer.NewView()
 	defer view.Close()
 	out := make([]float32, m.Dim())
 	return view.Embedding(ti, id, out)
+}
+
+// checkID returns an error, in serve.Server.Score's form, unless id names
+// an entity of type ti.
+func (m *Model) checkID(what string, ti int, id int32) error {
+	if id < 0 || int(id) >= m.graph.Schema.Entities[ti].Count {
+		return fmt.Errorf("pbg: %s %d out of range", what, id)
+	}
+	return nil
 }
 
 // Score computes f(src, rel, dst) with the trained parameters.
@@ -219,10 +231,16 @@ func (m *Model) Score(rel int, src, dst int32) (float32, error) {
 	if rel < 0 || rel >= len(schema.Relations) {
 		return 0, fmt.Errorf("pbg: relation %d out of range", rel)
 	}
-	view := m.trainer.NewView()
-	defer view.Close()
 	si := schema.EntityTypeIndex(schema.Relations[rel].SourceType)
 	di := schema.EntityTypeIndex(schema.Relations[rel].DestType)
+	if err := m.checkID("src", si, src); err != nil {
+		return 0, err
+	}
+	if err := m.checkID("dst", di, dst); err != nil {
+		return 0, err
+	}
+	view := m.trainer.NewView()
+	defer view.Close()
 	sbuf := make([]float32, m.Dim())
 	dbuf := make([]float32, m.Dim())
 	if _, err := view.Embedding(si, src, sbuf); err != nil {
@@ -247,6 +265,12 @@ func (m *Model) NearestNeighbors(entityType string, id int32, k int) ([]Neighbor
 	ti := m.graph.Schema.EntityTypeIndex(entityType)
 	if ti < 0 {
 		return nil, fmt.Errorf("pbg: unknown entity type %q", entityType)
+	}
+	if err := m.checkID("id", ti, id); err != nil {
+		return nil, err
+	}
+	if k < 0 {
+		return nil, fmt.Errorf("pbg: k %d out of range", k)
 	}
 	count := m.graph.Schema.Entities[ti].Count
 	view := m.trainer.NewView()

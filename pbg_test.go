@@ -354,6 +354,20 @@ func TestErrorsOnUnknownEntityType(t *testing.T) {
 	if _, err := m.Score(99, 0, 1); err == nil {
 		t.Fatal("expected relation-range error")
 	}
+	// Entity ids past either end and a negative k are errors, not panics.
+	for name, call := range map[string]func() error{
+		"Embedding(50)":             func() error { _, err := m.Embedding("node", 50); return err },
+		"Embedding(-1)":             func() error { _, err := m.Embedding("node", -1); return err },
+		"Score(0, 50, 1)":           func() error { _, err := m.Score(0, 50, 1); return err },
+		"Score(0, 1, -1)":           func() error { _, err := m.Score(0, 1, -1); return err },
+		"NearestNeighbors(5000, 3)": func() error { _, err := m.NearestNeighbors("node", 5000, 3); return err },
+		"NearestNeighbors(-1, 3)":   func() error { _, err := m.NearestNeighbors("node", -1, 3); return err },
+		"NearestNeighbors(0, -1)":   func() error { _, err := m.NearestNeighbors("node", 0, -1); return err },
+	} {
+		if err := call(); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("%s: err = %v, want an out-of-range error", name, err)
+		}
+	}
 }
 
 func TestNewGraphPublic(t *testing.T) {
