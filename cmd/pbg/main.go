@@ -4,7 +4,7 @@
 //	pbg import -config C.json -in edges.tsv -dir D
 //	pbg train  -dir D [-workers 4] [-obs-addr 127.0.0.1:9090]
 //	pbg eval   -dir D [-k 1000] [-prevalence] [-filtered] [-max 2000]
-//	pbg serve  -dir D [-listen :7421] [-build-index] [-build-quant int8]
+//	pbg serve  -dir D [-listen :7421] [-build-index]
 //	pbg serve  -connect host:7421 -rel 0 -src 12 -k 10
 //	pbg node   -dir D -role lock|partition|param|trainer …
 //

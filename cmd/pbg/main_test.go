@@ -119,7 +119,7 @@ func TestImportTrainEvalServe(t *testing.T) {
 		t.Fatalf("eval ranked %s of %d test edges at MRR %v; random over 100 candidates is ~0.05", m[2], testG.Edges.Len(), mrr)
 	}
 
-	s, err := openServer(rd, serve.Config{}, "", true)
+	s, err := openServer(rd, serve.Config{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"syscall"
 
 	"pbg/internal/serve"
-	"pbg/internal/storage"
 )
 
 // runServe exposes the model checkpointed in D as an online embedding
@@ -20,8 +19,6 @@ func runServe(args []string, out io.Writer) error {
 	dir := fs.String("dir", "", dirUsage+" and trained by pbg train (server)")
 	listen := fs.String("listen", ":7421", "RPC listen address (server)")
 	obsAddr := fs.String("obs-addr", "", obsUsage+" (server)")
-	rerank := fs.Float64("rerank", 0, "oversampling factor of the quantized scan taken when int8/fp16 bytes are present (0 = default 3) (server)")
-	buildQuant := fs.String("build-quant", "", "write quantized sibling copies under this codec (fp16, int8) before serving (server)")
 	buildIndex := fs.Bool("build-index", false, "build and persist the IVF index before serving, k-means seeded by the config's seed (server)")
 	nprobe := fs.Int("nprobe", 0, "IVF probe width: the server's default, or this query's (0 = serve.DefaultNProbe)")
 	connect := fs.String("connect", "", "query the server at this address instead of serving")
@@ -46,7 +43,7 @@ func runServe(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	s, err := openServer(rd, serve.Config{Rerank: *rerank, NProbe: *nprobe, Obs: hub}, *buildQuant, *buildIndex)
+	s, err := openServer(rd, serve.Config{NProbe: *nprobe, Obs: hub}, *buildIndex)
 	if err != nil {
 		return err
 	}
@@ -70,38 +67,26 @@ func runServe(args []string, out io.Writer) error {
 }
 
 // openServer opens a server over rd's checkpoint with the schema,
-// dimension and comparator rd's config trained it under, after writing the
-// quantized sibling copies and the IVF index asked for.
-func openServer(rd *runDir, cfg serve.Config, buildQuant string, buildIndex bool) (*serve.Server, error) {
+// dimension and comparator rd's config trained it under, after building the
+// IVF index when asked to.
+func openServer(rd *runDir, cfg serve.Config, buildIndex bool) (*serve.Server, error) {
 	cfg.Schema, cfg.Dim, cfg.Comparator = rd.schema, rd.cfg.Dimension, rd.cfg.Comparator
-	codec, err := storage.ParseCodec(buildQuant)
-	if err != nil {
-		return nil, err
-	}
 	s, err := serve.Open(rd.dir, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if buildQuant != "" {
-		err = s.BuildQuant(codec)
-	}
-	if err == nil && buildIndex {
-		err = s.BuildIndex(serve.IVFConfig{Seed: rd.cfg.Seed})
-	}
-	if err != nil {
-		_ = s.Close()
-		return nil, err
+	if buildIndex {
+		if err := s.BuildIndex(serve.IVFConfig{Seed: rd.cfg.Seed}); err != nil {
+			_ = s.Close()
+			return nil, err
+		}
 	}
 	return s, nil
 }
 
 func printStats(out io.Writer, st serve.Stats) {
-	quant := "off"
-	if st.QuantShards > 0 {
-		quant = fmt.Sprintf("%s (%d shards, %.1f MB)", st.QuantCodec, st.QuantShards, float64(st.QuantBytes)/(1<<20))
-	}
-	fmt.Fprintf(out, "serving %s: %d mapped shards (%.1f MB), quant scan: %s, index: %v (%d lists, %.1f MB), %d requests served\n",
-		st.Dir, st.MappedShards, float64(st.MappedBytes)/(1<<20), quant, st.HasIndex, st.IndexLists, float64(st.IndexBytes)/(1<<20), st.Requests)
+	fmt.Fprintf(out, "serving %s: %d mapped shards (%.1f MB), index: %v (%d lists, %.1f MB), %d requests served\n",
+		st.Dir, st.MappedShards, float64(st.MappedBytes)/(1<<20), st.HasIndex, st.IndexLists, float64(st.IndexBytes)/(1<<20), st.Requests)
 }
 
 // query is serve's client mode: one request to the server at addr.

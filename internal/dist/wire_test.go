@@ -150,8 +150,8 @@ func serveMessages() []any {
 			{Rel: 2, SrcID: -7, Vector: []float32{2}, K: 1, Exact: true, NProbe: -1},
 		}},
 		&serving.TopKReply{Results: []serving.TopKResult{
-			{IDs: []int32{4, -2}, Scores: []float32{0.75, -0.5}, Scanned: 100, Probed: 3, Reranked: 7},
-			{IDs: []int32{9}, Scores: []float32{1}, Scanned: 1 << 33, Probed: -1, Reranked: 2},
+			{IDs: []int32{4, -2}, Scores: []float32{0.75, -0.5}, Scanned: 100, Probed: 3},
+			{IDs: []int32{9}, Scores: []float32{1}, Scanned: 1 << 33, Probed: -1},
 		}},
 		&serving.ScoreArgs{Reqs: []serving.ScoreRequest{{Rel: 1, Src: 2, Dst: 3}, {Rel: 4, Src: -5, Dst: 6}}},
 		&serving.ScoreReply{Scores: []float32{1.5, -2, float32(math.Inf(1))}},
@@ -159,7 +159,7 @@ func serveMessages() []any {
 		&serving.RankReply{Rank: 2.5},
 		&serving.ReloadArgs{Dir: "run/ckpt"},
 		&serving.StatsReply{Stats: serving.Stats{Dir: "run", MappedShards: 4, MappedBytes: 1 << 20, HasIndex: true,
-			IndexBytes: 4096, IndexLists: 16, Requests: 99, QuantCodec: "int8", QuantBytes: 2048, QuantShards: 3}},
+			IndexBytes: 4096, IndexLists: 16, Requests: 99}},
 	}
 }
 
@@ -189,15 +189,15 @@ func TestWireBytesMatchParent(t *testing.T) {
 		"0100000000000000010000000000003f",                 // SyncArgs
 		"030000000000e04000000041000010410000000000010000", // SyncReply
 		"0400000000000000",                                 // PullArgs
-		"02000000010000000000000003000000020000000000003f000080bf0a000000000000000104000000000000000200000000000000f9ffffff0100000000000040010000000000000001ffffffffffffffff",                     // serve.TopKArgs
-		"020000000200000004000000feffffff020000000000403f000000bf6400000000000000030000000000000007000000000000000100000009000000010000000000803f0000000002000000ffffffffffffffff0200000000000000", // serve.TopKReply
-		"02000000010000000000000002000000030000000400000000000000fbffffff06000000",                                                                                                                 // serve.ScoreArgs
+		"02000000010000000000000003000000020000000000003f000080bf0a000000000000000104000000000000000200000000000000f9ffffff0100000000000040010000000000000001ffffffffffffffff", // serve.TopKArgs
+		"020000000200000004000000feffffff020000000000403f000000bf640000000000000003000000000000000100000009000000010000000000803f0000000002000000ffffffffffffffff",             // serve.TopKReply
+		"02000000010000000000000002000000030000000400000000000000fbffffff06000000",                                                                                             // serve.ScoreArgs
 		"030000000000c03f000000c00000807f", // serve.ScoreReply
 		"030000000000000004000000fbffffff", // serve.RankArgs
 		"0000000000000440",                 // serve.RankReply
 		"0800000072756e2f636b7074",         // serve.ReloadArgs
-		"0300000072756e040000000000000000001000000000000100100000000000001000000000000000630000000000000004000000696e743800080000000000000300000000000000", // serve.StatsReply
-		"010000000000000000000000010000000200000000000000010000000000000000000000000000000300000000000000000000000000000000",                               // EpochStateReply, zero deadline
+		"0300000072756e0400000000000000000010000000000001001000000000000010000000000000006300000000000000",                   // serve.StatsReply
+		"010000000000000000000000010000000200000000000000010000000000000000000000000000000300000000000000000000000000000000", // EpochStateReply, zero deadline
 	}
 	if len(msgs) != len(want) {
 		t.Fatalf("%d messages, %d encodings", len(msgs), len(want))

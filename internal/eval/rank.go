@@ -31,8 +31,9 @@ func MidRank(trueScore float32, scores []float32) float64 {
 // CompareScored is the deterministic candidate ordering for top-K results:
 // higher score first, ties broken by lower entity ID. It reports whether
 // candidate (scoreI, idI) ranks strictly before (scoreJ, idJ). Serve's
-// top-K heaps and the servetest brute-force oracle both sort with it, so a
-// tied boundary can never make the two disagree on membership.
+// top-K heaps and the brute-force Oracle of serve's tests (fixture_test.go)
+// both sort with it, so a tied boundary can never make the two disagree on
+// membership.
 func CompareScored(scoreI float32, idI int32, scoreJ float32, idJ int32) bool {
 	if scoreI != scoreJ {
 		return scoreI > scoreJ

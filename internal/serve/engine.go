@@ -44,13 +44,13 @@ type TopKResult struct {
 	Scores []float32
 	// Scanned counts candidate rows scored for this answer. A request that
 	// repeats another of its batch is answered from that one's scan and
-	// reports its counts (Scanned, Probed, Reranked): the work per answer,
-	// done once.
+	// reports its counts (Scanned, Probed): the work per answer, done once.
 	Scanned int
 	// Probed counts IVF lists visited (0 on the exact path).
 	Probed int
-	// Reranked counts candidates re-scored from fp32 after a quantized scan
-	// (0 when the scan itself was full precision).
+	// Reranked is always 0: every scan is full precision, and nothing is
+	// re-scored. It is not on the wire, and stays only while the benchmark
+	// module still reads it.
 	Reranked int
 }
 
@@ -195,8 +195,6 @@ type workspace struct {
 	scratch vec.Matrix // a candidate block that had to be materialised (scoreRows)
 	scores  vec.Matrix // n×block cross-score output
 	heaps   []topkHeap
-	rr      topkHeap // fp32 re-rank selection after a quantized scan
-	ids     []int32  // one re-rank run's partition-local rows
 	// sel lists the entries of one score row that pass the threshold filter
 	// in front of a heap (offerRow).
 	sel [scoreBlock]int32
@@ -224,7 +222,7 @@ type workspace struct {
 // a duplicate is answered from its first asker's result and adds to deduped
 // only — and the call's wall time split into its two stages.
 type tally struct {
-	scanned, probed, reranked int
+	scanned, probed int
 	// gathered counts the rows read from the shards, copied into scratch or
 	// scored in place (pbg_serve_rows_gathered_total): a scan shares each row
 	// it reads across the batch, so scanned ÷ gathered is the re-use.
@@ -232,8 +230,8 @@ type tally struct {
 	deduped  int
 	// plan is validation, query gather and transform, de-duplication and, on
 	// the index path, centroid scoring, probe selection and the inversion;
-	// scan is candidate scoring, top-K selection and the re-rank. Together
-	// they are the whole call.
+	// scan is candidate scoring and top-K selection. Together they are the
+	// whole call.
 	plan, scan time.Duration
 }
 
@@ -289,24 +287,23 @@ func (v *view) gatherQueries(ws *workspace, rel int, srcOf func(i int) (int32, [
 // scoreRows is the one block scorer: it cross-scores the prepared queries q
 // against m candidate rows of src — rows ids when ids is non-nil (m is then
 // len(ids)), rows [lo, lo+m) otherwise — into the returned q.Rows×m matrix.
-// A block is materialised into scratch only when something must be done to
-// its bytes first: dequantisation (src is a quantized view), or a comparator
-// whose Prepare is not the identity (cos normalises rows in place, and a
-// mapping is PROT_READ). Otherwise the rows are read where they lie: a
-// contiguous range is a zero-copy sub-matrix of the source, an id list goes
-// to CrossScoresRows, whose GEMM tile takes each row's address from the list.
+// A block is materialised into scratch only when the comparator's Prepare is
+// not the identity (cos normalises rows in place, and a mapping is
+// PROT_READ). Otherwise the rows are read where they lie: a contiguous range
+// is a zero-copy sub-matrix of the source, an id list goes to
+// CrossScoresRows, whose GEMM tile takes each row's address from the list.
 // Either way the scores are bitwise those of the materialised block.
 //
 //pbg:hotpath
-func (v *view) scoreRows(ws *workspace, rel int, q vec.Matrix, src rowSource, lo, m int, ids []int32) vec.Matrix {
+func (v *view) scoreRows(ws *workspace, rel int, q, src vec.Matrix, lo, m int, ids []int32) vec.Matrix {
 	dim := v.ss.dim
 	sc := v.scorers[rel]
 	out := ensureMat(&ws.scores, q.Rows, m)
-	cand := src.rows
+	cand := src
 	switch {
-	case src.quant != nil || !v.rawRows[rel]:
+	case !v.rawRows[rel]:
 		cand = ensureMat(&ws.scratch, m, dim)
-		src.fill(cand, lo, ids)
+		fill(cand, src, lo, ids)
 		sc.Cmp.Prepare(cand)
 		ids = nil
 	case ids == nil:
@@ -319,16 +316,6 @@ func (v *view) scoreRows(ws *workspace, rel int, q vec.Matrix, src rowSource, lo
 // topKExact runs the brute-force scan for a group of requests sharing one
 // relation: every destination-type partition, block by block, one GEMM per
 // (group, block). Results are written into out[i] for each group request.
-//
-// When the destination type has quantized rows the scan reads those instead
-// (int8/fp16 cells dequantized block by block into scratch, so the fp32
-// working set is one scoreBlock — never the full embedding table). If fp32
-// rows exist as well (an fp32 checkpoint with quantized sibling copies), each
-// request keeps ceil(rerank·K) survivors instead of K, re-scores just those
-// rows from fp32, and returns the best K by true score. On a natively
-// quantized checkpoint there is no fp32 to consult, so the dequantized scores
-// are final — bit-identical to serving the decoded checkpoint, since decoding
-// is the same dequantization.
 func (v *view) topKExact(ws *workspace, rel int, reqs []TopKRequest, out []TopKResult) {
 	n := len(reqs)
 	tq := v.gatherQueries(ws, rel, func(i int) (int32, []float32) {
@@ -336,24 +323,13 @@ func (v *view) topKExact(ws *workspace, rel int, reqs []TopKRequest, out []TopKR
 	}, n)
 	ws.lap(&ws.tally.plan)
 
-	dstType := v.dstType[rel]
-	quant := v.ss.QuantizedType(dstType)
-	rerank := quant && v.ss.ExactType(dstType)
 	heaps := ws.heapsFor(n)
 	for i := range heaps {
-		k := reqs[i].K
-		if rerank {
-			k = max(k, int(math.Ceil(float64(k)*v.rerank)))
-		}
-		heaps[i].reset(k)
+		heaps[i].reset(reqs[i].K)
 	}
-	scanned := v.scanShards(ws, rel, tq, heaps, quant)
+	scanned := v.scanShards(ws, rel, tq, heaps)
 	for i := range heaps {
-		if rerank {
-			v.rerankFP32(ws, rel, tq.Row(i), &heaps[i], reqs[i].K, &out[i])
-		} else {
-			heaps[i].take(&out[i])
-		}
+		heaps[i].take(&out[i])
 		out[i].Scanned = scanned
 	}
 }
@@ -362,14 +338,14 @@ func (v *view) topKExact(ws *workspace, rel int, reqs []TopKRequest, out []TopKR
 // GEMM per block, and returns the rows scanned.
 //
 //pbg:hotpath
-func (v *view) scanShards(ws *workspace, rel int, tq vec.Matrix, heaps []topkHeap, preferQuant bool) int {
+func (v *view) scanShards(ws *workspace, rel int, tq vec.Matrix, heaps []topkHeap) int {
 	dstType := v.dstType[rel]
 	ent := &v.ss.schema.Entities[dstType]
 	scanned := 0
 	for p := 0; p < ent.NumPartitions; p++ {
 		nrows := ent.PartitionCount(p)
 		base := int32(p * ent.PartSize())
-		src := v.ss.scanSource(dstType, p, preferQuant)
+		src := v.ss.Rows(dstType, p)
 		for lo := 0; lo < nrows; lo += scoreBlock {
 			m := min(scoreBlock, nrows-lo)
 			scores := v.scoreRows(ws, rel, tq, src, lo, m, nil)
@@ -381,34 +357,6 @@ func (v *view) scanShards(ws *workspace, rel int, tq vec.Matrix, heaps []topkHea
 	}
 	ws.tally.gathered += scanned
 	return scanned
-}
-
-// rerankFP32 re-scores one request's quantized-scan survivors at full
-// precision and writes the true top k. The survivors are taken in the order
-// the scan's heap holds them, a run of same-partition candidates at a time
-// through the block scorer (fp32 rows: read in place unless the comparator
-// prepares them).
-func (v *view) rerankFP32(ws *workspace, rel int, q []float32, survivors *topkHeap, k int, out *TopKResult) {
-	dstType := v.dstType[rel]
-	ent := &v.ss.schema.Entities[dstType]
-	cands := survivors.h
-	qv := vec.MatrixFrom(q, 1, v.ss.dim)
-	ws.rr.reset(k)
-	for lo := 0; lo < len(cands); lo += len(ws.ids) { // a run holds cands[lo] at least
-		p := ent.PartitionOf(cands[lo].id)
-		ws.ids = ws.ids[:0]
-		for _, c := range cands[lo:min(lo+scoreBlock, len(cands))] {
-			if ent.PartitionOf(c.id) != p {
-				break
-			}
-			ws.ids = append(ws.ids, int32(ent.LocalOffset(c.id)))
-		}
-		scores := v.scoreRows(ws, rel, qv, v.ss.scanSource(dstType, p, false), 0, len(ws.ids), ws.ids)
-		ws.rr.offerRow(&ws.sel, scores.Row(0), int32(p*ent.PartSize()), ws.ids)
-	}
-	ws.tally.gathered += len(cands)
-	ws.rr.take(out)
-	out.Reranked = len(cands)
 }
 
 // scorePairs batch-scores (src, rel, dst) edges for a group sharing one
@@ -451,13 +399,13 @@ func (v *view) rank(ws *workspace, rel int, src, dst int32) (float64, error) {
 	// model.Scorer.Score).
 	dp := ent.PartitionOf(dst)
 	dlocal := int(ent.LocalOffset(dst))
-	trueScores := v.scoreRows(ws, rel, tq, v.ss.scanSource(dstType, dp, false), dlocal, 1, nil)
+	trueScores := v.scoreRows(ws, rel, tq, v.ss.Rows(dstType, dp), dlocal, 1, nil)
 	trueScore := trueScores.Row(0)[0]
 
 	rank := 1.0
 	for p := 0; p < ent.NumPartitions; p++ {
 		nrows := ent.PartitionCount(p)
-		src := v.ss.scanSource(dstType, p, false)
+		src := v.ss.Rows(dstType, p)
 		for lo := 0; lo < nrows; lo += scoreBlock {
 			m := min(scoreBlock, nrows-lo)
 			row := v.scoreRows(ws, rel, tq, src, lo, m, nil).Row(0)

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"math"
-
 	"pbg/internal/graph"
 	"pbg/internal/vec"
 )
@@ -120,9 +118,9 @@ func (v *view) refQueries(rel int, reqs []TopKRequest) vec.Matrix {
 }
 
 // refScoreBlock gathers a block into scratch, prepares it and scores it.
-func (v *view) refScoreBlock(rel int, q vec.Matrix, src rowSource, lo, m int, ids []int32) vec.Matrix {
+func (v *view) refScoreBlock(rel int, q, src vec.Matrix, lo, m int, ids []int32) vec.Matrix {
 	scratch := vec.NewMatrix(m, v.ss.dim)
-	src.fill(scratch, lo, ids)
+	fill(scratch, src, lo, ids)
 	v.scorers[rel].Cmp.Prepare(scratch)
 	out := vec.NewMatrix(q.Rows, m)
 	v.scorers[rel].Cmp.CrossScores(out, q, scratch)
@@ -133,15 +131,9 @@ func (v *view) refTopKExact(rel int, reqs []TopKRequest, out []TopKResult) {
 	tq := v.refQueries(rel, reqs)
 	dstType := v.dstType[rel]
 	ent := &v.ss.schema.Entities[dstType]
-	quant := v.ss.QuantizedType(dstType)
-	rerank := quant && v.ss.ExactType(dstType)
 	heaps := make([]topkHeap, len(reqs))
 	for i := range heaps {
-		k := reqs[i].K
-		if rerank {
-			k = max(k, int(math.Ceil(float64(k)*v.rerank)))
-		}
-		heaps[i].reset(k)
+		heaps[i].reset(reqs[i].K)
 	}
 	scanned := 0
 	for p := 0; p < ent.NumPartitions; p++ {
@@ -149,7 +141,7 @@ func (v *view) refTopKExact(rel int, reqs []TopKRequest, out []TopKResult) {
 		base := int32(p * ent.PartSize())
 		for lo := 0; lo < nrows; lo += scoreBlock {
 			m := min(scoreBlock, nrows-lo)
-			scores := v.refScoreBlock(rel, tq, v.ss.scanSource(dstType, p, quant), lo, m, nil)
+			scores := v.refScoreBlock(rel, tq, v.ss.Rows(dstType, p), lo, m, nil)
 			for i := range heaps {
 				for j, s := range scores.Row(i) {
 					heaps[i].offer(base+int32(lo+j), s)
@@ -159,36 +151,9 @@ func (v *view) refTopKExact(rel int, reqs []TopKRequest, out []TopKResult) {
 		}
 	}
 	for i := range heaps {
-		if rerank {
-			v.refRerank(rel, tq.Row(i), &heaps[i], reqs[i].K, &out[i])
-		} else {
-			heaps[i].take(&out[i])
-		}
+		heaps[i].take(&out[i])
 		out[i].Scanned = scanned
 	}
-}
-
-func (v *view) refRerank(rel int, q []float32, survivors *topkHeap, k int, out *TopKResult) {
-	dim := v.ss.dim
-	dstType := v.dstType[rel]
-	cands := survivors.h
-	var rr topkHeap
-	rr.reset(k)
-	for lo := 0; lo < len(cands); lo += scoreBlock {
-		blk := cands[lo:min(lo+scoreBlock, len(cands))]
-		scratch := vec.NewMatrix(len(blk), dim)
-		for j, c := range blk {
-			v.ss.CopyRow(dstType, c.id, scratch.Row(j))
-		}
-		v.scorers[rel].Cmp.Prepare(scratch)
-		scores := vec.NewMatrix(1, len(blk))
-		v.scorers[rel].Cmp.CrossScores(scores, vec.MatrixFrom(q, 1, dim), scratch)
-		for j, s := range scores.Row(0) {
-			rr.offer(blk[j].id, s)
-		}
-	}
-	rr.take(out)
-	out.Reranked = len(cands)
 }
 
 // refProbe is one list with a query's centroid score for it.
@@ -249,9 +214,9 @@ func (v *view) refTopKIVF(rel int, reqs []TopKRequest, out []TopKResult) {
 	probes := make([]refProbe, n*lists)
 	col := 0
 	for p := range it.Parts {
-		cent := rowSource{rows: it.Parts[p].Centroids}
-		for lo := 0; lo < cent.rows.Rows; lo += scoreBlock {
-			m := min(scoreBlock, cent.rows.Rows-lo)
+		cent := it.Parts[p].Centroids
+		for lo := 0; lo < cent.Rows; lo += scoreBlock {
+			m := min(scoreBlock, cent.Rows-lo)
 			scores := v.refScoreBlock(rel, tq, cent, lo, m, nil)
 			for i := 0; i < n; i++ {
 				for j, s := range scores.Row(i) {
@@ -297,7 +262,7 @@ func (v *view) refTopKIVF(rel int, reqs []TopKRequest, out []TopKResult) {
 			}
 			for lo := 0; lo < len(ids); lo += scoreBlock {
 				blk := ids[lo:min(lo+scoreBlock, len(ids))]
-				scores := v.refScoreBlock(rel, sub, v.ss.scanSource(dstType, p, false), 0, len(blk), blk)
+				scores := v.refScoreBlock(rel, sub, v.ss.Rows(dstType, p), 0, len(blk), blk)
 				for a, qi := range qs {
 					for j, s := range scores.Row(a) {
 						heaps[qi].offer(base+blk[j], s)

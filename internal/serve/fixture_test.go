@@ -226,39 +226,6 @@ func (f *Fixture) CheckpointAs(tb testing.TB, codec storage.Codec) string {
 	return dir
 }
 
-// QuantSiblings copies the fixture checkpoint into a fresh directory and
-// writes quantized .q.pbg sibling copies under codec next to the fp32
-// shards — the quantized-scan + fp32-re-rank layout. The fixture's own
-// directory is shared across tests and never mutated.
-func (f *Fixture) QuantSiblings(tb testing.TB, codec storage.Codec) string {
-	tb.Helper()
-	dir, err := os.MkdirTemp("", "servetest-quant-")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	registerDir(dir)
-	entries, err := os.ReadDir(f.Dir)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		data, err := os.ReadFile(f.Dir + "/" + e.Name())
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if err := os.WriteFile(dir+"/"+e.Name(), data, 0o644); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	if err := storage.WriteQuantCopy(dir, f.Graph.Schema, codec); err != nil {
-		tb.Fatal(err)
-	}
-	return dir
-}
-
 func registerDir(dir string) {
 	fixturesMu.Lock()
 	fixtureDirs = append(fixtureDirs, dir)

@@ -64,7 +64,7 @@ func fullProbe(t *testing.T, s *Server, idx *IVF) {
 	}
 	defer cur.release()
 	v := &view{ss: cur.ss, ivf: idx, scorers: cur.scorers, relFwd: cur.relFwd, rawRows: cur.rawRows,
-		srcType: cur.srcType, dstType: cur.dstType, rerank: cur.rerank}
+		srcType: cur.srcType, dstType: cur.dstType}
 	nodes := s.cfg.Schema.Entities[0].Count
 	reqs := []TopKRequest{{SrcID: 1, K: nodes, NProbe: 1 << 20}, {SrcID: 2, K: nodes, NProbe: 1 << 20}}
 	out := make([]TopKResult, len(reqs))
@@ -241,7 +241,7 @@ func FuzzServeFrame(f *testing.F) {
 	f.Add(frame(methodReload, ReloadArgs{Dir: "run"}))
 	f.Add(frame(methodStats, StatsArgs{}))
 	f.Add(TopKReply{Results: []TopKResult{{IDs: []int32{3, 1}, Scores: []float32{0.5, 0.25}, Scanned: 20, Probed: 2}}}.AppendWire(nil))
-	f.Add(StatsReply{Stats: Stats{Dir: "run", MappedShards: 2, HasIndex: true, QuantCodec: "int8"}}.AppendWire(nil))
+	f.Add(StatsReply{Stats: Stats{Dir: "run", MappedShards: 2, HasIndex: true}}.AppendWire(nil))
 	f.Add(wire.Header{Method: methodTopK.ID, Len: maxBatchBytes}.Append([]byte{0xff, 0xff, 0xff, 0xff}))
 	f.Add(wire.Header{Method: methodScore.ID, Len: 4}.Append([]byte{0x01, 0x10, 0, 0}))
 	f.Add([]byte{})

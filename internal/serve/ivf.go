@@ -94,9 +94,7 @@ func DefaultNProbe(totalLists int) int {
 // (type, partition) pairs are clustered concurrently on at most GOMAXPROCS
 // goroutines, each pair with its own generator seeded from (Seed, type,
 // partition), so the index depends only on the seed and the shards, never on
-// the processor count. On a quantized-only shard clustering runs over a
-// dequantized fp32 copy of the partition (MaterializeRows), so each goroutine
-// holds at most one such copy at a time.
+// the processor count.
 func BuildIVF(ss *ShardSet, cfg IVFConfig) *IVF {
 	cfg = cfg.withDefaults()
 	idx := &IVF{Dim: ss.dim, Types: make([]*ivfType, len(ss.schema.Entities))}
@@ -118,7 +116,7 @@ func BuildIVF(ss *ShardSet, cfg IVFConfig) *IVF {
 			for i := int(next.Add(1) - 1); i < len(jobs); i = int(next.Add(1) - 1) {
 				t, p := jobs[i].t, jobs[i].p
 				r := rng.New(cfg.Seed ^ uint64(t)<<32 ^ uint64(p)<<8 ^ 0x9e3779b97f4a7c15)
-				idx.Types[t].Parts[p] = buildPart(ss.MaterializeRows(t, p), cfg, r)
+				idx.Types[t].Parts[p] = buildPart(ss.Rows(t, p), cfg, r)
 			}
 		}()
 	}
@@ -260,9 +258,9 @@ func (v *view) topKIVF(ws *workspace, rel int, reqs []TopKRequest, out []TopKRes
 	probes := ws.probes[:n*lists]
 	col := 0
 	for p := range it.Parts {
-		cent := rowSource{rows: it.Parts[p].Centroids}
-		for lo := 0; lo < cent.rows.Rows; lo += scoreBlock {
-			m := min(scoreBlock, cent.rows.Rows-lo)
+		cent := it.Parts[p].Centroids
+		for lo := 0; lo < cent.Rows; lo += scoreBlock {
+			m := min(scoreBlock, cent.Rows-lo)
 			scores := v.scoreRows(ws, rel, tq, cent, lo, m, nil)
 			for i := 0; i < n; i++ {
 				mine := probes[i*lists+col:]
@@ -335,7 +333,7 @@ func (v *view) topKIVF(ws *workspace, rel int, reqs []TopKRequest, out []TopKRes
 // and offers each score row to its query's heap behind the threshold filter
 // (offerRow). A row is therefore read from the shard once per batch, not once
 // per probing query — where it lies in the mapping, unless it must be
-// dequantized or prepared first (scoreRows) — and the GEMM's register
+// prepared first (scoreRows) — and the GEMM's register
 // blocking re-uses it across four queries at a time. A batch of one is the
 // same code with one query row: a strip of one row, whose every cell is
 // bitwise vec.Dot, so its scores are bitwise model.Scorer.Score.
@@ -349,7 +347,7 @@ func (v *view) scanProbed(ws *workspace, rel int, tq vec.Matrix, cellEnd, cellQ 
 	cell, start := 0, int32(0)
 	for p := range parts {
 		base := int32(p * ent.PartSize())
-		src := v.ss.scanSource(dstType, p, false)
+		src := v.ss.Rows(dstType, p)
 		for _, ids := range parts[p].Lists {
 			qs := cellQ[start:cellEnd[cell]]
 			start = cellEnd[cell]

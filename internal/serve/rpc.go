@@ -107,7 +107,7 @@ type StatsReply struct {
 
 // --- Message encodings: each lists its fields once, in wire order (the
 // slices' minimum element sizes: a TopKRequest with an empty Vector is 33
-// bytes, a TopKResult with no ids 32, a ScoreRequest 16) ---
+// bytes, a TopKResult with no ids 24, a ScoreRequest 16) ---
 
 func (r *TopKRequest) fields(f *wire.Fields) {
 	f.Int(&r.Rel)
@@ -127,10 +127,9 @@ func (r *TopKResult) fields(f *wire.Fields) {
 	f.Floats(&r.Scores)
 	f.Int(&r.Scanned)
 	f.Int(&r.Probed)
-	f.Int(&r.Reranked)
 }
 
-func (r *TopKReply) fields(f *wire.Fields) { wire.Slice(f, &r.Results, 32, 0, (*TopKResult).fields) }
+func (r *TopKReply) fields(f *wire.Fields) { wire.Slice(f, &r.Results, 24, 0, (*TopKResult).fields) }
 
 func (r *ScoreRequest) fields(f *wire.Fields) { f.Int(&r.Rel); f.Int32(&r.Src); f.Int32(&r.Dst) }
 
@@ -155,9 +154,6 @@ func (r *StatsReply) fields(f *wire.Fields) {
 	f.Int64(&st.IndexBytes)
 	f.Int(&st.IndexLists)
 	f.Int64(&st.Requests)
-	f.String(&st.QuantCodec)
-	f.Int64(&st.QuantBytes)
-	f.Int(&st.QuantShards)
 }
 
 func (a TopKArgs) AppendWire(dst []byte) []byte   { return wire.Append(dst, a.fields) }

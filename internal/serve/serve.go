@@ -6,11 +6,13 @@
 // The layer is built from four pieces:
 //
 //   - ShardSet (shardset.go): a read-only view over the checkpoint's shard
-//     files. Each file's bytes pass storage.ParseLayout — the one
-//     description of the shard format — and rows are zero-copy slice views
-//     into them: into the page cache on platforms with mmap, into a private
-//     copy of the file elsewhere. A parity test pins that rows from both
-//     byte sources are bit-identical to storage.ReadShard's.
+//     files, as one row format, fp32. Each file's bytes pass
+//     storage.ParseLayout — the one description of the shard format — and a
+//     v1 file's rows are zero-copy slice views into them: into the page
+//     cache on platforms with mmap, into a private copy of the file
+//     elsewhere. A v2 (int8/fp16) file is decoded to fp32 rows once at
+//     open. A parity test pins that rows from both byte sources are
+//     bit-identical to storage.ReadShard's.
 //   - The batched scoring engine (engine.go): incoming requests are grouped
 //     per relation and each distinct question of a group is answered once
 //     (a batch of skewed traffic repeats its hot sources); query embeddings
@@ -19,8 +21,8 @@
 //     comparators (vec.MulABtRows underneath) by one block scorer, scoreRows.
 //     A block is read where it lies — a zero-copy sub-matrix of the mapped
 //     shard, or the rows an index list names — and materialised into pooled
-//     scratch only when something must be done to its bytes first:
-//     dequantisation, or a comparator whose Prepare is not the identity.
+//     scratch only when something must be done to its bytes first: a
+//     comparator whose Prepare is not the identity.
 //     Each score row is filtered against its top-K heap's root with one
 //     vector pass (vec.SelectGE) and only the survivors touch the heap.
 //   - An IVF approximate-nearest-neighbour index (ivf.go): the checkpoint's

@@ -28,24 +28,12 @@ type Config struct {
 	// parameter block (the reverse half is unused by forward serving but
 	// the checkpoint layout depends on it).
 	Reciprocal bool
-	// Rerank is the quantized-scan oversampling factor α: scans read
-	// int8/fp16 bytes whenever the checkpoint, or a sibling copy written by
-	// BuildQuant, provides them; a K-request then keeps ceil(α·K)
-	// quantized-scan survivors and re-scores those from fp32 when available.
-	// 0 means the default 3; values below 1 are clamped to 1 (no margin).
-	Rerank float64
 	// NProbe is the default IVF probe width (0 = DefaultNProbe of the
 	// destination type's list count).
 	NProbe int
 	// Obs receives serving metrics; nil installs a quiet hub.
 	Obs *obs.Hub
 }
-
-// DefaultRerank is the quantized-scan oversampling factor used when
-// Config.Rerank is 0. 3× is comfortably above the margin int8 error needs:
-// the parity matrix pins recall@10 ≥ 0.95 against the fp32 oracle at this
-// setting.
-const DefaultRerank = 3.0
 
 // view is one immutable serving snapshot: shards, relation parameters,
 // scorers, and (optionally) an IVF index. Requests acquire a reference for
@@ -66,7 +54,6 @@ type view struct {
 	srcType []int       // source entity-type index per relation
 	dstType []int       // destination entity-type index per relation
 	nprobe  int         // Config.NProbe; 0 resolves per destination type in topKIVF
-	rerank  float64     // resolved quantized-scan oversampling factor
 
 	// rawRows[r]: relation r's comparator scores rows as stored — its Prepare
 	// is the identity — so fp32 candidates are read where they lie (scoreRows).
@@ -127,14 +114,10 @@ type metrics struct {
 	stagePlan *obs.Histogram
 	stageScan *obs.Histogram
 
-	rowsReranked *obs.Counter
-
 	mappedBytes  *obs.Gauge
 	mappedShards *obs.Gauge
 	indexBytes   *obs.Gauge
 	indexLists   *obs.Gauge
-	quantBytes   *obs.Gauge
-	quantShards  *obs.Gauge
 }
 
 func bindMetrics(reg *obs.Registry) *metrics {
@@ -153,13 +136,10 @@ func bindMetrics(reg *obs.Registry) *metrics {
 		latScore:     reg.Histogram(`pbg_serve_latency_s{api="score"}`),
 		stagePlan:    reg.Histogram(`pbg_serve_stage_s{stage="plan"}`),
 		stageScan:    reg.Histogram(`pbg_serve_stage_s{stage="scan"}`),
-		rowsReranked: reg.Counter(`pbg_serve_rows_reranked_total`),
 		mappedBytes:  reg.Gauge(`pbg_serve_mapped_bytes`),
 		mappedShards: reg.Gauge(`pbg_serve_mapped_shards`),
 		indexBytes:   reg.Gauge(`pbg_serve_index_bytes`),
 		indexLists:   reg.Gauge(`pbg_serve_index_lists`),
-		quantBytes:   reg.Gauge(`pbg_serve_quant_bytes`),
-		quantShards:  reg.Gauge(`pbg_serve_quant_shards`),
 	}
 }
 
@@ -204,13 +184,7 @@ func (s *Server) loadView(dir string) (*view, error) {
 	if err != nil {
 		return nil, err
 	}
-	v := &view{ss: ss, nprobe: s.cfg.NProbe, rerank: s.cfg.Rerank}
-	if v.rerank == 0 {
-		v.rerank = DefaultRerank
-	}
-	if v.rerank < 1 {
-		v.rerank = 1
-	}
+	v := &view{ss: ss, nprobe: s.cfg.NProbe}
 	schema := s.cfg.Schema
 	nrel := len(schema.Relations)
 	v.scorers = make([]*model.Scorer, nrel)
@@ -287,8 +261,6 @@ func (s *Server) install(v *view) {
 func (s *Server) publishGauges(v *view) {
 	s.met.mappedBytes.Set(v.ss.Bytes())
 	s.met.mappedShards.Set(int64(v.ss.MappedShards()))
-	s.met.quantBytes.Set(v.ss.QuantBytes())
-	s.met.quantShards.Set(int64(v.ss.QuantShards()))
 	if v.ivf != nil {
 		s.met.indexBytes.Set(v.ivf.Bytes())
 		lists := 0
@@ -359,18 +331,6 @@ func (s *Server) BuildIndex(cfg IVFConfig) error {
 		return err
 	}
 	return s.Reload(s.dir)
-}
-
-// BuildQuant writes quantized sibling copies (storage.QuantShardPath) of
-// every fp32 shard in the served checkpoint under codec c, then hot-swaps a
-// view that scans them: subsequent TopK calls run the quantized-scan +
-// fp32-re-rank path. Serving continues on the old view throughout.
-func (s *Server) BuildQuant(c storage.Codec) error {
-	dir := s.Dir()
-	if err := storage.WriteQuantCopy(dir, s.cfg.Schema, c); err != nil {
-		return err
-	}
-	return s.Reload(dir)
 }
 
 // HasIndex reports whether the current view serves through an IVF index.
@@ -458,8 +418,8 @@ func (v *view) singleGroup(reqs []TopKRequest) (groupKey, bool) {
 // gets the answer with result slices of its own. Skewed traffic repeats its
 // hot sources inside a batch, and a repeated query costs a row of every GEMM
 // and a heap of its own for an answer the call already has. A duplicate's
-// Scanned, Probed and Reranked are its first asker's: what was scored for
-// that answer, not work done twice.
+// Scanned and Probed are its first asker's: what was scored for that answer,
+// not work done twice.
 func (v *view) topKGroup(ws *workspace, k groupKey, reqs []TopKRequest, out []TopKResult) {
 	ws.dedupe(reqs)
 	if cap(ws.uout) < len(ws.ureqs) {
@@ -474,7 +434,6 @@ func (v *view) topKGroup(ws *workspace, k groupKey, reqs []TopKRequest, out []To
 	for u := range uout {
 		ws.tally.scanned += uout[u].Scanned
 		ws.tally.probed += uout[u].Probed
-		ws.tally.reranked += uout[u].Reranked
 	}
 	ws.tally.deduped += len(reqs) - len(uout)
 	// Questions are numbered in order of first appearance, so the first
@@ -567,7 +526,6 @@ func (s *Server) TopK(reqs []TopKRequest) ([]TopKResult, error) {
 	s.met.rowsScored.Add(int64(t.scanned))
 	s.met.rowsGathered.Add(int64(t.gathered))
 	s.met.listsProbed.Add(int64(t.probed))
-	s.met.rowsReranked.Add(int64(t.reranked))
 	s.met.deduped.Add(int64(t.deduped))
 	ws.lap(&t.scan)
 	s.met.stagePlan.Observe(t.plan.Seconds())
@@ -697,19 +655,20 @@ func (s *Server) Rank(rel int, src, dst int32) (float64, error) {
 
 // Stats is a point-in-time summary of the serving state.
 type Stats struct {
-	Dir          string
+	Dir string
+	// MappedShards counts the shards served from a mapping (v1 files on a
+	// platform with mmap). MappedBytes is the fp32 row bytes of every shard,
+	// mapped or decoded at open.
 	MappedShards int
 	MappedBytes  int64
 	HasIndex     bool
 	IndexBytes   int64
 	IndexLists   int
 	Requests     int64
-	// QuantCodec names the quantized scan codec ("" when scans are fp32).
-	QuantCodec string
-	// QuantBytes is the quantized payload footprint; QuantShards counts
-	// shards with a quantized scan view.
-	QuantBytes  int64
-	QuantShards int
+	// QuantBytes is always 0: every shard is served as fp32 rows, counted in
+	// MappedBytes. It is not on the wire, and stays only while the benchmark
+	// module still reads it.
+	QuantBytes int64
 }
 
 // Stats reports the current view's footprint.
@@ -725,11 +684,6 @@ func (s *Server) Stats() (Stats, error) {
 		MappedBytes:  v.ss.Bytes(),
 		HasIndex:     v.ivf != nil,
 		Requests:     s.met.reqTopK.Value() + s.met.reqScore.Value() + s.met.reqRank.Value(),
-		QuantBytes:   v.ss.QuantBytes(),
-		QuantShards:  v.ss.QuantShards(),
-	}
-	if v.ss.QuantShards() > 0 {
-		st.QuantCodec = v.ss.QuantCodec().String()
 	}
 	if v.ivf != nil {
 		st.IndexBytes = v.ivf.Bytes()

@@ -105,64 +105,76 @@ func TestConcurrentMixedRequestsWithReload(t *testing.T) {
 
 // TestHotSwapNeverTearsAView reloads between two checkpoints with visibly
 // different embeddings while readers assert that every single response is
-// consistent with exactly one of the two checkpoints — never a mixture.
+// consistent with exactly one of the two checkpoints — never a mixture. The
+// second checkpoint is an fp32 (v1) directory, or the same model written
+// natively at int8 (v2), whose shards a reload decodes to fp32 rows.
 func TestHotSwapNeverTearsAView(t *testing.T) {
 	fA := Shared(t, FixtureConfig{Seed: 41})
 	fB := Shared(t, FixtureConfig{Seed: 42})
 	// Same geometry, different training seeds → same schema, different rows.
-	s := openServer(t, fA)
-	oracleA := fA.NewOracle(t)
-	oracleB := fB.NewOracle(t)
+	for _, c := range []struct {
+		name string
+		dirB string
+	}{
+		{"fp32", fB.Dir},
+		{"int8", fB.CheckpointAs(t, storage.CodecInt8)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := openServer(t, fA)
+			oracleA := fA.NewOracle(t)
+			oracleB := fixtureOracleAt(t, fB, c.dirB)
 
-	var flips atomic.Int64
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		dirs := []string{fB.Dir, fA.Dir}
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if err := s.Reload(dirs[i%2]); err != nil {
-				t.Errorf("reload: %v", err)
-				return
-			}
-			flips.Add(1)
-		}
-	}()
+			var flips atomic.Int64
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				dirs := []string{c.dirB, fA.Dir}
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if err := s.Reload(dirs[i%2]); err != nil {
+						t.Errorf("reload: %v", err)
+						return
+					}
+					flips.Add(1)
+				}
+			}()
 
-	// Probe until the reloader has demonstrably swapped a few times — the
-	// main goroutine can otherwise outrun the reloader's first iteration
-	// and the test would assert nothing. Deadline-bounded so a stuck
-	// reloader fails fast instead of hanging.
-	const minProbes = 200
-	deadline := time.Now().Add(20 * time.Second)
-	mismatches, probes := 0, 0
-	for i := 0; i < minProbes || (flips.Load() < 3 && time.Now().Before(deadline)); i++ {
-		probes++
-		src := int32(i % fA.Cfg.Nodes)
-		dst := int32((i*7 + 3) % fA.Cfg.Nodes)
-		got, err := s.Score([]serve.ScoreRequest{{Rel: 0, Src: src, Dst: dst}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		a := oracleA.Score(0, src, dst)
-		b := oracleB.Score(0, src, dst)
-		if got[0] != a && got[0] != b {
-			mismatches++
-		}
-	}
-	close(stop)
-	wg.Wait()
-	if mismatches > 0 {
-		t.Fatalf("%d of %d responses matched neither checkpoint — torn view", mismatches, probes)
-	}
-	if flips.Load() == 0 {
-		t.Fatal("reloader never completed a swap; test exercised nothing")
+			// Probe until the reloader has demonstrably swapped a few times —
+			// the main goroutine can otherwise outrun the reloader's first
+			// iteration and the test would assert nothing. Deadline-bounded so
+			// a stuck reloader fails fast instead of hanging.
+			const minProbes = 200
+			deadline := time.Now().Add(20 * time.Second)
+			mismatches, probes := 0, 0
+			for i := 0; i < minProbes || (flips.Load() < 3 && time.Now().Before(deadline)); i++ {
+				probes++
+				src := int32(i % fA.Cfg.Nodes)
+				dst := int32((i*7 + 3) % fA.Cfg.Nodes)
+				got, err := s.Score([]serve.ScoreRequest{{Rel: 0, Src: src, Dst: dst}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				a := oracleA.Score(0, src, dst)
+				b := oracleB.Score(0, src, dst)
+				if got[0] != a && got[0] != b {
+					mismatches++
+				}
+			}
+			close(stop)
+			wg.Wait()
+			if mismatches > 0 {
+				t.Fatalf("%d of %d responses matched neither checkpoint — torn view", mismatches, probes)
+			}
+			if flips.Load() == 0 {
+				t.Fatal("reloader never completed a swap; test exercised nothing")
+			}
+		})
 	}
 }
 
@@ -241,7 +253,7 @@ func TestServeMetrics(t *testing.T) {
 	}
 	// The stage split closes: planning (validation, query gather, dedupe,
 	// centroid scores, probe selection, inversion) and scanning (list scoring,
-	// selection, re-rank) account for the call.
+	// selection) account for the call.
 	lat := snap.Histograms[`pbg_serve_latency_s{api="topk"}`]
 	plan, scan := snap.Histograms[`pbg_serve_stage_s{stage="plan"}`], snap.Histograms[`pbg_serve_stage_s{stage="scan"}`]
 	if plan.Count != lat.Count || scan.Count != lat.Count || plan.Sum <= 0 || scan.Sum <= 0 {

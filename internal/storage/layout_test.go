@@ -25,7 +25,7 @@ func seededShard() *Shard {
 
 // TestShardBytesMatchParentCommit pins WriteShardCodec's output for the
 // seeded shard to the SHA-256 of what the commit before Layout existed
-// (4930a5f) wrote for it, so every checkpoint, .q.pbg sibling and durable
+// (4930a5f) wrote for it, so every checkpoint and durable
 // partition-server directory written before this format description was
 // centralised keeps loading — and to Layout.Encode, the wire's form of the
 // same bytes.

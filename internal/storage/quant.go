@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"pbg/internal/graph"
 	"pbg/internal/vec"
@@ -234,42 +233,6 @@ func readQuantI8Rows(r io.Reader, s *Shard, scales []float32) error {
 			q[i] = int8(b)
 		}
 		vec.DequantI8(s.Row(row), q, scales[row])
-	}
-	return nil
-}
-
-// QuantShardPath is the on-disk location of the quantized sibling copy of
-// shard (t, p) — the scan-side companion a serving process maps next to a
-// full-precision checkpoint (see WriteQuantCopy). Training never touches
-// these files.
-func QuantShardPath(dir string, t, p int) string {
-	return filepath.Join(dir, fmt.Sprintf("shard_t%d_p%d.q.pbg", t, p))
-}
-
-// WriteQuantCopy writes a quantized sibling (QuantShardPath) of every shard
-// in the checkpoint at dir, for the serving layer's quantized-scan +
-// fp32-re-rank path: candidate generation scans the small sibling, and only
-// surviving rows are re-scored from the untouched fp32 originals. The
-// source shards must be fp32 (v1) — quantizing an already-quantized
-// checkpoint would silently stack two rounds of error, so that is an error
-// instead.
-func WriteQuantCopy(dir string, schema *graph.Schema, c Codec) error {
-	if c == CodecFP32 {
-		return fmt.Errorf("storage: quant copy needs a quantized codec, got fp32")
-	}
-	for t := range schema.Entities {
-		for p := 0; p < schema.Entities[t].NumPartitions; p++ {
-			sh, src, err := ReadShardCodec(ShardPath(dir, t, p))
-			if err != nil {
-				return fmt.Errorf("storage: quant copy source (%d,%d): %w", t, p, err)
-			}
-			if src != CodecFP32 {
-				return fmt.Errorf("storage: shard (%d,%d) is already %v; quant copies need fp32 sources", t, p, src)
-			}
-			if err := WriteShardCodec(QuantShardPath(dir, t, p), sh, c); err != nil {
-				return err
-			}
-		}
 	}
 	return nil
 }

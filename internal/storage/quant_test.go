@@ -208,73 +208,6 @@ func TestReadShardRejectsHostileHeaders(t *testing.T) {
 	}
 }
 
-func TestWriteQuantCopy(t *testing.T) {
-	dir := t.TempDir()
-	schema := testSchema(t)
-	st := newTestDisk(t, dir, schema, 8, 5, 1)
-	for tIdx := range schema.Entities {
-		for p := 0; p < schema.Entities[tIdx].NumPartitions; p++ {
-			if _, err := st.Acquire(tIdx, p); err != nil {
-				t.Fatal(err)
-			}
-			if err := st.Release(tIdx, p); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := WriteQuantCopy(dir, schema, CodecFP32); err == nil {
-		t.Fatal("fp32 quant copy must be rejected")
-	}
-	if err := WriteQuantCopy(dir, schema, CodecInt8); err != nil {
-		t.Fatal(err)
-	}
-	for tIdx := range schema.Entities {
-		for p := 0; p < schema.Entities[tIdx].NumPartitions; p++ {
-			orig, oc, err := ReadShardCodec(ShardPath(dir, tIdx, p))
-			if err != nil || oc != CodecFP32 {
-				t.Fatalf("source (%d,%d): codec %v err %v", tIdx, p, oc, err)
-			}
-			q, qc, err := ReadShardCodec(QuantShardPath(dir, tIdx, p))
-			if err != nil {
-				t.Fatalf("sibling (%d,%d): %v", tIdx, p, err)
-			}
-			if qc != CodecInt8 {
-				t.Fatalf("sibling codec %v", qc)
-			}
-			for row := 0; row < orig.Count; row++ {
-				bound := float64(vec.I8RowScale(orig.Row(row)))/2*(1+1e-6) + 1e-30
-				for i := range orig.Row(row) {
-					if d := math.Abs(float64(orig.Row(row)[i]) - float64(q.Row(row)[i])); d > bound {
-						t.Fatalf("sibling (%d,%d) row %d: error %g > %g", tIdx, p, row, d, bound)
-					}
-				}
-			}
-		}
-	}
-
-	// Quantizing a directory that is already quantized must refuse rather
-	// than stack a second round of error.
-	dir2 := t.TempDir()
-	st2 := newTestDisk(t, dir2, schema, 8, 5, 1)
-	st2.SetCodec(CodecFP16)
-	if _, err := st2.Acquire(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := st2.Release(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := st2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteQuantCopy(dir2, schema, CodecInt8); err == nil {
-		t.Fatal("quant copy over a quantized checkpoint must be rejected")
-	}
-}
-
 // copyShard returns a private copy of s: a released shard's buffers are the
 // cache's to reuse for the next load.
 func copyShard(s *Shard) *Shard {

@@ -111,11 +111,15 @@ type Config struct {
 	// (DiskStore via SetCodec): "fp32" (default), "fp16", or "int8" — see
 	// storage.ParseCodec for accepted spellings. The codec also reprices
 	// every budget consumer (admission, the prefetch depth's window
-	// projections, the planned order's buffer slots), so a 2–4× smaller codec
+	// projections, the planned order's buffer slots), so a smaller codec
 	// deepens the lookahead window and widens the partition buffer at the same
-	// MemBudgetBytes. Adagrad state stays fp32 under every codec; fp16
-	// loses embedding bits to rounding and int8 to per-row scaling, with
-	// the MRR cost of each pinned by the servetest parity matrix.
+	// MemBudgetBytes. int8 is the codec that pays for itself: on an
+	// out-of-core run it fits more partitions in the budget and swaps less.
+	// fp16 trained slower than fp32 on the same run, its encode costing more
+	// than the swaps it saves. Adagrad state stays fp32 under every codec;
+	// int8 loses embedding bits to per-row scaling and fp16 to rounding, with
+	// the MRR cost of each pinned by TestCodecEvalParityMatrix in
+	// internal/serve.
 	Codec string
 	// Obs is the observability hub the trainer records metrics and spans
 	// into (see internal/obs); it is also plumbed into stores that expose

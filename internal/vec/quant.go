@@ -1,6 +1,5 @@
-// Quantization kernels for the compressed shard codecs (internal/storage)
-// and the serving layer's quantized-scan path (internal/serve). Two
-// encodings are supported:
+// Quantization kernels for the compressed shard codecs (internal/storage).
+// Two encodings are supported:
 //
 //   - fp16: IEEE 754 binary16 with round-to-nearest-even. Encoding never
 //     produces an infinity — float32 values past the half range (including
@@ -12,10 +11,6 @@
 //     [-127, 127] with scale = maxabs(row)/127, so dequantization error is
 //     bounded by scale/2 = maxabs/254 per element. An all-zero row encodes
 //     with scale 0 and decodes to exact zeros.
-//
-// The batch kernels are the serving scan's inner loop: DequantF16 and
-// DequantI8 expand a quantized candidate block into fp32 scratch that the
-// comparator GEMMs then score, so their cost is paid once per scanned row.
 package vec
 
 import "math"
@@ -111,19 +106,6 @@ func F16Value(h uint16) float32 {
 	}
 }
 
-// DequantF16 decodes src into dst elementwise via F16Value. Lengths must
-// match. This is the fp16 serving scan's row-expansion kernel.
-//
-//pbg:hotpath
-func DequantF16(dst []float32, src []uint16) {
-	if len(dst) != len(src) {
-		panic("vec: DequantF16 length mismatch")
-	}
-	for i, h := range src {
-		dst[i] = F16Value(h)
-	}
-}
-
 // I8RowScale returns the per-row int8 quantization scale maxabs(row)/127.
 // An all-zero row (or an empty one) returns 0, which QuantI8/DequantI8
 // treat as "the row is exactly zero". Non-finite elements saturate the
@@ -176,7 +158,7 @@ func QuantI8(dst []int8, src []float32, scale float32) {
 }
 
 // DequantI8 decodes src into dst as float32(q)·scale. Lengths must match.
-// This is the int8 serving scan's row-expansion kernel.
+// It is the int8 shard decoder's row kernel.
 //
 //pbg:hotpath
 func DequantI8(dst []float32, src []int8, scale float32) {

@@ -235,15 +235,14 @@ func TestQuantBatchKernels(t *testing.T) {
 		for i := range src {
 			src[i] = float32(rng.NormFloat64())
 		}
-		h := make([]uint16, n)
-		for i, x := range src {
-			h[i] = F16Bits(x)
-		}
+		scale := I8RowScale(src)
+		q := make([]int8, n)
+		QuantI8(q, src, scale)
 		out := make([]float32, n)
-		DequantF16(out, h)
+		DequantI8(out, q, scale)
 		for i := range src {
-			if out[i] != F16Value(h[i]) {
-				t.Fatalf("batch f16 kernel diverges from scalar at %d", i)
+			if out[i] != float32(q[i])*scale {
+				t.Fatalf("batch int8 kernel diverges from scalar at %d", i)
 			}
 		}
 	}
