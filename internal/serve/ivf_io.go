@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 
 	"pbg/internal/graph"
+	"pbg/internal/storage"
 	"pbg/internal/vec"
 )
 
@@ -35,70 +36,49 @@ const (
 // IndexPath returns the IVF index path inside a checkpoint directory.
 func IndexPath(dir string) string { return filepath.Join(dir, "ivf.pbg") }
 
-// WriteIVF persists the index atomically (temp file + rename), like the
-// shard writer: a crashed write never leaves a half-index that a reload
-// would then trust.
+// WriteIVF persists the index atomically through storage's one writer
+// (storage.WriteFileBuffered), under the shard files' crash model: a process
+// crash leaves the old index or the new one, never a half-index that a
+// reload would then trust. Power loss is not covered.
 func WriteIVF(path string, idx *IVF) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".ivf-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	w := bufio.NewWriterSize(tmp, 1<<20)
-
-	ntypes := 0
-	for _, it := range idx.Types {
-		if it != nil {
-			ntypes++
+	return storage.WriteFileBuffered(path, func(w *bufio.Writer) error {
+		ntypes := 0
+		for _, it := range idx.Types {
+			if it != nil {
+				ntypes++
+			}
 		}
-	}
-	if err := writeU32s(w, ivfMagic, ivfVersion, uint32(idx.Dim), uint32(ntypes)); err != nil {
-		_ = tmp.Close()
-		return err
-	}
-	for t, it := range idx.Types {
-		if it == nil {
-			continue
-		}
-		if err := writeU32s(w, uint32(t), uint32(len(it.Parts))); err != nil {
-			_ = tmp.Close()
+		if err := writeU32s(w, ivfMagic, ivfVersion, uint32(idx.Dim), uint32(ntypes)); err != nil {
 			return err
 		}
-		for _, p := range it.Parts {
-			if err := writeU32s(w, uint32(len(p.Lists))); err != nil {
-				_ = tmp.Close()
+		for t, it := range idx.Types {
+			if it == nil {
+				continue
+			}
+			if err := writeU32s(w, uint32(t), uint32(len(it.Parts))); err != nil {
 				return err
 			}
-			if err := writeFloats(w, p.Centroids.Data); err != nil {
-				_ = tmp.Close()
-				return err
-			}
-			for _, l := range p.Lists {
-				if err := writeU32s(w, uint32(len(l))); err != nil {
-					_ = tmp.Close()
+			for _, p := range it.Parts {
+				if err := writeU32s(w, uint32(len(p.Lists))); err != nil {
 					return err
 				}
-				for _, id := range l {
-					if err := writeU32s(w, uint32(id)); err != nil {
-						_ = tmp.Close()
+				if err := writeFloats(w, p.Centroids.Data); err != nil {
+					return err
+				}
+				for _, l := range p.Lists {
+					if err := writeU32s(w, uint32(len(l))); err != nil {
 						return err
+					}
+					for _, id := range l {
+						if err := writeU32s(w, uint32(id)); err != nil {
+							return err
+						}
 					}
 				}
 			}
 		}
-	}
-	if err := w.Flush(); err != nil {
-		_ = tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+		return nil
+	})
 }
 
 // ReadIVF loads and validates an index against the schema geometry it will

@@ -92,6 +92,9 @@ type cacheEntry struct {
 	// or a retained shard whose write landed with no Acquire in between.
 	// Clean entries evict without any I/O. Acquire clears the flag.
 	clean bool
+	// hinted marks a pending hint: a prefetch not yet acquired, or a cached
+	// shard hinted again. No hint evicts it. Acquire clears the flag.
+	hinted bool
 	// gen counts the Acquires that handed this shard out. A write remembers
 	// the value it started at and marks the entry clean only if it lands at
 	// the same one: a shard that was revived, mutated and released while its
@@ -117,14 +120,21 @@ func (e *cacheEntry) dirty() bool { return e.shard != nil && !e.clean }
 // writing reports whether a Store of e's shard is in flight.
 func (e *cacheEntry) writing() bool { return e.writeDone != nil }
 
+// idleClean reports whether e may leave memory to admit a hint: nobody
+// references or awaits it, no load or write of it is in flight, it is
+// identical to its durable copy, and no hint is pending on it.
+func (e *cacheEntry) idleClean() bool {
+	return e.refs == 0 && e.ready == nil && e.waiters == 0 && e.clean && !e.writing() && !e.hinted
+}
+
 // CacheMetrics are the registry series a Cache publishes. Each owner binds
 // them under its own historical names (pbg_storage_* for DiskStore,
 // pbg_dist_* for the partition-server checkout cache); IOStats reads the
 // cache's own per-instance counts, never these, so it stays exact when
 // several in-process caches share one registry.
 type CacheMetrics struct {
-	Loads, Writes, Admits, Sheds, ForcedEvicts, CleanWaits *obs.Counter
-	Resident, Dirty                                        *obs.Gauge
+	Loads, Writes, Reused, Admits, Sheds, ForcedEvicts, CleanWaits *obs.Counter
+	Resident, Dirty                                                *obs.Gauge
 }
 
 // IOStats is a Cache's cumulative I/O and memory-budget accounting. The
@@ -139,14 +149,19 @@ type IOStats struct {
 	// of a cache that retains nothing. Flush's checkpoint writes are not
 	// counted.
 	Writes int64
+	// ReusedWrites counts backend stores — write-backs and Flush's alike —
+	// that rewrote a spare image in place instead of writing a fresh file
+	// (DiskStore; see replaceFile).
+	ReusedWrites int64
 	// Admits counts loads that passed the admission check while a budget
 	// was set (prefetch hints and must-have Acquires both count).
 	Admits int64
 	// PrefetchSheds counts prefetch hints the budget refused: dropped at
 	// Prefetch time, or shed from the pool queue before their load started.
 	PrefetchSheds int64
-	// ForcedEvicts counts unreferenced shards evicted to make room for a
-	// must-have Acquire (LRU by last release; a dirty one is written first).
+	// ForcedEvicts counts unreferenced shards evicted to make room: for a
+	// must-have Acquire (LRU by last release; a dirty one is written first),
+	// or for a hint (an idle clean shard no hint is pending on, LRU first).
 	ForcedEvicts int64
 	// CleanWaits counts Acquires that had to wait for a write: a must-have
 	// whose victim was still dirty or mid-write, or a revival of a shard
@@ -171,14 +186,17 @@ type IOStats struct {
 //
 // SetMaxResidentBytes turns the cache into a memory-budgeted one: admission
 // accounting (resident shards + in-flight load projections) is enforced
-// against the budget — prefetch hints that don't fit are dropped or shed,
-// and a released shard stays resident and dirty while it fits, with no
-// write at all. A must-have Acquire evicts unreferenced shards LRU-first: a
-// clean one for free, a dirty one once its write has landed (waiting for
-// in-flight I/O when that is the only way to free memory). To keep that
-// write off the must-have's path, a hint the budget refuses — the sign that
-// the next miss will need a victim — starts the write of the LRU victim
-// ahead of need, at most one at a time. Flush and Drain write what is dirty.
+// against the budget, and a released shard stays resident and dirty while
+// it fits, with no write at all. A must-have Acquire evicts unreferenced
+// shards LRU-first: a clean one for free, a dirty one once its write has
+// landed (waiting for in-flight I/O when that is the only way to free
+// memory). A prefetch hint that does not fit evicts idle clean shards, LRU
+// first, but never a pending hint — hints never displace hints — and is
+// shed only when that cannot make it fit. To keep writes off the
+// must-have's path, a hint the budget refuses — the sign that the next miss
+// will need a victim — starts the write of the LRU victim ahead of need, at
+// most one at a time; once it lands, that victim is clean for the next
+// hint. Flush and Drain write what is dirty.
 // Only a must-have whose working set simply cannot fit runs over budget.
 // What a crash loses is therefore what was trained on resident shards since
 // the last Flush or Drain; shard files are replaced atomically, so the
@@ -349,10 +367,11 @@ func (c *Cache) bumpUseLocked() int64 {
 
 // Prefetch implements Store: it starts loading shard (t,p) on the background
 // pool so a later Acquire finds it resident. It never blocks on I/O, takes
-// no reference, and is a no-op when the shard is already cached, loading, or
-// mid-write (an Acquire revives the latter without touching the backend).
-// Under a memory budget a hint that does not fit is dropped — hints are
-// advisory, so the budget sheds them rather than evicting for them.
+// no reference, and loads nothing when the shard is already cached, loading,
+// or mid-write (an Acquire revives the latter without touching the backend);
+// such a shard is marked as a pending hint. Under a memory budget hints are
+// advisory: one that does not fit may evict only idle clean shards no hint
+// is pending on (roomForHintLocked), and is shed when that is not enough.
 func (c *Cache) Prefetch(t, p int) {
 	k := shardKey{t, p}
 	c.mu.Lock()
@@ -360,13 +379,14 @@ func (c *Cache) Prefetch(t, p int) {
 		c.mu.Unlock()
 		return
 	}
-	if _, ok := c.cache[k]; ok {
+	if e, ok := c.cache[k]; ok {
+		e.hinted = true
 		c.mu.Unlock()
 		return
 	}
 	size := c.shardBytes(t, p)
 	if c.maxResident > 0 {
-		if c.accountedLocked()+size > c.maxResident {
+		if !c.roomForHintLocked(size) {
 			c.countLocked(&c.stats.PrefetchSheds, c.m.Sheds)
 			c.cleanAheadLocked()
 			c.mu.Unlock()
@@ -374,11 +394,43 @@ func (c *Cache) Prefetch(t, p int) {
 		}
 		c.countLocked(&c.stats.Admits, c.m.Admits)
 	}
-	e := &cacheEntry{ready: make(chan struct{}), size: size, queued: true, lastUse: c.bumpUseLocked()}
+	e := &cacheEntry{ready: make(chan struct{}), size: size, queued: true, hinted: true, lastUse: c.bumpUseLocked()}
 	e.span = c.obs.Trace.Start("storage", fmt.Sprintf("prefetch t%d p%d", t, p))
 	c.cache[k] = e
 	c.mu.Unlock()
 	c.submit(func() { c.prefetchLoad(k, e) })
+}
+
+// roomForHintLocked makes a hint of size bytes fit the budget by evicting
+// idle clean shards no hint is pending on (cacheEntry.idleClean), least
+// recently used first, and reports whether it fits. It evicts nothing when
+// all of them together would not make room.
+func (c *Cache) roomForHintLocked(size int64) bool {
+	over := c.accountedLocked() + size - c.maxResident
+	if over <= 0 {
+		return true
+	}
+	for _, e := range c.cache {
+		if e.idleClean() {
+			over -= e.size
+		}
+	}
+	if over > 0 {
+		return false
+	}
+	for c.accountedLocked()+size > c.maxResident {
+		var victimK shardKey
+		var victim *cacheEntry
+		for k, e := range c.cache {
+			if e.idleClean() && (victim == nil || e.lastUse < victim.lastUse) {
+				victimK, victim = k, e
+			}
+		}
+		c.dropLocked(victimK, victim)
+		c.countLocked(&c.stats.ForcedEvicts, c.m.ForcedEvicts)
+	}
+	c.updateResidentLocked()
+	return true
 }
 
 // prefetchLoad runs an admitted hint on the pool. Admission is re-checked
@@ -518,7 +570,7 @@ func (c *Cache) Acquire(t, p int) (*Shard, error) {
 		}
 		e.refs++
 		e.gen++
-		e.clean = false
+		e.clean, e.hinted = false, false
 		sh := e.shard
 		// A write may be storing these buffers outside the lock: wait for it
 		// before the caller may mutate them.
@@ -805,6 +857,14 @@ func (c *Cache) wait() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ioErr
+}
+
+// countReused records a backend store that rewrote a spare in place; the
+// files backend calls it (DiskStore).
+func (c *Cache) countReused() {
+	c.mu.Lock()
+	c.countLocked(&c.stats.ReusedWrites, c.m.Reused)
+	c.mu.Unlock()
 }
 
 // IOStats reports this cache's cumulative I/O counts and memory-budget

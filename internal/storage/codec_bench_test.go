@@ -31,6 +31,44 @@ func BenchmarkShardWrite(b *testing.B) {
 	}
 }
 
+// BenchmarkShardWriteBack is one DiskStore write-back at social_ooc's
+// shard shape (3 000 × 128 fp32 plus the accumulator, ~1.55 MB): fresh
+// writes a new preallocated temp file per write and renames it over the
+// shard, as every write did before write-backs kept spares; reused rewrites
+// the spare the previous write displaced and publishes it, the steady state
+// of a budgeted run.
+func BenchmarkShardWriteBack(b *testing.B) {
+	sh := NewShard(0, 0, 3000, 128)
+	sh.Init(rng.New(1), 1)
+	for _, mode := range []struct {
+		name  string
+		spare bool
+	}{{"fresh", false}, {"reused", true}} {
+		b.Run(mode.name, func(b *testing.B) {
+			path := filepath.Join(b.TempDir(), "shard_t0_p0.pbg")
+			reused := 0
+			write := func() {
+				r, err := writeShard(path, sh, CodecFP32, mode.spare)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if r {
+					reused++
+				}
+			}
+			write()
+			write() // the displaced image is the first spare
+			reused = 0
+			b.SetBytes(sh.Bytes())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				write()
+			}
+			b.ReportMetric(float64(reused)/float64(b.N), "reused/op")
+		})
+	}
+}
+
 func BenchmarkShardRead(b *testing.B) {
 	sh := benchShard()
 	path := filepath.Join(b.TempDir(), "s.pbg")

@@ -19,6 +19,9 @@ type shardFiles struct {
 	seed   uint64
 	scale  float32
 	codec  Codec
+	// reused, when set, is told of every Store that rewrote the shard's
+	// spare in place (Cache.countReused).
+	reused func()
 }
 
 // Load reads shard (t,p)'s file into spare when it is large enough,
@@ -47,9 +50,15 @@ func (f *shardFiles) Load(t, p int, spare *Shard) (*Shard, error) {
 	return sh, nil
 }
 
-// Store writes sh to its file atomically (temp file + rename).
+// Store writes sh to its file atomically, keeping the image it displaces as
+// the shard's spare and rewriting the spare the previous Store kept, when
+// it may (replaceFile).
 func (f *shardFiles) Store(sh *Shard) error {
-	return WriteShardCodec(ShardPath(f.dir, sh.TypeIndex, sh.Part), sh, f.codec)
+	reused, err := writeShard(ShardPath(f.dir, sh.TypeIndex, sh.Part), sh, f.codec, true)
+	if reused && f.reused != nil {
+		f.reused()
+	}
+	return err
 }
 
 // DiskStore persists shards under dir and keeps only referenced (or
@@ -65,35 +74,42 @@ type DiskStore struct {
 }
 
 // NewDiskStore creates a disk-backed store rooted at dir. A process killed
-// in the middle of a shard write leaves its temp file behind, preallocated
-// to a whole shard; the directory is the store's alone, so any file named
-// like one (shard_t<T>_p<P>.pbg.tmp<N>) is an orphan and is removed here.
+// in the middle of a shard write leaves its temp files behind, preallocated
+// to a whole shard, and every store that did not reach Close leaves its
+// spares; the directory is the store's alone, so any file named like one
+// (shard_t<T>_p<P>.pbg.tmp<N>, shard_t<T>_p<P>.pbg.spare) is an orphan and
+// is removed here.
 func NewDiskStore(dir string, schema *graph.Schema, dim int, seed uint64, initScale float32) (*DiskStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	if err := removeOrphanTemps(dir); err != nil {
+	if err := removeMatching(dir, shardLeftover); err != nil {
 		return nil, err
 	}
 	files := &shardFiles{dir: dir, schema: schema, dim: dim, seed: seed, scale: initScale}
-	return &DiskStore{Cache: NewCache(files, WriteBack, schema, dim, newDiskMetrics), files: files}, nil
+	c := NewCache(files, WriteBack, schema, dim, newDiskMetrics)
+	files.reused = c.countReused
+	return &DiskStore{Cache: c, files: files}, nil
 }
 
-// shardTempName matches exactly the temp files writeFileAtomic creates for
-// ShardPath targets.
-var shardTempName = regexp.MustCompile(`^shard_t[0-9]+_p[0-9]+\.pbg\.tmp[0-9]+$`)
+// shardLeftover matches exactly the temp files replaceFile creates for
+// ShardPath targets and the spares it keeps beside them; shardSpare the
+// spares alone.
+var (
+	shardLeftover = regexp.MustCompile(`^shard_t[0-9]+_p[0-9]+\.pbg\.(tmp[0-9]+|spare)$`)
+	shardSpare    = regexp.MustCompile(`^shard_t[0-9]+_p[0-9]+\.pbg\.spare$`)
+)
 
-// removeOrphanTemps deletes the shard temp files left in dir by a writer
-// that never reached its rename.
-func removeOrphanTemps(dir string) error {
+// removeMatching deletes the regular files of dir whose names match re.
+func removeMatching(dir string, re *regexp.Regexp) error {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return err
 	}
 	for _, e := range ents {
-		if e.Type().IsRegular() && shardTempName.MatchString(e.Name()) {
+		if e.Type().IsRegular() && re.MatchString(e.Name()) {
 			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil && !os.IsNotExist(err) {
-				return fmt.Errorf("storage: remove orphan temp file: %w", err)
+				return fmt.Errorf("storage: remove %s: %w", e.Name(), err)
 			}
 		}
 	}
@@ -104,6 +120,7 @@ func newDiskMetrics(reg *obs.Registry) CacheMetrics {
 	return CacheMetrics{
 		Loads:        reg.Counter("pbg_storage_loads_total"),
 		Writes:       reg.Counter("pbg_storage_writebacks_total"),
+		Reused:       reg.Counter("pbg_storage_writeback_reused_total"),
 		Admits:       reg.Counter("pbg_storage_admits_total"),
 		Sheds:        reg.Counter("pbg_storage_prefetch_sheds_total"),
 		ForcedEvicts: reg.Counter("pbg_storage_forced_evicts_total"),
@@ -119,10 +136,10 @@ func newDiskMetrics(reg *obs.Registry) CacheMetrics {
 // ProjectedShardBytesCodec instead of fp32 bytes, so a 2–4× smaller codec
 // directly admits 2–4× more shards (and a wider prefetch lookahead) at the
 // same SetMaxResidentBytes budget. The budget is thus an I/O-footprint
-// cost model: the store's steady state is quantized bytes on disk and in
-// cache-pricing terms, with the decoded fp32 working copies of the
-// currently-trained bucket living transiently above it — exactly the
-// shards a trainer holds references to, which no budget may evict anyway.
+// cost model, not a memory one: every resident shard — held, retained
+// dirty or clean, or prefetched — is decoded fp32 in memory while the
+// budget prices it at codec bytes, so real memory runs up to the fp32 ÷
+// codec ratio (~2× fp16, ~3.8× int8 at dim 128) above the budget.
 //
 // Like SetObs, call it once before the store's first Prefetch/Acquire;
 // reads transparently decode whatever codec each file already is, so a
@@ -141,12 +158,28 @@ func (d *DiskStore) Codec() Codec {
 	return d.files.codec
 }
 
+// Flush implements Store: the cache's Flush, after which the directory is a
+// checkpoint — the shard files and nothing of the store's own — so the
+// spares the write-backs kept are removed. The next write-back of each shard
+// writes a fresh file again and keeps a new spare.
+func (d *DiskStore) Flush() error {
+	err := d.Cache.Flush()
+	if serr := removeMatching(d.files.dir, shardSpare); err == nil {
+		err = serr
+	}
+	return err
+}
+
 // Close implements Store: persist everything still resident, then reject
-// further background work and wait out what is in flight.
+// further background work, wait out what is in flight, and leave the
+// directory holding the shard files alone.
 func (d *DiskStore) Close() error {
-	err := d.Flush()
+	err := d.Cache.Flush()
 	if cerr := d.Cache.Close(); err == nil {
 		err = cerr
+	}
+	if serr := removeMatching(d.files.dir, shardLeftover); err == nil {
+		err = serr
 	}
 	return err
 }

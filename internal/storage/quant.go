@@ -86,15 +86,22 @@ func ProjectedShardBytesCodec(schema *graph.Schema, dim, t, p int, c Codec) int6
 // The temp file is preallocated to the image's Layout.Size before it is
 // written. A process crash leaves path holding the old image or the new
 // one; power loss is not covered (it does not fsync), and pages that never
-// reached the disk read back as zeros — see writeFileAtomic.
+// reached the disk read back as zeros — see replaceFile.
 func WriteShardCodec(path string, s *Shard, c Codec) error {
+	_, err := writeShard(path, s, c, false)
+	return err
+}
+
+// writeShard is WriteShardCodec through replaceFile, keeping the displaced
+// image as path's spare when spare is set (a DiskStore write-back).
+func writeShard(path string, s *Shard, c Codec, spare bool) (reused bool, err error) {
 	l := LayoutOf(s, c)
 	if c == CodecFP32 && hostLittleEndian {
 		// The image is a header and two blocks that already are their bytes:
 		// three writes straight to the file, nothing to buffer.
-		return writeFileAtomic(path, l.Size(), func(f *os.File) error { return l.EncodeTo(f, s) })
+		return replaceFile(path, l.Size(), spare, func(f *os.File) error { return l.EncodeTo(f, s) })
 	}
-	return writeFileAtomic(path, l.Size(), buffered(func(w *bufio.Writer) error { return l.EncodeTo(w, s) }))
+	return replaceFile(path, l.Size(), spare, buffered(func(w *bufio.Writer) error { return l.EncodeTo(w, s) }))
 }
 
 // WriteFileAtomic replaces path with b: it writes a temporary file of a
@@ -103,7 +110,7 @@ func WriteShardCodec(path string, s *Shard, c Codec) error {
 // never a torn file. A shard image that has passed ParseLayout written this
 // way is the file WriteShardCodec would write for the shard it decodes to.
 // It does not fsync: power loss is not covered, and pages that never
-// reached the disk read back as zeros (see writeFileAtomic).
+// reached the disk read back as zeros (see replaceFile).
 func WriteFileAtomic(path string, b []byte) error {
 	return writeFileAtomic(path, int64(len(b)), func(f *os.File) error {
 		_, err := f.Write(b)

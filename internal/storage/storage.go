@@ -22,8 +22,9 @@
 //     shards while the current bucket trains.
 //   - Cache.SetMaxResidentBytes(n) turns the store into a memory-budgeted
 //     shard cache: resident shards and in-flight load projections are
-//     accounted against n — hints that don't fit are dropped or shed
-//     (youngest queued hint first), a released shard stays resident —
+//     accounted against n — a hint that doesn't fit evicts idle clean
+//     shards no hint is pending on, and is dropped or shed (youngest queued
+//     hint first) when that cannot make room, a released shard stays resident —
 //     dirty, unwritten — while it fits, must-have Acquires evict
 //     unreferenced shards LRU-by-last-release (a dirty one is written
 //     first), and only a working set that simply cannot fit runs over
@@ -39,8 +40,10 @@
 // Cache.IOStats reports the resulting decisions as cumulative per-cache
 // counters: Loads and Writes are the raw backend I/O; Admits counts loads
 // that passed budget admission; PrefetchSheds counts hints the budget
-// refused; ForcedEvicts counts shards evicted to make room for a must-have;
-// CleanWaits counts Acquires that had to wait for a write. The budget_aware
+// refused; ForcedEvicts counts shards evicted to make room for a must-have
+// or a hint; CleanWaits counts Acquires that had to wait for a write;
+// ReusedWrites counts DiskStore writes that rewrote a spare image in place
+// (replace.go). The budget_aware
 // bucket order (internal/partition) exists to drive ForcedEvicts toward
 // zero by sequencing buckets so the cache's working set turns over as
 // little as possible.
@@ -57,7 +60,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"pbg/internal/graph"
@@ -164,52 +166,6 @@ func (s *Shard) Bytes() int64 {
 // actually held.
 func ProjectedShardBytes(schema *graph.Schema, dim, t, p int) int64 {
 	return ProjectedShardBytesCodec(schema, dim, t, p, CodecFP32)
-}
-
-// tmpSeq distinguishes concurrent temp files targeting the same path (e.g. a
-// Flush racing an async write-back of the same shard): each writer renames
-// its own complete temp file, so the destination is always a whole shard.
-var tmpSeq atomic.Uint64
-
-// writeFileAtomic writes the output of emit to path via a unique temp file +
-// rename. emit gets the file itself; writers of many small pieces wrap it
-// with buffered. size is the number of bytes emit will write (≤ 0 when the
-// caller does not know): the temp file's blocks are reserved for that many
-// bytes before emit runs (preallocate), without changing its length, so the
-// file is always exactly what emit wrote. On Linux's ext4 this is what keeps
-// a rename over an existing file from allocating and starting the writeback
-// of the temp file's delayed blocks inside rename(2) — the replace-via-rename
-// heuristic — which would otherwise cost more than the write itself.
-//
-// The crash model: a process crash at any point leaves path holding the old
-// image or the new one, never a torn file. Power loss is not covered — it
-// does not fsync — so after one, pages of the new file that never reached
-// the disk read back as zeros. (On ext4 in data=ordered mode the heuristic
-// above used to flush the data before the rename by accident; preallocated
-// files do not take that path.)
-func writeFileAtomic(path string, size int64, emit func(f *os.File) error) error {
-	tmp := fmt.Sprintf("%s.tmp%d", path, tmpSeq.Add(1))
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("storage: create %s: %w", tmp, err)
-	}
-	preallocate(f, size)
-	if err := emit(f); err != nil {
-		_ = f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		// Remove the orphan: temp names are unique per attempt, so leaked
-		// files would otherwise accumulate across retries.
-		os.Remove(tmp)
-		return err
-	}
-	return nil
 }
 
 // buffered adapts an emitter of many small writes to writeFileAtomic: it
