@@ -3,6 +3,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"syscall"
@@ -44,10 +45,6 @@ func openImage(path string) (*image, error) {
 		return nil, fmt.Errorf("mmap %s: %w", path, err)
 	}
 	return &image{b: b, unmap: func(b []byte) error {
-		err := syscall.Munmap(b)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		return err
+		return errors.Join(syscall.Munmap(b), f.Close())
 	}}, nil
 }

@@ -8,12 +8,16 @@ import (
 )
 
 // exclusive reports whether f, a spare a writer has just claimed under its
-// own temp name, may be rewritten in place: by st, that name is its only
-// one (link count 1), and no reader holds it (a non-blocking exclusive
-// flock, which the writer's Close releases, succeeds).
-func exclusive(f *os.File, st os.FileInfo) bool {
-	s, ok := st.Sys().(*syscall.Stat_t)
-	return ok && s.Nlink == 1 && syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB) == nil
+// own temp name, may be rewritten in place — that name is its only one
+// (link count 1), and no reader holds it (a non-blocking exclusive flock,
+// which the writer's Close releases, succeeds) — and f's length.
+func exclusive(f *os.File) (size int64, ok bool) {
+	var st syscall.Stat_t
+	fd := int(f.Fd())
+	if syscall.Flock(fd, syscall.LOCK_EX|syscall.LOCK_NB) != nil || syscall.Fstat(fd, &st) != nil || st.Nlink != 1 {
+		return 0, false
+	}
+	return st.Size, true
 }
 
 // lockShared blocks until f holds a shared flock, released when f closes.

@@ -7,7 +7,7 @@ import "os"
 // exclusive is false without flock: a reader's hold on a spare cannot be
 // seen, so no spare is rewritten in place and every write-back writes a
 // fresh temp file.
-func exclusive(*os.File, os.FileInfo) bool { return false }
+func exclusive(*os.File) (int64, bool) { return 0, false }
 
 // lockShared is a no-op without flock; nothing is rewritten in place there.
 func lockShared(*os.File) error { return nil }

@@ -145,8 +145,8 @@ func claimSpare(path, tmp string) (*os.File, int64) {
 	}
 	f, err := os.OpenFile(tmp, os.O_WRONLY, 0)
 	if err == nil {
-		if st, err := f.Stat(); err == nil && exclusive(f, st) {
-			return f, st.Size()
+		if size, ok := exclusive(f); ok {
+			return f, size
 		}
 		_ = f.Close()
 	}

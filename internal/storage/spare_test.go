@@ -171,11 +171,8 @@ func canReuse(t *testing.T) bool {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return exclusive(f, st)
+	_, ok := exclusive(f)
+	return ok
 }
 
 // TestDiskStoreReusesSpares runs a budgeted DiskStore for a few epochs over

@@ -462,9 +462,10 @@ func (t *Trainer) TrainEpoch() (EpochStats, error) {
 	ioBase, computeBase, barrierBase := t.tm.ioWait.Value(), t.tm.compute.Value(), t.tm.barrierWait.Value()
 	negBase, activeBase := t.tm.negatives.Value(), t.tm.negativesActive.Value()
 	counted, _ := t.store.(interface{ IOStats() storage.IOStats })
-	var ioStatsBase storage.IOStats
+	var loadsBase, writesBase int64
 	if counted != nil {
-		ioStatsBase = counted.IOStats()
+		io := counted.IOStats()
+		loadsBase, writesBase = io.Loads, io.Writes
 	}
 	err := t.runEpoch(t.epochItems(), &stats)
 	t.epochSpan.End()
@@ -476,7 +477,7 @@ func (t *Trainer) TrainEpoch() (EpochStats, error) {
 	stats.ActiveNegatives = t.tm.negativesActive.Value() - activeBase
 	if counted != nil {
 		io := counted.IOStats()
-		stats.SwapIn, stats.SwapOut = io.Loads-ioStatsBase.Loads, io.Writes-ioStatsBase.Writes
+		stats.SwapIn, stats.SwapOut = io.Loads-loadsBase, io.Writes-writesBase
 	}
 	stats.Duration = time.Since(start)
 	stats.PeakResident = t.peakBytes
