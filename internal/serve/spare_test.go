@@ -1,3 +1,5 @@
+//go:build darwin || dragonfly || freebsd || illumos || linux || netbsd || openbsd
+
 package serve_test
 
 import (

@@ -7,6 +7,10 @@ import (
 	"syscall"
 )
 
+// keepsSpares: with flock a writer can tell a spare nobody holds, so shard
+// write-backs keep and rewrite spares (replaceFile).
+const keepsSpares = true
+
 // exclusive reports whether f, a spare a writer has just claimed under its
 // own temp name, may be rewritten in place — that name is its only one
 // (link count 1), and no reader holds it (a non-blocking exclusive flock,

@@ -4,9 +4,11 @@ package storage
 
 import "os"
 
-// exclusive is false without flock: a reader's hold on a spare cannot be
-// seen, so no spare is rewritten in place and every write-back writes a
-// fresh temp file.
+// keepsSpares: without flock a writer cannot tell a spare a reader holds,
+// so shard write-backs keep no spare and write a fresh file every time.
+const keepsSpares = false
+
+// exclusive is false without flock; replaceFile claims no spare here.
 func exclusive(*os.File) (int64, bool) { return 0, false }
 
 // lockShared is a no-op without flock; nothing is rewritten in place there.

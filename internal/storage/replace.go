@@ -64,9 +64,9 @@ func WriteFileBuffered(path string, emit func(w *bufio.Writer) error) error {
 // name, such as a checkpoint generation's hard link) and no reader holds the
 // shared lock OpenShared takes (serve maps images under it). Otherwise the
 // spare is unlinked — its other names and mappings keep it alive, unchanged
-// — and a fresh temp file is written, as is the first write of a path, one
-// on a file system that refuses link(2), and every write on a platform
-// without flock.
+// — and a fresh temp file is written, as is the first write of a path and
+// one on a file system that refuses link(2). A platform without flock keeps
+// no spare (keepsSpares) and writes every image fresh.
 //
 // The crash model: a process crash at any point leaves path holding the old
 // image or the new one, never a torn file: path only ever changes by a
@@ -78,6 +78,7 @@ func WriteFileBuffered(path string, emit func(w *bufio.Writer) error) error {
 // the replace-via-rename heuristic used to flush the data before the rename
 // by accident; preallocated and rewritten files do not take that path.)
 func replaceFile(path string, size int64, spare bool, emit func(f *os.File) error) (reused bool, err error) {
+	spare = spare && keepsSpares
 	tmp := tempName(path)
 	var f *os.File
 	var had int64 // the reused image's length
