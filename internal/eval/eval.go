@@ -144,6 +144,10 @@ func (rk *Ranker) Evaluate(test *graph.EdgeList, cfg Config) (Metrics, error) {
 		return m, fmt.Errorf("eval: prevalence candidates need degrees")
 	case cfg.Filtered && cfg.Known == nil:
 		return m, fmt.Errorf("eval: filtered metrics need the Known edges")
+	case cfg.K < 0:
+		return m, fmt.Errorf("eval: K must not be negative, got %d", cfg.K)
+	case cfg.MaxEdges < 0:
+		return m, fmt.Errorf("eval: MaxEdges must not be negative, got %d", cfg.MaxEdges)
 	}
 	if cfg.K == 0 {
 		cfg.K = 1000

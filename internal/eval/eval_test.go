@@ -277,7 +277,8 @@ func TestEmptyTrailingPartitionTrainsAndEvaluates(t *testing.T) {
 
 // TestEvaluateRejectsBadConfig: a configuration that cannot be ranked as
 // asked is an error, not a different protocol. A filtered run without its
-// Known edges used to compute raw metrics.
+// Known edges used to compute raw metrics; a negative K ranked against no
+// candidates and reported MRR 1.000, and a negative MaxEdges meant all edges.
 func TestEvaluateRejectsBadConfig(t *testing.T) {
 	fx := newFixture(t, oneType(50, 1), 8, "dot", false, 100, 10, 1)
 	for _, c := range []struct {
@@ -289,6 +290,9 @@ func TestEvaluateRejectsBadConfig(t *testing.T) {
 		{"filtered without Known", Config{Mode: CandidatesUniform, K: 5, Filtered: true}, fx.degrees, "Known"},
 		{"unknown mode", Config{Mode: CandidatesPrevalence + 1, K: 5}, fx.degrees, "unknown candidate mode"},
 		{"prevalence without degrees", Config{Mode: CandidatesPrevalence, K: 5}, nil, "need degrees"},
+		{"negative K", Config{Mode: CandidatesUniform, K: -5}, fx.degrees, "K must not be negative"},
+		{"negative K, all candidates", Config{Mode: CandidatesAll, K: -5}, fx.degrees, "K must not be negative"},
+		{"negative MaxEdges", Config{Mode: CandidatesUniform, K: 5, MaxEdges: -3}, fx.degrees, "MaxEdges must not be negative"},
 	} {
 		_, err := NewRanker(fx.schema, fx.emb, fx.scorers, fx.dim, c.degrees).Evaluate(fx.test, c.cfg)
 		if err == nil || !strings.Contains(err.Error(), c.want) {

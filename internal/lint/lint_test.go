@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -52,7 +51,34 @@ func TestRepoIsClean(t *testing.T) {
 // root package, or else shared by the tests of at least two packages (as
 // storetest is); support that one package's tests use lives in that
 // package's _test.go files. No binary under cmd/ links package testing.
+//
+// One binary: cmd/ holds pbg, the product surface (import, train, node,
+// eval, serve over one run directory), and beside it only the repo's own
+// tools, pbg-docscheck and pbg-lint. One harness: internal/bench is the
+// paper-shape tests and nothing else, so it holds no non-test Go file, and
+// rates are benchmark/ rows, with no cmd/pbg-bench.
 func TestProductTree(t *testing.T) {
+	cmds, err := os.ReadDir("../../cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range cmds {
+		names = append(names, e.Name())
+	}
+	if want := []string{"pbg", "pbg-docscheck", "pbg-lint"}; !slices.Equal(names, want) {
+		t.Errorf("cmd/ holds %v, want %v: one product binary beside the repo's own tools", names, want)
+	}
+	err = filepath.WalkDir("../../internal/bench", func(path string, d fs.DirEntry, err error) error {
+		if err == nil && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+			t.Errorf("%s: internal/bench holds only the paper-shape tests; a rate is a benchmark/ row", path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	const module = "pbg"
 	pkgs, err := goList("../..", "./...")
 	if err != nil {
@@ -90,109 +116,85 @@ func TestProductTree(t *testing.T) {
 	}
 }
 
-// A guard is a "one X" invariant of the product written as a row: no
-// non-test Go file outside benchmark/ and testdata/ — and outside allow, the
-// one file that is the X, when the row names one — may match forbid. mutant
-// is a line the guard must catch, and why is the measurement that settled
-// it (docs/ARCHITECTURE.md, "What earns its keep").
-type guard struct {
-	name   string
-	allow  string // slash path from the module root; "" allows no file
-	forbid *regexp.Regexp
-	mutant string
-	why    string
-}
-
-var guards = []guard{
-	{
-		name:   "one serve row format",
-		forbid: regexp.MustCompile(`quantRows|BuildQuant|WriteQuantCopy|QuantShardPath|rerankFP32|build-quant|\.q\.pbg`),
-		mutant: "func (s *Server) BuildQuant(c storage.Codec) error { return nil }",
-		why:    "every served shard is fp32 rows; a quantized sibling scan with an fp32 re-rank served 0.53x the exact fp32 QPS at int8 and 0.33x at fp16",
-	},
-	{
-		name:   "one atomic replace",
-		allow:  "internal/storage/replace.go",
-		forbid: regexp.MustCompile(`os\.Rename\(|os\.Link\(`),
-		mutant: "func publish(tmp, path string) error { return os.Rename(tmp, path) }",
-		why:    "every file is published by storage's one writer under one crash model, and a shard write-back rewrites the image it displaced only when no other name or reader sees it; its own temp + rename beside it would skip both checks",
-	},
-}
-
-// TestGuards runs every guard over the module, then over a mutation fixture:
-// a tree holding the guard's mutant line in a product file, which must be
-// reported, and in a _test.go file, under benchmark/, under testdata/ and in
-// the guard's allowed file, which must not.
-func TestGuards(t *testing.T) {
-	for _, g := range guards {
-		t.Run(g.name, func(t *testing.T) {
-			hits, err := guardHits("../..", g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, h := range hits {
-				t.Errorf("%s: forbidden by %q (%s)", h, g.name, g.why)
-			}
-			root := t.TempDir()
-			fixture := []string{"internal/serve/mutant.go", "internal/serve/mutant_test.go", "benchmark/mutant.go", "internal/lint/testdata/src/x/mutant.go"}
-			if g.allow != "" {
-				fixture = append(fixture, g.allow)
-			}
-			for _, rel := range fixture {
-				path := filepath.Join(root, rel)
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte("package x\n\n"+g.mutant+"\n"), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			hits, err = guardHits(root, g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := []string{"internal/serve/mutant.go:3"}; !slices.Equal(hits, want) {
-				t.Errorf("mutation fixture: guard reported %v, want %v", hits, want)
-			}
-		})
+// TestCINames holds ci.yml's -run, -fuzz and -bench arguments to the tests:
+// every Test, Fuzz or Benchmark name in them must prefix a function that a
+// _test.go file declares. go test -run X with no match passes, so a renamed
+// test would otherwise empty its CI step silently. A copy of ci.yml with one
+// name misspelled must fail.
+func TestCINames(t *testing.T) {
+	b, err := os.ReadFile("../../.github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ci := string(b)
+	declared, err := testFuncs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if missing := unknownCINames(ci, declared); len(missing) > 0 {
+		t.Errorf("ci.yml names tests no _test.go file declares: %v", missing)
+	}
+	names := unknownCINames(ci, nil)
+	if len(names) == 0 {
+		t.Fatal("ci.yml names no test")
+	}
+	n := names[0]
+	typo := n[:len(n)/2] + n[len(n)/2+1:]
+	if missing := unknownCINames(strings.ReplaceAll(ci, n, typo), declared); !slices.Contains(missing, typo) {
+		t.Errorf("ci.yml with %s misspelled %s: reported %v", n, typo, missing)
 	}
 }
 
-// guardHits lists, as path:line under root, every line of a non-test Go file
-// outside benchmark/, testdata/, dot directories and g.allow that matches
-// g.forbid.
-func guardHits(root string, g guard) ([]string, error) {
-	var hits []string
+var (
+	ciArgRE    = regexp.MustCompile(`-(?:run|fuzz|bench)[ =]('[^']*'|"[^"]*"|\S+)`)
+	ciNameRE   = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)\w*`)
+	testFuncRE = regexp.MustCompile(`^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
+)
+
+// unknownCINames lists, in order of appearance, the test names in ci's
+// -run, -fuzz and -bench arguments that prefix none of declared.
+func unknownCINames(ci string, declared []string) []string {
+	var missing []string
+	for _, arg := range ciArgRE.FindAllStringSubmatch(ci, -1) {
+		for _, name := range ciNameRE.FindAllString(arg[1], -1) {
+			known := slices.ContainsFunc(declared, func(f string) bool { return strings.HasPrefix(f, name) })
+			if !known && !slices.Contains(missing, name) {
+				missing = append(missing, name)
+			}
+		}
+	}
+	return missing
+}
+
+// testFuncs lists the Test, Fuzz and Benchmark functions that the _test.go
+// files under root declare.
+func testFuncs(root string) ([]string, error) {
+	var funcs []string
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		rel, err := filepath.Rel(root, path)
-		if err != nil {
-			return err
-		}
-		rel = filepath.ToSlash(rel)
 		if d.IsDir() {
-			if rel != "." && (rel == "benchmark" || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+			if path != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
 				return filepath.SkipDir
 			}
 			return nil
 		}
-		if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") || rel == g.allow {
+		if !strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
 		b, err := os.ReadFile(path)
 		if err != nil {
 			return err
 		}
-		for i, line := range strings.Split(string(b), "\n") {
-			if g.forbid.MatchString(line) {
-				hits = append(hits, fmt.Sprintf("%s:%d", rel, i+1))
+		for _, line := range strings.Split(string(b), "\n") {
+			if m := testFuncRE.FindStringSubmatch(line); m != nil {
+				funcs = append(funcs, m[1])
 			}
 		}
 		return nil
 	})
-	return hits, err
+	return funcs, err
 }
 
 // TestKernelMetricName holds the one metric name the analyzer cannot read

@@ -279,8 +279,8 @@ type Trainer struct {
 // swaps partitions per §4.1.
 func New(g *graph.Graph, store storage.Store, cfg Config) (*Trainer, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Dim <= 0 {
-		return nil, fmt.Errorf("train: Dim must be positive")
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	codec, err := storage.ParseCodec(cfg.Codec)
 	if err != nil {

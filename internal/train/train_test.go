@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pbg/internal/datagen"
@@ -426,14 +427,31 @@ func TestViewFetchesEmbeddings(t *testing.T) {
 	}
 }
 
+// TestNewRejectsBadConfig: every setting that sizes a slice or bounds a loop
+// must be positive once the zeros take their defaults. A negative Workers or
+// UniformNegs used to panic in New, a negative ChunkSize to claim unbounded
+// chunks, and a negative Epochs to train nothing and report success.
 func TestNewRejectsBadConfig(t *testing.T) {
 	g := smallSocial(t, 1)
-	store := storage.NewMemStore(g.Schema, 8, 1, 1)
-	if _, err := New(g, store, Config{}); err == nil {
-		t.Fatal("expected error for Dim=0")
-	}
-	if _, err := New(g, store, Config{Dim: 8, BucketOrder: "bogus"}); err == nil {
-		t.Fatal("expected error for bad bucket order")
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"no Dim", Config{}, "Dim"},
+		{"negative Dim", Config{Dim: -8}, "Dim"},
+		{"negative Workers", Config{Dim: 8, Workers: -2}, "Workers"},
+		{"negative ChunkSize", Config{Dim: 8, ChunkSize: -3}, "ChunkSize"},
+		{"negative UniformNegs", Config{Dim: 8, UniformNegs: -3}, "UniformNegs"},
+		{"negative Epochs", Config{Dim: 8, Epochs: -1}, "Epochs"},
+		{"bad bucket order", Config{Dim: 8, BucketOrder: "bogus"}, "bogus"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			store := storage.NewMemStore(g.Schema, 8, 1, 1)
+			if _, err := New(g, store, c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("New(%+v) = %v, want an error naming %q", c.cfg, err, c.want)
+			}
+		})
 	}
 }
 

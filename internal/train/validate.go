@@ -19,3 +19,19 @@ func ValidateRunFlags(codec string, memBudget int64) error {
 	}
 	return nil
 }
+
+// validate rejects a setting that sizes a slice or bounds a loop and is not
+// positive once withDefaults has replaced the zeros: a negative Workers or
+// UniformNegs panics in New, a negative ChunkSize makes every chunk claim
+// unbounded, and a negative Epochs trains nothing and reports success.
+func (c Config) validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"Dim", c.Dim}, {"Workers", c.Workers}, {"ChunkSize", c.ChunkSize}, {"UniformNegs", c.UniformNegs}, {"Epochs", c.Epochs}} {
+		if f.v <= 0 {
+			return fmt.Errorf("train: %s must be positive, got %d", f.name, f.v)
+		}
+	}
+	return nil
+}
