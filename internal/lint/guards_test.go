@@ -122,6 +122,13 @@ var guards = []guard{
 		why:    "dotStripAVX2 scores a whole 4-row strip of every GEMM (training, eval and both serve scans) in one call, and its first strip prefetches listed rows a fixed distance ahead; the per-tile leaf and the up-front row prefetch it replaced must not come back in Go or assembly",
 	},
 	{
+		name:   "one backward walk",
+		dirs:   []string{"internal/model", "internal/vec"},
+		forbid: regexp.MustCompile(`TransposeInto|\bgT\b`),
+		mutant: "ws.g.TransposeInto(&ws.gT, cu)",
+		why:    "a score block's Gᵀ·A scatters the loss's gradient rows where they lie (vec.AddRowsSparseT), bitwise the gather over the transpose it replaced; the per-chunk transpose (a counting sort that did no arithmetic, 13 % of kg_mem's worker CPU) and the transposed block it filled must not come back",
+	},
+	{
 		name:   "one k-means scorer",
 		dirs:   []string{"internal/serve"},
 		forbid: regexp.MustCompile(`nearestCentroid|SquaredDistance\(`),

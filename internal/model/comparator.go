@@ -49,11 +49,12 @@ type Comparator interface {
 	PairBackward(ga, gb vec.Matrix, g, scores []float32, a, b vec.Matrix)
 	// CrossBackward accumulates gradients of Σ g[i][j]·score[i][j] into
 	// ga, gb (in prepared space). g is the upstream gradient block as the
-	// Loss emitted it (row i: positive i's non-zeros) and gT its transpose
-	// (row j: candidate j's non-zeros, ascending i), so both products walk
-	// only the entries that carry gradient. scores holds the forward
-	// CrossScores output; sc is room for the comparator's temporaries.
-	CrossBackward(ga, gb vec.Matrix, g, gT *vec.SparseRows, scores, a, b vec.Matrix, sc *CrossScratch)
+	// Loss emitted it (row i: positive i's non-zeros), and both products walk
+	// only the entries that carry gradient: G·B gathers along g's rows
+	// (vec.AddRowsSparse), Gᵀ·A scatters them (vec.AddRowsSparseT). scores
+	// holds the forward CrossScores output; sc is room for the comparator's
+	// temporaries.
+	CrossBackward(ga, gb vec.Matrix, g *vec.SparseRows, scores, a, b vec.Matrix, sc *CrossScratch)
 	// UnprepareGrad maps the accumulated gradient g from prepared space back
 	// to raw space in place, given the prepared matrix and Prepare's state.
 	UnprepareGrad(g, prepared vec.Matrix, state []float32)
@@ -61,12 +62,12 @@ type Comparator interface {
 
 // CrossScratch is CrossBackward's room for its temporaries, owned by the
 // caller (the training Workspace) so that a warm backward allocates nothing:
-// the distance comparators' G·B and Gᵀ·A products and L2's rescaled gradient
-// lists. The zero value is ready to use; it grows to the largest block it
-// has met.
+// the distance comparators' G·B and Gᵀ·A products and column sums, and L2's
+// rescaled gradient list. The zero value is ready to use; it grows to the
+// largest block it has met.
 type CrossScratch struct {
-	ga, gb []float32
-	g, gT  vec.SparseRows
+	ga, gb, colSum []float32
+	g              vec.SparseRows
 }
 
 // zeroed returns buf resized to n zeroed floats, reallocating only to grow.
@@ -133,9 +134,9 @@ func (DotComparator) PairBackward(ga, gb vec.Matrix, g, _ []float32, a, b vec.Ma
 	}
 }
 
-func (DotComparator) CrossBackward(ga, gb vec.Matrix, g, gT *vec.SparseRows, _, a, b vec.Matrix, _ *CrossScratch) {
+func (DotComparator) CrossBackward(ga, gb vec.Matrix, g *vec.SparseRows, _, a, b vec.Matrix, _ *CrossScratch) {
 	vec.AddRowsSparse(ga, g, b)
-	vec.AddRowsSparse(gb, gT, a)
+	vec.AddRowsSparseT(gb, g, a)
 }
 
 func (DotComparator) UnprepareGrad(_, _ vec.Matrix, _ []float32) {}
@@ -185,8 +186,8 @@ func (CosComparator) PairBackward(ga, gb vec.Matrix, g, scores []float32, a, b v
 	DotComparator{}.PairBackward(ga, gb, g, scores, a, b)
 }
 
-func (CosComparator) CrossBackward(ga, gb vec.Matrix, g, gT *vec.SparseRows, scores, a, b vec.Matrix, sc *CrossScratch) {
-	DotComparator{}.CrossBackward(ga, gb, g, gT, scores, a, b, sc)
+func (CosComparator) CrossBackward(ga, gb vec.Matrix, g *vec.SparseRows, scores, a, b vec.Matrix, sc *CrossScratch) {
+	DotComparator{}.CrossBackward(ga, gb, g, scores, a, b, sc)
 }
 
 func (CosComparator) UnprepareGrad(g, prepared vec.Matrix, state []float32) {
@@ -281,14 +282,20 @@ func (SquaredL2Comparator) PairBackward(ga, gb vec.Matrix, g, _ []float32, a, b 
 	}
 }
 
-func (SquaredL2Comparator) CrossBackward(ga, gb vec.Matrix, g, gT *vec.SparseRows, _, a, b vec.Matrix, sc *CrossScratch) {
+func (SquaredL2Comparator) CrossBackward(ga, gb vec.Matrix, g *vec.SparseRows, _, a, b vec.Matrix, sc *CrossScratch) {
 	// dL/da_i = Σ_j g_ij · (−2)(a_i − b_j) = −2·rowsum_i·a_i + 2·(G·B)_i
 	// dL/db_j = Σ_i g_ij · ( 2)(a_i − b_j) =  2·(Gᵀ·A)_j − 2·colsum_j·b_j
 	// The GEMM parts.
 	tmpA := vec.MatrixFrom(zeroed(&sc.ga, len(ga.Data)), ga.Rows, ga.Cols)
 	tmpB := vec.MatrixFrom(zeroed(&sc.gb, len(gb.Data)), gb.Rows, gb.Cols)
 	vec.AddRowsSparse(tmpA, g, b)
-	vec.AddRowsSparse(tmpB, gT, a)
+	vec.AddRowsSparseT(tmpB, g, a)
+	// The column sums, in one pass over g: column j's weights are added in
+	// ascending row order, as a list of column j's entries would add them.
+	colSum := zeroed(&sc.colSum, gb.Rows)
+	for k, j := range g.Idx {
+		colSum[j] += g.W[k]
+	}
 	for i := 0; i < ga.Rows; i++ {
 		sum := rowSum(g, i)
 		gar, ar, tr := ga.Row(i), a.Row(i), tmpA.Row(i)
@@ -296,8 +303,7 @@ func (SquaredL2Comparator) CrossBackward(ga, gb vec.Matrix, g, gT *vec.SparseRow
 			gar[k] += 2*tr[k] - 2*sum*ar[k]
 		}
 	}
-	for j := 0; j < gb.Rows; j++ {
-		sum := rowSum(gT, j)
+	for j, sum := range colSum {
 		gbr, br, tr := gb.Row(j), b.Row(j), tmpB.Row(j)
 		for k := range gbr {
 			gbr[k] += 2*tr[k] - 2*sum*br[k]
@@ -382,28 +388,28 @@ func (L2Comparator) PairBackward(ga, gb vec.Matrix, g, scores []float32, a, b ve
 	}
 }
 
-func (L2Comparator) CrossBackward(ga, gb vec.Matrix, g, gT *vec.SparseRows, scores, a, b vec.Matrix, sc *CrossScratch) {
+func (L2Comparator) CrossBackward(ga, gb vec.Matrix, g *vec.SparseRows, scores, a, b vec.Matrix, sc *CrossScratch) {
 	// Reduce to the squared-L2 backward with rescaled upstream gradients:
 	// d(−dist)/dθ = d(−dist²)/dθ · 1/(2·dist), entry by entry, into sc's
-	// lists (the same rows and columns as g's and gT's, their own weights).
-	rescale(&sc.g, g, func(i, k int) float32 { return scores.Row(i)[g.Idx[k]] })
-	rescale(&sc.gT, gT, func(j, k int) float32 { return scores.Row(int(gT.Idx[k]))[j] })
-	SquaredL2Comparator{}.CrossBackward(ga, gb, &sc.g, &sc.gT, scores, a, b, sc)
+	// list (g's rows and columns, its own weights).
+	rescale(&sc.g, g, scores)
+	SquaredL2Comparator{}.CrossBackward(ga, gb, &sc.g, scores, a, b, sc)
 }
 
 // rescale makes out g's entries with every weight divided by 2·dist, where
-// dist = −at(row, k) is entry k's distance (0 where dist ≤ 0). It reuses
-// out's weight buffer and borrows g's rows and columns.
-func rescale(out, g *vec.SparseRows, at func(row, k int) float32) {
+// dist = −scores[i][j] is entry (i, j)'s distance (0 where dist ≤ 0). It
+// reuses out's weight buffer and borrows g's rows and columns.
+func rescale(out, g *vec.SparseRows, scores vec.Matrix) {
 	w := out.W
 	if cap(w) < len(g.W) {
 		w = make([]float32, len(g.W))
 	}
 	w = w[:len(g.W)]
 	for i := 0; i < g.Rows(); i++ {
+		row := scores.Row(i)
 		for k := g.Start[i]; k < g.Start[i+1]; k++ {
 			w[k] = 0
-			if dist := -at(i, int(k)); dist > 0 {
+			if dist := -row[g.Idx[k]]; dist > 0 {
 				w[k] = g.W[k] / (2 * dist)
 			}
 		}

@@ -203,10 +203,10 @@ func comparatorLoss(cmp Comparator, aRaw, bRaw vec.Matrix, gPair []float32, gCro
 	return s
 }
 
-// sparsify compresses a dense gradient block into the row lists and transpose
+// sparsify compresses a dense gradient block into the row lists
 // CrossBackward takes.
-func sparsify(m vec.Matrix) (g, gT *vec.SparseRows) {
-	g, gT = new(vec.SparseRows), new(vec.SparseRows)
+func sparsify(m vec.Matrix) *vec.SparseRows {
+	g := new(vec.SparseRows)
 	g.Reset(m.Rows, m.Cols)
 	for i := 0; i < m.Rows; i++ {
 		for j, v := range m.Row(i) {
@@ -216,8 +216,7 @@ func sparsify(m vec.Matrix) (g, gT *vec.SparseRows) {
 		}
 		g.EndRow()
 	}
-	g.TransposeInto(gT, m.Cols)
-	return g, gT
+	return g
 }
 
 // TestComparatorGradients validates PairBackward + CrossBackward +
@@ -253,8 +252,7 @@ func TestComparatorGradients(t *testing.T) {
 		ga := vec.NewMatrix(n, d)
 		gb := vec.NewMatrix(n, d)
 		cmp.PairBackward(ga, gb, gPair, pair, a, b)
-		sg, sgT := sparsify(gCross)
-		cmp.CrossBackward(ga, gb, sg, sgT, cross, a, b, new(CrossScratch))
+		cmp.CrossBackward(ga, gb, sparsify(gCross), cross, a, b, new(CrossScratch))
 		cmp.UnprepareGrad(ga, a, sa)
 		cmp.UnprepareGrad(gb, b, sb)
 

@@ -115,8 +115,7 @@ func denseSide(s *Scorer, g *ChunkGrad, q, cand vec.Matrix, posIDs, candIDs []in
 			}
 		}
 	default:
-		g, gT := sparsify(gNeg)
-		s.Cmp.CrossBackward(gq, gcand, g, gT, neg, q, cand, new(CrossScratch))
+		s.Cmp.CrossBackward(gq, gcand, sparsify(gNeg), neg, q, cand, new(CrossScratch))
 	}
 	s.Cmp.UnprepareGrad(gq, q, stateQ)
 	s.Cmp.UnprepareGrad(gcand, cand, stateC)

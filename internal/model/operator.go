@@ -17,10 +17,11 @@
 // quarter of them or fewer after the first epochs. So the gradient block is
 // never materialised densely. Loss.Compute masks induced positives (by
 // comparing entity IDs), takes the loss and emits the block as per-positive
-// lists of (candidate, weight) in one pass — a vec.SparseRows; its transpose
-// gives the per-candidate lists; and Comparator.CrossBackward hands the two
-// to vec.AddRowsSparse, the one kernel under both backward products. The
-// dense losses (logistic, softmax) emit every unmasked entry through the same
+// lists of (candidate, weight) in one pass — a vec.SparseRows — and
+// Comparator.CrossBackward walks those lists once per product: G·B gathers
+// along each row (vec.AddRowsSparse), Gᵀ·A scatters each row into the
+// candidates it names (vec.AddRowsSparseT), so no transposed block is built.
+// The dense losses (logistic, softmax) emit every unmasked entry through the same
 // path. ChunkGrad.ActiveNegs ÷ NegCount is the block density, which training
 // throughput follows.
 package model

@@ -197,7 +197,7 @@ type Workspace struct {
 	pos, posRev    []float32
 	gPos           []float32
 	negD, negS     vec.Matrix     // C×(C+U) score blocks of the two sides
-	g, gT          vec.SparseRows // a side's gradient block as the loss emitted it, and transposed
+	g              vec.SparseRows // a side's gradient block as the loss emitted it
 	gq, gcand      vec.Matrix     // gradients of a side's queries and candidates, in scratch
 	cross          CrossScratch
 }
@@ -231,9 +231,8 @@ func (s *Scorer) NewWorkspace(maxC, maxU int) *Workspace {
 	// backward temporaries, so a warm ScoreChunk never allocates however
 	// dense a block turns out.
 	ws.g.Reset(maxC, cu)
-	ws.gT.Reset(cu, maxC)
-	ws.cross.ga, ws.cross.gb = make([]float32, maxC*d), make([]float32, cu*d)
-	ws.cross.g.W, ws.cross.gT.W = make([]float32, 0, maxC*cu), make([]float32, 0, maxC*cu)
+	ws.cross.ga, ws.cross.gb, ws.cross.colSum = make([]float32, maxC*d), make([]float32, cu*d), make([]float32, cu)
+	ws.cross.g.W = make([]float32, 0, maxC*cu)
 	return ws
 }
 
@@ -389,7 +388,6 @@ func (s *Scorer) ScoreChunk(ws *Workspace, in *ChunkInput, grad *ChunkGrad) {
 		gPos := ws.gPos[:c]
 		vec.Zero(gPos)
 		loss, masked := s.Loss.Compute(&ws.g, gPos, sd.pos, sd.neg, sd.posIDs, sd.candIDs, in.RelWeight)
-		ws.g.TransposeInto(&ws.gT, cu)
 		grad.Loss += loss
 		grad.NegCount += c*cu - masked
 		grad.ActiveNegs += len(ws.g.Idx)
@@ -401,7 +399,7 @@ func (s *Scorer) ScoreChunk(ws *Workspace, in *ChunkInput, grad *ChunkGrad) {
 			vec.Zero(gcand.Data)
 		}
 		s.Cmp.PairBackward(gq, subMat(gcand, c, d), gPos, sd.pos, sd.q.m, subMat(sd.cand.m, c, d))
-		s.Cmp.CrossBackward(gq, gcand, &ws.g, &ws.gT, sd.neg, sd.q.m, sd.cand.m, &ws.cross)
+		s.Cmp.CrossBackward(gq, gcand, &ws.g, sd.neg, sd.q.m, sd.cand.m, &ws.cross)
 		s.Cmp.UnprepareGrad(gq, sd.q.m, sd.q.state)
 		s.Cmp.UnprepareGrad(gcand, sd.cand.m, sd.cand.state)
 		if i > 0 {

@@ -113,13 +113,17 @@ type Config struct {
 	// every budget consumer (admission, the prefetch depth's window
 	// projections, the planned order's buffer slots), so a smaller codec
 	// deepens the lookahead window and widens the partition buffer at the same
-	// MemBudgetBytes. int8 is the codec that pays for itself: on an
-	// out-of-core run it fits more partitions in the budget and swaps less.
-	// fp16 trained slower than fp32 on the same run, its encode costing more
-	// than the swaps it saves. Adagrad state stays fp32 under every codec;
-	// int8 loses embedding bits to per-row scaling and fp16 to rounding, with
-	// the MRR cost of each pinned by TestCodecEvalParityMatrix in
-	// internal/serve.
+	// MemBudgetBytes. That is where int8's measured gain comes from, not from
+	// the codec: the budget prices a shard at codec bytes while the cache
+	// holds it decoded as fp32 (DiskStore.SetCodec), so int8 admits more
+	// partitions at one MemBudgetBytes and uses more memory to do it — on
+	// social_ooc all-resident fp32 matched int8's rate, and at one budget
+	// int8 read 103 MB peak RSS against fp32's 84. Whether int8 stays is
+	// open (ROADMAP item 16). fp16 trained slower than fp32 on the same run,
+	// its encode costing more than the swaps it saves. Adagrad state stays
+	// fp32 under every codec; int8 loses embedding bits to per-row scaling and
+	// fp16 to rounding, with the MRR cost of each pinned by
+	// TestCodecEvalParityMatrix in internal/serve.
 	Codec string
 	// Obs is the observability hub the trainer records metrics and spans
 	// into (see internal/obs); it is also plumbed into stores that expose

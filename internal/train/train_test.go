@@ -2,6 +2,7 @@ package train
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -445,6 +446,10 @@ func TestNewRejectsBadConfig(t *testing.T) {
 		{"negative UniformNegs", Config{Dim: 8, UniformNegs: -3}, "UniformNegs"},
 		{"negative Epochs", Config{Dim: 8, Epochs: -1}, "Epochs"},
 		{"bad bucket order", Config{Dim: 8, BucketOrder: "bogus"}, "bogus"},
+		{"negative LR", Config{Dim: 8, LR: -0.1}, "LR"},
+		{"NaN LR", Config{Dim: 8, LR: float32(math.NaN())}, "LR"},
+		{"NaN NegAlpha", Config{Dim: 8, NegAlpha: float32(math.NaN())}, "NegAlpha"},
+		{"NegAlpha above 1", Config{Dim: 8, NegAlpha: 1.5}, "NegAlpha"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			store := storage.NewMemStore(g.Schema, 8, 1, 1)

@@ -23,7 +23,10 @@ func ValidateRunFlags(codec string, memBudget int64) error {
 // validate rejects a setting that sizes a slice or bounds a loop and is not
 // positive once withDefaults has replaced the zeros: a negative Workers or
 // UniformNegs panics in New, a negative ChunkSize makes every chunk claim
-// unbounded, and a negative Epochs trains nothing and reports success.
+// unbounded, and a negative Epochs trains nothing and reports success. It
+// rejects the two rates the same way, each by name: a negative or NaN LR
+// runs gradient ascent or poisons every row it touches, and NegAlpha is a
+// fraction, so NaN or above 1 names no mix of the two samplers.
 func (c Config) validate() error {
 	for _, f := range []struct {
 		name string
@@ -32,6 +35,12 @@ func (c Config) validate() error {
 		if f.v <= 0 {
 			return fmt.Errorf("train: %s must be positive, got %d", f.name, f.v)
 		}
+	}
+	if !(c.LR > 0) {
+		return fmt.Errorf("train: LR must be positive, got %v", c.LR)
+	}
+	if !(c.NegAlpha <= 1) {
+		return fmt.Errorf("train: NegAlpha must be at most 1, got %v", c.NegAlpha)
 	}
 	return nil
 }

@@ -98,9 +98,9 @@ func TestAddOuterAtBMatchesNaive(t *testing.T) {
 }
 
 // addOuterGtA is B += Gᵀ·A the way training computes it: G's non-zeros,
-// transposed, through AddRowsSparse. There is no dense entry point for it.
+// scattered by AddRowsSparseT. There is no dense entry point for it.
 func addOuterGtA(b, g, a Matrix) {
-	AddRowsSparse(b, transposeOf(sparseOf(g, 0), g.Cols), a)
+	AddRowsSparseT(b, sparseOf(g, 0), a)
 }
 
 func TestAddOuterGtAMatchesNaive(t *testing.T) {
@@ -161,10 +161,10 @@ func BenchmarkAddOuterAtB50x250x100(b *testing.B) {
 
 func BenchmarkAddOuterGtA50x250x100(b *testing.B) {
 	am, bm, gm := benchGEMMMats()
-	gt := transposeOf(sparseOf(gm, 0), gm.Cols)
+	sg := sparseOf(gm, 0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		AddRowsSparse(bm, gt, am)
+		AddRowsSparseT(bm, sg, am)
 	}
 }
 

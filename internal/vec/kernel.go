@@ -3,15 +3,15 @@ package vec
 import "unsafe"
 
 // Two implementations sit under Dot, Axpy, MulABtRows (MulABt is its nil-list
-// case), AddRowsSparse (and the dense AddOuterAtB over it), ComplexMul,
-// ComplexMulConjAdd, SparseRows.AppendHingeRow and SelectGE: the AVX2+FMA
-// assembly leaves of kernel_amd64.s and portable Go (*Generic in vec.go and
-// sparse.go). Which one runs is decided once, at package initialisation, from
-// what the code can observe — GOARCH, and on amd64 the CPUID/XGETBV bits for
-// AVX2, FMA and OS-saved YMM state — and never from a flag, a build tag or a
-// Config field: the portable path stays because it is the only one on other
-// platforms and the reference the assembly is tested against, not because
-// anyone should choose it.
+// case), AddRowsSparse (and the dense AddOuterAtB over it), AddRowsSparseT,
+// ComplexMul, ComplexMulConjAdd, SparseRows.AppendHingeRow and SelectGE: the
+// AVX2+FMA assembly leaves of kernel_amd64.s and portable Go (*Generic in
+// vec.go and sparse.go). Which one runs is decided once, at package
+// initialisation, from what the code can observe — GOARCH, and on amd64 the
+// CPUID/XGETBV bits for AVX2, FMA and OS-saved YMM state — and never from a
+// flag, a build tag or a Config field: the portable path stays because it is
+// the only one on other platforms and the reference the assembly is tested
+// against, not because anyone should choose it.
 //
 // FMA and 8-lane accumulation cannot be bit-equal to a scalar loop, so the
 // numerical contract between the two is:
@@ -28,9 +28,11 @@ import "unsafe"
 //	     MulABt over a gathered copy of them, and MulABtReusing, which reads
 //	     columns from a product taken the other way round, is bitwise the
 //	     same path's MulABt — and on both paths
-//	     AddRowsSparse — hence AddOuterAtB — is
-//	     bitwise the ascending chain of Axpy calls it abbreviates (on the
-//	     portable path it is that chain), every ±0 weight skipped exactly:
+//	     AddRowsSparse — hence AddOuterAtB — and AddRowsSparseT are
+//	     bitwise the ascending chain of Axpy calls they abbreviate (on the
+//	     portable path they are that chain; for AddRowsSparseT it is the
+//	     chain AddRowsSparse would make over Gᵀ, each destination row's
+//	     entries in ascending source row), every ±0 weight skipped exactly:
 //	     a non-finite source row under a zero weight never reaches the
 //	     destination. That keeps "same query, same scores, whatever it was
 //	     batched with" in serve, eval ≡ serve parity, and same-seed Workers:1
@@ -59,18 +61,24 @@ import "unsafe"
 // touches no result, asks for a row span's cache lines a caller names ahead of
 // time (the trainer's next chunk); its portable twin is a no-op.
 //
-// Two leaves dereference an index list unchecked — addRowSparseAVX2 and, under
-// MulABtRows, the GEMM leaf dotStripAVX2 (for its rows and its look-ahead) —
-// and for both the list is range-checked once per call before anything is
-// loaded (checkSparse, checkMulABt: one unsigned maximum, maxUint32AVX2), with
-// a constant-message panic.
+// Three leaves dereference an index list unchecked — addRowSparseAVX2,
+// scatterRowAVX2 and, under MulABtRows, the GEMM leaf dotStripAVX2 (for its
+// rows and its look-ahead) — and for each the list is range-checked once per
+// call before anything is loaded or stored (checkSparse, checkSparseT,
+// checkMulABt: one unsigned maximum, maxUint32AVX2), with a constant-message
+// panic.
 //
-// One assembly leaf does weighted row accumulation: addRowSparseAVX2, under
-// AddRowsSparse and the dense entry point. Axpy keeps its own 46-line leaf
-// rather than becoming that leaf's one-row, one-weight case: it has no list
-// to walk, its callers (the Adagrad row update, the pair backward) are
-// per-call-overhead-bound, and it is the definition (ii) tests the sparse
-// leaf against.
+// Two assembly leaves do weighted row accumulation, one per backward product
+// of a score block, and share one index-list walk (ROWWALK): the
+// row-stationary addRowSparseAVX2 under AddRowsSparse and the dense entry
+// point (G·B: a destination row held in registers while its list of source
+// rows is walked), and the column-stationary scatterRowAVX2 under
+// AddRowsSparseT (Gᵀ·A: a source row held in registers while its list of
+// destination rows is walked, each updated in memory). Axpy keeps its own
+// 46-line leaf rather than becoming either leaf's one-row, one-weight case:
+// it has no list to walk, its callers (the Adagrad row update, the pair
+// backward) are per-call-overhead-bound, and it is the definition (ii) tests
+// the sparse leaves against.
 //
 // What is comparable across machines: two runs on the same kernel path are
 // bitwise identical (the assembly has one instruction sequence, whatever the

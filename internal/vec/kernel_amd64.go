@@ -59,6 +59,15 @@ func axpyAVX2(alpha float32, x, y *float32, d int)
 //go:noescape
 func addRowSparseAVX2(dst *float32, d int, src *float32, idx *int32, w *float32, nnz int)
 
+// scatterRowAVX2 accumulates dst[idx[k]·d:][0:d] += w[k]·src[0:d] for k <
+// nnz in ascending order, skipping ±0 weights: per destination row the FMA
+// of one axpyAVX2 call per entry, with the source row held in registers
+// across the whole list. idx is dereferenced unchecked; checkSparseT vouches
+// for it.
+//
+//go:noescape
+func scatterRowAVX2(dst *float32, d int, src *float32, idx *int32, w *float32, nnz int)
+
 // complexMulAVX2 computes dst = a∘b over h complex numbers in the split
 // layout of ComplexMul, with ComplexMul's unfused operation order.
 //

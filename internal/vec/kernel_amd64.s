@@ -1,9 +1,10 @@
 #include "textflag.h"
 
-// AVX2+FMA leaves of Dot, Axpy, the GEMMs and the two mask passes. kernel.go
-// states the numerical contract; kernel_amd64.go declares these. All loads and stores
-// are unaligned forms (mmap'd shard rows sit behind a 28-byte header), every
-// function handles any d >= 0 itself, and each ends in VZEROUPPER.
+// AVX2+FMA leaves of Dot, Axpy, the GEMMs, the two sparse products and the
+// two mask passes. kernel.go states the numerical contract; kernel_amd64.go
+// declares these. All loads and stores are unaligned forms (mmap'd shard
+// rows sit behind a 28-byte header), every function handles any d >= 0
+// itself, and each ends in VZEROUPPER.
 
 // tailmask<> is 8 all-ones dwords followed by 8 zero dwords. Eight dwords
 // read at byte offset 32-4*r are a VMASKMOVPS mask selecting the first r
@@ -341,11 +342,13 @@ axpy_done:
 	VZEROUPPER
 	RET
 
-// ROWWALK is the index-list walk of addRowSparseAVX2 for one column block:
-// for k = 0..nnz-1 it skips a ±0 weight exactly, broadcasts w[k] into Y8,
-// points AX at the block's columns of source row idx[k] and runs FMAS, which
-// accumulates into the block's registers. The caller has checked nnz > 0.
-#define ROWWALK(loop, skip, FMAS) \
+// ROWWALK is the index-list walk of one column block, shared by the two
+// sparse leaves: for k = 0..nnz-1 it skips a ±0 weight exactly, broadcasts
+// w[k] into Y8, points AX at the block's columns of row idx[k] of the matrix
+// at base (R12 bytes a row) and runs OPS on it — addRowSparseAVX2 accumulates
+// those source columns into the block's registers, scatterRowAVX2 adds its
+// registers into those destination columns. The caller has checked nnz > 0.
+#define ROWWALK(loop, skip, base, OPS) \
 	XORQ         BX, BX;          \
 loop:                          \
 	MOVL         (R10)(BX*4), AX; \
@@ -354,8 +357,8 @@ loop:                          \
 	VBROADCASTSS (R10)(BX*4), Y8; \
 	MOVLQZX      (R9)(BX*4), AX;  \
 	IMULQ        R12, AX;         \
-	ADDQ         SI, AX;          \
-	FMAS;                         \
+	ADDQ         base, AX;        \
+	OPS;                          \
 skip:                          \
 	INCQ         BX;              \
 	CMPQ         BX, R11;         \
@@ -420,7 +423,7 @@ rows_64:
 	VMOVUPS 160(DI), Y5
 	VMOVUPS 192(DI), Y6
 	VMOVUPS 224(DI), Y7
-	ROWWALK(walk_64, skip_64, FMA8)
+	ROWWALK(walk_64, skip_64, SI, FMA8)
 	VMOVUPS Y0, (DI)
 	VMOVUPS Y1, 32(DI)
 	VMOVUPS Y2, 64(DI)
@@ -439,7 +442,7 @@ rows_32:
 	VMOVUPS 32(DI), Y1
 	VMOVUPS 64(DI), Y2
 	VMOVUPS 96(DI), Y3
-	ROWWALK(walk_32, skip_32, FMA4)
+	ROWWALK(walk_32, skip_32, SI, FMA4)
 	VMOVUPS Y0, (DI)
 	VMOVUPS Y1, 32(DI)
 	VMOVUPS Y2, 64(DI)
@@ -451,7 +454,7 @@ rows_16:
 	JLT     rows_8
 	VMOVUPS (DI), Y0
 	VMOVUPS 32(DI), Y1
-	ROWWALK(walk_16, skip_16, FMA2)
+	ROWWALK(walk_16, skip_16, SI, FMA2)
 	VMOVUPS Y0, (DI)
 	VMOVUPS Y1, 32(DI)
 	NEXTCOLS(16, 64)
@@ -460,7 +463,7 @@ rows_8:
 	CMPQ    R13, $8
 	JLT     rows_tail
 	VMOVUPS (DI), Y0
-	ROWWALK(walk_8, skip_8, FMA1)
+	ROWWALK(walk_8, skip_8, SI, FMA1)
 	VMOVUPS Y0, (DI)
 	NEXTCOLS(8, 32)
 
@@ -468,10 +471,122 @@ rows_tail:
 	MOVQ       R13, CX
 	TAILMASK(rows_done)
 	VMASKMOVPS (DI), Y14, Y0
-	ROWWALK(walk_tail, skip_tail, FMATAIL)
+	ROWWALK(walk_tail, skip_tail, SI, FMATAIL)
 	VMASKMOVPS Y0, Y14, (DI)
 
 rows_done:
+	VZEROUPPER
+	RET
+
+// SCAT1..SCAT8 add w·(the block's source registers), w in Y8, into the
+// destination columns at AX: per register one copy, one FMA with the
+// destination's load folded in (Y9 = Y8·Y9 + mem, the fused multiply-add
+// axpyAVX2 rounds) and one store. SCATTAIL does the same under the Y14 mask.
+#define SCAT1 \
+	VMOVAPS     Y0, Y9;          \
+	VFMADD213PS (AX), Y8, Y9;    \
+	VMOVUPS     Y9, (AX)
+#define SCAT2 \
+	SCAT1;                       \
+	VMOVAPS     Y1, Y9;          \
+	VFMADD213PS 32(AX), Y8, Y9;  \
+	VMOVUPS     Y9, 32(AX)
+#define SCAT4 \
+	SCAT2;                       \
+	VMOVAPS     Y2, Y9;          \
+	VFMADD213PS 64(AX), Y8, Y9;  \
+	VMOVUPS     Y9, 64(AX);      \
+	VMOVAPS     Y3, Y9;          \
+	VFMADD213PS 96(AX), Y8, Y9;  \
+	VMOVUPS     Y9, 96(AX)
+#define SCAT8 \
+	SCAT4;                       \
+	VMOVAPS     Y4, Y9;          \
+	VFMADD213PS 128(AX), Y8, Y9; \
+	VMOVUPS     Y9, 128(AX);     \
+	VMOVAPS     Y5, Y9;          \
+	VFMADD213PS 160(AX), Y8, Y9; \
+	VMOVUPS     Y9, 160(AX);     \
+	VMOVAPS     Y6, Y9;          \
+	VFMADD213PS 192(AX), Y8, Y9; \
+	VMOVUPS     Y9, 192(AX);     \
+	VMOVAPS     Y7, Y9;          \
+	VFMADD213PS 224(AX), Y8, Y9; \
+	VMOVUPS     Y9, 224(AX)
+#define SCATTAIL \
+	VMASKMOVPS  (AX), Y14, Y9; \
+	VFMADD231PS Y0, Y8, Y9;    \
+	VMASKMOVPS  Y9, Y14, (AX)
+
+// func scatterRowAVX2(dst *float32, d int, src *float32, idx *int32, w *float32, nnz int)
+//
+// dst[idx[k]·d : idx[k]·d+d] += w[k]·src[0:d] for k ascending, a ±0 weight
+// skipped: per lane, the fused multiply-add of one axpyAVX2 call per entry.
+// The leaf is column-stationary, addRowSparseAVX2 turned round: a block of up
+// to 64 source floats sits in Y0..Y7 while the whole index list is walked, so
+// the source row is loaded once per call and each listed destination block
+// is loaded, updated and stored once. What 64 does not cover goes through
+// the same walk on 4, 2 and 1 registers, and the last d mod 8 floats under
+// the Y14 mask. Every idx[k] must be a row of dst: the caller's checkSparseT
+// gate, not this code, is what keeps the stores in bounds.
+TEXT ·scatterRowAVX2(SB), NOSPLIT, $0-48
+	MOVQ  dst+0(FP), DI
+	MOVQ  d+8(FP), R13 // floats of the row still to do
+	MOVQ  src+16(FP), SI
+	MOVQ  idx+24(FP), R9
+	MOVQ  w+32(FP), R10
+	MOVQ  nnz+40(FP), R11
+	LEAQ  (R13*4), R12 // destination row stride in bytes
+	TESTQ R11, R11
+	JLE   scat_done
+
+scat_64:
+	CMPQ    R13, $64
+	JLT     scat_32
+	VMOVUPS (SI), Y0
+	VMOVUPS 32(SI), Y1
+	VMOVUPS 64(SI), Y2
+	VMOVUPS 96(SI), Y3
+	VMOVUPS 128(SI), Y4
+	VMOVUPS 160(SI), Y5
+	VMOVUPS 192(SI), Y6
+	VMOVUPS 224(SI), Y7
+	ROWWALK(swalk_64, sskip_64, DI, SCAT8)
+	NEXTCOLS(64, 256)
+	JMP     scat_64
+
+scat_32:
+	CMPQ    R13, $32
+	JLT     scat_16
+	VMOVUPS (SI), Y0
+	VMOVUPS 32(SI), Y1
+	VMOVUPS 64(SI), Y2
+	VMOVUPS 96(SI), Y3
+	ROWWALK(swalk_32, sskip_32, DI, SCAT4)
+	NEXTCOLS(32, 128)
+
+scat_16:
+	CMPQ    R13, $16
+	JLT     scat_8
+	VMOVUPS (SI), Y0
+	VMOVUPS 32(SI), Y1
+	ROWWALK(swalk_16, sskip_16, DI, SCAT2)
+	NEXTCOLS(16, 64)
+
+scat_8:
+	CMPQ    R13, $8
+	JLT     scat_tail
+	VMOVUPS (SI), Y0
+	ROWWALK(swalk_8, sskip_8, DI, SCAT1)
+	NEXTCOLS(8, 32)
+
+scat_tail:
+	MOVQ       R13, CX
+	TAILMASK(scat_done)
+	VMASKMOVPS (SI), Y14, Y0
+	ROWWALK(swalk_tail, sskip_tail, DI, SCATTAIL)
+
+scat_done:
 	VZEROUPPER
 	RET
 

@@ -19,6 +19,10 @@ func addRowSparseAVX2(dst *float32, d int, src *float32, idx *int32, w *float32,
 	panic("vec: no assembly kernels")
 }
 
+func scatterRowAVX2(dst *float32, d int, src *float32, idx *int32, w *float32, nnz int) {
+	panic("vec: no assembly kernels")
+}
+
 func complexMulAVX2(dst, a, b *float32, h int) { panic("vec: no assembly kernels") }
 
 func complexMulConjAddAVX2(dst, a, b *float32, h int) { panic("vec: no assembly kernels") }

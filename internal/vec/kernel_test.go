@@ -15,15 +15,16 @@ import (
 
 // kernels is one implementation of the dispatched entry points.
 type kernels struct {
-	name          string
-	dot           func(a, b []float32) float32
-	axpy          func(alpha float32, x, y []float32)
-	mulABtRows    func(c, a, b Matrix, idx []int32)
-	mulABtReusing func(c, a, b, t Matrix)
-	addOuterAtB   func(a, g, b Matrix)
-	addRowsSparse func(dst Matrix, g *SparseRows, src Matrix)
-	hingeRow      func(idx []int32, scores []float32, ids []int32, t float32, id int32) (int, float64, int)
-	selectGE      func(idx []int32, x []float32, t float32) int
+	name           string
+	dot            func(a, b []float32) float32
+	axpy           func(alpha float32, x, y []float32)
+	mulABtRows     func(c, a, b Matrix, idx []int32)
+	mulABtReusing  func(c, a, b, t Matrix)
+	addOuterAtB    func(a, g, b Matrix)
+	addRowsSparse  func(dst Matrix, g *SparseRows, src Matrix)
+	addRowsSparseT func(dst Matrix, g *SparseRows, src Matrix)
+	hingeRow       func(idx []int32, scores []float32, ids []int32, t float32, id int32) (int, float64, int)
+	selectGE       func(idx []int32, x []float32, t float32) int
 }
 
 var (
@@ -33,9 +34,10 @@ var (
 		func(c, a, b, t Matrix) { checkMulABt(c, a, b, nil); checkReuse(c, t); mulABtReusing(c, a, b, t, false) },
 		func(a, g, b Matrix) { addOuterDense(a, g, b, false) },
 		func(dst Matrix, g *SparseRows, src Matrix) { addRowsSparse(dst, g, src, false) },
+		func(dst Matrix, g *SparseRows, src Matrix) { addRowsSparseT(dst, g, src, false) },
 		hingeRowGeneric, selectGEGeneric,
 	}
-	activeKernels = kernels{Kernel(), Dot, Axpy, MulABtRows, MulABtReusing, AddOuterAtB, AddRowsSparse, hingeRow, SelectGE}
+	activeKernels = kernels{Kernel(), Dot, Axpy, MulABtRows, MulABtReusing, AddOuterAtB, AddRowsSparse, AddRowsSparseT, hingeRow, SelectGE}
 )
 
 // bothPaths is the active path and, when that is the assembly, the portable
@@ -97,10 +99,45 @@ func sparseOf(g Matrix, off int) *SparseRows {
 	return s
 }
 
+// transposeOf returns sᵀ, s taken as a Rows()×cols matrix: a counting sort
+// by column, so row j of the result lists column j's entries, explicit ±0
+// weights included, in ascending row order of s. It is the reference
+// AddRowsSparseT is held to: the Axpy chain over its rows (axpyChain), and
+// AddRowsSparse over it.
 func transposeOf(s *SparseRows, cols int) *SparseRows {
-	t := new(SparseRows)
-	s.TransposeInto(t, cols)
+	nnz := len(s.Idx)
+	t := &SparseRows{Start: make([]int32, cols+1), Idx: make([]int32, nnz), W: make([]float32, nnz)}
+	// Start[j+1] counts column j, then becomes where column j's next entry
+	// goes; once every entry is placed that is where column j+1 begins.
+	for _, j := range s.Idx {
+		t.Start[j+1]++
+	}
+	var at int32
+	for j := 1; j <= cols; j++ {
+		at, t.Start[j] = at+t.Start[j], at
+	}
+	for i := 0; i < s.Rows(); i++ {
+		for k := s.Start[i]; k < s.Start[i+1]; k++ {
+			j := s.Idx[k] + 1
+			p := t.Start[j]
+			t.Idx[p], t.W[p] = int32(i), s.W[k]
+			t.Start[j] = p + 1
+		}
+	}
 	return t
+}
+
+// axpyChain accumulates dst += t·src as ks's Axpy calls, one per non-zero
+// entry of t in row-major order: what AddRowsSparse over t, and
+// AddRowsSparseT over tᵀ, must be bitwise on the same path.
+func axpyChain(ks kernels, dst Matrix, t *SparseRows, src Matrix) {
+	for j := 0; j < t.Rows(); j++ {
+		for k := t.Start[j]; k < t.Start[j+1]; k++ {
+			if t.W[k] != 0 {
+				ks.axpy(t.W[k], src.Row(int(t.Idx[k])), dst.Row(j))
+			}
+		}
+	}
 }
 
 // gamma is γ_n = n·u/(1−n·u) at float32's unit roundoff u = 2⁻²⁴.
@@ -173,10 +210,24 @@ func checkBound(ks kernels, n, m, d, off int, density uint8, seed uint64) error 
 		return err
 	}
 	accB0 := offMatrix(r, m, d, off)
-	accB := cloneMatrix(accB0)
-	ks.addRowsSparse(accB, transposeOf(sg, m), a)
-	if err := outer("AddRowsSparse(Gᵀ)", accB0, accB, a, func(p, q int) float32 { return g.Row(q)[p] }); err != nil {
-		return err
+	gT := transposeOf(sg, m)
+	chain := cloneMatrix(accB0)
+	axpyChain(ks, chain, gT, a)
+	for _, run := range []struct {
+		op string
+		f  func(dst Matrix)
+	}{
+		{"AddRowsSparse(Gᵀ)", func(dst Matrix) { ks.addRowsSparse(dst, gT, a) }},
+		{"AddRowsSparseT(G)", func(dst Matrix) { ks.addRowsSparseT(dst, sg, a) }},
+	} {
+		accB := cloneMatrix(accB0)
+		run.f(accB)
+		if err := outer(run.op, accB0, accB, a, func(p, q int) float32 { return g.Row(q)[p] }); err != nil {
+			return err
+		}
+		if i := firstDiff(accB.Data, chain.Data); i >= 0 {
+			return fmt.Errorf("%s element %d = %v, Axpy chain over the transpose %v", run.op, i, accB.Data[i], chain.Data[i])
+		}
 	}
 
 	if n > 0 && m > 0 {
@@ -216,8 +267,8 @@ func checkPositionIndependent(n, m, d, off int, density uint8, seed uint64) erro
 	}
 
 	// Both accumulating products — G·B through the dense entry point and
-	// through AddRowsSparse, Gᵀ·A through AddRowsSparse over the transpose —
-	// against the Axpy chain.
+	// through AddRowsSparse, Gᵀ·A through AddRowsSparse over the transpose
+	// and through AddRowsSparseT's scatter — against the Axpy chain.
 	sg := sparseOf(g, off)
 	accA0 := offMatrix(r, n, d, off)
 	want := cloneMatrix(accA0)
@@ -247,10 +298,55 @@ func checkPositionIndependent(n, m, d, off int, density uint8, seed uint64) erro
 			Axpy(g.Row(i)[j], a.Row(i), want.Row(j))
 		}
 	}
-	got := cloneMatrix(accB0)
-	AddRowsSparse(got, transposeOf(sg, m), a)
-	if i := firstDiff(got.Data, want.Data); i >= 0 {
-		return fmt.Errorf("AddRowsSparse(Gᵀ) element %d = %v, Axpy chain %v", i, got.Data[i], want.Data[i])
+	for _, run := range []struct {
+		op string
+		f  func(dst Matrix)
+	}{
+		{"AddRowsSparse(Gᵀ)", func(dst Matrix) { AddRowsSparse(dst, transposeOf(sg, m), a) }},
+		{"AddRowsSparseT(G)", func(dst Matrix) { AddRowsSparseT(dst, sg, a) }},
+	} {
+		got := cloneMatrix(accB0)
+		run.f(got)
+		if i := firstDiff(got.Data, want.Data); i >= 0 {
+			return fmt.Errorf("%s element %d = %v, Axpy chain %v", run.op, i, got.Data[i], want.Data[i])
+		}
+	}
+	return nil
+}
+
+// checkScatter holds AddRowsSparseT to the Axpy chain over the transpose on
+// every path, with NaN, ±Inf and ±0 planted among G's weights: each path's
+// scatter is bitwise its own chain (any NaN matching any NaN — which NaN
+// payload a fused multiply-add returns depends on its operand order), and
+// the paths agree on every output's class.
+func checkScatter(n, m, d, off int, density uint8, seed uint64) error {
+	r := rng.New(seed)
+	a, g := offMatrix(r, n, d, off), offMatrix(r, n, m, off)
+	sparsify(r, g, density)
+	sg := sparseOf(g, off)
+	inf, negZero := float32(math.Inf(1)), float32(math.Copysign(0, -1))
+	specials := []float32{float32(math.NaN()), inf, -inf, negZero, 0}
+	for k := 2; k < len(sg.W); k += 7 {
+		sg.W[k] = specials[(k/7)%len(specials)]
+	}
+	gT := transposeOf(sg, m)
+	accB0 := offMatrix(r, m, d, off)
+	var outs [][]float32
+	for _, ks := range bothPaths() {
+		want, got := cloneMatrix(accB0), cloneMatrix(accB0)
+		axpyChain(ks, want, gT, a)
+		ks.addRowsSparseT(got, sg, a)
+		for i := range want.Data {
+			if x, y := got.Data[i], want.Data[i]; !sameBits(x, y) && !(x != x && y != y) {
+				return fmt.Errorf("%s: AddRowsSparseT element %d = %v, Axpy chain over the transpose %v", ks.name, i, x, y)
+			}
+		}
+		outs = append(outs, got.Data)
+	}
+	for i := range outs[0] {
+		if class(outs[0][i]) != class(outs[len(outs)-1][i]) {
+			return fmt.Errorf("AddRowsSparseT element %d is %v on %s, %v on generic", i, outs[0][i], Kernel(), outs[len(outs)-1][i])
+		}
 	}
 	return nil
 }
@@ -515,6 +611,7 @@ func TestKernelNonFinitePropagation(t *testing.T) {
 				sg := sparseOf(g, off)
 				ks.addRowsSparse(accA, sg, b)
 				ks.addRowsSparse(accB, transposeOf(sg, m), a)
+				ks.addRowsSparseT(accB, sg, a)
 				out = append(out, accA.Data...)
 				out = append(out, accB.Data...)
 				out = append(out, ks.dot(a.Row(0), b.Row(0)))
@@ -534,9 +631,10 @@ func TestKernelNonFinitePropagation(t *testing.T) {
 // TestKernelZeroWeightIsSkipped pins the zero skip of contract (ii) on both
 // paths, with no carve-out: a ±0 weight contributes nothing whatever it
 // shares a row with, so NaN and ±Inf source rows under zero weights leave
-// the destination untouched bit for bit — through AddRowsSparse, through a
-// transpose (which must carry the zeros along) and through the dense entry
-// point.
+// the destination untouched bit for bit — through AddRowsSparse, through
+// AddRowsSparseT's scatter over the transpose built in this file (which must
+// carry the zeros along), through AddRowsSparse over the transpose of that,
+// and through the dense entry point.
 func TestKernelZeroWeightIsSkipped(t *testing.T) {
 	inf := float32(math.Inf(1))
 	negZero := float32(math.Copysign(0, -1))
@@ -568,6 +666,7 @@ func TestKernelZeroWeightIsSkipped(t *testing.T) {
 				"AddRowsSparse(Gᵀᵀ)": func(dst Matrix) {
 					ks.addRowsSparse(dst, transposeOf(transposeOf(sg, 5), 2), src)
 				},
+				"AddRowsSparseT(Gᵀ)": func(dst Matrix) { ks.addRowsSparseT(dst, transposeOf(sg, 5), src) },
 			} {
 				got := cloneMatrix(dst0)
 				run(got)
@@ -580,29 +679,40 @@ func TestKernelZeroWeightIsSkipped(t *testing.T) {
 	}
 }
 
-// TestAddRowsSparseGate: the assembly leaf dereferences Idx unchecked, so a
-// malformed SparseRows must be refused before any row runs, with a constant
-// message (no formatting on the way to the panic).
+// TestAddRowsSparseGate: the assembly leaves dereference Idx unchecked, so a
+// malformed SparseRows must be refused by both sparse products before any
+// row runs, with a constant message (no formatting on the way to the panic).
+// For AddRowsSparse the indices name rows of src; for AddRowsSparseT, whose
+// src is the smaller matrix here, rows of dst.
 func TestAddRowsSparseGate(t *testing.T) {
-	src, dst := NewMatrix(3, 4), NewMatrix(2, 4)
-	for name, g := range map[string]*SparseRows{
-		"index past src":     {Start: []int32{0, 1, 2}, Idx: []int32{0, 3}, W: []float32{1, 1}},
-		"negative index":     {Start: []int32{0, 1, 2}, Idx: []int32{-1, 0}, W: []float32{1, 1}},
-		"start not monotone": {Start: []int32{0, 2, 1}, Idx: []int32{0}, W: []float32{1}},
-		"start past entries": {Start: []int32{0, 1, 3}, Idx: []int32{0, 1}, W: []float32{1, 1}},
-		"start not from 0":   {Start: []int32{1, 1, 2}, Idx: []int32{0, 1}, W: []float32{1, 1}},
-		"weights short":      {Start: []int32{0, 1, 2}, Idx: []int32{0, 1}, W: []float32{1}},
+	big, small := NewMatrix(3, 4), NewMatrix(2, 4)
+	for _, op := range []struct {
+		name     string
+		run      func(g *SparseRows)
+		dst, msg string
+	}{
+		{"AddRowsSparse", func(g *SparseRows) { AddRowsSparse(small, g, big) }, "small", "vec: AddRowsSparse over a malformed SparseRows"},
+		{"AddRowsSparseT", func(g *SparseRows) { AddRowsSparseT(big, g, small) }, "big", "vec: AddRowsSparseT over a malformed SparseRows"},
 	} {
-		func() {
-			defer func() {
-				if got := recover(); got != "vec: AddRowsSparse over a malformed SparseRows" {
-					t.Errorf("%s: recovered %v, want the gate's panic", name, got)
-				}
+		for name, g := range map[string]*SparseRows{
+			"index past the rows": {Start: []int32{0, 1, 2}, Idx: []int32{0, 3}, W: []float32{1, 1}},
+			"negative index":      {Start: []int32{0, 1, 2}, Idx: []int32{-1, 0}, W: []float32{1, 1}},
+			"start not monotone":  {Start: []int32{0, 2, 1}, Idx: []int32{0}, W: []float32{1}},
+			"start past entries":  {Start: []int32{0, 1, 3}, Idx: []int32{0, 1}, W: []float32{1, 1}},
+			"start not from 0":    {Start: []int32{1, 1, 2}, Idx: []int32{0, 1}, W: []float32{1, 1}},
+			"weights short":       {Start: []int32{0, 1, 2}, Idx: []int32{0, 1}, W: []float32{1}},
+		} {
+			func() {
+				defer func() {
+					if got := recover(); got != op.msg {
+						t.Errorf("%s %s: recovered %v, want the gate's panic", op.name, name, got)
+					}
+				}()
+				op.run(g)
 			}()
-			AddRowsSparse(dst, g, src)
-		}()
+		}
 	}
-	for _, v := range dst.Data {
+	for _, v := range append(big.Data, small.Data...) {
 		if v != 0 {
 			t.Fatal("a refused call wrote to the destination")
 		}
@@ -638,20 +748,20 @@ func TestMaxUint32(t *testing.T) {
 	}
 }
 
-// TestTransposeIntoProperty: every (i, j, w) of s appears exactly once in sᵀ
-// as (j, i, w), each column of s lists its rows ascending, Start is monotone
-// over exactly the entries, and shapes with no rows or no columns work. The
-// target is reused across shapes, as the Workspace reuses it.
-func TestTransposeIntoProperty(t *testing.T) {
+// TestTransposeOfProperty holds the reference transpose the scatter is
+// tested against to its definition: every (i, j, w) of s appears exactly once
+// in sᵀ as (j, i, w), each column of s lists its rows ascending, Start is
+// monotone over exactly the entries, and shapes with no rows or no columns
+// work.
+func TestTransposeOfProperty(t *testing.T) {
 	r := rng.New(77)
-	tr := new(SparseRows)
 	for _, shape := range [][2]int{{0, 5}, {5, 0}, {0, 0}, {1, 1}, {3, 7}, {50, 100}, {9, 2}} {
 		n, m := shape[0], shape[1]
 		for _, density := range []uint8{0, 40, 255} {
 			g := offMatrix(r, n, m, 1)
 			sparsify(r, g, density)
 			s := sparseOf(g, 2)
-			s.TransposeInto(tr, m)
+			tr := transposeOf(s, m)
 			if tr.Rows() != m || !validSparse(tr, max(n, 1)) || len(tr.Idx) != len(s.Idx) {
 				t.Fatalf("%dx%d density %d: transpose has %d rows over %d entries (want %d over %d) or is malformed",
 					n, m, density, tr.Rows(), len(tr.Idx), m, len(s.Idx))
@@ -799,8 +909,10 @@ func TestAppendHingeRow(t *testing.T) {
 // FuzzKernelParity draws a shape, an allocation offset, a density of G and a
 // seed, and holds both paths to contract (i), the assembly path to contract
 // (ii), the complex leaves to bitwise parity, the hinge row and the threshold
-// filter to their definitions, MulABtRows to MulABt over a gathered copy, and
-// MulABtReusing to MulABt.
+// filter to their definitions, MulABtRows to MulABt over a gathered copy,
+// MulABtReusing to MulABt, and AddRowsSparseT on every path to the Axpy chain
+// over the transpose, with NaN, ±Inf and ±0 weights planted (checkBound
+// holds it there on finite weights too).
 // checkRows lists m+1 rows, so the seeds with m = 69 score a 70-row serve
 // list at d = 32 and offset 7, and m = 6, 7, 8 lists of one row fewer than
 // the leaf's look-ahead distance, exactly it and one more.
@@ -837,6 +949,9 @@ func FuzzKernelParity(f *testing.F) {
 		}
 		if err := checkReusing(ni, mi, di, oi, seed); err != nil {
 			t.Fatalf("reusing n=%d m=%d d=%d offset %d seed %d: %v", ni, mi, di, oi, seed, err)
+		}
+		if err := checkScatter(ni, mi, di, oi, density, seed); err != nil {
+			t.Fatalf("scatter n=%d m=%d d=%d offset %d density %d seed %d: %v", ni, mi, di, oi, density, seed, err)
 		}
 	})
 }
@@ -881,11 +996,35 @@ func BenchmarkMulABt(b *testing.B) {
 	}
 }
 
-// BenchmarkAddRowsSparse is the training backward product at the kg_mem chunk
-// shape and three densities of G (0.1–0.25 is where ranking-loss training
-// sits after the first epochs, 1 is what the dense losses emit), in GFLOP/s
+// BenchmarkAddRowsSparse is the training backward's two products, in GFLOP/s
 // of the non-zeros: work the loss asked for, not work a tile grid implies.
+// G·B (AddRowsSparse, the gather) runs at the kg_mem chunk shape and three
+// densities of G (0.1–0.25 is where ranking-loss training sits after the
+// first epochs, 1 is what the dense losses emit). Gᵀ·A (AddRowsSparseT, the
+// scatter, under GT/) runs at the chunk shapes n×m×d of kg_mem, social_ooc and
+// the training in serve_topk's set-up, at densities seen there.
 func BenchmarkAddRowsSparse(b *testing.B) {
+	for _, s := range []struct {
+		name    string
+		n, m, d int
+		share   uint8
+	}{
+		{"kg_mem_50x100x64/density_0.3", 50, 100, 64, 77},
+		{"ooc_10x20x128/density_0.2", 10, 20, 128, 51},
+		{"serve_setup_50x100x32/density_0.3", 50, 100, 32, 77},
+	} {
+		b.Run("GT/"+s.name, func(b *testing.B) {
+			r := rng.New(3)
+			acc, g, am := randMatrix(r, s.m, s.d), randMatrix(r, s.n, s.m), randMatrix(r, s.n, s.d)
+			for i := range g.Data {
+				if r.Intn(255) >= int(s.share) {
+					g.Data[i] = 0
+				}
+			}
+			sg := sparseOf(g, 0)
+			benchPaths(b, 2*nonZeros(sg)*s.d, func(ks kernels) { ks.addRowsSparseT(acc, sg, am) })
+		})
+	}
 	for _, density := range []struct {
 		name  string
 		share uint8
@@ -899,15 +1038,20 @@ func BenchmarkAddRowsSparse(b *testing.B) {
 				}
 			}
 			sg := sparseOf(g, 0)
-			nnz := 0
-			for _, w := range sg.W {
-				if w != 0 {
-					nnz++
-				}
-			}
-			benchPaths(b, 2*nnz*64, func(ks kernels) { ks.addRowsSparse(acc, sg, bm) })
+			benchPaths(b, 2*nonZeros(sg)*64, func(ks kernels) { ks.addRowsSparse(acc, sg, bm) })
 		})
 	}
+}
+
+// nonZeros counts the weights of s that are not ±0.
+func nonZeros(s *SparseRows) int {
+	n := 0
+	for _, w := range s.W {
+		if w != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 func BenchmarkAddOuterAtB(b *testing.B) {

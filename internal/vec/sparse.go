@@ -10,8 +10,9 @@ import (
 // SparseRows is a row-compressed sparse matrix: row i holds the entries
 // (Idx[k], W[k]) for Start[i] ≤ k < Start[i+1], columns ascending within a
 // row. It is how the gradient block G of a score block travels from the loss
-// that produces it to the two accumulating products that consume it (G·B and,
-// transposed, Gᵀ·A): under the ranking loss most of G is zero, so the rows'
+// that produces it to the two accumulating products that consume it, G·B
+// (AddRowsSparse) and Gᵀ·A (AddRowsSparseT, which reads G's rows as they
+// are: no transpose is built): under the ranking loss most of G is zero, so the rows'
 // non-zeros are the representation rather than something each consumer
 // rediscovers. The buffers are reused across Reset calls.
 type SparseRows struct {
@@ -199,43 +200,11 @@ func selectGEAVX2(idx []int32, x []float32, t float32) int {
 	return n
 }
 
-// TransposeInto writes sᵀ, taken as a Rows()×cols matrix, into t: a counting
-// sort by column, so each of t's rows (s's columns) lists its entries in
-// ascending row order of s — the order AddRowsSparse adds them in.
-//
-//pbg:hotpath
-func (s *SparseRows) TransposeInto(t *SparseRows, cols int) {
-	nnz := len(s.Idx)
-	t.reserve(cols, nnz)
-	t.Start, t.Idx, t.W = t.Start[:cols+1], t.Idx[:nnz], t.W[:nnz]
-	start := t.Start
-	for j := range start {
-		start[j] = 0
-	}
-	// start[j+1] counts column j, then becomes where column j's next entry
-	// goes; once every entry is placed that is where column j+1 begins.
-	for _, j := range s.Idx {
-		start[j+1]++
-	}
-	var at int32
-	for j := 1; j <= cols; j++ {
-		at, start[j] = at+start[j], at
-	}
-	for i := 0; i < s.Rows(); i++ {
-		for k := s.Start[i]; k < s.Start[i+1]; k++ {
-			j := s.Idx[k] + 1
-			p := start[j]
-			t.Idx[p], t.W[p] = int32(i), s.W[k]
-			start[j] = p + 1
-		}
-	}
-}
-
 // AddRowsSparse accumulates dst += G·src for a sparse G: row i of dst
 // receives Σ_k W[k]·src[Idx[k]] over row i's entries, in ascending k. It is
-// the one kernel under both backward products of a score block — called with
-// G it is G·B, with Gᵀ (TransposeInto) it is Gᵀ·A — and on either path it is
-// bitwise the chain of Axpy calls it abbreviates, ±0 weights skipped.
+// a score block's G·B, row-stationary: each destination row is held while
+// its list is walked. On either path it is bitwise the chain of Axpy calls it
+// abbreviates, ±0 weights skipped.
 //
 //pbg:hotpath
 func AddRowsSparse(dst Matrix, g *SparseRows, src Matrix) {
@@ -253,6 +222,31 @@ func addRowsSparse(dst Matrix, g *SparseRows, src Matrix, asm bool) {
 	}
 }
 
+// AddRowsSparseT accumulates dst += Gᵀ·src for a sparse G with src.Rows rows
+// whose columns name rows of dst: it scatters each row of G, so for i
+// ascending and each entry (j, w) of row i, dst[j] += w·src[i]. It is a score
+// block's Gᵀ·A, column-stationary: each source row is held while its list is
+// walked. Destination row j receives its entries in ascending i, the order a
+// row of Gᵀ lists them in, so on either path it is bitwise the chain of Axpy
+// calls AddRowsSparse over the transpose would make, ±0 weights skipped; no
+// transpose is built. dst must not overlap src.
+//
+//pbg:hotpath
+func AddRowsSparseT(dst Matrix, g *SparseRows, src Matrix) {
+	addRowsSparseT(dst, g, src, useAVX2)
+}
+
+//pbg:hotpath
+func addRowsSparseT(dst Matrix, g *SparseRows, src Matrix, asm bool) {
+	checkSparseT(dst, g, src)
+	for i := 0; i < src.Rows; i++ {
+		lo, hi := g.Start[i], g.Start[i+1]
+		if lo < hi {
+			scatterRow(dst, src.Row(i), g.Idx[lo:hi], g.W[lo:hi], asm)
+		}
+	}
+}
+
 // checkSparse is AddRowsSparse's bounds gate. The assembly leaf addresses
 // source rows by pointer arithmetic from Idx, so everything it will
 // dereference is validated here, before any row runs.
@@ -264,6 +258,19 @@ func checkSparse(dst Matrix, g *SparseRows, src Matrix) {
 	}
 	if !validSparse(g, src.Rows) {
 		panic("vec: AddRowsSparse over a malformed SparseRows")
+	}
+}
+
+// checkSparseT is AddRowsSparseT's bounds gate: the scatter leaf addresses
+// destination rows by pointer arithmetic from Idx.
+func checkSparseT(dst Matrix, g *SparseRows, src Matrix) {
+	checkData(dst, src, Matrix{})
+	if dst.Cols != src.Cols || len(g.Start) != src.Rows+1 {
+		panic(fmt.Sprintf("vec: AddRowsSparseT shape mismatch dst=%dx%d src=%dx%d rows=%d",
+			dst.Rows, dst.Cols, src.Rows, src.Cols, g.Rows()))
+	}
+	if !validSparse(g, dst.Rows) {
+		panic("vec: AddRowsSparseT over a malformed SparseRows")
 	}
 }
 
@@ -313,6 +320,23 @@ func addRow(dst []float32, src Matrix, idx []int32, w []float32, asm bool) {
 	for k, j := range idx {
 		if w[k] != 0 {
 			axpyGeneric(w[k], src.Row(int(j)), dst)
+		}
+	}
+}
+
+// scatterRow accumulates dst[idx[k]] += w[k]·src for k ascending, ±0 weights
+// skipped: the assembly leaf when asm is set, else the Axpy calls it stands
+// for. The callers have validated idx against dst.
+//
+//pbg:hotpath
+func scatterRow(dst Matrix, src []float32, idx []int32, w []float32, asm bool) {
+	if asm {
+		scatterRowAVX2(unsafe.SliceData(dst.Data), len(src), unsafe.SliceData(src), unsafe.SliceData(idx), unsafe.SliceData(w), len(idx))
+		return
+	}
+	for k, j := range idx {
+		if w[k] != 0 {
+			axpyGeneric(w[k], src, dst.Row(int(j)))
 		}
 	}
 }

@@ -475,7 +475,7 @@ func mulABtGeneric(c, a, b Matrix, idx []int32, from int) {
 // leaf), so on either path it is bitwise the ascending chain of Axpy calls,
 // every zero coefficient skipped. Training passes G as SparseRows and never
 // builds the dense block; the product with Gᵀ has no dense entry point and
-// is AddRowsSparse over SparseRows.TransposeInto.
+// is AddRowsSparseT, which scatters G's rows (no transpose is built).
 //
 //pbg:hotpath
 func AddOuterAtB(a, g, b Matrix) {
