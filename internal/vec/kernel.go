@@ -64,9 +64,8 @@ import "unsafe"
 // Three leaves dereference an index list unchecked — addRowSparseAVX2,
 // scatterRowAVX2 and, under MulABtRows, the GEMM leaf dotStripAVX2 (for its
 // rows and its look-ahead) — and for each the list is range-checked once per
-// call before anything is loaded or stored (checkSparse, checkSparseT,
-// checkMulABt: one unsigned maximum, maxUint32AVX2), with a constant-message
-// panic.
+// call before anything is loaded or stored (checkSparse, checkMulABt: one
+// unsigned maximum, maxUint32AVX2), with a fixed-message panic.
 //
 // Two assembly leaves do weighted row accumulation, one per backward product
 // of a score block, and share one index-list walk (ROWWALK): the

@@ -62,7 +62,7 @@ func addRowSparseAVX2(dst *float32, d int, src *float32, idx *int32, w *float32,
 // scatterRowAVX2 accumulates dst[idx[k]·d:][0:d] += w[k]·src[0:d] for k <
 // nnz in ascending order, skipping ±0 weights: per destination row the FMA
 // of one axpyAVX2 call per entry, with the source row held in registers
-// across the whole list. idx is dereferenced unchecked; checkSparseT vouches
+// across the whole list. idx is dereferenced unchecked; checkSparse vouches
 // for it.
 //
 //go:noescape

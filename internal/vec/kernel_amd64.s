@@ -527,7 +527,7 @@ rows_done:
 // the source row is loaded once per call and each listed destination block
 // is loaded, updated and stored once. What 64 does not cover goes through
 // the same walk on 4, 2 and 1 registers, and the last d mod 8 floats under
-// the Y14 mask. Every idx[k] must be a row of dst: the caller's checkSparseT
+// the Y14 mask. Every idx[k] must be a row of dst: the caller's checkSparse
 // gate, not this code, is what keeps the stores in bounds.
 TEXT ·scatterRowAVX2(SB), NOSPLIT, $0-48
 	MOVQ  dst+0(FP), DI

@@ -681,7 +681,7 @@ func TestKernelZeroWeightIsSkipped(t *testing.T) {
 
 // TestAddRowsSparseGate: the assembly leaves dereference Idx unchecked, so a
 // malformed SparseRows must be refused by both sparse products before any
-// row runs, with a constant message (no formatting on the way to the panic).
+// row runs, with a fixed message (no formatting on the way to the panic).
 // For AddRowsSparse the indices name rows of src; for AddRowsSparseT, whose
 // src is the smaller matrix here, rows of dst.
 func TestAddRowsSparseGate(t *testing.T) {

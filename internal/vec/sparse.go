@@ -213,7 +213,7 @@ func AddRowsSparse(dst Matrix, g *SparseRows, src Matrix) {
 
 //pbg:hotpath
 func addRowsSparse(dst Matrix, g *SparseRows, src Matrix, asm bool) {
-	checkSparse(dst, g, src)
+	checkSparse("AddRowsSparse", dst, g, src, dst.Rows, src.Rows)
 	for i := 0; i < dst.Rows; i++ {
 		lo, hi := g.Start[i], g.Start[i+1]
 		if lo < hi {
@@ -238,7 +238,7 @@ func AddRowsSparseT(dst Matrix, g *SparseRows, src Matrix) {
 
 //pbg:hotpath
 func addRowsSparseT(dst Matrix, g *SparseRows, src Matrix, asm bool) {
-	checkSparseT(dst, g, src)
+	checkSparse("AddRowsSparseT", dst, g, src, src.Rows, dst.Rows)
 	for i := 0; i < src.Rows; i++ {
 		lo, hi := g.Start[i], g.Start[i+1]
 		if lo < hi {
@@ -247,30 +247,19 @@ func addRowsSparseT(dst Matrix, g *SparseRows, src Matrix, asm bool) {
 	}
 }
 
-// checkSparse is AddRowsSparse's bounds gate. The assembly leaf addresses
-// source rows by pointer arithmetic from Idx, so everything it will
+// checkSparse is the bounds gate of the two sparse products: g must have
+// rows rows whose indices name rows of a matrix of cols rows — src's for
+// AddRowsSparse, dst's for AddRowsSparseT. Their assembly leaves address
+// those rows by pointer arithmetic from Idx, so everything a leaf will
 // dereference is validated here, before any row runs.
-func checkSparse(dst Matrix, g *SparseRows, src Matrix) {
+func checkSparse(op string, dst Matrix, g *SparseRows, src Matrix, rows, cols int) {
 	checkData(dst, src, Matrix{})
-	if dst.Cols != src.Cols || len(g.Start) != dst.Rows+1 {
-		panic(fmt.Sprintf("vec: AddRowsSparse shape mismatch dst=%dx%d src=%dx%d rows=%d",
-			dst.Rows, dst.Cols, src.Rows, src.Cols, g.Rows()))
+	if dst.Cols != src.Cols || len(g.Start) != rows+1 {
+		panic(fmt.Sprintf("vec: %s shape mismatch dst=%dx%d src=%dx%d rows=%d",
+			op, dst.Rows, dst.Cols, src.Rows, src.Cols, g.Rows()))
 	}
-	if !validSparse(g, src.Rows) {
-		panic("vec: AddRowsSparse over a malformed SparseRows")
-	}
-}
-
-// checkSparseT is AddRowsSparseT's bounds gate: the scatter leaf addresses
-// destination rows by pointer arithmetic from Idx.
-func checkSparseT(dst Matrix, g *SparseRows, src Matrix) {
-	checkData(dst, src, Matrix{})
-	if dst.Cols != src.Cols || len(g.Start) != src.Rows+1 {
-		panic(fmt.Sprintf("vec: AddRowsSparseT shape mismatch dst=%dx%d src=%dx%d rows=%d",
-			dst.Rows, dst.Cols, src.Rows, src.Cols, g.Rows()))
-	}
-	if !validSparse(g, dst.Rows) {
-		panic("vec: AddRowsSparseT over a malformed SparseRows")
+	if !validSparse(g, cols) {
+		panic("vec: " + op + " over a malformed SparseRows")
 	}
 }
 
