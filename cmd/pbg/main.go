@@ -130,8 +130,7 @@ func runTrain(args []string, out io.Writer) error {
 		return err
 	}
 	if cfg.MemBudgetBytes > 0 {
-		codec, _ := storage.ParseCodec(cfg.Codec) // the config parser checked it
-		plan, err := train.PlanOrderFor(g.Schema, cfg.Dim, cfg.MemBudgetBytes, codec, "")
+		plan, err := train.PlanOrderFor(g.Schema, cfg.Dim, cfg.MemBudgetBytes, "")
 		if err != nil {
 			return err
 		}

@@ -9,7 +9,6 @@ import (
 
 	"pbg/internal/dist"
 	"pbg/internal/obs"
-	"pbg/internal/storage"
 	"pbg/internal/train"
 )
 
@@ -52,11 +51,7 @@ func runNode(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// Distributed training is fp32 whatever the config's codec: the wire
-	// carries fp32 shard images and the checkout cache has no codec, so the
-	// bucket order and the caches are priced fp32.
 	cfg := rd.cfg.Train()
-	cfg.Codec = ""
 	switch *role {
 	case "lock":
 		return runLock(rd, cfg, *listen, *ttl, hub, out)
@@ -119,7 +114,7 @@ func runNode(args []string, out io.Writer) error {
 // the config's mem_budget affords the trainers' checkout caches, priced the
 // way train.BufferSlotsFor prices it for them.
 func runLock(rd *runDir, cfg train.Config, listen string, ttl time.Duration, hub *obs.Hub, out io.Writer) error {
-	plan, err := train.PlanOrderFor(rd.schema, cfg.Dim, cfg.MemBudgetBytes, storage.CodecFP32, "")
+	plan, err := train.PlanOrderFor(rd.schema, cfg.Dim, cfg.MemBudgetBytes, "")
 	if err != nil {
 		return err
 	}

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"pbg/internal/dist"
-	"pbg/internal/storage"
 	"pbg/internal/train"
 )
 
@@ -41,10 +40,8 @@ func TrainDistributed(g *Graph, cfg DistributedConfig) (*DistributedResult, erro
 	}
 	// The lock server leases the order planned for the buffer the
 	// trainers' checkout caches will sustain, priced by the same formula
-	// they use. Distributed checkout caches hold fp32 shards (no
-	// remote-store codec yet), so it is priced fp32 regardless of
-	// cfg.Train.Codec.
-	plan, err := train.PlanOrderFor(g.Schema, cfg.Train.Dim, cfg.Train.MemBudgetBytes, storage.CodecFP32, cfg.Train.BucketOrder)
+	// they use.
+	plan, err := train.PlanOrderFor(g.Schema, cfg.Train.Dim, cfg.Train.MemBudgetBytes, cfg.Train.BucketOrder)
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,7 @@
 // root of a run directory, which every pbg subcommand reads and no command
 // line repeats. Field names follow PyTorch-BigGraph's raw_config (entities,
 // relations, dimension, comparator, loss_fn, lr, num_epochs, eval_fraction)
-// plus seed, mem_budget and codec. The parser rejects a field it does not
+// plus seed and mem_budget. The parser rejects a field it does not
 // know by name, so a PBG field this reproduction does not implement
 // (dynamic_relations, global_emb, …) fails loudly instead of being ignored.
 //
@@ -51,9 +51,8 @@ type Config struct {
 	EvalFraction float64 `json:"eval_fraction,omitempty"`
 	Seed         uint64  `json:"seed,omitempty"`
 	// MemBudget is train.Config.MemBudgetBytes as a byte size such as
-	// "256MB" (storage.ParseByteSize; empty = unbounded), Codec its Codec.
+	// "256MB" (storage.ParseByteSize; empty = unbounded).
 	MemBudget string `json:"mem_budget,omitempty"`
-	Codec     string `json:"codec,omitempty"`
 }
 
 // Entity is one entity type's entry.
@@ -85,7 +84,7 @@ func Parse(b []byte) (*Config, error) {
 	}
 	budget, err := storage.ParseByteSize(c.MemBudget)
 	if err == nil {
-		err = train.ValidateRunFlags(c.Codec, budget)
+		err = train.ValidateRunFlags(budget)
 	}
 	switch {
 	case err != nil:
@@ -208,6 +207,6 @@ func (c *Config) Train() train.Config {
 	budget, _ := storage.ParseByteSize(c.MemBudget) // Parse checked it
 	return train.Config{
 		Dim: c.Dimension, Comparator: c.Comparator, Loss: c.LossFn, LR: float32(c.LR),
-		Epochs: c.NumEpochs, Seed: c.Seed, MemBudgetBytes: budget, Codec: c.Codec,
+		Epochs: c.NumEpochs, Seed: c.Seed, MemBudgetBytes: budget,
 	}
 }

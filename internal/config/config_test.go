@@ -20,7 +20,7 @@ var parseCases = map[string]string{
 	`{"dimension":8,"relations":[{"name":"r","lhs":"n","rhs":"n","weight":2}]}`: `"weight"`,
 	`{"dimension":0}`:                                         "dimension",
 	`{"dimension":8,"eval_fraction":1}`:                       "eval_fraction",
-	`{"dimension":8,"codec":"bf16"}`:                          "codec",
+	`{"dimension":8,"codec":"int8"}`:                          `"codec"`,
 	`{"dimension":8,"mem_budget":"-1MB"}`:                     "-1MB",
 	`{"dimension":8,"relations":[{"name":"r"},{"name":"r"}]}`: `"r" is declared twice`,
 	`{"dimension":8} {}`:                                      "after the top-level object",
@@ -37,7 +37,7 @@ func TestParseRejectsByName(t *testing.T) {
 // roundTripConfig is a config with every field set.
 const roundTripConfig = `{"dimension":16,"entities":{"node":{"num_partitions":4,"count":400}},
 	"relations":[{"name":"follows","lhs":"node","rhs":"node"}],"comparator":"cos","loss_fn":"softmax",
-	"lr":0.05,"num_epochs":3,"eval_fraction":0.1,"seed":9,"mem_budget":"64KB","codec":"int8"}`
+	"lr":0.05,"num_epochs":3,"eval_fraction":0.1,"seed":9,"mem_budget":"64KB"}`
 
 // FuzzConfig feeds Parse arbitrary bytes, as a run directory's config.json
 // can hold: it must return an error or a config that re-encodes to a config

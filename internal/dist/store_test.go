@@ -648,16 +648,17 @@ func testCacheSpanNesting(t *testing.T, newCache cacheFactory) {
 	}
 }
 
-// TestCacheRemoteStorePricesFP32: train.New hands Config.Codec to any store
-// with a SetCodec method, and the wire (hence the checkout cache) holds fp32
-// whatever the run's checkpoint codec is — so the remote store must not
-// grow one by embedding the cache, or its budget would under-price every
-// shard.
+// TestCacheRemoteStorePricesFP32: the wire carries fp32 shard images only
+// and the partition servers write fp32 files, so the remote store has no
+// encoding to select, and its budget prices the fp32 shards it holds like
+// every storage.Cache. It must not grow a SetCodec by embedding something
+// that has one: a caller that finds the method by type assertion would
+// select a codec nothing applies.
 func TestCacheRemoteStorePricesFP32(t *testing.T) {
 	schema := budgetSchema()
 	var store any = dialLoopback(t, NewPartitionServer(schema, 8, 1), schema, 8)
 	if _, ok := store.(interface{ SetCodec(storage.Codec) }); ok {
-		t.Fatal("remoteStore exposes SetCodec: train.New would price its fp32 shards in the run's codec")
+		t.Fatal("remoteStore exposes SetCodec, but every shard it moves is fp32")
 	}
 }
 

@@ -170,6 +170,19 @@ var guards = []guard{
 		mutant: "HogwildOff bool",
 		why:    "a bucket's workers run HOGWILD and go test -race checks that path; the striped-lock mode, its Config knob and its row stripes ran in no workload, so none may come back into train's non-test code",
 	},
+	{
+		name:   "one budget currency: pricing",
+		forbid: regexp.MustCompile(`ProjectedShardBytesCodec|payloadBytes`),
+		mutant: "func (l Layout) payloadBytes() int64 { return l.Size() - l.HeaderBytes() }",
+		why:    "the cache holds every shard decoded fp32, so admission, eviction, the prefetch depth and the buffer slots price a shard at ProjectedShardBytes and Shard.Bytes; priced at its file codec, an int8 run held ~3.8x the budget it reported (103 MB peak RSS against fp32's 84 at one mem_budget)",
+	},
+	{
+		name:   "one budget currency: train",
+		dirs:   []string{"internal/train"},
+		forbid: regexp.MustCompile(`SetCodec`),
+		mutant: "if c, ok := store.(interface{ SetCodec(storage.Codec) }); ok { c.SetCodec(codec) }",
+		why:    "training has no codec knob: at one mem_budget, priced in the bytes it holds, int8 trained social_ooc at 0.59x fp32's throughput_per_s (0 of 5 pairs) with quality in band, so the trainer never selects a store's file encoding",
+	},
 }
 
 // TestGuards walks the module once and reports every guard's forbidden

@@ -210,11 +210,6 @@ type Cache struct {
 	policy  WritePolicy
 	schema  *graph.Schema
 	dim     int
-	// codec is what the budget prices shards in: admission, eviction and
-	// ResidentBytes all charge ProjectedShardBytesCodec. Only an owner whose
-	// backend stores shards in a codec sets it (DiskStore.SetCodec);
-	// everything else is fp32.
-	codec Codec
 
 	mu          sync.Mutex
 	cond        *sync.Cond // signalled when in-flight I/O frees accounted memory
@@ -324,10 +319,10 @@ func (c *Cache) MaxResidentBytes() int64 {
 }
 
 // shardBytes is the budget price of shard (t,p), known from the schema
-// without touching the backend: its exact fp32 in-memory size, or its
-// quantized footprint when a codec is set (see DiskStore.SetCodec).
+// without touching the backend: its exact fp32 in-memory size, whatever
+// codec its file is stored in.
 func (c *Cache) shardBytes(t, p int) int64 {
-	return ProjectedShardBytesCodec(c.schema, c.dim, t, p, c.codec)
+	return ProjectedShardBytes(c.schema, c.dim, t, p)
 }
 
 // submit runs fn on the background I/O pool.
@@ -501,7 +496,7 @@ func (c *Cache) loadLocked(k shardKey, e *cacheEntry, prefetch bool) {
 			c.free = append(c.free, spare)
 		}
 	} else {
-		e.size = LayoutOf(sh, c.codec).payloadBytes() // what shardBytes projected, from the actual shape
+		e.size = sh.Bytes() // what shardBytes projected, from the actual shape
 		if prefetch {
 			// Until an Acquire hands it out, a prefetched shard is identical
 			// to its durable copy (or its deterministic lazy init): evictable
@@ -926,10 +921,9 @@ func (c *Cache) Flush() error {
 // ResidentBytes implements Store. Shards being prefetched count once
 // loaded; shards awaiting or under write-back count too — both genuinely
 // occupy memory, and the pipeline's extra transient footprint should be
-// visible to the §5.4.2 accounting rather than hidden. Under
-// DiskStore.SetCodec the report is in budget-priced (codec) bytes, the same
-// unit the admission budget charges, so the invariant "accounted ≥
-// resident" holds in one currency.
+// visible to the §5.4.2 accounting rather than hidden. The report is in
+// decoded fp32 bytes, the unit the admission budget charges, whatever codec
+// the backend stores shards in.
 func (c *Cache) ResidentBytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -131,15 +131,8 @@ func newDiskMetrics(reg *obs.Registry) CacheMetrics {
 }
 
 // SetCodec selects the shard encoding for every subsequent write-back and
-// flush, and switches the memory budget to codec pricing: admission,
-// eviction and ResidentBytes all charge
-// ProjectedShardBytesCodec instead of fp32 bytes, so a 2–4× smaller codec
-// directly admits 2–4× more shards (and a wider prefetch lookahead) at the
-// same SetMaxResidentBytes budget. The budget is thus an I/O-footprint
-// cost model, not a memory one: every resident shard — held, retained
-// dirty or clean, or prefetched — is decoded fp32 in memory while the
-// budget prices it at codec bytes, so real memory runs up to the fp32 ÷
-// codec ratio (~2× fp16, ~3.8× int8 at dim 128) above the budget.
+// flush. It changes the files only: the budget prices every resident shard
+// at its decoded fp32 size, which is what the cache holds.
 //
 // Like SetObs, call it once before the store's first Prefetch/Acquire;
 // reads transparently decode whatever codec each file already is, so a
@@ -147,7 +140,6 @@ func newDiskMetrics(reg *obs.Registry) CacheMetrics {
 // shards are rewritten.
 func (d *DiskStore) SetCodec(c Codec) {
 	d.files.codec = c
-	d.Cache.codec = c
 }
 
 // Dir is the directory the store swaps shards through.

@@ -155,10 +155,6 @@ func (l Layout) Size() int64 {
 	return off + n
 }
 
-// payloadBytes is Size without the header — what the memory budget charges
-// for a shard held under l.Codec.
-func (l Layout) payloadBytes() int64 { return l.Size() - l.HeaderBytes() }
-
 // appendHeader appends the encoded header to dst.
 func (l Layout) appendHeader(dst []byte) []byte {
 	words := []uint32{shardMagic, 1}

@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 
-	"pbg/internal/graph"
 	"pbg/internal/vec"
 )
 
@@ -23,11 +22,12 @@ import (
 //	int8  per-row symmetric int8 with one float32 scale per row
 //	      (scale = maxabs/127): ~4× smaller, error ≤ maxabs(row)/254.
 //
-// The codec is a property of the run, not the file: DiskStore.SetCodec
-// makes every write-back, flush, and budget-admission price use it, while
-// ReadShard transparently decodes whatever version a file actually is — so
-// switching codecs between runs over the same directory just works, and
-// mixed directories (mid-migration) load fine.
+// A codec describes a file, never memory: every shard is decoded to fp32 on
+// load, and the memory budget prices it there. DiskStore.SetCodec picks the
+// encoding of its write-backs and flushes, while ReadShard transparently
+// decodes whatever version a file actually is — so a directory written under
+// one codec loads under any other, and mixed directories load fine. Serve
+// decodes a native v2 checkpoint at open.
 type Codec uint8
 
 const (
@@ -39,7 +39,7 @@ const (
 // Codecs lists every codec, for test matrices and bench sweeps.
 func Codecs() []Codec { return []Codec{CodecFP32, CodecFP16, CodecInt8} }
 
-// String implements fmt.Stringer with the flag spellings ParseCodec accepts.
+// String implements fmt.Stringer.
 func (c Codec) String() string {
 	switch c {
 	case CodecFP32:
@@ -51,33 +51,6 @@ func (c Codec) String() string {
 	default:
 		return fmt.Sprintf("codec(%d)", uint8(c))
 	}
-}
-
-// ParseCodec parses a -codec flag value.
-func ParseCodec(s string) (Codec, error) {
-	switch s {
-	case "", "fp32", "f32", "float32":
-		return CodecFP32, nil
-	case "fp16", "f16", "half":
-		return CodecFP16, nil
-	case "int8", "i8":
-		return CodecInt8, nil
-	default:
-		return 0, fmt.Errorf("storage: unknown codec %q (want fp32, fp16 or int8)", s)
-	}
-}
-
-// ProjectedShardBytesCodec prices shard (t,p) under codec c, from the
-// schema alone: the embedding block at codec width, the int8 per-row scale
-// block, and the always-fp32 Adagrad block, without the file header. It is
-// ProjectedShardBytes generalised: admission budgets, the trainer's prefetch
-// depth, and buffer-slot pricing all route through it, so choosing a
-// 2–4× smaller codec automatically widens every one of those windows at the
-// same byte budget — the store's steady-state footprint is quantized bytes,
-// with decoded fp32 views living only transiently above it (see
-// DiskStore.SetCodec).
-func ProjectedShardBytesCodec(schema *graph.Schema, dim, t, p int, c Codec) int64 {
-	return Layout{Codec: c, Count: schema.Entities[t].PartitionCount(p), Dim: dim}.payloadBytes()
 }
 
 // WriteShardCodec persists a shard to path atomically under codec c, as the

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -280,104 +281,77 @@ func TestDiskStoreCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDiskStoreBudgetChargesQuantizedBytes pins the pricing side of the
-// tentpole: at a fixed SetMaxResidentBytes budget, admission must charge
-// ProjectedShardBytesCodec — so a working set whose fp32 pricing sheds
-// prefetch hints is admitted in full under int8, and ResidentBytes stays
-// within the quantized pricing.
-func TestDiskStoreBudgetChargesQuantizedBytes(t *testing.T) {
+// TestDiskStoreCodecBudgetChargesDecodedBytes pins that a budget over an
+// int8 DiskStore describes the memory it holds: the codec shrinks the files
+// only, every resident shard is decoded fp32, so ResidentBytes is the sum of
+// the resident shards' Shard.Bytes and stays within the budget plus one
+// shard through a burst of hints at every step of a swap sequence. Priced at
+// codec bytes, the same budget admitted every shard of the schema and held
+// ~3.8× what it reported.
+func TestDiskStoreCodecBudgetChargesDecodedBytes(t *testing.T) {
 	schema := testSchema(t)
 	const dim = 16
-	// Budget: every node shard at int8 pricing, well under two at fp32.
-	var i8All, fp32One int64
-	for p := 0; p < 4; p++ {
-		i8All += ProjectedShardBytesCodec(schema, dim, 0, p, CodecInt8)
-	}
-	fp32One = ProjectedShardBytes(schema, dim, 0, 0)
-	if i8All >= 2*fp32One {
-		t.Fatalf("test geometry broken: int8 total %d vs fp32 shard %d", i8All, fp32One)
-	}
-	budget := i8All
+	shard := ProjectedShardBytes(schema, dim, 0, 0)
+	budget := 2 * shard
+	st := newTestDisk(t, "", schema, dim, 1, 1)
+	st.SetCodec(CodecInt8)
+	st.SetMaxResidentBytes(budget)
 
-	run := func(c Codec) IOStats {
-		dir := t.TempDir()
-		st := newTestDisk(t, dir, schema, dim, 1, 1)
-		st.SetCodec(c)
-		st.SetMaxResidentBytes(budget)
+	check := func(when string) {
+		t.Helper()
+		st.Cache.mu.Lock()
+		var held int64
+		for _, e := range st.Cache.cache {
+			if e.shard != nil {
+				held += e.shard.Bytes()
+			}
+		}
+		st.Cache.mu.Unlock()
+		if got := st.ResidentBytes(); got != held {
+			t.Fatalf("%s: ResidentBytes %d, resident shards hold %d", when, got, held)
+		}
+		if held > budget+shard {
+			t.Fatalf("%s: resident shards hold %d, over budget %d + one shard %d", when, held, budget, shard)
+		}
+	}
+	burst := func() {
 		for p := 0; p < 4; p++ {
 			st.Prefetch(0, p)
 		}
-		if err := st.Drain(); err != nil {
-			t.Fatal(err)
-		}
-		if got, want := st.ResidentBytes(), budget; got > want {
-			t.Fatalf("%v: resident %d over budget %d", c, got, want)
-		}
-		io := st.IOStats()
-		if err := st.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return io
+		st.Prefetch(1, 0)
 	}
 
-	if io := run(CodecInt8); io.PrefetchSheds != 0 || io.Admits != 4 {
-		t.Fatalf("int8 pricing should admit all 4 hints, got %+v", io)
+	burst()
+	if err := st.Drain(); err != nil {
+		t.Fatal(err)
 	}
-	if io := run(CodecFP32); io.PrefetchSheds == 0 {
-		t.Fatalf("fp32 pricing at the int8 budget should shed hints, got %+v", io)
-	}
-}
-
-func TestParseCodec(t *testing.T) {
-	cases := map[string]Codec{
-		"": CodecFP32, "fp32": CodecFP32, "float32": CodecFP32,
-		"fp16": CodecFP16, "half": CodecFP16,
-		"int8": CodecInt8, "i8": CodecInt8,
-	}
-	for in, want := range cases {
-		got, err := ParseCodec(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseCodec(%q) = %v, %v", in, got, err)
-		}
-		if in != "" && in != "float32" && in != "half" && in != "i8" {
-			if got.String() != in {
-				t.Fatalf("String round trip: %q -> %q", in, got.String())
+	check("after a hint burst")
+	for round := 0; round < 2; round++ {
+		for p := 0; p < 4; p++ {
+			burst()
+			sh, err := st.Acquire(0, p)
+			if err != nil {
+				t.Fatal(err)
 			}
+			check(fmt.Sprintf("round %d holding p%d", round, p))
+			sh.Row(0)[0] += 1
+			if err := st.Release(0, p); err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("round %d released p%d", round, p))
 		}
 	}
-	if _, err := ParseCodec("bf16"); err == nil {
-		t.Fatal("unknown codec accepted")
+	if err := st.Drain(); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestProjectedShardBytesCodec(t *testing.T) {
-	schema := testSchema(t)
-	// node: 20 entities / 4 partitions = 5 rows; dim 8.
-	fp32 := ProjectedShardBytesCodec(schema, 8, 0, 0, CodecFP32)
-	fp16 := ProjectedShardBytesCodec(schema, 8, 0, 0, CodecFP16)
-	int8 := ProjectedShardBytesCodec(schema, 8, 0, 0, CodecInt8)
-	if fp32 != 5*9*4 {
-		t.Fatalf("fp32 = %d", fp32)
+	check("drained")
+	if st.IOStats().Writes == 0 {
+		t.Fatal("the budget forced no write-back: the int8 files were never exercised")
 	}
-	if fp16 != 5*8*2+5*4 {
-		t.Fatalf("fp16 = %d", fp16)
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
 	}
-	if int8 != 5*4+5*8+5*4 {
-		t.Fatalf("int8 = %d", int8)
-	}
-	if fp32 != ProjectedShardBytes(schema, 8, 0, 0) {
-		t.Fatal("fp32 pricing drifted from ProjectedShardBytes")
-	}
-	// The acceptance bar: ≥2× shard-byte reduction for int8 at any dim;
-	// fp16 approaches 2× from below (the Adagrad block stays fp32, so the
-	// ratio is 4(d+1)/(2d+4)) and must clear 1.9× at serving dims.
-	for _, dim := range []int{16, 64, 128} {
-		f32 := float64(ProjectedShardBytesCodec(schema, dim, 0, 0, CodecFP32))
-		if q := float64(ProjectedShardBytesCodec(schema, dim, 0, 0, CodecInt8)); f32 < 2*q {
-			t.Fatalf("dim %d int8: %v not ≥2× smaller than %v", dim, q, f32)
-		}
-		if q := float64(ProjectedShardBytesCodec(schema, dim, 0, 0, CodecFP16)); dim >= 64 && f32 < 1.9*q {
-			t.Fatalf("dim %d fp16: %v not ≥1.9× smaller than %v", dim, q, f32)
-		}
+	if _, c, err := ReadShardCodec(ShardPath(st.Dir(), 0, 0)); err != nil || c != CodecInt8 {
+		t.Fatalf("shard file codec %v (%v), want int8", c, err)
 	}
 }

@@ -159,13 +159,13 @@ func (s *Shard) Bytes() int64 {
 
 // ProjectedShardBytes is the fp32 size shard (t,p) will occupy, priced from
 // the schema alone — it matches Shard.Bytes for a shard of that shape
-// (count×dim embeddings plus count Adagrad cells, float32 each). Cache
-// admission and the trainer's prefetch-window projections both price
-// shards through this helper — or through ProjectedShardBytesCodec when a
-// run stores shards quantized — so accounting cannot drift from the bytes
-// actually held.
+// (count×dim embeddings plus count Adagrad cells, float32 each), whatever
+// codec its file is in: a shard is held decoded. Cache admission, the
+// trainer's prefetch depth and its buffer slots all price shards through
+// this helper, so accounting cannot drift from the bytes actually held.
 func ProjectedShardBytes(schema *graph.Schema, dim, t, p int) int64 {
-	return ProjectedShardBytesCodec(schema, dim, t, p, CodecFP32)
+	n := int64(schema.Entities[t].PartitionCount(p))
+	return n * int64(dim+1) * 4
 }
 
 // buffered adapts an emitter of many small writes to writeFileAtomic: it

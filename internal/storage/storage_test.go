@@ -23,6 +23,55 @@ func testSchema(t *testing.T) *graph.Schema {
 	)
 }
 
+// TestProjectedShardBytesIsShardBytes pins the budget's one price: the
+// schema's projection of every shard, uneven partitions included, is the
+// Shard.Bytes of the shard a load produces, under every file codec.
+func TestProjectedShardBytesIsShardBytes(t *testing.T) {
+	schema := graph.MustSchema(
+		[]graph.EntityType{{Name: "node", Count: 23, NumPartitions: 4}, {Name: "tag", Count: 6, NumPartitions: 1}},
+		[]graph.RelationType{{Name: "r", SourceType: "node", DestType: "tag", Operator: "identity"}},
+	)
+	for _, dim := range []int{1, 8, 128} {
+		for ti, e := range schema.Entities {
+			for p := 0; p < e.NumPartitions; p++ {
+				want := NewShard(ti, p, e.PartitionCount(p), dim).Bytes()
+				if got := ProjectedShardBytes(schema, dim, ti, p); got != want {
+					t.Fatalf("dim %d shard (%d,%d): projected %d, Shard.Bytes %d", dim, ti, p, got, want)
+				}
+			}
+		}
+	}
+	for _, c := range Codecs() {
+		st := newTestDisk(t, "", schema, 8, 1, 1)
+		st.SetCodec(c)
+		sh, err := st.Acquire(0, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh.Row(0)[0] += 1
+		if err := st.Release(0, 3); err != nil {
+			t.Fatal(err)
+		}
+		// Unbudgeted, the last Release writes the file in c and drops the
+		// shard, so the next Acquire decodes it.
+		if err := st.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		if _, fc, err := ReadShardCodec(ShardPath(st.Dir(), 0, 3)); err != nil || fc != c {
+			t.Fatalf("file codec %v (%v), want %v", fc, err, c)
+		}
+		if sh, err = st.Acquire(0, 3); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := ProjectedShardBytes(schema, 8, 0, 3), sh.Bytes(); got != want {
+			t.Fatalf("%v: projected %d, loaded Shard.Bytes %d", c, got, want)
+		}
+		if err := st.Release(0, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestShardInitStatistics(t *testing.T) {
 	sh := NewShard(0, 0, 1000, 16)
 	sh.Init(rng.New(1), 1.0)

@@ -336,16 +336,6 @@ func (s *Store) SetMaxResidentBytes(n int64) {
 	}
 }
 
-// SetCodec forwards the shard codec to the inner store when it encodes one
-// (DiskStore): train.New plumbs Config.Codec through exactly this
-// interface, so without it a wrapped DiskStore would write fp32 while the
-// budget priced shards quantized.
-func (s *Store) SetCodec(c storage.Codec) {
-	if b, ok := s.Store.(interface{ SetCodec(storage.Codec) }); ok {
-		b.SetCodec(c)
-	}
-}
-
 // Events returns a snapshot of the operation log.
 func (s *Store) Events() []Event {
 	s.mu.Lock()

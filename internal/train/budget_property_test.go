@@ -2,7 +2,7 @@ package train
 
 // Property coverage for the memory budget (run under -race in CI): across
 // randomized schemas, both bucket orders, budgets — which set the prefetch
-// depth New picks — and shard codecs, the
+// depth New picks — and the codec the store writes its files in, the
 // store's resident bytes never exceed MaxResidentBytes plus the single
 // in-flight shard allowance, and every acquired shard is eventually
 // released. The invariant is observed two ways at once: storetest.WatchBudget
@@ -38,10 +38,10 @@ func TestPipelineBudgetInvariantProperty(t *testing.T) {
 		const nodes, dim = 240, 8
 		// A bucket's working set is two shards; budgets below that would
 		// legitimately run over (referenced shards cannot be evicted), so
-		// randomize from the working set upward — priced through the case's
-		// codec, the same currency admission charges. Two shards hold the
-		// depth at 0, larger budgets buy deeper windows; the last case is
-		// unbounded (depth 1).
+		// randomize from the working set upward — priced at the decoded fp32
+		// size whatever the file codec, the currency admission charges. Two
+		// shards hold the depth at 0, larger budgets buy deeper windows; the
+		// last case is unbounded (depth 1).
 		shardMult := int64(2 + r.Intn(5))
 		if i == cases-1 {
 			shardMult = 0
@@ -54,13 +54,14 @@ func TestPipelineBudgetInvariantProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			perShard := storage.ProjectedShardBytesCodec(g.Schema, dim, 0, 0, codec)
+			perShard := storage.ProjectedShardBytes(g.Schema, dim, 0, 0)
 			budget := shardMult * perShard
 			ds := storetest.NewDisk(t, "", g.Schema, dim, 7, 1)
+			ds.SetCodec(codec)
 			st := storetest.New(ds)
 			tr, err := New(g, st, Config{
 				Dim: dim, Epochs: 2, Seed: uint64(5 + i), Workers: 2,
-				BucketOrder: order, MemBudgetBytes: budget, Codec: codec.String(),
+				BucketOrder: order, MemBudgetBytes: budget,
 			})
 			if err != nil {
 				t.Fatal(err)

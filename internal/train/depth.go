@@ -32,13 +32,11 @@ func (t *Trainer) pickLookahead() int {
 	return L
 }
 
-// shardKeyBytes is the budget price of shard k — its fp32 size, or its
-// quantized footprint under Config.Codec — priced through the same helper
-// budget admission uses, so the depth's projections cannot drift from the
-// store's accounting. A smaller codec therefore deepens the window the same
-// budget affords, automatically.
+// shardKeyBytes is the budget price of shard k — its decoded fp32 size —
+// priced through the same helper budget admission uses, so the depth's
+// projections cannot drift from the store's accounting.
 func (t *Trainer) shardKeyBytes(k shardKey) int64 {
-	return storage.ProjectedShardBytesCodec(t.g.Schema, t.cfg.Dim, k.t, k.p, t.codec)
+	return storage.ProjectedShardBytes(t.g.Schema, t.cfg.Dim, k.t, k.p)
 }
 
 // maxShardBytes is the largest single shard of the schema — the "one

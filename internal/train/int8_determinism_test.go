@@ -11,24 +11,25 @@ import (
 )
 
 // TestSameSeedSameShardBytesInt8WithEvictions is TestSameSeedSameShardBytes
-// for the case PR 16 left open: -codec int8 under a budget that evicts. A
-// shard's rows are quantized when — and only when — it is written, evicted
-// and reloaded. While every last Release started a write and a re-Acquire
-// either revived the live fp32 rows or reloaded the quantized file by
-// timing, two same-seed runs never agreed (10 of 10 differed at the parent
-// of this test). Now a shard is written when the evictor picks it, the
-// evictor's order is a function of the epoch thread's own calls, and the
-// runs agree. What is not covered: a working set over the budget, where
-// which hint is shed and when an over-budget shard is dropped still follow
-// I/O timing.
+// over a DiskStore that writes int8 files (DiskStore.SetCodec), under a
+// budget that evicts. A shard's rows are quantized when — and only when — it
+// is written, evicted and reloaded. While every last Release started a
+// write and a re-Acquire either revived the live fp32 rows or reloaded the
+// quantized file by timing, two same-seed runs never agreed (10 of 10
+// differed before this test). Now a shard is written when the evictor picks
+// it, the evictor's order is a function of the epoch thread's own calls,
+// and the runs agree. What is not covered: a working set over the budget,
+// where which hint is shed and when an over-budget shard is dropped still
+// follow I/O timing.
 func TestSameSeedSameShardBytesInt8WithEvictions(t *testing.T) {
 	g := smallSocial(t, 8)
 	run := func() string {
 		dir := t.TempDir()
 		store := storetest.NewDisk(t, dir, g.Schema, 20, 7, 1)
+		store.SetCodec(storage.CodecInt8)
 		tr, err := New(g, store, Config{
-			Dim: 20, Epochs: 2, Seed: 3, Workers: 1, Codec: "int8",
-			MemBudgetBytes: 3 * storage.ProjectedShardBytesCodec(g.Schema, 20, 0, 0, storage.CodecInt8),
+			Dim: 20, Epochs: 2, Seed: 3, Workers: 1,
+			MemBudgetBytes: 3 * storage.ProjectedShardBytes(g.Schema, 20, 0, 0),
 		})
 		if err != nil {
 			t.Fatal(err)

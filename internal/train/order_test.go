@@ -164,5 +164,5 @@ func TestBucketOrderSpellings(t *testing.T) {
 // memory budget affords (0 = unbudgeted): the capacity the planned order
 // optimises against.
 func (t *Trainer) BufferSlots() int {
-	return BufferSlotsFor(t.g.Schema, t.cfg.Dim, t.cfg.MemBudgetBytes, t.codec)
+	return BufferSlotsFor(t.g.Schema, t.cfg.Dim, t.cfg.MemBudgetBytes, storage.CodecFP32)
 }

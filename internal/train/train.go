@@ -107,24 +107,6 @@ type Config struct {
 	// order is planned against, and bounds the prefetch depth. 0 =
 	// unbounded: inside-out order, depth 1.
 	MemBudgetBytes int64
-	// Codec selects the on-disk shard encoding for stores that support one
-	// (DiskStore via SetCodec): "fp32" (default), "fp16", or "int8" — see
-	// storage.ParseCodec for accepted spellings. The codec also reprices
-	// every budget consumer (admission, the prefetch depth's window
-	// projections, the planned order's buffer slots), so a smaller codec
-	// deepens the lookahead window and widens the partition buffer at the same
-	// MemBudgetBytes. That is where int8's measured gain comes from, not from
-	// the codec: the budget prices a shard at codec bytes while the cache
-	// holds it decoded as fp32 (DiskStore.SetCodec), so int8 admits more
-	// partitions at one MemBudgetBytes and uses more memory to do it — on
-	// social_ooc all-resident fp32 matched int8's rate, and at one budget
-	// int8 read 103 MB peak RSS against fp32's 84. Whether int8 stays is
-	// open (ROADMAP item 16). fp16 trained slower than fp32 on the same run,
-	// its encode costing more than the swaps it saves. Adagrad state stays
-	// fp32 under every codec; int8 loses embedding bits to per-row scaling and
-	// fp16 to rounding, with the MRR cost of each pinned by
-	// TestCodecEvalParityMatrix in internal/serve.
-	Codec string
 	// Obs is the observability hub the trainer records metrics and spans
 	// into (see internal/obs); it is also plumbed into stores that expose
 	// SetObs, so one /metrics scrape covers the whole pipeline. Nil gives
@@ -263,10 +245,6 @@ type Trainer struct {
 	lookahead      int
 	epochHighWater int64
 
-	// codec is the parsed Config.Codec; every budget projection prices
-	// shards under it, matching the store's own admission accounting.
-	codec storage.Codec
-
 	// obs is Config.Obs or a private quiet hub; tm caches its registry
 	// handles so the epoch path never takes the registry lock. epochSpan is
 	// the span covering the epoch in flight (nil outside TrainEpoch and on
@@ -286,11 +264,7 @@ func New(g *graph.Graph, store storage.Store, cfg Config) (*Trainer, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	codec, err := storage.ParseCodec(cfg.Codec)
-	if err != nil {
-		return nil, fmt.Errorf("train: %w", err)
-	}
-	t := &Trainer{cfg: cfg, g: g, store: store, root: rng.New(cfg.Seed), codec: codec}
+	t := &Trainer{cfg: cfg, g: g, store: store, root: rng.New(cfg.Seed)}
 	t.obs = cfg.Obs
 	if t.obs == nil {
 		t.obs = obs.NewQuietHub()
@@ -342,16 +316,6 @@ func New(g *graph.Graph, store storage.Store, cfg Config) (*Trainer, error) {
 	}
 	t.buckets = order
 
-	// Plumb the shard codec into stores that encode one (DiskStore); the
-	// codec must land before the budget so admission prices quantized bytes
-	// from the first hint. Stores with no on-disk format (MemStore) have
-	// nothing to encode — for them the codec takes effect at Checkpoint
-	// time, when the shards first meet a disk.
-	if codec != storage.CodecFP32 {
-		if c, ok := store.(interface{ SetCodec(storage.Codec) }); ok {
-			c.SetCodec(codec)
-		}
-	}
 	// Plumb the memory budget into stores that enforce one (DiskStore, the
 	// distributed remote store); others simply ignore it.
 	if cfg.MemBudgetBytes > 0 {
@@ -379,10 +343,6 @@ func (t *Trainer) Buckets() []partition.Bucket { return t.buckets }
 
 // Schema returns the graph schema the trainer was built from.
 func (t *Trainer) Schema() *graph.Schema { return t.g.Schema }
-
-// Codec reports the parsed shard codec of the run (Config.Codec);
-// Model.Checkpoint encodes checkpoints under it.
-func (t *Trainer) Codec() storage.Codec { return t.codec }
 
 // PeakResidentBytes reports the largest model footprint held in memory so
 // far (sampled while bucket shards are resident).

@@ -360,13 +360,11 @@ func (m *Model) EmbeddingMatrix(entityType string) (vec.Matrix, error) {
 // relationsFile holds a checkpoint's relation parameters.
 const relationsFile = "relations.pbg"
 
-// Checkpoint persists all shards and relation parameters under dir, encoded
-// with the run's shard codec (Config.Codec) — so a MemStore-trained model
-// still checkpoints quantized when the run asked for it. Into the directory
-// the model's own DiskStore swaps through, that is a Flush, after
-// materialising any shard training never touched: each shard is written
-// once. Anywhere else each shard file is written straight from the trained
-// shard while it is acquired.
+// Checkpoint persists all shards and relation parameters under dir, fp32.
+// Into the directory the model's own DiskStore swaps through, that is a
+// Flush, after materialising any shard training never touched: each shard
+// is written once. Anywhere else each shard file is written straight from
+// the trained shard while it is acquired.
 func (m *Model) Checkpoint(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -384,7 +382,7 @@ func (m *Model) Checkpoint(dir string) error {
 				return err
 			}
 			if !own {
-				err = storage.WriteShardCodec(path, src, m.trainer.Codec())
+				err = storage.WriteShard(path, src)
 			}
 			if rerr := m.store.Release(ti, p); err == nil {
 				err = rerr
