@@ -125,15 +125,12 @@ func runLock(rd *runDir, cfg train.Config, listen string, ttl time.Duration, hub
 	if hub != nil {
 		opts = append(opts, dist.WithLockObs(hub))
 	}
-	m, ok, err := dist.ReadManifest(rd.dir)
+	nSrc, nDst := rd.schema.BucketDims()
+	m, ok, err := dist.ReadManifest(rd.dir, nSrc, nDst)
 	if err != nil {
 		return err
 	}
 	if ok {
-		nSrc, nDst := rd.schema.BucketDims()
-		if err := m.Validate(nSrc, nDst, nil); err != nil {
-			return err
-		}
 		opts = append(opts, dist.WithRestoredEpoch(m.Epoch, m.Done))
 		fmt.Fprintf(out, "resuming from checkpoint: epoch %d, %d buckets done\n", m.Epoch, len(m.Done))
 	}

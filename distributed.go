@@ -16,11 +16,9 @@ type DistributedConfig struct {
 	// Machines is the number of trainer nodes (the paper trains on up to 8,
 	// with 2×Machines partitions).
 	Machines int
-	// Epochs to run.
-	Epochs int
 	// SyncInterval throttles background parameter synchronisation.
 	SyncInterval time.Duration
-	// Train carries the per-node hyperparameters.
+	// Train carries the per-node hyperparameters, the epochs to run included.
 	Train TrainConfig
 }
 
@@ -31,13 +29,10 @@ type DistributedResult struct {
 	Cluster *dist.Cluster
 }
 
-// TrainDistributed runs PBG's distributed execution mode (§4.2) and returns
-// the live cluster for evaluation. The caller must call
-// result.Cluster.Shutdown() when finished.
+// TrainDistributed runs PBG's distributed execution mode (§4.2) for
+// cfg.Train.Epochs epochs and returns the live cluster for evaluation. The
+// caller must call result.Cluster.Shutdown() when finished.
 func TrainDistributed(g *Graph, cfg DistributedConfig) (*DistributedResult, error) {
-	if cfg.Epochs <= 0 {
-		cfg.Epochs = 5
-	}
 	// The lock server leases the order planned for the buffer the
 	// trainers' checkout caches will sustain, priced by the same formula
 	// they use.
@@ -55,7 +50,7 @@ func TrainDistributed(g *Graph, cfg DistributedConfig) (*DistributedResult, erro
 		return nil, err
 	}
 	res := &DistributedResult{Cluster: cl}
-	for e := 0; e < cfg.Epochs; e++ {
+	for e := 0; e < cl.Nodes[0].Trainer().Config().Epochs; e++ {
 		st, err := cl.RunEpoch()
 		if err != nil {
 			cl.Shutdown()

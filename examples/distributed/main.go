@@ -29,12 +29,12 @@ func main() {
 
 	// One worker per machine: simulated machines share this host's cores,
 	// so genuine wall-clock speedup requires machines ≤ physical cores.
-	baseCfg := pbg.TrainConfig{Dim: 32, Workers: 1, Seed: 1, Comparator: "cos"}
+	baseCfg := pbg.TrainConfig{Dim: 32, Epochs: 4, Workers: 1, Seed: 1, Comparator: "cos"}
 
 	run := func(machines int) (time.Duration, pbg.Metrics) {
 		start := time.Now()
 		res, err := pbg.TrainDistributed(trainG, pbg.DistributedConfig{
-			Machines: machines, Epochs: 4, Train: baseCfg,
+			Machines: machines, Train: baseCfg,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -2,6 +2,8 @@ package dist
 
 import (
 	"bytes"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +13,7 @@ import (
 	"pbg/internal/graph"
 	"pbg/internal/obs"
 	"pbg/internal/partition"
+	servepkg "pbg/internal/serve" // dist's own serve starts its listeners
 	"pbg/internal/storage"
 	"pbg/internal/train"
 )
@@ -33,6 +36,23 @@ func chaosGraph(t *testing.T) *graph.Graph {
 		t.Fatal(err)
 	}
 	return g
+}
+
+// withOperator is g with its one relation's operator replaced: a graph whose
+// relation has parameters for the parameter server to hold.
+func withOperator(t *testing.T, g *graph.Graph, op string) *graph.Graph {
+	t.Helper()
+	rels := append([]graph.RelationType(nil), g.Schema.Relations...)
+	rels[0].Operator = op
+	schema, err := graph.NewSchema(g.Schema.Entities, rels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2, err := graph.NewGraph(schema, g.Edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g2
 }
 
 func insideOutOrder(t *testing.T, parts int) []partition.Bucket {
@@ -226,69 +246,159 @@ func TestClusterRPCChaosEpochExact(t *testing.T) {
 
 // TestClusterCheckpointResume shuts a durable cluster down after two epochs
 // and boots a fresh one over the same directory: the new cluster must resume
-// at epoch 3 with bit-exact embeddings, then train a full epoch.
+// at epoch 3 with bit-exact embeddings and, where the relation has
+// parameters, with the checkpointed relation block on its parameter server,
+// then train a full epoch. A reciprocal relation's block is twice its
+// operator's parameters.
 func TestClusterCheckpointResume(t *testing.T) {
 	const (
 		parts = 4
 		dim   = 16
 	)
-	g := chaosGraph(t)
-	order := insideOutOrder(t, parts)
+	for _, c := range []struct {
+		name       string
+		op         string
+		reciprocal bool
+	}{
+		{"identity", "identity", false},
+		{"reciprocal diagonal", "diagonal", true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g := withOperator(t, chaosGraph(t), c.op)
+			order := insideOutOrder(t, parts)
+			dir := t.TempDir()
+			cfg := ClusterConfig{
+				Machines:      1,
+				SyncInterval:  5 * time.Millisecond,
+				Seed:          3,
+				Train:         train.Config{Dim: dim, Workers: 1, Seed: 9, Reciprocal: c.reciprocal},
+				CheckpointDir: dir,
+			}
+
+			cl, err := NewCluster(g, order, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for epoch := 1; epoch <= 2; epoch++ {
+				if got := cl.NextEpoch(); got != epoch {
+					t.Fatalf("NextEpoch = %d, want %d", got, epoch)
+				}
+				if _, err := cl.RunEpoch(); err != nil {
+					t.Fatal(err)
+				}
+				if err := cl.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := evalShard(t, cl, 0, 1)
+			cl.Shutdown()
+
+			// A fresh cluster over the same directory resumes past the two finished
+			// epochs with the exact embeddings the old one shut down with.
+			cl2, err := NewCluster(g, order, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl2.Shutdown()
+			if got := cl2.NextEpoch(); got != 3 {
+				t.Fatalf("resumed NextEpoch = %d, want 3", got)
+			}
+			after := evalShard(t, cl2, 0, 1)
+			if len(before) == 0 || len(before) != len(after) {
+				t.Fatalf("shard sizes differ: %d vs %d", len(before), len(after))
+			}
+			for i := range before {
+				if before[i] != after[i] {
+					t.Fatalf("resumed embedding diverges at %d: %v vs %v", i, before[i], after[i])
+				}
+			}
+			if n := cl2.Nodes[0].Trainer().Scorer(0).RelParamCount(); n > 0 {
+				saved, err := storage.ReadRelations(dir + "/relations.pbg")
+				if err != nil {
+					t.Fatal(err)
+				}
+				var rep SyncReply
+				if err := cl2.paramSrv.Pull(PullArgs{Rel: 0}, &rep); err != nil {
+					t.Fatal(err)
+				}
+				if !slices.EqualFunc(rep.Params, saved.Params[0], func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }) {
+					t.Fatalf("resumed parameter server holds %v, the checkpoint %v", rep.Params, saved.Params[0])
+				}
+			}
+			st, err := cl2.RunEpoch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Buckets != parts*parts {
+				t.Fatalf("post-resume epoch trained %d buckets, want %d", st.Buckets, parts*parts)
+			}
+			if got := cl2.NextEpoch(); got != 4 {
+				t.Fatalf("NextEpoch after resume epoch = %d, want 4", got)
+			}
+		})
+	}
+}
+
+// TestClusterCheckpointServes: a cluster's cut is a checkpoint serve opens.
+// After Checkpoint over a diagonal relation, serve.Open succeeds, and
+// Server.Score on sampled edges is bitwise model.Scorer.Score over the
+// cluster's rows and the parameter server's block.
+func TestClusterCheckpointServes(t *testing.T) {
+	const dim = 16
+	g := withOperator(t, chaosGraph(t), "diagonal")
 	dir := t.TempDir()
-	cfg := ClusterConfig{
+	cl, err := NewCluster(g, insideOutOrder(t, 4), ClusterConfig{
 		Machines:      1,
 		SyncInterval:  5 * time.Millisecond,
 		Seed:          3,
 		Train:         train.Config{Dim: dim, Workers: 1, Seed: 9},
 		CheckpointDir: dir,
-	}
-
-	cl, err := NewCluster(g, order, cfg)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for epoch := 1; epoch <= 2; epoch++ {
-		if got := cl.NextEpoch(); got != epoch {
-			t.Fatalf("NextEpoch = %d, want %d", got, epoch)
-		}
-		if _, err := cl.RunEpoch(); err != nil {
+	defer cl.Shutdown()
+	if _, err := cl.RunEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := servepkg.Open(dir, servepkg.Config{Schema: g.Schema, Dim: dim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	var rep SyncReply
+	if err := cl.paramSrv.Pull(PullArgs{Rel: 0}, &rep); err != nil {
+		t.Fatal(err)
+	}
+	store, err := cl.EvalStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	view := train.NewStoreView(store, g.Schema)
+	defer view.Close()
+	sc := cl.Nodes[0].Trainer().Scorer(0)
+	src, dst := make([]float32, dim), make([]float32, dim)
+	for i := 0; i < 50; i++ {
+		e := i * g.Edges.Len() / 50
+		req := servepkg.ScoreRequest{Rel: 0, Src: g.Edges.Srcs[e], Dst: g.Edges.Dsts[e]}
+		got, err := srv.Score([]servepkg.ScoreRequest{req})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cl.Checkpoint(); err != nil {
+		if _, err := view.Embedding(0, req.Src, src); err != nil {
 			t.Fatal(err)
 		}
-	}
-	before := evalShard(t, cl, 0, 1)
-	cl.Shutdown()
-
-	// A fresh cluster over the same directory resumes past the two finished
-	// epochs with the exact embeddings the old one shut down with.
-	cl2, err := NewCluster(g, order, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl2.Shutdown()
-	if got := cl2.NextEpoch(); got != 3 {
-		t.Fatalf("resumed NextEpoch = %d, want 3", got)
-	}
-	after := evalShard(t, cl2, 0, 1)
-	if len(before) == 0 || len(before) != len(after) {
-		t.Fatalf("shard sizes differ: %d vs %d", len(before), len(after))
-	}
-	for i := range before {
-		if before[i] != after[i] {
-			t.Fatalf("resumed embedding diverges at %d: %v vs %v", i, before[i], after[i])
+		if _, err := view.Embedding(0, req.Dst, dst); err != nil {
+			t.Fatal(err)
 		}
-	}
-	st, err := cl2.RunEpoch()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Buckets != parts*parts {
-		t.Fatalf("post-resume epoch trained %d buckets, want %d", st.Buckets, parts*parts)
-	}
-	if got := cl2.NextEpoch(); got != 4 {
-		t.Fatalf("NextEpoch after resume epoch = %d, want 4", got)
+		if want := sc.Score(src, dst, rep.Params); math.Float32bits(got[0]) != math.Float32bits(want) {
+			t.Fatalf("edge %d (%d→%d): served %v, the cluster scores %v", e, req.Src, req.Dst, got[0], want)
+		}
 	}
 }
 
@@ -553,7 +663,7 @@ func TestClusterMidChainCheckpointResume(t *testing.T) {
 	}
 	cl.Shutdown()
 
-	m, ok, err := ReadManifest(dir)
+	m, ok, err := ReadManifest(dir, parts, parts)
 	if err != nil || !ok {
 		t.Fatalf("ReadManifest: ok=%v err=%v", ok, err)
 	}

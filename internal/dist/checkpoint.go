@@ -17,28 +17,16 @@ import (
 // to, so one directory is a complete restartable model).
 const manifestName = "MANIFEST.json"
 
-// Manifest is the consistency cut a Cluster checkpoint records: the epoch in
-// progress, the buckets already committed in it, and the global relation
-// parameters. Together with the durable shard files beside it, it lets a
-// crashed run resume from the cut instead of epoch 0. The done-bucket set is
-// snapshotted before the shards are flushed, so the durable shards are
-// always at least as new as the cut — resuming retrains at most the buckets
-// that were in flight, never loses a committed one.
+// Manifest is the consistency cut a Cluster checkpoint records (see
+// Cluster.Checkpoint): the epoch in progress and the buckets already
+// committed in it. With the durable shard files and relations.pbg beside
+// it, it lets a crashed run resume from the cut instead of epoch 0.
 type Manifest struct {
 	// Epoch is the lock-server epoch at the cut (0 = before the first
 	// StartEpoch).
 	Epoch int
 	// Done lists the buckets committed in Epoch at the cut.
 	Done []partition.Bucket
-	// RelParams carries the parameter server's relation blocks (omitted for
-	// parameter-free operators).
-	RelParams []RelBlock
-}
-
-// RelBlock is one relation's global parameter block.
-type RelBlock struct {
-	Rel    int
-	Params []float32
 }
 
 // WriteManifest atomically persists m into dir (storage.WriteFileAtomic,
@@ -54,43 +42,13 @@ func WriteManifest(dir string, m *Manifest) error {
 	return storage.WriteFileAtomic(filepath.Join(dir, manifestName), data)
 }
 
-// Validate is the gate a manifest passes before a resume trusts it: the
-// epoch is not negative, Done names each bucket at most once and only
-// buckets of the nSrc×nDst grid the order covers — a foreign bucket would
-// be counted towards the epoch's completion and a real one never trained —
-// and every relation block belongs to a relation of the model and has its
-// length. relParams[r] is relation r's parameter count; a nil relParams
-// skips the relation checks, for a caller that restores epoch progress
-// only (a standalone lock server).
-func (m *Manifest) Validate(nSrc, nDst int, relParams []int) error {
-	if m.Epoch < 0 {
-		return fmt.Errorf("dist: checkpoint manifest has epoch %d", m.Epoch)
-	}
-	if err := partition.CheckInGrid(m.Done, nSrc, nDst); err != nil {
-		return fmt.Errorf("dist: checkpoint manifest's done buckets: %w", err)
-	}
-	if relParams == nil {
-		return nil
-	}
-	seen := make(map[int]bool, len(m.RelParams))
-	for _, blk := range m.RelParams {
-		switch {
-		case blk.Rel < 0 || blk.Rel >= len(relParams):
-			return fmt.Errorf("dist: checkpoint manifest has parameters for relation %d, the model has %d relations", blk.Rel, len(relParams))
-		case seen[blk.Rel]:
-			return fmt.Errorf("dist: checkpoint manifest has two parameter blocks for relation %d", blk.Rel)
-		case len(blk.Params) != relParams[blk.Rel]:
-			return fmt.Errorf("dist: checkpoint manifest has %d parameters for relation %d, the model has %d", len(blk.Params), blk.Rel, relParams[blk.Rel])
-		}
-		seen[blk.Rel] = true
-	}
-	return nil
-}
-
-// ReadManifest loads dir's checkpoint manifest. ok is false (with a nil
-// error) when the directory holds no manifest — a fresh run. The caller must
-// Validate it against its bucket order and model before resuming from it.
-func ReadManifest(dir string) (m *Manifest, ok bool, err error) {
+// ReadManifest loads dir's checkpoint manifest and passes it through the
+// gate a resume trusts: the epoch is not negative, and Done names each
+// bucket at most once and only buckets of the nSrc×nDst grid the order
+// covers — a foreign bucket would be counted towards the epoch's
+// completion and a real one never trained. ok is false (with a nil error)
+// when the directory holds no manifest — a fresh run.
+func ReadManifest(dir string, nSrc, nDst int) (m *Manifest, ok bool, err error) {
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, false, nil
@@ -101,6 +59,12 @@ func ReadManifest(dir string) (m *Manifest, ok bool, err error) {
 	m = new(Manifest)
 	if err := json.Unmarshal(data, m); err != nil {
 		return nil, false, fmt.Errorf("dist: corrupt checkpoint manifest in %s: %w", dir, err)
+	}
+	if m.Epoch < 0 {
+		return nil, false, fmt.Errorf("dist: checkpoint manifest in %s has epoch %d", dir, m.Epoch)
+	}
+	if err := partition.CheckInGrid(m.Done, nSrc, nDst); err != nil {
+		return nil, false, fmt.Errorf("dist: checkpoint manifest in %s, done buckets: %w", dir, err)
 	}
 	return m, true, nil
 }

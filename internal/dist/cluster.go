@@ -69,6 +69,9 @@ type Cluster struct {
 	partSrvs []*PartitionServer
 	paramSrv *ParamServer
 
+	// relParams[r] is relation r's parameter count (model.RelParamCounts).
+	relParams []int
+
 	// nextEpoch is the lock-server epoch the next RunEpoch will train. After
 	// a resume from a cut taken mid-epoch it is the epoch the checkpointed
 	// run had already started, which StartEpoch answers without a reset.
@@ -80,8 +83,8 @@ type Cluster struct {
 // implies, each once (partition.CheckGrid), or NewCluster fails.
 // With CheckpointDir set and a manifest present there, the cluster resumes
 // from the checkpoint's consistency cut: durable shards are reloaded
-// lazily, relation parameters are restored, and the interrupted epoch (if
-// any) continues from its done-bucket set.
+// lazily, relation parameters are restored from relations.pbg, and the
+// interrupted epoch (if any) continues from its done-bucket set.
 func NewCluster(g *graph.Graph, order []partition.Bucket, cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Machines <= 0 {
 		return nil, fmt.Errorf("dist: Machines must be positive, got %d", cfg.Machines)
@@ -104,32 +107,27 @@ func NewCluster(g *graph.Graph, order []partition.Bucket, cfg ClusterConfig) (*C
 	if err := partition.CheckGrid(order, nSrc, nDst); err != nil {
 		return nil, fmt.Errorf("dist: bucket order: %w", err)
 	}
-	cl := &Cluster{g: g, cfg: cfg, nextEpoch: 1}
+	scorers, err := train.NewScorers(g.Schema, cfg.Train)
+	if err != nil {
+		return nil, err
+	}
+	cl := &Cluster{g: g, cfg: cfg, nextEpoch: 1, relParams: model.RelParamCounts(scorers)}
 	fail := func(err error) (*Cluster, error) {
 		cl.Shutdown()
 		return nil, err
 	}
 
 	var manifest *Manifest
-	if cfg.CheckpointDir != "" {
-		m, ok, err := ReadManifest(cfg.CheckpointDir)
-		if err != nil {
-			return fail(err)
-		}
+	var restored [][]float32
+	if dir := cfg.CheckpointDir; dir != "" {
+		m, ok, err := ReadManifest(dir, nSrc, nDst)
 		if ok {
-			relParams := make([]int, len(g.Schema.Relations))
-			for r, rel := range g.Schema.Relations {
-				op, err := model.NewOperator(rel.Operator, cfg.Train.Dim)
-				if err != nil {
-					return fail(err)
-				}
-				relParams[r] = op.ParamCount(cfg.Train.Dim)
-			}
-			if err := m.Validate(nSrc, nDst, relParams); err != nil {
-				return fail(fmt.Errorf("%w; refusing to resume from %s", err, cfg.CheckpointDir))
-			}
-			manifest = m
+			restored, err = storage.ReadRelationParams(dir, cl.relParams)
 		}
+		if err != nil {
+			return fail(fmt.Errorf("%w; refusing to resume from %s", err, dir))
+		}
+		manifest = m
 	}
 
 	lockOpts := []LockOption{WithLeaseTTL(cfg.LeaseTTL)}
@@ -165,9 +163,7 @@ func NewCluster(g *graph.Graph, order []partition.Bucket, cfg ClusterConfig) (*C
 		cl.partAddrs = append(cl.partAddrs, addr)
 	}
 	cl.paramSrv = NewParamServer()
-	if manifest != nil {
-		cl.paramSrv.restore(manifest.RelParams)
-	}
+	cl.paramSrv.restore(restored)
 	l, paramAddr, err := serve(map[string]any{"ParamServer": cl.paramSrv})
 	if err != nil {
 		return fail(err)
@@ -294,14 +290,15 @@ func (cl *Cluster) RunEpoch() (EpochStats, error) {
 	return merged, nil
 }
 
-// Checkpoint writes a consistency cut into CheckpointDir: the lock server's
-// epoch progress is snapshotted first, then the durable partition servers
-// flush their write-behind queues, then the manifest (epoch, done buckets,
-// relation parameters) commits atomically. A bucket is done only after both
-// its partitions were stored, and the progress snapshot precedes the flush,
-// so the durable shards are always at least as new as the manifest's cut —
-// a resume retrains at most the buckets that were leased (in training, or
-// trained and not yet stored), never loses a committed one.
+// Checkpoint writes a consistency cut into CheckpointDir, in this order: the
+// lock server's epoch progress is snapshotted, the durable partition servers
+// flush, the parameter server's blocks go to relations.pbg, and the manifest
+// (epoch, done buckets) commits atomically. A bucket is done only after both
+// its partitions were stored, and the snapshot precedes the flush, so the
+// durable shards are at least as new as the cut: a resume retrains at most
+// the buckets that were leased, never loses a committed one. A crash before
+// the manifest pairs the older cut with newer relation parameters, no
+// staler than the asynchronous parameter server (§4.2) lets a trainer be.
 func (cl *Cluster) Checkpoint() error {
 	if cl.cfg.CheckpointDir == "" {
 		return fmt.Errorf("dist: cluster has no CheckpointDir")
@@ -310,20 +307,23 @@ func (cl *Cluster) Checkpoint() error {
 	if err := cl.lock.Call("LockServer.EpochState", EpochStateArgs{}, &es); err != nil {
 		return err
 	}
-	m := &Manifest{Epoch: es.Epoch, Done: es.Done}
-	for r := range cl.g.Schema.Relations {
-		var rep SyncReply
-		if err := cl.paramSrv.Pull(PullArgs{Rel: r}, &rep); err != nil {
-			continue // parameter-free relation, or not initialised yet
-		}
-		m.RelParams = append(m.RelParams, RelBlock{Rel: r, Params: rep.Params})
-	}
 	for _, ps := range cl.partSrvs {
 		if err := ps.flushDurable(); err != nil {
 			return err
 		}
 	}
-	return WriteManifest(cl.cfg.CheckpointDir, m)
+	params := make([][]float32, len(cl.relParams))
+	for r, n := range cl.relParams {
+		var rep SyncReply // a parameter-free relation has no block to pull
+		if err := cl.paramSrv.Pull(PullArgs{Rel: r}, &rep); err != nil && n > 0 {
+			return err
+		}
+		params[r] = rep.Params
+	}
+	if err := storage.WriteRelationParams(cl.cfg.CheckpointDir, params); err != nil {
+		return err
+	}
+	return WriteManifest(cl.cfg.CheckpointDir, &Manifest{Epoch: es.Epoch, Done: es.Done})
 }
 
 // EvalStore returns a read-only store over the cluster's current embeddings

@@ -386,26 +386,19 @@ func TestPartitionServerDurableRestart(t *testing.T) {
 // the fresh-directory and corrupt-manifest cases.
 func TestManifestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	if _, ok, err := ReadManifest(dir); err != nil || ok {
+	if _, ok, err := ReadManifest(dir, 4, 4); err != nil || ok {
 		t.Fatalf("fresh dir: ok=%v err=%v, want absent manifest", ok, err)
 	}
-	m := &Manifest{
-		Epoch:     3,
-		Done:      []partition.Bucket{{P1: 0, P2: 0}, {P1: 1, P2: 2}},
-		RelParams: []RelBlock{{Rel: 0, Params: []float32{1, 2, 3}}},
-	}
+	m := &Manifest{Epoch: 3, Done: []partition.Bucket{{P1: 0, P2: 0}, {P1: 1, P2: 2}}}
 	if err := WriteManifest(dir, m); err != nil {
 		t.Fatal(err)
 	}
-	got, ok, err := ReadManifest(dir)
+	got, ok, err := ReadManifest(dir, 4, 4)
 	if err != nil || !ok {
 		t.Fatalf("ReadManifest: ok=%v err=%v", ok, err)
 	}
 	if got.Epoch != 3 || len(got.Done) != 2 || got.Done[1] != (partition.Bucket{P1: 1, P2: 2}) {
 		t.Fatalf("round trip mismatch: %+v", got)
-	}
-	if len(got.RelParams) != 1 || got.RelParams[0].Params[2] != 3 {
-		t.Fatalf("relation params lost: %+v", got.RelParams)
 	}
 }
 

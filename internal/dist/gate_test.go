@@ -255,8 +255,9 @@ func TestMalformedIVFRejectedAtEveryEntryPoint(t *testing.T) {
 //	ivf.pbg                      serve.ReadIVF                      TestMalformedIVFRejectedAtEveryEntryPoint, serve.FuzzReadIVF
 //	Get/Put/Acquire RPC args     wire.Server admission + ParseWire  FuzzFrame (every dist method and reply)
 //	serve RPC args / replies     wire.Server admission + ParseWire  serve.FuzzServeFrame (every serve method and reply), serve.FuzzTopKRequest
-//	dist manifest                Manifest.Validate                  FuzzManifest, TestRestoreRejectsForeignBucket
-//	relations.pbg                storage.ReadRelations              serve.TestOpenRejectsMalformedRelations, storage.FuzzReadRelations
+//	dist manifest                dist.ReadManifest                  FuzzManifest, TestRestoreRejectsForeignBucket
+//	relations.pbg (serve, pbg    storage.ReadRelationParams         serve.TestOpenRejectsMalformedRelations, storage.FuzzReadRelations,
+//	  eval, dist resume)                                             storage.TestReadRelationParams
 //	edge files                   storage.ReadEdges                  storage.TestReadSizedFilesRejectMalformed, storage.FuzzReadEdges
 //	run config.json              config.Parse + Config.Schema       config.TestParseRejectsByName, config.FuzzConfig
 
@@ -429,16 +430,15 @@ func TestFrameBoundsAreTheLiveGate(t *testing.T) {
 	}
 }
 
-// manifestGate is the context FuzzManifest and the restore test validate
-// against: a 2×2 grid and a model of two relations, the first with three
-// parameters.
-func manifestGate(t testing.TB) (order []partition.Bucket, relParams []int) {
+// manifestGate is the bucket order FuzzManifest and the restore test read
+// manifests against: a 2×2 grid.
+func manifestGate(t testing.TB) []partition.Bucket {
 	t.Helper()
 	order, err := partition.Order(partition.OrderInsideOut, 2, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return order, []int{3, 0}
+	return order
 }
 
 // TestRestoreRejectsForeignBucket: a manifest that marks a bucket outside
@@ -446,26 +446,27 @@ func manifestGate(t testing.TB) (order []partition.Bucket, relParams []int) {
 // resumed epoch granted three of four buckets and declared itself done. The
 // gate refuses it, and NewCluster refuses to resume from it.
 func TestRestoreRejectsForeignBucket(t *testing.T) {
-	order, relParams := manifestGate(t)
+	order := manifestGate(t)
 	foreign := &Manifest{Epoch: 1, Done: []partition.Bucket{{P1: 9, P2: 9}}}
-	if err := foreign.Validate(2, 2, relParams); err == nil {
-		t.Fatal("a bucket outside the grid passed the gate")
-	}
 	for name, m := range map[string]*Manifest{
-		"negative epoch":         {Epoch: -1},
-		"bucket done twice":      {Epoch: 1, Done: []partition.Bucket{order[0], order[0]}},
-		"relation out of range":  {Epoch: 1, RelParams: []RelBlock{{Rel: 2, Params: nil}}},
-		"negative relation":      {Epoch: 1, RelParams: []RelBlock{{Rel: -1}}},
-		"wrong parameter count":  {Epoch: 1, RelParams: []RelBlock{{Rel: 0, Params: []float32{1, 2}}}},
-		"relation's block twice": {Epoch: 1, RelParams: []RelBlock{{Rel: 0, Params: []float32{1, 2, 3}}, {Rel: 0, Params: []float32{1, 2, 3}}}},
+		"foreign bucket":    foreign,
+		"negative epoch":    {Epoch: -1},
+		"bucket done twice": {Epoch: 1, Done: []partition.Bucket{order[0], order[0]}},
 	} {
-		if err := m.Validate(2, 2, relParams); err == nil {
-			t.Errorf("%s: passed the gate", name)
+		dir := t.TempDir()
+		if err := WriteManifest(dir, m); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := ReadManifest(dir, 2, 2); err == nil || ok {
+			t.Errorf("%s: passed the gate (ok=%v)", name, ok)
 		}
 	}
-	good := &Manifest{Epoch: 1, Done: order[:3], RelParams: []RelBlock{{Rel: 0, Params: []float32{1, 2, 3}}}}
-	if err := good.Validate(2, 2, relParams); err != nil {
-		t.Fatalf("a well-formed manifest: %v", err)
+	good := t.TempDir()
+	if err := WriteManifest(good, &Manifest{Epoch: 1, Done: order[:3]}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := ReadManifest(good, 2, 2); err != nil || !ok {
+		t.Fatalf("a well-formed manifest: ok=%v err=%v", ok, err)
 	}
 
 	// What the foreign bucket does to a lock server restored without the gate
@@ -503,16 +504,18 @@ func TestRestoreRejectsForeignBucket(t *testing.T) {
 	}
 }
 
-// FuzzManifest feeds MANIFEST.json arbitrary bytes: ReadManifest + Validate
-// must return an error or a manifest that satisfies the predicate a resume
+// FuzzManifest feeds MANIFEST.json arbitrary bytes: ReadManifest must
+// return an error or a manifest that satisfies the predicate a resume
 // relies on — checked here independently of the gate, and by restoring a
 // lock server from it and counting what it still grants — and never panic.
 func FuzzManifest(f *testing.F) {
-	order, relParams := manifestGate(f)
+	order := manifestGate(f)
 	inGrid := map[partition.Bucket]bool{}
 	for _, b := range order {
 		inGrid[b] = true
 	}
+	// The first and fifth seeds carry relation blocks, as manifests did
+	// before relations.pbg held them: the gate ignores the field.
 	f.Add([]byte(`{"Epoch":1,"Done":[{"P1":0,"P2":0},{"P1":1,"P2":0}],"RelParams":[{"Rel":0,"Params":[1,2,3]}]}`))
 	f.Add([]byte(`{"Epoch":1,"Done":[{"P1":9,"P2":9}]}`))
 	f.Add([]byte(`{"Epoch":2,"Done":[{"P1":0,"P2":0},{"P1":0,"P2":0}]}`))
@@ -526,15 +529,12 @@ func FuzzManifest(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, manifestName), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		m, ok, err := ReadManifest(dir)
+		m, ok, err := ReadManifest(dir, 2, 2)
 		if err != nil {
 			return
 		}
 		if !ok {
 			t.Fatal("a manifest that exists was reported absent")
-		}
-		if m.Validate(2, 2, relParams) != nil {
-			return
 		}
 		seen := map[partition.Bucket]bool{}
 		for _, b := range m.Done {
@@ -542,13 +542,6 @@ func FuzzManifest(f *testing.F) {
 				t.Fatalf("accepted Done %v", m.Done)
 			}
 			seen[b] = true
-		}
-		rels := map[int]bool{}
-		for _, blk := range m.RelParams {
-			if blk.Rel < 0 || blk.Rel >= len(relParams) || len(blk.Params) != relParams[blk.Rel] || rels[blk.Rel] {
-				t.Fatalf("accepted relation block %+v", blk)
-			}
-			rels[blk.Rel] = true
 		}
 		if m.Epoch < 0 {
 			t.Fatalf("accepted epoch %d", m.Epoch)

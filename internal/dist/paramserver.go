@@ -25,14 +25,14 @@ func NewParamServer() *ParamServer {
 	return &ParamServer{params: make(map[int][]float32), versions: make(map[int]int64)}
 }
 
-// restore seeds the server with checkpointed relation blocks before any
-// trainer connects; InitRel's first-writer-wins rule then makes every
-// trainer adopt the restored values instead of fresh initialisation.
-func (s *ParamServer) restore(blocks []RelBlock) {
+// restore seeds the server with checkpointed blocks, params[r] relation r's,
+// before any trainer connects; InitRel's first-writer-wins rule then makes
+// every trainer adopt them instead of fresh initialisation.
+func (s *ParamServer) restore(params [][]float32) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, b := range blocks {
-		s.params[b.Rel] = append([]float32(nil), b.Params...)
+	for r, p := range params {
+		s.params[r] = p
 	}
 }
 

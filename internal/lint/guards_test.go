@@ -183,6 +183,13 @@ var guards = []guard{
 		mutant: "if c, ok := store.(interface{ SetCodec(storage.Codec) }); ok { c.SetCodec(codec) }",
 		why:    "training has no codec knob: at one mem_budget, priced in the bytes it holds, int8 trained social_ooc at 0.59x fp32's throughput_per_s (0 of 5 pairs) with quality in band, so the trainer never selects a store's file encoding",
 	},
+	{
+		name:   "one relation file",
+		allow:  "internal/storage/storage.go",
+		forbid: regexp.MustCompile(`"relations\.pbg"|Rel[B]lock|ReadRelations\(|WriteRelations\(`),
+		mutant: `rs, err := storage.ReadRelations(dir + "/relations.pbg")`,
+		why:    "a checkpoint's relation parameters are written by storage.WriteRelationParams (Model.Checkpoint, Cluster.Checkpoint) and read through storage.ReadRelationParams (serve, pbg eval, dist resume), the one place that holds which blocks a checkpoint must have; the three restated rules it replaced let a reciprocal cluster refuse its own checkpoint (16 parameters counted as 8) and left a cluster's cut unservable",
+	},
 }
 
 // TestGuards walks the module once and reports every guard's forbidden

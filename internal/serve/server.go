@@ -176,9 +176,9 @@ func Open(dir string, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// loadView opens shards, relation parameters and (if present) the index
-// into a fresh view. relations.pbg may be absent only when no relation's
-// operator has parameters. Nothing is visible to readers until install.
+// loadView opens shards, relation parameters (through storage's one gate)
+// and, if present, the index into a fresh view. Nothing is visible to
+// readers until install.
 func (s *Server) loadView(dir string) (*view, error) {
 	ss, err := OpenShardSet(dir, s.cfg.Schema, s.cfg.Dim)
 	if err != nil {
@@ -192,16 +192,6 @@ func (s *Server) loadView(dir string) (*view, error) {
 	v.rawRows = make([]bool, nrel)
 	v.srcType = make([]int, nrel)
 	v.dstType = make([]int, nrel)
-
-	var rs *storage.RelationState
-	relPath := dir + "/relations.pbg"
-	if _, statErr := os.Stat(relPath); statErr == nil {
-		rs, err = storage.ReadRelations(relPath)
-		if err != nil {
-			_ = ss.Close()
-			return nil, err
-		}
-	}
 	for r := 0; r < nrel; r++ {
 		rel := &schema.Relations[r]
 		sc, err := model.NewScorer(s.cfg.Dim, rel.Operator, s.cfg.Comparator, "ranking", 1, s.cfg.Reciprocal)
@@ -214,27 +204,14 @@ func (s *Server) loadView(dir string) (*view, error) {
 		v.rawRows[r] = sc.Cmp.Prepare(vec.Matrix{}) == nil
 		v.srcType[r] = schema.EntityTypeIndex(rel.SourceType)
 		v.dstType[r] = schema.EntityTypeIndex(rel.DestType)
-		params := make([]float32, sc.RelParamCount())
-		sc.InitRelParams(params)
-		if rs == nil && len(params) > 0 {
-			// Initial parameters would score as if the relation were never
-			// trained; only parameter-free operators can do without the file.
-			_ = ss.Close()
-			return nil, fmt.Errorf("serve: %s is missing, and relation %d (%s) has %d trained parameters", relPath, r, rel.Operator, len(params))
-		}
-		if rs != nil {
-			if r >= len(rs.Params) {
-				_ = ss.Close()
-				return nil, fmt.Errorf("serve: %s holds %d relation blocks, the schema has %d relations", relPath, len(rs.Params), nrel)
-			}
-			if len(rs.Params[r]) != len(params) {
-				_ = ss.Close()
-				return nil, fmt.Errorf("serve: relation %d parameter block mismatch (checkpoint %d floats, scorer wants %d — check -comparator/-reciprocal)", r, len(rs.Params[r]), len(params))
-			}
-			copy(params, rs.Params[r])
-		}
-		fwd, _ := sc.SplitRelParams(params)
-		v.relFwd[r] = fwd
+	}
+	params, err := storage.ReadRelationParams(dir, model.RelParamCounts(v.scorers))
+	if err != nil {
+		_ = ss.Close()
+		return nil, fmt.Errorf("serve: %w", err)
+	}
+	for r, sc := range v.scorers {
+		v.relFwd[r], _ = sc.SplitRelParams(params[r])
 	}
 
 	if _, statErr := os.Stat(IndexPath(dir)); statErr == nil {

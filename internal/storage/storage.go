@@ -52,8 +52,10 @@ package storage
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -512,6 +514,59 @@ type RelationState struct {
 	Params [][]float32
 	Acc    [][]float32
 }
+
+// relationsFile holds a checkpoint's relation parameters; only this package names it.
+const relationsFile = "relations.pbg"
+
+// WriteRelationParams is the one writer of a checkpoint's relation
+// parameters: params[r] is relation r's block (empty for a parameter-free
+// operator), written with zero Adagrad accumulators.
+func WriteRelationParams(dir string, params [][]float32) error {
+	rs := &RelationState{Params: params, Acc: make([][]float32, len(params))}
+	for r, p := range params {
+		rs.Acc[r] = make([]float32, len(p))
+	}
+	return WriteRelations(filepath.Join(dir, relationsFile), rs)
+}
+
+// ReadRelationParams is the one gate in front of a checkpoint's relation
+// parameters, returned by relation. counts[r] is relation r's parameter
+// count under the reading model (model.RelParamCounts). The file may be
+// absent only when every count is 0 (initial parameters would score as if
+// never trained); present, it holds one block per relation of exactly
+// counts[r] floats. A relation's block at fault is a *RelationError.
+func ReadRelationParams(dir string, counts []int) ([][]float32, error) {
+	path := filepath.Join(dir, relationsFile)
+	rs, err := ReadRelations(path)
+	missing := errors.Is(err, fs.ErrNotExist)
+	if missing {
+		rs, err = &RelationState{Params: make([][]float32, len(counts))}, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	if len(rs.Params) != len(counts) {
+		return nil, fmt.Errorf("storage: %s holds %d relation blocks, the model has %d relations", path, len(rs.Params), len(counts))
+	}
+	for r, n := range counts {
+		if have := len(rs.Params[r]); have != n {
+			why := fmt.Sprintf("holds %d parameters, the model has %d", have, n)
+			if missing {
+				why = fmt.Sprintf("has %d trained parameters, and the file is missing", n)
+			}
+			return nil, &RelationError{Rel: r, msg: fmt.Sprintf("storage: %s: relation %d %s", path, r, why)}
+		}
+	}
+	return rs.Params, nil
+}
+
+// RelationError is ReadRelationParams' refusal of relation Rel's block.
+type RelationError struct {
+	Rel int
+	msg string
+}
+
+func (e *RelationError) Error() string { return e.msg }
 
 // WriteRelations persists relation parameters.
 func WriteRelations(path string, rs *RelationState) error {

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -320,6 +321,61 @@ func TestRelationsRoundTrip(t *testing.T) {
 	}
 	if got.Params[0][1] != 2 || got.Acc[1][0] != 0.4 {
 		t.Fatal("values lost")
+	}
+}
+
+// TestReadRelationParams holds the one relations.pbg gate to its rule: the
+// file may be absent only when every count is 0; present, it holds one
+// block per relation of exactly that relation's count. A refusal names the
+// file, and a relation's block at fault is that relation's RelationError.
+// WriteRelationParams writes WriteRelations' bytes with zero accumulators.
+func TestReadRelationParams(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, relationsFile)
+	refused := func(name string, err error, rel int) {
+		t.Helper()
+		var re *RelationError
+		switch {
+		case err == nil || !strings.Contains(err.Error(), path):
+			t.Errorf("%s: error %v, want one naming %s", name, err, path)
+		case rel >= 0 && (!errors.As(err, &re) || re.Rel != rel || !strings.Contains(err.Error(), "relation "+strconv.Itoa(rel))):
+			t.Errorf("%s: error %v, want relation %d's RelationError", name, err, rel)
+		}
+	}
+	if got, err := ReadRelationParams(dir, []int{0, 0}); err != nil || len(got) != 2 {
+		t.Fatalf("parameter-free model without the file: %v, %v", got, err)
+	}
+	_, err := ReadRelationParams(dir, []int{0, 3})
+	refused("missing file", err, 1)
+
+	params := [][]float32{{1, 2, 3}, {}}
+	if err := WriteRelationParams(dir, params); err != nil {
+		t.Fatal(err)
+	}
+	ref := filepath.Join(t.TempDir(), "ref.pbg")
+	if err := WriteRelations(ref, &RelationState{Params: params, Acc: [][]float32{{0, 0, 0}, {}}}); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := readFile(t, path), readFile(t, ref); string(a) != string(b) {
+		t.Fatal("WriteRelationParams wrote other bytes than WriteRelations with zero accumulators")
+	}
+	got, err := ReadRelationParams(dir, []int{3, 0})
+	if err != nil || len(got) != 2 || len(got[0]) != 3 || got[0][2] != 3 || len(got[1]) != 0 {
+		t.Fatalf("read back %v, %v", got, err)
+	}
+	for name, c := range map[string]struct {
+		counts []int
+		rel    int // -1: the file's block count is at fault
+	}{
+		"wrong count":            {[]int{2, 0}, 0},
+		"parameters missing":     {[]int{3, 1}, 1},
+		"reciprocal count":       {[]int{6, 0}, 0},
+		"parameter-free in file": {[]int{0, 0}, 0},
+		"a relation fewer":       {[]int{3, 0, 0}, -1},
+		"a relation more":        {[]int{3}, -1},
+	} {
+		_, err := ReadRelationParams(dir, c.counts)
+		refused(name, err, c.rel)
 	}
 }
 

@@ -256,6 +256,21 @@ type Trainer struct {
 	epochSpan *obs.Span
 }
 
+// NewScorers builds one scorer per relation of schema under cfg's model
+// settings: what a trainer scores with, and what reads its checkpoint back.
+func NewScorers(schema *graph.Schema, cfg Config) ([]*model.Scorer, error) {
+	cfg = cfg.withDefaults()
+	scorers := make([]*model.Scorer, len(schema.Relations))
+	for r, rel := range schema.Relations {
+		sc, err := model.NewScorer(cfg.Dim, rel.Operator, cfg.Comparator, cfg.Loss, cfg.Margin, cfg.Reciprocal)
+		if err != nil {
+			return nil, fmt.Errorf("train: relation %q: %w", rel.Name, err)
+		}
+		scorers[r] = sc
+	}
+	return scorers, nil
+}
+
 // New prepares a trainer over the given training graph and store. The store
 // decides the memory regime: MemStore keeps everything resident, DiskStore
 // swaps partitions per §4.1.
@@ -272,17 +287,15 @@ func New(g *graph.Graph, store storage.Store, cfg Config) (*Trainer, error) {
 	t.tm = newTrainMetrics(t.obs.Reg)
 
 	// Per-relation scorers (relations may use different operators).
-	t.scorers = make([]*model.Scorer, len(g.Schema.Relations))
+	var err error
+	if t.scorers, err = NewScorers(g.Schema, cfg); err != nil {
+		return nil, err
+	}
 	t.relParams = make([][]float32, len(g.Schema.Relations))
 	t.relOptFwd = make([]*optim.DenseAdagrad, len(g.Schema.Relations))
 	t.relOptRev = make([]*optim.DenseAdagrad, len(g.Schema.Relations))
 	t.relMu = make([]sync.Mutex, len(g.Schema.Relations))
-	for r, rel := range g.Schema.Relations {
-		sc, err := model.NewScorer(cfg.Dim, rel.Operator, cfg.Comparator, cfg.Loss, cfg.Margin, cfg.Reciprocal)
-		if err != nil {
-			return nil, fmt.Errorf("train: relation %q: %w", rel.Name, err)
-		}
-		t.scorers[r] = sc
+	for r, sc := range t.scorers {
 		t.relParams[r] = make([]float32, sc.RelParamCount())
 		sc.InitRelParams(t.relParams[r])
 		half := sc.Op.ParamCount(cfg.Dim)

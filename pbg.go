@@ -22,9 +22,9 @@
 package pbg
 
 import (
+	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 
 	"pbg/internal/eval"
@@ -105,40 +105,30 @@ func TrainOnDiskWithCallback(g *Graph, dir string, cfg TrainConfig, onEpoch func
 }
 
 // EvaluateCheckpoint ranks test's edges against the model a run over trainG
-// with cfg checkpointed into dir (Model.Checkpoint). It reads the shards
-// through serve's read-only ShardSet and the relation parameters from dir's
-// relations.pbg, and writes nothing into dir. As for serve.Open, the file
-// may be absent only when no relation's operator has parameters (a pbg
-// node run over identity relations writes none).
+// with cfg checkpointed into dir (Model.Checkpoint or a cluster's cut). It
+// reads the shards through serve's read-only ShardSet and the relation
+// parameters through storage's one gate, which admits a checkpoint without
+// them only when no relation's operator has parameters, and writes nothing
+// into dir.
 func EvaluateCheckpoint(trainG *Graph, dir string, cfg TrainConfig, test *Graph, opts EvalOptions) (Metrics, error) {
+	scorers, err := train.NewScorers(trainG.Schema, cfg)
+	if err != nil {
+		return Metrics{}, err
+	}
+	params, err := storage.ReadRelationParams(dir, model.RelParamCounts(scorers))
+	if re := (*storage.RelationError)(nil); errors.As(err, &re) {
+		rel := trainG.Schema.Relations[re.Rel]
+		err = fmt.Errorf("relation %q (%s): %w", rel.Name, rel.Operator, err)
+	}
+	if err != nil {
+		return Metrics{}, fmt.Errorf("pbg: %w", err)
+	}
 	ss, err := serve.OpenShardSet(dir, trainG.Schema, cfg.Dim)
 	if err != nil {
 		return Metrics{}, err
 	}
 	defer ss.Close()
-	relPath := filepath.Join(dir, relationsFile)
-	var rs *storage.RelationState
-	if _, statErr := os.Stat(relPath); statErr == nil {
-		if rs, err = storage.ReadRelations(relPath); err != nil {
-			return Metrics{}, err
-		}
-	}
-	ck := &checkpoint{ss: ss, params: make([][]float32, len(trainG.Schema.Relations))}
-	for r, rel := range trainG.Schema.Relations {
-		sc, err := model.NewScorer(cfg.Dim, rel.Operator, cfg.Comparator, cfg.Loss, cfg.Margin, cfg.Reciprocal)
-		if err != nil {
-			return Metrics{}, err
-		}
-		switch {
-		case rs == nil && sc.RelParamCount() > 0:
-			return Metrics{}, fmt.Errorf("pbg: %s is missing, and relation %q (%s) has %d trained parameters", relPath, rel.Name, rel.Operator, sc.RelParamCount())
-		case rs != nil && (r >= len(rs.Params) || len(rs.Params[r]) != sc.RelParamCount()):
-			return Metrics{}, fmt.Errorf("pbg: %s does not hold relation %q's %d parameters", relationsFile, rel.Name, sc.RelParamCount())
-		case rs != nil:
-			ck.params[r] = rs.Params[r]
-		}
-		ck.scorers = append(ck.scorers, sc)
-	}
+	ck := &checkpoint{ss: ss, scorers: scorers, params: params}
 	return evaluate(trainG, ck, ck, cfg.Dim, test, opts)
 }
 
@@ -357,9 +347,6 @@ func (m *Model) EmbeddingMatrix(entityType string) (vec.Matrix, error) {
 	return out, nil
 }
 
-// relationsFile holds a checkpoint's relation parameters.
-const relationsFile = "relations.pbg"
-
 // Checkpoint persists all shards and relation parameters under dir, fp32.
 // Into the directory the model's own DiskStore swaps through, that is a
 // Flush, after materialising any shard training never touched: each shard
@@ -397,12 +384,11 @@ func (m *Model) Checkpoint(dir string) error {
 			return err
 		}
 	}
-	rs := &storage.RelationState{}
-	for r := range m.graph.Schema.Relations {
-		rs.Params = append(rs.Params, m.trainer.RelParams(r))
-		rs.Acc = append(rs.Acc, make([]float32, len(m.trainer.RelParams(r))))
+	params := make([][]float32, len(m.graph.Schema.Relations))
+	for r := range params {
+		params[r] = m.trainer.RelParams(r)
 	}
-	return storage.WriteRelations(filepath.Join(dir, relationsFile), rs)
+	return storage.WriteRelationParams(dir, params)
 }
 
 // sameDir reports whether a and b name one directory.

@@ -149,6 +149,10 @@ func TestCheckpoint(t *testing.T) {
 	}
 }
 
+// relationsFile is the file of a checkpoint directory that holds its
+// relation parameters (written and read by internal/storage).
+const relationsFile = "relations.pbg"
+
 // TestCheckpointIntoOwnDir: a TrainOnDisk model checkpointing into the
 // directory it swaps through adds relations.pbg and rewrites no shard file
 // that already holds the trained shard, and leaves nothing half-written.
@@ -268,8 +272,8 @@ func TestPublicDistributed(t *testing.T) {
 	}
 	trainG, _, testG := Split(g, 0, 0.15, 3)
 	res, err := TrainDistributed(trainG, DistributedConfig{
-		Machines: 2, Epochs: 3, SyncInterval: 10 * time.Millisecond,
-		Train: TrainConfig{Dim: 16, Seed: 5},
+		Machines: 2, SyncInterval: 10 * time.Millisecond,
+		Train: TrainConfig{Dim: 16, Epochs: 3, Seed: 5},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -310,7 +314,7 @@ func TestDistributedParityWithSingleMachine(t *testing.T) {
 	}
 
 	res, err := TrainDistributed(trainG, DistributedConfig{
-		Machines: 2, Epochs: 4, SyncInterval: 20 * time.Millisecond, Train: cfg,
+		Machines: 2, SyncInterval: 20 * time.Millisecond, Train: cfg,
 	})
 	if err != nil {
 		t.Fatal(err)
