@@ -1,6 +1,8 @@
 package dist
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -399,6 +401,12 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 	if got.Epoch != 3 || len(got.Done) != 2 || got.Done[1] != (partition.Bucket{P1: 1, P2: 2}) {
 		t.Fatalf("round trip mismatch: %+v", got)
+	}
+	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := ReadManifest(dir, 4, 4); err == nil || ok {
+		t.Fatalf("corrupt manifest: ok=%v err=%v, want an error", ok, err)
 	}
 }
 
