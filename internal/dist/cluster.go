@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"pbg/internal/graph"
-	"pbg/internal/model"
 	"pbg/internal/partition"
 	"pbg/internal/storage"
 	"pbg/internal/train"
@@ -69,7 +68,7 @@ type Cluster struct {
 	partSrvs []*PartitionServer
 	paramSrv *ParamServer
 
-	// relParams[r] is relation r's parameter count (model.RelParamCounts).
+	// relParams[r] is relation r's parameter count (Scorer.RelParamCount).
 	relParams []int
 
 	// nextEpoch is the lock-server epoch the next RunEpoch will train. After
@@ -111,7 +110,11 @@ func NewCluster(g *graph.Graph, order []partition.Bucket, cfg ClusterConfig) (*C
 	if err != nil {
 		return nil, err
 	}
-	cl := &Cluster{g: g, cfg: cfg, nextEpoch: 1, relParams: model.RelParamCounts(scorers)}
+	counts := make([]int, len(scorers))
+	for r, sc := range scorers {
+		counts[r] = sc.RelParamCount()
+	}
+	cl := &Cluster{g: g, cfg: cfg, nextEpoch: 1, relParams: counts}
 	fail := func(err error) (*Cluster, error) {
 		cl.Shutdown()
 		return nil, err

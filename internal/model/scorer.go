@@ -53,16 +53,6 @@ func (s *Scorer) RelParamCount() int {
 	return n
 }
 
-// RelParamCounts lists each scorer's RelParamCount: the length of relation
-// r's block in a checkpoint and on a parameter server.
-func RelParamCounts(scorers []*Scorer) []int {
-	counts := make([]int, len(scorers))
-	for r, sc := range scorers {
-		counts[r] = sc.RelParamCount()
-	}
-	return counts
-}
-
 // SplitRelParams splits a relation's parameter block into forward and
 // reverse halves. rev is nil when not reciprocal.
 func (s *Scorer) SplitRelParams(params []float32) (fwd, rev []float32) {

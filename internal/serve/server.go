@@ -176,27 +176,23 @@ func Open(dir string, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// loadView opens shards, relation parameters (through storage's one gate)
-// and, if present, the index into a fresh view. Nothing is visible to
-// readers until install.
+// loadView builds a fresh view: the scorers, the relation parameters
+// (through storage's one gate), the shards and, if present, the index.
+// Nothing is visible to readers until install.
 func (s *Server) loadView(dir string) (*view, error) {
-	ss, err := OpenShardSet(dir, s.cfg.Schema, s.cfg.Dim)
-	if err != nil {
-		return nil, err
-	}
-	v := &view{ss: ss, nprobe: s.cfg.NProbe}
 	schema := s.cfg.Schema
 	nrel := len(schema.Relations)
+	v := &view{nprobe: s.cfg.NProbe}
 	v.scorers = make([]*model.Scorer, nrel)
 	v.relFwd = make([][]float32, nrel)
 	v.rawRows = make([]bool, nrel)
 	v.srcType = make([]int, nrel)
 	v.dstType = make([]int, nrel)
+	counts := make([]int, nrel)
 	for r := 0; r < nrel; r++ {
 		rel := &schema.Relations[r]
 		sc, err := model.NewScorer(s.cfg.Dim, rel.Operator, s.cfg.Comparator, "ranking", 1, s.cfg.Reciprocal)
 		if err != nil {
-			_ = ss.Close()
 			return nil, err
 		}
 		v.scorers[r] = sc
@@ -204,16 +200,20 @@ func (s *Server) loadView(dir string) (*view, error) {
 		v.rawRows[r] = sc.Cmp.Prepare(vec.Matrix{}) == nil
 		v.srcType[r] = schema.EntityTypeIndex(rel.SourceType)
 		v.dstType[r] = schema.EntityTypeIndex(rel.DestType)
+		counts[r] = sc.RelParamCount()
 	}
-	params, err := storage.ReadRelationParams(dir, model.RelParamCounts(v.scorers))
+	params, err := storage.ReadRelationParams(dir, counts)
 	if err != nil {
-		_ = ss.Close()
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 	for r, sc := range v.scorers {
 		v.relFwd[r], _ = sc.SplitRelParams(params[r])
 	}
-
+	ss, err := OpenShardSet(dir, schema, s.cfg.Dim)
+	if err != nil {
+		return nil, err
+	}
+	v.ss = ss
 	if _, statErr := os.Stat(IndexPath(dir)); statErr == nil {
 		ivf, err := ReadIVF(IndexPath(dir), schema, s.cfg.Dim)
 		if err != nil {

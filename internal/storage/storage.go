@@ -531,7 +531,7 @@ func WriteRelationParams(dir string, params [][]float32) error {
 
 // ReadRelationParams is the one gate in front of a checkpoint's relation
 // parameters, returned by relation. counts[r] is relation r's parameter
-// count under the reading model (model.RelParamCounts). The file may be
+// count under the reading model (Scorer.RelParamCount). The file may be
 // absent only when every count is 0 (initial parameters would score as if
 // never trained); present, it holds one block per relation of exactly
 // counts[r] floats. A relation's block at fault is a *RelationError.

@@ -115,7 +115,11 @@ func EvaluateCheckpoint(trainG *Graph, dir string, cfg TrainConfig, test *Graph,
 	if err != nil {
 		return Metrics{}, err
 	}
-	params, err := storage.ReadRelationParams(dir, model.RelParamCounts(scorers))
+	counts := make([]int, len(scorers))
+	for r, sc := range scorers {
+		counts[r] = sc.RelParamCount()
+	}
+	params, err := storage.ReadRelationParams(dir, counts)
 	if re := (*storage.RelationError)(nil); errors.As(err, &re) {
 		rel := trainG.Schema.Relations[re.Rel]
 		err = fmt.Errorf("relation %q (%s): %w", rel.Name, rel.Operator, err)
