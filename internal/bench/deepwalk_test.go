@@ -160,6 +160,13 @@ func TrainDeepWalk(g *graph.Graph, cfg DeepWalkConfig) (*DeepWalkModel, error) {
 				walk := make([]int32, cfg.WalkLen)
 				gradC := make([]float32, cfg.Dim)
 				gradX := make([]float32, cfg.Dim)
+				// step is the row optimizer over a one-row block: row id of
+				// table and its accumulator take grad's step.
+				var one [1]int32
+				step := func(table vec.Matrix, acc []float32, id int32, grad []float32) {
+					one[0] = id
+					opt.Update(table.Data, acc, one[:], 0, vec.MatrixFrom(grad, 1, len(grad)))
+				}
 				lo := wk * n / cfg.Workers
 				hi := (wk + 1) * n / cfg.Workers
 				for start := lo; start < hi; start++ {
@@ -209,9 +216,9 @@ func TrainDeepWalk(g *graph.Graph, cfg DeepWalkConfig) (*DeepWalkModel, error) {
 										gradC[k2] += gr * co[k2]
 										gradX[k2] = gr * ci[k2]
 									}
-									opt.Update(co, gradX, &outAcc[target])
+									step(m.Out, outAcc, target, gradX)
 								}
-								opt.Update(m.In.Row(int(c)), gradC, &inAcc[c])
+								step(m.In, inAcc, c, gradC)
 							}
 						}
 					}

@@ -129,6 +129,20 @@ var guards = []guard{
 		why:    "a score block's Gᵀ·A scatters the loss's gradient rows where they lie (vec.AddRowsSparseT), bitwise the gather over the transpose it replaced; the per-chunk transpose (a counting sort that did no arithmetic, 13 % of kg_mem's worker CPU) and the transposed block it filled must not come back",
 	},
 	{
+		name:   "one selection emit",
+		dirs:   []string{"internal/vec"},
+		forbid: regexp.MustCompile(`maskBits|bits\.TrailingZeros|MaskAVX2`),
+		mutant: "type maskBits [16]byte",
+		why:    "the hinge row and SelectGE store each 8-lane step's selected positions left-packed (a 256-entry table, a popcount) straight into the row or the list; the bitmask leaves, the mask block type and the Go walk of its set bits they replaced (maskBits.walk alone 0.47 s of kg_mem's 10.66 s worker CPU) must not come back in vec's Go or assembly",
+	},
+	{
+		name:   "one row update",
+		dirs:   []string{"internal/train"},
+		forbid: regexp.MustCompile(`\.acc\(|\) acc\(|Update\([a-z.]*row\(`),
+		mutant: "t.rowOpt.Update(ref.row(id), g, ref.acc(id))",
+		why:    "the trainer hands the row optimizer a whole gradient block per call (one vec.AdagradRows leaf, bitwise the per-row Dot/Axpy chain, ~1.7x faster per row at kg_mem's 50 rows of a 6000 x 64 shard); a per-row Update loop and the per-row accumulator accessor it needed must not come back into train's non-test code",
+	},
+	{
 		name:   "one k-means scorer",
 		dirs:   []string{"internal/serve"},
 		forbid: regexp.MustCompile(`nearestCentroid|SquaredDistance\(`),

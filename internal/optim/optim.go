@@ -11,13 +11,14 @@ import (
 	"pbg/internal/vec"
 )
 
-// RowAdagrad updates one embedding row with a shared scalar accumulator:
+// RowAdagrad updates embedding rows with one shared scalar accumulator per
+// row:
 //
 //	A   += ‖g‖²/d
 //	row -= lr · g / (√A + ε)
 //
-// The accumulator lives next to the embedding row in storage (see
-// internal/storage) so it swaps to disk with the partition.
+// The accumulators live next to the embedding rows in storage (see
+// internal/storage) so they swap to disk with the partition.
 type RowAdagrad struct {
 	LR  float32
 	Eps float32
@@ -29,22 +30,23 @@ func NewRowAdagrad(lr float32) RowAdagrad {
 	return RowAdagrad{LR: lr, Eps: 1e-8}
 }
 
-// Update applies one Adagrad step to param given grad, mutating *acc.
-// len(param) == len(grad); acc is this row's accumulator.
+// Update applies one Adagrad step per row of a gradient block: for k
+// ascending, row ids[k]−first of the table embs (len(acc) rows of g.Cols
+// floats, row major) and its accumulator acc[ids[k]−first] take the step of
+// g.Row(k). A row with a zero gradient is left untouched, and a row listed
+// twice takes both steps in list order. The whole block is one call of
+// vec.AdagradRows: one assembly leaf on amd64, bitwise the per-row
+// Dot → scalar → Axpy chain, which is the portable path. Every id is checked
+// against the table before any row is written.
 //
-// HOGWILD workers call it on shared rows with no lock: the update of *acc
-// races by design (Recht et al. 2011), so the race detector skips it.
+// HOGWILD workers call it on shared rows with no lock: the updates of rows
+// and accumulators race by design (Recht et al. 2011), so the race detector
+// skips it.
 //
 //pbg:hotpath
 //go:norace
-func (o RowAdagrad) Update(param, grad []float32, acc *float32) {
-	ss := vec.Dot(grad, grad)
-	if ss == 0 {
-		return
-	}
-	*acc += ss / float32(len(grad))
-	step := o.LR / (float32(math.Sqrt(float64(*acc))) + o.Eps)
-	vec.Axpy(-step, grad, param)
+func (o RowAdagrad) Update(embs, acc []float32, ids []int32, first int32, g vec.Matrix) {
+	vec.AdagradRows(embs, acc, ids, first, g, o.LR, o.Eps)
 }
 
 // DenseAdagrad keeps a full per-element accumulator; used for relation

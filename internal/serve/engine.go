@@ -100,19 +100,24 @@ func (t *topkHeap) offer(id int32, score float32) {
 	t.push(id, score)
 }
 
+// selRow lists the entries of one score row of at most scoreBlock entries
+// that pass vec.SelectGE, with the vec.PackSlack entries past them its
+// assembly may overwrite.
+type selRow [scoreBlock + vec.PackSlack]int32
+
 // offerRow offers one score row of a scan — candidate base+ids[j], or base+j
 // under a nil ids, at scores[j] — in ascending j. Rejection is the fate of
 // almost every candidate, so the row is first filtered as a whole
-// (vec.SelectGE: 8 compares a step, no heap touched) against the root as it
-// stands when the row starts, and only the survivors, listed in sel, are
-// offered. The filter passes exactly what offer's own test passes at that
+// (vec.SelectGE: 8 compares a step, each step's survivors stored left-packed
+// with no branch and no heap touched) against the root as it stands when the
+// row starts, and only the survivors, listed in sel, are offered. The filter passes exactly what offer's own test passes at that
 // root, and the root only rises while the row is consumed, so an entry the
 // filter drops is one offer would have dropped when its turn came: the heap
 // sees the same pushes in the same order as a per-entry loop. A heap that is
 // not full yet has no root to beat and filters against −Inf, i.e. nothing.
 //
 //pbg:hotpath
-func (t *topkHeap) offerRow(sel *[scoreBlock]int32, scores []float32, base int32, ids []int32) {
+func (t *topkHeap) offerRow(sel *selRow, scores []float32, base int32, ids []int32) {
 	floor := float32(math.Inf(-1))
 	if len(t.h) == t.k {
 		floor = t.h[0].score
@@ -197,7 +202,7 @@ type workspace struct {
 	heaps   []topkHeap
 	// sel lists the entries of one score row that pass the threshold filter
 	// in front of a heap (offerRow).
-	sel [scoreBlock]int32
+	sel selRow
 	// The IVF scan's plan: every query's centroid scores as probeKeys, then
 	// the batch's selected cells inverted into list → probing queries (CSR:
 	// cellQ holds the query indices of cell c up to cellEnd[c]), and the

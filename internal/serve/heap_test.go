@@ -26,7 +26,7 @@ func takeAll(h *topkHeap) TopKResult {
 func TestOfferMatchesPush(t *testing.T) {
 	specials := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.Copysign(0, -1))}
 	r := rng.New(9)
-	var sel [scoreBlock]int32
+	var sel selRow
 	for trial := 0; trial < 400; trial++ {
 		k := 1 + r.Intn(6)
 		var a, rows, b topkHeap

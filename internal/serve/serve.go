@@ -24,7 +24,9 @@
 //     scratch only when something must be done to its bytes first: a
 //     comparator whose Prepare is not the identity.
 //     Each score row is filtered against its top-K heap's root with one
-//     vector pass (vec.SelectGE) and only the survivors touch the heap.
+//     vector pass (vec.SelectGE, which stores each 8-entry step's survivors
+//     left-packed into a list with vec.PackSlack entries of room past the
+//     row) and only the survivors touch the heap.
 //   - An IVF approximate-nearest-neighbour index (ivf.go): the checkpoint's
 //     partitions act as the coarse quantizer and each partition gets
 //     k-means sub-centroids; a query probes the NProbe best-scoring lists

@@ -9,9 +9,11 @@
 // read and updated with no lock, while a chunk of a parameterised relation
 // scores from a snapshot of its block taken under the relation's lock, which
 // its updates and the distributed parameter sync also hold. The detector
-// ignores only optim.RowAdagrad.Update (//go:norace: the row accumulator's
-// benign race); the row writes run in vec's amd64 assembly, which it does not
-// see, so on the portable kernels (e.g. arm64) it would report those too.
+// ignores only optim.RowAdagrad.Update (//go:norace: the rows' and
+// accumulators' benign race); the trainer hands it whole gradient blocks,
+// whose row and accumulator writes run in vec's amd64 Adagrad leaf, which it
+// does not see, so on the portable kernels (e.g. arm64) it would report
+// those.
 //
 // A bucket's edges form one chunk queue (bucketQueue): one stable counting
 // pass groups the shuffled edges by relation and cuts each relation's run
@@ -661,7 +663,6 @@ type shardRef struct {
 func firstID(ent graph.EntityType, p int) int32 { return int32(p * ent.PartSize()) }
 
 func (s shardRef) row(id int32) []float32 { return s.shard.Row(int(id - s.first)) }
-func (s shardRef) acc(id int32) *float32  { return &s.shard.Acc[id-s.first] }
 
 type shardKey struct{ t, p int }
 
@@ -1004,10 +1005,10 @@ func (t *Trainer) workerLoop(st *workerState, q *bucketQueue) float64 {
 		activeNegs += int64(grad.ActiveNegs)
 
 		// Scatter updates.
-		t.applyRows(rb.src, in.SrcIDs, grad.Src.Data, d)
-		t.applyRows(rb.dst, in.DstIDs, grad.Dst.Data, d)
-		t.applyRows(rb.src, in.USrcIDs, grad.USrc.Data, d)
-		t.applyRows(rb.dst, in.UDstIDs, grad.UDst.Data, d)
+		t.applyRows(rb.src, in.SrcIDs, grad.Src)
+		t.applyRows(rb.dst, in.DstIDs, grad.Dst)
+		t.applyRows(rb.src, in.USrcIDs, grad.USrc)
+		t.applyRows(rb.dst, in.UDstIDs, grad.UDst)
 		if len(grad.RelFwd) > 0 {
 			t.relMu[rel].Lock()
 			t.relOptFwd[rel].Update(rb.fwd, grad.RelFwd)
@@ -1050,13 +1051,11 @@ func (t *Trainer) gather(buf []float32, ref shardRef, ids []int32, d int) vec.Ma
 	return m
 }
 
-// applyRows applies per-row Adagrad updates for the gathered gradient block,
-// lock-free: HOGWILD's benign races on float32 rows, as in the paper.
+// applyRows hands a gathered gradient block, row k for entity ids[k], to the
+// row optimizer in one call, lock-free: HOGWILD's benign races on float32
+// rows, as in the paper.
 //
 //pbg:hotpath
-func (t *Trainer) applyRows(ref shardRef, ids []int32, grads []float32, d int) {
-	for k, id := range ids {
-		g := grads[k*d : (k+1)*d]
-		t.rowOpt.Update(ref.row(id), g, ref.acc(id))
-	}
+func (t *Trainer) applyRows(ref shardRef, ids []int32, g vec.Matrix) {
+	t.rowOpt.Update(ref.shard.Embs, ref.shard.Acc, ids, ref.first, g)
 }

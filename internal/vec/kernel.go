@@ -2,9 +2,10 @@ package vec
 
 import "unsafe"
 
-// Two implementations sit under Dot, Axpy, MulABtRows (MulABt is its nil-list
-// case), AddRowsSparse (and the dense AddOuterAtB over it), AddRowsSparseT,
-// ComplexMul, ComplexMulConjAdd, SparseRows.AppendHingeRow and SelectGE: the
+// Two implementations sit under Dot, Axpy, AdagradRows, MulABtRows (MulABt is
+// its nil-list case), AddRowsSparse (and the dense AddOuterAtB over it),
+// AddRowsSparseT, ComplexMul, ComplexMulConjAdd, SparseRows.AppendHingeRow
+// and SelectGE: the
 // AVX2+FMA assembly leaves of kernel_amd64.s and portable Go (*Generic in
 // vec.go and sparse.go). Which one runs is decided once, at package
 // initialisation, from what the code can observe — GOARCH, and on amd64 the
@@ -34,7 +35,12 @@ import "unsafe"
 //	     chain AddRowsSparse would make over Gᵀ, each destination row's
 //	     entries in ascending source row), every ±0 weight skipped exactly:
 //	     a non-finite source row under a zero weight never reaches the
-//	     destination. That keeps "same query, same scores, whatever it was
+//	     destination. Likewise AdagradRows is bitwise the same path's
+//	     per-row chain it abbreviates — Dot of the gradient row with itself,
+//	     the scalar accumulator and step, Axpy — one listed row after
+//	     another, a row listed twice included (on the portable path it is
+//	     that chain; the leaf runs dotAVX2's and axpyAVX2's instruction
+//	     sequences and scalar SSE between them). That keeps "same query, same scores, whatever it was
 //	     batched with" in serve, eval ≡ serve parity, and same-seed Workers:1
 //	     ⇒ same checkpoint bytes (per kernel path) true by construction.
 //	(iii) Odd rows and columns take the same leaf as full strips, an index
@@ -52,7 +58,13 @@ import "unsafe"
 // AppendHingeRow's and SelectGE's comparisons select the same positions —
 // SelectGE on every input, NaNs and ties with the threshold included — so
 // they are bitwise the portable path (the hinge row's reported sum, which no
-// gradient depends on, to float32 accuracy). The row prefetch inside the
+// gradient depends on, to float32 accuracy). Those two left-pack: each
+// 8-lane step's movemask indexes a 256-entry table of lane numbers, and the
+// step stores 8 positions (and for the hinge 8 copies of the weight) at the
+// current count before POPCNT advances it, so the last step of a row
+// overwrites up to 7 entries past the ones it keeps. Both paths therefore
+// demand PackSlack entries of room past the input, and neither writes
+// beyond it. The row prefetch inside the
 // GEMM leaf changes no result at all: while the first strip of a listed
 // product scores columns j and j+1 it asks for the rows listed for columns
 // j+8 and j+9, and reads the list only while those are inside it, so the
@@ -61,11 +73,13 @@ import "unsafe"
 // touches no result, asks for a row span's cache lines a caller names ahead of
 // time (the trainer's next chunk); its portable twin is a no-op.
 //
-// Three leaves dereference an index list unchecked — addRowSparseAVX2,
-// scatterRowAVX2 and, under MulABtRows, the GEMM leaf dotStripAVX2 (for its
-// rows and its look-ahead) — and for each the list is range-checked once per
-// call before anything is loaded or stored (checkSparse, checkMulABt: one
-// unsigned maximum, maxUint32AVX2), with a fixed-message panic.
+// Four leaves dereference an index list unchecked — addRowSparseAVX2,
+// scatterRowAVX2, adagradRowsAVX2 and, under MulABtRows, the GEMM leaf
+// dotStripAVX2 (for its rows and its look-ahead) — and for each the list is
+// range-checked once per call before anything is loaded or stored
+// (checkSparse, checkMulABt: one unsigned maximum, maxUint32AVX2;
+// checkAdagradRows: each id less the table's first against its rows), with a
+// fixed-message panic.
 //
 // Two assembly leaves do weighted row accumulation, one per backward product
 // of a score block, and share one index-list walk (ROWWALK): the
@@ -74,10 +88,11 @@ import "unsafe"
 // rows is walked), and the column-stationary scatterRowAVX2 under
 // AddRowsSparseT (Gᵀ·A: a source row held in registers while its list of
 // destination rows is walked, each updated in memory). Axpy keeps its own
-// 46-line leaf rather than becoming either leaf's one-row, one-weight case:
-// it has no list to walk, its callers (the Adagrad row update, the pair
-// backward) are per-call-overhead-bound, and it is the definition (ii) tests
-// the sparse leaves against.
+// leaf rather than becoming either one's one-row, one-weight case: it has no
+// list to walk, it is the definition (ii) holds the sparse leaves and the
+// Adagrad leaf to, and the Adagrad leaf repeats its instruction sequence for
+// each row's step rather than calling it, since a call per row is the
+// overhead that leaf exists to remove.
 //
 // What is comparable across machines: two runs on the same kernel path are
 // bitwise identical (the assembly has one instruction sequence, whatever the

@@ -51,6 +51,15 @@ func dotStripAVX2(c, a *float32, r int, b *float32, idx *int32, m, pre, d, ldc i
 //go:noescape
 func axpyAVX2(alpha float32, x, y *float32, d int)
 
+// adagradRowsAVX2 applies, for k < n in ascending order, the row Adagrad step
+// of gradient row k (d floats at grad+k·d) to row ids[k]−first of embs and
+// its accumulator in acc, each with the instruction sequence of the per-row
+// dotAVX2 → scalar → axpyAVX2 chain. ids is dereferenced unchecked;
+// AdagradRows vouches for it.
+//
+//go:noescape
+func adagradRowsAVX2(embs, acc *float32, ids *int32, first int, grad *float32, n, d int, lr, eps float32)
+
 // addRowSparseAVX2 accumulates dst[0:d] += Σ_k w[k]·src[idx[k]·d:][0:d] for
 // k < nnz in ascending order, skipping ±0 weights: the FMA chain of that many
 // axpyAVX2 calls, with the destination held in registers across the whole
@@ -79,18 +88,36 @@ func complexMulAVX2(dst, a, b *float32, h int)
 //go:noescape
 func complexMulConjAddAVX2(dst, a, b *float32, h int)
 
-// hingeMaskAVX2 sets bit j of mask (⌈n/8⌉ bytes, bits past n clear) when
-// ids[j] != id and t+scores[j] > 0, and returns the float64 sum of those
-// t+scores[j] and the count of ids[j] == id.
+// hingePackAVX2 writes to idx, ascending, base+j for every j < n with ids[j]
+// != id and t+scores[j] > 0, and wt to w beside each, and returns the float64
+// sum of those t+scores[j], the count of ids[j] == id and how many it wrote.
+// It stores 8 entries of each list per 8 scores, so it may overwrite up to 7
+// entries past the last it writes.
 //
 //go:noescape
-func hingeMaskAVX2(mask *byte, scores *float32, ids *int32, n int, t float32, id int32) (sum float64, masked int)
+func hingePackAVX2(idx *int32, w *float32, scores *float32, ids *int32, n int, t float32, id int32, wt float32, base int32) (sum float64, masked, count int)
 
-// selectGEMaskAVX2 sets bit j of mask (⌈n/8⌉ bytes, bits past n clear) when
-// x[j] is not below t; a NaN on either side sets it.
+// selectGEPackAVX2 writes to idx, ascending, every j < n with x[j] not below
+// t — a NaN on either side selects it — and returns how many. It may
+// overwrite up to 7 entries past the last it writes, as hingePackAVX2 does.
 //
 //go:noescape
-func selectGEMaskAVX2(mask *byte, x *float32, n int, t float32)
+func selectGEPackAVX2(idx *int32, x *float32, n int, t float32) int
+
+// packIndex[m] holds in byte k the lane of the k-th set bit of the 8-bit
+// mask m: the two pack leaves widen it into the positions they store.
+var packIndex = func() (t [256]uint64) {
+	for m := range t {
+		k := 0
+		for lane := range 8 {
+			if m>>lane&1 != 0 {
+				t[m] |= uint64(lane) << (8 * k)
+				k++
+			}
+		}
+	}
+	return t
+}()
 
 // maxUint32AVX2 returns the unsigned maximum of n dwords at x, 0 for n = 0.
 //

@@ -1,7 +1,7 @@
 #include "textflag.h"
 
-// AVX2+FMA leaves of Dot, Axpy, the GEMMs, the two sparse products and the
-// two mask passes. kernel.go states the numerical contract; kernel_amd64.go
+// AVX2+FMA leaves of Dot, Axpy, the row Adagrad update, the GEMMs, the two
+// sparse products and the two left-packing selection passes. kernel.go states the numerical contract; kernel_amd64.go
 // declares these. All loads and stores are unaligned forms (mmap'd shard
 // rows sit behind a 28-byte header), every function handles any d >= 0
 // itself, and each ends in VZEROUPPER.
@@ -342,6 +342,152 @@ axpy_done:
 	VZEROUPPER
 	RET
 
+// func adagradRowsAVX2(embs, acc *float32, ids *int32, first int, grad *float32, n, d int, lr, eps float32)
+//
+// Row Adagrad over a gradient block of n rows of d floats at grad: for k
+// ascending, with r = ids[k] − first and gk row k of grad, the row update
+//
+//	ss := dotAVX2(gk, gk); if ss == 0 { skip }
+//	acc[r] += ss / float32(d)
+//	step := lr / (sqrt(acc[r]) + eps); if step == 0 { skip }
+//	axpyAVX2(−step, gk, embs[r·d:])
+//
+// with each step's own instruction sequence — dotAVX2's accumulation and
+// reduction tree, scalar SSE divides, adds and square root (a float32 square
+// root is the correctly rounded one Go takes through float64), and
+// axpyAVX2's fused multiply-adds — so the result is bitwise the per-row
+// Dot → scalar → Axpy chain, one row after another, a row listed twice
+// included. Every ids[k] − first must be a row of embs and acc: the caller's
+// gate, not this code, keeps the accesses in bounds. Registers across rows:
+// R8 embs, R9 acc, R10 ids, R11 first, SI row k of g, R12 k, R13 the row's
+// bytes, DX its whole-block bytes, R14 DX − 32, Y14 the tail mask; X15 =
+// float32(d), X13 = lr, X12 = eps, X11 = the sign bit, X10 = 0.
+TEXT ·adagradRowsAVX2(SB), NOSPLIT, $0-64
+	MOVQ      embs+0(FP), R8
+	MOVQ      acc+8(FP), R9
+	MOVQ      ids+16(FP), R10
+	MOVQ      first+24(FP), R11
+	MOVQ      grad+32(FP), SI
+	MOVQ      d+48(FP), CX
+	LEAQ      (CX*4), R13
+	VXORPS    X10, X10, X10
+	VCVTSI2SSQ CX, X10, X15
+	VMOVSS    lr+56(FP), X13
+	VMOVSS    eps+60(FP), X12
+	VPCMPEQD  X11, X11, X11
+	VPSLLD    $31, X11, X11
+	BLOCKS
+	LEAQ      -32(DX), R14
+	ANDQ      $7, CX
+	JZ        ada_rows
+	LEAQ      (CX*4), BX
+	LEAQ      tailmask<>+32(SB), AX
+	SUBQ      BX, AX
+	VMOVDQU   (AX), Y14
+
+ada_rows:
+	XORQ R12, R12
+	JMP  ada_next
+
+ada_row:
+	// ss = dotAVX2(gk, gk) into X0.
+	VXORPS Y0, Y0, Y0
+	XORQ   BX, BX
+	CMPQ   BX, DX
+	JGE    ada_dot_tail
+
+	PCALIGN $32
+
+ada_dot:
+	VMOVUPS     (SI)(BX*1), Y1
+	VFMADD231PS (SI)(BX*1), Y1, Y0
+	ADDQ        $32, BX
+	CMPQ        BX, DX
+	JLT         ada_dot
+
+ada_dot_tail:
+	TESTQ       CX, CX
+	JZ          ada_reduce
+	VMASKMOVPS  (SI)(BX*1), Y14, Y1
+	VFMADD231PS Y1, Y1, Y0
+
+ada_reduce:
+	VHADDPS      Y0, Y0, Y0
+	VHADDPS      Y0, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
+	VADDPS       X1, X0, X0
+	VUCOMISS     X10, X0
+	JPS          ada_acc
+	JEQ          ada_skip
+
+ada_acc:
+	// acc[r] += ss/d; X2 = lr / (sqrt(acc[r]) + eps).
+	MOVLQSX (R10)(R12*4), AX
+	SUBQ    R11, AX
+	VDIVSS  X15, X0, X0
+	VMOVSS  (R9)(AX*4), X1
+	VADDSS  X0, X1, X1
+	VMOVSS  X1, (R9)(AX*4)
+	VSQRTSS X1, X1, X2
+	VADDSS  X12, X2, X2
+	VDIVSS  X2, X13, X2
+	VUCOMISS X10, X2
+	JPS     ada_axpy
+	JEQ     ada_skip
+
+ada_axpy:
+	// axpyAVX2(−step, gk, embs[r·d:]): DI the row, Y8 the broadcast −step.
+	IMULQ        R13, AX
+	LEAQ         (R8)(AX*1), DI
+	VXORPS       X11, X2, X2
+	VBROADCASTSS X2, Y8
+	XORQ         BX, BX
+	CMPQ         BX, R14
+	JGE          ada_block
+
+	PCALIGN $32
+
+ada_pair:
+	VMOVUPS     (DI)(BX*1), Y0
+	VMOVUPS     32(DI)(BX*1), Y1
+	VFMADD231PS (SI)(BX*1), Y8, Y0
+	VFMADD231PS 32(SI)(BX*1), Y8, Y1
+	VMOVUPS     Y0, (DI)(BX*1)
+	VMOVUPS     Y1, 32(DI)(BX*1)
+	ADDQ        $64, BX
+	CMPQ        BX, R14
+	JLT         ada_pair
+
+ada_block:
+	CMPQ        BX, DX
+	JGE         ada_tail
+	VMOVUPS     (DI)(BX*1), Y0
+	VFMADD231PS (SI)(BX*1), Y8, Y0
+	VMOVUPS     Y0, (DI)(BX*1)
+	ADDQ        $32, BX
+
+ada_tail:
+	CMPQ        BX, R13
+	JGE         ada_skip
+
+ada_scalar:
+	VMOVSS      (DI)(BX*1), X0
+	VFMADD231SS (SI)(BX*1), X8, X0
+	VMOVSS      X0, (DI)(BX*1)
+	ADDQ        $4, BX
+	CMPQ        BX, R13
+	JLT         ada_scalar
+
+ada_skip:
+	ADDQ R13, SI
+	INCQ R12
+
+ada_next:
+	CMPQ R12, n+40(FP)
+	JLT  ada_row
+	VZEROUPPER
+	RET
+
 // ROWWALK is the index-list walk of one column block, shared by the two
 // sparse leaves: for k = 0..nnz-1 it skips a ±0 weight exactly, broadcasts
 // w[k] into Y8, points AX at the block's columns of row idx[k] of the matrix
@@ -350,6 +496,7 @@ axpy_done:
 // registers into those destination columns. The caller has checked nnz > 0.
 #define ROWWALK(loop, skip, base, OPS) \
 	XORQ         BX, BX;          \
+	PCALIGN      $32;             \
 loop:                          \
 	MOVL         (R10)(BX*4), AX; \
 	ADDL         AX, AX;          \
@@ -698,10 +845,39 @@ cconj_done:
 	VZEROUPPER
 	RET
 
+// PACK stores the positions of the set bits of the 8-bit mask in AX, left
+// to right, as 8 dwords at idx[count] (DI, R10): ·packIndex (R11) holds for
+// each mask its set bits' lane numbers as bytes, which VPMOVZXBD widens and
+// Y7 (the group's first position, broadcast) offsets. All 8 dwords are
+// stored whatever the mask, so the caller leaves 8 dwords of slack past the
+// last position; POPCNT advances count past the real ones. Clobbers Y4.
+#define PACK \
+	VPMOVZXBD (R11)(AX*8), Y4; \
+	VPADDD    Y7, Y4, Y4;      \
+	VMOVDQU   Y4, (DI)(R10*4)
+
+// NEXTPACK advances count (R10) past the mask's set bits and the group's
+// first position (Y7) by 8 (Y6). Clobbers AX.
+#define NEXTPACK \
+	POPCNTL AX, AX;      \
+	ADDQ    AX, R10;     \
+	VPADDD  Y6, Y7, Y7
+
+// PACKINIT points R11 at ·packIndex, zeroes count (R10), broadcasts the first
+// position at FROM into Y7 and 8 into Y6. Clobbers AX.
+#define PACKINIT(FROM) \
+	LEAQ         ·packIndex(SB), R11; \
+	XORQ         R10, R10;            \
+	VPBROADCASTD FROM, Y7;            \
+	MOVL         $8, AX;              \
+	VMOVD        AX, X6;              \
+	VPBROADCASTD X6, Y6
+
 // HINGESTEP takes one group of 8 hinge arguments in Y1 and their id==id
 // lanes in Y3: it counts the equal lanes into Y9, leaves in Y2 the lanes that
-// are unmasked and positive, adds those arguments lane-wise into ACC, and
-// stores the group's 8 mask bits as the next byte of mask.
+// are unmasked and positive, adds those arguments lane-wise into ACC, stores
+// the selected positions at idx[count] and the weight (Y5) beside each at
+// w[count], 8 lanes of each whatever the mask.
 #define HINGESTEP(ACC) \
 	VCMPPS    $0x1E, Y12, Y1, Y2; \
 	VPSUBD    Y3, Y9, Y9;         \
@@ -709,33 +885,41 @@ cconj_done:
 	VANDPS    Y2, Y1, Y1;         \
 	VADDPS    Y1, ACC, ACC;       \
 	VMOVMSKPS Y2, AX;             \
-	MOVB      AX, (DI);           \
-	INCQ      DI
+	PACK;                         \
+	VMOVUPS   Y5, (R8)(R10*4);    \
+	NEXTPACK
 
-// func hingeMaskAVX2(mask *byte, scores *float32, ids *int32, n int, t float32, id int32) (sum float64, masked int)
+// func hingePackAVX2(idx *int32, w *float32, scores *float32, ids *int32, n int, t float32, id int32, wt float32, base int32) (sum float64, masked, count int)
 //
-// Bit j of mask (⌈n/8⌉ bytes, little-endian bit order, bits past n clear) is
-// set when ids[j] != id and t+scores[j] > 0 (ordered compare: a NaN sum is
-// not positive); masked counts ids[j] == id. sum adds those t+scores[j]: in
+// Writes to idx, ascending, base+j for every j < n with ids[j] != id and
+// t+scores[j] > 0 (ordered compare: a NaN sum is not positive), and wt to w
+// beside each; count is how many, masked the number of ids[j] == id. Both
+// lists get 8 lanes per group of 8 entries, so up to 7 entries past count
+// are overwritten: the caller's slack. sum adds the selected t+scores[j]: in
 // 16 float32 lanes (Y10 and Y11, taking alternate groups so consecutive
 // groups do not wait on each other's add), widened to float64 for the
 // reduction — the caller bounds n so that a lane adds only a few terms.
 // Y15 = t, Y13 = id, Y12 = 0 throughout.
-TEXT ·hingeMaskAVX2(SB), NOSPLIT, $0-56
-	MOVQ         mask+0(FP), DI
-	MOVQ         scores+8(FP), SI
-	MOVQ         ids+16(FP), R9
-	MOVQ         n+24(FP), CX
-	VBROADCASTSS t+32(FP), Y15
-	VBROADCASTSS id+36(FP), Y13
+TEXT ·hingePackAVX2(SB), NOSPLIT, $0-80
+	MOVQ         idx+0(FP), DI
+	MOVQ         w+8(FP), R8
+	MOVQ         scores+16(FP), SI
+	MOVQ         ids+24(FP), R9
+	MOVQ         n+32(FP), CX
+	VBROADCASTSS t+40(FP), Y15
+	VBROADCASTSS id+44(FP), Y13
+	VBROADCASTSS wt+48(FP), Y5
+	PACKINIT(base+52(FP))
 	VXORPS       Y12, Y12, Y12
 	VXORPS       Y10, Y10, Y10
 	VXORPS       Y11, Y11, Y11
 	VPXOR        Y9, Y9, Y9
 	BLOCKS
-	LEAQ         -32(DX), R8
-	CMPQ         BX, R8
+	LEAQ         -32(DX), R12
+	CMPQ         BX, R12
 	JGE          hinge_one
+
+	PCALIGN $32
 
 hinge_loop:
 	VADDPS   (SI)(BX*1), Y15, Y1
@@ -745,7 +929,7 @@ hinge_loop:
 	VPCMPEQD 32(R9)(BX*1), Y13, Y3
 	HINGESTEP(Y11)
 	ADDQ     $64, BX
-	CMPQ     BX, R8
+	CMPQ     BX, R12
 	JLT      hinge_loop
 
 hinge_one:
@@ -779,37 +963,44 @@ hinge_sum:
 	VEXTRACTF128 $1, Y0, X1
 	VADDPD       X1, X0, X0
 	VHADDPD      X0, X0, X0
-	VMOVSD       X0, sum+40(FP)
+	VMOVSD       X0, sum+56(FP)
 	VEXTRACTI128 $1, Y9, X1
 	VPADDD       X1, X9, X9
 	VPHADDD      X9, X9, X9
 	VPHADDD      X9, X9, X9
 	VMOVD        X9, AX
-	MOVQ         AX, masked+48(FP)
+	MOVQ         AX, masked+64(FP)
+	MOVQ         R10, count+72(FP)
 	VZEROUPPER
 	RET
 
-// func selectGEMaskAVX2(mask *byte, x *float32, n int, t float32)
+// func selectGEPackAVX2(idx *int32, x *float32, n int, t float32) int
 //
-// Bit j of mask (⌈n/8⌉ bytes, little-endian bit order, bits past n clear) is
-// set when x[j] is not below t. The predicate is NLT_US, true for an
-// unordered pair, so a NaN on either side sets the bit: exactly the entries a
-// "reject what is below t" test lets through. Y15 = t throughout.
-TEXT ·selectGEMaskAVX2(SB), NOSPLIT, $0-28
-	MOVQ         mask+0(FP), DI
+// Writes to idx, ascending, every j < n with x[j] not below t and returns
+// how many: 8 dwords stored per group of 8 entries, as PACK does, so up to 7
+// entries past the count are overwritten (the caller's slack). The predicate
+// is NLT_US, true for an unordered pair, so a NaN on either side selects the
+// entry: exactly the entries a "reject what is below t" test lets through.
+// Y15 = t throughout.
+TEXT ·selectGEPackAVX2(SB), NOSPLIT, $0-40
+	MOVQ         idx+0(FP), DI
 	MOVQ         x+8(FP), SI
 	MOVQ         n+16(FP), CX
 	VBROADCASTSS t+24(FP), Y15
+	VPXOR        X0, X0, X0
+	PACKINIT(X0)
 	BLOCKS
 	CMPQ         BX, DX
 	JGE          select_tail
+
+	PCALIGN $32
 
 select_loop:
 	VMOVUPS   (SI)(BX*1), Y1
 	VCMPPS    $0x05, Y15, Y1, Y2
 	VMOVMSKPS Y2, AX
-	MOVB      AX, (DI)
-	INCQ      DI
+	PACK
+	NEXTPACK
 	ADDQ      $32, BX
 	CMPQ      BX, DX
 	JLT       select_loop
@@ -818,11 +1009,14 @@ select_tail:
 	TAILMASK(select_done)
 	VMASKMOVPS (SI)(BX*1), Y14, Y1
 	VCMPPS     $0x05, Y15, Y1, Y2
-	VANDPS     Y14, Y2, Y2 // lanes past n: clear
+	VANDPS     Y14, Y2, Y2 // lanes past n: not selected
 	VMOVMSKPS  Y2, AX
-	MOVB       AX, (DI)
+	PACK
+	POPCNTL    AX, AX
+	ADDQ       AX, R10
 
 select_done:
+	MOVQ R10, ret+32(FP)
 	VZEROUPPER
 	RET
 

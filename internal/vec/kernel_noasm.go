@@ -15,6 +15,10 @@ func dotStripAVX2(c, a *float32, r int, b *float32, idx *int32, m, pre, d, ldc i
 	panic("vec: no assembly kernels")
 }
 
+func adagradRowsAVX2(embs, acc *float32, ids *int32, first int, grad *float32, n, d int, lr, eps float32) {
+	panic("vec: no assembly kernels")
+}
+
 func addRowSparseAVX2(dst *float32, d int, src *float32, idx *int32, w *float32, nnz int) {
 	panic("vec: no assembly kernels")
 }
@@ -27,11 +31,13 @@ func complexMulAVX2(dst, a, b *float32, h int) { panic("vec: no assembly kernels
 
 func complexMulConjAddAVX2(dst, a, b *float32, h int) { panic("vec: no assembly kernels") }
 
-func hingeMaskAVX2(mask *byte, scores *float32, ids *int32, n int, t float32, id int32) (sum float64, masked int) {
+func hingePackAVX2(idx *int32, w *float32, scores *float32, ids *int32, n int, t float32, id int32, wt float32, base int32) (sum float64, masked, count int) {
 	panic("vec: no assembly kernels")
 }
 
-func selectGEMaskAVX2(mask *byte, x *float32, n int, t float32) { panic("vec: no assembly kernels") }
+func selectGEPackAVX2(idx *int32, x *float32, n int, t float32) int {
+	panic("vec: no assembly kernels")
+}
 
 func maxUint32AVX2(x *int32, n int) uint32 { panic("vec: no assembly kernels") }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"unsafe"
 
 	"pbg/internal/rng"
 )
@@ -23,8 +24,9 @@ type kernels struct {
 	addOuterAtB    func(a, g, b Matrix)
 	addRowsSparse  func(dst Matrix, g *SparseRows, src Matrix)
 	addRowsSparseT func(dst Matrix, g *SparseRows, src Matrix)
-	hingeRow       func(idx []int32, scores []float32, ids []int32, t float32, id int32) (int, float64, int)
+	hingeRow       func(idx []int32, ws []float32, scores []float32, ids []int32, t float32, id int32, w float32) (int, float64, int)
 	selectGE       func(idx []int32, x []float32, t float32) int
+	adagradRows    func(embs, acc []float32, ids []int32, first int32, g Matrix, lr, eps float32)
 }
 
 var (
@@ -36,8 +38,12 @@ var (
 		func(dst Matrix, g *SparseRows, src Matrix) { addRowsSparse(dst, g, src, false) },
 		func(dst Matrix, g *SparseRows, src Matrix) { addRowsSparseT(dst, g, src, false) },
 		hingeRowGeneric, selectGEGeneric,
+		func(embs, acc []float32, ids []int32, first int32, g Matrix, lr, eps float32) {
+			checkAdagradRows(embs, acc, ids, first, g)
+			adagradRowsGeneric(embs, acc, ids, first, g, lr, eps)
+		},
 	}
-	activeKernels = kernels{Kernel(), Dot, Axpy, MulABtRows, MulABtReusing, AddOuterAtB, AddRowsSparse, AddRowsSparseT, hingeRow, SelectGE}
+	activeKernels = kernels{Kernel(), Dot, Axpy, MulABtRows, MulABtReusing, AddOuterAtB, AddRowsSparse, AddRowsSparseT, hingeRow, SelectGE, AdagradRows}
 )
 
 // bothPaths is the active path and, when that is the assembly, the portable
@@ -431,6 +437,8 @@ func checkReusing(n, m, d, off int, seed uint64) error {
 // checkSelectGE holds both paths' threshold filter to its definition — the
 // ascending positions not strictly below t — over rows salted with NaN, ±Inf
 // and exact ties with the threshold, and with NaN and ±Inf as the threshold.
+// The list it fills has PackSlack entries of room past n and a canary past
+// those, which no path may touch.
 func checkSelectGE(n, off int, seed uint64) error {
 	r := rng.New(seed)
 	x := offMatrix(r, 1, n, off).Data
@@ -448,7 +456,9 @@ func checkSelectGE(n, off int, seed uint64) error {
 			}
 		}
 		for _, ks := range bothPaths() {
-			idx := make([]int32, off+n)[off:]
+			buf := make([]int32, off+n+PackSlack+canaries)[off:]
+			fillCanaries(buf, n+PackSlack)
+			idx := buf[:n+PackSlack]
 			if k := ks.selectGE(idx, x, t); k != len(want) {
 				return fmt.Errorf("%s: threshold %v selects %d of %d, want %d", ks.name, t, k, n, len(want))
 			}
@@ -457,6 +467,116 @@ func checkSelectGE(n, off int, seed uint64) error {
 					return fmt.Errorf("%s: threshold %v selection %d is position %d, want %d", ks.name, t, q, idx[q], want[q])
 				}
 			}
+			if at := touchedCanary(buf, n+PackSlack); at >= 0 {
+				return fmt.Errorf("%s: threshold %v wrote entry %d, past the %d-entry slack", ks.name, t, at, PackSlack)
+			}
+		}
+	}
+	return nil
+}
+
+// canaries is how many entries past its slack a selection pass's list gets,
+// each holding canary: a pass that wrote past its slack would change one.
+const (
+	canaries = 9
+	canary   = 0x5eed5eed
+)
+
+// fillCanaries sets buf[from:] to the canary bits.
+func fillCanaries[T int32 | float32](buf []T, from int) {
+	for i := from; i < len(buf); i++ {
+		*(*uint32)(unsafe.Pointer(&buf[i])) = canary
+	}
+}
+
+// touchedCanary returns the first entry of buf[from:] that no longer holds
+// the canary bits, or −1.
+func touchedCanary[T int32 | float32](buf []T, from int) int {
+	for i := from; i < len(buf); i++ {
+		if *(*uint32)(unsafe.Pointer(&buf[i])) != canary {
+			return i
+		}
+	}
+	return -1
+}
+
+// adagradChain is the definition AdagradRows is held to on each path: for
+// each listed row in order, ks's Dot of the gradient row with itself, the
+// scalar accumulator and step, and ks's Axpy — skipped, as Axpy skips it,
+// when the step is zero.
+func adagradChain(ks kernels, embs, acc []float32, ids []int32, first int32, g Matrix, lr, eps float32) {
+	d := g.Cols
+	for k, id := range ids {
+		r, gk := int(id-first), g.Row(k)
+		ss := ks.dot(gk, gk)
+		if ss == 0 {
+			continue
+		}
+		acc[r] += ss / float32(d)
+		if step := lr / (float32(math.Sqrt(float64(acc[r]))) + eps); step != 0 {
+			ks.axpy(-step, gk, embs[r*d:(r+1)*d])
+		}
+	}
+}
+
+// firstDiffNaN is firstDiff with every NaN equal to every other: which NaN's
+// bits survive where two meet depends on the operand order an instruction
+// takes, which the Go compiler picks freely for + and * (and picks
+// differently under -race), so only NaN-ness is arithmetic.
+func firstDiffNaN(x, y []float32) int {
+	for i := range x {
+		if !sameBits(x[i], y[i]) && !(x[i] != x[i] && y[i] != y[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// checkAdagradBlock holds each path's AdagradRows to that path's per-row
+// chain, bit for bit (a NaN only to a NaN), on a block of n listed rows of d floats over a table
+// of a few rows starting at a non-zero first id, so rows repeat in the list
+// and order matters. The block plants all-zero gradient rows (their table
+// rows and accumulators must keep their bits when listed nowhere else), a
+// NaN, a +Inf and a −Inf row, and one accumulator already at +Inf, whose
+// step is 0 and must be skipped as Axpy skips a zero alpha; the learning
+// rate is sometimes 0 too. Operands are offset off floats.
+func checkAdagradBlock(n, d, off int, seed uint64) error {
+	r := rng.New(seed)
+	rows := 1 + int(seed%5)
+	first := int32(seed % 97)
+	table, acc := offMatrix(r, rows+1, d, off), offMatrix(r, 1, rows+1, off).Data
+	for i := range acc {
+		acc[i] = acc[i] * acc[i]
+	}
+	acc[1] = float32(math.Inf(1))
+	zeroRow := rows // listed only under zero gradients
+	g := offMatrix(r, n, d, off)
+	ids := make([]int32, off+n)[off:]
+	for k := range ids {
+		ids[k] = first + int32(r.Intn(rows))
+		switch {
+		case k%7 == 3:
+			Zero(g.Row(k))
+			ids[k] = first + int32(zeroRow)
+		case k%11 == 5 && d > 0:
+			g.Row(k)[r.Intn(d)] = []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}[k%3]
+		}
+	}
+	lr, eps := []float32{0.1, 0, 3}[seed%3], float32(1e-8)
+	before := cloneMatrix(table)
+	for _, ks := range bothPaths() {
+		got, gotAcc := cloneMatrix(table), append([]float32(nil), acc...)
+		want, wantAcc := cloneMatrix(table), append([]float32(nil), acc...)
+		ks.adagradRows(got.Data, gotAcc, ids, first, g, lr, eps)
+		adagradChain(ks, want.Data, wantAcc, ids, first, g, lr, eps)
+		if i := firstDiffNaN(got.Data, want.Data); i >= 0 {
+			return fmt.Errorf("%s: row %d float %d = %v, per-row chain %v", ks.name, i/max(d, 1), i%max(d, 1), got.Data[i], want.Data[i])
+		}
+		if i := firstDiffNaN(gotAcc, wantAcc); i >= 0 {
+			return fmt.Errorf("%s: accumulator %d = %v, per-row chain %v", ks.name, i, gotAcc[i], wantAcc[i])
+		}
+		if firstDiff(got.Row(zeroRow), before.Row(zeroRow)) >= 0 || !sameBits(gotAcc[zeroRow], acc[zeroRow]) {
+			return fmt.Errorf("%s: a row listed only under zero gradients changed", ks.name)
 		}
 	}
 	return nil
@@ -825,9 +945,10 @@ func checkComplex(d, off int, seed uint64) error {
 }
 
 // checkHingeRow holds one path's hinge-row selection to its definition, and
-// the two paths to each other: the same columns in the same order, the same
-// masked count, and sums that agree to the float32 accuracy the assembly
-// leaf's lane accumulators have.
+// the two paths to each other: the same columns in the same order, each with
+// the row's weight beside it, the same masked count, and sums that agree to
+// the float32 accuracy the assembly leaf's lane accumulators have. Neither
+// path may write past the PackSlack entries of room past n it is given.
 func checkHingeRow(n, off int, seed uint64) error {
 	r := rng.New(seed)
 	scores := offMatrix(r, 1, n, off).Data
@@ -853,16 +974,23 @@ func checkHingeRow(n, off int, seed uint64) error {
 			wantSum += float64(v)
 		}
 	}
+	const w = 2.5
 	for _, ks := range bothPaths() {
-		idx := make([]int32, n)
-		k, sum, masked := ks.hingeRow(idx, scores, ids, t, id)
+		idxBuf, wBuf := make([]int32, n+PackSlack+canaries), make([]float32, n+PackSlack+canaries)
+		fillCanaries(idxBuf, n+PackSlack)
+		fillCanaries(wBuf, n+PackSlack)
+		idx, ws := idxBuf[:n+PackSlack], wBuf[:n+PackSlack]
+		k, sum, masked := ks.hingeRow(idx, ws, scores, ids, t, id, w)
 		if k != len(wantIdx) || masked != wantMasked {
 			return fmt.Errorf("%s: %d selected, %d masked; want %d, %d", ks.name, k, masked, len(wantIdx), wantMasked)
 		}
 		for q := range wantIdx {
-			if idx[q] != wantIdx[q] {
-				return fmt.Errorf("%s: selection %d is column %d, want %d", ks.name, q, idx[q], wantIdx[q])
+			if idx[q] != wantIdx[q] || ws[q] != w {
+				return fmt.Errorf("%s: selection %d is column %d weight %v, want %d weight %v", ks.name, q, idx[q], ws[q], wantIdx[q], w)
 			}
+		}
+		if at := max(touchedCanary(idxBuf, n+PackSlack), touchedCanary(wBuf, n+PackSlack)); at >= 0 {
+			return fmt.Errorf("%s: wrote entry %d, past the %d-entry slack", ks.name, at, PackSlack)
 		}
 		if sum != wantSum && !(math.Abs(sum-wantSum) <= 1e-6*math.Abs(wantSum)) {
 			return fmt.Errorf("%s: sum %v, want %v", ks.name, sum, wantSum)
@@ -885,7 +1013,8 @@ func TestHingeRowMatchesDefinition(t *testing.T) {
 }
 
 // TestAppendHingeRow: rows land in the SparseRows with the given weight and
-// ascending columns, and a row longer than the room Reset reserved is refused.
+// ascending columns, and a row one entry longer than the room Reset reserved
+// (rows×cols plus PackSlack, less what the block already holds) is refused.
 func TestAppendHingeRow(t *testing.T) {
 	var s SparseRows
 	s.Reset(2, 4)
@@ -903,13 +1032,72 @@ func TestAppendHingeRow(t *testing.T) {
 			t.Fatal("a row past the reserved capacity was accepted")
 		}
 	}()
-	s.AppendHingeRow(make([]float32, 9), make([]int32, 9), 1, 0, 1)
+	n := cap(s.Idx) - len(s.Idx) - PackSlack + 1
+	s.AppendHingeRow(make([]float32, n), make([]int32, n), 1, 0, 1)
+}
+
+// TestAdagradRowsMatchesChain runs checkAdagradBlock at every d from 0 to
+// 130 — each d mod 8 tail, one and two 8-float blocks and the two-block
+// steps of the Axpy — and at block lengths from an empty list to ones that
+// list each table row many times.
+func TestAdagradRowsMatchesChain(t *testing.T) {
+	for d := 0; d <= 130; d++ {
+		for _, n := range []int{0, 1, 7, 50} {
+			if err := checkAdagradBlock(n, d, 1+(d+n)%7, uint64(d*131+n)); err != nil {
+				t.Fatalf("n=%d d=%d: %v", n, d, err)
+			}
+		}
+	}
+}
+
+// TestAdagradRowsGate: the assembly leaf addresses table rows from the ids
+// unchecked, so an id below first or past the table, or a block whose shape
+// does not match, must be refused on every path before any row or
+// accumulator is written — the bad id sits last in the list, after rows a
+// gate that ran late would already have updated. The id message is fixed
+// (no formatting on the way to the panic).
+func TestAdagradRowsGate(t *testing.T) {
+	const first, rows, d = 10, 3, 5
+	for name, c := range map[string]struct {
+		ids []int32
+		g   Matrix
+		msg string
+	}{
+		"id below first":   {[]int32{10, 11, 9}, MatrixFrom(make([]float32, 3*d), 3, d), "vec: AdagradRows id outside the table"},
+		"id past table":    {[]int32{10, 12, 13}, MatrixFrom(make([]float32, 3*d), 3, d), "vec: AdagradRows id outside the table"},
+		"negative id":      {[]int32{10, -1 << 31}, MatrixFrom(make([]float32, 2*d), 2, d), "vec: AdagradRows id outside the table"},
+		"block rows short": {[]int32{10, 11}, MatrixFrom(make([]float32, d), 1, d), ""},
+		"block too wide":   {[]int32{10}, MatrixFrom(make([]float32, d+1), 1, d+1), ""},
+	} {
+		for i := range c.g.Data {
+			c.g.Data[i] = 1
+		}
+		for _, ks := range bothPaths() {
+			embs, acc := make([]float32, rows*d), make([]float32, rows)
+			func() {
+				defer func() {
+					got := recover()
+					if got == nil || c.msg != "" && got != c.msg {
+						t.Errorf("%s %s: recovered %v, want the gate's panic", ks.name, name, got)
+					}
+				}()
+				ks.adagradRows(embs, acc, c.ids, first, c.g, 0.1, 1e-8)
+			}()
+			for _, v := range append(embs, acc...) {
+				if v != 0 {
+					t.Fatalf("%s %s: a refused call wrote to the table", ks.name, name)
+				}
+			}
+		}
+	}
 }
 
 // FuzzKernelParity draws a shape, an allocation offset, a density of G and a
 // seed, and holds both paths to contract (i), the assembly path to contract
 // (ii), the complex leaves to bitwise parity, the hinge row and the threshold
-// filter to their definitions, MulABtRows to MulABt over a gathered copy,
+// filter to their definitions (ascending positions, at any density, nothing
+// written past their slack), AdagradRows over an m-row block to the same
+// path's per-row Dot → scalar → Axpy chain, MulABtRows to MulABt over a gathered copy,
 // MulABtReusing to MulABt, and AddRowsSparseT on every path to the Axpy chain
 // over the transpose, with NaN, ±Inf and ±0 weights planted (checkBound
 // holds it there on finite weights too).
@@ -946,6 +1134,9 @@ func FuzzKernelParity(f *testing.F) {
 		}
 		if err := checkSelectGE(int(m)+int(d), oi, seed); err != nil {
 			t.Fatalf("select n=%d offset %d seed %d: %v", int(m)+int(d), oi, seed, err)
+		}
+		if err := checkAdagradBlock(mi, di, oi, seed); err != nil {
+			t.Fatalf("adagrad n=%d d=%d offset %d seed %d: %v", mi, di, oi, seed, err)
 		}
 		if err := checkReusing(ni, mi, di, oi, seed); err != nil {
 			t.Fatalf("reusing n=%d m=%d d=%d offset %d seed %d: %v", ni, mi, di, oi, seed, err)
@@ -1120,7 +1311,7 @@ func BenchmarkSelectGE(b *testing.B) {
 		}{{"survivors_1%", 2.33}, {"survivors_50%", 0}} {
 			b.Run(fmt.Sprintf("%d/%s", n, share.name), func(b *testing.B) {
 				r := rng.New(3)
-				x, idx := randMatrix(r, 1, n).Data, make([]int32, n)
+				x, idx := randMatrix(r, 1, n).Data, make([]int32, n+PackSlack)
 				for _, path := range []struct {
 					name string
 					ks   kernels

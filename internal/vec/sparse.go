@@ -1,9 +1,7 @@
 package vec
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math/bits"
 	"unsafe"
 )
 
@@ -24,10 +22,12 @@ type SparseRows struct {
 // Rows returns the number of closed rows.
 func (s *SparseRows) Rows() int { return len(s.Start) - 1 }
 
-// Reset empties s and reserves room for rows rows of at most cols entries, so
-// that building it allocates only when a block is larger than any before.
+// Reset empties s and reserves room for rows rows of at most cols entries,
+// plus the PackSlack entries the assembly's last group of AppendHingeRow
+// stores past a row, so that building it allocates only when a block is
+// larger than any before.
 func (s *SparseRows) Reset(rows, cols int) {
-	s.reserve(rows, rows*cols)
+	s.reserve(rows, rows*cols+PackSlack)
 	s.Start = append(s.Start[:0], 0)
 	s.Idx, s.W = s.Idx[:0], s.W[:0]
 }
@@ -54,49 +54,56 @@ func (s *SparseRows) EndRow() {
 	s.Start = append(s.Start, int32(len(s.Idx)))
 }
 
+// PackSlack is how many entries past the last one it keeps a selection pass
+// may overwrite: the assembly stores the positions one group of 8 compares
+// selects as 8 entries, whatever the count, so the last group of a row
+// writes up to 7 entries past its end. SelectGE's idx and a row appended by
+// AppendHingeRow need that much room beyond their len(x).
+const PackSlack = 8
+
 // AppendHingeRow builds and closes one row of a margin-ranking gradient block
 // in a single pass over the row's scores: it holds, in ascending j and each
 // with weight w, every column j whose candidate is not the positive's own
 // endpoint (ids[j] != id) and whose hinge argument t+scores[j] is positive.
 // It returns the sum of those arguments (to float32 accuracy: it is a loss
 // value to report, no gradient depends on it) and the number of columns with
-// ids[j] == id. A NaN argument is not positive. On the assembly path the
-// comparisons run 8 lanes at a time and produce a bitmask whose set bits are
-// then walked, so the cost per entry does not depend on a branch predictor
-// guessing which negatives violate the margin.
+// ids[j] == id. A NaN argument is not positive. The row needs room for
+// len(scores)+PackSlack entries past the ones already held, which Reset
+// reserves. On the assembly path the comparisons run 8 lanes at a time and
+// each group's selected columns and weights are stored left-packed, so the
+// cost per entry does not depend on a branch predictor guessing which
+// negatives violate the margin.
 //
 //pbg:hotpath
 func (s *SparseRows) AppendHingeRow(scores []float32, ids []int32, t float32, id int32, w float32) (sum float64, masked int) {
 	if len(scores) != len(ids) {
 		panic("vec: AppendHingeRow length mismatch")
 	}
-	n0 := len(s.Idx)
-	if cap(s.Idx)-n0 < len(scores) || cap(s.W)-n0 < len(scores) {
+	n0, room := len(s.Idx), len(scores)+PackSlack
+	if cap(s.Idx)-n0 < room || cap(s.W)-n0 < room {
 		panic("vec: AppendHingeRow beyond the capacity Reset reserved")
 	}
-	n, sum, masked := hingeRow(s.Idx[n0:n0+len(scores)], scores, ids, t, id)
+	n, sum, masked := hingeRow(s.Idx[n0:n0+room], s.W[n0:n0+room], scores, ids, t, id, w)
 	s.Idx = s.Idx[:n0+n]
 	s.W = s.W[:n0+n]
-	for ws, k := s.W[n0:], 0; k < len(ws); k++ {
-		ws[k] = w
-	}
 	s.Start = append(s.Start, int32(n0+n))
 	return sum, masked
 }
 
-// hingeRow writes to idx the ascending positions selected by AppendHingeRow's
-// rule and returns their count, the sum and the masked count.
+// hingeRow writes to idx, and w beside each into ws, the ascending positions
+// selected by AppendHingeRow's rule and returns their count, the sum and the
+// masked count. idx and ws have PackSlack entries past len(scores).
 //
 //pbg:hotpath
-func hingeRow(idx []int32, scores []float32, ids []int32, t float32, id int32) (n int, sum float64, masked int) {
+func hingeRow(idx []int32, ws []float32, scores []float32, ids []int32, t float32, id int32, w float32) (n int, sum float64, masked int) {
 	if useAVX2 {
-		return hingeRowAVX2(idx, scores, ids, t, id)
+		return hingeRowAVX2(idx, ws, scores, ids, t, id, w)
 	}
-	return hingeRowGeneric(idx, scores, ids, t, id)
+	return hingeRowGeneric(idx, ws, scores, ids, t, id, w)
 }
 
 //pbg:hotpath
-func hingeRowGeneric(idx []int32, scores []float32, ids []int32, t float32, id int32) (n int, sum float64, masked int) {
+func hingeRowGeneric(idx []int32, ws []float32, scores []float32, ids []int32, t float32, id int32, w float32) (n int, sum float64, masked int) {
 	for j, sc := range scores {
 		if ids[j] == id {
 			masked++
@@ -104,74 +111,63 @@ func hingeRowGeneric(idx []int32, scores []float32, ids []int32, t float32, id i
 		}
 		if v := t + sc; v > 0 {
 			sum += float64(v)
-			idx[n] = int32(j)
+			idx[n], ws[n] = int32(j), w
 			n++
 		}
 	}
 	return n, sum, masked
 }
 
-// maskBlock is how many entries one call of a mask leaf covers; longer rows
-// take several calls. The hinge leaf sums the selected arguments in 16 float32
-// lanes before widening, so the block also bounds what a lane adds up in
-// single precision: 8 terms, i.e. the sum is within 8·2⁻²⁴ of the float64 one.
+// maskBlock is how many entries one call of the hinge leaf covers; longer
+// rows take several calls. The leaf sums the selected arguments in 16 float32
+// lanes before widening, so the block bounds what a lane adds up in single
+// precision: 8 terms, i.e. the sum is within 8·2⁻²⁴ of the float64 one.
 const maskBlock = 128
 
-// maskBits is one block's mask: a bit per entry, as the leaves leave it.
-type maskBits [maskBlock / 8]byte
-
-// walk writes base+j to idx[n:] for every set bit j < cnt of the mask, 64
-// bits at a time in ascending order, and returns the new n.
+// hingeRowAVX2 is hingeRowGeneric over the hingePackAVX2 leaf, one call per
+// maskBlock entries: the leaf compares 8 entries per step and stores each
+// step's selected columns, and the weight beside each, straight into the
+// row. checkPacked has held the lengths the leaf addresses.
 //
 //pbg:hotpath
-func (mask *maskBits) walk(idx []int32, n, base, cnt int) int {
-	for at := 0; at < cnt; at += 64 {
-		m := binary.LittleEndian.Uint64(mask[at/8:])
-		if cnt-at < 64 {
-			m &= 1<<(cnt-at) - 1 // bytes the leaf did not write this call
-		}
-		for ; m != 0; m &= m - 1 {
-			idx[n] = int32(base + at + bits.TrailingZeros64(m))
-			n++
-		}
-	}
-	return n
-}
-
-// hingeRowAVX2 is hingeRowGeneric over the hingeMaskAVX2 leaf: the leaf
-// compares 8 entries per step and leaves one bit per entry, and the set bits
-// are walked here.
-//
-//pbg:hotpath
-func hingeRowAVX2(idx []int32, scores []float32, ids []int32, t float32, id int32) (n int, sum float64, masked int) {
-	var mask maskBits
+func hingeRowAVX2(idx []int32, ws []float32, scores []float32, ids []int32, t float32, id int32, w float32) (n int, sum float64, masked int) {
+	checkPacked(idx, len(scores))
+	checkPacked(ws, len(scores))
 	for base := 0; base < len(scores); base += maskBlock {
 		cnt := min(len(scores)-base, maskBlock)
-		s, eq := hingeMaskAVX2(&mask[0], &scores[base], &ids[base], cnt, t, id)
+		s, eq, k := hingePackAVX2(&idx[n], &ws[n], &scores[base], &ids[base], cnt, t, id, w, int32(base))
 		sum += s
 		masked += eq
-		n = mask.walk(idx, n, base, cnt)
+		n += k
 	}
 	return n, sum, masked
+}
+
+// checkPacked panics unless list has room for n entries and the PackSlack
+// a pack leaf may overwrite past them.
+func checkPacked[T int32 | float32](list []T, n int) {
+	if len(list) < n+PackSlack {
+		panic("vec: a selection pass needs PackSlack entries of room past its input")
+	}
 }
 
 // SelectGE writes to idx, ascending, the positions j with !(x[j] < t) and
-// returns how many there are; idx must have room for len(x). A NaN — in x or
-// as t — is not below anything, so it is selected: these are exactly the
-// entries a "drop what is strictly below the threshold" test keeps, which is
-// what lets serving filter a whole score row against a top-K heap's root
-// before touching the heap. On the assembly path the comparison runs 8 lanes
-// at a time into a bitmask whose set bits are then walked (AppendHingeRow's
-// walk), so a row that is almost all rejects costs almost nothing per entry.
-// Both paths select the same positions on every input.
+// returns how many there are; idx must have room for len(x)+PackSlack
+// entries, the slack being what the assembly's last group may overwrite. A
+// NaN — in x or as t — is not below anything, so it is selected: these are
+// exactly the entries a "drop what is strictly below the threshold" test
+// keeps, which is what lets serving filter a whole score row against a top-K
+// heap's root before touching the heap. On the assembly path the comparison
+// runs 8 lanes at a time and each group's selected positions are stored
+// left-packed (a table lookup and a popcount, no branch), so a row that is
+// almost all rejects costs almost nothing per entry. Both paths select the
+// same positions on every input.
 //
 //pbg:hotpath
 func SelectGE(idx []int32, x []float32, t float32) int {
-	if len(idx) < len(x) {
-		panic("vec: SelectGE needs room for every position")
-	}
+	checkPacked(idx, len(x))
 	if useAVX2 {
-		return selectGEAVX2(idx, x, t)
+		return selectGEPackAVX2(unsafe.SliceData(idx), unsafe.SliceData(x), len(x), t)
 	}
 	return selectGEGeneric(idx, x, t)
 }
@@ -184,18 +180,6 @@ func selectGEGeneric(idx []int32, x []float32, t float32) int {
 			idx[n] = int32(j)
 			n++
 		}
-	}
-	return n
-}
-
-//pbg:hotpath
-func selectGEAVX2(idx []int32, x []float32, t float32) int {
-	var mask maskBits
-	n := 0
-	for base := 0; base < len(x); base += maskBlock {
-		cnt := min(len(x)-base, maskBlock)
-		selectGEMaskAVX2(&mask[0], &x[base], cnt, t)
-		n = mask.walk(idx, n, base, cnt)
 	}
 	return n
 }

@@ -102,6 +102,64 @@ func axpyGeneric(alpha float32, x, y []float32) {
 	}
 }
 
+// AdagradRows applies row-wise Adagrad (§3.1: one accumulator per embedding
+// row) to the rows of a table that a gradient block lists: for k ascending,
+// with r = ids[k]−first and gk = g.Row(k),
+//
+//	ss := Dot(gk, gk); if ss == 0 { skip }
+//	acc[r] += ss / d
+//	Axpy(−lr / (√acc[r] + eps), gk, row r of embs)
+//
+// over a table of len(acc) rows of d = g.Cols floats, row major in embs. A
+// row listed twice takes both steps, in list order. On the assembly path one
+// leaf runs the whole block, bitwise this chain of the same path's Dot and
+// Axpy; on the portable path it is the chain. Every id is checked against
+// the table before any row is written. Callers on several goroutines may
+// update the same rows with no lock: HOGWILD's benign race.
+//
+//pbg:hotpath
+func AdagradRows(embs, acc []float32, ids []int32, first int32, g Matrix, lr, eps float32) {
+	checkAdagradRows(embs, acc, ids, first, g)
+	if useAVX2 {
+		adagradRowsAVX2(unsafe.SliceData(embs), unsafe.SliceData(acc), unsafe.SliceData(ids), int(first), unsafe.SliceData(g.Data), len(ids), g.Cols, lr, eps)
+		return
+	}
+	adagradRowsGeneric(embs, acc, ids, first, g, lr, eps)
+}
+
+// checkAdagradRows is AdagradRows' bounds gate: the block has a row per id,
+// the table a row of g.Cols floats per accumulator, and every id names a
+// row of it. The leaf addresses rows by pointer arithmetic from the ids, so
+// this is what keeps it inside the table.
+func checkAdagradRows(embs, acc []float32, ids []int32, first int32, g Matrix) {
+	checkData(g, Matrix{}, Matrix{})
+	if g.Rows != len(ids) || len(embs) != len(acc)*g.Cols {
+		panic(fmt.Sprintf("vec: AdagradRows shape mismatch: %d ids, grad %dx%d, table %d floats over %d rows",
+			len(ids), g.Rows, g.Cols, len(embs), len(acc)))
+	}
+	for _, id := range ids {
+		if r := int64(id) - int64(first); r < 0 || r >= int64(len(acc)) {
+			panic("vec: AdagradRows id outside the table")
+		}
+	}
+}
+
+//pbg:hotpath
+func adagradRowsGeneric(embs, acc []float32, ids []int32, first int32, g Matrix, lr, eps float32) {
+	d := g.Cols
+	for k, id := range ids {
+		r, gk := int(id-first), g.Row(k)
+		ss := dotGeneric(gk, gk)
+		if ss == 0 {
+			continue
+		}
+		acc[r] += ss / float32(d)
+		if step := lr / (float32(math.Sqrt(float64(acc[r]))) + eps); step != 0 {
+			axpyGeneric(-step, gk, embs[r*d:(r+1)*d])
+		}
+	}
+}
+
 // Prefetch asks the processor to bring every cache line of x towards its L1
 // cache and returns without waiting: a hint for rows the caller will read a
 // whole step of work later, so the loads land before they are needed. It
