@@ -110,11 +110,12 @@ type selRow [scoreBlock + vec.PackSlack]int32
 // almost every candidate, so the row is first filtered as a whole
 // (vec.SelectGE: 8 compares a step, each step's survivors stored left-packed
 // with no branch and no heap touched) against the root as it stands when the
-// row starts, and only the survivors, listed in sel, are offered. The filter passes exactly what offer's own test passes at that
-// root, and the root only rises while the row is consumed, so an entry the
-// filter drops is one offer would have dropped when its turn came: the heap
-// sees the same pushes in the same order as a per-entry loop. A heap that is
-// not full yet has no root to beat and filters against −Inf, i.e. nothing.
+// row starts, and only the survivors, listed in sel, are offered. The filter
+// passes exactly what offer's own test passes at that root, and the root only
+// rises while the row is consumed, so an entry the filter drops is one offer
+// would have dropped when its turn came: the heap sees the same pushes in the
+// same order as a per-entry loop. A heap that is not full yet has no root to
+// beat and filters against −Inf, i.e. nothing.
 //
 //pbg:hotpath
 func (t *topkHeap) offerRow(sel *selRow, scores []float32, base int32, ids []int32) {
