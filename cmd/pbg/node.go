@@ -12,18 +12,20 @@ import (
 	"pbg/internal/train"
 )
 
-// manifestEvery is how often the lock server persists its epoch progress.
-const manifestEvery = 5 * time.Second
+// cutEvery is how often the lock server writes a checkpoint cut into D.
+var cutEvery = 5 * time.Second
 
 // runNode runs one component of the distributed mode (§4.2, Figure 2) as a
 // process of its own, so a multi-host deployment assembles from the pieces
 // the in-process cluster uses. Every role takes the schema and the model
 // settings from D's config and trainers read D/train.edges, so D is on a
-// filesystem every host shares. The servers checkpoint into D and resume
-// from it: the lock server its epoch progress (MANIFEST.json), the
-// partition servers their shards; a trainer joins at the epoch the lock
-// server is in. Relation parameters live on the parameter servers and are
-// not persisted.
+// filesystem every host shares. The deployment checkpoints into D and
+// resumes from it through dist.Cuts, as dist.Cluster does: every 5 s the
+// lock server writes a consistency cut, which flushes the partition servers
+// and pulls the parameter servers it is given (-partition-servers,
+// -param-servers), and a restarted lock, partition or parameter server
+// resumes from the last one. A trainer joins at the epoch the lock server
+// is in.
 func runNode(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("node", flag.ContinueOnError)
 	dir := fs.String("dir", "", dirUsage)
@@ -32,8 +34,8 @@ func runNode(args []string, out io.Writer) error {
 	rank := fs.Int("rank", 0, "trainer rank; rank 0 starts each epoch on the lock server")
 	workers := fs.Int("workers", 4, "HOGWILD worker goroutines (trainer)")
 	lock := fs.String("lock", "", "lock server address (trainer)")
-	pservs := fs.String("partition-servers", "", "comma-separated partition server addresses, in one order on every trainer")
-	qservs := fs.String("param-servers", "", "comma-separated parameter server addresses (trainer)")
+	pservs := fs.String("partition-servers", "", "comma-separated partition server addresses, in one order on every trainer (trainer, lock)")
+	qservs := fs.String("param-servers", "", "comma-separated parameter server addresses (trainer, lock)")
 	obsAddr := fs.String("obs-addr", "", obsUsage)
 	ttl := fs.Duration("lease-ttl", 0, "lock: bucket leases expire after this long without a heartbeat and are re-leased (0 = never; fail-stop)")
 	if err := fs.Parse(args); err != nil {
@@ -52,9 +54,14 @@ func runNode(args []string, out io.Writer) error {
 		return err
 	}
 	cfg := rd.cfg.Train()
+	cuts, err := dist.OpenCuts(rd.dir, rd.schema, cfg)
+	if err != nil {
+		return err
+	}
+	parts, params := dist.SplitAddrs(*pservs), dist.SplitAddrs(*qservs)
 	switch *role {
 	case "lock":
-		return runLock(rd, cfg, *listen, *ttl, hub, out)
+		return runLock(rd, cfg, cuts, *listen, *ttl, parts, params, hub, out)
 	case "partition":
 		opts := []dist.PartOption{dist.WithDurableDir(rd.dir)}
 		if hub != nil {
@@ -62,30 +69,27 @@ func runNode(args []string, out io.Writer) error {
 		}
 		return serveForever(*listen, out, "PartitionServer", dist.NewPartitionServer(rd.schema, cfg.Dim, cfg.Seed+1, opts...))
 	case "param":
-		return serveForever(*listen, out, "ParamServer", dist.NewParamServer())
-	case "trainer":
-		// The trainer joins the deployment where the lock server is, which
-		// a restart restores from the manifest, and trains up to num_epochs.
-		var es dist.EpochStateReply
-		if err := dist.Call(*lock, "LockServer.EpochState", dist.EpochStateArgs{}, &es); err != nil {
+		ps, err := cuts.NewParamServer()
+		if err != nil {
 			return err
 		}
-		nSrc, nDst := rd.schema.BucketDims()
-		first := dist.ResumeEpoch(es.Epoch, len(es.Done), nSrc*nDst)
+		return serveForever(*listen, out, "ParamServer", ps)
+	case "trainer":
+		// The trainer joins the deployment where the lock server is, which
+		// a restart restores from the last cut, and trains up to num_epochs.
 		cfg.Workers, cfg.Seed, cfg.Obs = *workers, dist.RankSeed(cfg.Seed, *rank), hub
 		node, err := dist.NewNode(gs[0], dist.NodeConfig{
 			Rank:           *rank,
 			LockAddr:       *lock,
-			PartitionAddrs: dist.SplitAddrs(*pservs),
-			ParamAddrs:     dist.SplitAddrs(*qservs),
+			PartitionAddrs: parts,
+			ParamAddrs:     params,
 			Train:          cfg,
-			EpochBase:      first - 1,
 		})
 		if err != nil {
 			return err
 		}
 		defer node.Close()
-		for e := first; e <= node.Trainer().Config().Epochs; e++ {
+		for e := node.NextEpoch(); e <= node.Trainer().Config().Epochs; e++ {
 			// Rank 0 starts each epoch on the lock server, by number.
 			if *rank == 0 {
 				var rep dist.StartEpochReply
@@ -110,10 +114,14 @@ func runNode(args []string, out io.Writer) error {
 }
 
 // runLock serves the lock server, which owns the bucket order every
-// trainer leases from. The order is planned against the partition buffer
-// the config's mem_budget affords the trainers' checkout caches, priced the
-// way train.BufferSlotsFor prices it for them.
-func runLock(rd *runDir, cfg train.Config, listen string, ttl time.Duration, hub *obs.Hub, out io.Writer) error {
+// trainer leases from and writes the deployment's checkpoint cuts. The
+// order is planned against the partition buffer the config's mem_budget
+// affords the trainers' checkout caches, priced the way
+// train.BufferSlotsFor prices it for them.
+func runLock(rd *runDir, cfg train.Config, cuts *dist.Cuts, listen string, ttl time.Duration, parts, params []string, hub *obs.Hub, out io.Writer) error {
+	if len(parts) == 0 {
+		return fmt.Errorf("node -role lock needs -partition-servers: its checkpoints flush them")
+	}
 	plan, err := train.PlanOrderFor(rd.schema, cfg.Dim, cfg.MemBudgetBytes, "")
 	if err != nil {
 		return err
@@ -125,24 +133,15 @@ func runLock(rd *runDir, cfg train.Config, listen string, ttl time.Duration, hub
 	if hub != nil {
 		opts = append(opts, dist.WithLockObs(hub))
 	}
-	nSrc, nDst := rd.schema.BucketDims()
-	m, ok, err := dist.ReadManifest(rd.dir, nSrc, nDst)
-	if err != nil {
-		return err
+	ls := cuts.NewLockServer(plan.Order, opts...)
+	var es dist.EpochStateReply
+	if err := ls.EpochState(dist.EpochStateArgs{}, &es); err == nil && es.Epoch > 0 {
+		fmt.Fprintf(out, "resuming from checkpoint: epoch %d, %d buckets done\n", es.Epoch, len(es.Done))
 	}
-	if ok {
-		opts = append(opts, dist.WithRestoredEpoch(m.Epoch, m.Done))
-		fmt.Fprintf(out, "resuming from checkpoint: epoch %d, %d buckets done\n", m.Epoch, len(m.Done))
-	}
-	ls := dist.NewLockServer(plan.Order, opts...)
 	go func() {
-		for range time.Tick(manifestEvery) {
-			var es dist.EpochStateReply
-			if err := ls.EpochState(dist.EpochStateArgs{}, &es); err != nil {
-				continue
-			}
-			if err := dist.WriteManifest(rd.dir, &dist.Manifest{Epoch: es.Epoch, Done: es.Done}); err != nil {
-				log.Printf("checkpoint manifest: %v", err)
+		for range time.Tick(cutEvery) {
+			if err := cuts.Write(ls, parts, params); err != nil {
+				log.Printf("checkpoint: %v", err)
 			}
 		}
 	}()

@@ -62,14 +62,14 @@ type Cluster struct {
 	lock      *retryClient
 	shutdown  sync.Once
 
-	// Direct references to the in-process servers, for checkpointing (the
-	// RPC surface stays the only interface trainers use).
-	lockSrv  *LockServer
-	partSrvs []*PartitionServer
-	paramSrv *ParamServer
-
-	// relParams[r] is relation r's parameter count (Scorer.RelParamCount).
-	relParams []int
+	// Direct references to the in-process servers (the RPC surface stays
+	// the only interface trainers use), and the checkpoint directory's cuts
+	// (nil without CheckpointDir).
+	lockSrv   *LockServer
+	partSrvs  []*PartitionServer
+	paramSrv  *ParamServer
+	paramAddr string
+	cuts      *Cuts
 
 	// nextEpoch is the lock-server epoch the next RunEpoch will train. After
 	// a resume from a cut taken mid-epoch it is the epoch the checkpointed
@@ -80,8 +80,8 @@ type Cluster struct {
 // NewCluster boots the deployment. order is the bucket order the lock
 // server leases from: every bucket of the partition grid g's schema
 // implies, each once (partition.CheckGrid), or NewCluster fails.
-// With CheckpointDir set and a manifest present there, the cluster resumes
-// from the checkpoint's consistency cut: durable shards are reloaded
+// With CheckpointDir set and a cut there, the cluster resumes from it the
+// way a pbg node deployment does (see Cuts): durable shards are reloaded
 // lazily, relation parameters are restored from relations.pbg, and the
 // interrupted epoch (if any) continues from its done-bucket set.
 func NewCluster(g *graph.Graph, order []partition.Bucket, cfg ClusterConfig) (*Cluster, error) {
@@ -106,42 +106,24 @@ func NewCluster(g *graph.Graph, order []partition.Bucket, cfg ClusterConfig) (*C
 	if err := partition.CheckGrid(order, nSrc, nDst); err != nil {
 		return nil, fmt.Errorf("dist: bucket order: %w", err)
 	}
-	scorers, err := train.NewScorers(g.Schema, cfg.Train)
+	cuts, err := OpenCuts(cfg.CheckpointDir, g.Schema, cfg.Train)
 	if err != nil {
 		return nil, err
 	}
-	counts := make([]int, len(scorers))
-	for r, sc := range scorers {
-		counts[r] = sc.RelParamCount()
-	}
-	cl := &Cluster{g: g, cfg: cfg, nextEpoch: 1, relParams: counts}
+	cl := &Cluster{g: g, cfg: cfg, cuts: cuts}
 	fail := func(err error) (*Cluster, error) {
 		cl.Shutdown()
 		return nil, err
-	}
-
-	var manifest *Manifest
-	var restored [][]float32
-	if dir := cfg.CheckpointDir; dir != "" {
-		m, ok, err := ReadManifest(dir, nSrc, nDst)
-		if ok {
-			restored, err = storage.ReadRelationParams(dir, cl.relParams)
-		}
-		if err != nil {
-			return fail(fmt.Errorf("%w; refusing to resume from %s", err, dir))
-		}
-		manifest = m
 	}
 
 	lockOpts := []LockOption{WithLeaseTTL(cfg.LeaseTTL)}
 	if cfg.Train.Obs != nil {
 		lockOpts = append(lockOpts, WithLockObs(cfg.Train.Obs))
 	}
-	if manifest != nil {
-		lockOpts = append(lockOpts, WithRestoredEpoch(manifest.Epoch, manifest.Done))
-		cl.nextEpoch = ResumeEpoch(manifest.Epoch, len(manifest.Done), len(order))
+	cl.lockSrv = cuts.NewLockServer(order, lockOpts...)
+	if cl.paramSrv, err = cuts.NewParamServer(); err != nil {
+		return fail(err)
 	}
-	cl.lockSrv = NewLockServer(order, lockOpts...)
 	l, lockAddr, err := serve(map[string]any{"LockServer": cl.lockSrv})
 	if err != nil {
 		return fail(err)
@@ -165,9 +147,7 @@ func NewCluster(g *graph.Graph, order []partition.Bucket, cfg ClusterConfig) (*C
 		cl.listeners = append(cl.listeners, l)
 		cl.partAddrs = append(cl.partAddrs, addr)
 	}
-	cl.paramSrv = NewParamServer()
-	cl.paramSrv.restore(restored)
-	l, paramAddr, err := serve(map[string]any{"ParamServer": cl.paramSrv})
+	l, cl.paramAddr, err = serve(map[string]any{"ParamServer": cl.paramSrv})
 	if err != nil {
 		return fail(err)
 	}
@@ -186,30 +166,20 @@ func NewCluster(g *graph.Graph, order []partition.Bucket, cfg ClusterConfig) (*C
 			Rank:           rank,
 			LockAddr:       lockAddr,
 			PartitionAddrs: cl.partAddrs,
-			ParamAddrs:     []string{paramAddr},
+			ParamAddrs:     []string{cl.paramAddr},
 			Train:          trainCfg,
 			SyncInterval:   cfg.SyncInterval,
 			Retry:          cfg.Retry,
 			Chaos:          cfg.Chaos,
-			EpochBase:      cl.nextEpoch - 1,
 		})
 		if err != nil {
 			return fail(err)
 		}
 		cl.Nodes = append(cl.Nodes, node)
 	}
+	// Every node joined where the lock server is.
+	cl.nextEpoch = cl.Nodes[0].NextEpoch()
 	return cl, nil
-}
-
-// ResumeEpoch is the epoch a deployment trains next when its lock server is
-// at epoch with done of its buckets committed: an interrupted epoch
-// continues, and the one after a complete cut — or, at epoch 0, the first —
-// is next. Cluster and pbg node both start from it.
-func ResumeEpoch(epoch, done, buckets int) int {
-	if epoch > 0 && done < buckets {
-		return epoch
-	}
-	return epoch + 1
 }
 
 // RunEpoch starts an epoch on the lock server and runs every node's share
@@ -293,40 +263,11 @@ func (cl *Cluster) RunEpoch() (EpochStats, error) {
 	return merged, nil
 }
 
-// Checkpoint writes a consistency cut into CheckpointDir, in this order: the
-// lock server's epoch progress is snapshotted, the durable partition servers
-// flush, the parameter server's blocks go to relations.pbg, and the manifest
-// (epoch, done buckets) commits atomically. A bucket is done only after both
-// its partitions were stored, and the snapshot precedes the flush, so the
-// durable shards are at least as new as the cut: a resume retrains at most
-// the buckets that were leased, never loses a committed one. A crash before
-// the manifest pairs the older cut with newer relation parameters, no
-// staler than the asynchronous parameter server (§4.2) lets a trainer be.
+// Checkpoint writes a consistency cut into CheckpointDir through the one
+// writer a pbg node lock server uses too (Cuts.Write): the lock server's
+// snapshot, the partition servers' flush, relations.pbg, then the manifest.
 func (cl *Cluster) Checkpoint() error {
-	if cl.cfg.CheckpointDir == "" {
-		return fmt.Errorf("dist: cluster has no CheckpointDir")
-	}
-	var es EpochStateReply
-	if err := cl.lock.Call("LockServer.EpochState", EpochStateArgs{}, &es); err != nil {
-		return err
-	}
-	for _, ps := range cl.partSrvs {
-		if err := ps.flushDurable(); err != nil {
-			return err
-		}
-	}
-	params := make([][]float32, len(cl.relParams))
-	for r, n := range cl.relParams {
-		var rep SyncReply // a parameter-free relation has no block to pull
-		if err := cl.paramSrv.Pull(PullArgs{Rel: r}, &rep); err != nil && n > 0 {
-			return err
-		}
-		params[r] = rep.Params
-	}
-	if err := storage.WriteRelationParams(cl.cfg.CheckpointDir, params); err != nil {
-		return err
-	}
-	return WriteManifest(cl.cfg.CheckpointDir, &Manifest{Epoch: es.Epoch, Done: es.Done})
+	return cl.cuts.Write(cl.lockSrv, cl.partAddrs, []string{cl.paramAddr})
 }
 
 // EvalStore returns a read-only store over the cluster's current embeddings

@@ -147,29 +147,6 @@ func WithLockObs(h *obs.Hub) LockOption {
 	}
 }
 
-// WithRestoredEpoch resumes the server from a checkpoint cut: the current
-// epoch is epoch with the done buckets already completed. From epoch 2 on
-// every partition counts as established (epoch 1 trained them); a mid-first-
-// epoch restore re-establishes only the partitions of done buckets.
-func WithRestoredEpoch(epoch int, done []partition.Bucket) LockOption {
-	return func(ls *LockServer) {
-		if epoch <= 0 {
-			return
-		}
-		ls.epoch = epoch
-		trained := done
-		if epoch >= 2 {
-			trained = ls.order
-		}
-		for _, b := range trained {
-			ls.established[b.P1], ls.established[b.P2] = true, true
-		}
-		for _, b := range done {
-			ls.done[b] = 0
-		}
-	}
-}
-
 // NewLockServer creates a lock server over the given bucket order. The first
 // epoch starts when StartEpoch is called.
 func NewLockServer(order []partition.Bucket, opts ...LockOption) *LockServer {

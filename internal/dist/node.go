@@ -42,10 +42,6 @@ type NodeConfig struct {
 	// Chaos, when non-nil, injects deterministic faults into this node's RPC
 	// traffic (tests only). The node's chaos identity is "rank<Rank>".
 	Chaos *Chaos
-	// EpochBase offsets the node's local epoch counter, for joining a
-	// deployment resumed from a checkpoint: the node's first RunEpoch trains
-	// lock-server epoch EpochBase+1.
-	EpochBase int
 }
 
 // NodeStats is one trainer's contribution to an epoch.
@@ -126,7 +122,7 @@ type Node struct {
 	lock    *retryClient
 	params  []*retryClient
 
-	epoch int // local epoch counter; must track StartEpoch calls
+	epoch int // the lock-server epoch of the last RunEpoch (see NextEpoch)
 
 	// What the node holds between buckets; only RunEpoch's goroutine touches
 	// it. res is the shards checked out, token the newest fencing token (0 =
@@ -174,7 +170,9 @@ type Node struct {
 
 // NewNode connects to the deployment and prepares a trainer over g. The
 // node's bucket-sorted edge copy comes from g; which of those edges actually
-// get trained each epoch is decided by the lock server.
+// get trained each epoch is decided by the lock server. The node joins where
+// the lock server is (NextEpoch), so a deployment restored from a cut
+// continues its epoch.
 func NewNode(g *graph.Graph, cfg NodeConfig) (*Node, error) {
 	if cfg.LockAddr == "" {
 		return nil, fmt.Errorf("dist: node needs a lock server address")
@@ -191,7 +189,6 @@ func NewNode(g *graph.Graph, cfg NodeConfig) (*Node, error) {
 	n := &Node{
 		cfg:      cfg,
 		store:    store,
-		epoch:    cfg.EpochBase,
 		stop:     make(chan struct{}),
 		syncDone: make(chan struct{}),
 		hbKick:   make(chan struct{}, 1),
@@ -216,6 +213,9 @@ func NewNode(g *graph.Graph, cfg NodeConfig) (*Node, error) {
 		return fail(err)
 	}
 	n.lock.bindMetrics(n.obs.Reg)
+	if err := n.join(g.Schema); err != nil {
+		return fail(err)
+	}
 	for _, addr := range cfg.ParamAddrs {
 		c, err := dialRetry("param server", addr, cfg.Retry, cfg.Chaos, tag)
 		if err != nil {
@@ -329,6 +329,26 @@ func (n *Node) heartbeatLoop() {
 		}
 	}
 }
+
+// join sets the node's epoch to where the lock server is: an interrupted
+// epoch continues; after a complete one, or before the first, the next
+// starts.
+func (n *Node) join(schema *graph.Schema) error {
+	var es EpochStateReply
+	if err := n.lock.Call("LockServer.EpochState", EpochStateArgs{}, &es); err != nil {
+		return err
+	}
+	nSrc, nDst := schema.BucketDims()
+	n.epoch = es.Epoch
+	if es.Epoch > 0 && len(es.Done) < nSrc*nDst {
+		n.epoch--
+	}
+	return nil
+}
+
+// NextEpoch is the lock-server epoch the node's next RunEpoch trains. Some
+// rank must start it on the lock server (StartEpoch) first.
+func (n *Node) NextEpoch() int { return n.epoch + 1 }
 
 // Trainer exposes the node's local trainer (scorers, relation parameters,
 // store) for evaluation and advanced use.

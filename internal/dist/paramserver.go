@@ -25,17 +25,6 @@ func NewParamServer() *ParamServer {
 	return &ParamServer{params: make(map[int][]float32), versions: make(map[int]int64)}
 }
 
-// restore seeds the server with checkpointed blocks, params[r] relation r's,
-// before any trainer connects; InitRel's first-writer-wins rule then makes
-// every trainer adopt them instead of fresh initialisation.
-func (s *ParamServer) restore(params [][]float32) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for r, p := range params {
-		s.params[r] = p
-	}
-}
-
 // InitRel publishes a relation's initial parameters. The first caller's
 // block becomes canonical; everyone receives it back, so all trainers start
 // identically even if their local initialisation differs.

@@ -350,11 +350,6 @@ func (ps *PartitionServer) Put(args PutArgs, reply *Ack) error {
 // before the call is on disk when it returns. A no-op for memory-only
 // servers.
 func (ps *PartitionServer) Flush(args FlushArgs, reply *Ack) error {
-	return ps.flushDurable()
-}
-
-// flushDurable is the in-process form of Flush, used by Cluster checkpoints.
-func (ps *PartitionServer) flushDurable() error {
 	if ps.durable == nil {
 		return nil
 	}

@@ -245,7 +245,7 @@ func (rk *Ranker) rank(r *rng.RNG, cfg Config, s, rel, d int32, corruptSource bo
 	}
 	sc.Cmp.Prepare(block)
 	rk.scores = slices.Grow(rk.scores[:0], m-1)[:m-1]
-	sc.Cmp.CrossScores(vec.MatrixFrom(rk.scores, 1, m-1), vec.MatrixFrom(rk.block[:dim], 1, dim), vec.MatrixFrom(rk.block[dim:], m-1, dim))
+	sc.Cmp.CrossScoresRows(vec.MatrixFrom(rk.scores, 1, m-1), vec.MatrixFrom(rk.block[:dim], 1, dim), vec.MatrixFrom(rk.block[dim:], m-1, dim), nil)
 	return MidRank(rk.scores[0], rk.scores[1:]), nil
 }
 

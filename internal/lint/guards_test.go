@@ -81,7 +81,7 @@ var guards = []guard{
 		tests:  true,
 		forbid: regexp.MustCompile(`Score[R]everse`),
 		mutant: "func (s *Scorer) ScoreReverse(d []float32) float32 { return 0 }",
-		why:    "eval ranks every mode, side and filter through one path, each (edge, side) one CrossScores over [query; true endpoint; candidates] with the filter a mask; the per-candidate reverse scorer must not come back into any code, tests included",
+		why:    "eval ranks every mode, side and filter through one path, each (edge, side) one CrossScoresRows block over [query; true endpoint; candidates] with the filter a mask; the per-candidate reverse scorer must not come back into any code, tests included",
 	},
 	{
 		name:   "one block scorer: eval calls",
@@ -147,7 +147,7 @@ var guards = []guard{
 		dirs:   []string{"internal/serve"},
 		forbid: regexp.MustCompile(`nearestCentroid|SquaredDistance\(`),
 		mutant: "func nearestCentroid(row []float32, cents [][]float32) int { return 0 }",
-		why:    "BuildIVF assigns every 256-row block of a partition to its centroids with one SquaredL2Comparator.CrossScores GEMM, every Lloyd pass and the final assignment; the per-(row, centroid) scalar distance loop it replaced cost serve_topk 45 % more setup_s",
+		why:    "BuildIVF assigns every 256-row block of a partition to its centroids with one SquaredL2Comparator.CrossScoresRows GEMM, every Lloyd pass and the final assignment; the per-(row, centroid) scalar distance loop it replaced cost serve_topk 45 % more setup_s",
 	},
 	{
 		name:   "one generative score",
@@ -203,6 +203,13 @@ var guards = []guard{
 		forbid: regexp.MustCompile(`"relations\.pbg"|Rel[B]lock|ReadRelations\(|WriteRelations\(`),
 		mutant: `rs, err := storage.ReadRelations(dir + "/relations.pbg")`,
 		why:    "a checkpoint's relation parameters are written by storage.WriteRelationParams (Model.Checkpoint, Cluster.Checkpoint) and read through storage.ReadRelationParams (serve, pbg eval, dist resume), the one place that holds which blocks a checkpoint must have; the three restated rules it replaced let a reciprocal cluster refuse its own checkpoint (16 parameters counted as 8) and left a cluster's cut unservable",
+	},
+	{
+		name:   "one cut",
+		allow:  "internal/dist/checkpoint.go",
+		forbid: regexp.MustCompile(`WriteManifest|ReadManifest|WithRestoredEpoch|ResumeEpoch|EpochBase`),
+		mutant: "m, ok, err := dist.ReadManifest(rd.dir, nSrc, nDst)",
+		why:    "a distributed checkpoint is written by one dist.Cuts.Write (snapshot, partition-server flush, relations.pbg, manifest last) and restored by Cuts.NewLockServer and Cuts.NewParamServer, for dist.Cluster and pbg node alike, and a node joins at the epoch the lock server reports; pbg node's own manifest loop wrote no relation blocks and flushed no partition server, so its manifest could name buckets whose shards were not on disk and its runs over parameterised operators could not be served, evaluated or resumed",
 	},
 }
 

@@ -25,23 +25,21 @@ type Comparator interface {
 	PrepareInto(m vec.Matrix, state []float32) []float32
 	// PairScores computes out[i] = sim(a_i, b_i) for matching rows.
 	PairScores(out []float32, a, b vec.Matrix)
-	// CrossScores computes out[i][j] = sim(a_i, b_j) for all pairs.
-	CrossScores(out, a, b vec.Matrix)
-	// CrossScoresRows computes out[i][j] = sim(a_i, b_idx[j]): CrossScores
-	// against the prepared rows idx of b, read where they lie (vec.MulABtRows)
-	// and bitwise what CrossScores returns over a gathered copy of them. A nil
-	// idx is every row of b in order, i.e. CrossScores.
+	// CrossScoresRows computes out[i][j] = sim(a_i, b_idx[j]) against the
+	// prepared rows idx of b, read where they lie (vec.MulABtRows) and bitwise
+	// what it returns over a gathered copy of them. A nil idx is every row of
+	// b in order: out[i][j] = sim(a_i, b_j) for all pairs.
 	CrossScoresRows(out, a, b vec.Matrix, idx []int32)
-	// CrossRaw and FinishCross are CrossScores in its two steps, for a
-	// caller that shares the first between two blocks: every comparator's
-	// cross score is a GEMM of prepared rows, then an elementwise finish.
-	// CrossRaw writes the GEMM, out = a·bᵀ, reading its first t.Rows columns
-	// from t — the raw block of the product taken the other way round,
-	// t[j][i] = a_i·b_j — and multiplying only the rest (vec.MulABtReusing);
-	// an empty t multiplies every column. FinishCross turns that raw block
-	// into the scores CrossScores(out, a, b) returns, bitwise, in place: dot
-	// and cos have nothing to do, the distances add the row norms in their
-	// own operand order.
+	// CrossRaw and FinishCross are CrossScoresRows(…, nil) in its two steps,
+	// for a caller that shares the first between two blocks: every
+	// comparator's cross score is a GEMM of prepared rows, then an
+	// elementwise finish. CrossRaw writes the GEMM, out = a·bᵀ, reading its
+	// first t.Rows columns from t — the raw block of the product taken the
+	// other way round, t[j][i] = a_i·b_j — and multiplying only the rest
+	// (vec.MulABtReusing); an empty t multiplies every column. FinishCross
+	// turns that raw block into the scores CrossScoresRows(out, a, b, nil)
+	// returns, bitwise, in place: dot and cos have nothing to do, the
+	// distances add the row norms in their own operand order.
 	CrossRaw(out, a, b, t vec.Matrix)
 	FinishCross(out, a, b vec.Matrix)
 	// PairBackward accumulates gradients of Σ g[i]·score[i] into ga, gb
@@ -52,7 +50,7 @@ type Comparator interface {
 	// Loss emitted it (row i: positive i's non-zeros), and both products walk
 	// only the entries that carry gradient: G·B gathers along g's rows
 	// (vec.AddRowsSparse), Gᵀ·A scatters them (vec.AddRowsSparseT). scores
-	// holds the forward CrossScores output; sc is room for the comparator's
+	// holds the forward cross scores; sc is room for the comparator's
 	// temporaries.
 	CrossBackward(ga, gb vec.Matrix, g *vec.SparseRows, scores, a, b vec.Matrix, sc *CrossScratch)
 	// UnprepareGrad maps the accumulated gradient g from prepared space back
@@ -110,10 +108,6 @@ func (DotComparator) PairScores(out []float32, a, b vec.Matrix) {
 	}
 }
 
-func (DotComparator) CrossScores(out, a, b vec.Matrix) {
-	vec.MulABt(out, a, b)
-}
-
 func (DotComparator) CrossScoresRows(out, a, b vec.Matrix, idx []int32) {
 	vec.MulABtRows(out, a, b, idx)
 }
@@ -168,10 +162,6 @@ func (CosComparator) PairScores(out []float32, a, b vec.Matrix) {
 	DotComparator{}.PairScores(out, a, b)
 }
 
-func (CosComparator) CrossScores(out, a, b vec.Matrix) {
-	DotComparator{}.CrossScores(out, a, b)
-}
-
 func (CosComparator) CrossScoresRows(out, a, b vec.Matrix, idx []int32) {
 	DotComparator{}.CrossScoresRows(out, a, b, idx)
 }
@@ -220,10 +210,6 @@ func (SquaredL2Comparator) PairScores(out []float32, a, b vec.Matrix) {
 	for i := range out {
 		out[i] = -vec.SquaredDistance(a.Row(i), b.Row(i))
 	}
-}
-
-func (c SquaredL2Comparator) CrossScores(out, a, b vec.Matrix) {
-	c.CrossScoresRows(out, a, b, nil)
 }
 
 // l2NormChunk is how many column norms SquaredL2Comparator's finish holds at
@@ -336,10 +322,6 @@ func (L2Comparator) PairScores(out []float32, a, b vec.Matrix) {
 	for i := range out {
 		out[i] = -float32(math.Sqrt(float64(vec.SquaredDistance(a.Row(i), b.Row(i))) + l2Eps))
 	}
-}
-
-func (c L2Comparator) CrossScores(out, a, b vec.Matrix) {
-	c.CrossScoresRows(out, a, b, nil)
 }
 
 func (L2Comparator) CrossScoresRows(out, a, b vec.Matrix, idx []int32) {

@@ -49,7 +49,7 @@ func TestSquaredL2CrossMatchesPair(t *testing.T) {
 	pair := make([]float32, 3)
 	cmp.PairScores(pair, a, b)
 	cross := vec.NewMatrix(3, 3)
-	cmp.CrossScores(cross, a, b)
+	cmp.CrossScoresRows(cross, a, b, nil)
 	for i := 0; i < 3; i++ {
 		if !approx(pair[i], cross.Row(i)[i], 1e-3) {
 			t.Fatalf("diag mismatch at %d: pair %v vs cross %v", i, pair[i], cross.Row(i)[i])
@@ -58,9 +58,9 @@ func TestSquaredL2CrossMatchesPair(t *testing.T) {
 }
 
 // TestCrossScoresRowsMatchesGathered pins, for every comparator, that scoring
-// the rows idx of b where they lie is bit for bit CrossScores over a gathered
-// copy of those rows (a repeated row, an odd count and a one-row query block
-// included) — the property serving's in-place scan rests on.
+// the rows idx of b where they lie is bit for bit the nil-list call over a
+// gathered copy of those rows (a repeated row, an odd count and a one-row
+// query block included) — the property serving's in-place scan rests on.
 func TestCrossScoresRowsMatchesGathered(t *testing.T) {
 	r := rng.New(9)
 	a, b := vec.NewMatrix(5, 7), vec.NewMatrix(11, 7)
@@ -80,7 +80,7 @@ func TestCrossScoresRowsMatchesGathered(t *testing.T) {
 			q := vec.MatrixFrom(a.Data[:n*7], n, 7)
 			got, want := vec.NewMatrix(n, len(idx)), vec.NewMatrix(n, len(idx))
 			cmp.CrossScoresRows(got, q, b, idx)
-			cmp.CrossScores(want, q, gathered)
+			cmp.CrossScoresRows(want, q, gathered, nil)
 			for i := range want.Data {
 				if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
 					t.Fatalf("%s, %d queries: element %d = %v in place, %v over the gathered rows", name, n, i, got.Data[i], want.Data[i])
@@ -91,9 +91,9 @@ func TestCrossScoresRowsMatchesGathered(t *testing.T) {
 }
 
 // TestCrossRawThenFinishIsCrossScores pins the two steps ScoreChunk splits
-// CrossScores into, for every comparator: the raw block, with its leading
-// columns read from the block taken the other way round (none, some, all),
-// then the finish, is bit for bit CrossScores.
+// the cross scores into, for every comparator: the raw block, with its
+// leading columns read from the block taken the other way round (none, some,
+// all), then the finish, is bit for bit CrossScoresRows over every row.
 func TestCrossRawThenFinishIsCrossScores(t *testing.T) {
 	r := rng.New(17)
 	const n, m, d = 7, 12, 9
@@ -106,7 +106,7 @@ func TestCrossRawThenFinishIsCrossScores(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := vec.NewMatrix(n, m)
-		cmp.CrossScores(want, a, b)
+		cmp.CrossScoresRows(want, a, b, nil)
 		for _, k := range []int{0, 5, m} {
 			other := vec.NewMatrix(k, n)
 			cmp.CrossRaw(other, vec.MatrixFrom(b.Data[:k*d], k, d), a, vec.Matrix{})
@@ -115,7 +115,7 @@ func TestCrossRawThenFinishIsCrossScores(t *testing.T) {
 			cmp.FinishCross(got, a, b)
 			for i := range want.Data {
 				if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
-					t.Fatalf("%s, %d columns reused: element %d = %v, CrossScores %v", name, k, i, got.Data[i], want.Data[i])
+					t.Fatalf("%s, %d columns reused: element %d = %v, CrossScoresRows %v", name, k, i, got.Data[i], want.Data[i])
 				}
 			}
 		}
@@ -166,7 +166,7 @@ func TestL2CrossMatchesPair(t *testing.T) {
 	pair := make([]float32, 4)
 	cmp.PairScores(pair, a, b)
 	cross := vec.NewMatrix(4, 4)
-	cmp.CrossScores(cross, a, b)
+	cmp.CrossScoresRows(cross, a, b, nil)
 	for i := 0; i < 4; i++ {
 		if !approx(pair[i], cross.Row(i)[i], 1e-3) {
 			t.Fatalf("diag mismatch at %d: %v vs %v", i, pair[i], cross.Row(i)[i])
@@ -192,7 +192,7 @@ func comparatorLoss(cmp Comparator, aRaw, bRaw vec.Matrix, gPair []float32, gCro
 	pair := make([]float32, a.Rows)
 	cmp.PairScores(pair, a, b)
 	cross := vec.NewMatrix(a.Rows, b.Rows)
-	cmp.CrossScores(cross, a, b)
+	cmp.CrossScoresRows(cross, a, b, nil)
 	var s float64
 	for i := range pair {
 		s += float64(gPair[i] * pair[i])
@@ -248,7 +248,7 @@ func TestComparatorGradients(t *testing.T) {
 		pair := make([]float32, n)
 		cmp.PairScores(pair, a, b)
 		cross := vec.NewMatrix(n, n)
-		cmp.CrossScores(cross, a, b)
+		cmp.CrossScoresRows(cross, a, b, nil)
 		ga := vec.NewMatrix(n, d)
 		gb := vec.NewMatrix(n, d)
 		cmp.PairBackward(ga, gb, gPair, pair, a, b)

@@ -95,7 +95,7 @@ func denseSide(s *Scorer, g *ChunkGrad, q, cand vec.Matrix, posIDs, candIDs []in
 	top := subMat(cand, c, d)
 	s.Cmp.PairScores(pos, q, top)
 	neg := vec.NewMatrix(c, cu)
-	s.Cmp.CrossScores(neg, q, cand)
+	s.Cmp.CrossScoresRows(neg, q, cand, nil)
 	gPos, gNeg := make([]float32, c), vec.NewMatrix(c, cu)
 	loss, unmasked := denseLoss(s.Loss, pos, neg, posIDs, candIDs, gPos, gNeg, weight)
 	g.Loss += loss

@@ -106,7 +106,7 @@ func (s *Scorer) ScoreMany(out []float32, src, relParams []float32, cand vec.Mat
 	s.Cmp.Prepare(a)
 	s.Cmp.Prepare(cand)
 	o := vec.MatrixFrom(out, 1, len(out))
-	s.Cmp.CrossScores(o, a, cand)
+	s.Cmp.CrossScoresRows(o, a, cand, nil)
 }
 
 // ChunkInput is one chunk of positive edges plus the uniformly sampled

@@ -252,11 +252,6 @@ func (c *countingComparator) CrossRaw(out, a, b, t vec.Matrix) {
 	c.Comparator.CrossRaw(out, a, b, t)
 }
 
-func (c *countingComparator) CrossScores(out, a, b vec.Matrix) {
-	c.cells += len(out.Data)
-	c.Comparator.CrossScores(out, a, b)
-}
-
 func (c *countingComparator) CrossScoresRows(out, a, b vec.Matrix, idx []int32) {
 	c.cells += len(out.Data)
 	c.Comparator.CrossScoresRows(out, a, b, idx)

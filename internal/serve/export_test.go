@@ -123,7 +123,7 @@ func (v *view) refScoreBlock(rel int, q, src vec.Matrix, lo, m int, ids []int32)
 	fill(scratch, src, lo, ids)
 	v.scorers[rel].Cmp.Prepare(scratch)
 	out := vec.NewMatrix(q.Rows, m)
-	v.scorers[rel].Cmp.CrossScores(out, q, scratch)
+	v.scorers[rel].Cmp.CrossScoresRows(out, q, scratch, nil)
 	return out
 }
 

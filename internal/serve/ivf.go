@@ -191,26 +191,27 @@ const kmeansBlock = 256
 
 // assignNearest sets assign[i] to the centroid nearest row i of rows. Each
 // block of kmeansBlock rows is scored against every centroid by one
-// SquaredL2Comparator.CrossScores — −‖x−c‖² as 2·x·c − ‖x‖² − ‖c‖², one GEMM
-// read straight from rows, which may be a read-only mapping — and each row
-// takes its best score, ties going to the lowest centroid index; a row whose
-// scores are all NaN goes to centroid 0. scores holds one block's scores:
-// min(kmeansBlock, rows.Rows)·cent.Rows floats.
+// SquaredL2Comparator.CrossScoresRows — −‖x−c‖² as 2·x·c − ‖x‖² − ‖c‖², one
+// GEMM read straight from rows, which may be a read-only mapping — and each
+// row takes its best score, ties going to the lowest centroid index; a row
+// whose scores are all NaN goes to centroid 0. scores holds one block's
+// scores: min(kmeansBlock, rows.Rows)·cent.Rows floats.
 func assignNearest(assign []int32, rows, cent vec.Matrix, scores []float32) {
 	n, dim, k := rows.Rows, rows.Cols, cent.Rows
 	for lo := 0; lo < n; lo += kmeansBlock {
 		m := min(kmeansBlock, n-lo)
 		block := vec.MatrixFrom(rows.Data[lo*dim:(lo+m)*dim], m, dim)
 		out := vec.MatrixFrom(scores[:m*k], m, k)
-		model.SquaredL2Comparator{}.CrossScores(out, block, cent)
-		for i := 0; i < m; i++ {
+		model.SquaredL2Comparator{}.CrossScoresRows(out, block, cent, nil)
+		blockAssign := assign[lo : lo+m]
+		for i := range blockAssign {
 			best, bestS := 0, float32(math.Inf(-1))
 			for c, s := range out.Row(i) {
 				if s > bestS {
 					best, bestS = c, s
 				}
 			}
-			assign[lo+i] = int32(best)
+			blockAssign[i] = int32(best)
 		}
 	}
 }

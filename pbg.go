@@ -82,7 +82,7 @@ type Model struct {
 // Train learns embeddings in memory on a single machine.
 func Train(g *Graph, cfg TrainConfig) (*Model, error) {
 	store := storage.NewMemStore(g.Schema, cfg.Dim, cfg.Seed+1, initScale(cfg))
-	return trainOn(g, store, cfg, nil)
+	return trainOn(g, store, cfg, nil, "")
 }
 
 // TrainOnDisk learns embeddings with partition swapping to dir — the §4.1
@@ -95,13 +95,26 @@ func TrainOnDisk(g *Graph, dir string, cfg TrainConfig) (*Model, error) {
 }
 
 // TrainOnDiskWithCallback is TrainOnDisk with a per-epoch hook (learning
-// curves, IOWait/Compute overlap monitoring).
+// curves, IOWait/Compute overlap monitoring). A dir that already holds
+// shards is a checkpoint the run continues from, relation blocks included.
 func TrainOnDiskWithCallback(g *Graph, dir string, cfg TrainConfig, onEpoch func(train.EpochStats)) (*Model, error) {
 	store, err := storage.NewDiskStore(dir, g.Schema, cfg.Dim, cfg.Seed+1, initScale(cfg))
 	if err != nil {
 		return nil, err
 	}
-	return trainOn(g, store, cfg, onEpoch)
+	return trainOn(g, store, cfg, onEpoch, dir)
+}
+
+// holdsShards reports whether dir holds a shard file of schema.
+func holdsShards(dir string, schema *graph.Schema) bool {
+	for t, e := range schema.Entities {
+		for p := 0; p < e.NumPartitions; p++ {
+			if _, err := os.Stat(storage.ShardPath(dir, t, p)); err == nil {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // EvaluateCheckpoint ranks test's edges against the model a run over trainG
@@ -162,8 +175,23 @@ func initScale(cfg TrainConfig) float32 {
 	return 1
 }
 
-func trainOn(g *Graph, store storage.Store, cfg TrainConfig, onEpoch func(train.EpochStats)) (*Model, error) {
+// trainOn trains g over store. A store swapping through dir ("" for none)
+// continues from the shards already there, so the trainer starts from dir's
+// relation blocks too, read through storage.ReadRelationParams.
+func trainOn(g *Graph, store storage.Store, cfg TrainConfig, onEpoch func(train.EpochStats), dir string) (*Model, error) {
 	tr, err := train.New(g, store, cfg)
+	if err == nil && dir != "" && holdsShards(dir, g.Schema) {
+		counts := make([]int, len(g.Schema.Relations))
+		for r := range counts {
+			counts[r] = tr.Scorer(r).RelParamCount()
+		}
+		var params [][]float32
+		if params, err = storage.ReadRelationParams(dir, counts); err == nil {
+			for r, p := range params {
+				tr.WithRelParams(r, func(dst []float32) { copy(dst, p) })
+			}
+		}
+	}
 	if err != nil {
 		return nil, err
 	}

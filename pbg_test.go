@@ -186,6 +186,53 @@ func TestCheckpointIntoOwnDir(t *testing.T) {
 	}
 }
 
+// TestTrainOnDiskContinuesRelations: a run into a directory that holds a
+// checkpoint continues from its relation parameters as it does from its
+// shards. At a learning rate too small to move a float, the second run's
+// relations.pbg is the first run's blocks, not a freshly initialised block
+// trained for an epoch.
+func TestTrainOnDiskContinuesRelations(t *testing.T) {
+	social, err := SocialGraph(SocialGraphConfig{Nodes: 200, AvgOutDegree: 4, NumPartitions: 2, Seed: 57})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := NewGraph(social.Schema.Entities,
+		[]RelationType{{Name: "follows", SourceType: "node", DestType: "node", Operator: "translation"}}, social.Edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	run := func(lr float32) []float32 {
+		m, err := TrainOnDisk(g, dir, TrainConfig{Dim: 8, Epochs: 1, Seed: 5, Workers: 1, LR: lr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Checkpoint(dir); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rs, err := storage.ReadRelations(filepath.Join(dir, relationsFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs.Params[0]
+	}
+	first := run(0)
+	second := run(1e-30)
+	moved := false
+	for i := range first {
+		moved = moved || math.Abs(float64(first[i])) > 1e-3
+		if math.Abs(float64(second[i]-first[i])) > 1e-9 {
+			t.Fatalf("parameter %d: the second run ended at %v, the first at %v", i, second[i], first[i])
+		}
+	}
+	if !moved {
+		t.Fatalf("the first run left the translation at its initial block %v", first)
+	}
+}
+
 // TestEvaluateCheckpointWithoutRelations: like serve.Open, pbg eval needs
 // relations.pbg only when some relation has parameters. An identity run
 // evaluates the same without the file; a translation run is refused, by
