@@ -151,7 +151,7 @@ func serveMessages() []any {
 		}},
 		&serving.TopKReply{Results: []serving.TopKResult{
 			{IDs: []int32{4, -2}, Scores: []float32{0.75, -0.5}, Scanned: 100, Probed: 3},
-			{IDs: []int32{9}, Scores: []float32{1}, Scanned: 1 << 33, Probed: -1},
+			{IDs: []int32{9}, Scores: []float32{1}, Scanned: math.MaxInt, Probed: -1},
 		}},
 		&serving.ScoreArgs{Reqs: []serving.ScoreRequest{{Rel: 1, Src: 2, Dst: 3}, {Rel: 4, Src: -5, Dst: 6}}},
 		&serving.ScoreReply{Scores: []float32{1.5, -2, float32(math.Inf(1))}},
@@ -190,7 +190,7 @@ func TestWireBytesMatchParent(t *testing.T) {
 		"030000000000e04000000041000010410000000000010000", // SyncReply
 		"0400000000000000",                                 // PullArgs
 		"02000000010000000000000003000000020000000000003f000080bf0a000000000000000104000000000000000200000000000000f9ffffff0100000000000040010000000000000001ffffffffffffffff", // serve.TopKArgs
-		"020000000200000004000000feffffff020000000000403f000000bf640000000000000003000000000000000100000009000000010000000000803f0000000002000000ffffffffffffffff",             // serve.TopKReply
+		"020000000200000004000000feffffff020000000000403f000000bf640000000000000003000000000000000100000009000000010000000000803fffffffffffffff7fffffffffffffffff",             // serve.TopKReply
 		"02000000010000000000000002000000030000000400000000000000fbffffff06000000",                                                                                             // serve.ScoreArgs
 		"030000000000c03f000000c00000807f", // serve.ScoreReply
 		"030000000000000004000000fbffffff", // serve.RankArgs

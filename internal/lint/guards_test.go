@@ -119,7 +119,7 @@ var guards = []guard{
 		asm:    true,
 		forbid: regexp.MustCompile(`dotTileAVX2|prefetchRowsAVX2`),
 		mutant: "TEXT ·dotTileAVX2(SB), NOSPLIT, $0-64",
-		why:    "dotStripAVX2 scores a whole 4-row strip of every GEMM (training, eval and both serve scans) in one call, and its first strip prefetches listed rows a fixed distance ahead; the per-tile leaf and the up-front row prefetch it replaced must not come back in Go or assembly",
+		why:    "dotStripAVX2 scores a whole strip of up to 4 rows of every GEMM (training, eval and both serve scans) in one call, its tiles (4×2, 2×4 for a 2-row strip, 1×8 for a 1-row one) living inside it, and its first strip prefetches listed rows a fixed distance ahead; the per-tile leaf and the up-front row prefetch it replaced must not come back in Go or assembly",
 	},
 	{
 		name:   "one backward walk",

@@ -139,6 +139,66 @@ func TestSelectProbesMatchesHeap(t *testing.T) {
 	}
 }
 
+// TestSelectProbesClustered holds the partition to the heap where every
+// score shares one exponent, so the keys agree on their top bits and differ
+// only low down — centroid scores bunched close together — at the edge
+// widths 1, L−1 and L, over list counts on both sides of the sort cutoff and
+// serve_topk's 284.
+func TestSelectProbesClustered(t *testing.T) {
+	r := rng.New(31)
+	for _, lists := range []int{2, 12, 13, 40, 284, 600} {
+		for trial := 0; trial < 20; trial++ {
+			scores := make([]float32, lists)
+			for c := range scores {
+				scores[c] = 1 + r.Float32()/2 // every score in [1, 1.5]
+				if trial%2 == 1 {
+					scores[c] = -scores[c]
+				}
+			}
+			for _, nprobe := range []int{1, lists - 1, lists} {
+				keys, ref := make([]uint64, lists), make([]refProbe, lists)
+				for c, s := range scores {
+					keys[c], ref[c] = probeKey(int32(c), s), refProbe{cell: int32(c), score: s}
+				}
+				selectProbes(keys, nprobe)
+				refSelectProbes(ref, nprobe)
+				got, want := make([]int32, nprobe), make([]int32, nprobe)
+				for i := range got {
+					got[i], want[i] = int32(uint32(keys[i])), ref[i].cell
+				}
+				slices.Sort(got)
+				slices.Sort(want)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%d of %d clustered lists, trial %d: chose %v, the heap %v", nprobe, lists, trial, got, want)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkSelectProbes is one query's probe selection at serve_topk's
+// index shape: 284 lists (4 partitions × 71), the default width of 114,
+// over normally drawn centroid scores. Each op copies the next of 64 key
+// sets in before selecting, so no op starts from a selected one.
+func BenchmarkSelectProbes(b *testing.B) {
+	const lists, sets = 284, 64
+	nprobe := DefaultNProbe(lists)
+	r := rng.New(5)
+	src := make([][]uint64, sets)
+	for i := range src {
+		src[i] = make([]uint64, lists)
+		for c := range src[i] {
+			src[i][c] = probeKey(int32(c), r.NormFloat32())
+		}
+	}
+	keys := make([]uint64, lists)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(keys, src[i%sets])
+		selectProbes(keys, nprobe)
+	}
+}
+
 // TestOfferTieBreak spells the boundary case out: a candidate tied with the
 // root on score is not rejected early — it still displaces the root when its
 // id is lower, and loses when its id is higher.

@@ -336,8 +336,9 @@ func (v *view) topKIVF(ws *workspace, rel int, reqs []TopKRequest, out []TopKRes
 // per probing query — where it lies in the mapping, unless it must be
 // prepared first (scoreRows) — and the GEMM's register
 // blocking re-uses it across four queries at a time. A batch of one is the
-// same code with one query row: a strip of one row, whose every cell is
-// bitwise vec.Dot, so its scores are bitwise model.Scorer.Score.
+// same code with one query row: a strip of one row (the leaf's 1×8 tile),
+// whose every cell is bitwise vec.Dot, so its scores are bitwise
+// model.Scorer.Score.
 //
 //pbg:hotpath
 func (v *view) scanProbed(ws *workspace, rel int, tq vec.Matrix, cellEnd, cellQ []int32, heaps []topkHeap, out []TopKResult) {
@@ -376,11 +377,15 @@ func (v *view) scanProbed(ws *workspace, rel int, tq vec.Matrix, cellEnd, cellQ 
 // selectProbes moves the nprobe smallest keys — a query's nprobe best lists
 // (probeKey) — to the front of keys, in no particular order: quickselect with
 // a median-of-three pivot, which is linear where a bounded heap is
-// O(L log nprobe) at its worst (nprobe = 0.4 L is the default). Nothing is
-// drawn at random, and the keys are distinct under a total order, so the set
-// that ends up in front is the same one the heap, or a full sort, would put
-// there. Should the pivots go badly the range left is sorted instead, which
-// bounds the cost at O(L log L). It allocates nothing.
+// O(L log nprobe) at its worst (nprobe = 0.4 L is the default). Each pass is
+// a partition with no branch on the comparison — every key is swapped into
+// place and the borrow of key − pivot advances the boundary — because a
+// query's scores order its keys at random, and a branch on them mispredicts
+// half the time. Nothing is drawn at random, and the keys are distinct under
+// a total order, so the set that ends up in front is the same one the heap,
+// or a full sort, would put there. Should the pivots go badly the range left
+// is sorted instead, which bounds the cost at O(L log L). It allocates
+// nothing.
 //
 //pbg:hotpath
 func selectProbes(keys []uint64, nprobe int) {
@@ -391,29 +396,23 @@ func selectProbes(keys []uint64, nprobe int) {
 		if nprobe <= lo || nprobe >= hi {
 			return
 		}
-		a, b, c := keys[lo], keys[lo+(hi-lo)/2], keys[hi-1]
+		part := keys[lo:hi]
+		a, b, c := part[0], part[len(part)/2], part[len(part)-1]
 		pivot := max(min(a, b), min(max(a, b), c))
-		i, j := lo, hi-1
-		for i <= j {
-			for keys[i] < pivot {
-				i++
-			}
-			for keys[j] > pivot {
-				j--
-			}
-			if i <= j {
-				keys[i], keys[j] = keys[j], keys[i]
-				i++
-				j--
-			}
+		s := 0
+		for i, x := range part {
+			part[i] = part[s]
+			part[s] = x
+			_, below := bits.Sub64(x, pivot, 0)
+			s += int(below)
 		}
-		// keys[lo..j] ≤ pivot ≤ keys[i..hi), and if one index lies between
-		// the two it holds the pivot; a median of three distinct keys leaves
-		// both sides non-empty, so the range shrinks.
-		if nprobe <= j+1 {
-			hi = j + 1
+		// part[:s] < pivot ≤ part[s:]; a median of three distinct keys has
+		// one key below it and is not below itself, so both sides are
+		// non-empty and the range shrinks.
+		if nprobe <= lo+s {
+			hi = lo + s
 		} else {
-			lo = i
+			lo += s
 		}
 	}
 	slices.Sort(keys[lo:hi])

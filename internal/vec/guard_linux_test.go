@@ -37,11 +37,17 @@ func tail[T any](s []T, n int) []T { return s[len(s)-n:] }
 // TestMulABtRowsStaysInside runs MulABtRows with the index list, A, the rows
 // of B and C each ending at a guard page, over every column count from none
 // to two look-ahead distances and a partial pair past it, and requires
-// bitwise MulABt over a gathered copy. The assembly leaf reads idx[j+8] and
-// idx[j+9] to prefetch, kept inside the list by nothing but its own compare,
-// and loads B's rows through the list: a read past either faults here. The
-// last listed row is B's last, so its final bytes are loaded too. (A
-// prefetch itself cannot fault; what it must not do is read past the list.)
+// bitwise MulABt over a gathered copy; then MulABt over a dense B of m rows
+// that ends at the guard, against MulABt over a copy. A is 1 to 9 rows, so
+// the leaf's last strip has every height from 1 to 4 (its 1×8, 2×4 and
+// aliased 4×2 tiles), and m runs over odd and even widths below one 1×8
+// tile. The leaf reads the list up to a tile's width past column j+8 to
+// prefetch, kept inside the list by nothing but its own compare, and loads
+// B's rows through the list or by position, taking column j's row again for
+// the columns a last tile lacks: a read past the list or B faults here, as
+// does a store past C. The last listed row is B's last, so its final bytes
+// are loaded too. (A prefetch itself cannot fault; what it must not do is
+// read past the list.)
 func TestMulABtRowsStaysInside(t *testing.T) {
 	const (
 		ahead      = 8 // STRIPAHEAD in kernel_amd64.s
@@ -51,6 +57,7 @@ func TestMulABtRowsStaysInside(t *testing.T) {
 	)
 	r := rng.New(11)
 	aBuf, bBuf := guarded[float32](t, maxN*maxD), guarded[float32](t, maxRows*maxD)
+	denseBuf := guarded[float32](t, maxM*maxD)
 	idxBuf, cBuf := guarded[int32](t, maxM), guarded[float32](t, maxN*maxM)
 	for _, d := range []int{0, 1, 7, 8, 32, 33} {
 		for n := 1; n <= maxN; n++ {
@@ -75,12 +82,22 @@ func TestMulABtRowsStaysInside(t *testing.T) {
 				for j, row := range idx {
 					copy(gathered.Row(j), b.Row(int(row)))
 				}
+				dense := MatrixFrom(tail(denseBuf, m*d), m, d)
+				for i := range dense.Data {
+					dense.Data[i] = r.NormFloat32()
+				}
+				copied := cloneMatrix(dense)
 				for _, ks := range bothPaths() {
 					got, want := MatrixFrom(tail(cBuf, n*m), n, m), NewMatrix(n, m)
 					ks.mulABtRows(got, a, b, idx)
 					ks.mulABtRows(want, a, gathered, nil)
 					if i := firstDiff(got.Data, want.Data); i >= 0 {
 						t.Fatalf("%s n=%d m=%d d=%d: element %d = %v, MulABt over the gathered rows %v", ks.name, n, m, d, i, got.Data[i], want.Data[i])
+					}
+					ks.mulABtRows(got, a, dense, nil)
+					ks.mulABtRows(want, a, copied, nil)
+					if i := firstDiff(got.Data, want.Data); i >= 0 {
+						t.Fatalf("%s n=%d m=%d d=%d dense: element %d = %v, MulABt over a copy %v", ks.name, n, m, d, i, got.Data[i], want.Data[i])
 					}
 				}
 			}

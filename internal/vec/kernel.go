@@ -46,7 +46,11 @@ import "unsafe"
 //	(iii) Odd rows and columns take the same leaf as full strips, an index
 //	     list of odd length, or one that names a row twice, included; no shape
 //	     falls back to a slower kernel and no dimension d ≥ 0 is special-cased
-//	     outside the assembly.
+//	     outside the assembly. Inside the GEMM leaf a strip's tile follows
+//	     its row count — 4×2 for 3 or 4 rows (at 3 the fourth aliases the
+//	     third), 2×4 for 2, 1×8 for 1 — so a strip of r < 4 rows pays for
+//	     the rows it has; every tile keeps 8 accumulators and Dot's
+//	     instruction sequence per cell, which is what (ii) needs.
 //
 // (ii) is the assembly path's for the GEMM: the portable tile rounds a full
 // tile's cells and an edge's differently, so there a score's last bits depend
@@ -66,10 +70,10 @@ import "unsafe"
 // demand PackSlack entries of room past the input, and neither writes
 // beyond it. The row prefetch inside the
 // GEMM leaf changes no result at all: while the first strip of a listed
-// product scores columns j and j+1 it asks for the rows listed for columns
-// j+8 and j+9, and reads the list only while those are inside it, so the
-// first 8 listed rows are never asked for and a list of 8 or fewer gets no
-// prefetch. Dense products never prefetch. Prefetch, the one other leaf that
+// product scores a tile from column j on it asks for the rows listed for as
+// many columns from j+8 on as the tile is wide (2, 4 or 8), and reads the
+// list only while those are inside it, so the first 8 listed rows are never
+// asked for and a list of 8 or fewer gets no prefetch. Dense products never prefetch. Prefetch, the one other leaf that
 // touches no result, asks for a row span's cache lines a caller names ahead of
 // time (the trainer's next chunk); its portable twin is a no-op.
 //
@@ -77,8 +81,8 @@ import "unsafe"
 // scatterRowAVX2, adagradRowsAVX2 and, under MulABtRows, the GEMM leaf
 // dotStripAVX2 (for its rows and its look-ahead) — and for each the list is
 // range-checked once per call before anything is loaded or stored
-// (checkSparse, checkMulABt: one unsigned maximum, maxUint32AVX2;
-// checkAdagradRows: each id less the table's first against its rows), with a
+// (checkSparse, checkMulABt, checkAdagradRows: one pass for the list's signed
+// minimum and maximum, minMaxInt32AVX2, against the rows it may name), with a
 // fixed-message panic.
 //
 // Two assembly leaves do weighted row accumulation, one per backward product
@@ -125,10 +129,12 @@ func rowAt(idx []int32, j int) int {
 
 // mulABtAVX2 hands columns from.. of C to the strip leaf four rows at a time
 // (from is 0 but for MulABtReusing's remainder, which the leaf stores straight
-// into the wider C, c.Cols floats a row). The last strip
-// passes its true row count: the leaf still runs all 8 accumulators (on
-// repeated rows) and stores only the ones that exist, so every C[i][j] comes
-// out of the same instruction sequence as Dot. The leaf addresses B rows
+// into the wider C, c.Cols floats a row). The last strip passes its true row
+// count, and the leaf picks its tile by it — 1×8 for one row, 2×4 for two —
+// so an n = 1 product (eval's ranking row, batch-1 serving) or a list probed
+// by 13 queries pays for the rows it has, not for 4; every tile runs 8
+// accumulators and every C[i][j] comes out of the same instruction sequence
+// as Dot. The leaf addresses B rows
 // itself — row j, or row idx[j] (checkMulABt has range-checked the list, the
 // leaf dereferences it unchecked) — so a gathered product and a dense one are
 // the same walk. Only the first strip of a listed product prefetches: it is

@@ -36,11 +36,13 @@ func xgetbv() (eax, edx uint32)
 func dotAVX2(a, b *float32, d int) float32
 
 // dotStripAVX2 stores c[i·ldc+j] = dotAVX2(a+i·d, b_j, d) for i < r ≤ 4 and
-// j < m (ldc is m for a whole C, its full width for a column range), each with dotAVX2's instruction sequence on its own accumulator: one
-// call per strip of C, two columns at a time. b_j is row j of b, or row
-// idx[j] when idx is non-nil; idx is dereferenced unchecked, checkMulABt
-// vouches for it. While it scores column j it prefetches the row listed for
-// columns j+8 and j+9 when those are below pre (m on a listed product's first
+// j < m (ldc is m for a whole C, its full width for a column range), each
+// with dotAVX2's instruction sequence on its own accumulator: one call per
+// strip of C, in tiles of 4×2 (r ≥ 3), 2×4 (r = 2) or 1×8 (r = 1) cells. b_j
+// is row j of b, or row idx[j] when idx is non-nil; idx is dereferenced
+// unchecked, checkMulABt vouches for it. While it scores a tile from column
+// j on it prefetches the rows listed for as many columns from j+8 on as the
+// tile is wide, when those are below pre (m on a listed product's first
 // strip, 0 otherwise).
 //
 //go:noescape
@@ -119,10 +121,11 @@ var packIndex = func() (t [256]uint64) {
 	return t
 }()
 
-// maxUint32AVX2 returns the unsigned maximum of n dwords at x, 0 for n = 0.
+// minMaxInt32AVX2 returns the signed minimum and maximum of n ≥ 1 dwords at
+// x.
 //
 //go:noescape
-func maxUint32AVX2(x *int32, n int) uint32
+func minMaxInt32AVX2(x *int32, n int) (lo, hi int32)
 
 // prefetchSpanAVX2 prefetches every cache line of the n floats at p.
 //

@@ -37,6 +37,122 @@ GLOBL tailmask<>(SB), RODATA|NOPTR, $64
 	SUBQ CX, AX;                \
 	VMOVDQU (AX), Y14
 
+// STRIPAHEAD is how many columns ahead of the tile it scores the first strip
+// of a listed product asks for B rows: far enough that a row requested now
+// has arrived when its tile comes up.
+#define STRIPAHEAD 8
+
+// The macros from here to dotAVX2 are dotStripAVX2's and read its frame;
+// they sit ahead of the first TEXT because vet checks a #define's frame
+// names against the function it follows.
+//
+// A tile's set-up leaves in its B row registers the address of the B row
+// each of its columns reads, from DX = the bytes of a row, BX = idx and a
+// register b = b+24(FP). LISTROW does so for column j+k through the list,
+// DENSEROW for row j+k itself, when the tile has column j+k. On a last tile
+// that may lack it, LISTEDGE and DENSEEDGE take column j's row instead
+// (STRIPCOL picks the column), so the tile's k-loop has one shape.
+#define LISTROW(k, reg, b) \
+	MOVLQZX 4*k(BX)(R9*4), reg; \
+	IMULQ   DX, reg;            \
+	ADDQ    b, reg
+
+#define DENSEROW(k, reg, b) \
+	LEAQ  k(R9), reg; \
+	IMULQ DX, reg;    \
+	ADDQ  b, reg
+
+#define STRIPCOL(k, reg) \
+	LEAQ    k(R9), reg;    \
+	CMPQ    reg, m+40(FP); \
+	CMOVQGE R9, reg
+
+#define LISTEDGE(k, reg, b) \
+	STRIPCOL(k, reg);         \
+	MOVLQZX (BX)(reg*4), reg; \
+	IMULQ   DX, reg;          \
+	ADDQ    b, reg
+
+#define DENSEEDGE(k, reg, b) \
+	STRIPCOL(k, reg); \
+	IMULQ DX, reg;    \
+	ADDQ  b, reg
+
+// TILESETUP loads DX, BX and the register base (the b of the row macros)
+// for a tile's set-up.
+#define TILESETUP(base) \
+	MOVQ d+56(FP), DX;   \
+	SHLQ $2, DX;         \
+	MOVQ b+24(FP), base; \
+	MOVQ idx+32(FP), BX
+
+// LOOKAHEAD asks for every cache line of the B rows listed for the w columns
+// from j+STRIPAHEAD on that are below pre, and goes on at label done.
+// Clobbers AX, BX, CX and R8.
+#define LOOKAHEAD(w, col, line, done) \
+	LEAQ    STRIPAHEAD(R9), AX;      \
+	CMPQ    AX, pre+48(FP);          \
+	JGE     done;                    \
+	LEAQ    STRIPAHEAD+w(R9), CX;    \
+	CMPQ    CX, pre+48(FP);          \
+	CMOVQGT pre+48(FP), CX;          \
+col:                                 \
+	MOVQ    idx+32(FP), BX;          \
+	MOVLQZX (BX)(AX*4), BX;          \
+	IMULQ   d+56(FP), BX;            \
+	SHLQ    $2, BX;                  \
+	ADDQ    b+24(FP), BX;            \
+	MOVQ    d+56(FP), R8;            \
+	LEAQ    -1(BX)(R8*4), R8;        \
+line:                                \
+	PREFETCHT0 (BX);                 \
+	ADDQ       $64, BX;              \
+	CMPQ       BX, R8;               \
+	JLE        line;                 \
+	PREFETCHT0 (R8);                 \
+	INCQ       AX;                   \
+	CMPQ       AX, CX;               \
+	JLT        col;                  \
+done:
+
+#define ZERO8 \
+	VXORPS Y0, Y0, Y0; \
+	VXORPS Y1, Y1, Y1; \
+	VXORPS Y2, Y2, Y2; \
+	VXORPS Y3, Y3, Y3; \
+	VXORPS Y4, Y4, Y4; \
+	VXORPS Y5, Y5, Y5; \
+	VXORPS Y6, Y6, Y6; \
+	VXORPS Y7, Y7, Y7
+
+// REDUCE8 is dotAVX2's tree on all 8 accumulators at once: two rounds of
+// pairwise adds transpose as they go, leaving X0 = Y0 Y1 Y2 Y3 and
+// X4 = Y4 Y5 Y6 Y7, each reduced. It then leaves in AX the bytes between
+// rows of C and in BX the columns left from j on (at least 1).
+#define REDUCE8 \
+	VHADDPS      Y1, Y0, Y0; \
+	VHADDPS      Y3, Y2, Y2; \
+	VHADDPS      Y5, Y4, Y4; \
+	VHADDPS      Y7, Y6, Y6; \
+	VHADDPS      Y2, Y0, Y0; \
+	VHADDPS      Y6, Y4, Y4; \
+	VEXTRACTF128 $1, Y0, X1; \
+	VADDPS       X1, X0, X0; \
+	VEXTRACTF128 $1, Y4, X5; \
+	VADDPS       X5, X4, X4; \
+	MOVQ         ldc+64(FP), AX; \
+	SHLQ         $2, AX;     \
+	MOVQ         m+40(FP), BX; \
+	SUBQ         R9, BX
+
+// EDGEMASK loads into reg the mask of the first BX lanes, BX ≤ 8.
+// Clobbers BX and CX.
+#define EDGEMASK(reg) \
+	SHLQ    $2, BX;                \
+	LEAQ    tailmask<>+32(SB), CX; \
+	SUBQ    BX, CX;                \
+	VMOVDQU (CX), reg
+
 // func dotAVX2(a, b *float32, d int) float32
 //
 // One accumulator, Y0. The reduction tree is fixed:
@@ -73,31 +189,43 @@ dot_reduce:
 	VZEROUPPER
 	RET
 
-// STRIPAHEAD is how many columns ahead of the pair it scores the first strip
-// of a listed product asks for B rows: four pairs, far enough that a row
-// requested now has arrived when its pair comes up.
-#define STRIPAHEAD 8
-
 // func dotStripAVX2(c, a *float32, r int, b *float32, idx *int32, m, pre, d, ldc int)
 //
-// A strip of r ≤ 4 rows of A against all m columns, two columns at a time,
-// stored ldc floats apart: rows of C, or of a column range of a wider C.
-// Accumulators: Y0..Y7 hold c00 c01 c10 c11 c20 c21 c30 c31 of the pair; Y8,
-// Y9 its two B rows of the step, Y10..Y13 the four A rows, Y14 the tail mask
-// (loaded once per strip) — 8 FMAs per 6 loads, and 8 independent FMA chains
-// to cover the 4-cycle latency on two ports. A 4×3 block would need all 16
-// registers with nothing left for the mask. Rows the strip lacks alias the
-// last row it has, and a lone last column takes its B row twice, so the
-// k-loop has one shape; only the stores look at r and at whether column j+1
-// exists. Column j reads B row j (idx nil) or row idx[j], wherever it lies.
-// While it scores columns j and j+1, the strip asks for every cache line of
-// the rows listed for columns j+STRIPAHEAD and j+STRIPAHEAD+1 that are below
-// pre: pre is m on the first strip of a listed product and 0 everywhere else,
-// so dense products never prefetch and idx is read only inside the list. A
-// prefetch faults on nothing and writes nothing. Registers across the pairs:
-// SI, R10..R12 the A rows, DX the whole-block bytes and CX the tail floats of
-// a row, R9 = j, R14 the strip's C entry of column j; r and the rest are read
-// from the frame.
+// A strip of r ≤ 4 rows of A against all m columns, stored ldc floats apart:
+// rows of C, or of a column range of a wider C. The strip walks its columns
+// in tiles of 8 cells, each cell on its own accumulator (Y0..Y7): 8
+// independent FMA chains to cover the 4-cycle latency on two ports. The
+// tile's shape follows r, so a strip pays for the rows it has:
+//
+//	r ≥ 3: 4 rows × 2 columns. Y0..Y7 hold c00 c01 c10 c11 c20 c21 c30 c31;
+//	       Y8, Y9 the two B rows of the step, Y10..Y13 the four A rows —
+//	       8 FMAs per 6 loads. A 4×3 tile would need all 16 registers with
+//	       nothing left for the mask. At r = 3 the fourth row aliases the
+//	       third, and its cells are not stored.
+//	r = 2: 2 rows × 4 columns. Y0..Y3 hold row 0's cells, Y4..Y7 row 1's;
+//	       Y8, Y9 the A rows, Y10..Y13 the four B rows — 8 FMAs per 6 loads.
+//	r = 1: 1 row × 8 columns. Y8 holds the A row, and each of the 8 FMAs
+//	       takes its B row from memory — 8 FMAs per 9 loads.
+//
+// Y14 is the tail mask, loaded once per strip. In every shape a cell's
+// k-loop is dotAVX2's, and REDUCE8 is its reduction tree, so every cell is
+// bitwise Dot. A last tile with fewer columns than its width takes column
+// j's B row for the ones it lacks; only the stores look at how many columns
+// are left (a partial 2×4 or 1×8 tile stores under a mask). Column j reads B
+// row j (idx nil) or row idx[j], wherever it lies. Before each tile of the
+// first strip of a listed product, LOOKAHEAD asks for the rows of as many
+// columns from j+STRIPAHEAD on as the tile is wide, below pre: pre is m on
+// that strip and 0 everywhere else, so dense products never prefetch and idx
+// is read only inside the list. A prefetch faults on nothing and writes
+// nothing. Registers across tiles: SI the first A row (and for r ≥ 2 R10..R12
+// the others, the previous pointer again where the strip has no such row),
+// R9 = j and, but for r = 1, R14 the strip's C entry of column j; r, d and
+// the rest are read from the frame. Within a tile DX is the whole-block bytes
+// of a row, BX the byte offset along k and the B row pointers are DI and R13
+// (2×4: then AX, R8; 1×8: then AX, R8, R10, R11, R12, CX — the 1×8 tile sets
+// them up from b in R14 and takes its C entry from the frame). A 2×4 or 1×8
+// tile pays for the aliasing compares only when it may lack columns (j + its
+// width > m); the 4×2 tile makes its one compare, for column j+1, every time.
 TEXT ·dotStripAVX2(SB), NOSPLIT, $0-72
 	MOVQ a+8(FP), SI
 	MOVQ r+16(FP), R8
@@ -119,88 +247,41 @@ TEXT ·dotStripAVX2(SB), NOSPLIT, $0-72
 	CMPQ    R8, $4
 	CMOVQGE AX, R12
 
-	BLOCKS
-	ANDQ    $7, CX
-	JZ      strip_cols
-	LEAQ    (CX*4), BX
-	LEAQ    tailmask<>+32(SB), AX
-	SUBQ    BX, AX
-	VMOVDQU (AX), Y14
+	TAILMASK(strip_cols)
 
 strip_cols:
 	MOVQ c+0(FP), R14
 	XORQ R9, R9
-	JMP  strip_next
+	CMPQ R8, $2
+	JLT  one_next
+	JEQ  two_next
 
-strip_pair:
-	// DI and R13: the B rows of columns j and j+1.
-	MOVQ    b+24(FP), R13
-	MOVQ    idx+32(FP), BX
-	MOVQ    R9, AX
-	TESTQ   BX, BX
-	JZ      strip_b0
-	MOVLQZX (BX)(R9*4), AX
+four_next:
+	// 4×2: the B rows of columns j and j+1 in DI and R13.
+	CMPQ R9, m+40(FP)
+	JGE  strip_done
+	LOOKAHEAD(2, four_ahead_col, four_ahead_line, four_zero)
+	ZERO8
+	TILESETUP(R8)
+	TESTQ BX, BX
+	JZ    four_dense
+	LISTROW(0, DI, R8)
+	LISTEDGE(1, R13, R8)
+	JMP   four_rows
 
-strip_b0:
-	IMULQ   d+56(FP), AX
-	LEAQ    (R13)(AX*4), DI
-	LEAQ    1(R9), AX
-	CMPQ    AX, m+40(FP)
-	JGE     strip_lone
-	TESTQ   BX, BX
-	JZ      strip_b1
-	MOVLQZX 4(BX)(R9*4), AX
+four_dense:
+	DENSEROW(0, DI, R8)
+	DENSEEDGE(1, R13, R8)
 
-strip_b1:
-	IMULQ d+56(FP), AX
-	LEAQ  (R13)(AX*4), R13
-	JMP   strip_ahead
-
-strip_lone:
-	MOVQ DI, R13
-
-strip_ahead:
-	LEAQ STRIPAHEAD(R9), AX
-
-strip_ahead_col:
-	CMPQ    AX, pre+48(FP)
-	JGE     strip_zero
-	MOVQ    idx+32(FP), BX
-	MOVLQZX (BX)(AX*4), BX
-	IMULQ   d+56(FP), BX
-	SHLQ    $2, BX
-	ADDQ    b+24(FP), BX
-	LEAQ    (DX)(CX*4), R8
-	LEAQ    -1(BX)(R8*1), R8 // the row's last byte
-
-strip_ahead_line:
-	PREFETCHT0 (BX)
-	ADDQ       $64, BX
-	CMPQ       BX, R8
-	JLE        strip_ahead_line
-	PREFETCHT0 (R8)
-	INCQ       AX
-	MOVQ       AX, BX
-	SUBQ       R9, BX
-	CMPQ       BX, $(STRIPAHEAD+2)
-	JLT        strip_ahead_col
-
-strip_zero:
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	VXORPS Y6, Y6, Y6
-	VXORPS Y7, Y7, Y7
-	XORQ   BX, BX
-	CMPQ   BX, DX
-	JGE    strip_tail
+four_rows:
+	ANDQ $~31, DX // the whole-block bytes of a row
+	XORQ BX, BX
+	CMPQ BX, DX
+	JGE  four_tail
 
 	PCALIGN $32
 
-strip_loop:
+four_loop:
 	VMOVUPS     (DI)(BX*1), Y8
 	VMOVUPS     (R13)(BX*1), Y9
 	VMOVUPS     (SI)(BX*1), Y10
@@ -217,11 +298,11 @@ strip_loop:
 	VFMADD231PS Y9, Y13, Y7
 	ADDQ        $32, BX
 	CMPQ        BX, DX
-	JLT         strip_loop
+	JLT         four_loop
 
-strip_tail:
-	TESTQ       CX, CX
-	JZ          strip_reduce
+four_tail:
+	TESTQ       $7, d+56(FP)
+	JZ          four_reduce
 	VMASKMOVPS  (DI)(BX*1), Y14, Y8
 	VMASKMOVPS  (R13)(BX*1), Y14, Y9
 	VMASKMOVPS  (SI)(BX*1), Y14, Y10
@@ -237,60 +318,269 @@ strip_tail:
 	VFMADD231PS Y8, Y13, Y6
 	VFMADD231PS Y9, Y13, Y7
 
-strip_reduce:
-	// dotAVX2's tree on all 8 accumulators at once: two rounds of pairwise
-	// adds transpose as they go, leaving X0 = c00 c01 c10 c11 and
-	// X4 = c20 c21 c30 c31.
-	VHADDPS      Y1, Y0, Y0
-	VHADDPS      Y3, Y2, Y2
-	VHADDPS      Y5, Y4, Y4
-	VHADDPS      Y7, Y6, Y6
-	VHADDPS      Y2, Y0, Y0
-	VHADDPS      Y6, Y4, Y4
-	VEXTRACTF128 $1, Y0, X1
-	VADDPS       X1, X0, X0
-	VEXTRACTF128 $1, Y4, X5
-	VADDPS       X5, X4, X4
-
-	// AX: the bytes between rows of C.
-	MOVQ    ldc+64(FP), AX
-	SHLQ    $2, AX
-	LEAQ    1(R9), BX
-	CMPQ    BX, m+40(FP)
-	JGE     strip_onecol
+four_reduce:
+	// X0 = c00 c01 c10 c11, X4 = c20 c21 c30 c31.
+	REDUCE8
+	MOVQ    r+16(FP), CX
+	CMPQ    BX, $2
+	JLT     four_onecol
 	VMOVLPS X0, (R14)
-	CMPQ    r+16(FP), $2
-	JLT     strip_stored
+	CMPQ    CX, $2
+	JLT     four_stored
 	VMOVHPS X0, (R14)(AX*1)
-	CMPQ    r+16(FP), $3
-	JLT     strip_stored
+	CMPQ    CX, $3
+	JLT     four_stored
 	LEAQ    (R14)(AX*2), BX
 	VMOVLPS X4, (BX)
-	CMPQ    r+16(FP), $4
-	JLT     strip_stored
+	CMPQ    CX, $4
+	JLT     four_stored
 	VMOVHPS X4, (BX)(AX*1)
-	JMP     strip_stored
+	JMP     four_stored
 
-strip_onecol:
+four_onecol:
 	VMOVSS     X0, (R14)
-	CMPQ       r+16(FP), $2
-	JLT        strip_stored
+	CMPQ       CX, $2
+	JLT        four_stored
 	VEXTRACTPS $2, X0, (R14)(AX*1)
-	CMPQ       r+16(FP), $3
-	JLT        strip_stored
+	CMPQ       CX, $3
+	JLT        four_stored
 	LEAQ       (R14)(AX*2), BX
 	VMOVSS     X4, (BX)
-	CMPQ       r+16(FP), $4
-	JLT        strip_stored
+	CMPQ       CX, $4
+	JLT        four_stored
 	VEXTRACTPS $2, X4, (BX)(AX*1)
 
-strip_stored:
+four_stored:
 	ADDQ $8, R14
 	ADDQ $2, R9
+	JMP  four_next
 
-strip_next:
+two_next:
+	// 2×4: the B rows of columns j..j+3 in DI, R13, AX and R8.
 	CMPQ R9, m+40(FP)
-	JLT  strip_pair
+	JGE  strip_done
+	LOOKAHEAD(4, two_ahead_col, two_ahead_line, two_zero)
+	ZERO8
+	TILESETUP(R11)
+	MOVQ  m+40(FP), CX
+	SUBQ  R9, CX
+	CMPQ  CX, $4
+	JLT   two_edge
+	TESTQ BX, BX
+	JZ    two_dense
+	LISTROW(0, DI, R11)
+	LISTROW(1, R13, R11)
+	LISTROW(2, AX, R11)
+	LISTROW(3, R8, R11)
+	JMP   two_rows
+
+two_dense:
+	DENSEROW(0, DI, R11)
+	DENSEROW(1, R13, R11)
+	DENSEROW(2, AX, R11)
+	DENSEROW(3, R8, R11)
+	JMP   two_rows
+
+two_edge:
+	TESTQ BX, BX
+	JZ    two_dense_edge
+	LISTROW(0, DI, R11)
+	LISTEDGE(1, R13, R11)
+	LISTEDGE(2, AX, R11)
+	LISTEDGE(3, R8, R11)
+	JMP   two_rows
+
+two_dense_edge:
+	DENSEROW(0, DI, R11)
+	DENSEEDGE(1, R13, R11)
+	DENSEEDGE(2, AX, R11)
+	DENSEEDGE(3, R8, R11)
+
+two_rows:
+	ANDQ $~31, DX // the whole-block bytes of a row
+	XORQ BX, BX
+	CMPQ BX, DX
+	JGE  two_tail
+
+	PCALIGN $32
+
+two_loop:
+	VMOVUPS     (SI)(BX*1), Y8
+	VMOVUPS     (R10)(BX*1), Y9
+	VMOVUPS     (DI)(BX*1), Y10
+	VFMADD231PS Y10, Y8, Y0
+	VFMADD231PS Y10, Y9, Y4
+	VMOVUPS     (R13)(BX*1), Y11
+	VFMADD231PS Y11, Y8, Y1
+	VFMADD231PS Y11, Y9, Y5
+	VMOVUPS     (AX)(BX*1), Y12
+	VFMADD231PS Y12, Y8, Y2
+	VFMADD231PS Y12, Y9, Y6
+	VMOVUPS     (R8)(BX*1), Y13
+	VFMADD231PS Y13, Y8, Y3
+	VFMADD231PS Y13, Y9, Y7
+	ADDQ        $32, BX
+	CMPQ        BX, DX
+	JLT         two_loop
+
+two_tail:
+	TESTQ       $7, d+56(FP)
+	JZ          two_reduce
+	VMASKMOVPS  (SI)(BX*1), Y14, Y8
+	VMASKMOVPS  (R10)(BX*1), Y14, Y9
+	VMASKMOVPS  (DI)(BX*1), Y14, Y10
+	VFMADD231PS Y10, Y8, Y0
+	VFMADD231PS Y10, Y9, Y4
+	VMASKMOVPS  (R13)(BX*1), Y14, Y11
+	VFMADD231PS Y11, Y8, Y1
+	VFMADD231PS Y11, Y9, Y5
+	VMASKMOVPS  (AX)(BX*1), Y14, Y12
+	VFMADD231PS Y12, Y8, Y2
+	VFMADD231PS Y12, Y9, Y6
+	VMASKMOVPS  (R8)(BX*1), Y14, Y13
+	VFMADD231PS Y13, Y8, Y3
+	VFMADD231PS Y13, Y9, Y7
+
+two_reduce:
+	// X0 = row 0's four cells, X4 = row 1's.
+	REDUCE8
+	CMPQ    BX, $4
+	JLT     two_part
+	VMOVUPS X0, (R14)
+	VMOVUPS X4, (R14)(AX*1)
+	JMP     two_stored
+
+two_part:
+	EDGEMASK(X8)
+	VMASKMOVPS X0, X8, (R14)
+	VMASKMOVPS X4, X8, (R14)(AX*1)
+
+two_stored:
+	ADDQ $16, R14
+	ADDQ $4, R9
+	JMP  two_next
+
+one_next:
+	// 1×8: the B rows of columns j..j+7 in DI, R13, AX, R8, R10, R11, R12
+	// and CX (r = 1 has no other A rows to keep).
+	CMPQ R9, m+40(FP)
+	JGE  strip_done
+	LOOKAHEAD(8, one_ahead_col, one_ahead_line, one_zero)
+	ZERO8
+	TILESETUP(R14)
+	MOVQ  m+40(FP), CX
+	SUBQ  R9, CX
+	CMPQ  CX, $8
+	JLT   one_edge
+	TESTQ BX, BX
+	JZ    one_dense
+	LISTROW(0, DI, R14)
+	LISTROW(1, R13, R14)
+	LISTROW(2, AX, R14)
+	LISTROW(3, R8, R14)
+	LISTROW(4, R10, R14)
+	LISTROW(5, R11, R14)
+	LISTROW(6, R12, R14)
+	LISTROW(7, CX, R14)
+	JMP   one_rows
+
+one_dense:
+	DENSEROW(0, DI, R14)
+	DENSEROW(1, R13, R14)
+	DENSEROW(2, AX, R14)
+	DENSEROW(3, R8, R14)
+	DENSEROW(4, R10, R14)
+	DENSEROW(5, R11, R14)
+	DENSEROW(6, R12, R14)
+	DENSEROW(7, CX, R14)
+	JMP   one_rows
+
+one_edge:
+	TESTQ BX, BX
+	JZ    one_dense_edge
+	LISTROW(0, DI, R14)
+	LISTEDGE(1, R13, R14)
+	LISTEDGE(2, AX, R14)
+	LISTEDGE(3, R8, R14)
+	LISTEDGE(4, R10, R14)
+	LISTEDGE(5, R11, R14)
+	LISTEDGE(6, R12, R14)
+	LISTEDGE(7, CX, R14)
+	JMP   one_rows
+
+one_dense_edge:
+	DENSEROW(0, DI, R14)
+	DENSEEDGE(1, R13, R14)
+	DENSEEDGE(2, AX, R14)
+	DENSEEDGE(3, R8, R14)
+	DENSEEDGE(4, R10, R14)
+	DENSEEDGE(5, R11, R14)
+	DENSEEDGE(6, R12, R14)
+	DENSEEDGE(7, CX, R14)
+
+one_rows:
+	ANDQ $~31, DX // the whole-block bytes of a row
+	XORQ BX, BX
+	CMPQ BX, DX
+	JGE  one_tail
+
+	PCALIGN $32
+
+one_loop:
+	VMOVUPS     (SI)(BX*1), Y8
+	VFMADD231PS (DI)(BX*1), Y8, Y0
+	VFMADD231PS (R13)(BX*1), Y8, Y1
+	VFMADD231PS (AX)(BX*1), Y8, Y2
+	VFMADD231PS (R8)(BX*1), Y8, Y3
+	VFMADD231PS (R10)(BX*1), Y8, Y4
+	VFMADD231PS (R11)(BX*1), Y8, Y5
+	VFMADD231PS (R12)(BX*1), Y8, Y6
+	VFMADD231PS (CX)(BX*1), Y8, Y7
+	ADDQ        $32, BX
+	CMPQ        BX, DX
+	JLT         one_loop
+
+one_tail:
+	TESTQ       $7, d+56(FP)
+	JZ          one_reduce
+	VMASKMOVPS  (SI)(BX*1), Y14, Y8
+	VMASKMOVPS  (DI)(BX*1), Y14, Y9
+	VFMADD231PS Y9, Y8, Y0
+	VMASKMOVPS  (R13)(BX*1), Y14, Y10
+	VFMADD231PS Y10, Y8, Y1
+	VMASKMOVPS  (AX)(BX*1), Y14, Y11
+	VFMADD231PS Y11, Y8, Y2
+	VMASKMOVPS  (R8)(BX*1), Y14, Y12
+	VFMADD231PS Y12, Y8, Y3
+	VMASKMOVPS  (R10)(BX*1), Y14, Y9
+	VFMADD231PS Y9, Y8, Y4
+	VMASKMOVPS  (R11)(BX*1), Y14, Y10
+	VFMADD231PS Y10, Y8, Y5
+	VMASKMOVPS  (R12)(BX*1), Y14, Y11
+	VFMADD231PS Y11, Y8, Y6
+	VMASKMOVPS  (CX)(BX*1), Y14, Y12
+	VFMADD231PS Y12, Y8, Y7
+
+one_reduce:
+	// Y0 = the row's eight cells, X0's then X4's.
+	REDUCE8
+	MOVQ        c+0(FP), R14
+	LEAQ        (R14)(R9*4), R14
+	VINSERTF128 $1, X4, Y0, Y0
+	CMPQ        BX, $8
+	JLT         one_part
+	VMOVUPS     Y0, (R14)
+	JMP         one_stored
+
+one_part:
+	EDGEMASK(Y8)
+	VMASKMOVPS Y0, Y8, (R14)
+
+one_stored:
+	ADDQ $8, R9
+	JMP  one_next
+
+strip_done:
 	VZEROUPPER
 	RET
 
@@ -1020,48 +1310,50 @@ select_done:
 	VZEROUPPER
 	RET
 
-// func maxUint32AVX2(x *int32, n int) uint32
+// func minMaxInt32AVX2(x *int32, n int) (lo, hi int32)
 //
-// The unsigned maximum of n dwords (0 for none): checkSparse's range test of
-// an index list, 16 lanes per step in two accumulators, then one odd block
-// of 8 and the masked tail.
-TEXT ·maxUint32AVX2(SB), NOSPLIT, $0-20
-	MOVQ  x+0(FP), SI
-	MOVQ  n+8(FP), CX
-	VPXOR Y0, Y0, Y0
-	VPXOR Y2, Y2, Y2
+// The signed minimum and maximum of n ≥ 1 dwords: the range test of an
+// index list (checkSparse, checkMulABt, checkAdagradRows), 8 lanes per step
+// into Y0 (minimum) and Y2 (maximum), both started from x[0], then the
+// masked tail, whose lanes past the list are elements already seen.
+TEXT ·minMaxInt32AVX2(SB), NOSPLIT, $0-24
+	MOVQ         x+0(FP), SI
+	MOVQ         n+8(FP), CX
+	VPBROADCASTD (SI), Y0
+	VMOVDQA      Y0, Y2
 	BLOCKS
-	MOVQ  DX, DI
-	ANDQ  $~63, DI
-	JMP   max_pairs
+	JMP          mm_next
 
-max_loop:
-	VPMAXUD (SI)(BX*1), Y0, Y0
-	VPMAXUD 32(SI)(BX*1), Y2, Y2
-	ADDQ    $64, BX
-
-max_pairs:
-	CMPQ    BX, DI
-	JLT     max_loop
-	CMPQ    BX, DX
-	JGE     max_tail
-	VPMAXUD (SI)(BX*1), Y0, Y0
+mm_loop:
+	VMOVDQU (SI)(BX*1), Y1
+	VPMINSD Y1, Y0, Y0
+	VPMAXSD Y1, Y2, Y2
 	ADDQ    $32, BX
 
-max_tail:
-	TAILMASK(max_reduce)
+mm_next:
+	CMPQ BX, DX
+	JLT  mm_loop
+	TAILMASK(mm_reduce)
 	VPMASKMOVD (SI)(BX*1), Y14, Y1
-	VPMAXUD    Y1, Y0, Y0
+	VPBLENDVB  Y14, Y1, Y2, Y1 // lanes past the list take Y2's, list elements
+	VPMINSD    Y1, Y0, Y0
+	VPMAXSD    Y1, Y2, Y2
 
-max_reduce:
-	VPMAXUD      Y2, Y0, Y0
+mm_reduce:
 	VEXTRACTI128 $1, Y0, X1
-	VPMAXUD      X1, X0, X0
+	VPMINSD      X1, X0, X0
 	VPSHUFD      $0x4E, X0, X1
-	VPMAXUD      X1, X0, X0
+	VPMINSD      X1, X0, X0
 	VPSHUFD      $0xB1, X0, X1
-	VPMAXUD      X1, X0, X0
-	VMOVSS       X0, ret+16(FP)
+	VPMINSD      X1, X0, X0
+	VMOVSS       X0, lo+16(FP)
+	VEXTRACTI128 $1, Y2, X1
+	VPMAXSD      X1, X2, X2
+	VPSHUFD      $0x4E, X2, X1
+	VPMAXSD      X1, X2, X2
+	VPSHUFD      $0xB1, X2, X1
+	VPMAXSD      X1, X2, X2
+	VMOVSS       X2, hi+20(FP)
 	VZEROUPPER
 	RET
 

@@ -39,6 +39,6 @@ func selectGEPackAVX2(idx *int32, x *float32, n int, t float32) int {
 	panic("vec: no assembly kernels")
 }
 
-func maxUint32AVX2(x *int32, n int) uint32 { panic("vec: no assembly kernels") }
+func minMaxInt32AVX2(x *int32, n int) (lo, hi int32) { panic("vec: no assembly kernels") }
 
 func prefetchSpanAVX2(p *float32, n int) { panic("vec: no assembly kernels") }

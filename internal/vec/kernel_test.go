@@ -3,6 +3,7 @@ package vec
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -839,30 +840,31 @@ func TestAddRowsSparseGate(t *testing.T) {
 	}
 }
 
-// TestMaxUint32: the gate's range test finds the largest index, read as
-// unsigned, wherever it sits — in the 16-lane steps, the odd block of 8 or
-// the masked tail — and whatever lies in memory after the list.
-func TestMaxUint32(t *testing.T) {
-	for n := 0; n <= 70; n++ {
+// TestMinMaxInt32: the gates' range test finds the smallest and the largest
+// index wherever they sit — in the 8-lane steps or the masked tail — and
+// whatever lies in memory around the list.
+func TestMinMaxInt32(t *testing.T) {
+	for n := 1; n <= 70; n++ {
 		buf := make([]int32, n+9)
 		for i := range buf {
-			buf[i] = -1 // past the list: must never be read into the result
+			buf[i] = []int32{-1 << 31, 1<<31 - 1}[i%2] // around the list: never read into the result
 		}
 		x := buf[1 : 1+n]
 		for i := range x {
-			x[i] = int32(i % 5)
+			x[i] = int32(i%5) + 3
 		}
-		if got := maxUint32(x); n > 0 && got != uint32(min(n-1, 4)) || n == 0 && got != 0 {
-			t.Fatalf("n=%d: max %d", n, got)
-		}
-		for at := 0; at < n; at++ {
-			for _, v := range []int32{1000, -7} {
-				old := x[at]
-				x[at] = v
-				if got := maxUint32(x); got != uint32(v) {
-					t.Fatalf("n=%d: max %d with %d at %d", n, got, uint32(v), at)
+		for at := -1; at < n; at++ {
+			for _, v := range []int32{1000, -7, 1<<31 - 1, -1 << 31} {
+				if at >= 0 {
+					x[at] = v
 				}
-				x[at] = old
+				lo, hi := minMaxInt32(x)
+				if lo != slices.Min(x) || hi != slices.Max(x) {
+					t.Fatalf("n=%d, %d at %d: min %d max %d, want %d %d", n, v, at, lo, hi, slices.Min(x), slices.Max(x))
+				}
+			}
+			if at >= 0 {
+				x[at] = int32(at%5) + 3
 			}
 		}
 	}
@@ -1063,11 +1065,15 @@ func TestAdagradRowsGate(t *testing.T) {
 		g   Matrix
 		msg string
 	}{
-		"id below first":   {[]int32{10, 11, 9}, MatrixFrom(make([]float32, 3*d), 3, d), "vec: AdagradRows id outside the table"},
-		"id past table":    {[]int32{10, 12, 13}, MatrixFrom(make([]float32, 3*d), 3, d), "vec: AdagradRows id outside the table"},
-		"negative id":      {[]int32{10, -1 << 31}, MatrixFrom(make([]float32, 2*d), 2, d), "vec: AdagradRows id outside the table"},
-		"block rows short": {[]int32{10, 11}, MatrixFrom(make([]float32, d), 1, d), ""},
-		"block too wide":   {[]int32{10}, MatrixFrom(make([]float32, d+1), 1, d+1), ""},
+		"id below first": {[]int32{10, 11, 9}, MatrixFrom(make([]float32, 3*d), 3, d), "vec: AdagradRows id outside the table"},
+		"id past table":  {[]int32{10, 12, 13}, MatrixFrom(make([]float32, 3*d), 3, d), "vec: AdagradRows id outside the table"},
+		"negative id":    {[]int32{10, -1 << 31}, MatrixFrom(make([]float32, 2*d), 2, d), "vec: AdagradRows id outside the table"},
+		// Past one 8-lane step: the bad id in a second whole step, and in
+		// the masked tail.
+		"id just below first, 16 ids": {[]int32{10, 11, 12, 10, 11, 12, 10, 11, 12, 10, 11, 12, 10, 11, 12, 9}, MatrixFrom(make([]float32, 16*d), 16, d), "vec: AdagradRows id outside the table"},
+		"id just past table, 9 ids":   {[]int32{10, 11, 12, 10, 11, 12, 10, 11, 13}, MatrixFrom(make([]float32, 9*d), 9, d), "vec: AdagradRows id outside the table"},
+		"block rows short":            {[]int32{10, 11}, MatrixFrom(make([]float32, d), 1, d), ""},
+		"block too wide":              {[]int32{10}, MatrixFrom(make([]float32, d+1), 1, d+1), ""},
 	} {
 		for i := range c.g.Data {
 			c.g.Data[i] = 1
@@ -1103,13 +1109,23 @@ func TestAdagradRowsGate(t *testing.T) {
 // holds it there on finite weights too).
 // checkRows lists m+1 rows, so the seeds with m = 69 score a 70-row serve
 // list at d = 32 and offset 7, and m = 6, 7, 8 lists of one row fewer than
-// the leaf's look-ahead distance, exactly it and one more.
+// the leaf's look-ahead distance, exactly it and one more. The seeds after
+// those give the last strip 1, 2 and 3 rows (its 1×8, 2×4 and aliased 4×2
+// tiles) against an odd and an even m below one 1×8 tile, dense and listed,
+// at d with and without a tail.
 func FuzzKernelParity(f *testing.F) {
 	f.Add(uint8(5), uint8(3), uint8(9), uint8(1), uint8(170), uint64(1))
 	f.Add(uint8(50), uint8(100), uint8(64), uint8(7), uint8(40), uint64(2))
 	f.Add(uint8(13), uint8(69), uint8(32), uint8(6), uint8(170), uint64(15))
 	for m := uint8(6); m <= 8; m++ {
 		f.Add(uint8(13), m, uint8(32), uint8(6), uint8(170), uint64(16+m))
+	}
+	for n := uint8(1); n <= 3; n++ {
+		for _, m := range []uint8{3, 6} {
+			for _, d := range []uint8{32, 37} {
+				f.Add(n, m, d, n+m, uint8(170), uint64(n)*100+uint64(m)*10+uint64(d))
+			}
+		}
 	}
 	f.Fuzz(func(t *testing.T, n, m, d, off, density uint8, seed uint64) {
 		ni, mi, di, oi := int(n%64), int(m%128), int(d), 1+int(off%7)
@@ -1150,8 +1166,10 @@ func FuzzKernelParity(f *testing.F) {
 // Benchmarks at the shapes the repository benchmark runs (n×m×d): the
 // kg_mem training chunk, the social_ooc chunk, the ragged IVF list scan of
 // serve_topk, the exact scan's 32×256 block (vec.mulabt_gflops.serve's
-// shape) and eval's one query row against 1 001 candidates. Each reports GFLOP/s on the assembly and the portable path;
-// asm ÷ generic is the kernel speed-up.
+// shape), eval's one query row against 1 001 candidates, and a 70-row IVF
+// list scored for 13 probing queries (a last strip of one row) and for one
+// (batch-1 serving). Each reports GFLOP/s on the assembly and the portable
+// path; asm ÷ generic is the kernel speed-up.
 
 func benchPaths(b *testing.B, flops int, run func(ks kernels)) {
 	for _, path := range []struct {
@@ -1178,6 +1196,7 @@ func BenchmarkMulABt(b *testing.B) {
 	}{
 		{"train_50x100x64", 50, 100, 64}, {"ooc_10x20x128", 10, 20, 128}, {"serve_13x18x32", 13, 18, 32},
 		{"exact_32x256x32", 32, 256, 32}, {"eval_1x1001x64", 1, 1001, 64},
+		{"ivf_list_13x70x32", 13, 70, 32}, {"b1_1x70x32", 1, 70, 32},
 	} {
 		b.Run(s.name, func(b *testing.B) {
 			r := rng.New(3)

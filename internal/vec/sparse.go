@@ -258,26 +258,30 @@ func validSparse(g *SparseRows, cols int) bool {
 			return false
 		}
 	}
-	return indicesBelow(g.Idx, cols)
+	return indicesIn(g.Idx, 0, cols)
 }
 
-// indicesBelow reports whether every index of idx names one of n rows. As
-// unsigned numbers a negative index is a huge one, so one maximum settles
-// both ends of the range.
-func indicesBelow(idx []int32, n int) bool {
-	return len(idx) == 0 || int64(maxUint32(idx)) < int64(n)
+// indicesIn reports whether every index of idx lies in [first, first+n):
+// one pass for the minimum and maximum settles both ends of the range.
+func indicesIn(idx []int32, first int32, n int) bool {
+	if len(idx) == 0 {
+		return true
+	}
+	lo, hi := minMaxInt32(idx)
+	return lo >= first && int64(hi)-int64(first) < int64(n)
 }
 
-// maxUint32 returns the largest element of x read as unsigned, 0 for none.
-func maxUint32(x []int32) uint32 {
+// minMaxInt32 returns the smallest and the largest element of x, which is
+// not empty.
+func minMaxInt32(x []int32) (lo, hi int32) {
 	if useAVX2 {
-		return maxUint32AVX2(unsafe.SliceData(x), len(x))
+		return minMaxInt32AVX2(unsafe.SliceData(x), len(x))
 	}
-	var m uint32
+	lo, hi = x[0], x[0]
 	for _, v := range x {
-		m = max(m, uint32(v))
+		lo, hi = min(lo, v), max(hi, v)
 	}
-	return m
+	return lo, hi
 }
 
 // addRow accumulates dst += Σ_k w[k]·src[idx[k]], ascending k, ±0 weights

@@ -137,10 +137,8 @@ func checkAdagradRows(embs, acc []float32, ids []int32, first int32, g Matrix) {
 		panic(fmt.Sprintf("vec: AdagradRows shape mismatch: %d ids, grad %dx%d, table %d floats over %d rows",
 			len(ids), g.Rows, g.Cols, len(embs), len(acc)))
 	}
-	for _, id := range ids {
-		if r := int64(id) - int64(first); r < 0 || r >= int64(len(acc)) {
-			panic("vec: AdagradRows id outside the table")
-		}
+	if !indicesIn(ids, first, len(acc)) {
+		panic("vec: AdagradRows id outside the table")
 	}
 }
 
@@ -252,7 +250,7 @@ func checkMulABt(c, a, b Matrix, idx []int32) {
 	if c.Rows != a.Rows || c.Cols != m {
 		panic(fmt.Sprintf("vec: MulABt output %dx%d, want %dx%d", c.Rows, c.Cols, a.Rows, m))
 	}
-	if !indicesBelow(idx, b.Rows) {
+	if !indicesIn(idx, 0, b.Rows) {
 		panic("vec: MulABtRows index out of range")
 	}
 }
