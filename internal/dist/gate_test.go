@@ -239,7 +239,7 @@ func TestMalformedIVFRejectedAtEveryEntryPoint(t *testing.T) {
 		}
 	}
 	runtime.ReadMemStats(&after)
-	// Each read allocates its 1 MiB buffer and each Open maps two tiny shards;
+	// Each read allocates the file's bytes and each Open maps two tiny shards;
 	// a count taken at its word would cost gigabytes.
 	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(len(table))*(4<<20); got > limit {
 		t.Errorf("rejecting %d malformed images allocated %d MiB, limit %d MiB", len(table), got>>20, limit>>20)
@@ -252,12 +252,13 @@ func TestMalformedIVFRejectedAtEveryEntryPoint(t *testing.T) {
 //	boundary                     gate                               held by
 //	shard file / serve view /    storage.ParseLayout                TestMalformedShardsRejectedAtEveryEntryPoint,
 //	  Put body / Get reply                                           storage.FuzzShardLayout
-//	ivf.pbg                      serve.ReadIVF                      TestMalformedIVFRejectedAtEveryEntryPoint, serve.FuzzReadIVF
+//	ivf.pbg                      wire.Parse + serve.ReadIVF's       TestMalformedIVFRejectedAtEveryEntryPoint, serve.FuzzReadIVF
+//	                               schema checks
 //	Get/Put/Acquire RPC args     wire.Server admission + ParseWire  FuzzFrame (every dist method and reply)
 //	serve RPC args / replies     wire.Server admission + ParseWire  serve.FuzzServeFrame (every serve method and reply), serve.FuzzTopKRequest
 //	dist manifest                dist.ReadManifest                  FuzzManifest, TestRestoreRejectsForeignBucket
-//	relations.pbg (serve, pbg    storage.ReadRelationParams         serve.TestOpenRejectsMalformedRelations, storage.FuzzReadRelations,
-//	  eval, dist resume)                                             storage.TestReadRelationParams
+//	relations.pbg (serve, pbg    wire.Parse +                       serve.TestOpenRejectsMalformedRelations, storage.FuzzReadRelations,
+//	  eval, dist resume)           storage.ReadRelationParams         storage.TestReadRelationParams
 //	edge files                   storage.ReadEdges                  storage.TestReadSizedFilesRejectMalformed, storage.FuzzReadEdges
 //	run config.json              config.Parse + Config.Schema       config.TestParseRejectsByName, config.FuzzConfig
 

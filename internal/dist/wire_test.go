@@ -172,6 +172,9 @@ func serveMessages() []any {
 func TestWireBytesMatchParent(t *testing.T) {
 	msgs := append(wireMessages(), serveMessages()...)
 	msgs = append(msgs, &EpochStateReply{Epoch: 1, Leases: []LeaseInfo{{Rank: 2, Bucket: partition.Bucket{P1: 1}, Token: 3}}})
+	// serve.TopKReply's Scanned is math.MaxInt, 2⁶³−1 or 2³¹−1 by the
+	// architecture; either way it travels as 8 bytes.
+	maxInt := hex.EncodeToString(binary.LittleEndian.AppendUint64(nil, uint64(math.MaxInt)))
 	want := []string{
 		"0700000000000000",                                                     // StartEpochArgs
 		"07000000000000001000000000000000",                                     // StartEpochReply
@@ -190,7 +193,7 @@ func TestWireBytesMatchParent(t *testing.T) {
 		"030000000000e04000000041000010410000000000010000", // SyncReply
 		"0400000000000000",                                 // PullArgs
 		"02000000010000000000000003000000020000000000003f000080bf0a000000000000000104000000000000000200000000000000f9ffffff0100000000000040010000000000000001ffffffffffffffff", // serve.TopKArgs
-		"020000000200000004000000feffffff020000000000403f000000bf640000000000000003000000000000000100000009000000010000000000803fffffffffffffff7fffffffffffffffff",             // serve.TopKReply
+		"020000000200000004000000feffffff020000000000403f000000bf640000000000000003000000000000000100000009000000010000000000803f" + maxInt + "ffffffffffffffff",               // serve.TopKReply
 		"02000000010000000000000002000000030000000400000000000000fbffffff06000000",                                                                                             // serve.ScoreArgs
 		"030000000000c03f000000c00000807f", // serve.ScoreReply
 		"030000000000000004000000fbffffff", // serve.RankArgs

@@ -205,6 +205,13 @@ var guards = []guard{
 		why:    "a checkpoint's relation parameters are written by storage.WriteRelationParams (Model.Checkpoint, Cluster.Checkpoint) and read through storage.ReadRelationParams (serve, pbg eval, dist resume), the one place that holds which blocks a checkpoint must have; the three restated rules it replaced let a reciprocal cluster refuse its own checkpoint (16 parameters counted as 8) and left a cluster's cut unservable",
 	},
 	{
+		name:   "one byte walk",
+		dirs:   []string{"internal/storage", "internal/serve"},
+		forbid: regexp.MustCompile(`\b(readU32s|writeU32s|decodeRelations|encodeRelations)\b`),
+		mutant: "func readU32s(r *bufio.Reader, out []uint32) error { return nil }",
+		why:    "relations.pbg and ivf.pbg are each one wire.Fields walk, their writer and their reader, with every count held to the bytes left by the one count check the 21 RPC messages use (bytes pinned by TestRelationsBytesMatchParent and TestIVFBytesMatchParent); the hand-written little-endian readers and writers they replaced, each with its own count checks, must not come back into storage's or serve's non-test code",
+	},
+	{
 		name:   "one cut",
 		allow:  "internal/dist/checkpoint.go",
 		forbid: regexp.MustCompile(`WriteManifest|ReadManifest|WithRestoredEpoch|ResumeEpoch|EpochBase`),

@@ -149,12 +149,15 @@ func build(cfg FixtureConfig) (*Fixture, error) {
 		}
 		return &Fixture{Cfg: cfg, Dir: dir, Graph: g}, nil
 	}
+	// One worker trains the same embeddings in every process, so every test
+	// binary — and both sides of a benchmark comparison — serves the same
+	// checkpoint and builds the same index.
 	m, err := pbg.Train(g, pbg.TrainConfig{
 		Dim:        cfg.Dim,
 		Epochs:     cfg.Epochs,
 		Comparator: cfg.Comparator,
 		Seed:       cfg.Seed,
-		Workers:    2,
+		Workers:    1,
 	})
 	if err != nil {
 		os.RemoveAll(dir)

@@ -2,6 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -11,6 +14,7 @@ import (
 	"pbg/internal/graph"
 	"pbg/internal/rng"
 	"pbg/internal/storage"
+	"pbg/internal/vec"
 	"pbg/internal/wire"
 )
 
@@ -132,11 +136,42 @@ func TestReadIVFRejectsNonPartition(t *testing.T) {
 	}
 }
 
+// TestReadIVFTypesAscend: the writer lists an index's types in ascending
+// order, and ReadIVF admits only that order, so an index has one encoding —
+// a type listed twice or out of order is refused, whatever its parts hold.
+func TestReadIVFTypesAscend(t *testing.T) {
+	schema := graph.MustSchema(
+		[]graph.EntityType{{Name: "a", Count: 1, NumPartitions: 1}, {Name: "b", Count: 1, NumPartitions: 1}},
+		[]graph.RelationType{{Name: "r", SourceType: "a", DestType: "b", Operator: "identity"}},
+	)
+	parts := []ivfPart{{Centroids: vec.MatrixFrom([]float32{1, 2}, 1, 2), Lists: [][]int32{{0}}}}
+	image := func(order ...int32) []byte {
+		m := ivfFile{magic: ivfMagic, version: ivfVersion, dim: 2}
+		for _, t := range order {
+			m.types = append(m.types, ivfFileType{index: t, parts: parts})
+		}
+		return wire.Append(nil, func(f *wire.Fields) { m.walk(f, 2) })
+	}
+	idx, err := parseIVF(image(0, 1), schema, 2)
+	if err != nil || idx.Types[0] == nil || idx.Types[1] == nil {
+		t.Fatalf("ascending types: %v", err)
+	}
+	if again := encodeIVF(idx); !bytes.Equal(again, image(0, 1)) {
+		t.Fatal("an accepted index re-encodes to other bytes")
+	}
+	for name, img := range map[string][]byte{"descending": image(1, 0), "repeated": image(1, 1)} {
+		if _, err := parseIVF(img, schema, 2); err == nil {
+			t.Errorf("%s types accepted", name)
+		}
+	}
+}
+
 // FuzzReadIVF drives the ivf.pbg trust boundary with arbitrary bytes, seeded
 // from a real written index and from the non-partitions the gate exists for:
-// ReadIVF must error, or return an index over which a full-nprobe batch
-// through the list scan neither panics nor reads out of range, and returns
-// every entity exactly once.
+// ReadIVF must error, or return an index that re-encodes to exactly the
+// input (one encoding per index, no byte ignored) and over which a
+// full-nprobe batch through the list scan neither panics nor reads out of
+// range, and returns every entity exactly once.
 func FuzzReadIVF(f *testing.F) {
 	s := tinyServer(f, 40, 5)
 	v, err := s.acquire()
@@ -172,6 +207,9 @@ func FuzzReadIVF(f *testing.F) {
 		idx, err := ReadIVF(path, s.cfg.Schema, s.cfg.Dim)
 		if err != nil {
 			return
+		}
+		if got := encodeIVF(idx); !bytes.Equal(got, data) {
+			t.Fatalf("accepted %d bytes that re-encode to %d different ones", len(data), len(got))
 		}
 		if idx.Types[0] == nil {
 			return // a well-formed index of no type: nothing to scan
@@ -286,4 +324,28 @@ func FuzzServeFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestIVFBytesMatchParent pins ivf.pbg's bytes: the SHA-256 of one fixed
+// index — an unindexed type, a partition of two lists and an empty one —
+// recorded before its codec became a wire walk. A server must keep loading
+// the index a build of any commit wrote, so a change to these bytes has to
+// be deliberate.
+func TestIVFBytesMatchParent(t *testing.T) {
+	idx := &IVF{Dim: 3, Types: []*ivfType{nil, {Parts: []ivfPart{
+		{Centroids: vec.MatrixFrom([]float32{1, -2, 0.5, float32(math.Inf(-1)), 0, 7}, 2, 3), Lists: [][]int32{{0, 2}, {1}}},
+		{Centroids: vec.NewMatrix(0, 3)},
+	}, Lists: 2}}}
+	path := filepath.Join(t.TempDir(), "ivf.pbg")
+	if err := WriteIVF(path, idx); err != nil {
+		t.Fatal(err)
+	}
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "8bc919bb40cae287521c42f3c8902b77420d9e8c45655811f9aa7c01bf2a62e4"
+	if got := fmt.Sprintf("%x", sha256.Sum256(img)); got != want {
+		t.Errorf("ivf.pbg of %d bytes has SHA-256 %s, want %s", len(img), got, want)
+	}
 }

@@ -53,24 +53,17 @@ type ivfPart struct {
 
 // IVFConfig controls index construction.
 type IVFConfig struct {
-	// MaxLists caps sub-centroids per partition; nlist is
-	// min(MaxLists, ceil(sqrt(rows))). 0 means the default 256.
-	MaxLists int
-	// Iters is the number of Lloyd iterations (0 = default 8).
-	Iters int
 	// Seed feeds the k-means initialisation.
 	Seed uint64
 }
 
-func (c IVFConfig) withDefaults() IVFConfig {
-	if c.MaxLists <= 0 {
-		c.MaxLists = 256
-	}
-	if c.Iters <= 0 {
-		c.Iters = 8
-	}
-	return c
-}
+const (
+	// ivfMaxLists caps sub-centroids per partition: nlist is
+	// min(ivfMaxLists, ceil(sqrt(rows))).
+	ivfMaxLists = 256
+	// ivfIters is the number of Lloyd iterations.
+	ivfIters = 8
+)
 
 // DefaultNProbe is the probe width used when a request doesn't set one:
 // 40% of the type's lists, at least 4. Euclidean sub-centroids are an
@@ -96,7 +89,6 @@ func DefaultNProbe(totalLists int) int {
 // partition), so the index depends only on the seed and the shards, never on
 // the processor count.
 func BuildIVF(ss *ShardSet, cfg IVFConfig) *IVF {
-	cfg = cfg.withDefaults()
 	idx := &IVF{Dim: ss.dim, Types: make([]*ivfType, len(ss.schema.Entities))}
 	type job struct{ t, p int }
 	var jobs []job
@@ -116,7 +108,7 @@ func BuildIVF(ss *ShardSet, cfg IVFConfig) *IVF {
 			for i := int(next.Add(1) - 1); i < len(jobs); i = int(next.Add(1) - 1) {
 				t, p := jobs[i].t, jobs[i].p
 				r := rng.New(cfg.Seed ^ uint64(t)<<32 ^ uint64(p)<<8 ^ 0x9e3779b97f4a7c15)
-				idx.Types[t].Parts[p] = buildPart(ss.Rows(t, p), cfg, r)
+				idx.Types[t].Parts[p] = buildPart(ss.Rows(t, p), r)
 			}
 		}()
 	}
@@ -133,11 +125,11 @@ func BuildIVF(ss *ShardSet, cfg IVFConfig) *IVF {
 // raw embedding space with Euclidean distance — cheap, deterministic, and
 // good enough as a bucketing device; retrieval quality is measured under
 // the model comparator by the recall property test, not assumed here.
-func buildPart(rows vec.Matrix, cfg IVFConfig, r *rng.RNG) ivfPart {
+func buildPart(rows vec.Matrix, r *rng.RNG) ivfPart {
 	n, dim := rows.Rows, rows.Cols
 	nlist := int(math.Ceil(math.Sqrt(float64(n))))
-	if nlist > cfg.MaxLists {
-		nlist = cfg.MaxLists
+	if nlist > ivfMaxLists {
+		nlist = ivfMaxLists
 	}
 	if nlist < 1 {
 		nlist = 1
@@ -158,7 +150,7 @@ func buildPart(rows vec.Matrix, cfg IVFConfig, r *rng.RNG) ivfPart {
 	assign := make([]int32, n)
 	counts := make([]int, nlist)
 	scores := make([]float32, min(kmeansBlock, n)*nlist)
-	for iter := 0; iter < cfg.Iters; iter++ {
+	for iter := 0; iter < ivfIters; iter++ {
 		assignNearest(assign, rows, cent, scores)
 		for c := range counts {
 			counts[c] = 0

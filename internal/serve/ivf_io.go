@@ -1,17 +1,14 @@
 package serve
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
-	"math"
 	"os"
 	"path/filepath"
 
 	"pbg/internal/graph"
 	"pbg/internal/storage"
 	"pbg/internal/vec"
+	"pbg/internal/wire"
 )
 
 // IVF index file, serialized next to the checkpoint shards:
@@ -22,213 +19,155 @@ import (
 //	    nlist×dim float32 centroids
 //	    per list: u32 len · len int32 local row IDs
 //
-// All little-endian, matching the shard codec. ReadIVF validates every
-// count against the schema before allocating, so a corrupt or truncated
-// file errors instead of panicking or ballooning memory, and requires each
-// partition's lists to be a partition of its rows: the scan hands these ids
-// to a GEMM tile that dereferences them (vec.MulABtRows), and counts on
-// meeting every row exactly once.
+// All little-endian, matching the shard codec. The layout is one walk over
+// wire.Fields (ivfFile.walk), which is both the writer and the reader: every
+// count is held to the bytes the file has left before anything is
+// allocated. ReadIVF then holds the index to the schema it will serve and
+// requires each partition's lists to be a partition of its rows: the scan
+// hands these ids to a GEMM tile that dereferences them (vec.MulABtRows),
+// and counts on meeting every row exactly once.
 const (
 	ivfMagic   = 0x50424749 // "PBGI"
 	ivfVersion = 1
 )
 
+// ivfFile is ivf.pbg as it lies on disk: the header words, then the indexed
+// types in ascending order, each with its entity-type index.
+type ivfFile struct {
+	magic, version, dim int32
+	types               []ivfFileType
+}
+
+type ivfFileType struct {
+	index int32
+	parts []ivfPart
+}
+
+// walk moves the file; cols is the centroid width the partitions' runs
+// take — the index's own dim writing, the configured dim reading, which
+// ReadIVF then requires the header's dim word to be.
+func (m *ivfFile) walk(f *wire.Fields, cols int) {
+	f.Int32(&m.magic)
+	f.Int32(&m.version)
+	f.Int32(&m.dim)
+	wire.Slice(f, &m.types, 8, 0, func(t *ivfFileType, f *wire.Fields) {
+		f.Int32(&t.index)
+		wire.Slice(f, &t.parts, 4, 0, func(p *ivfPart, f *wire.Fields) {
+			n := len(p.Lists)
+			f.Count(&n, 4*cols+4) // a centroid and a length word per list
+			f.FloatsN(&p.Centroids.Data, n*cols)
+			wire.Make(f, &p.Lists, n)
+			for l := range p.Lists {
+				f.Int32s(&p.Lists[l])
+			}
+		})
+	})
+}
+
 // IndexPath returns the IVF index path inside a checkpoint directory.
 func IndexPath(dir string) string { return filepath.Join(dir, "ivf.pbg") }
 
+// encodeIVF is the bytes of idx's index file.
+func encodeIVF(idx *IVF) []byte {
+	m := ivfFile{magic: ivfMagic, version: ivfVersion, dim: int32(idx.Dim)}
+	for t, it := range idx.Types {
+		if it != nil {
+			m.types = append(m.types, ivfFileType{index: int32(t), parts: it.Parts})
+		}
+	}
+	return wire.Append(nil, func(f *wire.Fields) { m.walk(f, idx.Dim) })
+}
+
 // WriteIVF persists the index atomically through storage's one writer
-// (storage.WriteFileBuffered), under the shard files' crash model: a process
+// (storage.WriteFileAtomic), under the shard files' crash model: a process
 // crash leaves the old index or the new one, never a half-index that a
 // reload would then trust. Power loss is not covered.
 func WriteIVF(path string, idx *IVF) error {
-	return storage.WriteFileBuffered(path, func(w *bufio.Writer) error {
-		ntypes := 0
-		for _, it := range idx.Types {
-			if it != nil {
-				ntypes++
-			}
-		}
-		if err := writeU32s(w, ivfMagic, ivfVersion, uint32(idx.Dim), uint32(ntypes)); err != nil {
-			return err
-		}
-		for t, it := range idx.Types {
-			if it == nil {
-				continue
-			}
-			if err := writeU32s(w, uint32(t), uint32(len(it.Parts))); err != nil {
-				return err
-			}
-			for _, p := range it.Parts {
-				if err := writeU32s(w, uint32(len(p.Lists))); err != nil {
-					return err
-				}
-				if err := writeFloats(w, p.Centroids.Data); err != nil {
-					return err
-				}
-				for _, l := range p.Lists {
-					if err := writeU32s(w, uint32(len(l))); err != nil {
-						return err
-					}
-					for _, id := range l {
-						if err := writeU32s(w, uint32(id)); err != nil {
-							return err
-						}
-					}
-				}
-			}
-		}
-		return nil
-	})
+	return storage.WriteFileAtomic(path, encodeIVF(idx))
 }
 
 // ReadIVF loads and validates an index against the schema geometry it will
 // serve: type indices, partition counts, list lengths and row IDs must all
 // be in range, and dim must match the configured embedding dimension.
 func ReadIVF(path string, schema *graph.Schema, dim int) (*IVF, error) {
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
-
-	var hdr [4]uint32
-	if err := readU32s(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("serve: ivf header: %w", err)
-	}
-	if hdr[0] != ivfMagic {
-		return nil, fmt.Errorf("serve: bad ivf magic 0x%08x", hdr[0])
-	}
-	if hdr[1] != ivfVersion {
-		return nil, fmt.Errorf("serve: unsupported ivf version %d", hdr[1])
-	}
-	if int(hdr[2]) != dim {
-		return nil, fmt.Errorf("serve: ivf dim %d, server configured for %d", hdr[2], dim)
-	}
-	ntypes := int(hdr[3])
-	if ntypes > len(schema.Entities) {
-		return nil, fmt.Errorf("serve: ivf has %d types, schema has %d", ntypes, len(schema.Entities))
-	}
-	idx := &IVF{Dim: dim, Types: make([]*ivfType, len(schema.Entities))}
-	for i := 0; i < ntypes; i++ {
-		var th [2]uint32
-		if err := readU32s(r, th[:]); err != nil {
-			return nil, fmt.Errorf("serve: ivf type header: %w", err)
-		}
-		t, nparts := int(th[0]), int(th[1])
-		if t >= len(schema.Entities) {
-			return nil, fmt.Errorf("serve: ivf type index %d out of range", t)
-		}
-		if idx.Types[t] != nil {
-			return nil, fmt.Errorf("serve: ivf repeats type %d", t)
-		}
-		ent := &schema.Entities[t]
-		if nparts != ent.NumPartitions {
-			return nil, fmt.Errorf("serve: ivf type %d has %d partitions, schema has %d", t, nparts, ent.NumPartitions)
-		}
-		it := &ivfType{Parts: make([]ivfPart, nparts)}
-		for p := 0; p < nparts; p++ {
-			partRows := ent.PartitionCount(p)
-			var nl [1]uint32
-			if err := readU32s(r, nl[:]); err != nil {
-				return nil, fmt.Errorf("serve: ivf part header: %w", err)
-			}
-			nlist := int(nl[0])
-			// A list per row is the densest legal clustering; anything
-			// beyond that is corruption, and bounding it here bounds the
-			// centroid allocation below.
-			if nlist > partRows+1 || nlist < 0 {
-				return nil, fmt.Errorf("serve: ivf part %d/%d has %d lists for %d rows", t, p, nlist, partRows)
-			}
-			cent := vec.NewMatrix(nlist, dim)
-			if err := readFloats(r, cent.Data); err != nil {
-				return nil, fmt.Errorf("serve: ivf centroids: %w", err)
-			}
-			lists := make([][]int32, nlist)
-			listed := make([]bool, partRows) // rows some list of this partition holds
-			unlisted := partRows
-			for l := range lists {
-				var ll [1]uint32
-				if err := readU32s(r, ll[:]); err != nil {
-					return nil, fmt.Errorf("serve: ivf list header: %w", err)
-				}
-				n := int(ll[0])
-				if n > partRows {
-					return nil, fmt.Errorf("serve: ivf list has %d ids for a %d-row partition", n, partRows)
-				}
-				ids := make([]int32, n)
-				for j := range ids {
-					var v [1]uint32
-					if err := readU32s(r, v[:]); err != nil {
-						return nil, fmt.Errorf("serve: ivf list ids: %w", err)
-					}
-					if v[0] >= uint32(partRows) {
-						return nil, fmt.Errorf("serve: ivf row id %d out of range (partition has %d rows)", v[0], partRows)
-					}
-					if listed[v[0]] {
-						return nil, fmt.Errorf("serve: ivf part %d/%d lists row %d twice", t, p, v[0])
-					}
-					listed[v[0]] = true
-					unlisted--
-					ids[j] = int32(v[0])
-				}
-				lists[l] = ids
-			}
-			if unlisted != 0 {
-				return nil, fmt.Errorf("serve: ivf part %d/%d leaves %d of %d rows in no list", t, p, unlisted, partRows)
-			}
-			it.Parts[p] = ivfPart{Centroids: cent, Lists: lists}
-			it.Lists += nlist
-		}
-		idx.Types[t] = it
-	}
-	// Trailing garbage means the file is not what the writer produced.
-	if _, err := r.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("serve: ivf file has trailing bytes")
+	idx, err := parseIVF(b, schema, dim)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %s: %w", path, err)
 	}
 	return idx, nil
 }
 
-func writeU32s(w *bufio.Writer, vs ...uint32) error {
-	var b [4]byte
-	for _, v := range vs {
-		binary.LittleEndian.PutUint32(b[:], v)
-		if _, err := w.Write(b[:]); err != nil {
-			return err
-		}
+// parseIVF decodes an index file through the walk, then holds it to the
+// schema. The header's words are checked first: they decode before any
+// count can fail, so a foreign or mis-sized file is named as such.
+func parseIVF(b []byte, schema *graph.Schema, dim int) (*IVF, error) {
+	var m ivfFile
+	err := wire.Parse(b, func(f *wire.Fields) { m.walk(f, dim) })
+	switch {
+	case len(b) < 16:
+		return nil, fmt.Errorf("ivf header: %w", err)
+	case m.magic != ivfMagic:
+		return nil, fmt.Errorf("bad ivf magic 0x%08x", uint32(m.magic))
+	case m.version != ivfVersion:
+		return nil, fmt.Errorf("unsupported ivf version %d", uint32(m.version))
+	case int(m.dim) != dim:
+		return nil, fmt.Errorf("ivf dim %d, server configured for %d", uint32(m.dim), dim)
+	case err != nil:
+		return nil, err
+	case len(m.types) > len(schema.Entities):
+		return nil, fmt.Errorf("ivf has %d types, schema has %d", len(m.types), len(schema.Entities))
 	}
-	return nil
-}
-
-func readU32s(r *bufio.Reader, out []uint32) error {
-	var b [4]byte
-	for i := range out {
-		if _, err := io.ReadFull(r, b[:]); err != nil {
-			return err
+	idx := &IVF{Dim: dim, Types: make([]*ivfType, len(schema.Entities))}
+	prev := -1
+	for _, ft := range m.types {
+		t := int(ft.index)
+		switch {
+		case t < 0 || t >= len(schema.Entities):
+			return nil, fmt.Errorf("ivf type index %d out of range", uint32(ft.index))
+		case t == prev:
+			return nil, fmt.Errorf("ivf repeats type %d", t)
+		case t < prev:
+			return nil, fmt.Errorf("ivf lists type %d after type %d", t, prev)
 		}
-		out[i] = binary.LittleEndian.Uint32(b[:])
-	}
-	return nil
-}
-
-func writeFloats(w *bufio.Writer, fs []float32) error {
-	var b [4]byte
-	for _, f := range fs {
-		binary.LittleEndian.PutUint32(b[:], math.Float32bits(f))
-		if _, err := w.Write(b[:]); err != nil {
-			return err
+		prev = t
+		ent := &schema.Entities[t]
+		if len(ft.parts) != ent.NumPartitions {
+			return nil, fmt.Errorf("ivf type %d has %d partitions, schema has %d", t, len(ft.parts), ent.NumPartitions)
 		}
-	}
-	return nil
-}
-
-func readFloats(r *bufio.Reader, out []float32) error {
-	var b [4]byte
-	for i := range out {
-		if _, err := io.ReadFull(r, b[:]); err != nil {
-			return err
+		it := &ivfType{Parts: ft.parts}
+		for p := range it.Parts {
+			part := &it.Parts[p]
+			rows, nlist := ent.PartitionCount(p), len(part.Lists)
+			// A list per row is the densest legal clustering; anything
+			// beyond that is corruption.
+			if nlist > rows+1 {
+				return nil, fmt.Errorf("ivf part %d/%d has %d lists for %d rows", t, p, nlist, rows)
+			}
+			part.Centroids = vec.MatrixFrom(part.Centroids.Data, nlist, dim)
+			listed := make([]bool, rows) // rows some list of this partition holds
+			unlisted := rows
+			for _, l := range part.Lists {
+				for _, id := range l {
+					if id < 0 || int(id) >= rows {
+						return nil, fmt.Errorf("ivf row id %d out of range (partition has %d rows)", uint32(id), rows)
+					}
+					if listed[id] {
+						return nil, fmt.Errorf("ivf part %d/%d lists row %d twice", t, p, id)
+					}
+					listed[id] = true
+					unlisted--
+				}
+			}
+			if unlisted != 0 {
+				return nil, fmt.Errorf("ivf part %d/%d leaves %d of %d rows in no list", t, p, unlisted, rows)
+			}
+			it.Lists += nlist
 		}
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[:]))
+		idx.Types[t] = it
 	}
-	return nil
+	return idx, nil
 }

@@ -300,7 +300,7 @@ func (s *Server) Reload(dir string) error {
 func (s *Server) BuildIndex(cfg IVFConfig) error {
 	v, err := s.acquire()
 	if err != nil {
-		return err
+		return fmt.Errorf("serve: building the index: %w", err)
 	}
 	idx := BuildIVF(v.ss, cfg)
 	v.release()

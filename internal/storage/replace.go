@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -40,13 +39,6 @@ func tempName(path string) string { return fmt.Sprintf("%s.tmp%d", path, tmpSeq.
 func writeFileAtomic(path string, size int64, emit func(f *os.File) error) error {
 	_, err := replaceFile(path, size, false, emit)
 	return err
-}
-
-// WriteFileBuffered replaces path with what emit writes through a buffer,
-// by writeFileAtomic: a reader or a process crash sees the old file or the
-// new one, never a torn file. It does not fsync.
-func WriteFileBuffered(path string, emit func(w *bufio.Writer) error) error {
-	return writeFileAtomic(path, 0, buffered(emit))
 }
 
 // replaceFile is the one atomic replace. emit writes the new image into a

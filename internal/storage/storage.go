@@ -66,6 +66,7 @@ import (
 
 	"pbg/internal/graph"
 	"pbg/internal/rng"
+	"pbg/internal/wire"
 )
 
 // ParseByteSize parses a human-readable byte count for memory-budget flags:
@@ -458,27 +459,20 @@ func encodeEdges(w *bufio.Writer, el *graph.EdgeList) error {
 // to the file's size before anything is allocated, so a truncated, padded or
 // crafted file is an error, never a panic or an allocation it cannot back.
 func ReadEdges(path string) (*graph.EdgeList, error) {
-	return readSized(path, decodeEdges)
-}
-
-// readSized opens path and decodes it with the file's size in hand, which
-// is what the decoders hold every count read from the file to.
-func readSized[T any](path string, decode func(r io.Reader, size int64) (T, error)) (T, error) {
-	var zero T
 	f, err := os.Open(path)
 	if err != nil {
-		return zero, err
+		return nil, err
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		return zero, err
+		return nil, err
 	}
-	v, err := decode(bufio.NewReaderSize(f, 1<<20), fi.Size())
+	el, err := decodeEdges(bufio.NewReaderSize(f, 1<<20), fi.Size())
 	if err != nil {
-		return zero, fmt.Errorf("storage: %s: %w", path, err)
+		return nil, fmt.Errorf("storage: %s: %w", path, err)
 	}
-	return v, nil
+	return el, nil
 }
 
 // decodeEdges reads WriteEdges' format — a u64 count, then the source,
@@ -570,27 +564,23 @@ func (e *RelationError) Error() string { return e.msg }
 
 // WriteRelations persists relation parameters.
 func WriteRelations(path string, rs *RelationState) error {
-	return writeFileAtomic(path, 0, buffered(func(w *bufio.Writer) error { return encodeRelations(w, rs) }))
+	return WriteFileAtomic(path, wire.Append(nil, rs.walk))
 }
 
-// encodeRelations writes a u64 relation count, then per relation a u64
-// float count and that many parameters and Adagrad accumulators.
-func encodeRelations(w *bufio.Writer, rs *RelationState) error {
-	if err := writeU64(w, uint64(len(rs.Params))); err != nil {
-		return err
-	}
+// walk is relations.pbg, its writer and its reader: a u64 relation count,
+// then per relation a u64 float count and that many parameters and Adagrad
+// accumulators.
+func (rs *RelationState) walk(f *wire.Fields) {
+	n := len(rs.Params)
+	f.Count64(&n, 8) // each relation's block starts with its own 8-byte count
+	wire.Make(f, &rs.Params, n)
+	wire.Make(f, &rs.Acc, n)
 	for i := range rs.Params {
-		if err := writeU64(w, uint64(len(rs.Params[i]))); err != nil {
-			return err
-		}
-		if err := writeFloats(w, rs.Params[i]); err != nil {
-			return err
-		}
-		if err := writeFloats(w, rs.Acc[i]); err != nil {
-			return err
-		}
+		m := len(rs.Params[i])
+		f.Count64(&m, 8) // a parameter and its accumulator per float
+		f.FloatsN(&rs.Params[i], m)
+		f.FloatsN(&rs.Acc[i], m)
 	}
-	return nil
 }
 
 // ReadRelations loads relation parameters written by WriteRelations. Every
@@ -598,46 +588,13 @@ func encodeRelations(w *bufio.Writer, rs *RelationState) error {
 // allocated, and trailing bytes are refused, so a truncated, padded or
 // crafted file is an error, never a panic or an allocation it cannot back.
 func ReadRelations(path string) (*RelationState, error) {
-	return readSized(path, decodeRelations)
-}
-
-// decodeRelations reads encodeRelations' format from r, which holds exactly
-// size bytes.
-func decodeRelations(r io.Reader, size int64) (*RelationState, error) {
-	left := size - 8
-	if left < 0 {
-		return nil, fmt.Errorf("relations file of %d bytes has no count", size)
-	}
-	n, err := readU64(r)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	// Each relation's block starts with its own 8-byte count.
-	if n > uint64(left/8) {
-		return nil, fmt.Errorf("relations file claims %d relations, %d bytes hold at most %d", n, left, left/8)
-	}
-	rs := &RelationState{Params: make([][]float32, n), Acc: make([][]float32, n)}
-	for i := range rs.Params {
-		m, err := readU64(r)
-		if err != nil {
-			return nil, err
-		}
-		// Parameters and accumulators: 8 bytes per float of the count.
-		if left -= 8; left < 0 || m > uint64(left/8) {
-			return nil, fmt.Errorf("relation %d claims %d floats, %d bytes are left", i, m, left)
-		}
-		left -= 8 * int64(m)
-		rs.Params[i] = make([]float32, m)
-		rs.Acc[i] = make([]float32, m)
-		if err := readFloats(r, rs.Params[i]); err != nil {
-			return nil, err
-		}
-		if err := readFloats(r, rs.Acc[i]); err != nil {
-			return nil, err
-		}
-	}
-	if left != 0 {
-		return nil, fmt.Errorf("relations file has %d trailing bytes", left)
+	rs := &RelationState{}
+	if err := wire.Parse(b, rs.walk); err != nil {
+		return nil, fmt.Errorf("storage: %s: %w", path, err)
 	}
 	return rs, nil
 }

@@ -12,7 +12,11 @@ import (
 // bytes (two's complement), an int32 and a float32 4, a bool one byte that is
 // 0 or 1, a string or slice a uint32 count followed by its elements. Every
 // value has exactly one encoding, so a payload that parses re-encodes to the
-// same bytes — which is what the fuzzers hold the parsers to.
+// same bytes — which is what the fuzzers hold the parsers to. The
+// checkpoint's flat files, relations.pbg (internal/storage) and ivf.pbg
+// (internal/serve), are walks too, over the same fields plus what their
+// layouts need: uint64 counts (Count64), and counts and runs laid out apart
+// from their elements (Count, Make, FloatsN).
 
 // Fields is a cursor that either appends a message's fields or decodes them.
 // A flat message describes its bytes once, as a walk over a *Fields naming
@@ -151,17 +155,22 @@ func (f *Fields) Time(p *time.Time) {
 	}
 }
 
-// count moves a uint32 element count. Decoding, it holds the count to max
-// (when max > 0) and to what the remaining bytes can back at elemBytes an
-// element, so the caller may allocate that many: the allocation is backed by
-// bytes that exist.
-func (f *Fields) count(n, elemBytes, max int) int {
-	c := uint64(f.u32(uint32(n)))
+// count moves an element count in a little-endian word of width bytes (4
+// or 8). Decoding, it holds the count to max (when max > 0) and to what the
+// remaining bytes can back at elemBytes (≥ 1) an element, so the caller may
+// allocate that many: the allocation is backed by bytes that exist.
+func (f *Fields) count(n, width, elemBytes, max int) int {
+	var c uint64
+	if width == 8 {
+		c = f.u64(uint64(n))
+	} else {
+		c = uint64(f.u32(uint32(n)))
+	}
 	switch {
 	case !f.decode:
 	case max > 0 && c > uint64(max):
 		f.fail("count %d exceeds the limit %d", c, max)
-	case c*uint64(elemBytes) > uint64(len(f.b)):
+	case c > uint64(len(f.b)/elemBytes):
 		f.fail("count %d × %d bytes exceeds the %d bytes left", c, elemBytes, len(f.b))
 	}
 	if f.err != nil {
@@ -170,19 +179,50 @@ func (f *Fields) count(n, elemBytes, max int) int {
 	return int(c)
 }
 
+// Count moves an element count as a uint32, and Count64 as a uint64, for a
+// walk that lays its elements out itself (Make, FloatsN). Decoding, each
+// holds the count to what the bytes left can back at elemBytes (≥ 1) an
+// element, as the count-prefixed fields below do.
+func (f *Fields) Count(n *int, elemBytes int)   { set(f, n, f.count(*n, 4, elemBytes, 0)) }
+func (f *Fields) Count64(n *int, elemBytes int) { set(f, n, f.count(*n, 8, elemBytes, 0)) }
+
+// Make sizes a slice the walk then fills element by element: decoding, *s
+// becomes n zero elements, nil when n is 0; appending leaves it as it is. n
+// must be a count the walk has moved and held to the bytes left.
+func Make[T any](f *Fields, s *[]T, n int) {
+	if f.decode {
+		*s = nil
+		if n > 0 {
+			*s = make([]T, n)
+		}
+	}
+}
+
+// words consumes n 4-byte words, or fails and returns nil.
+func (f *Fields) words(n int) []byte {
+	if n < 0 || n > len(f.b)/4 {
+		f.fail("%d words, %d bytes left", n, len(f.b))
+		return nil
+	}
+	return f.take(4 * n)
+}
+
 // String moves a count-prefixed string.
 func (f *Fields) String(p *string) {
-	if n := f.count(len(*p), 1, 0); f.decode {
+	if n := f.count(len(*p), 4, 1, 0); f.decode {
 		*p = string(f.take(n))
 	} else {
 		f.b = append(f.b, *p...)
 	}
 }
 
-// Floats moves a count-prefixed []float32, in one loop; nil when the count
-// is 0.
-func (f *Fields) Floats(p *[]float32) {
-	n := f.count(len(*p), 4, 0)
+// Floats moves a count-prefixed []float32; nil when the count is 0.
+func (f *Fields) Floats(p *[]float32) { f.FloatsN(p, f.count(len(*p), 4, 4, 0)) }
+
+// FloatsN moves a run of n float32s with no count before it, in one loop:
+// appending, *p, whose length is n; decoding, a fresh slice of n (nil when n
+// is 0), allocated once the bytes are in hand.
+func (f *Fields) FloatsN(p *[]float32, n int) {
 	if !f.decode {
 		b := f.b
 		for _, x := range *p {
@@ -192,10 +232,11 @@ func (f *Fields) Floats(p *[]float32) {
 		return
 	}
 	*p = nil
-	if n == 0 {
+	b := f.words(n)
+	if n == 0 || b == nil {
 		return
 	}
-	b, out := f.take(4*n), make([]float32, n)
+	out := make([]float32, n)
 	for i := range out {
 		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
 	}
@@ -205,7 +246,7 @@ func (f *Fields) Floats(p *[]float32) {
 // Int32s moves a count-prefixed []int32, in one loop; nil when the count is
 // 0.
 func (f *Fields) Int32s(p *[]int32) {
-	n := f.count(len(*p), 4, 0)
+	n := f.count(len(*p), 4, 4, 0)
 	if !f.decode {
 		b := f.b
 		for _, x := range *p {
@@ -215,10 +256,11 @@ func (f *Fields) Int32s(p *[]int32) {
 		return
 	}
 	*p = nil
-	if n == 0 {
+	b := f.words(n)
+	if n == 0 || b == nil {
 		return
 	}
-	b, out := f.take(4*n), make([]int32, n)
+	out := make([]int32, n)
 	for i := range out {
 		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
 	}
@@ -231,12 +273,7 @@ func (f *Fields) Int32s(p *[]int32) {
 // slice only once the count has passed both checks, and leaves nil when it
 // is 0.
 func Slice[T any](f *Fields, s *[]T, minBytes, max int, elem func(*T, *Fields)) {
-	if n := f.count(len(*s), minBytes, max); f.decode {
-		*s = nil
-		if n > 0 {
-			*s = make([]T, n)
-		}
-	}
+	Make(f, s, f.count(len(*s), 4, minBytes, max))
 	for i := range *s {
 		elem(&(*s)[i], f)
 	}

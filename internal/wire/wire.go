@@ -20,7 +20,9 @@
 // must copy out what it keeps — and describes its bytes once, as a walk over
 // Fields. A stream message (StreamWriter / StreamReader) writes to and reads
 // from the socket itself, which is how a partition moves between the socket
-// and shard memory with no copy in between.
+// and shard memory with no copy in between. Fields is also the codec of the
+// checkpoint's flat files, relations.pbg and ivf.pbg: each is one walk, its
+// writer and its reader, held to the same count checks as a message.
 //
 // Requests on one connection are read in order and served concurrently, one
 // goroutine each; replies are written as they finish and matched to callers

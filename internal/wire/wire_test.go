@@ -2,10 +2,13 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -179,6 +182,66 @@ func TestDecIsStrict(t *testing.T) {
 		if strings.HasPrefix(name, "count") && m.fs != nil {
 			t.Errorf("%s: allocated %d floats", name, len(m.fs))
 		}
+	}
+}
+
+// laidOut is a flat test message whose counts stand apart from their
+// elements, as in the checkpoint's flat files: a uint64 count fixing two
+// runs, then a uint32 count of count-prefixed lists.
+type laidOut struct {
+	a, b  []float32
+	lists [][]int32
+}
+
+func (m *laidOut) fields(f *Fields) {
+	n := len(m.a)
+	f.Count64(&n, 8)
+	f.FloatsN(&m.a, n)
+	f.FloatsN(&m.b, n)
+	k := len(m.lists)
+	f.Count(&k, 4)
+	Make(f, &m.lists, k)
+	for i := range m.lists {
+		f.Int32s(&m.lists[i])
+	}
+}
+
+// TestLaidOutCountsAreStrict: a count laid out apart from its elements is
+// held to the bytes left like a prefix count — a uint64 one included, which
+// no product of it may overflow — and refused before anything is allocated.
+func TestLaidOutCountsAreStrict(t *testing.T) {
+	sent := laidOut{a: []float32{1, 2}, b: []float32{3, -4}, lists: [][]int32{{5}, nil}}
+	enc := Append(nil, sent.fields)
+	if len(enc) != 8+2*8+4+(4+4)+4 {
+		t.Fatalf("encodes as %d bytes %x", len(enc), enc)
+	}
+	var got laidOut
+	if err := Parse(enc, got.fields); err != nil || !reflect.DeepEqual(got, sent) {
+		t.Fatalf("decoded %+v, %v", got, err)
+	}
+	if again := Append(nil, got.fields); !bytes.Equal(again, enc) {
+		t.Fatalf("re-encodes as %x, was %x", again, enc)
+	}
+	withU64 := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
+	for name, b := range map[string][]byte{
+		"count 2^40":          append(withU64(1<<40), enc[8:]...),
+		"count 2^64-1":        append(withU64(math.MaxUint64), enc[8:]...),
+		"count 2^61 (×8 = 0)": append(withU64(1<<61), enc[8:]...),
+		"list count 2^32-1":   append(bytes.Clone(enc[:24]), 0xff, 0xff, 0xff, 0xff),
+		"truncated":           enc[:len(enc)-1],
+		"trailing":            append(bytes.Clone(enc), 0),
+	} {
+		var m laidOut
+		if err := Parse(b, m.fields); err == nil {
+			t.Errorf("%s: accepted as %+v", name, m)
+		}
+		if strings.HasPrefix(name, "count") && (m.a != nil || m.b != nil) || strings.HasPrefix(name, "list") && m.lists != nil {
+			t.Errorf("%s: allocated %d, %d floats and %d lists", name, len(m.a), len(m.b), len(m.lists))
+		}
+	}
+	var fs []float32
+	if err := Parse([]byte{1, 2, 3, 4}, func(f *Fields) { f.FloatsN(&fs, -1) }); err == nil || fs != nil {
+		t.Errorf("a run of -1 floats: %v, %v", fs, err)
 	}
 }
 
