@@ -67,13 +67,13 @@ func runNode(args []string, out io.Writer) error {
 		if hub != nil {
 			opts = append(opts, dist.WithPartObs(hub))
 		}
-		return serveForever(*listen, out, "PartitionServer", dist.NewPartitionServer(rd.schema, cfg.Dim, cfg.Seed+1, opts...))
+		return serveForever(*listen, out, dist.NewPartitionServer(rd.schema, cfg.Dim, cfg.Seed+1, opts...))
 	case "param":
 		ps, err := cuts.NewParamServer()
 		if err != nil {
 			return err
 		}
-		return serveForever(*listen, out, "ParamServer", ps)
+		return serveForever(*listen, out, ps)
 	case "trainer":
 		// The trainer joins the deployment where the lock server is, which
 		// a restart restores from the last cut, and trains up to num_epochs.
@@ -93,7 +93,7 @@ func runNode(args []string, out io.Writer) error {
 			// Rank 0 starts each epoch on the lock server, by number.
 			if *rank == 0 {
 				var rep dist.StartEpochReply
-				if err := dist.Call(*lock, "LockServer.StartEpoch", dist.StartEpochArgs{Epoch: e}, &rep); err != nil {
+				if err := dist.Call(*lock, &dist.MethodStartEpoch, &dist.StartEpochArgs{Epoch: e}, &rep); err != nil {
 					return err
 				}
 			}
@@ -101,7 +101,7 @@ func runNode(args []string, out io.Writer) error {
 			if err != nil {
 				// The lease table says who held what when the epoch failed.
 				var es dist.EpochStateReply
-				if lerr := dist.Call(*lock, "LockServer.EpochState", dist.EpochStateArgs{}, &es); lerr == nil {
+				if lerr := dist.Call(*lock, &dist.MethodEpochState, &dist.EpochStateArgs{}, &es); lerr == nil {
 					log.Printf("epoch %d failed with %d buckets done; leases: %+v", es.Epoch, len(es.Done), es.Leases)
 				}
 				return err
@@ -145,12 +145,12 @@ func runLock(rd *runDir, cfg train.Config, cuts *dist.Cuts, listen string, ttl t
 			}
 		}
 	}()
-	return serveForever(listen, out, "LockServer", ls)
+	return serveForever(listen, out, ls)
 }
 
 // serveForever serves one receiver on addr until the process ends.
-func serveForever(addr string, out io.Writer, name string, receiver any) error {
-	l, err := dist.ListenAndServe(addr, map[string]any{name: receiver})
+func serveForever(addr string, out io.Writer, receiver any) error {
+	l, err := dist.ListenAndServe(addr, receiver)
 	if err != nil {
 		return err
 	}

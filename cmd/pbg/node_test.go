@@ -88,7 +88,7 @@ func startRole(t *testing.T, dir, role string, args ...string) (addr string, sto
 func pull(t *testing.T, addr string, rel int) []float32 {
 	t.Helper()
 	var rep dist.SyncReply
-	if err := dist.Call(addr, "ParamServer.Pull", dist.PullArgs{Rel: rel}, &rep); err != nil {
+	if err := dist.Call(addr, &dist.MethodPull, &dist.PullArgs{Rel: rel}, &rep); err != nil {
 		t.Fatal(err)
 	}
 	return rep.Params
@@ -169,12 +169,12 @@ func TestNodeResumesRestoredEpoch(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			ls := dist.NewLockServer(order, c.restore)
-			ll, err := dist.ListenAndServe("127.0.0.1:0", map[string]any{"LockServer": ls})
+			ll, err := dist.ListenAndServe("127.0.0.1:0", ls)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer ll.Close()
-			pl, err := dist.ListenAndServe("127.0.0.1:0", map[string]any{"PartitionServer": dist.NewPartitionServer(rd.schema, 8, 3)})
+			pl, err := dist.ListenAndServe("127.0.0.1:0", dist.NewPartitionServer(rd.schema, 8, 3))
 			if err != nil {
 				t.Fatal(err)
 			}

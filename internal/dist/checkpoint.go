@@ -175,7 +175,7 @@ func (c *Cuts) Write(ls *LockServer, partAddrs, paramAddrs []string) error {
 		return err
 	}
 	for _, addr := range partAddrs {
-		if err := Call(addr, "PartitionServer.Flush", FlushArgs{}, &Ack{}); err != nil {
+		if err := Call(addr, &methodFlush, &FlushArgs{}, &Ack{}); err != nil {
 			return fmt.Errorf("dist: cut: flush %s: %w", addr, err)
 		}
 	}
@@ -186,7 +186,7 @@ func (c *Cuts) Write(ls *LockServer, partAddrs, paramAddrs []string) error {
 		}
 		var rep SyncReply
 		if len(paramAddrs) > 0 {
-			if err := Call(paramAddrs[r%len(paramAddrs)], "ParamServer.Pull", PullArgs{Rel: r}, &rep); err != nil {
+			if err := Call(paramAddrs[r%len(paramAddrs)], &MethodPull, &PullArgs{Rel: r}, &rep); err != nil {
 				return fmt.Errorf("dist: cut: relation %d: %w", r, err)
 			}
 		}

@@ -124,7 +124,7 @@ func NewCluster(g *graph.Graph, order []partition.Bucket, cfg ClusterConfig) (*C
 	if cl.paramSrv, err = cuts.NewParamServer(); err != nil {
 		return fail(err)
 	}
-	l, lockAddr, err := serve(map[string]any{"LockServer": cl.lockSrv})
+	l, lockAddr, err := serve(cl.lockSrv)
 	if err != nil {
 		return fail(err)
 	}
@@ -139,7 +139,7 @@ func NewCluster(g *graph.Graph, order []partition.Bucket, cfg ClusterConfig) (*C
 	}
 	for i := 0; i < cfg.Machines; i++ {
 		ps := NewPartitionServer(g.Schema, cfg.Train.Dim, cfg.Seed, partOpts...)
-		l, addr, err := serve(map[string]any{"PartitionServer": ps})
+		l, addr, err := serve(ps)
 		if err != nil {
 			return fail(err)
 		}
@@ -147,7 +147,7 @@ func NewCluster(g *graph.Graph, order []partition.Bucket, cfg ClusterConfig) (*C
 		cl.listeners = append(cl.listeners, l)
 		cl.partAddrs = append(cl.partAddrs, addr)
 	}
-	l, cl.paramAddr, err = serve(map[string]any{"ParamServer": cl.paramSrv})
+	l, cl.paramAddr, err = serve(cl.paramSrv)
 	if err != nil {
 		return fail(err)
 	}
@@ -194,7 +194,7 @@ func (cl *Cluster) RunEpoch() (EpochStats, error) {
 	// StartEpoch names the epoch, so a retry after a lost reply — or the
 	// epoch a checkpointed run had already started — changes nothing.
 	var started StartEpochReply
-	if err := cl.lock.Call("LockServer.StartEpoch", StartEpochArgs{Epoch: cl.nextEpoch}, &started); err != nil {
+	if err := cl.lock.Call(&MethodStartEpoch, &StartEpochArgs{Epoch: cl.nextEpoch}, &started); err != nil {
 		return EpochStats{}, err
 	}
 	start := time.Now()

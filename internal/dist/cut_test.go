@@ -31,14 +31,14 @@ func TestCutWaitsForDurableShards(t *testing.T) {
 	}
 	held := newDurableState(dir) // its write-behind goroutine is not started
 	ps.durable = held
-	pl, partAddr, err := serve(map[string]any{"PartitionServer": ps})
+	pl, partAddr, err := serve(ps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pl.Close()
 	ls := NewLockServer(order)
 	defer ls.close()
-	ll, lockAddr, err := serve(map[string]any{"LockServer": ls})
+	ll, lockAddr, err := serve(ls)
 	if err != nil {
 		t.Fatal(err)
 	}

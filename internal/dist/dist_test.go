@@ -154,7 +154,7 @@ func testSchema(t *testing.T) *graph.Schema {
 func TestPartitionServerSwapRoundTrip(t *testing.T) {
 	schema := testSchema(t)
 	const dim, seed = 8, uint64(7)
-	l, addr, err := serve(map[string]any{"PartitionServer": NewPartitionServer(schema, dim, seed)})
+	l, addr, err := serve(NewPartitionServer(schema, dim, seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,10 +214,10 @@ func TestPartitionServerSwapRoundTrip(t *testing.T) {
 	client := store.clients[0]
 	// Dimension and range validation.
 	var bad shardIn
-	if err := client.Call("PartitionServer.Get", GetArgs{TypeIndex: 0, Part: 9, Dim: dim}, &bad); err == nil {
+	if err := client.Call(&methodGet, &GetArgs{TypeIndex: 0, Part: 9, Dim: dim}, &bad); err == nil {
 		t.Fatal("expected out-of-range error")
 	}
-	if err := client.Call("PartitionServer.Get", GetArgs{TypeIndex: 0, Part: 0, Dim: dim + 1}, &bad); err == nil {
+	if err := client.Call(&methodGet, &GetArgs{TypeIndex: 0, Part: 0, Dim: dim + 1}, &bad); err == nil {
 		t.Fatal("expected dim mismatch error")
 	}
 }

@@ -245,7 +245,7 @@ func TestRetryClientTransientRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	ls := NewLockServer(order)
-	l, addr, err := serve(map[string]any{"LockServer": ls})
+	l, addr, err := serve(ls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestRetryClientTransientRetry(t *testing.T) {
 
 	// First two attempts are dropped on the wire; the third succeeds.
 	var rep StartEpochReply
-	if err := rc.Call("LockServer.StartEpoch", StartEpochArgs{Epoch: 1}, &rep); err != nil {
+	if err := rc.Call(&MethodStartEpoch, &StartEpochArgs{Epoch: 1}, &rep); err != nil {
 		t.Fatalf("Call through chaos = %v", err)
 	}
 	if rep.Epoch != 1 {
@@ -273,7 +273,7 @@ func TestRetryClientTransientRetry(t *testing.T) {
 
 	// A server-side rejection is NOT retried: the retry counter stays put.
 	var ack Ack
-	err = rc.Call("LockServer.ReleaseBucket", ReleaseArgs{Epoch: 1, Buckets: []partition.Bucket{{P1: 0, P2: 0}}}, &ack)
+	err = rc.Call(&methodRelease, &ReleaseArgs{Epoch: 1, Buckets: []partition.Bucket{{P1: 0, P2: 0}}}, &ack)
 	if err == nil {
 		t.Fatal("expected server error for unleased release")
 	}
@@ -292,7 +292,7 @@ func TestDropReplyIdempotentRelease(t *testing.T) {
 		t.Fatal(err)
 	}
 	ls := NewLockServer(order)
-	l, addr, err := serve(map[string]any{"LockServer": ls})
+	l, addr, err := serve(ls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,24 +306,24 @@ func TestDropReplyIdempotentRelease(t *testing.T) {
 	defer rc.Close()
 
 	var se StartEpochReply
-	if err := rc.Call("LockServer.StartEpoch", StartEpochArgs{Epoch: 1}, &se); err != nil {
+	if err := rc.Call(&MethodStartEpoch, &StartEpochArgs{Epoch: 1}, &se); err != nil {
 		t.Fatal(err)
 	}
 	var rep AcquireReply
-	if err := rc.Call("LockServer.AcquireBucket", AcquireArgs{Epoch: 1, Rank: 0}, &rep); err != nil {
+	if err := rc.Call(&methodAcquire, &AcquireArgs{Epoch: 1, Rank: 0}, &rep); err != nil {
 		t.Fatal(err)
 	}
 	if !rep.Granted {
 		t.Fatalf("no grant: %+v", rep)
 	}
 	var ack Ack
-	if err := rc.Call("LockServer.ReleaseBucket",
-		ReleaseArgs{Epoch: 1, Rank: 0, Token: rep.Token, Buckets: []partition.Bucket{rep.Bucket}}, &ack); err != nil {
+	if err := rc.Call(&methodRelease,
+		&ReleaseArgs{Epoch: 1, Rank: 0, Token: rep.Token, Buckets: []partition.Bucket{rep.Bucket}}, &ack); err != nil {
 		t.Fatalf("release through dropped reply = %v", err)
 	}
 	// The bucket really was committed exactly once.
 	var es EpochStateReply
-	if err := rc.Call("LockServer.EpochState", EpochStateArgs{}, &es); err != nil {
+	if err := rc.Call(&MethodEpochState, &EpochStateArgs{}, &es); err != nil {
 		t.Fatal(err)
 	}
 	if len(es.Done) != 1 || es.Done[0] != rep.Bucket {
@@ -436,7 +436,7 @@ func serverErrorFor(t *testing.T) error {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, addr, err := serve(map[string]any{"LockServer": NewLockServer(order)})
+	l, addr, err := serve(NewLockServer(order))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +447,7 @@ func serverErrorFor(t *testing.T) error {
 	}
 	defer rc.Close()
 	var ack Ack
-	err = rc.Call("LockServer.ReleaseBucket", ReleaseArgs{Buckets: []partition.Bucket{{}}}, &ack)
+	err = rc.Call(&methodRelease, &ReleaseArgs{Buckets: []partition.Bucket{{}}}, &ack)
 	if err == nil {
 		t.Fatal("expected a server error")
 	}

@@ -254,8 +254,10 @@ func TestMalformedIVFRejectedAtEveryEntryPoint(t *testing.T) {
 //	  Put body / Get reply                                           storage.FuzzShardLayout
 //	ivf.pbg                      wire.Parse + serve.ReadIVF's       TestMalformedIVFRejectedAtEveryEntryPoint, serve.FuzzReadIVF
 //	                               schema checks
-//	Get/Put/Acquire RPC args     wire.Server admission + ParseWire  FuzzFrame (every dist method and reply)
-//	serve RPC args / replies     wire.Server admission + ParseWire  serve.FuzzServeFrame (every serve method and reply), serve.FuzzTopKRequest
+//	Get/Put/Acquire RPC args     wire.Server admission + the        FuzzFrame (every dist method and reply)
+//	                               message's walk
+//	serve RPC args / replies     wire.Server admission + the        serve.FuzzServeFrame (every serve method and reply), serve.FuzzTopKRequest
+//	                               message's walk
 //	dist manifest                dist.ReadManifest                  FuzzManifest, TestRestoreRejectsForeignBucket
 //	relations.pbg (serve, pbg    wire.Parse +                       serve.TestOpenRejectsMalformedRelations, storage.FuzzReadRelations,
 //	  eval, dist resume)           storage.ReadRelationParams         storage.TestReadRelationParams
@@ -274,20 +276,23 @@ func frameGateServer(t testing.TB) *wire.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := newServer(map[string]any{
-		"LockServer":      NewLockServer(order),
-		"PartitionServer": NewPartitionServer(schema, 4, 7),
-		"ParamServer":     NewParamServer(),
-	})
+	srv, err := newServer(NewLockServer(order), NewPartitionServer(schema, 4, 7), NewParamServer())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return srv
 }
 
+// methods is every method of the three services.
+var methods = []wire.Method{
+	MethodStartEpoch, methodAcquire, methodHeartbeat, methodRelease, methodAbandon, MethodEpochState,
+	methodGet, methodPut, methodFlush,
+	methodInitRel, methodSync, MethodPull,
+}
+
 // boundOf is the request bound frameGateServer holds method m to.
 func boundOf(m wire.Method) int {
-	if m.Name == "PartitionServer.Put" {
+	if m.ID == methodPut.ID {
 		return putTokenBytes + int(storage.Layout{Count: 3, Dim: 4}.Size())
 	}
 	return m.MaxReq
@@ -297,8 +302,8 @@ func boundOf(m wire.Method) int {
 func reencode(t *testing.T, msg any) []byte {
 	t.Helper()
 	switch m := msg.(type) {
-	case wire.Appender:
-		return m.AppendWire(nil)
+	case wire.Flat:
+		return wire.Append(nil, m.Fields)
 	case wire.StreamWriter:
 		var buf bytes.Buffer
 		if err := m.WriteWire(&buf); err != nil || buf.Len() != m.WireSize() {
@@ -322,19 +327,19 @@ func reencode(t *testing.T, msg any) []byte {
 // sends, get the same bytes and the same contract.
 func FuzzFrame(f *testing.F) {
 	srv := frameGateServer(f)
-	frame := func(method string, msg any) []byte {
+	frame := func(m wire.Method, msg any) []byte {
 		var payload []byte
-		switch m := msg.(type) {
-		case wire.Appender:
-			payload = m.AppendWire(nil)
+		switch msg := msg.(type) {
+		case wire.Flat:
+			payload = wire.Append(nil, msg.Fields)
 		case wire.StreamWriter:
 			var buf bytes.Buffer
-			if err := m.WriteWire(&buf); err != nil {
+			if err := msg.WriteWire(&buf); err != nil {
 				f.Fatal(err)
 			}
 			payload = buf.Bytes()
 		}
-		h := wire.Header{Method: methodByName[method].ID, ID: 5, Span: 6, Len: uint32(len(payload))}
+		h := wire.Header{Method: m.ID, ID: 5, Span: 6, Len: uint32(len(payload))}
 		return append(h.Append(nil), payload...)
 	}
 	sh := storage.NewShard(0, 1, 3, 4)
@@ -342,25 +347,25 @@ func FuzzFrame(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(frame("LockServer.StartEpoch", StartEpochArgs{Epoch: 1}))
-	f.Add(frame("LockServer.AcquireBucket", AcquireArgs{Epoch: 1, Rank: 1, Token: 3}))
-	f.Add(frame("LockServer.Heartbeat", HeartbeatArgs{Epoch: 1, Rank: 1, Token: 3}))
-	f.Add(frame("LockServer.ReleaseBucket", ReleaseArgs{Epoch: 1, Token: 3, Buckets: []partition.Bucket{{P1: 1}}, Parts: []int{0, 1}}))
-	f.Add(frame("LockServer.AbandonBucket", ReleaseArgs{Epoch: 1, Rank: 1}))
-	f.Add(frame("LockServer.EpochState", EpochStateArgs{}))
-	f.Add(frame("PartitionServer.Get", GetArgs{Part: 1, Count: 3, Dim: 4, InitScale: 1, Token: 2}))
-	f.Add(frame("PartitionServer.Put", PutArgs{Shard: img, Token: 2}))
-	f.Add(frame("PartitionServer.Put", PutArgs{Shard: img[:len(img)-1], Token: 2}))
-	f.Add(frame("PartitionServer.Flush", FlushArgs{}))
-	f.Add(frame("ParamServer.InitRel", InitRelArgs{Rel: 1, Params: []float32{1, 2}}))
-	f.Add(frame("ParamServer.Sync", SyncArgs{Rel: 1, Delta: []float32{1, 2}}))
-	f.Add(frame("ParamServer.Pull", PullArgs{Rel: 1}))
-	f.Add(wire.Header{Method: methodByName["PartitionServer.Put"].ID, Len: wire.MaxPayload}.Append(nil))
-	f.Add(wire.Header{Method: methodByName["LockServer.ReleaseBucket"].ID, Len: 24}.Append([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}))
+	f.Add(frame(MethodStartEpoch, &StartEpochArgs{Epoch: 1}))
+	f.Add(frame(methodAcquire, &AcquireArgs{Epoch: 1, Rank: 1, Token: 3}))
+	f.Add(frame(methodHeartbeat, &HeartbeatArgs{Epoch: 1, Rank: 1, Token: 3}))
+	f.Add(frame(methodRelease, &ReleaseArgs{Epoch: 1, Token: 3, Buckets: []partition.Bucket{{P1: 1}}, Parts: []int{0, 1}}))
+	f.Add(frame(methodAbandon, &ReleaseArgs{Epoch: 1, Rank: 1}))
+	f.Add(frame(MethodEpochState, &EpochStateArgs{}))
+	f.Add(frame(methodGet, &GetArgs{Part: 1, Count: 3, Dim: 4, InitScale: 1, Token: 2}))
+	f.Add(frame(methodPut, PutArgs{Shard: img, Token: 2}))
+	f.Add(frame(methodPut, PutArgs{Shard: img[:len(img)-1], Token: 2}))
+	f.Add(frame(methodFlush, &FlushArgs{}))
+	f.Add(frame(methodInitRel, &InitRelArgs{Rel: 1, Params: []float32{1, 2}}))
+	f.Add(frame(methodSync, &SyncArgs{Rel: 1, Delta: []float32{1, 2}}))
+	f.Add(frame(MethodPull, &PullArgs{Rel: 1}))
+	f.Add(wire.Header{Method: methodPut.ID, Len: wire.MaxPayload}.Append(nil))
+	f.Add(wire.Header{Method: methodRelease.ID, Len: 24}.Append([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}))
 	f.Add([]byte{})
 
-	replies := func() []wire.Parser {
-		return []wire.Parser{&StartEpochReply{}, &AcquireReply{}, &EpochStateReply{}, &Ack{}, &InitRelReply{}, &SyncReply{}}
+	replies := func() []wire.Flat {
+		return []wire.Flat{&StartEpochReply{}, &AcquireReply{}, &EpochStateReply{}, &Ack{}, &InitRelReply{}, &SyncReply{}}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
@@ -396,10 +401,10 @@ func FuzzFrame(f *testing.F) {
 			}
 		}
 		for _, r := range replies() {
-			if r.ParseWire(data) != nil {
+			if wire.Parse(data, r.Fields) != nil {
 				continue
 			}
-			if again := r.(wire.Appender).AppendWire(nil); !bytes.Equal(again, data) {
+			if again := wire.Append(nil, r.Fields); !bytes.Equal(again, data) {
 				t.Fatalf("%T re-encodes as %x, payload was %x", r, again, data)
 			}
 		}

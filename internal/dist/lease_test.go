@@ -7,8 +7,10 @@ package dist
 // leases go stale.
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -445,11 +447,11 @@ func wiredNodes(t *testing.T, g *graph.Graph, n int, hub *obs.Hub, lockOpts ...L
 	log := &wireLog{}
 	lock := &recLock{LockServer: NewLockServer(insideOutOrder(t, parts), lockOpts...), log: log, calls: map[int]int{}}
 	part := &recPart{PartitionServer: NewPartitionServer(g.Schema, dim, 3), log: log}
-	ll, lockAddr, err := serve(map[string]any{"LockServer": lock})
+	ll, lockAddr, err := serve(lock)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, partAddr, err := serve(map[string]any{"PartitionServer": part})
+	pl, partAddr, err := serve(part)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,6 +473,55 @@ func wiredNodes(t *testing.T, g *graph.Graph, n int, hub *obs.Hub, lockOpts ...L
 		nodes = append(nodes, node)
 	}
 	return lock, nodes
+}
+
+// refusingPart is a partition server whose every Put fails with a plain
+// error: neither transient, so not retried, nor fencing.
+type refusingPart struct{ *PartitionServer }
+
+func (refusingPart) Put(PutArgs, *Ack) error { return errors.New("disk full") }
+
+// TestNodeAbandonsLeasesOnFailure: a trainer that fails for good — here its
+// first write-back is refused — returns its leases to the lock server over
+// the wire (AbandonBucket) before it surfaces the error, so another trainer
+// can take the buckets over at once rather than when a lease expires.
+func TestNodeAbandonsLeasesOnFailure(t *testing.T) {
+	g := chaosGraph(t)
+	lock := NewLockServer(insideOutOrder(t, 4))
+	ll, lockAddr, err := serve(lock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, partAddr, err := serve(refusingPart{NewPartitionServer(g.Schema, 8, 3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		lock.close()
+		_ = ll.Close() // listeners only stop accepting; nothing to report
+		_ = pl.Close()
+	})
+	node, err := NewNode(g, NodeConfig{
+		LockAddr: lockAddr, PartitionAddrs: []string{partAddr},
+		Train: train.Config{Dim: 8, Workers: 1, Seed: RankSeed(9, 0)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = node.Close() })
+	if err := lock.StartEpoch(StartEpochArgs{Epoch: 1}, &StartEpochReply{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := node.RunEpoch(); err == nil || !strings.Contains(err.Error(), "disk full") {
+		t.Fatalf("epoch over a partition server refusing Puts: %v", err)
+	}
+	var es EpochStateReply
+	if err := lock.EpochState(EpochStateArgs{}, &es); err != nil {
+		t.Fatal(err)
+	}
+	if len(es.Leases) != 0 || len(es.Done) != 0 {
+		t.Fatalf("after the trainer failed: %d buckets done, leases %+v", len(es.Done), es.Leases)
+	}
 }
 
 // runNodes runs one epoch on every node at once and returns the merged

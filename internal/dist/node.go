@@ -9,6 +9,7 @@ import (
 	"pbg/internal/obs"
 	"pbg/internal/partition"
 	"pbg/internal/train"
+	"pbg/internal/wire"
 )
 
 // defaultSyncInterval bounds relation-parameter staleness when the caller
@@ -318,8 +319,8 @@ func (n *Node) heartbeatLoop() {
 			continue
 		}
 		var ack Ack
-		err := n.lock.Call("LockServer.Heartbeat",
-			HeartbeatArgs{Epoch: cur.epoch, Rank: n.cfg.Rank, Token: cur.token}, &ack)
+		err := n.lock.Call(&methodHeartbeat,
+			&HeartbeatArgs{Epoch: cur.epoch, Rank: n.cfg.Rank, Token: cur.token}, &ack)
 		if err != nil && IsStaleLease(err) {
 			n.hbMu.Lock()
 			if n.hbLease != nil && n.hbLease.token == cur.token {
@@ -335,7 +336,7 @@ func (n *Node) heartbeatLoop() {
 // starts.
 func (n *Node) join(schema *graph.Schema) error {
 	var es EpochStateReply
-	if err := n.lock.Call("LockServer.EpochState", EpochStateArgs{}, &es); err != nil {
+	if err := n.lock.Call(&MethodEpochState, &EpochStateArgs{}, &es); err != nil {
 		return err
 	}
 	nSrc, nDst := schema.BucketDims()
@@ -372,7 +373,7 @@ func (n *Node) initRelParams() error {
 			continue
 		}
 		var reply InitRelReply
-		if err := n.paramClient(r).Call("ParamServer.InitRel", InitRelArgs{Rel: r, Params: block}, &reply); err != nil {
+		if err := n.paramClient(r).Call(&methodInitRel, &InitRelArgs{Rel: r, Params: block}, &reply); err != nil {
 			return fmt.Errorf("dist: init relation %d: %w", r, err)
 		}
 		n.trainer.WithRelParams(r, func(p []float32) { copy(p, reply.Params) })
@@ -446,7 +447,7 @@ func (n *Node) syncRelation(r int) error {
 		}
 	})
 	var reply SyncReply
-	if err := n.paramClient(r).Call("ParamServer.Sync", SyncArgs{Rel: r, Delta: delta}, &reply); err != nil {
+	if err := n.paramClient(r).Call(&methodSync, &SyncArgs{Rel: r, Delta: delta}, &reply); err != nil {
 		return fmt.Errorf("dist: sync relation %d: %w", r, err)
 	}
 	// Adopt the global block, preserving any local updates that landed while
@@ -511,8 +512,8 @@ func (n *Node) RunEpoch() (EpochStats, error) {
 func (n *Node) runLeases(st *EpochStats) error {
 	for {
 		var rep AcquireReply
-		err := n.lockCall(n.acquireNs, "LockServer.AcquireBucket",
-			AcquireArgs{Epoch: n.epoch, Rank: n.cfg.Rank, Token: n.token}, &rep)
+		err := n.lockCall(n.acquireNs, &methodAcquire,
+			&AcquireArgs{Epoch: n.epoch, Rank: n.cfg.Rank, Token: n.token}, &rep)
 		if err == nil {
 			switch {
 			case rep.Done:
@@ -537,8 +538,8 @@ func (n *Node) runLeases(st *EpochStats) error {
 			// then surface the error.
 			if n.token != 0 {
 				var ack Ack
-				_ = n.lock.Call("LockServer.AbandonBucket",
-					ReleaseArgs{Epoch: n.epoch, Rank: n.cfg.Rank, Token: n.token}, &ack)
+				_ = n.lock.Call(&methodAbandon,
+					&ReleaseArgs{Epoch: n.epoch, Rank: n.cfg.Rank, Token: n.token}, &ack)
 			}
 			n.discard()
 			return err
@@ -583,9 +584,9 @@ func (n *Node) trainLease(rep AcquireReply, st *EpochStats) error {
 }
 
 // lockCall makes one lock-server call and books its duration as lease wait.
-func (n *Node) lockCall(h *obs.Histogram, method string, args, reply any) error {
+func (n *Node) lockCall(h *obs.Histogram, m *wire.Method, args, reply any) error {
 	t0 := time.Now()
-	err := n.lock.Call(method, args, reply)
+	err := n.lock.Call(m, args, reply)
 	d := time.Since(t0).Nanoseconds()
 	if h != nil {
 		h.Observe(float64(d))
@@ -628,7 +629,7 @@ func (n *Node) settle(keep []int, st *EpochStats) error {
 		return nil
 	}
 	var ack Ack
-	if err := n.lockCall(nil, "LockServer.ReleaseBucket", args, &ack); err != nil {
+	if err := n.lockCall(nil, &methodRelease, &args, &ack); err != nil {
 		return err
 	}
 	st.Loss += done.Loss

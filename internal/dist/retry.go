@@ -192,20 +192,16 @@ func (rc *retryClient) callOnce(m *wire.Method, span uint64, args, reply any) er
 	}
 }
 
-// Call invokes method with retries: transient transport failures back off
+// Call invokes method m with retries: transient transport failures back off
 // exponentially (with jitter) and redial; server-returned errors and
 // non-transient failures are returned immediately.
-func (rc *retryClient) Call(method string, args, reply any) error {
-	return rc.callSpan(method, 0, args, reply)
+func (rc *retryClient) Call(m *wire.Method, args, reply any) error {
+	return rc.callSpan(m, 0, args, reply)
 }
 
 // callSpan is Call for a caller inside trace span `span` (0 = none): the id
 // rides in the frame, and the server's span becomes that span's child.
-func (rc *retryClient) callSpan(method string, span uint64, args, reply any) error {
-	m := methodByName[method]
-	if m == nil {
-		return fmt.Errorf("dist: %s has no method %q", rc.name, method)
-	}
+func (rc *retryClient) callSpan(m *wire.Method, span uint64, args, reply any) error {
 	policy := rc.policy
 	backoff := policy.BaseBackoff
 	var err error
@@ -228,7 +224,7 @@ func (rc *retryClient) callSpan(method string, span uint64, args, reply any) err
 			return err
 		}
 	}
-	return fmt.Errorf("dist: %s %s failed after %d attempts: %w", rc.name, method, policy.MaxAttempts, err)
+	return fmt.Errorf("dist: %s %s failed after %d attempts: %w", rc.name, m.Name, policy.MaxAttempts, err)
 }
 
 func (rc *retryClient) jitterFloat() float64 {

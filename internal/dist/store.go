@@ -144,7 +144,7 @@ func (s *remoteStore) Load(t, p int, spare *storage.Shard) (*storage.Shard, erro
 	reply := shardIn{want: args, sh: spare}
 	sp := s.obs.Trace.Start("dist", fmt.Sprintf("get t%d p%d", t, p))
 	t0 := time.Now()
-	err := s.client(t, p).callSpan("PartitionServer.Get", uint64(sp.ID()), args, &reply)
+	err := s.client(t, p).callSpan(&methodGet, uint64(sp.ID()), &args, &reply)
 	s.getNs.Observe(float64(time.Since(t0).Nanoseconds()))
 	sp.End()
 	if err != nil {
@@ -172,7 +172,7 @@ func (s *remoteStore) Store(sh *storage.Shard) error {
 	sp := s.obs.Trace.Start("dist", fmt.Sprintf("put t%d p%d", sh.TypeIndex, sh.Part))
 	t0 := time.Now()
 	var ack Ack
-	err := s.client(sh.TypeIndex, sh.Part).callSpan("PartitionServer.Put", uint64(sp.ID()),
+	err := s.client(sh.TypeIndex, sh.Part).callSpan(&methodPut, uint64(sp.ID()),
 		shardOut{sh: sh, token: s.fenceTok.Load()}, &ack)
 	s.putNs.Observe(float64(time.Since(t0).Nanoseconds()))
 	sp.End()

@@ -78,7 +78,7 @@ func newPartitionServerCache(t *testing.T, schema *graph.Schema, dim int) cacheU
 // a store over it; both are torn down with the test.
 func dialLoopback(t *testing.T, rcvr any, schema *graph.Schema, dim int) *remoteStore {
 	t.Helper()
-	l, addr, err := serve(map[string]any{"PartitionServer": rcvr})
+	l, addr, err := serve(rcvr)
 	if err != nil {
 		t.Fatal(err)
 	}

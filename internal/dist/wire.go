@@ -24,30 +24,24 @@ const (
 	maxBlock   = 16 << 20
 )
 
-// The method table: ids are what crosses the wire, names what retryClient
-// callers, chaos rules and error messages say.
-var methods = []wire.Method{
-	{ID: 1, Name: "LockServer.StartEpoch", MaxReq: maxControl, MaxReply: maxControl},
-	{ID: 2, Name: "LockServer.AcquireBucket", MaxReq: maxControl, MaxReply: maxControl},
-	{ID: 3, Name: "LockServer.Heartbeat", MaxReq: maxControl, MaxReply: maxControl},
-	{ID: 4, Name: "LockServer.ReleaseBucket", MaxReq: maxControl, MaxReply: maxControl},
-	{ID: 5, Name: "LockServer.AbandonBucket", MaxReq: maxControl, MaxReply: maxControl},
-	{ID: 6, Name: "LockServer.EpochState", MaxReq: maxControl, MaxReply: maxBlock},
-	{ID: 16, Name: "PartitionServer.Get", MaxReq: maxControl, MaxReply: wire.MaxPayload},
-	{ID: 17, Name: "PartitionServer.Put", MaxReq: wire.MaxPayload, MaxReply: maxControl},
-	{ID: 18, Name: "PartitionServer.Flush", MaxReq: maxControl, MaxReply: maxControl},
-	{ID: 32, Name: "ParamServer.InitRel", MaxReq: maxBlock, MaxReply: maxBlock},
-	{ID: 33, Name: "ParamServer.Sync", MaxReq: maxBlock, MaxReply: maxBlock},
-	{ID: 34, Name: "ParamServer.Pull", MaxReq: maxControl, MaxReply: maxBlock},
-}
-
-var methodByName = func() map[string]*wire.Method {
-	m := make(map[string]*wire.Method, len(methods))
-	for i := range methods {
-		m[methods[i].Name] = &methods[i]
-	}
-	return m
-}()
+// The method table: ids are what crosses the wire, names what chaos rules,
+// metrics and error messages say. Outside the package, pbg node starts
+// epochs and reads the lease table, and a caller reads a relation block off
+// a parameter server.
+var (
+	MethodStartEpoch = wire.Method{ID: 1, Name: "LockServer.StartEpoch", MaxReq: maxControl, MaxReply: maxControl}
+	methodAcquire    = wire.Method{ID: 2, Name: "LockServer.AcquireBucket", MaxReq: maxControl, MaxReply: maxControl}
+	methodHeartbeat  = wire.Method{ID: 3, Name: "LockServer.Heartbeat", MaxReq: maxControl, MaxReply: maxControl}
+	methodRelease    = wire.Method{ID: 4, Name: "LockServer.ReleaseBucket", MaxReq: maxControl, MaxReply: maxControl}
+	methodAbandon    = wire.Method{ID: 5, Name: "LockServer.AbandonBucket", MaxReq: maxControl, MaxReply: maxControl}
+	MethodEpochState = wire.Method{ID: 6, Name: "LockServer.EpochState", MaxReq: maxControl, MaxReply: maxBlock}
+	methodGet        = wire.Method{ID: 16, Name: "PartitionServer.Get", MaxReq: maxControl, MaxReply: wire.MaxPayload}
+	methodPut        = wire.Method{ID: 17, Name: "PartitionServer.Put", MaxReq: wire.MaxPayload, MaxReply: maxControl}
+	methodFlush      = wire.Method{ID: 18, Name: "PartitionServer.Flush", MaxReq: maxControl, MaxReply: maxControl}
+	methodInitRel    = wire.Method{ID: 32, Name: "ParamServer.InitRel", MaxReq: maxBlock, MaxReply: maxBlock}
+	methodSync       = wire.Method{ID: 33, Name: "ParamServer.Sync", MaxReq: maxBlock, MaxReply: maxBlock}
+	MethodPull       = wire.Method{ID: 34, Name: "ParamServer.Pull", MaxReq: maxControl, MaxReply: maxBlock}
+)
 
 // The three services, as the method sets a receiver must have. A receiver
 // is dispatched through these, so a type that embeds a server and overrides
@@ -77,10 +71,10 @@ type (
 	}
 )
 
-// newServer builds the wire server for receivers, keyed by service name
-// ("LockServer", "PartitionServer", "ParamServer"). Its transport metrics
-// and server-side spans go to the hub of whichever receiver has one.
-func newServer(receivers map[string]any) (*wire.Server, error) {
+// newServer builds the wire server for receivers, each a lock, partition
+// or parameter server. Its transport metrics and server-side spans go to the
+// hub of whichever receiver has one.
+func newServer(receivers ...any) (*wire.Server, error) {
 	var hub *obs.Hub
 	for _, r := range receivers {
 		if h, ok := r.(interface{ obsHub() *obs.Hub }); ok && h.obsHub() != nil {
@@ -89,45 +83,27 @@ func newServer(receivers map[string]any) (*wire.Server, error) {
 	}
 	srv := wire.NewServer(hub, "dist")
 	srv.Classify = errorStatus
-	for name, r := range receivers {
-		var calls map[string]func() wire.Invocation
-		maxPut := 0
+	for _, r := range receivers {
 		switch s := r.(type) {
 		case lockService:
-			calls = map[string]func() wire.Invocation{
-				"StartEpoch":    wire.Handler(s.StartEpoch, nil),
-				"AcquireBucket": wire.Handler(s.AcquireBucket, nil),
-				"Heartbeat":     wire.Handler(s.Heartbeat, nil),
-				"ReleaseBucket": wire.Handler(s.ReleaseBucket, nil),
-				"AbandonBucket": wire.Handler(s.AbandonBucket, nil),
-				"EpochState":    wire.Handler(s.EpochState, nil),
-			}
+			srv.Handle(MethodStartEpoch, wire.Handler(s.StartEpoch, nil))
+			srv.Handle(methodAcquire, wire.Handler(s.AcquireBucket, nil))
+			srv.Handle(methodHeartbeat, wire.Handler(s.Heartbeat, nil))
+			srv.Handle(methodRelease, wire.Handler(s.ReleaseBucket, nil))
+			srv.Handle(methodAbandon, wire.Handler(s.AbandonBucket, nil))
+			srv.Handle(MethodEpochState, wire.Handler(s.EpochState, nil))
 		case partitionService:
-			maxPut = s.maxPutBytes()
-			calls = map[string]func() wire.Invocation{
-				"Get":   wire.Handler(s.Get, nil),
-				"Put":   wire.Handler(s.Put, func(a *PutArgs) { a.alloc = s.imageBuf }),
-				"Flush": wire.Handler(s.Flush, nil),
-			}
+			put := methodPut
+			put.MaxReq = s.maxPutBytes()
+			srv.Handle(methodGet, wire.Handler(s.Get, nil))
+			srv.Handle(put, wire.Handler(s.Put, func(a *PutArgs) { a.alloc = s.imageBuf }))
+			srv.Handle(methodFlush, wire.Handler(s.Flush, nil))
 		case paramService:
-			calls = map[string]func() wire.Invocation{
-				"InitRel": wire.Handler(s.InitRel, nil),
-				"Sync":    wire.Handler(s.Sync, nil),
-				"Pull":    wire.Handler(s.Pull, nil),
-			}
+			srv.Handle(methodInitRel, wire.Handler(s.InitRel, nil))
+			srv.Handle(methodSync, wire.Handler(s.Sync, nil))
+			srv.Handle(MethodPull, wire.Handler(s.Pull, nil))
 		default:
 			return nil, fmt.Errorf("dist: %T is not a lock, partition or parameter server", r)
-		}
-		for call, newCall := range calls {
-			m := methodByName[name+"."+call]
-			if m == nil {
-				return nil, fmt.Errorf("dist: %T served as %q, which has no method %s", r, name, call)
-			}
-			method := *m
-			if call == "Put" {
-				method.MaxReq = maxPut
-			}
-			srv.Handle(method, newCall)
 		}
 	}
 	return srv, nil
@@ -136,8 +112,8 @@ func newServer(receivers map[string]any) (*wire.Server, error) {
 // ListenAndServe serves receivers (see newServer) on addr until the returned
 // listener is closed; connections already accepted live until their client
 // hangs up.
-func ListenAndServe(addr string, receivers map[string]any) (net.Listener, error) {
-	srv, err := newServer(receivers)
+func ListenAndServe(addr string, receivers ...any) (net.Listener, error) {
+	srv, err := newServer(receivers...)
 	if err != nil {
 		return nil, err
 	}
@@ -151,39 +127,40 @@ func ListenAndServe(addr string, receivers map[string]any) (net.Listener, error)
 
 // serve is ListenAndServe on a fresh loopback port; it returns the bound
 // address.
-func serve(receivers map[string]any) (net.Listener, string, error) {
-	l, err := ListenAndServe("127.0.0.1:0", receivers)
+func serve(receivers ...any) (net.Listener, string, error) {
+	l, err := ListenAndServe("127.0.0.1:0", receivers...)
 	if err != nil {
 		return nil, "", err
 	}
 	return l, l.Addr().String(), nil
 }
 
-// Call makes one call to the server at addr over a connection of its own,
-// with the default retry policy.
-func Call(addr, method string, args, reply any) error {
+// Call makes one call of method m to the server at addr over a connection
+// of its own, with the default retry policy. args and reply are pointers to
+// the method's messages.
+func Call(addr string, m *wire.Method, args, reply any) error {
 	rc, err := dialRetry("server", addr, RetryPolicy{}, nil, "")
 	if err != nil {
 		return err
 	}
 	defer rc.Close()
-	return rc.Call(method, args, reply)
+	return rc.Call(m, args, reply)
 }
 
-// --- Message encodings: each flat message lists its fields once, in wire
-// order (wire.Fields); that walk is both its encoder and its decoder ---
+// --- Message encodings: each flat message is its walk over wire.Fields,
+// its fields listed once in wire order: its encoder and its decoder ---
 
 func bucketFields(b *partition.Bucket, f *wire.Fields) { f.Int(&b.P1); f.Int(&b.P2) }
 
-func (a *StartEpochArgs) fields(f *wire.Fields) { f.Int(&a.Epoch) }
+func (a *StartEpochArgs) Fields(f *wire.Fields) { f.Int(&a.Epoch) }
 
-func (r *StartEpochReply) fields(f *wire.Fields) { f.Int(&r.Epoch); f.Int(&r.Pending) }
+func (r *StartEpochReply) Fields(f *wire.Fields) { f.Int(&r.Epoch); f.Int(&r.Pending) }
 
-func (a *AcquireArgs) fields(f *wire.Fields) { f.Int(&a.Epoch); f.Int(&a.Rank); f.Uint64(&a.Token) }
+func (a *AcquireArgs) Fields(f *wire.Fields) { f.Int(&a.Epoch); f.Int(&a.Rank); f.Uint64(&a.Token) }
 
-func (a *HeartbeatArgs) fields(f *wire.Fields) { (*AcquireArgs)(a).fields(f) }
+func (a *HeartbeatArgs) Fields(f *wire.Fields) { (*AcquireArgs)(a).Fields(f) }
 
-func (r *AcquireReply) fields(f *wire.Fields) {
+func (r *AcquireReply) Fields(f *wire.Fields) {
 	f.Bool(&r.Granted)
 	bucketFields(&r.Bucket, f)
 	f.Bool(&r.Done)
@@ -191,7 +168,7 @@ func (r *AcquireReply) fields(f *wire.Fields) {
 	f.Int64((*int64)(&r.TTL))
 }
 
-func (a *ReleaseArgs) fields(f *wire.Fields) {
+func (a *ReleaseArgs) Fields(f *wire.Fields) {
 	f.Int(&a.Epoch)
 	f.Int(&a.Rank)
 	f.Uint64(&a.Token)
@@ -208,13 +185,13 @@ func (l *LeaseInfo) fields(f *wire.Fields) {
 	f.Bool(&l.Uncommitted)
 }
 
-func (r *EpochStateReply) fields(f *wire.Fields) {
+func (r *EpochStateReply) Fields(f *wire.Fields) {
 	f.Int(&r.Epoch)
 	wire.Slice(f, &r.Done, 16, 0, bucketFields)
 	wire.Slice(f, &r.Leases, 8+16+8+8+1, 0, (*LeaseInfo).fields)
 }
 
-func (a *GetArgs) fields(f *wire.Fields) {
+func (a *GetArgs) Fields(f *wire.Fields) {
 	f.Int(&a.TypeIndex)
 	f.Int(&a.Part)
 	f.Int(&a.Count)
@@ -223,42 +200,15 @@ func (a *GetArgs) fields(f *wire.Fields) {
 	f.Uint64(&a.Token)
 }
 
-func (a *InitRelArgs) fields(f *wire.Fields) { f.Int(&a.Rel); f.Floats(&a.Params) }
+func (a *InitRelArgs) Fields(f *wire.Fields) { f.Int(&a.Rel); f.Floats(&a.Params) }
 
-func (a *SyncArgs) fields(f *wire.Fields) { f.Int(&a.Rel); f.Floats(&a.Delta) }
+func (a *SyncArgs) Fields(f *wire.Fields) { f.Int(&a.Rel); f.Floats(&a.Delta) }
 
-func (r *SyncReply) fields(f *wire.Fields) { f.Floats(&r.Params); f.Int64(&r.Version) }
+func (r *SyncReply) Fields(f *wire.Fields) { f.Floats(&r.Params); f.Int64(&r.Version) }
 
-func (r *InitRelReply) fields(f *wire.Fields) { (*SyncReply)(r).fields(f) }
+func (r *InitRelReply) Fields(f *wire.Fields) { (*SyncReply)(r).Fields(f) }
 
-func (a *PullArgs) fields(f *wire.Fields) { f.Int(&a.Rel) }
-
-func (a StartEpochArgs) AppendWire(dst []byte) []byte  { return wire.Append(dst, a.fields) }
-func (a *StartEpochArgs) ParseWire(b []byte) error     { return wire.Parse(b, a.fields) }
-func (r StartEpochReply) AppendWire(dst []byte) []byte { return wire.Append(dst, r.fields) }
-func (r *StartEpochReply) ParseWire(b []byte) error    { return wire.Parse(b, r.fields) }
-func (a AcquireArgs) AppendWire(dst []byte) []byte     { return wire.Append(dst, a.fields) }
-func (a *AcquireArgs) ParseWire(b []byte) error        { return wire.Parse(b, a.fields) }
-func (r AcquireReply) AppendWire(dst []byte) []byte    { return wire.Append(dst, r.fields) }
-func (r *AcquireReply) ParseWire(b []byte) error       { return wire.Parse(b, r.fields) }
-func (a ReleaseArgs) AppendWire(dst []byte) []byte     { return wire.Append(dst, a.fields) }
-func (a *ReleaseArgs) ParseWire(b []byte) error        { return wire.Parse(b, a.fields) }
-func (a HeartbeatArgs) AppendWire(dst []byte) []byte   { return wire.Append(dst, a.fields) }
-func (a *HeartbeatArgs) ParseWire(b []byte) error      { return wire.Parse(b, a.fields) }
-func (r EpochStateReply) AppendWire(dst []byte) []byte { return wire.Append(dst, r.fields) }
-func (r *EpochStateReply) ParseWire(b []byte) error    { return wire.Parse(b, r.fields) }
-func (a GetArgs) AppendWire(dst []byte) []byte         { return wire.Append(dst, a.fields) }
-func (a *GetArgs) ParseWire(b []byte) error            { return wire.Parse(b, a.fields) }
-func (a InitRelArgs) AppendWire(dst []byte) []byte     { return wire.Append(dst, a.fields) }
-func (a *InitRelArgs) ParseWire(b []byte) error        { return wire.Parse(b, a.fields) }
-func (r InitRelReply) AppendWire(dst []byte) []byte    { return wire.Append(dst, r.fields) }
-func (r *InitRelReply) ParseWire(b []byte) error       { return wire.Parse(b, r.fields) }
-func (a SyncArgs) AppendWire(dst []byte) []byte        { return wire.Append(dst, a.fields) }
-func (a *SyncArgs) ParseWire(b []byte) error           { return wire.Parse(b, a.fields) }
-func (r SyncReply) AppendWire(dst []byte) []byte       { return wire.Append(dst, r.fields) }
-func (r *SyncReply) ParseWire(b []byte) error          { return wire.Parse(b, r.fields) }
-func (a PullArgs) AppendWire(dst []byte) []byte        { return wire.Append(dst, a.fields) }
-func (a *PullArgs) ParseWire(b []byte) error           { return wire.Parse(b, a.fields) }
+func (a *PullArgs) Fields(f *wire.Fields) { f.Int(&a.Rel) }
 
 // --- The data plane: stream messages ---
 

@@ -36,10 +36,10 @@ const swapDim = 64
 
 // wireMessages is one value of every message that crosses the wire, with
 // every field set to something its zero value is not.
-func wireMessages() []any {
+func wireMessages() []wire.Flat {
 	deadline := time.Unix(1700000000, 123456789)
 	buckets := []partition.Bucket{{P1: 1, P2: 2}, {P1: 3, P2: 0}}
-	return []any{
+	return []wire.Flat{
 		&StartEpochArgs{Epoch: 7},
 		&StartEpochReply{Epoch: 7, Pending: 16},
 		&AcquireArgs{Epoch: 3, Rank: 1, Token: 1<<63 + 9},
@@ -80,9 +80,9 @@ func (a PutArgs) WriteWire(w io.Writer) error {
 // and to what gob did not: one encoding per value.
 func TestWireStructsRoundTrip(t *testing.T) {
 	for _, msg := range wireMessages() {
-		enc := msg.(wire.Appender).AppendWire(nil)
-		back := reflect.New(reflect.TypeOf(msg).Elem()).Interface()
-		if err := back.(wire.Parser).ParseWire(enc); err != nil {
+		enc := wire.Append(nil, msg.Fields)
+		back := reflect.New(reflect.TypeOf(msg).Elem()).Interface().(wire.Flat)
+		if err := wire.Parse(enc, back.Fields); err != nil {
 			t.Fatalf("%T: %v", msg, err)
 		}
 		if es, ok := back.(*EpochStateReply); ok {
@@ -97,15 +97,15 @@ func TestWireStructsRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(back, msg) {
 			t.Fatalf("%T arrived as %+v, sent %+v", msg, back, msg)
 		}
-		if again := back.(wire.Appender).AppendWire(nil); !bytes.Equal(again, enc) {
+		if again := wire.Append(nil, back.Fields); !bytes.Equal(again, enc) {
 			t.Fatalf("%T re-encodes differently", msg)
 		}
 		if len(enc) > 0 {
-			if err := back.(wire.Parser).ParseWire(enc[:len(enc)-1]); err == nil {
+			if err := wire.Parse(enc[:len(enc)-1], back.Fields); err == nil {
 				t.Fatalf("%T parsed a truncated payload", msg)
 			}
 		}
-		if err := back.(wire.Parser).ParseWire(append(enc, 0)); err == nil {
+		if err := wire.Parse(append(enc, 0), back.Fields); err == nil {
 			t.Fatalf("%T parsed a payload with a trailing byte", msg)
 		}
 	}
@@ -143,8 +143,8 @@ func TestWireStructsRoundTrip(t *testing.T) {
 
 // serveMessages is one value of each of serve's flat messages with every
 // field set to something its zero value is not.
-func serveMessages() []any {
-	return []any{
+func serveMessages() []wire.Flat {
+	return []wire.Flat{
 		&serving.TopKArgs{Reqs: []serving.TopKRequest{
 			{Rel: 1, SrcID: 3, Vector: []float32{0.5, -1}, K: 10, Exact: true, NProbe: 4},
 			{Rel: 2, SrcID: -7, Vector: []float32{2}, K: 1, Exact: true, NProbe: -1},
@@ -206,26 +206,26 @@ func TestWireBytesMatchParent(t *testing.T) {
 		t.Fatalf("%d messages, %d encodings", len(msgs), len(want))
 	}
 	for i, msg := range msgs {
-		if got := hex.EncodeToString(msg.(wire.Appender).AppendWire(nil)); got != want[i] {
+		if got := hex.EncodeToString(wire.Append(nil, msg.Fields)); got != want[i] {
 			t.Errorf("%T encodes as %s, want %s", msg, got, want[i])
 		}
 	}
 	for _, msg := range serveMessages() {
-		enc := msg.(wire.Appender).AppendWire(nil)
-		back := reflect.New(reflect.TypeOf(msg).Elem()).Interface()
-		if err := back.(wire.Parser).ParseWire(enc); err != nil {
+		enc := wire.Append(nil, msg.Fields)
+		back := reflect.New(reflect.TypeOf(msg).Elem()).Interface().(wire.Flat)
+		if err := wire.Parse(enc, back.Fields); err != nil {
 			t.Fatalf("%T: %v", msg, err)
 		}
 		if !reflect.DeepEqual(back, msg) {
 			t.Fatalf("%T arrived as %+v, sent %+v", msg, back, msg)
 		}
-		if again := back.(wire.Appender).AppendWire(nil); !bytes.Equal(again, enc) {
+		if again := wire.Append(nil, back.Fields); !bytes.Equal(again, enc) {
 			t.Fatalf("%T re-encodes differently", msg)
 		}
-		if err := back.(wire.Parser).ParseWire(enc[:len(enc)-1]); err == nil {
+		if err := wire.Parse(enc[:len(enc)-1], back.Fields); err == nil {
 			t.Fatalf("%T parsed a truncated payload", msg)
 		}
-		if err := back.(wire.Parser).ParseWire(append(enc, 0)); err == nil {
+		if err := wire.Parse(append(enc, 0), back.Fields); err == nil {
 			t.Fatalf("%T parsed a payload with a trailing byte", msg)
 		}
 	}
@@ -237,7 +237,7 @@ func TestWireBytesMatchParent(t *testing.T) {
 // seconds.
 func TestHeartbeatNotBlockedByParkedAcquire(t *testing.T) {
 	ls := NewLockServer(insideOutOrder(t, 2), WithLeaseTTL(time.Minute))
-	l, addr, err := serve(map[string]any{"LockServer": ls})
+	l, addr, err := serve(ls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,18 +248,18 @@ func TestHeartbeatNotBlockedByParkedAcquire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rc.Close()
-	if err := rc.Call("LockServer.StartEpoch", StartEpochArgs{Epoch: 1}, &StartEpochReply{}); err != nil {
+	if err := rc.Call(&MethodStartEpoch, &StartEpochArgs{Epoch: 1}, &StartEpochReply{}); err != nil {
 		t.Fatal(err)
 	}
 	// Rank 0 takes a bucket; in the first epoch every other bucket then
 	// touches its partitions or none established, so rank 1 parks.
 	var held AcquireReply
-	if err := rc.Call("LockServer.AcquireBucket", AcquireArgs{Epoch: 1, Rank: 0}, &held); err != nil || !held.Granted {
+	if err := rc.Call(&methodAcquire, &AcquireArgs{Epoch: 1, Rank: 0}, &held); err != nil || !held.Granted {
 		t.Fatalf("first grant: %+v, %v", held, err)
 	}
 	parked := make(chan error, 1)
 	var late AcquireReply
-	go func() { parked <- rc.Call("LockServer.AcquireBucket", AcquireArgs{Epoch: 1, Rank: 1}, &late) }()
+	go func() { parked <- rc.Call(&methodAcquire, &AcquireArgs{Epoch: 1, Rank: 1}, &late) }()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		ls.mu.Lock()
@@ -273,7 +273,7 @@ func TestHeartbeatNotBlockedByParkedAcquire(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if err := rc.Call("LockServer.Heartbeat", HeartbeatArgs{Epoch: 1, Rank: 0, Token: held.Token}, &Ack{}); err != nil {
+	if err := rc.Call(&methodHeartbeat, &HeartbeatArgs{Epoch: 1, Rank: 0, Token: held.Token}, &Ack{}); err != nil {
 		t.Fatalf("heartbeat behind a parked acquire: %v", err)
 	}
 	select {
@@ -281,7 +281,7 @@ func TestHeartbeatNotBlockedByParkedAcquire(t *testing.T) {
 		t.Fatalf("the parked acquire returned early: %+v, %v", late, err)
 	default:
 	}
-	if err := rc.Call("LockServer.ReleaseBucket", ReleaseArgs{Epoch: 1, Rank: 0, Token: held.Token,
+	if err := rc.Call(&methodRelease, &ReleaseArgs{Epoch: 1, Rank: 0, Token: held.Token,
 		Buckets: []partition.Bucket{held.Bucket}, Parts: held.Bucket.Parts()}, &Ack{}); err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func (s *slowParams) Pull(args PullArgs, reply *SyncReply) error {
 // reply either (under -race a late write is a reported race).
 func TestTimedOutCallNeverDeliversLate(t *testing.T) {
 	srv := &slowParams{ParamServer: NewParamServer(), release: make(chan struct{})}
-	l, addr, err := serve(map[string]any{"ParamServer": srv})
+	l, addr, err := serve(srv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,12 +331,12 @@ func TestTimedOutCallNeverDeliversLate(t *testing.T) {
 	rc.bindMetrics(reg)
 
 	var first SyncReply
-	err = rc.Call("ParamServer.Pull", PullArgs{Rel: 0}, &first)
+	err = rc.Call(&MethodPull, &PullArgs{Rel: 0}, &first)
 	if !errors.Is(err, errCallTimeout) {
 		t.Fatalf("parked call: %v, want a timeout", err)
 	}
 	var second SyncReply
-	if err := rc.Call("ParamServer.Pull", PullArgs{Rel: 0}, &second); err != nil {
+	if err := rc.Call(&MethodPull, &PullArgs{Rel: 0}, &second); err != nil {
 		t.Fatal(err)
 	}
 	if second.Version != 2 || reg.Counter("pbg_dist_rpc_reconnects_total").Value() != 1 {
@@ -345,7 +345,7 @@ func TestTimedOutCallNeverDeliversLate(t *testing.T) {
 	}
 	close(srv.release) // the first call's handler answers now, into a dead connection
 	var third SyncReply
-	if err := rc.Call("ParamServer.Pull", PullArgs{Rel: 0}, &third); err != nil || third.Version != 3 {
+	if err := rc.Call(&MethodPull, &PullArgs{Rel: 0}, &third); err != nil || third.Version != 3 {
 		t.Fatalf("third call: version %d, %v", third.Version, err)
 	}
 	if first.Version != 0 || first.Params != nil {
@@ -360,7 +360,7 @@ func TestTimedOutCallNeverDeliversLate(t *testing.T) {
 func TestGetDuringPutsSeesWholeImages(t *testing.T) {
 	schema, dim := testSchema(t), 16
 	ps := NewPartitionServer(schema, dim, 1)
-	l, addr, err := serve(map[string]any{"PartitionServer": ps})
+	l, addr, err := serve(ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +395,7 @@ func TestGetDuringPutsSeesWholeImages(t *testing.T) {
 			sh := storage.NewShard(0, 0, count, dim)
 			for i := 0; i < rounds; i++ {
 				uniform(sh, float32(w*rounds+i+1))
-				if err := rc.Call("PartitionServer.Put", shardOut{sh: sh}, &Ack{}); err != nil {
+				if err := rc.Call(&methodPut, shardOut{sh: sh}, &Ack{}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -420,7 +420,7 @@ func TestGetDuringPutsSeesWholeImages(t *testing.T) {
 					return
 				default:
 				}
-				if err := rc.Call("PartitionServer.Get", get, &in); err != nil {
+				if err := rc.Call(&methodGet, &get, &in); err != nil {
 					t.Error(err)
 					return
 				}
@@ -506,7 +506,7 @@ func TestSwapSteadyStateAllocs(t *testing.T) {
 func TestErrorClassIsACodeNotASubstring(t *testing.T) {
 	ls := NewLockServer(insideOutOrder(t, 2), WithLeaseTTL(time.Minute))
 	quoting := &quotingParams{ParamServer: NewParamServer()}
-	l, addr, err := serve(map[string]any{"LockServer": ls, "ParamServer": quoting})
+	l, addr, err := serve(ls, quoting)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,12 +516,12 @@ func TestErrorClassIsACodeNotASubstring(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rc.Close()
-	if err := rc.Call("LockServer.StartEpoch", StartEpochArgs{Epoch: 1}, &StartEpochReply{}); err != nil {
+	if err := rc.Call(&MethodStartEpoch, &StartEpochArgs{Epoch: 1}, &StartEpochReply{}); err != nil {
 		t.Fatal(err)
 	}
 	// A heartbeat from a rank that holds nothing is a stale-lease rejection.
 	direct := ls.Heartbeat(HeartbeatArgs{Epoch: 1, Rank: 0, Token: 9}, &Ack{})
-	err = rc.Call("LockServer.Heartbeat", HeartbeatArgs{Epoch: 1, Rank: 0, Token: 9}, &Ack{})
+	err = rc.Call(&methodHeartbeat, &HeartbeatArgs{Epoch: 1, Rank: 0, Token: 9}, &Ack{})
 	if !errors.Is(err, ErrStaleLease) || !IsStaleLease(err) || !IsFenced(err) || errors.Is(err, ErrFenced) {
 		t.Fatalf("stale lease over the wire: %v", err)
 	}
@@ -531,7 +531,7 @@ func TestErrorClassIsACodeNotASubstring(t *testing.T) {
 	if isTransientRPC(err) {
 		t.Fatal("a server verdict must not be retried")
 	}
-	err = rc.Call("ParamServer.Pull", PullArgs{Rel: 1}, &SyncReply{})
+	err = rc.Call(&MethodPull, &PullArgs{Rel: 1}, &SyncReply{})
 	if err == nil || !strings.Contains(err.Error(), "dist: stale lease") || !strings.Contains(err.Error(), "dist: fenced write") {
 		t.Fatalf("quoting error: %v", err)
 	}
@@ -597,7 +597,7 @@ func TestServerSpanIsChildOfTrainerSpan(t *testing.T) {
 // reporting ns/op and B/op beside BenchmarkClusterEpoch.
 func BenchmarkSwap(b *testing.B) {
 	schema := swapSchema()
-	l, addr, err := serve(map[string]any{"PartitionServer": NewPartitionServer(schema, swapDim, 1)})
+	l, addr, err := serve(NewPartitionServer(schema, swapDim, 1))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -523,7 +523,7 @@ func twoTypes(parts int) *graph.Schema {
 // reference: each side gathers its candidates one Embedding call at a
 // time into a matrix of its own, scores the true edge through
 // model.Scorer.Score (or reverseScore), the candidate destinations through
-// ScoreMany and the candidate sources one reverseScore at a time, and
+// forwardScores and the candidate sources one reverseScore at a time, and
 // filters by looking every candidate's triple up among the known edges.
 func referenceEvaluate(fx *fixture, cfg Config) (Metrics, error) {
 	if cfg.K == 0 {
@@ -628,9 +628,22 @@ func referenceRankSide(fx *fixture, r *rng.RNG, cfg Config, known map[[3]int32]b
 			scores[j] = reverseScore(sc, cand.Row(j), dstEmb, params)
 		}
 	} else {
-		sc.ScoreMany(scores, srcEmb, params, cand)
+		forwardScores(sc, scores, srcEmb, params, cand)
 	}
 	return MidRank(trueScore, scores), nil
+}
+
+// forwardScores scores the transformed query src against every candidate
+// row, out[j] = sim(g(src), cand_j), in one CrossScoresRows block; cand is
+// prepared in place.
+func forwardScores(sc *model.Scorer, out, src, relParams []float32, cand vec.Matrix) {
+	fwd, _ := sc.SplitRelParams(relParams)
+	ts := make([]float32, sc.Dim)
+	sc.Op.Apply(ts, src, fwd)
+	a := vec.MatrixFrom(ts, 1, sc.Dim)
+	sc.Cmp.Prepare(a)
+	sc.Cmp.Prepare(cand)
+	sc.Cmp.CrossScoresRows(vec.MatrixFrom(out, 1, len(out)), a, cand, nil)
 }
 
 // reverseScore is the score of (src, rel, dst) as a corrupted source sees

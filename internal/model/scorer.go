@@ -95,20 +95,6 @@ func (s *Scorer) Score(src, dst, relParams []float32) float32 {
 	return out[0]
 }
 
-// ScoreMany computes scores of one transformed query against many candidate
-// rows: out[j] = sim(g(src), cand_j). cand is modified in place by Prepare;
-// pass a scratch copy.
-func (s *Scorer) ScoreMany(out []float32, src, relParams []float32, cand vec.Matrix) {
-	fwd, _ := s.SplitRelParams(relParams)
-	ts := make([]float32, s.Dim)
-	s.Op.Apply(ts, src, fwd)
-	a := vec.MatrixFrom(ts, 1, s.Dim)
-	s.Cmp.Prepare(a)
-	s.Cmp.Prepare(cand)
-	o := vec.MatrixFrom(out, 1, len(out))
-	s.Cmp.CrossScoresRows(o, a, cand, nil)
-}
-
 // ChunkInput is one chunk of positive edges plus the uniformly sampled
 // candidate entities, with raw (untransformed, unprepared) embeddings
 // gathered by the caller. C = Src.Rows positives, U = USrc.Rows extra

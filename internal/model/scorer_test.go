@@ -396,21 +396,6 @@ func TestScoreSingleEdgeConsistency(t *testing.T) {
 	}
 }
 
-func TestScoreManyMatchesScore(t *testing.T) {
-	s, _ := NewScorer(6, "diagonal", "dot", "logistic", 0.1, false)
-	in := makeChunk(s, 3, 0, 29)
-	cand := vec.NewMatrix(3, 6)
-	copy(cand.Data, in.Dst.Data)
-	out := make([]float32, 3)
-	s.ScoreMany(out, in.Src.Row(0), in.RelFwd, cand)
-	for j := 0; j < 3; j++ {
-		want := s.Score(in.Src.Row(0), in.Dst.Row(j), in.RelFwd)
-		if !approx(out[j], want, 1e-4) {
-			t.Fatalf("ScoreMany[%d] = %v, want %v", j, out[j], want)
-		}
-	}
-}
-
 func TestWorkspaceTooSmallPanics(t *testing.T) {
 	s, _ := NewScorer(4, "identity", "dot", "ranking", 0.1, false)
 	in := makeChunk(s, 4, 2, 31)

@@ -80,3 +80,27 @@ func TestRankSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("a warm Rank over %d rows allocates %d bytes, want < 1 KiB", f.Cfg.Nodes, best)
 	}
 }
+
+// TestTopKRoundTripAllocs pins what a warm one-request TopK costs over a
+// loopback connection, both ends counted: on the client the call, its done
+// channel, the arguments, the reply and the reply's three decoded slices; on
+// the server the invocation, the decoded batch, the handler goroutine's
+// arguments and the engine's three result slices. The messages' walks run
+// on the connections' own cursors, and a reply that is not an error
+// allocates no error holder: with a fresh cursor per walk and a holder per
+// reply it was 18.
+func TestTopKRoundTripAllocs(t *testing.T) {
+	f := Shared(t, FixtureConfig{})
+	_, c := dialTestServer(t, f)
+	reqs := f.Requests(77, 1, 5, true)
+	call := func() {
+		if _, err := c.TopK(reqs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	call()
+	const want = 7 + 6
+	if allocs := testing.AllocsPerRun(200, call); allocs > want {
+		t.Fatalf("a warm TopK round trip made %.0f allocations, want %d", allocs, want)
+	}
+}

@@ -4,9 +4,9 @@ package serve_test
 // storetest: seeded tiny trained fixtures shared across tests, scripted
 // request streams, and an exact brute-force oracle that is deliberately
 // independent of internal/serve — it loads shards through storage.ReadShard
-// (not serve's zero-copy views) and scores through model.Scorer.ScoreMany
-// (not the batched engine), so agreement between the two is evidence, not
-// tautology.
+// (not serve's zero-copy views) and scores each query as one model
+// comparator block over every candidate (not the batched engine), so
+// agreement between the two is evidence, not tautology.
 
 import (
 	"fmt"
@@ -289,8 +289,8 @@ func (f *Fixture) ServerConfig() serve.Config {
 }
 
 // Oracle is the exact brute-force reference: embeddings loaded through the
-// storage codec into private memory, scored per query via
-// model.Scorer.ScoreMany, ranked by eval.CompareScored. It never touches
+// storage codec into private memory, scored per query as one comparator
+// block over every candidate, ranked by eval.CompareScored. It never touches
 // internal/serve's read or scoring paths.
 type Oracle struct {
 	schema  *graph.Schema
@@ -347,7 +347,8 @@ func loadOracle(dir string, schema *graph.Schema, dim int, comparator string) (*
 
 // AllScores returns the query's score against every destination-type
 // entity, by ID. The query is the stored embedding of srcID (or vector,
-// if non-nil), transformed and scored exactly as model.Scorer.ScoreMany.
+// if non-nil), transformed and scored against every candidate row in one
+// CrossScoresRows block.
 func (o *Oracle) AllScores(rel int, srcID int32, vector []float32) []float32 {
 	srcType := o.schema.EntityTypeIndex(o.schema.Relations[rel].SourceType)
 	dstType := o.schema.EntityTypeIndex(o.schema.Relations[rel].DestType)
@@ -358,8 +359,14 @@ func (o *Oracle) AllScores(rel int, srcID int32, vector []float32) []float32 {
 	cands := o.embs[dstType]
 	scratch := vec.NewMatrix(cands.Rows, o.dim)
 	copy(scratch.Data, cands.Data)
+	sc := o.scorers[rel]
+	fwd, _ := sc.SplitRelParams(o.params[rel])
+	q := vec.NewMatrix(1, o.dim)
+	sc.Op.Apply(q.Data, src, fwd)
+	sc.Cmp.Prepare(q)
+	sc.Cmp.Prepare(scratch)
 	scores := make([]float32, cands.Rows)
-	o.scorers[rel].ScoreMany(scores, src, o.params[rel], scratch)
+	sc.Cmp.CrossScoresRows(vec.MatrixFrom(scores, 1, len(scores)), q, scratch, nil)
 	return scores
 }
 

@@ -219,7 +219,7 @@ func FuzzReadIVF(f *testing.F) {
 }
 
 // FuzzTopKRequest drives what a connection runs for a TopK frame's payload
-// — TopKArgs.ParseWire, then the handler with its Validate — with arbitrary
+// — TopKArgs' walk, then the handler with its Validate — with arbitrary
 // bytes: the parser must error or return a batch that re-encodes to exactly
 // the bytes it was given (one encoding per value, nothing ignored) and that
 // the handler either rejects or serves. Panics, over-reads and allocations
@@ -228,7 +228,7 @@ func FuzzTopKRequest(f *testing.F) {
 	s := fuzzServer(f)
 	sv := &Service{s: s}
 
-	seed := func(a TopKArgs) []byte { return a.AppendWire(nil) }
+	seed := func(a TopKArgs) []byte { return wire.Append(nil, a.Fields) }
 	f.Add(seed(TopKArgs{Reqs: []TopKRequest{{Rel: 0, SrcID: 3, K: 5}}}))
 	f.Add(seed(TopKArgs{Reqs: []TopKRequest{{Rel: 0, SrcID: 3, K: 5, Exact: true}, {Rel: 0, Vector: []float32{1, 2, 3, 4}, K: 1}}}))
 	f.Add(seed(TopKArgs{Reqs: []TopKRequest{{Rel: 7, SrcID: -4, K: -2, NProbe: -9}}}))
@@ -239,10 +239,10 @@ func FuzzTopKRequest(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var args TopKArgs
-		if err := args.ParseWire(data); err != nil {
+		if err := wire.Parse(data, args.Fields); err != nil {
 			return
 		}
-		if again := args.AppendWire(nil); !bytes.Equal(again, data) {
+		if again := wire.Append(nil, args.Fields); !bytes.Equal(again, data) {
 			t.Fatalf("parsed batch re-encodes to %d bytes %x, payload was %d bytes %x", len(again), again, len(data), data)
 		}
 		if args.Validate(s) != nil {
@@ -268,24 +268,24 @@ func FuzzTopKRequest(f *testing.F) {
 func FuzzServeFrame(f *testing.F) {
 	srv := newWireServer(fuzzServer(f))
 	methods := []wire.Method{methodTopK, methodScore, methodRank, methodReload, methodStats}
-	frame := func(m wire.Method, msg wire.Appender) []byte {
-		payload := msg.AppendWire(nil)
+	frame := func(m wire.Method, msg wire.Flat) []byte {
+		payload := wire.Append(nil, msg.Fields)
 		h := wire.Header{Method: m.ID, ID: 5, Span: 6, Len: uint32(len(payload))}
 		return append(h.Append(nil), payload...)
 	}
-	f.Add(frame(methodTopK, TopKArgs{Reqs: []TopKRequest{{Rel: 0, SrcID: 3, K: 5}, {Vector: []float32{1, 2, 3, 4}, K: 1, Exact: true}}}))
-	f.Add(frame(methodScore, ScoreArgs{Reqs: []ScoreRequest{{Rel: 0, Src: 1, Dst: 2}}}))
-	f.Add(frame(methodRank, RankArgs{Rel: 0, Src: 1, Dst: 2}))
-	f.Add(frame(methodReload, ReloadArgs{Dir: "run"}))
-	f.Add(frame(methodStats, StatsArgs{}))
-	f.Add(TopKReply{Results: []TopKResult{{IDs: []int32{3, 1}, Scores: []float32{0.5, 0.25}, Scanned: 20, Probed: 2}}}.AppendWire(nil))
-	f.Add(StatsReply{Stats: Stats{Dir: "run", MappedShards: 2, HasIndex: true}}.AppendWire(nil))
+	f.Add(frame(methodTopK, &TopKArgs{Reqs: []TopKRequest{{Rel: 0, SrcID: 3, K: 5}, {Vector: []float32{1, 2, 3, 4}, K: 1, Exact: true}}}))
+	f.Add(frame(methodScore, &ScoreArgs{Reqs: []ScoreRequest{{Rel: 0, Src: 1, Dst: 2}}}))
+	f.Add(frame(methodRank, &RankArgs{Rel: 0, Src: 1, Dst: 2}))
+	f.Add(frame(methodReload, &ReloadArgs{Dir: "run"}))
+	f.Add(frame(methodStats, &StatsArgs{}))
+	f.Add(wire.Append(nil, (&TopKReply{Results: []TopKResult{{IDs: []int32{3, 1}, Scores: []float32{0.5, 0.25}, Scanned: 20, Probed: 2}}}).Fields))
+	f.Add(wire.Append(nil, (&StatsReply{Stats: Stats{Dir: "run", MappedShards: 2, HasIndex: true}}).Fields))
 	f.Add(wire.Header{Method: methodTopK.ID, Len: maxBatchBytes}.Append([]byte{0xff, 0xff, 0xff, 0xff}))
 	f.Add(wire.Header{Method: methodScore.ID, Len: 4}.Append([]byte{0x01, 0x10, 0, 0}))
 	f.Add([]byte{})
 
-	replies := func() []wire.Parser {
-		return []wire.Parser{&TopKReply{}, &ScoreReply{}, &RankReply{}, &StatsReply{}}
+	replies := func() []wire.Flat {
+		return []wire.Flat{&TopKReply{}, &ScoreReply{}, &RankReply{}, &StatsReply{}}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
@@ -311,15 +311,15 @@ func FuzzServeFrame(f *testing.F) {
 				t.Fatalf("header %x re-encodes as %x", data[:wire.HeaderBytes], again)
 			}
 			payload := data[wire.HeaderBytes : wire.HeaderBytes+int(h.Len)]
-			if again := args.(wire.Appender).AppendWire(nil); !bytes.Equal(again, payload) {
+			if again := wire.Append(nil, args.(wire.Flat).Fields); !bytes.Equal(again, payload) {
 				t.Fatalf("method %d: %T re-encodes as %x, payload was %x", h.Method, args, again, payload)
 			}
 		}
 		for _, r := range replies() {
-			if r.ParseWire(data) != nil {
+			if wire.Parse(data, r.Fields) != nil {
 				continue
 			}
-			if again := r.(wire.Appender).AppendWire(nil); !bytes.Equal(again, data) {
+			if again := wire.Append(nil, r.Fields); !bytes.Equal(again, data) {
 				t.Fatalf("%T re-encodes as %x, payload was %x", r, again, data)
 			}
 		}

@@ -17,8 +17,8 @@ import (
 // and its parser, which allocates nothing the payload's own bytes do not
 // back and holds a batch to rpcMaxBatch before allocating it), and Validate
 // checks every field against the schema. FuzzServeFrame drives that surface
-// and the reply parsers with arbitrary bytes, FuzzTopKRequest a TopK frame's
-// ParseWire and Validate.
+// and the reply walks with arbitrary bytes, FuzzTopKRequest a TopK frame's
+// walk and Validate.
 
 // rpcMaxBatch bounds requests per RPC batch: past protecting the server
 // from absurd allocations, it keeps a single call's latency bounded so one
@@ -105,9 +105,10 @@ type StatsReply struct {
 	Stats Stats
 }
 
-// --- Message encodings: each lists its fields once, in wire order (the
-// slices' minimum element sizes: a TopKRequest with an empty Vector is 33
-// bytes, a TopKResult with no ids 24, a ScoreRequest 16) ---
+// --- Message encodings: each message is its walk over wire.Fields, its
+// fields listed once in wire order (the slices' minimum element sizes: a
+// TopKRequest with an empty Vector is 33 bytes, a TopKResult with no ids 24,
+// a ScoreRequest 16) ---
 
 func (r *TopKRequest) fields(f *wire.Fields) {
 	f.Int(&r.Rel)
@@ -118,7 +119,7 @@ func (r *TopKRequest) fields(f *wire.Fields) {
 	f.Int(&r.NProbe)
 }
 
-func (a *TopKArgs) fields(f *wire.Fields) {
+func (a *TopKArgs) Fields(f *wire.Fields) {
 	wire.Slice(f, &a.Reqs, 33, rpcMaxBatch, (*TopKRequest).fields)
 }
 
@@ -129,23 +130,23 @@ func (r *TopKResult) fields(f *wire.Fields) {
 	f.Int(&r.Probed)
 }
 
-func (r *TopKReply) fields(f *wire.Fields) { wire.Slice(f, &r.Results, 24, 0, (*TopKResult).fields) }
+func (r *TopKReply) Fields(f *wire.Fields) { wire.Slice(f, &r.Results, 24, 0, (*TopKResult).fields) }
 
 func (r *ScoreRequest) fields(f *wire.Fields) { f.Int(&r.Rel); f.Int32(&r.Src); f.Int32(&r.Dst) }
 
-func (a *ScoreArgs) fields(f *wire.Fields) {
+func (a *ScoreArgs) Fields(f *wire.Fields) {
 	wire.Slice(f, &a.Reqs, 16, rpcMaxBatch, (*ScoreRequest).fields)
 }
 
-func (r *ScoreReply) fields(f *wire.Fields) { f.Floats(&r.Scores) }
+func (r *ScoreReply) Fields(f *wire.Fields) { f.Floats(&r.Scores) }
 
-func (a *RankArgs) fields(f *wire.Fields) { (*ScoreRequest)(a).fields(f) }
+func (a *RankArgs) Fields(f *wire.Fields) { (*ScoreRequest)(a).fields(f) }
 
-func (r *RankReply) fields(f *wire.Fields) { f.Float64(&r.Rank) }
+func (r *RankReply) Fields(f *wire.Fields) { f.Float64(&r.Rank) }
 
-func (a *ReloadArgs) fields(f *wire.Fields) { f.String(&a.Dir) }
+func (a *ReloadArgs) Fields(f *wire.Fields) { f.String(&a.Dir) }
 
-func (r *StatsReply) fields(f *wire.Fields) {
+func (r *StatsReply) Fields(f *wire.Fields) {
 	st := &r.Stats
 	f.String(&st.Dir)
 	f.Int(&st.MappedShards)
@@ -155,23 +156,6 @@ func (r *StatsReply) fields(f *wire.Fields) {
 	f.Int(&st.IndexLists)
 	f.Int64(&st.Requests)
 }
-
-func (a TopKArgs) AppendWire(dst []byte) []byte   { return wire.Append(dst, a.fields) }
-func (a *TopKArgs) ParseWire(b []byte) error      { return wire.Parse(b, a.fields) }
-func (r TopKReply) AppendWire(dst []byte) []byte  { return wire.Append(dst, r.fields) }
-func (r *TopKReply) ParseWire(b []byte) error     { return wire.Parse(b, r.fields) }
-func (a ScoreArgs) AppendWire(dst []byte) []byte  { return wire.Append(dst, a.fields) }
-func (a *ScoreArgs) ParseWire(b []byte) error     { return wire.Parse(b, a.fields) }
-func (r ScoreReply) AppendWire(dst []byte) []byte { return wire.Append(dst, r.fields) }
-func (r *ScoreReply) ParseWire(b []byte) error    { return wire.Parse(b, r.fields) }
-func (a RankArgs) AppendWire(dst []byte) []byte   { return wire.Append(dst, a.fields) }
-func (a *RankArgs) ParseWire(b []byte) error      { return wire.Parse(b, a.fields) }
-func (r RankReply) AppendWire(dst []byte) []byte  { return wire.Append(dst, r.fields) }
-func (r *RankReply) ParseWire(b []byte) error     { return wire.Parse(b, r.fields) }
-func (a ReloadArgs) AppendWire(dst []byte) []byte { return wire.Append(dst, a.fields) }
-func (a *ReloadArgs) ParseWire(b []byte) error    { return wire.Parse(b, a.fields) }
-func (r StatsReply) AppendWire(dst []byte) []byte { return wire.Append(dst, r.fields) }
-func (r *StatsReply) ParseWire(b []byte) error    { return wire.Parse(b, r.fields) }
 
 // Service is the front end's receiver: one handler per method, each
 // validating every argument before touching the engine.
@@ -285,7 +269,7 @@ func Dial(addr string) (*Client, error) {
 // TopK runs a batched top-K query.
 func (c *Client) TopK(reqs []TopKRequest) ([]TopKResult, error) {
 	var reply TopKReply
-	if err := c.c.Call(&methodTopK, 0, TopKArgs{Reqs: reqs}, &reply); err != nil {
+	if err := c.c.Call(&methodTopK, 0, &TopKArgs{Reqs: reqs}, &reply); err != nil {
 		return nil, err
 	}
 	return reply.Results, nil
@@ -294,7 +278,7 @@ func (c *Client) TopK(reqs []TopKRequest) ([]TopKResult, error) {
 // Score runs a batched edge-score query.
 func (c *Client) Score(reqs []ScoreRequest) ([]float32, error) {
 	var reply ScoreReply
-	if err := c.c.Call(&methodScore, 0, ScoreArgs{Reqs: reqs}, &reply); err != nil {
+	if err := c.c.Call(&methodScore, 0, &ScoreArgs{Reqs: reqs}, &reply); err != nil {
 		return nil, err
 	}
 	return reply.Scores, nil
@@ -303,7 +287,7 @@ func (c *Client) Score(reqs []ScoreRequest) ([]float32, error) {
 // Rank fetches the mid-rank of dst for (src, rel).
 func (c *Client) Rank(rel int, src, dst int32) (float64, error) {
 	var reply RankReply
-	if err := c.c.Call(&methodRank, 0, RankArgs{Rel: rel, Src: src, Dst: dst}, &reply); err != nil {
+	if err := c.c.Call(&methodRank, 0, &RankArgs{Rel: rel, Src: src, Dst: dst}, &reply); err != nil {
 		return 0, err
 	}
 	return reply.Rank, nil
@@ -311,13 +295,13 @@ func (c *Client) Rank(rel int, src, dst int32) (float64, error) {
 
 // Reload asks the server to hot-swap its checkpoint.
 func (c *Client) Reload(dir string) error {
-	return c.c.Call(&methodReload, 0, ReloadArgs{Dir: dir}, &ReloadReply{})
+	return c.c.Call(&methodReload, 0, &ReloadArgs{Dir: dir}, &ReloadReply{})
 }
 
 // Stats fetches the serving footprint.
 func (c *Client) Stats() (Stats, error) {
 	var reply StatsReply
-	if err := c.c.Call(&methodStats, 0, StatsArgs{}, &reply); err != nil {
+	if err := c.c.Call(&methodStats, 0, &StatsArgs{}, &reply); err != nil {
 		return Stats{}, err
 	}
 	return reply.Stats, nil

@@ -1,7 +1,9 @@
 package serve_test
 
 import (
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"pbg/internal/serve"
@@ -83,6 +85,47 @@ func TestRPCRoundTrip(t *testing.T) {
 	if err := c.Reload(""); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRPCConcurrentTopK: calls in flight together on one Client share its
+// connection — the reader's cursor, and the writers' under the write lock —
+// on both ends, and each caller still gets its own batch's answer, equal to
+// the in-process one. The callers' batches differ in length, so a reply
+// decoded into the wrong call shows. CI runs it under the race detector.
+func TestRPCConcurrentTopK(t *testing.T) {
+	f := Shared(t, FixtureConfig{})
+	s, c := dialTestServer(t, f)
+	const callers, calls = 4, 25
+	var wg sync.WaitGroup
+	for g := range callers {
+		reqs := f.Requests(uint64(300+g), 3+2*g, 5, g%2 == 0)
+		want, err := s.TopK(reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range calls {
+				got, err := c.TopK(reqs)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if len(got) != len(want) {
+					t.Errorf("caller %d: %d results for a batch of %d", g, len(got), len(want))
+					return
+				}
+				for i := range want {
+					if !slices.Equal(got[i].IDs, want[i].IDs) || !slices.Equal(got[i].Scores, want[i].Scores) {
+						t.Errorf("caller %d request %d: wire %v %v, local %v %v", g, i, got[i].IDs, got[i].Scores, want[i].IDs, want[i].Scores)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestRPCValidation pins that malformed requests error over the wire with

@@ -38,8 +38,8 @@ func NewClient(nc net.Conn) *Client {
 }
 
 // Go sends a request of method m and returns without waiting for its reply.
-// args is an Appender or a StreamWriter (nil for an empty request), reply a
-// Parser or a StreamReader the reply is decoded into; the caller must leave
+// args is a Flat or a StreamWriter (nil for an empty request), reply a Flat
+// or a StreamReader the reply is decoded into; the caller must leave
 // reply alone until Done is closed — or, when it gives up on the call, until
 // Close has returned. span is the caller's trace span, 0 for none.
 func (c *Client) Go(m *Method, span uint64, args, reply any) *Call {
@@ -98,10 +98,11 @@ func (c *Client) read() {
 			c.fail(err)
 			return
 		}
-		var msg any = call.reply
-		var text errorText
+		msg := call.reply
+		var failed *ServerError
 		if h.Status != StatusOK {
-			msg = &text
+			failed = &ServerError{Status: h.Status}
+			msg = failed
 		}
 		fatal, err := c.cn.readBody(int(h.Len), msg)
 		if fatal {
@@ -110,8 +111,8 @@ func (c *Client) read() {
 			c.fail(err)
 			return
 		}
-		if h.Status != StatusOK {
-			err = &ServerError{Status: h.Status, Msg: string(text)}
+		if failed != nil {
+			err = failed
 		}
 		call.finish(err)
 	}

@@ -21,34 +21,51 @@ import (
 // Fields is a cursor that either appends a message's fields or decodes them.
 // A flat message describes its bytes once, as a walk over a *Fields naming
 // each field by pointer in wire order; that walk is both its encoder
-// (Append) and its decoder (Parse). Decoding, a read past the end, a count
+// (Encode) and its decoder (Decode). Decoding, a read past the end, a count
 // the remaining bytes cannot back or that exceeds its bound, and a
 // non-canonical value set a sticky error, drop the bytes left and leave zero
-// values, so a walk visits its fields unconditionally and Parse checks once.
-// Nothing decoded aliases the payload.
+// values, so a walk visits its fields unconditionally and Decode checks
+// once. Nothing decoded aliases the payload.
+//
+// A connection owns one cursor for its reader and one for its writers, so a
+// message that crosses the wire allocates none; the zero value is ready.
+// Encode and Decode leave the cursor zero, so it holds on to no buffer the
+// connection has let go.
 type Fields struct {
 	b      []byte // appending: the output so far; decoding: the bytes left
 	decode bool
 	err    error
 }
 
-// Append appends the encoding walk describes to dst.
-func Append(dst []byte, walk func(*Fields)) []byte {
-	f := Fields{b: dst}
-	walk(&f)
-	return f.b
+// Encode appends the encoding walk describes to dst, through f.
+func (f *Fields) Encode(dst []byte, walk func(*Fields)) []byte {
+	*f = Fields{b: dst}
+	walk(f)
+	dst = f.b
+	*f = Fields{}
+	return dst
 }
 
-// Parse decodes payload b through walk. It reports the first failure, or
-// trailing bytes no field claimed.
-func Parse(b []byte, walk func(*Fields)) error {
-	f := Fields{b: b, decode: true}
-	walk(&f)
+// Decode decodes payload b through walk, with f as the cursor. It reports
+// the first failure, or trailing bytes no field claimed.
+func (f *Fields) Decode(b []byte, walk func(*Fields)) error {
+	*f = Fields{b: b, decode: true}
+	walk(f)
 	if f.err == nil && len(f.b) > 0 {
 		f.fail("%d trailing payload bytes", len(f.b))
 	}
-	return f.err
+	err := f.err
+	*f = Fields{}
+	return err
 }
+
+// Append is Encode with a cursor of its own: the writer of the checkpoint's
+// flat files.
+func Append(dst []byte, walk func(*Fields)) []byte { return new(Fields).Encode(dst, walk) }
+
+// Parse is Decode with a cursor of its own: the reader of the checkpoint's
+// flat files.
+func Parse(b []byte, walk func(*Fields)) error { return new(Fields).Decode(b, walk) }
 
 var errTruncated = errors.New("wire: payload truncated")
 
@@ -279,9 +296,7 @@ func Slice[T any](f *Fields, s *[]T, minBytes, max int, elem func(*T, *Fields)) 
 	}
 }
 
-// Empty is the encoding of a message without fields; such a message embeds
-// it.
+// Empty is the walk of a message without fields; such a message embeds it.
 type Empty struct{}
 
-func (Empty) AppendWire(dst []byte) []byte { return dst }
-func (Empty) ParseWire(b []byte) error     { return Parse(b, func(*Fields) {}) }
+func (*Empty) Fields(*Fields) {}

@@ -16,11 +16,11 @@ import (
 // Buffer ownership. The connection owns three buffers, all reused from frame
 // to frame and none ever handed to a caller: a 4 KiB read-ahead in front of
 // the socket (a stream reader drains it and then reads the socket straight
-// into its own memory), the flat-payload scratch a Parser sees, and the
-// write buffer in which the header and a flat payload are assembled. A
-// stream writer's large blocks are not copied into the write buffer: they
+// into its own memory), the flat-payload scratch a Flat's walk decodes from,
+// and the write buffer in which the header and a flat payload are assembled.
+// A stream writer's large blocks are not copied into the write buffer: they
 // leave in one vectored write together with whatever small bytes precede
-// them.
+// them. It owns the walks' two cursors too, one per side.
 type conn struct {
 	nc net.Conn
 
@@ -28,9 +28,11 @@ type conn struct {
 	hdr     [HeaderBytes]byte
 	scratch []byte
 	lr      io.LimitedReader
+	rf      Fields
 
 	wmu  sync.Mutex
 	wbuf []byte
+	wf   Fields
 	sw   streamWriter
 	vecs [2][]byte
 	vec  net.Buffers
@@ -54,20 +56,29 @@ func (c *conn) readHeader() (Header, error) {
 	return ParseHeader(c.hdr[:])
 }
 
-// readBody reads an n-byte payload into msg; the caller has checked n
-// against its bound. A fatal error means the stream is lost; otherwise the
-// payload has been consumed whole and err is the decoder's verdict.
+// readBody reads an n-byte payload into msg — a Flat, a StreamReader, or
+// the *ServerError of a failed reply, which takes the payload as its text;
+// the caller has checked n against its bound. A fatal error means the stream
+// is lost; otherwise the payload has been consumed whole and err is the
+// decoder's verdict.
 func (c *conn) readBody(n int, msg any) (fatal bool, err error) {
 	if c.in != nil {
 		c.in.Add(int64(HeaderBytes) + int64(n))
 	}
 	switch m := msg.(type) {
-	case Parser:
+	case Flat:
 		buf, err := c.readFlat(n)
 		if err != nil {
 			return true, err
 		}
-		return false, m.ParseWire(buf)
+		return false, c.rf.Decode(buf, m.Fields)
+	case *ServerError:
+		buf, err := c.readFlat(n)
+		if err != nil {
+			return true, err
+		}
+		m.Msg = string(buf)
+		return false, nil
 	case StreamReader:
 		c.lr = io.LimitedReader{R: c.br, N: int64(n)}
 		err = m.ReadWire(&c.lr, n)
@@ -106,8 +117,9 @@ func (c *conn) readFlat(n int) ([]byte, error) {
 	return buf, nil
 }
 
-// writeFrame writes one frame: h with its length filled in, then msg (nil
-// for an empty payload). After an error the stream is lost.
+// writeFrame writes one frame: h with its length filled in, then msg — a
+// Flat, a StreamWriter, an error whose text is a failed reply's payload, or
+// nil for an empty payload. After an error the stream is lost.
 func (c *conn) writeFrame(h Header, msg any) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
@@ -116,16 +128,21 @@ func (c *conn) writeFrame(h Header, msg any) error {
 	size := 0
 	switch m := msg.(type) {
 	case nil:
-	case Appender:
-		buf = m.AppendWire(buf)
-		if cap(buf) <= keepBuffer {
-			c.wbuf = buf[:0]
-		}
-		size = len(buf) - HeaderBytes
+	case Flat:
+		buf = c.wf.Encode(buf, m.Fields)
+	case error:
+		text := m.Error()
+		buf = append(buf, text[:min(len(text), maxErrorText)]...)
 	case StreamWriter:
 		stream, size = m, m.WireSize()
 	default:
 		return fmt.Errorf("wire: %T cannot be written to the wire", msg)
+	}
+	if stream == nil {
+		if cap(buf) <= keepBuffer {
+			c.wbuf = buf[:0]
+		}
+		size = len(buf) - HeaderBytes
 	}
 	if size < 0 || size > MaxPayload {
 		return fmt.Errorf("wire: %T is %d bytes on the wire", msg, size)

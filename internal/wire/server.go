@@ -11,9 +11,9 @@ import (
 )
 
 // Invocation is one request being served: the connection's reader decodes
-// the payload into Args (a Parser or a StreamReader), then Invoke runs the
-// handler on a goroutine of its own and returns the reply to send (an
-// Appender, a StreamWriter, or nil) or the error to report. A reply that
+// the payload into Args (a Flat or a StreamReader), then Invoke runs the
+// handler on a goroutine of its own and returns the reply to send (a Flat, a
+// StreamWriter, or nil) or the error to report. A reply that
 // has a WireDone method is told when the transport has finished with it,
 // whether or not it could be sent.
 type Invocation interface {
@@ -183,8 +183,8 @@ func (s *Server) run(cn *conn, h Header, m served, call Invocation, queued time.
 	s.reply(cn, h, reply, err)
 }
 
-// reply answers request h with msg, or with err under its class. A failed
-// write hangs the connection up: the reader's next read ends it.
+// reply answers request h with msg, or with err's text under its class. A
+// failed write hangs the connection up: the reader's next read ends it.
 func (s *Server) reply(cn *conn, h Header, msg any, err error) {
 	out := Header{Method: h.Method, Reply: true, ID: h.ID}
 	if err != nil {
@@ -192,7 +192,7 @@ func (s *Server) reply(cn *conn, h Header, msg any, err error) {
 		if s.Classify != nil {
 			out.Status = max(s.Classify(err), StatusError)
 		}
-		msg = errorText(err.Error())
+		msg = err
 	}
 	if werr := cn.writeFrame(out, msg); werr != nil {
 		_ = cn.nc.Close() // nothing to report to: the client sees the hang-up

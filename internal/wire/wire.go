@@ -15,14 +15,15 @@
 // all little-endian. A reply with a non-zero status carries the error text
 // as its payload. Nothing on the wire is self-describing and nothing
 // reflects: every message type encodes and decodes itself in one of two
-// shapes. A flat message (Appender / Parser) is appended to and parsed from
-// a buffer the connection owns and grows as the bytes arrive — the parser
-// must copy out what it keeps — and describes its bytes once, as a walk over
-// Fields. A stream message (StreamWriter / StreamReader) writes to and reads
-// from the socket itself, which is how a partition moves between the socket
-// and shard memory with no copy in between. Fields is also the codec of the
-// checkpoint's flat files, relations.pbg and ivf.pbg: each is one walk, its
-// writer and its reader, held to the same count checks as a message.
+// shapes. A flat message (Flat) is its walk over Fields, which names its
+// bytes once and is both its encoder and its decoder; the connection runs
+// the walk with a cursor of its own over a buffer it owns and grows as the
+// bytes arrive. A stream message (StreamWriter / StreamReader) writes to and
+// reads from the socket itself, which is how a partition moves between the
+// socket and shard memory with no copy in between. Fields is also the codec
+// of the checkpoint's flat files, relations.pbg and ivf.pbg: each is one
+// walk, its writer and its reader, held to the same count checks as a
+// message.
 //
 // Requests on one connection are read in order and served concurrently, one
 // goroutine each; replies are written as they finish and matched to callers
@@ -135,17 +136,15 @@ type Method struct {
 	MaxReq, MaxReply int
 }
 
-// The four message shapes. A type crosses the wire in a given direction by
-// implementing the flat or the stream interface of that direction.
+// The message shapes. A type crosses the wire in a given direction by
+// implementing Flat, or the stream interface of that direction.
 type (
-	// Appender is a flat outgoing message: it appends its encoding to dst.
-	Appender interface {
-		AppendWire(dst []byte) []byte
-	}
-	// Parser is a flat incoming message: it decodes itself from b, which is
-	// the whole payload and is reused once ParseWire returns.
-	Parser interface {
-		ParseWire(b []byte) error
+	// Flat is a message that crosses in either direction as its walk over
+	// Fields: each field by pointer, in wire order. Decoding, the walk reads
+	// the whole payload from a buffer that is reused once it returns; the
+	// Fields methods copy out what they keep.
+	Flat interface {
+		Fields(f *Fields)
 	}
 	// StreamWriter is an outgoing message written straight to the
 	// connection: exactly WireSize bytes, in as few Writes as it can.
@@ -175,18 +174,3 @@ type ServerError struct {
 }
 
 func (e *ServerError) Error() string { return e.Msg }
-
-// errorText is the payload of a failed reply.
-type errorText string
-
-func (e errorText) AppendWire(dst []byte) []byte {
-	if len(e) > maxErrorText {
-		e = e[:maxErrorText]
-	}
-	return append(dst, e...)
-}
-
-func (e *errorText) ParseWire(b []byte) error {
-	*e = errorText(b)
-	return nil
-}

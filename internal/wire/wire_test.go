@@ -17,17 +17,20 @@ import (
 	"pbg/internal/obs"
 )
 
-// text is a flat test message; "bad" refuses to parse.
+// text is a flat test message, one string; "bad" refuses to parse.
 type text string
 
-func (t text) AppendWire(dst []byte) []byte { return append(dst, t...) }
-
-func (t *text) ParseWire(b []byte) error {
-	if string(b) == "bad" {
-		return errors.New("text: bad")
+func (t *text) Fields(f *Fields) {
+	f.String((*string)(t))
+	if f.decode && *t == "bad" {
+		f.fail("text: bad")
 	}
-	*t = text(b)
-	return nil
+}
+
+// sent is s as a request's arguments.
+func sent(s string) *text {
+	t := text(s)
+	return &t
 }
 
 // bulk is a stream test message. It reads at most keep bytes (0 = all) and
@@ -254,10 +257,10 @@ func TestCallsMultiplex(t *testing.T) {
 	var parked [3]text
 	var calls [3]*Call
 	for i := range calls {
-		calls[i] = c.Go(&mPark, 0, text(fmt.Sprint(i)), &parked[i])
+		calls[i] = c.Go(&mPark, 0, sent(fmt.Sprint(i)), &parked[i])
 	}
 	var r text
-	if err := c.Call(&mEcho, 0, text("x"), &r); err != nil || r != "echo x" {
+	if err := c.Call(&mEcho, 0, sent("x"), &r); err != nil || r != "echo x" {
 		t.Fatalf("echo behind parked calls: %q, %v", r, err)
 	}
 	for i := range calls {
@@ -285,7 +288,7 @@ func TestCloseEndsCallsAndReader(t *testing.T) {
 	addr, park := testServer(t, nil)
 	c := dial(t, addr)
 	var r text
-	call := c.Go(&mPark, 0, text("late"), &r)
+	call := c.Go(&mPark, 0, sent("late"), &r)
 	_ = c.Close()
 	select {
 	case <-call.Done:
@@ -304,7 +307,7 @@ func TestCloseEndsCallsAndReader(t *testing.T) {
 	if r != "" {
 		t.Fatalf("late reply delivered: %q", r)
 	}
-	if err := c.Call(&mEcho, 0, text("x"), &r); !errors.Is(err, ErrShutdown) {
+	if err := c.Call(&mEcho, 0, sent("x"), &r); !errors.Is(err, ErrShutdown) {
 		t.Fatalf("call on a closed client: %v", err)
 	}
 }
@@ -342,9 +345,9 @@ func TestBadPayloadKeepsConnection(t *testing.T) {
 	addr, _ := testServer(t, nil)
 	c := dial(t, addr)
 	var r text
-	err := c.Call(&mEcho, 0, text("bad"), &r)
+	err := c.Call(&mEcho, 0, sent("bad"), &r)
 	var se *ServerError
-	if !errors.As(err, &se) || se.Status != StatusError || se.Msg != "text: bad" {
+	if !errors.As(err, &se) || se.Status != StatusError || se.Msg != "wire: text: bad" {
 		t.Fatalf("undecodable request: %v", err)
 	}
 	err = c.Call(&mFirst, 0, &bulk{b: bytes.Repeat([]byte("wxyz"), 1<<18)}, &r)
@@ -399,10 +402,10 @@ func TestErrorClassCrossesAsStatus(t *testing.T) {
 	c := dial(t, addr)
 	var r text
 	var se *ServerError
-	if err := c.Call(&mFail, 0, text("classed"), &r); !errors.As(err, &se) || se.Status != StatusUser+3 || se.Msg != "handler: classed" {
+	if err := c.Call(&mFail, 0, sent("classed"), &r); !errors.As(err, &se) || se.Status != StatusUser+3 || se.Msg != "handler: classed" {
 		t.Fatalf("classed error: %v (%+v)", err, se)
 	}
-	if err := c.Call(&mFail, 0, text("plain"), &r); !errors.As(err, &se) || se.Status != StatusError || se.Msg != "handler: plain" {
+	if err := c.Call(&mFail, 0, sent("plain"), &r); !errors.As(err, &se) || se.Status != StatusError || se.Msg != "handler: plain" {
 		t.Fatalf("plain error: %v (%+v)", err, se)
 	}
 }
@@ -416,11 +419,11 @@ func TestServerSideObservability(t *testing.T) {
 	c := dial(t, addr)
 	parent := hub.Trace.Start("client", "caller")
 	var r text
-	if err := c.Call(&mEcho, uint64(parent.ID()), text("abc"), &r); err != nil {
+	if err := c.Call(&mEcho, uint64(parent.ID()), sent("abc"), &r); err != nil {
 		t.Fatal(err)
 	}
 	parent.End()
-	if err := c.Call(&mEcho, 0, text("abcd"), &r); err != nil { // untraced: no span
+	if err := c.Call(&mEcho, 0, sent("abcd"), &r); err != nil { // untraced: no span
 		t.Fatal(err)
 	}
 	var child []obs.SpanEvent
@@ -436,10 +439,10 @@ func TestServerSideObservability(t *testing.T) {
 	if got := snap.Histograms["pbg_wire_server_queue_ns"].Count; got != 2 {
 		t.Errorf("queue histogram has %d samples, want 2", got)
 	}
-	if in, want := snap.Counters[`pbg_wire_bytes_total{dir="in"}`], int64(2*HeaderBytes+3+4); in != want {
+	if in, want := snap.Counters[`pbg_wire_bytes_total{dir="in"}`], int64(2*HeaderBytes+(4+3)+(4+4)); in != want {
 		t.Errorf("bytes in %d, want %d", in, want)
 	}
-	if out, want := snap.Counters[`pbg_wire_bytes_total{dir="out"}`], int64(2*HeaderBytes+8+9); out != want {
+	if out, want := snap.Counters[`pbg_wire_bytes_total{dir="out"}`], int64(2*HeaderBytes+(4+8)+(4+9)); out != want {
 		t.Errorf("bytes out %d, want %d", out, want)
 	}
 }
@@ -487,7 +490,7 @@ func TestFlatPayloadGrowsAsBytesArrive(t *testing.T) {
 	c := NewClient(client)
 	defer c.Close()
 	var r text
-	if got := allocated(func() { err = c.Call(&big, 0, text("x"), &r) }); !errors.Is(err, ErrShutdown) || got >= 1<<20 {
+	if got := allocated(func() { err = c.Call(&big, 0, sent("x"), &r) }); !errors.Is(err, ErrShutdown) || got >= 1<<20 {
 		t.Errorf("a 1 GiB reply header over a closed connection: allocated %d bytes, %v", got, err)
 	}
 }
